@@ -7,28 +7,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use tdb_bench::fixtures::bytes;
-use tdb_crypto::cbc::Cbc;
 use tdb_crypto::hmac::{Hmac, HmacKey};
-use tdb_crypto::{CipherKind, HashKind};
-
-fn bench_aes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("aes_cbc");
-    let buf = bytes(11, 64 * 1024);
-    group.throughput(Throughput::Bytes(buf.len() as u64));
-    for cipher in [CipherKind::Aes128, CipherKind::Aes256] {
-        let key = vec![0x42u8; cipher.key_len()];
-        let cbc = Cbc::new(cipher.new_cipher(&key).unwrap());
-        let iv = cbc.random_iv();
-        group.bench_function(BenchmarkId::new("encrypt", format!("{cipher:?}")), |b| {
-            b.iter(|| cbc.encrypt(&iv, &buf).unwrap())
-        });
-        let ct = cbc.encrypt(&iv, &buf).unwrap();
-        group.bench_function(BenchmarkId::new("decrypt", format!("{cipher:?}")), |b| {
-            b.iter(|| cbc.decrypt(&iv, &ct).unwrap())
-        });
-    }
-    group.finish();
-}
+use tdb_crypto::HashKind;
 
 fn bench_sha256(c: &mut Criterion) {
     // Bulk throughput (multi-block compression keeps state in locals) and
@@ -85,11 +65,5 @@ fn bench_tree_hash(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_aes,
-    bench_sha256,
-    bench_hmac,
-    bench_tree_hash
-);
+criterion_group!(benches, bench_sha256, bench_hmac, bench_tree_hash);
 criterion_main!(benches);

@@ -4,6 +4,7 @@
 //! Absolute times differ (450 MHz Pentium vs today), so EXPERIMENTS.md
 //! compares *shapes*: orderings, ratios, and linearity.
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -58,6 +59,9 @@ pub fn e1_crypto() {
     println!("== E1: cryptographic operations (§9.2.1) ==");
     println!("paper: 3DES-CBC 2.5 MB/s, DES-CBC 7.2 MB/s, SHA-1 21.1 MB/s + 5 µs finalization");
     let buf = bytes(1, 1 << 20);
+    // A 1000-byte row is what `tdbmark`'s kv workloads seal on a commit and
+    // open on a read miss (`crypto.{encrypt,decrypt}_us_per_record`).
+    let row = &buf[..1000];
     for cipher in [
         CipherKind::TripleDes,
         CipherKind::Des,
@@ -65,15 +69,29 @@ pub fn e1_crypto() {
         CipherKind::Aes256,
     ] {
         let key = vec![0x42u8; cipher.key_len()];
-        let cbc = Cbc::new(cipher.new_cipher(&key).expect("key"));
+        let cbc = Cbc::new(cipher, &key).expect("key");
         let iv = cbc.random_iv();
-        let d = per_iter(|| {
-            let _ = cbc.encrypt(&iv, &buf).expect("encrypt");
+        let sealed = cbc.encrypt(&iv, &buf).expect("encrypt");
+        let sealed_row = cbc.encrypt(&iv, row).expect("encrypt");
+        let enc = per_iter(|| {
+            black_box(cbc.encrypt(&iv, black_box(&buf)).expect("encrypt"));
+        });
+        let dec = per_iter(|| {
+            black_box(cbc.decrypt(&iv, black_box(&sealed)).expect("decrypt"));
+        });
+        let enc_row = per_iter(|| {
+            black_box(cbc.encrypt(&iv, black_box(row)).expect("encrypt"));
+        });
+        let dec_row = per_iter(|| {
+            black_box(cbc.decrypt(&iv, black_box(&sealed_row)).expect("decrypt"));
         });
         println!(
-            "  {:?}-CBC encrypt: {:7.2} MB/s",
+            "  {:?}-CBC: encrypt {:7.2} MB/s, decrypt {:7.2} MB/s; 1000-byte row: encrypt {:6.2} µs, decrypt {:6.2} µs",
             cipher,
-            mbps(buf.len(), d)
+            mbps(buf.len(), enc),
+            mbps(buf.len(), dec),
+            enc_row.as_secs_f64() * 1e6,
+            dec_row.as_secs_f64() * 1e6,
         );
     }
     for hash in [HashKind::Sha1, HashKind::Sha256] {

@@ -374,6 +374,13 @@ impl Drop for Span {
 mod tests {
     use super::*;
 
+    /// The span table and its enable flag are process-global, so a sibling
+    /// test's `disable()`/`reset()` would land mid-span: every test here
+    /// holds this lock for its whole body. Span names are private to these
+    /// tests because the rest of the crate's tests run (and charge the real
+    /// module names) while one of these has recording enabled.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
     fn busy(d: Duration) {
         let start = Instant::now();
         while start.elapsed() < d {
@@ -383,21 +390,22 @@ mod tests {
 
     #[test]
     fn nested_spans_exclude_children() {
+        let _serial = SERIAL.lock();
         enable();
         reset();
         {
-            let _outer = span("chunk store");
+            let _outer = span("metrics-test-outer");
             busy(Duration::from_millis(10));
             {
-                let _inner = span("hashing");
+                let _inner = span("metrics-test-inner");
                 busy(Duration::from_millis(20));
             }
             busy(Duration::from_millis(5));
         }
         disable();
         let snap = snapshot();
-        let outer = snap["chunk store"];
-        let inner = snap["hashing"];
+        let outer = snap["metrics-test-outer"];
+        let inner = snap["metrics-test-inner"];
         assert!(inner >= Duration::from_millis(19), "{inner:?}");
         // The outer span's self time excludes the inner 20 ms.
         assert!(outer >= Duration::from_millis(14), "{outer:?}");
@@ -406,19 +414,26 @@ mod tests {
 
     #[test]
     fn disabled_spans_cost_nothing() {
+        let _serial = SERIAL.lock();
         disable();
         reset();
         {
-            let _s = span("encryption");
+            let _s = span("metrics-test-disabled");
             busy(Duration::from_millis(2));
         }
         // Totals unchanged because recording was off.
         let snap = snapshot();
-        assert!(snap.get("encryption").copied().unwrap_or_default() < Duration::from_millis(1));
+        assert!(
+            snap.get("metrics-test-disabled")
+                .copied()
+                .unwrap_or_default()
+                < Duration::from_millis(1)
+        );
     }
 
     #[test]
     fn counters_accumulate_without_enable() {
+        let _serial = SERIAL.lock();
         disable();
         // A name no production code uses; sibling tests call reset(), so
         // retry rather than assert an exact total.
@@ -434,6 +449,7 @@ mod tests {
 
     #[test]
     fn labeled_counters_bucket_by_label() {
+        let _serial = SERIAL.lock();
         disable();
         // Private names so sibling tests (which call reset()) cannot race
         // the totals we assert on; retry like the unlabeled test does.
@@ -458,14 +474,15 @@ mod tests {
 
     #[test]
     fn sibling_spans_accumulate() {
+        let _serial = SERIAL.lock();
         enable();
         reset();
         for _ in 0..3 {
-            let _s = span("object store");
+            let _s = span("metrics-test-sibling");
             busy(Duration::from_millis(3));
         }
         disable();
-        let total = snapshot()["object store"];
+        let total = snapshot()["metrics-test-sibling"];
         assert!(total >= Duration::from_millis(8), "{total:?}");
     }
 }

@@ -92,7 +92,7 @@ impl CryptoParams {
     ///
     /// Fails if the key does not match the cipher's key length.
     pub fn runtime(&self) -> Result<PartitionCrypto> {
-        let cbc = Cbc::new(self.cipher.new_cipher(self.key.as_bytes())?);
+        let cbc = Cbc::new(self.cipher, self.key.as_bytes())?;
         // The null hash falls back to SHA-256 so a signature always exists
         // (§4.8.2.2); the pad midstates are derived once here, not per MAC.
         let sign_kind = if self.hash == HashKind::Null {

@@ -1,42 +1,130 @@
-//! CBC mode with PKCS#7 padding over any [`BlockCipher`].
+//! CBC mode with PKCS#7 padding over the crate's block ciphers.
 //!
 //! All bulk encryption in TDB (chunk headers, chunk bodies, backup streams)
 //! runs in CBC mode, as in the paper (§9.2.1: "3DES in CBC mode", "DES in
 //! CBC mode"). Each encrypted unit carries its own fresh IV, so identical
 //! plaintexts written at different times yield unrelated ciphertexts — part
 //! of the paper's resistance to traffic-monitoring attacks (§1.2).
+//!
+//! [`Cbc`] holds the keyed cipher itself, not a trait object: a whole run of
+//! blocks is dispatched on the cipher once and then ciphered by a loop
+//! compiled for that cipher, over `u64` or `u128` blocks with the chaining
+//! value in a register.
 
 use rand::RngCore;
 
-use crate::{BlockCipher, CryptoError};
+use crate::aes::Aes;
+use crate::des::{Des, TripleDes};
+use crate::{CipherKind, CryptoError};
 
-/// A CBC-mode wrapper around a keyed block cipher.
+/// A keyed block cipher of one of the supported kinds.
+// One per partition and long-lived: the key schedules stay inline (3DES is
+// the largest at 768 bytes) so the block loops reach them without a pointer
+// chase.
+#[allow(clippy::large_enum_variant)]
+enum Cipher {
+    Null,
+    Des(Des),
+    TripleDes(TripleDes),
+    Aes(Aes),
+}
+
+/// A cipher block as the integer the kernels work on.
+trait Block: Copy + std::ops::BitXor<Output = Self> {
+    fn load(bytes: &[u8]) -> Self;
+    fn store(self, bytes: &mut [u8]);
+}
+
+macro_rules! big_endian_block {
+    ($($ty:ty),*) => {$(
+        impl Block for $ty {
+            #[inline(always)]
+            fn load(bytes: &[u8]) -> Self {
+                <$ty>::from_be_bytes(bytes.try_into().expect("one whole block"))
+            }
+            #[inline(always)]
+            fn store(self, bytes: &mut [u8]) {
+                bytes.copy_from_slice(&self.to_be_bytes());
+            }
+        }
+    )*};
+}
+
+big_endian_block!(u8, u64, u128);
+
+/// CBC-encrypts `buf`, a whole number of blocks, in place.
+#[inline(always)]
+fn encrypt_blocks<B: Block>(iv: &[u8], buf: &mut [u8], encrypt: impl Fn(B) -> B) {
+    let mut prev = B::load(iv);
+    for block in buf.chunks_exact_mut(size_of::<B>()) {
+        prev = encrypt(B::load(block) ^ prev);
+        prev.store(block);
+    }
+}
+
+/// CBC-decrypts `buf`, a whole number of blocks, in place.
+#[inline(always)]
+fn decrypt_blocks<B: Block>(iv: &[u8], buf: &mut [u8], decrypt: impl Fn(B) -> B) {
+    let mut prev = B::load(iv);
+    for block in buf.chunks_exact_mut(size_of::<B>()) {
+        let ciphertext = B::load(block);
+        (decrypt(ciphertext) ^ prev).store(block);
+        prev = ciphertext;
+    }
+}
+
+/// A keyed block cipher in CBC mode.
 pub struct Cbc {
-    cipher: Box<dyn BlockCipher>,
+    cipher: Cipher,
+    block_size: usize,
 }
 
 impl Cbc {
-    /// Wraps a keyed block cipher.
-    pub fn new(cipher: Box<dyn BlockCipher>) -> Self {
-        Cbc { cipher }
+    /// Keys a cipher of the given kind.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::BadKeyLength`] if `key` is not
+    /// [`CipherKind::key_len`] bytes long (the null cipher accepts only an
+    /// empty key).
+    pub fn new(kind: CipherKind, key: &[u8]) -> Result<Self, CryptoError> {
+        let expected = kind.key_len();
+        if key.len() != expected {
+            return Err(CryptoError::BadKeyLength {
+                expected,
+                got: key.len(),
+            });
+        }
+        let cipher = match kind {
+            CipherKind::Null => Cipher::Null,
+            CipherKind::Des => Cipher::Des(Des::new(key.try_into().expect("len checked"))),
+            CipherKind::TripleDes => {
+                Cipher::TripleDes(TripleDes::new(key.try_into().expect("len checked")))
+            }
+            CipherKind::Aes128 => Cipher::Aes(Aes::new_128(key.try_into().expect("len checked"))),
+            CipherKind::Aes256 => Cipher::Aes(Aes::new_256(key.try_into().expect("len checked"))),
+        };
+        Ok(Cbc {
+            cipher,
+            block_size: kind.block_size(),
+        })
     }
 
     /// Block size of the underlying cipher.
     pub fn block_size(&self) -> usize {
-        self.cipher.block_size()
+        self.block_size
     }
 
     /// Generates a random IV of the cipher's block size.
     pub fn random_iv(&self) -> Vec<u8> {
-        let mut iv = vec![0u8; self.cipher.block_size()];
-        // The null cipher has block size 1; its IV is a single ignored byte.
+        let mut iv = vec![0u8; self.block_size];
         rand::thread_rng().fill_bytes(&mut iv);
         iv
     }
 
     /// Fills `iv` (which must be block-sized) with fresh random bytes.
     pub fn fill_iv(&self, iv: &mut [u8]) {
-        debug_assert_eq!(iv.len(), self.cipher.block_size());
+        debug_assert_eq!(iv.len(), self.block_size);
         rand::thread_rng().fill_bytes(iv);
     }
 
@@ -44,7 +132,9 @@ impl Cbc {
     ///
     /// The output length is `plaintext.len()` rounded up to the next whole
     /// multiple of the block size (always at least one padding byte). The
-    /// null cipher (block size 1) adds exactly one padding byte.
+    /// null cipher has a block of one byte, so it adds exactly one padding
+    /// byte; its blocks are still chained, each byte XORed with the one
+    /// before it and the first with the one-byte IV.
     ///
     /// # Errors
     ///
@@ -57,8 +147,7 @@ impl Cbc {
 
     /// Appends `encrypt(iv, plaintext)` to `out` without intermediate
     /// buffers: the padded plaintext is laid into `out` once and ciphered
-    /// in place, each block XOR-chained against the previous ciphertext
-    /// block already sitting in `out` (no per-block `prev` copy).
+    /// in place.
     ///
     /// # Errors
     ///
@@ -69,7 +158,7 @@ impl Cbc {
         plaintext: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), CryptoError> {
-        let bs = self.cipher.block_size();
+        let bs = self.block_size;
         if iv.len() != bs {
             return Err(CryptoError::BadIvLength {
                 expected: bs,
@@ -82,16 +171,11 @@ impl Cbc {
         out.extend_from_slice(plaintext);
         out.extend(std::iter::repeat_n(pad as u8, pad));
         let buf = &mut out[start..];
-        let mut off = 0;
-        while off < buf.len() {
-            let (done, rest) = buf.split_at_mut(off);
-            let prev = if off == 0 { iv } else { &done[off - bs..] };
-            let block = &mut rest[..bs];
-            for (b, p) in block.iter_mut().zip(prev.iter()) {
-                *b ^= p;
-            }
-            self.cipher.encrypt_block(block);
-            off += bs;
+        match &self.cipher {
+            Cipher::Null => encrypt_blocks(iv, buf, |b: u8| b),
+            Cipher::Des(c) => encrypt_blocks(iv, buf, |b| c.encrypt_block(b)),
+            Cipher::TripleDes(c) => encrypt_blocks(iv, buf, |b| c.encrypt_block(b)),
+            Cipher::Aes(c) => encrypt_blocks(iv, buf, |b| c.encrypt_block(b)),
         }
         Ok(())
     }
@@ -105,7 +189,7 @@ impl Cbc {
     /// and [`CryptoError::BadPadding`] when padding is malformed — which is
     /// how ciphertext corruption usually first surfaces.
     pub fn decrypt(&self, iv: &[u8], ciphertext: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let bs = self.cipher.block_size();
+        let bs = self.block_size;
         if iv.len() != bs {
             return Err(CryptoError::BadIvLength {
                 expected: bs,
@@ -119,21 +203,11 @@ impl Cbc {
             });
         }
         let mut out = ciphertext.to_vec();
-        // Every cipher in this crate has a block size of at most 16 bytes
-        // (AES), so the previous-ciphertext carry fits in fixed stack
-        // buffers — no per-block heap allocation on the decrypt path.
-        const MAX_BS: usize = 16;
-        debug_assert!(bs <= MAX_BS, "block size {bs} exceeds CBC carry buffer");
-        let mut prev = [0u8; MAX_BS];
-        let mut saved = [0u8; MAX_BS];
-        prev[..bs].copy_from_slice(iv);
-        for block in out.chunks_mut(bs) {
-            saved[..bs].copy_from_slice(block);
-            self.cipher.decrypt_block(block);
-            for (b, p) in block.iter_mut().zip(prev[..bs].iter()) {
-                *b ^= p;
-            }
-            std::mem::swap(&mut prev, &mut saved);
+        match &self.cipher {
+            Cipher::Null => decrypt_blocks(iv, &mut out, |b: u8| b),
+            Cipher::Des(c) => decrypt_blocks(iv, &mut out, |b| c.decrypt_block(b)),
+            Cipher::TripleDes(c) => decrypt_blocks(iv, &mut out, |b| c.decrypt_block(b)),
+            Cipher::Aes(c) => decrypt_blocks(iv, &mut out, |b| c.decrypt_block(b)),
         }
         let pad = *out.last().expect("non-empty checked") as usize;
         if pad == 0 || pad > bs || pad > out.len() {
@@ -149,30 +223,104 @@ impl Cbc {
     /// Length of the ciphertext produced for a plaintext of `len` bytes
     /// (including padding, excluding the IV).
     pub fn ciphertext_len(&self, len: usize) -> usize {
-        let bs = self.cipher.block_size();
+        let bs = self.block_size;
         len + (bs - len % bs)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
-    use crate::CipherKind;
+    use crate::{aes, des};
+
+    const ALL_KINDS: [CipherKind; 5] = [
+        CipherKind::Null,
+        CipherKind::Des,
+        CipherKind::TripleDes,
+        CipherKind::Aes128,
+        CipherKind::Aes256,
+    ];
 
     fn cbc(kind: CipherKind) -> Cbc {
         let key = vec![0x42u8; kind.key_len()];
-        Cbc::new(kind.new_cipher(&key).unwrap())
+        Cbc::new(kind, &key).unwrap()
+    }
+
+    /// CBC with PKCS#7 as this module ran it before the kernels took whole
+    /// integers: one block at a time through `encrypt_block`, a byte-wise
+    /// XOR against the previous ciphertext block. Over the `reference`
+    /// kernels it is the oracle for the bulk path.
+    fn reference_encrypt(kind: CipherKind, key: &[u8], iv: &[u8], plaintext: &[u8]) -> Vec<u8> {
+        let bs = kind.block_size();
+        let pad = bs - plaintext.len() % bs;
+        let mut out = plaintext.to_vec();
+        out.extend(std::iter::repeat_n(pad as u8, pad));
+        let mut prev = iv.to_vec();
+        for block in out.chunks_mut(bs) {
+            for (b, p) in block.iter_mut().zip(&prev) {
+                *b ^= p;
+            }
+            reference_block(kind, key, block, true);
+            prev.copy_from_slice(block);
+        }
+        out
+    }
+
+    /// The decrypting counterpart, padding left in place.
+    fn reference_decrypt(kind: CipherKind, key: &[u8], iv: &[u8], ciphertext: &[u8]) -> Vec<u8> {
+        let mut out = ciphertext.to_vec();
+        let mut prev = iv.to_vec();
+        for block in out.chunks_mut(kind.block_size()) {
+            let saved = block.to_vec();
+            reference_block(kind, key, block, false);
+            for (b, p) in block.iter_mut().zip(&prev) {
+                *b ^= p;
+            }
+            prev = saved;
+        }
+        out
+    }
+
+    fn reference_block(kind: CipherKind, key: &[u8], block: &mut [u8], encrypt: bool) {
+        match kind {
+            CipherKind::Null => {}
+            CipherKind::Des | CipherKind::TripleDes => {
+                let x = u64::from_be_bytes((&*block).try_into().unwrap());
+                let y = match (kind, encrypt) {
+                    (CipherKind::Des, true) => {
+                        des::reference::des_encrypt(key.try_into().unwrap(), x)
+                    }
+                    (CipherKind::Des, false) => {
+                        des::reference::des_decrypt(key.try_into().unwrap(), x)
+                    }
+                    (_, true) => des::reference::tdes_encrypt(key.try_into().unwrap(), x),
+                    (_, false) => des::reference::tdes_decrypt(key.try_into().unwrap(), x),
+                };
+                block.copy_from_slice(&y.to_be_bytes());
+            }
+            CipherKind::Aes128 | CipherKind::Aes256 => {
+                let x = u128::from_be_bytes((&*block).try_into().unwrap());
+                let y = if encrypt {
+                    aes::reference::encrypt(key, x)
+                } else {
+                    aes::reference::decrypt(key, x)
+                };
+                block.copy_from_slice(&y.to_be_bytes());
+            }
+        }
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len() / 2)
+            .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).unwrap())
+            .collect()
     }
 
     #[test]
     fn roundtrip_all_ciphers_various_lengths() {
-        for kind in [
-            CipherKind::Null,
-            CipherKind::Des,
-            CipherKind::TripleDes,
-            CipherKind::Aes128,
-            CipherKind::Aes256,
-        ] {
+        for kind in ALL_KINDS {
             let c = cbc(kind);
             for len in [0usize, 1, 7, 8, 15, 16, 17, 100, 1000] {
                 let pt: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
@@ -185,27 +333,39 @@ mod tests {
     }
 
     #[test]
-    fn nist_sp800_38a_aes128_cbc_vector() {
-        // NIST SP 800-38A F.2.1 CBC-AES128.Encrypt, first block.
-        let key: [u8; 16] = [
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-            0x4f, 0x3c,
-        ];
-        let iv: [u8; 16] = (0..16u8).collect::<Vec<_>>().try_into().unwrap();
-        let pt: [u8; 16] = [
-            0x6b, 0xc1, 0xbe, 0xe2, 0x2e, 0x40, 0x9f, 0x96, 0xe9, 0x3d, 0x7e, 0x11, 0x73, 0x93,
-            0x17, 0x2a,
-        ];
-        let c = Cbc::new(CipherKind::Aes128.new_cipher(&key).unwrap());
-        let ct = c.encrypt(&iv, &pt).unwrap();
-        // Our output includes a full padding block after the vector block.
-        assert_eq!(
-            &ct[..16],
-            &[
-                0x76, 0x49, 0xab, 0xac, 0x81, 0x19, 0xb2, 0x46, 0xce, 0xe9, 0x8e, 0x9b, 0x12, 0xe9,
-                0x19, 0x7d
-            ]
+    fn nist_sp800_38a_cbc_vectors() {
+        // NIST SP 800-38A F.2.1/F.2.2 (CBC-AES128) and F.2.5/F.2.6
+        // (CBC-AES256): all four blocks, encrypt and decrypt. (F.2.3/F.2.4
+        // are AES-192, which this crate does not offer.)
+        let iv = unhex("000102030405060708090a0b0c0d0e0f");
+        let pt = unhex(
+            "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51\
+             30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710",
         );
+        for (kind, key, ct) in [
+            (
+                CipherKind::Aes128,
+                "2b7e151628aed2a6abf7158809cf4f3c",
+                "7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2\
+                 73bed6b8e3c1743b7116e69e222295163ff1caa1681fac09120eca307586e1a7",
+            ),
+            (
+                CipherKind::Aes256,
+                "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+                "f58c4c04d6e5f1ba779eabfb5f7bfbd69cfc4e967edb808d679f777bc6702c7d\
+                 39f23369a9d9bacfa530e26304231461b2eb05e2c39be9fcda6c19078c6a9d1b",
+            ),
+        ] {
+            let c = Cbc::new(kind, &unhex(key)).unwrap();
+            // Our output carries a full padding block after the vector's four.
+            let sealed = c.encrypt(&iv, &pt).unwrap();
+            assert_eq!(sealed.len(), 80);
+            assert_eq!(&sealed[..64], &unhex(ct)[..], "{kind:?} encrypt");
+            // Decrypt from the published ciphertext, not from our own.
+            let mut published = unhex(ct);
+            published.extend_from_slice(&sealed[64..]);
+            assert_eq!(c.decrypt(&iv, &published).unwrap(), pt, "{kind:?} decrypt");
+        }
     }
 
     #[test]
@@ -260,14 +420,88 @@ mod tests {
             c.encrypt(&[0; 7], b"x"),
             Err(CryptoError::BadIvLength { .. })
         ));
+        assert!(matches!(
+            c.decrypt(&[0; 7], &[0u8; 8]),
+            Err(CryptoError::BadIvLength { .. })
+        ));
     }
 
     #[test]
-    fn null_cipher_cbc_passes_data_with_padding_byte() {
+    fn key_length_enforced() {
+        assert_eq!(
+            Cbc::new(CipherKind::Des, &[0u8; 7]).err(),
+            Some(CryptoError::BadKeyLength {
+                expected: 8,
+                got: 7
+            })
+        );
+        assert!(Cbc::new(CipherKind::Null, &[0u8; 1]).is_err());
+        assert!(Cbc::new(CipherKind::Null, &[]).is_ok());
+        assert!(Cbc::new(CipherKind::Aes128, &[0u8; 16]).is_ok());
+    }
+
+    #[test]
+    fn malformed_padding_rejected() {
+        // A final plaintext byte of zero, or one larger than the block, or a
+        // run that does not repeat it, is BadPadding under every cipher. The
+        // null cipher makes such plaintexts easy to construct: its
+        // ciphertext is the running XOR of IV and plaintext.
         let c = cbc(CipherKind::Null);
-        let iv = c.random_iv();
-        let ct = c.encrypt(&iv, b"abc").unwrap();
-        assert_eq!(ct.len(), 4);
-        assert_eq!(c.decrypt(&iv, &ct).unwrap(), b"abc");
+        assert_eq!(c.decrypt(&[0], &[5, 5]), Err(CryptoError::BadPadding)); // ..., 0
+        assert_eq!(c.decrypt(&[0], &[5, 7]), Err(CryptoError::BadPadding)); // ..., 2
+        assert_eq!(c.decrypt(&[0], &[5, 4]).unwrap(), [5]); // ..., 1
+        let des = cbc(CipherKind::Des);
+        let iv = [0u8; 8];
+        let good = des.encrypt(&iv, b"abc").unwrap();
+        // Flipping a bit of the IV flips the same bit of the only plaintext
+        // block: its last byte 05 -> 04 breaks the run of five 05s.
+        let mut bad_iv = iv;
+        bad_iv[7] ^= 1;
+        assert_eq!(des.decrypt(&bad_iv, &good), Err(CryptoError::BadPadding));
+    }
+
+    #[test]
+    fn null_cipher_cbc_chains_bytes_and_adds_one_padding_byte() {
+        let c = cbc(CipherKind::Null);
+        let ct = c.encrypt(&[0x10], b"abc").unwrap();
+        assert_eq!(
+            ct,
+            [
+                0x10 ^ b'a',
+                0x10 ^ b'a' ^ b'b',
+                0x10 ^ b'a' ^ b'b' ^ b'c',
+                0x10 ^ b'a' ^ b'b' ^ b'c' ^ 1
+            ]
+        );
+        assert_eq!(c.decrypt(&[0x10], &ct).unwrap(), b"abc");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The bulk path produces the bytes the block-at-a-time path over
+        /// the reference kernels produces, and opens them again, for every
+        /// cipher, key, IV and length from empty to 4096 bytes.
+        #[test]
+        fn bulk_cbc_matches_reference(
+            key_seed in any::<u64>(),
+            iv_seed in any::<u64>(),
+            plaintext in proptest::collection::vec(any::<u8>(), 0..=4096),
+        ) {
+            for kind in ALL_KINDS {
+                let key: Vec<u8> = (0..kind.key_len())
+                    .map(|i| (key_seed.rotate_left(5 * i as u32) as u8) ^ i as u8)
+                    .collect();
+                let iv: Vec<u8> = (0..kind.block_size())
+                    .map(|i| (iv_seed.rotate_left(3 * i as u32) as u8) ^ i as u8)
+                    .collect();
+                let c = Cbc::new(kind, &key).unwrap();
+                let sealed = c.encrypt(&iv, &plaintext).unwrap();
+                prop_assert_eq!(&sealed, &reference_encrypt(kind, &key, &iv, &plaintext));
+                let opened = reference_decrypt(kind, &key, &iv, &sealed);
+                prop_assert_eq!(&opened[..plaintext.len()], &plaintext[..]);
+                prop_assert_eq!(c.decrypt(&iv, &sealed).unwrap(), plaintext.clone());
+            }
+        }
     }
 }

@@ -1,14 +1,35 @@
-//! DES and Triple-DES (FIPS 46-3).
+//! DES and Triple-DES (FIPS 46-3), table-driven.
 //!
 //! The paper uses DES in CBC mode for ordinary partitions (measured at
-//! 7.2 MB/s in 2000) and 3DES for the system partition (2.5 MB/s). Both are
-//! implemented here bit-faithfully from the standard's permutation tables.
-//! DES is *not* a secure cipher by modern standards; it is provided for
-//! fidelity to the paper. Use [`crate::aes`] for real deployments.
-
-use crate::BlockCipher;
+//! 7.2 MB/s in 2000) and 3DES for the system partition (2.5 MB/s). DES is
+//! *not* a secure cipher by modern standards; it is provided for fidelity to
+//! the paper. Use [`crate::aes`] for real deployments.
+//!
+//! The FIPS 46-3 tables below are the only transcribed data. From them:
+//!
+//! * **S and P are fused** into eight 64-entry tables (`SP`, 2 KB, built
+//!   at compile time): entry `x` of table `i` is P applied to S-box `i`'s
+//!   output for the six input bits `x`, already in its final bit positions.
+//! * **E costs nothing.** Both halves are kept rotated right by one bit for
+//!   all rounds. In that form the eight overlapping six-bit groups E selects
+//!   are the top six bits of each byte of `r` (S1, S3, S5, S7) and of `r`
+//!   rotated left by four (S2, S4, S6, S8); the SP entries are stored rotated
+//!   the same way, so a round is two XORs with the subkey, eight lookups and
+//!   seven XORs.
+//! * **Subkeys are stored in table-index form** — the six-bit pieces of each
+//!   48-bit subkey spread to where E's groups sit — once in encryption order
+//!   and once in decryption order, so either direction walks its array
+//!   forwards.
+//! * **IP and FP are five delta-swaps each.**
+//! * **3DES is one 48-round pass** between a single IP and a single FP: the
+//!   FP and IP between two stages cancel, leaving only the swap of halves.
+//!
+//! The bit-at-a-time formulation straight from the standard survives as the
+//! test oracle (`reference`), which every table-driven path is checked
+//! against.
 
 /// Initial permutation (IP). Entries are 1-based bit positions from the MSB.
+#[cfg(test)]
 const IP: [u8; 64] = [
     58, 50, 42, 34, 26, 18, 10, 2, 60, 52, 44, 36, 28, 20, 12, 4, 62, 54, 46, 38, 30, 22, 14, 6,
     64, 56, 48, 40, 32, 24, 16, 8, 57, 49, 41, 33, 25, 17, 9, 1, 59, 51, 43, 35, 27, 19, 11, 3, 61,
@@ -16,6 +37,7 @@ const IP: [u8; 64] = [
 ];
 
 /// Final permutation (IP⁻¹).
+#[cfg(test)]
 const FP: [u8; 64] = [
     40, 8, 48, 16, 56, 24, 64, 32, 39, 7, 47, 15, 55, 23, 63, 31, 38, 6, 46, 14, 54, 22, 62, 30,
     37, 5, 45, 13, 53, 21, 61, 29, 36, 4, 44, 12, 52, 20, 60, 28, 35, 3, 43, 11, 51, 19, 59, 27,
@@ -23,6 +45,7 @@ const FP: [u8; 64] = [
 ];
 
 /// Expansion permutation E (32 → 48 bits).
+#[cfg(test)]
 const E: [u8; 48] = [
     32, 1, 2, 3, 4, 5, 4, 5, 6, 7, 8, 9, 8, 9, 10, 11, 12, 13, 12, 13, 14, 15, 16, 17, 16, 17, 18,
     19, 20, 21, 20, 21, 22, 23, 24, 25, 24, 25, 26, 27, 28, 29, 28, 29, 30, 31, 32, 1,
@@ -95,145 +118,269 @@ const SBOX: [[u8; 64]; 8] = [
 ];
 
 /// Applies a 1-based-from-MSB permutation table to the low `in_bits` bits of
-/// `input`, producing `table.len()` output bits packed MSB-first.
-fn permute(input: u64, in_bits: u32, table: &[u8]) -> u64 {
+/// `input`, producing `table.len()` output bits packed MSB-first. One bit per
+/// step: used only at compile time, once per key (PC1/PC2), and by the test
+/// oracle.
+const fn permute(input: u64, in_bits: u32, table: &[u8]) -> u64 {
     let mut out = 0u64;
-    for &pos in table {
-        out <<= 1;
-        out |= (input >> (in_bits - u32::from(pos))) & 1;
+    let mut i = 0;
+    while i < table.len() {
+        out = (out << 1) | ((input >> (in_bits - table[i] as u32)) & 1);
+        i += 1;
     }
     out
 }
 
-/// Computes the 16 48-bit round subkeys from a 64-bit key.
+/// The fused S-box/P tables: `SP[i][x]` is `P(S_i(x))` with S-box `i`'s four
+/// output bits in their place in the 32-bit word, rotated right by one to
+/// match the rotated halves the rounds work on. `x` is the six-bit group in
+/// the standard's order (outer bits select the row, inner four the column).
+static SP: [[u32; 64]; 8] = sp_tables();
+
+const fn sp_tables() -> [[u32; 64]; 8] {
+    let mut sp = [[0u32; 64]; 8];
+    let mut i = 0;
+    while i < 8 {
+        let mut x = 0;
+        while x < 64 {
+            let row = ((x & 0x20) >> 4) | (x & 1);
+            let col = (x >> 1) & 0xF;
+            let s = SBOX[i][row * 16 + col] as u64;
+            let p = permute(s << (28 - 4 * i), 32, &P) as u32;
+            sp[i][x] = p.rotate_right(1);
+            x += 1;
+        }
+        i += 1;
+    }
+    sp
+}
+
+/// One round's subkey in table-index form: `[0]` holds the six-bit pieces for
+/// S1, S3, S5, S7 in the top six bits of its four bytes, `[1]` those for S2,
+/// S4, S6, S8.
+type RoundKey = [u32; 2];
+
+/// Computes the 16 48-bit round subkeys of `key`, as the standard numbers
+/// them.
 fn key_schedule(key: &[u8; 8]) -> [u64; 16] {
-    let key64 = u64::from_be_bytes(*key);
-    let pc1 = permute(key64, 64, &PC1);
+    let pc1 = permute(u64::from_be_bytes(*key), 64, &PC1);
     let mut c = (pc1 >> 28) & 0x0FFF_FFFF;
     let mut d = pc1 & 0x0FFF_FFFF;
     let mut subkeys = [0u64; 16];
-    for (round, &shift) in SHIFTS.iter().enumerate() {
+    for (subkey, &shift) in subkeys.iter_mut().zip(SHIFTS.iter()) {
         c = ((c << shift) | (c >> (28 - u32::from(shift)))) & 0x0FFF_FFFF;
         d = ((d << shift) | (d >> (28 - u32::from(shift)))) & 0x0FFF_FFFF;
-        subkeys[round] = permute((c << 28) | d, 56, &PC2);
+        *subkey = permute((c << 28) | d, 56, &PC2);
     }
     subkeys
 }
 
-/// The Feistel function f(R, K).
-fn feistel(r: u32, subkey: u64) -> u32 {
-    let x = permute(u64::from(r), 32, &E) ^ subkey;
-    let mut out = 0u32;
-    for (i, sbox) in SBOX.iter().enumerate() {
-        let six = ((x >> (42 - 6 * i)) & 0x3F) as usize;
-        let row = ((six & 0x20) >> 4) | (six & 1);
-        let col = (six >> 1) & 0xF;
-        out = (out << 4) | u32::from(sbox[row * 16 + col]);
-    }
-    permute(u64::from(out), 32, &P) as u32
+/// The round subkeys of `key` in table-index form, in encryption order.
+fn round_keys(key: &[u8; 8]) -> [RoundKey; 16] {
+    key_schedule(key).map(|k| {
+        let mut round_key = [0u32; 2];
+        for group in 0..8 {
+            let six = ((k >> (42 - 6 * group)) & 0x3F) as u32;
+            round_key[group & 1] |= six << (26 - 8 * (group / 2));
+        }
+        round_key
+    })
 }
 
-/// Runs the 16 Feistel rounds over one block with the given subkey order.
-fn des_rounds(block: u64, subkeys: impl Iterator<Item = u64>) -> u64 {
-    let ip = permute(block, 64, &IP);
-    let mut l = (ip >> 32) as u32;
-    let mut r = ip as u32;
-    for k in subkeys {
-        let next_r = l ^ feistel(r, k);
-        l = r;
-        r = next_r;
+/// The Feistel function f(R, K) on a rotated half, yielding a rotated word.
+#[inline(always)]
+fn feistel(r: u32, k: &RoundKey) -> u32 {
+    let u = r ^ k[0];
+    let v = r.rotate_left(4) ^ k[1];
+    SP[0][(u >> 26) as usize & 0x3F]
+        ^ SP[2][(u >> 18) as usize & 0x3F]
+        ^ SP[4][(u >> 10) as usize & 0x3F]
+        ^ SP[6][(u >> 2) as usize & 0x3F]
+        ^ SP[1][(v >> 26) as usize & 0x3F]
+        ^ SP[3][(v >> 18) as usize & 0x3F]
+        ^ SP[5][(v >> 10) as usize & 0x3F]
+        ^ SP[7][(v >> 2) as usize & 0x3F]
+}
+
+/// Exchanges the bits of `a` selected by `mask << shift` with the bits of
+/// `b` selected by `mask`.
+#[inline(always)]
+fn delta_swap(a: &mut u32, b: &mut u32, shift: u32, mask: u32) {
+    let t = ((*a >> shift) ^ *b) & mask;
+    *b ^= t;
+    *a ^= t << shift;
+}
+
+/// IP, then both halves rotated right by one into round form.
+#[inline(always)]
+fn initial_permutation(block: u64) -> (u32, u32) {
+    let (mut l, mut r) = ((block >> 32) as u32, block as u32);
+    delta_swap(&mut l, &mut r, 4, 0x0F0F_0F0F);
+    delta_swap(&mut l, &mut r, 16, 0x0000_FFFF);
+    delta_swap(&mut r, &mut l, 2, 0x3333_3333);
+    delta_swap(&mut r, &mut l, 8, 0x00FF_00FF);
+    delta_swap(&mut l, &mut r, 1, 0x5555_5555);
+    (l.rotate_right(1), r.rotate_right(1))
+}
+
+/// Inverse of [`initial_permutation`].
+#[inline(always)]
+fn final_permutation(l: u32, r: u32) -> u64 {
+    let (mut l, mut r) = (l.rotate_left(1), r.rotate_left(1));
+    delta_swap(&mut l, &mut r, 1, 0x5555_5555);
+    delta_swap(&mut r, &mut l, 8, 0x00FF_00FF);
+    delta_swap(&mut r, &mut l, 2, 0x3333_3333);
+    delta_swap(&mut l, &mut r, 16, 0x0000_FFFF);
+    delta_swap(&mut l, &mut r, 4, 0x0F0F_0F0F);
+    (u64::from(l) << 32) | u64::from(r)
+}
+
+/// Runs `N / 16` DES stages over one block between one IP and one FP.
+///
+/// Each stage is 16 rounds, two per step so the halves never move, and ends
+/// with the swap that precedes FP in the standard. Between two stages of
+/// 3DES that swap is all that is left of the FP·IP pair.
+#[inline(always)]
+fn crypt<const N: usize>(block: u64, subkeys: &[RoundKey; N]) -> u64 {
+    let (mut l, mut r) = initial_permutation(block);
+    for stage in subkeys.chunks_exact(16) {
+        for pair in stage.chunks_exact(2) {
+            l ^= feistel(r, &pair[0]);
+            r ^= feistel(l, &pair[1]);
+        }
+        std::mem::swap(&mut l, &mut r);
     }
-    // The halves are swapped before the final permutation.
-    permute((u64::from(r) << 32) | u64::from(l), 64, &FP)
+    final_permutation(l, r)
 }
 
 /// Single DES with an expanded key schedule.
 pub struct Des {
-    subkeys: [u64; 16],
+    enc: [RoundKey; 16],
+    dec: [RoundKey; 16],
 }
 
 impl Des {
     /// Keys a DES instance. Parity bits in `key` are ignored, per the
     /// standard.
     pub fn new(key: &[u8; 8]) -> Self {
-        Des {
-            subkeys: key_schedule(key),
-        }
+        let enc = round_keys(key);
+        let mut dec = enc;
+        dec.reverse();
+        Des { enc, dec }
     }
 
-    fn encrypt_u64(&self, block: u64) -> u64 {
-        des_rounds(block, self.subkeys.iter().copied())
+    /// Encrypts one block, taken and returned as a big-endian integer.
+    #[inline]
+    pub fn encrypt_block(&self, block: u64) -> u64 {
+        crypt(block, &self.enc)
     }
 
-    fn decrypt_u64(&self, block: u64) -> u64 {
-        des_rounds(block, self.subkeys.iter().rev().copied())
-    }
-}
-
-impl BlockCipher for Des {
-    fn block_size(&self) -> usize {
-        8
-    }
-
-    fn encrypt_block(&self, block: &mut [u8]) {
-        let b: [u8; 8] = block.try_into().expect("DES block must be 8 bytes");
-        block.copy_from_slice(&self.encrypt_u64(u64::from_be_bytes(b)).to_be_bytes());
-    }
-
-    fn decrypt_block(&self, block: &mut [u8]) {
-        let b: [u8; 8] = block.try_into().expect("DES block must be 8 bytes");
-        block.copy_from_slice(&self.decrypt_u64(u64::from_be_bytes(b)).to_be_bytes());
+    /// Decrypts one block, taken and returned as a big-endian integer.
+    #[inline]
+    pub fn decrypt_block(&self, block: u64) -> u64 {
+        crypt(block, &self.dec)
     }
 }
 
 /// Triple DES in EDE3 mode (encrypt-decrypt-encrypt with three keys).
 pub struct TripleDes {
-    k1: Des,
-    k2: Des,
-    k3: Des,
+    enc: [RoundKey; 48],
+    dec: [RoundKey; 48],
 }
 
 impl TripleDes {
     /// Keys a 3DES instance from a 24-byte key (K1 ‖ K2 ‖ K3).
     pub fn new(key: &[u8; 24]) -> Self {
-        TripleDes {
-            k1: Des::new(key[0..8].try_into().expect("8-byte slice")),
-            k2: Des::new(key[8..16].try_into().expect("8-byte slice")),
-            k3: Des::new(key[16..24].try_into().expect("8-byte slice")),
+        // E(K1), D(K2), E(K3) one way; the other way is the same 48 rounds
+        // backwards: D(K3), E(K2), D(K1).
+        let mut enc = [[0u32; 2]; 48];
+        for (stage, k) in enc.chunks_exact_mut(16).zip(key.chunks_exact(8)) {
+            stage.copy_from_slice(&round_keys(k.try_into().expect("8-byte chunk")));
         }
+        enc[16..32].reverse();
+        let mut dec = enc;
+        dec.reverse();
+        TripleDes { enc, dec }
+    }
+
+    /// Encrypts one block, taken and returned as a big-endian integer.
+    #[inline]
+    pub fn encrypt_block(&self, block: u64) -> u64 {
+        crypt(block, &self.enc)
+    }
+
+    /// Decrypts one block, taken and returned as a big-endian integer.
+    #[inline]
+    pub fn decrypt_block(&self, block: u64) -> u64 {
+        crypt(block, &self.dec)
     }
 }
 
-impl BlockCipher for TripleDes {
-    fn block_size(&self) -> usize {
-        8
+/// The standard's own formulation, one bit at a time: IP, sixteen rounds of
+/// E / S-boxes / P, swap, FP, over the 48-bit subkeys as [`key_schedule`]
+/// leaves them. Kept as the oracle the table-driven kernel is tested
+/// against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{key_schedule, permute, E, FP, IP, P, SBOX};
+
+    fn feistel(r: u32, subkey: u64) -> u32 {
+        let x = permute(u64::from(r), 32, &E) ^ subkey;
+        let mut out = 0u32;
+        for (i, sbox) in SBOX.iter().enumerate() {
+            let six = ((x >> (42 - 6 * i)) & 0x3F) as usize;
+            let row = ((six & 0x20) >> 4) | (six & 1);
+            let col = (six >> 1) & 0xF;
+            out = (out << 4) | u32::from(sbox[row * 16 + col]);
+        }
+        permute(u64::from(out), 32, &P) as u32
     }
 
-    fn encrypt_block(&self, block: &mut [u8]) {
-        let b: [u8; 8] = block.try_into().expect("3DES block must be 8 bytes");
-        let x = u64::from_be_bytes(b);
-        let y = self
-            .k3
-            .encrypt_u64(self.k2.decrypt_u64(self.k1.encrypt_u64(x)));
-        block.copy_from_slice(&y.to_be_bytes());
+    fn des_rounds(block: u64, subkeys: impl Iterator<Item = u64>) -> u64 {
+        let ip = permute(block, 64, &IP);
+        let mut l = (ip >> 32) as u32;
+        let mut r = ip as u32;
+        for k in subkeys {
+            let next_r = l ^ feistel(r, k);
+            l = r;
+            r = next_r;
+        }
+        // The halves are swapped before the final permutation.
+        permute((u64::from(r) << 32) | u64::from(l), 64, &FP)
     }
 
-    fn decrypt_block(&self, block: &mut [u8]) {
-        let b: [u8; 8] = block.try_into().expect("3DES block must be 8 bytes");
-        let x = u64::from_be_bytes(b);
-        let y = self
-            .k1
-            .decrypt_u64(self.k2.encrypt_u64(self.k3.decrypt_u64(x)));
-        block.copy_from_slice(&y.to_be_bytes());
+    pub(crate) fn des_encrypt(key: &[u8; 8], block: u64) -> u64 {
+        des_rounds(block, key_schedule(key).into_iter())
+    }
+
+    pub(crate) fn des_decrypt(key: &[u8; 8], block: u64) -> u64 {
+        des_rounds(block, key_schedule(key).into_iter().rev())
+    }
+
+    fn split(key: &[u8; 24]) -> [[u8; 8]; 3] {
+        std::array::from_fn(|i| key[8 * i..8 * i + 8].try_into().unwrap())
+    }
+
+    /// Three full DES passes, each with its own IP and FP.
+    pub(crate) fn tdes_encrypt(key: &[u8; 24], block: u64) -> u64 {
+        let [k1, k2, k3] = split(key);
+        des_encrypt(&k3, des_decrypt(&k2, des_encrypt(&k1, block)))
+    }
+
+    pub(crate) fn tdes_decrypt(key: &[u8; 24], block: u64) -> u64 {
+        let [k1, k2, k3] = split(key);
+        des_decrypt(&k1, des_encrypt(&k2, des_decrypt(&k3, block)))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn enc(key: u64, pt: u64) -> u64 {
-        Des::new(&key.to_be_bytes()).encrypt_u64(pt)
+        Des::new(&key.to_be_bytes()).encrypt_block(pt)
     }
 
     #[test]
@@ -257,15 +404,83 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_block_trait() {
-        let des = Des::new(b"8bytekey");
-        let mut block = *b"plaintxt";
-        let orig = block;
-        des.encrypt_block(&mut block);
-        assert_ne!(block, orig);
-        des.decrypt_block(&mut block);
-        assert_eq!(block, orig);
-        assert_eq!(des.block_size(), 8);
+    fn sp800_17_variable_plaintext() {
+        // NIST SP 800-17 Table A.1, first eight rows: key 0101010101010101,
+        // plaintext a single bit walking down from the MSB.
+        const CT: [u64; 8] = [
+            0x95F8_A5E5_DD31_D900,
+            0xDD7F_121C_A501_5619,
+            0x2E86_5310_4F38_34EA,
+            0x4BD3_88FF_6CD8_1D4F,
+            0x20B9_E767_B2FB_1456,
+            0x5557_9380_D771_38EF,
+            0x6CC5_DEFA_AF04_512F,
+            0x0D9F_279B_A5D8_7260,
+        ];
+        let des = Des::new(&[1; 8]);
+        for (i, &ct) in CT.iter().enumerate() {
+            let pt = 1u64 << (63 - i);
+            assert_eq!(des.encrypt_block(pt), ct, "row {i}");
+            assert_eq!(des.decrypt_block(ct), pt, "row {i}");
+        }
+    }
+
+    #[test]
+    fn sp800_17_variable_key() {
+        // NIST SP 800-17 Table A.2, first eight rows: plaintext zero, one
+        // non-parity key bit set over the odd-parity base 0101010101010101
+        // (the eighth row skips the first byte's parity bit).
+        const ROWS: [(u64, u64); 8] = [
+            (0x8001_0101_0101_0101, 0x95A8_D728_13DA_A94D),
+            (0x4001_0101_0101_0101, 0x0EEC_1487_DD8C_26D5),
+            (0x2001_0101_0101_0101, 0x7AD1_6FFB_79C4_5926),
+            (0x1001_0101_0101_0101, 0xD374_6294_CA6A_6CF3),
+            (0x0801_0101_0101_0101, 0x809F_5F87_3C1F_D761),
+            (0x0401_0101_0101_0101, 0xC02F_AFFE_C989_D1FC),
+            (0x0201_0101_0101_0101, 0x4615_AA1D_33E7_2F10),
+            (0x0180_0101_0101_0101, 0x2055_1233_50C0_0858),
+        ];
+        for (key, ct) in ROWS {
+            let des = Des::new(&key.to_be_bytes());
+            assert_eq!(des.encrypt_block(0), ct, "key {key:016X}");
+            assert_eq!(des.decrypt_block(ct), 0, "key {key:016X}");
+        }
+    }
+
+    #[test]
+    fn sp800_67_three_key_vector() {
+        // NIST SP 800-67 Appendix B.1: "The qufck brown fox jump" under
+        // three distinct keys, block by block.
+        let tdes = TripleDes::new(&[
+            0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD,
+            0xEF, 0x01, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF, 0x01, 0x23,
+        ]);
+        for (pt, ct) in [
+            (0x5468_6520_7175_6663, 0xA826_FD8C_E53B_855F),
+            (0x6B20_6272_6F77_6E20, 0xCCE2_1C81_1225_6FE6),
+            (0x666F_7820_6A75_6D70, 0x68D5_C05D_D9B6_B900),
+        ] {
+            assert_eq!(tdes.encrypt_block(pt), ct);
+            assert_eq!(tdes.decrypt_block(ct), pt);
+        }
+    }
+
+    #[test]
+    fn permutations_match_the_standards_tables() {
+        // A permutation is linear over XOR, so the 64 single-bit blocks
+        // prove the delta-swap networks equal to IP and FP for every input.
+        for bit in 0..64 {
+            let block = 1u64 << bit;
+            let (l, r) = initial_permutation(block);
+            let ip = (u64::from(l.rotate_left(1)) << 32) | u64::from(r.rotate_left(1));
+            assert_eq!(ip, permute(block, 64, &IP), "IP bit {bit}");
+            let (l, r) = ((block >> 32) as u32, block as u32);
+            assert_eq!(
+                final_permutation(l.rotate_right(1), r.rotate_right(1)),
+                permute(block, 64, &FP),
+                "FP bit {bit}"
+            );
+        }
     }
 
     #[test]
@@ -275,25 +490,11 @@ mod tests {
         for part in key24.chunks_mut(8) {
             part.copy_from_slice(b"testkey!");
         }
-        let tdes = TripleDes::new(&key24);
-        let des = Des::new(b"testkey!");
-        let mut a = *b"datadata";
-        let mut b = *b"datadata";
-        tdes.encrypt_block(&mut a);
-        des.encrypt_block(&mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn triple_des_roundtrip_distinct_keys() {
-        let key: [u8; 24] = *b"0123456789abcdefghijklmn";
-        let tdes = TripleDes::new(&key);
-        let mut block = *b"\x00\x11\x22\x33\x44\x55\x66\x77";
-        let orig = block;
-        tdes.encrypt_block(&mut block);
-        assert_ne!(block, orig);
-        tdes.decrypt_block(&mut block);
-        assert_eq!(block, orig);
+        let block = u64::from_be_bytes(*b"datadata");
+        assert_eq!(
+            TripleDes::new(&key24).encrypt_block(block),
+            Des::new(b"testkey!").encrypt_block(block)
+        );
     }
 
     #[test]
@@ -302,7 +503,7 @@ mod tests {
         let des = Des::new(&0xA5A5_A5A5_5A5A_5A5Au64.to_be_bytes());
         for i in 0..64u64 {
             let pt = 1u64 << i;
-            assert_eq!(des.decrypt_u64(des.encrypt_u64(pt)), pt, "bit {i}");
+            assert_eq!(des.decrypt_block(des.encrypt_block(pt)), pt, "bit {i}");
         }
     }
 
@@ -310,9 +511,40 @@ mod tests {
     fn avalanche_property() {
         // Flipping one plaintext bit should flip many ciphertext bits.
         let des = Des::new(&0x0E32_9232_EA6D_0D73u64.to_be_bytes());
-        let c1 = des.encrypt_u64(0x8787_8787_8787_8787);
-        let c2 = des.encrypt_u64(0x8787_8787_8787_8786);
+        let c1 = des.encrypt_block(0x8787_8787_8787_8787);
+        let c2 = des.encrypt_block(0x8787_8787_8787_8786);
         let diff = (c1 ^ c2).count_ones();
         assert!(diff > 10, "weak avalanche: only {diff} bits differ");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// The table-driven kernel equals the bit-at-a-time oracle, both
+        /// directions, for any key and block.
+        #[test]
+        fn des_matches_reference(key in any::<u64>(), block in any::<u64>()) {
+            let key = key.to_be_bytes();
+            let des = Des::new(&key);
+            prop_assert_eq!(des.encrypt_block(block), reference::des_encrypt(&key, block));
+            prop_assert_eq!(des.decrypt_block(block), reference::des_decrypt(&key, block));
+        }
+
+        /// The fused 48-round pass equals three separate DES passes.
+        #[test]
+        fn triple_des_matches_reference(
+            k1 in any::<u64>(),
+            k2 in any::<u64>(),
+            k3 in any::<u64>(),
+            block in any::<u64>(),
+        ) {
+            let mut key = [0u8; 24];
+            for (part, k) in key.chunks_exact_mut(8).zip([k1, k2, k3]) {
+                part.copy_from_slice(&k.to_be_bytes());
+            }
+            let tdes = TripleDes::new(&key);
+            prop_assert_eq!(tdes.encrypt_block(block), reference::tdes_encrypt(&key, block));
+            prop_assert_eq!(tdes.decrypt_block(block), reference::tdes_decrypt(&key, block));
+        }
     }
 }

@@ -13,17 +13,19 @@
 //! crates are available in the build environment:
 //!
 //! - [`sha1`] and [`sha256`] — FIPS 180 hash functions.
-//! - [`des`] — DES and 3DES (EDE3) block ciphers, FIPS 46-3.
+//! - [`des`] — DES and 3DES (EDE3) block ciphers, FIPS 46-3, table-driven.
 //! - [`aes`] — AES-128/-256, FIPS 197 (the "other, more secure, algorithms
-//!   that run faster than DES" the paper alludes to in §9.2.1).
-//! - [`cbc`] — CBC mode with PKCS#7 padding over any [`BlockCipher`].
+//!   that run faster than DES" the paper alludes to in §9.2.1), table-driven.
+//! - [`cbc`] — CBC mode with PKCS#7 padding over a cipher chosen by
+//!   [`CipherKind`].
 //! - [`hmac`] — HMAC (RFC 2104) over any [`HashKind`], used to *sign* commit
 //!   chunks and backups ("the signature need not be publicly verifiable, so
 //!   it may be based on symmetric-key encryption", §4.8.2.2).
 //! - [`crc32`] — the unencrypted backup trailer checksum (§6.2).
 //!
-//! The [`CipherKind`] / [`HashKind`] enums are the dynamic dispatch points
-//! used by partition cryptographic parameters.
+//! The [`CipherKind`] / [`HashKind`] enums are the dispatch points used by
+//! partition cryptographic parameters: [`cbc::Cbc::new`] keys a cipher of a
+//! given kind, and dispatches on it once per run of blocks.
 
 pub mod aes;
 pub mod cbc;
@@ -87,19 +89,6 @@ impl fmt::Display for CryptoError {
 }
 
 impl std::error::Error for CryptoError {}
-
-/// A keyed block cipher operating on fixed-size blocks in place.
-///
-/// Implementations hold their expanded key schedule; construction is the
-/// keying step. All TDB bulk encryption goes through [`cbc`] on top of this.
-pub trait BlockCipher: Send + Sync {
-    /// Block size in bytes (8 for DES/3DES, 16 for AES).
-    fn block_size(&self) -> usize;
-    /// Encrypts one block in place. `block.len()` must equal `block_size()`.
-    fn encrypt_block(&self, block: &mut [u8]);
-    /// Decrypts one block in place. `block.len()` must equal `block_size()`.
-    fn decrypt_block(&self, block: &mut [u8]);
-}
 
 /// An incremental hash function.
 pub trait Hasher: Send {
@@ -326,8 +315,10 @@ impl Hasher for NullHasher {
 /// Cipher selector for partition cryptographic parameters (§2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CipherKind {
-    /// No encryption (the paper allows unencrypted partitions). Data is
-    /// stored as-is; the "block size" is 1 and no padding is added.
+    /// No encryption (the paper allows unencrypted partitions): the block
+    /// cipher is the identity on a one-byte block. CBC still chains and pads
+    /// it, so stored bytes are a running XOR from a one-byte IV plus one
+    /// padding byte — unkeyed, and offering no secrecy.
     Null,
     /// Single DES in CBC mode (the paper's fast per-partition choice).
     Des,
@@ -360,34 +351,6 @@ impl CipherKind {
         }
     }
 
-    /// Constructs a keyed block cipher.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::BadKeyLength`] if `key` has the wrong length.
-    ///
-    /// # Panics
-    ///
-    /// Never panics; the null cipher accepts only an empty key.
-    pub fn new_cipher(self, key: &[u8]) -> Result<Box<dyn BlockCipher>, CryptoError> {
-        let expected = self.key_len();
-        if key.len() != expected {
-            return Err(CryptoError::BadKeyLength {
-                expected,
-                got: key.len(),
-            });
-        }
-        Ok(match self {
-            CipherKind::Null => Box::new(NullCipher),
-            CipherKind::Des => Box::new(des::Des::new(key.try_into().expect("len checked"))),
-            CipherKind::TripleDes => {
-                Box::new(des::TripleDes::new(key.try_into().expect("len checked")))
-            }
-            CipherKind::Aes128 => Box::new(aes::Aes::new_128(key.try_into().expect("len checked"))),
-            CipherKind::Aes256 => Box::new(aes::Aes::new_256(key.try_into().expect("len checked"))),
-        })
-    }
-
     /// Stable wire tag for serialization.
     pub fn tag(self) -> u8 {
         match self {
@@ -410,17 +373,6 @@ impl CipherKind {
             _ => None,
         }
     }
-}
-
-/// The identity cipher backing [`CipherKind::Null`].
-struct NullCipher;
-
-impl BlockCipher for NullCipher {
-    fn block_size(&self) -> usize {
-        1
-    }
-    fn encrypt_block(&self, _block: &mut [u8]) {}
-    fn decrypt_block(&self, _block: &mut [u8]) {}
 }
 
 /// A secret key whose bytes are zeroed on drop.
@@ -571,32 +523,6 @@ mod tests {
         }
         assert_eq!(HashKind::from_tag(200), None);
         assert_eq!(CipherKind::from_tag(200), None);
-    }
-
-    #[test]
-    fn cipher_key_length_enforced() {
-        let err = CipherKind::Des
-            .new_cipher(&[0u8; 7])
-            .map(|_| ())
-            .unwrap_err();
-        assert_eq!(
-            err,
-            CryptoError::BadKeyLength {
-                expected: 8,
-                got: 7
-            }
-        );
-        assert!(CipherKind::Aes128.new_cipher(&[0u8; 16]).is_ok());
-    }
-
-    #[test]
-    fn null_cipher_is_identity() {
-        let c = CipherKind::Null.new_cipher(&[]).unwrap();
-        let mut block = [42u8];
-        c.encrypt_block(&mut block);
-        assert_eq!(block, [42]);
-        c.decrypt_block(&mut block);
-        assert_eq!(block, [42]);
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl SecureXdb {
         config: SecureXdbConfig,
     ) -> Result<SecureXdb> {
         let db = Xdb::create(data, wal, config.xdb)?;
-        let cbc = Cbc::new(config.cipher.new_cipher(config.key.as_bytes())?);
+        let cbc = Cbc::new(config.cipher, config.key.as_bytes())?;
         Ok(SecureXdb {
             db,
             cbc,
@@ -104,7 +104,7 @@ impl SecureXdb {
         config: SecureXdbConfig,
     ) -> Result<SecureXdb> {
         let db = Xdb::open(data, wal, config.xdb)?;
-        let cbc = Cbc::new(config.cipher.new_cipher(config.key.as_bytes())?);
+        let cbc = Cbc::new(config.cipher, config.key.as_bytes())?;
         let secure = SecureXdb {
             db,
             cbc,
