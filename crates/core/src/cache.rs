@@ -10,11 +10,22 @@
 //! Invariant: a dirty map chunk is pinned (never evicted) until a
 //! checkpoint writes it out; a map chunk with no persistent version *must*
 //! therefore be in the cache.
+//!
+//! Rollback: between [`MapCache::savepoint`] and [`MapCache::end_scope`]
+//! every entry that is changed, replaced, cleaned, evicted or purged first
+//! leaves its pre-image in an undo journal ([`crate::undo`]), and
+//! [`MapCache::rollback_to`] puts the pre-images back — so an entry that
+//! was dirty at the savepoint is dirty again after rollback, even if a
+//! checkpoint inside the scope cleaned it and memory pressure then evicted
+//! it. LRU positions are not journaled; recency is a hint, not state.
 
 use std::collections::{BTreeSet, HashMap};
 
-use crate::descriptor::MapChunk;
+use crate::descriptor::{Descriptor, MapChunk};
 use crate::ids::{PartitionId, Position};
+use crate::undo::{Journal, UndoCounters};
+
+type Key = (PartitionId, Position);
 
 /// One cached, decoded map chunk.
 #[derive(Debug, Clone)]
@@ -25,20 +36,40 @@ pub struct CacheEntry {
     pub dirty: bool,
     /// LRU timestamp.
     last_used: u64,
+    /// The `last_used` this entry is filed under in the clean-LRU index
+    /// (reads refresh `last_used` only; eviction re-files stale entries).
+    filed: u64,
+    /// Journal generation that last recorded this entry's pre-image.
+    stamp: u64,
+}
+
+impl CacheEntry {
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<CacheEntry>()
+            + self.chunk.slots.len() * std::mem::size_of::<Descriptor>()
+    }
 }
 
 /// The map-chunk cache.
 #[derive(Debug, Clone)]
 pub struct MapCache {
-    entries: HashMap<(PartitionId, Position), CacheEntry>,
+    entries: HashMap<Key, CacheEntry>,
     /// Index of dirty entries, ordered (partition, height, rank) — the
     /// bottom-up checkpoint order. Kept in lockstep with the `dirty` flags
     /// in `entries` so checkpoint triggering and level iteration are O(1)
     /// / O(dirty) instead of full-cache scans.
-    dirty: BTreeSet<(PartitionId, Position)>,
+    dirty: BTreeSet<Key>,
+    /// Index of clean entries ordered by recency: the eviction order, so a
+    /// map-chunk miss on a full cache costs O(log capacity), not a scan of
+    /// every entry. A read does not touch it: an entry stays filed under
+    /// the `last_used` it had when it was filed, and eviction moves a
+    /// stale front entry to its true position before choosing a victim.
+    clean_lru: BTreeSet<(u64, Key)>,
     /// Soft capacity in entries; only clean entries are evictable.
     capacity: usize,
     tick: u64,
+    /// Pre-images of entries changed inside the open mutation scope.
+    undo: Journal<(Key, Option<CacheEntry>)>,
 }
 
 impl MapCache {
@@ -47,8 +78,10 @@ impl MapCache {
         MapCache {
             entries: HashMap::new(),
             dirty: BTreeSet::new(),
+            clean_lru: BTreeSet::new(),
             capacity: capacity.max(8),
             tick: 0,
+            undo: Journal::new(),
         }
     }
 
@@ -57,13 +90,71 @@ impl MapCache {
         self.tick
     }
 
+    fn index(&mut self, key: Key, entry: &mut CacheEntry) {
+        if entry.dirty {
+            self.dirty.insert(key);
+        } else {
+            entry.filed = entry.last_used;
+            self.clean_lru.insert((entry.filed, key));
+        }
+    }
+
+    fn unindex(&mut self, key: Key, entry: &CacheEntry) {
+        if entry.dirty {
+            self.dirty.remove(&key);
+        } else {
+            self.clean_lru.remove(&(entry.filed, key));
+        }
+    }
+
+    /// Sets (or, with `None`, removes) the entry under `key`, keeping both
+    /// indexes in step, and returns what was there.
+    fn put(&mut self, key: Key, new: Option<CacheEntry>) -> Option<CacheEntry> {
+        let old = self.entries.remove(&key);
+        if let Some(old) = &old {
+            self.unindex(key, old);
+        }
+        if let Some(mut entry) = new {
+            self.index(key, &mut entry);
+            self.entries.insert(key, entry);
+        }
+        old
+    }
+
+    /// [`MapCache::put`] for a change to undo on rollback: the displaced
+    /// entry (or its absence) goes to the journal unless a pre-image from
+    /// this generation already covers the key.
+    fn put_logged(&mut self, key: Key, new: Option<CacheEntry>) {
+        let old = self.put(key, new);
+        match old {
+            Some(old) if self.undo.wants(old.stamp) => {
+                let bytes = old.bytes();
+                self.undo.push((key, Some(old)), bytes);
+            }
+            Some(_) => {}
+            None => self.undo.push((key, None), 0),
+        }
+    }
+
+    /// Records the pre-image of an entry about to change in place.
+    fn log_in_place(
+        undo: &mut Journal<(Key, Option<CacheEntry>)>,
+        key: Key,
+        entry: &mut CacheEntry,
+    ) {
+        if undo.wants(entry.stamp) {
+            undo.push((key, Some(entry.clone())), entry.bytes());
+            entry.stamp = undo.stamp();
+        }
+    }
+
     /// Looks up a cached map chunk, refreshing its LRU position.
     pub fn get(&mut self, partition: PartitionId, pos: Position) -> Option<&MapChunk> {
         let tick = self.bump();
-        self.entries.get_mut(&(partition, pos)).map(|e| {
-            e.last_used = tick;
-            &e.chunk
-        })
+        let key = (partition, pos);
+        let entry = self.entries.get_mut(&key)?;
+        entry.last_used = tick;
+        Some(&entry.chunk)
     }
 
     /// True when the map chunk is cached (no LRU refresh).
@@ -83,45 +174,57 @@ impl MapCache {
         pos: Position,
     ) -> Option<&mut MapChunk> {
         let tick = self.bump();
-        let entry = self.entries.get_mut(&(partition, pos))?;
+        let key = (partition, pos);
+        let entry = self.entries.get_mut(&key)?;
+        Self::log_in_place(&mut self.undo, key, entry);
+        if !entry.dirty {
+            self.clean_lru.remove(&(entry.filed, key));
+            self.dirty.insert(key);
+            entry.dirty = true;
+        }
         entry.last_used = tick;
-        entry.dirty = true;
-        self.dirty.insert((partition, pos));
         Some(&mut entry.chunk)
     }
 
     /// Inserts a map chunk (replacing any previous entry), then evicts clean
     /// entries if over capacity.
     pub fn insert(&mut self, partition: PartitionId, pos: Position, chunk: MapChunk, dirty: bool) {
-        let tick = self.bump();
-        self.entries.insert(
-            (partition, pos),
-            CacheEntry {
-                chunk,
-                dirty,
-                last_used: tick,
-            },
-        );
-        if dirty {
-            self.dirty.insert((partition, pos));
-        } else {
-            self.dirty.remove(&(partition, pos));
-        }
-        self.evict_if_needed(Some((partition, pos)));
+        let entry = CacheEntry {
+            chunk,
+            dirty,
+            last_used: self.bump(),
+            filed: 0,
+            stamp: self.undo.stamp(),
+        };
+        self.put_logged((partition, pos), Some(entry));
+        self.evict_if_needed((partition, pos));
     }
 
     /// Marks an entry clean (after a checkpoint wrote it out).
     pub fn mark_clean(&mut self, partition: PartitionId, pos: Position) {
-        if let Some(e) = self.entries.get_mut(&(partition, pos)) {
-            e.dirty = false;
-            self.dirty.remove(&(partition, pos));
+        let key = (partition, pos);
+        if let Some(e) = self.entries.get_mut(&key) {
+            if e.dirty {
+                Self::log_in_place(&mut self.undo, key, e);
+                e.dirty = false;
+                self.dirty.remove(&key);
+                e.filed = e.last_used;
+                self.clean_lru.insert((e.filed, key));
+            }
         }
     }
 
     /// Removes every entry belonging to `partition` (partition deallocated).
     pub fn purge_partition(&mut self, partition: PartitionId) {
-        self.entries.retain(|(p, _), _| *p != partition);
-        self.dirty.retain(|(p, _)| *p != partition);
+        let doomed: Vec<Key> = self
+            .entries
+            .keys()
+            .filter(|(p, _)| *p == partition)
+            .copied()
+            .collect();
+        for key in doomed {
+            self.put_logged(key, None);
+        }
     }
 
     /// Clones all *dirty* map chunks of `src` under `dst`'s key space — the
@@ -129,11 +232,12 @@ impl MapCache {
     /// shared through the copied root descriptor; only the buffered
     /// (post-checkpoint) overrides need duplicating.
     pub fn clone_dirty(&mut self, src: PartitionId, dst: PartitionId) {
+        let lo = (src, Position::data(0));
         let cloned: Vec<(Position, MapChunk)> = self
-            .entries
-            .iter()
-            .filter(|((p, _), e)| *p == src && e.dirty)
-            .map(|((_, pos), e)| (*pos, e.chunk.clone()))
+            .dirty
+            .range(lo..)
+            .take_while(|(p, _)| *p == src)
+            .map(|key| (key.1, self.entries[key].chunk.clone()))
             .collect();
         for (pos, chunk) in cloned {
             self.insert(dst, pos, chunk, true);
@@ -225,31 +329,74 @@ impl MapCache {
         self.entries.is_empty()
     }
 
-    /// Drops everything (used when a restore replaces partitions wholesale).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.dirty.clear();
-    }
-
-    fn evict_if_needed(&mut self, keep: Option<(PartitionId, Position)>) {
+    fn evict_if_needed(&mut self, keep: Key) {
         while self.entries.len() > self.capacity {
-            // Find the least recently used *clean* entry, never the one the
-            // caller just inserted (it is about to be used).
-            let victim = self
-                .entries
-                .iter()
-                .filter(|(k, e)| !e.dirty && Some(**k) != keep)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    self.entries.remove(&k);
-                }
+            // The front of the clean index, never the entry the caller just
+            // inserted (it is about to be used).
+            let front = self.clean_lru.iter().find(|(_, key)| *key != keep);
+            let Some(&(filed, key)) = front else {
                 // Everything is dirty: allow the cache to exceed capacity;
                 // the caller will checkpoint soon.
-                None => break,
+                break;
+            };
+            let entry = self.entries.get_mut(&key).expect("indexed entries exist");
+            if entry.last_used == filed {
+                // Least recently used of all clean entries: every other one
+                // is filed no later than it was last used.
+                self.put_logged(key, None);
+            } else {
+                // Read since it was filed: move it to where it belongs.
+                entry.filed = entry.last_used;
+                self.clean_lru.remove(&(filed, key));
+                self.clean_lru.insert((entry.filed, key));
             }
         }
+    }
+
+    // -- Rollback -------------------------------------------------------------
+
+    /// Opens a mutation scope (if none is open) and returns a savepoint
+    /// for [`MapCache::rollback_to`]. Savepoints nest.
+    pub fn savepoint(&mut self) -> usize {
+        self.undo.mark()
+    }
+
+    /// Puts back every entry changed since `savepoint`, newest change
+    /// first. The scope stays open.
+    pub fn rollback_to(&mut self, savepoint: usize) {
+        for (key, pre) in self.undo.unwind(savepoint) {
+            self.put(key, pre);
+        }
+    }
+
+    /// Ends the mutation scope: every savepoint becomes invalid and changes
+    /// are no longer journaled.
+    pub fn end_scope(&mut self) {
+        self.undo.close();
+    }
+
+    /// What the journal has captured so far.
+    pub(crate) fn undo_counters(&self) -> UndoCounters {
+        self.undo.counters()
+    }
+
+    /// Test-only: every entry as `(key, dirty, chunk)` in key order, after
+    /// checking that both indexes agree with the entries.
+    #[doc(hidden)]
+    pub fn debug_entries(&self) -> Vec<(Key, bool, MapChunk)> {
+        let mut out: Vec<(Key, bool, MapChunk)> = Vec::with_capacity(self.entries.len());
+        for (key, e) in &self.entries {
+            assert_eq!(self.dirty.contains(key), e.dirty, "dirty index at {key:?}");
+            assert_eq!(
+                self.clean_lru.contains(&(e.filed, *key)),
+                !e.dirty,
+                "clean LRU index at {key:?}"
+            );
+            out.push((*key, e.dirty, e.chunk.clone()));
+        }
+        assert_eq!(self.dirty.len() + self.clean_lru.len(), self.entries.len());
+        out.sort_by_key(|(key, _, _)| *key);
+        out
     }
 }
 

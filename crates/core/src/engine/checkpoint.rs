@@ -28,17 +28,15 @@ impl Inner {
     ///
     /// # Errors
     ///
-    /// On a storage failure the in-memory state rolls back to the
-    /// pre-checkpoint snapshot; the store degrades to read-only if any log
-    /// bytes had been written, stays live otherwise. Integrity violations
-    /// poison (see `Inner::fail_mutation`).
+    /// On a storage failure the in-memory state rolls back to the savepoint
+    /// taken here; the store degrades to read-only if any log bytes had
+    /// been written, stays live otherwise. Integrity violations poison
+    /// (see `Inner::end_mutation`).
     pub(crate) fn checkpoint(&mut self) -> Result<()> {
-        let snap = self.snapshot();
+        let sp = self.savepoint();
         self.wrote_log = false;
         let result = self.checkpoint_impl();
-        if let Err(e) = &result {
-            self.fail_mutation(snap, e, "checkpoint");
-        }
+        self.end_mutation(&sp, result.as_ref().err(), "checkpoint");
         result
     }
 
@@ -56,13 +54,15 @@ impl Inner {
         //    re-collect keys per height until only system chunks remain.
         self.write_dirty_maps(false)?;
 
-        // 2. Dirty partition leaders become system data chunks.
-        let dirty_leaders: Vec<PartitionId> = self
+        // 2. Dirty partition leaders become system data chunks, in id
+        //    order so the log layout does not depend on hash-map order.
+        let mut dirty_leaders: Vec<PartitionId> = self
             .leaders
             .iter()
             .filter(|(_, e)| e.dirty)
             .map(|(p, _)| *p)
             .collect();
+        dirty_leaders.sort_unstable();
         for p in dirty_leaders {
             let leader = self.leaders.get(&p).expect("listed above").leader.clone();
             self.write_partition_leader(p, leader)?;
@@ -77,12 +77,7 @@ impl Inner {
         let probe = self.sys_leader.encode();
         let budget = sealed_version_len(&self.system, &self.system, probe.len() + 64) as u32
             + COMMIT_CHUNK_ROOM;
-        self.log.ensure_room(
-            &mut self.sys_leader.log,
-            &self.system,
-            &mut self.hashes,
-            budget,
-        )?;
+        self.ensure_room(budget)?;
 
         let counter_mode = matches!(self.config.validation, ValidationMode::Counter { .. });
         if counter_mode {
@@ -113,17 +108,13 @@ impl Inner {
 
         // Utilization: retire the previous leader version, count this one.
         if let Some((old_loc, old_vlen)) = self.leader_version {
-            let seg = self.log.segment_of(old_loc) as usize;
-            if let Some(u) = self.sys_leader.log.utilization.get_mut(seg) {
-                *u = u.saturating_sub(old_vlen);
-            }
+            self.update_utilization(self.log.segment_of(old_loc), |live| {
+                live.saturating_sub(old_vlen)
+            });
         }
-        {
-            let seg = self.log.segment_of(leader_loc) as usize;
-            if let Some(u) = self.sys_leader.log.utilization.get_mut(seg) {
-                *u += sealed.len() as u32;
-            }
-        }
+        self.update_utilization(self.log.segment_of(leader_loc), |live| {
+            live + sealed.len() as u32
+        });
         self.leader_version = Some((leader_loc, sealed.len() as u32));
 
         // 5. Seal the checkpoint per the validation protocol.

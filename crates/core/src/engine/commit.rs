@@ -16,6 +16,7 @@ use tdb_crypto::HashValue;
 use crate::codec::{Dec, Enc};
 use crate::compress;
 use crate::descriptor::{ChunkStatus, Descriptor};
+use crate::engine::rollback::Savepoint;
 use crate::errors::{CoreError, FaultClass, Result};
 use crate::ids::{ChunkId, PartitionId};
 use crate::leader::PartitionLeader;
@@ -70,72 +71,6 @@ pub enum CommitOp {
     },
 }
 
-/// Everything needed to roll the in-memory engine back to the instant a
-/// mutation began. Device bytes written by the failed mutation lie past the
-/// restored log tail, where the next append overwrites them and recovery
-/// treats them as a torn tail.
-pub(crate) struct EngineSnapshot {
-    map_cache: crate::cache::MapCache,
-    leaders: HashMap<PartitionId, crate::store::LeaderEntry>,
-    sys_leader: crate::leader::SystemLeader,
-    sys_alloc_next: u64,
-    sys_alloc_free: Vec<u64>,
-    sys_reserved: std::collections::HashSet<u64>,
-    chain: HashValue,
-    tail: crate::log::TailState,
-    commit_count: u64,
-    trusted_count: u64,
-    leader_version: Option<(u64, u32)>,
-    superblock: crate::log::Superblock,
-    stats: crate::store::ChunkStoreStats,
-}
-
-impl Inner {
-    /// Captures the in-memory engine state at the start of a mutation.
-    pub(crate) fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            map_cache: self.map_cache.clone(),
-            leaders: self.leaders.clone(),
-            sys_leader: self.sys_leader.clone(),
-            sys_alloc_next: self.sys_alloc_next,
-            sys_alloc_free: self.sys_alloc_free.clone(),
-            sys_reserved: self.sys_reserved.clone(),
-            chain: self.hashes.chain,
-            tail: self.log.tail_state(),
-            commit_count: self.commit_count,
-            trusted_count: self.trusted_count,
-            leader_version: self.leader_version,
-            superblock: self.superblock,
-            stats: self.stats,
-        }
-    }
-
-    /// Rolls the in-memory engine back to `snap`. Log bytes written by the
-    /// failed mutation lie past the restored tail and are never served:
-    /// the next append overwrites them, and recovery parses them as a torn
-    /// tail.
-    pub(crate) fn restore(&mut self, snap: EngineSnapshot) {
-        self.map_cache = snap.map_cache;
-        self.leaders = snap.leaders;
-        self.sys_leader = snap.sys_leader;
-        self.sys_alloc_next = snap.sys_alloc_next;
-        self.sys_alloc_free = snap.sys_alloc_free;
-        self.sys_reserved = snap.sys_reserved;
-        self.hashes.abort_set();
-        self.hashes.chain = snap.chain;
-        self.log.restore_tail_state(snap.tail);
-        self.commit_count = snap.commit_count;
-        self.trusted_count = snap.trusted_count;
-        self.leader_version = snap.leader_version;
-        self.superblock = snap.superblock;
-        self.stats = snap.stats;
-        // The restored map cache may differ from the state the memoized
-        // effective hashes were computed against; drop them wholesale
-        // (rollback is rare, correctness beats precision here).
-        self.lazy.clear();
-    }
-}
-
 impl Inner {
     // -- Commit (§4.6) --------------------------------------------------------
 
@@ -147,12 +82,12 @@ impl Inner {
         // read fault resolving a descriptor) leaves the store untouched
         // and live.
         self.validate_ops(&ops)?;
-        let snap = self.snapshot();
+        let sp = self.savepoint();
         self.wrote_log = false;
         let result = self.apply_and_finish(ops);
-        match &result {
-            Err(e) => self.fail_mutation(snap, e, "commit"),
-            Ok(()) => self.maybe_checkpoint()?,
+        self.end_mutation(&sp, result.as_ref().err(), "commit");
+        if result.is_ok() {
+            self.maybe_checkpoint()?;
         }
         result
     }
@@ -432,6 +367,7 @@ impl Inner {
     pub(crate) fn append(&mut self, sealed: &[u8]) -> Result<u64> {
         let loc = self.log.append(
             &mut self.sys_leader.log,
+            &mut self.undo,
             &self.system,
             &mut self.hashes,
             sealed,
@@ -445,6 +381,18 @@ impl Inner {
         }
         self.stats.bytes_appended += sealed.len() as u64;
         Ok(loc)
+    }
+
+    /// Ensures `len` more bytes fit in the tail segment, switching to a
+    /// fresh one if not (see [`crate::log::SegmentedLog::ensure_room`]).
+    pub(crate) fn ensure_room(&mut self, len: u32) -> Result<()> {
+        self.log.ensure_room(
+            &mut self.sys_leader.log,
+            &mut self.undo,
+            &self.system,
+            &mut self.hashes,
+            len,
+        )
     }
 
     /// Flushes the log, writing out any coalesced runs first, and keeps the
@@ -487,12 +435,16 @@ impl Inner {
                     }
                     None => self.write_named(VersionKind::Named, id, &bytes)?,
                 };
-                self.set_descriptor(id, desc)?;
-                let entry = self.leader_entry(id.partition)?;
+                let overwrite = self.set_descriptor(id, desc)?.is_written();
+                let entry = self.leader_entry_mut(id.partition)?;
                 entry.leader.next_rank = entry.leader.next_rank.max(id.pos.rank + 1);
                 entry.alloc_next = entry.alloc_next.max(entry.leader.next_rank);
-                entry.leader.unfree(id.pos.rank);
-                entry.alloc_free.retain(|r| *r != id.pos.rank);
+                // An overwritten chunk's rank is on no free or reserved
+                // list; skip the scans.
+                if !overwrite {
+                    entry.leader.unfree(id.pos.rank);
+                    entry.alloc_free.retain(|r| *r != id.pos.rank);
+                }
                 entry.reserved.remove(&id.pos.rank);
                 entry.dirty = true;
             }
@@ -503,12 +455,12 @@ impl Inner {
                 if was_written {
                     dealloc_ids.push(id);
                     self.set_descriptor(id, Descriptor::unallocated())?;
-                    let entry = self.leader_entry(id.partition)?;
+                    let entry = self.leader_entry_mut(id.partition)?;
                     entry.leader.push_free(id.pos.rank);
                     entry.alloc_free.push(id.pos.rank);
                     entry.dirty = true;
                 } else {
-                    let entry = self.leader_entry(id.partition)?;
+                    let entry = self.leader_entry_mut(id.partition)?;
                     entry.reserved.remove(&id.pos.rank);
                     entry.alloc_free.push(id.pos.rank);
                 }
@@ -518,10 +470,9 @@ impl Inner {
                 self.write_partition_leader(id, leader)?;
             }
             CommitOp::CopyPartition { dst, src } => {
-                let src_entry = self.leader_entry(src)?;
-                let dst_leader = src_entry.leader.copied(src);
-                src_entry.leader.copies.push(dst);
-                let src_leader = src_entry.leader.clone();
+                let mut src_leader = self.leader_entry(src)?.leader.clone();
+                let dst_leader = src_leader.copied(src);
+                src_leader.copies.push(dst);
                 // Persist the source's updated copies list.
                 self.write_partition_leader(src, src_leader)?;
                 self.write_partition_leader(dst, dst_leader)?;
@@ -564,12 +515,7 @@ impl Inner {
                 // Reserve room so the commit chunk follows its set in the
                 // same segment (the set hash must cover any next-segment
                 // chunk, so no switch may happen after end_set).
-                self.log.ensure_room(
-                    &mut self.sys_leader.log,
-                    &self.system,
-                    &mut self.hashes,
-                    COMMIT_CHUNK_ROOM,
-                )?;
+                self.ensure_room(COMMIT_CHUNK_ROOM)?;
                 let set_hash = self.hashes.end_set();
                 let count = self.commit_count + 1;
                 let body = CommitRecord::encode_signed(&self.system, count, set_hash.as_bytes());
@@ -611,12 +557,7 @@ impl Inner {
     fn finish_commit_batched(&mut self) -> Result<bool> {
         let mut flushed = false;
         if let ValidationMode::Counter { delta_ut, .. } = self.config.validation {
-            self.log.ensure_room(
-                &mut self.sys_leader.log,
-                &self.system,
-                &mut self.hashes,
-                COMMIT_CHUNK_ROOM,
-            )?;
+            self.ensure_room(COMMIT_CHUNK_ROOM)?;
             let set_hash = self.hashes.end_set();
             let count = self.commit_count + 1;
             let body = CommitRecord::encode_signed(&self.system, count, set_hash.as_bytes());
@@ -643,17 +584,6 @@ impl Inner {
         // covers every member at once.
         self.stats.commits += 1;
         Ok(flushed)
-    }
-
-    /// Rolls back to a batch's last durable snapshot while keeping the
-    /// monotone health-event counters a failure handler may have bumped
-    /// after that snapshot was taken.
-    fn restore_durable(&mut self, snap: EngineSnapshot) {
-        let degraded = self.stats.degraded_entries;
-        let poisons = self.stats.poison_events;
-        self.restore(snap);
-        self.stats.degraded_entries = self.stats.degraded_entries.max(degraded);
-        self.stats.poison_events = self.stats.poison_events.max(poisons);
     }
 
     /// Executes a group-commit batch: every member is validated, sealed,
@@ -686,11 +616,14 @@ impl Inner {
         self.log.set_coalescing(true);
 
         let mut results: Vec<Result<()>> = Vec::with_capacity(n);
-        // Members in `results[..durable]` are covered by a device flush;
-        // `durable_snap` is the engine state at that point. `None` once
-        // consumed by an abort (no further members run after that).
+        // Members in `results[..durable]` are covered by a device flush.
+        // `durable_sp` is the savepoint of the first member applied since
+        // that flush — the engine state at the durable point, since nothing
+        // before that member changed it — and `None` while there is no
+        // such member: then there is nothing to unwind. A durable point
+        // closes the journals, which voids every earlier savepoint.
         let mut durable = 0usize;
-        let mut durable_snap = Some(self.snapshot());
+        let mut durable_sp: Option<Savepoint> = None;
         let mut abort: Option<String> = None;
 
         for (ops, pre) in sets.into_iter().zip(presealed) {
@@ -708,7 +641,10 @@ impl Inner {
                 results.push(Err(e));
                 continue;
             }
-            let snap = self.snapshot();
+            let sp = self.savepoint();
+            if durable_sp.is_none() {
+                durable_sp = Some(sp.clone());
+            }
             self.wrote_log = false;
             let counter_mode = matches!(self.config.validation, ValidationMode::Counter { .. });
             if counter_mode {
@@ -722,7 +658,8 @@ impl Inner {
                     results.push(Ok(()));
                     if flushed {
                         durable = results.len();
-                        durable_snap = Some(self.snapshot());
+                        durable_sp = None;
+                        self.close_journals();
                     }
                     // Threshold-driven checkpoint, as on the unbatched
                     // path. A successful checkpoint flushes and syncs the
@@ -732,7 +669,8 @@ impl Inner {
                         Ok(()) => {
                             if self.stats.checkpoints > checkpoints_before {
                                 durable = results.len();
-                                durable_snap = Some(self.snapshot());
+                                durable_sp = None;
+                                self.close_journals();
                             }
                         }
                         Err(e) => {
@@ -744,8 +682,9 @@ impl Inner {
                             let msg = e.to_string();
                             *results.last_mut().expect("just pushed") = Err(e);
                             if !self.health.is_live() {
-                                let snap = durable_snap.take().expect("unconsumed");
-                                self.restore_durable(snap);
+                                if let Some(sp) = durable_sp.take() {
+                                    self.rollback(&sp);
+                                }
                                 demote_unflushed(&mut results, durable, &msg);
                                 abort = Some(msg);
                             }
@@ -760,8 +699,8 @@ impl Inner {
                         // is unrecoverable in place. Roll back to it,
                         // demote the members it does not cover, and stop.
                         let msg = e.to_string();
-                        let snap = durable_snap.take().expect("unconsumed");
-                        self.restore_durable(snap);
+                        let sp = durable_sp.take().expect("set with this member's savepoint");
+                        self.rollback(&sp);
                         demote_unflushed(&mut results, durable, &msg);
                         if integrity {
                             self.enter_poisoned(format!(
@@ -778,7 +717,7 @@ impl Inner {
                     } else {
                         // Nothing durable happened: this member rolls back
                         // clean and the batch continues live.
-                        self.restore(snap);
+                        self.rollback(&sp);
                         results.push(Err(e));
                     }
                 }
@@ -798,8 +737,9 @@ impl Inner {
             if let Err(e) = fin {
                 let msg = e.to_string();
                 let wrote = self.wrote_log;
-                let snap = durable_snap.take().expect("unconsumed");
-                self.restore_durable(snap);
+                if let Some(sp) = durable_sp.take() {
+                    self.rollback(&sp);
+                }
                 demote_unflushed(&mut results, durable, &msg);
                 if wrote {
                     self.enter_degraded(format!(
@@ -810,6 +750,7 @@ impl Inner {
             }
         }
         self.log.set_coalescing(false);
+        self.close_journals();
         results
     }
 

@@ -23,7 +23,7 @@
 //!   ([`crate::store::Inner::set_descriptor`]);
 //! - tree growth, partition dealloc/purge, and partition copies drop the
 //!   whole partition (rare, conservative);
-//! - snapshot restore after a failed mutation clears everything.
+//! - a failed mutation rolling back to its savepoint clears everything.
 //!
 //! Marking a chunk clean (checkpoint) does *not* invalidate: the persisted
 //! body is byte-identical to the effective body the memo hashed.
@@ -108,7 +108,7 @@ impl DirtyTreeAccumulator {
         self.invalidations += (before - self.memo.len()) as u64;
     }
 
-    /// Drops everything (snapshot restore / wholesale state replacement).
+    /// Drops everything (rollback to a savepoint).
     pub fn clear(&mut self) {
         self.invalidations += self.memo.len() as u64;
         self.memo.clear();

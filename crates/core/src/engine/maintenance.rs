@@ -26,6 +26,7 @@
 use std::collections::HashSet;
 
 use crate::descriptor::Descriptor;
+use crate::engine::rollback::Undo;
 use crate::errors::{CoreError, Result, TamperKind};
 use crate::ids::{ChunkId, PartitionId, LEADER_HEIGHT};
 use crate::metrics::{self, counters, modules};
@@ -53,12 +54,10 @@ impl Inner {
                 relocated: Vec::new(),
             });
         }
-        let snap = self.snapshot();
+        let sp = self.savepoint();
         self.wrote_log = false;
         let result = self.clean_segments(&targets);
-        if let Err(e) = &result {
-            self.fail_mutation(snap, e, "cleaning");
-        }
+        self.end_mutation(&sp, result.as_ref().err(), "cleaning");
         result
     }
 
@@ -122,9 +121,8 @@ impl Inner {
         // recycled.
         for seg in &freed {
             self.sys_leader.log.free_segments.push(*seg);
-            if let Some(u) = self.sys_leader.log.utilization.get_mut(*seg as usize) {
-                *u = 0;
-            }
+            self.undo.push(Undo::SegmentFreed, 4);
+            self.update_utilization(*seg, |_| 0);
         }
         self.stats.segments_cleaned += freed.len() as u64;
         self.stats.bytes_reclaimed += obsolete;

@@ -54,21 +54,18 @@ impl Inner {
     }
 
     /// Updates the descriptor for `id`, dirtying its parent map chunk (the
-    /// §4.6 deferral) and maintaining segment utilization.
-    pub(crate) fn set_descriptor(&mut self, id: ChunkId, desc: Descriptor) -> Result<()> {
+    /// §4.6 deferral) and maintaining segment utilization. Returns the
+    /// descriptor it replaced.
+    pub(crate) fn set_descriptor(&mut self, id: ChunkId, desc: Descriptor) -> Result<Descriptor> {
         let old = self.get_descriptor(id)?;
         // Utilization: the old version becomes obsolete, the new is live.
         if old.is_written() {
-            let seg = self.log.segment_of(old.location) as usize;
-            if let Some(u) = self.sys_leader.log.utilization.get_mut(seg) {
-                *u = u.saturating_sub(old.vlen);
-            }
+            self.update_utilization(self.log.segment_of(old.location), |live| {
+                live.saturating_sub(old.vlen)
+            });
         }
         if desc.is_written() {
-            let seg = self.log.segment_of(desc.location) as usize;
-            if let Some(u) = self.sys_leader.log.utilization.get_mut(seg) {
-                *u += desc.vlen;
-            }
+            self.update_utilization(self.log.segment_of(desc.location), |live| live + desc.vlen);
         }
         let height = self.tree_height(id.partition)?;
         debug_assert!(
@@ -81,7 +78,8 @@ impl Inner {
         self.lazy
             .invalidate_spine(id.partition, id.pos, height, self.fanout());
         if id.pos.height == height && id.pos.rank == 0 {
-            return self.set_root_descriptor(id.partition, desc);
+            self.set_root_descriptor(id.partition, desc)?;
+            return Ok(old);
         }
         let parent = id.pos.parent(self.fanout());
         self.ensure_map_chunk(id.partition, parent)?;
@@ -90,7 +88,7 @@ impl Inner {
             .get_mut_dirty(id.partition, parent)
             .expect("ensured above")
             .slots[slot] = desc;
-        Ok(())
+        Ok(old)
     }
 
     /// Grows `p`'s tree until `rank` is addressable (§4.3: "as the tree
@@ -114,7 +112,7 @@ impl Inner {
                 self.sys_leader.map.height = new_height;
                 self.sys_leader.map.root = Descriptor::unwritten();
             } else {
-                let entry = self.leader_entry(p)?;
+                let entry = self.leader_entry_mut(p)?;
                 entry.leader.height = new_height;
                 entry.leader.root = Descriptor::unwritten();
                 entry.dirty = true;

@@ -16,6 +16,8 @@
 //! - [`maintenance`] — the log cleaner (§4.9.5, §5.5), including the
 //!   bounded-slice variant driven by the background maintenance runtime
 //!   ([`crate::maintenance`]).
+//! - [`rollback`] — savepoints over the undo journals: how a mutation that
+//!   fails before its durable point leaves the engine as it found it.
 //! - [`dirty`] — the dirty-tree accumulator behind the `lazy_integrity`
 //!   knob: memoized effective subtree hashes with O(height) spine
 //!   invalidation per descriptor write.
@@ -33,3 +35,4 @@ pub(crate) mod maintenance;
 pub(crate) mod map;
 pub(crate) mod partitions;
 pub(crate) mod proof;
+pub(crate) mod rollback;

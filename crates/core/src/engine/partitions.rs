@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use crate::descriptor::{ChunkStatus, Descriptor};
+use crate::engine::rollback::Undo;
 use crate::errors::{CoreError, Result};
 use crate::ids::{ChunkId, PartitionId, Position};
 use crate::leader::PartitionLeader;
@@ -54,6 +55,8 @@ pub(crate) struct LeaderEntry {
     /// True when committed leader state changed since its last version was
     /// written; checkpoints persist dirty leaders.
     pub dirty: bool,
+    /// Undo-journal generation that last recorded this entry's pre-image.
+    stamp: u64,
 }
 
 impl LeaderEntry {
@@ -68,7 +71,13 @@ impl LeaderEntry {
             alloc_free,
             reserved: std::collections::HashSet::new(),
             dirty: false,
+            stamp: 0,
         })
+    }
+
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<LeaderEntry>()
+            + 8 * (self.leader.free_ranks.len() + self.alloc_free.len() + self.reserved.len())
     }
 }
 
@@ -76,7 +85,7 @@ impl Inner {
     // -- Leader and crypto access --------------------------------------------
 
     /// Loads (if needed) and returns the cached state for a user partition.
-    pub(crate) fn leader_entry(&mut self, p: PartitionId) -> Result<&mut LeaderEntry> {
+    pub(crate) fn leader_entry(&mut self, p: PartitionId) -> Result<&LeaderEntry> {
         if p.is_system() {
             return Err(CoreError::NoSuchPartition(p));
         }
@@ -88,9 +97,41 @@ impl Inner {
             }
             let body = self.read_validated(id, &desc)?;
             let leader = PartitionLeader::decode(&body)?;
-            self.leaders.insert(p, LeaderEntry::new(leader)?);
+            self.cache_leader(p, LeaderEntry::new(leader)?);
         }
-        Ok(self.leaders.get_mut(&p).expect("just inserted"))
+        Ok(&self.leaders[&p])
+    }
+
+    /// [`Inner::leader_entry`] for a caller about to change the entry:
+    /// inside a mutation scope its pre-image goes to the undo journal first.
+    pub(crate) fn leader_entry_mut(&mut self, p: PartitionId) -> Result<&mut LeaderEntry> {
+        self.leader_entry(p)?;
+        let entry = self.leaders.get_mut(&p).expect("loaded above");
+        if self.undo.wants(entry.stamp) {
+            let pre = Undo::Leader(p, Some(Box::new(entry.clone())));
+            self.undo.push(pre, entry.bytes());
+            entry.stamp = self.undo.stamp();
+        }
+        Ok(entry)
+    }
+
+    /// Puts `entry` in the leader cache under `p`, journaling what it
+    /// displaces (or that nothing was there).
+    fn cache_leader(&mut self, p: PartitionId, mut entry: LeaderEntry) {
+        entry.stamp = self.undo.stamp();
+        let old = self.leaders.insert(p, entry);
+        self.log_displaced_leader(p, old);
+    }
+
+    fn log_displaced_leader(&mut self, p: PartitionId, old: Option<LeaderEntry>) {
+        match old {
+            Some(old) if self.undo.wants(old.stamp) => {
+                let bytes = old.bytes();
+                self.undo.push(Undo::Leader(p, Some(Box::new(old))), bytes);
+            }
+            Some(_) => {}
+            None => self.undo.push(Undo::Leader(p, None), 0),
+        }
     }
 
     /// Runtime crypto for a partition (system partition included).
@@ -123,7 +164,7 @@ impl Inner {
         if p.is_system() {
             self.sys_leader.map.root = desc;
         } else {
-            let entry = self.leader_entry(p)?;
+            let entry = self.leader_entry_mut(p)?;
             entry.leader.root = desc;
             entry.dirty = true;
         }
@@ -149,7 +190,7 @@ impl Inner {
     }
 
     pub(crate) fn allocate_chunk(&mut self, p: PartitionId) -> Result<ChunkId> {
-        let entry = self.leader_entry(p)?;
+        let entry = self.leader_entry_mut(p)?;
         let rank = match entry.alloc_free.pop() {
             Some(r) => r,
             None => {
@@ -166,7 +207,7 @@ impl Inner {
     /// [`Inner::allocate_chunk`]): restore paths use this to write delta
     /// chunks at ranks the target partition has never allocated.
     pub(crate) fn reserve_rank(&mut self, p: PartitionId, rank: u64) -> Result<()> {
-        let entry = self.leader_entry(p)?;
+        let entry = self.leader_entry_mut(p)?;
         entry.alloc_next = entry.alloc_next.max(rank + 1);
         entry.alloc_free.retain(|r| *r != rank);
         entry.reserved.insert(rank);
@@ -184,25 +225,24 @@ impl Inner {
         self.ensure_capacity(PartitionId::SYSTEM, id.pos.rank)?;
         let body = leader.encode();
         let desc = self.write_named(VersionKind::Named, id, &body)?;
-        self.set_descriptor(id, desc)?;
+        let rewrite = self.set_descriptor(id, desc)?.is_written();
         self.sys_leader.map.next_rank = self.sys_leader.map.next_rank.max(id.pos.rank + 1);
         self.sys_alloc_next = self.sys_alloc_next.max(self.sys_leader.map.next_rank);
-        self.sys_leader.map.unfree(id.pos.rank);
-        self.sys_alloc_free.retain(|r| *r != id.pos.rank);
-        self.sys_reserved.remove(&id.pos.rank);
-        match self.leaders.get_mut(&p) {
-            Some(entry) => {
-                // Preserve session allocation state across the rewrite.
-                let alloc_next = entry.alloc_next.max(leader.next_rank);
-                let alloc_free = entry.alloc_free.clone();
-                entry.leader = leader;
-                entry.alloc_next = alloc_next;
-                entry.alloc_free = alloc_free;
-                entry.dirty = false;
-            }
-            None => {
-                self.leaders.insert(p, LeaderEntry::new(leader)?);
-            }
+        // A rewritten leader's rank is on no free or reserved list.
+        if !rewrite {
+            self.log_system_ranks();
+            self.sys_leader.map.unfree(id.pos.rank);
+            self.sys_alloc_free.retain(|r| *r != id.pos.rank);
+            self.sys_reserved.remove(&id.pos.rank);
+        }
+        if self.leaders.contains_key(&p) {
+            // Preserve session allocation state across the rewrite.
+            let entry = self.leader_entry_mut(p)?;
+            entry.alloc_next = entry.alloc_next.max(leader.next_rank);
+            entry.leader = leader;
+            entry.dirty = false;
+        } else {
+            self.cache_leader(p, LeaderEntry::new(leader)?);
         }
         Ok(())
     }
@@ -232,19 +272,21 @@ impl Inner {
         if let Some(src) = source {
             if !closure.contains(&src) {
                 if let Ok(entry) = self.leader_entry(src) {
-                    entry.leader.copies.retain(|c| *c != p);
-                    let updated = entry.leader.clone();
+                    let mut updated = entry.leader.clone();
+                    updated.copies.retain(|c| *c != p);
                     self.write_partition_leader(src, updated)?;
                 }
             }
         }
+        self.log_system_ranks();
         for q in closure {
             let id = ChunkId::leader_chunk(q);
             dealloc_ids.push(id);
             self.set_descriptor(id, Descriptor::unallocated())?;
             self.sys_leader.map.push_free(id.pos.rank);
             self.sys_alloc_free.push(id.pos.rank);
-            self.leaders.remove(&q);
+            let old = self.leaders.remove(&q);
+            self.log_displaced_leader(q, old);
             self.map_cache.purge_partition(q);
             self.lazy.invalidate_partition(q);
         }

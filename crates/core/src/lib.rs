@@ -76,6 +76,7 @@ mod readpath;
 mod recovery;
 pub mod shard;
 pub mod store;
+pub mod undo;
 pub mod version;
 
 pub use backup::{ApproveAll, BackupSetInfo, BackupSpec, BackupStore, RestorePolicy};

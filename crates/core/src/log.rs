@@ -13,10 +13,12 @@ use tdb_crypto::{HashKind, HashValue, Hasher};
 use tdb_storage::SharedUntrusted;
 
 use crate::codec::{Dec, Enc};
+use crate::engine::rollback::Undo;
 use crate::errors::{CoreError, Result};
 use crate::leader::LogState;
 use crate::metrics::{self, modules};
 use crate::params::PartitionCrypto;
+use crate::undo::Journal;
 use crate::version::{
     seal_version, sealed_version_len, NextSegmentRecord, VersionHeader, VersionKind,
 };
@@ -213,7 +215,7 @@ impl LogHashes {
     }
 
     /// Discards an open set hash without finishing it (rollback of a
-    /// failed mutation; the chain is restored separately from a snapshot).
+    /// failed mutation; the chain is restored separately from the savepoint).
     pub fn abort_set(&mut self) {
         self.set = None;
     }
@@ -233,11 +235,12 @@ struct PendingRun {
 /// Besides the tail position this records the pending end-marker
 /// obligation and a mark into the coalescing buffer, so a rollback also
 /// discards buffered-but-unwritten bytes appended after the capture.
-#[derive(Clone)]
+/// Segments the cursor took since then are not in here: each one is a
+/// record in the engine's undo journal (`Undo::SegmentTaken`).
+#[derive(Clone, Copy)]
 pub struct TailState {
     segment: u32,
     offset: u32,
-    residual: BTreeSet<u32>,
     pending_stamp: Option<u64>,
     /// (number of runs, length of the last run) at capture time.
     runs_mark: (usize, usize),
@@ -344,6 +347,12 @@ impl SegmentedLog {
         self.residual.insert(segment);
     }
 
+    /// Takes a segment back out of the residual log (rollback of the
+    /// segment switch that entered it).
+    pub(crate) fn unmark_residual(&mut self, segment: u32) {
+        self.residual.remove(&segment);
+    }
+
     /// Repositions the append cursor (used by recovery after the residual
     /// log has been rolled forward).
     pub fn set_tail(&mut self, segment: u32, offset: u32) {
@@ -352,14 +361,12 @@ impl SegmentedLog {
         self.residual.insert(segment);
     }
 
-    /// Captures the cursor (tail position, residual set, end-marker
-    /// obligation, coalescing-buffer mark) so a failed mutation can be
-    /// rolled back.
+    /// Captures the cursor (tail position, end-marker obligation,
+    /// coalescing-buffer mark) so a failed mutation can be rolled back.
     pub fn tail_state(&self) -> TailState {
         TailState {
             segment: self.tail_segment,
             offset: self.tail_offset,
-            residual: self.residual.clone(),
             pending_stamp: self.pending_stamp,
             runs_mark: (self.runs.len(), self.runs.last().map_or(0, |r| r.buf.len())),
         }
@@ -372,7 +379,6 @@ impl SegmentedLog {
     pub fn restore_tail_state(&mut self, state: TailState) {
         self.tail_segment = state.segment;
         self.tail_offset = state.offset;
-        self.residual = state.residual;
         self.pending_stamp = state.pending_stamp;
         let (nruns, last_len) = state.runs_mark;
         // A write-out drains the buffer all-or-nothing, so either the runs
@@ -405,9 +411,10 @@ impl SegmentedLog {
     /// # Errors
     ///
     /// Fails when the record cannot fit in a fresh segment, or on I/O error.
-    pub fn ensure_room(
+    pub(crate) fn ensure_room(
         &mut self,
         state: &mut LogState,
+        undo: &mut Journal<Undo>,
         system: &PartitionCrypto,
         hashes: &mut LogHashes,
         len: u32,
@@ -419,7 +426,7 @@ impl SegmentedLog {
             });
         }
         if self.room() < len {
-            self.switch_segment(state, system, hashes)?;
+            self.switch_segment(state, undo, system, hashes)?;
         }
         Ok(())
     }
@@ -430,14 +437,15 @@ impl SegmentedLog {
     /// # Errors
     ///
     /// Fails when the version exceeds the segment capacity or storage fails.
-    pub fn append(
+    pub(crate) fn append(
         &mut self,
         state: &mut LogState,
+        undo: &mut Journal<Undo>,
         system: &PartitionCrypto,
         hashes: &mut LogHashes,
         bytes: &[u8],
     ) -> Result<u64> {
-        self.ensure_room(state, system, hashes, bytes.len() as u32)?;
+        self.ensure_room(state, undo, system, hashes, bytes.len() as u32)?;
         let location = self.tail_location();
         if self.coalescing {
             self.buffer_write(location, bytes);
@@ -477,10 +485,11 @@ impl SegmentedLog {
     fn switch_segment(
         &mut self,
         state: &mut LogState,
+        undo: &mut Journal<Undo>,
         system: &PartitionCrypto,
         hashes: &mut LogHashes,
     ) -> Result<()> {
-        let next = self.allocate_segment(state)?;
+        let next = self.allocate_segment(state, undo)?;
         let record = NextSegmentRecord { next_segment: next };
         let sealed = seal_version(
             system,
@@ -512,16 +521,21 @@ impl SegmentedLog {
     }
 
     /// Takes a free segment or extends the store.
-    fn allocate_segment(&mut self, state: &mut LogState) -> Result<u32> {
-        if let Some(seg) = state.free_segments.pop() {
-            return Ok(seg);
-        }
-        if self.max_segments != 0 && state.num_segments >= self.max_segments {
-            return Err(CoreError::OutOfSpace);
-        }
-        let seg = state.num_segments;
-        state.num_segments += 1;
-        state.utilization.push(0);
+    fn allocate_segment(&mut self, state: &mut LogState, undo: &mut Journal<Undo>) -> Result<u32> {
+        let recycled = state.free_segments.pop();
+        let seg = match recycled {
+            Some(seg) => seg,
+            None if self.max_segments != 0 && state.num_segments >= self.max_segments => {
+                return Err(CoreError::OutOfSpace);
+            }
+            None => {
+                state.num_segments += 1;
+                state.utilization.push(0);
+                state.num_segments - 1
+            }
+        };
+        let recycled = recycled.is_some();
+        undo.push(Undo::SegmentTaken { seg, recycled }, 8);
         Ok(seg)
     }
 
@@ -709,10 +723,22 @@ mod tests {
     fn append_advances_tail() {
         let (mut log, mut state, system, mut hashes) = setup();
         let loc1 = log
-            .append(&mut state, &system, &mut hashes, &[1u8; 100])
+            .append(
+                &mut state,
+                &mut Journal::new(),
+                &system,
+                &mut hashes,
+                &[1u8; 100],
+            )
             .unwrap();
         let loc2 = log
-            .append(&mut state, &system, &mut hashes, &[2u8; 100])
+            .append(
+                &mut state,
+                &mut Journal::new(),
+                &system,
+                &mut hashes,
+                &[2u8; 100],
+            )
             .unwrap();
         assert_eq!(loc1, SEGMENT_BASE);
         assert_eq!(loc2, SEGMENT_BASE + 100);
@@ -724,8 +750,11 @@ mod tests {
         let (mut log, mut state, system, mut hashes) = setup();
         // Fill most of segment 0, then overflow into segment 1.
         let big = vec![7u8; 900];
-        log.append(&mut state, &system, &mut hashes, &big).unwrap();
-        let loc = log.append(&mut state, &system, &mut hashes, &big).unwrap();
+        log.append(&mut state, &mut Journal::new(), &system, &mut hashes, &big)
+            .unwrap();
+        let loc = log
+            .append(&mut state, &mut Journal::new(), &system, &mut hashes, &big)
+            .unwrap();
         assert_eq!(log.segment_of(loc), 1);
         assert_eq!(state.num_segments, 2);
         assert!(log.residual_segments().contains(&0));
@@ -749,8 +778,11 @@ mod tests {
         state.utilization = vec![0, 0, 0];
         state.free_segments.push(2);
         let big = vec![7u8; 900];
-        log.append(&mut state, &system, &mut hashes, &big).unwrap();
-        let loc = log.append(&mut state, &system, &mut hashes, &big).unwrap();
+        log.append(&mut state, &mut Journal::new(), &system, &mut hashes, &big)
+            .unwrap();
+        let loc = log
+            .append(&mut state, &mut Journal::new(), &system, &mut hashes, &big)
+            .unwrap();
         assert_eq!(log.segment_of(loc), 2);
         assert_eq!(state.num_segments, 3);
     }
@@ -760,9 +792,10 @@ mod tests {
         let (mut log, mut state, system, mut hashes) = setup();
         log.max_segments = 1;
         let big = vec![7u8; 900];
-        log.append(&mut state, &system, &mut hashes, &big).unwrap();
+        log.append(&mut state, &mut Journal::new(), &system, &mut hashes, &big)
+            .unwrap();
         assert!(matches!(
-            log.append(&mut state, &system, &mut hashes, &big),
+            log.append(&mut state, &mut Journal::new(), &system, &mut hashes, &big),
             Err(CoreError::OutOfSpace)
         ));
     }
@@ -772,7 +805,13 @@ mod tests {
         let (mut log, mut state, system, mut hashes) = setup();
         let too_big = vec![0u8; 1025];
         assert!(matches!(
-            log.append(&mut state, &system, &mut hashes, &too_big),
+            log.append(
+                &mut state,
+                &mut Journal::new(),
+                &system,
+                &mut hashes,
+                &too_big
+            ),
             Err(CoreError::ChunkTooLarge { .. })
         ));
     }
@@ -803,8 +842,10 @@ mod tests {
     fn reset_residual_keeps_tail_only() {
         let (mut log, mut state, system, mut hashes) = setup();
         let big = vec![7u8; 900];
-        log.append(&mut state, &system, &mut hashes, &big).unwrap();
-        log.append(&mut state, &system, &mut hashes, &big).unwrap();
+        log.append(&mut state, &mut Journal::new(), &system, &mut hashes, &big)
+            .unwrap();
+        log.append(&mut state, &mut Journal::new(), &system, &mut hashes, &big)
+            .unwrap();
         assert_eq!(log.residual_segments().len(), 2);
         log.reset_residual();
         assert_eq!(log.residual_segments().len(), 1);

@@ -177,6 +177,7 @@ fn recover_from(
         stats: ChunkStoreStats::default(),
         health: crate::store::StoreHealth::Live,
         wrote_log: false,
+        undo: crate::undo::Journal::new(),
         config,
     };
     inner.log.mark_residual(leader_seg);
@@ -476,7 +477,7 @@ fn apply_action(
                     inner.sys_alloc_free.push(id.pos.rank);
                 } else {
                     inner.set_descriptor(id, Descriptor::unallocated())?;
-                    if let Ok(entry) = inner.leader_entry(id.partition) {
+                    if let Ok(entry) = inner.leader_entry_mut(id.partition) {
                         entry.leader.push_free(id.pos.rank);
                         entry.alloc_free.push(id.pos.rank);
                         entry.dirty = true;
@@ -614,7 +615,7 @@ fn apply_named(
     // Ordinary data chunk.
     inner.set_descriptor(id, desc)?;
     if !id.partition.is_system() {
-        let entry = inner.leader_entry(id.partition)?;
+        let entry = inner.leader_entry_mut(id.partition)?;
         entry.leader.next_rank = entry.leader.next_rank.max(id.pos.rank + 1);
         entry.alloc_next = entry.alloc_next.max(entry.leader.next_rank);
         entry.leader.unfree(id.pos.rank);

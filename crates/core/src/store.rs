@@ -30,7 +30,8 @@ use tdb_storage::{MonotonicCounter, SharedUntrusted, TrustedStore};
 
 use crate::cache::MapCache;
 use crate::descriptor::Descriptor;
-use crate::errors::{CoreError, FaultClass, Result};
+use crate::engine::rollback::Undo;
+use crate::errors::{CoreError, Result};
 use crate::ids::{ChunkId, PartitionId};
 use crate::leader::SystemLeader;
 use crate::log::{LogHashes, SegmentedLog, Superblock};
@@ -38,9 +39,10 @@ use crate::maintenance::{MaintenanceService, MaintenanceShared};
 use crate::metrics::{self, counters, modules};
 use crate::params::{CryptoParams, PartitionCrypto};
 use crate::readpath::ReadPath;
+use crate::undo::{Journal, UndoCounters};
 
 pub use crate::engine::commit::CommitOp;
-pub(crate) use crate::engine::commit::{DirectRecord, EngineSnapshot};
+pub(crate) use crate::engine::commit::DirectRecord;
 pub(crate) use crate::engine::partitions::LeaderEntry;
 pub use crate::engine::partitions::{DiffChange, DiffEntry};
 
@@ -264,9 +266,12 @@ pub struct ChunkStoreStats {
 ///
 /// Failure handling follows the error taxonomy
 /// ([`crate::errors::FaultClass`]): storage failures during a mutation roll
-/// the in-memory state back to the pre-mutation snapshot and, if any bytes
-/// had already reached the log, drop to `Degraded`; only integrity
-/// violations (`TamperDetected` on a mutation path) hard-poison.
+/// the in-memory state back to the savepoint the mutation took on entry —
+/// undoing, newest first, the pre-images it journaled since — and, if any
+/// bytes had already reached the log, drop to `Degraded`; only integrity
+/// violations (`TamperDetected` on a mutation path) hard-poison. A map
+/// chunk that was dirty at the savepoint is dirty again after rollback,
+/// even if the mutation cleaned or evicted it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreHealth {
     /// Fully operational.
@@ -338,6 +343,9 @@ pub(crate) struct Inner {
     /// Dirty-tree accumulator for lazy Merkle materialization (no-op when
     /// `config.lazy_integrity` is off).
     pub lazy: crate::engine::dirty::DirtyTreeAccumulator,
+    /// Undo journal for engine state outside the map cache, open while a
+    /// mutation can still roll back (see [`crate::engine::rollback`]).
+    pub undo: Journal<Undo>,
 }
 
 /// The sharable core of a chunk store: the engine behind its mutex, the
@@ -444,6 +452,7 @@ impl ChunkStore {
             stats: ChunkStoreStats::default(),
             health: StoreHealth::Live,
             wrote_log: false,
+            undo: Journal::new(),
         };
         // The initial checkpoint materializes the empty database: leader,
         // commit chunk / trusted hash, and superblock.
@@ -563,10 +572,12 @@ impl ChunkStore {
     /// # Errors
     ///
     /// Validation errors leave the store unchanged and live. A storage
-    /// failure mid-commit rolls the in-memory state back to the pre-commit
-    /// snapshot; if any bytes had already reached the log the store drops
-    /// to read-only degraded mode (see [`ChunkStore::try_heal`]), otherwise
-    /// it stays live. Only integrity violations poison the store.
+    /// failure mid-commit rolls the in-memory state back to the savepoint
+    /// taken after validation (in a group-commit batch: this member's, or
+    /// the batch's last durable point once bytes reached the device); if
+    /// any bytes had already reached the log the store drops to read-only
+    /// degraded mode (see [`ChunkStore::try_heal`]), otherwise it stays
+    /// live. Only integrity violations poison the store.
     pub fn commit(&self, ops: Vec<CommitOp>) -> Result<()> {
         let _t = metrics::span(modules::CHUNK_STORE);
         // Under background maintenance, a bounded log below its low-water
@@ -833,26 +844,6 @@ impl Inner {
         }
     }
 
-    /// Classifies a failed mutation and moves the health state machine:
-    /// integrity violations poison; storage failures roll back to `snap`
-    /// and degrade only when log bytes were already written.
-    pub(crate) fn fail_mutation(&mut self, snap: EngineSnapshot, e: &CoreError, what: &str) {
-        if e.fault_class() == FaultClass::Integrity {
-            // The in-memory state is rolled back for hygiene, but no
-            // validated path may run again until a reopen revalidates.
-            self.restore(snap);
-            self.enter_poisoned(format!("integrity violation during {what}: {e}"));
-            return;
-        }
-        let wrote = self.wrote_log;
-        self.restore(snap);
-        if wrote {
-            self.enter_degraded(format!(
-                "storage failure during {what} after log bytes were written: {e}"
-            ));
-        }
-    }
-
     pub(crate) fn enter_degraded(&mut self, reason: String) {
         if self.health.is_poisoned() {
             return;
@@ -932,5 +923,11 @@ impl ChunkStore {
     pub fn debug_descriptor(&self, id: ChunkId) -> Result<Descriptor> {
         let mut inner = self.inner.lock();
         inner.get_descriptor(id)
+    }
+
+    /// Test-only: what the undo journals have captured since open.
+    #[doc(hidden)]
+    pub fn debug_undo_counters(&self) -> UndoCounters {
+        self.inner.lock().undo_counters()
     }
 }

@@ -4,6 +4,9 @@
 //! dirty map chunk is pinned until checkpointed — a map chunk with no
 //! persistent version *must* be in the cache — and that clean entries
 //! evict in least-recently-used order.
+//!
+//! And (ISSUE 18) rollback equivalence: undoing the journal back to a
+//! savepoint leaves the cache equal to a `Clone` taken at that savepoint.
 
 use proptest::prelude::*;
 
@@ -47,6 +50,29 @@ fn op_strategy() -> impl Strategy<Value = ((PartitionId, Position), CacheOp)> {
         1 => Just(CacheOp::MarkClean),
     ];
     (key_strategy(), op)
+}
+
+/// Cache traffic interleaved with the rollback protocol.
+#[derive(Debug, Clone)]
+enum ScopedOp {
+    Cache((PartitionId, Position), CacheOp),
+    Purge(u32),
+    CloneDirty(u32, u32),
+    Savepoint,
+    /// Roll back to the open savepoint `n % open` (older ones stay open).
+    Rollback(usize),
+    EndScope,
+}
+
+fn scoped_op_strategy() -> impl Strategy<Value = ScopedOp> {
+    prop_oneof![
+        24 => op_strategy().prop_map(|(key, op)| ScopedOp::Cache(key, op)),
+        1 => (1u32..4).prop_map(ScopedOp::Purge),
+        2 => (1u32..4, 1u32..4).prop_map(|(src, dst)| ScopedOp::CloneDirty(src, dst)),
+        4 => Just(ScopedOp::Savepoint),
+        3 => any::<usize>().prop_map(ScopedOp::Rollback),
+        1 => Just(ScopedOp::EndScope),
+    ]
 }
 
 proptest! {
@@ -117,33 +143,46 @@ proptest! {
         }
     }
 
-    /// Eviction order: seed the cache to capacity with clean entries,
-    /// touch a random subset (defining a known LRU order), then overflow
-    /// with fresh clean inserts. The evicted keys must be exactly the
-    /// least recently used ones; recently touched keys survive.
+    /// Eviction order, at any capacity: seed the cache to capacity with
+    /// clean entries plus a few pinned dirty ones, touch a random subset
+    /// (defining a known LRU order), then overflow with fresh clean
+    /// inserts. The evicted keys must be exactly the least recently used
+    /// clean ones — the victim comes off the ordered clean index, so this
+    /// must hold at 200 entries as it does at 8 — and neither a recently
+    /// touched key nor a dirty one may go.
     #[test]
     fn clean_eviction_is_lru(
-        touches in proptest::collection::vec(0u64..8, 0..16),
-        overflow in 1u64..6,
+        capacity in 8usize..200,
+        pinned in 0u64..4,
+        touches in proptest::collection::vec(0u64..200, 0..48),
+        overflow in 1u64..8,
     ) {
-        let capacity = 8;
         let mut cache = MapCache::new(capacity);
-        for rank in 0..capacity as u64 {
+        let clean = capacity as u64 - pinned;
+        for rank in 0..clean {
             cache.insert(p(1), Position::map(1, rank), chunk(rank as u8), false);
         }
-        // Recency order: insertion order 0..8, then each touch moves the
-        // key to the back (most recent).
-        let mut order: Vec<u64> = (0..capacity as u64).collect();
+        for rank in 0..pinned {
+            cache.insert(p(3), Position::map(1, rank), chunk(rank as u8), true);
+        }
+        // Recency order: insertion order, then each touch moves the key to
+        // the back (most recent). Touching a dirty key orders nothing.
+        let mut order: Vec<u64> = (0..clean).collect();
         for t in touches {
-            assert!(cache.get(p(1), Position::map(1, t)).is_some());
-            order.retain(|r| *r != t);
-            order.push(t);
+            let t = t % capacity as u64;
+            if t < clean {
+                assert!(cache.get(p(1), Position::map(1, t)).is_some());
+                order.retain(|r| *r != t);
+                order.push(t);
+            } else {
+                assert!(cache.get(p(3), Position::map(1, t - clean)).is_some());
+            }
         }
         for i in 0..overflow {
             cache.insert(p(2), Position::map(1, i), chunk(i as u8), false);
         }
-        prop_assert!(cache.len() <= capacity);
-        // The `overflow` oldest keys are gone, the rest survive.
+        prop_assert_eq!(cache.len(), capacity);
+        // The `overflow` oldest clean keys are gone, the rest survive.
         let (evicted, kept) = order.split_at(overflow as usize);
         for r in evicted {
             prop_assert!(
@@ -157,6 +196,10 @@ proptest! {
                 "recent key rank {r} was wrongly evicted"
             );
         }
+        for rank in 0..pinned {
+            prop_assert!(cache.is_dirty(p(3), Position::map(1, rank)), "dirty key evicted");
+        }
+        cache.debug_entries(); // Index consistency.
     }
 
     /// `clone_dirty` copies exactly the dirty subset of `src` into `dst`,
@@ -244,5 +287,66 @@ proptest! {
             cache.dirty_count(),
             survivors.values().filter(|d| **d).count()
         );
+    }
+
+    /// Rollback equivalence: drive random cache traffic — inserts that
+    /// evict, in-place changes, cleans, purges, partition copies — through
+    /// nested savepoints, roll back to a random open savepoint now and
+    /// then, and require the cache to equal the `Clone` taken when that
+    /// savepoint was (LRU ticks excepted: recency is not journaled). A
+    /// savepoint survives being rolled back to, so the same one is hit
+    /// repeatedly with fresh changes in between; in particular an entry
+    /// dirty at the savepoint, then cleaned and evicted, must come back
+    /// dirty.
+    #[test]
+    fn rollback_matches_clone_oracle(
+        ops in proptest::collection::vec(scoped_op_strategy(), 1..160),
+    ) {
+        let mut cache = MapCache::new(8);
+        // Open savepoints, oldest first, each with its oracle.
+        let mut open: Vec<(usize, MapCache)> = Vec::new();
+        for op in ops {
+            match op {
+                ScopedOp::Cache((part, pos), op) => match op {
+                    CacheOp::Insert { dirty, marker } => {
+                        cache.insert(part, pos, chunk(marker), dirty);
+                    }
+                    CacheOp::Get => {
+                        let _ = cache.get(part, pos);
+                    }
+                    CacheOp::MutDirty => {
+                        if let Some(c) = cache.get_mut_dirty(part, pos) {
+                            c.slots[1] = Descriptor::unwritten();
+                        }
+                    }
+                    CacheOp::MarkClean => cache.mark_clean(part, pos),
+                },
+                ScopedOp::Purge(part) => cache.purge_partition(p(part)),
+                ScopedOp::CloneDirty(src, dst) => {
+                    if src != dst {
+                        cache.clone_dirty(p(src), p(dst));
+                    }
+                }
+                ScopedOp::Savepoint => {
+                    let oracle = cache.clone();
+                    open.push((cache.savepoint(), oracle));
+                }
+                ScopedOp::Rollback(pick) => {
+                    if open.is_empty() {
+                        continue;
+                    }
+                    open.truncate(pick % open.len() + 1);
+                    let (savepoint, oracle) = open.last().expect("non-empty");
+                    cache.rollback_to(*savepoint);
+                    prop_assert_eq!(cache.debug_entries(), oracle.debug_entries());
+                    prop_assert_eq!(cache.dirty_keys(), oracle.dirty_keys());
+                }
+                ScopedOp::EndScope => {
+                    cache.end_scope();
+                    open.clear();
+                }
+            }
+            cache.debug_entries(); // Index consistency after every step.
+        }
     }
 }

@@ -1,0 +1,109 @@
+//! Commit cost is proportional to what changed, not to the database
+//! (ISSUE 18): what a commit captures for pre-durability rollback — the
+//! undo journal's pre-images — is the same on a 16384-record store and on
+//! one four times the size, and bounded by the map spine it touches.
+//!
+//! The old capture deep-copied the whole map cache, every cached leader
+//! and the utilization table, two to three times per batched commit; its
+//! cost grew with the database, which the benchmark's frozen sizes cannot
+//! show. This test can: the journal counts what it captures.
+//!
+//! `#[ignore]`d because loading 65536 records is slow in a debug build;
+//! CI runs it in release
+//! (`cargo test --release -p tdb-core --test commit_cost -- --include-ignored`).
+
+use std::sync::Arc;
+
+use tdb_core::params::CryptoParams;
+use tdb_core::store::{ChunkStore, ChunkStoreConfig, CommitOp, TrustedBackend};
+use tdb_core::undo::UndoCounters;
+use tdb_core::{ChunkId, PartitionId};
+use tdb_crypto::SecretKey;
+use tdb_storage::{CounterOverTrusted, MemStore, MemTrustedStore};
+
+const FANOUT: u64 = 64;
+
+fn loaded_store(records: u64) -> (ChunkStore, PartitionId) {
+    let counter = CounterOverTrusted::new(Arc::new(MemTrustedStore::new(16)));
+    let store = ChunkStore::create(
+        Arc::new(MemStore::new()),
+        TrustedBackend::Counter(Arc::new(counter)),
+        SecretKey::random(24),
+        ChunkStoreConfig::default(),
+    )
+    .unwrap();
+    let p = store.allocate_partition().unwrap();
+    store
+        .commit(vec![CommitOp::CreatePartition {
+            id: p,
+            params: CryptoParams::paper_default(),
+        }])
+        .unwrap();
+    let mut loaded = 0;
+    while loaded < records {
+        let ops = (0..256)
+            .map(|_| CommitOp::WriteChunk {
+                id: store.allocate_chunk(p).unwrap(),
+                bytes: vec![0xAB; 100],
+            })
+            .collect();
+        store.commit(ops).unwrap();
+        loaded += 256;
+    }
+    store.checkpoint().unwrap();
+    (store, p)
+}
+
+fn delta(after: UndoCounters, before: UndoCounters) -> UndoCounters {
+    UndoCounters {
+        captures: after.captures - before.captures,
+        preimages: after.preimages - before.preimages,
+        bytes: after.bytes - before.bytes,
+    }
+}
+
+/// What one single-chunk autocommit (a group-commit batch of one) to a
+/// warm, already-written chunk captures.
+fn single_chunk_commit_capture(store: &ChunkStore, id: ChunkId) -> UndoCounters {
+    store.read(id).unwrap(); // The map spine above `id` is now cached.
+    let before = store.debug_undo_counters();
+    store
+        .commit(vec![CommitOp::WriteChunk {
+            id,
+            bytes: vec![0xCD; 100],
+        }])
+        .unwrap();
+    delta(store.debug_undo_counters(), before)
+}
+
+#[test]
+#[ignore = "loads 65536 records; run in release"]
+fn single_chunk_commit_captures_the_same_on_a_store_four_times_the_size() {
+    let (small, p_small) = loaded_store(16384);
+    let (large, p_large) = loaded_store(65536);
+    // 65536 records need 1024 + 16 + 1 map chunks: more than the map
+    // cache holds, so the large store also commits under eviction.
+    let height = 3; // 64^2 < 16384 <= 65536 <= 64^3.
+    assert!(FANOUT.pow(height - 1) < 16384 && 65536 <= FANOUT.pow(height));
+
+    for rank in [0, 4097, 16383] {
+        let a = single_chunk_commit_capture(&small, ChunkId::data(p_small, rank));
+        let b = single_chunk_commit_capture(&large, ChunkId::data(p_large, rank));
+        assert_eq!(a, b, "rank {rank}: capture depends on database size");
+        // A batch of one takes exactly one capture pass.
+        assert_eq!(a.captures, 1, "rank {rank}");
+        // One map chunk (the chunk's parent) is all an overwrite of a warm
+        // chunk changes in the map; the bound leaves room for the rest of
+        // the spine and two chunks of growth. Beside the map: the leader
+        // entry and two utilization slots.
+        assert!(
+            a.preimages <= u64::from(height) + 2 + 3,
+            "rank {rank}: {a:?}"
+        );
+        assert!(a.bytes < 16 * 1024, "rank {rank}: {a:?}");
+    }
+    // Far ranks of the large store only: still the same, still bounded.
+    let far = single_chunk_commit_capture(&large, ChunkId::data(p_large, 65535));
+    let near = single_chunk_commit_capture(&large, ChunkId::data(p_large, 1));
+    assert_eq!(far, near);
+}
