@@ -12,15 +12,14 @@
 //! before it is the checkpointed log, the leader and everything after is
 //! the residual log.
 
-use crate::descriptor::Descriptor;
 use crate::engine::commit::COMMIT_CHUNK_ROOM;
 use crate::errors::Result;
 use crate::ids::{ChunkId, PartitionId, Position};
 use crate::log::Superblock;
 use crate::metrics::{self, counters, modules};
-use crate::pipeline::{self, SealJob};
+use crate::pipeline::SealJob;
 use crate::store::{Inner, ValidationMode};
-use crate::version::{seal_version, sealed_version_len, CommitRecord, VersionHeader, VersionKind};
+use crate::version::{seal_version, sealed_version_len, VersionKind};
 
 impl Inner {
     /// Runs a full checkpoint. Safe to call with no dirty state (used to
@@ -120,21 +119,7 @@ impl Inner {
         // 5. Seal the checkpoint per the validation protocol.
         match self.config.validation {
             ValidationMode::Counter { .. } => {
-                let set_hash = self.hashes.end_set();
-                let count = self.commit_count + 1;
-                let body = CommitRecord::encode_signed(&self.system, count, set_hash.as_bytes());
-                let sealed = {
-                    let _t = metrics::span(modules::ENCRYPTION);
-                    seal_version(
-                        &self.system,
-                        &self.system,
-                        VersionKind::Commit,
-                        VersionHeader::unnamed_id(),
-                        &body,
-                    )
-                };
-                self.append(&sealed)?;
-                self.commit_count = count;
+                let count = self.append_commit_chunk()?;
                 self.flush_log()?;
                 // A checkpoint always syncs the counter.
                 self.advance_counter(count)?;
@@ -172,22 +157,13 @@ impl Inner {
     }
 
     /// Writes one height level of dirty map chunks. Chunks at the same
-    /// height are independent (they dirty only their ancestors), so their
-    /// hash+seal work fans across the crypto pipeline; the log appends
-    /// stay sequential, in key order.
+    /// height are independent (they dirty only their ancestors), so the
+    /// level is one batch for the crypto pipeline — which shares a wide
+    /// leaf level between cores and seals a narrow upper level inline; the
+    /// log appends stay sequential, in key order.
     fn write_map_level(&mut self, keys: &[(PartitionId, Position)]) -> Result<()> {
-        let workers = pipeline::resolve_workers(self.config.crypto_workers);
-        if workers < 2 || keys.len() < 2 {
-            // One scratch buffer serves the whole level: each chunk's body
-            // is encoded, sealed, and appended before the next is encoded.
-            let mut scratch = Vec::new();
-            for (p, pos) in keys {
-                self.write_map_chunk(*p, *pos, &mut scratch)?;
-            }
-            return Ok(());
-        }
-        // Resolve cryptos and encode bodies sequentially (both may touch
-        // engine caches), then seal the whole level in parallel.
+        // Resolve cryptos and encode bodies first (both may touch engine
+        // caches), then seal the whole level.
         let mut cryptos = Vec::with_capacity(keys.len());
         let mut bodies = Vec::with_capacity(keys.len());
         for (p, pos) in keys {
@@ -202,51 +178,21 @@ impl Inner {
         }
         let jobs: Vec<SealJob<'_>> = keys
             .iter()
-            .zip(&cryptos)
+            .zip(cryptos)
             .zip(&bodies)
-            .map(|(((p, pos), crypto), body)| {
-                (
-                    ChunkId::new(*p, *pos),
-                    std::sync::Arc::clone(crypto),
-                    body.as_slice(),
-                )
-            })
+            .map(|(((p, pos), crypto), body)| (ChunkId::new(*p, *pos), crypto, body.as_slice()))
             .collect();
         // Map bodies are never compressed (`compress = false`): clients
         // verify proofs by hashing the *plain* map-chunk encodings, so the
         // parent's stored hash must cover those exact bytes. Data bodies
         // dominate log volume; the win lives in the commit path.
-        let sealed = pipeline::seal_batch(&self.system, &jobs, workers, false);
-        self.stats.parallel_crypto_batches += 1;
-        self.stats.parallel_crypto_chunks += sealed.len() as u64;
-        metrics::count(counters::PARALLEL_CRYPTO_BATCHES);
-        metrics::add(counters::PARALLEL_CRYPTO_CHUNKS, sealed.len() as u64);
+        let sealed = self.seal_jobs(&jobs, false);
         for ((p, pos), pre) in keys.iter().zip(sealed) {
             let id = ChunkId::new(*p, *pos);
-            let location = self.append(&pre.sealed)?;
-            let desc =
-                Descriptor::written(location, pre.sealed.len() as u32, pre.body_len, pre.hash);
+            let desc = self.append_presealed(id, pre)?;
             self.set_descriptor(id, desc)?;
             self.map_cache.mark_clean(*p, *pos);
         }
-        Ok(())
-    }
-
-    fn write_map_chunk(
-        &mut self,
-        p: PartitionId,
-        pos: Position,
-        scratch: &mut Vec<u8>,
-    ) -> Result<()> {
-        let hash_len = self.crypto_for(p)?.hash_kind().digest_len();
-        self.map_cache
-            .get(p, pos)
-            .expect("dirty chunk must be cached")
-            .encode_into(hash_len, scratch);
-        let id = ChunkId::new(p, pos);
-        let desc = self.write_named(VersionKind::Named, id, scratch)?;
-        self.set_descriptor(id, desc)?;
-        self.map_cache.mark_clean(p, pos);
         Ok(())
     }
 

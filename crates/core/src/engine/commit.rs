@@ -14,7 +14,6 @@ use std::sync::Arc;
 use tdb_crypto::HashValue;
 
 use crate::codec::{Dec, Enc};
-use crate::compress;
 use crate::descriptor::{ChunkStatus, Descriptor};
 use crate::engine::rollback::Savepoint;
 use crate::errors::{CoreError, FaultClass, Result};
@@ -24,10 +23,7 @@ use crate::metrics::{self, counters, modules};
 use crate::params::{CryptoParams, PartitionCrypto};
 use crate::pipeline::{self, Presealed, SealJob};
 use crate::store::{Inner, TrustedBackend, ValidationMode};
-use crate::version::{
-    seal_version, seal_version_flagged, sealed_version_len, CommitRecord, DeallocRecord,
-    VersionHeader, VersionKind,
-};
+use crate::version::{seal_version, CommitRecord, DeallocRecord, VersionHeader, VersionKind};
 
 /// Conservative byte budget reserved for a commit chunk, so finalizing a
 /// commit set never forces a segment switch after the set hash is taken.
@@ -158,11 +154,13 @@ impl Inner {
         if matches!(self.config.validation, ValidationMode::Counter { .. }) {
             self.hashes.begin_set();
         }
-        // Hash+seal every WriteChunk body up front, fanning the crypto
-        // across workers; the appends below then serialize only the
-        // already-ciphered buffers (in op order, so the hash chain is
-        // unchanged). Purely read-only: a failure here rolls back clean.
-        let presealed = self.preseal_writes(&ops)?;
+        // Hash+seal every WriteChunk body up front; the appends below then
+        // serialize only the already-ciphered buffers (in op order, so the
+        // set hash is unchanged). Purely read-only: nothing to roll back.
+        let presealed = self
+            .preseal_batch(std::slice::from_ref(&ops))
+            .pop()
+            .expect("one slot list per member");
         self.apply_ops(ops, presealed)?;
         self.finish_commit()
     }
@@ -186,81 +184,30 @@ impl Inner {
         Ok(())
     }
 
-    /// Precomputes `(hash, sealed bytes)` for every `WriteChunk` in the
-    /// set via the parallel crypto pipeline. Returns per-op slots; ops
-    /// without preseal work (or batches too small to parallelize) get
-    /// `None` and are sealed inline by [`Inner::apply_op`].
-    fn preseal_writes(&mut self, ops: &[CommitOp]) -> Result<Vec<Option<Presealed>>> {
-        let mut out: Vec<Option<Presealed>> = ops.iter().map(|_| None).collect();
-        let workers = pipeline::resolve_workers(self.config.crypto_workers);
-        if workers < 2 {
-            return Ok(out);
-        }
-        // Resolve each write's partition crypto sequentially (this may
-        // load leaders through the engine's caches). Partitions created
-        // earlier in the same set derive their crypto from the op params.
-        let mut created: HashMap<PartitionId, Arc<PartitionCrypto>> = HashMap::new();
-        let mut jobs: Vec<SealJob<'_>> = Vec::new();
-        let mut slots: Vec<usize> = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                CommitOp::CreatePartition { id, params } => {
-                    created.insert(*id, Arc::new(params.runtime()?));
-                }
-                CommitOp::CopyPartition { dst, src } => {
-                    let crypto = match created.get(src) {
-                        Some(c) => Arc::clone(c),
-                        None => self.crypto_for(*src)?,
-                    };
-                    created.insert(*dst, crypto);
-                }
-                CommitOp::WriteChunk { id, bytes } => {
-                    let crypto = match created.get(&id.partition) {
-                        Some(c) => Arc::clone(c),
-                        None => self.crypto_for(id.partition)?,
-                    };
-                    jobs.push((*id, crypto, bytes.as_slice()));
-                    slots.push(i);
-                }
-                CommitOp::DeallocChunk { .. } | CommitOp::DeallocPartition { .. } => {}
-            }
-        }
-        if jobs.len() < 2 {
-            return Ok(out);
-        }
-        let sealed = pipeline::seal_batch(&self.system, &jobs, workers, self.config.compression);
-        self.stats.parallel_crypto_batches += 1;
-        self.stats.parallel_crypto_chunks += sealed.len() as u64;
-        metrics::count(counters::PARALLEL_CRYPTO_BATCHES);
-        metrics::add(counters::PARALLEL_CRYPTO_CHUNKS, sealed.len() as u64);
-        for (slot, pre) in slots.into_iter().zip(sealed) {
-            out[slot] = Some(pre);
-        }
-        Ok(out)
-    }
-
-    /// Preseals every `WriteChunk` across a whole group-commit batch in
-    /// one pipeline pass. Crypto-resolution failures are swallowed (the
-    /// slot stays `None`): such a member either seals inline later or —
-    /// more likely — fails its own validation without touching batch-mates.
+    /// Hashes and seals every `WriteChunk` body of a group-commit batch — or
+    /// of one commit, passed as a one-member slice — in a single pipeline
+    /// pass, before any member mutates state. Returns per-member, per-op
+    /// slots for [`Inner::apply_op`] to consume.
     ///
-    /// Unlike [`Inner::preseal_writes`], partitions created by one member
-    /// are *not* visible to later members here: a member's create can
-    /// still fail validation (e.g. the partition already exists), and a
-    /// later member's write must then be sealed under the surviving
-    /// partition's real key, not the failed create's.
+    /// A write whose partition crypto cannot be resolved here keeps `None`
+    /// and is sealed inline by `apply_op` (a write into a partition that an
+    /// earlier batch member creates) or, more likely, fails its own
+    /// validation without touching batch-mates.
+    ///
+    /// Partitions created by one member are *not* visible to later members:
+    /// a member's create can still fail validation (e.g. the partition
+    /// already exists), and a later member's write must then be sealed
+    /// under the surviving partition's real key, not the failed create's.
     fn preseal_batch(&mut self, sets: &[Vec<CommitOp>]) -> Vec<Vec<Option<Presealed>>> {
         let mut out: Vec<Vec<Option<Presealed>>> = sets
             .iter()
             .map(|ops| ops.iter().map(|_| None).collect())
             .collect();
-        let workers = pipeline::resolve_workers(self.config.crypto_workers);
-        if workers < 2 {
-            return out;
-        }
         let mut jobs: Vec<SealJob<'_>> = Vec::new();
         let mut slots: Vec<(usize, usize)> = Vec::new();
         for (m, ops) in sets.iter().enumerate() {
+            // Partitions created earlier in the same set derive their
+            // crypto from the op params.
             let mut created: HashMap<PartitionId, Arc<PartitionCrypto>> = HashMap::new();
             for (i, op) in ops.iter().enumerate() {
                 match op {
@@ -292,62 +239,61 @@ impl Inner {
                 }
             }
         }
-        if jobs.len() < 2 {
-            return out;
-        }
-        let sealed = pipeline::seal_batch(&self.system, &jobs, workers, self.config.compression);
-        self.stats.parallel_crypto_batches += 1;
-        self.stats.parallel_crypto_chunks += sealed.len() as u64;
-        metrics::count(counters::PARALLEL_CRYPTO_BATCHES);
-        metrics::add(counters::PARALLEL_CRYPTO_CHUNKS, sealed.len() as u64);
+        let sealed = self.seal_jobs(&jobs, self.config.compression);
         for ((m, i), pre) in slots.into_iter().zip(sealed) {
             out[m][i] = Some(pre);
         }
         out
     }
 
-    /// Appends a sealed named version and installs its descriptor.
+    /// Runs `jobs` through [`pipeline::seal_batch`] — the commit path's and
+    /// the checkpoint's one way in — and counts the batch if it fanned out.
+    pub(crate) fn seal_jobs(&mut self, jobs: &[SealJob<'_>], compress: bool) -> Vec<Presealed> {
+        let (sealed, fanned_out) =
+            pipeline::seal_batch(&self.system, jobs, self.config.crypto_workers, compress);
+        if fanned_out {
+            self.stats.parallel_crypto_batches += 1;
+            self.stats.parallel_crypto_chunks += sealed.len() as u64;
+            metrics::count(counters::PARALLEL_CRYPTO_BATCHES);
+            metrics::add(counters::PARALLEL_CRYPTO_CHUNKS, sealed.len() as u64);
+        }
+        sealed
+    }
+
+    /// Hashes, seals and appends one named version outside any batch (a
+    /// partition leader, a cleaner relocation, a write whose crypto a batch
+    /// could not resolve up front) and returns its descriptor.
     pub(crate) fn write_named(
         &mut self,
         kind: VersionKind,
         id: ChunkId,
         body: &[u8],
     ) -> Result<Descriptor> {
-        let crypto = self.crypto_for(id.partition)?;
-        // Compression eligibility mirrors `pipeline::seal_one`: only
-        // user-partition data bodies; map chunks (Merkle proof preimages)
-        // and partition leaders (recovery's decode inputs) stay raw.
-        let eligible = self.config.compression && id.pos.is_data() && !id.partition.is_system();
-        let envelope = if eligible {
-            compress::compress_body(body)
-        } else {
-            None
-        };
-        let (stored, compressed): (&[u8], bool) = match &envelope {
-            Some(env) => (env.as_slice(), true),
-            None => (body, false),
-        };
-        let hash = {
-            let _t = metrics::span(modules::HASHING);
-            crypto.hash(stored)
-        };
-        let sealed = {
-            let _t = metrics::span(modules::ENCRYPTION);
-            seal_version_flagged(&self.system, &crypto, kind, id, stored, compressed)
-        };
-        if eligible {
-            if compressed {
-                let raw_sealed = sealed_version_len(&self.system, &crypto, body.len());
-                self.note_compressed((raw_sealed - sealed.len()) as u64);
+        let job = (id, self.crypto_for(id.partition)?, body);
+        let pre = pipeline::seal_one(&self.system, kind, &job, self.config.compression);
+        self.append_presealed(id, pre)
+    }
+
+    /// Appends an already hashed and sealed version of `id` and returns its
+    /// descriptor, counting how the body was stored if the compression
+    /// knob applied to it.
+    pub(crate) fn append_presealed(&mut self, id: ChunkId, pre: Presealed) -> Result<Descriptor> {
+        if self.config.compression && pipeline::compressible(id) {
+            if pre.compressed {
+                self.note_compressed(pre.saved);
             } else {
                 self.note_stored_raw();
             }
         }
-        let location = self.append(&sealed)?;
+        let location = self.append(&pre.sealed)?;
         // `size` stays the logical length; the hash covers the stored
         // bytes, so verification always precedes decompression.
-        let desc = Descriptor::written(location, sealed.len() as u32, body.len() as u32, hash);
-        Ok(desc)
+        Ok(Descriptor::written(
+            location,
+            pre.sealed.len() as u32,
+            pre.body_len,
+            pre.hash,
+        ))
     }
 
     /// Counts one body stored as a compressed envelope.
@@ -420,19 +366,9 @@ impl Inner {
             CommitOp::WriteChunk { id, bytes } => {
                 self.ensure_capacity(id.partition, id.pos.rank)?;
                 let desc = match pre {
-                    // Pipeline already hashed + sealed this body; only the
+                    // Already hashed + sealed with its batch; only the
                     // append is left on the serial path.
-                    Some(p) => {
-                        if self.config.compression {
-                            if p.compressed {
-                                self.note_compressed(p.saved);
-                            } else {
-                                self.note_stored_raw();
-                            }
-                        }
-                        let location = self.append(&p.sealed)?;
-                        Descriptor::written(location, p.sealed.len() as u32, p.body_len, p.hash)
-                    }
+                    Some(pre) => self.append_presealed(id, pre)?,
                     None => self.write_named(VersionKind::Named, id, &bytes)?,
                 };
                 let overwrite = self.set_descriptor(id, desc)?.is_written();
@@ -516,21 +452,7 @@ impl Inner {
                 // same segment (the set hash must cover any next-segment
                 // chunk, so no switch may happen after end_set).
                 self.ensure_room(COMMIT_CHUNK_ROOM)?;
-                let set_hash = self.hashes.end_set();
-                let count = self.commit_count + 1;
-                let body = CommitRecord::encode_signed(&self.system, count, set_hash.as_bytes());
-                let sealed = {
-                    let _t = metrics::span(modules::ENCRYPTION);
-                    seal_version(
-                        &self.system,
-                        &self.system,
-                        VersionKind::Commit,
-                        VersionHeader::unnamed_id(),
-                        &body,
-                    )
-                };
-                self.append(&sealed)?;
-                self.commit_count = count;
+                let count = self.append_commit_chunk()?;
                 // "A commit operation waits until the commit set is written
                 // to the untrusted store reliably" (§4.8.2.1).
                 self.flush_log()?;
@@ -547,6 +469,28 @@ impl Inner {
         Ok(())
     }
 
+    /// Ends the open commit set with its signed, counted commit chunk
+    /// (§4.8.2.2) and returns the new commit count. The caller has reserved
+    /// [`COMMIT_CHUNK_ROOM`], so the append never switches segments.
+    pub(crate) fn append_commit_chunk(&mut self) -> Result<u64> {
+        let set_hash = self.hashes.end_set();
+        let count = self.commit_count + 1;
+        let body = CommitRecord::encode_signed(&self.system, count, set_hash.as_bytes());
+        let sealed = {
+            let _t = metrics::span(modules::ENCRYPTION);
+            seal_version(
+                &self.system,
+                &self.system,
+                VersionKind::Commit,
+                VersionHeader::unnamed_id(),
+                &body,
+            )
+        };
+        self.append(&sealed)?;
+        self.commit_count = count;
+        Ok(count)
+    }
+
     /// Batched variant of [`Inner::finish_commit`]: appends the member's
     /// commit chunk (counter mode) but defers the device flush to the
     /// batch finalizer, flushing early only when the counter-lag window
@@ -558,21 +502,7 @@ impl Inner {
         let mut flushed = false;
         if let ValidationMode::Counter { delta_ut, .. } = self.config.validation {
             self.ensure_room(COMMIT_CHUNK_ROOM)?;
-            let set_hash = self.hashes.end_set();
-            let count = self.commit_count + 1;
-            let body = CommitRecord::encode_signed(&self.system, count, set_hash.as_bytes());
-            let sealed = {
-                let _t = metrics::span(modules::ENCRYPTION);
-                seal_version(
-                    &self.system,
-                    &self.system,
-                    VersionKind::Commit,
-                    VersionHeader::unnamed_id(),
-                    &body,
-                )
-            };
-            self.append(&sealed)?;
-            self.commit_count = count;
+            let count = self.append_commit_chunk()?;
             if count - self.trusted_count > delta_ut.saturating_sub(1) {
                 self.flush_log()?;
                 self.advance_counter(count)?;
@@ -610,8 +540,7 @@ impl Inner {
         metrics::count(counters::COMMIT_BATCHES);
         metrics::add(counters::BATCHED_COMMITS, n as u64);
 
-        // Pool the whole batch's seal work through the crypto pipeline
-        // before any member mutates state.
+        // Pool the whole batch's seal work before any member mutates state.
         let presealed = self.preseal_batch(&sets);
         self.log.set_coalescing(true);
 
@@ -847,5 +776,56 @@ impl DirectRecord {
         let tail = d.u64()?;
         d.expect_done("trusted direct record")?;
         Ok(DirectRecord { chain, tail })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::store::{ChunkStore, ChunkStoreConfig};
+    use tdb_crypto::SecretKey;
+    use tdb_storage::{CounterOverTrusted, MemStore, MemTrustedStore};
+
+    /// A group-commit batch fans its sealing out by the plaintext the whole
+    /// batch carries: two 1000-byte autocommits (`kv-update`'s usual batch)
+    /// stay on the leader's thread, two bulk members share one fan-out.
+    #[test]
+    fn group_commit_batch_fans_out_by_total_plaintext() {
+        let counter = CounterOverTrusted::new(Arc::new(MemTrustedStore::new(16)));
+        let store = ChunkStore::create(
+            Arc::new(MemStore::new()),
+            TrustedBackend::Counter(Arc::new(counter)),
+            SecretKey::random(24),
+            ChunkStoreConfig {
+                crypto_workers: 2,
+                ..ChunkStoreConfig::default()
+            },
+        )
+        .unwrap();
+        let mut inner = store.inner.lock();
+        let p = inner.allocate_partition().unwrap();
+        inner
+            .commit(vec![CommitOp::CreatePartition {
+                id: p,
+                params: CryptoParams::paper_default(),
+            }])
+            .unwrap();
+        let member = |inner: &mut Inner, writes: usize| -> Vec<CommitOp> {
+            (0..writes)
+                .map(|_| CommitOp::WriteChunk {
+                    id: inner.allocate_chunk(p).unwrap(),
+                    bytes: vec![0x5A; 1000],
+                })
+                .collect()
+        };
+
+        let small = vec![member(&mut inner, 1), member(&mut inner, 1)];
+        assert!(inner.commit_batch(small).iter().all(Result::is_ok));
+        assert_eq!(inner.stats.parallel_crypto_batches, 0);
+
+        let bulk = vec![member(&mut inner, 40), member(&mut inner, 40)];
+        assert!(inner.commit_batch(bulk).iter().all(Result::is_ok));
+        assert_eq!(inner.stats.parallel_crypto_batches, 1);
+        assert_eq!(inner.stats.parallel_crypto_chunks, 80);
     }
 }

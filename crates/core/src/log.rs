@@ -155,35 +155,50 @@ impl Superblock {
     }
 }
 
-/// Running hashes over appended log bytes.
+/// Running hashes over appended log bytes. Every append — commit,
+/// checkpoint, cleaner, segment switch — and every version recovery replays
+/// passes through [`LogHashes::absorb`], which hashes the bytes only into
+/// what the configured validation scheme will read back:
 ///
 /// - `chain` implements direct hash validation (§4.8.2.1): a sequential
 ///   hash of the residual log, chained as `chain = H(chain ‖ bytes)` per
-///   appended version and reset at each checkpoint.
+///   appended version and reset at each checkpoint. It is maintained only
+///   by hashes built with `chained = true`, which the store does under
+///   [`crate::store::ValidationMode::DirectHash`] — the register record and
+///   DirectHash recovery are its only readers. Under counter validation it
+///   stays all-zero and costs nothing.
 /// - `set` implements the per-commit-set hash stored in commit chunks
 ///   (§4.8.2.2), active between [`LogHashes::begin_set`] and
-///   [`LogHashes::end_set`].
+///   [`LogHashes::end_set`], which only counter validation opens.
 pub struct LogHashes {
     kind: HashKind,
-    /// Direct-validation chain over the residual log.
+    chained: bool,
+    /// Direct-validation chain over the residual log (zero when unchained).
     pub chain: HashValue,
     set: Option<Box<dyn Hasher>>,
 }
 
 impl LogHashes {
-    /// Fresh hashes with an all-zero chain.
-    pub fn new(kind: HashKind) -> LogHashes {
+    /// Fresh hashes with an all-zero chain, maintained only if `chained`.
+    pub fn new(kind: HashKind, chained: bool) -> LogHashes {
         LogHashes {
             kind,
+            chained,
             chain: HashValue::zero(kind.digest_len()),
             set: None,
         }
     }
 
-    /// Absorbs appended log bytes into the chain and any open set hash.
+    /// Absorbs appended log bytes into the chain (if maintained) and any
+    /// open set hash.
     pub fn absorb(&mut self, bytes: &[u8]) {
+        if !self.chained && self.set.is_none() {
+            return;
+        }
         let _t = metrics::span(modules::HASHING);
-        self.chain = self.kind.hash_parts(&[self.chain.as_bytes(), bytes]);
+        if self.chained {
+            self.chain = self.kind.hash_parts(&[self.chain.as_bytes(), bytes]);
+        }
         if let Some(h) = self.set.as_mut() {
             h.update(bytes);
         }
@@ -687,7 +702,7 @@ mod tests {
         state.num_segments = 1;
         state.utilization.push(0);
         let log = SegmentedLog::new(store, &system, 1024, 0, 0, 0);
-        let hashes = LogHashes::new(tdb_crypto::HashKind::Sha1);
+        let hashes = LogHashes::new(tdb_crypto::HashKind::Sha1, true);
         (log, state, system, hashes)
     }
 
@@ -819,7 +834,7 @@ mod tests {
     #[test]
     fn hashes_chain_and_set() {
         let kind = tdb_crypto::HashKind::Sha1;
-        let mut h = LogHashes::new(kind);
+        let mut h = LogHashes::new(kind, true);
         let zero = h.chain;
         h.begin_set();
         h.absorb(b"version one");
@@ -829,12 +844,25 @@ mod tests {
         assert_ne!(h.chain, zero);
 
         // The chain is order sensitive.
-        let mut h2 = LogHashes::new(kind);
+        let mut h2 = LogHashes::new(kind, true);
         h2.absorb(b"version two");
         h2.absorb(b"version one");
         assert_ne!(h2.chain, h.chain);
 
         h.reset_chain();
+        assert_eq!(h.chain, zero);
+    }
+
+    #[test]
+    fn unchained_hashes_keep_a_zero_chain_and_the_same_set_hash() {
+        let kind = tdb_crypto::HashKind::Sha1;
+        let mut h = LogHashes::new(kind, false);
+        let zero = h.chain;
+        h.absorb(b"outside any set");
+        h.begin_set();
+        h.absorb(b"version one");
+        h.absorb(b"version two");
+        assert_eq!(h.end_set(), kind.hash(b"version oneversion two"));
         assert_eq!(h.chain, zero);
     }
 

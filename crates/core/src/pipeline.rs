@@ -1,22 +1,23 @@
-//! The parallel crypto pipeline: fan per-chunk hash + seal work across a
-//! scoped worker pool.
+//! The crypto pipeline: hash + seal a batch of chunk bodies ahead of their
+//! log appends, on more than one core when the batch is worth it.
 //!
 //! The paper identifies cryptography as the dominant cost of the chunk
 //! store (§9.3), and `seal_version` is location-independent: the sealed
 //! bytes and the body hash of every `WriteChunk` in a commit set (and of
 //! every dirty map chunk at one level of a checkpoint) can be computed
-//! before any log offset is assigned. This module does exactly that —
-//! workers race down a shared index over the job list — and the log
-//! append then serializes only the already-ciphered buffers, preserving
-//! append order and therefore the log hash chain.
+//! before any log offset is assigned. [`seal_batch`] does exactly that, and
+//! the log append then serializes only the already-ciphered buffers,
+//! preserving append order and therefore the log hashes.
 //!
-//! With one worker (`crypto_workers == 1`, or a single job) the batch is
-//! sealed inline on the caller's thread: the sequential fallback.
+//! Whether the batch fans out is decided by *work*, not by job count: below
+//! [`FAN_OUT_MIN_BYTES`] of plaintext (or with `crypto_workers == 1`, or a
+//! single job) everything is sealed inline on the caller's thread and no
+//! thread is created. From there up the caller seals jobs itself beside
+//! `workers - 1` scoped helper threads, all racing down a shared index
+//! over the job list.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use tdb_crypto::HashValue;
 
@@ -47,7 +48,7 @@ pub(crate) type SealJob<'a> = (ChunkId, Arc<PartitionCrypto>, &'a [u8]);
 
 /// Resolves the configured worker count: `0` means auto (available
 /// parallelism, capped at 8), anything else is taken literally.
-pub(crate) fn resolve_workers(configured: usize) -> usize {
+fn resolve_workers(configured: usize) -> usize {
     match configured {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
@@ -57,14 +58,25 @@ pub(crate) fn resolve_workers(configured: usize) -> usize {
     }
 }
 
-fn seal_one(system: &PartitionCrypto, job: &SealJob<'_>, compress: bool) -> Presealed {
+/// Whether the compression knob applies to `id`'s body: only user-partition
+/// data bodies are eligible. Map chunks are the Merkle tree's proof
+/// preimages and leaders are recovery's decode inputs, so both stay raw.
+pub(crate) fn compressible(id: ChunkId) -> bool {
+    id.pos.is_data() && !id.partition.is_system()
+}
+
+/// Hashes and seals one body as a version of `kind`: the one place a named
+/// version is made, whether a batch or a single write asked for it.
+pub(crate) fn seal_one(
+    system: &PartitionCrypto,
+    kind: VersionKind,
+    job: &SealJob<'_>,
+    compress: bool,
+) -> Presealed {
     let (id, crypto, body) = job;
     // Compress before hashing, so the descriptor hash covers the stored
     // bytes and every reader verifies integrity before decompressing.
-    // Only user-partition data bodies are eligible: map chunks are the
-    // Merkle tree's proof preimages and leaders are recovery's decode
-    // inputs, so both stay raw.
-    let envelope = if compress && id.pos.is_data() && !id.partition.is_system() {
+    let envelope = if compress && compressible(*id) {
         compress::compress_body(body)
     } else {
         None
@@ -79,7 +91,7 @@ fn seal_one(system: &PartitionCrypto, job: &SealJob<'_>, compress: bool) -> Pres
     };
     let sealed = {
         let _t = metrics::span(modules::ENCRYPTION);
-        seal_version_flagged(system, crypto, VersionKind::Named, *id, stored, compressed)
+        seal_version_flagged(system, crypto, kind, *id, stored, compressed)
     };
     let saved = if compressed {
         (sealed_version_len(system, crypto, body.len()) - sealed.len()) as u64
@@ -95,37 +107,72 @@ fn seal_one(system: &PartitionCrypto, job: &SealJob<'_>, compress: bool) -> Pres
     }
 }
 
-/// Hashes and seals every job, in parallel when `workers >= 2` and the
-/// batch is big enough to pay for thread spawns. Results come back in job
-/// order. Panics in workers propagate to the caller (crossbeam scope).
+/// Plaintext bytes a batch must carry before it is sealed on more than one
+/// core.
+///
+/// Fanning out costs one thread spawn + join per helper: 15–30 µs at the
+/// median and 60–110 µs at the 99th percentile on the two-core reference
+/// host, measured around an empty scoped thread with the other core idle,
+/// as it is between the commits of a closed loop. With two workers it
+/// saves half the batch's seal time, and EXPERIMENTS.md E1/E4 price sealing
+/// at 0.017 µs/byte for DES + SHA-1 (67.5 and 299 MB/s) and 0.007 µs/byte
+/// for AES-128 + SHA-1 (264 MB/s). Break-even against a 100 µs spawn is
+/// therefore about 12 KB for the paper's cipher and 28 KB for the fastest
+/// one; 64 KB is a little over twice the latter, so a batch that fans out
+/// wins by at least the spawn's own cost under every cipher — at the
+/// default, 1.1 ms of sealing becomes about 0.65 ms. In practice batches
+/// are bimodal: a transaction's commit or a group-commit batch is a few
+/// kilobytes, a bulk load or a full checkpoint level is 70 KB and up.
+const FAN_OUT_MIN_BYTES: usize = 64 * 1024;
+
+/// Hashes and seals every job and returns the results in job order, plus
+/// whether the batch fanned out.
+///
+/// `configured_workers` is [`crate::store::ChunkStoreConfig::crypto_workers`]
+/// unresolved; it is resolved only for a batch of at least two jobs and
+/// [`FAN_OUT_MIN_BYTES`] of plaintext, so the common small batch never
+/// asks the OS how many cores there are, let alone creates a thread. A
+/// fanned-out batch is shared between the caller and `workers - 1` scoped
+/// helpers; a panic in a helper propagates to the caller.
 pub(crate) fn seal_batch(
-    system: &Arc<PartitionCrypto>,
+    system: &PartitionCrypto,
     jobs: &[SealJob<'_>],
-    workers: usize,
+    configured_workers: usize,
     compress: bool,
-) -> Vec<Presealed> {
+) -> (Vec<Presealed>, bool) {
+    let seal = |job: &SealJob<'_>| seal_one(system, VersionKind::Named, job, compress);
     let n = jobs.len();
-    if workers < 2 || n < 2 {
-        return jobs.iter().map(|j| seal_one(system, j, compress)).collect();
+    let plaintext: usize = jobs.iter().map(|(_, _, body)| body.len()).sum();
+    let workers = if n >= 2 && plaintext >= FAN_OUT_MIN_BYTES {
+        resolve_workers(configured_workers).min(n)
+    } else {
+        1
+    };
+    if workers < 2 {
+        let sealed = jobs.iter().map(seal).collect();
+        return (sealed, false);
     }
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Presealed>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    crossbeam::scope(|s| {
-        for _ in 0..workers.min(n) {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                *slots[i].lock() = Some(seal_one(system, &jobs[i], compress));
-            });
+    let take_jobs = || {
+        let mut mine = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return mine;
+            }
+            mine.push((i, seal(&jobs[i])));
         }
-    })
-    .expect("seal workers do not panic");
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("every slot sealed"))
-        .collect()
+    };
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(take_jobs)).collect();
+        let mut done = take_jobs();
+        for helper in helpers {
+            done.extend(helper.join().expect("seal helpers do not panic"));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|(i, _)| *i);
+    (done.into_iter().map(|(_, sealed)| sealed).collect(), true)
 }
 
 #[cfg(test)]
@@ -142,24 +189,29 @@ mod tests {
         )
     }
 
-    #[test]
-    fn parallel_matches_sequential_hashes() {
-        let system = crypto();
-        let part = crypto();
-        let bodies: Vec<Vec<u8>> = (0u8..16).map(|i| vec![i; 100 + usize::from(i)]).collect();
-        let jobs: Vec<SealJob<'_>> = bodies
+    fn jobs<'a>(part: &Arc<PartitionCrypto>, bodies: &'a [Vec<u8>]) -> Vec<SealJob<'a>> {
+        bodies
             .iter()
             .enumerate()
             .map(|(i, b)| {
                 (
                     ChunkId::data(crate::ids::PartitionId(1), i as u64),
-                    Arc::clone(&part),
+                    Arc::clone(part),
                     b.as_slice(),
                 )
             })
-            .collect();
-        let seq = seal_batch(&system, &jobs, 1, false);
-        let par = seal_batch(&system, &jobs, 4, false);
+            .collect()
+    }
+
+    #[test]
+    fn parallel_matches_sequential_hashes() {
+        let system = crypto();
+        let part = crypto();
+        let bodies: Vec<Vec<u8>> = (0u8..16).map(|i| vec![i; 5000 + usize::from(i)]).collect();
+        let jobs = jobs(&part, &bodies);
+        let (seq, seq_fanned) = seal_batch(&system, &jobs, 1, false);
+        let (par, par_fanned) = seal_batch(&system, &jobs, 4, false);
+        assert!(!seq_fanned && par_fanned);
         assert_eq!(seq.len(), par.len());
         for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
             // Hashes and lengths are deterministic; ciphertext differs
@@ -176,27 +228,38 @@ mod tests {
         let part = crypto();
         // Highly repetitive bodies: all compress, and the deterministic
         // codec must give identical hashes on every worker count.
-        let bodies: Vec<Vec<u8>> = (0u8..8).map(|i| vec![i; 600]).collect();
-        let jobs: Vec<SealJob<'_>> = bodies
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                (
-                    ChunkId::data(crate::ids::PartitionId(1), i as u64),
-                    Arc::clone(&part),
-                    b.as_slice(),
-                )
-            })
-            .collect();
-        let seq = seal_batch(&system, &jobs, 1, true);
-        let par = seal_batch(&system, &jobs, 4, true);
+        let bodies: Vec<Vec<u8>> = (0u8..8).map(|i| vec![i; 9000]).collect();
+        let jobs = jobs(&part, &bodies);
+        let (seq, _) = seal_batch(&system, &jobs, 1, true);
+        let (par, fanned) = seal_batch(&system, &jobs, 4, true);
+        assert!(fanned);
         for (s, p) in seq.iter().zip(&par) {
             assert!(s.compressed && p.compressed);
             assert_eq!(s.hash, p.hash);
             assert_eq!(s.saved, p.saved);
             assert!(s.saved > 0);
-            assert_eq!(s.body_len, 600);
+            assert_eq!(s.body_len, 9000);
         }
+    }
+
+    #[test]
+    fn fan_out_goes_by_plaintext_bytes_not_job_count() {
+        let system = crypto();
+        let part = crypto();
+        // 13 jobs, 3.7 KB: a transaction's commit. Inline however many
+        // workers are configured.
+        let small: Vec<Vec<u8>> = (0u8..13).map(|i| vec![i; 285]).collect();
+        assert!(!seal_batch(&system, &jobs(&part, &small), 4, false).1);
+        // One job short of the threshold, then at it.
+        let mut bodies = vec![vec![7u8; FAN_OUT_MIN_BYTES / 2]; 2];
+        bodies[1].pop();
+        assert!(!seal_batch(&system, &jobs(&part, &bodies), 2, false).1);
+        bodies[1].push(7);
+        assert!(seal_batch(&system, &jobs(&part, &bodies), 2, false).1);
+        // A single job has nothing to share, whatever its size.
+        let one = vec![vec![7u8; FAN_OUT_MIN_BYTES]];
+        assert!(!seal_batch(&system, &jobs(&part, &one), 2, false).1);
+        assert!(!seal_batch(&system, &jobs(&part, &bodies), 1, false).1);
     }
 
     #[test]

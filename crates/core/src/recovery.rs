@@ -113,7 +113,10 @@ fn recover_from(
         0,
         0,
     );
-    let mut hashes = LogHashes::new(config.system_hash);
+    let mut hashes = LogHashes::new(
+        config.system_hash,
+        config.validation == ValidationMode::DirectHash,
+    );
 
     // Read and identify the leader (§4.9.2: "the recovery procedure checks
     // that the chunk at the stored location is the leader").
@@ -226,7 +229,10 @@ fn recover_from(
             if location == rec.tail {
                 break 'scan;
             }
-            if location > rec.tail {
+            // Past the tail without landing on it. Only within the tail's
+            // own segment: the residual log may run through recycled
+            // segments, whose offsets say nothing about log order.
+            if location > rec.tail && seg == inner.log.segment_of(rec.tail) {
                 return Err(CoreError::TamperDetected(TamperKind::LogHashMismatch));
             }
         }

@@ -103,9 +103,12 @@ pub struct ChunkStoreConfig {
     pub read_shards: usize,
     /// Total validated plaintext bodies cached across all read shards.
     pub read_cache_chunks: usize,
-    /// Worker threads for the parallel crypto pipeline (commit and
-    /// checkpoint hash+seal fan-out). `0` means auto (available
-    /// parallelism, capped at 8); `1` forces the sequential fallback.
+    /// Threads that share the hash+seal work of one large batch — a bulk
+    /// commit, a wide group-commit batch, a full checkpoint level — the
+    /// committing thread included. `0` means auto (available parallelism,
+    /// capped at 8); `1` seals everything on the committing thread. A
+    /// batch under 64 KB of plaintext is sealed on the committing thread
+    /// whatever this says: a thread spawn costs more than it would save.
     pub crypto_workers: usize,
     /// Group commit: concurrent committers are batched by a leader thread
     /// that preseals every member, coalesces their log appends into
@@ -217,7 +220,8 @@ pub struct ChunkStoreStats {
     pub read_fallbacks: u64,
     /// Fast reads that found their shard write-locked and had to block.
     pub read_shard_contention: u64,
-    /// Commit/checkpoint batches whose hash+seal work ran in parallel.
+    /// Commit/checkpoint batches large enough that their hash+seal work
+    /// was shared with helper threads.
     pub parallel_crypto_batches: u64,
     /// Chunks sealed by those parallel batches.
     pub parallel_crypto_chunks: u64,
@@ -421,7 +425,10 @@ impl ChunkStore {
             0,
             0,
         );
-        let hashes = LogHashes::new(config.system_hash);
+        let hashes = LogHashes::new(
+            config.system_hash,
+            config.validation == ValidationMode::DirectHash,
+        );
         // Continue from any pre-existing trusted counter so reformatting a
         // platform with a used (non-decrementable) counter still works.
         let base_count = match (&config.validation, &trusted) {

@@ -350,7 +350,12 @@ impl fmt::Debug for ObjectStore {
 
 /// A buffered write within a transaction.
 enum Write {
-    Put(Arc<dyn StoredObject>),
+    /// The object and its stored record (type tag + pickle), pickled once
+    /// when the write was buffered; commit or a spill moves the record out.
+    Put {
+        obj: Arc<dyn StoredObject>,
+        record: Vec<u8>,
+    },
     /// A dirty object spilled to the chunk store (steal buffering, §10):
     /// the pickled record lives encrypted+validated in the scratch
     /// partition until commit.
@@ -406,9 +411,7 @@ impl Tx {
         let chunk = self.store.chunks.allocate_chunk(partition)?;
         let id = ObjectId(chunk);
         self.store.locks.acquire(self.id, id, LockMode::Exclusive)?;
-        self.buffered_bytes += object.pickle().len();
-        self.writes.push((id, Write::Put(object)));
-        self.maybe_steal()?;
+        self.buffer_put(id, object)?;
         Ok(id)
     }
 
@@ -446,7 +449,7 @@ impl Tx {
         self.check_open()?;
         self.store.locks.acquire(self.id, id, LockMode::Shared)?;
         match self.local(id) {
-            Some(Write::Put(obj)) => Ok(Arc::clone(obj)),
+            Some(Write::Put { obj, .. }) => Ok(Arc::clone(obj)),
             Some(Write::Spilled { chunk }) => {
                 let record = self.store.chunks.read(*chunk)?;
                 self.store.registry.unpickle(&record)
@@ -473,10 +476,17 @@ impl Tx {
         } else if matches!(self.local(id), Some(Write::Delete)) {
             return Err(ObjectError::NotFound(id));
         }
-        self.buffered_bytes += object.pickle().len();
-        self.writes.push((id, Write::Put(object)));
-        self.maybe_steal()?;
-        Ok(())
+        self.buffer_put(id, object)
+    }
+
+    /// Buffers a put: pickles the object — the only time this transaction
+    /// does — and spills if the dirty volume now exceeds the threshold.
+    fn buffer_put(&mut self, id: ObjectId, obj: Arc<dyn StoredObject>) -> Result<()> {
+        let record = TypeRegistry::pickle(obj.as_ref());
+        // The dirty volume counts pickled bodies, without their type tags.
+        self.buffered_bytes += record.len() - 4;
+        self.writes.push((id, Write::Put { obj, record }));
+        self.maybe_steal()
     }
 
     /// Deletes an object (exclusive lock; buffered until commit).
@@ -543,8 +553,10 @@ impl Tx {
                 .iter()
                 .rposition(|(i, _)| *i == id)
                 .expect("id came from writes");
-            if let Write::Put(obj) = &self.writes[last_index].1 {
-                let record = pickle::TypeRegistry::pickle(obj.as_ref());
+            if let Write::Put { record, .. } = &self.writes[last_index].1 {
+                // Copied, not moved: the write stays whole if the spill
+                // commit fails.
+                let record = record.clone();
                 let size = record.len();
                 let chunk = self.store.chunks.allocate_chunk(spill_partition)?;
                 ops.push(CommitOp::WriteChunk {
@@ -578,13 +590,13 @@ impl Tx {
         self.check_open()?;
         self.finished = true;
 
-        // Net effect per object, in first-touch order.
-        let mut net: Vec<(ObjectId, &Write)> = Vec::new();
-        for (id, w) in &self.writes {
-            if let Some(slot) = net.iter_mut().find(|(i, _)| i == id) {
-                slot.1 = w;
-            } else {
-                net.push((*id, w));
+        // Net effect per object, in first-touch order: the index of the
+        // last write to it.
+        let mut net: Vec<(ObjectId, usize)> = Vec::new();
+        for (index, (id, _)) in self.writes.iter().enumerate() {
+            match net.iter_mut().find(|(i, _)| i == id) {
+                Some(slot) => slot.1 = index,
+                None => net.push((*id, index)),
             }
         }
         if net.is_empty() {
@@ -592,14 +604,23 @@ impl Tx {
             return Ok(());
         }
 
+        /// What a net write leaves in the object cache once committed.
+        enum Cached {
+            Object(Arc<dyn StoredObject>, usize),
+            SpilledRecord(Vec<u8>),
+            Nothing,
+        }
         let mut ops = Vec::with_capacity(net.len());
-        let mut spilled_records: Vec<(ObjectId, Vec<u8>)> = Vec::new();
-        for (id, w) in &net {
-            match w {
-                Write::Put(obj) => ops.push(CommitOp::WriteChunk {
-                    id: id.0,
-                    bytes: TypeRegistry::pickle(obj.as_ref()),
-                }),
+        let mut cached: Vec<(ObjectId, Cached)> = Vec::with_capacity(net.len());
+        for &(id, index) in &net {
+            match &mut self.writes[index].1 {
+                Write::Put { obj, record } => {
+                    cached.push((id, Cached::Object(Arc::clone(obj), record.len())));
+                    ops.push(CommitOp::WriteChunk {
+                        id: id.0,
+                        bytes: std::mem::take(record),
+                    });
+                }
                 Write::Spilled { chunk } => {
                     // Reload the stolen record and fold it into the same
                     // atomic commit; the scratch chunk is reclaimed with it.
@@ -609,23 +630,21 @@ impl Tx {
                         bytes: record.clone(),
                     });
                     ops.push(CommitOp::DeallocChunk { id: *chunk });
-                    spilled_records.push((*id, record));
+                    cached.push((id, Cached::SpilledRecord(record)));
                 }
                 Write::Delete => {
                     // Deleting an object created in this same transaction
                     // would dealloc an unwritten chunk; that is legal.
                     ops.push(CommitOp::DeallocChunk { id: id.0 });
+                    cached.push((id, Cached::Nothing));
                 }
             }
         }
         // Superseded spills (an id spilled, then overwritten in memory)
         // also need their scratch chunks reclaimed.
-        for (id, w) in &self.writes {
+        for (index, (_, w)) in self.writes.iter().enumerate() {
             if let Write::Spilled { chunk } = w {
-                let is_net = net
-                    .iter()
-                    .any(|(i, nw)| i == id && std::ptr::eq(*nw as *const Write, w as *const Write));
-                if !is_net {
+                if !net.iter().any(|(_, n)| *n == index) {
                     ops.push(CommitOp::DeallocChunk { id: *chunk });
                 }
             }
@@ -633,20 +652,15 @@ impl Tx {
         let result = self.store.chunks.commit(ops);
         if result.is_ok() {
             let cache = &self.store.cache;
-            for (id, w) in &net {
-                match w {
-                    Write::Put(obj) => {
-                        let size = obj.pickle().len() + 4;
-                        cache.put(*id, Arc::clone(obj), size);
-                    }
-                    Write::Spilled { .. } => {
-                        if let Some((_, record)) = spilled_records.iter().find(|(i, _)| i == id) {
-                            if let Ok(obj) = self.store.registry.unpickle(record) {
-                                cache.put(*id, obj, record.len());
-                            }
+            for (id, what) in cached {
+                match what {
+                    Cached::Object(obj, size) => cache.put(id, obj, size),
+                    Cached::SpilledRecord(record) => {
+                        if let Ok(obj) = self.store.registry.unpickle(&record) {
+                            cache.put(id, obj, record.len());
                         }
                     }
-                    Write::Delete => cache.remove(*id),
+                    Cached::Nothing => cache.remove(id),
                 }
             }
         }

@@ -2,6 +2,7 @@
 //! no-steal buffering, atomicity, isolation, and cache behaviour.
 
 use std::any::Any;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -48,6 +49,25 @@ fn unpickle_account(body: &[u8]) -> tdb_object::errors::Result<Arc<dyn StoredObj
         .map_err(|_| ObjectError::BadPickle("owner".into()))?;
     let balance = i64::from_le_bytes(body[4 + n..4 + n + 8].try_into().unwrap());
     Ok(Arc::new(Account { owner, balance }))
+}
+
+/// An [`Account`] that counts how often it is pickled.
+struct CountedAccount {
+    account: Account,
+    pickles: Arc<AtomicUsize>,
+}
+
+impl StoredObject for CountedAccount {
+    fn type_tag(&self) -> u32 {
+        self.account.type_tag()
+    }
+    fn pickle(&self) -> Vec<u8> {
+        self.pickles.fetch_add(1, Ordering::Relaxed);
+        self.account.pickle()
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
 }
 
 #[derive(Debug, PartialEq)]
@@ -342,6 +362,31 @@ fn multi_object_commit_is_atomic_across_reopen() {
         })
         .unwrap();
 
+    // A 13-object commit pickles each object exactly once, when the write
+    // is buffered: the bytes travel on to the chunk store and their length
+    // to the dirty-volume and cache accounting.
+    let pickles = Arc::new(AtomicUsize::new(0));
+    let mut tx = fx.store.begin();
+    let counted: Vec<ObjectId> = (0..13)
+        .map(|i| {
+            let object = CountedAccount {
+                account: Account {
+                    owner: format!("counted-{i}"),
+                    balance: i,
+                },
+                pickles: Arc::clone(&pickles),
+            };
+            tx.create(fx.partition, Arc::new(object)).unwrap()
+        })
+        .collect();
+    assert_eq!(pickles.load(Ordering::Relaxed), 13, "one pickle per write");
+    tx.commit().unwrap();
+    assert_eq!(
+        pickles.load(Ordering::Relaxed),
+        13,
+        "commit pickles nothing"
+    );
+
     // A second object store over the same chunk store (cold cache).
     let fresh = ObjectStore::new(
         Arc::clone(fx.store.chunks()),
@@ -351,6 +396,8 @@ fn multi_object_commit_is_atomic_across_reopen() {
     let mut tx = fresh.begin();
     assert_eq!(tx.get::<Account>(a).unwrap().balance, 70);
     assert_eq!(tx.get::<Account>(b).unwrap().balance, 30);
+    assert_eq!(tx.get::<Account>(counted[0]).unwrap().balance, 0);
+    assert_eq!(tx.get::<Account>(counted[12]).unwrap().balance, 12);
     tx.abort();
 }
 

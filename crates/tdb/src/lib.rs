@@ -240,8 +240,9 @@ impl TrustedDbBuilder {
         self
     }
 
-    /// Sets the parallel crypto pipeline's worker count (`0` = auto,
-    /// `1` = sequential; see [`ChunkStoreConfig::crypto_workers`]).
+    /// Sets how many threads share the sealing of a large batch (`0` =
+    /// auto, `1` = the committing thread alone; small batches never leave
+    /// it — see [`ChunkStoreConfig::crypto_workers`]).
     pub fn crypto_workers(mut self, workers: usize) -> Self {
         self.chunk_config.crypto_workers = workers;
         self

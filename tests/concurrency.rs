@@ -63,11 +63,11 @@ fn concurrent_transfers_conserve_total() {
 
     // Threads move money between random account pairs. 2PL + retries must
     // keep the total invariant.
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..4 {
             let db = Arc::clone(&db);
             let accounts = accounts.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut state = (t as u64 + 1) * 0x9E37_79B9;
                 let mut rand = move |bound: usize| {
                     state ^= state << 13;
@@ -98,8 +98,7 @@ fn concurrent_transfers_conserve_total() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     let total: i64 = accounts
         .iter()
@@ -124,10 +123,10 @@ fn concurrent_increments_on_one_object_serialize() {
 
     let threads = 6;
     let per_thread = 25;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
             let db = Arc::clone(&db);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut done = 0;
                 while done < per_thread {
                     let result = db.run(|tx| {
@@ -140,8 +139,7 @@ fn concurrent_increments_on_one_object_serialize() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     let value = db.run(|tx| tx.get::<Counter>(id).map(|c| c.value)).unwrap();
     assert_eq!(value, (threads * per_thread) as i64);
@@ -157,12 +155,12 @@ fn readers_run_alongside_writer() {
         })
         .collect();
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         // One writer bumps everything repeatedly.
         {
             let db = Arc::clone(&db);
             let ids = ids.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..10 {
                     for &id in &ids {
                         let _ = db.run(|tx| {
@@ -182,7 +180,7 @@ fn readers_run_alongside_writer() {
         for _ in 0..3 {
             let db = Arc::clone(&db);
             let ids = ids.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..200 {
                     let i = 7 % ids.len();
                     if let Ok(v) = db.run(|tx| tx.get::<Counter>(ids[i]).map(|c| c.value)) {
@@ -193,6 +191,5 @@ fn readers_run_alongside_writer() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 }

@@ -7,7 +7,10 @@
 //!
 //! - Each chunk body is self-describing: `body(rank, version)` embeds
 //!   both values and a length/fill derived from them, so any mix of two
-//!   versions (or a torn buffer) fails the equality check.
+//!   versions (or a torn buffer) fails the equality check. Every eighth
+//!   version is a 9 KB body, and every sixteenth round the mutator moves
+//!   all eight ranks to one at once: a 72 KB commit, enough plaintext for
+//!   the seal fan-out to share it between threads.
 //! - Per rank the mutator maintains two atomics: `pending[rank]` is
 //!   bumped *before* the commit is issued, `committed[rank]` *after* it
 //!   is acknowledged. A reader brackets its read with
@@ -39,6 +42,9 @@ use tdb_storage::{
 
 const RANKS: u64 = 8;
 
+/// Versions divisible by this carry a bulk body (see [`body`]).
+const BULK_EVERY: u64 = 8;
+
 fn config(crypto_workers: usize) -> ChunkStoreConfig {
     ChunkStoreConfig {
         fanout: 4,
@@ -59,7 +65,12 @@ fn config(crypto_workers: usize) -> ChunkStoreConfig {
 /// a version-dependent fill and length, so two versions never agree on
 /// any prefix longer than the header.
 fn body(rank: u64, version: u64) -> Vec<u8> {
-    let len = 64 + ((rank * 131 + version * 17) % 512) as usize;
+    let bulk = if version.is_multiple_of(BULK_EVERY) {
+        9000
+    } else {
+        0
+    };
+    let len = bulk + 64 + ((rank * 131 + version * 17) % 512) as usize;
     let mut out = Vec::with_capacity(16 + len);
     out.extend_from_slice(&rank.to_le_bytes());
     out.extend_from_slice(&version.to_le_bytes());
@@ -172,13 +183,28 @@ fn reader(h: &Harness, seed: u64, faults_allowed: bool) -> (u64, u64) {
 /// still have durably applied) and healing is attempted.
 fn mutator(h: &Harness, iters: u64, faults_allowed: bool) {
     for i in 0..iters {
-        // A batch of 2-3 chunks wide enough to engage the pipeline.
-        let width = 2 + (i % 2) as usize;
+        // Usually 2-3 chunks, a kilobyte or so, sealed on this thread; every
+        // sixteenth round all ranks at their next bulk version, sealed by
+        // the fan-out.
+        let bulk = i % 16 == 5;
+        let width = if bulk {
+            RANKS as usize
+        } else {
+            2 + (i % 2) as usize
+        };
         let mut ops = Vec::with_capacity(width);
         let mut versions = Vec::with_capacity(width);
         for k in 0..width as u64 {
             let rank = (i + k * 3) % RANKS;
-            let v = h.pending[rank as usize].fetch_add(1, Ordering::SeqCst) + 1;
+            let pending = &h.pending[rank as usize];
+            let v = if bulk {
+                // The mutator is the only writer of `pending`.
+                let v = (pending.load(Ordering::SeqCst) / BULK_EVERY + 1) * BULK_EVERY;
+                pending.store(v, Ordering::SeqCst);
+                v
+            } else {
+                pending.fetch_add(1, Ordering::SeqCst) + 1
+            };
             versions.push((rank, v));
             ops.push(CommitOp::WriteChunk {
                 id: ChunkId::data(h.partition, rank),
