@@ -8,6 +8,10 @@
 //! per *batch*:
 //!
 //! - Committers enqueue their op set and park on a condition variable.
+//!   A caller holding several independent commits — a server connection's
+//!   pipelined burst of autocommit writes — enqueues them as adjacent
+//!   members ([`ChunkStore::commit_many`]), so they share one batch even
+//!   with no other committer around.
 //! - The first committer to find no leader active becomes the **leader**:
 //!   it drains up to `commit_batch_max` queued commits, takes the engine
 //!   lock once, and runs [`crate::store::Inner::commit_batch`] — every
@@ -30,19 +34,15 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 
 use crate::errors::Result;
-use crate::ids::ChunkId;
-use crate::store::{ChunkStore, CommitOp};
+use crate::store::{ChunkStore, CommitOp, Touched};
 
 /// One enqueued commit, shared between its waiter and the batch leader.
 struct PendingCommit {
     /// The op set; taken (once) by the leader that drains this entry.
     ops: Mutex<Option<Vec<CommitOp>>>,
-    /// Chunk ids this commit can change, collected before `ops` is
-    /// consumed so the leader can scrub read-path shards per member.
-    touched: Vec<ChunkId>,
-    /// True when the commit deallocates a partition (ids may be reused,
-    /// so every shard entry must go).
-    clear_all: bool,
+    /// What this commit can change on the read path, collected before
+    /// `ops` is consumed so the leader can scrub shards per member.
+    touched: Touched,
     /// The member's outcome, set by the leader before it wakes waiters.
     result: Mutex<Option<Result<()>>>,
 }
@@ -81,35 +81,37 @@ impl CommitBatcher {
 }
 
 impl ChunkStore {
-    /// Group-commit entry point: enqueue, lead or wait, return this
-    /// commit's own result once its batch reached durability.
-    pub(crate) fn commit_batched(&self, ops: Vec<CommitOp>) -> Result<()> {
+    /// Group-commit entry point: enqueue the op sets as adjacent members,
+    /// lead or wait, and return each one's own result once its batch
+    /// reached durability. A single commit is a one-element call.
+    pub(crate) fn commit_batched(&self, sets: Vec<Vec<CommitOp>>) -> Vec<Result<()>> {
         let batcher = self.batcher.as_ref().expect("routed only when built");
-        let mut touched: Vec<ChunkId> = Vec::new();
-        let mut clear_all = false;
-        for op in &ops {
-            match op {
-                CommitOp::WriteChunk { id, .. } | CommitOp::DeallocChunk { id } => {
-                    touched.push(*id);
-                }
-                CommitOp::DeallocPartition { .. } => clear_all = true,
-                CommitOp::CreatePartition { .. } | CommitOp::CopyPartition { .. } => {}
-            }
-        }
-        let entry = Arc::new(PendingCommit {
-            ops: Mutex::new(Some(ops)),
-            touched,
-            clear_all,
-            result: Mutex::new(None),
-        });
+        let entries: Vec<Arc<PendingCommit>> = sets
+            .into_iter()
+            .map(|ops| {
+                Arc::new(PendingCommit {
+                    touched: Touched::of(&ops),
+                    ops: Mutex::new(Some(ops)),
+                    result: Mutex::new(None),
+                })
+            })
+            .collect();
+        let Some(last) = entries.last() else {
+            return Vec::new();
+        };
         let mut shared = batcher.shared.lock();
-        shared.queue.push_back(Arc::clone(&entry));
+        shared.queue.extend(entries.iter().cloned());
         let mut yielded = false;
         loop {
             // The leader publishes results before clearing the latch and
-            // notifying, so this check is the ack point.
-            if let Some(result) = entry.result.lock().take() {
-                return result;
+            // notifying, so this check is the ack point. Leaders drain the
+            // queue front first and publish in member order, so once the
+            // last entry has its result every earlier one has too.
+            if last.result.lock().is_some() {
+                return entries
+                    .iter()
+                    .map(|e| e.result.lock().take().expect("published in order"))
+                    .collect();
             }
             if shared.leader_active {
                 batcher.wakeup.wait(&mut shared);
@@ -135,9 +137,9 @@ impl ChunkStore {
             shared = batcher.shared.lock();
             shared.leader_active = false;
             batcher.wakeup.notify_all();
-            // Our own entry was usually in `members`; if more than `max`
-            // older commits were queued it was not, and the loop leads (or
-            // waits) again until its result appears.
+            // Our own entries were usually in `members`; if more than `max`
+            // older commits were queued some were not, and the loop leads
+            // (or waits) again until their results appear.
         }
     }
 
@@ -162,25 +164,7 @@ impl ChunkStore {
         let results = inner.commit_batch(sets);
         debug_assert_eq!(results.len(), members.len());
         for (m, result) in members.iter().zip(results) {
-            // Scrub shard state on every outcome — a member can be durably
-            // applied even when its result is an error (e.g. its follow-on
-            // checkpoint failed), so touched ids never survive the attempt.
-            if m.clear_all {
-                self.reads.clear_all();
-            } else {
-                for id in &m.touched {
-                    self.reads.invalidate(*id);
-                }
-            }
-            if result.is_ok() {
-                for id in &m.touched {
-                    if let (Ok(desc), Ok(crypto)) =
-                        (inner.get_descriptor(*id), inner.crypto_for(id.partition))
-                    {
-                        self.reads.publish(*id, desc, &crypto, None);
-                    }
-                }
-            }
+            self.scrub_and_publish(&mut inner, &m.touched, &result);
             *m.result.lock() = Some(result);
         }
         self.reads.set_health(&inner.health);

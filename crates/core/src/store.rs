@@ -352,6 +352,33 @@ pub(crate) struct Inner {
     pub undo: Journal<Undo>,
 }
 
+/// The read-path entries a commit can change, collected before its ops
+/// are consumed: the chunk ids it writes or deallocates — or every entry,
+/// when it deallocates a partition (its ids may be reused).
+pub(crate) struct Touched {
+    ids: Vec<ChunkId>,
+    all: bool,
+}
+
+impl Touched {
+    pub(crate) fn of(ops: &[CommitOp]) -> Touched {
+        let mut touched = Touched {
+            ids: Vec::new(),
+            all: false,
+        };
+        for op in ops {
+            match op {
+                CommitOp::WriteChunk { id, .. } | CommitOp::DeallocChunk { id } => {
+                    touched.ids.push(*id);
+                }
+                CommitOp::DeallocPartition { .. } => touched.all = true,
+                CommitOp::CreatePartition { .. } | CommitOp::CopyPartition { .. } => {}
+            }
+        }
+        touched
+    }
+}
+
 /// The sharable core of a chunk store: the engine behind its mutex, the
 /// lock-free read path, the group-commit coordinator, and the maintenance
 /// rendezvous state. The facade and the background maintenance thread each
@@ -586,46 +613,66 @@ impl ChunkStore {
     /// degraded mode (see [`ChunkStore::try_heal`]), otherwise it stays
     /// live. Only integrity violations poison the store.
     pub fn commit(&self, ops: Vec<CommitOp>) -> Result<()> {
+        self.commit_many(vec![ops])
+            .pop()
+            .expect("one result per op set")
+    }
+
+    /// Applies several independent op sets, returning each one's own
+    /// result in order. Each set is a commit of its own — atomic alone,
+    /// never together with its neighbours, with the failure semantics of
+    /// [`ChunkStore::commit`] — but under group commit they are enqueued
+    /// as adjacent members of one batch: one coalesced append and one
+    /// flush for all of them. Without group commit each set is committed
+    /// in turn with its own flush.
+    pub fn commit_many(&self, sets: Vec<Vec<CommitOp>>) -> Vec<Result<()>> {
         let _t = metrics::span(modules::CHUNK_STORE);
         // Under background maintenance, a bounded log below its low-water
         // mark throttles committers here (bounded wait) before they take
         // the engine lock.
         self.admission_gate();
         if self.batcher.is_some() {
-            // Group commit: enqueue and let a leader thread batch this
-            // commit with its contemporaries (see `crate::batcher`).
-            return self.commit_batched(ops);
-        }
-        // Collect the chunk ids this commit can change *before* the ops
-        // are consumed; partition deallocations can invalidate arbitrary
-        // shard entries (ids may be reused), so they clear everything.
-        let mut touched: Vec<ChunkId> = Vec::new();
-        let mut clear_all = false;
-        for op in &ops {
-            match op {
-                CommitOp::WriteChunk { id, .. } | CommitOp::DeallocChunk { id } => {
-                    touched.push(*id);
-                }
-                CommitOp::DeallocPartition { .. } => clear_all = true,
-                CommitOp::CreatePartition { .. } | CommitOp::CopyPartition { .. } => {}
-            }
+            // Group commit: enqueue and let a leader thread batch these
+            // commits with their contemporaries (see `crate::batcher`).
+            return self.commit_batched(sets);
         }
         let mut inner = self.inner.lock();
-        inner.check_writable()?;
-        let result = inner.commit(ops);
-        // Scrub shard state while still holding the engine lock, on every
-        // outcome: a commit can be durably applied even when the call
-        // returns an error (e.g. the follow-on checkpoint failed), so the
-        // only safe rule is "touched ids never survive a commit attempt".
-        if clear_all {
+        let results = sets
+            .into_iter()
+            .map(|ops| {
+                let touched = Touched::of(&ops);
+                inner.check_writable()?;
+                let result = inner.commit(ops);
+                self.scrub_and_publish(&mut inner, &touched, &result);
+                result
+            })
+            .collect();
+        self.reads.set_health(&inner.health);
+        self.note_engine_state(&inner);
+        results
+    }
+
+    /// Brings the read path up to date after a commit attempt, under the
+    /// engine lock so published descriptors are current. Touched entries
+    /// are scrubbed on every outcome — a commit can be durably applied
+    /// even when its result is an error (e.g. the follow-on checkpoint
+    /// failed), so touched ids never survive an attempt — and a
+    /// successful commit republishes their new descriptors.
+    pub(crate) fn scrub_and_publish(
+        &self,
+        inner: &mut Inner,
+        touched: &Touched,
+        result: &Result<()>,
+    ) {
+        if touched.all {
             self.reads.clear_all();
         } else {
-            for id in &touched {
+            for id in &touched.ids {
                 self.reads.invalidate(*id);
             }
         }
         if result.is_ok() {
-            for id in &touched {
+            for id in &touched.ids {
                 if let (Ok(desc), Ok(crypto)) =
                     (inner.get_descriptor(*id), inner.crypto_for(id.partition))
                 {
@@ -633,9 +680,6 @@ impl ChunkStore {
                 }
             }
         }
-        self.reads.set_health(&inner.health);
-        self.note_engine_state(&inner);
-        result
     }
 
     /// Forces a checkpoint (§4.7), consolidating buffered chunk-map updates.

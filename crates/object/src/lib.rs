@@ -192,6 +192,7 @@ impl ObjectStore {
             id: self.next_tx.fetch_add(1, Ordering::Relaxed),
             writes: Vec::new(),
             buffered_bytes: 0,
+            lock_wait: true,
             finished: false,
         }
     }
@@ -311,6 +312,21 @@ impl ObjectStore {
         self.registry.unpickle(record)
     }
 
+    /// Installs a committed transaction's writes in the object cache.
+    fn install(&self, cached: Vec<(ObjectId, Cached)>) {
+        for (id, what) in cached {
+            match what {
+                Cached::Object(obj, size) => self.cache.put(id, obj, size),
+                Cached::SpilledRecord(record) => {
+                    if let Ok(obj) = self.registry.unpickle(&record) {
+                        self.cache.put(id, obj, record.len());
+                    }
+                }
+                Cached::Nothing => self.cache.remove(id),
+            }
+        }
+    }
+
     fn load(&self, id: ObjectId) -> Result<Arc<dyn StoredObject>> {
         if let Some(obj) = self.cache.get(id) {
             return Ok(obj);
@@ -376,8 +392,22 @@ pub struct Tx {
     writes: Vec<(ObjectId, Write)>,
     /// Pickled bytes currently buffered in memory (drives stealing).
     buffered_bytes: usize,
+    /// Whether a busy lock is waited for (up to the store's timeout) or
+    /// refused at once.
+    lock_wait: bool,
     finished: bool,
 }
+
+/// What a committed net write leaves in the object cache.
+enum Cached {
+    Object(Arc<dyn StoredObject>, usize),
+    SpilledRecord(Vec<u8>),
+    Nothing,
+}
+
+/// A transaction's commit, staged: its chunk-store op set and the cache
+/// updates that follow once the op set is durable.
+type Staged = (Vec<CommitOp>, Vec<(ObjectId, Cached)>);
 
 impl Tx {
     fn check_open(&self) -> Result<()> {
@@ -385,6 +415,22 @@ impl Tx {
             Err(ObjectError::TxFinished)
         } else {
             Ok(())
+        }
+    }
+
+    /// With `false`, a lock that is not grantable right now fails at once
+    /// with [`ObjectError::LockTimeout`] instead of waiting up to the
+    /// store's timeout — for a caller that holds other transactions'
+    /// locks and must not add a wait-for edge while it does.
+    pub fn set_lock_wait(&mut self, wait: bool) {
+        self.lock_wait = wait;
+    }
+
+    fn lock(&self, id: ObjectId, mode: LockMode) -> Result<()> {
+        if self.lock_wait {
+            self.store.locks.acquire(self.id, id, mode)
+        } else {
+            self.store.locks.try_acquire(self.id, id, mode)
         }
     }
 
@@ -410,7 +456,7 @@ impl Tx {
         self.check_open()?;
         let chunk = self.store.chunks.allocate_chunk(partition)?;
         let id = ObjectId(chunk);
-        self.store.locks.acquire(self.id, id, LockMode::Exclusive)?;
+        self.lock(id, LockMode::Exclusive)?;
         self.buffer_put(id, object)?;
         Ok(id)
     }
@@ -435,7 +481,7 @@ impl Tx {
     /// Fails on missing objects, lock timeout, or type mismatch.
     pub fn get_for_update<T: StoredObject>(&mut self, id: ObjectId) -> Result<Arc<T>> {
         self.check_open()?;
-        self.store.locks.acquire(self.id, id, LockMode::Exclusive)?;
+        self.lock(id, LockMode::Exclusive)?;
         downcast(self.get_dyn(id)?)
     }
 
@@ -447,7 +493,7 @@ impl Tx {
     pub fn get_dyn(&mut self, id: ObjectId) -> Result<Arc<dyn StoredObject>> {
         let _t = metrics::span(modules::OBJECT_STORE);
         self.check_open()?;
-        self.store.locks.acquire(self.id, id, LockMode::Shared)?;
+        self.lock(id, LockMode::Shared)?;
         match self.local(id) {
             Some(Write::Put { obj, .. }) => Ok(Arc::clone(obj)),
             Some(Write::Spilled { chunk }) => {
@@ -469,7 +515,7 @@ impl Tx {
     pub fn put(&mut self, id: ObjectId, object: Arc<dyn StoredObject>) -> Result<()> {
         let _t = metrics::span(modules::OBJECT_STORE);
         self.check_open()?;
-        self.store.locks.acquire(self.id, id, LockMode::Exclusive)?;
+        self.lock(id, LockMode::Exclusive)?;
         // The object must exist (locally created, or stored).
         if self.local(id).is_none() {
             self.store.load(id)?;
@@ -497,7 +543,7 @@ impl Tx {
     pub fn delete(&mut self, id: ObjectId) -> Result<()> {
         let _t = metrics::span(modules::OBJECT_STORE);
         self.check_open()?;
-        self.store.locks.acquire(self.id, id, LockMode::Exclusive)?;
+        self.lock(id, LockMode::Exclusive)?;
         if self.local(id).is_none() {
             self.store.load(id)?;
         } else if matches!(self.local(id), Some(Write::Delete)) {
@@ -578,18 +624,88 @@ impl Tx {
         Ok(())
     }
 
-    /// Commits: pickles every dirty object, applies one atomic chunk-store
-    /// commit, installs results in the cache, and releases all locks.
+    /// Commits: applies every buffered write in one atomic chunk-store
+    /// commit, installs the results in the cache, and releases all locks.
     ///
     /// # Errors
     ///
-    /// On failure the transaction is rolled back (nothing was applied) and
-    /// locks are released.
+    /// On failure the transaction is rolled back (nothing was applied)
+    /// and its locks are released.
     pub fn commit(mut self) -> Result<()> {
-        let _t = metrics::span(modules::OBJECT_STORE);
-        self.check_open()?;
-        self.finished = true;
+        // What `commit_all` does with a transaction that wrote nothing —
+        // every autocommit read — minus its allocations.
+        if self.writes.is_empty() {
+            self.release();
+            return Ok(());
+        }
+        Tx::commit_all(vec![self])
+            .pop()
+            .expect("one result per transaction")
+    }
 
+    /// Commits independent transactions of one store together, returning
+    /// each one's own result in order. Each stays atomic on its own, but
+    /// their chunk-store commits ride one group-commit batch — one
+    /// coalesced append and one device flush for all of them
+    /// ([`ChunkStore::commit_many`]). Every transaction's locks are
+    /// released on every outcome, and one that fails before reaching the
+    /// chunk store also has its spilled scratch chunks reclaimed.
+    ///
+    /// # Panics
+    ///
+    /// If the transactions were begun on different object stores.
+    pub fn commit_all(txs: Vec<Tx>) -> Vec<Result<()>> {
+        let _t = metrics::span(modules::OBJECT_STORE);
+        let mut staged: Vec<(Tx, Result<Staged>)> = txs
+            .into_iter()
+            .map(|mut tx| {
+                let staged = tx.stage();
+                (tx, staged)
+            })
+            .collect();
+        let Some(store) = staged.first().map(|(tx, _)| Arc::clone(&tx.store)) else {
+            return Vec::new();
+        };
+        let mut sets = Vec::new();
+        for (tx, staged) in &mut staged {
+            assert!(
+                Arc::ptr_eq(&store, &tx.store),
+                "Tx::commit_all across object stores"
+            );
+            // A transaction with nothing to write commits without the
+            // chunk store.
+            match staged {
+                Ok((ops, _)) if !ops.is_empty() => sets.push(std::mem::take(ops)),
+                _ => {}
+            }
+        }
+        let mut committed = store.chunks.commit_many(sets).into_iter();
+        staged
+            .into_iter()
+            .map(|(mut tx, staged)| {
+                let result = match staged {
+                    Ok((_, cached)) if cached.is_empty() => Ok(()),
+                    Ok((_, cached)) => committed
+                        .next()
+                        .expect("one result per op set")
+                        .map(|()| tx.store.install(cached))
+                        .map_err(Into::into),
+                    Err(e) => {
+                        tx.discard();
+                        Err(e)
+                    }
+                };
+                tx.release();
+                result
+            })
+            .collect()
+    }
+
+    /// Builds the commit's op set from the net effect of the buffered
+    /// writes. Reloads spilled records, so it can fail; nothing is
+    /// applied either way.
+    fn stage(&mut self) -> Result<Staged> {
+        self.check_open()?;
         // Net effect per object, in first-touch order: the index of the
         // last write to it.
         let mut net: Vec<(ObjectId, usize)> = Vec::new();
@@ -598,17 +714,6 @@ impl Tx {
                 Some(slot) => slot.1 = index,
                 None => net.push((*id, index)),
             }
-        }
-        if net.is_empty() {
-            self.store.locks.release_all(self.id);
-            return Ok(());
-        }
-
-        /// What a net write leaves in the object cache once committed.
-        enum Cached {
-            Object(Arc<dyn StoredObject>, usize),
-            SpilledRecord(Vec<u8>),
-            Nothing,
         }
         let mut ops = Vec::with_capacity(net.len());
         let mut cached: Vec<(ObjectId, Cached)> = Vec::with_capacity(net.len());
@@ -649,30 +754,19 @@ impl Tx {
                 }
             }
         }
-        let result = self.store.chunks.commit(ops);
-        if result.is_ok() {
-            let cache = &self.store.cache;
-            for (id, what) in cached {
-                match what {
-                    Cached::Object(obj, size) => cache.put(id, obj, size),
-                    Cached::SpilledRecord(record) => {
-                        if let Ok(obj) = self.store.registry.unpickle(&record) {
-                            cache.put(id, obj, record.len());
-                        }
-                    }
-                    Cached::Nothing => cache.remove(id),
-                }
-            }
-        }
-        self.store.locks.release_all(self.id);
-        result.map_err(Into::into)
+        Ok((ops, cached))
     }
 
     /// Aborts: drops buffered writes (reclaiming any spilled scratch
     /// chunks) and releases all locks.
     pub fn abort(mut self) {
         let _t = metrics::span(modules::OBJECT_STORE);
-        self.finished = true;
+        self.discard();
+        self.release();
+    }
+
+    /// Drops the buffered writes, reclaiming spilled scratch chunks.
+    fn discard(&mut self) {
         let reclaim: Vec<CommitOp> = self
             .writes
             .iter()
@@ -687,6 +781,11 @@ impl Tx {
             let _ = self.store.chunks.commit(reclaim);
         }
         self.writes.clear();
+    }
+
+    /// Ends the transaction: releases every lock it holds.
+    fn release(&mut self) {
+        self.finished = true;
         self.store.locks.release_all(self.id);
     }
 }

@@ -91,7 +91,27 @@ impl LockManager {
     /// [`ObjectError::LockTimeout`] if the lock is still unavailable at the
     /// deadline — the paper's deadlock-breaking mechanism.
     pub fn acquire(&self, tx: TxId, id: ObjectId, mode: LockMode) -> Result<()> {
-        let deadline = Instant::now() + self.timeout;
+        self.acquire_until(tx, id, mode, Instant::now() + self.timeout)
+    }
+
+    /// Like [`LockManager::acquire`] with a zero timeout: grants `mode` if
+    /// it is grantable right now and never waits, so a caller already
+    /// holding other locks adds no wait-for edge.
+    ///
+    /// # Errors
+    ///
+    /// [`ObjectError::LockTimeout`] if the lock is held incompatibly.
+    pub fn try_acquire(&self, tx: TxId, id: ObjectId, mode: LockMode) -> Result<()> {
+        self.acquire_until(tx, id, mode, Instant::now())
+    }
+
+    fn acquire_until(
+        &self,
+        tx: TxId,
+        id: ObjectId,
+        mode: LockMode,
+        deadline: Instant,
+    ) -> Result<()> {
         let mut table = self.table.lock();
         loop {
             let state = table.entry(id).or_default();
@@ -177,6 +197,25 @@ mod tests {
         // Exclusive holder may "re-acquire" shared.
         m.acquire(1, oid(0), LockMode::Shared).unwrap();
         m.release_all(1);
+    }
+
+    #[test]
+    fn try_acquire_never_waits() {
+        let m = mgr(10_000);
+        m.acquire(1, oid(0), LockMode::Exclusive).unwrap();
+        let start = Instant::now();
+        assert!(matches!(
+            m.try_acquire(2, oid(0), LockMode::Shared),
+            Err(ObjectError::LockTimeout(_))
+        ));
+        assert!(start.elapsed() < Duration::from_secs(1));
+        // Free and already-held locks are granted as by `acquire`.
+        m.try_acquire(2, oid(1), LockMode::Exclusive).unwrap();
+        m.try_acquire(1, oid(0), LockMode::Shared).unwrap();
+        m.release_all(1);
+        m.try_acquire(2, oid(0), LockMode::Exclusive).unwrap();
+        m.release_all(2);
+        assert_eq!(m.locked_count(), 0);
     }
 
     #[test]

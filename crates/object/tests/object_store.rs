@@ -11,8 +11,8 @@ use tdb_core::{CryptoParams, PartitionId};
 use tdb_crypto::{CipherKind, HashKind, SecretKey};
 use tdb_object::errors::ObjectError;
 use tdb_object::pickle::{StoredObject, TypeRegistry};
-use tdb_object::{ObjectId, ObjectStore, ObjectStoreConfig};
-use tdb_storage::{CounterOverTrusted, MemStore, MemTrustedStore, SharedUntrusted};
+use tdb_object::{ObjectId, ObjectStore, ObjectStoreConfig, Tx};
+use tdb_storage::{CounterOverTrusted, ErrorStore, MemStore, MemTrustedStore, SharedUntrusted};
 
 // A tiny application schema: accounts and licenses.
 
@@ -113,9 +113,13 @@ struct Fixture {
 }
 
 fn fixture() -> Fixture {
+    fixture_over(Arc::new(MemStore::new()))
+}
+
+fn fixture_over(untrusted: SharedUntrusted) -> Fixture {
     let chunks = Arc::new(
         ChunkStore::create(
-            Arc::new(MemStore::new()) as SharedUntrusted,
+            untrusted,
             TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(Arc::new(
                 MemTrustedStore::new(64),
             )))),
@@ -743,4 +747,93 @@ fn spill_roundtrip_through_scratch_preserves_types() {
     assert_eq!(tx.get::<License>(license).unwrap().uses_left, 9);
     assert_eq!(tx.get::<Account>(account).unwrap().balance, 5);
     tx.commit().unwrap();
+}
+
+#[test]
+fn failed_spill_reload_releases_locks_and_reclaims_scratch() {
+    // A commit whose spilled record cannot be reloaded must still end the
+    // transaction: locks released (a later transaction takes them without
+    // waiting) and the scratch chunks reclaimed, as an abort would.
+    let device = Arc::new(ErrorStore::new(Arc::new(MemStore::new())));
+    let fx = fixture_over(Arc::clone(&device) as SharedUntrusted);
+    let store = ObjectStore::new(
+        Arc::clone(fx.store.chunks()),
+        registry(),
+        ObjectStoreConfig {
+            lock_timeout: Duration::from_secs(30),
+            steal_threshold_bytes: 256,
+            ..ObjectStoreConfig::default()
+        },
+    );
+    let mut tx = store.begin();
+    let ids: Vec<ObjectId> = (0..6u32)
+        .map(|i| {
+            tx.create(
+                fx.partition,
+                Arc::new(Account {
+                    owner: format!("spilled-{i}-{}", "s".repeat(150)),
+                    balance: i64::from(i),
+                }),
+            )
+            .unwrap()
+        })
+        .collect();
+    assert!(tx.spilled_writes() > 0, "nothing was stolen");
+    let live_before_reclaim = fx.store.chunks().stats().commits;
+
+    device.fail_after_reads(0);
+    assert!(
+        tx.commit().is_err(),
+        "the spilled record could not be reloaded"
+    );
+    device.heal();
+
+    // The reclaim ran (one more chunk-store commit than before the failure)
+    // and every id is free: a no-wait transaction locks them all.
+    assert!(fx.store.chunks().stats().commits > live_before_reclaim);
+    let mut tx = store.begin();
+    tx.set_lock_wait(false);
+    for id in &ids {
+        assert!(
+            !matches!(tx.delete(*id), Err(ObjectError::LockTimeout(_))),
+            "{id} still locked after the failed commit"
+        );
+    }
+    tx.abort();
+}
+
+#[test]
+fn commit_all_shares_one_batch_and_keeps_results_apart() {
+    let fx = fixture();
+    let base = fx.store.chunks().stats();
+    let mut txs = Vec::new();
+    let mut ids = Vec::new();
+    for i in 0..5u32 {
+        let mut tx = fx.store.begin();
+        ids.push(
+            tx.create(
+                fx.partition,
+                Arc::new(Account {
+                    owner: format!("member-{i}"),
+                    balance: i64::from(i),
+                }),
+            )
+            .unwrap(),
+        );
+        txs.push(tx);
+    }
+    // A read-only member rides along without a chunk-store commit.
+    txs.push(fx.store.begin());
+    let results = Tx::commit_all(txs);
+    assert_eq!(results.len(), 6);
+    assert!(results.iter().all(Result::is_ok), "{results:?}");
+    let stats = fx.store.chunks().stats();
+    assert_eq!(stats.commit_batches - base.commit_batches, 1);
+    assert_eq!(stats.batched_commits - base.batched_commits, 5);
+    let mut tx = fx.store.begin();
+    for (i, id) in ids.iter().enumerate() {
+        assert_eq!(tx.get::<Account>(*id).unwrap().balance, i as i64);
+    }
+    tx.abort();
+    assert!(Tx::commit_all(Vec::new()).is_empty());
 }

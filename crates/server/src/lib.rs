@@ -9,16 +9,22 @@
 //!
 //! Design:
 //!
-//! - **Thread per connection** over `std::net`. Each connection runs a
-//!   blocking read → dispatch → write loop; pipelined requests are
-//!   answered strictly in order. Cross-connection concurrency is what
-//!   drives the chunk store's group-commit batcher: N sessions
-//!   autocommitting concurrently share flushes.
+//! - **Thread per connection** over `std::net`. Each connection blocks
+//!   reading one request frame, takes every complete frame already in its
+//!   read buffer behind it (the buffer's capacity bounds the burst; there
+//!   is no timer), runs the burst through one [`tdb::Session::dispatch_many`]
+//!   call, and writes the replies strictly in request order. The burst's
+//!   autocommit writes are one group commit — one batch, one device flush
+//!   — and the session hands a reply over only once every write at or
+//!   before it is durable (a read with no write pending before it is
+//!   answered at once, as before). Concurrent connections still share the
+//!   chunk store's group-commit batcher on top of that.
 //! - **Challenge-response auth** ([`tdb::wire`]) over a pre-shared HMAC
 //!   key before any command is accepted.
 //! - **Degraded-mode signalling**: every response envelope carries the
-//!   store's health byte, so clients observe `Live → Degraded/Poisoned`
-//!   transitions on their very next response.
+//!   store's health byte, read after the command or group commit that
+//!   produced the reply, so clients observe `Live → Degraded/Poisoned`
+//!   transitions on the replies of the very burst that caused them.
 //! - **Graceful shutdown**: [`TdbServer::shutdown`] stops the accept
 //!   loop, shuts down every live socket (clients see a clean EOF, not a
 //!   hung connection), and joins all threads.
@@ -33,7 +39,7 @@ use std::thread::JoinHandle;
 use tdb::wire::{
     self, client_auth_mac, server_welcome_mac, AuthResult, ClientAuth, Hello, NONCE_LEN,
 };
-use tdb::{StoreHealth, TrustedDb};
+use tdb::{Response, Session, TrustedDb};
 use tdb_crypto::SecretKey;
 
 /// Server configuration.
@@ -238,14 +244,6 @@ fn handshake<R: Read, W: Write>(
     Ok((auth.principal, session_id))
 }
 
-fn health_stamp(health: &StoreHealth) -> (u8, String) {
-    match health {
-        StoreHealth::Live => (wire::health::LIVE, String::new()),
-        StoreHealth::Degraded { reason } => (wire::health::DEGRADED, reason.clone()),
-        StoreHealth::Poisoned { reason } => (wire::health::POISONED, reason.clone()),
-    }
-}
-
 fn serve_connection(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -261,32 +259,23 @@ fn serve_connection(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Result
     let mut session = shared.db.session(&principal);
 
     let result = (|| -> io::Result<()> {
+        let mut frames = Vec::new();
         loop {
             if shared.shutdown.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            let payload = match wire::read_frame(&mut reader) {
-                Ok(p) => p,
+            match wire::read_frame(&mut reader) {
+                Ok(p) => frames.push(p),
                 // Clean EOF between frames = client hung up.
                 Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
                 Err(e) => return Err(e),
-            };
-            shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-            let (request_id, response) = match wire::decode_request(&payload) {
-                Ok((id, cmd)) => (id, session.dispatch(&cmd)),
-                // A malformed command still gets an in-band typed error
-                // (request id 0 when the id itself was unreadable).
-                Err(e) => (
-                    decoded_request_id(&payload),
-                    tdb::Response::Error(tdb::WireError(tdb::TdbError::Core(e))),
-                ),
-            };
-            if matches!(response, tdb::Response::Error(_)) {
-                shared.stats.errors.fetch_add(1, Ordering::Relaxed);
             }
-            let (health, reason) = health_stamp(&session.health());
-            let envelope = wire::encode_response(request_id, health, &reason, &response);
-            wire::write_frame(&mut writer, &envelope)?;
+            // The burst: every complete frame that arrived behind it.
+            while wire::frame_buffered(reader.buffer()) {
+                frames.push(wire::read_frame(&mut reader)?);
+            }
+            serve_burst(&mut session, &frames, &mut writer, shared)?;
+            frames.clear();
             // Flush only when no more requests are already queued: back-
             // to-back pipelined requests share one flush.
             if reader.buffer().is_empty() {
@@ -296,6 +285,57 @@ fn serve_connection(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Result
     })();
     shared.conns.lock().unwrap().remove(&session_id);
     result
+}
+
+/// Answers a burst of request frames in order. Each run of well-formed
+/// requests is one `dispatch_many` call; a malformed frame is a barrier
+/// between runs. The session hands over each reply once it is final — its
+/// command done and every write at or before it durable — and the reply
+/// is written then, stamped with the health read at that moment.
+fn serve_burst(
+    session: &mut Session,
+    frames: &[Vec<u8>],
+    writer: &mut impl Write,
+    shared: &ServerShared,
+) -> io::Result<()> {
+    let mut written = Ok(());
+    let mut write = |id: u64, reply: Response| {
+        if matches!(reply, Response::Error(_)) {
+            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        let (health, reason) = wire::health_stamp(&shared.db.health());
+        if written.is_ok() {
+            let envelope = wire::encode_response(id, health, &reason, &reply);
+            written = wire::write_frame(writer, &envelope);
+        }
+    };
+    let mut ids = Vec::with_capacity(frames.len());
+    let mut cmds = Vec::with_capacity(frames.len());
+    for payload in frames {
+        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
+        match wire::decode_request(payload) {
+            Ok((id, cmd)) => {
+                ids.push(id);
+                cmds.push(cmd);
+            }
+            Err(e) => {
+                let mut run = ids.drain(..);
+                session.dispatch_many(&cmds, |reply| {
+                    write(run.next().expect("one per request"), reply)
+                });
+                cmds.clear();
+                // A malformed command still gets an in-band typed error
+                // (request id 0 when the id itself was unreadable).
+                let error = Response::Error(tdb::WireError(tdb::TdbError::Core(e)));
+                write(decoded_request_id(payload), error);
+            }
+        }
+    }
+    let mut run = ids.into_iter();
+    session.dispatch_many(&cmds, |reply| {
+        write(run.next().expect("one per request"), reply)
+    });
+    written
 }
 
 /// Salvages the request id from a frame whose command failed to decode,

@@ -13,16 +13,36 @@
 //! the response. Many concurrent autocommit sessions are exactly the
 //! traffic shape the group-commit batcher was built for — each commit
 //! parks on the leader's flush and shares it.
+//!
+//! [`Session::dispatch_many`] runs a burst of commands — a server
+//! connection's pipeline — with the same semantics as dispatching them
+//! one by one, and makes the burst's autocommit writes one group commit.
+//! An autocommit `Put`, `Create` or `Delete` runs at once — locks taken,
+//! write buffered — but its transaction stays open beside the others
+//! until a barrier commits them together ([`Tx::commit_all`]): one batch,
+//! one flush, each write atomic alone with its own result. A `Get` of an
+//! id no pending write touches runs in place. Every other command is a
+//! barrier: a read or write of a pending id, `GetWithProof` and
+//! `SnapshotRoot` (the root covers every id), anything that opens, runs
+//! in, or ends an explicit transaction, control and collection commands.
+//! The end of the burst is one too. A reply is handed on as soon as it
+//! is final: at once when no write is pending before it, so an all-read
+//! burst is answered command by command, and otherwise only after the
+//! group commit of the writes at or before it has returned. While
+//! pending transactions hold locks the session never waits for another:
+//! a command whose lock is busy commits the pending writes first and then
+//! runs normally, so batching adds no wait-for edge. [`Session::dispatch`]
+//! is a burst of one.
 
 use std::sync::Arc;
 
 use tdb_core::store::ChunkStore;
 use tdb_core::{CoreError, PartitionId};
 use tdb_object::errors::ObjectError;
-use tdb_object::{MvccTx, ObjectStore, Transactional, Tx};
+use tdb_object::{MvccTx, ObjectId, ObjectStore, Transactional, Tx};
 
 use crate::command::{Command, Response, TxMode, WireError};
-use crate::{CollectionStore, StoreHealth, TdbError, TrustedDb};
+use crate::{wire, CollectionStore, StoreHealth, TdbError, TrustedDb};
 
 /// Per-session counters, labelled by principal in server logs.
 #[derive(Debug, Default, Clone, Copy)]
@@ -37,6 +57,33 @@ pub struct SessionStats {
     pub aborts: u64,
     /// Commands executed in an implicit one-shot transaction.
     pub autocommits: u64,
+}
+
+/// One [`Session::dispatch_many`] call in progress.
+struct Burst<'a> {
+    /// Where final replies go, in request order.
+    reply: &'a mut dyn FnMut(Response),
+    /// Replies held back from the first pending write on, in order.
+    held: Vec<Response>,
+    /// Autocommit writes that have run but not committed, each with its
+    /// held reply's index and the id it writes: they hold their locks and
+    /// buffer their writes until the next barrier commits them together.
+    pending: Vec<(usize, ObjectId, Tx)>,
+    /// Error replies handed on.
+    errors: u64,
+}
+
+impl Burst<'_> {
+    /// Hands a reply on, or holds it while writes are pending: a reply at
+    /// or after a pending write waits for that write's group commit.
+    fn answer(&mut self, resp: Response) {
+        if self.pending.is_empty() {
+            self.errors += u64::from(matches!(resp, Response::Error(_)));
+            (self.reply)(resp);
+        } else {
+            self.held.push(resp);
+        }
+    }
 }
 
 /// The session's open transaction, if any.
@@ -80,15 +127,6 @@ fn err(e: impl Into<TdbError>) -> Response {
     Response::Error(WireError(e.into()))
 }
 
-fn health_response(health: &StoreHealth) -> Response {
-    let (state, reason) = match health {
-        StoreHealth::Live => (0, String::new()),
-        StoreHealth::Degraded { reason } => (1, reason.clone()),
-        StoreHealth::Poisoned { reason } => (2, reason.clone()),
-    };
-    Response::Health { state, reason }
-}
-
 impl Session {
     /// The authenticated principal this session runs as.
     pub fn principal(&self) -> &str {
@@ -115,18 +153,80 @@ impl Session {
     /// Executes one command and returns its response. Never panics:
     /// every failure becomes a typed [`Response::Error`].
     pub fn dispatch(&mut self, cmd: &Command) -> Response {
-        self.stats.commands += 1;
-        let resp = self.dispatch_inner(cmd);
-        if matches!(resp, Response::Error(_)) {
-            self.stats.errors += 1;
-        }
-        resp
+        let mut out = None;
+        self.dispatch_many(std::slice::from_ref(cmd), |resp| out = Some(resp));
+        out.expect("one response per command")
     }
 
-    fn dispatch_inner(&mut self, cmd: &Command) -> Response {
+    /// Executes a burst of commands in order, handing their responses to
+    /// `reply` in order, exactly as one [`Session::dispatch`] each would —
+    /// except that autocommit writes between barriers share one group
+    /// commit (see the module docs). A response goes out as soon as it is
+    /// final: at once when no write is pending before it, else once that
+    /// write's group commit has returned. Every write is durable by the
+    /// time this returns.
+    pub fn dispatch_many(&mut self, cmds: &[Command], mut reply: impl FnMut(Response)) {
+        let mut burst = Burst {
+            reply: &mut reply,
+            held: Vec::new(),
+            pending: Vec::new(),
+            errors: 0,
+        };
+        for cmd in cmds {
+            if !self.joins_burst(cmd, &burst) {
+                Self::commit_pending(&mut burst);
+            }
+            let resp = self.dispatch_inner(cmd, &mut burst);
+            burst.answer(resp);
+        }
+        Self::commit_pending(&mut burst);
+        self.stats.commands += cmds.len() as u64;
+        self.stats.errors += burst.errors;
+    }
+
+    /// Whether `cmd` can run while the burst's writes are still pending:
+    /// an autocommit `Create`, or a `Get`, `Put` or `Delete` of an id no
+    /// pending write touches.
+    fn joins_burst(&self, cmd: &Command, burst: &Burst) -> bool {
+        self.tx.is_none()
+            && match cmd {
+                Command::Create { .. } => true,
+                Command::Get(id) | Command::Put { id, .. } | Command::Delete(id) => {
+                    burst.pending.iter().all(|(_, written, _)| written != id)
+                }
+                _ => false,
+            }
+    }
+
+    /// Commits the pending autocommit writes as one group commit, turns
+    /// the replies of those that failed into their errors, and hands on
+    /// every held reply.
+    fn commit_pending(burst: &mut Burst) {
+        if burst.pending.is_empty() {
+            return;
+        }
+        let (slots, txs): (Vec<usize>, Vec<Tx>) = burst
+            .pending
+            .drain(..)
+            .map(|(slot, _, tx)| (slot, tx))
+            .unzip();
+        for (slot, result) in slots.into_iter().zip(Tx::commit_all(txs)) {
+            if let Err(e) = result {
+                burst.held[slot] = err(e);
+            }
+        }
+        for resp in std::mem::take(&mut burst.held) {
+            burst.answer(resp);
+        }
+    }
+
+    fn dispatch_inner(&mut self, cmd: &Command, burst: &mut Burst) -> Response {
         match cmd {
             Command::Ping => Response::Pong,
-            Command::Health => health_response(&self.chunks.health()),
+            Command::Health => {
+                let (state, reason) = wire::health_stamp(&self.chunks.health());
+                Response::Health { state, reason }
+            }
             Command::SnapshotRoot => match self.chunks.snapshot_root(self.partition) {
                 Ok(root) => Response::Root(root.as_bytes().to_vec()),
                 Err(e) => err(e),
@@ -142,7 +242,7 @@ impl Session {
             Command::Begin(mode) => self.begin(*mode),
             Command::Commit => self.commit(),
             Command::Abort => self.abort(),
-            _ => self.dispatch_data(cmd),
+            _ => self.dispatch_data(cmd, burst),
         }
     }
 
@@ -194,7 +294,7 @@ impl Session {
 
     /// Object/collection commands: run on the open transaction, or in a
     /// one-shot autocommit transaction when none is open.
-    fn dispatch_data(&mut self, cmd: &Command) -> Response {
+    fn dispatch_data(&mut self, cmd: &Command, burst: &mut Burst) -> Response {
         // Proof-carrying reads resolve against the committed tree, so the
         // no-transaction path serves them straight from the chunk store.
         if let (Command::GetWithProof(id), None) = (cmd, &self.tx) {
@@ -226,24 +326,42 @@ impl Session {
             }
             None => {
                 self.stats.autocommits += 1;
-                let mut tx = self.objects.begin();
-                let resp = Self::exec(
-                    &self.collections,
-                    &self.objects,
-                    self.partition,
-                    &mut tx,
-                    cmd,
-                );
-                if matches!(resp, Response::Error(_)) {
-                    tx.abort();
-                    return resp;
-                }
-                match tx.commit() {
-                    Ok(()) => resp,
-                    Err(e) => err(e),
-                }
+                self.autocommit(cmd, burst)
             }
         }
+    }
+
+    /// Runs `cmd` in a one-shot transaction. A write's transaction joins
+    /// the burst's pending writes, to be committed at the next barrier; a
+    /// read's commits at once.
+    fn autocommit(&mut self, cmd: &Command, burst: &mut Burst) -> Response {
+        let mut tx = self.objects.begin();
+        // Holding pending writes' locks, never wait for another lock.
+        let holding = !burst.pending.is_empty();
+        tx.set_lock_wait(!holding);
+        let resp = Self::exec(
+            &self.collections,
+            &self.objects,
+            self.partition,
+            &mut tx,
+            cmd,
+        );
+        if let Response::Error(e) = &resp {
+            tx.abort();
+            if holding && matches!(e.0, TdbError::Object(ObjectError::LockTimeout(_))) {
+                // Busy: commit what is pending, then wait like anyone else.
+                Self::commit_pending(burst);
+                return self.autocommit(cmd, burst);
+            }
+            return resp;
+        }
+        let id = match (cmd, &resp) {
+            (Command::Put { id, .. } | Command::Delete(id), _)
+            | (Command::Create { .. }, Response::Id(id)) => *id,
+            _ => return tx.commit().map_or_else(err, |()| resp),
+        };
+        burst.pending.push((burst.held.len(), id, tx));
+        resp
     }
 
     /// A verifiable read of current committed state, outside any

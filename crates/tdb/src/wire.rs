@@ -39,13 +39,19 @@
 //! Requests: `[u64 request_id] [Command]`. Responses echo the id:
 //! `[u64 request_id] [u8 health] [str reason] [Response]`. Clients may
 //! pipeline arbitrarily many requests before reading; the server answers
-//! strictly in order per connection. The health byte (0 live, 1 degraded,
-//! 2 poisoned) rides on **every** response, so a store leaving `Live`
-//! reaches clients immediately instead of on the next dedicated poll.
+//! strictly in order per connection. It serves a pipeline in bursts —
+//! every complete frame already buffered behind the one it blocked on —
+//! and a burst's autocommit writes share one group commit, so a reply is
+//! sent only once every write at or before it is durable. The health
+//! byte (0 live, 1 degraded, 2 poisoned) rides on **every** response,
+//! read after the command (or group commit) that produced it, so a store
+//! leaving `Live` reaches clients immediately instead of on the next
+//! dedicated poll.
 
 use std::io::{self, Read, Write};
 
 use tdb_core::codec::{Dec, Enc};
+use tdb_core::store::StoreHealth;
 use tdb_core::CoreError;
 use tdb_crypto::hmac::HmacKey;
 use tdb_crypto::{HashKind, HashValue};
@@ -108,6 +114,19 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
     Ok(payload)
+}
+
+/// True when `buf` starts with a whole frame, so [`read_frame`] over the
+/// reader it was buffered from returns without touching the socket. A
+/// length prefix over [`MAX_FRAME`] is left for that read to report.
+pub fn frame_buffered(buf: &[u8]) -> bool {
+    match buf {
+        [a, b, c, d, payload @ ..] => {
+            let len = u32::from_le_bytes([*a, *b, *c, *d]);
+            len <= MAX_FRAME && payload.len() >= len as usize
+        }
+        _ => false,
+    }
 }
 
 fn corrupt(what: &str) -> CoreError {
@@ -287,6 +306,17 @@ pub mod health {
     pub const POISONED: u8 = 2;
 }
 
+/// The stamp for `health`: one of the [`health`] constants and the
+/// reason. The one mapping response envelopes and the answer to
+/// [`Command::Health`] share.
+pub fn health_stamp(h: &StoreHealth) -> (u8, String) {
+    match h {
+        StoreHealth::Live => (health::LIVE, String::new()),
+        StoreHealth::Degraded { reason } => (health::DEGRADED, reason.clone()),
+        StoreHealth::Poisoned { reason } => (health::POISONED, reason.clone()),
+    }
+}
+
 /// Encodes a request envelope: id + command.
 pub fn encode_request(request_id: u64, cmd: &Command) -> Vec<u8> {
     let mut e = Enc::new();
@@ -382,6 +412,20 @@ mod tests {
             read_frame(&mut &buf[..]).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
+    }
+
+    #[test]
+    fn frame_buffered_means_a_whole_frame() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"hello").unwrap();
+        assert!(frame_buffered(&buf));
+        assert!(frame_buffered(&[0, 0, 0, 0]), "an empty frame is whole");
+        for cut in 0..buf.len() {
+            assert!(!frame_buffered(&buf[..cut]), "cut at {cut}");
+        }
+        let mut oversized = (MAX_FRAME + 1).to_le_bytes().to_vec();
+        oversized.resize(oversized.len() + 16, 0);
+        assert!(!frame_buffered(&oversized));
     }
 
     #[test]

@@ -11,8 +11,8 @@ use std::any::Any;
 use std::sync::Arc;
 
 use tdb::{
-    Command, IndexKey, IndexKind, ObjectId, Response, StoredObject, TrustedBackend, TrustedDb,
-    TrustedDbBuilder, TxMode,
+    Command, IndexKey, IndexKind, ObjectId, Response, Session, StoredObject, TrustedBackend,
+    TrustedDb, TrustedDbBuilder, TxMode,
 };
 use tdb_client::{ClientError, TdbClient};
 use tdb_crypto::{CipherKind, HashKind, SecretKey};
@@ -269,6 +269,312 @@ fn same_commands_same_responses_same_device_ops() {
         shape(store_b.stats().snapshot()),
         "embedded and TCP runs drove different device-op shapes"
     );
+}
+
+/// Depth-8 pipelining: the same script sent eight requests at a time
+/// (send ×8, then recv ×8), so the server runs each burst as one
+/// `dispatch_many` and group-commits its autocommit writes. The answers
+/// are byte-identical to one-at-a-time embedded dispatch, the device saw
+/// the same reads, and no more writes or flushes.
+#[test]
+fn pipelined_script_same_responses_no_more_device_ops() {
+    let script = build_script();
+
+    let (db_a, store_a) = build_twin();
+    let mut session = db_a.session("embedded");
+    let embedded: Vec<Response> = script.iter().map(|cmd| session.dispatch(cmd)).collect();
+    drop(session);
+
+    let (db_b, store_b) = build_twin();
+    let db_b = Arc::new(db_b);
+    let mut server = spawn(&db_b);
+    let mut client = TdbClient::connect(server.addr(), "remote", AUTH_KEY).expect("connect");
+    let mut remote: Vec<Response> = Vec::new();
+    for burst in script.chunks(8) {
+        remote.extend(pipeline(&mut client, burst));
+    }
+    drop(client);
+    server.shutdown();
+
+    assert_eq!(embedded.len(), remote.len());
+    for (i, (e, r)) in embedded.iter().zip(&remote).enumerate() {
+        assert_eq!(e, r, "command {i} ({:?}) diverged", script[i].opcode());
+    }
+    let (a, b) = (
+        shape(store_a.stats().snapshot()),
+        shape(store_b.stats().snapshot()),
+    );
+    assert_eq!(a.reads, b.reads, "device reads differ");
+    assert_eq!(a.bytes_read, b.bytes_read, "device bytes read differ");
+    assert!(b.writes <= a.writes, "writes {} > {}", b.writes, a.writes);
+    assert!(
+        b.flushes <= a.flushes,
+        "flushes {} > {}",
+        b.flushes,
+        a.flushes
+    );
+    assert!(
+        db_b.chunks().stats().batched_commits > db_b.chunks().stats().commit_batches,
+        "no burst ever shared a batch"
+    );
+}
+
+/// Each barrier of a burst keeps one-at-a-time semantics, checked against
+/// the embedded twin command by command and on the specific outcome.
+#[test]
+fn burst_barriers_keep_sequential_semantics() {
+    let (db_a, _) = build_twin();
+    let (db_b, _) = build_twin();
+    let p = db_a.partition();
+    let mut session = db_a.session("embedded");
+    let mut server = spawn(&Arc::new(db_b));
+    let mut client = TdbClient::connect(server.addr(), "remote", AUTH_KEY).expect("connect");
+    fn twin_bursts(
+        session: &mut Session,
+        client: &mut TdbClient,
+        cmds: &[Command],
+    ) -> Vec<Response> {
+        let embedded: Vec<Response> = cmds.iter().map(|c| session.dispatch(c)).collect();
+        let remote = pipeline(client, cmds);
+        assert_eq!(embedded, remote, "burst {cmds:?}");
+        remote
+    }
+    let mut both = |cmds: &[Command]| twin_bursts(&mut session, &mut client, cmds);
+    let put = |id: ObjectId, v: &str| Command::Put {
+        id,
+        record: record(v),
+    };
+    let create = |v: &str| Command::Create {
+        partition: p,
+        record: record(v),
+    };
+    let ids: Vec<ObjectId> = both(&[create("a0"), create("b0"), create("c0")])
+        .into_iter()
+        .map(|r| match r {
+            Response::Id(id) => id,
+            other => panic!("create answered {other:?}"),
+        })
+        .collect();
+    let (a, b, c) = (ids[0], ids[1], ids[2]);
+
+    // A read of a pending id sees the write.
+    let r = both(&[put(a, "a1"), Command::Get(a)]);
+    assert_eq!(r[1], Response::Record(record("a1")));
+    // Two writes of one id: the last writer wins.
+    both(&[put(a, "a2"), put(a, "a3")]);
+    assert_eq!(both(&[Command::Get(a)])[0], Response::Record(record("a3")));
+    // A proof read returns a root that already covers the pending write.
+    let r = both(&[put(a, "a4"), Command::GetWithProof(b)]);
+    let Response::VerifiedRecord { root, .. } = &r[1] else {
+        panic!("proof read answered {:?}", r[1]);
+    };
+    let pinned = tdb_crypto::HashValue::new(root);
+    let r = both(&[Command::GetWithProof(a)]);
+    let Response::VerifiedRecord {
+        record: body,
+        proof: Some(proof),
+        root: now,
+    } = &r[0]
+    else {
+        panic!("proof read answered {:?}", r[0]);
+    };
+    assert_eq!(now, root, "nothing committed in between");
+    assert_eq!(body, &record("a4"));
+    let proof = tdb::ReadProof::decode(proof).expect("proof decodes");
+    assert!(
+        tdb::verify_read_proof(&proof, body, &pinned),
+        "a4 verifies against the pinned root"
+    );
+    // An explicit transaction inside a burst, between autocommit writes.
+    let r = both(&[
+        put(b, "b1"),
+        Command::Begin(TxMode::Locking),
+        put(c, "c1"),
+        Command::Get(b),
+        Command::Commit,
+        put(a, "a5"),
+        Command::Get(c),
+    ]);
+    assert_eq!(r[3], Response::Record(record("b1")));
+    assert_eq!(r[6], Response::Record(record("c1")));
+    // Reads of ids nothing pending touches run in place; a failing write
+    // fails alone.
+    let r = both(&[
+        put(a, "a6"),
+        Command::Get(b),
+        Command::Put {
+            id: c,
+            record: b"\xff\xff\xff\xffno such type".to_vec(),
+        },
+        put(c, "c2"),
+        Command::Get(a),
+    ]);
+    assert!(matches!(r[2], Response::Error(_)));
+    assert_eq!(r[4], Response::Record(record("a6")));
+    assert_eq!(both(&[Command::Get(c)])[0], Response::Record(record("c2")));
+    drop(client);
+    server.shutdown();
+}
+
+/// A malformed frame in the middle of a burst is a barrier: the writes
+/// before it are committed, it gets its in-band error on its own request
+/// id, and the rest of the burst runs normally.
+#[test]
+fn malformed_frame_mid_burst_is_answered_in_band() {
+    use std::io::Write;
+
+    let (db, _) = build_twin();
+    let p = db.partition();
+    let mut server = spawn(&Arc::new(db));
+    let (mut reader, mut writer) = raw_connect(server.addr());
+    let mut junk = 11u64.to_le_bytes().to_vec();
+    junk.extend_from_slice(&0xFFFFu16.to_le_bytes());
+    let frames = [
+        tdb::wire::encode_request(
+            10,
+            &Command::Create {
+                partition: p,
+                record: record("before"),
+            },
+        ),
+        junk,
+        tdb::wire::encode_request(
+            12,
+            &Command::Create {
+                partition: p,
+                record: record("after"),
+            },
+        ),
+        tdb::wire::encode_request(13, &Command::Ping),
+    ];
+    let mut bytes = Vec::new();
+    for f in &frames {
+        tdb::wire::write_frame(&mut bytes, f).expect("frame");
+    }
+    writer.write_all(&bytes).expect("send burst");
+    writer.flush().expect("flush");
+    let mut answers = Vec::new();
+    for _ in 0..frames.len() {
+        let payload = tdb::wire::read_frame(&mut reader).expect("response");
+        answers.push(tdb::wire::decode_response(&payload).expect("envelope"));
+    }
+    let ids: Vec<u64> = answers.iter().map(|a| a.request_id).collect();
+    assert_eq!(ids, [10, 11, 12, 13], "replies must keep request order");
+    assert!(matches!(answers[0].response, Response::Id(_)));
+    assert!(matches!(answers[1].response, Response::Error(_)));
+    assert!(matches!(answers[2].response, Response::Id(_)));
+    assert_eq!(answers[3].response, Response::Pong);
+    for (answer, payload) in [(&answers[0], "before"), (&answers[2], "after")] {
+        let Response::Id(id) = answer.response else {
+            unreachable!()
+        };
+        let get = tdb::wire::encode_request(20, &Command::Get(id));
+        tdb::wire::write_frame(&mut writer, &get).expect("send get");
+        writer.flush().expect("flush");
+        let payload_back =
+            tdb::wire::decode_response(&tdb::wire::read_frame(&mut reader).expect("response"))
+                .expect("envelope");
+        assert_eq!(payload_back.response, Response::Record(record(payload)));
+    }
+    server.shutdown();
+}
+
+/// Sixteen distinct-id puts written in one client flush ride one group
+/// commit and cost fewer device flushes than sixteen one-at-a-time calls.
+#[test]
+fn pipelined_puts_share_a_batch_and_save_flushes() {
+    let (db, store) = build_twin();
+    let db = Arc::new(db);
+    let p = db.partition();
+    let mut server = spawn(&db);
+    let mut client = TdbClient::connect(server.addr(), "batcher", AUTH_KEY).expect("connect");
+    let ids: Vec<ObjectId> = (0..16)
+        .map(|i| {
+            client
+                .create(p, record(&format!("v0-{i}")))
+                .expect("create")
+        })
+        .collect();
+
+    let flushes = || store.stats().snapshot().flushes;
+    let before = flushes();
+    for (i, id) in ids.iter().enumerate() {
+        client.put(*id, record(&format!("v1-{i}"))).expect("put");
+    }
+    let one_at_a_time = flushes() - before;
+
+    let stats_before = db.chunks().stats();
+    let before = flushes();
+    let burst: Vec<Command> = ids
+        .iter()
+        .enumerate()
+        .map(|(i, id)| Command::Put {
+            id: *id,
+            record: record(&format!("v2-{i}")),
+        })
+        .collect();
+    for r in pipeline(&mut client, &burst) {
+        assert_eq!(r, Response::Ok);
+    }
+    let pipelined = flushes() - before;
+    let stats = db.chunks().stats();
+    let shared = (stats.batched_commits - stats_before.batched_commits)
+        - (stats.commit_batches - stats_before.commit_batches);
+    assert!(shared > 0, "no put shared a batch");
+    assert!(
+        pipelined < one_at_a_time,
+        "pipelined {pipelined} flushes, one at a time {one_at_a_time}"
+    );
+    for (i, id) in ids.iter().enumerate() {
+        assert_eq!(client.get(*id).expect("get"), record(&format!("v2-{i}")));
+    }
+    server.shutdown();
+}
+
+fn spawn(db: &Arc<TrustedDb>) -> TdbServer {
+    TdbServer::spawn(
+        Arc::clone(db),
+        "127.0.0.1:0",
+        ServerConfig::new(SecretKey::new(AUTH_KEY.to_vec())),
+    )
+    .expect("spawn server")
+}
+
+/// Sends every command before reading any response — one client flush —
+/// then collects the responses in order.
+fn pipeline(client: &mut TdbClient, cmds: &[Command]) -> Vec<Response> {
+    for cmd in cmds {
+        client.send(cmd).expect("send");
+    }
+    cmds.iter()
+        .map(|_| client.recv().expect("recv").1)
+        .collect()
+}
+
+/// An authenticated raw connection, for frames `TdbClient` will not send.
+fn raw_connect(
+    addr: std::net::SocketAddr,
+) -> (std::io::BufReader<std::net::TcpStream>, std::net::TcpStream) {
+    use std::io::Write;
+    use tdb::wire;
+
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let hello = wire::Hello::decode(&wire::read_frame(&mut reader).expect("hello")).expect("hello");
+    let nonce = [5u8; wire::NONCE_LEN];
+    let auth = wire::ClientAuth {
+        principal: "raw".into(),
+        nonce,
+        mac: wire::client_auth_mac(AUTH_KEY, &hello.nonce, &nonce, "raw"),
+    };
+    wire::write_frame(&mut writer, &auth.encode()).expect("auth");
+    writer.flush().expect("flush");
+    match wire::AuthResult::decode(&wire::read_frame(&mut reader).expect("verdict")) {
+        Ok(wire::AuthResult::Welcome { .. }) => {}
+        other => panic!("handshake failed: {other:?}"),
+    }
+    (reader, writer)
 }
 
 #[test]
