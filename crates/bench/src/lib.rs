@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Benchmark harness for the TDB reproduction.
 //!
 //! One module per concern:

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `tdb-client`: connection handle for the tdb wire protocol.
 //!
 //! Counterpart to `tdb-server`, sharing the protocol definition in

@@ -201,7 +201,10 @@ impl MapChunk {
     /// Fails when the body does not hold exactly `fanout` slots.
     pub fn decode(body: &[u8], fanout: usize, hash_len: usize) -> Result<MapChunk> {
         let mut d = Dec::new(body);
-        let mut slots = Vec::with_capacity(fanout);
+        // A body shorter than `fanout` slots fails below; never reserve
+        // more than it can hold.
+        let mut slots =
+            Vec::with_capacity(fanout.min(body.len() / Descriptor::encoded_len(hash_len)));
         for _ in 0..fanout {
             slots.push(Descriptor::decode(&mut d, hash_len)?);
         }

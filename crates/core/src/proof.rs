@@ -25,7 +25,7 @@
 use tdb_crypto::{HashKind, HashValue};
 
 use crate::codec::{Dec, Enc};
-use crate::descriptor::MapChunk;
+use crate::descriptor::{Descriptor, MapChunk};
 use crate::errors::{CoreError, Result};
 use crate::ids::{ChunkId, PartitionId, Position};
 use crate::store::ChunkStore;
@@ -160,6 +160,20 @@ pub fn verify_read_proof(proof: &ReadProof, body: &[u8], root: &HashValue) -> bo
     }
     let hash_len = proof.hash.digest_len();
     let fanout = u64::from(proof.fanout);
+    // Every level must be a whole map chunk of `fanout` slots, checked
+    // before decoding: a hostile `fanout` must cost no more than the bytes
+    // the proof actually carries.
+    let Some(level_len) = (proof.fanout as usize).checked_mul(Descriptor::encoded_len(hash_len))
+    else {
+        return false;
+    };
+    if proof
+        .levels
+        .iter()
+        .any(|level| level.body.len() != level_len)
+    {
+        return false;
+    }
     // Descriptor hashes cover the *stored* body. A compressed leaf ships
     // its envelope: that is what the tree vouches for, and it must
     // decompress — through the hardened bounded decoder — to exactly the

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use tdb_core::params::CryptoParams;
-use tdb_core::proof::{verify_read_proof, ReadProof};
+use tdb_core::proof::{verify_read_proof, ProofLevel, ReadProof};
 use tdb_core::store::{ChunkStore, ChunkStoreConfig, CommitOp, TrustedBackend, ValidationMode};
 use tdb_core::{ChunkId, PartitionId};
 use tdb_crypto::{CipherKind, HashKind, SecretKey};
@@ -133,6 +133,54 @@ fn proof_does_not_transfer_to_other_ids_or_bodies() {
     let (new_body, new_proof) = store.read_with_proof(ids[0]).unwrap();
     assert!(verify_read_proof(&new_proof, &new_body, &new_root));
     assert!(!verify_read_proof(&new_proof, &new_body, &root));
+}
+
+/// A proof is attacker-supplied bytes. Extreme `fanout`, `slot` and level
+/// counts must make verification return `false`, never size an allocation
+/// by the claim: a 75-byte proof with `fanout = u32::MAX`, one 8-byte level
+/// and `slot` equal to the rank used to abort the verifying process trying
+/// to reserve 240 GB for the map chunk it claimed.
+#[test]
+fn hostile_proof_shapes_fail_without_allocating_by_the_claim() {
+    let store = store();
+    let (p, ids) = setup(&store, 6);
+    let root = store.snapshot_root(p).unwrap();
+    let (body, honest) = store.read_with_proof(ids[5]).unwrap();
+    assert!(verify_read_proof(&honest, &body, &root));
+    let rank = honest.id.pos.rank as usize;
+    for fanout in [1, 2, 3, 5, 1 << 16, u32::MAX / 2, u32::MAX - 1, u32::MAX] {
+        for slot in [0, 1, rank, rank % fanout as usize, usize::MAX] {
+            for count in [1, 2, 64, 65] {
+                for len in [0, 8, 37 * fanout.min(8) as usize] {
+                    let proof = ReadProof {
+                        fanout,
+                        levels: vec![
+                            ProofLevel {
+                                body: vec![0; len],
+                                slot
+                            };
+                            count
+                        ],
+                        ..honest.clone()
+                    };
+                    assert!(
+                        !verify_read_proof(&proof, &body, &root),
+                        "fanout {fanout} slot {slot} levels {count}x{len} B verified"
+                    );
+                    let wire = ReadProof::decode(&proof.encode()).unwrap();
+                    assert!(!verify_read_proof(&wire, &body, &root));
+                }
+            }
+        }
+    }
+    // The honest levels under a claimed fanout they do not have.
+    for fanout in [2, 8, u32::MAX] {
+        let proof = ReadProof {
+            fanout,
+            ..honest.clone()
+        };
+        assert!(!verify_read_proof(&proof, &body, &root), "fanout {fanout}");
+    }
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! AES-128/-256 (FIPS 197), table-driven.
+//! AES-128/-256 (FIPS 197), table-driven: the portable kernel.
 //!
 //! The paper notes "there are other, more secure, algorithms that run faster
 //! than DES" (§9.2.1); AES is the canonical such choice today and is offered
@@ -15,6 +15,11 @@
 //! The byte-at-a-time formulation of §5.1 and §5.3 survives as the test
 //! oracle (`reference`), and the whole cipher is verified against the
 //! FIPS 197 appendix vectors.
+//!
+//! Table lookups indexed by key-dependent bytes leak key bits through
+//! cache timing. Where the CPU has AES-NI, [`crate::cbc::Cbc`] runs that
+//! instead (`x86::AesNi`, keyed from this schedule), which has no such
+//! leak; these tables are the fallback elsewhere, and its test oracle.
 
 /// Multiplies two elements of GF(2⁸) modulo the AES polynomial x⁸+x⁴+x³+x+1.
 const fn gf_mul(mut a: u8, mut b: u8) -> u8 {
@@ -213,6 +218,13 @@ impl Aes {
             }
         }
         Aes { enc, dec, rounds }
+    }
+
+    /// The encryption and (equivalent-inverse) decryption round keys, in
+    /// the order each direction uses them.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    pub(crate) fn round_keys(&self) -> (&[RoundKey], &[RoundKey]) {
+        (&self.enc[..=self.rounds], &self.dec[..=self.rounds])
     }
 
     /// Encrypts one block, taken and returned as a big-endian integer.

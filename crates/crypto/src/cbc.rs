@@ -9,7 +9,8 @@
 //! [`Cbc`] holds the keyed cipher itself, not a trait object: a whole run of
 //! blocks is dispatched on the cipher once and then ciphered by a loop
 //! compiled for that cipher, over `u64` or `u128` blocks with the chaining
-//! value in a register.
+//! value in a register. AES runs on AES-NI where the CPU has it, chosen
+//! when the `Cbc` is keyed and carried in the cipher enum.
 
 use rand::RngCore;
 
@@ -27,6 +28,20 @@ enum Cipher {
     Des(Des),
     TripleDes(TripleDes),
     Aes(Aes),
+    #[cfg(target_arch = "x86_64")]
+    AesNi(crate::x86::AesNi),
+}
+
+impl Cipher {
+    /// AES on AES-NI where the CPU has it, decided once, here; the table
+    /// kernel otherwise.
+    fn aes(aes: Aes) -> Cipher {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = crate::x86::AesNi::new(&aes) {
+            return Cipher::AesNi(ni);
+        }
+        Cipher::Aes(aes)
+    }
 }
 
 /// A cipher block as the integer the kernels work on.
@@ -101,8 +116,8 @@ impl Cbc {
             CipherKind::TripleDes => {
                 Cipher::TripleDes(TripleDes::new(key.try_into().expect("len checked")))
             }
-            CipherKind::Aes128 => Cipher::Aes(Aes::new_128(key.try_into().expect("len checked"))),
-            CipherKind::Aes256 => Cipher::Aes(Aes::new_256(key.try_into().expect("len checked"))),
+            CipherKind::Aes128 => Cipher::aes(Aes::new_128(key.try_into().expect("len checked"))),
+            CipherKind::Aes256 => Cipher::aes(Aes::new_256(key.try_into().expect("len checked"))),
         };
         Ok(Cbc {
             cipher,
@@ -176,6 +191,8 @@ impl Cbc {
             Cipher::Des(c) => encrypt_blocks(iv, buf, |b| c.encrypt_block(b)),
             Cipher::TripleDes(c) => encrypt_blocks(iv, buf, |b| c.encrypt_block(b)),
             Cipher::Aes(c) => encrypt_blocks(iv, buf, |b| c.encrypt_block(b)),
+            #[cfg(target_arch = "x86_64")]
+            Cipher::AesNi(c) => c.encrypt_cbc(iv, buf),
         }
         Ok(())
     }
@@ -208,6 +225,8 @@ impl Cbc {
             Cipher::Des(c) => decrypt_blocks(iv, &mut out, |b| c.decrypt_block(b)),
             Cipher::TripleDes(c) => decrypt_blocks(iv, &mut out, |b| c.decrypt_block(b)),
             Cipher::Aes(c) => decrypt_blocks(iv, &mut out, |b| c.decrypt_block(b)),
+            #[cfg(target_arch = "x86_64")]
+            Cipher::AesNi(c) => c.decrypt_cbc(iv, &mut out),
         }
         let pad = *out.last().expect("non-empty checked") as usize;
         if pad == 0 || pad > bs || pad > out.len() {
@@ -478,6 +497,38 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Bulk CBC on AES-NI seals the bytes the table kernel seals and
+        /// opens any ciphertext the way it does, at every block count
+        /// around the multi-block decrypt loop's groups and tail.
+        #[cfg(target_arch = "x86_64")]
+        #[test]
+        fn aes_ni_cbc_matches_portable(
+            key in proptest::collection::vec(any::<u8>(), 32),
+            iv in proptest::collection::vec(any::<u8>(), 16),
+            data in proptest::collection::vec(any::<u8>(), 0..=300),
+        ) {
+            for kind in [CipherKind::Aes128, CipherKind::Aes256] {
+                let key = &key[..kind.key_len()];
+                let ni = Cbc::new(kind, key).unwrap();
+                if !matches!(ni.cipher, Cipher::AesNi(_)) {
+                    eprintln!("note: this CPU lacks AES-NI; skipping its CBC oracle test");
+                    return Ok(());
+                }
+                let portable = Cbc {
+                    cipher: Cipher::Aes(match kind {
+                        CipherKind::Aes128 => aes::Aes::new_128(key.try_into().unwrap()),
+                        _ => aes::Aes::new_256(key.try_into().unwrap()),
+                    }),
+                    block_size: 16,
+                };
+                let sealed = ni.encrypt(&iv, &data).unwrap();
+                prop_assert_eq!(&sealed, &portable.encrypt(&iv, &data).unwrap());
+                prop_assert_eq!(ni.decrypt(&iv, &sealed).unwrap(), data.clone());
+                let raw = &data[..data.len() / 16 * 16];
+                prop_assert_eq!(ni.decrypt(&iv, raw), portable.decrypt(&iv, raw));
+            }
+        }
 
         /// The bulk path produces the bytes the block-at-a-time path over
         /// the reference kernels produces, and opens them again, for every

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 //! From-scratch cryptographic primitives for TDB.
 //!
@@ -12,10 +13,12 @@
 //! validated against published test vectors, because no third-party crypto
 //! crates are available in the build environment:
 //!
-//! - [`sha1`] and [`sha256`] — FIPS 180 hash functions.
+//! - [`sha1`] and [`sha256`] — FIPS 180 hash functions, compressing on the
+//!   x86-64 SHA extensions where the CPU has them.
 //! - [`des`] — DES and 3DES (EDE3) block ciphers, FIPS 46-3, table-driven.
 //! - [`aes`] — AES-128/-256, FIPS 197 (the "other, more secure, algorithms
-//!   that run faster than DES" the paper alludes to in §9.2.1), table-driven.
+//!   that run faster than DES" the paper alludes to in §9.2.1), table-driven;
+//!   [`cbc::Cbc`] runs it on AES-NI where the CPU has it.
 //! - [`cbc`] — CBC mode with PKCS#7 padding over a cipher chosen by
 //!   [`CipherKind`].
 //! - [`hmac`] — HMAC (RFC 2104) over any [`HashKind`], used to *sign* commit
@@ -32,8 +35,11 @@ pub mod cbc;
 pub mod crc32;
 pub mod des;
 pub mod hmac;
+mod md;
 pub mod sha1;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+mod x86;
 
 use std::fmt;
 

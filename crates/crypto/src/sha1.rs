@@ -5,20 +5,18 @@
 //! default partition hash so measured bandwidth ratios are comparable.
 //! [`crate::sha256`] is the recommended modern choice.
 
+use crate::md::Md;
 use crate::{HashValue, Hasher};
+
+/// The initial hash value (FIPS 180-4 §5.3.1).
+const IV: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
 /// Incremental SHA-1 state.
 ///
 /// `Clone` snapshots the midstate; [`crate::hmac::HmacKey`] relies on this
 /// to resume from pre-absorbed pad blocks without recompressing them.
 #[derive(Clone)]
-pub struct Sha1 {
-    state: [u32; 5],
-    /// Total message length in bytes.
-    len: u64,
-    buf: [u8; 64],
-    buf_len: usize,
-}
+pub struct Sha1(Md<5>);
 
 impl Default for Sha1 {
     fn default() -> Self {
@@ -27,14 +25,21 @@ impl Default for Sha1 {
 }
 
 impl Sha1 {
-    /// Creates a fresh SHA-1 state.
+    /// Creates a fresh SHA-1 state, on the SHA extensions where the CPU
+    /// has them.
     pub fn new() -> Self {
-        Sha1 {
-            state: [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0],
-            len: 0,
-            buf: [0u8; 64],
-            buf_len: 0,
+        Sha1(Md::new(IV))
+    }
+
+    /// Digest of the concatenated `parts` on the portable kernel whatever
+    /// the CPU, for the tests that hold the SHA-extension kernel to it.
+    #[cfg(test)]
+    pub(crate) fn portable_digest(parts: &[&[u8]]) -> HashValue {
+        let mut md = Md::new(IV);
+        for part in parts {
+            md.absorb(part, Self::portable_compress);
         }
+        md.finish(Self::portable_compress)
     }
 
     /// One-shot digest of `data`.
@@ -44,53 +49,31 @@ impl Sha1 {
         h.finish()
     }
 
-    pub(crate) fn absorb(&mut self, mut data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                Self::compress_blocks(&mut self.state, &block);
-                self.buf_len = 0;
-            }
-        }
-        let whole = data.len() & !63;
-        if whole > 0 {
-            Self::compress_blocks(&mut self.state, &data[..whole]);
-            data = &data[whole..];
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+    pub(crate) fn absorb(&mut self, data: &[u8]) {
+        self.0.absorb(data, Self::compress_blocks);
     }
 
-    pub(crate) fn finish(mut self) -> HashValue {
-        let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.absorb(&[0x80]);
-        while self.buf_len != 56 {
-            self.absorb(&[0]);
+    pub(crate) fn finish(self) -> HashValue {
+        self.0.finish(Self::compress_blocks)
+    }
+
+    /// Compresses every 64-byte block of `data`, on the SHA extensions where
+    /// the CPU has them.
+    fn compress_blocks(state: &mut [u32; 5], data: &[u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::x86::has_sha() {
+            // SAFETY: `has_sha` found the features `sha1_compress` is compiled for.
+            return unsafe { crate::x86::sha1_compress(state, data) };
         }
-        // Absorbing the length bytes must not re-count toward `len`, but we
-        // already captured `bit_len`, so further updates are harmless.
-        self.absorb(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
-        let mut out = [0u8; 20];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        HashValue::new(&out)
+        Self::portable_compress(state, data);
     }
 
     /// Compresses every 64-byte block of `data` (whose length must be a
     /// multiple of 64), keeping the chaining variables in locals across
     /// blocks so multi-block messages don't round-trip through memory
-    /// between compressions.
-    fn compress_blocks(state: &mut [u32; 5], data: &[u8]) {
+    /// between compressions. The fallback kernel, and the oracle the
+    /// SHA-extension kernel is tested against.
+    fn portable_compress(state: &mut [u32; 5], data: &[u8]) {
         debug_assert_eq!(data.len() % 64, 0);
         let [mut h0, mut h1, mut h2, mut h3, mut h4] = *state;
         for block in data.chunks_exact(64) {

@@ -1,10 +1,16 @@
 //! SHA-256 (FIPS 180-4), the recommended modern partition hash.
 
+use crate::md::Md;
 use crate::{HashValue, Hasher};
+
+/// The initial hash value (FIPS 180-4 §5.3.3).
+const IV: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
 
 /// Round constants: the first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes.
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -20,12 +26,7 @@ const K: [u32; 64] = [
 /// `Clone` snapshots the midstate; [`crate::hmac::HmacKey`] relies on this
 /// to resume from pre-absorbed pad blocks without recompressing them.
 #[derive(Clone)]
-pub struct Sha256 {
-    state: [u32; 8],
-    len: u64,
-    buf: [u8; 64],
-    buf_len: usize,
-}
+pub struct Sha256(Md<8>);
 
 impl Default for Sha256 {
     fn default() -> Self {
@@ -34,17 +35,21 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a fresh SHA-256 state.
+    /// Creates a fresh SHA-256 state, on the SHA extensions where the CPU
+    /// has them.
     pub fn new() -> Self {
-        Sha256 {
-            state: [
-                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-                0x5be0cd19,
-            ],
-            len: 0,
-            buf: [0u8; 64],
-            buf_len: 0,
+        Sha256(Md::new(IV))
+    }
+
+    /// Digest of the concatenated `parts` on the portable kernel whatever
+    /// the CPU, for the tests that hold the SHA-extension kernel to it.
+    #[cfg(test)]
+    pub(crate) fn portable_digest(parts: &[&[u8]]) -> HashValue {
+        let mut md = Md::new(IV);
+        for part in parts {
+            md.absorb(part, Self::portable_compress);
         }
+        md.finish(Self::portable_compress)
     }
 
     /// One-shot digest of `data`.
@@ -54,50 +59,31 @@ impl Sha256 {
         h.finish()
     }
 
-    pub(crate) fn absorb(&mut self, mut data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                Self::compress_blocks(&mut self.state, &block);
-                self.buf_len = 0;
-            }
-        }
-        let whole = data.len() & !63;
-        if whole > 0 {
-            Self::compress_blocks(&mut self.state, &data[..whole]);
-            data = &data[whole..];
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+    pub(crate) fn absorb(&mut self, data: &[u8]) {
+        self.0.absorb(data, Self::compress_blocks);
     }
 
-    pub(crate) fn finish(mut self) -> HashValue {
-        let bit_len = self.len.wrapping_mul(8);
-        self.absorb(&[0x80]);
-        while self.buf_len != 56 {
-            self.absorb(&[0]);
+    pub(crate) fn finish(self) -> HashValue {
+        self.0.finish(Self::compress_blocks)
+    }
+
+    /// Compresses every 64-byte block of `data`, on the SHA extensions where
+    /// the CPU has them.
+    fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::x86::has_sha() {
+            // SAFETY: `has_sha` found the features `sha256_compress` is compiled for.
+            return unsafe { crate::x86::sha256_compress(state, data) };
         }
-        self.absorb(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
-        let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        HashValue::new(&out)
+        Self::portable_compress(state, data);
     }
 
     /// Compresses every 64-byte block of `data` (whose length must be a
     /// multiple of 64), keeping the chaining variables in locals across
     /// blocks so multi-block messages don't round-trip through memory
-    /// between compressions.
-    fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+    /// between compressions. The fallback kernel, and the oracle the
+    /// SHA-extension kernel is tested against.
+    fn portable_compress(state: &mut [u32; 8], data: &[u8]) {
         debug_assert_eq!(data.len() % 64, 0);
         let mut s = *state;
         for block in data.chunks_exact(64) {

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `tdb-server`: a multi-client TCP front end for a [`TrustedDb`].
 //!
 //! The paper's deployment model (§2) is a trusted *server* process that

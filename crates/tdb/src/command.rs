@@ -176,7 +176,8 @@ pub enum Response {
         /// Encoded [`crate::ReadProof`]; `None` when the read fell back
         /// to a superseded version (value still correct, not provable).
         proof: Option<Vec<u8>>,
-        /// The server's committed root at read time (raw digest bytes).
+        /// The root `proof` was extracted against (raw digest bytes),
+        /// read under the same lock hold; empty when `proof` is `None`.
         root: Vec<u8>,
     },
     /// A list of object ids.

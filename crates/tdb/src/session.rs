@@ -307,18 +307,20 @@ impl Session {
             Some(ActiveTx::Mvcc(tx)) => {
                 if let Command::GetWithProof(id) = cmd {
                     return match tx.get_with_proof_dyn(*id) {
-                        Ok((obj, vread)) => {
-                            let record = crate::TypeRegistry::pickle(obj.as_ref());
-                            let root = match self.chunks.snapshot_root(self.partition) {
-                                Ok(r) => r.as_bytes().to_vec(),
-                                Err(e) => return err(e),
-                            };
-                            Response::VerifiedRecord {
-                                record: vread.as_ref().map_or(record, |v| v.record.clone()),
-                                proof: vread.map(|v| v.proof.encode()),
-                                root,
-                            }
-                        }
+                        // The root is the one the proof was extracted
+                        // against; a fallback read has neither.
+                        Ok((obj, vread)) => match vread {
+                            Some(v) => Response::VerifiedRecord {
+                                root: v.proof.root.as_bytes().to_vec(),
+                                proof: Some(v.proof.encode()),
+                                record: v.record,
+                            },
+                            None => Response::VerifiedRecord {
+                                record: crate::TypeRegistry::pickle(obj.as_ref()),
+                                proof: None,
+                                root: Vec::new(),
+                            },
+                        },
                         Err(e) => err(e),
                     };
                 }
@@ -368,13 +370,11 @@ impl Session {
     /// transaction: the record plus its Merkle path to the root digest.
     fn proof_read_committed(&mut self, id: tdb_object::ObjectId) -> Response {
         match self.chunks.read_with_proof(id.0) {
-            Ok((record, proof)) => match self.chunks.snapshot_root(self.partition) {
-                Ok(root) => Response::VerifiedRecord {
-                    record,
-                    proof: Some(proof.encode()),
-                    root: root.as_bytes().to_vec(),
-                },
-                Err(e) => err(e),
+            // One lock hold extracted body, proof and root together.
+            Ok((record, proof)) => Response::VerifiedRecord {
+                record,
+                root: proof.root.as_bytes().to_vec(),
+                proof: Some(proof.encode()),
             },
             Err(CoreError::NotAllocated(_)) | Err(CoreError::NotWritten(_)) => {
                 err(ObjectError::NotFound(id))

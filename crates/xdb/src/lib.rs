@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # tdb-xdb — the XDB baseline (paper §9.5)

@@ -691,6 +691,64 @@ fn verified_reads_pass_over_the_wire_against_a_pinned_root() {
     server.shutdown();
 }
 
+/// A proof read of an object in another partition than the session's
+/// returns that partition's root, the one its proof was extracted against,
+/// both committed and inside a snapshot transaction, embedded and remote.
+#[test]
+fn verified_record_root_verifies_its_own_proof_in_any_partition() {
+    let second = |db: &TrustedDb| {
+        db.create_partition(tdb::CryptoParams {
+            cipher: CipherKind::Aes128,
+            hash: HashKind::Sha256,
+            key: SecretKey::new(vec![5u8; 16]),
+        })
+        .expect("second partition")
+    };
+    let (db_a, _) = build_twin();
+    let (db_b, _) = build_twin();
+    let (q, q_b) = (second(&db_a), second(&db_b));
+    assert_eq!(q, q_b);
+    let mut session = db_a.session("embedded");
+    let mut server = spawn(&Arc::new(db_b));
+    let mut client = TdbClient::connect(server.addr(), "remote", AUTH_KEY).expect("connect");
+    let mut both = |cmds: &[Command]| {
+        let embedded: Vec<Response> = cmds.iter().map(|c| session.dispatch(c)).collect();
+        assert_eq!(embedded, pipeline(&mut client, cmds), "{cmds:?}");
+        embedded
+    };
+    let Response::Id(id) = both(&[Command::Create {
+        partition: q,
+        record: record("elsewhere"),
+    }])[0] else {
+        panic!("create in the second partition failed");
+    };
+    let read = both(&[
+        Command::GetWithProof(id),
+        Command::Begin(TxMode::Mvcc),
+        Command::GetWithProof(id),
+        Command::Commit,
+    ]);
+    for r in [&read[0], &read[2]] {
+        let Response::VerifiedRecord {
+            record: body,
+            proof: Some(proof),
+            root,
+        } = r
+        else {
+            panic!("proof read answered {r:?}");
+        };
+        assert_eq!(body, &record("elsewhere"));
+        let proof = tdb::ReadProof::decode(proof).expect("proof decodes");
+        assert_eq!(proof.id.partition, q);
+        let root = tdb_crypto::HashValue::new(root);
+        assert!(
+            tdb::verify_read_proof(&proof, body, &root),
+            "the returned root verifies the returned proof"
+        );
+    }
+    server.shutdown();
+}
+
 #[test]
 fn session_transactions_are_isolated_per_connection() {
     let (db, _) = build_twin();
