@@ -590,9 +590,9 @@ impl Inner {
                         durable_sp = None;
                         self.close_journals();
                     }
-                    // Threshold-driven checkpoint, as on the unbatched
-                    // path. A successful checkpoint flushes and syncs the
-                    // trusted store, so it is a durable point too.
+                    // Automatic checkpoint, as on the unbatched path. A
+                    // successful checkpoint flushes and syncs the trusted
+                    // store, so it is a durable point too.
                     let checkpoints_before = self.stats.checkpoints;
                     match self.maybe_checkpoint() {
                         Ok(()) => {
@@ -716,16 +716,13 @@ impl Inner {
         Ok(())
     }
 
-    /// Caller-driven threshold checkpoint. A no-op when the background
-    /// maintenance runtime owns checkpoint scheduling
-    /// ([`crate::maintenance`]): the commit path then never stalls on a
-    /// full checkpoint, and the maintenance thread picks the threshold up
-    /// on its next wakeup.
+    /// Caller-driven automatic checkpoint, when [`Inner::checkpoint_due`].
+    /// A no-op when the background maintenance runtime owns checkpoint
+    /// scheduling ([`crate::maintenance`]): the commit path then never
+    /// stalls on a full checkpoint, and the maintenance thread picks the
+    /// trigger up on its next wakeup.
     fn maybe_checkpoint(&mut self) -> Result<()> {
-        if self.config.background_maintenance {
-            return Ok(());
-        }
-        if self.map_cache.dirty_count() >= self.config.checkpoint_threshold {
+        if !self.config.background_maintenance && self.checkpoint_due() {
             self.checkpoint()?;
         }
         Ok(())

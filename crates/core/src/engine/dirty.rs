@@ -28,7 +28,7 @@
 //! Marking a chunk clean (checkpoint) does *not* invalidate: the persisted
 //! body is byte-identical to the effective body the memo hashed.
 //!
-//! Disabled (`lazy_integrity = false`, the default), every method is a
+//! Disabled (`lazy_integrity = false`; on by default), every method is a
 //! no-op and the engine behaves exactly as the paper's eager recompute.
 
 use std::collections::HashMap;

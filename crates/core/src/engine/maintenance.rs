@@ -46,8 +46,17 @@ pub(crate) struct CleanOutcome {
 impl Inner {
     /// Cleans up to `max_segments` low-utilization segments; returns how
     /// many were reclaimed and which chunk ids were relocated.
+    ///
+    /// When nothing outside the residual log is cleanable but the residual
+    /// log spans more than the tail segment — a hot set that never trips a
+    /// checkpoint leaves every segment residual — it checkpoints once
+    /// first, so the segments behind the new leader become cleanable.
     pub(crate) fn clean(&mut self, max_segments: usize) -> Result<CleanOutcome> {
-        let targets = self.pick_segments(max_segments);
+        let mut targets = self.pick_segments(max_segments);
+        if targets.is_empty() && self.log.residual_segments().len() > 1 {
+            self.checkpoint()?;
+            targets = self.pick_segments(max_segments);
+        }
         if targets.is_empty() {
             return Ok(CleanOutcome {
                 reclaimed: 0,

@@ -245,18 +245,23 @@ struct PendingRun {
     buf: Vec<u8>,
 }
 
+/// The zero length marker that ends the used portion of a segment
+/// ([`crate::version::parse_version`] reads it as "no more versions").
+const END_MARKER: [u8; 2] = [0; 2];
+
 /// A captured append-cursor state for rolling back a failed mutation.
 ///
-/// Besides the tail position this records the pending end-marker
-/// obligation and a mark into the coalescing buffer, so a rollback also
-/// discards buffered-but-unwritten bytes appended after the capture.
-/// Segments the cursor took since then are not in here: each one is a
-/// record in the engine's undo journal (`Undo::SegmentTaken`).
+/// Besides the tail position this records the end-marker obligations and
+/// a mark into the coalescing buffer, so a rollback also discards
+/// buffered-but-unwritten bytes appended after the capture. Segments the
+/// cursor took since then are not in here: each one is a record in the
+/// engine's undo journal (`Undo::SegmentTaken`).
 #[derive(Clone, Copy)]
 pub struct TailState {
     segment: u32,
     offset: u32,
     pending_stamp: Option<u64>,
+    tail_recycled: bool,
     /// (number of runs, length of the last run) at capture time.
     runs_mark: (usize, usize),
 }
@@ -288,6 +293,14 @@ pub struct SegmentedLog {
     /// segment head); this records the obligation so a write-out arriving
     /// first still stamps the head.
     pending_stamp: Option<u64>,
+    /// The tail segment may hold stale bytes past the tail: it came off
+    /// the free list, or recovery positioned the cursor and cannot tell.
+    /// A recycled segment's old versions are validly sealed, and where an
+    /// old commit set happens to start exactly at the tail, recovery would
+    /// read it as a replayed commit. While this holds, every device write
+    /// that ends at the tail carries a zero end-marker after it — folded
+    /// into the same `write_at`, so no device op is added.
+    tail_recycled: bool,
     /// Cumulative count of appends absorbed into the coalescing buffer.
     coalesced_appends: u64,
     /// Cumulative count of coalesced runs written to the device.
@@ -320,6 +333,7 @@ impl SegmentedLog {
             coalescing: false,
             runs: Vec::new(),
             pending_stamp: None,
+            tail_recycled: false,
             coalesced_appends: 0,
             coalesced_runs: 0,
             coalesced_bytes: 0,
@@ -369,20 +383,24 @@ impl SegmentedLog {
     }
 
     /// Repositions the append cursor (used by recovery after the residual
-    /// log has been rolled forward).
+    /// log has been rolled forward). What lies past a recovered tail is
+    /// unknown — a torn set, or a recycled segment's old versions — so the
+    /// tail is treated as recycled.
     pub fn set_tail(&mut self, segment: u32, offset: u32) {
         self.tail_segment = segment;
         self.tail_offset = offset;
+        self.tail_recycled = true;
         self.residual.insert(segment);
     }
 
-    /// Captures the cursor (tail position, end-marker obligation,
+    /// Captures the cursor (tail position, end-marker obligations,
     /// coalescing-buffer mark) so a failed mutation can be rolled back.
     pub fn tail_state(&self) -> TailState {
         TailState {
             segment: self.tail_segment,
             offset: self.tail_offset,
             pending_stamp: self.pending_stamp,
+            tail_recycled: self.tail_recycled,
             runs_mark: (self.runs.len(), self.runs.last().map_or(0, |r| r.buf.len())),
         }
     }
@@ -395,6 +413,7 @@ impl SegmentedLog {
         self.tail_segment = state.segment;
         self.tail_offset = state.offset;
         self.pending_stamp = state.pending_stamp;
+        self.tail_recycled = state.tail_recycled;
         let (nruns, last_len) = state.runs_mark;
         // A write-out drains the buffer all-or-nothing, so either the runs
         // captured by the mark are still here (truncate back to the mark)
@@ -464,6 +483,12 @@ impl SegmentedLog {
         let location = self.tail_location();
         if self.coalescing {
             self.buffer_write(location, bytes);
+        } else if self.tail_recycled {
+            // `ensure_room` left the next-segment reserve past this version,
+            // so the marker stays inside the segment.
+            let marked = [bytes, &END_MARKER[..]].concat();
+            let _t = metrics::span(modules::UNTRUSTED_WRITE);
+            self.store.write_at(location, &marked)?;
         } else {
             let _t = metrics::span(modules::UNTRUSTED_WRITE);
             self.store.write_at(location, bytes)?;
@@ -504,7 +529,7 @@ impl SegmentedLog {
         system: &PartitionCrypto,
         hashes: &mut LogHashes,
     ) -> Result<()> {
-        let next = self.allocate_segment(state, undo)?;
+        let (next, recycled) = self.allocate_segment(state, undo)?;
         let record = NextSegmentRecord { next_segment: next };
         let sealed = seal_version(
             system,
@@ -524,19 +549,26 @@ impl SegmentedLog {
         hashes.absorb(&sealed);
         self.tail_segment = next;
         self.tail_offset = 0;
+        self.tail_recycled = recycled;
         self.residual.insert(next);
         // The head of the new segment needs a zero end-marker: fresh store
         // bytes read as zero, but a recycled segment holds stale versions
         // that recovery must not parse past the tail. The marker write is
         // folded into the first append after the switch (which always
         // lands at the head); the recorded obligation makes a write-out
-        // arriving before any such append stamp the head itself.
+        // arriving before any such append stamp the head itself. Past the
+        // head, `tail_recycled` keeps a recycled segment marked.
         self.pending_stamp = Some(self.segment_offset(next));
         Ok(())
     }
 
-    /// Takes a free segment or extends the store.
-    fn allocate_segment(&mut self, state: &mut LogState, undo: &mut Journal<Undo>) -> Result<u32> {
+    /// Takes a free segment or extends the store; returns the segment and
+    /// whether it came off the free list.
+    fn allocate_segment(
+        &mut self,
+        state: &mut LogState,
+        undo: &mut Journal<Undo>,
+    ) -> Result<(u32, bool)> {
         let recycled = state.free_segments.pop();
         let seg = match recycled {
             Some(seg) => seg,
@@ -551,7 +583,7 @@ impl SegmentedLog {
         };
         let recycled = recycled.is_some();
         undo.push(Undo::SegmentTaken { seg, recycled }, 8);
-        Ok(seg)
+        Ok((seg, recycled))
     }
 
     /// Reads the raw contents of `segment` (for the cleaner and recovery).
@@ -628,8 +660,9 @@ impl SegmentedLog {
     }
 
     /// Writes buffered runs to the device — one `write_at` per contiguous
-    /// run — and stamps a still-uncovered fresh-segment head with the
-    /// zero end-marker. Returns whether any device write was issued.
+    /// run, the run ending at a recycled tail carrying the zero end-marker
+    /// — and stamps a still-uncovered fresh-segment head with the marker.
+    /// Returns whether any device write was issued.
     ///
     /// # Errors
     ///
@@ -639,13 +672,21 @@ impl SegmentedLog {
     /// still record how many runs reached the device, which is how
     /// callers detect that a rollback must degrade.
     pub fn write_out(&mut self) -> Result<bool> {
+        let tail = self.tail_location();
         let mut wrote = false;
         let mut i = 0;
         while i < self.runs.len() {
             {
                 let _t = metrics::span(modules::UNTRUSTED_WRITE);
-                let run = &self.runs[i];
-                self.store.write_at(run.start, &run.buf)?;
+                let run = &mut self.runs[i];
+                let len = run.buf.len();
+                let marked = self.tail_recycled && run.start + len as u64 == tail;
+                if marked {
+                    run.buf.extend_from_slice(&END_MARKER);
+                }
+                let result = self.store.write_at(run.start, &run.buf);
+                run.buf.truncate(len);
+                result?;
             }
             wrote = true;
             self.coalesced_runs += 1;
@@ -655,7 +696,7 @@ impl SegmentedLog {
         self.runs.clear();
         if let Some(seg_start) = self.pending_stamp.take() {
             let _t = metrics::span(modules::UNTRUSTED_WRITE);
-            self.store.write_at(seg_start, &[0u8; 2])?;
+            self.store.write_at(seg_start, &END_MARKER)?;
             wrote = true;
         }
         Ok(wrote)
@@ -800,6 +841,35 @@ mod tests {
             .unwrap();
         assert_eq!(log.segment_of(loc), 2);
         assert_eq!(state.num_segments, 3);
+    }
+
+    #[test]
+    fn recycled_tail_is_followed_by_an_end_marker() {
+        let (mut log, mut state, system, mut hashes) = setup();
+        state.num_segments = 3;
+        state.utilization = vec![0, 0, 0];
+        state.free_segments.push(2);
+        // Segment 2 still holds its old contents.
+        log.store()
+            .write_at(log.segment_offset(2), &[0xA5; 1024])
+            .unwrap();
+        let mut append = |log: &mut SegmentedLog, bytes: &[u8]| {
+            log.append(&mut state, &mut Journal::new(), &system, &mut hashes, bytes)
+                .unwrap()
+        };
+        let after_tail = |log: &SegmentedLog| log.read_at(log.tail_location(), 2).unwrap();
+        append(&mut log, &[7u8; 900]);
+        // Into recycled segment 2: a direct append carries the marker...
+        let loc = append(&mut log, &[8u8; 100]);
+        assert_eq!(log.segment_of(loc), 2);
+        assert_eq!(after_tail(&log), END_MARKER);
+        // ...and so does the coalesced run that ends at the tail.
+        log.set_coalescing(true);
+        append(&mut log, &[9u8; 100]);
+        log.write_out().unwrap();
+        log.set_coalescing(false);
+        assert_eq!(after_tail(&log), END_MARKER);
+        assert_eq!(log.read_at(loc + 100, 100).unwrap(), vec![9u8; 100]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The background maintenance runtime: sliced cleaning, threshold
+//! The background maintenance runtime: sliced cleaning, automatic
 //! checkpoints, and commit admission control.
 //!
 //! The paper runs the cleaner and checkpointer synchronously inside the
@@ -11,11 +11,12 @@
 //!   ([`crate::engine::maintenance`]), releasing the mutex and yielding to
 //!   queued group-commit members between slices. Cleaning starts when the
 //!   free-segment count of a bounded log falls below `clean_high_water`
-//!   and stops once it is back at or above it.
-//! - **Threshold checkpoints.** When the dirty-map count reaches
-//!   `checkpoint_threshold`, the maintenance thread checkpoints instead of
-//!   the committing caller (`Inner::maybe_checkpoint` defers to it), so no
-//!   commit pays a full checkpoint inline.
+//!   and stops once it is back at or above it. A slice that finds nothing
+//!   outside the residual log checkpoints first (`Inner::clean`).
+//! - **Automatic checkpoints.** When `Inner::checkpoint_due` holds, the
+//!   maintenance thread checkpoints instead of the committing caller
+//!   (`Inner::maybe_checkpoint` defers to it), so no commit pays a full
+//!   checkpoint inline.
 //! - **Admission control.** When free segments fall below
 //!   `clean_low_water`, committers wait (bounded) for the cleaner to make
 //!   room before proceeding; if the log is still full they surface the
@@ -52,8 +53,9 @@ const IDLE_TICK: Duration = Duration::from_millis(20);
 const THROTTLE_WAIT: Duration = Duration::from_millis(400);
 
 /// State shared between the store facade, the engine, and the maintenance
-/// thread. Mirrors of engine state (free segments, dirty maps) are updated
-/// under the engine lock and read lock-free by the gate and the thread.
+/// thread. Mirrors of engine state (free segments, checkpoint due) are
+/// updated under the engine lock and read lock-free by the gate and the
+/// thread.
 pub(crate) struct MaintenanceShared {
     /// Background maintenance on/off (from the config).
     pub(crate) enabled: bool,
@@ -66,8 +68,6 @@ pub(crate) struct MaintenanceShared {
     /// True when the log is bounded (`max_segments != 0`); segment
     /// pressure is meaningless on an unbounded log.
     bounded: bool,
-    /// Dirty-map count that triggers a background checkpoint.
-    checkpoint_threshold: usize,
     /// Wake latch for the maintenance thread.
     wake: Mutex<bool>,
     wake_cv: Condvar,
@@ -79,8 +79,8 @@ pub(crate) struct MaintenanceShared {
     /// Mirror of the bounded log's free-segment count (headroom to
     /// `max_segments` plus the free list), updated under the engine lock.
     free_segments: AtomicU64,
-    /// Mirror of the map cache's dirty-chunk count.
-    dirty_maps: AtomicU64,
+    /// Mirror of `Inner::checkpoint_due`.
+    checkpoint_due: AtomicBool,
     /// Times the maintenance thread woke and ran a pass.
     pub(crate) wakeups: AtomicU64,
     /// Commits that hit the low-water admission gate and waited.
@@ -95,14 +95,13 @@ impl MaintenanceShared {
             low_water: config.clean_low_water,
             high_water: config.clean_high_water.max(config.clean_low_water),
             bounded: config.max_segments != 0,
-            checkpoint_threshold: config.checkpoint_threshold,
             wake: Mutex::new(false),
             wake_cv: Condvar::new(),
             space: Mutex::new(()),
             space_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             free_segments: AtomicU64::new(u64::MAX),
-            dirty_maps: AtomicU64::new(0),
+            checkpoint_due: AtomicBool::new(false),
             wakeups: AtomicU64::new(0),
             throttle_waits: AtomicU64::new(0),
         }
@@ -137,8 +136,8 @@ impl StoreCore {
     /// engine lock held, after any mutation.
     pub(crate) fn note_engine_state(&self, inner: &Inner) {
         let m = &self.maint;
-        let dirty = inner.map_cache.dirty_count() as u64;
-        m.dirty_maps.store(dirty, Ordering::Relaxed);
+        let due = inner.checkpoint_due();
+        m.checkpoint_due.store(due, Ordering::Relaxed);
         let mut pressured = false;
         if m.bounded {
             let log = &inner.sys_leader.log;
@@ -151,7 +150,7 @@ impl StoreCore {
             }
             pressured = free < u64::from(m.high_water);
         }
-        if m.enabled && (dirty >= m.checkpoint_threshold as u64 || pressured) {
+        if m.enabled && (due || pressured) {
             m.kick();
         }
     }
@@ -210,17 +209,15 @@ impl StoreCore {
         result.map(|o| o.reclaimed)
     }
 
-    /// One maintenance pass: a threshold checkpoint if due, then cleaning
+    /// One maintenance pass: a checkpoint if one is due, then cleaning
     /// slices while the bounded log is under segment pressure. Each slice
     /// is its own engine-lock hold; queued group-commit members get the
     /// core between slices.
     fn maintenance_pass(&self) {
         let m = &self.maint;
-        if m.dirty_maps.load(Ordering::Relaxed) >= m.checkpoint_threshold as u64 {
+        if m.checkpoint_due.load(Ordering::Relaxed) {
             let mut inner = self.inner.lock();
-            if inner.check_writable().is_ok()
-                && inner.map_cache.dirty_count() >= m.checkpoint_threshold
-            {
+            if inner.check_writable().is_ok() && inner.checkpoint_due() {
                 // Failure handling (rollback, degrade, poison) lives in the
                 // checkpoint path itself; the error needs no surfacing here.
                 let _ = inner.checkpoint();
@@ -231,7 +228,6 @@ impl StoreCore {
         if !m.bounded {
             return;
         }
-        let mut checkpointed_on_stall = false;
         while !m.shutting_down() && m.free_estimate() < u64::from(m.high_water) {
             if let Some(batcher) = &self.batcher {
                 if batcher.queued() > 0 {
@@ -241,26 +237,8 @@ impl StoreCore {
                 }
             }
             match self.clean_locked(m.slice_segments, true) {
-                Ok(0) if !checkpointed_on_stall => {
-                    // Nothing cleanable, usually because everything since
-                    // the last checkpoint is residual and the cleaner must
-                    // not touch it. Checkpoint to roll the residual
-                    // forward, then retry; a second stall means there is
-                    // genuinely nothing to reclaim yet.
-                    checkpointed_on_stall = true;
-                    let mut inner = self.inner.lock();
-                    if inner.check_writable().is_err() {
-                        break;
-                    }
-                    let _ = inner.checkpoint();
-                    self.reads.set_health(&inner.health);
-                    self.note_engine_state(&inner);
-                }
                 Ok(0) => break, // Nothing cleanable; wait for more traffic.
-                Ok(_) => {
-                    checkpointed_on_stall = false;
-                    continue;
-                }
+                Ok(_) => continue,
                 Err(_) => break, // Unhealthy store; reads saw the health.
             }
         }

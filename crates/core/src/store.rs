@@ -84,7 +84,11 @@ pub struct ChunkStoreConfig {
     pub segment_size: u32,
     /// Soft cap on cached map chunks.
     pub map_cache_capacity: usize,
-    /// Dirty map chunks that trigger an automatic checkpoint (§4.7).
+    /// Dirty map chunks that trigger an automatic checkpoint (§4.7). The
+    /// default, 512, is half of `map_cache_capacity`: dirty chunks cannot
+    /// be evicted, and the other half stays for clean ones on the read
+    /// path. A checkpoint is also due, whatever this says, once the
+    /// residual log outgrows a fixed 8 MiB budget, which bounds recovery.
     pub checkpoint_threshold: usize,
     /// Validation protocol.
     pub validation: ValidationMode,
@@ -140,7 +144,9 @@ pub struct ChunkStoreConfig {
     /// recompute the spine invalidated since the last query, instead of
     /// re-hashing every dirty subtree eagerly on every call. Pure CPU-side
     /// memoization — results and device traffic are identical either way.
-    /// `false` (the default) reproduces the paper's eager recompute.
+    /// On by default: the eager cost grows with the dirty set, which
+    /// `checkpoint_threshold` lets reach 512 map chunks. `false`
+    /// reproduces the paper's eager recompute.
     pub lazy_integrity: bool,
     /// Transparent chunk-body compression ([`crate::compress`]): data-chunk
     /// bodies are LZ77-compressed *before* hashing and sealing, so the
@@ -159,7 +165,7 @@ impl Default for ChunkStoreConfig {
             fanout: 64,
             segment_size: 128 * 1024,
             map_cache_capacity: 1024,
-            checkpoint_threshold: 128,
+            checkpoint_threshold: 512,
             validation: ValidationMode::Counter {
                 delta_ut: 5,
                 delta_tu: 0,
@@ -177,7 +183,7 @@ impl Default for ChunkStoreConfig {
             clean_slice_segments: 2,
             clean_low_water: 2,
             clean_high_water: 4,
-            lazy_integrity: false,
+            lazy_integrity: true,
             compression: false,
         }
     }
@@ -980,5 +986,11 @@ impl ChunkStore {
     #[doc(hidden)]
     pub fn debug_undo_counters(&self) -> UndoCounters {
         self.inner.lock().undo_counters()
+    }
+
+    /// Test-only: segments the residual log spans, the tail's included.
+    #[doc(hidden)]
+    pub fn debug_residual_segments(&self) -> usize {
+        self.inner.lock().log.residual_segments().len()
     }
 }

@@ -215,9 +215,9 @@ impl TrustedDbBuilder {
     /// Enables lazy Merkle materialization: root and proof queries serve
     /// unchanged map subtrees from a memo instead of re-hashing them, so a
     /// batch of commits pays roughly one spine recompute at the next query.
-    /// Off by default — the paper's eager effective-tree recompute — and
-    /// purely CPU-side either way: the knob never changes device traffic
-    /// (see [`ChunkStoreConfig::lazy_integrity`]).
+    /// On by default; `false` is the paper's eager effective-tree
+    /// recompute. Purely CPU-side either way: the knob never changes
+    /// device traffic (see [`ChunkStoreConfig::lazy_integrity`]).
     pub fn lazy_integrity(mut self, on: bool) -> Self {
         self.chunk_config.lazy_integrity = on;
         self
@@ -266,14 +266,16 @@ impl TrustedDbBuilder {
     }
 
     /// Sets the dirty-map-chunk count that triggers an automatic
-    /// incremental checkpoint (see
+    /// incremental checkpoint (default 512, half the map cache). A
+    /// checkpoint is also due once the residual log outgrows a fixed 8 MiB
+    /// budget, whatever this says (see
     /// [`ChunkStoreConfig::checkpoint_threshold`]).
     pub fn checkpoint_threshold(mut self, dirty_chunks: usize) -> Self {
         self.chunk_config.checkpoint_threshold = dirty_chunks;
         self
     }
 
-    /// Runs cleaning and threshold checkpoints on a background maintenance
+    /// Runs cleaning and automatic checkpoints on a background maintenance
     /// thread instead of inside commits and explicit `clean()` calls
     /// (`false`, the default, keeps the paper's caller-driven behavior;
     /// see [`ChunkStoreConfig::background_maintenance`]).

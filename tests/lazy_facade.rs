@@ -109,7 +109,7 @@ fn shape_of(rig: &Rig) -> StatsSnapshot {
 
 #[test]
 fn lazy_integrity_keeps_the_device_op_shape_and_roots() {
-    // Baseline: the builder untouched (the seed's configuration).
+    // Baseline: the builder untouched (the default configuration).
     let baseline = build(None);
     let baseline_roots = proof_heavy_workload(&baseline.db);
     let expected = shape_of(&baseline);
