@@ -5,95 +5,57 @@
 //! cargo run --release -p tdb-bench --bin report -- all
 //! cargo run --release -p tdb-bench --bin report -- e1 e4 fig11
 //! cargo run --release -p tdb-bench --bin report -- fig11 --runs 10
-//! cargo run --release -p tdb-bench --bin report -- e20 --connections 64 --duration 3
 //! ```
 
 use tdb_bench::experiments;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+const USAGE: &str = "usage: report [--runs N] <experiments...>\n\
+     experiments: e1 e2 e3 e4 e5 e6 e7 e8 e9|fig9 e10|fig10 e11|fig11 e12|fig12 | all | micro";
+
+const KNOWN: [&str; 18] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "fig9", "fig10",
+    "fig11", "fig12", "all", "micro",
+];
+
+/// A parsed command line: runs per workload experiment and the selected
+/// experiment names, lower-cased.
+#[derive(Debug, PartialEq)]
+struct Args {
+    runs: usize,
+    selected: Vec<String>,
+}
+
+/// Parses the command line; `Err` carries the message to print before
+/// exiting with status 2.
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut runs = 3usize;
-    let mut connections = 64usize;
-    let mut seed = 0xE19u64;
-    let mut duration_secs = 2.0f64;
-    let mut selected: Vec<String> = Vec::new();
+    let mut selected = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
-        let mut flag = |what: &str| -> String {
-            match iter.next() {
-                Some(v) => v,
-                None => {
-                    eprintln!("error: {arg} needs {what}");
-                    std::process::exit(2);
-                }
-            }
-        };
-        match arg.as_str() {
-            "--runs" => {
-                runs = match flag("a positive integer").parse().ok() {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("error: --runs needs a positive integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--connections" => {
-                connections = match flag("a positive integer").parse().ok() {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("error: --connections needs a positive integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--seed" => {
-                // Accept decimal or 0x-prefixed hex.
-                let v = flag("an integer");
-                let parsed = v
-                    .strip_prefix("0x")
-                    .map_or_else(|| v.parse().ok(), |h| u64::from_str_radix(h, 16).ok());
-                seed = match parsed {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("error: --seed needs an integer (decimal or 0x hex)");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--duration" => {
-                duration_secs = match flag("seconds").parse().ok() {
-                    Some(s) if s > 0.0 => s,
-                    _ => {
-                        eprintln!("error: --duration needs a positive number of seconds");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            _ => selected.push(arg.to_lowercase()),
+        if arg == "--runs" {
+            runs = match iter.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n > 0 => n,
+                _ => return Err("error: --runs needs a positive integer".into()),
+            };
+            continue;
         }
-    }
-    const KNOWN: [&str; 34] = [
-        "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14",
-        "e15", "e16", "e17", "e18", "e19", "e20", "fig9", "fig10", "fig11", "fig12", "conc",
-        "commit", "clean", "shard", "mvcc", "validate", "ycsb", "server", "all", "micro",
-    ];
-    for name in &selected {
+        let name = arg.to_lowercase();
         if !KNOWN.contains(&name.as_str()) {
-            eprintln!(
-                "error: unknown experiment '{name}' (try: {})",
-                KNOWN.join(" ")
-            );
-            std::process::exit(2);
+            return Err(format!("error: unknown experiment '{name}'\n{USAGE}"));
         }
+        selected.push(name);
     }
     if selected.is_empty() {
-        eprintln!(
-            "usage: report [--runs N] [--connections N] [--seed N] [--duration SECS] <experiments...>\n\
-             experiments: e1 e2 e3 e4 e5 e6 e7 e8 e9|fig9 e10|fig10 e11|fig11 e12|fig12 e13|conc e14|commit e15|clean e16|shard e17|mvcc e18|validate e19|ycsb e20|server | all | micro"
-        );
-        std::process::exit(2);
+        return Err(USAGE.into());
     }
+    Ok(Args { runs, selected })
+}
+
+fn main() {
+    let Args { runs, selected } = parse(std::env::args().skip(1)).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    });
     let want = |name: &str, aliases: &[&str]| {
         selected.iter().any(|s| {
             s == "all"
@@ -139,32 +101,43 @@ fn main() {
     if want("e12", &["fig12"]) {
         experiments::e12_breakdown(runs);
     }
-    if want("e13", &["conc"]) {
-        experiments::e13_concurrent_read();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
     }
-    if want("e14", &["commit"]) {
-        experiments::e14_commit_throughput();
-    }
-    if want("e15", &["clean"]) {
-        experiments::e15_cleaner();
-    }
-    if want("e16", &["shard"]) {
-        experiments::e16_shard_scaling();
-    }
-    if want("e17", &["mvcc"]) {
-        experiments::e17_mvcc();
-    }
-    if want("e18", &["validate"]) {
-        experiments::e18_validation_overhead();
-    }
-    if want("e19", &["ycsb"]) {
-        experiments::e19_ycsb(seed);
-    }
-    if want("e20", &["server"]) {
-        experiments::e20_server(
-            connections,
-            seed,
-            std::time::Duration::from_secs_f64(duration_secs),
+
+    #[test]
+    fn paper_experiments_parse() {
+        assert_eq!(
+            parse(args(&["micro", "FIG9", "fig10", "--runs", "5"])),
+            Ok(Args {
+                runs: 5,
+                selected: args(&["micro", "fig9", "fig10"]),
+            })
         );
+    }
+
+    #[test]
+    fn retired_experiments_and_flags_are_rejected_with_usage() {
+        for argv in [
+            &["e13"][..],
+            &["conc"],
+            &["e20"],
+            &["ycsb"],
+            &["e1", "--seed", "7"],
+            &[],
+            &["--runs", "0", "e1"],
+        ] {
+            let err = parse(args(argv)).expect_err("must be rejected");
+            assert!(
+                err.contains("usage: report") || err.contains("--runs"),
+                "{argv:?}: {err}"
+            );
+        }
     }
 }

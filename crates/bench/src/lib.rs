@@ -12,6 +12,10 @@
 //!   runnable against TDB and against the layered-crypto XDB baseline;
 //! - [`experiments`] — the E1–E12 experiment runners behind the `report`
 //!   binary, each printing measured rows next to the paper's.
+//!
+//! The end-to-end benchmark of the default configuration, `tdbmark`
+//! (`src/bin/tdbmark/`, run through `BENCHMARK.json`), is a package of
+//! its own and imports nothing from this library.
 
 pub mod experiments;
 pub mod fixtures;

@@ -139,15 +139,15 @@ pub struct RunResult {
 /// A generic benchmark object, standing in for the goods / contracts /
 /// accounts / licenses of the paper's scenario.
 #[derive(Debug)]
-pub struct Rec {
+struct Rec {
     /// Which of the 30 collections (object types) this record belongs to.
-    pub collection: u8,
+    collection: u8,
     /// Opaque application payload.
-    pub payload: Vec<u8>,
+    payload: Vec<u8>,
 }
 
 /// Type tag for [`Rec`].
-pub const REC_TAG: u32 = 900;
+const REC_TAG: u32 = 900;
 
 impl StoredObject for Rec {
     fn type_tag(&self) -> u32 {
@@ -164,8 +164,8 @@ impl StoredObject for Rec {
     }
 }
 
-/// Decodes a [`Rec`] body (shared with the E17 MVCC experiment).
-pub fn unpickle_rec(body: &[u8]) -> tdb_object::errors::Result<Arc<dyn StoredObject>> {
+/// Decodes a [`Rec`] body.
+fn unpickle_rec(body: &[u8]) -> tdb_object::errors::Result<Arc<dyn StoredObject>> {
     if body.is_empty() {
         return Err(tdb_object::errors::ObjectError::BadPickle("rec".into()));
     }
@@ -482,300 +482,6 @@ impl XdbWorkload {
     }
 }
 
-// ---------------------------------------------------------------------------
-// YCSB-style workload suite (ISSUE 9).
-// ---------------------------------------------------------------------------
-
-/// The classic YCSB core-workload mixes used to measure the chunk store
-/// (read/update/scan/insert proportions in percent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum YcsbWorkload {
-    /// 50% reads / 50% updates (update heavy).
-    A,
-    /// 95% reads / 5% updates (read heavy).
-    B,
-    /// 100% reads (read only).
-    C,
-    /// 95% scans / 5% inserts (scan heavy).
-    E,
-}
-
-impl YcsbWorkload {
-    /// `(read, update, scan, insert)` percentages, summing to 100.
-    pub fn mix(self) -> (u64, u64, u64, u64) {
-        match self {
-            YcsbWorkload::A => (50, 50, 0, 0),
-            YcsbWorkload::B => (95, 5, 0, 0),
-            YcsbWorkload::C => (100, 0, 0, 0),
-            YcsbWorkload::E => (0, 0, 95, 5),
-        }
-    }
-
-    /// The canonical letter, for tables and JSON keys.
-    pub fn letter(self) -> &'static str {
-        match self {
-            YcsbWorkload::A => "A",
-            YcsbWorkload::B => "B",
-            YcsbWorkload::C => "C",
-            YcsbWorkload::E => "E",
-        }
-    }
-}
-
-/// YCSB's zipfian request-distribution generator (the Gray et al.
-/// approximation the reference implementation uses), exponent 0.99:
-/// popular keys dominate, which is exactly the access skew compressed
-/// read-heavy workloads must survive.
-pub struct Zipfian {
-    n: u64,
-    theta: f64,
-    zeta_n: f64,
-    alpha: f64,
-    eta: f64,
-}
-
-impl Zipfian {
-    /// Builds a generator over `0..n` with exponent `theta`.
-    pub fn new(n: u64, theta: f64) -> Zipfian {
-        let zeta = |m: u64| -> f64 { (1..=m).map(|i| 1.0 / (i as f64).powf(theta)).sum() };
-        let zeta_n = zeta(n);
-        let zeta_2 = zeta(2);
-        Zipfian {
-            n,
-            theta,
-            zeta_n,
-            alpha: 1.0 / (1.0 - theta),
-            eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta_2 / zeta_n),
-        }
-    }
-
-    /// Maps a uniform draw in `[0, 1)` to a zipfian-distributed key.
-    pub fn map(&self, u: f64) -> u64 {
-        let uz = u * self.zeta_n;
-        if uz < 1.0 {
-            return 0;
-        }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
-            return 1;
-        }
-        let key = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
-        key.min(self.n - 1)
-    }
-}
-
-/// A YCSB record body: field-structured text over a small vocabulary —
-/// compressible the way real serialized records are (the reference
-/// workload's fieldN=value layout), stamped with key and version so every
-/// record and overwrite is distinct.
-pub fn ycsb_record(key: u64, version: u64, len: usize) -> Vec<u8> {
-    const WORDS: [&str; 8] = [
-        "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel",
-    ];
-    let mut out = Vec::with_capacity(len + 32);
-    let mut state = (key ^ version.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut field = 0u32;
-    while out.len() < len {
-        out.extend_from_slice(format!("field{field}=").as_bytes());
-        for _ in 0..6 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            out.extend_from_slice(WORDS[(state % 8) as usize].as_bytes());
-            out.push(b' ');
-        }
-        out.extend_from_slice(format!("k{key}v{version};").as_bytes());
-        field += 1;
-    }
-    out.truncate(len);
-    out
-}
-
-/// Per-run YCSB parameters.
-#[derive(Debug, Clone)]
-pub struct YcsbConfig {
-    /// Preloaded keys.
-    pub population: u64,
-    /// Record body length in bytes.
-    pub record_bytes: usize,
-    /// Operations each thread issues per run.
-    pub ops_per_thread: usize,
-    /// Scan length is `1..=max_scan` consecutive keys (workload E).
-    pub max_scan: usize,
-    /// Zipfian request distribution (`false` = uniform).
-    pub zipfian: bool,
-}
-
-impl Default for YcsbConfig {
-    fn default() -> YcsbConfig {
-        YcsbConfig {
-            population: 1024,
-            record_bytes: 1000,
-            ops_per_thread: 1500,
-            max_scan: 16,
-            zipfian: true,
-        }
-    }
-}
-
-/// Operation counts actually issued by one run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct YcsbResult {
-    pub elapsed: Duration,
-    pub reads: u64,
-    pub updates: u64,
-    pub scans: u64,
-    /// Individual records touched by scans.
-    pub scanned: u64,
-    pub inserts: u64,
-}
-
-impl YcsbResult {
-    /// Logical operations per second (a scan counts once).
-    pub fn ops_per_sec(&self) -> f64 {
-        (self.reads + self.updates + self.scans + self.inserts) as f64
-            / self.elapsed.as_secs_f64().max(1e-9)
-    }
-}
-
-/// A YCSB driver over the chunk store: keys map to data-chunk ranks, so
-/// the suite measures the store's real commit/read/scan paths (sealing,
-/// validation, and — when the knob is on — compression).
-pub struct YcsbDriver {
-    pub platform: Platform,
-    pub store: Arc<tdb::ChunkStore>,
-    pub partition: PartitionId,
-    pub ids: Vec<tdb::ChunkId>,
-    config: YcsbConfig,
-    zipf: Zipfian,
-}
-
-impl YcsbDriver {
-    /// Creates a store with `chunk_config` and preloads the population
-    /// with compressible records.
-    pub fn setup(chunk_config: ChunkStoreConfig, config: YcsbConfig) -> YcsbDriver {
-        let platform = Platform::new(IoMode::Raw);
-        let (store, partition) = chunk_store_with_partition(&platform, chunk_config);
-        let mut ids = Vec::with_capacity(config.population as usize);
-        for key in 0..config.population {
-            let id = store.allocate_chunk(partition).expect("allocate");
-            store
-                .commit(vec![tdb::CommitOp::WriteChunk {
-                    id,
-                    bytes: ycsb_record(key, 0, config.record_bytes),
-                }])
-                .expect("preload");
-            ids.push(id);
-        }
-        store.checkpoint().expect("preload checkpoint");
-        let zipf = Zipfian::new(config.population, 0.99);
-        YcsbDriver {
-            platform,
-            store,
-            partition,
-            ids,
-            config,
-            zipf,
-        }
-    }
-
-    /// Runs one workload at `threads` concurrency; every thread issues
-    /// `ops_per_thread` operations drawn from the workload's mix.
-    /// Deterministic given `seed` (modulo thread interleaving).
-    pub fn run(&self, workload: YcsbWorkload, threads: usize, seed: u64) -> YcsbResult {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let (read_pct, update_pct, scan_pct, _) = workload.mix();
-        let ops = self.config.ops_per_thread;
-        // Inserts (workload E) go to chunks allocated outside the timed
-        // window, so the measurement is pure read/write-path work.
-        let insert_pool: Vec<Vec<tdb::ChunkId>> = (0..threads)
-            .map(|_| {
-                (0..ops)
-                    .map(|_| self.store.allocate_chunk(self.partition).expect("allocate"))
-                    .collect()
-            })
-            .collect();
-        let (reads, updates, scans, scanned, inserts) = (
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-        );
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            for (t, pool) in insert_pool.iter().enumerate() {
-                let (reads, updates, scans, scanned, inserts) =
-                    (&reads, &updates, &scans, &scanned, &inserts);
-                s.spawn(move || {
-                    let mut state = seed ^ (t as u64 + 1).wrapping_mul(0x517C_C1B7_2722_0A95) | 1;
-                    let mut next = move || {
-                        state ^= state << 13;
-                        state ^= state >> 7;
-                        state ^= state << 17;
-                        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-                    };
-                    let (mut r, mut u, mut sc, mut scd, mut ins) = (0u64, 0u64, 0u64, 0u64, 0u64);
-                    let mut inserted = 0usize;
-                    for op in 0..ops {
-                        let key = if self.config.zipfian {
-                            self.zipf.map((next() >> 11) as f64 / (1u64 << 53) as f64)
-                        } else {
-                            next() % self.config.population
-                        } as usize;
-                        let dice = next() % 100;
-                        if dice < read_pct {
-                            self.store.read(self.ids[key]).expect("read");
-                            r += 1;
-                        } else if dice < read_pct + update_pct {
-                            let body = ycsb_record(key as u64, next(), self.config.record_bytes);
-                            self.store
-                                .commit(vec![tdb::CommitOp::WriteChunk {
-                                    id: self.ids[key],
-                                    bytes: body,
-                                }])
-                                .expect("update");
-                            u += 1;
-                        } else if dice < read_pct + update_pct + scan_pct {
-                            let len = 1 + (next() as usize) % self.config.max_scan;
-                            let end = (key + len).min(self.ids.len());
-                            for id in &self.ids[key..end] {
-                                self.store.read(*id).expect("scan read");
-                                scd += 1;
-                            }
-                            sc += 1;
-                        } else {
-                            let id = pool[inserted];
-                            inserted += 1;
-                            let body = ycsb_record(
-                                self.config.population + (t * ops + op) as u64,
-                                0,
-                                self.config.record_bytes,
-                            );
-                            self.store
-                                .commit(vec![tdb::CommitOp::WriteChunk { id, bytes: body }])
-                                .expect("insert");
-                            ins += 1;
-                        }
-                    }
-                    reads.fetch_add(r, Ordering::Relaxed);
-                    updates.fetch_add(u, Ordering::Relaxed);
-                    scans.fetch_add(sc, Ordering::Relaxed);
-                    scanned.fetch_add(scd, Ordering::Relaxed);
-                    inserts.fetch_add(ins, Ordering::Relaxed);
-                });
-            }
-        });
-        YcsbResult {
-            elapsed: start.elapsed(),
-            reads: reads.into_inner(),
-            updates: updates.into_inner(),
-            scans: scans.into_inner(),
-            scanned: scanned.into_inner(),
-            inserts: inserts.into_inner(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,69 +532,6 @@ mod tests {
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.reads, y.reads);
             assert_eq!(x.updates, y.updates);
-        }
-    }
-
-    #[test]
-    fn zipfian_is_skewed_and_in_range() {
-        let z = Zipfian::new(1000, 0.99);
-        let mut head = 0usize;
-        let mut state = 7u64;
-        for _ in 0..4000 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let u = (state >> 11) as f64 / (1u64 << 53) as f64;
-            let key = z.map(u);
-            assert!(key < 1000);
-            if key < 100 {
-                head += 1;
-            }
-        }
-        // Theta 0.99 puts well over half the mass on the top decile.
-        assert!(head > 2000, "zipfian not skewed: {head}/4000 in top 10%");
-    }
-
-    #[test]
-    fn ycsb_records_are_compressible_and_distinct() {
-        let a = ycsb_record(1, 0, 1000);
-        let b = ycsb_record(2, 0, 1000);
-        let a2 = ycsb_record(1, 1, 1000);
-        assert_eq!(a.len(), 1000);
-        assert_ne!(a, b);
-        assert_ne!(a, a2);
-        let env = tdb_core::compress::compress_body(&a).expect("compressible");
-        assert!(env.len() * 2 < a.len(), "record should compress ≥2x");
-    }
-
-    #[test]
-    fn ycsb_driver_runs_every_mix() {
-        let driver = YcsbDriver::setup(
-            crate::fixtures::paper_config(),
-            YcsbConfig {
-                population: 64,
-                record_bytes: 400,
-                ops_per_thread: 60,
-                max_scan: 8,
-                zipfian: true,
-            },
-        );
-        for wl in [
-            YcsbWorkload::A,
-            YcsbWorkload::B,
-            YcsbWorkload::C,
-            YcsbWorkload::E,
-        ] {
-            let res = driver.run(wl, 2, 11);
-            let total = res.reads + res.updates + res.scans + res.inserts;
-            assert_eq!(total, 120, "{wl:?}");
-            let (r, u, s, i) = wl.mix();
-            assert_eq!(res.reads > 0, r > 0, "{wl:?}");
-            assert_eq!(res.updates > 0, u > 0, "{wl:?}");
-            assert_eq!(res.scans > 0, s > 0, "{wl:?}");
-            assert_eq!(res.inserts > 0, i > 0, "{wl:?}");
-            assert!(res.scanned >= res.scans);
-            assert!(res.ops_per_sec() > 0.0);
         }
     }
 }

@@ -13,7 +13,7 @@
 //!   members ([`ChunkStore::commit_many`]), so they share one batch even
 //!   with no other committer around.
 //! - The first committer to find no leader active becomes the **leader**:
-//!   it drains up to `commit_batch_max` queued commits, takes the engine
+//!   it drains up to [`BATCH_MAX`] queued commits, takes the engine
 //!   lock once, and runs [`crate::store::Inner::commit_batch`] — every
 //!   member is presealed through the parallel crypto pipeline, its appends
 //!   coalesce into segment-sized runs (one `write_at` per run instead of
@@ -25,7 +25,7 @@
 //!
 //! The queue is intentionally dumb: ordering is arrival order, fairness
 //! comes from draining the front, and a leader whose own entry missed the
-//! drained window (more than `commit_batch_max` older entries) simply
+//! drained window (more than [`BATCH_MAX`] older entries) simply
 //! loops and leads again.
 
 use std::collections::VecDeque;
@@ -53,23 +53,23 @@ struct BatchQueue {
     leader_active: bool,
 }
 
+/// Most members a leader drains into one batch.
+const BATCH_MAX: usize = 64;
+
 /// The group-commit coordinator owned by a [`ChunkStore`].
 pub(crate) struct CommitBatcher {
     shared: Mutex<BatchQueue>,
     wakeup: Condvar,
-    /// Most members a leader drains into one batch.
-    max: usize,
 }
 
 impl CommitBatcher {
-    pub(crate) fn new(max: usize) -> CommitBatcher {
+    pub(crate) fn new() -> CommitBatcher {
         CommitBatcher {
             shared: Mutex::new(BatchQueue {
                 queue: VecDeque::new(),
                 leader_active: false,
             }),
             wakeup: Condvar::new(),
-            max: max.max(1),
         }
     }
 
@@ -130,14 +130,14 @@ impl ChunkStore {
                 continue;
             }
             shared.leader_active = true;
-            let take = shared.queue.len().min(batcher.max);
+            let take = shared.queue.len().min(BATCH_MAX);
             let members: Vec<Arc<PendingCommit>> = shared.queue.drain(..take).collect();
             drop(shared);
             self.run_batch(&members);
             shared = batcher.shared.lock();
             shared.leader_active = false;
             batcher.wakeup.notify_all();
-            // Our own entries were usually in `members`; if more than `max`
+            // Our own entries were usually in `members`; if more than `BATCH_MAX`
             // older commits were queued some were not, and the loop leads
             // (or waits) again until their results appear.
         }

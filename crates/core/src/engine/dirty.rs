@@ -26,10 +26,9 @@
 //! - a failed mutation rolling back to its savepoint clears everything.
 //!
 //! Marking a chunk clean (checkpoint) does *not* invalidate: the persisted
-//! body is byte-identical to the effective body the memo hashed.
-//!
-//! Disabled (`lazy_integrity = false`; on by default), every method is a
-//! no-op and the engine behaves exactly as the paper's eager recompute.
+//! body is byte-identical to the effective body the memo hashed. The
+//! paper's eager recompute is an empty memo: tests reach it through
+//! `ChunkStore::debug_forget_integrity_memo` and hold the memo to it.
 
 use std::collections::HashMap;
 
@@ -40,7 +39,6 @@ use crate::ids::{PartitionId, Position};
 /// Memo of effective map-subtree hashes, keyed by map position.
 #[derive(Debug, Default)]
 pub(crate) struct DirtyTreeAccumulator {
-    enabled: bool,
     memo: HashMap<(PartitionId, Position), HashValue>,
     /// Effective-hash lookups served from the memo.
     pub hits: u64,
@@ -51,20 +49,6 @@ pub(crate) struct DirtyTreeAccumulator {
 }
 
 impl DirtyTreeAccumulator {
-    /// Creates an accumulator; disabled instances never memoize.
-    pub fn new(enabled: bool) -> DirtyTreeAccumulator {
-        DirtyTreeAccumulator {
-            enabled,
-            ..DirtyTreeAccumulator::default()
-        }
-    }
-
-    /// Whether lazy materialization is on.
-    #[cfg(test)]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Memoized effective hash of map chunk `(p, pos)`, if current.
     pub fn get(&mut self, p: PartitionId, pos: Position) -> Option<HashValue> {
         let hit = self.memo.get(&(p, pos)).copied();
@@ -76,19 +60,14 @@ impl DirtyTreeAccumulator {
 
     /// Records a freshly computed effective hash.
     pub fn put(&mut self, p: PartitionId, pos: Position, hash: HashValue) {
-        if self.enabled {
-            self.recomputes += 1;
-            self.memo.insert((p, pos), hash);
-        }
+        self.recomputes += 1;
+        self.memo.insert((p, pos), hash);
     }
 
     /// Invalidates the spine above a descriptor write at `pos`: every map
     /// ancestor strictly above `pos` up to the tree root at `height` has a
     /// changed effective body. O(height) removals, no hashing.
     pub fn invalidate_spine(&mut self, p: PartitionId, mut pos: Position, height: u8, fanout: u64) {
-        if !self.enabled {
-            return;
-        }
         while pos.height < height {
             let parent = pos.parent(fanout);
             if self.memo.remove(&(p, parent)).is_some() {
@@ -100,15 +79,13 @@ impl DirtyTreeAccumulator {
 
     /// Drops every memo entry of `p` (growth, dealloc, copy targets).
     pub fn invalidate_partition(&mut self, p: PartitionId) {
-        if !self.enabled {
-            return;
-        }
         let before = self.memo.len();
         self.memo.retain(|(q, _), _| *q != p);
         self.invalidations += (before - self.memo.len()) as u64;
     }
 
-    /// Drops everything (rollback to a savepoint).
+    /// Drops everything (rollback to a savepoint, or a test forgetting the
+    /// memo to get the eager recompute).
     pub fn clear(&mut self) {
         self.invalidations += self.memo.len() as u64;
         self.memo.clear();
@@ -134,18 +111,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_accumulator_never_memoizes() {
-        let mut acc = DirtyTreeAccumulator::new(false);
-        assert!(!acc.enabled());
-        acc.put(p(1), Position::map(1, 0), h(1));
-        assert_eq!(acc.len(), 0);
-        assert_eq!(acc.get(p(1), Position::map(1, 0)), None);
-        assert_eq!(acc.recomputes, 0);
-    }
-
-    #[test]
     fn spine_invalidation_is_exact() {
-        let mut acc = DirtyTreeAccumulator::new(true);
+        let mut acc = DirtyTreeAccumulator::default();
         // Memoize a 3-level tree: root (3,0), two level-2 chunks, and a
         // level-1 chunk under each.
         for (height, rank) in [(3, 0), (2, 0), (2, 1), (1, 0), (1, 4)] {
@@ -165,7 +132,7 @@ mod tests {
 
     #[test]
     fn partition_invalidation_spares_others() {
-        let mut acc = DirtyTreeAccumulator::new(true);
+        let mut acc = DirtyTreeAccumulator::default();
         acc.put(p(1), Position::map(1, 0), h(1));
         acc.put(p(2), Position::map(1, 0), h(2));
         acc.invalidate_partition(p(1));

@@ -18,9 +18,8 @@
 //!   ([`crate::maintenance`]).
 //! - [`rollback`] — savepoints over the undo journals: how a mutation that
 //!   fails before its durable point leaves the engine as it found it.
-//! - [`dirty`] — the dirty-tree accumulator behind the `lazy_integrity`
-//!   knob: memoized effective subtree hashes with O(height) spine
-//!   invalidation per descriptor write.
+//! - [`dirty`] — the dirty-tree accumulator: memoized effective subtree
+//!   hashes with O(height) spine invalidation per descriptor write.
 //!
 //! Every module extends the same `pub(crate) Inner` with `impl` blocks; no
 //! on-disk format or locking change is implied by the decomposition.

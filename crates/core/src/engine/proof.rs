@@ -38,11 +38,11 @@ impl Inner {
         Ok(chunk.encode(hash_len))
     }
 
-    /// Effective hash of the map chunk at `(p, pos)`. With `lazy_integrity`
-    /// on, unchanged subtrees are served from the dirty-tree accumulator:
-    /// only the spine invalidated by descriptor writes since the last query
-    /// is re-encoded and re-hashed, so K batched commits cost roughly one
-    /// spine recompute instead of K full-subtree recomputes.
+    /// Effective hash of the map chunk at `(p, pos)`. Unchanged subtrees
+    /// are served from the dirty-tree accumulator: only the spine
+    /// invalidated by descriptor writes since the last query is re-encoded
+    /// and re-hashed, so K batched commits cost roughly one spine
+    /// recompute instead of K full-subtree recomputes.
     fn effective_map_hash(&mut self, p: PartitionId, pos: Position) -> Result<HashValue> {
         if let Some(hash) = self.lazy.get(p, pos) {
             return Ok(hash);

@@ -59,6 +59,9 @@ const HEALTH_LIVE: u8 = 0;
 const HEALTH_DEGRADED: u8 = 1;
 const HEALTH_POISONED: u8 = 2;
 
+/// Shards of the read path: a power of two, so a shard is a mask away.
+const SHARDS: usize = 16;
+
 /// A validated plaintext body, keyed by the descriptor hash it satisfied.
 struct CachedBody {
     hash: tdb_crypto::HashValue,
@@ -77,9 +80,7 @@ struct ReadShard {
 
 /// The sharded concurrent read path of a `ChunkStore`.
 pub(crate) struct ReadPath {
-    /// Power-of-two shard array; empty when the fast path is disabled
-    /// (`read_shards == 0`), which restores the paper's single-lock model.
-    shards: Vec<RwLock<ReadShard>>,
+    shards: [RwLock<ReadShard>; SHARDS],
     /// Partition id → runtime crypto, for decryption off the engine lock.
     cryptos: RwLock<HashMap<PartitionId, Arc<PartitionCrypto>>>,
     /// Raw untrusted store handle (same device the log appends to).
@@ -101,23 +102,16 @@ pub(crate) struct ReadPath {
 }
 
 impl ReadPath {
-    /// Builds a read path with `shards` shards (rounded up to a power of
-    /// two; 0 disables the fast path entirely) and a total budget of
-    /// `cache_chunks` validated bodies.
+    /// Builds a read path with a total budget of `cache_chunks` validated
+    /// bodies.
     pub(crate) fn new(
         store: SharedUntrusted,
         system: Arc<PartitionCrypto>,
-        shards: usize,
         cache_chunks: usize,
     ) -> ReadPath {
-        let n = if shards == 0 {
-            0
-        } else {
-            shards.next_power_of_two()
-        };
-        let bodies_per_shard = cache_chunks.checked_div(n).map_or(0, |b| b.max(4));
+        let bodies_per_shard = (cache_chunks / SHARDS).max(4);
         ReadPath {
-            shards: (0..n).map(|_| RwLock::new(ReadShard::default())).collect(),
+            shards: std::array::from_fn(|_| RwLock::new(ReadShard::default())),
             cryptos: RwLock::new(HashMap::new()),
             store,
             system,
@@ -132,14 +126,10 @@ impl ReadPath {
         }
     }
 
-    fn enabled(&self) -> bool {
-        !self.shards.is_empty()
-    }
-
     fn shard(&self, id: ChunkId) -> &RwLock<ReadShard> {
         let mut h = DefaultHasher::new();
         id.hash(&mut h);
-        let i = (h.finish() as usize) & (self.shards.len() - 1);
+        let i = (h.finish() as usize) & (SHARDS - 1);
         &self.shards[i]
     }
 
@@ -178,7 +168,7 @@ impl ReadPath {
     /// Returns `None` for *any* miss or anomaly — the caller must fall
     /// back to the locked path, which alone may judge integrity.
     pub(crate) fn try_fast(&self, id: ChunkId) -> Option<Vec<u8>> {
-        if !self.enabled() || self.health.load(Ordering::SeqCst) == HEALTH_POISONED {
+        if self.health.load(Ordering::SeqCst) == HEALTH_POISONED {
             return None;
         }
         let shard = self.shard(id);
@@ -301,7 +291,7 @@ impl ReadPath {
         crypto: &Arc<PartitionCrypto>,
         body: Option<&[u8]>,
     ) {
-        if !self.enabled() || !desc.is_written() {
+        if !desc.is_written() {
             return;
         }
         {
@@ -347,9 +337,6 @@ impl ReadPath {
     /// Removes one chunk's shard state (its descriptor changed or it was
     /// deallocated). Called under the engine mutex by the writer path.
     pub(crate) fn invalidate(&self, id: ChunkId) {
-        if !self.enabled() {
-            return;
-        }
         let mut shard = self.shard(id).write();
         shard.descs.remove(&id);
         shard.bodies.remove(&id);

@@ -163,7 +163,7 @@ fn recover_from(
 
     let mut inner = Inner {
         map_cache: MapCache::new(config.map_cache_capacity),
-        lazy: crate::engine::dirty::DirtyTreeAccumulator::new(config.lazy_integrity),
+        lazy: crate::engine::dirty::DirtyTreeAccumulator::default(),
         system: Arc::clone(&system),
         trusted,
         log,

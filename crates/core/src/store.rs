@@ -101,10 +101,6 @@ pub struct ChunkStoreConfig {
     pub system_cipher: tdb_crypto::CipherKind,
     /// System-partition hash.
     pub system_hash: tdb_crypto::HashKind,
-    /// Shards of the concurrent read path (rounded up to a power of two).
-    /// `0` disables the sharded fast path entirely, restoring the paper's
-    /// single-lock read model (the benchmark baseline).
-    pub read_shards: usize,
     /// Total validated plaintext bodies cached across all read shards.
     pub read_cache_chunks: usize,
     /// Threads that share the hash+seal work of one large batch — a bulk
@@ -120,9 +116,6 @@ pub struct ChunkStoreConfig {
     /// `false` restores the paper's one-flush-per-commit write path
     /// bit-for-bit on the log.
     pub group_commit: bool,
-    /// Most commits a group-commit leader drains into one batch. Values
-    /// `<= 1` disable batching just like `group_commit = false`.
-    pub commit_batch_max: usize,
     /// Run cleaning and threshold checkpoints on a background maintenance
     /// thread ([`crate::maintenance`]) instead of inside commits and
     /// explicit [`ChunkStore::clean`] calls. `false` (the default)
@@ -139,15 +132,6 @@ pub struct ChunkStoreConfig {
     /// Free-segment high-water mark of a bounded log: the background
     /// cleaner runs while free segments are below it.
     pub clean_high_water: u32,
-    /// Lazy Merkle materialization: memoize effective subtree hashes in a
-    /// dirty-tree accumulator so `snapshot_root` / `read_with_proof` only
-    /// recompute the spine invalidated since the last query, instead of
-    /// re-hashing every dirty subtree eagerly on every call. Pure CPU-side
-    /// memoization — results and device traffic are identical either way.
-    /// On by default: the eager cost grows with the dirty set, which
-    /// `checkpoint_threshold` lets reach 512 map chunks. `false`
-    /// reproduces the paper's eager recompute.
-    pub lazy_integrity: bool,
     /// Transparent chunk-body compression ([`crate::compress`]): data-chunk
     /// bodies are LZ77-compressed *before* hashing and sealing, so the
     /// descriptor hash covers the stored bytes and every read verifies
@@ -174,16 +158,13 @@ impl Default for ChunkStoreConfig {
             max_segments: 0,
             system_cipher: tdb_crypto::CipherKind::TripleDes,
             system_hash: tdb_crypto::HashKind::Sha1,
-            read_shards: 16,
             read_cache_chunks: 1024,
             crypto_workers: 0,
             group_commit: true,
-            commit_batch_max: 64,
             background_maintenance: false,
             clean_slice_segments: 2,
             clean_low_water: 2,
             clean_high_water: 4,
-            lazy_integrity: true,
             compression: false,
         }
     }
@@ -350,8 +331,7 @@ pub(crate) struct Inner {
     /// distinguishes "failed before any durable append" (roll back and stay
     /// live) from "failed after a partial append" (degrade).
     pub wrote_log: bool,
-    /// Dirty-tree accumulator for lazy Merkle materialization (no-op when
-    /// `config.lazy_integrity` is off).
+    /// Dirty-tree accumulator for lazy Merkle materialization.
     pub lazy: crate::engine::dirty::DirtyTreeAccumulator,
     /// Undo journal for engine state outside the map cache, open while a
     /// mutation can still roll back (see [`crate::engine::rollback`]).
@@ -395,7 +375,7 @@ pub struct StoreCore {
     pub(crate) inner: Mutex<Inner>,
     pub(crate) reads: ReadPath,
     /// Group-commit coordinator; `None` runs the paper's one-commit-one-
-    /// flush path (`group_commit = false` or `commit_batch_max <= 1`).
+    /// flush path (`group_commit = false`).
     pub(crate) batcher: Option<crate::batcher::CommitBatcher>,
     /// Shared state of the background maintenance runtime (present even
     /// when disabled; the flags inside make everything a no-op then).
@@ -470,7 +450,7 @@ impl ChunkStore {
         };
         let mut inner = Inner {
             map_cache: MapCache::new(config.map_cache_capacity),
-            lazy: crate::engine::dirty::DirtyTreeAccumulator::new(config.lazy_integrity),
+            lazy: crate::engine::dirty::DirtyTreeAccumulator::default(),
             config,
             system,
             trusted,
@@ -506,17 +486,13 @@ impl ChunkStore {
         let reads = ReadPath::new(
             Arc::clone(inner.log.store()),
             Arc::clone(&inner.system),
-            inner.config.read_shards,
             inner.config.read_cache_chunks,
         );
         reads.set_health(&inner.health);
-        let batcher = if inner.config.group_commit && inner.config.commit_batch_max > 1 {
-            Some(crate::batcher::CommitBatcher::new(
-                inner.config.commit_batch_max,
-            ))
-        } else {
-            None
-        };
+        let batcher = inner
+            .config
+            .group_commit
+            .then(crate::batcher::CommitBatcher::new);
         let maint = MaintenanceShared::new(&inner.config);
         let background = inner.config.background_maintenance;
         let core = Arc::new(StoreCore {
@@ -992,5 +968,13 @@ impl ChunkStore {
     #[doc(hidden)]
     pub fn debug_residual_segments(&self) -> usize {
         self.inner.lock().log.residual_segments().len()
+    }
+
+    /// Test-only: drops every memoized effective subtree hash, so the next
+    /// root or proof query recomputes the whole dirty tree — the paper's
+    /// eager recompute, which the memo is tested against.
+    #[doc(hidden)]
+    pub fn debug_forget_integrity_memo(&self) {
+        self.inner.lock().lazy.clear();
     }
 }

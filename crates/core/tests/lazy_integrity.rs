@@ -1,9 +1,11 @@
-//! Lazy-vs-eager equivalence (ISSUE 8): a store with `lazy_integrity` on
+//! Lazy-vs-eager equivalence: a store memoizing effective subtree hashes
 //! is driven through arbitrary interleavings of commits, overwrites,
 //! deallocations, checkpoints, root queries, proof extractions, and
-//! crash/recovery reopens, in lockstep with an eager twin. After every
-//! step the two must agree on the effective root digest, and every proof
-//! must be identical across the twins and verify against the shared root.
+//! crash/recovery reopens, in lockstep with an eager twin — the same store
+//! that forgets its memo before every root or proof query, so each query
+//! recomputes the whole dirty tree. After every step the two must agree on
+//! the effective root digest, and every proof must be identical across the
+//! twins and verify against the shared root.
 //!
 //! This pins the accumulator's memo invariant end to end: if any mutation
 //! path forgets to invalidate, the lazy store serves a stale hash and the
@@ -20,7 +22,7 @@ use tdb_core::{ChunkId, PartitionId};
 use tdb_crypto::{CipherKind, HashKind, SecretKey};
 use tdb_storage::{CounterOverTrusted, MemStore, MemTrustedStore, TrustedStore};
 
-fn config(lazy: bool) -> ChunkStoreConfig {
+fn config() -> ChunkStoreConfig {
     ChunkStoreConfig {
         fanout: 4,
         segment_size: 8192,
@@ -31,7 +33,6 @@ fn config(lazy: bool) -> ChunkStoreConfig {
         // Queries must exercise the dirty (effective) tree; checkpoints
         // happen only when the op sequence asks for one.
         checkpoint_threshold: 100_000,
-        lazy_integrity: lazy,
         ..ChunkStoreConfig::default()
     }
 }
@@ -42,11 +43,12 @@ struct Twin {
     untrusted: Arc<MemStore>,
     trusted: Arc<MemTrustedStore>,
     secret: SecretKey,
-    lazy: bool,
+    /// The eager oracle: forget the memo before every query.
+    eager: bool,
 }
 
 impl Twin {
-    fn create(lazy: bool) -> Twin {
+    fn create(eager: bool) -> Twin {
         let untrusted = Arc::new(MemStore::new());
         let trusted = Arc::new(MemTrustedStore::new(16));
         let secret = SecretKey::new(vec![11u8; 24]);
@@ -57,7 +59,7 @@ impl Twin {
             Arc::clone(&untrusted) as _,
             TrustedBackend::Counter(counter),
             secret.clone(),
-            config(lazy),
+            config(),
         )
         .unwrap();
         Twin {
@@ -65,12 +67,21 @@ impl Twin {
             untrusted,
             trusted,
             secret,
-            lazy,
+            eager,
         }
     }
 
     fn store(&self) -> &ChunkStore {
         self.store.as_ref().expect("store is open")
+    }
+
+    /// The store, ready for a root or proof query.
+    fn query(&self) -> &ChunkStore {
+        let store = self.store();
+        if self.eager {
+            store.debug_forget_integrity_memo();
+        }
+        store
     }
 
     /// Crash (drop without close) and recover from the persisted state.
@@ -84,7 +95,7 @@ impl Twin {
                 Arc::clone(&self.untrusted) as _,
                 TrustedBackend::Counter(counter),
                 self.secret.clone(),
-                config(self.lazy),
+                config(),
             )
             .unwrap(),
         );
@@ -120,8 +131,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 }
 
 fn run_steps(steps: Vec<Step>) {
-    let mut eager = Twin::create(false);
-    let mut lazy = Twin::create(true);
+    let mut eager = Twin::create(true);
+    let mut lazy = Twin::create(false);
 
     // A shared partition created identically on both twins. Fixed params:
     // CryptoParams::generate draws random keys, and the twins must match.
@@ -192,9 +203,9 @@ fn run_steps(steps: Vec<Step>) {
                     continue;
                 }
                 let id = written[pick % written.len()];
-                let root = eager.store().snapshot_root(p).unwrap();
-                let (body_e, proof_e) = eager.store().read_with_proof(id).unwrap();
-                let (body_l, proof_l) = lazy.store().read_with_proof(id).unwrap();
+                let root = eager.query().snapshot_root(p).unwrap();
+                let (body_e, proof_e) = eager.query().read_with_proof(id).unwrap();
+                let (body_l, proof_l) = lazy.query().read_with_proof(id).unwrap();
                 assert_eq!(body_e, body_l);
                 assert_eq!(proof_e, proof_l, "lazy proof differs for {id}");
                 assert!(verify_read_proof(&proof_l, &body_l, &root));
@@ -206,8 +217,8 @@ fn run_steps(steps: Vec<Step>) {
         }
         // The invariant under test: after *every* step the lazy twin's
         // effective root equals the eager recompute.
-        let root_e = eager.store().snapshot_root(p).unwrap();
-        let root_l = lazy.store().snapshot_root(p).unwrap();
+        let root_e = eager.query().snapshot_root(p).unwrap();
+        let root_l = lazy.query().snapshot_root(p).unwrap();
         assert_eq!(root_e, root_l, "roots diverged after {step:?}");
     }
     // The memoized store must have actually memoized on any non-trivial

@@ -212,17 +212,6 @@ impl TrustedDbBuilder {
         self
     }
 
-    /// Enables lazy Merkle materialization: root and proof queries serve
-    /// unchanged map subtrees from a memo instead of re-hashing them, so a
-    /// batch of commits pays roughly one spine recompute at the next query.
-    /// On by default; `false` is the paper's eager effective-tree
-    /// recompute. Purely CPU-side either way: the knob never changes
-    /// device traffic (see [`ChunkStoreConfig::lazy_integrity`]).
-    pub fn lazy_integrity(mut self, on: bool) -> Self {
-        self.chunk_config.lazy_integrity = on;
-        self
-    }
-
     /// Enables transparent chunk-body compression: user-data bodies are
     /// LZ77-compressed before hashing and sealing, shrinking log traffic
     /// for compressible payloads; incompressible bodies are stored raw
@@ -230,14 +219,6 @@ impl TrustedDbBuilder {
     /// shape (see [`ChunkStoreConfig::compression`]).
     pub fn compression(mut self, on: bool) -> Self {
         self.chunk_config.compression = on;
-        self
-    }
-
-    /// Sets the number of concurrent read shards in the chunk store
-    /// (`0` disables the fast read path; see
-    /// [`ChunkStoreConfig::read_shards`]).
-    pub fn read_shards(mut self, shards: usize) -> Self {
-        self.chunk_config.read_shards = shards;
         self
     }
 
@@ -254,14 +235,6 @@ impl TrustedDbBuilder {
     /// [`ChunkStoreConfig::group_commit`]).
     pub fn group_commit(mut self, on: bool) -> Self {
         self.chunk_config.group_commit = on;
-        self
-    }
-
-    /// Caps how many commits a group-commit leader drains into one batch
-    /// (values `<= 1` disable batching; see
-    /// [`ChunkStoreConfig::commit_batch_max`]).
-    pub fn commit_batch_max(mut self, max: usize) -> Self {
-        self.chunk_config.commit_batch_max = max;
         self
     }
 

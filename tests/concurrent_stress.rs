@@ -54,7 +54,6 @@ fn config(crypto_workers: usize) -> ChunkStoreConfig {
             delta_ut: 5,
             delta_tu: 0,
         },
-        read_shards: 16,
         read_cache_chunks: 64,
         crypto_workers,
         ..ChunkStoreConfig::default()

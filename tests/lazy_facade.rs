@@ -1,8 +1,8 @@
-//! Lazy integrity through the `TrustedDb` facade: the builder knob, root
-//! digests agreeing with the eager paper path, and — the parity contract —
-//! the knob (off *or* on) leaving the device-op shape byte-identical: the
-//! accumulator is pure CPU-side memoization and never changes what is read
-//! from or written to the untrusted store.
+//! Lazy integrity through the `TrustedDb` facade, on the default
+//! configuration: root digests agree with the paper's eager recompute (the
+//! same build forgetting its memo before every query), and the memo is
+//! pure CPU-side work — it never changes what is read from or written to
+//! the untrusted store.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -50,19 +50,15 @@ struct Rig {
     untrusted: Arc<MemStore>,
 }
 
-fn build(lazy: Option<bool>) -> Rig {
+fn build() -> Rig {
     let untrusted = Arc::new(MemStore::new());
     let counter = Arc::new(CounterOverTrusted::new(
         Arc::new(MemTrustedStore::new(64)) as Arc<dyn TrustedStore>
     ));
-    let mut builder = TrustedDbBuilder::new()
+    let db = TrustedDbBuilder::new()
         // A fixed key keeps two builds byte-comparable.
         .secret(SecretKey::new(vec![7u8; 24]))
-        .register_type(NOTE_TAG, unpickle_note);
-    if let Some(on) = lazy {
-        builder = builder.lazy_integrity(on);
-    }
-    let db = builder
+        .register_type(NOTE_TAG, unpickle_note)
         .create(
             Arc::clone(&untrusted) as _,
             TrustedBackend::Counter(counter),
@@ -74,9 +70,16 @@ fn build(lazy: Option<bool>) -> Rig {
 
 /// A proof-heavy single-writer workload: batches of commits interleaved
 /// with root queries (the path the accumulator memoizes), then a
-/// checkpoint and more queries against the checkpointed tree.
-fn proof_heavy_workload(db: &TrustedDb) -> Vec<tdb_crypto::HashValue> {
+/// checkpoint and more queries against the checkpointed tree. `eager`
+/// forgets the memo before every query.
+fn proof_heavy_workload(db: &TrustedDb, eager: bool) -> Vec<tdb_crypto::HashValue> {
     let p = db.partition();
+    let root = || {
+        if eager {
+            db.chunks().debug_forget_integrity_memo();
+        }
+        db.snapshot_root().unwrap()
+    };
     let mut roots = Vec::new();
     let mut ids = Vec::new();
     for batch in 0..4 {
@@ -84,17 +87,17 @@ fn proof_heavy_workload(db: &TrustedDb) -> Vec<tdb_crypto::HashValue> {
             let id = db.run(|tx| tx.create(p, note(batch * 6 + i))).unwrap();
             ids.push(id);
         }
-        // Mid-batch root queries: correct (and identical) in both modes.
-        roots.push(db.snapshot_root().unwrap());
-        roots.push(db.snapshot_root().unwrap());
+        // Mid-batch root queries; the second one hits the memo.
+        roots.push(root());
+        roots.push(root());
     }
     db.run(|tx| tx.put(ids[0], note(100))).unwrap();
     db.run(|tx| tx.delete(ids[5])).unwrap();
-    roots.push(db.snapshot_root().unwrap());
+    roots.push(root());
     db.checkpoint().unwrap();
-    roots.push(db.snapshot_root().unwrap());
+    roots.push(root());
     db.run(|tx| tx.put(ids[1], note(200))).unwrap();
-    roots.push(db.snapshot_root().unwrap());
+    roots.push(root());
     roots
 }
 
@@ -109,42 +112,25 @@ fn shape_of(rig: &Rig) -> StatsSnapshot {
 
 #[test]
 fn lazy_integrity_keeps_the_device_op_shape_and_roots() {
-    // Baseline: the builder untouched (the default configuration).
-    let baseline = build(None);
-    let baseline_roots = proof_heavy_workload(&baseline.db);
-    let expected = shape_of(&baseline);
-
-    // Explicitly off: byte-for-byte the same device traffic.
-    let off = build(Some(false));
-    let off_roots = proof_heavy_workload(&off.db);
-    assert_eq!(shape_of(&off), expected);
-    assert_eq!(off_roots, baseline_roots);
-
-    // On: the memo changes *when hashes are recomputed*, never what the
-    // device sees — and every root digest matches the eager path.
-    let on = build(Some(true));
-    let on_roots = proof_heavy_workload(&on.db);
-    assert_eq!(shape_of(&on), expected);
-    assert_eq!(on_roots, baseline_roots);
+    // The memo changes *when hashes are recomputed*, never what the device
+    // sees — and every root digest matches the eager recompute.
+    let lazy = build();
+    let lazy_roots = proof_heavy_workload(&lazy.db, false);
+    let eager = build();
+    let eager_roots = proof_heavy_workload(&eager.db, true);
+    assert_eq!(lazy_roots, eager_roots);
+    assert_eq!(shape_of(&lazy), shape_of(&eager));
 }
 
 #[test]
 fn lazy_mode_actually_memoizes() {
-    let on = build(Some(true));
-    proof_heavy_workload(&on.db);
-    let stats = on.db.chunks().stats();
+    let lazy = build();
+    proof_heavy_workload(&lazy.db, false);
+    let stats = lazy.db.chunks().stats();
     assert!(
         stats.lazy_hash_hits > 0,
         "repeated root queries should hit the memo: {stats:?}"
     );
     assert!(stats.lazy_hash_recomputes > 0);
     assert!(stats.lazy_invalidations > 0);
-
-    // Eager stores never touch the accumulator.
-    let off = build(Some(false));
-    proof_heavy_workload(&off.db);
-    let stats = off.db.chunks().stats();
-    assert_eq!(stats.lazy_hash_hits, 0);
-    assert_eq!(stats.lazy_hash_recomputes, 0);
-    assert_eq!(stats.lazy_invalidations, 0);
 }
