@@ -457,6 +457,42 @@ fn automatic_checkpoint_by_threshold() {
     }
 }
 
+#[test]
+fn explicit_checkpoint_writes_one_device_op_per_run() {
+    let mut fx = Fixture::new(counter_mode());
+    // One segment holds the whole checkpoint, so it is one or two runs.
+    fx.config.segment_size = 1 << 16;
+    let store = fx.create();
+    let p = make_partition(&store);
+    // Fanout 4: 200 chunks dirty 50 leaf map chunks and their ancestors.
+    let ops = (0..200u32)
+        .map(|i| CommitOp::WriteChunk {
+            id: store.allocate_chunk(p).unwrap(),
+            bytes: format!("leaf {i}").into_bytes(),
+        })
+        .collect();
+    store.commit(ops).unwrap();
+    let device = fx.untrusted.stats().snapshot();
+    let engine = store.stats();
+    store.checkpoint().unwrap();
+    let device = fx.untrusted.stats().snapshot().since(&device);
+    let appends = store.stats().log_writes_coalesced - engine.log_writes_coalesced;
+    assert!(appends >= 60, "only {appends} appends coalesced");
+    // At most two runs (one segment switch) and a fresh head's end-marker,
+    // then the superblock; the log flush and the superblock's.
+    assert!(
+        device.writes <= 4,
+        "{} device writes for the checkpoint",
+        device.writes
+    );
+    assert_eq!(device.flushes, 2);
+    // The coalesced checkpoint recovers like any other.
+    drop(store);
+    let store = fx.reopen().unwrap();
+    assert_eq!(store.written_ranks(p).unwrap().len(), 200);
+    assert_eq!(store.read(ChunkId::data(p, 199)).unwrap(), b"leaf 199");
+}
+
 // ---------------------------------------------------------------------------
 // Tamper detection (§4.1, §4.8.2).
 // ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@
 //!   commit whose counter bump failed is never acknowledged.
 //! - [`TamperStore`] passes everything through but exposes byte-level
 //!   mutation hooks, playing the role of the paper's hostile host.
+//!
+//! None of them overrides [`UntrustedStore::write_all_flush`]: its default
+//! is a `write_at` per extent and then a `flush`, so every write of a
+//! batched request stays a fault and crash point of its own.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -811,6 +815,26 @@ mod tests {
         pf.read_at(2, &mut buf).unwrap();
         // The faulted write never reached the device.
         assert_eq!(&buf, &[0, 0]);
+    }
+
+    #[test]
+    fn batched_request_keeps_every_write_a_fault_point() {
+        let mem = Arc::new(MemStore::new());
+        let pf = PlannedFaultStore::new(
+            Arc::clone(&mem) as Arc<dyn UntrustedStore>,
+            FaultPlan::new().write_error_at(1),
+        );
+        assert!(pf
+            .write_all_flush(&[(0, b"a"), (1, b"b"), (2, b"c")])
+            .is_err());
+        // The first write landed, the second faulted, nothing after it ran.
+        assert_eq!(mem.image(), b"a");
+        assert_eq!((pf.write_ops(), pf.flush_ops()), (2, 0));
+
+        let cs = CrashStore::new(mem).unwrap();
+        cs.write_all_flush(&[(0, b"x"), (4, b"y")]).unwrap();
+        assert_eq!(cs.write_count(), 2);
+        assert_eq!(cs.pending_writes(), 0);
     }
 
     #[test]

@@ -6,11 +6,18 @@
 //! reads and writes."
 //!
 //! [`RemoteStore`] simulates a network-attached untrusted store: every
-//! operation pays a round-trip latency (virtual or real, via [`SimClock`]).
+//! request pays a round-trip latency (virtual or real, via [`SimClock`]).
+//! A request is one `read_at`, `write_at`, `flush` or `set_len` — or one
+//! [`UntrustedStore::write_all_flush`], which carries any number of extents
+//! plus the sync as a single message, the way a server would take "write
+//! these and make them durable".
 //! [`BatchingStore`] implements the suggested optimization: writes coalesce
-//! in a client-side buffer and ship as one round trip at flush (adjacent
-//! writes are merged); reads are served from the buffer when possible.
-//! The `remote_batching` ablation bench quantifies the win.
+//! in a client-side buffer (adjacent writes are merged), and a flush ships
+//! the whole buffer and the sync as that one request, so a durable batch of
+//! N extents costs one round trip rather than N + 1. Reads are served from
+//! the buffer when possible. `tests/remote_batching.rs` pins the round
+//! trips per commit and checkpoint; the `ablation_remote_batching` bench
+//! measures the computational cost.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,7 +31,15 @@ use crate::stats::StoreStats;
 use crate::untrusted::UntrustedStore;
 use crate::{Result, StoreError};
 
-/// A latency wrapper charging one round trip per store operation.
+/// A latency wrapper charging one round trip per store request.
+///
+/// [`UntrustedStore::write_all_flush`] is one request: it charges a single
+/// round trip for all its extents and the flush, then applies them to the
+/// inner store in order. So in this device model a durable batch of N
+/// extents costs one round trip, not N writes plus a flush; the bytes
+/// written, their order and the durability point are the same as theirs.
+/// A failed round trip fails the whole request before any extent is
+/// applied, as it does for a single write.
 ///
 /// Transport failures can be injected with [`RemoteStore::drop_connections`]:
 /// the next `n` round trips fail with a `ConnectionReset` I/O error, the
@@ -104,6 +119,11 @@ impl UntrustedStore for RemoteStore {
         self.inner.flush()
     }
 
+    fn write_all_flush(&self, extents: &[(u64, &[u8])]) -> Result<()> {
+        self.round_trip()?;
+        self.inner.write_all_flush(extents)
+    }
+
     fn len(&self) -> Result<u64> {
         self.inner.len()
     }
@@ -120,11 +140,13 @@ impl UntrustedStore for RemoteStore {
 
 /// Client-side write batching over a (remote) untrusted store.
 ///
-/// Writes buffer locally and coalesce; [`UntrustedStore::flush`] ships the
-/// batch as few round trips as possible (adjacent/overlapping extents are
-/// merged) and then flushes the remote end. Reads check the buffer first,
-/// so the log-structured append pattern of the chunk store — write, then
-/// occasionally read back — stays correct.
+/// Writes buffer locally and coalesce (adjacent/overlapping extents are
+/// merged); [`UntrustedStore::flush`] ships every buffered extent and the
+/// flush to the inner store as one [`UntrustedStore::write_all_flush`] —
+/// one round trip over a [`RemoteStore`]. If that request fails, the
+/// extents go back into the buffer, so a retried flush still writes them.
+/// Reads check the buffer first, so the log-structured append pattern of
+/// the chunk store — write, then occasionally read back — stays correct.
 pub struct BatchingStore {
     inner: Arc<dyn UntrustedStore>,
     /// Buffered extents keyed by offset; invariant: non-overlapping.
@@ -145,40 +167,45 @@ impl BatchingStore {
         self.pending.lock().len()
     }
 
-    /// Merges `data` at `offset` into the pending extent map, keeping
-    /// extents disjoint and coalescing adjacency.
-    fn buffer_write(&self, offset: u64, data: &[u8]) {
+    /// Puts the extents a failed flush took back into the buffer. Writes
+    /// buffered since the take are newer and win where they overlap.
+    fn restore(&self, taken: BTreeMap<u64, Vec<u8>>) {
         let mut pending = self.pending.lock();
-        let mut start = offset;
-        let mut bytes = data.to_vec();
-        // Absorb any extent that overlaps or touches [start, end].
-        loop {
-            let end = start + bytes.len() as u64;
-            // Candidate: the greatest extent starting at or before `end`.
-            let candidate = pending
-                .range(..=end)
-                .next_back()
-                .map(|(k, v)| (*k, v.len() as u64));
-            match candidate {
-                Some((k, klen)) if k + klen >= start => {
-                    let existing = pending.remove(&k).expect("present");
-                    let new_start = start.min(k);
-                    let new_end = end.max(k + klen);
-                    let mut merged = vec![0u8; (new_end - new_start) as usize];
-                    merged[(k - new_start) as usize..(k - new_start) as usize + existing.len()]
-                        .copy_from_slice(&existing);
-                    // The new write wins where they overlap.
-                    merged
-                        [(start - new_start) as usize..(start - new_start) as usize + bytes.len()]
-                        .copy_from_slice(&bytes);
-                    start = new_start;
-                    bytes = merged;
-                }
-                _ => break,
-            }
+        let newer = std::mem::replace(&mut *pending, taken);
+        for (offset, data) in newer {
+            merge(&mut pending, offset, data);
         }
-        pending.insert(start, bytes);
     }
+}
+
+/// Merges `bytes` at `start` into the extent map `pending`, keeping extents
+/// disjoint and coalescing adjacency; the new bytes win where they overlap.
+fn merge(pending: &mut BTreeMap<u64, Vec<u8>>, mut start: u64, mut bytes: Vec<u8>) {
+    // Absorb any extent that overlaps or touches [start, end].
+    loop {
+        let end = start + bytes.len() as u64;
+        // Candidate: the greatest extent starting at or before `end`.
+        let candidate = pending
+            .range(..=end)
+            .next_back()
+            .map(|(k, v)| (*k, v.len() as u64));
+        match candidate {
+            Some((k, klen)) if k + klen >= start => {
+                let existing = pending.remove(&k).expect("present");
+                let new_start = start.min(k);
+                let new_end = end.max(k + klen);
+                let mut merged = vec![0u8; (new_end - new_start) as usize];
+                merged[(k - new_start) as usize..(k - new_start) as usize + existing.len()]
+                    .copy_from_slice(&existing);
+                merged[(start - new_start) as usize..(start - new_start) as usize + bytes.len()]
+                    .copy_from_slice(&bytes);
+                start = new_start;
+                bytes = merged;
+            }
+            _ => break,
+        }
+    }
+    pending.insert(start, bytes);
 }
 
 impl UntrustedStore for BatchingStore {
@@ -222,19 +249,18 @@ impl UntrustedStore for BatchingStore {
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        self.buffer_write(offset, data);
+        merge(&mut self.pending.lock(), offset, data.to_vec());
         Ok(())
     }
 
     fn flush(&self) -> Result<()> {
-        let extents: Vec<(u64, Vec<u8>)> = {
-            let mut pending = self.pending.lock();
-            std::mem::take(&mut *pending).into_iter().collect()
-        };
-        for (offset, data) in extents {
-            self.inner.write_at(offset, &data)?;
+        let taken = std::mem::take(&mut *self.pending.lock());
+        let extents: Vec<(u64, &[u8])> = taken.iter().map(|(k, v)| (*k, v.as_slice())).collect();
+        let result = self.inner.write_all_flush(&extents);
+        if result.is_err() {
+            self.restore(taken);
         }
-        self.inner.flush()
+        result
     }
 
     fn len(&self) -> Result<u64> {
@@ -342,17 +368,162 @@ mod tests {
             Arc::clone(&clock),
         ));
         let batching = BatchingStore::new(remote);
-        // 10 adjacent writes coalesce into one extent → 1 write RT + 1
-        // flush RT instead of 11.
+        // 10 adjacent writes coalesce into one extent, shipped with the
+        // flush as one round trip instead of 11.
         for i in 0..10u64 {
             batching.write_at(i * 4, &[i as u8; 4]).unwrap();
         }
         assert_eq!(batching.pending_extents(), 1);
         batching.flush().unwrap();
-        assert_eq!(clock.elapsed(), Duration::from_millis(10));
+        assert_eq!(clock.elapsed(), Duration::from_millis(5));
         let mut buf = [0u8; 40];
         mem.read_at(0, &mut buf).unwrap();
         assert_eq!(&buf[36..], &[9, 9, 9, 9]);
+    }
+
+    #[test]
+    fn write_all_flush_is_one_round_trip() {
+        let clock = Arc::new(SimClock::new(false));
+        let mem = Arc::new(MemStore::new());
+        let remote = RemoteStore::new(
+            Arc::clone(&mem) as Arc<dyn UntrustedStore>,
+            Duration::from_millis(5),
+            Arc::clone(&clock),
+        );
+        remote
+            .write_all_flush(&[(0, b"ab"), (10, b"cd"), (20, b"ef")])
+            .unwrap();
+        assert_eq!(clock.elapsed(), Duration::from_millis(5));
+        // The inner store saw every extent, in order, and one flush.
+        let snap = mem.stats().snapshot();
+        assert_eq!((snap.writes, snap.flushes), (3, 1));
+        assert_eq!(&mem.image()[20..], b"ef");
+    }
+
+    #[test]
+    fn dropped_connection_applies_no_extent() {
+        let clock = Arc::new(SimClock::new(false));
+        let mem = Arc::new(MemStore::new());
+        let remote = RemoteStore::new(
+            Arc::clone(&mem) as Arc<dyn UntrustedStore>,
+            Duration::from_millis(1),
+            Arc::clone(&clock),
+        );
+        remote.drop_connections(1);
+        let err = remote
+            .write_all_flush(&[(0, b"ab"), (10, b"cd")])
+            .unwrap_err();
+        assert!(err.is_transient(), "{err}");
+        assert_eq!(mem.len().unwrap(), 0);
+        let snap = mem.stats().snapshot();
+        assert_eq!((snap.writes, snap.flushes), (0, 0));
+    }
+
+    #[test]
+    fn failed_flush_keeps_buffered_writes() {
+        let clock = Arc::new(SimClock::new(false));
+        let mem = Arc::new(MemStore::new());
+        let remote = Arc::new(RemoteStore::new(
+            Arc::clone(&mem) as Arc<dyn UntrustedStore>,
+            Duration::from_millis(1),
+            Arc::clone(&clock),
+        ));
+        let batching = BatchingStore::new(Arc::clone(&remote) as Arc<dyn UntrustedStore>);
+        batching.write_at(0, &[1u8; 8]).unwrap();
+        remote.drop_connections(1);
+        assert!(batching.flush().is_err());
+        // Nothing reached the server, and reads still see the write.
+        assert_eq!(mem.len().unwrap(), 0);
+        let mut buf = [0u8; 8];
+        batching.read_at(0, &mut buf).unwrap();
+        assert_eq!(buf, [1u8; 8]);
+        // A later write merges with the restored extent; the retry ships
+        // both.
+        batching.write_at(4, &[2u8; 2]).unwrap();
+        batching.flush().unwrap();
+        assert_eq!(batching.pending_extents(), 0);
+        assert_eq!(mem.image(), [1, 1, 1, 1, 2, 2, 1, 1]);
+    }
+
+    /// Fails every flush request, after a write to the batching store above
+    /// it has landed while the request was in flight.
+    struct WriteDuringFlush(Mutex<std::sync::Weak<BatchingStore>>);
+
+    impl UntrustedStore for WriteDuringFlush {
+        fn read_at(&self, _offset: u64, buf: &mut [u8]) -> Result<()> {
+            buf.fill(0);
+            Ok(())
+        }
+
+        fn write_at(&self, _offset: u64, _data: &[u8]) -> Result<()> {
+            unreachable!("the batching store sends whole requests")
+        }
+
+        fn flush(&self) -> Result<()> {
+            unreachable!("the batching store sends whole requests")
+        }
+
+        fn write_all_flush(&self, _extents: &[(u64, &[u8])]) -> Result<()> {
+            if let Some(above) = self.0.lock().upgrade() {
+                above.write_at(2, &[9, 9])?;
+            }
+            Err(StoreError::InjectedFault("transient: request lost"))
+        }
+
+        fn len(&self) -> Result<u64> {
+            Ok(0)
+        }
+
+        fn set_len(&self, _len: u64) -> Result<()> {
+            Ok(())
+        }
+
+        fn stats(&self) -> Arc<StoreStats> {
+            Arc::new(StoreStats::new())
+        }
+    }
+
+    #[test]
+    fn failed_flush_yields_to_a_write_made_during_it() {
+        let inner = Arc::new(WriteDuringFlush(Mutex::new(std::sync::Weak::new())));
+        let batching = Arc::new(BatchingStore::new(
+            Arc::clone(&inner) as Arc<dyn UntrustedStore>
+        ));
+        *inner.0.lock() = Arc::downgrade(&batching);
+        batching.write_at(0, &[1u8; 8]).unwrap();
+        assert!(batching.flush().is_err());
+        assert_eq!(batching.pending_extents(), 1);
+        let mut buf = [0u8; 8];
+        batching.read_at(0, &mut buf).unwrap();
+        assert_eq!(buf, [1, 1, 9, 9, 1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn retry_over_batching_survives_a_failed_flush() {
+        use crate::retry::{IoPolicy, RetryStore};
+        let clock = Arc::new(SimClock::new(false));
+        let mem = Arc::new(MemStore::new());
+        let remote = Arc::new(RemoteStore::new(
+            Arc::clone(&mem) as Arc<dyn UntrustedStore>,
+            Duration::from_millis(1),
+            Arc::clone(&clock),
+        ));
+        let store = RetryStore::new(
+            Arc::new(BatchingStore::new(
+                Arc::clone(&remote) as Arc<dyn UntrustedStore>
+            )),
+            IoPolicy::retries(3),
+        );
+        store.write_at(0, b"acked").unwrap();
+        store.write_at(100, b"tail").unwrap();
+        remote.drop_connections(2);
+        // Two failed requests, then the retry ships both extents.
+        store.flush().unwrap();
+        assert_eq!(store.stats().snapshot().retries, 2);
+        let image = mem.image();
+        assert_eq!(&image[..5], b"acked");
+        assert_eq!(&image[100..], b"tail");
+        assert_eq!(clock.elapsed(), Duration::from_millis(3));
     }
 
     #[test]

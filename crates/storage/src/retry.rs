@@ -116,9 +116,9 @@ pub type RetryObserver = Box<dyn Fn(u32) + Send + Sync>;
 /// An [`UntrustedStore`] wrapper that retries transient faults.
 ///
 /// Write retries are safe because every operation in the chunk store's
-/// protocol is idempotent at this layer: a retried `write_at` rewrites the
-/// same bytes at the same offset, so a torn first attempt is simply
-/// overwritten.
+/// protocol is idempotent at this layer: a retried `write_at` (or
+/// `write_all_flush`) rewrites the same bytes at the same offsets, so a
+/// torn first attempt is simply overwritten.
 pub struct RetryStore {
     inner: Arc<dyn UntrustedStore>,
     policy: IoPolicy,
@@ -177,6 +177,12 @@ impl UntrustedStore for RetryStore {
 
     fn flush(&self) -> Result<()> {
         self.run(|| self.inner.flush())
+    }
+
+    /// Retries the whole request as one unit, so a store below that takes
+    /// it as a single round trip still does on every attempt.
+    fn write_all_flush(&self, extents: &[(u64, &[u8])]) -> Result<()> {
+        self.run(|| self.inner.write_all_flush(extents))
     }
 
     fn len(&self) -> Result<u64> {
@@ -244,6 +250,27 @@ mod tests {
         let err = store.write_at(0, b"x").unwrap_err();
         assert!(matches!(err, StoreError::InjectedFault(_)));
         assert_eq!(store.stats().snapshot().retries, 0);
+    }
+
+    #[test]
+    fn write_all_flush_retries_as_one_request() {
+        use crate::remote::RemoteStore;
+        use crate::simdisk::SimClock;
+        let clock = Arc::new(SimClock::new(false));
+        let remote = Arc::new(RemoteStore::new(
+            mem(),
+            Duration::from_millis(1),
+            Arc::clone(&clock),
+        ));
+        remote.drop_connections(1);
+        let store = RetryStore::new(remote, IoPolicy::retries(2));
+        store
+            .write_all_flush(&[(0, b"a"), (8, b"b"), (16, b"c")])
+            .unwrap();
+        // One failed round trip and one that carried everything.
+        assert_eq!(clock.elapsed(), Duration::from_millis(2));
+        assert_eq!(store.stats().snapshot().retries, 1);
+        assert_eq!(store.len().unwrap(), 17);
     }
 
     #[test]

@@ -36,6 +36,19 @@ pub trait UntrustedStore: Send + Sync {
     /// Makes all preceding writes durable.
     fn flush(&self) -> Result<()>;
 
+    /// Writes each `(offset, data)` extent in order, then makes every
+    /// preceding write durable: exactly `write_at` per extent followed by
+    /// [`UntrustedStore::flush`], which is what the default does. A store
+    /// that can take "write these and sync" as one request (a remote
+    /// server, §10) overrides it; the bytes, their order and the
+    /// durability point stay the same.
+    fn write_all_flush(&self, extents: &[(u64, &[u8])]) -> Result<()> {
+        for (offset, data) in extents {
+            self.write_at(*offset, data)?;
+        }
+        self.flush()
+    }
+
     /// Current store length in bytes.
     fn len(&self) -> Result<u64>;
 
@@ -291,6 +304,54 @@ mod tests {
         s.read_at(0, &mut buf).unwrap();
         assert_eq!(&buf, b"durable");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Records every call, to pin the default `write_all_flush` sequence.
+    #[derive(Default)]
+    struct CallLog(parking_lot::Mutex<Vec<String>>);
+
+    impl UntrustedStore for CallLog {
+        fn read_at(&self, _offset: u64, _buf: &mut [u8]) -> Result<()> {
+            unreachable!("not read")
+        }
+
+        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            self.0.lock().push(format!("write {offset}+{}", data.len()));
+            Ok(())
+        }
+
+        fn flush(&self) -> Result<()> {
+            self.0.lock().push("flush".into());
+            Ok(())
+        }
+
+        fn len(&self) -> Result<u64> {
+            Ok(0)
+        }
+
+        fn set_len(&self, _len: u64) -> Result<()> {
+            Ok(())
+        }
+
+        fn stats(&self) -> Arc<StoreStats> {
+            Arc::new(StoreStats::new())
+        }
+    }
+
+    #[test]
+    fn default_write_all_flush_writes_in_order_then_flushes_once() {
+        let store = CallLog::default();
+        store
+            .write_all_flush(&[(40, b"ccc"), (0, b"a"), (10, b"bb")])
+            .unwrap();
+        assert_eq!(
+            *store.0.lock(),
+            ["write 40+3", "write 0+1", "write 10+2", "flush"]
+        );
+        // No extents: still exactly one flush.
+        let empty = CallLog::default();
+        empty.write_all_flush(&[]).unwrap();
+        assert_eq!(*empty.0.lock(), ["flush"]);
     }
 
     #[test]

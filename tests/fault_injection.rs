@@ -273,7 +273,8 @@ fn checkpoint_failure_degrades_reads_still_served() {
             .unwrap();
         ids.push(id);
     }
-    rig.injector.fail_after_writes(2);
+    // The checkpoint's coalesced run reaches the device; its flush fails.
+    rig.injector.fail_after_writes(1);
     let result = store.checkpoint();
     assert!(
         result.is_err(),
@@ -670,6 +671,13 @@ fn script() -> Vec<Step> {
         v.push(Step::Write(i));
     }
     v.push(Step::Over(0, 0xB2));
+    v.push(Step::Checkpoint);
+    // A checkpoint is one coalesced run plus its superblock, so a few more
+    // commits keep every sweep above twenty write points.
+    for i in 13..=14u8 {
+        v.push(Step::Write(i));
+    }
+    v.push(Step::Over(1, 0xC3));
     v.push(Step::Checkpoint);
     v
 }

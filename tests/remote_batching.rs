@@ -1,16 +1,22 @@
 //! §10 extension, end to end: TDB over a *remote* untrusted store, with
 //! and without client-side write batching. The batched configuration must
-//! be correct (recovery included) and pay far fewer round trips.
+//! be correct (recovery included), pay far fewer round trips — one per
+//! durability point — and lose no acknowledged commit to a transport reset.
 
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use tdb::{ChunkStore, ChunkStoreConfig, CommitOp, CryptoParams, TrustedBackend};
 use tdb_crypto::SecretKey;
 use tdb_storage::{
-    BatchingStore, CounterOverTrusted, MemStore, MemTrustedStore, RemoteStore, SharedUntrusted,
-    SimClock, UntrustedStore,
+    BatchingStore, CounterOverTrusted, IoPolicy, MemStore, MemTrustedStore, RemoteStore,
+    RetryStore, SharedUntrusted, SimClock, StoreStats, UntrustedStore,
 };
+
+/// The remote's round trip (accounted on a [`SimClock`], never slept).
+const RTT: Duration = Duration::from_millis(2);
 
 struct Remote {
     mem: Arc<MemStore>,
@@ -23,7 +29,7 @@ fn remote(batched: bool) -> Remote {
     let clock = Arc::new(SimClock::new(false)); // Account, don't sleep.
     let remote = Arc::new(RemoteStore::new(
         Arc::clone(&mem) as SharedUntrusted,
-        Duration::from_millis(2),
+        RTT,
         Arc::clone(&clock),
     ));
     let store: SharedUntrusted = if batched {
@@ -83,7 +89,7 @@ fn batched_remote_is_correct_across_recovery() {
     // buffer is gone — like a client restart).
     let fresh_client = Arc::new(BatchingStore::new(Arc::new(RemoteStore::new(
         Arc::new(MemStore::from_bytes(r.mem.image())) as SharedUntrusted,
-        Duration::from_millis(2),
+        RTT,
         Arc::new(SimClock::new(false)),
     ))));
     let store = ChunkStore::open(
@@ -118,13 +124,193 @@ fn batching_saves_round_trips() {
     };
     let unbatched = run(false);
     let batched = run(true);
-    // Writes coalesce to ~2 round trips per commit instead of one per
-    // version; reads cost the same on both sides (the descriptor cache is
-    // the read-side optimization), so expect a solid but not total win.
+    // A batched commit's writes and flush ship as one round trip instead of
+    // one per version plus the flush; reads cost the same on both sides
+    // (the descriptor cache is the read-side optimization).
     assert!(
-        batched.as_secs_f64() * 1.3 < unbatched.as_secs_f64(),
-        "batching should save ≥30% of round-trip time: batched {batched:?} vs unbatched {unbatched:?}"
+        batched.as_secs_f64() * 2.0 < unbatched.as_secs_f64(),
+        "batching should halve round-trip time: batched {batched:?} vs unbatched {unbatched:?}"
     );
+}
+
+#[test]
+fn batched_commit_costs_one_round_trip() {
+    let secret = SecretKey::random(24);
+    let register = Arc::new(MemTrustedStore::new(64));
+    let r = remote(true);
+    let store = ChunkStore::create(
+        Arc::clone(&r.store),
+        backend(&register),
+        secret,
+        ChunkStoreConfig::default(),
+    )
+    .unwrap();
+    let written = workload(&store);
+    // Warm single-chunk commits: every descriptor they touch is cached, so
+    // the commit's only request is its durable batch — the version and the
+    // commit chunk, written and flushed as one round trip.
+    for (i, (id, _)) in written.iter().enumerate() {
+        let before = r.clock.elapsed();
+        store
+            .commit(vec![CommitOp::WriteChunk {
+                id: *id,
+                bytes: vec![i as u8; 300],
+            }])
+            .unwrap();
+        assert_eq!(r.clock.elapsed() - before, RTT, "commit {i}");
+    }
+    // A checkpoint has two durability points the protocol keeps apart: the
+    // log (map chunks, leaders, commit chunk) and, after the trusted
+    // counter, the superblock. Each is one round trip.
+    let before = r.clock.elapsed();
+    store.checkpoint().unwrap();
+    assert_eq!(r.clock.elapsed() - before, 2 * RTT);
+}
+
+/// Forwards every request to a [`RemoteStore`], resetting the connection
+/// on every `k`-th round trip (the first at trip `k - 1 - phase`).
+struct ResetEveryKth {
+    remote: Arc<RemoteStore>,
+    k: u64,
+    trips: AtomicU64,
+}
+
+impl ResetEveryKth {
+    fn trip(&self) {
+        if self.trips.fetch_add(1, Ordering::SeqCst) % self.k == self.k - 1 {
+            self.remote.drop_connections(1);
+        }
+    }
+}
+
+impl UntrustedStore for ResetEveryKth {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> tdb_storage::Result<()> {
+        self.trip();
+        self.remote.read_at(offset, buf)
+    }
+
+    fn write_at(&self, offset: u64, data: &[u8]) -> tdb_storage::Result<()> {
+        self.trip();
+        self.remote.write_at(offset, data)
+    }
+
+    fn flush(&self) -> tdb_storage::Result<()> {
+        self.trip();
+        self.remote.flush()
+    }
+
+    fn write_all_flush(&self, extents: &[(u64, &[u8])]) -> tdb_storage::Result<()> {
+        self.trip();
+        self.remote.write_all_flush(extents)
+    }
+
+    fn len(&self) -> tdb_storage::Result<u64> {
+        self.remote.len()
+    }
+
+    fn set_len(&self, len: u64) -> tdb_storage::Result<()> {
+        self.trip();
+        self.remote.set_len(len)
+    }
+
+    fn stats(&self) -> Arc<StoreStats> {
+        self.remote.stats()
+    }
+}
+
+/// `RetryStore` over `BatchingStore` over a remote that resets every
+/// `k`-th round trip: runs `commits` single-chunk commits (new chunks and
+/// overwrites, a checkpoint every 16), then reopens from the server's
+/// bytes alone and checks every acknowledged commit is there.
+fn resets_keep_acked_commits(k: u64, phase: u64, commits: u64) {
+    let ctx = format!("reset every {k}th round trip, phase {phase}");
+    let secret = SecretKey::random(24);
+    let register = Arc::new(MemTrustedStore::new(64));
+    let mem = Arc::new(MemStore::new());
+    let remote = Arc::new(RemoteStore::new(
+        Arc::clone(&mem) as SharedUntrusted,
+        RTT,
+        Arc::new(SimClock::new(false)),
+    ));
+    let flaky = Arc::new(ResetEveryKth {
+        remote,
+        k,
+        trips: AtomicU64::new(phase),
+    });
+    let client: SharedUntrusted = Arc::new(RetryStore::new(
+        Arc::new(BatchingStore::new(flaky)),
+        IoPolicy::retries(2),
+    ));
+    let store = ChunkStore::create(
+        Arc::clone(&client),
+        backend(&register),
+        secret.clone(),
+        ChunkStoreConfig::default(),
+    )
+    .expect(&ctx);
+    let p = store.allocate_partition().unwrap();
+    store
+        .commit(vec![CommitOp::CreatePartition {
+            id: p,
+            params: CryptoParams::paper_default(),
+        }])
+        .expect(&ctx);
+    let mut acked: BTreeMap<tdb::ChunkId, Vec<u8>> = BTreeMap::new();
+    let mut ids = Vec::new();
+    for i in 0..commits {
+        let id = if i % 3 == 2 {
+            ids[(i as usize * 7) % ids.len()]
+        } else {
+            let id = store.allocate_chunk(p).expect(&ctx);
+            ids.push(id);
+            id
+        };
+        let data = vec![(i % 251) as u8; 100 + (i as usize % 7) * 60];
+        // With one reset per k ≥ 2 round trips, a retry always gets
+        // through: every commit is acknowledged.
+        store
+            .commit(vec![CommitOp::WriteChunk {
+                id,
+                bytes: data.clone(),
+            }])
+            .unwrap_or_else(|e| panic!("{ctx}: commit {i}: {e}"));
+        acked.insert(id, data);
+        if i % 16 == 15 {
+            store
+                .checkpoint()
+                .unwrap_or_else(|e| panic!("{ctx}: checkpoint after {i}: {e}"));
+        }
+    }
+    assert!(client.stats().snapshot().retries > 0, "{ctx}: no reset hit");
+    let image = mem.image();
+    drop(store);
+    let reopened = ChunkStore::open(
+        Arc::new(MemStore::from_bytes(image)) as SharedUntrusted,
+        backend(&register),
+        secret,
+        ChunkStoreConfig::default(),
+    )
+    .unwrap_or_else(|e| panic!("{ctx}: reopen: {e}"));
+    for (id, data) in &acked {
+        assert_eq!(&reopened.read(*id).expect(&ctx), data, "{ctx}: {id}");
+    }
+}
+
+#[test]
+fn transport_resets_never_lose_an_acked_commit() {
+    for k in [2, 3, 5, 8, 13] {
+        resets_keep_acked_commits(k, 0, 48);
+    }
+}
+
+#[test]
+#[ignore = "exhaustive sweep; CI's fault-torture step runs it"]
+fn transport_resets_never_lose_an_acked_commit_full_sweep() {
+    for k in 2..=40 {
+        for phase in [0, k / 2, k - 1] {
+            resets_keep_acked_commits(k, phase, 160);
+        }
+    }
 }
 
 #[test]
