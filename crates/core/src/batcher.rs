@@ -7,17 +7,22 @@
 //! classic group-commit way while keeping the paper's durability rule
 //! per *batch*:
 //!
-//! - Committers enqueue their op set and park on a condition variable.
-//!   A caller holding several independent commits — a server connection's
-//!   pipelined burst of autocommit writes — enqueues them as adjacent
-//!   members ([`ChunkStore::commit_many`]), so they share one batch even
-//!   with no other committer around.
+//! - Committers hash and seal their own writes, then enqueue their op set
+//!   with those seals and park on a condition variable. The crypto, the
+//!   chunk store's dominant cost (§9.3), thus runs on each committer's own
+//!   thread, not on the leader's under the engine lock. A caller holding
+//!   several independent commits — a server connection's pipelined burst
+//!   of autocommit writes — seals them in one pass and enqueues them as
+//!   adjacent members ([`ChunkStore::commit_many`]), so they share one
+//!   batch even with no other committer around.
 //! - The first committer to find no leader active becomes the **leader**:
 //!   it drains up to [`BATCH_MAX`] queued commits, takes the engine
 //!   lock once, and runs [`crate::store::Inner::commit_batch`] — every
-//!   member is presealed through the parallel crypto pipeline, its appends
-//!   coalesce into segment-sized runs (one `write_at` per run instead of
-//!   one per version), and a single flush ends the batch.
+//!   member is validated and applied (a write whose early seal is missing,
+//!   or was made under a key its partition no longer has, is sealed
+//!   there), their appends coalesce into segment-sized runs (one
+//!   `write_at` per run instead of one per version), and a single flush
+//!   ends the batch.
 //! - The leader publishes each member's own `Result`, *then* wakes the
 //!   waiters. A waiter therefore never observes success before its bytes
 //!   are durable (durability-before-ack), and a failing member is rejected
@@ -34,12 +39,14 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 
 use crate::errors::Result;
+use crate::pipeline::Seals;
 use crate::store::{ChunkStore, CommitOp, Touched};
 
 /// One enqueued commit, shared between its waiter and the batch leader.
 struct PendingCommit {
-    /// The op set; taken (once) by the leader that drains this entry.
-    ops: Mutex<Option<Vec<CommitOp>>>,
+    /// The op set and what its committer sealed of it, by op; taken (once)
+    /// by the leader that drains this entry.
+    ops: Mutex<Option<(Vec<CommitOp>, Seals)>>,
     /// What this commit can change on the read path, collected before
     /// `ops` is consumed so the leader can scrub shards per member.
     touched: Touched,
@@ -81,17 +88,23 @@ impl CommitBatcher {
 }
 
 impl ChunkStore {
-    /// Group-commit entry point: enqueue the op sets as adjacent members,
-    /// lead or wait, and return each one's own result once its batch
-    /// reached durability. A single commit is a one-element call.
-    pub(crate) fn commit_batched(&self, sets: Vec<Vec<CommitOp>>) -> Vec<Result<()>> {
+    /// Group-commit entry point: enqueue the op sets, with what the caller
+    /// sealed of them, as adjacent members, lead or wait, and return each
+    /// one's own result once its batch reached durability. A single commit
+    /// is a one-element call.
+    pub(crate) fn commit_batched(
+        &self,
+        sets: Vec<Vec<CommitOp>>,
+        sealed: Vec<Seals>,
+    ) -> Vec<Result<()>> {
         let batcher = self.batcher.as_ref().expect("routed only when built");
         let entries: Vec<Arc<PendingCommit>> = sets
             .into_iter()
-            .map(|ops| {
+            .zip(sealed)
+            .map(|(ops, sealed)| {
                 Arc::new(PendingCommit {
                     touched: Touched::of(&ops),
-                    ops: Mutex::new(Some(ops)),
+                    ops: Mutex::new(Some((ops, sealed))),
                     result: Mutex::new(None),
                 })
             })
@@ -157,11 +170,11 @@ impl ChunkStore {
             self.reads.set_health(&inner.health);
             return;
         }
-        let sets: Vec<Vec<CommitOp>> = members
+        let (sets, sealed) = members
             .iter()
             .map(|m| m.ops.lock().take().expect("ops taken once, by the leader"))
-            .collect();
-        let results = inner.commit_batch(sets);
+            .unzip();
+        let results = inner.commit_batch(sets, sealed);
         debug_assert_eq!(results.len(), members.len());
         for (m, result) in members.iter().zip(results) {
             self.scrub_and_publish(&mut inner, &m.touched, &result);

@@ -8,7 +8,6 @@
 //! variant applies every member independently (per-commit atomicity) and
 //! shares one durability point per batch.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use tdb_crypto::HashValue;
@@ -20,8 +19,8 @@ use crate::errors::{CoreError, FaultClass, Result};
 use crate::ids::{ChunkId, PartitionId};
 use crate::leader::PartitionLeader;
 use crate::metrics::{self, counters, modules};
-use crate::params::{CryptoParams, PartitionCrypto};
-use crate::pipeline::{self, Presealed, SealJob};
+use crate::params::CryptoParams;
+use crate::pipeline::{self, Presealed, SealJob, Seals};
 use crate::store::{Inner, TrustedBackend, ValidationMode};
 use crate::version::{seal_version, CommitRecord, DeallocRecord, VersionHeader, VersionKind};
 
@@ -70,7 +69,9 @@ pub enum CommitOp {
 impl Inner {
     // -- Commit (§4.6) --------------------------------------------------------
 
-    pub(crate) fn commit(&mut self, ops: Vec<CommitOp>) -> Result<()> {
+    /// Commits one op set. `sealed` holds the bodies its committer sealed
+    /// before the engine lock, by op index.
+    pub(crate) fn commit(&mut self, ops: Vec<CommitOp>, sealed: Seals) -> Result<()> {
         if ops.is_empty() {
             return Ok(());
         }
@@ -80,7 +81,7 @@ impl Inner {
         self.validate_ops(&ops)?;
         let sp = self.savepoint();
         self.wrote_log = false;
-        let result = self.apply_and_finish(ops);
+        let result = self.apply_and_finish(ops, sealed);
         self.end_mutation(&sp, result.as_ref().err(), "commit");
         if result.is_ok() {
             self.maybe_checkpoint()?;
@@ -150,32 +151,21 @@ impl Inner {
         Ok(())
     }
 
-    fn apply_and_finish(&mut self, ops: Vec<CommitOp>) -> Result<()> {
+    fn apply_and_finish(&mut self, ops: Vec<CommitOp>, sealed: Seals) -> Result<()> {
         if matches!(self.config.validation, ValidationMode::Counter { .. }) {
             self.hashes.begin_set();
         }
-        // Hash+seal every WriteChunk body up front; the appends below then
-        // serialize only the already-ciphered buffers (in op order, so the
-        // set hash is unchanged). Purely read-only: nothing to roll back.
-        let presealed = self
-            .preseal_batch(std::slice::from_ref(&ops))
-            .pop()
-            .expect("one slot list per member");
-        self.apply_ops(ops, presealed)?;
+        self.apply_ops(ops, sealed)?;
         self.finish_commit()
     }
 
     /// Applies a validated op set: appends every version and installs the
-    /// descriptors, consuming presealed slots where the pipeline produced
-    /// them. Shared by the unbatched and group-commit paths.
-    fn apply_ops(
-        &mut self,
-        ops: Vec<CommitOp>,
-        mut presealed: Vec<Option<Presealed>>,
-    ) -> Result<()> {
+    /// descriptors, consuming the seals its committer made where they still
+    /// hold. Shared by the unbatched and group-commit paths.
+    fn apply_ops(&mut self, ops: Vec<CommitOp>, mut sealed: Seals) -> Result<()> {
         let mut dealloc_ids: Vec<ChunkId> = Vec::new();
         for (i, op) in ops.into_iter().enumerate() {
-            let pre = presealed.get_mut(i).and_then(Option::take);
+            let pre = sealed.get_mut(i).and_then(Option::take);
             self.apply_op(op, pre, &mut dealloc_ids)?;
         }
         if !dealloc_ids.is_empty() {
@@ -184,70 +174,8 @@ impl Inner {
         Ok(())
     }
 
-    /// Hashes and seals every `WriteChunk` body of a group-commit batch — or
-    /// of one commit, passed as a one-member slice — in a single pipeline
-    /// pass, before any member mutates state. Returns per-member, per-op
-    /// slots for [`Inner::apply_op`] to consume.
-    ///
-    /// A write whose partition crypto cannot be resolved here keeps `None`
-    /// and is sealed inline by `apply_op` (a write into a partition that an
-    /// earlier batch member creates) or, more likely, fails its own
-    /// validation without touching batch-mates.
-    ///
-    /// Partitions created by one member are *not* visible to later members:
-    /// a member's create can still fail validation (e.g. the partition
-    /// already exists), and a later member's write must then be sealed
-    /// under the surviving partition's real key, not the failed create's.
-    fn preseal_batch(&mut self, sets: &[Vec<CommitOp>]) -> Vec<Vec<Option<Presealed>>> {
-        let mut out: Vec<Vec<Option<Presealed>>> = sets
-            .iter()
-            .map(|ops| ops.iter().map(|_| None).collect())
-            .collect();
-        let mut jobs: Vec<SealJob<'_>> = Vec::new();
-        let mut slots: Vec<(usize, usize)> = Vec::new();
-        for (m, ops) in sets.iter().enumerate() {
-            // Partitions created earlier in the same set derive their
-            // crypto from the op params.
-            let mut created: HashMap<PartitionId, Arc<PartitionCrypto>> = HashMap::new();
-            for (i, op) in ops.iter().enumerate() {
-                match op {
-                    CommitOp::CreatePartition { id, params } => {
-                        if let Ok(rt) = params.runtime() {
-                            created.insert(*id, Arc::new(rt));
-                        }
-                    }
-                    CommitOp::CopyPartition { dst, src } => {
-                        let crypto = match created.get(src) {
-                            Some(c) => Some(Arc::clone(c)),
-                            None => self.crypto_for(*src).ok(),
-                        };
-                        if let Some(c) = crypto {
-                            created.insert(*dst, c);
-                        }
-                    }
-                    CommitOp::WriteChunk { id, bytes } => {
-                        let crypto = match created.get(&id.partition) {
-                            Some(c) => Some(Arc::clone(c)),
-                            None => self.crypto_for(id.partition).ok(),
-                        };
-                        if let Some(c) = crypto {
-                            jobs.push((*id, c, bytes.as_slice()));
-                            slots.push((m, i));
-                        }
-                    }
-                    CommitOp::DeallocChunk { .. } | CommitOp::DeallocPartition { .. } => {}
-                }
-            }
-        }
-        let sealed = self.seal_jobs(&jobs, self.config.compression);
-        for ((m, i), pre) in slots.into_iter().zip(sealed) {
-            out[m][i] = Some(pre);
-        }
-        out
-    }
-
-    /// Runs `jobs` through [`pipeline::seal_batch`] — the commit path's and
-    /// the checkpoint's one way in — and counts the batch if it fanned out.
+    /// Runs a checkpoint level's `jobs` through [`pipeline::seal_batch`] and
+    /// counts the batch if it fanned out.
     pub(crate) fn seal_jobs(&mut self, jobs: &[SealJob<'_>], compress: bool) -> Vec<Presealed> {
         let (sealed, fanned_out) =
             pipeline::seal_batch(&self.system, jobs, self.config.crypto_workers, compress);
@@ -261,8 +189,8 @@ impl Inner {
     }
 
     /// Hashes, seals and appends one named version outside any batch (a
-    /// partition leader, a cleaner relocation, a write whose crypto a batch
-    /// could not resolve up front) and returns its descriptor.
+    /// partition leader, a cleaner relocation, a write its committer could
+    /// not seal) and returns its descriptor.
     pub(crate) fn write_named(
         &mut self,
         kind: VersionKind,
@@ -365,11 +293,19 @@ impl Inner {
         match op {
             CommitOp::WriteChunk { id, bytes } => {
                 self.ensure_capacity(id.partition, id.pos.rank)?;
+                // A sealed version is location-independent (§4.9.1, §5.4):
+                // the committer's seal stands if it was made under the very
+                // crypto the partition has now. One that is missing, or was
+                // made under a key a recreate has replaced, is made here.
+                let crypto = self.crypto_for(id.partition)?;
                 let desc = match pre {
-                    // Already hashed + sealed with its batch; only the
-                    // append is left on the serial path.
-                    Some(pre) => self.append_presealed(id, pre)?,
-                    None => self.write_named(VersionKind::Named, id, &bytes)?,
+                    Some(pre) if Arc::ptr_eq(&pre.crypto, &crypto) => {
+                        self.append_presealed(id, pre)?
+                    }
+                    _ => {
+                        self.bodies_sealed_under_lock += 1;
+                        self.write_named(VersionKind::Named, id, &bytes)?
+                    }
                 };
                 let overwrite = self.set_descriptor(id, desc)?.is_written();
                 let entry = self.leader_entry_mut(id.partition)?;
@@ -532,7 +468,14 @@ impl Inner {
     /// On abort or a failed final flush, members applied after the last
     /// durable point are demoted to `BatchAborted` — no caller is ever
     /// acknowledged before its bytes are flushed.
-    pub(crate) fn commit_batch(&mut self, sets: Vec<Vec<CommitOp>>) -> Vec<Result<()>> {
+    ///
+    /// `sealed` holds what the members' committers sealed before the engine
+    /// lock, per member and op.
+    pub(crate) fn commit_batch(
+        &mut self,
+        sets: Vec<Vec<CommitOp>>,
+        mut sealed: Vec<Seals>,
+    ) -> Vec<Result<()>> {
         let n = sets.len();
         self.stats.commit_batches += 1;
         self.stats.batched_commits += n as u64;
@@ -540,8 +483,7 @@ impl Inner {
         metrics::count(counters::COMMIT_BATCHES);
         metrics::add(counters::BATCHED_COMMITS, n as u64);
 
-        // Pool the whole batch's seal work before any member mutates state.
-        let presealed = self.preseal_batch(&sets);
+        sealed.resize_with(n, Vec::new);
         self.log.set_coalescing(true);
 
         let mut results: Vec<Result<()>> = Vec::with_capacity(n);
@@ -555,7 +497,7 @@ impl Inner {
         let mut durable_sp: Option<Savepoint> = None;
         let mut abort: Option<String> = None;
 
-        for (ops, pre) in sets.into_iter().zip(presealed) {
+        for (ops, pre) in sets.into_iter().zip(sealed) {
             if let Some(reason) = &abort {
                 results.push(Err(CoreError::BatchAborted(reason.clone())));
                 continue;
@@ -779,13 +721,15 @@ impl DirectRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::PartitionCrypto;
     use crate::store::{ChunkStore, ChunkStoreConfig};
     use tdb_crypto::SecretKey;
     use tdb_storage::{CounterOverTrusted, MemStore, MemTrustedStore};
 
-    /// A group-commit batch fans its sealing out by the plaintext the whole
-    /// batch carries: two 1000-byte autocommits (`kv-update`'s usual batch)
-    /// stay on the leader's thread, two bulk members share one fan-out.
+    /// A group-commit batch of one caller's sets fans its sealing out by
+    /// the plaintext the sets carry together, on the caller's thread before
+    /// the engine lock: two 1000-byte autocommits (`kv-update`'s usual
+    /// batch) stay on that thread, two bulk members share one fan-out.
     #[test]
     fn group_commit_batch_fans_out_by_total_plaintext() {
         let counter = CounterOverTrusted::new(Arc::new(MemTrustedStore::new(16)));
@@ -799,30 +743,231 @@ mod tests {
             },
         )
         .unwrap();
-        let mut inner = store.inner.lock();
-        let p = inner.allocate_partition().unwrap();
-        inner
-            .commit(vec![CommitOp::CreatePartition {
-                id: p,
-                params: CryptoParams::paper_default(),
-            }])
-            .unwrap();
-        let member = |inner: &mut Inner, writes: usize| -> Vec<CommitOp> {
+        let p = create(&store, CryptoParams::paper_default());
+        let member = |writes: usize| -> Vec<CommitOp> {
             (0..writes)
                 .map(|_| CommitOp::WriteChunk {
-                    id: inner.allocate_chunk(p).unwrap(),
+                    id: store.allocate_chunk(p).unwrap(),
                     bytes: vec![0x5A; 1000],
                 })
                 .collect()
         };
 
-        let small = vec![member(&mut inner, 1), member(&mut inner, 1)];
-        assert!(inner.commit_batch(small).iter().all(Result::is_ok));
-        assert_eq!(inner.stats.parallel_crypto_batches, 0);
+        let small = vec![member(1), member(1)];
+        assert!(store.commit_many(small).iter().all(Result::is_ok));
+        assert_eq!(store.stats().parallel_crypto_batches, 0);
 
-        let bulk = vec![member(&mut inner, 40), member(&mut inner, 40)];
-        assert!(inner.commit_batch(bulk).iter().all(Result::is_ok));
-        assert_eq!(inner.stats.parallel_crypto_batches, 1);
-        assert_eq!(inner.stats.parallel_crypto_chunks, 80);
+        let bulk = vec![member(40), member(40)];
+        assert!(store.commit_many(bulk).iter().all(Result::is_ok));
+        assert_eq!(store.stats().parallel_crypto_batches, 1);
+        assert_eq!(store.stats().parallel_crypto_chunks, 80);
+        assert_eq!(store.stats().batched_commits, 5, "one create, four members");
+        assert_eq!(store.debug_bodies_sealed_under_lock(), 0);
+    }
+
+    /// A device, a trusted register and a key: what reopening needs.
+    struct Platform {
+        device: Arc<MemStore>,
+        register: Arc<MemTrustedStore>,
+        secret: SecretKey,
+    }
+
+    impl Platform {
+        fn new() -> Platform {
+            Platform {
+                device: Arc::new(MemStore::new()),
+                register: Arc::new(MemTrustedStore::new(16)),
+                secret: SecretKey::random(24),
+            }
+        }
+
+        fn backend(&self) -> TrustedBackend {
+            let register = Arc::clone(&self.register) as Arc<dyn tdb_storage::TrustedStore>;
+            TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(register)))
+        }
+
+        fn create(&self) -> ChunkStore {
+            let device = Arc::clone(&self.device) as tdb_storage::SharedUntrusted;
+            let config = ChunkStoreConfig::default();
+            ChunkStore::create(device, self.backend(), self.secret.clone(), config).unwrap()
+        }
+
+        /// Reopens from the flushed bytes and checks every `(id, body)`
+        /// reads back through recovery's validation.
+        fn reopen_and_audit(&self, written: &[(ChunkId, Vec<u8>)]) {
+            let image = Arc::new(MemStore::from_bytes(self.device.image()));
+            let config = ChunkStoreConfig::default();
+            let store = ChunkStore::open(image, self.backend(), self.secret.clone(), config)
+                .expect("reopen audits clean");
+            for (id, body) in written {
+                assert_eq!(&store.read(*id).unwrap(), body, "{id:?} after reopen");
+            }
+        }
+    }
+
+    fn create(store: &ChunkStore, params: CryptoParams) -> PartitionId {
+        let p = store.allocate_partition().unwrap();
+        let create = CommitOp::CreatePartition { id: p, params };
+        store.commit(vec![create]).unwrap();
+        p
+    }
+
+    /// Reads `id` on the engine-locked path, which verifies the body
+    /// against its descriptor under the partition's current crypto.
+    fn read_locked(store: &ChunkStore, id: ChunkId) -> Vec<u8> {
+        store.drop_read_cache();
+        store.read(id).unwrap()
+    }
+
+    /// A version sealed as a committer would, under `crypto`.
+    fn early_seal(
+        store: &ChunkStore,
+        id: ChunkId,
+        crypto: &Arc<PartitionCrypto>,
+        body: &[u8],
+    ) -> Seals {
+        let job = (id, Arc::clone(crypto), body);
+        let system = Arc::clone(&store.inner.lock().system);
+        vec![
+            None,
+            Some(pipeline::seal_one(&system, VersionKind::Named, &job, false)),
+        ]
+    }
+
+    /// A committer seals under the partition's published crypto; the
+    /// partition is deallocated and recreated under a new key before its
+    /// batch runs. The leader reseals the body under the new key.
+    #[test]
+    fn early_seal_under_a_replaced_key_is_resealed_under_the_current_one() {
+        let platform = Platform::new();
+        let store = platform.create();
+        let p = create(&store, CryptoParams::paper_default());
+        let warm = store.allocate_chunk(p).unwrap();
+        let first = vec![CommitOp::WriteChunk {
+            id: warm,
+            bytes: vec![1; 300],
+        }];
+        store.commit(first).unwrap();
+        assert_eq!(
+            store.debug_bodies_sealed_under_lock(),
+            0,
+            "published on create"
+        );
+
+        // The id this committer's write will carry once `p` is recreated.
+        let id = ChunkId::data(p, 0);
+        let body = vec![0xA5; 700];
+        let set = || {
+            vec![CommitOp::WriteChunk {
+                id,
+                bytes: body.clone(),
+            }]
+        };
+        let sealed = store.seal_early(&[set()]);
+        let stale = sealed[0][0]
+            .as_ref()
+            .expect("sealed under the published key");
+        let old = Arc::clone(&stale.crypto);
+
+        store
+            .commit(vec![CommitOp::DeallocPartition { id: p }])
+            .unwrap();
+        assert_eq!(
+            create(&store, CryptoParams::paper_default()),
+            p,
+            "id reused"
+        );
+        assert_eq!(store.allocate_chunk(p).unwrap(), id);
+        let current = store.inner.lock().crypto_for(p).unwrap();
+        assert!(!Arc::ptr_eq(&old, &current));
+
+        let results = store.inner.lock().commit_batch(vec![set()], sealed);
+        assert!(results.iter().all(Result::is_ok), "{results:?}");
+        assert_eq!(read_locked(&store, id), body);
+        assert_eq!(store.debug_bodies_sealed_under_lock(), 1);
+        drop(store);
+        platform.reopen_and_audit(&[(id, body)]);
+    }
+
+    /// A write into a copy's destination in the copy's own set: an early
+    /// seal made under another crypto is dropped, and the body is sealed
+    /// under the source's key, which the copy shares.
+    #[test]
+    fn early_seal_for_a_copy_destination_is_resealed_under_the_copy_key() {
+        let platform = Platform::new();
+        let store = platform.create();
+        let p = create(&store, CryptoParams::paper_default());
+        let src = store.allocate_chunk(p).unwrap();
+        let kept = vec![3; 200];
+        let first = vec![CommitOp::WriteChunk {
+            id: src,
+            bytes: kept.clone(),
+        }];
+        store.commit(first).unwrap();
+
+        let q = store.allocate_partition().unwrap();
+        let id = ChunkId::data(q, src.pos.rank);
+        let body = vec![0x5C; 900];
+        let foreign = Arc::new(CryptoParams::paper_default().runtime().unwrap());
+        let set = vec![
+            CommitOp::CopyPartition { dst: q, src: p },
+            CommitOp::WriteChunk {
+                id,
+                bytes: body.clone(),
+            },
+        ];
+        let sealed = early_seal(&store, id, &foreign, &body);
+        let results = store.inner.lock().commit_batch(vec![set], vec![sealed]);
+        assert!(results.iter().all(Result::is_ok), "{results:?}");
+        assert_eq!(read_locked(&store, id), body);
+        assert_eq!(read_locked(&store, src), kept, "the source is untouched");
+        assert_eq!(store.debug_bodies_sealed_under_lock(), 1);
+        drop(store);
+        platform.reopen_and_audit(&[(id, body), (src, kept)]);
+    }
+
+    /// A set that creates a partition and writes into it: the committer
+    /// seals nothing for it, and an early seal handed in anyway (made under
+    /// a key other than the create's) is dropped. Both bodies are sealed
+    /// under the created partition's key.
+    #[test]
+    fn writes_into_a_partition_created_in_their_set_are_sealed_under_its_key() {
+        let platform = Platform::new();
+        let store = platform.create();
+        let q = store.allocate_partition().unwrap();
+        let (a, b) = (ChunkId::data(q, 0), ChunkId::data(q, 1));
+        let set = |bodies: [&Vec<u8>; 2]| {
+            vec![
+                CommitOp::CreatePartition {
+                    id: q,
+                    params: CryptoParams::paper_default(),
+                },
+                CommitOp::WriteChunk {
+                    id: a,
+                    bytes: bodies[0].clone(),
+                },
+                CommitOp::WriteChunk {
+                    id: b,
+                    bytes: bodies[1].clone(),
+                },
+            ]
+        };
+        let (body_a, body_b) = (vec![7; 400], vec![8; 1200]);
+        let committer = store.seal_early(&[set([&body_a, &body_b])]);
+        assert!(committer[0].iter().all(Option::is_none));
+
+        let foreign = Arc::new(CryptoParams::paper_default().runtime().unwrap());
+        let mut sealed = early_seal(&store, a, &foreign, &body_a);
+        sealed.push(None);
+        let results = store
+            .inner
+            .lock()
+            .commit_batch(vec![set([&body_a, &body_b])], vec![sealed]);
+        assert!(results.iter().all(Result::is_ok), "{results:?}");
+        assert_eq!(read_locked(&store, a), body_a);
+        assert_eq!(read_locked(&store, b), body_b);
+        assert_eq!(store.debug_bodies_sealed_under_lock(), 2);
+        drop(store);
+        platform.reopen_and_audit(&[(a, body_a), (b, body_b)]);
     }
 }

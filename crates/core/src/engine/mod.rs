@@ -4,9 +4,9 @@
 //! the lock/publication protocol; the engine logic behind the mutex lives
 //! here, split by responsibility:
 //!
-//! - [`commit`] — atomic commits: validation, the apply loop, presealing
-//!   through the crypto pipeline, commit sealing (commit chunks / direct
-//!   records), and group-commit batches.
+//! - [`commit`] — atomic commits: validation, the apply loop (which checks
+//!   each committer's early seal and seals what it missed), commit sealing
+//!   (commit chunks / direct records), and group-commit batches.
 //! - [`map`] — the chunk map: descriptor reads and writes, map-chunk
 //!   caching, tree growth, and validated chunk reads (§4.3, §4.5).
 //! - [`partitions`] — partition bookkeeping: leader cache, allocation,

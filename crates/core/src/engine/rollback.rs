@@ -404,10 +404,13 @@ mod tests {
         let mut inner = store.inner.lock();
         let p = inner.allocate_partition().unwrap();
         inner
-            .commit(vec![CommitOp::CreatePartition {
-                id: p,
-                params: params(3),
-            }])
+            .commit(
+                vec![CommitOp::CreatePartition {
+                    id: p,
+                    params: params(3),
+                }],
+                Vec::new(),
+            )
             .unwrap();
         let ids: Vec<ChunkId> = (0..24).map(|_| inner.allocate_chunk(p).unwrap()).collect();
         for (round, four) in ids.chunks(4).enumerate() {
@@ -418,30 +421,39 @@ mod tests {
                     bytes: body(round as u8, 300),
                 })
                 .collect();
-            inner.commit(ops).unwrap();
+            inner.commit(ops, Vec::new()).unwrap();
         }
         inner
-            .commit(vec![
-                CommitOp::DeallocChunk { id: ids[3] },
-                CommitOp::DeallocChunk { id: ids[7] },
-            ])
+            .commit(
+                vec![
+                    CommitOp::DeallocChunk { id: ids[3] },
+                    CommitOp::DeallocChunk { id: ids[7] },
+                ],
+                Vec::new(),
+            )
             .unwrap();
         inner.checkpoint().unwrap();
         for id in &ids[8..20] {
             inner
-                .commit(vec![CommitOp::WriteChunk {
-                    id: *id,
-                    bytes: body(0x40, 500),
-                }])
+                .commit(
+                    vec![CommitOp::WriteChunk {
+                        id: *id,
+                        bytes: body(0x40, 500),
+                    }],
+                    Vec::new(),
+                )
                 .unwrap();
         }
         inner.checkpoint().unwrap();
         for id in &ids[0..3] {
             inner
-                .commit(vec![CommitOp::WriteChunk {
-                    id: *id,
-                    bytes: body(0x80, 200),
-                }])
+                .commit(
+                    vec![CommitOp::WriteChunk {
+                        id: *id,
+                        bytes: body(0x80, 200),
+                    }],
+                    Vec::new(),
+                )
                 .unwrap();
         }
         let spare = (0..8).map(|_| inner.allocate_chunk(p).unwrap()).collect();
@@ -591,7 +603,9 @@ mod tests {
 
     #[test]
     fn commit_rolls_back_to_the_oracle_at_every_fault_index() {
-        let (live, degraded) = sweep("commit", 1000, |rig, inner| inner.commit(mixed_ops(rig)));
+        let (live, degraded) = sweep("commit", 1000, |rig, inner| {
+            inner.commit(mixed_ops(rig), Vec::new())
+        });
         assert!(live > 0 && degraded > 0, "live {live} degraded {degraded}");
     }
 
@@ -649,7 +663,11 @@ mod tests {
                 format!("batch (threshold {checkpoint_threshold}), device fails at op {fail_at}");
             let rig = build(checkpoint_threshold);
             rig.injector.fail_after_writes(fail_at);
-            let results = rig.store.inner.lock().commit_batch(members(&rig));
+            let results = rig
+                .store
+                .inner
+                .lock()
+                .commit_batch(members(&rig), Vec::new());
             rig.injector.heal();
             assert!(
                 !rig.store.inner.lock().undo.is_open(),
@@ -666,7 +684,7 @@ mod tests {
                 .enumerate()
                 .filter_map(|(i, ops)| (acked[i] || i == 2).then_some(ops))
                 .collect();
-            let twin_acked = twin.store.inner.lock().commit_batch(sets);
+            let twin_acked = twin.store.inner.lock().commit_batch(sets, Vec::new());
             assert_eq!(twin_acked.iter().filter(|r| r.is_err()).count(), 1, "{ctx}");
             assert!(
                 digest(&rig) == digest(&twin),
@@ -724,24 +742,28 @@ mod tests {
                 bytes: body(1, 64),
             })
             .collect();
-        inner.commit(writes).unwrap();
+        inner.commit(writes, Vec::new()).unwrap();
         inner
             .commit(
                 doomed
                     .iter()
                     .map(|id| CommitOp::DeallocChunk { id: *id })
                     .collect(),
+                Vec::new(),
             )
             .unwrap();
         let q = rig.spare_parts[0];
         inner
-            .commit(vec![CommitOp::CreatePartition {
-                id: q,
-                params: params(9),
-            }])
+            .commit(
+                vec![CommitOp::CreatePartition {
+                    id: q,
+                    params: params(9),
+                }],
+                Vec::new(),
+            )
             .unwrap();
         inner
-            .commit(vec![CommitOp::DeallocPartition { id: q }])
+            .commit(vec![CommitOp::DeallocPartition { id: q }], Vec::new())
             .unwrap();
         let lists = |inner: &mut Inner| {
             let e = inner.leader_entry(rig.p).unwrap();
@@ -757,16 +779,22 @@ mod tests {
         assert_eq!(before.1.len(), 1);
         // Overwrites, and a checkpoint that rewrites the dirty leader.
         inner
-            .commit(vec![CommitOp::WriteChunk {
-                id: rig.ids[5],
-                bytes: body(6, 64),
-            }])
+            .commit(
+                vec![CommitOp::WriteChunk {
+                    id: rig.ids[5],
+                    bytes: body(6, 64),
+                }],
+                Vec::new(),
+            )
             .unwrap();
         inner
-            .commit(vec![CommitOp::WriteChunk {
-                id: rig.ids[9],
-                bytes: body(7, 64),
-            }])
+            .commit(
+                vec![CommitOp::WriteChunk {
+                    id: rig.ids[9],
+                    bytes: body(7, 64),
+                }],
+                Vec::new(),
+            )
             .unwrap();
         inner.checkpoint().unwrap();
         assert_eq!(lists(&mut inner), before);
@@ -774,10 +802,13 @@ mod tests {
         let reused = inner.allocate_chunk(rig.p).unwrap();
         assert!(before.0 .0.contains(&reused.pos.rank));
         inner
-            .commit(vec![CommitOp::WriteChunk {
-                id: reused,
-                bytes: body(8, 64),
-            }])
+            .commit(
+                vec![CommitOp::WriteChunk {
+                    id: reused,
+                    bytes: body(8, 64),
+                }],
+                Vec::new(),
+            )
             .unwrap();
         let after = lists(&mut inner);
         assert!(!after.0 .0.contains(&reused.pos.rank) && !after.0 .1.contains(&reused.pos.rank));

@@ -8,8 +8,6 @@
 //! leader* additionally carries log-management state (segment allocation
 //! and utilization) and is the head of the residual log (§5.4).
 
-use tdb_crypto::{CipherKind, HashKind};
-
 use crate::codec::{Dec, Enc};
 use crate::descriptor::Descriptor;
 use crate::errors::{CoreError, Result};
@@ -311,15 +309,10 @@ impl SystemLeader {
     }
 }
 
-/// Convenience: the paper's fixed system cipher/hash (§5.2).
-pub fn paper_system_kinds() -> (CipherKind, HashKind) {
-    (CipherKind::TripleDes, HashKind::Sha1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdb_crypto::HashValue;
+    use tdb_crypto::{CipherKind, HashKind, HashValue};
 
     fn params() -> CryptoParams {
         CryptoParams::generate(CipherKind::Des, HashKind::Sha1)

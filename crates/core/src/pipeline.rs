@@ -9,6 +9,9 @@
 //! the log append then serializes only the already-ciphered buffers,
 //! preserving append order and therefore the log hashes.
 //!
+//! So a committer seals its own writes before it takes the engine lock, and
+//! the engine seals only what the committer could not.
+//!
 //! Whether the batch fans out is decided by *work*, not by job count: below
 //! [`FAN_OUT_MIN_BYTES`] of plaintext (or with `crypto_workers == 1`, or a
 //! single job) everything is sealed inline on the caller's thread and no
@@ -41,7 +44,13 @@ pub(crate) struct Presealed {
     pub compressed: bool,
     /// Sealed bytes saved versus storing the body raw (0 when raw).
     pub saved: u64,
+    /// The partition crypto the body was sealed under, which the engine
+    /// checks against the partition's current one before it appends.
+    pub crypto: Arc<PartitionCrypto>,
 }
+
+/// The seals of one op set's writes, by op index.
+pub(crate) type Seals = Vec<Option<Presealed>>;
 
 /// One seal job: `(id, partition crypto, plaintext body)`.
 pub(crate) type SealJob<'a> = (ChunkId, Arc<PartitionCrypto>, &'a [u8]);
@@ -104,6 +113,7 @@ pub(crate) fn seal_one(
         body_len: body.len() as u32,
         compressed,
         saved,
+        crypto: Arc::clone(crypto),
     }
 }
 

@@ -86,7 +86,7 @@ pub(crate) struct ReadPath {
     /// Raw untrusted store handle (same device the log appends to).
     store: SharedUntrusted,
     /// System-partition crypto (version headers are sealed under it).
-    system: Arc<PartitionCrypto>,
+    pub(crate) system: Arc<PartitionCrypto>,
     /// Mirror of the engine's `StoreHealth`, updated by the writer path.
     health: AtomicU8,
     /// Global LRU tick.
@@ -192,7 +192,7 @@ impl ReadPath {
             }
         }
         drop(guard);
-        let crypto = self.cryptos.read().get(&id.partition).map(Arc::clone)?;
+        let crypto = self.crypto(id.partition)?;
         let body = self.validate(id, &desc, &crypto)?;
         self.install_body(id, &desc, Arc::new(body.clone()));
         self.fast_hits.fetch_add(1, Ordering::Relaxed);
@@ -294,16 +294,7 @@ impl ReadPath {
         if !desc.is_written() {
             return;
         }
-        {
-            let cryptos = self.cryptos.read();
-            if !cryptos.contains_key(&id.partition) {
-                drop(cryptos);
-                self.cryptos
-                    .write()
-                    .entry(id.partition)
-                    .or_insert_with(|| Arc::clone(crypto));
-            }
-        }
+        self.publish_crypto(id.partition, crypto);
         let mut shard = self.shard(id).write();
         if shard.descs.len() >= self.descs_per_shard && !shard.descs.contains_key(&id) {
             // Descriptor cache over budget: drop it wholesale (cheap to
@@ -332,6 +323,25 @@ impl ReadPath {
                 },
             );
         }
+    }
+
+    /// Publishes `p`'s current crypto, replacing any other. Must be called
+    /// while the engine mutex is held, like [`ReadPath::publish`].
+    pub(crate) fn publish_crypto(&self, p: PartitionId, crypto: &Arc<PartitionCrypto>) {
+        let current = self
+            .cryptos
+            .read()
+            .get(&p)
+            .is_some_and(|c| Arc::ptr_eq(c, crypto));
+        if !current {
+            self.cryptos.write().insert(p, Arc::clone(crypto));
+        }
+    }
+
+    /// `p`'s crypto as last published, which a recreate may have made
+    /// stale: callers verify against descriptors or the engine re-checks.
+    pub(crate) fn crypto(&self, p: PartitionId) -> Option<Arc<PartitionCrypto>> {
+        self.cryptos.read().get(&p).map(Arc::clone)
     }
 
     /// Removes one chunk's shard state (its descriptor changed or it was

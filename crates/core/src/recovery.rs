@@ -181,6 +181,7 @@ fn recover_from(
         health: crate::store::StoreHealth::Live,
         wrote_log: false,
         undo: crate::undo::Journal::new(),
+        bodies_sealed_under_lock: 0,
         config,
     };
     inner.log.mark_residual(leader_seg);

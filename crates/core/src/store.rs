@@ -20,7 +20,7 @@
 //! whole engine.
 
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -38,6 +38,7 @@ use crate::log::{LogHashes, SegmentedLog, Superblock};
 use crate::maintenance::{MaintenanceService, MaintenanceShared};
 use crate::metrics::{self, counters, modules};
 use crate::params::{CryptoParams, PartitionCrypto};
+use crate::pipeline::{self, Seals};
 use crate::readpath::ReadPath;
 use crate::undo::{Journal, UndoCounters};
 
@@ -104,17 +105,16 @@ pub struct ChunkStoreConfig {
     /// Total validated plaintext bodies cached across all read shards.
     pub read_cache_chunks: usize,
     /// Threads that share the hash+seal work of one large batch — a bulk
-    /// commit, a wide group-commit batch, a full checkpoint level — the
+    /// commit, a server connection's burst, a full checkpoint level — the
     /// committing thread included. `0` means auto (available parallelism,
     /// capped at 8); `1` seals everything on the committing thread. A
     /// batch under 64 KB of plaintext is sealed on the committing thread
     /// whatever this says: a thread spawn costs more than it would save.
     pub crypto_workers: usize,
     /// Group commit: concurrent committers are batched by a leader thread
-    /// that preseals every member, coalesces their log appends into
-    /// segment-sized writes, and issues one flush for the whole batch.
-    /// `false` restores the paper's one-flush-per-commit write path
-    /// bit-for-bit on the log.
+    /// that coalesces their log appends into segment-sized writes and
+    /// issues one flush for the whole batch. `false` restores the paper's
+    /// one-flush-per-commit write path bit-for-bit on the log.
     pub group_commit: bool,
     /// Run cleaning and threshold checkpoints on a background maintenance
     /// thread ([`crate::maintenance`]) instead of inside commits and
@@ -336,13 +336,18 @@ pub(crate) struct Inner {
     /// Undo journal for engine state outside the map cache, open while a
     /// mutation can still roll back (see [`crate::engine::rollback`]).
     pub undo: Journal<Undo>,
+    /// `WriteChunk` bodies hashed and sealed under the engine lock because
+    /// their committer's early seal was missing or stale.
+    pub bodies_sealed_under_lock: u64,
 }
 
 /// The read-path entries a commit can change, collected before its ops
 /// are consumed: the chunk ids it writes or deallocates — or every entry,
-/// when it deallocates a partition (its ids may be reused).
+/// when it deallocates a partition (its ids may be reused) — and the
+/// partitions it creates, whose crypto it publishes.
 pub(crate) struct Touched {
     ids: Vec<ChunkId>,
+    created: Vec<PartitionId>,
     all: bool,
 }
 
@@ -350,6 +355,7 @@ impl Touched {
     pub(crate) fn of(ops: &[CommitOp]) -> Touched {
         let mut touched = Touched {
             ids: Vec::new(),
+            created: Vec::new(),
             all: false,
         };
         for op in ops {
@@ -358,7 +364,9 @@ impl Touched {
                     touched.ids.push(*id);
                 }
                 CommitOp::DeallocPartition { .. } => touched.all = true,
-                CommitOp::CreatePartition { .. } | CommitOp::CopyPartition { .. } => {}
+                CommitOp::CreatePartition { id, .. } | CommitOp::CopyPartition { dst: id, .. } => {
+                    touched.created.push(*id);
+                }
             }
         }
         touched
@@ -380,14 +388,21 @@ pub struct StoreCore {
     /// Shared state of the background maintenance runtime (present even
     /// when disabled; the flags inside make everything a no-op then).
     pub(crate) maint: MaintenanceShared,
+    /// `crypto_workers` and `compression`, which committers seal with.
+    seal_config: (usize, bool),
+    /// Batches and chunks committers sealed on more than one thread.
+    early_fan_outs: (AtomicU64, AtomicU64),
 }
 
 /// The trusted chunk store.
 ///
 /// Mutations are serialized behind one lock, per the paper's simple
-/// mutual-exclusion concurrency model. Reads additionally take a sharded
-/// fast path ([`crate::readpath`]) that serves validated chunks without
-/// the engine lock; any miss or anomaly falls back to the locked path.
+/// mutual-exclusion concurrency model, but a committer hashes and seals
+/// its own writes before it takes that lock: a sealed version is
+/// location-independent, and the engine re-checks each early seal against
+/// the partition's current crypto. Reads additionally take a sharded fast
+/// path ([`crate::readpath`]) that serves validated chunks without the
+/// engine lock; any miss or anomaly falls back to the locked path.
 pub struct ChunkStore {
     /// Background maintenance thread; declared before `core` so shutdown
     /// and join happen before the facade's core reference goes away.
@@ -473,6 +488,7 @@ impl ChunkStore {
             health: StoreHealth::Live,
             wrote_log: false,
             undo: Journal::new(),
+            bodies_sealed_under_lock: 0,
         };
         // The initial checkpoint materializes the empty database: leader,
         // commit chunk / trusted hash, and superblock.
@@ -494,12 +510,15 @@ impl ChunkStore {
             .group_commit
             .then(crate::batcher::CommitBatcher::new);
         let maint = MaintenanceShared::new(&inner.config);
+        let seal_config = (inner.config.crypto_workers, inner.config.compression);
         let background = inner.config.background_maintenance;
         let core = Arc::new(StoreCore {
             inner: Mutex::new(inner),
             reads,
             batcher,
             maint,
+            seal_config,
+            early_fan_outs: (AtomicU64::new(0), AtomicU64::new(0)),
         });
         {
             // Seed the maintenance mirrors from the freshly built engine.
@@ -606,25 +625,29 @@ impl ChunkStore {
     /// [`ChunkStore::commit`] — but under group commit they are enqueued
     /// as adjacent members of one batch: one coalesced append and one
     /// flush for all of them. Without group commit each set is committed
-    /// in turn with its own flush.
+    /// in turn with its own flush. Either way the caller's thread hashes
+    /// and seals the sets' writes first, before it queues or takes the
+    /// engine lock.
     pub fn commit_many(&self, sets: Vec<Vec<CommitOp>>) -> Vec<Result<()>> {
         let _t = metrics::span(modules::CHUNK_STORE);
         // Under background maintenance, a bounded log below its low-water
         // mark throttles committers here (bounded wait) before they take
         // the engine lock.
         self.admission_gate();
+        let sealed = self.seal_early(&sets);
         if self.batcher.is_some() {
             // Group commit: enqueue and let a leader thread batch these
             // commits with their contemporaries (see `crate::batcher`).
-            return self.commit_batched(sets);
+            return self.commit_batched(sets, sealed);
         }
         let mut inner = self.inner.lock();
         let results = sets
             .into_iter()
-            .map(|ops| {
+            .zip(sealed)
+            .map(|(ops, sealed)| {
                 let touched = Touched::of(&ops);
                 inner.check_writable()?;
-                let result = inner.commit(ops);
+                let result = inner.commit(ops, sealed);
                 self.scrub_and_publish(&mut inner, &touched, &result);
                 result
             })
@@ -634,12 +657,60 @@ impl ChunkStore {
         results
     }
 
+    /// Hashes and seals the writes of `sets` on the caller's thread, before
+    /// it queues or takes the engine lock, in one pipeline pass (so a burst
+    /// or a bulk load still fans out by its bytes) under the partition
+    /// crypto the read path has published. A write whose partition's crypto
+    /// is not published, or is created earlier in its own set, is left for
+    /// the engine to seal under its lock.
+    pub(crate) fn seal_early(&self, sets: &[Vec<CommitOp>]) -> Vec<Seals> {
+        let mut out: Vec<Seals> = sets
+            .iter()
+            .map(|ops| ops.iter().map(|_| None).collect())
+            .collect();
+        let (mut jobs, mut slots) = (Vec::new(), Vec::new());
+        for (m, ops) in sets.iter().enumerate() {
+            let mut created = Vec::new();
+            for (i, op) in ops.iter().enumerate() {
+                match op {
+                    CommitOp::CreatePartition { id, .. }
+                    | CommitOp::CopyPartition { dst: id, .. } => {
+                        created.push(*id);
+                    }
+                    CommitOp::WriteChunk { id, bytes } if !created.contains(&id.partition) => {
+                        if let Some(crypto) = self.reads.crypto(id.partition) {
+                            jobs.push((*id, crypto, bytes.as_slice()));
+                            slots.push((m, i));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let (workers, compress) = self.seal_config;
+        let (sealed, fanned_out) =
+            pipeline::seal_batch(&self.reads.system, &jobs, workers, compress);
+        if fanned_out {
+            self.early_fan_outs.0.fetch_add(1, Ordering::Relaxed);
+            self.early_fan_outs
+                .1
+                .fetch_add(sealed.len() as u64, Ordering::Relaxed);
+            metrics::count(counters::PARALLEL_CRYPTO_BATCHES);
+            metrics::add(counters::PARALLEL_CRYPTO_CHUNKS, sealed.len() as u64);
+        }
+        for ((m, i), pre) in slots.into_iter().zip(sealed) {
+            out[m][i] = Some(pre);
+        }
+        out
+    }
+
     /// Brings the read path up to date after a commit attempt, under the
     /// engine lock so published descriptors are current. Touched entries
     /// are scrubbed on every outcome — a commit can be durably applied
     /// even when its result is an error (e.g. the follow-on checkpoint
     /// failed), so touched ids never survive an attempt — and a
-    /// successful commit republishes their new descriptors.
+    /// successful commit republishes their new descriptors and the crypto
+    /// of the partitions it created, so their first writes seal early too.
     pub(crate) fn scrub_and_publish(
         &self,
         inner: &mut Inner,
@@ -654,6 +725,11 @@ impl ChunkStore {
             }
         }
         if result.is_ok() {
+            for p in &touched.created {
+                if let Ok(crypto) = inner.crypto_for(*p) {
+                    self.reads.publish_crypto(*p, &crypto);
+                }
+            }
             for id in &touched.ids {
                 if let (Ok(desc), Ok(crypto)) =
                     (inner.get_descriptor(*id), inner.crypto_for(id.partition))
@@ -759,6 +835,8 @@ impl ChunkStore {
             stats.lazy_invalidations = inner.lazy.invalidations;
             stats
         };
+        stats.parallel_crypto_batches += self.early_fan_outs.0.load(Ordering::Relaxed);
+        stats.parallel_crypto_chunks += self.early_fan_outs.1.load(Ordering::Relaxed);
         let (hits, fallbacks, contention, decompress_fallbacks) = self.reads.counters();
         stats.read_fast_hits = hits;
         stats.read_fallbacks = fallbacks;
@@ -962,6 +1040,13 @@ impl ChunkStore {
     #[doc(hidden)]
     pub fn debug_undo_counters(&self) -> UndoCounters {
         self.inner.lock().undo_counters()
+    }
+
+    /// Test-only: `WriteChunk` bodies the engine hashed and sealed under its
+    /// lock because the committer's early seal was missing or stale.
+    #[doc(hidden)]
+    pub fn debug_bodies_sealed_under_lock(&self) -> u64 {
+        self.inner.lock().bodies_sealed_under_lock
     }
 
     /// Test-only: segments the residual log spans, the tail's included.

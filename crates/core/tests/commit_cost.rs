@@ -16,7 +16,10 @@
 //! seal fan-out engages by the batch's plaintext bytes, so a transaction's
 //! commit and a narrow checkpoint level create no thread, while a bulk
 //! load's commit and a full leaf level still share their sealing. The store
-//! counts the batches that fanned out (`parallel_crypto_batches`).
+//! counts the batches that fanned out (`parallel_crypto_batches`), whether
+//! the committer sealed them before the engine lock or the engine under it,
+//! and the bodies the engine had to seal itself
+//! (`debug_bodies_sealed_under_lock`).
 //!
 //! Nor, in bytes, for map chunks it rewrites before they change again: a
 //! checkpoint is due at 512 dirty map chunks or once the residual log
@@ -205,6 +208,54 @@ fn seal_fan_out_engages_by_bytes_not_by_job_count() {
     overwrite(&store, p, (0..128).map(|leaf| leaf * FANOUT), 100);
     store.checkpoint().unwrap();
     assert_eq!(fanned_out(&store), before + 1, "128 dirty leaves");
+}
+
+/// Committers seal their own writes before the engine lock: two threads'
+/// single-chunk autocommits into an existing partition leave the engine
+/// nothing to seal under it. A write into a partition created in its own
+/// set has no published crypto to seal under, so the engine seals it.
+#[test]
+fn committers_seal_their_own_writes_before_the_engine_lock() {
+    const COMMITS: u64 = 200;
+    let store = Platform::new().create();
+    let p = partition(&store);
+    let ids: Vec<ChunkId> = (0..2 * COMMITS)
+        .map(|_| store.allocate_chunk(p).unwrap())
+        .collect();
+    overwrite(&store, p, ids.iter().map(|id| id.pos.rank), 100); // Warm-up.
+    let before = store.debug_bodies_sealed_under_lock();
+    assert_eq!(before, 0, "a create publishes the partition's crypto");
+    std::thread::scope(|s| {
+        for mine in ids.chunks(COMMITS as usize) {
+            let store = &store;
+            s.spawn(move || {
+                for id in mine {
+                    let bytes = vec![0x3C; 1000];
+                    store
+                        .commit(vec![CommitOp::WriteChunk { id: *id, bytes }])
+                        .unwrap();
+                }
+            });
+        }
+    });
+    assert_eq!(store.debug_bodies_sealed_under_lock(), before);
+
+    let q = store.allocate_partition().unwrap();
+    let id = ChunkId::data(q, 0);
+    store
+        .commit(vec![
+            CommitOp::CreatePartition {
+                id: q,
+                params: CryptoParams::paper_default(),
+            },
+            CommitOp::WriteChunk {
+                id,
+                bytes: vec![0x11; 100],
+            },
+        ])
+        .unwrap();
+    assert!(store.debug_bodies_sealed_under_lock() > before);
+    assert_eq!(store.read(id).unwrap(), vec![0x11; 100]);
 }
 
 /// Random single-chunk commits over 16384 records — 256 leaf map chunks —

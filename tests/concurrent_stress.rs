@@ -24,8 +24,10 @@
 //! pipeline sequential and parallel, and once more with a seeded
 //! [`FaultPlan`] injecting transient storage faults (reads may then fail
 //! with I/O or degraded-mode errors — but a read that *succeeds* must
-//! still satisfy the same bounds). Heavier torture variants are
-//! `#[ignore]`d for the CI `--include-ignored` pass.
+//! still satisfy the same bounds). A separate suite deallocates and
+//! recreates a partition id under two committers, whose writes are sealed
+//! before the engine lock (see its section below). Heavier torture
+//! variants are `#[ignore]`d for the CI `--include-ignored` pass.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -348,6 +350,210 @@ fn faulted_stress_eight_readers() {
     run_faulted(8, 120, 0xBADC0DE);
 }
 
+// -- A partition id deallocated and recreated under its committers ---------
+//
+// Committers seal their writes before the engine lock, under the partition
+// crypto the read path published, and the engine re-checks each seal
+// against the partition's current crypto. Here one thread deallocates a
+// partition and recreates the same id under a fresh key, again and again,
+// while two others allocate chunks in it and commit writes — single
+// autocommits, and now and then a 72 KB burst whose early seal fans out.
+// An id names a rank, not an incarnation: a write whose chunk was
+// allocated before a recycle still commits if the other committer has
+// allocated that rank since, and its early seal is then under the old key.
+// Such a seal reaching the log would read back as tampering. Instead the
+// store stays live, every commit and read-back with no recycle around it
+// succeeds, and the last incarnation holds, before and after a reopen,
+// only bodies that were acknowledged for their chunk.
+
+/// xorshift64: the seeded choices of one thread.
+fn next(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// The self-describing body committer `t` writes as its `seq`-th write.
+fn recycled_body(t: u64, seq: u64, len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + len);
+    out.extend_from_slice(&t.to_le_bytes());
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.resize(16 + len, (t * 97 + seq) as u8);
+    out
+}
+
+/// Checks `got` is some committer's whole body, not a torn or foreign one.
+fn assert_well_formed(got: &[u8]) {
+    assert!(got.len() >= 16, "body too short: {} bytes", got.len());
+    let t = u64::from_le_bytes(got[..8].try_into().unwrap());
+    let seq = u64::from_le_bytes(got[8..16].try_into().unwrap());
+    assert_eq!(got, recycled_body(t, seq, got.len() - 16), "torn body");
+}
+
+struct Recycled {
+    store: ChunkStore,
+    partition: PartitionId,
+    /// Odd while a deallocate-and-recreate is in flight; bumped before the
+    /// deallocation and after the recreation.
+    generation: AtomicU64,
+    done: AtomicBool,
+}
+
+/// An acknowledged write: the generation it was allocated in if no recycle
+/// came between its allocation and its read-back, its chunk and its body.
+type Acked = (Option<u64>, ChunkId, Vec<u8>);
+
+/// One committer's loop; returns every write acknowledged to it.
+fn recycled_committer(r: &Recycled, t: u64, seed: u64) -> Vec<Acked> {
+    let mut rng = seed ^ (t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut seq = 0;
+    let mut acked = Vec::new();
+    while !r.done.load(Ordering::Acquire) {
+        let before = r.generation.load(Ordering::SeqCst);
+        let burst = next(&mut rng).is_multiple_of(16);
+        let count = if burst { 8 } else { 1 };
+        let mut writes = Vec::with_capacity(count);
+        for _ in 0..count {
+            let Ok(id) = r.store.allocate_chunk(r.partition) else {
+                break;
+            };
+            let len = if burst {
+                9000
+            } else {
+                64 + (next(&mut rng) % 1500) as usize
+            };
+            seq += 1;
+            writes.push((id, recycled_body(t, seq, len)));
+        }
+        // One set per write, adjacent members of one batch.
+        let sets = writes
+            .iter()
+            .map(|(id, bytes)| {
+                vec![CommitOp::WriteChunk {
+                    id: *id,
+                    bytes: bytes.clone(),
+                }]
+            })
+            .collect();
+        let results = r.store.commit_many(sets);
+        let reads: Vec<_> = writes.iter().map(|(id, _)| r.store.read(*id)).collect();
+        let quiet = before.is_multiple_of(2) && r.generation.load(Ordering::SeqCst) == before;
+        for (((id, body), result), read) in writes.into_iter().zip(results).zip(reads) {
+            match result {
+                Ok(()) => acked.push((quiet.then_some(before), id, body)),
+                Err(e) => {
+                    assert!(!quiet, "commit failed with no recycle around it: {e}");
+                    assert!(!e.is_tamper(), "commit: {e}");
+                }
+            }
+            // The other committer may have overwritten the chunk since,
+            // from an allocation made before a recycle.
+            match read {
+                Ok(got) => assert_well_formed(&got),
+                Err(e) => {
+                    assert!(!quiet, "read failed with no recycle around it: {e}");
+                    assert!(!e.is_tamper(), "read: {e}");
+                }
+            }
+        }
+        assert!(r.store.health().is_live(), "{:?}", r.store.health());
+    }
+    acked
+}
+
+/// Every chunk of `p`'s last incarnation holds a body acknowledged for it,
+/// and every write acknowledged there with no recycle around it is written.
+fn audit_recycled(store: &ChunkStore, p: PartitionId, acked: &[Acked], last: u64) {
+    let written = store.written_ranks(p).unwrap();
+    for (generation, id, _) in acked {
+        if *generation == Some(last) {
+            assert!(written.contains(&id.pos.rank), "{id:?} lost");
+        }
+    }
+    for rank in written {
+        let id = ChunkId::data(p, rank);
+        let got = store.read(id).unwrap();
+        assert!(
+            acked.iter().any(|(_, a, body)| *a == id && *body == got),
+            "{id:?} holds a body never acknowledged for it"
+        );
+    }
+}
+
+/// Returns the bodies the engine sealed under its lock.
+fn run_recycled(rounds: u64, seed: u64) -> u64 {
+    let mem = Arc::new(MemStore::new());
+    let register = Arc::new(MemTrustedStore::new(64));
+    let backend = || {
+        TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
+            Arc::clone(&register) as Arc<dyn TrustedStore>
+        )))
+    };
+    let secret = SecretKey::random(24);
+    let store = ChunkStore::create(
+        Arc::clone(&mem) as SharedUntrusted,
+        backend(),
+        secret.clone(),
+        config(2),
+    )
+    .unwrap();
+    let partition = store.allocate_partition().unwrap();
+    let create = || CommitOp::CreatePartition {
+        id: partition,
+        params: CryptoParams::paper_default(),
+    };
+    store.commit(vec![create()]).unwrap();
+    let r = Recycled {
+        store,
+        partition,
+        generation: AtomicU64::new(0),
+        done: AtomicBool::new(false),
+    };
+    let acked: Vec<Acked> = std::thread::scope(|s| {
+        let committers: Vec<_> = (0..2)
+            .map(|t| {
+                let r = &r;
+                s.spawn(move || recycled_committer(r, t, seed))
+            })
+            .collect();
+        let mut rng = seed | 1;
+        for _ in 0..rounds {
+            std::thread::sleep(std::time::Duration::from_micros(100 + next(&mut rng) % 900));
+            r.generation.fetch_add(1, Ordering::SeqCst);
+            let dealloc = CommitOp::DeallocPartition { id: partition };
+            r.store.commit(vec![dealloc]).unwrap();
+            assert_eq!(r.store.allocate_partition().unwrap(), partition);
+            r.store.commit(vec![create()]).unwrap();
+            r.generation.fetch_add(1, Ordering::SeqCst);
+        }
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        r.done.store(true, Ordering::Release);
+        committers
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect()
+    });
+    let last = r.generation.load(Ordering::SeqCst);
+    audit_recycled(&r.store, partition, &acked, last);
+    let sealed_under_lock = r.store.debug_bodies_sealed_under_lock();
+    drop(r); // No close: recovery replays the residual log.
+    let reopened = ChunkStore::open(
+        Arc::new(MemStore::from_bytes(mem.image())) as SharedUntrusted,
+        backend(),
+        secret,
+        config(2),
+    )
+    .unwrap();
+    audit_recycled(&reopened, partition, &acked, last);
+    sealed_under_lock
+}
+
+#[test]
+fn recycled_partition_under_two_committers() {
+    run_recycled(24, 0x5EED_0001);
+}
+
 // -- Torture variants for the CI --include-ignored pass --------------------
 
 #[test]
@@ -364,4 +570,13 @@ fn torture_faulted_sweep() {
     for seed in 0..8u64 {
         run_faulted(4, 300, 0x5EED_0000 + seed);
     }
+}
+
+#[test]
+#[ignore = "torture: seeded partition-recycling sweep"]
+fn torture_recycled_partition_sweep() {
+    let sealed_under_lock: u64 = (0..8u64)
+        .map(|seed| run_recycled(400, 0x5EED_1000 + seed))
+        .sum();
+    eprintln!("bodies the engine sealed under its lock: {sealed_under_lock}");
 }
