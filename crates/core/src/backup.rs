@@ -66,7 +66,7 @@ pub struct BackupDescriptor {
     pub params: CryptoParams,
     /// Time of backup creation (seconds since the Unix epoch).
     pub created_unix: u64,
-    /// The source's `next_rank` at snapshot time (restores reserve it).
+    /// The source's `next_rank` at snapshot time.
     pub next_rank: u64,
 }
 
@@ -223,45 +223,6 @@ impl BackupStore {
             names,
             snapshots,
         })
-    }
-
-    /// Streams a single-partition backup set from an *existing* snapshot
-    /// (the caller already committed the `CopyPartition`). Used by the
-    /// shard manager's migration path, where the snapshot must be taken
-    /// under the manager's own journaled state machine rather than inside
-    /// [`BackupStore::backup`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing partitions, storage errors, or tampered source
-    /// chunks.
-    pub fn backup_one(&self, spec: &BackupSpec, snapshot: PartitionId, name: &str) -> Result<()> {
-        let mut set_id_bytes = [0u8; 8];
-        rand::thread_rng().fill_bytes(&mut set_id_bytes);
-        let set_id = u64::from_le_bytes(set_id_bytes);
-        let created_unix = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        self.stream_partition_backup(spec, snapshot, set_id, 1, created_unix, name)
-    }
-
-    /// Streams a full backup of `source` reading the partition *directly*,
-    /// with no copy-on-write snapshot. Only sound when `source` cannot
-    /// change underneath the stream — the shard manager uses this to
-    /// evacuate partitions off a Degraded (read-only) shard, where a
-    /// snapshot commit is impossible precisely because the store rejects
-    /// mutations.
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing partitions, storage errors, or tampered chunks.
-    pub fn backup_frozen(&self, source: PartitionId, name: &str) -> Result<()> {
-        let spec = BackupSpec { source, base: None };
-        // The partition doubles as its own "snapshot": reads target it and
-        // the descriptor records it, which keeps restore-side validation
-        // identical to the snapshotted path.
-        self.backup_one(&spec, source, name)
     }
 
     fn stream_partition_backup(
@@ -475,149 +436,6 @@ impl BackupStore {
             restored,
             chunks_written,
         })
-    }
-
-    /// Restores one source's backup chain into partition `target` instead
-    /// of the partition named in the descriptors. The migration path needs
-    /// this: a partition shipped from another shard must land in an id
-    /// allocated on *this* store, which generally differs from the id it
-    /// had at home.
-    ///
-    /// All named objects must belong to a single source partition; the
-    /// chain is ordered and validated exactly as in [`BackupStore::restore`]
-    /// (every chunk is signature-verified before anything is installed),
-    /// and any existing state under `target` is atomically replaced.
-    ///
-    /// # Errors
-    ///
-    /// Fails (without modifying the store) on validation failures,
-    /// constraint violations, multi-source input, or policy denial.
-    pub fn restore_as(
-        &self,
-        names: &[&str],
-        policy: &dyn RestorePolicy,
-        target: PartitionId,
-    ) -> Result<RestoreReport> {
-        let mut parsed: Vec<ParsedBackup> = Vec::new();
-        for name in names {
-            parsed.push(self.read_backup(name)?);
-        }
-        let source = parsed
-            .first()
-            .map(|p| p.descriptor.source)
-            .ok_or_else(|| CoreError::RestoreConstraint("empty restore".into()))?;
-        if parsed.iter().any(|p| p.descriptor.source != source) {
-            return Err(CoreError::RestoreConstraint(
-                "restore_as requires a single-source backup chain".into(),
-            ));
-        }
-        let chain = order_chain(source, parsed)?;
-        let descriptors: Vec<BackupDescriptor> =
-            chain.iter().map(|p| p.descriptor.clone()).collect();
-        policy
-            .approve(&descriptors)
-            .map_err(CoreError::RestoreDenied)?;
-
-        let params = chain
-            .last()
-            .expect("chain non-empty")
-            .descriptor
-            .params
-            .clone();
-        let mut state: std::collections::BTreeMap<u64, Vec<u8>> = std::collections::BTreeMap::new();
-        for backup in &chain {
-            for (rank, body) in &backup.writes {
-                state.insert(*rank, body.clone());
-            }
-            for rank in &backup.deallocs {
-                state.remove(rank);
-            }
-        }
-        let mut ops: Vec<CommitOp> = Vec::new();
-        if self.chunks.partition_exists(target) {
-            // A retried migration may have left a partial install; replace
-            // it wholesale so the restore is idempotent.
-            ops.push(CommitOp::DeallocPartition { id: target });
-        }
-        ops.push(CommitOp::CreatePartition { id: target, params });
-        let mut chunks_written = 0usize;
-        for (rank, body) in state {
-            ops.push(CommitOp::WriteChunk {
-                id: ChunkId::data(target, rank),
-                bytes: body,
-            });
-            chunks_written += 1;
-        }
-        self.chunks.commit(ops)?;
-        Ok(RestoreReport {
-            restored: vec![target],
-            chunks_written,
-        })
-    }
-
-    /// Applies a single *incremental* backup object on top of the already
-    /// restored partition `target` (the migration delta-drain step): new
-    /// and updated chunks are written and deallocated ranks removed, all in
-    /// one atomic commit.
-    ///
-    /// The caller is responsible for base continuity — the object's base
-    /// snapshot must be the one the current contents of `target` were
-    /// restored from (the shard manager's journaled state machine
-    /// guarantees this ordering).
-    ///
-    /// # Errors
-    ///
-    /// Fails (without modifying the store) on validation failures, a
-    /// non-incremental object, or policy denial.
-    pub fn apply_incremental(
-        &self,
-        name: &str,
-        policy: &dyn RestorePolicy,
-        target: PartitionId,
-    ) -> Result<usize> {
-        let parsed = self.read_backup(name)?;
-        if parsed.descriptor.base.is_none() {
-            return Err(CoreError::RestoreConstraint(format!(
-                "{name} is a full backup, not an incremental delta"
-            )));
-        }
-        policy
-            .approve(std::slice::from_ref(&parsed.descriptor))
-            .map_err(CoreError::RestoreDenied)?;
-        if !self.chunks.partition_exists(target) {
-            return Err(CoreError::NoSuchPartition(target));
-        }
-        // Delta chunks may land at ranks the target has never allocated
-        // (writes past the base snapshot's high-water mark); reserve those
-        // so the atomic commit below passes allocation validation.
-        self.chunks.with_inner(|inner| {
-            for (rank, _) in &parsed.writes {
-                let id = ChunkId::data(target, *rank);
-                if inner.effective_status(id)? == crate::descriptor::ChunkStatus::Unallocated {
-                    inner.reserve_rank(target, *rank)?;
-                }
-            }
-            Ok(())
-        })?;
-        let mut ops: Vec<CommitOp> = Vec::new();
-        let mut changed = 0usize;
-        for (rank, body) in parsed.writes {
-            ops.push(CommitOp::WriteChunk {
-                id: ChunkId::data(target, rank),
-                bytes: body,
-            });
-            changed += 1;
-        }
-        for rank in parsed.deallocs {
-            ops.push(CommitOp::DeallocChunk {
-                id: ChunkId::data(target, rank),
-            });
-            changed += 1;
-        }
-        if !ops.is_empty() {
-            self.chunks.commit(ops)?;
-        }
-        Ok(changed)
     }
 
     /// Reads, checksums, decrypts, and signature-verifies one backup object.

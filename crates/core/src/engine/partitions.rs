@@ -203,17 +203,6 @@ impl Inner {
         Ok(ChunkId::data(p, rank))
     }
 
-    /// Reserves a *specific* rank in `p` (session-only, like
-    /// [`Inner::allocate_chunk`]): restore paths use this to write delta
-    /// chunks at ranks the target partition has never allocated.
-    pub(crate) fn reserve_rank(&mut self, p: PartitionId, rank: u64) -> Result<()> {
-        let entry = self.leader_entry_mut(p)?;
-        entry.alloc_next = entry.alloc_next.max(rank + 1);
-        entry.alloc_free.retain(|r| *r != rank);
-        entry.reserved.insert(rank);
-        Ok(())
-    }
-
     /// Encodes and writes a partition leader as a system data chunk,
     /// refreshing the leaders cache.
     pub(crate) fn write_partition_leader(

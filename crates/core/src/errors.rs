@@ -75,10 +75,6 @@ pub enum TamperKind {
     NoValidLeader,
     /// A backup stream failed signature or structure validation (§6.2).
     BadBackup(String),
-    /// The shard manager's routing journal failed signature or sequence
-    /// validation: the record framing was intact (so this is not a torn
-    /// write) but the contents are not what the trusted platform wrote.
-    BadManifest(String),
 }
 
 impl fmt::Display for TamperKind {
@@ -116,9 +112,6 @@ impl fmt::Display for TamperKind {
             }
             TamperKind::NoValidLeader => write!(f, "no valid leader found"),
             TamperKind::BadBackup(msg) => write!(f, "backup validation failed: {msg}"),
-            TamperKind::BadManifest(msg) => {
-                write!(f, "routing journal validation failed: {msg}")
-            }
         }
     }
 }
@@ -172,9 +165,10 @@ pub enum CoreError {
     /// failed closed; it must be reopened (revalidating from the trusted
     /// store) before any further use.
     Poisoned(String),
-    /// The resource is briefly unavailable — e.g. a partition whose writes
-    /// are paused for a migration cutover. Transient by construction: the
-    /// pause lasts one delta-drain, so retrying is the correct response.
+    /// The request conflicts with state the caller itself holds — e.g. a
+    /// `Begin` on a session that already has a transaction open. Permanent:
+    /// retrying the same request fails the same way until the caller ends
+    /// what it holds.
     Busy(String),
 }
 
@@ -264,7 +258,6 @@ impl CoreError {
         match self {
             CoreError::TamperDetected(_) | CoreError::Poisoned(_) => FaultClass::Integrity,
             CoreError::Store(e) if e.is_transient() => FaultClass::Transient,
-            CoreError::Busy(_) => FaultClass::Transient,
             _ => FaultClass::Permanent,
         }
     }
@@ -326,7 +319,7 @@ impl TamperKind {
             TamperKind::NotALeader { .. } => 108,
             TamperKind::NoValidLeader => 109,
             TamperKind::BadBackup(_) => 110,
-            TamperKind::BadManifest(_) => 111,
+            // 111 is retired: never reassign it.
         }
     }
 
@@ -354,7 +347,7 @@ impl TamperKind {
                 e.u64(*trusted);
                 e.u64(*log);
             }
-            TamperKind::BadBackup(msg) | TamperKind::BadManifest(msg) => {
+            TamperKind::BadBackup(msg) => {
                 e.str(msg);
             }
         }
@@ -382,7 +375,6 @@ impl TamperKind {
             108 => TamperKind::NotALeader { location: d.u64()? },
             109 => TamperKind::NoValidLeader,
             110 => TamperKind::BadBackup(d.str()?),
-            111 => TamperKind::BadManifest(d.str()?),
             code => {
                 return Err(CoreError::Corrupt(format!(
                     "unknown tamper-kind wire code {code}"
@@ -672,7 +664,6 @@ mod tests {
             CoreError::TamperDetected(TamperKind::NotALeader { location: 512 }),
             CoreError::TamperDetected(TamperKind::NoValidLeader),
             CoreError::TamperDetected(TamperKind::BadBackup("set incomplete".into())),
-            CoreError::TamperDetected(TamperKind::BadManifest("bad mac".into())),
             CoreError::Store(tdb_storage::StoreError::Io(std::io::Error::new(
                 std::io::ErrorKind::TimedOut,
                 "socket timed out",
@@ -715,7 +706,7 @@ mod tests {
             CoreError::BatchAborted("batch-mate failed".into()),
             CoreError::DegradedMode("write interrupted".into()),
             CoreError::Poisoned("hash mismatch during commit".into()),
-            CoreError::Busy("partition migrating".into()),
+            CoreError::Busy("a transaction is already open on this session".into()),
         ]
     }
 
@@ -742,7 +733,7 @@ mod tests {
             seen.insert(err.code());
         }
         // One code per distinct variant/kind in the catalog.
-        assert_eq!(seen.len(), 27);
+        assert_eq!(seen.len(), 26);
         assert_eq!(CoreError::OutOfSpace.code(), 8);
         assert_eq!(
             CoreError::TamperDetected(TamperKind::NoValidLeader).code(),
@@ -757,9 +748,16 @@ mod tests {
         let buf = e.finish();
         let mut d = Dec::new(&buf[..1]);
         assert!(CoreError::decode_wire(&mut d).is_err());
-        let mut e = Enc::new();
-        e.u16(999);
-        let buf = e.finish();
-        assert!(CoreError::decode_wire(&mut Dec::new(&buf)).is_err());
+        // 999 was never assigned; 111 is retired and must not decode.
+        for code in [999, 111] {
+            let mut e = Enc::new();
+            e.u16(code);
+            e.str("bad mac");
+            let buf = e.finish();
+            assert!(
+                CoreError::decode_wire(&mut Dec::new(&buf)).is_err(),
+                "{code}"
+            );
+        }
     }
 }

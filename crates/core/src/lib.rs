@@ -75,7 +75,6 @@ mod pipeline;
 pub mod proof;
 mod readpath;
 mod recovery;
-pub mod shard;
 pub mod store;
 pub mod undo;
 pub mod version;
@@ -85,8 +84,6 @@ pub use errors::{CoreError, FaultClass, Result, TamperKind};
 pub use ids::{ChunkId, PartitionId, Position};
 pub use params::CryptoParams;
 pub use proof::{verify_read_proof, ProofLevel, ReadProof};
-pub use shard::migration::{MigrationOutcome, MigrationState, MigrationStep};
-pub use shard::{LogicalId, ShardId, ShardManager, ShardOp, ShardSpec};
 pub use store::{
     ChunkStore, ChunkStoreConfig, ChunkStoreStats, CommitOp, DiffChange, DiffEntry, StoreHealth,
     TrustedBackend, ValidationMode,

@@ -96,23 +96,6 @@ pub mod counters {
     pub const MAINTENANCE_WAKEUPS: &str = "maintenance wakeups";
     /// Commits throttled at the low-water admission gate.
     pub const COMMIT_THROTTLE_WAITS: &str = "commit throttle waits";
-    /// Shards observed entering read-only degraded mode (labelled by shard).
-    pub const SHARD_DEGRADED: &str = "shards degraded";
-    /// Shards observed poisoning on an integrity violation (labelled by
-    /// shard).
-    pub const SHARD_POISONED: &str = "shards poisoned";
-    /// Shards observed healing back to live (labelled by shard).
-    pub const SHARD_HEALED: &str = "shards healed";
-    /// Partition migrations started (labelled by source shard).
-    pub const MIGRATIONS_STARTED: &str = "migrations started";
-    /// Interrupted migrations picked back up after a crash or fault
-    /// (labelled by source shard).
-    pub const MIGRATIONS_RESUMED: &str = "migrations resumed";
-    /// Migrations rolled back to a consistent source (labelled by source
-    /// shard).
-    pub const MIGRATIONS_ROLLED_BACK: &str = "migrations rolled back";
-    /// Migrations that reached `Completed` (labelled by source shard).
-    pub const MIGRATIONS_COMPLETED: &str = "migrations completed";
     /// Bodies stored as compressed envelopes.
     pub const BODIES_COMPRESSED: &str = "bodies compressed";
     /// Bodies examined by the compression knob but stored raw.
@@ -122,40 +105,6 @@ pub mod counters {
     /// Fast reads that failed to decompress a verified body and fell back
     /// to the engine-locked path.
     pub const DECOMPRESS_FALLBACKS: &str = "decompress fallbacks";
-
-    /// All counter names, for reporting.
-    pub const ALL: [&str; 30] = [
-        RETRIES,
-        DEGRADED_ENTRIES,
-        POISON_EVENTS,
-        HEAL_ATTEMPTS,
-        HEALS,
-        RECOVERY_ATTEMPTS,
-        READ_SHARD_CONTENTION,
-        PARALLEL_CRYPTO_BATCHES,
-        PARALLEL_CRYPTO_CHUNKS,
-        COMMIT_BATCHES,
-        BATCHED_COMMITS,
-        LOG_WRITES_COALESCED,
-        DIRTY_MAP_LEVELS_SKIPPED,
-        SEGMENTS_CLEANED,
-        VERSIONS_RELOCATED,
-        BYTES_RECLAIMED,
-        CLEAN_SLICES,
-        MAINTENANCE_WAKEUPS,
-        COMMIT_THROTTLE_WAITS,
-        SHARD_DEGRADED,
-        SHARD_POISONED,
-        SHARD_HEALED,
-        MIGRATIONS_STARTED,
-        MIGRATIONS_RESUMED,
-        MIGRATIONS_ROLLED_BACK,
-        MIGRATIONS_COMPLETED,
-        BODIES_COMPRESSED,
-        BODIES_STORED_RAW,
-        LOG_BYTES_SAVED,
-        DECOMPRESS_FALLBACKS,
-    ];
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -163,8 +112,6 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static TOTALS: Mutex<Option<HashMap<&'static str, Duration>>> = Mutex::new(None);
 
 static COUNTERS: Mutex<Option<HashMap<&'static str, u64>>> = Mutex::new(None);
-
-static LABELED: Mutex<Option<HashMap<(&'static str, u64), u64>>> = Mutex::new(None);
 
 thread_local! {
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
@@ -206,23 +153,6 @@ pub fn count(counter: &'static str) {
     add(counter, 1);
 }
 
-/// Adds `n` to both the named counter and its per-label bucket. Labels are
-/// small integers — the shard manager uses the shard id — so an incident
-/// report can say not just *that* a shard degraded but *which one*.
-pub fn add_labeled(counter: &'static str, label: u64, n: u64) {
-    add(counter, n);
-    let mut guard = LABELED.lock();
-    *guard
-        .get_or_insert_with(HashMap::new)
-        .entry((counter, label))
-        .or_default() += n;
-}
-
-/// Increments the named counter and its per-label bucket by one.
-pub fn count_labeled(counter: &'static str, label: u64) {
-    add_labeled(counter, label, 1);
-}
-
 /// An observer for [`tdb_storage::RetryStore`] that records every retry in
 /// the global [`counters::RETRIES`] counter, tying the storage layer's
 /// retry loop into the engine's metrics:
@@ -244,7 +174,6 @@ pub fn retry_observer() -> tdb_storage::RetryObserver {
 pub struct MetricsSnapshot {
     durations: HashMap<&'static str, Duration>,
     counters: HashMap<&'static str, u64>,
-    labeled: HashMap<(&'static str, u64), u64>,
 }
 
 impl MetricsSnapshot {
@@ -256,27 +185,6 @@ impl MetricsSnapshot {
     /// The value of the named event counter (0 when never incremented).
     pub fn counter(&self, counter: &str) -> u64 {
         self.counters.get(counter).copied().unwrap_or(0)
-    }
-
-    /// The per-label bucket of a labelled counter (0 when never incremented).
-    pub fn labeled(&self, counter: &str, label: u64) -> u64 {
-        self.labeled
-            .iter()
-            .find(|((name, l), _)| *name == counter && *l == label)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    }
-
-    /// All per-label buckets recorded for `counter`, sorted by label.
-    pub fn labels_of(&self, counter: &str) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = self
-            .labeled
-            .iter()
-            .filter(|((name, _), _)| *name == counter)
-            .map(|((_, label), v)| (*label, *v))
-            .collect();
-        out.sort_unstable();
-        out
     }
 
     /// All recorded module durations.
@@ -303,7 +211,6 @@ pub fn snapshot() -> MetricsSnapshot {
     MetricsSnapshot {
         durations: TOTALS.lock().clone().unwrap_or_default(),
         counters: COUNTERS.lock().clone().unwrap_or_default(),
-        labeled: LABELED.lock().clone().unwrap_or_default(),
     }
 }
 
@@ -313,9 +220,6 @@ pub fn reset() {
         m.clear();
     }
     if let Some(m) = COUNTERS.lock().as_mut() {
-        m.clear();
-    }
-    if let Some(m) = LABELED.lock().as_mut() {
         m.clear();
     }
 }
@@ -445,31 +349,6 @@ mod tests {
             }
         }
         panic!("counter never observed");
-    }
-
-    #[test]
-    fn labeled_counters_bucket_by_label() {
-        let _serial = SERIAL.lock();
-        disable();
-        // Private names so sibling tests (which call reset()) cannot race
-        // the totals we assert on; retry like the unlabeled test does.
-        for _ in 0..100 {
-            add_labeled("metrics-test-labeled", 3, 2);
-            count_labeled("metrics-test-labeled", 7);
-            let snap = snapshot();
-            if snap.labeled("metrics-test-labeled", 3) >= 2
-                && snap.labeled("metrics-test-labeled", 7) >= 1
-            {
-                assert_eq!(snap.labeled("metrics-test-labeled", 99), 0);
-                let labels = snap.labels_of("metrics-test-labeled");
-                assert!(labels.iter().any(|&(l, _)| l == 3));
-                assert!(labels.iter().any(|&(l, _)| l == 7));
-                // Labelled adds also feed the flat counter.
-                assert!(snap.counter("metrics-test-labeled") >= 3);
-                return;
-            }
-        }
-        panic!("labeled counters never observed");
     }
 
     #[test]

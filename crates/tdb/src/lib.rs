@@ -71,9 +71,7 @@ pub use tdb_core::backup::{BackupDescriptor, BackupSetInfo, BackupSpec, RestoreP
 pub use tdb_core::store::{ChunkStoreConfig, StoreHealth, TrustedBackend, ValidationMode};
 pub use tdb_core::{verify_read_proof, ReadProof};
 pub use tdb_core::{
-    ApproveAll, ChunkId, ChunkStore, CommitOp, CryptoParams, FaultClass, LogicalId,
-    MigrationOutcome, MigrationState, MigrationStep, PartitionId, ShardId, ShardManager, ShardOp,
-    ShardSpec,
+    ApproveAll, ChunkId, ChunkStore, CommitOp, CryptoParams, FaultClass, PartitionId,
 };
 pub use tdb_object::pickle::{downcast, StoredObject, TypeRegistry, Unpickler};
 pub use tdb_object::{
@@ -370,38 +368,6 @@ impl TrustedDbBuilder {
         )
     }
 
-    /// Creates a throwaway in-memory shard fleet of `n` independent chunk
-    /// stores behind a [`ShardManager`] (tests, examples, benches). Each
-    /// shard gets its own untrusted store and trusted counter, configured
-    /// from this builder's chunk configuration; the routing journal and
-    /// transfer archive are in-memory too.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shard formatting failures.
-    pub fn build_shards_in_memory(self, n: usize) -> Result<ShardManager> {
-        let secret = self
-            .secret
-            .unwrap_or_else(|| SecretKey::random(self.chunk_config.system_cipher.key_len()));
-        let specs = (0..n)
-            .map(|_| ShardSpec {
-                untrusted: Arc::new(MemStore::new()) as SharedUntrusted,
-                trusted: TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(Arc::new(
-                    MemTrustedStore::new(64),
-                )
-                    as Arc<dyn TrustedStore>))),
-                config: self.chunk_config.clone(),
-            })
-            .collect();
-        ShardManager::create(
-            specs,
-            Arc::new(MemStore::new()),
-            Arc::new(MemArchive::new()),
-            secret,
-        )
-        .map_err(Into::into)
-    }
-
     fn assemble(
         chunks: Arc<ChunkStore>,
         archive: Arc<dyn ArchivalStore>,
@@ -567,9 +533,8 @@ impl TrustedDb {
     }
 
     /// Current health of the underlying chunk store: live, degraded
-    /// (read-only), or poisoned. The uniform polling point for callers and
-    /// the shard manager — prefer this over reaching through
-    /// [`TrustedDb::chunks`].
+    /// (read-only), or poisoned. The uniform polling point for callers —
+    /// prefer this over reaching through [`TrustedDb::chunks`].
     pub fn health(&self) -> StoreHealth {
         self.chunks.health()
     }

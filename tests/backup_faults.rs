@@ -1,15 +1,18 @@
-//! Seeded-fault backup/restore roundtrips (ISSUE 6 satellite).
+//! Seeded-fault backup/restore roundtrips through the backup store's own
+//! API (§6): `BackupStore::backup` and `BackupStore::restore`.
 //!
 //! Properties:
 //!
-//! - Restoring a snapshot into a *fresh* store under a seeded `FaultPlan`
+//! - Restoring a backup into a *fresh* store under a seeded `FaultPlan`
 //!   either installs contents that verify exactly, or fails cleanly — and
 //!   a retry after the device heals restores bit-perfect state. Transient
-//!   faults never corrupt the archived snapshot.
-//! - A backup taken under seeded faults never ships a corrupt-but-
-//!   installable object: restore of whatever reached the archive either
-//!   fails or yields exactly the source contents.
-//! - A full + incremental chain survives the same treatment.
+//!   faults never corrupt the archived backup.
+//! - A backup taken under seeded faults (its snapshot commit included)
+//!   never ships a corrupt-but-installable object: restore of whatever
+//!   reached the archive either fails or yields exactly the source
+//!   contents.
+//! - A full + incremental chain survives the same treatment, including a
+//!   delta that writes ranks past the base snapshot's high-water mark.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -53,7 +56,35 @@ fn store_over(untrusted: SharedUntrusted, secret: &SecretKey) -> Arc<ChunkStore>
     )
 }
 
+fn backups_of(store: &Arc<ChunkStore>, archive: &Arc<MemArchive>) -> BackupStore {
+    BackupStore::new(
+        Arc::clone(store),
+        Arc::clone(archive) as Arc<dyn ArchivalStore>,
+    )
+}
+
+/// A fresh store over a fault-plannable device, with no plan yet.
+fn planned_store(secret: &SecretKey) -> (Arc<PlannedFaultStore>, Arc<ChunkStore>) {
+    let planned = Arc::new(PlannedFaultStore::new(
+        Arc::new(MemStore::new()),
+        FaultPlan::new(),
+    ));
+    let store = store_over(Arc::clone(&planned) as SharedUntrusted, secret);
+    (planned, store)
+}
+
 type Model = BTreeMap<u64, Vec<u8>>;
+
+fn new_partition(store: &ChunkStore) -> PartitionId {
+    let p = store.allocate_partition().unwrap();
+    store
+        .commit(vec![CommitOp::CreatePartition {
+            id: p,
+            params: CryptoParams::paper_default(),
+        }])
+        .unwrap();
+    p
+}
 
 fn fill_partition(store: &ChunkStore, p: PartitionId, n: u64) -> Model {
     let mut model = Model::new();
@@ -83,12 +114,8 @@ fn assert_partition(store: &ChunkStore, p: PartitionId, model: &Model, ctx: &str
     }
 }
 
-fn snapshot(store: &ChunkStore, p: PartitionId) -> PartitionId {
-    let snap = store.allocate_partition().unwrap();
-    store
-        .commit(vec![CommitOp::CopyPartition { dst: snap, src: p }])
-        .unwrap();
-    snap
+fn full(source: PartitionId) -> BackupSpec {
+    BackupSpec { source, base: None }
 }
 
 #[test]
@@ -96,59 +123,36 @@ fn seeded_faults_on_restore_never_accept_corrupt_state() {
     let secret = SecretKey::random(24);
     let archive = Arc::new(MemArchive::new());
 
-    // A clean source ships one pristine snapshot.
+    // A clean source ships one pristine backup.
     let src = store_over(Arc::new(MemStore::new()) as SharedUntrusted, &secret);
-    let p = src.allocate_partition().unwrap();
-    src.commit(vec![CommitOp::CreatePartition {
-        id: p,
-        params: CryptoParams::paper_default(),
-    }])
-    .unwrap();
+    let p = new_partition(&src);
     let model = fill_partition(&src, p, 10);
-    let snap = snapshot(&src, p);
-    BackupStore::new(
-        Arc::clone(&src),
-        Arc::clone(&archive) as Arc<dyn ArchivalStore>,
-    )
-    .backup_one(
-        &BackupSpec {
-            source: p,
-            base: None,
-        },
-        snap,
-        "snap-full",
-    )
-    .unwrap();
-    let pristine = archive.size_of("snap-full").unwrap();
+    let info = backups_of(&src, &archive)
+        .backup(&[full(p)], "snap-full")
+        .unwrap();
+    let name = info.names[0].as_str();
+    let pristine = archive.size_of(name).unwrap();
 
     for seed in 0..24u64 {
         let ctx = format!("restore seed {seed}");
-        let planned = Arc::new(PlannedFaultStore::new(
-            Arc::new(MemStore::new()),
-            FaultPlan::new(),
-        ));
-        let dst = store_over(Arc::clone(&planned) as SharedUntrusted, &secret);
-        let dst_backups = BackupStore::new(
-            Arc::clone(&dst),
-            Arc::clone(&archive) as Arc<dyn ArchivalStore>,
-        );
-        let target = dst.allocate_partition().unwrap();
+        let (planned, dst) = planned_store(&secret);
+        let dst_backups = backups_of(&dst, &archive);
 
         planned.set_plan(FaultPlan::seeded(seed, 120, 3));
-        let result = dst_backups.restore_as(&["snap-full"], &ApproveAll, target);
+        let result = dst_backups.restore(&[name], &ApproveAll);
         planned.set_plan(FaultPlan::new());
 
         if result.is_err() {
             // Transient faults must leave a retryable store and an intact
-            // snapshot: after the device heals, the restore is bit-perfect.
+            // backup: after the device heals, the restore is bit-perfect.
             let _ = dst.try_heal();
             dst_backups
-                .restore_as(&["snap-full"], &ApproveAll, target)
+                .restore(&[name], &ApproveAll)
                 .unwrap_or_else(|e| panic!("{ctx}: retry after heal: {e}"));
         }
-        assert_partition(&dst, target, &model, &ctx);
-        // Destination-side faults can never corrupt the archived snapshot.
-        assert_eq!(archive.size_of("snap-full"), Some(pristine), "{ctx}");
+        assert_partition(&dst, p, &model, &ctx);
+        // Destination-side faults can never corrupt the archived backup.
+        assert_eq!(archive.size_of(name), Some(pristine), "{ctx}");
     }
 }
 
@@ -158,33 +162,13 @@ fn seeded_faults_on_backup_never_ship_a_corrupt_snapshot() {
     for seed in 0..24u64 {
         let ctx = format!("backup seed {seed}");
         let archive = Arc::new(MemArchive::new());
-        let planned = Arc::new(PlannedFaultStore::new(
-            Arc::new(MemStore::new()),
-            FaultPlan::new(),
-        ));
-        let src = store_over(Arc::clone(&planned) as SharedUntrusted, &secret);
-        let src_backups = BackupStore::new(
-            Arc::clone(&src),
-            Arc::clone(&archive) as Arc<dyn ArchivalStore>,
-        );
-        let p = src.allocate_partition().unwrap();
-        src.commit(vec![CommitOp::CreatePartition {
-            id: p,
-            params: CryptoParams::paper_default(),
-        }])
-        .unwrap();
+        let (planned, src) = planned_store(&secret);
+        let p = new_partition(&src);
         let model = fill_partition(&src, p, 8);
-        let snap = snapshot(&src, p);
 
+        // The snapshot commit and the stream both run under the plan.
         planned.set_plan(FaultPlan::seeded(seed, 150, 3));
-        let shipped = src_backups.backup_one(
-            &BackupSpec {
-                source: p,
-                base: None,
-            },
-            snap,
-            "s",
-        );
+        let shipped = backups_of(&src, &archive).backup(&[full(p)], "s");
         planned.set_plan(FaultPlan::new());
         let _ = src.try_heal();
 
@@ -193,23 +177,18 @@ fn seeded_faults_on_backup_never_ship_a_corrupt_snapshot() {
         assert_partition(&src, p, &model, &ctx);
 
         let dst = store_over(Arc::new(MemStore::new()) as SharedUntrusted, &secret);
-        let dst_backups = BackupStore::new(
-            Arc::clone(&dst),
-            Arc::clone(&archive) as Arc<dyn ArchivalStore>,
-        );
-        let target = dst.allocate_partition().unwrap();
-        match dst_backups.restore_as(&["s"], &ApproveAll, target) {
+        match backups_of(&dst, &archive).restore(&["s.0"], &ApproveAll) {
             Ok(_) => {
                 // An accepted stream is a correct stream, shipped under
                 // faults or not.
-                assert_partition(&dst, target, &model, &ctx);
+                assert_partition(&dst, p, &model, &ctx);
             }
             Err(_) => {
                 // A partial/absent object is rejected, never installed —
                 // acceptable only when the backup itself failed.
                 assert!(
                     shipped.is_err(),
-                    "{ctx}: restore rejected a successfully shipped snapshot"
+                    "{ctx}: restore rejected a successfully shipped backup"
                 );
             }
         }
@@ -222,74 +201,49 @@ fn incremental_chain_survives_seeded_restore_faults() {
     let archive = Arc::new(MemArchive::new());
 
     let src = store_over(Arc::new(MemStore::new()) as SharedUntrusted, &secret);
-    let src_backups = BackupStore::new(
-        Arc::clone(&src),
-        Arc::clone(&archive) as Arc<dyn ArchivalStore>,
-    );
-    let p = src.allocate_partition().unwrap();
-    src.commit(vec![CommitOp::CreatePartition {
-        id: p,
-        params: CryptoParams::paper_default(),
-    }])
-    .unwrap();
+    let src_backups = backups_of(&src, &archive);
+    let p = new_partition(&src);
     let mut model = fill_partition(&src, p, 6);
-    let base = snapshot(&src, p);
-    src_backups
-        .backup_one(
-            &BackupSpec {
-                source: p,
-                base: None,
-            },
-            base,
-            "chain-full",
-        )
-        .unwrap();
-    // Mutate past the base, then ship the delta.
+    let base = src_backups.backup(&[full(p)], "chain-full").unwrap();
+    // Mutate past the base, then ship the delta. Its new chunks sit at
+    // ranks the base snapshot never allocated, so installing the delta
+    // writes past the restored base's high-water mark.
+    let base_high = model.keys().max().unwrap() + 1;
     let extra = fill_partition(&src, p, 4);
+    assert!(extra.keys().all(|&rank| rank >= base_high), "{extra:?}");
     model.extend(extra);
-    let head = snapshot(&src, p);
-    src_backups
-        .backup_one(
-            &BackupSpec {
+    let delta = src_backups
+        .backup(
+            &[BackupSpec {
                 source: p,
-                base: Some(base),
-            },
-            head,
+                base: Some(base.snapshots[0]),
+            }],
             "chain-delta",
         )
         .unwrap();
+    let (full_name, delta_name) = (base.names[0].as_str(), delta.names[0].as_str());
 
     for seed in 0..12u64 {
         let ctx = format!("chain seed {seed}");
-        let planned = Arc::new(PlannedFaultStore::new(
-            Arc::new(MemStore::new()),
-            FaultPlan::new(),
-        ));
-        let dst = store_over(Arc::clone(&planned) as SharedUntrusted, &secret);
-        let dst_backups = BackupStore::new(
-            Arc::clone(&dst),
-            Arc::clone(&archive) as Arc<dyn ArchivalStore>,
-        );
-        let target = dst.allocate_partition().unwrap();
+        let (planned, dst) = planned_store(&secret);
+        let dst_backups = backups_of(&dst, &archive);
 
+        // The full backup alone, then the whole chain over it: the second
+        // restore replaces the partition the first one installed.
         planned.set_plan(FaultPlan::seeded(seed, 150, 3));
-        let full = dst_backups.restore_as(&["chain-full"], &ApproveAll, target);
-        let delta = match &full {
-            Ok(_) => dst_backups.apply_incremental("chain-delta", &ApproveAll, target),
+        let first = dst_backups.restore(&[full_name], &ApproveAll);
+        let chain = match &first {
+            Ok(_) => dst_backups.restore(&[full_name, delta_name], &ApproveAll),
             Err(_) => Err(tdb_core::CoreError::Corrupt("full restore failed".into())),
         };
         planned.set_plan(FaultPlan::new());
 
-        if full.is_err() || delta.is_err() {
+        if first.is_err() || chain.is_err() {
             let _ = dst.try_heal();
             dst_backups
-                .restore_as(&["chain-full"], &ApproveAll, target)
-                .unwrap_or_else(|e| panic!("{ctx}: full retry: {e}"));
-            dst_backups
-                .apply_incremental("chain-delta", &ApproveAll, target)
-                .map(|_| ())
-                .unwrap_or_else(|e| panic!("{ctx}: delta retry: {e}"));
+                .restore(&[full_name, delta_name], &ApproveAll)
+                .unwrap_or_else(|e| panic!("{ctx}: chain retry: {e}"));
         }
-        assert_partition(&dst, target, &model, &ctx);
+        assert_partition(&dst, p, &model, &ctx);
     }
 }

@@ -11,8 +11,8 @@ use std::any::Any;
 use std::sync::Arc;
 
 use tdb::{
-    Command, IndexKey, IndexKind, ObjectId, Response, Session, StoredObject, TrustedBackend,
-    TrustedDb, TrustedDbBuilder, TxMode,
+    Command, IndexKey, IndexKind, ObjectId, Response, Session, StoredObject, TdbError,
+    TrustedBackend, TrustedDb, TrustedDbBuilder, TxMode,
 };
 use tdb_client::{ClientError, TdbClient};
 use tdb_crypto::{CipherKind, HashKind, SecretKey};
@@ -745,6 +745,44 @@ fn verified_record_root_verifies_its_own_proof_in_any_partition() {
             tdb::verify_read_proof(&proof, body, &root),
             "the returned root verifies the returned proof"
         );
+    }
+    server.shutdown();
+}
+
+/// A second `Begin` on a session that already has a transaction open is
+/// `Busy` (code 15), embedded and remote alike, and it is not transient:
+/// retrying it fails the same way until the open transaction ends.
+#[test]
+fn second_begin_is_busy_and_not_transient() {
+    let not_transient = |e: &TdbError| {
+        assert_eq!(e.code(), 15, "expected Busy, got {e}");
+        let TdbError::Core(core) = e else {
+            panic!("Busy is a core error, got {e}");
+        };
+        assert!(!core.is_transient(), "{e}");
+        assert_eq!(core.fault_class(), tdb::FaultClass::Permanent, "{e}");
+    };
+
+    let begin = Command::Begin(TxMode::Locking);
+    let (db_a, _) = build_twin();
+    let mut session = db_a.session("embedded");
+    assert_eq!(session.dispatch(&begin), Response::Ok);
+    for _ in 0..2 {
+        match session.dispatch(&begin) {
+            Response::Error(e) => not_transient(&e.0),
+            other => panic!("second Begin answered {other:?}"),
+        }
+    }
+    assert_eq!(session.dispatch(&Command::Abort), Response::Ok);
+    assert_eq!(session.dispatch(&begin), Response::Ok);
+
+    let (db_b, _) = build_twin();
+    let mut server = spawn(&Arc::new(db_b));
+    let mut client = TdbClient::connect(server.addr(), "remote", AUTH_KEY).expect("connect");
+    client.begin(TxMode::Locking).expect("first begin");
+    match client.begin(TxMode::Locking) {
+        Err(ClientError::Remote(e)) => not_transient(&e),
+        other => panic!("second Begin over the wire answered {other:?}"),
     }
     server.shutdown();
 }
