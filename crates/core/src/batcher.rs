@@ -1,11 +1,12 @@
-//! Group commit: batching concurrent committers behind one flush.
+//! Group commit: the chunk store's only commit path.
 //!
 //! The paper's engine serializes everything behind one mutex and pays one
 //! device flush per commit — "a commit operation waits until the commit
-//! set is written to the untrusted store reliably" (§4.8.2.1). With many
-//! committer threads that flush dominates. This module amortizes it the
-//! classic group-commit way while keeping the paper's durability rule
-//! per *batch*:
+//! set is written to the untrusted store reliably" (§4.8.2.1). A lone
+//! commit here is a batch of one and does exactly that, with the same log
+//! bytes and one flush. With many committer threads the flush dominates,
+//! so this module amortizes it the classic group-commit way while keeping
+//! the paper's durability rule per *batch*:
 //!
 //! - Committers hash and seal their own writes, then enqueue their op set
 //!   with those seals and park on a condition variable. The crypto, the
@@ -97,7 +98,7 @@ impl ChunkStore {
         sets: Vec<Vec<CommitOp>>,
         sealed: Vec<Seals>,
     ) -> Vec<Result<()>> {
-        let batcher = self.batcher.as_ref().expect("routed only when built");
+        let batcher = &self.batcher;
         let entries: Vec<Arc<PendingCommit>> = sets
             .into_iter()
             .zip(sealed)

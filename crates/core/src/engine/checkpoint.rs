@@ -22,7 +22,7 @@ use crate::engine::commit::COMMIT_CHUNK_ROOM;
 use crate::errors::Result;
 use crate::ids::{ChunkId, PartitionId, Position};
 use crate::log::Superblock;
-use crate::metrics::{self, counters, modules};
+use crate::metrics::{self, modules};
 use crate::pipeline::SealJob;
 use crate::store::{Inner, ValidationMode};
 use crate::version::{seal_version, sealed_version_len, VersionKind};
@@ -60,13 +60,8 @@ impl Inner {
     }
 
     /// Runs a full checkpoint. Safe to call with no dirty state (used to
-    /// format a fresh store).
-    ///
-    /// The checkpoint's appends always coalesce: outside a group-commit
-    /// batch (which coalesces already) it turns coalescing on for its own
-    /// duration, so its map chunks, leaders and commit chunk reach the
-    /// device as one write per contiguous run at its flush instead of one
-    /// write per chunk. The log bytes are the same either way.
+    /// format a fresh store). Its map chunks, leaders and commit chunk
+    /// reach the device as one write per contiguous run at its flush.
     ///
     /// # Errors
     ///
@@ -77,13 +72,8 @@ impl Inner {
     pub(crate) fn checkpoint(&mut self) -> Result<()> {
         let sp = self.savepoint();
         self.wrote_log = false;
-        let own_coalescing = !self.log.coalescing();
-        self.log.set_coalescing(true);
         let result = self.checkpoint_impl();
         self.end_mutation(&sp, result.as_ref().err(), "checkpoint");
-        if own_coalescing {
-            self.log.set_coalescing(false);
-        }
         result
     }
 
@@ -94,7 +84,6 @@ impl Inner {
         let (levels_present, levels_dirty) = self.map_cache.level_counts();
         let skipped = levels_present.saturating_sub(levels_dirty) as u64;
         self.stats.dirty_map_levels_skipped += skipped;
-        metrics::add(counters::DIRTY_MAP_LEVELS_SKIPPED, skipped);
 
         // 1. User-partition map chunks, bottom-up. Writing a chunk at height
         //    h dirties its parent at h+1 (or the partition leader), so

@@ -4,9 +4,9 @@
 //! A commit appends the sealed versions of its op set to the log, installs
 //! their descriptors in the chunk map, and seals the set per the validation
 //! protocol — a signed, counted commit chunk (counter mode) or a chained
-//! hash pushed to the tamper-resistant register (direct mode). The batched
-//! variant applies every member independently (per-commit atomicity) and
-//! shares one durability point per batch.
+//! hash pushed to the tamper-resistant register (direct mode). Every
+//! commit is a member of a batch: members apply independently (per-commit
+//! atomicity) and share one durability point per batch.
 
 use std::sync::Arc;
 
@@ -18,7 +18,7 @@ use crate::engine::rollback::Savepoint;
 use crate::errors::{CoreError, FaultClass, Result};
 use crate::ids::{ChunkId, PartitionId};
 use crate::leader::PartitionLeader;
-use crate::metrics::{self, counters, modules};
+use crate::metrics::{self, modules};
 use crate::params::CryptoParams;
 use crate::pipeline::{self, Presealed, SealJob, Seals};
 use crate::store::{Inner, TrustedBackend, ValidationMode};
@@ -69,26 +69,8 @@ pub enum CommitOp {
 impl Inner {
     // -- Commit (§4.6) --------------------------------------------------------
 
-    /// Commits one op set. `sealed` holds the bodies its committer sealed
-    /// before the engine lock, by op index.
-    pub(crate) fn commit(&mut self, ops: Vec<CommitOp>, sealed: Seals) -> Result<()> {
-        if ops.is_empty() {
-            return Ok(());
-        }
-        // Validation is read-only: a failure here (including a transient
-        // read fault resolving a descriptor) leaves the store untouched
-        // and live.
-        self.validate_ops(&ops)?;
-        let sp = self.savepoint();
-        self.wrote_log = false;
-        let result = self.apply_and_finish(ops, sealed);
-        self.end_mutation(&sp, result.as_ref().err(), "commit");
-        if result.is_ok() {
-            self.maybe_checkpoint()?;
-        }
-        result
-    }
-
+    /// Validation is read-only: a failure here (including a transient read
+    /// fault resolving a descriptor) leaves the store untouched and live.
     fn validate_ops(&mut self, ops: &[CommitOp]) -> Result<()> {
         // Validation runs against pre-commit state plus the effects of
         // earlier ops in the same set (e.g. create-then-write).
@@ -151,17 +133,9 @@ impl Inner {
         Ok(())
     }
 
-    fn apply_and_finish(&mut self, ops: Vec<CommitOp>, sealed: Seals) -> Result<()> {
-        if matches!(self.config.validation, ValidationMode::Counter { .. }) {
-            self.hashes.begin_set();
-        }
-        self.apply_ops(ops, sealed)?;
-        self.finish_commit()
-    }
-
     /// Applies a validated op set: appends every version and installs the
     /// descriptors, consuming the seals its committer made where they still
-    /// hold. Shared by the unbatched and group-commit paths.
+    /// hold.
     fn apply_ops(&mut self, ops: Vec<CommitOp>, mut sealed: Seals) -> Result<()> {
         let mut dealloc_ids: Vec<ChunkId> = Vec::new();
         for (i, op) in ops.into_iter().enumerate() {
@@ -182,8 +156,6 @@ impl Inner {
         if fanned_out {
             self.stats.parallel_crypto_batches += 1;
             self.stats.parallel_crypto_chunks += sealed.len() as u64;
-            metrics::count(counters::PARALLEL_CRYPTO_BATCHES);
-            metrics::add(counters::PARALLEL_CRYPTO_CHUNKS, sealed.len() as u64);
         }
         sealed
     }
@@ -228,16 +200,15 @@ impl Inner {
     pub(crate) fn note_compressed(&mut self, saved: u64) {
         self.stats.bodies_compressed += 1;
         self.stats.log_bytes_saved += saved;
-        metrics::count(counters::BODIES_COMPRESSED);
-        metrics::add(counters::LOG_BYTES_SAVED, saved);
     }
 
     /// Counts one knob-on body stored raw (escape hatch taken).
     pub(crate) fn note_stored_raw(&mut self) {
         self.stats.bodies_stored_raw += 1;
-        metrics::count(counters::BODIES_STORED_RAW);
     }
 
+    /// Appends sealed bytes to the log's run buffer; nothing reaches the
+    /// device until [`Inner::flush_log`].
     pub(crate) fn append(&mut self, sealed: &[u8]) -> Result<u64> {
         let loc = self.log.append(
             &mut self.sys_leader.log,
@@ -246,13 +217,6 @@ impl Inner {
             &mut self.hashes,
             sealed,
         )?;
-        // Only set after a *successful* device append: a failed first write
-        // left nothing durable, so the mutation can roll back and stay
-        // live. While the log is coalescing, appends only buffer in memory;
-        // `flush_log` flips `wrote_log` once runs actually hit the device.
-        if !self.log.coalescing() {
-            self.wrote_log = true;
-        }
         self.stats.bytes_appended += sealed.len() as u64;
         Ok(loc)
     }
@@ -269,9 +233,11 @@ impl Inner {
         )
     }
 
-    /// Flushes the log, writing out any coalesced runs first, and keeps the
+    /// Flushes the log, writing out the buffered runs first, and keeps the
     /// `wrote_log` rollback marker honest: it is set as soon as buffered
     /// bytes reach the device, whether or not the flush itself succeeds.
+    /// A mutation that fails before this point left nothing on the device,
+    /// so it rolls back and stays live.
     pub(crate) fn flush_log(&mut self) -> Result<()> {
         let runs_before = self.log.coalesce_counters().1;
         let result = self.log.flush();
@@ -379,29 +345,16 @@ impl Inner {
         Ok(())
     }
 
-    /// Seals the commit: commit chunk or chained hash, flush, trusted-store
-    /// update (§4.6, §4.8.2).
-    pub(crate) fn finish_commit(&mut self) -> Result<()> {
-        match self.config.validation {
-            ValidationMode::Counter { delta_ut, .. } => {
-                // Reserve room so the commit chunk follows its set in the
-                // same segment (the set hash must cover any next-segment
-                // chunk, so no switch may happen after end_set).
-                self.ensure_room(COMMIT_CHUNK_ROOM)?;
-                let count = self.append_commit_chunk()?;
-                // "A commit operation waits until the commit set is written
-                // to the untrusted store reliably" (§4.8.2.1).
-                self.flush_log()?;
-                if count - self.trusted_count > delta_ut.saturating_sub(1) {
-                    self.advance_counter(count)?;
-                }
-            }
-            ValidationMode::DirectHash => {
-                self.flush_log()?;
-                self.write_direct_record()?;
-            }
+    /// The durability point every member appended since the last one
+    /// shares: "a commit operation waits until the commit set is written
+    /// to the untrusted store reliably" (§4.8.2.1). In direct mode the
+    /// register write after the flush is "the real commit point", and it
+    /// covers every member at once.
+    pub(crate) fn durable_point(&mut self) -> Result<()> {
+        self.flush_log()?;
+        if self.config.validation == ValidationMode::DirectHash {
+            self.write_direct_record()?;
         }
-        self.stats.commits += 1;
         Ok(())
     }
 
@@ -427,16 +380,19 @@ impl Inner {
         Ok(count)
     }
 
-    /// Batched variant of [`Inner::finish_commit`]: appends the member's
-    /// commit chunk (counter mode) but defers the device flush to the
-    /// batch finalizer, flushing early only when the counter-lag window
-    /// (Δut) demands an advance — the trusted counter must never count a
-    /// commit that is not yet durable, so the flush always precedes the
-    /// advance. Returns whether a flush happened (everything appended so
-    /// far, this member included, is durable).
-    fn finish_commit_batched(&mut self) -> Result<bool> {
+    /// Seals one member's commit set (§4.6, §4.8.2): appends its commit
+    /// chunk (counter mode) but defers the device flush to the
+    /// [`Inner::durable_point`] that ends the batch, flushing early only
+    /// when the counter-lag window (Δut) demands an advance — the trusted
+    /// counter must never count a commit that is not yet durable, so the
+    /// flush always precedes the advance. Returns whether a flush happened
+    /// (everything appended so far, this member included, is durable).
+    pub(crate) fn finish_commit_batched(&mut self) -> Result<bool> {
         let mut flushed = false;
         if let ValidationMode::Counter { delta_ut, .. } = self.config.validation {
+            // Reserve room so the commit chunk follows its set in the same
+            // segment (the set hash must cover any next-segment chunk, so
+            // no switch may happen after end_set).
             self.ensure_room(COMMIT_CHUNK_ROOM)?;
             let count = self.append_commit_chunk()?;
             if count - self.trusted_count > delta_ut.saturating_sub(1) {
@@ -445,9 +401,8 @@ impl Inner {
                 flushed = true;
             }
         }
-        // Direct-hash mode needs nothing per member: the register write at
-        // the batch's durability point is "the real commit point", and it
-        // covers every member at once.
+        // Direct-hash mode needs nothing per member: the durable point's
+        // register write covers them all.
         self.stats.commits += 1;
         Ok(flushed)
     }
@@ -480,11 +435,7 @@ impl Inner {
         self.stats.commit_batches += 1;
         self.stats.batched_commits += n as u64;
         self.stats.batch_size_hist[batch_size_bucket(n)] += 1;
-        metrics::count(counters::COMMIT_BATCHES);
-        metrics::add(counters::BATCHED_COMMITS, n as u64);
-
         sealed.resize_with(n, Vec::new);
-        self.log.set_coalescing(true);
 
         let mut results: Vec<Result<()>> = Vec::with_capacity(n);
         // Members in `results[..durable]` are covered by a device flush.
@@ -532,9 +483,9 @@ impl Inner {
                         durable_sp = None;
                         self.close_journals();
                     }
-                    // Automatic checkpoint, as on the unbatched path. A
-                    // successful checkpoint flushes and syncs the trusted
-                    // store, so it is a durable point too.
+                    // Automatic checkpoint. A successful checkpoint flushes
+                    // and syncs the trusted store, so it is a durable point
+                    // too.
                     let checkpoints_before = self.stats.checkpoints;
                     match self.maybe_checkpoint() {
                         Ok(()) => {
@@ -548,8 +499,7 @@ impl Inner {
                             // The member was applied but its follow-on
                             // checkpoint failed (and did its own rollback
                             // and health transition) — surface the error
-                            // as the member's result, exactly like the
-                            // unbatched path.
+                            // as the member's result.
                             let msg = e.to_string();
                             *results.last_mut().expect("just pushed") = Err(e);
                             if !self.health.is_live() {
@@ -599,13 +549,7 @@ impl Inner {
         // buffered since the last flush.
         if abort.is_none() && self.log.buffered_len() > 0 {
             self.wrote_log = false;
-            let fin = match self.config.validation {
-                ValidationMode::Counter { .. } => self.flush_log(),
-                ValidationMode::DirectHash => {
-                    self.flush_log().and_then(|()| self.write_direct_record())
-                }
-            };
-            if let Err(e) = fin {
+            if let Err(e) = self.durable_point() {
                 let msg = e.to_string();
                 let wrote = self.wrote_log;
                 if let Some(sp) = durable_sp.take() {
@@ -620,7 +564,6 @@ impl Inner {
                 }
             }
         }
-        self.log.set_coalescing(false);
         self.close_journals();
         results
     }

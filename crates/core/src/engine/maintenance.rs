@@ -29,7 +29,7 @@ use crate::descriptor::Descriptor;
 use crate::engine::rollback::Undo;
 use crate::errors::{CoreError, Result, TamperKind};
 use crate::ids::{ChunkId, PartitionId, LEADER_HEIGHT};
-use crate::metrics::{self, counters, modules};
+use crate::metrics::{self, modules};
 use crate::store::{Inner, ValidationMode};
 use crate::version::{parse_version, seal_version, CleanerRecord, VersionHeader, VersionKind};
 
@@ -123,8 +123,11 @@ impl Inner {
         }
         if rewrote_any || matches!(self.config.validation, ValidationMode::Counter { .. }) {
             // The rewrites form one commit (§4.9.5: "then commits the set of
-            // current chunks").
-            self.finish_commit()?;
+            // current chunks"), which reaches the device as one write per
+            // contiguous run at its durable point.
+            if !self.finish_commit_batched()? {
+                self.durable_point()?;
+            }
         }
         // Only after the cleaning commit is durable may the segments be
         // recycled.
@@ -135,8 +138,6 @@ impl Inner {
         }
         self.stats.segments_cleaned += freed.len() as u64;
         self.stats.bytes_reclaimed += obsolete;
-        metrics::add(counters::SEGMENTS_CLEANED, freed.len() as u64);
-        metrics::add(counters::BYTES_RECLAIMED, obsolete);
         Ok(CleanOutcome {
             reclaimed: freed.len(),
             relocated,
@@ -242,7 +243,7 @@ impl Inner {
             // (which covers the stored body — the compressed envelope when
             // the version was sealed compressed) remains valid, and the
             // header's compressed flag rides along inside the sealed bytes.
-            let new_location = self.append(&sealed_old.to_vec().clone())?;
+            let new_location = self.append(sealed_old)?;
             Descriptor::written(new_location, old_desc.vlen, old_desc.size, old_desc.hash)
         };
         let record = CleanerRecord {
@@ -274,7 +275,6 @@ impl Inner {
             relocated.push(ChunkId::new(q, pos));
         }
         self.stats.chunks_relocated += 1;
-        metrics::count(counters::VERSIONS_RELOCATED);
         Ok(())
     }
 }

@@ -9,13 +9,13 @@
 //! scalars, so taking one costs the same on any database, and what a
 //! mutation pays for rollback is proportional to what it touches.
 //!
-//! One protocol serves every mutation. `commit`, `checkpoint` and `clean`
-//! take a savepoint and hand it to [`Inner::end_mutation`] with the
-//! outcome. A group-commit batch takes one per member: a failed member
-//! unwinds to its own, an abort unwinds to the first one taken since the
-//! last durable point, and a durable point (a flush or a checkpoint)
-//! closes the journals. Scopes nest — a checkpoint inside a batch marks
-//! the journals the batch opened — and whoever opened them closes them.
+//! One protocol serves every mutation. `checkpoint` and `clean` take a
+//! savepoint and hand it to [`Inner::end_mutation`] with the outcome. A
+//! group-commit batch takes one per member: a failed member unwinds to
+//! its own, an abort unwinds to the first one taken since the last
+//! durable point, and a durable point (a flush or a checkpoint) closes
+//! the journals. Scopes nest — a checkpoint inside a batch marks the
+//! journals the batch opened — and whoever opened them closes them.
 //!
 //! Device bytes written by a rolled-back mutation lie past the restored
 //! log tail, where the next append overwrites them and recovery treats
@@ -227,7 +227,7 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     //! Rollback equivalence at engine level. For every failing device-op
-    //! index through a commit, a batched commit, a checkpoint and a clean:
+    //! index through a commit, a many-member batch, a checkpoint and a clean:
     //! the rolled-back engine equals the deep copy taken before the
     //! mutation (the capture this module replaced, kept here as the
     //! oracle), and — once healed and retried — a twin that never saw the
@@ -382,6 +382,12 @@ mod tests {
         (0..len).map(|i| tag.wrapping_add(i as u8)).collect()
     }
 
+    /// Commits one op set as a batch of one, as `ChunkStore::commit` does.
+    fn commit(inner: &mut Inner, ops: Vec<CommitOp>) -> Result<(), CoreError> {
+        let mut results = inner.commit_batch(vec![ops], Vec::new());
+        results.pop().expect("one result per set")
+    }
+
     /// A deterministic store with history: two checkpoints' worth of
     /// writes, deallocated ranks on the free lists, obsolete versions for
     /// the cleaner, and dirty map chunks and leaders on top.
@@ -403,15 +409,14 @@ mod tests {
         .unwrap();
         let mut inner = store.inner.lock();
         let p = inner.allocate_partition().unwrap();
-        inner
-            .commit(
-                vec![CommitOp::CreatePartition {
-                    id: p,
-                    params: params(3),
-                }],
-                Vec::new(),
-            )
-            .unwrap();
+        commit(
+            &mut inner,
+            vec![CommitOp::CreatePartition {
+                id: p,
+                params: params(3),
+            }],
+        )
+        .unwrap();
         let ids: Vec<ChunkId> = (0..24).map(|_| inner.allocate_chunk(p).unwrap()).collect();
         for (round, four) in ids.chunks(4).enumerate() {
             let ops = four
@@ -421,40 +426,37 @@ mod tests {
                     bytes: body(round as u8, 300),
                 })
                 .collect();
-            inner.commit(ops, Vec::new()).unwrap();
+            commit(&mut inner, ops).unwrap();
         }
-        inner
-            .commit(
-                vec![
-                    CommitOp::DeallocChunk { id: ids[3] },
-                    CommitOp::DeallocChunk { id: ids[7] },
-                ],
-                Vec::new(),
-            )
-            .unwrap();
+        commit(
+            &mut inner,
+            vec![
+                CommitOp::DeallocChunk { id: ids[3] },
+                CommitOp::DeallocChunk { id: ids[7] },
+            ],
+        )
+        .unwrap();
         inner.checkpoint().unwrap();
         for id in &ids[8..20] {
-            inner
-                .commit(
-                    vec![CommitOp::WriteChunk {
-                        id: *id,
-                        bytes: body(0x40, 500),
-                    }],
-                    Vec::new(),
-                )
-                .unwrap();
+            commit(
+                &mut inner,
+                vec![CommitOp::WriteChunk {
+                    id: *id,
+                    bytes: body(0x40, 500),
+                }],
+            )
+            .unwrap();
         }
         inner.checkpoint().unwrap();
         for id in &ids[0..3] {
-            inner
-                .commit(
-                    vec![CommitOp::WriteChunk {
-                        id: *id,
-                        bytes: body(0x80, 200),
-                    }],
-                    Vec::new(),
-                )
-                .unwrap();
+            commit(
+                &mut inner,
+                vec![CommitOp::WriteChunk {
+                    id: *id,
+                    bytes: body(0x80, 200),
+                }],
+            )
+            .unwrap();
         }
         let spare = (0..8).map(|_| inner.allocate_chunk(p).unwrap()).collect();
         let spare_parts = (0..2)
@@ -603,9 +605,7 @@ mod tests {
 
     #[test]
     fn commit_rolls_back_to_the_oracle_at_every_fault_index() {
-        let (live, degraded) = sweep("commit", 1000, |rig, inner| {
-            inner.commit(mixed_ops(rig), Vec::new())
-        });
+        let (live, degraded) = sweep("commit", 1000, |rig, inner| commit(inner, mixed_ops(rig)));
         assert!(live > 0 && degraded > 0, "live {live} degraded {degraded}");
     }
 
@@ -742,29 +742,25 @@ mod tests {
                 bytes: body(1, 64),
             })
             .collect();
-        inner.commit(writes, Vec::new()).unwrap();
-        inner
-            .commit(
-                doomed
-                    .iter()
-                    .map(|id| CommitOp::DeallocChunk { id: *id })
-                    .collect(),
-                Vec::new(),
-            )
-            .unwrap();
+        commit(&mut inner, writes).unwrap();
+        commit(
+            &mut inner,
+            doomed
+                .iter()
+                .map(|id| CommitOp::DeallocChunk { id: *id })
+                .collect(),
+        )
+        .unwrap();
         let q = rig.spare_parts[0];
-        inner
-            .commit(
-                vec![CommitOp::CreatePartition {
-                    id: q,
-                    params: params(9),
-                }],
-                Vec::new(),
-            )
-            .unwrap();
-        inner
-            .commit(vec![CommitOp::DeallocPartition { id: q }], Vec::new())
-            .unwrap();
+        commit(
+            &mut inner,
+            vec![CommitOp::CreatePartition {
+                id: q,
+                params: params(9),
+            }],
+        )
+        .unwrap();
+        commit(&mut inner, vec![CommitOp::DeallocPartition { id: q }]).unwrap();
         let lists = |inner: &mut Inner| {
             let e = inner.leader_entry(rig.p).unwrap();
             let chunk_lists = (e.leader.free_ranks.clone(), e.alloc_free.clone());
@@ -778,38 +774,35 @@ mod tests {
         assert_eq!(before.0 .0.len(), 42, "40 here, 2 from the rig's history");
         assert_eq!(before.1.len(), 1);
         // Overwrites, and a checkpoint that rewrites the dirty leader.
-        inner
-            .commit(
-                vec![CommitOp::WriteChunk {
-                    id: rig.ids[5],
-                    bytes: body(6, 64),
-                }],
-                Vec::new(),
-            )
-            .unwrap();
-        inner
-            .commit(
-                vec![CommitOp::WriteChunk {
-                    id: rig.ids[9],
-                    bytes: body(7, 64),
-                }],
-                Vec::new(),
-            )
-            .unwrap();
+        commit(
+            &mut inner,
+            vec![CommitOp::WriteChunk {
+                id: rig.ids[5],
+                bytes: body(6, 64),
+            }],
+        )
+        .unwrap();
+        commit(
+            &mut inner,
+            vec![CommitOp::WriteChunk {
+                id: rig.ids[9],
+                bytes: body(7, 64),
+            }],
+        )
+        .unwrap();
         inner.checkpoint().unwrap();
         assert_eq!(lists(&mut inner), before);
         // A first write of a freed rank still takes it off both lists.
         let reused = inner.allocate_chunk(rig.p).unwrap();
         assert!(before.0 .0.contains(&reused.pos.rank));
-        inner
-            .commit(
-                vec![CommitOp::WriteChunk {
-                    id: reused,
-                    bytes: body(8, 64),
-                }],
-                Vec::new(),
-            )
-            .unwrap();
+        commit(
+            &mut inner,
+            vec![CommitOp::WriteChunk {
+                id: reused,
+                bytes: body(8, 64),
+            }],
+        )
+        .unwrap();
         let after = lists(&mut inner);
         assert!(!after.0 .0.contains(&reused.pos.rank) && !after.0 .1.contains(&reused.pos.rank));
         assert_eq!(after.0 .0.len(), 41);

@@ -282,10 +282,8 @@ pub struct SegmentedLog {
     nextseg_len: u32,
     /// Hard cap on segments (0 = unbounded).
     max_segments: u32,
-    /// Coalescing mode: appends accumulate into `runs` and reach the
-    /// device as one `write_at` per contiguous run at write-out time.
-    coalescing: bool,
-    /// Buffered runs awaiting [`SegmentedLog::write_out`].
+    /// Appended bytes awaiting [`SegmentedLog::write_out`], which puts them
+    /// on the device as one `write_at` per contiguous run.
     runs: Vec<PendingRun>,
     /// Head offset of a freshly switched-to segment whose zero end-marker
     /// has not yet been covered by an append. The marker write is folded
@@ -330,7 +328,6 @@ impl SegmentedLog {
             residual,
             nextseg_len,
             max_segments,
-            coalescing: false,
             runs: Vec::new(),
             pending_stamp: None,
             tail_recycled: false,
@@ -465,12 +462,13 @@ impl SegmentedLog {
         Ok(())
     }
 
-    /// Appends pre-sealed version bytes, switching segments as needed.
-    /// Returns the version's absolute location.
+    /// Buffers pre-sealed version bytes at the tail, switching segments as
+    /// needed. Returns the version's absolute location.
     ///
     /// # Errors
     ///
-    /// Fails when the version exceeds the segment capacity or storage fails.
+    /// Fails when the version exceeds the segment capacity, or a bounded
+    /// log has no segment left.
     pub(crate) fn append(
         &mut self,
         state: &mut LogState,
@@ -481,18 +479,7 @@ impl SegmentedLog {
     ) -> Result<u64> {
         self.ensure_room(state, undo, system, hashes, bytes.len() as u32)?;
         let location = self.tail_location();
-        if self.coalescing {
-            self.buffer_write(location, bytes);
-        } else if self.tail_recycled {
-            // `ensure_room` left the next-segment reserve past this version,
-            // so the marker stays inside the segment.
-            let marked = [bytes, &END_MARKER[..]].concat();
-            let _t = metrics::span(modules::UNTRUSTED_WRITE);
-            self.store.write_at(location, &marked)?;
-        } else {
-            let _t = metrics::span(modules::UNTRUSTED_WRITE);
-            self.store.write_at(location, bytes)?;
-        }
+        self.buffer_write(location, bytes);
         if self.pending_stamp == Some(location) {
             // This append lands at the head of a freshly switched-to
             // segment and covers the folded zero end-marker region (every
@@ -504,8 +491,8 @@ impl SegmentedLog {
         Ok(location)
     }
 
-    /// Accumulates `bytes` at `location` into the coalescing buffer,
-    /// extending the last run when contiguous.
+    /// Accumulates `bytes` at `location` into the run buffer, extending the
+    /// last run when contiguous.
     fn buffer_write(&mut self, location: u64, bytes: &[u8]) {
         self.coalesced_appends += 1;
         if let Some(run) = self.runs.last_mut() {
@@ -539,13 +526,7 @@ impl SegmentedLog {
             &record.encode(),
         );
         debug_assert!(sealed.len() as u32 <= self.nextseg_len);
-        let location = self.tail_location();
-        if self.coalescing {
-            self.buffer_write(location, &sealed);
-        } else {
-            let _t = metrics::span(modules::UNTRUSTED_WRITE);
-            self.store.write_at(location, &sealed)?;
-        }
+        self.buffer_write(self.tail_location(), &sealed);
         hashes.absorb(&sealed);
         self.tail_segment = next;
         self.tail_offset = 0;
@@ -629,21 +610,6 @@ impl SegmentedLog {
         Ok(buf)
     }
 
-    /// Turns append coalescing on or off. Disabling requires an empty
-    /// buffer (callers flush or write out first).
-    pub fn set_coalescing(&mut self, on: bool) {
-        debug_assert!(
-            on || self.runs.is_empty(),
-            "coalescing disabled with buffered runs pending"
-        );
-        self.coalescing = on;
-    }
-
-    /// True while appends accumulate in the coalescing buffer.
-    pub fn coalescing(&self) -> bool {
-        self.coalescing
-    }
-
     /// Cumulative (buffered appends, runs written, bytes written) through
     /// the coalescing buffer.
     pub fn coalesce_counters(&self) -> (u64, u64, u64) {
@@ -662,7 +628,6 @@ impl SegmentedLog {
     /// Writes buffered runs to the device — one `write_at` per contiguous
     /// run, the run ending at a recycled tail carrying the zero end-marker
     /// — and stamps a still-uncovered fresh-segment head with the marker.
-    /// Returns whether any device write was issued.
     ///
     /// # Errors
     ///
@@ -671,35 +636,27 @@ impl SegmentedLog {
     /// offsets, so a retry or rollback stays sound); the run counters
     /// still record how many runs reached the device, which is how
     /// callers detect that a rollback must degrade.
-    pub fn write_out(&mut self) -> Result<bool> {
+    pub fn write_out(&mut self) -> Result<()> {
         let tail = self.tail_location();
-        let mut wrote = false;
-        let mut i = 0;
-        while i < self.runs.len() {
-            {
-                let _t = metrics::span(modules::UNTRUSTED_WRITE);
-                let run = &mut self.runs[i];
-                let len = run.buf.len();
-                let marked = self.tail_recycled && run.start + len as u64 == tail;
-                if marked {
-                    run.buf.extend_from_slice(&END_MARKER);
-                }
-                let result = self.store.write_at(run.start, &run.buf);
-                run.buf.truncate(len);
-                result?;
+        for run in &mut self.runs {
+            let _t = metrics::span(modules::UNTRUSTED_WRITE);
+            let len = run.buf.len();
+            let marked = self.tail_recycled && run.start + len as u64 == tail;
+            if marked {
+                run.buf.extend_from_slice(&END_MARKER);
             }
-            wrote = true;
+            let result = self.store.write_at(run.start, &run.buf);
+            run.buf.truncate(len);
+            result?;
             self.coalesced_runs += 1;
-            self.coalesced_bytes += self.runs[i].buf.len() as u64;
-            i += 1;
+            self.coalesced_bytes += len as u64;
         }
         self.runs.clear();
         if let Some(seg_start) = self.pending_stamp.take() {
             let _t = metrics::span(modules::UNTRUSTED_WRITE);
             self.store.write_at(seg_start, &END_MARKER)?;
-            wrote = true;
         }
-        Ok(wrote)
+        Ok(())
     }
 
     /// Flushes the untrusted store (a commit's durability point), writing
@@ -816,8 +773,9 @@ mod tests {
         assert!(log.residual_segments().contains(&0));
         assert!(log.residual_segments().contains(&1));
 
-        // The next-segment chunk at the end of segment 0 parses and points
-        // to segment 1.
+        // Once written out, the next-segment chunk at the end of segment 0
+        // parses and points to segment 1.
+        log.write_out().unwrap();
         let seg0 = log.read_segment(0).unwrap();
         let raw = crate::version::parse_version(&system, &seg0[900..], 900)
             .unwrap()
@@ -859,15 +817,15 @@ mod tests {
         };
         let after_tail = |log: &SegmentedLog| log.read_at(log.tail_location(), 2).unwrap();
         append(&mut log, &[7u8; 900]);
-        // Into recycled segment 2: a direct append carries the marker...
+        // Into recycled segment 2: the run that ends at the tail carries
+        // the marker...
         let loc = append(&mut log, &[8u8; 100]);
         assert_eq!(log.segment_of(loc), 2);
+        log.write_out().unwrap();
         assert_eq!(after_tail(&log), END_MARKER);
-        // ...and so does the coalesced run that ends at the tail.
-        log.set_coalescing(true);
+        // ...and so does the next one, written over the old marker.
         append(&mut log, &[9u8; 100]);
         log.write_out().unwrap();
-        log.set_coalescing(false);
         assert_eq!(after_tail(&log), END_MARKER);
         assert_eq!(log.read_at(loc + 100, 100).unwrap(), vec![9u8; 100]);
     }

@@ -41,7 +41,6 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use crate::errors::Result;
-use crate::metrics::{self, counters};
 use crate::store::{ChunkStoreConfig, Inner, StoreCore};
 
 /// How long the maintenance thread sleeps between polls when nothing
@@ -169,7 +168,6 @@ impl StoreCore {
             return;
         }
         m.throttle_waits.fetch_add(1, Ordering::Relaxed);
-        metrics::count(counters::COMMIT_THROTTLE_WAITS);
         m.kick();
         let deadline = Instant::now() + THROTTLE_WAIT;
         let mut guard = m.space.lock();
@@ -196,7 +194,6 @@ impl StoreCore {
             Ok(outcome) => {
                 if slice {
                     inner.stats.clean_slices += 1;
-                    metrics::count(counters::CLEAN_SLICES);
                 }
                 for id in &outcome.relocated {
                     self.reads.invalidate(*id);
@@ -229,12 +226,10 @@ impl StoreCore {
             return;
         }
         while !m.shutting_down() && m.free_estimate() < u64::from(m.high_water) {
-            if let Some(batcher) = &self.batcher {
-                if batcher.queued() > 0 {
-                    // Committers are parked on the engine: give them the
-                    // core before taking the lock for another slice.
-                    std::thread::yield_now();
-                }
+            if self.batcher.queued() > 0 {
+                // Committers are parked on the engine: give them the core
+                // before taking the lock for another slice.
+                std::thread::yield_now();
             }
             match self.clean_locked(m.slice_segments, true) {
                 Ok(0) => break, // Nothing cleanable; wait for more traffic.
@@ -296,7 +291,6 @@ fn run(core: &StoreCore) {
             return;
         }
         m.wakeups.fetch_add(1, Ordering::Relaxed);
-        metrics::count(counters::MAINTENANCE_WAKEUPS);
         core.maintenance_pass();
     }
 }

@@ -7,13 +7,9 @@
 //! the parent's clock.
 //!
 //! Spans are named with the paper's module names (see [`modules`]) so the
-//! benchmark harness can print the same rows.
-//!
-//! Beyond durations, the module keeps always-on event [`counters`] for the
-//! robustness machinery: transient-fault retries, degraded-mode entries,
-//! poison events, and heal/recovery attempts. Durations are opt-in (they
-//! cost a clock read per span) but counters are so rare and cheap that they
-//! record unconditionally, so a production incident always has them.
+//! benchmark harness can print the same rows. Recording is opt-in: a span
+//! costs a clock read. Event counts live per store instance, in
+//! `ChunkStoreStats` and the storage layer's `StoreStats`.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -54,64 +50,9 @@ pub mod modules {
     ];
 }
 
-/// Names of the always-on fault/robustness event counters.
-pub mod counters {
-    /// Operations retried after a transient fault (from retry-wrapped
-    /// stores via the engine's observer hook).
-    pub const RETRIES: &str = "io retries";
-    /// Times a store entered read-only degraded mode.
-    pub const DEGRADED_ENTRIES: &str = "degraded-mode entries";
-    /// Times a store hard-poisoned on an integrity violation.
-    pub const POISON_EVENTS: &str = "poison events";
-    /// `try_heal` attempts on degraded stores.
-    pub const HEAL_ATTEMPTS: &str = "heal attempts";
-    /// Successful heals (degraded back to live).
-    pub const HEALS: &str = "heals";
-    /// Recovery (reopen) attempts.
-    pub const RECOVERY_ATTEMPTS: &str = "recovery attempts";
-    /// Fast reads that found their shard write-locked and had to wait.
-    pub const READ_SHARD_CONTENTION: &str = "read-shard contention";
-    /// Commit/checkpoint batches sealed by the parallel crypto pipeline.
-    pub const PARALLEL_CRYPTO_BATCHES: &str = "parallel-crypto batches";
-    /// Chunks sealed by the parallel crypto pipeline.
-    pub const PARALLEL_CRYPTO_CHUNKS: &str = "parallel-crypto chunks";
-    /// Group-commit batches executed by a leader thread.
-    pub const COMMIT_BATCHES: &str = "group-commit batches";
-    /// Commits that rode in a group-commit batch.
-    pub const BATCHED_COMMITS: &str = "group-commit batched commits";
-    /// Device writes saved by log append coalescing.
-    pub const LOG_WRITES_COALESCED: &str = "log writes coalesced";
-    /// Map-tree levels a checkpoint skipped because none of their chunks
-    /// were dirty.
-    pub const DIRTY_MAP_LEVELS_SKIPPED: &str = "dirty map levels skipped";
-    /// Segments reclaimed by the log cleaner.
-    pub const SEGMENTS_CLEANED: &str = "segments cleaned";
-    /// Current chunk versions the cleaner relocated to the log tail.
-    pub const VERSIONS_RELOCATED: &str = "versions relocated";
-    /// Obsolete bytes reclaimed by cleaning.
-    pub const BYTES_RECLAIMED: &str = "bytes reclaimed by cleaning";
-    /// Bounded cleaning slices run by the background maintenance thread.
-    pub const CLEAN_SLICES: &str = "clean slices";
-    /// Maintenance-thread wakeups that ran a pass.
-    pub const MAINTENANCE_WAKEUPS: &str = "maintenance wakeups";
-    /// Commits throttled at the low-water admission gate.
-    pub const COMMIT_THROTTLE_WAITS: &str = "commit throttle waits";
-    /// Bodies stored as compressed envelopes.
-    pub const BODIES_COMPRESSED: &str = "bodies compressed";
-    /// Bodies examined by the compression knob but stored raw.
-    pub const BODIES_STORED_RAW: &str = "bodies stored raw";
-    /// Sealed log bytes saved by compression.
-    pub const LOG_BYTES_SAVED: &str = "log bytes saved by compression";
-    /// Fast reads that failed to decompress a verified body and fell back
-    /// to the engine-locked path.
-    pub const DECOMPRESS_FALLBACKS: &str = "decompress fallbacks";
-}
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 static TOTALS: Mutex<Option<HashMap<&'static str, Duration>>> = Mutex::new(None);
-
-static COUNTERS: Mutex<Option<HashMap<&'static str, u64>>> = Mutex::new(None);
 
 thread_local! {
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
@@ -138,42 +79,13 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Adds `n` to the named event counter. Always on, independent of
-/// [`enable`].
-pub fn add(counter: &'static str, n: u64) {
-    let mut guard = COUNTERS.lock();
-    *guard
-        .get_or_insert_with(HashMap::new)
-        .entry(counter)
-        .or_default() += n;
-}
-
-/// Increments the named event counter by one.
-pub fn count(counter: &'static str) {
-    add(counter, 1);
-}
-
-/// An observer for [`tdb_storage::RetryStore`] that records every retry in
-/// the global [`counters::RETRIES`] counter, tying the storage layer's
-/// retry loop into the engine's metrics:
-///
-/// ```ignore
-/// let store = RetryStore::new(inner, IoPolicy::default())
-///     .with_observer(metrics::retry_observer());
-/// ```
-pub fn retry_observer() -> tdb_storage::RetryObserver {
-    Box::new(|_attempt| count(counters::RETRIES))
-}
-
-/// A point-in-time copy of accumulated self-times and event counters.
+/// A point-in-time copy of accumulated self-times.
 ///
 /// Indexing (`snap[module]`) and [`MetricsSnapshot::get`] look up module
-/// durations, keeping the `HashMap`-shaped API the benchmark harness uses;
-/// [`MetricsSnapshot::counter`] reads the event counters.
+/// durations, keeping the `HashMap`-shaped API the benchmark harness uses.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     durations: HashMap<&'static str, Duration>,
-    counters: HashMap<&'static str, u64>,
 }
 
 impl MetricsSnapshot {
@@ -182,19 +94,9 @@ impl MetricsSnapshot {
         self.durations.get(module)
     }
 
-    /// The value of the named event counter (0 when never incremented).
-    pub fn counter(&self, counter: &str) -> u64 {
-        self.counters.get(counter).copied().unwrap_or(0)
-    }
-
     /// All recorded module durations.
     pub fn durations(&self) -> &HashMap<&'static str, Duration> {
         &self.durations
-    }
-
-    /// All recorded event counters.
-    pub fn counters(&self) -> &HashMap<&'static str, u64> {
-        &self.counters
     }
 }
 
@@ -206,20 +108,16 @@ impl std::ops::Index<&str> for MetricsSnapshot {
     }
 }
 
-/// Takes a snapshot of accumulated self-times and event counters.
+/// Takes a snapshot of accumulated self-times.
 pub fn snapshot() -> MetricsSnapshot {
     MetricsSnapshot {
         durations: TOTALS.lock().clone().unwrap_or_default(),
-        counters: COUNTERS.lock().clone().unwrap_or_default(),
     }
 }
 
-/// Clears accumulated totals and counters (keeps recording enabled).
+/// Clears accumulated totals (keeps recording enabled).
 pub fn reset() {
     if let Some(m) = TOTALS.lock().as_mut() {
-        m.clear();
-    }
-    if let Some(m) = COUNTERS.lock().as_mut() {
         m.clear();
     }
 }
@@ -333,22 +231,6 @@ mod tests {
                 .unwrap_or_default()
                 < Duration::from_millis(1)
         );
-    }
-
-    #[test]
-    fn counters_accumulate_without_enable() {
-        let _serial = SERIAL.lock();
-        disable();
-        // A name no production code uses; sibling tests call reset(), so
-        // retry rather than assert an exact total.
-        for _ in 0..100 {
-            count("metrics-test-private-counter");
-            if snapshot().counter("metrics-test-private-counter") >= 1 {
-                assert_eq!(snapshot().counter("metrics-test-never-touched"), 0);
-                return;
-            }
-        }
-        panic!("counter never observed");
     }
 
     #[test]

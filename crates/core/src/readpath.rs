@@ -50,7 +50,7 @@ use tdb_storage::SharedUntrusted;
 
 use crate::descriptor::Descriptor;
 use crate::ids::{ChunkId, PartitionId};
-use crate::metrics::{self, counters, modules};
+use crate::metrics::{self, modules};
 use crate::params::PartitionCrypto;
 use crate::store::StoreHealth;
 use crate::version::{parse_version, VersionKind};
@@ -178,7 +178,6 @@ impl ReadPath {
                 // A writer holds this shard: count the contention, then
                 // block (shard writes are brief).
                 self.contention.fetch_add(1, Ordering::Relaxed);
-                metrics::count(counters::READ_SHARD_CONTENTION);
                 shard.read()
             }
         };
@@ -243,7 +242,6 @@ impl ReadPath {
                 Ok(plain) => return Some(plain),
                 Err(_) => {
                     self.decompress_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    metrics::count(counters::DECOMPRESS_FALLBACKS);
                     return None;
                 }
             }

@@ -43,7 +43,6 @@ pub(crate) fn recover(
     secret: SecretKey,
     config: ChunkStoreConfig,
 ) -> Result<Inner> {
-    metrics::count(crate::metrics::counters::RECOVERY_ATTEMPTS);
     let superblock = Superblock::read(&store)?;
     let candidates =
         if superblock.prev_leader != 0 && superblock.prev_leader != superblock.current_leader {

@@ -28,6 +28,7 @@ use parking_lot::Mutex;
 use tdb_crypto::SecretKey;
 use tdb_storage::{MonotonicCounter, SharedUntrusted, TrustedStore};
 
+use crate::batcher::CommitBatcher;
 use crate::cache::MapCache;
 use crate::descriptor::Descriptor;
 use crate::engine::rollback::Undo;
@@ -36,7 +37,7 @@ use crate::ids::{ChunkId, PartitionId};
 use crate::leader::SystemLeader;
 use crate::log::{LogHashes, SegmentedLog, Superblock};
 use crate::maintenance::{MaintenanceService, MaintenanceShared};
-use crate::metrics::{self, counters, modules};
+use crate::metrics::{self, modules};
 use crate::params::{CryptoParams, PartitionCrypto};
 use crate::pipeline::{self, Seals};
 use crate::readpath::ReadPath;
@@ -77,6 +78,10 @@ pub enum TrustedBackend {
 }
 
 /// Chunk store configuration.
+///
+/// No knob chooses the write path: every commit is a member of a
+/// group-commit batch, whose appends reach the device as one write per
+/// contiguous run and one flush at the batch's durability point.
 #[derive(Clone)]
 pub struct ChunkStoreConfig {
     /// Descriptors per map chunk (the paper's experiments use 64, §9.2.2).
@@ -111,11 +116,6 @@ pub struct ChunkStoreConfig {
     /// batch under 64 KB of plaintext is sealed on the committing thread
     /// whatever this says: a thread spawn costs more than it would save.
     pub crypto_workers: usize,
-    /// Group commit: concurrent committers are batched by a leader thread
-    /// that coalesces their log appends into segment-sized writes and
-    /// issues one flush for the whole batch. `false` restores the paper's
-    /// one-flush-per-commit write path bit-for-bit on the log.
-    pub group_commit: bool,
     /// Run cleaning and threshold checkpoints on a background maintenance
     /// thread ([`crate::maintenance`]) instead of inside commits and
     /// explicit [`ChunkStore::clean`] calls. `false` (the default)
@@ -160,7 +160,6 @@ impl Default for ChunkStoreConfig {
             system_hash: tdb_crypto::HashKind::Sha1,
             read_cache_chunks: 1024,
             crypto_workers: 0,
-            group_commit: true,
             background_maintenance: false,
             clean_slice_segments: 2,
             clean_low_water: 2,
@@ -382,9 +381,8 @@ impl Touched {
 pub struct StoreCore {
     pub(crate) inner: Mutex<Inner>,
     pub(crate) reads: ReadPath,
-    /// Group-commit coordinator; `None` runs the paper's one-commit-one-
-    /// flush path (`group_commit = false`).
-    pub(crate) batcher: Option<crate::batcher::CommitBatcher>,
+    /// Group-commit coordinator, the only way into the commit path.
+    pub(crate) batcher: CommitBatcher,
     /// Shared state of the background maintenance runtime (present even
     /// when disabled; the flags inside make everything a no-op then).
     pub(crate) maint: MaintenanceShared,
@@ -505,17 +503,13 @@ impl ChunkStore {
             inner.config.read_cache_chunks,
         );
         reads.set_health(&inner.health);
-        let batcher = inner
-            .config
-            .group_commit
-            .then(crate::batcher::CommitBatcher::new);
         let maint = MaintenanceShared::new(&inner.config);
         let seal_config = (inner.config.crypto_workers, inner.config.compression);
         let background = inner.config.background_maintenance;
         let core = Arc::new(StoreCore {
             inner: Mutex::new(inner),
             reads,
-            batcher,
+            batcher: CommitBatcher::new(),
             maint,
             seal_config,
             early_fan_outs: (AtomicU64::new(0), AtomicU64::new(0)),
@@ -608,11 +602,11 @@ impl ChunkStore {
     ///
     /// Validation errors leave the store unchanged and live. A storage
     /// failure mid-commit rolls the in-memory state back to the savepoint
-    /// taken after validation (in a group-commit batch: this member's, or
-    /// the batch's last durable point once bytes reached the device); if
-    /// any bytes had already reached the log the store drops to read-only
-    /// degraded mode (see [`ChunkStore::try_heal`]), otherwise it stays
-    /// live. Only integrity violations poison the store.
+    /// taken after validation (this batch member's, or the batch's last
+    /// durable point once bytes reached the device); if any bytes had
+    /// already reached the log the store drops to read-only degraded mode
+    /// (see [`ChunkStore::try_heal`]), otherwise it stays live. Only
+    /// integrity violations poison the store.
     pub fn commit(&self, ops: Vec<CommitOp>) -> Result<()> {
         self.commit_many(vec![ops])
             .pop()
@@ -622,12 +616,10 @@ impl ChunkStore {
     /// Applies several independent op sets, returning each one's own
     /// result in order. Each set is a commit of its own — atomic alone,
     /// never together with its neighbours, with the failure semantics of
-    /// [`ChunkStore::commit`] — but under group commit they are enqueued
-    /// as adjacent members of one batch: one coalesced append and one
-    /// flush for all of them. Without group commit each set is committed
-    /// in turn with its own flush. Either way the caller's thread hashes
-    /// and seals the sets' writes first, before it queues or takes the
-    /// engine lock.
+    /// [`ChunkStore::commit`] — but they are enqueued as adjacent members
+    /// of one group-commit batch: one coalesced append and one flush for
+    /// all of them. The caller's thread hashes and seals the sets' writes
+    /// first, before it queues or takes the engine lock.
     pub fn commit_many(&self, sets: Vec<Vec<CommitOp>>) -> Vec<Result<()>> {
         let _t = metrics::span(modules::CHUNK_STORE);
         // Under background maintenance, a bounded log below its low-water
@@ -635,26 +627,7 @@ impl ChunkStore {
         // the engine lock.
         self.admission_gate();
         let sealed = self.seal_early(&sets);
-        if self.batcher.is_some() {
-            // Group commit: enqueue and let a leader thread batch these
-            // commits with their contemporaries (see `crate::batcher`).
-            return self.commit_batched(sets, sealed);
-        }
-        let mut inner = self.inner.lock();
-        let results = sets
-            .into_iter()
-            .zip(sealed)
-            .map(|(ops, sealed)| {
-                let touched = Touched::of(&ops);
-                inner.check_writable()?;
-                let result = inner.commit(ops, sealed);
-                self.scrub_and_publish(&mut inner, &touched, &result);
-                result
-            })
-            .collect();
-        self.reads.set_health(&inner.health);
-        self.note_engine_state(&inner);
-        results
+        self.commit_batched(sets, sealed)
     }
 
     /// Hashes and seals the writes of `sets` on the caller's thread, before
@@ -695,8 +668,6 @@ impl ChunkStore {
             self.early_fan_outs
                 .1
                 .fetch_add(sealed.len() as u64, Ordering::Relaxed);
-            metrics::count(counters::PARALLEL_CRYPTO_BATCHES);
-            metrics::add(counters::PARALLEL_CRYPTO_CHUNKS, sealed.len() as u64);
         }
         for ((m, i), pre) in slots.into_iter().zip(sealed) {
             out[m][i] = Some(pre);
@@ -960,13 +931,11 @@ impl Inner {
             return;
         }
         self.stats.degraded_entries += 1;
-        metrics::count(counters::DEGRADED_ENTRIES);
         self.health = StoreHealth::Degraded { reason };
     }
 
     pub(crate) fn enter_poisoned(&mut self, reason: String) {
         self.stats.poison_events += 1;
-        metrics::count(counters::POISON_EVENTS);
         self.health = StoreHealth::Poisoned { reason };
     }
 
@@ -981,7 +950,6 @@ impl Inner {
             StoreHealth::Degraded { .. } => {}
         }
         self.stats.heal_attempts += 1;
-        metrics::count(counters::HEAL_ATTEMPTS);
         // Scrubbing drops the durable-but-unacknowledged log suffix. In
         // counter mode that is only sound while the trusted counter has not
         // already counted that suffix: with the counter ahead of the
@@ -1019,7 +987,6 @@ impl Inner {
         }
         self.health = StoreHealth::Live;
         self.stats.heals += 1;
-        metrics::count(counters::HEALS);
         Ok(())
     }
 

@@ -7,8 +7,8 @@ use tdb_core::store::{ChunkStore, ChunkStoreConfig, CommitOp, TrustedBackend, Va
 use tdb_core::{ChunkId, CoreError, CryptoParams, DiffChange, PartitionId, TamperKind};
 use tdb_crypto::{CipherKind, HashKind, SecretKey};
 use tdb_storage::{
-    CounterOverTrusted, CrashStore, MemStore, MemTrustedStore, MonotonicCounter, SharedUntrusted,
-    TrustedStore, UntrustedStore,
+    CounterOverTrusted, CrashStore, FaultPlan, MemStore, MemTrustedStore, MonotonicCounter,
+    PlannedFaultStore, SharedUntrusted, TrustedStore, UntrustedStore,
 };
 
 /// A small-geometry config that exercises tree growth and segment
@@ -491,6 +491,63 @@ fn explicit_checkpoint_writes_one_device_op_per_run() {
     let store = fx.reopen().unwrap();
     assert_eq!(store.written_ranks(p).unwrap().len(), 200);
     assert_eq!(store.read(ChunkId::data(p, 199)).unwrap(), b"leaf 199");
+}
+
+#[test]
+fn cleaning_pass_writes_one_device_op_per_run() {
+    let mut fx = Fixture::new(counter_mode());
+    // Segment 0 ends up holding only the keepers' live versions, and the
+    // tail segment has room for all of them, so the pass is one run.
+    fx.config.segment_size = 1 << 16;
+    let planned = Arc::new(PlannedFaultStore::new(
+        Arc::clone(&fx.untrusted) as SharedUntrusted,
+        FaultPlan::new(),
+    ));
+    let store = ChunkStore::create(
+        Arc::clone(&planned) as SharedUntrusted,
+        fx.backend(),
+        fx.secret.clone(),
+        fx.config.clone(),
+    )
+    .unwrap();
+    let p = make_partition(&store);
+    let keepers: Vec<(ChunkId, Vec<u8>)> = (0..8u8)
+        .map(|i| {
+            let body = vec![i; 300];
+            (write_one(&store, p, &body), body)
+        })
+        .collect();
+    let churn = store.allocate_chunk(p).unwrap();
+    for i in 0..80u8 {
+        let ops = vec![CommitOp::WriteChunk {
+            id: churn,
+            bytes: vec![i; 1000],
+        }];
+        store.commit(ops).unwrap();
+    }
+    store.checkpoint().unwrap();
+
+    // A write error on the pass's second device write: a pass that wrote
+    // each relocation through would fail there, after bytes reached the
+    // log, and degrade the store.
+    planned.set_plan(FaultPlan::new().write_error_at(planned.write_ops() + 1));
+    let device = fx.untrusted.stats().snapshot();
+    let relocated = store.stats().chunks_relocated;
+    assert_eq!(store.clean(1).unwrap(), 1);
+    let device = fx.untrusted.stats().snapshot().since(&device);
+    let relocated = store.stats().chunks_relocated - relocated;
+    assert!(relocated >= 8, "only {relocated} versions relocated");
+    assert_eq!(device.writes, 1, "one run for the whole pass");
+    assert_eq!(device.flushes, 1);
+    assert_eq!(planned.injected_faults(), 0);
+    assert!(store.health().is_live());
+
+    drop(store);
+    let store = fx.reopen().unwrap();
+    for (id, body) in &keepers {
+        assert_eq!(&store.read(*id).unwrap(), body, "{id:?} after reopen");
+    }
+    assert_eq!(store.read(churn).unwrap(), vec![79u8; 1000]);
 }
 
 // ---------------------------------------------------------------------------

@@ -134,6 +134,13 @@ impl CrashStore {
         self.pending.lock().len()
     }
 
+    /// `(offset, length)` of each pending write, in order: where a torn
+    /// crash can split them.
+    pub fn pending_extents(&self) -> Vec<(u64, usize)> {
+        let pending = self.pending.lock();
+        pending.iter().map(|w| (w.offset, w.data.len())).collect()
+    }
+
     fn check_halted(&self) -> Result<()> {
         if self.halted.load(Ordering::SeqCst) {
             Err(StoreError::InjectedFault("store crashed"))

@@ -231,14 +231,6 @@ impl TrustedDbBuilder {
         self
     }
 
-    /// Enables or disables group commit (`false` restores the paper's
-    /// one-flush-per-commit write path; see
-    /// [`ChunkStoreConfig::group_commit`]).
-    pub fn group_commit(mut self, on: bool) -> Self {
-        self.chunk_config.group_commit = on;
-        self
-    }
-
     /// Sets the dirty-map-chunk count that triggers an automatic
     /// incremental checkpoint (default 512, half the map cache). A
     /// checkpoint is also due once the residual log outgrows a fixed 8 MiB

@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use tdb_core::store::{ChunkStore, ChunkStoreConfig, CommitOp, TrustedBackend, ValidationMode};
+use tdb_core::version::parse_version;
 use tdb_core::{ChunkId, CryptoParams};
 use tdb_crypto::SecretKey;
 use tdb_storage::{
@@ -487,41 +488,65 @@ fn torn_clean_write_sweep() {
         store.clean(8).is_err(),
         "a dropped flush means the clean never completed"
     );
-    let pending = crash.pending_writes();
-    assert!(
-        pending >= 1,
-        "cleaning appends relocated versions and a commit chunk"
-    );
-
-    for complete in 0..=pending {
-        for split in [0usize, 7, 128, 400] {
-            let ctx = format!("clean torn at write {complete}, byte {split}");
-            let image = crash.crash_torn(complete, split);
-            platform.register.restore(register_before.clone());
-            let store = ChunkStore::open(
-                Arc::new(MemStore::from_bytes(image)) as SharedUntrusted,
-                platform.backend(),
-                platform.secret.clone(),
-                platform.config.clone(),
-            )
-            .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
-            // No relocated current version is ever lost...
-            for (c, bytes) in &expected {
-                assert_eq!(&store.read(*c).unwrap(), bytes, "{ctx}");
-            }
-            // ...and no obsolete version is ever resurrected.
-            assert!(
-                store.read(dead).is_err(),
-                "{ctx}: deallocated chunk resurfaced"
-            );
-            let c = store.allocate_chunk(p).unwrap();
-            store
-                .commit(vec![CommitOp::WriteChunk {
-                    id: c,
-                    bytes: b"post-recovery write".to_vec(),
-                }])
-                .unwrap_or_else(|e| panic!("{ctx}: recovered store rejects commits: {e}"));
+    // The pass reaches the device as one write per contiguous run. Tear
+    // each at every version boundary in it and one byte either side, then
+    // keep every write whole.
+    let whole = crash.crash_keep_all();
+    let system = CryptoParams::paper_system(platform.secret.clone())
+        .runtime()
+        .unwrap();
+    let mut tears = Vec::new();
+    let mut boundaries = 0;
+    for (complete, (offset, len)) in crash.pending_extents().into_iter().enumerate() {
+        let run = &whole[offset as usize..offset as usize + len];
+        let mut at = 0;
+        let mut bounds = vec![0];
+        while let Ok(Some(version)) = parse_version(&system, &run[at..], offset + at as u64) {
+            at += version.total_len;
+            bounds.push(at);
         }
+        boundaries += bounds.len();
+        let mut splits: Vec<usize> = bounds
+            .into_iter()
+            .flat_map(|b| [b.saturating_sub(1), b, b + 1])
+            .collect();
+        splits.dedup();
+        tears.extend(splits.into_iter().map(|split| (complete, split)));
+    }
+    assert!(
+        boundaries >= 8,
+        "cleaning appends relocated versions, cleaner records and a commit \
+         chunk: only {boundaries} version boundaries"
+    );
+    tears.push((crash.pending_writes(), 0));
+
+    for (complete, split) in tears {
+        let ctx = format!("clean torn at write {complete}, byte {split}");
+        let image = crash.crash_torn(complete, split);
+        platform.register.restore(register_before.clone());
+        let store = ChunkStore::open(
+            Arc::new(MemStore::from_bytes(image)) as SharedUntrusted,
+            platform.backend(),
+            platform.secret.clone(),
+            platform.config.clone(),
+        )
+        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+        // No relocated current version is ever lost...
+        for (c, bytes) in &expected {
+            assert_eq!(&store.read(*c).unwrap(), bytes, "{ctx}");
+        }
+        // ...and no obsolete version is ever resurrected.
+        assert!(
+            store.read(dead).is_err(),
+            "{ctx}: deallocated chunk resurfaced"
+        );
+        let c = store.allocate_chunk(p).unwrap();
+        store
+            .commit(vec![CommitOp::WriteChunk {
+                id: c,
+                bytes: b"post-recovery write".to_vec(),
+            }])
+            .unwrap_or_else(|e| panic!("{ctx}: recovered store rejects commits: {e}"));
     }
 }
 

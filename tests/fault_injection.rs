@@ -21,7 +21,6 @@ use tdb::{
     ChunkId, ChunkStore, ChunkStoreConfig, CommitOp, CryptoParams, PartitionId, StoreHealth,
     TrustedBackend, ValidationMode,
 };
-use tdb_core::metrics::{self, counters};
 use tdb_core::CoreError;
 use tdb_crypto::SecretKey;
 use tdb_storage::{
@@ -514,15 +513,6 @@ fn fault_counters_count_degrade_heal_and_recovery() {
     assert_eq!(stats.poison_events, 0);
 
     let _ = rig.reopen().unwrap();
-
-    // The global metrics counters aggregate across all stores in the
-    // process (other tests run concurrently), so assert loosely: each
-    // event we just caused is visible.
-    let snap = metrics::snapshot();
-    assert!(snap.counter(counters::DEGRADED_ENTRIES) >= 1);
-    assert!(snap.counter(counters::HEAL_ATTEMPTS) >= 1);
-    assert!(snap.counter(counters::HEALS) >= 1);
-    assert!(snap.counter(counters::RECOVERY_ATTEMPTS) >= 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -536,13 +526,10 @@ fn transient_window_hidden_by_retries() {
         Arc::clone(&mem) as SharedUntrusted,
         FaultPlan::new(),
     ));
-    let retry = Arc::new(
-        RetryStore::new(
-            Arc::clone(&pf) as SharedUntrusted,
-            IoPolicy::retries(3), // Deterministic: NoDelay clock by default.
-        )
-        .with_observer(metrics::retry_observer()),
-    );
+    let retry = Arc::new(RetryStore::new(
+        Arc::clone(&pf) as SharedUntrusted,
+        IoPolicy::retries(3), // Deterministic: NoDelay clock by default.
+    ));
     let register = Arc::new(MemTrustedStore::new(64));
     let store = ChunkStore::create(
         Arc::clone(&retry) as SharedUntrusted,
@@ -573,10 +560,8 @@ fn transient_window_hidden_by_retries() {
     assert!(store.health().is_live());
     assert_eq!(store.stats().degraded_entries, 0);
     assert!(pf.injected_faults() >= 2, "the window actually fired");
-    // The retry loop recorded its work in the store stats and the global
-    // metrics counter (via the observer).
+    // The retry loop recorded its work in the store stats.
     assert!(retry.stats().snapshot().retries >= 2);
-    assert!(metrics::snapshot().counter(counters::RETRIES) >= 2);
     for (i, id) in ids.iter().enumerate() {
         assert_eq!(store.read(*id).unwrap(), vec![i as u8; 250]);
     }

@@ -12,9 +12,7 @@
 //!   never half-applied.
 //! - N concurrent commits cost fewer than N device flushes (the whole
 //!   point), visible in the batch-size histogram and flush counters.
-//! - `group_commit = false` reproduces the legacy write path's device-op
-//!   shape exactly: two writes and one flush per single-chunk commit, no
-//!   batches, no coalescing.
+//! - A lone single-chunk commit costs one device write and one flush.
 
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
@@ -391,54 +389,12 @@ fn concurrent_commits_flush_less_than_once_per_commit() {
 }
 
 // ---------------------------------------------------------------------------
-// Parity: group_commit = false is the legacy write path.
+// A lone commit: the paper's durability rule, one device write.
 // ---------------------------------------------------------------------------
 
-/// With group commit off, the device-op shape per single-chunk commit is
-/// the legacy one exactly — two writes (data chunk, commit chunk) and one
-/// flush — with no batches anywhere in the stats and no coalescing by the
-/// commits (a checkpoint, the one that formats the store included, always
-/// coalesces).
-#[test]
-fn group_commit_off_reproduces_legacy_device_op_shape() {
-    const COMMITS: u64 = 6;
-    let rig = Rig::new(ChunkStoreConfig {
-        group_commit: false,
-        ..config()
-    });
-    let mem = Arc::new(MemStore::new());
-    let store = rig.create(Arc::clone(&mem) as SharedUntrusted);
-    let p = setup_partition(&store);
-    let ids: Vec<ChunkId> = (0..COMMITS)
-        .map(|_| store.allocate_chunk(p).unwrap())
-        .collect();
-    let io_before = mem.stats().snapshot();
-    let before = store.stats();
-    for (i, id) in ids.iter().enumerate() {
-        store
-            .commit(vec![CommitOp::WriteChunk {
-                id: *id,
-                bytes: content(i, 0),
-            }])
-            .unwrap();
-    }
-    let io = mem.stats().snapshot().since(&io_before);
-    assert_eq!(io.writes, 2 * COMMITS, "legacy path: 2 writes per commit");
-    assert_eq!(io.flushes, COMMITS, "legacy path: 1 flush per commit");
-    let stats = store.stats();
-    assert_eq!(stats.commit_batches, 0);
-    assert_eq!(stats.batched_commits, 0);
-    assert_eq!(stats.log_writes_coalesced, before.log_writes_coalesced);
-    assert_eq!(stats.log_coalesced_bytes, before.log_coalesced_bytes);
-    assert_eq!(stats.batch_size_hist, [0u64; 8]);
-    for (i, id) in ids.iter().enumerate() {
-        assert_eq!(store.read(*id).unwrap(), content(i, 0));
-    }
-}
-
-/// The same single-threaded workload with group commit on: batches of one,
-/// whose data and commit chunks coalesce into a single device write — and
-/// the result recovers identically.
+/// A single-threaded workload: batches of one, whose data and commit
+/// chunks coalesce into a single device write before the commit's one
+/// flush — and the result recovers.
 #[test]
 fn group_commit_on_coalesces_single_commits() {
     const COMMITS: u64 = 6;

@@ -104,33 +104,35 @@ fn batched_remote_is_correct_across_recovery() {
     }
 }
 
+/// A warm single-chunk commit appends its version and commit chunk as one
+/// contiguous run. A bare remote pays a round trip for that run's write
+/// and another for the flush; through `BatchingStore` both ship as one.
 #[test]
 fn batching_saves_round_trips() {
-    let run = |batched: bool| -> Duration {
+    for (batched, trips) in [(false, 2u32), (true, 1)] {
         let secret = SecretKey::random(24);
         let register = Arc::new(MemTrustedStore::new(64));
         let r = remote(batched);
-        // Pin engine-side group commit off: it coalesces a commit's appends
-        // into one device write itself, which shrinks the unbatched baseline
-        // this test measures the *storage-layer* batching win against.
-        let config = ChunkStoreConfig {
-            group_commit: false,
-            ..ChunkStoreConfig::default()
-        };
-        let store =
-            ChunkStore::create(Arc::clone(&r.store), backend(&register), secret, config).unwrap();
-        workload(&store);
-        r.clock.elapsed()
-    };
-    let unbatched = run(false);
-    let batched = run(true);
-    // A batched commit's writes and flush ship as one round trip instead of
-    // one per version plus the flush; reads cost the same on both sides
-    // (the descriptor cache is the read-side optimization).
-    assert!(
-        batched.as_secs_f64() * 2.0 < unbatched.as_secs_f64(),
-        "batching should halve round-trip time: batched {batched:?} vs unbatched {unbatched:?}"
-    );
+        let store = ChunkStore::create(
+            Arc::clone(&r.store),
+            backend(&register),
+            secret,
+            ChunkStoreConfig::default(),
+        )
+        .unwrap();
+        let written = workload(&store);
+        for (i, (id, _)) in written.iter().enumerate() {
+            let before = r.clock.elapsed();
+            store
+                .commit(vec![CommitOp::WriteChunk {
+                    id: *id,
+                    bytes: vec![i as u8; 300],
+                }])
+                .unwrap();
+            let spent = r.clock.elapsed() - before;
+            assert_eq!(spent, RTT * trips, "batched {batched}, commit {i}");
+        }
+    }
 }
 
 #[test]
