@@ -8,8 +8,11 @@
 //!   trip each.
 //! - [`TdbClient::send`] / [`TdbClient::recv`]: **pipelining**. Queue
 //!   any number of requests without waiting; responses arrive strictly
-//!   in send order. This is how a single connection keeps the server's
-//!   group-commit batcher fed.
+//!   in send order. Queued requests go out in one write when `recv` is
+//!   about to block, so everything sent while a clump of responses was
+//!   consumed reaches the server as one burst — one group commit. This
+//!   is how a single connection keeps the server's group-commit batcher
+//!   fed.
 //!
 //! Server-side faults arrive as **typed errors**: the stable numeric
 //! codes in [`tdb::TdbError`]'s wire form decode back to the same
@@ -194,8 +197,8 @@ impl TdbClient {
 
     /// Queues one request without waiting for its response. Returns the
     /// request id; responses arrive in send order via [`TdbClient::recv`].
-    /// Call [`TdbClient::flush`] (or `recv`, which flushes) after the
-    /// last send of a batch.
+    /// Nothing is written until [`TdbClient::flush`], or until `recv`
+    /// flushes before it would block.
     ///
     /// # Errors
     ///
@@ -222,12 +225,19 @@ impl TdbClient {
     /// Receives the next in-order response. Updates the health view from
     /// the envelope.
     ///
+    /// Queued requests are flushed only before `recv` would block: a
+    /// response already whole in the read buffer is returned without
+    /// touching the socket, so the requests sent while a clump of responses
+    /// is consumed leave together and reach the server as one burst.
+    ///
     /// # Errors
     ///
     /// Errors on transport failure, envelope corruption, or a response
     /// id that does not match the oldest outstanding request.
     pub fn recv(&mut self) -> Result<(u64, Response)> {
-        self.flush()?;
+        if !wire::frame_buffered(self.reader.buffer()) {
+            self.flush()?;
+        }
         let payload = wire::read_frame(&mut self.reader)?;
         let envelope =
             wire::decode_response(&payload).map_err(|e| ClientError::Protocol(e.to_string()))?;
@@ -422,5 +432,97 @@ impl fmt::Debug for TdbClient {
             .field("session_id", &self.session_id)
             .field("outstanding", &self.pending.len())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{ErrorKind, Read};
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    use super::*;
+
+    const KEY: &[u8] = b"coalescing test key";
+
+    /// Accepts one connection and answers its handshake as a server would.
+    fn accept_and_welcome(listener: &TcpListener) -> (TcpStream, BufReader<TcpStream>) {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let nonce = [7u8; NONCE_LEN];
+        wire::write_frame(&mut stream, &Hello { nonce }.encode()).unwrap();
+        let auth = ClientAuth::decode(&wire::read_frame(&mut reader).unwrap()).unwrap();
+        let welcome = AuthResult::Welcome {
+            mac: server_welcome_mac(KEY, &auth.nonce, &nonce),
+            session_id: 1,
+        };
+        wire::write_frame(&mut stream, &welcome.encode()).unwrap();
+        (stream, reader)
+    }
+
+    /// Reads `n` request frames, returning their ids.
+    fn read_requests(reader: &mut BufReader<TcpStream>, n: usize) -> Vec<u64> {
+        (0..n)
+            .map(|_| {
+                let frame = wire::read_frame(reader).unwrap();
+                wire::decode_request(&frame).unwrap().0
+            })
+            .collect()
+    }
+
+    /// Answers every id with `Pong`, in one write: the replies arrive as
+    /// one clump.
+    fn answer(stream: &mut TcpStream, ids: &[u64]) {
+        let mut clump = Vec::new();
+        for id in ids {
+            let envelope = wire::encode_response(*id, wire::health::LIVE, "", &Response::Pong);
+            wire::write_frame(&mut clump, &envelope).unwrap();
+        }
+        stream.write_all(&clump).unwrap();
+    }
+
+    /// A `recv` answered from the read buffer writes nothing; the next
+    /// `recv`, which would block, delivers every request queued meanwhile
+    /// in one write.
+    #[test]
+    fn recv_flushes_only_before_it_would_block() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (probe_now, probe_rx) = mpsc::channel::<()>();
+        let (probed, probed_rx) = mpsc::channel::<bool>();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, mut reader) = accept_and_welcome(&listener);
+            let first = read_requests(&mut reader, 2);
+            answer(&mut stream, &first);
+            probe_rx.recv().unwrap();
+            assert!(reader.buffer().is_empty());
+            stream.set_nonblocking(true).unwrap();
+            let silent = matches!(
+                reader.get_mut().read(&mut [0u8; 1]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock
+            );
+            stream.set_nonblocking(false).unwrap();
+            probed.send(silent).unwrap();
+            let second = read_requests(&mut reader, 2);
+            answer(&mut stream, &second);
+            second
+        });
+
+        let mut client = TdbClient::connect(addr, "alice", KEY).unwrap();
+        let a = client.send(&Command::Ping).unwrap();
+        let b = client.send(&Command::Ping).unwrap();
+        assert_eq!(client.recv().unwrap().0, a, "flushes both, then blocks");
+        let c = client.send(&Command::Ping).unwrap();
+        let d = client.send(&Command::Ping).unwrap();
+        assert_eq!(client.recv().unwrap().0, b, "served from the buffer");
+        probe_now.send(()).unwrap();
+        assert!(
+            probed_rx.recv().unwrap(),
+            "a recv answered from the buffer wrote to the socket"
+        );
+        assert_eq!(client.recv().unwrap().0, c);
+        assert_eq!(client.recv().unwrap().0, d);
+        assert_eq!(peer.join().unwrap(), vec![c, d]);
+        assert_eq!(client.outstanding(), 0);
     }
 }

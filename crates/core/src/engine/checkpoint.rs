@@ -78,6 +78,7 @@ impl Inner {
     }
 
     fn checkpoint_impl(&mut self) -> Result<()> {
+        self.durable_point_if_due()?;
         // Incremental accounting: levels that are cached but hold no dirty
         // chunk are never visited below (the dirty index hands out only
         // dirty levels), so a lightly dirtied tree checkpoints in O(dirty).

@@ -348,14 +348,33 @@ impl Inner {
     /// The durability point every member appended since the last one
     /// shares: "a commit operation waits until the commit set is written
     /// to the untrusted store reliably" (§4.8.2.1). In direct mode the
-    /// register write after the flush is "the real commit point", and it
-    /// covers every member at once.
+    /// register write after the flush is "the real commit point"; in
+    /// counter mode the counter moves once, after the flush, if the lag
+    /// exceeds Δut − 1. Either covers every member at once.
     pub(crate) fn durable_point(&mut self) -> Result<()> {
         self.flush_log()?;
-        if self.config.validation == ValidationMode::DirectHash {
-            self.write_direct_record()?;
+        match self.config.validation {
+            ValidationMode::DirectHash => self.write_direct_record(),
+            ValidationMode::Counter { delta_ut, .. }
+                if self.commit_count - self.trusted_count > delta_ut.saturating_sub(1) =>
+            {
+                self.advance_counter(self.commit_count)
+            }
+            ValidationMode::Counter { .. } => Ok(()),
         }
-        Ok(())
+    }
+
+    /// Reaches a durable point before a counted commit set (a batch member,
+    /// a checkpoint, a cleaning pass) whose commit chunk, once flushed,
+    /// would pass recovery's ceiling `t + Δut + 1` should a crash take the
+    /// counter advance (§4.8.2.2). Returns whether it did.
+    pub(crate) fn durable_point_if_due(&mut self) -> Result<bool> {
+        let due = matches!(self.config.validation, ValidationMode::Counter { delta_ut, .. }
+            if self.commit_count - self.trusted_count > delta_ut);
+        if due {
+            self.durable_point()?;
+        }
+        Ok(due)
     }
 
     /// Ends the open commit set with its signed, counted commit chunk
@@ -380,49 +399,37 @@ impl Inner {
         Ok(count)
     }
 
-    /// Seals one member's commit set (§4.6, §4.8.2): appends its commit
-    /// chunk (counter mode) but defers the device flush to the
-    /// [`Inner::durable_point`] that ends the batch, flushing early only
-    /// when the counter-lag window (Δut) demands an advance — the trusted
-    /// counter must never count a commit that is not yet durable, so the
-    /// flush always precedes the advance. Returns whether a flush happened
-    /// (everything appended so far, this member included, is durable).
-    pub(crate) fn finish_commit_batched(&mut self) -> Result<bool> {
-        let mut flushed = false;
-        if let ValidationMode::Counter { delta_ut, .. } = self.config.validation {
+    /// Seals one member's commit set (§4.6, §4.8.2): in counter mode,
+    /// appends its signed, counted commit chunk. The flush and any counter
+    /// advance or register write wait for the batch's durable point.
+    pub(crate) fn finish_commit_batched(&mut self) -> Result<()> {
+        if matches!(self.config.validation, ValidationMode::Counter { .. }) {
             // Reserve room so the commit chunk follows its set in the same
             // segment (the set hash must cover any next-segment chunk, so
             // no switch may happen after end_set).
             self.ensure_room(COMMIT_CHUNK_ROOM)?;
-            let count = self.append_commit_chunk()?;
-            if count - self.trusted_count > delta_ut.saturating_sub(1) {
-                self.flush_log()?;
-                self.advance_counter(count)?;
-                flushed = true;
-            }
+            self.append_commit_chunk()?;
         }
-        // Direct-hash mode needs nothing per member: the durable point's
-        // register write covers them all.
         self.stats.commits += 1;
-        Ok(flushed)
+        Ok(())
     }
 
     /// Executes a group-commit batch: every member is validated, sealed,
     /// and applied independently (per-commit atomicity), their log appends
-    /// coalesce in the log's run buffer, and one flush at the end makes
-    /// the whole batch durable.
+    /// coalesce in the log's run buffer, and one durable point at the end
+    /// makes the whole batch durable; [`Inner::durable_point_if_due`] adds
+    /// one only before a member that would outrun the counter window.
     ///
     /// Failure policy per member:
     /// - validation errors fail the member alone, before any state change;
-    /// - apply errors with no device write roll just that member back and
-    ///   the batch continues live;
+    /// - apply errors roll just that member back (none of its bytes reached
+    ///   the device) and the batch continues live;
     /// - integrity violations poison and abort the batch;
-    /// - storage failures after bytes reached the device degrade and abort
-    ///   (remaining members get [`CoreError::BatchAborted`]).
+    /// - a failed durable point aborts the batch, and degrades the store if
+    ///   bytes reached the device ([`Inner::abort_batch`]).
     ///
-    /// On abort or a failed final flush, members applied after the last
-    /// durable point are demoted to `BatchAborted` — no caller is ever
-    /// acknowledged before its bytes are flushed.
+    /// No caller is ever acknowledged before its bytes are flushed and, in
+    /// counter mode, while it is more than Δut − 1 past the counter.
     ///
     /// `sealed` holds what the members' committers sealed before the engine
     /// lock, per member and op.
@@ -463,84 +470,69 @@ impl Inner {
                 results.push(Err(e));
                 continue;
             }
+            self.wrote_log = false;
+            match self.durable_point_if_due() {
+                Ok(false) => {}
+                Ok(true) => {
+                    durable = results.len();
+                    durable_sp = None;
+                    self.close_journals();
+                }
+                Err(e) => {
+                    let sp = durable_sp.take().expect("applied since the durable point");
+                    abort = Some(self.abort_batch(&e, &sp, &mut results, durable));
+                    results.push(Err(e));
+                    continue;
+                }
+            }
             let sp = self.savepoint();
             if durable_sp.is_none() {
                 durable_sp = Some(sp.clone());
             }
-            self.wrote_log = false;
-            let counter_mode = matches!(self.config.validation, ValidationMode::Counter { .. });
-            if counter_mode {
+            if matches!(self.config.validation, ValidationMode::Counter { .. }) {
                 self.hashes.begin_set();
             }
             let result = self
                 .apply_ops(ops, pre)
                 .and_then(|()| self.finish_commit_batched());
             match result {
-                Ok(flushed) => {
+                Ok(()) => {
                     results.push(Ok(()));
-                    if flushed {
-                        durable = results.len();
-                        durable_sp = None;
-                        self.close_journals();
-                    }
                     // Automatic checkpoint. A successful checkpoint flushes
                     // and syncs the trusted store, so it is a durable point
                     // too.
-                    let checkpoints_before = self.stats.checkpoints;
                     match self.maybe_checkpoint() {
-                        Ok(()) => {
-                            if self.stats.checkpoints > checkpoints_before {
-                                durable = results.len();
-                                durable_sp = None;
-                                self.close_journals();
-                            }
+                        Ok(false) => {}
+                        Ok(true) => {
+                            durable = results.len();
+                            durable_sp = None;
+                            self.close_journals();
                         }
                         Err(e) => {
                             // The member was applied but its follow-on
                             // checkpoint failed (and did its own rollback
                             // and health transition) — surface the error
                             // as the member's result.
-                            let msg = e.to_string();
-                            *results.last_mut().expect("just pushed") = Err(e);
                             if !self.health.is_live() {
-                                if let Some(sp) = durable_sp.take() {
-                                    self.rollback(&sp);
-                                }
-                                demote_unflushed(&mut results, durable, &msg);
-                                abort = Some(msg);
+                                let sp = durable_sp.take().expect("this member applied");
+                                abort = Some(self.abort_batch(&e, &sp, &mut results, durable));
                             }
+                            *results.last_mut().expect("just pushed") = Err(e);
                         }
                     }
                 }
+                Err(e) if e.fault_class() == FaultClass::Integrity => {
+                    // Integrity is in doubt: everything since the last
+                    // durable point is unrecoverable in place.
+                    let sp = durable_sp.take().expect("set with this member's savepoint");
+                    abort = Some(self.abort_batch(&e, &sp, &mut results, durable));
+                    results.push(Err(e));
+                }
                 Err(e) => {
-                    let integrity = e.fault_class() == FaultClass::Integrity;
-                    if integrity || self.wrote_log {
-                        // Bytes reached the device (or integrity is in
-                        // doubt): everything since the last durable point
-                        // is unrecoverable in place. Roll back to it,
-                        // demote the members it does not cover, and stop.
-                        let msg = e.to_string();
-                        let sp = durable_sp.take().expect("set with this member's savepoint");
-                        self.rollback(&sp);
-                        demote_unflushed(&mut results, durable, &msg);
-                        if integrity {
-                            self.enter_poisoned(format!(
-                                "integrity violation during batched commit: {msg}"
-                            ));
-                        } else {
-                            self.enter_degraded(format!(
-                                "storage failure during batched commit after \
-                                 log bytes were written: {msg}"
-                            ));
-                        }
-                        results.push(Err(e));
-                        abort = Some(msg);
-                    } else {
-                        // Nothing durable happened: this member rolls back
-                        // clean and the batch continues live.
-                        self.rollback(&sp);
-                        results.push(Err(e));
-                    }
+                    // Nothing reached the device: this member rolls back
+                    // clean and the batch continues live.
+                    self.rollback(&sp);
+                    results.push(Err(e));
                 }
             }
         }
@@ -550,22 +542,39 @@ impl Inner {
         if abort.is_none() && self.log.buffered_len() > 0 {
             self.wrote_log = false;
             if let Err(e) = self.durable_point() {
-                let msg = e.to_string();
-                let wrote = self.wrote_log;
-                if let Some(sp) = durable_sp.take() {
-                    self.rollback(&sp);
-                }
-                demote_unflushed(&mut results, durable, &msg);
-                if wrote {
-                    self.enter_degraded(format!(
-                        "storage failure flushing a commit batch after log \
-                         bytes were written: {msg}"
-                    ));
-                }
+                let sp = durable_sp.take().expect("applied since the durable point");
+                self.abort_batch(&e, &sp, &mut results, durable);
             }
         }
         self.close_journals();
+        if let ValidationMode::Counter { delta_ut, .. } = self.config.validation {
+            debug_assert!(self.commit_count - self.trusted_count <= delta_ut.saturating_sub(1));
+        }
         results
+    }
+
+    /// Ends a batch at a failure no member can take back alone (an integrity
+    /// violation, a failed durable point or checkpoint): unwinds to the last
+    /// durable point that held, moves the health state machine unless a
+    /// checkpoint already did, and demotes every member applied since to
+    /// [`CoreError::BatchAborted`]. Returns the reason.
+    fn abort_batch(
+        &mut self,
+        e: &CoreError,
+        durable_sp: &Savepoint,
+        results: &mut [Result<()>],
+        durable: usize,
+    ) -> String {
+        if self.health.is_live() {
+            self.end_mutation(durable_sp, Some(e), "batched commit");
+        } else {
+            self.rollback(durable_sp);
+        }
+        let msg = e.to_string();
+        for r in results.iter_mut().skip(durable).filter(|r| r.is_ok()) {
+            *r = Err(CoreError::BatchAborted(msg.clone()));
+        }
+        msg
     }
 
     pub(crate) fn advance_counter(&mut self, count: u64) -> Result<()> {
@@ -605,12 +614,13 @@ impl Inner {
     /// A no-op when the background maintenance runtime owns checkpoint
     /// scheduling ([`crate::maintenance`]): the commit path then never
     /// stalls on a full checkpoint, and the maintenance thread picks the
-    /// trigger up on its next wakeup.
-    fn maybe_checkpoint(&mut self) -> Result<()> {
-        if !self.config.background_maintenance && self.checkpoint_due() {
+    /// trigger up on its next wakeup. Returns whether it checkpointed.
+    fn maybe_checkpoint(&mut self) -> Result<bool> {
+        let due = !self.config.background_maintenance && self.checkpoint_due();
+        if due {
             self.checkpoint()?;
         }
-        Ok(())
+        Ok(due)
     }
 }
 
@@ -621,17 +631,6 @@ fn batch_size_bucket(n: usize) -> usize {
         0
     } else {
         ((usize::BITS - (n - 1).leading_zeros()) as usize).min(7)
-    }
-}
-
-/// Demotes every `Ok` result at or past `durable` to [`CoreError::BatchAborted`]:
-/// those members were applied but never covered by a flush, so they must
-/// not be acknowledged.
-fn demote_unflushed(results: &mut [Result<()>], durable: usize, reason: &str) {
-    for r in results.iter_mut().skip(durable) {
-        if r.is_ok() {
-            *r = Err(CoreError::BatchAborted(reason.to_string()));
-        }
     }
 }
 

@@ -94,6 +94,7 @@ impl Inner {
     }
 
     fn clean_segments(&mut self, targets: &[u32]) -> Result<CleanOutcome> {
+        self.durable_point_if_due()?;
         if matches!(self.config.validation, ValidationMode::Counter { .. }) {
             self.hashes.begin_set();
         }
@@ -125,9 +126,8 @@ impl Inner {
             // The rewrites form one commit (§4.9.5: "then commits the set of
             // current chunks"), which reaches the device as one write per
             // contiguous run at its durable point.
-            if !self.finish_commit_batched()? {
-                self.durable_point()?;
-            }
+            self.finish_commit_batched()?;
+            self.durable_point()?;
         }
         // Only after the cleaning commit is durable may the segments be
         // recycled.

@@ -624,10 +624,11 @@ mod tests {
         });
     }
 
-    /// A batch: per-member atomicity, a durable point mid-batch (the
-    /// counter-lag flush, and with a low threshold a checkpoint), an abort
-    /// that unwinds to it. Whatever the fault index, the engine equals a
-    /// twin that ran exactly the acknowledged members.
+    /// A batch: per-member atomicity, a durable point mid-batch (forced
+    /// before the member that would outrun the counter window, and with a
+    /// low threshold a checkpoint), an abort that unwinds to it. Whatever
+    /// the fault index, the engine equals a twin that ran exactly the
+    /// acknowledged members.
     fn batch_sweep(checkpoint_threshold: usize) {
         let members = |rig: &Rig| -> Vec<Vec<CommitOp>> {
             let mut sets: Vec<Vec<CommitOp>> = (0..7)

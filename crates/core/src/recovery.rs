@@ -434,8 +434,8 @@ fn recover_from(
                 }
                 TrustedBackend::Register(_) => unreachable!("checked above"),
             };
-            // Accept t - Δtu ≤ u ≤ t + Δut + 1 (the +1 covers a commit
-            // durable in the log whose counter flush was lost to the crash).
+            // Accept t - Δtu ≤ u ≤ t + Δut + 1 (the +1 covers a batch's last
+            // member when the crash took the counter advance after its flush).
             let low_ok = u + delta_tu >= t;
             let high_ok = u <= t + delta_ut + 1;
             if !low_ok || !high_ok {

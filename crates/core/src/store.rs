@@ -59,8 +59,8 @@ pub enum ValidationMode {
     /// in the log; the tamper-resistant store holds only a monotonic
     /// counter, flushed lazily.
     Counter {
-        /// Allowed lag of the trusted counter behind the log (the paper ran
-        /// with Δut = 5, flushing the counter once every 5 commits).
+        /// Allowed lag of the trusted counter behind the log: acknowledged
+        /// commits are at most Δut − 1 past it (the paper ran with Δut = 5).
         delta_ut: u64,
         /// Allowed lead of the trusted counter over the log (for lazily
         /// flushed untrusted stores; the paper ran with Δtu = 0).

@@ -18,8 +18,11 @@
 //!   autocommit writes are one group commit — one batch, one device flush
 //!   — and the session hands a reply over only once every write at or
 //!   before it is durable (a read with no write pending before it is
-//!   answered at once, as before). Concurrent connections still share the
-//!   chunk store's group-commit batcher on top of that.
+//!   answered at once, as before). A burst is whatever the client wrote
+//!   at once: `tdb-client` writes its queued requests only before it
+//!   would block on a reply, so a pipelined round arrives, and commits,
+//!   together. Concurrent connections still share the chunk store's
+//!   group-commit batcher on top of that.
 //! - **Challenge-response auth** ([`tdb::wire`]) over a pre-shared HMAC
 //!   key before any command is accepted.
 //! - **Degraded-mode signalling**: every response envelope carries the

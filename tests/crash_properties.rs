@@ -9,8 +9,8 @@ use tdb_core::version::parse_version;
 use tdb_core::{ChunkId, CryptoParams};
 use tdb_crypto::SecretKey;
 use tdb_storage::{
-    CounterOverTrusted, CrashStore, FaultPlan, MemStore, MemTrustedStore, PlannedFaultStore,
-    SharedUntrusted, TrustedStore,
+    CounterOverTrusted, CrashStore, FaultPlan, FaultyTrustedStore, MemStore, MemTrustedStore,
+    PlannedFaultStore, SharedUntrusted, TrustedStore,
 };
 
 fn config(validation: ValidationMode) -> ChunkStoreConfig {
@@ -674,4 +674,220 @@ fn torn_checkpoint_write_sweep() {
                 .unwrap_or_else(|e| panic!("{ctx}: recovered store rejects commits: {e}"));
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The counter protocol (§4.8.2.2) under crashes: one group commit from every
+// counter lag, stopped at every device op and every counter write.
+// ---------------------------------------------------------------------------
+
+fn counter_over(register: Arc<dyn TrustedStore>) -> TrustedBackend {
+    TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(register)))
+}
+
+fn write(id: ChunkId, bytes: Vec<u8>) -> Vec<CommitOp> {
+    vec![CommitOp::WriteChunk { id, bytes }]
+}
+
+/// What batch member `i` writes over its chunk.
+fn member_body(i: usize) -> Vec<u8> {
+    vec![0xB0 + i as u8; 150]
+}
+
+/// A `members`-member `commit_many` run `lag` commits past the trusted
+/// counter, under validation window `delta_ut` and `checkpoint_threshold`.
+#[derive(Debug, Clone, Copy)]
+struct LagCase {
+    delta_ut: u64,
+    lag: usize,
+    members: usize,
+    checkpoint_threshold: usize,
+}
+
+/// A store built for one [`LagCase`], just before its batch.
+struct LagRig {
+    secret: SecretKey,
+    config: ChunkStoreConfig,
+    register: Arc<MemTrustedStore>,
+    faulty: Arc<FaultyTrustedStore>,
+    crash: Arc<CrashStore>,
+    pf: Arc<PlannedFaultStore>,
+    store: ChunkStore,
+    /// Every chunk with its acknowledged content before the batch; member
+    /// `i` overwrites chunk `i`.
+    before: Vec<(ChunkId, Vec<u8>)>,
+}
+
+impl LagCase {
+    /// Nine chunks written, a checkpoint (which levels the counter with the
+    /// log), then `lag` overwrites of chunk 0. With the threshold at 2, a
+    /// checkpoint falls inside any batch that reaches chunk 4.
+    fn rig(&self) -> LagRig {
+        let register = Arc::new(MemTrustedStore::new(64));
+        let faulty = Arc::new(FaultyTrustedStore::new(
+            Arc::clone(&register) as Arc<dyn TrustedStore>
+        ));
+        let crash =
+            Arc::new(CrashStore::new(Arc::new(MemStore::new()) as SharedUntrusted).unwrap());
+        let pf = Arc::new(PlannedFaultStore::new(
+            Arc::clone(&crash) as SharedUntrusted,
+            FaultPlan::new(),
+        ));
+        let secret = SecretKey::random(24);
+        let config = ChunkStoreConfig {
+            checkpoint_threshold: self.checkpoint_threshold,
+            ..config(ValidationMode::Counter {
+                delta_ut: self.delta_ut,
+                delta_tu: 0,
+            })
+        };
+        let store = ChunkStore::create(
+            Arc::clone(&pf) as SharedUntrusted,
+            counter_over(Arc::clone(&faulty) as Arc<dyn TrustedStore>),
+            secret.clone(),
+            config.clone(),
+        )
+        .unwrap();
+        let p = store.allocate_partition().unwrap();
+        store
+            .commit(vec![CommitOp::CreatePartition {
+                id: p,
+                params: CryptoParams::paper_default(),
+            }])
+            .unwrap();
+        let mut before = Vec::new();
+        for i in 0..9u8 {
+            let id = store.allocate_chunk(p).unwrap();
+            store.commit(write(id, vec![i; 120])).unwrap();
+            before.push((id, vec![i; 120]));
+        }
+        store.checkpoint().unwrap();
+        for k in 0..self.lag {
+            let bytes = vec![0x40 + k as u8; 120];
+            store.commit(write(before[0].0, bytes.clone())).unwrap();
+            before[0].1 = bytes;
+        }
+        LagRig {
+            secret,
+            config,
+            register,
+            faulty,
+            crash,
+            pf,
+            store,
+            before,
+        }
+    }
+}
+
+impl LagRig {
+    fn batch(&self, members: usize) -> Vec<tdb_core::Result<()>> {
+        let sets = (0..members)
+            .map(|i| write(self.before[i].0, member_body(i)))
+            .collect();
+        self.store.commit_many(sets)
+    }
+
+    /// Crashes the device, keeping every write it took, and reopens against
+    /// the register as the crash left it. Recovery must accept the image —
+    /// never `CounterWindowViolated` — with every acknowledged member in
+    /// it, every other member whole or absent, and the rest untouched.
+    fn crash_and_reopen(&self, results: &[tdb_core::Result<()>], ctx: &str) {
+        let image = self.crash.crash_keep_all();
+        let store = ChunkStore::open(
+            Arc::new(MemStore::from_bytes(image)) as SharedUntrusted,
+            counter_over(Arc::clone(&self.register) as Arc<dyn TrustedStore>),
+            self.secret.clone(),
+            self.config.clone(),
+        )
+        .unwrap_or_else(|e| panic!("{ctx}: recovery refused the image: {e}"));
+        for (i, (id, old)) in self.before.iter().enumerate() {
+            let got = store
+                .read(*id)
+                .unwrap_or_else(|e| panic!("{ctx}: chunk {i}: {e}"));
+            match results.get(i) {
+                Some(Ok(())) => assert_eq!(got, member_body(i), "{ctx}: acked member {i} lost"),
+                Some(Err(_)) => assert!(
+                    got == *old || got == member_body(i),
+                    "{ctx}: member {i} torn"
+                ),
+                None => assert_eq!(&got, old, "{ctx}: chunk {i} outside the batch"),
+            }
+        }
+        store
+            .commit(write(self.before[8].0, b"post-recovery".to_vec()))
+            .unwrap_or_else(|e| panic!("{ctx}: recovered store rejects commits: {e}"));
+    }
+}
+
+/// For each case: the batch run clean, then once per device op with the
+/// machine stopped at that op, then once per counter write with that write
+/// failed. Returns how many crash points were checked.
+fn counter_protocol_sweep(cases: &[LagCase]) -> usize {
+    let mut points = 0;
+    for case in cases {
+        let dry = case.rig();
+        let (ops, advances) = (dry.pf.total_ops(), dry.register.stats().snapshot().writes);
+        let results = dry.batch(case.members);
+        assert!(results.iter().all(Result::is_ok), "{case:?}: {results:?}");
+        let ops = dry.pf.total_ops() - ops;
+        let advances = dry.register.stats().snapshot().writes - advances;
+        dry.crash_and_reopen(&results, &format!("{case:?}, crash after the batch"));
+
+        for halt in 0..ops {
+            let rig = case.rig();
+            let start = rig.pf.total_ops() + halt;
+            rig.pf
+                .set_plan(FaultPlan::new().transient_window(start, u64::MAX));
+            let results = rig.batch(case.members);
+            assert!(!rig.store.health().is_poisoned(), "{case:?}");
+            rig.crash_and_reopen(&results, &format!("{case:?}, stopped at device op {halt}"));
+        }
+        for fail in 0..advances {
+            let rig = case.rig();
+            rig.faulty.fail_after_writes(fail);
+            let results = rig.batch(case.members);
+            assert_eq!(rig.faulty.failures(), 1, "{case:?}, counter write {fail}");
+            rig.crash_and_reopen(&results, &format!("{case:?}, counter write {fail} failed"));
+        }
+        points += 1 + ops as usize + advances as usize;
+    }
+    points
+}
+
+/// The grid `lags` × `sizes`, each with and without a checkpoint inside the
+/// batch. A batch starts at most Δut − 1 past the counter: that is the
+/// most any published result leaves.
+fn lag_cases(delta_ut: u64, lags: &[usize], sizes: &[usize]) -> Vec<LagCase> {
+    let mut cases = Vec::new();
+    for &lag in lags {
+        for &members in sizes {
+            for checkpoint_threshold in [1000, 2] {
+                cases.push(LagCase {
+                    delta_ut,
+                    lag,
+                    members,
+                    checkpoint_threshold,
+                });
+            }
+        }
+    }
+    cases
+}
+
+#[test]
+fn counter_protocol_crash_sweep() {
+    let mut cases = lag_cases(5, &[0, 1, 4], &[1, 3, 6, 8]);
+    cases.extend(lag_cases(0, &[0], &[3]));
+    assert!(counter_protocol_sweep(&cases) > 100);
+}
+
+#[test]
+#[ignore = "exhaustive sweep; CI's fault-torture step runs it"]
+fn counter_protocol_crash_sweep_full() {
+    let sizes: Vec<usize> = (1..=8).collect();
+    let mut cases = lag_cases(5, &[0, 1, 2, 3, 4], &sizes);
+    cases.extend(lag_cases(1, &[0], &sizes));
+    cases.extend(lag_cases(0, &[0], &sizes));
+    counter_protocol_sweep(&cases);
 }

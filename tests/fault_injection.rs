@@ -344,10 +344,10 @@ impl CounterRig {
     }
 }
 
-/// A store whose trusted counter is about to fail: Δut = 0 forces a counter
-/// flush on every commit. Returns the rig, the store, a partition, and a
+/// A store whose trusted counter is about to fail (Δut = 0 forces a counter
+/// flush on every commit). Returns the rig, the store, a partition, and a
 /// baseline chunk committed while everything was healthy.
-fn counter_rig() -> (CounterRig, ChunkStore, PartitionId, ChunkId) {
+fn counter_rig(delta_ut: u64) -> (CounterRig, ChunkStore, PartitionId, ChunkId) {
     let rig = CounterRig {
         mem: Arc::new(MemStore::new()),
         faulty_trusted: Arc::new(FaultyTrustedStore::new(
@@ -359,7 +359,7 @@ fn counter_rig() -> (CounterRig, ChunkStore, PartitionId, ChunkId) {
             segment_size: 4096,
             checkpoint_threshold: 100, // No auto-checkpoints in this rig.
             validation: ValidationMode::Counter {
-                delta_ut: 0,
+                delta_ut,
                 delta_tu: 0,
             },
             ..ChunkStoreConfig::default()
@@ -385,7 +385,7 @@ fn counter_rig() -> (CounterRig, ChunkStore, PartitionId, ChunkId) {
 
 #[test]
 fn counter_write_failure_never_acknowledges_commit_heal_drops() {
-    let (rig, store, p, baseline) = counter_rig();
+    let (rig, store, p, baseline) = counter_rig(0);
     rig.faulty_trusted.fail_after_writes(0);
     let victim = store.allocate_chunk(p).unwrap();
     let result = store.commit(vec![CommitOp::WriteChunk {
@@ -429,7 +429,7 @@ fn counter_write_failure_never_acknowledges_commit_heal_drops() {
 
 #[test]
 fn counter_write_failure_reopen_adopts_durable_commit() {
-    let (rig, store, p, baseline) = counter_rig();
+    let (rig, store, p, baseline) = counter_rig(0);
     rig.faulty_trusted.fail_after_writes(0);
     let victim = store.allocate_chunk(p).unwrap();
     let result = store.commit(vec![CommitOp::WriteChunk {
@@ -462,6 +462,69 @@ fn counter_write_failure_reopen_adopts_durable_commit() {
             bytes: b"post-recovery".to_vec(),
         }])
         .unwrap();
+}
+
+/// §4.6 for a whole batch: a group commit whose one counter advance, after
+/// its one flush, fails acknowledges none of its members. Healing in place
+/// drops all of them (the counter never counted them); a reopen of the
+/// same image adopts all of them (they are durable, inside the window).
+#[test]
+fn batch_counter_advance_failure_acknowledges_no_member() {
+    let (rig, store, p, baseline) = counter_rig(5);
+    // Level the counter with the log, then let it fall two commits behind:
+    // three more members take the lag to Δut, past Δut − 1, so the batch's
+    // end advances the counter.
+    store.checkpoint().unwrap();
+    for _ in 0..2 {
+        store
+            .commit(vec![CommitOp::WriteChunk {
+                id: baseline,
+                bytes: b"pre-fault baseline".to_vec(),
+            }])
+            .unwrap();
+    }
+    let ids: Vec<ChunkId> = (0..3).map(|_| store.allocate_chunk(p).unwrap()).collect();
+    let body = |i: usize| vec![0xD0 + i as u8; 400];
+    let sets = ids
+        .iter()
+        .enumerate()
+        .map(|(i, id)| {
+            vec![CommitOp::WriteChunk {
+                id: *id,
+                bytes: body(i),
+            }]
+        })
+        .collect();
+    rig.faulty_trusted.fail_after_writes(0);
+    let results = store.commit_many(sets);
+    assert_eq!(rig.faulty_trusted.failures(), 1, "one advance per batch");
+    assert_eq!(results.len(), 3);
+    assert!(results.iter().all(Result::is_err), "{results:?}");
+    assert!(store.health().is_degraded());
+    let image = rig.mem.image();
+
+    rig.faulty_trusted.heal();
+    store
+        .try_heal()
+        .expect("the counter never counted the batch");
+    assert!(store.health().is_live());
+    for id in &ids {
+        assert!(store.read(*id).is_err(), "heal dropped {id}");
+    }
+    assert_eq!(store.read(baseline).unwrap(), b"pre-fault baseline");
+    drop(store);
+
+    let reopened = ChunkStore::open(
+        Arc::new(MemStore::from_bytes(image)) as SharedUntrusted,
+        rig.backend(),
+        rig.secret.clone(),
+        rig.config.clone(),
+    )
+    .expect("recovery adopts the durable batch");
+    for (i, id) in ids.iter().enumerate() {
+        assert_eq!(reopened.read(*id).unwrap(), body(i), "reopen adopted {id}");
+    }
+    assert_eq!(reopened.read(baseline).unwrap(), b"pre-fault baseline");
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ use tdb::{ChunkStore, ChunkStoreConfig, CommitOp, CryptoParams, TrustedBackend};
 use tdb_crypto::SecretKey;
 use tdb_storage::{
     BatchingStore, CounterOverTrusted, IoPolicy, MemStore, MemTrustedStore, RemoteStore,
-    RetryStore, SharedUntrusted, SimClock, StoreStats, UntrustedStore,
+    RetryStore, SharedUntrusted, SimClock, StoreStats, TrustedStore, UntrustedStore,
 };
 
 /// The remote's round trip (accounted on a [`SimClock`], never slept).
@@ -167,6 +167,58 @@ fn batched_commit_costs_one_round_trip() {
     let before = r.clock.elapsed();
     store.checkpoint().unwrap();
     assert_eq!(r.clock.elapsed() - before, 2 * RTT);
+}
+
+/// A warm `commit_many` from any counter lag below Δut costs one round trip
+/// and at most one counter write, crossing the lag included: the batch
+/// flushes once and the counter moves once, after that flush. Only a batch
+/// whose last commit chunk would pass recovery's ceiling `t + Δut + 1`
+/// reaches a durable point before that member too.
+#[test]
+fn batch_crossing_the_counter_lag_costs_one_round_trip() {
+    const DELTA_UT: usize = 5; // The default configuration's.
+    let secret = SecretKey::random(24);
+    let register = Arc::new(MemTrustedStore::new(64));
+    let r = remote(true);
+    let store = ChunkStore::create(
+        Arc::clone(&r.store),
+        backend(&register),
+        secret,
+        ChunkStoreConfig::default(),
+    )
+    .unwrap();
+    let written = workload(&store);
+    let overwrite = |id: tdb::ChunkId, tag: usize| {
+        vec![CommitOp::WriteChunk {
+            id,
+            bytes: vec![tag as u8; 300],
+        }]
+    };
+    let mut crossings = 0;
+    for lag in 0..DELTA_UT {
+        for members in 2..=4 {
+            let ctx = format!("lag {lag}, {members} members");
+            // A checkpoint always brings the counter level with the log.
+            store.checkpoint().unwrap();
+            for (id, _) in &written[..lag] {
+                store.commit(overwrite(*id, lag)).unwrap();
+            }
+            let sets = written[lag..lag + members]
+                .iter()
+                .map(|(id, _)| overwrite(*id, members))
+                .collect();
+            let (before, writes) = (r.clock.elapsed(), register.stats().snapshot().writes);
+            let results = store.commit_many(sets);
+            assert!(results.iter().all(Result::is_ok), "{ctx}: {results:?}");
+            let trips = if lag + members <= DELTA_UT + 1 { 1 } else { 2 };
+            assert_eq!(r.clock.elapsed() - before, RTT * trips, "{ctx}");
+            let advances = register.stats().snapshot().writes - writes;
+            let crossed = lag + members >= DELTA_UT;
+            assert_eq!(advances, u64::from(crossed), "{ctx}");
+            crossings += usize::from(crossed && trips == 1);
+        }
+    }
+    assert_eq!(crossings, 6, "batches that cross the lag in one round trip");
 }
 
 /// Forwards every request to a [`RemoteStore`], resetting the connection
