@@ -14,10 +14,10 @@
 //!   is how a single connection keeps the server's group-commit batcher
 //!   fed.
 //!
-//! Server-side faults arrive as **typed errors**: the stable numeric
-//! codes in [`tdb::TdbError`]'s wire form decode back to the same
-//! variant with the same `Display`, so a client matches on
-//! `CoreError::TamperDetected(..)` exactly as embedded code would.
+//! Server-side faults arrive as [`ClientError::Remote`] carrying a
+//! [`tdb::WireError`]: the stable numeric code from the one code table
+//! ([`tdb::TdbError::code`]; tamper is 100–110), the fault class
+//! (`Integrity` for tamper), and the server's `Display` text.
 //!
 //! The client also carries the trust side of the paper's story:
 //! [`TdbClient::get_verified`] fetches a record with its Merkle proof
@@ -33,7 +33,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use tdb::wire::{
     self, client_auth_mac, server_welcome_mac, AuthResult, ClientAuth, Hello, NONCE_LEN,
 };
-use tdb::{Command, ReadProof, Response, TdbError, TxMode};
+use tdb::{Command, ReadProof, Response, TxMode, WireError};
 use tdb_core::PartitionId;
 use tdb_crypto::{HashValue, SecretKey};
 
@@ -49,8 +49,8 @@ pub enum ClientError {
     /// The server's welcome MAC did not verify: whatever answered the
     /// handshake does not hold the pre-shared key.
     ServerImpostor,
-    /// The server executed the command and returned a typed error.
-    Remote(TdbError),
+    /// The server executed the command and it failed.
+    Remote(WireError),
     /// The response decoded fine but had the wrong shape for this call
     /// (e.g. a `Count` where an `Id` was expected).
     Unexpected(Response),
@@ -71,7 +71,7 @@ impl fmt::Display for ClientError {
             ClientError::ServerImpostor => {
                 write!(f, "server failed mutual authentication (bad welcome MAC)")
             }
-            ClientError::Remote(e) => write!(f, "server error [{}]: {e}", e.code()),
+            ClientError::Remote(e) => write!(f, "server error [{}]: {e}", e.code),
             ClientError::Unexpected(r) => write!(f, "unexpected response shape: {r:?}"),
             ClientError::ProofUnavailable => {
                 write!(f, "no proof available for this read (version superseded)")
@@ -264,7 +264,7 @@ impl TdbClient {
     }
 
     /// One request, one response. Any remote error comes back as
-    /// [`ClientError::Remote`] with the original typed error.
+    /// [`ClientError::Remote`].
     ///
     /// # Errors
     ///
@@ -278,7 +278,7 @@ impl TdbClient {
         }
         let (_, response) = self.recv()?;
         match response {
-            Response::Error(err) => Err(ClientError::Remote(err.0)),
+            Response::Error(err) => Err(ClientError::Remote(err)),
             other => Ok(other),
         }
     }

@@ -1,16 +1,13 @@
 //! Error types for the chunk and backup stores.
 //!
-//! Every error carries a **stable numeric code** ([`CoreError::code`],
-//! [`TamperKind::code`]) and a lossless wire form
-//! ([`CoreError::encode_wire`] / [`CoreError::decode_wire`]), so a fault
-//! raised inside a TDB server crosses the network as the same typed error —
-//! same variant, same `Display` — instead of a stringified debug dump. The
-//! codes are part of the wire protocol: never renumber an existing variant.
+//! Each variant has a stable numeric code on the wire (1–15, and 100–110
+//! for the [`TamperKind`]s). The codes are assigned in one table,
+//! `TdbError::code` in the `tdb` crate's command layer; an error crosses
+//! the network as its code, its [`FaultClass`] and its `Display`.
 
 use std::fmt;
 
-use crate::codec::{Dec, Enc};
-use crate::ids::{ChunkId, PartitionId, Position};
+use crate::ids::{ChunkId, PartitionId};
 
 /// Why validation of untrusted bytes failed.
 ///
@@ -270,494 +267,3 @@ impl CoreError {
 
 /// Convenience alias used throughout the core crate.
 pub type Result<T> = std::result::Result<T, CoreError>;
-
-// ---------------------------------------------------------------------------
-// Stable numeric codes and the wire form.
-// ---------------------------------------------------------------------------
-
-/// Injected-fault labels the `tdb-storage` fault wrappers use. The wire
-/// decoder interns against this table so a `StoreError::InjectedFault`
-/// survives a round trip with its `&'static str` intact.
-const INJECTED_LABELS: [&str; 9] = [
-    "store crashed",
-    "write failure",
-    "read failure",
-    "trusted store write failure",
-    "transient fault window",
-    "planned read error",
-    "planned write error",
-    "planned torn write",
-    "planned dropped flush",
-];
-
-fn enc_chunk_id(e: &mut Enc, id: &ChunkId) {
-    e.u32(id.partition.0);
-    e.u8(id.pos.height);
-    e.u64(id.pos.rank);
-}
-
-fn dec_chunk_id(d: &mut Dec) -> Result<ChunkId> {
-    let partition = PartitionId(d.u32()?);
-    let height = d.u8()?;
-    let rank = d.u64()?;
-    Ok(ChunkId::new(partition, Position { height, rank }))
-}
-
-impl TamperKind {
-    /// The stable numeric code of this tamper kind (offset into the
-    /// `CoreError::TamperDetected` code range, 100–199).
-    pub fn code(&self) -> u16 {
-        match self {
-            TamperKind::ChunkHashMismatch(_) => 100,
-            TamperKind::UndecryptableChunk { .. } => 101,
-            TamperKind::MisdirectedChunk { .. } => 102,
-            TamperKind::LogHashMismatch => 103,
-            TamperKind::BadCommitSignature { .. } => 104,
-            TamperKind::CommitSetHashMismatch { .. } => 105,
-            TamperKind::NonSequentialCommitCount { .. } => 106,
-            TamperKind::CounterWindowViolated { .. } => 107,
-            TamperKind::NotALeader { .. } => 108,
-            TamperKind::NoValidLeader => 109,
-            TamperKind::BadBackup(_) => 110,
-            // 111 is retired: never reassign it.
-        }
-    }
-
-    fn encode_body(&self, e: &mut Enc) {
-        match self {
-            TamperKind::ChunkHashMismatch(id) => enc_chunk_id(e, id),
-            TamperKind::UndecryptableChunk { location } => {
-                e.u64(*location);
-            }
-            TamperKind::MisdirectedChunk { expected, location } => {
-                enc_chunk_id(e, expected);
-                e.u64(*location);
-            }
-            TamperKind::LogHashMismatch | TamperKind::NoValidLeader => {}
-            TamperKind::BadCommitSignature { location }
-            | TamperKind::CommitSetHashMismatch { location }
-            | TamperKind::NotALeader { location } => {
-                e.u64(*location);
-            }
-            TamperKind::NonSequentialCommitCount { expected, got } => {
-                e.u64(*expected);
-                e.u64(*got);
-            }
-            TamperKind::CounterWindowViolated { trusted, log } => {
-                e.u64(*trusted);
-                e.u64(*log);
-            }
-            TamperKind::BadBackup(msg) => {
-                e.str(msg);
-            }
-        }
-    }
-
-    fn decode_body(code: u16, d: &mut Dec) -> Result<TamperKind> {
-        Ok(match code {
-            100 => TamperKind::ChunkHashMismatch(dec_chunk_id(d)?),
-            101 => TamperKind::UndecryptableChunk { location: d.u64()? },
-            102 => TamperKind::MisdirectedChunk {
-                expected: dec_chunk_id(d)?,
-                location: d.u64()?,
-            },
-            103 => TamperKind::LogHashMismatch,
-            104 => TamperKind::BadCommitSignature { location: d.u64()? },
-            105 => TamperKind::CommitSetHashMismatch { location: d.u64()? },
-            106 => TamperKind::NonSequentialCommitCount {
-                expected: d.u64()?,
-                got: d.u64()?,
-            },
-            107 => TamperKind::CounterWindowViolated {
-                trusted: d.u64()?,
-                log: d.u64()?,
-            },
-            108 => TamperKind::NotALeader { location: d.u64()? },
-            109 => TamperKind::NoValidLeader,
-            110 => TamperKind::BadBackup(d.str()?),
-            code => {
-                return Err(CoreError::Corrupt(format!(
-                    "unknown tamper-kind wire code {code}"
-                )))
-            }
-        })
-    }
-}
-
-/// `std::io::ErrorKind`s that survive the wire (the transient set that
-/// [`tdb_storage::StoreError::is_transient`] keys on, plus `Other`).
-fn io_kind_tag(kind: std::io::ErrorKind) -> u8 {
-    use std::io::ErrorKind as K;
-    match kind {
-        K::Interrupted => 1,
-        K::TimedOut => 2,
-        K::WouldBlock => 3,
-        K::ConnectionReset => 4,
-        K::ConnectionAborted => 5,
-        K::NotConnected => 6,
-        K::BrokenPipe => 7,
-        K::NotFound => 8,
-        K::PermissionDenied => 9,
-        K::UnexpectedEof => 10,
-        _ => 0,
-    }
-}
-
-fn io_kind_from_tag(tag: u8) -> std::io::ErrorKind {
-    use std::io::ErrorKind as K;
-    match tag {
-        1 => K::Interrupted,
-        2 => K::TimedOut,
-        3 => K::WouldBlock,
-        4 => K::ConnectionReset,
-        5 => K::ConnectionAborted,
-        6 => K::NotConnected,
-        7 => K::BrokenPipe,
-        8 => K::NotFound,
-        9 => K::PermissionDenied,
-        10 => K::UnexpectedEof,
-        _ => K::Other,
-    }
-}
-
-fn encode_store_error(e: &mut Enc, err: &tdb_storage::StoreError) {
-    use tdb_storage::StoreError as S;
-    match err {
-        S::Io(io) => {
-            e.u8(0);
-            e.u8(io_kind_tag(io.kind()));
-            e.str(&io.to_string());
-        }
-        S::OutOfBounds {
-            offset,
-            len,
-            store_len,
-        } => {
-            e.u8(1);
-            e.u64(*offset);
-            e.u64(*len as u64);
-            e.u64(*store_len);
-        }
-        S::Corrupt(msg) => {
-            e.u8(2);
-            e.str(msg);
-        }
-        S::CapacityExceeded { capacity, got } => {
-            e.u8(3);
-            e.u64(*capacity as u64);
-            e.u64(*got as u64);
-        }
-        S::NotMonotonic { current, attempted } => {
-            e.u8(4);
-            e.u64(*current);
-            e.u64(*attempted);
-        }
-        S::NotFound(name) => {
-            e.u8(5);
-            e.str(name);
-        }
-        S::InjectedFault(what) => {
-            e.u8(6);
-            e.str(what);
-        }
-    }
-}
-
-fn decode_store_error(d: &mut Dec) -> Result<tdb_storage::StoreError> {
-    use tdb_storage::StoreError as S;
-    Ok(match d.u8()? {
-        0 => {
-            let kind = io_kind_from_tag(d.u8()?);
-            S::Io(std::io::Error::new(kind, d.str()?))
-        }
-        1 => S::OutOfBounds {
-            offset: d.u64()?,
-            len: d.u64()? as usize,
-            store_len: d.u64()?,
-        },
-        2 => S::Corrupt(d.str()?),
-        3 => S::CapacityExceeded {
-            capacity: d.u64()? as usize,
-            got: d.u64()? as usize,
-        },
-        4 => S::NotMonotonic {
-            current: d.u64()?,
-            attempted: d.u64()?,
-        },
-        5 => S::NotFound(d.str()?),
-        6 => {
-            let label = d.str()?;
-            match INJECTED_LABELS.iter().find(|l| **l == label) {
-                Some(interned) => S::InjectedFault(interned),
-                // An unknown label cannot be interned to 'static; surface
-                // it as corruption with the label preserved in the message.
-                None => S::Corrupt(format!("injected fault: {label}")),
-            }
-        }
-        tag => {
-            return Err(CoreError::Corrupt(format!(
-                "unknown store-error wire tag {tag}"
-            )))
-        }
-    })
-}
-
-fn encode_crypto_error(e: &mut Enc, err: &tdb_crypto::CryptoError) {
-    use tdb_crypto::CryptoError as C;
-    match err {
-        C::BadKeyLength { expected, got } => {
-            e.u8(0);
-            e.u64(*expected as u64);
-            e.u64(*got as u64);
-        }
-        C::BadCiphertextLength { block, got } => {
-            e.u8(1);
-            e.u64(*block as u64);
-            e.u64(*got as u64);
-        }
-        C::BadPadding => {
-            e.u8(2);
-        }
-        C::BadIvLength { expected, got } => {
-            e.u8(3);
-            e.u64(*expected as u64);
-            e.u64(*got as u64);
-        }
-    }
-}
-
-fn decode_crypto_error(d: &mut Dec) -> Result<tdb_crypto::CryptoError> {
-    use tdb_crypto::CryptoError as C;
-    Ok(match d.u8()? {
-        0 => C::BadKeyLength {
-            expected: d.u64()? as usize,
-            got: d.u64()? as usize,
-        },
-        1 => C::BadCiphertextLength {
-            block: d.u64()? as usize,
-            got: d.u64()? as usize,
-        },
-        2 => C::BadPadding,
-        3 => C::BadIvLength {
-            expected: d.u64()? as usize,
-            got: d.u64()? as usize,
-        },
-        tag => {
-            return Err(CoreError::Corrupt(format!(
-                "unknown crypto-error wire tag {tag}"
-            )))
-        }
-    })
-}
-
-impl CoreError {
-    /// The stable numeric code of this error. Tamper variants live in
-    /// 100–199 (one code per [`TamperKind`]); everything else below 100.
-    pub fn code(&self) -> u16 {
-        match self {
-            CoreError::TamperDetected(kind) => kind.code(),
-            CoreError::Store(_) => 1,
-            CoreError::Crypto(_) => 2,
-            CoreError::NotAllocated(_) => 3,
-            CoreError::NotWritten(_) => 4,
-            CoreError::NoSuchPartition(_) => 5,
-            CoreError::PartitionExists(_) => 6,
-            CoreError::ChunkTooLarge { .. } => 7,
-            CoreError::OutOfSpace => 8,
-            CoreError::Corrupt(_) => 9,
-            CoreError::RestoreConstraint(_) => 10,
-            CoreError::RestoreDenied(_) => 11,
-            CoreError::BatchAborted(_) => 12,
-            CoreError::DegradedMode(_) => 13,
-            CoreError::Poisoned(_) => 14,
-            CoreError::Busy(_) => 15,
-        }
-    }
-
-    /// Appends the lossless wire form of this error: stable code followed
-    /// by the variant's fields. [`CoreError::decode_wire`] inverts it with
-    /// the same variant, code, fault class, and `Display` rendering.
-    pub fn encode_wire(&self, e: &mut Enc) {
-        e.u16(self.code());
-        match self {
-            CoreError::TamperDetected(kind) => kind.encode_body(e),
-            CoreError::Store(err) => encode_store_error(e, err),
-            CoreError::Crypto(err) => encode_crypto_error(e, err),
-            CoreError::NotAllocated(id) | CoreError::NotWritten(id) => enc_chunk_id(e, id),
-            CoreError::NoSuchPartition(p) | CoreError::PartitionExists(p) => {
-                e.u32(p.0);
-            }
-            CoreError::ChunkTooLarge { size, max } => {
-                e.u64(*size as u64);
-                e.u64(*max as u64);
-            }
-            CoreError::OutOfSpace => {}
-            CoreError::Corrupt(msg)
-            | CoreError::RestoreConstraint(msg)
-            | CoreError::RestoreDenied(msg)
-            | CoreError::BatchAborted(msg)
-            | CoreError::DegradedMode(msg)
-            | CoreError::Poisoned(msg)
-            | CoreError::Busy(msg) => {
-                e.str(msg);
-            }
-        }
-    }
-
-    /// Decodes one error from its wire form.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`CoreError::Corrupt`] on truncation or unknown codes.
-    pub fn decode_wire(d: &mut Dec) -> Result<CoreError> {
-        let code = d.u16()?;
-        Ok(match code {
-            100..=199 => CoreError::TamperDetected(TamperKind::decode_body(code, d)?),
-            1 => CoreError::Store(decode_store_error(d)?),
-            2 => CoreError::Crypto(decode_crypto_error(d)?),
-            3 => CoreError::NotAllocated(dec_chunk_id(d)?),
-            4 => CoreError::NotWritten(dec_chunk_id(d)?),
-            5 => CoreError::NoSuchPartition(PartitionId(d.u32()?)),
-            6 => CoreError::PartitionExists(PartitionId(d.u32()?)),
-            7 => CoreError::ChunkTooLarge {
-                size: d.u64()? as usize,
-                max: d.u64()? as usize,
-            },
-            8 => CoreError::OutOfSpace,
-            9 => CoreError::Corrupt(d.str()?),
-            10 => CoreError::RestoreConstraint(d.str()?),
-            11 => CoreError::RestoreDenied(d.str()?),
-            12 => CoreError::BatchAborted(d.str()?),
-            13 => CoreError::DegradedMode(d.str()?),
-            14 => CoreError::Poisoned(d.str()?),
-            15 => CoreError::Busy(d.str()?),
-            code => {
-                return Err(CoreError::Corrupt(format!(
-                    "unknown core-error wire code {code}"
-                )))
-            }
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn catalog() -> Vec<CoreError> {
-        let id = ChunkId::data(PartitionId(3), 42);
-        vec![
-            CoreError::TamperDetected(TamperKind::ChunkHashMismatch(id)),
-            CoreError::TamperDetected(TamperKind::UndecryptableChunk { location: 9000 }),
-            CoreError::TamperDetected(TamperKind::MisdirectedChunk {
-                expected: id,
-                location: 77,
-            }),
-            CoreError::TamperDetected(TamperKind::LogHashMismatch),
-            CoreError::TamperDetected(TamperKind::BadCommitSignature { location: 1 }),
-            CoreError::TamperDetected(TamperKind::CommitSetHashMismatch { location: 2 }),
-            CoreError::TamperDetected(TamperKind::NonSequentialCommitCount {
-                expected: 5,
-                got: 9,
-            }),
-            CoreError::TamperDetected(TamperKind::CounterWindowViolated { trusted: 8, log: 2 }),
-            CoreError::TamperDetected(TamperKind::NotALeader { location: 512 }),
-            CoreError::TamperDetected(TamperKind::NoValidLeader),
-            CoreError::TamperDetected(TamperKind::BadBackup("set incomplete".into())),
-            CoreError::Store(tdb_storage::StoreError::Io(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "socket timed out",
-            ))),
-            CoreError::Store(tdb_storage::StoreError::OutOfBounds {
-                offset: 10,
-                len: 20,
-                store_len: 15,
-            }),
-            CoreError::Store(tdb_storage::StoreError::Corrupt("bad slot".into())),
-            CoreError::Store(tdb_storage::StoreError::CapacityExceeded {
-                capacity: 64,
-                got: 100,
-            }),
-            CoreError::Store(tdb_storage::StoreError::NotMonotonic {
-                current: 7,
-                attempted: 3,
-            }),
-            CoreError::Store(tdb_storage::StoreError::NotFound("backup-7".into())),
-            CoreError::Store(tdb_storage::StoreError::InjectedFault(
-                "transient fault window",
-            )),
-            CoreError::Crypto(tdb_crypto::CryptoError::BadKeyLength {
-                expected: 24,
-                got: 8,
-            }),
-            CoreError::Crypto(tdb_crypto::CryptoError::BadPadding),
-            CoreError::NotAllocated(id),
-            CoreError::NotWritten(id),
-            CoreError::NoSuchPartition(PartitionId(9)),
-            CoreError::PartitionExists(PartitionId(1)),
-            CoreError::ChunkTooLarge {
-                size: 70000,
-                max: 65000,
-            },
-            CoreError::OutOfSpace,
-            CoreError::Corrupt("zero-length record".into()),
-            CoreError::RestoreConstraint("chain broken".into()),
-            CoreError::RestoreDenied("policy".into()),
-            CoreError::BatchAborted("batch-mate failed".into()),
-            CoreError::DegradedMode("write interrupted".into()),
-            CoreError::Poisoned("hash mismatch during commit".into()),
-            CoreError::Busy("a transaction is already open on this session".into()),
-        ]
-    }
-
-    #[test]
-    fn wire_round_trip_preserves_code_display_and_class() {
-        for err in catalog() {
-            let mut e = Enc::new();
-            err.encode_wire(&mut e);
-            let buf = e.finish();
-            let mut d = Dec::new(&buf);
-            let back = CoreError::decode_wire(&mut d).expect("decode");
-            d.expect_done("core error").expect("no trailing bytes");
-            assert_eq!(back.code(), err.code(), "{err}");
-            assert_eq!(back.to_string(), err.to_string());
-            assert_eq!(back.fault_class(), err.fault_class(), "{err}");
-            assert_eq!(back.is_tamper(), err.is_tamper(), "{err}");
-        }
-    }
-
-    #[test]
-    fn codes_are_unique_and_stable() {
-        let mut seen = std::collections::HashSet::new();
-        for err in catalog() {
-            seen.insert(err.code());
-        }
-        // One code per distinct variant/kind in the catalog.
-        assert_eq!(seen.len(), 26);
-        assert_eq!(CoreError::OutOfSpace.code(), 8);
-        assert_eq!(
-            CoreError::TamperDetected(TamperKind::NoValidLeader).code(),
-            109
-        );
-    }
-
-    #[test]
-    fn truncated_and_unknown_codes_rejected() {
-        let mut e = Enc::new();
-        CoreError::OutOfSpace.encode_wire(&mut e);
-        let buf = e.finish();
-        let mut d = Dec::new(&buf[..1]);
-        assert!(CoreError::decode_wire(&mut d).is_err());
-        // 999 was never assigned; 111 is retired and must not decode.
-        for code in [999, 111] {
-            let mut e = Enc::new();
-            e.u16(code);
-            e.str("bad mac");
-            let buf = e.finish();
-            assert!(
-                CoreError::decode_wire(&mut Dec::new(&buf)).is_err(),
-                "{code}"
-            );
-        }
-    }
-}

@@ -8,11 +8,11 @@
 //!
 //! This module holds the public facade, the engine state struct, the
 //! health state machine, and the lock/publication protocol. The engine
-//! logic itself lives in the [`crate::engine`] layer: commit processing
+//! logic itself lives in the private `engine` layer: commit processing
 //! (`engine::commit`), the chunk map (`engine::map`), checkpointing
 //! (`engine::checkpoint`), partition bookkeeping (`engine::partitions`),
 //! and the log cleaner (`engine::maintenance`). The optional background
-//! maintenance runtime is [`crate::maintenance`].
+//! maintenance runtime is the private `maintenance` module.
 //!
 //! Concurrency: "serializability of operations is provided through mutual
 //! exclusion, which does not overlap I/O and computation, but is simple and
@@ -117,7 +117,7 @@ pub struct ChunkStoreConfig {
     /// whatever this says: a thread spawn costs more than it would save.
     pub crypto_workers: usize,
     /// Run cleaning and threshold checkpoints on a background maintenance
-    /// thread ([`crate::maintenance`]) instead of inside commits and
+    /// thread (the `maintenance` module) instead of inside commits and
     /// explicit [`ChunkStore::clean`] calls. `false` (the default)
     /// reproduces the paper's caller-driven behavior exactly.
     pub background_maintenance: bool,
@@ -399,7 +399,7 @@ pub struct StoreCore {
 /// its own writes before it takes that lock: a sealed version is
 /// location-independent, and the engine re-checks each early seal against
 /// the partition's current crypto. Reads additionally take a sharded fast
-/// path ([`crate::readpath`]) that serves validated chunks without the
+/// path (the `readpath` module) that serves validated chunks without the
 /// engine lock; any miss or anomaly falls back to the locked path.
 pub struct ChunkStore {
     /// Background maintenance thread; declared before `core` so shutdown
@@ -832,7 +832,7 @@ impl ChunkStore {
     /// `max_segments` plus the free list), or `None` when the log is
     /// unbounded. Callers running their own maintenance poll this to
     /// decide when to checkpoint and clean — waiting for a commit to fail
-    /// with [`CoreError::OutOfSpace`](crate::errors::CoreError::OutOfSpace)
+    /// with [`CoreError::OutOfSpace`]
     /// is too late: a completely full log has no room left to relocate
     /// live versions into.
     pub fn free_segment_estimate(&self) -> Option<u64> {

@@ -1,14 +1,12 @@
 //! Error types for the object store.
 //!
-//! Like [`tdb_core::CoreError`], every variant carries a stable numeric
-//! code ([`ObjectError::code`], range 200–299) and a lossless wire form so
-//! server-side faults reach remote clients as the same typed error. Never
-//! renumber an existing variant.
+//! Each object-layer variant has a stable numeric code on the wire
+//! (201–208), assigned with the core codes in one table, `TdbError::code`
+//! in the `tdb` crate's command layer. [`ObjectError::Core`] has no code of
+//! its own: it crosses the wire as the wrapped [`tdb_core::CoreError`]'s
+//! code and fault class, so a tamper found here reads as one.
 
 use std::fmt;
-
-use tdb_core::codec::{Dec, Enc};
-use tdb_core::CoreError;
 
 use crate::ObjectId;
 
@@ -25,8 +23,7 @@ pub enum ObjectError {
     BadPickle(String),
     /// The stored object has a different type than the caller expected.
     TypeMismatch {
-        /// The Rust type the caller asked for (owned so the error can be
-        /// reconstructed from its wire form).
+        /// The Rust type the caller asked for.
         expected: String,
         /// The stored type tag.
         found_tag: u32,
@@ -100,134 +97,7 @@ impl ObjectError {
     pub fn is_tamper(&self) -> bool {
         matches!(self, ObjectError::Core(e) if e.is_tamper())
     }
-
-    /// The stable numeric code of this error. Object-layer codes occupy
-    /// 200–299; a wrapped [`CoreError`] keeps its own code nested after
-    /// the `200` envelope.
-    pub fn code(&self) -> u16 {
-        match self {
-            ObjectError::Core(_) => 200,
-            ObjectError::NotFound(_) => 201,
-            ObjectError::UnknownType(_) => 202,
-            ObjectError::BadPickle(_) => 203,
-            ObjectError::TypeMismatch { .. } => 204,
-            ObjectError::LockTimeout(_) => 205,
-            ObjectError::WriteConflict(_) => 206,
-            ObjectError::MvccDisabled => 207,
-            ObjectError::TxFinished => 208,
-        }
-    }
-
-    /// Appends the lossless wire form: stable code, then variant fields.
-    pub fn encode_wire(&self, e: &mut Enc) {
-        e.u16(self.code());
-        match self {
-            ObjectError::Core(err) => err.encode_wire(e),
-            ObjectError::NotFound(id)
-            | ObjectError::LockTimeout(id)
-            | ObjectError::WriteConflict(id) => {
-                e.u32(id.partition().0);
-                e.u64(id.rank());
-            }
-            ObjectError::UnknownType(tag) => {
-                e.u32(*tag);
-            }
-            ObjectError::BadPickle(msg) => {
-                e.str(msg);
-            }
-            ObjectError::TypeMismatch {
-                expected,
-                found_tag,
-            } => {
-                e.str(expected);
-                e.u32(*found_tag);
-            }
-            ObjectError::MvccDisabled | ObjectError::TxFinished => {}
-        }
-    }
-
-    /// Decodes one error from its wire form.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`ObjectError::BadPickle`] on truncation or unknown codes.
-    pub fn decode_wire(d: &mut Dec) -> Result<ObjectError> {
-        let bad = |e: CoreError| ObjectError::BadPickle(format!("error wire form: {e}"));
-        let code = d.u16().map_err(bad)?;
-        Ok(match code {
-            200 => ObjectError::Core(CoreError::decode_wire(d).map_err(bad)?),
-            201 | 205 | 206 => {
-                let partition = tdb_core::PartitionId(d.u32().map_err(bad)?);
-                let id = ObjectId::from_parts(partition, d.u64().map_err(bad)?);
-                match code {
-                    201 => ObjectError::NotFound(id),
-                    205 => ObjectError::LockTimeout(id),
-                    _ => ObjectError::WriteConflict(id),
-                }
-            }
-            202 => ObjectError::UnknownType(d.u32().map_err(bad)?),
-            203 => ObjectError::BadPickle(d.str().map_err(bad)?),
-            204 => ObjectError::TypeMismatch {
-                expected: d.str().map_err(bad)?,
-                found_tag: d.u32().map_err(bad)?,
-            },
-            207 => ObjectError::MvccDisabled,
-            208 => ObjectError::TxFinished,
-            code => {
-                return Err(ObjectError::BadPickle(format!(
-                    "unknown object-error wire code {code}"
-                )))
-            }
-        })
-    }
 }
 
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, ObjectError>;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tdb_core::PartitionId;
-
-    #[test]
-    fn wire_round_trip_preserves_code_and_display() {
-        let id = ObjectId::from_parts(PartitionId(2), 17);
-        let catalog = vec![
-            ObjectError::Core(CoreError::OutOfSpace),
-            ObjectError::Core(CoreError::TamperDetected(
-                tdb_core::TamperKind::LogHashMismatch,
-            )),
-            ObjectError::NotFound(id),
-            ObjectError::UnknownType(901),
-            ObjectError::BadPickle("truncated".into()),
-            ObjectError::TypeMismatch {
-                expected: "bank::Account".into(),
-                found_tag: 7,
-            },
-            ObjectError::LockTimeout(id),
-            ObjectError::WriteConflict(id),
-            ObjectError::MvccDisabled,
-            ObjectError::TxFinished,
-        ];
-        for err in catalog {
-            let mut e = Enc::new();
-            err.encode_wire(&mut e);
-            let buf = e.finish();
-            let mut d = Dec::new(&buf);
-            let back = ObjectError::decode_wire(&mut d).expect("decode");
-            assert_eq!(d.remaining(), 0, "{err}");
-            assert_eq!(back.code(), err.code(), "{err}");
-            assert_eq!(back.to_string(), err.to_string());
-            assert_eq!(back.is_tamper(), err.is_tamper(), "{err}");
-        }
-    }
-
-    #[test]
-    fn unknown_code_rejected() {
-        let mut e = Enc::new();
-        e.u16(999);
-        let buf = e.finish();
-        assert!(ObjectError::decode_wire(&mut Dec::new(&buf)).is_err());
-    }
-}

@@ -24,9 +24,10 @@
 //!    write-locked.
 //! 2. *Base capture* (no lock): objects without a chain load their current
 //!    committed value; the write locks keep it stable.
-//! 3. *Chunk commit* (no lock): one atomic [`ChunkStore`] commit — with
-//!    group commit enabled, concurrent transactional commits batch and
-//!    share flushes exactly like raw commits.
+//! 3. *Chunk commit* (no lock): one atomic
+//!    [`ChunkStore`](tdb_core::store::ChunkStore) commit — concurrent
+//!    transactional commits batch and share flushes exactly like raw
+//!    commits.
 //! 4. *Publish* (manager lock): the csn is assigned (`committed_csn + 1`,
 //!    so visibility advances contiguously), versions append to their
 //!    chains, write locks release, the shared cache updates.

@@ -330,7 +330,7 @@ fn serve_burst(
                 cmds.clear();
                 // A malformed command still gets an in-band typed error
                 // (request id 0 when the id itself was unreadable).
-                let error = Response::Error(tdb::WireError(tdb::TdbError::Core(e)));
+                let error = Response::Error(tdb::WireError::from(&tdb::TdbError::Core(e)));
                 write(decoded_request_id(payload), error);
             }
         }

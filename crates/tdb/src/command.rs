@@ -13,13 +13,13 @@
 //! wire as **raw records** — the `type tag + pickle` bytes the object
 //! store persists — so the server-side type registry stays the schema
 //! authority and the client needs no Rust types to move data. Errors
-//! cross as stable numeric codes ([`TdbError::encode_wire`]) and decode
-//! back to the same typed error, `Display` and all.
+//! cross as a [`WireError`]: the stable numeric code from the one code
+//! table ([`TdbError::code`]), the fault class, and the `Display` text.
 
 use std::fmt;
 
 use tdb_core::codec::{Dec, Enc};
-use tdb_core::{CoreError, PartitionId};
+use tdb_core::{CoreError, FaultClass, PartitionId, TamperKind};
 use tdb_object::errors::ObjectError;
 use tdb_object::ObjectId;
 
@@ -150,7 +150,7 @@ pub enum Command {
 pub enum Response {
     /// The command succeeded with nothing to return.
     Ok,
-    /// The command failed with a typed error.
+    /// The command failed: the error's code, class and message.
     Error(WireError),
     /// Reply to [`Command::Ping`].
     Pong,
@@ -186,81 +186,124 @@ pub enum Response {
     Count(u64),
 }
 
-/// A [`TdbError`] in decoded wire form.
+/// A [`TdbError`] as it crosses the wire.
 ///
-/// Kept as its own type (rather than `TdbError` directly) so responses
-/// stay `PartialEq`-comparable in parity tests and so decoding is
-/// infallible to construct.
-#[derive(Debug)]
-pub struct WireError(pub TdbError);
-
-impl Clone for WireError {
-    fn clone(&self) -> Self {
-        // `TdbError` holds non-`Clone` members (`std::io::Error`); the
-        // wire form is lossless, so a round trip is an exact clone.
-        let mut e = Enc::new();
-        self.0.encode_wire(&mut e);
-        let buf = e.finish();
-        let mut d = Dec::new(&buf);
-        WireError(TdbError::decode_wire(&mut d).expect("encode_wire output always decodes"))
-    }
+/// Wire form: `[u16 code][u8 class: 0 none / 1 transient / 2 permanent /
+/// 3 integrity][str message]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WireError {
+    /// The stable numeric code ([`TdbError::code`]).
+    pub code: u16,
+    /// The core cause's fault class, found directly or through
+    /// [`ObjectError::Core`]; `None` for an object-layer error.
+    pub class: Option<FaultClass>,
+    /// The error's `Display` text.
+    pub message: String,
 }
 
-impl PartialEq for WireError {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.code() == other.0.code() && self.0.to_string() == other.0.to_string()
+impl From<&TdbError> for WireError {
+    fn from(e: &TdbError) -> Self {
+        let class = match e {
+            TdbError::Core(core) | TdbError::Object(ObjectError::Core(core)) => {
+                Some(core.fault_class())
+            }
+            TdbError::Object(_) => None,
+        };
+        WireError {
+            code: e.code(),
+            class,
+            message: e.to_string(),
+        }
     }
 }
-
-impl Eq for WireError {}
 
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
+        f.write_str(&self.message)
+    }
+}
+
+impl WireError {
+    fn encode(&self, e: &mut Enc) {
+        e.u16(self.code);
+        e.u8(match self.class {
+            None => 0,
+            Some(FaultClass::Transient) => 1,
+            Some(FaultClass::Permanent) => 2,
+            Some(FaultClass::Integrity) => 3,
+        });
+        e.str(&self.message);
+    }
+
+    fn decode(d: &mut Dec) -> Result<WireError, CoreError> {
+        let code = d.u16()?;
+        let class = match d.u8()? {
+            0 => None,
+            1 => Some(FaultClass::Transient),
+            2 => Some(FaultClass::Permanent),
+            3 => Some(FaultClass::Integrity),
+            _ => return Err(bad("fault class")),
+        };
+        Ok(WireError {
+            code,
+            class,
+            message: d.str()?,
+        })
     }
 }
 
 impl TdbError {
-    /// The stable numeric code of this error (the inner layer's code:
-    /// 1–199 core, 200–299 object).
+    /// The stable numeric code of this error: the one table that assigns
+    /// error codes. `CoreError` 1–15, `TamperKind` 100–110, `ObjectError`
+    /// 201–208. An [`ObjectError::Core`] has its cause's code, so a tamper
+    /// found by the object layer reads as one. Codes are part of the wire
+    /// protocol: never renumber one, and never reassign a retired one.
     pub fn code(&self) -> u16 {
-        match self {
-            TdbError::Core(e) => e.code(),
-            TdbError::Object(e) => e.code(),
-        }
-    }
-
-    /// Appends the lossless wire form: a layer tag, then the inner
-    /// error's own wire form.
-    pub fn encode_wire(&self, e: &mut Enc) {
-        match self {
-            TdbError::Core(err) => {
-                e.u8(0);
-                err.encode_wire(e);
-            }
-            TdbError::Object(err) => {
-                e.u8(1);
-                err.encode_wire(e);
-            }
-        }
-    }
-
-    /// Decodes one error from its wire form.
-    ///
-    /// # Errors
-    ///
-    /// Fails with a decode-layer error on truncation or unknown tags.
-    pub fn decode_wire(d: &mut Dec) -> Result<TdbError, TdbError> {
-        match d.u8().map_err(TdbError::Core)? {
-            0 => Ok(TdbError::Core(
-                CoreError::decode_wire(d).map_err(TdbError::Core)?,
-            )),
-            1 => Ok(TdbError::Object(
-                ObjectError::decode_wire(d).map_err(TdbError::Object)?,
-            )),
-            tag => Err(TdbError::Core(CoreError::Corrupt(format!(
-                "unknown error layer tag {tag}"
-            )))),
+        let core = match self {
+            TdbError::Core(e) => e,
+            TdbError::Object(e) => match e {
+                // No code of its own: 200 is retired.
+                ObjectError::Core(e) => e,
+                ObjectError::NotFound(_) => return 201,
+                ObjectError::UnknownType(_) => return 202,
+                ObjectError::BadPickle(_) => return 203,
+                ObjectError::TypeMismatch { .. } => return 204,
+                ObjectError::LockTimeout(_) => return 205,
+                ObjectError::WriteConflict(_) => return 206,
+                ObjectError::MvccDisabled => return 207,
+                ObjectError::TxFinished => return 208,
+            },
+        };
+        match core {
+            CoreError::TamperDetected(kind) => match kind {
+                TamperKind::ChunkHashMismatch(_) => 100,
+                TamperKind::UndecryptableChunk { .. } => 101,
+                TamperKind::MisdirectedChunk { .. } => 102,
+                TamperKind::LogHashMismatch => 103,
+                TamperKind::BadCommitSignature { .. } => 104,
+                TamperKind::CommitSetHashMismatch { .. } => 105,
+                TamperKind::NonSequentialCommitCount { .. } => 106,
+                TamperKind::CounterWindowViolated { .. } => 107,
+                TamperKind::NotALeader { .. } => 108,
+                TamperKind::NoValidLeader => 109,
+                TamperKind::BadBackup(_) => 110,
+                // 111 is retired.
+            },
+            CoreError::Store(_) => 1,
+            CoreError::Crypto(_) => 2,
+            CoreError::NotAllocated(_) => 3,
+            CoreError::NotWritten(_) => 4,
+            CoreError::NoSuchPartition(_) => 5,
+            CoreError::PartitionExists(_) => 6,
+            CoreError::ChunkTooLarge { .. } => 7,
+            CoreError::OutOfSpace => 8,
+            CoreError::Corrupt(_) => 9,
+            CoreError::RestoreConstraint(_) => 10,
+            CoreError::RestoreDenied(_) => 11,
+            CoreError::BatchAborted(_) => 12,
+            CoreError::DegradedMode(_) => 13,
+            CoreError::Poisoned(_) => 14,
+            CoreError::Busy(_) => 15,
         }
     }
 }
@@ -503,7 +546,7 @@ impl Response {
         e.u16(self.opcode());
         match self {
             Response::Ok | Response::Pong => {}
-            Response::Error(err) => err.0.encode_wire(e),
+            Response::Error(err) => err.encode(e),
             Response::Health { state, reason } => {
                 e.u8(*state);
                 e.str(reason);
@@ -551,9 +594,7 @@ impl Response {
     pub fn decode(d: &mut Dec) -> Result<Response, CoreError> {
         Ok(match d.u16()? {
             1 => Response::Ok,
-            2 => Response::Error(WireError(
-                TdbError::decode_wire(d).map_err(|e| bad(&e.to_string()))?,
-            )),
+            2 => Response::Error(WireError::decode(d)?),
             3 => Response::Pong,
             4 => Response::Health {
                 state: d.u8()?,
@@ -584,7 +625,10 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::errors::tests::{core_errors, object_errors};
 
+    /// Round-trips `cmd`, and checks every proper prefix of its encoding
+    /// decodes to an error rather than a panic.
     fn round_trip_command(cmd: Command) {
         let mut e = Enc::new();
         cmd.encode(&mut e);
@@ -593,14 +637,68 @@ mod tests {
         let back = Command::decode(&mut d).expect("decode");
         assert_eq!(d.remaining(), 0, "{cmd:?}");
         assert_eq!(back, cmd);
+        for len in 0..buf.len() {
+            let prefix = Command::decode(&mut Dec::new(&buf[..len]));
+            assert!(prefix.is_err(), "{cmd:?} decoded from {len} bytes");
+        }
     }
 
+    /// As [`round_trip_command`], for a response.
     fn round_trip_response(resp: Response) {
         let buf = resp.encode_vec();
         let mut d = Dec::new(&buf);
         let back = Response::decode(&mut d).expect("decode");
         assert_eq!(d.remaining(), 0, "{resp:?}");
         assert_eq!(back, resp);
+        for len in 0..buf.len() {
+            let prefix = Response::decode(&mut Dec::new(&buf[..len]));
+            assert!(prefix.is_err(), "{resp:?} decoded from {len} bytes");
+        }
+    }
+
+    fn wire(err: impl Into<TdbError>) -> WireError {
+        WireError::from(&err.into())
+    }
+
+    /// The one code table: every variant has its own code in its range,
+    /// retired codes stay retired, an `ObjectError::Core` reads as its
+    /// cause, and the wire form keeps code, class and message.
+    #[test]
+    fn one_code_table_covers_every_variant() {
+        let all: Vec<TdbError> = core_errors()
+            .into_iter()
+            .map(TdbError::Core)
+            .chain(object_errors().into_iter().map(TdbError::Object))
+            .collect();
+        let codes: std::collections::BTreeSet<u16> = all.iter().map(TdbError::code).collect();
+        assert_eq!(codes.len(), all.len(), "codes are not unique");
+        let ranges: std::collections::BTreeSet<u16> =
+            (1..=15).chain(100..=110).chain(201..=208).collect();
+        assert_eq!(codes, ranges);
+        assert!(!codes.contains(&111) && !codes.contains(&200));
+
+        for err in &all {
+            let w = WireError::from(err);
+            assert_eq!(w.code, err.code());
+            assert_eq!(w.message, err.to_string());
+            let integrity = matches!(
+                err,
+                TdbError::Core(CoreError::TamperDetected(_) | CoreError::Poisoned(_))
+            );
+            assert_eq!(w.class == Some(FaultClass::Integrity), integrity, "{err}");
+            assert_eq!(w.class.is_none(), matches!(err, TdbError::Object(_)));
+            let mut e = Enc::new();
+            w.encode(&mut e);
+            let buf = e.finish();
+            let mut d = Dec::new(&buf);
+            assert_eq!(WireError::decode(&mut d).expect("decode"), w);
+            assert_eq!(d.remaining(), 0, "{err}");
+        }
+
+        for (direct, wrapped) in core_errors().into_iter().zip(core_errors()) {
+            let (direct, wrapped) = (wire(direct), wire(ObjectError::Core(wrapped)));
+            assert_eq!((wrapped.code, wrapped.class), (direct.code, direct.class));
+        }
     }
 
     #[test]
@@ -668,8 +766,13 @@ mod tests {
         for resp in [
             Response::Ok,
             Response::Pong,
-            Response::Error(WireError(TdbError::Core(CoreError::OutOfSpace))),
-            Response::Error(WireError(TdbError::Object(ObjectError::NotFound(id)))),
+            // One error of each class: none, transient, permanent, integrity.
+            Response::Error(wire(ObjectError::NotFound(id))),
+            Response::Error(wire(CoreError::Store(tdb_storage::StoreError::Io(
+                std::io::Error::new(std::io::ErrorKind::Interrupted, "interrupted"),
+            )))),
+            Response::Error(wire(CoreError::OutOfSpace)),
+            Response::Error(wire(CoreError::TamperDetected(TamperKind::LogHashMismatch))),
             Response::Health {
                 state: 1,
                 reason: "write interrupted".into(),
@@ -692,6 +795,14 @@ mod tests {
         ] {
             round_trip_response(resp);
         }
+
+        // Class byte 4 names no fault class.
+        let mut e = Enc::new();
+        e.u16(2);
+        e.u16(15);
+        e.u8(4);
+        e.str("resource busy");
+        assert!(Response::decode(&mut Dec::new(&e.finish())).is_err());
     }
 
     #[test]

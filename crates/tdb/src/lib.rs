@@ -53,6 +53,7 @@
 //! ```
 
 pub mod command;
+pub mod errors;
 pub mod paging;
 pub mod session;
 pub mod wire;
@@ -61,6 +62,7 @@ use std::fmt;
 use std::sync::Arc;
 
 pub use command::{Command, Response, TxMode, WireError};
+pub use errors::{Result, TdbError};
 pub use paging::TrustedPager;
 pub use session::{Session, SessionStats};
 pub use tdb_collection::{
@@ -84,58 +86,6 @@ use tdb_storage::{
     ArchivalStore, CounterOverTrusted, MemArchive, MemStore, MemTrustedStore, SharedUntrusted,
     TrustedStore,
 };
-
-/// Unified error type for the facade.
-#[derive(Debug)]
-pub enum TdbError {
-    /// Chunk/backup store errors (including tamper detection).
-    Core(tdb_core::CoreError),
-    /// Object/collection store errors.
-    Object(tdb_object::errors::ObjectError),
-}
-
-impl fmt::Display for TdbError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TdbError::Core(e) => write!(f, "{e}"),
-            TdbError::Object(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for TdbError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TdbError::Core(e) => Some(e),
-            TdbError::Object(e) => Some(e),
-        }
-    }
-}
-
-impl From<tdb_core::CoreError> for TdbError {
-    fn from(e: tdb_core::CoreError) -> Self {
-        TdbError::Core(e)
-    }
-}
-
-impl From<tdb_object::errors::ObjectError> for TdbError {
-    fn from(e: tdb_object::errors::ObjectError) -> Self {
-        TdbError::Object(e)
-    }
-}
-
-impl TdbError {
-    /// True when the cause is detected tampering.
-    pub fn is_tamper(&self) -> bool {
-        match self {
-            TdbError::Core(e) => e.is_tamper(),
-            TdbError::Object(e) => e.is_tamper(),
-        }
-    }
-}
-
-/// Convenience alias.
-pub type Result<T> = std::result::Result<T, TdbError>;
 
 /// Builder assembling a [`TrustedDb`] from platform stores, a type
 /// registry, and key extractors.

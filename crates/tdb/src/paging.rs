@@ -19,9 +19,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use tdb_core::store::{ChunkStore, CommitOp};
-use tdb_core::{ChunkId, CryptoParams, PartitionId};
+use tdb_core::{ChunkId, CoreError, CryptoParams, PartitionId};
 
-use crate::{Result, TdbError};
+use crate::Result;
 
 /// An encrypted, validated swap area for a trusted program's volatile state.
 pub struct TrustedPager {
@@ -41,13 +41,11 @@ impl TrustedPager {
     ///
     /// Propagates chunk-store failures.
     pub fn new(chunks: Arc<ChunkStore>, params: CryptoParams) -> Result<TrustedPager> {
-        let partition = chunks.allocate_partition().map_err(TdbError::Core)?;
-        chunks
-            .commit(vec![CommitOp::CreatePartition {
-                id: partition,
-                params,
-            }])
-            .map_err(TdbError::Core)?;
+        let partition = chunks.allocate_partition()?;
+        chunks.commit(vec![CommitOp::CreatePartition {
+            id: partition,
+            params,
+        }])?;
         Ok(TrustedPager {
             chunks,
             partition,
@@ -58,9 +56,7 @@ impl TrustedPager {
 
     fn check_open(&self) -> Result<()> {
         if self.closed.load(std::sync::atomic::Ordering::SeqCst) {
-            return Err(TdbError::Core(tdb_core::CoreError::Corrupt(
-                "pager closed".into(),
-            )));
+            return Err(CoreError::Corrupt("pager closed".into()).into());
         }
         Ok(())
     }
@@ -77,10 +73,7 @@ impl TrustedPager {
             match pages.get(&key) {
                 Some(id) => *id,
                 None => {
-                    let id = self
-                        .chunks
-                        .allocate_chunk(self.partition)
-                        .map_err(TdbError::Core)?;
+                    let id = self.chunks.allocate_chunk(self.partition)?;
                     pages.insert(key, id);
                     id
                 }
@@ -91,7 +84,7 @@ impl TrustedPager {
                 id,
                 bytes: bytes.to_vec(),
             }])
-            .map_err(TdbError::Core)
+            .map_err(Into::into)
     }
 
     /// Pages `key` back in, decrypted and validated.
@@ -102,12 +95,12 @@ impl TrustedPager {
     /// the untrusted bytes were modified.
     pub fn page_in(&self, key: u64) -> Result<Vec<u8>> {
         self.check_open()?;
-        let id = *self.pages.lock().get(&key).ok_or_else(|| {
-            TdbError::Core(tdb_core::CoreError::Corrupt(format!(
-                "page {key} was never paged out"
-            )))
-        })?;
-        self.chunks.read(id).map_err(TdbError::Core)
+        let id = *self
+            .pages
+            .lock()
+            .get(&key)
+            .ok_or_else(|| CoreError::Corrupt(format!("page {key} was never paged out")))?;
+        self.chunks.read(id).map_err(Into::into)
     }
 
     /// Drops a page (its chunk is deallocated).
@@ -121,9 +114,7 @@ impl TrustedPager {
         if let Some(id) = id {
             // The page may be allocated but never written (page_out failed
             // mid-way); dealloc handles both.
-            self.chunks
-                .commit(vec![CommitOp::DeallocChunk { id }])
-                .map_err(TdbError::Core)?;
+            self.chunks.commit(vec![CommitOp::DeallocChunk { id }])?;
         }
         Ok(())
     }
@@ -149,7 +140,7 @@ impl TrustedPager {
         self.pages.lock().clear();
         self.chunks
             .commit(vec![CommitOp::DeallocPartition { id: self.partition }])
-            .map_err(TdbError::Core)
+            .map_err(Into::into)
     }
 }
 

@@ -124,7 +124,7 @@ impl TrustedDb {
 }
 
 fn err(e: impl Into<TdbError>) -> Response {
-    Response::Error(WireError(e.into()))
+    Response::Error(WireError::from(&e.into()))
 }
 
 impl Session {
@@ -302,7 +302,7 @@ impl Session {
         }
         match &mut self.tx {
             Some(ActiveTx::Locking(tx)) => {
-                Self::exec(&self.collections, &self.objects, self.partition, tx, cmd)
+                Self::exec(&self.collections, &self.objects, tx, cmd).unwrap_or_else(err)
             }
             Some(ActiveTx::Mvcc(tx)) => {
                 if let Command::GetWithProof(id) = cmd {
@@ -324,7 +324,7 @@ impl Session {
                         Err(e) => err(e),
                     };
                 }
-                Self::exec(&self.collections, &self.objects, self.partition, tx, cmd)
+                Self::exec(&self.collections, &self.objects, tx, cmd).unwrap_or_else(err)
             }
             None => {
                 self.stats.autocommits += 1;
@@ -341,22 +341,18 @@ impl Session {
         // Holding pending writes' locks, never wait for another lock.
         let holding = !burst.pending.is_empty();
         tx.set_lock_wait(!holding);
-        let resp = Self::exec(
-            &self.collections,
-            &self.objects,
-            self.partition,
-            &mut tx,
-            cmd,
-        );
-        if let Response::Error(e) = &resp {
-            tx.abort();
-            if holding && matches!(e.0, TdbError::Object(ObjectError::LockTimeout(_))) {
-                // Busy: commit what is pending, then wait like anyone else.
-                Self::commit_pending(burst);
-                return self.autocommit(cmd, burst);
+        let resp = match Self::exec(&self.collections, &self.objects, &mut tx, cmd) {
+            Ok(resp) => resp,
+            Err(e) => {
+                tx.abort();
+                if holding && matches!(e, TdbError::Object(ObjectError::LockTimeout(_))) {
+                    // Busy: commit what is pending, then wait like anyone else.
+                    Self::commit_pending(burst);
+                    return self.autocommit(cmd, burst);
+                }
+                return err(e);
             }
-            return resp;
-        }
+        };
         let id = match (cmd, &resp) {
             (Command::Put { id, .. } | Command::Delete(id), _)
             | (Command::Create { .. }, Response::Id(id)) => *id,
@@ -388,10 +384,9 @@ impl Session {
     fn exec<T: Transactional>(
         collections: &CollectionStore,
         objects: &ObjectStore,
-        partition: PartitionId,
         tx: &mut T,
         cmd: &Command,
-    ) -> Response {
+    ) -> crate::Result<Response> {
         let result = match cmd {
             Command::Create {
                 partition: target,
@@ -454,14 +449,14 @@ impl Session {
             // a dispatch bug, answered as a typed error rather than a
             // panic so a malformed stream cannot kill a server thread.
             _ => {
-                let _ = partition;
-                return err(CoreError::Corrupt(format!(
+                return Err(CoreError::Corrupt(format!(
                     "command {:?} is not a data command",
                     cmd.opcode()
-                )));
+                ))
+                .into())
             }
         };
-        result.unwrap_or_else(err)
+        Ok(result?)
     }
 }
 

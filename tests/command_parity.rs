@@ -11,8 +11,8 @@ use std::any::Any;
 use std::sync::Arc;
 
 use tdb::{
-    Command, IndexKey, IndexKind, ObjectId, Response, Session, StoredObject, TdbError,
-    TrustedBackend, TrustedDb, TrustedDbBuilder, TxMode,
+    Command, IndexKey, IndexKind, ObjectId, Response, Session, StoredObject, TrustedBackend,
+    TrustedDb, TrustedDbBuilder, TxMode, WireError,
 };
 use tdb_client::{ClientError, TdbClient};
 use tdb_crypto::{CipherKind, HashKind, SecretKey};
@@ -754,13 +754,9 @@ fn verified_record_root_verifies_its_own_proof_in_any_partition() {
 /// retrying it fails the same way until the open transaction ends.
 #[test]
 fn second_begin_is_busy_and_not_transient() {
-    let not_transient = |e: &TdbError| {
-        assert_eq!(e.code(), 15, "expected Busy, got {e}");
-        let TdbError::Core(core) = e else {
-            panic!("Busy is a core error, got {e}");
-        };
-        assert!(!core.is_transient(), "{e}");
-        assert_eq!(core.fault_class(), tdb::FaultClass::Permanent, "{e}");
+    let not_transient = |e: &WireError| {
+        assert_eq!(e.code, 15, "expected Busy, got {e}");
+        assert_eq!(e.class, Some(tdb::FaultClass::Permanent), "{e}");
     };
 
     let begin = Command::Begin(TxMode::Locking);
@@ -769,7 +765,7 @@ fn second_begin_is_busy_and_not_transient() {
     assert_eq!(session.dispatch(&begin), Response::Ok);
     for _ in 0..2 {
         match session.dispatch(&begin) {
-            Response::Error(e) => not_transient(&e.0),
+            Response::Error(e) => not_transient(&e),
             other => panic!("second Begin answered {other:?}"),
         }
     }
@@ -783,6 +779,51 @@ fn second_begin_is_busy_and_not_transient() {
     match client.begin(TxMode::Locking) {
         Err(ClientError::Remote(e)) => not_transient(&e),
         other => panic!("second Begin over the wire answered {other:?}"),
+    }
+    server.shutdown();
+}
+
+/// A tamper the object layer finds answers `Get` with its own tamper code
+/// (100–110) and class `Integrity`, embedded and over TCP alike, not with
+/// a code of the object layer.
+#[test]
+fn tampered_record_get_answers_a_tamper_code() {
+    /// Creates one record, flips the last byte of its committed version
+    /// on the device, and clears the object and read caches.
+    fn tampered(db: &TrustedDb, store: &MemStore) -> ObjectId {
+        let create = Command::Create {
+            partition: db.partition(),
+            record: record("tamper me"),
+        };
+        let Response::Id(id) = db.session("writer").dispatch(&create) else {
+            panic!("create failed");
+        };
+        let version = db.chunks().debug_descriptor(id.0).expect("descriptor");
+        store.tamper(version.location + u64::from(version.vlen) - 1, 0x01);
+        db.objects().invalidate_cache();
+        db.chunks().drop_read_cache();
+        id
+    }
+    let is_tamper = |e: &WireError| {
+        assert!((100..=110).contains(&e.code), "expected tamper, got {e:?}");
+        assert_eq!(e.class, Some(tdb::FaultClass::Integrity), "{e}");
+    };
+
+    let (db_a, store_a) = build_twin();
+    let id = tampered(&db_a, &store_a);
+    match db_a.session("embedded").dispatch(&Command::Get(id)) {
+        Response::Error(e) => is_tamper(&e),
+        other => panic!("tampered Get answered {other:?}"),
+    }
+
+    let (db_b, store_b) = build_twin();
+    let db_b = Arc::new(db_b);
+    let id = tampered(&db_b, &store_b);
+    let mut server = spawn(&db_b);
+    let mut client = TdbClient::connect(server.addr(), "remote", AUTH_KEY).expect("connect");
+    match client.get(id) {
+        Err(ClientError::Remote(e)) => is_tamper(&e),
+        other => panic!("tampered Get over the wire answered {other:?}"),
     }
     server.shutdown();
 }
@@ -810,7 +851,7 @@ fn session_transactions_are_isolated_per_connection() {
     // Bob cannot see Alice's uncommitted object: her write lock makes his
     // autocommit read time out (two-phase locking, typed code 205).
     match bob.get(id) {
-        Err(ClientError::Remote(e)) => assert_eq!(e.code(), 205, "expected LockTimeout, got {e}"),
+        Err(ClientError::Remote(e)) => assert_eq!(e.code, 205, "expected LockTimeout, got {e}"),
         other => panic!("uncommitted object must be invisible, got {other:?}"),
     }
     alice.commit().expect("alice commit");
@@ -827,7 +868,7 @@ fn session_transactions_are_isolated_per_connection() {
     let mut gone = false;
     for _ in 0..100 {
         match bob.get(doomed) {
-            Err(ClientError::Remote(e)) if e.code() == 201 => {
+            Err(ClientError::Remote(e)) if e.code == 201 => {
                 gone = true;
                 break;
             }

@@ -190,7 +190,7 @@ fn seeded_faults_surface_as_typed_errors_and_reopen_verifies() {
             Ok(id) => acked.push((id, payload)),
             Err(ClientError::Remote(e)) => {
                 // Typed, coded, in-band: the connection stays usable.
-                assert!(e.code() > 0);
+                assert!(e.code > 0);
                 remote_errors += 1;
             }
             Err(other) => panic!("fault leaked as a non-remote error: {other}"),
@@ -448,7 +448,7 @@ fn pipelined_faults(seed: u64) {
             match client.recv().expect("recv").1 {
                 Response::Id(id) => acked.push((id, payload)),
                 Response::Error(e) => {
-                    assert!(e.0.code() > 0);
+                    assert!(e.code > 0);
                     remote_errors += 1;
                 }
                 other => panic!("create answered {other:?}"),
@@ -614,7 +614,7 @@ fn malformed_command_gets_in_band_typed_error() {
             .expect("decode envelope");
     assert_eq!(envelope.request_id, 77, "error must keep the request id");
     match envelope.response {
-        Response::Error(err) => assert!(err.0.code() > 0),
+        Response::Error(err) => assert!(err.code > 0),
         other => panic!("junk command answered {other:?}"),
     }
 
