@@ -78,6 +78,25 @@ struct ReadShard {
     bodies: HashMap<ChunkId, CachedBody>,
 }
 
+impl ReadShard {
+    /// Caches `body` under `id`, first evicting the least recently used
+    /// other body if the shard already holds `budget` of them.
+    fn insert_body(&mut self, id: ChunkId, body: CachedBody, budget: usize) {
+        if self.bodies.len() >= budget {
+            if let Some(victim) = self
+                .bodies
+                .iter()
+                .filter(|(k, _)| **k != id)
+                .min_by_key(|(_, b)| b.last_used.load(Ordering::Relaxed))
+                .map(|(k, _)| *k)
+            {
+                self.bodies.remove(&victim);
+            }
+        }
+        self.bodies.insert(id, body);
+    }
+}
+
 /// The sharded concurrent read path of a `ChunkStore`.
 pub(crate) struct ReadPath {
     shards: [RwLock<ReadShard>; SHARDS],
@@ -258,25 +277,12 @@ impl ReadPath {
             Some(current) if current.hash == desc.hash => {}
             _ => return,
         }
-        if shard.bodies.len() >= self.bodies_per_shard {
-            if let Some(victim) = shard
-                .bodies
-                .iter()
-                .filter(|(k, _)| **k != id)
-                .min_by_key(|(_, b)| b.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| *k)
-            {
-                shard.bodies.remove(&victim);
-            }
-        }
-        shard.bodies.insert(
-            id,
-            CachedBody {
-                hash: desc.hash,
-                body,
-                last_used: AtomicU64::new(self.next_tick()),
-            },
-        );
+        let body = CachedBody {
+            hash: desc.hash,
+            body,
+            last_used: AtomicU64::new(self.next_tick()),
+        };
+        shard.insert_body(id, body, self.bodies_per_shard);
     }
 
     /// Publishes a committed descriptor (and optionally its validated
@@ -301,25 +307,12 @@ impl ReadPath {
         }
         shard.descs.insert(id, desc);
         if let Some(body) = body {
-            if shard.bodies.len() >= self.bodies_per_shard {
-                if let Some(victim) = shard
-                    .bodies
-                    .iter()
-                    .filter(|(k, _)| **k != id)
-                    .min_by_key(|(_, b)| b.last_used.load(Ordering::Relaxed))
-                    .map(|(k, _)| *k)
-                {
-                    shard.bodies.remove(&victim);
-                }
-            }
-            shard.bodies.insert(
-                id,
-                CachedBody {
-                    hash: desc.hash,
-                    body: Arc::new(body.to_vec()),
-                    last_used: AtomicU64::new(self.next_tick()),
-                },
-            );
+            let body = CachedBody {
+                hash: desc.hash,
+                body: Arc::new(body.to_vec()),
+                last_used: AtomicU64::new(self.next_tick()),
+            };
+            shard.insert_body(id, body, self.bodies_per_shard);
         }
     }
 

@@ -11,6 +11,12 @@
 //! compiled for that cipher, over `u64` or `u128` blocks with the chaining
 //! value in a register. AES runs on AES-NI where the CPU has it, chosen
 //! when the `Cbc` is keyed and carried in the cipher enum.
+//!
+//! Encryption is serial: each block's input is the ciphertext before it.
+//! Decryption is not, so DES and 3DES decrypt four blocks at a time
+//! through their four-lane kernels (`decrypt4`), a last group of one to
+//! three blocks with its final block repeated in the empty lanes; AES-NI
+//! pipelines its own groups of four.
 
 use rand::RngCore;
 
@@ -85,6 +91,26 @@ fn decrypt_blocks<B: Block>(iv: &[u8], buf: &mut [u8], decrypt: impl Fn(B) -> B)
         let ciphertext = B::load(block);
         (decrypt(ciphertext) ^ prev).store(block);
         prev = ciphertext;
+    }
+}
+
+/// CBC-decrypts `buf`, a whole number of `u64` blocks, in place, four
+/// blocks per call of `decrypt4`. A last group of one to three blocks
+/// fills the spare lanes with copies of its final block.
+#[inline(always)]
+fn decrypt_blocks4(iv: &[u8], buf: &mut [u8], decrypt4: impl Fn([u64; 4]) -> [u64; 4]) {
+    let mut prev = u64::load(iv);
+    for group in buf.chunks_mut(32) {
+        let n = group.len() / 8;
+        let ciphertext: [u64; 4] = std::array::from_fn(|i| {
+            let i = i.min(n - 1);
+            u64::load(&group[8 * i..8 * i + 8])
+        });
+        let plaintext = decrypt4(ciphertext);
+        for (i, block) in group.chunks_exact_mut(8).enumerate() {
+            (plaintext[i] ^ prev).store(block);
+            prev = ciphertext[i];
+        }
     }
 }
 
@@ -220,14 +246,7 @@ impl Cbc {
             });
         }
         let mut out = ciphertext.to_vec();
-        match &self.cipher {
-            Cipher::Null => decrypt_blocks(iv, &mut out, |b: u8| b),
-            Cipher::Des(c) => decrypt_blocks(iv, &mut out, |b| c.decrypt_block(b)),
-            Cipher::TripleDes(c) => decrypt_blocks(iv, &mut out, |b| c.decrypt_block(b)),
-            Cipher::Aes(c) => decrypt_blocks(iv, &mut out, |b| c.decrypt_block(b)),
-            #[cfg(target_arch = "x86_64")]
-            Cipher::AesNi(c) => c.decrypt_cbc(iv, &mut out),
-        }
+        self.decrypt_in_place(iv, &mut out);
         let pad = *out.last().expect("non-empty checked") as usize;
         if pad == 0 || pad > bs || pad > out.len() {
             return Err(CryptoError::BadPadding);
@@ -237,6 +256,19 @@ impl Cbc {
         }
         out.truncate(out.len() - pad);
         Ok(out)
+    }
+
+    /// CBC-decrypts `buf`, a whole number of blocks, in place under a
+    /// block-sized `iv`, padding left in place.
+    fn decrypt_in_place(&self, iv: &[u8], buf: &mut [u8]) {
+        match &self.cipher {
+            Cipher::Null => decrypt_blocks(iv, buf, |b: u8| b),
+            Cipher::Des(c) => decrypt_blocks4(iv, buf, |b| c.decrypt4(b)),
+            Cipher::TripleDes(c) => decrypt_blocks4(iv, buf, |b| c.decrypt4(b)),
+            Cipher::Aes(c) => decrypt_blocks(iv, buf, |b| c.decrypt_block(b)),
+            #[cfg(target_arch = "x86_64")]
+            Cipher::AesNi(c) => c.decrypt_cbc(iv, buf),
+        }
     }
 
     /// Length of the ciphertext produced for a plaintext of `len` bytes
@@ -493,6 +525,68 @@ mod tests {
             ]
         );
         assert_eq!(c.decrypt(&[0x10], &ct).unwrap(), b"abc");
+    }
+
+    /// DES and 3DES under four keys each, for `f(kind, key, cbc)`.
+    fn each_des_key(mut f: impl FnMut(CipherKind, &[u8], &Cbc)) {
+        for kind in [CipherKind::Des, CipherKind::TripleDes] {
+            for seed in 0..4u8 {
+                let key: Vec<u8> = (0..kind.key_len() as u8)
+                    .map(|i| i.wrapping_mul(37).wrapping_add(seed.wrapping_mul(101)) ^ 0x5A)
+                    .collect();
+                f(kind, &key, &Cbc::new(kind, &key).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn des_four_lane_decrypt_matches_reference_at_every_tail() {
+        // 1–40 blocks: every whole number of four-block groups from none
+        // to ten, followed by a tail of none, one, two or three blocks.
+        each_des_key(|kind, key, c| {
+            let iv: Vec<u8> = (0..8u8).map(|i| i.wrapping_mul(29) ^ key[0]).collect();
+            for blocks in 1..=40usize {
+                let ciphertext: Vec<u8> = (0..8 * blocks)
+                    .map(|i| (i as u8).wrapping_mul(13) ^ key[i % key.len()])
+                    .collect();
+                let mut raw = ciphertext.clone();
+                c.decrypt_in_place(&iv, &mut raw);
+                let expect = reference_decrypt(kind, key, &iv, &ciphertext);
+                assert_eq!(raw, expect, "{kind:?} {blocks} blocks");
+                let plaintext = &ciphertext[..8 * blocks - 1];
+                let sealed = c.encrypt(&iv, plaintext).unwrap();
+                assert_eq!(sealed.len(), 8 * blocks);
+                let opened = c.decrypt(&iv, &sealed).unwrap();
+                assert_eq!(opened, plaintext, "{kind:?} {blocks} blocks");
+            }
+        });
+    }
+
+    #[test]
+    fn des_flipped_padding_in_every_short_tail_is_bad_padding() {
+        // A tail of one, two or three blocks after zero or one whole group.
+        // Flipping a byte of the block before the last flips the same byte
+        // of the last plaintext block, here one of its three padding bytes.
+        each_des_key(|kind, _, c| {
+            let iv = [0x3Cu8; 8];
+            for blocks in [1usize, 2, 3, 5, 6, 7] {
+                let plaintext = vec![0xA5u8; 8 * blocks - 3];
+                let sealed = c.encrypt(&iv, &plaintext).unwrap();
+                assert_eq!(c.decrypt(&iv, &sealed).unwrap(), plaintext);
+                for byte in 5..8 {
+                    let (mut iv, mut sealed) = (iv, sealed.clone());
+                    match blocks {
+                        1 => iv[byte] ^= 1,
+                        _ => sealed[8 * (blocks - 2) + byte] ^= 1,
+                    }
+                    assert_eq!(
+                        c.decrypt(&iv, &sealed),
+                        Err(CryptoError::BadPadding),
+                        "{kind:?} {blocks} blocks, padding byte {byte}"
+                    );
+                }
+            }
+        });
     }
 
     proptest! {

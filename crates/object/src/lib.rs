@@ -79,10 +79,6 @@ pub struct ObjectStoreConfig {
     /// Byte budget for the object cache (the paper ran with 4 MB of total
     /// cache, §9.1).
     pub cache_bytes: usize,
-    /// Number of independently locked cache shards (rounded up to a power
-    /// of two; the byte budget splits across them). `1` restores the old
-    /// single-lock cache.
-    pub cache_shards: usize,
     /// Lock acquisition timeout — the deadlock breaker (§7).
     pub lock_timeout: Duration,
     /// Steal buffering (paper §10): when a transaction's in-memory dirty
@@ -101,7 +97,6 @@ impl Default for ObjectStoreConfig {
     fn default() -> Self {
         ObjectStoreConfig {
             cache_bytes: 4 * 1024 * 1024,
-            cache_shards: 8,
             lock_timeout: Duration::from_millis(500),
             steal_threshold_bytes: usize::MAX,
             mvcc: false,
@@ -142,7 +137,7 @@ impl ObjectStore {
             me: me.clone(),
             chunks,
             registry,
-            cache: ShardedObjectCache::new(config.cache_bytes, config.cache_shards),
+            cache: ShardedObjectCache::new(config.cache_bytes),
             locks: LockManager::new(config.lock_timeout),
             next_tx: AtomicU64::new(1),
             steal_threshold: config.steal_threshold_bytes,
