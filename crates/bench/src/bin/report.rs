@@ -1,28 +1,29 @@
 //! The experiment report binary: regenerates the paper's tables and
-//! figures (§9), printing measured rows next to the paper's numbers.
+//! figures (§9) and the ablations, printing one JSON object per metric
+//! with its quartiles over `--runs` runs (default 3).
 //!
 //! ```sh
 //! cargo run --release -p tdb-bench --bin report -- all
 //! cargo run --release -p tdb-bench --bin report -- e1 e4 fig11
-//! cargo run --release -p tdb-bench --bin report -- fig11 --runs 10
+//! cargo run --release -p tdb-bench --bin report -- fig11 ablations --runs 10
 //! ```
 
-use tdb_bench::experiments;
+use tdb_bench::experiments::{summarize, Experiment, EXPERIMENTS};
 
 const USAGE: &str = "usage: report [--runs N] <experiments...>\n\
-     experiments: e1 e2 e3 e4 e5 e6 e7 e8 e9|fig9 e10|fig10 e11|fig11 e12|fig12 | all | micro";
+     experiments: e1 e2 e3 e4 e5 e6 e7 e8 e9|fig9 e10|fig10 e11|fig11 e12|fig12 ablations | all | micro";
 
-const KNOWN: [&str; 18] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "fig9", "fig10",
-    "fig11", "fig12", "all", "micro",
-];
-
-/// A parsed command line: runs per workload experiment and the selected
-/// experiment names, lower-cased.
+/// A parsed command line: runs per experiment and the selected experiment
+/// names, lower-cased.
 #[derive(Debug, PartialEq)]
 struct Args {
     runs: usize,
     selected: Vec<String>,
+}
+
+/// Whether the command-line name `name` selects `exp`.
+fn selects(name: &str, exp: &Experiment) -> bool {
+    name == "all" || exp.names.contains(&name)
 }
 
 /// Parses the command line; `Err` carries the message to print before
@@ -40,7 +41,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             continue;
         }
         let name = arg.to_lowercase();
-        if !KNOWN.contains(&name.as_str()) {
+        if !EXPERIMENTS.iter().any(|exp| selects(&name, exp)) {
             return Err(format!("error: unknown experiment '{name}'\n{USAGE}"));
         }
         selected.push(name);
@@ -56,50 +57,13 @@ fn main() {
         eprintln!("{msg}");
         std::process::exit(2);
     });
-    let want = |name: &str, aliases: &[&str]| {
-        selected.iter().any(|s| {
-            s == "all"
-                || s == name
-                || aliases.contains(&s.as_str())
-                || (s == "micro"
-                    && matches!(name, "e1" | "e2" | "e3" | "e4" | "e5" | "e6" | "e7" | "e8"))
-        })
-    };
-    if want("e1", &[]) {
-        experiments::e1_crypto();
-    }
-    if want("e2", &[]) {
-        experiments::e2_store();
-    }
-    if want("e3", &[]) {
-        experiments::e3_allocate();
-    }
-    if want("e4", &[]) {
-        experiments::e4_commit_regression();
-    }
-    if want("e5", &[]) {
-        experiments::e5_read_regression();
-    }
-    if want("e6", &[]) {
-        experiments::e6_partition_ops();
-    }
-    if want("e7", &[]) {
-        experiments::e7_backup_regression();
-    }
-    if want("e8", &[]) {
-        experiments::e8_space();
-    }
-    if want("e9", &["fig9"]) {
-        experiments::e9_code_complexity();
-    }
-    if want("e10", &["fig10"]) {
-        experiments::e10_op_counts();
-    }
-    if want("e11", &["fig11"]) {
-        experiments::e11_comparison(runs);
-    }
-    if want("e12", &["fig12"]) {
-        experiments::e12_breakdown(runs);
+    for exp in EXPERIMENTS
+        .iter()
+        .filter(|exp| selected.iter().any(|name| selects(name, exp)))
+    {
+        for summary in summarize(exp, runs) {
+            println!("{summary}");
+        }
     }
 }
 
@@ -114,10 +78,17 @@ mod tests {
     #[test]
     fn paper_experiments_parse() {
         assert_eq!(
-            parse(args(&["micro", "FIG9", "fig10", "--runs", "5"])),
+            parse(args(&[
+                "micro",
+                "FIG9",
+                "fig10",
+                "Ablations",
+                "--runs",
+                "5"
+            ])),
             Ok(Args {
                 runs: 5,
-                selected: args(&["micro", "fig9", "fig10"]),
+                selected: args(&["micro", "fig9", "fig10", "ablations"]),
             })
         );
     }
@@ -129,7 +100,10 @@ mod tests {
             &["conc"],
             &["e20"],
             &["ycsb"],
+            &["ablation_checkpoint_deferral"],
+            &["crypto_ops"],
             &["e1", "--seed", "7"],
+            &["ablations", "--seed", "7"],
             &[],
             &["--runs", "0", "e1"],
         ] {

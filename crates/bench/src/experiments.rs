@@ -1,26 +1,163 @@
-//! Experiment runners regenerating every table and figure of §9.
+//! Experiment runners regenerating every table and figure of §9, the
+//! ablations of the paper's design choices, and the one harness that
+//! repeats and summarises them.
 //!
-//! Each `eN` function prints the measured rows next to the paper's numbers.
-//! Absolute times differ (450 MHz Pentium vs today), so EXPERIMENTS.md
-//! compares *shapes*: orderings, ratios, and linearity.
+//! Each experiment measures one run and returns one row per metric,
+//! carrying the paper's value where §9 states one. [`summarize`] repeats an
+//! experiment and reduces each metric to its quartiles. Absolute times
+//! differ (450 MHz Pentium vs today), so EXPERIMENTS.md compares *shapes*:
+//! orderings, ratios, and linearity.
 
+use std::fmt::Debug;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tdb::{BackupSpec, ChunkId, CommitOp, CryptoParams};
+use tdb::{BackupSpec, ChunkId, ChunkStore, ChunkStoreConfig, CommitOp, CryptoParams};
+use tdb::{PartitionId, ValidationMode};
 use tdb_core::backup::BackupStore;
 use tdb_core::metrics::{self, modules};
 use tdb_crypto::cbc::Cbc;
 use tdb_crypto::{CipherKind, HashKind};
-use tdb_storage::MemArchive;
+use tdb_storage::{BatchingStore, MemArchive, MemStore, RemoteStore, SharedUntrusted, SimClock};
 
 use crate::fixtures::{bytes, chunk_store_with_partition, paper_config, IoMode, Platform};
 use crate::regress::{ols, r_squared};
 use crate::workload::{generate_stream, paper_counts, Kind, TdbWorkload, XdbWorkload};
 
+/// One measured number of one run of an experiment.
+#[derive(Debug, Clone, PartialEq)]
+struct Row {
+    metric: String,
+    unit: &'static str,
+    /// The paper's value, where §9 states one.
+    paper: Option<f64>,
+    value: f64,
+}
+
+fn row(metric: impl Into<String>, unit: &'static str, value: f64) -> Row {
+    Row {
+        metric: metric.into(),
+        unit,
+        paper: None,
+        value,
+    }
+}
+
+impl Row {
+    fn paper(self, paper: impl Into<Option<f64>>) -> Row {
+        Row {
+            paper: paper.into(),
+            ..self
+        }
+    }
+}
+
+/// One experiment `report` can select.
+pub struct Experiment {
+    /// The names that select it: its own first, then its figure or
+    /// `micro` (the raw-mode micro-benchmarks E1–E8).
+    pub names: &'static [&'static str],
+    /// The workload stream's seed. E11 and E12 draw a new stream per run
+    /// (run `r` uses `seed + r`); E10 replays the same one.
+    seed: Option<u64>,
+    /// Measures one run; the argument is the run's index.
+    run: fn(usize) -> Vec<Row>,
+}
+
+const fn exp(
+    names: &'static [&'static str],
+    seed: Option<u64>,
+    run: fn(usize) -> Vec<Row>,
+) -> Experiment {
+    Experiment { names, seed, run }
+}
+
+const E10_SEED: u64 = 11;
+const E11_SEED: u64 = 100;
+const E12_SEED: u64 = 500;
+
+/// Every experiment, in report order.
+pub const EXPERIMENTS: [Experiment; 13] = [
+    exp(&["e1", "micro"], None, e1_crypto),
+    exp(&["e2", "micro"], None, e2_store),
+    exp(&["e3", "micro"], None, e3_allocate),
+    exp(&["e4", "micro"], None, e4_commit_regression),
+    exp(&["e5", "micro"], None, e5_read_regression),
+    exp(&["e6", "micro"], None, e6_partition_ops),
+    exp(&["e7", "micro"], None, e7_backup_regression),
+    exp(&["e8", "micro"], None, e8_space),
+    exp(&["e9", "fig9"], None, e9_code_complexity),
+    exp(&["e10", "fig10"], Some(E10_SEED), e10_op_counts),
+    exp(&["e11", "fig11"], Some(E11_SEED), e11_comparison),
+    exp(&["e12", "fig12"], Some(E12_SEED), e12_breakdown),
+    exp(&["ablations"], None, ablations),
+];
+
+/// The quartiles of `values` as Python's `statistics.quantiles(values,
+/// n=4)` computes them (the default, exclusive method, which extrapolates
+/// beyond the extremes for fewer than four values). One value gives
+/// itself three times, as Python 3.13 does (older Pythons raise); no
+/// values give NaN.
+fn quartiles(values: &[f64]) -> [f64; 3] {
+    let mut data = values.to_vec();
+    data.sort_by(f64::total_cmp);
+    let n = data.len();
+    if n < 2 {
+        return [data.first().copied().unwrap_or(f64::NAN); 3];
+    }
+    [1, 2, 3].map(|i| {
+        let j = (i * (n + 1) / 4).clamp(1, n - 1);
+        let delta = (i * (n + 1)) as f64 - (4 * j) as f64;
+        (data[j - 1] * (4.0 - delta) + data[j] * delta) / 4.0
+    })
+}
+
+/// Runs `exp` `runs` times and reduces each metric it reports, in the
+/// order it first reports them, to one JSON object: `experiment, metric,
+/// unit, paper, seed, runs`, and the quartiles `q1, median, q3`.
+pub fn summarize(exp: &Experiment, runs: usize) -> Vec<String> {
+    let mut metrics: Vec<(Row, Vec<f64>)> = Vec::new();
+    for run in 0..runs {
+        for row in (exp.run)(run) {
+            match metrics
+                .iter_mut()
+                .find(|(first, _)| first.metric == row.metric)
+            {
+                Some((_, values)) => values.push(row.value),
+                None => metrics.push((row.clone(), vec![row.value])),
+            }
+        }
+    }
+    let num = |v: Option<f64>| {
+        v.filter(|v| v.is_finite())
+            .map_or("null".into(), |v| v.to_string())
+    };
+    let seed = exp.seed.map_or("null".into(), |s| s.to_string());
+    let line = |(row, values): (Row, Vec<f64>)| {
+        let [q1, median, q3] = quartiles(&values).map(|q| num(Some(q)));
+        format!(
+            r#"{{"experiment":"{}","metric":"{}","unit":"{}","paper":{},"seed":{seed},"runs":{},"q1":{q1},"median":{median},"q3":{q3}}}"#,
+            exp.names[0],
+            row.metric,
+            row.unit,
+            num(row.paper),
+            values.len(),
+        )
+    };
+    metrics.into_iter().map(line).collect()
+}
+
 fn mbps(bytes_done: usize, elapsed: Duration) -> f64 {
     bytes_done as f64 / elapsed.as_secs_f64() / (1024.0 * 1024.0)
+}
+
+fn us(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e6
+}
+
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
 fn time<R>(f: impl FnOnce() -> R) -> (Duration, R) {
@@ -47,103 +184,114 @@ fn per_iter(mut f: impl FnMut()) -> Duration {
     }
 }
 
+/// `name` as a metric-name component: lower case, words joined by `_`.
+fn metric_name(name: impl Debug) -> String {
+    format!("{name:?}")
+        .trim_matches('"')
+        .to_lowercase()
+        .replace([' ', '-', '+'], "_")
+}
+
+/// Commits `op` alone.
+fn commit(store: &ChunkStore, op: CommitOp) {
+    store.commit(vec![op]).expect("commit");
+}
+
+/// Allocates a chunk in `p` and commits `body` to it.
+fn write_new(store: &ChunkStore, p: PartitionId, body: Vec<u8>) -> ChunkId {
+    let id = store.allocate_chunk(p).expect("allocate");
+    commit(store, CommitOp::WriteChunk { id, bytes: body });
+    id
+}
+
 // ---------------------------------------------------------------------------
 // E1: cryptographic bandwidths (§9.2.1).
 // ---------------------------------------------------------------------------
 
-/// Measures cipher and hash bandwidths, as §9.2.1 reports.
-pub fn e1_crypto() {
-    println!("== E1: cryptographic operations (§9.2.1) ==");
-    println!("paper: 3DES-CBC 2.5 MB/s, DES-CBC 7.2 MB/s, SHA-1 21.1 MB/s + 5 µs finalization");
+/// Measures cipher and hash bandwidths, as §9.2.1 reports, and the cost of
+/// one 1000-byte row: what `tdbmark`'s kv workloads seal on a commit and
+/// open on a read miss (`crypto.{encrypt,decrypt}_us_per_record`).
+fn e1_crypto(_run: usize) -> Vec<Row> {
     let buf = bytes(1, 1 << 20);
-    // A 1000-byte row is what `tdbmark`'s kv workloads seal on a commit and
-    // open on a read miss (`crypto.{encrypt,decrypt}_us_per_record`).
-    let row = &buf[..1000];
-    for cipher in [
-        CipherKind::TripleDes,
-        CipherKind::Des,
-        CipherKind::Aes128,
-        CipherKind::Aes256,
+    let record = &buf[..1000];
+    let mut rows = Vec::new();
+    for (cipher, paper) in [
+        (CipherKind::TripleDes, Some(2.5)),
+        (CipherKind::Des, Some(7.2)),
+        (CipherKind::Aes128, None),
+        (CipherKind::Aes256, None),
     ] {
         let key = vec![0x42u8; cipher.key_len()];
         let cbc = Cbc::new(cipher, &key).expect("key");
         let iv = cbc.random_iv();
-        let sealed = cbc.encrypt(&iv, &buf).expect("encrypt");
-        let sealed_row = cbc.encrypt(&iv, row).expect("encrypt");
-        let enc = per_iter(|| {
-            black_box(cbc.encrypt(&iv, black_box(&buf)).expect("encrypt"));
-        });
-        let dec = per_iter(|| {
-            black_box(cbc.decrypt(&iv, black_box(&sealed)).expect("decrypt"));
-        });
-        let enc_row = per_iter(|| {
-            black_box(cbc.encrypt(&iv, black_box(row)).expect("encrypt"));
-        });
-        let dec_row = per_iter(|| {
-            black_box(cbc.decrypt(&iv, black_box(&sealed_row)).expect("decrypt"));
-        });
-        println!(
-            "  {:?}-CBC: encrypt {:7.2} MB/s, decrypt {:7.2} MB/s; 1000-byte row: encrypt {:6.2} µs, decrypt {:6.2} µs",
-            cipher,
-            mbps(buf.len(), enc),
-            mbps(buf.len(), dec),
-            enc_row.as_secs_f64() * 1e6,
-            dec_row.as_secs_f64() * 1e6,
+        let encrypt = |plain: &[u8]| {
+            per_iter(|| {
+                black_box(cbc.encrypt(&iv, black_box(plain)).expect("encrypt"));
+            })
+        };
+        let decrypt = |plain: &[u8]| {
+            let sealed = cbc.encrypt(&iv, plain).expect("encrypt");
+            per_iter(|| {
+                black_box(cbc.decrypt(&iv, black_box(&sealed)).expect("decrypt"));
+            })
+        };
+        let name = metric_name(cipher);
+        let (enc, dec) = (
+            mbps(buf.len(), encrypt(&buf)),
+            mbps(buf.len(), decrypt(&buf)),
         );
+        rows.extend([
+            row(format!("{name}.encrypt_mib_s"), "MiB/s", enc).paper(paper),
+            row(format!("{name}.decrypt_mib_s"), "MiB/s", dec).paper(paper),
+            row(format!("{name}.encrypt_row_us"), "us", us(encrypt(record))),
+            row(format!("{name}.decrypt_row_us"), "us", us(decrypt(record))),
+        ]);
     }
-    for hash in [HashKind::Sha1, HashKind::Sha256] {
+    for (hash, paper_mbps, paper_final) in [
+        (HashKind::Sha1, Some(21.1), Some(5.0)),
+        (HashKind::Sha256, None, None),
+    ] {
         let d = per_iter(|| {
-            let _ = hash.hash(&buf);
+            black_box(hash.hash(black_box(&buf)));
         });
         let d0 = per_iter(|| {
-            let _ = hash.hash(&[]);
+            black_box(hash.hash(&[]));
         });
-        println!(
-            "  {:?} hash: {:7.2} MB/s, finalization {:.2} µs",
-            hash,
-            mbps(buf.len(), d),
-            d0.as_secs_f64() * 1e6
-        );
+        let name = metric_name(hash);
+        rows.extend([
+            row(format!("{name}.mib_s"), "MiB/s", mbps(buf.len(), d)).paper(paper_mbps),
+            row(format!("{name}.finalization_us"), "us", us(d0)).paper(paper_final),
+        ]);
     }
+    rows
 }
 
 // ---------------------------------------------------------------------------
 // E2: store latency and bandwidth (§9.2.1).
 // ---------------------------------------------------------------------------
 
-/// Measures raw and modeled store characteristics.
-pub fn e2_store() {
-    println!("== E2: store latency/bandwidth (§9.2.1) ==");
-    println!("paper: untrusted ~3.5–4.7 MB/s, flush 10–40 ms; tamper-resistant ~5–18 ms/write");
+/// Measures raw and modeled store characteristics. The paper gives ranges
+/// (untrusted ~3.5–4.7 MB/s, flush 10–40 ms), so no row carries one value.
+fn e2_store(_run: usize) -> Vec<Row> {
+    let mut rows = Vec::new();
     for mode in [IoMode::Raw, IoMode::SimulatedDisk] {
-        let platform = Platform::new(mode);
+        let store = Platform::new(mode).untrusted;
         let chunk = bytes(7, 64 * 1024);
-        let (d_w, ()) = time(|| {
-            for i in 0..64u64 {
-                platform
-                    .untrusted
-                    .write_at(i * chunk.len() as u64, &chunk)
-                    .expect("write");
-            }
-        });
-        let (d_f, ()) = time(|| platform.untrusted.flush().expect("flush"));
+        let offsets = || (0..64u64).map(|i| i * chunk.len() as u64);
+        let (d_w, ()) =
+            time(|| offsets().for_each(|at| store.write_at(at, &chunk).expect("write")));
+        let (d_f, ()) = time(|| store.flush().expect("flush"));
         let mut back = vec![0u8; chunk.len()];
-        let (d_r, ()) = time(|| {
-            for i in 0..64u64 {
-                platform
-                    .untrusted
-                    .read_at(i * chunk.len() as u64, &mut back)
-                    .expect("read");
-            }
-        });
-        println!(
-            "  {:?}: write {:7.1} MB/s, read {:7.1} MB/s, flush {:6.2} ms",
-            mode,
-            mbps(64 * chunk.len(), d_w),
-            mbps(64 * chunk.len(), d_r),
-            d_f.as_secs_f64() * 1e3,
-        );
+        let (d_r, ()) =
+            time(|| offsets().for_each(|at| store.read_at(at, &mut back).expect("read")));
+        let (name, bw) = (metric_name(mode), |d| mbps(64 * chunk.len(), d));
+        rows.extend([
+            row(format!("{name}.write_mib_s"), "MiB/s", bw(d_w)),
+            row(format!("{name}.read_mib_s"), "MiB/s", bw(d_r)),
+            row(format!("{name}.flush_ms"), "ms", ms(d_f)),
+        ]);
     }
+    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -151,15 +299,13 @@ pub fn e2_store() {
 // ---------------------------------------------------------------------------
 
 /// Measures id allocation, "the average latency is 6 µs".
-pub fn e3_allocate() {
-    println!("== E3: allocate chunk id (§9.2.2) ==");
-    println!("paper: 6 µs (no persistent state change)");
+fn e3_allocate(_run: usize) -> Vec<Row> {
     let platform = Platform::new(IoMode::Raw);
     let (store, p) = chunk_store_with_partition(&platform, paper_config());
     let d = per_iter(|| {
         let _ = store.allocate_chunk(p).expect("allocate");
     });
-    println!("  measured: {:.2} µs", d.as_secs_f64() * 1e6);
+    vec![row("allocate_us", "us", us(d)).paper(6.0)]
 }
 
 // ---------------------------------------------------------------------------
@@ -168,28 +314,15 @@ pub fn e3_allocate() {
 
 /// Fits commit latency = a + b·chunks + c·bytes over the paper's sweep
 /// ("sets of 1 to 128 chunks of sizes 128 bytes to 16 KB").
-pub fn e4_commit_regression() {
-    println!("== E4: write chunks + commit (§9.2.2) ==");
-    println!("paper: 132 µs + 36 µs/chunk + 0.24 µs/byte (computational)");
+fn e4_commit_regression(_run: usize) -> Vec<Row> {
     let platform = Platform::new(IoMode::Raw);
     let mut config = paper_config();
     config.segment_size = 256 * 1024;
     config.checkpoint_threshold = usize::MAX;
     let (store, p) = chunk_store_with_partition(&platform, config);
-
-    let mut ids = Vec::new();
-    for _ in 0..128 {
-        ids.push(store.allocate_chunk(p).expect("allocate"));
-    }
     // Write once so overwrites dominate (steady state).
-    for &id in &ids {
-        store
-            .commit(vec![CommitOp::WriteChunk {
-                id,
-                bytes: bytes(1, 256),
-            }])
-            .expect("seed");
-    }
+    let first = |_| write_new(&store, p, bytes(1, 256));
+    let ids: Vec<ChunkId> = (0..128).map(first).collect();
 
     let mut obs: Vec<(Vec<f64>, f64)> = Vec::new();
     for &n_chunks in &[1usize, 2, 4, 8, 16, 32, 64, 128] {
@@ -208,18 +341,17 @@ pub fn e4_commit_regression() {
                 let (d, ()) = time(|| store.commit(ops).expect("commit"));
                 total += d;
             }
-            let per_commit = total.as_secs_f64() * 1e6 / reps as f64;
-            obs.push((vec![n_chunks as f64, (n_chunks * size) as f64], per_commit));
+            let point = vec![n_chunks as f64, (n_chunks * size) as f64];
+            obs.push((point, us(total) / reps as f64));
         }
     }
     let beta = ols(&obs).expect("fit");
-    println!(
-        "  measured: {:.0} µs + {:.2} µs/chunk + {:.4} µs/byte   (R² = {:.3})",
-        beta[0],
-        beta[1],
-        beta[2],
-        r_squared(&obs, &beta)
-    );
+    vec![
+        row("fixed_us", "us", beta[0]).paper(132.0),
+        row("per_chunk_us", "us", beta[1]).paper(36.0),
+        row("per_byte_us", "us", beta[2]).paper(0.24),
+        row("r2", "ratio", r_squared(&obs, &beta)),
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -228,44 +360,24 @@ pub fn e4_commit_regression() {
 
 /// Fits read latency = a + b·bytes with a warm descriptor cache, and
 /// reports the cold-descriptor (map-walk) cost.
-pub fn e5_read_regression() {
-    println!("== E5: read chunk (§9.2.2) ==");
-    println!("paper: 47 µs + 0.18 µs/byte (cached descriptor); map chunks of 64 descriptors");
+fn e5_read_regression(_run: usize) -> Vec<Row> {
     let platform = Platform::new(IoMode::Raw);
     let (store, p) = chunk_store_with_partition(&platform, paper_config());
     let mut obs = Vec::new();
     for &size in &[128usize, 512, 2048, 8192, 16384] {
-        let id = store.allocate_chunk(p).expect("allocate");
-        store
-            .commit(vec![CommitOp::WriteChunk {
-                id,
-                bytes: bytes(3, size),
-            }])
-            .expect("write");
+        let id = write_new(&store, p, bytes(3, size));
         let d = per_iter(|| {
             let _ = store.read(id).expect("read");
         });
-        obs.push((vec![size as f64], d.as_secs_f64() * 1e6));
+        obs.push((vec![size as f64], us(d)));
     }
     let beta = ols(&obs).expect("fit");
-    println!(
-        "  warm: {:.0} µs + {:.4} µs/byte   (R² = {:.3})",
-        beta[0],
-        beta[1],
-        r_squared(&obs, &beta)
-    );
 
     // Cold descriptors: load many chunks, checkpoint, reopen (empty cache),
     // then read — each first read walks parental map chunks.
     let n = 4096u64;
     for i in 0..n {
-        let id = store.allocate_chunk(p).expect("allocate");
-        store
-            .commit(vec![CommitOp::WriteChunk {
-                id,
-                bytes: bytes(i, 128),
-            }])
-            .expect("write");
+        write_new(&store, p, bytes(i, 128));
     }
     store.checkpoint().expect("checkpoint");
     let (d_cold, ()) = time(|| {
@@ -273,12 +385,12 @@ pub fn e5_read_regression() {
             let _ = store.read(ChunkId::data(p, i)).expect("cold read");
         }
     });
-    let cold_reads = n.div_ceil(61);
-    println!(
-        "  cold (map walk): {:.0} µs/read over {} reads",
-        d_cold.as_secs_f64() * 1e6 / cold_reads as f64,
-        cold_reads
-    );
+    vec![
+        row("warm_fixed_us", "us", beta[0]).paper(47.0),
+        row("warm_per_byte_us", "us", beta[1]).paper(0.18),
+        row("warm_r2", "ratio", r_squared(&obs, &beta)),
+        row("cold_read_us", "us", us(d_cold) / n.div_ceil(61) as f64),
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -287,59 +399,35 @@ pub fn e5_read_regression() {
 
 /// Measures partition creation and copy; copy must be size-independent
 /// ("386 µs regardless of the number of chunks … owing to copy-on-write").
-pub fn e6_partition_ops() {
-    println!("== E6: write/copy partition (§9.2.2) ==");
-    println!("paper: create 223 µs; copy 386 µs regardless of source size");
+/// The paper's 223 µs is creation alone, so the create+drop pair carries
+/// no paper value.
+fn e6_partition_ops(_run: usize) -> Vec<Row> {
     let platform = Platform::new(IoMode::Raw);
     let (store, _) = chunk_store_with_partition(&platform, paper_config());
-
+    let create = |id| CommitOp::CreatePartition {
+        id,
+        params: CryptoParams::paper_default(),
+    };
     let d_create = per_iter(|| {
         let q = store.allocate_partition().expect("allocate");
-        store
-            .commit(vec![CommitOp::CreatePartition {
-                id: q,
-                params: CryptoParams::paper_default(),
-            }])
-            .expect("create");
-        store
-            .commit(vec![CommitOp::DeallocPartition { id: q }])
-            .expect("drop");
+        commit(&store, create(q));
+        commit(&store, CommitOp::DeallocPartition { id: q });
     });
-    println!("  create+drop pair: {:.0} µs", d_create.as_secs_f64() * 1e6);
+    let mut rows = vec![row("create_drop_us", "us", us(d_create))];
 
     for &n_chunks in &[10u64, 100, 1000, 10_000] {
         let src = store.allocate_partition().expect("allocate");
-        store
-            .commit(vec![CommitOp::CreatePartition {
-                id: src,
-                params: CryptoParams::paper_default(),
-            }])
-            .expect("create");
+        commit(&store, create(src));
         for i in 0..n_chunks {
-            let id = store.allocate_chunk(src).expect("allocate");
-            store
-                .commit(vec![CommitOp::WriteChunk {
-                    id,
-                    bytes: bytes(i, 128),
-                }])
-                .expect("write");
+            write_new(&store, src, bytes(i, 128));
         }
         store.checkpoint().expect("checkpoint");
-        let snap = store.allocate_partition().expect("allocate");
-        let (d, ()) = time(|| {
-            store
-                .commit(vec![CommitOp::CopyPartition { dst: snap, src }])
-                .expect("copy");
-        });
-        println!(
-            "  copy of {:>6}-chunk partition: {:.0} µs",
-            n_chunks,
-            d.as_secs_f64() * 1e6
-        );
-        store
-            .commit(vec![CommitOp::DeallocPartition { id: src }])
-            .expect("drop");
+        let dst = store.allocate_partition().expect("allocate");
+        let (d, ()) = time(|| commit(&store, CommitOp::CopyPartition { dst, src }));
+        rows.push(row(format!("copy_{n_chunks}_chunks_us"), "us", us(d)).paper(386.0));
+        commit(&store, CommitOp::DeallocPartition { id: src });
     }
+    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -349,13 +437,16 @@ pub fn e6_partition_ops() {
 /// Fits incremental-backup latency = a + b·(chunks in partition) +
 /// c·(updated chunks), and sizes = a + b·(updated chunks), with the
 /// paper's 512-byte chunks.
-pub fn e7_backup_regression() {
-    println!("== E7: incremental backup (§9.2.3) ==");
-    println!("paper: 675 µs + 9 µs/chunk + 278 µs/updated chunk; size 456 B + 528 B/updated chunk");
+fn e7_backup_regression(_run: usize) -> Vec<Row> {
     let platform = Platform::new(IoMode::Raw);
     let (store, p) = chunk_store_with_partition(&platform, paper_config());
     let archive = Arc::new(MemArchive::new());
     let backups = BackupStore::new(Arc::clone(&store), archive.clone());
+    let backup = |base, name: &str| {
+        let spec = BackupSpec { source: p, base };
+        backups.backup(&[spec], name).expect("backup")
+    };
+    let dealloc = |id| commit(&store, CommitOp::DeallocPartition { id });
 
     let mut lat_obs: Vec<(Vec<f64>, f64)> = Vec::new();
     let mut size_obs: Vec<(Vec<f64>, f64)> = Vec::new();
@@ -363,77 +454,36 @@ pub fn e7_backup_regression() {
         // (Re)populate to `population` 512-byte chunks.
         while store.written_ranks(p).expect("ranks").len() < population as usize {
             let id = store.allocate_chunk(p).expect("allocate");
-            store
-                .commit(vec![CommitOp::WriteChunk {
-                    id,
-                    bytes: bytes(id.pos.rank, 512),
-                }])
-                .expect("write");
+            let body = bytes(id.pos.rank, 512);
+            commit(&store, CommitOp::WriteChunk { id, bytes: body });
         }
-        let base = backups
-            .backup(
-                &[BackupSpec {
-                    source: p,
-                    base: None,
-                }],
-                &format!("base-{population}"),
-            )
-            .expect("full backup");
+        let base = backup(None, &format!("base-{population}"));
         for &updated in &[1usize, 10, 50, 100] {
             for rank in 0..updated as u64 {
-                store
-                    .commit(vec![CommitOp::WriteChunk {
-                        id: ChunkId::data(p, rank),
-                        bytes: bytes(rank ^ 0x5555, 512),
-                    }])
-                    .expect("update");
+                let (id, body) = (ChunkId::data(p, rank), bytes(rank ^ 0x5555, 512));
+                commit(&store, CommitOp::WriteChunk { id, bytes: body });
             }
             let name = format!("incr-{population}-{updated}");
-            let (d, info) = time(|| {
-                backups
-                    .backup(
-                        &[BackupSpec {
-                            source: p,
-                            base: Some(base.snapshots[0]),
-                        }],
-                        &name,
-                    )
-                    .expect("incremental")
-            });
+            let (d, info) = time(|| backup(Some(base.snapshots[0]), &name));
             let size = archive.size_of(&info.names[0]).expect("size");
-            lat_obs.push((
-                vec![population as f64, updated as f64],
-                d.as_secs_f64() * 1e6,
-            ));
+            lat_obs.push((vec![population as f64, updated as f64], us(d)));
             size_obs.push((vec![updated as f64], size as f64));
             // Drop the throwaway snapshot to keep state bounded.
-            store
-                .commit(vec![CommitOp::DeallocPartition {
-                    id: info.snapshots[0],
-                }])
-                .expect("drop snapshot");
+            dealloc(info.snapshots[0]);
         }
-        store
-            .commit(vec![CommitOp::DeallocPartition {
-                id: base.snapshots[0],
-            }])
-            .expect("drop base");
+        dealloc(base.snapshots[0]);
     }
     let beta = ols(&lat_obs).expect("fit");
-    println!(
-        "  latency: {:.0} µs + {:.2} µs/chunk-in-partition + {:.0} µs/updated chunk (R² = {:.3})",
-        beta[0],
-        beta[1],
-        beta[2],
-        r_squared(&lat_obs, &beta)
-    );
     let sbeta = ols(&size_obs).expect("fit");
-    println!(
-        "  size: {:.0} B + {:.0} B/updated chunk (R² = {:.3})",
-        sbeta[0],
-        sbeta[1],
-        r_squared(&size_obs, &sbeta)
-    );
+    vec![
+        row("latency_fixed_us", "us", beta[0]).paper(675.0),
+        row("latency_per_chunk_us", "us", beta[1]).paper(9.0),
+        row("latency_per_updated_us", "us", beta[2]).paper(278.0),
+        row("latency_r2", "ratio", r_squared(&lat_obs, &beta)),
+        row("size_fixed_b", "B", sbeta[0]).paper(456.0),
+        row("size_per_updated_b", "B", sbeta[1]).paper(528.0),
+        row("size_r2", "ratio", r_squared(&size_obs, &sbeta)),
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -441,33 +491,20 @@ pub fn e7_backup_regression() {
 // ---------------------------------------------------------------------------
 
 /// Measures per-chunk stored overhead and post-cleaning utilization.
-pub fn e8_space() {
-    println!("== E8: space overhead (§9.3) ==");
-    println!("paper: ~52 B/chunk (8-byte-block cipher); map amortized by fanout 64; ~90% utilization with idle cleaning");
+fn e8_space(_run: usize) -> Vec<Row> {
     let platform = Platform::new(IoMode::Raw);
-    let (store, p) = chunk_store_with_partition(&platform, paper_config());
+    let config = paper_config();
+    let seg_size = config.segment_size as u64;
+    let (store, p) = chunk_store_with_partition(&platform, config);
     let n = 2000u64;
     let size = 512usize;
     for i in 0..n {
-        let id = store.allocate_chunk(p).expect("allocate");
-        store
-            .commit(vec![CommitOp::WriteChunk {
-                id,
-                bytes: bytes(i, size),
-            }])
-            .expect("write");
+        write_new(&store, p, bytes(i, size));
     }
     store.checkpoint().expect("checkpoint");
     // Live bytes vs logical bytes.
     let live: u64 = store.utilization().iter().map(|&u| u64::from(u)).sum();
-    let logical = n * size as u64;
-    println!(
-        "  live-version overhead: {:.1} B/chunk over {}-byte chunks (live {} B / logical {} B)",
-        (live.saturating_sub(logical)) as f64 / n as f64,
-        size,
-        live,
-        logical
-    );
+    let overhead = live.saturating_sub(n * size as u64) as f64 / n as f64;
     // Log utilization after cleaning to steady state.
     let mut passes = 0;
     while store.clean(4).expect("clean") > 0 && passes < 64 {
@@ -475,16 +512,14 @@ pub fn e8_space() {
     }
     // Utilization = live bytes / occupied (non-free) log space, the metric
     // §9.3 speaks of ("the space utilization may be kept as high as 90%").
-    let seg_size = 128 * 1024u64;
     let occupied_segments = store.utilization().iter().filter(|&&u| u > 0).count() as u64;
-    let occupied = occupied_segments * seg_size;
-    println!(
-        "  {} occupied segments for {} B live after {} cleaning passes ({}% utilization)",
-        occupied_segments,
-        live,
-        passes,
-        live * 100 / occupied.max(1)
-    );
+    let utilization = live as f64 * 100.0 / (occupied_segments * seg_size).max(1) as f64;
+    vec![
+        row("overhead_b_per_chunk", "B", overhead).paper(52.0),
+        row("occupied_segments", "count", occupied_segments as f64),
+        row("cleaning_passes", "count", f64::from(passes)),
+        row("utilization_pct", "%", utilization).paper(90.0),
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -492,27 +527,30 @@ pub fn e8_space() {
 // ---------------------------------------------------------------------------
 
 /// Counts semicolons per module, as Figure 9 does for the original C++.
-pub fn e9_code_complexity() {
-    println!("== E9: code complexity (Figure 9) ==");
-    println!("paper (C++ semicolons): collection 1388, object 512, backup 516, chunk 2570, util 1070, total 6056");
+/// The chunk row's paper value adds the backup store's 516; the total's
+/// includes 1070 of utilities.
+fn e9_code_complexity(_run: usize) -> Vec<Row> {
     let roots = [
-        ("collection store", "crates/collection/src"),
-        ("object store", "crates/object/src"),
-        ("chunk+backup store", "crates/core/src"),
-        ("crypto", "crates/crypto/src"),
-        ("storage", "crates/storage/src"),
-        ("xdb baseline", "crates/xdb/src"),
-        ("facade", "crates/tdb/src"),
-        ("bench harness", "crates/bench/src"),
+        ("collection store", "crates/collection/src", Some(1388.0)),
+        ("object store", "crates/object/src", Some(512.0)),
+        ("chunk+backup store", "crates/core/src", Some(3086.0)),
+        ("crypto", "crates/crypto/src", None),
+        ("storage", "crates/storage/src", None),
+        ("xdb baseline", "crates/xdb/src", None),
+        ("facade", "crates/tdb/src", None),
+        ("bench harness", "crates/bench/src", None),
     ];
     let base = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut total = 0usize;
-    for (label, dir) in roots {
-        let count = count_semicolons(&base.join(dir));
-        total += count;
-        println!("  {label:20} {count:>6} semicolons");
-    }
-    println!("  {:20} {total:>6} semicolons", "TOTAL");
+    let mut rows: Vec<Row> = roots
+        .into_iter()
+        .map(|(label, dir, paper)| {
+            let count = count_semicolons(&base.join(dir)) as f64;
+            row(metric_name(label), "semicolons", count).paper(paper)
+        })
+        .collect();
+    let total = rows.iter().map(|r| r.value).sum();
+    rows.push(row("total", "semicolons", total).paper(6056.0));
+    rows
 }
 
 fn count_semicolons(dir: &std::path::Path) -> usize {
@@ -536,123 +574,247 @@ fn count_semicolons(dir: &std::path::Path) -> usize {
 // E10: workload operation counts (Figure 10).
 // ---------------------------------------------------------------------------
 
-/// Prints measured database-operation counts for bind and release.
-pub fn e10_op_counts() {
-    println!("== E10: operation counts (Figure 10) ==");
-    println!("           read  update  delete  add  commit");
+/// Counts the database operations bind and release issue; each must equal
+/// the paper's.
+fn e10_op_counts(_run: usize) -> Vec<Row> {
+    let mut rows = Vec::new();
     for kind in [Kind::Release, Kind::Bind] {
-        let paper = paper_counts(kind);
+        let (paper, name) = (paper_counts(kind), metric_name(kind));
         let mut w = TdbWorkload::setup(IoMode::Raw, 200, paper_config());
-        let stream = generate_stream(kind, 200, 11);
-        let result = w.run(&stream);
-        let c = result.counts;
-        println!(
-            "  {kind:?} paper    {:>4}  {:>6}  {:>6}  {:>3}  {:>6}",
-            paper.reads, paper.updates, paper.deletes, paper.adds, paper.commits
-        );
-        println!(
-            "  {kind:?} measured {:>4}  {:>6}  {:>6}  {:>3}  {:>6}",
-            c.reads, c.updates, c.deletes, c.adds, c.commits
-        );
+        let c = w.run(&generate_stream(kind, 200, E10_SEED)).counts;
+        for (op, paper, measured) in [
+            ("reads", paper.reads, c.reads),
+            ("updates", paper.updates, c.updates),
+            ("deletes", paper.deletes, c.deletes),
+            ("adds", paper.adds, c.adds),
+            ("commits", paper.commits, c.commits),
+        ] {
+            rows.push(row(format!("{name}.{op}"), "count", measured as f64).paper(paper as f64));
+        }
     }
+    rows
 }
 
 // ---------------------------------------------------------------------------
 // E11: runtime comparison (Figure 11).
 // ---------------------------------------------------------------------------
 
-/// Runs release and bind on TDB and on the layered-crypto XDB under the
-/// simulated 1999 disks, printing means over `runs` repetitions.
-pub fn e11_comparison(runs: usize) {
-    println!("== E11: runtime comparison, TDB vs XDB (Figure 11) ==");
-    println!("paper: TDB outperforms XDB on both, 'primarily because of faster commits'");
-    println!("mode: simulated 1999 disks (sleeping latency model)");
+/// Runs release and bind on TDB and on the layered-crypto XDB: under the
+/// simulated 1999 disks, the paper's shape, and raw, the computational
+/// cost alone. Setup is excluded throughout.
+fn e11_comparison(run: usize) -> Vec<Row> {
+    let mut rows = Vec::new();
     for kind in [Kind::Release, Kind::Bind] {
-        let mut tdb_times = Vec::new();
-        let mut tdb_commit = Vec::new();
-        let mut xdb_times = Vec::new();
-        let mut xdb_commit = Vec::new();
-        for run in 0..runs {
-            let stream = generate_stream(kind, 200, 100 + run as u64);
-            let mut t = TdbWorkload::setup(IoMode::SimulatedDisk, 200, paper_config());
-            let r = t.run(&stream);
-            tdb_times.push(r.elapsed);
-            tdb_commit.push(r.commit_time);
-            let mut x = XdbWorkload::setup(IoMode::SimulatedDisk, 200);
-            let r = x.run(&stream);
-            xdb_times.push(r.elapsed);
-            xdb_commit.push(r.commit_time);
-        }
-        let stats = |v: &[Duration]| {
-            let mean = v.iter().sum::<Duration>().as_secs_f64() * 1e3 / v.len() as f64;
-            let var = v
-                .iter()
-                .map(|d| (d.as_secs_f64() * 1e3 - mean).powi(2))
-                .sum::<f64>()
-                / v.len() as f64;
-            (mean, var.sqrt())
-        };
-        let (tm, ts) = stats(&tdb_times);
-        let (tc, _) = stats(&tdb_commit);
-        let (xm, xs) = stats(&xdb_times);
-        let (xc, _) = stats(&xdb_commit);
-        println!(
-            "  {kind:?}: TDB {tm:8.0} ms (σ {ts:5.0}, commit {tc:8.0} ms) | XDB {xm:8.0} ms (σ {xs:5.0}, commit {xc:8.0} ms) | XDB/TDB = {:.2}x",
-            xm / tm
-        );
+        let stream = generate_stream(kind, 200, E11_SEED + run as u64);
+        let tdb = |mode| TdbWorkload::setup(mode, 200, paper_config()).run(&stream);
+        let xdb = |mode| XdbWorkload::setup(mode, 200).run(&stream);
+        let (t, x) = (tdb(IoMode::SimulatedDisk), xdb(IoMode::SimulatedDisk));
+        let (raw_t, raw_x) = (tdb(IoMode::Raw), xdb(IoMode::Raw));
+        let (name, ratio) = (metric_name(kind), ms(x.elapsed) / ms(t.elapsed));
+        rows.extend([
+            row(format!("{name}.tdb_ms"), "ms", ms(t.elapsed)),
+            row(format!("{name}.tdb_commit_ms"), "ms", ms(t.commit_time)),
+            row(format!("{name}.xdb_ms"), "ms", ms(x.elapsed)),
+            row(format!("{name}.xdb_commit_ms"), "ms", ms(x.commit_time)),
+            row(format!("{name}.xdb_over_tdb"), "ratio", ratio),
+            row(format!("{name}.raw_tdb_ms"), "ms", ms(raw_t.elapsed)),
+            row(format!("{name}.raw_xdb_ms"), "ms", ms(raw_x.elapsed)),
+        ]);
     }
+    rows
 }
 
 // ---------------------------------------------------------------------------
 // E12: TDB runtime breakdown (Figure 12).
 // ---------------------------------------------------------------------------
 
-/// Runs the release experiment with per-module accounting, printing the
-/// Figure 12 rows (µ, σ, %), nested-call time excluded.
-pub fn e12_breakdown(runs: usize) {
-    println!("== E12: TDB runtime analysis, release experiment (Figure 12) ==");
-    println!("paper: untrusted store write 81%, tamper-resistant 5%, encryption 4%, hashing 2%");
-    println!("mode: simulated 1999 disks (sleeping latency model)");
-    let mut totals: Vec<f64> = Vec::new();
-    let mut per_module: std::collections::HashMap<&'static str, Vec<f64>> =
-        std::collections::HashMap::new();
-    for run in 0..runs {
-        let stream = generate_stream(Kind::Release, 200, 500 + run as u64);
-        let mut w = TdbWorkload::setup(IoMode::SimulatedDisk, 200, paper_config());
-        metrics::enable();
-        let result = w.run(&stream);
-        metrics::disable();
-        let snap = metrics::snapshot();
-        totals.push(result.elapsed.as_secs_f64() * 1e3);
-        for module in modules::ALL {
-            per_module
-                .entry(module)
-                .or_default()
-                .push(snap.get(module).copied().unwrap_or_default().as_secs_f64() * 1e3);
-        }
+/// Runs the release experiment under the simulated 1999 disks with
+/// per-module accounting: the Figure 12 rows, nested-call time excluded.
+fn e12_breakdown(run: usize) -> Vec<Row> {
+    // Figure 12's shares, in `modules::ALL`'s order.
+    let paper_pct = [4.0, 2.0, 1.0, 4.0, 2.0, 0.0, 81.0, 5.0];
+    let stream = generate_stream(Kind::Release, 200, E12_SEED + run as u64);
+    let mut w = TdbWorkload::setup(IoMode::SimulatedDisk, 200, paper_config());
+    metrics::enable();
+    let total = ms(w.run(&stream).elapsed);
+    metrics::disable();
+    let snap = metrics::snapshot();
+    let mut rows = vec![row("total_ms", "ms", total).paper(4209.0)];
+    for (module, paper) in modules::ALL.into_iter().zip(paper_pct) {
+        let name = metric_name(module);
+        let self_ms = ms(snap.get(module).copied().unwrap_or_default());
+        rows.push(row(format!("{name}_ms"), "ms", self_ms));
+        rows.push(row(format!("{name}_pct"), "%", self_ms * 100.0 / total).paper(paper));
     }
-    let stats = |v: &[f64]| {
-        let mean = v.iter().sum::<f64>() / v.len() as f64;
-        let var = v.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / v.len() as f64;
-        (mean, var.sqrt())
+    rows
+}
+
+// ---------------------------------------------------------------------------
+// Ablations of the design choices DESIGN.md calls out.
+// ---------------------------------------------------------------------------
+
+/// A fresh raw-mode store with a ready partition, over `untrusted` when
+/// given.
+fn ablation_store(
+    config: ChunkStoreConfig,
+    untrusted: Option<SharedUntrusted>,
+) -> (Arc<ChunkStore>, PartitionId) {
+    let mut platform = Platform::new(IoMode::Raw);
+    if let Some(untrusted) = untrusted {
+        platform.untrusted = untrusted;
+    }
+    chunk_store_with_partition(&platform, config)
+}
+
+/// Microseconds for `n` autocommitted 512-byte writes to a fresh store,
+/// checkpointing after each one when `checkpoint_each`.
+fn time_commits(
+    config: ChunkStoreConfig,
+    untrusted: Option<SharedUntrusted>,
+    n: u64,
+    checkpoint_each: bool,
+) -> f64 {
+    let (store, p) = ablation_store(config, untrusted);
+    let (d, ()) = time(|| {
+        for i in 0..n {
+            write_new(&store, p, bytes(i, 512));
+            if checkpoint_each {
+                store.checkpoint().expect("checkpoint");
+            }
+        }
+    });
+    us(d)
+}
+
+/// The five ablations, raw mode, each timing only its measured phase:
+/// 1. checkpoint deferral (§4.7): the paper's deferred hash propagation vs
+///    a checkpoint after every commit, 50 commits;
+/// 2. the counter lag Δut (§4.8.2.2), 50 commits;
+/// 3. the validation protocol (§4.8.2): counter vs direct hash, 50 commits;
+/// 4. the cleaner (§4.9.5): revalidating vs byte-preserving, one pass over
+///    eight 16 KiB segments of churned versions;
+/// 5. §10's remote untrusted store: one round trip per store operation vs
+///    `BatchingStore`, over a 50 µs `RemoteStore` whose round trips are
+///    accounted, not slept, 30 commits.
+fn ablations(_run: usize) -> Vec<Row> {
+    let commits = |config, checkpoint_each| time_commits(config, None, 50, checkpoint_each);
+    let with = |validation| ChunkStoreConfig {
+        validation,
+        ..paper_config()
     };
-    let (total_mean, total_sd) = stats(&totals);
-    println!(
-        "  {:24} {:>9} {:>8} {:>5}",
-        "module", "µ (ms)", "σ (ms)", "%"
-    );
-    println!(
-        "  {:24} {:>9.0} {:>8.0} {:>5}",
-        "DB TOTAL", total_mean, total_sd, 100
-    );
-    for module in modules::ALL {
-        let (mean, sd) = stats(&per_module[module]);
-        println!(
-            "  {:24} {:>9.0} {:>8.0} {:>5.0}",
-            module,
-            mean,
-            sd,
-            mean * 100.0 / total_mean
+    let mut timings = vec![
+        (
+            "checkpoint.deferred".to_string(),
+            commits(paper_config(), false),
+        ),
+        (
+            "checkpoint.eager".to_string(),
+            commits(paper_config(), true),
+        ),
+    ];
+    for delta_ut in [0u64, 1, 5, 20] {
+        let lag = with(ValidationMode::Counter {
+            delta_ut,
+            delta_tu: 0,
+        });
+        timings.push((format!("counter_lag.dut{delta_ut}"), commits(lag, false)));
+    }
+    let direct = with(ValidationMode::DirectHash);
+    timings.push(("validation.counter".into(), commits(paper_config(), false)));
+    timings.push(("validation.direct_hash".into(), commits(direct, false)));
+    for (label, revalidates) in [("revalidating", true), ("byte_preserving", false)] {
+        let config = ChunkStoreConfig {
+            cleaner_revalidates: revalidates,
+            segment_size: 16 * 1024,
+            ..paper_config()
+        };
+        let (store, p) = ablation_store(config, None);
+        // Churn to create obsolete versions across segments.
+        let first = |_| write_new(&store, p, bytes(0, 512));
+        let ids: Vec<ChunkId> = (0..50).map(first).collect();
+        for round in 1..4u64 {
+            for &id in &ids {
+                commit(
+                    &store,
+                    CommitOp::WriteChunk {
+                        id,
+                        bytes: bytes(round, 512),
+                    },
+                );
+            }
+        }
+        store.checkpoint().expect("checkpoint");
+        let (d, _) = time(|| store.clean(8).expect("clean"));
+        timings.push((format!("cleaner.{label}"), us(d)));
+    }
+    for (label, batched) in [("unbatched", false), ("batched", true)] {
+        let (mem, clock) = (Arc::new(MemStore::new()), Arc::new(SimClock::new(false)));
+        let remote: SharedUntrusted =
+            Arc::new(RemoteStore::new(mem, Duration::from_micros(50), clock));
+        let untrusted = if batched {
+            Arc::new(BatchingStore::new(remote))
+        } else {
+            remote
+        };
+        let d = time_commits(paper_config(), Some(untrusted), 30, false);
+        timings.push((format!("remote.{label}"), d));
+    }
+    timings
+        .into_iter()
+        .map(|(metric, d)| row(metric + "_us", "us", d))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quartiles_match_python_statistics_quantiles() {
+        // statistics.quantiles(data, n=4), worked by hand; fewer than four
+        // values extrapolate past the extremes, as Python does.
+        assert_eq!(quartiles(&[7.0]), [7.0; 3]);
+        assert_eq!(quartiles(&[2.0, 1.0]), [0.75, 1.5, 2.25]);
+        assert_eq!(quartiles(&[3.0, 1.0, 2.0]), [1.0, 2.0, 3.0]);
+        assert_eq!(quartiles(&[4.0, 3.0, 2.0, 1.0]), [1.25, 2.5, 3.75]);
+        let ten: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(quartiles(&ten), [2.75, 5.5, 8.25]);
+        assert!(quartiles(&[]).iter().all(|q| q.is_nan()));
+    }
+
+    #[test]
+    fn summaries_print_one_json_object_per_metric() {
+        let run = |run| {
+            vec![
+                row("a_us", "us", run as f64).paper(2.0),
+                row("b", "count", 1.0),
+            ]
+        };
+        assert_eq!(
+            summarize(&exp(&["x"], Some(5), run), 4),
+            [
+                r#"{"experiment":"x","metric":"a_us","unit":"us","paper":2,"seed":5,"runs":4,"q1":0.25,"median":1.5,"q3":2.75}"#,
+                r#"{"experiment":"x","metric":"b","unit":"count","paper":null,"seed":5,"runs":4,"q1":1,"median":1,"q3":1}"#,
+            ]
+        );
+    }
+
+    #[test]
+    fn ablations_report_every_metric_with_a_positive_time() {
+        let rows = ablations(0);
+        let metrics: Vec<&str> = rows.iter().map(|r| r.metric.as_str()).collect();
+        let expected = "checkpoint.deferred checkpoint.eager counter_lag.dut0 counter_lag.dut1 \
+                        counter_lag.dut5 counter_lag.dut20 validation.counter \
+                        validation.direct_hash cleaner.revalidating cleaner.byte_preserving \
+                        remote.unbatched remote.batched";
+        let expected: Vec<String> = expected
+            .split_whitespace()
+            .map(|m| m.to_string() + "_us")
+            .collect();
+        assert_eq!(metrics, expected);
+        assert!(
+            rows.iter().all(|r| r.value.is_finite() && r.value > 0.0),
+            "{rows:?}"
         );
     }
 }

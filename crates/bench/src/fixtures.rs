@@ -2,7 +2,10 @@
 
 use std::sync::Arc;
 
-use tdb::{ChunkStore, ChunkStoreConfig, CommitOp, CryptoParams, PartitionId, TrustedBackend};
+use tdb::{
+    ChunkStore, ChunkStoreConfig, CommitOp, CryptoParams, PartitionId, TrustedBackend,
+    ValidationMode,
+};
 use tdb_crypto::SecretKey;
 use tdb_storage::{
     CounterOverTrusted, DiskModel, MemStore, MemTrustedStore, SharedTrusted, SharedUntrusted,
@@ -24,8 +27,6 @@ pub enum IoMode {
 /// A benchmark platform: untrusted + trusted stores and their clocks.
 pub struct Platform {
     pub untrusted: SharedUntrusted,
-    pub untrusted_mem: Arc<MemStore>,
-    pub register: Arc<MemTrustedStore>,
     pub trusted: SharedTrusted,
     pub clock: Arc<SimClock>,
     pub secret: SecretKey,
@@ -34,22 +35,19 @@ pub struct Platform {
 impl Platform {
     /// Builds platform stores for the given I/O mode.
     pub fn new(mode: IoMode) -> Platform {
-        let untrusted_mem = Arc::new(MemStore::new());
-        let register = Arc::new(MemTrustedStore::new(64));
+        let untrusted: SharedUntrusted = Arc::new(MemStore::new());
+        let trusted: SharedTrusted = Arc::new(MemTrustedStore::new(64));
         let clock = Arc::new(SimClock::new(mode == IoMode::SimulatedDisk));
         let (untrusted, trusted): (SharedUntrusted, SharedTrusted) = match mode {
-            IoMode::Raw => (
-                Arc::clone(&untrusted_mem) as SharedUntrusted,
-                Arc::clone(&register) as SharedTrusted,
-            ),
+            IoMode::Raw => (untrusted, trusted),
             IoMode::SimulatedDisk => (
                 Arc::new(SimDiskStore::new(
-                    Arc::clone(&untrusted_mem) as SharedUntrusted,
+                    untrusted,
                     DiskModel::untrusted_1999(),
                     Arc::clone(&clock),
                 )),
                 Arc::new(SimDiskStore::new(
-                    Arc::clone(&register) as SharedTrusted,
+                    trusted,
                     DiskModel::trusted_1999(),
                     Arc::clone(&clock),
                 )),
@@ -57,8 +55,6 @@ impl Platform {
         };
         Platform {
             untrusted,
-            untrusted_mem,
-            register,
             trusted,
             clock,
             secret: SecretKey::random(24),
@@ -83,15 +79,20 @@ pub fn paper_config() -> ChunkStoreConfig {
     ChunkStoreConfig::default()
 }
 
-/// Creates a chunk store with a ready partition, returning both.
+/// Creates a chunk store with a ready partition, returning both. The
+/// trusted backend is the one `config.validation` needs.
 pub fn chunk_store_with_partition(
     platform: &Platform,
     config: ChunkStoreConfig,
 ) -> (Arc<ChunkStore>, PartitionId) {
+    let backend = match config.validation {
+        ValidationMode::DirectHash => platform.register_backend(),
+        ValidationMode::Counter { .. } => platform.counter_backend(),
+    };
     let store = Arc::new(
         ChunkStore::create(
             Arc::clone(&platform.untrusted),
-            platform.counter_backend(),
+            backend,
             platform.secret.clone(),
             config,
         )

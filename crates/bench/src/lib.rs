@@ -3,15 +3,16 @@
 //!
 //! One module per concern:
 //!
-//! - [`fixtures`] — store/database constructors shared by benches and the
-//!   report binary, in *raw* (in-memory, fast) and *simulated-1999-disk*
-//!   (latency-modeled, reproduces the paper's I/O-dominated shape) modes;
+//! - [`fixtures`] — store/database constructors for the experiments, in
+//!   *raw* (in-memory, fast) and *simulated-1999-disk* (latency-modeled,
+//!   reproduces the paper's I/O-dominated shape) modes;
 //! - [`regress`] — least-squares fits for the paper's "a + b·chunks +
 //!   c·bytes" micro-benchmark decompositions (§9.2.2, §9.2.3);
 //! - [`workload`] — the bind/release digital-goods benchmark (§9.5.1),
 //!   runnable against TDB and against the layered-crypto XDB baseline;
-//! - [`experiments`] — the E1–E12 experiment runners behind the `report`
-//!   binary, each printing measured rows next to the paper's.
+//! - [`experiments`] — the E1–E12 experiment runners and the design
+//!   ablations behind the `report` binary, and the harness that repeats
+//!   them and prints each metric's quartiles as one JSON line.
 //!
 //! The end-to-end benchmark of the default configuration, `tdbmark`
 //! (`src/bin/tdbmark/`, run through `BENCHMARK.json`), is a package of

@@ -126,16 +126,28 @@ impl<'a> Dec<'a> {
         }
     }
 
+    fn truncated(&self, n: usize) -> CoreError {
+        CoreError::Corrupt(format!(
+            "truncated record: wanted {n} bytes, {} remain",
+            self.remaining()
+        ))
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
-            return Err(CoreError::Corrupt(format!(
-                "truncated record: wanted {n} bytes, {} remain",
-                self.remaining()
-            )));
+            return Err(self.truncated(n));
         }
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
+    }
+
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let Some((head, _)) = self.buf[self.pos..].split_first_chunk::<N>() else {
+            return Err(self.truncated(N));
+        };
+        self.pos += N;
+        Ok(*head)
     }
 
     /// Reads one byte.
@@ -145,23 +157,17 @@ impl<'a> Dec<'a> {
 
     /// Reads a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+        self.take_array().map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        self.take_array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        self.take_array().map(u64::from_le_bytes)
     }
 
     /// Raw bytes of known length.
@@ -218,8 +224,18 @@ mod tests {
         let mut e = Enc::new();
         e.u64(42);
         let buf = e.finish();
+        // Every proper prefix of each scalar width is an error, not a panic.
+        for cut in 0..8 {
+            let d = || Dec::new(&buf[..cut]);
+            assert!(matches!(d().u64(), Err(CoreError::Corrupt(_))));
+            assert_eq!(d().u32().is_err(), cut < 4, "cut {cut}");
+            assert_eq!(d().u16().is_err(), cut < 2, "cut {cut}");
+        }
+        // A failed read consumes nothing.
         let mut d = Dec::new(&buf[..7]);
-        assert!(matches!(d.u64(), Err(CoreError::Corrupt(_))));
+        assert!(d.u64().is_err());
+        assert_eq!(d.u32().unwrap(), 42);
+        assert_eq!(d.remaining(), 3);
     }
 
     #[test]

@@ -276,8 +276,8 @@ pub fn compress_body(body: &[u8]) -> Option<Vec<u8>> {
 /// Recovery uses this to reconstruct a descriptor's logical size from the
 /// stored bytes alone. `None` if the envelope cannot hold its own header.
 pub fn declared_len(envelope: &[u8]) -> Option<usize> {
-    let head = envelope.get(0..4)?;
-    Some(u32::from_le_bytes(head.try_into().expect("4 bytes")) as usize)
+    let head = envelope.first_chunk::<4>()?;
+    Some(u32::from_le_bytes(*head) as usize)
 }
 
 /// Decompresses an envelope into exactly `expected_len` bytes (the
@@ -380,6 +380,7 @@ mod tests {
         let body: Vec<u8> = b"abcabcabcabc".iter().copied().cycle().take(600).collect();
         let env = compress_body(&body).expect("compressible");
         for cut in 0..env.len() {
+            assert_eq!(declared_len(&env[..cut]).is_some(), cut >= 4, "cut {cut}");
             let _ = decompress_body(&env[..cut], body.len());
         }
         // Every single-byte flip either still decodes to the wrong bytes

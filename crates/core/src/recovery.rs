@@ -406,14 +406,18 @@ fn recover_from(
     }
 
     // ---- Validate against the trusted store ---------------------------------
-    match inner.config.validation {
-        ValidationMode::DirectHash => {
-            let rec = direct_record.expect("direct mode");
+    match (direct_record, inner.config.validation) {
+        (Some(rec), _) => {
             if valid_tail != rec.tail || !inner.hashes.chain.ct_eq(&rec.chain) {
                 return Err(CoreError::TamperDetected(TamperKind::LogHashMismatch));
             }
         }
-        ValidationMode::Counter { delta_ut, delta_tu } => {
+        // Direct mode read its record before the scan or returned; a
+        // missing one reads as the empty record does.
+        (None, ValidationMode::DirectHash) => {
+            return Err(CoreError::TamperDetected(TamperKind::LogHashMismatch));
+        }
+        (None, ValidationMode::Counter { delta_ut, delta_tu }) => {
             let u = match last_count {
                 Some(c) => c,
                 // Not even the checkpoint's commit chunk validated: this
@@ -585,15 +589,14 @@ fn apply_named(
         let p = PartitionId::from_leader_rank(id.pos.rank);
         let was_written = inner.get_descriptor(id)?.is_written();
         let leader = PartitionLeader::decode(&body)?;
-        let is_new_copy = !was_written && leader.source.is_some();
+        let new_copy_of = leader.source.filter(|_| !was_written);
         inner.set_descriptor(id, desc)?;
         inner.sys_leader.map.next_rank = inner.sys_leader.map.next_rank.max(id.pos.rank + 1);
         inner.sys_alloc_next = inner.sys_alloc_next.max(inner.sys_leader.map.next_rank);
         inner.sys_leader.map.unfree(id.pos.rank);
-        if is_new_copy {
+        if let Some(src) = new_copy_of {
             // Reproduce the copy-time cache cloning (§5.3): the source's
             // buffered map overrides as of this point in the log.
-            let src = leader.source.expect("checked");
             inner.map_cache.clone_dirty(src, p);
         }
         match inner.leaders.get_mut(&p) {

@@ -245,10 +245,10 @@ pub fn parse_version(
     buf: &[u8],
     location: u64,
 ) -> Result<Option<RawVersion>> {
-    if buf.len() < 2 {
+    let Some(len_prefix) = buf.first_chunk::<2>() else {
         return Ok(None);
-    }
-    let header_ct_len = u16::from_le_bytes(buf[0..2].try_into().expect("2 bytes")) as usize;
+    };
+    let header_ct_len = u16::from_le_bytes(*len_prefix) as usize;
     if header_ct_len == 0 {
         return Ok(None);
     }
@@ -513,6 +513,7 @@ mod tests {
         let sys = system();
         assert!(parse_version(&sys, &[0, 0, 1, 2, 3], 0).unwrap().is_none());
         assert!(parse_version(&sys, &[0], 0).unwrap().is_none());
+        assert!(parse_version(&sys, &[7], 0).unwrap().is_none());
         assert!(parse_version(&sys, &[], 0).unwrap().is_none());
     }
 

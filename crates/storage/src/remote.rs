@@ -16,7 +16,7 @@
 //! the whole buffer and the sync as that one request, so a durable batch of
 //! N extents costs one round trip rather than N + 1. Reads are served from
 //! the buffer when possible. `tests/remote_batching.rs` pins the round
-//! trips per commit and checkpoint; the `ablation_remote_batching` bench
+//! trips per commit and checkpoint; `report -- ablations` (`remote.*`)
 //! measures the computational cost.
 
 use std::collections::BTreeMap;
