@@ -6,11 +6,10 @@
 //! chunk read checks the body hash against the descriptor on the way out.
 
 use crate::descriptor::{ChunkStatus, Descriptor, MapChunk};
-use crate::errors::{CoreError, Result, TamperKind};
+use crate::errors::{CoreError, Result};
 use crate::ids::{capacity, ChunkId, PartitionId, Position};
-use crate::metrics::{self, modules};
 use crate::store::Inner;
-use crate::version::{parse_version, RawVersion, VersionKind};
+use crate::version::validate_version;
 
 impl Inner {
     /// Fetches the descriptor for `id`, walking the map bottom-up from the
@@ -151,49 +150,8 @@ impl Inner {
     ) -> Result<(Vec<u8>, Option<Vec<u8>>)> {
         debug_assert!(desc.is_written());
         let buf = self.log.read_at(desc.location, desc.vlen as usize)?;
-        let raw = self.parse_at(&buf, desc.location)?;
-        if !matches!(raw.header.kind, VersionKind::Named | VersionKind::Relocated)
-            || raw.header.id.pos != id.pos
-        {
-            return Err(CoreError::TamperDetected(TamperKind::MisdirectedChunk {
-                expected: id,
-                location: desc.location,
-            }));
-        }
         let crypto = self.crypto_for(id.partition)?;
-        let body = {
-            let _t = metrics::span(modules::ENCRYPTION);
-            raw.open_body(&crypto, desc.location)?
-        };
-        let hash = {
-            let _t = metrics::span(modules::HASHING);
-            crypto.hash(&body)
-        };
-        if hash != desc.hash {
-            return Err(CoreError::TamperDetected(TamperKind::ChunkHashMismatch(id)));
-        }
-        if raw.header.compressed {
-            // Verify-then-decompress: the hash check above covered the
-            // stored envelope, so the decompressor never sees unverified
-            // bytes. `desc.size` (the logical length) caps the allocation
-            // and pins the exact expected output; with the hash already
-            // verified, any failure here means the version was sealed by a
-            // corrupted writer — indistinguishable from tampering.
-            let plain = crate::compress::decompress_body(&body, desc.size as usize)
-                .map_err(|_| CoreError::TamperDetected(TamperKind::ChunkHashMismatch(id)))?;
-            return Ok((plain, Some(body)));
-        }
-        Ok((body, None))
-    }
-
-    fn parse_at(&self, buf: &[u8], location: u64) -> Result<RawVersion> {
-        let parsed = {
-            let _t = metrics::span(modules::ENCRYPTION);
-            parse_version(&self.system, buf, location)?
-        };
-        parsed.ok_or(CoreError::TamperDetected(TamperKind::UndecryptableChunk {
-            location,
-        }))
+        Ok(validate_version(&self.system, &crypto, id, desc, &buf)?)
     }
 
     /// Effective allocation status of a data chunk id, folding in

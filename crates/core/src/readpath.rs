@@ -1,5 +1,5 @@
-//! The concurrent read path: sharded caches serving validated reads
-//! without the engine mutex.
+//! The concurrent read path: sharded descriptor caches serving validated
+//! reads without the engine mutex.
 //!
 //! The paper runs the whole chunk store behind one lock (§4.2). That is
 //! correct but serializes the dominant read-side costs — locating a
@@ -7,9 +7,11 @@
 //! This module gives `ChunkStore::read` a lock-free-ish fast path:
 //!
 //! - A power-of-two array of [`parking_lot::RwLock`] shards, each holding
-//!   a descriptor cache (chunk id → committed [`Descriptor`]) and a
-//!   validated-body cache (chunk id → plaintext, keyed by the hash it was
-//!   validated against).
+//!   a descriptor cache (chunk id → committed [`Descriptor`]). A fast read
+//!   takes the descriptor from its shard, reads the device, and validates
+//!   the version with [`validate_version`], the routine the locked read
+//!   uses. It caches no body: validated bodies are cached once, as
+//!   objects, by the object store above.
 //! - A shared partition-crypto table so readers can decrypt without
 //!   touching the engine's leader cache.
 //! - An atomic mirror of [`StoreHealth`] so fast reads fail closed the
@@ -22,11 +24,10 @@
 //!    written while the writer path holds the engine lock (after a locked
 //!    read, or after a commit), so a published descriptor is always one
 //!    the engine considered current at publication time.
-//! 2. **Hits are descriptor-validated.** A cached body is served only when
-//!    its hash and length match the cached descriptor, and a cached
-//!    descriptor only produces data that hashes to `desc.hash`. Under
-//!    collision resistance, any fast-path success equals a committed pre-
-//!    or post-state of a concurrent mutation.
+//! 2. **Reads are descriptor-validated.** A cached descriptor only
+//!    produces data that hashes to `desc.hash`. Under collision
+//!    resistance, any fast-path success equals a committed pre- or
+//!    post-state of a concurrent mutation.
 //! 3. **Failure means fallback, never verdict.** Any fast-path anomaly —
 //!    missing entry, unparsable bytes, hash mismatch (all possible under
 //!    benign races with the cleaner or a concurrent commit) — falls back
@@ -53,7 +54,7 @@ use crate::ids::{ChunkId, PartitionId};
 use crate::metrics::{self, modules};
 use crate::params::PartitionCrypto;
 use crate::store::StoreHealth;
-use crate::version::{parse_version, VersionKind};
+use crate::version::{validate_version, Rejected};
 
 const HEALTH_LIVE: u8 = 0;
 const HEALTH_DEGRADED: u8 = 1;
@@ -62,40 +63,11 @@ const HEALTH_POISONED: u8 = 2;
 /// Shards of the read path: a power of two, so a shard is a mask away.
 const SHARDS: usize = 16;
 
-/// A validated plaintext body, keyed by the descriptor hash it satisfied.
-struct CachedBody {
-    hash: tdb_crypto::HashValue,
-    body: Arc<Vec<u8>>,
-    /// LRU stamp; atomic so read-lock holders can refresh it.
-    last_used: AtomicU64,
-}
+/// Descriptors one shard holds before it is emptied.
+const DESCS_PER_SHARD: usize = 1024;
 
-/// One shard: descriptors and validated bodies for the chunk ids that
-/// hash here.
-#[derive(Default)]
-struct ReadShard {
-    descs: HashMap<ChunkId, Descriptor>,
-    bodies: HashMap<ChunkId, CachedBody>,
-}
-
-impl ReadShard {
-    /// Caches `body` under `id`, first evicting the least recently used
-    /// other body if the shard already holds `budget` of them.
-    fn insert_body(&mut self, id: ChunkId, body: CachedBody, budget: usize) {
-        if self.bodies.len() >= budget {
-            if let Some(victim) = self
-                .bodies
-                .iter()
-                .filter(|(k, _)| **k != id)
-                .min_by_key(|(_, b)| b.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| *k)
-            {
-                self.bodies.remove(&victim);
-            }
-        }
-        self.bodies.insert(id, body);
-    }
-}
+/// One shard: the committed descriptors of the chunk ids that hash here.
+type ReadShard = HashMap<ChunkId, Descriptor>;
 
 /// The sharded concurrent read path of a `ChunkStore`.
 pub(crate) struct ReadPath {
@@ -108,11 +80,7 @@ pub(crate) struct ReadPath {
     pub(crate) system: Arc<PartitionCrypto>,
     /// Mirror of the engine's `StoreHealth`, updated by the writer path.
     health: AtomicU8,
-    /// Global LRU tick.
-    tick: AtomicU64,
-    /// Validated-body budget per shard.
-    bodies_per_shard: usize,
-    /// Descriptor budget per shard.
+    /// Descriptor budget per shard ([`DESCS_PER_SHARD`]; tests shrink it).
     descs_per_shard: usize,
     fast_hits: AtomicU64,
     fallbacks: AtomicU64,
@@ -121,23 +89,15 @@ pub(crate) struct ReadPath {
 }
 
 impl ReadPath {
-    /// Builds a read path with a total budget of `cache_chunks` validated
-    /// bodies.
-    pub(crate) fn new(
-        store: SharedUntrusted,
-        system: Arc<PartitionCrypto>,
-        cache_chunks: usize,
-    ) -> ReadPath {
-        let bodies_per_shard = (cache_chunks / SHARDS).max(4);
+    /// Builds an empty read path over `store`.
+    pub(crate) fn new(store: SharedUntrusted, system: Arc<PartitionCrypto>) -> ReadPath {
         ReadPath {
             shards: std::array::from_fn(|_| RwLock::new(ReadShard::default())),
             cryptos: RwLock::new(HashMap::new()),
             store,
             system,
             health: AtomicU8::new(HEALTH_LIVE),
-            tick: AtomicU64::new(0),
-            bodies_per_shard,
-            descs_per_shard: bodies_per_shard.saturating_mul(16).max(64),
+            descs_per_shard: DESCS_PER_SHARD,
             fast_hits: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
             contention: AtomicU64::new(0),
@@ -150,10 +110,6 @@ impl ReadPath {
         id.hash(&mut h);
         let i = (h.finish() as usize) & (SHARDS - 1);
         &self.shards[i]
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Mirrors the engine's health so fast reads can fail closed without
@@ -183,137 +139,60 @@ impl ReadPath {
         )
     }
 
-    /// The fast read: serve `id` from shard state without the engine lock.
-    /// Returns `None` for *any* miss or anomaly — the caller must fall
-    /// back to the locked path, which alone may judge integrity.
+    /// The fast read: the published descriptor, a device read and
+    /// [`validate_version`], without the engine lock. Returns `None` for
+    /// *any* miss or anomaly — the caller must fall back to the locked
+    /// path, which alone may judge integrity: concurrent cleaning or
+    /// committing can invalidate a published descriptor benignly.
     pub(crate) fn try_fast(&self, id: ChunkId) -> Option<Vec<u8>> {
         if self.health.load(Ordering::SeqCst) == HEALTH_POISONED {
             return None;
         }
         let shard = self.shard(id);
-        let guard = match shard.try_read() {
-            Some(g) => g,
+        let desc = match shard.try_read() {
+            Some(g) => *g.get(&id)?,
             None => {
                 // A writer holds this shard: count the contention, then
                 // block (shard writes are brief).
                 self.contention.fetch_add(1, Ordering::Relaxed);
-                shard.read()
+                *shard.read().get(&id)?
             }
         };
-        let desc = *guard.descs.get(&id)?;
         debug_assert!(desc.is_written());
-        if let Some(cb) = guard.bodies.get(&id) {
-            if cb.hash == desc.hash && cb.body.len() == desc.size as usize {
-                cb.last_used.store(self.next_tick(), Ordering::Relaxed);
-                self.fast_hits.fetch_add(1, Ordering::Relaxed);
-                return Some((*cb.body).clone());
-            }
-        }
-        drop(guard);
         let crypto = self.crypto(id.partition)?;
-        let body = self.validate(id, &desc, &crypto)?;
-        self.install_body(id, &desc, Arc::new(body.clone()));
-        self.fast_hits.fetch_add(1, Ordering::Relaxed);
-        Some(body)
-    }
-
-    /// Reads and validates `desc`'s version directly from the untrusted
-    /// store (§4.5, off-lock). Every failure returns `None`: concurrent
-    /// cleaning or committing can invalidate a published descriptor
-    /// benignly, so no anomaly here is evidence of tampering.
-    fn validate(
-        &self,
-        id: ChunkId,
-        desc: &Descriptor,
-        crypto: &PartitionCrypto,
-    ) -> Option<Vec<u8>> {
         let mut buf = vec![0u8; desc.vlen as usize];
         {
             let _t = metrics::span(modules::UNTRUSTED_READ);
             self.store.read_at(desc.location, &mut buf).ok()?;
         }
-        let raw = {
-            let _t = metrics::span(modules::ENCRYPTION);
-            parse_version(&self.system, &buf, desc.location).ok()??
-        };
-        if !matches!(raw.header.kind, VersionKind::Named | VersionKind::Relocated)
-            || raw.header.id.pos != id.pos
-        {
-            return None;
-        }
-        let body = {
-            let _t = metrics::span(modules::ENCRYPTION);
-            raw.open_body(crypto, desc.location).ok()?
-        };
-        let hash = {
-            let _t = metrics::span(modules::HASHING);
-            crypto.hash(&body)
-        };
-        if hash != desc.hash {
-            return None;
-        }
-        if raw.header.compressed {
-            // Verify-then-decompress: the hash above covered the stored
-            // envelope, so the decompressor only ever sees verified bytes.
-            // `desc.size` is the logical length, which both caps the
-            // allocation and pins the exact expected output.
-            match crate::compress::decompress_body(&body, desc.size as usize) {
-                Ok(plain) => return Some(plain),
-                Err(_) => {
-                    self.decompress_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
+        match validate_version(&self.system, &crypto, id, &desc, &buf) {
+            Ok((body, _)) => {
+                self.fast_hits.fetch_add(1, Ordering::Relaxed);
+                Some(body)
             }
+            Err(Rejected::Undecompressible(_)) => {
+                self.decompress_fallbacks.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            Err(Rejected::Invalid(_)) => None,
         }
-        Some(body)
     }
 
-    /// Caches a freshly validated body, bounded per shard by LRU on clean
-    /// entries. Re-checks the descriptor under the write lock so a body
-    /// is never installed for an entry invalidated meanwhile.
-    fn install_body(&self, id: ChunkId, desc: &Descriptor, body: Arc<Vec<u8>>) {
-        let mut shard = self.shard(id).write();
-        match shard.descs.get(&id) {
-            Some(current) if current.hash == desc.hash => {}
-            _ => return,
-        }
-        let body = CachedBody {
-            hash: desc.hash,
-            body,
-            last_used: AtomicU64::new(self.next_tick()),
-        };
-        shard.insert_body(id, body, self.bodies_per_shard);
-    }
-
-    /// Publishes a committed descriptor (and optionally its validated
-    /// body) for fast reads. Must be called while the engine mutex is
-    /// held, so the descriptor is current at publication time.
-    pub(crate) fn publish(
-        &self,
-        id: ChunkId,
-        desc: Descriptor,
-        crypto: &Arc<PartitionCrypto>,
-        body: Option<&[u8]>,
-    ) {
+    /// Publishes a committed descriptor for fast reads. Must be called
+    /// while the engine mutex is held, so the descriptor is current at
+    /// publication time.
+    pub(crate) fn publish(&self, id: ChunkId, desc: Descriptor, crypto: &Arc<PartitionCrypto>) {
         if !desc.is_written() {
             return;
         }
         self.publish_crypto(id.partition, crypto);
         let mut shard = self.shard(id).write();
-        if shard.descs.len() >= self.descs_per_shard && !shard.descs.contains_key(&id) {
+        if shard.len() >= self.descs_per_shard && !shard.contains_key(&id) {
             // Descriptor cache over budget: drop it wholesale (cheap to
             // repopulate from locked reads).
-            shard.descs.clear();
+            shard.clear();
         }
-        shard.descs.insert(id, desc);
-        if let Some(body) = body {
-            let body = CachedBody {
-                hash: desc.hash,
-                body: Arc::new(body.to_vec()),
-                last_used: AtomicU64::new(self.next_tick()),
-            };
-            shard.insert_body(id, body, self.bodies_per_shard);
-        }
+        shard.insert(id, desc);
     }
 
     /// Publishes `p`'s current crypto, replacing any other. Must be called
@@ -335,22 +214,18 @@ impl ReadPath {
         self.cryptos.read().get(&p).map(Arc::clone)
     }
 
-    /// Removes one chunk's shard state (its descriptor changed or it was
+    /// Removes one chunk's descriptor (it changed or the chunk was
     /// deallocated). Called under the engine mutex by the writer path.
     pub(crate) fn invalidate(&self, id: ChunkId) {
-        let mut shard = self.shard(id).write();
-        shard.descs.remove(&id);
-        shard.bodies.remove(&id);
+        self.shard(id).write().remove(&id);
     }
 
-    /// Drops all cached descriptors and bodies but keeps the crypto table
-    /// (partition set unchanged). Used after cleaning, which may relocate
-    /// or reclaim any version.
+    /// Drops all cached descriptors but keeps the crypto table (partition
+    /// set unchanged). Used after cleaning, which may relocate or reclaim
+    /// any version.
     pub(crate) fn clear_shards(&self) {
         for shard in &self.shards {
-            let mut g = shard.write();
-            g.descs.clear();
-            g.bodies.clear();
+            shard.write().clear();
         }
     }
 
@@ -359,5 +234,112 @@ impl ReadPath {
     pub(crate) fn clear_all(&self) {
         self.clear_shards();
         self.cryptos.write().clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::params::CryptoParams;
+    use crate::version::{seal_version, seal_version_flagged, VersionKind};
+    use tdb_crypto::SecretKey;
+    use tdb_storage::{MemStore, UntrustedStore};
+
+    struct Fixture {
+        reads: ReadPath,
+        store: Arc<MemStore>,
+        crypto: Arc<PartitionCrypto>,
+        end: u64,
+    }
+
+    impl Fixture {
+        fn new(descs_per_shard: usize) -> Fixture {
+            let system = CryptoParams::paper_system(SecretKey::random(24));
+            let store = Arc::new(MemStore::new());
+            let mut reads = ReadPath::new(
+                Arc::clone(&store) as SharedUntrusted,
+                Arc::new(system.runtime().unwrap()),
+            );
+            reads.descs_per_shard = descs_per_shard;
+            let crypto = Arc::new(CryptoParams::paper_default().runtime().unwrap());
+            Fixture {
+                reads,
+                store,
+                crypto,
+                end: 0,
+            }
+        }
+
+        /// Appends `sealed`, `stored`'s version holding `size` logical
+        /// bytes, and publishes its descriptor.
+        fn commit(&mut self, id: ChunkId, sealed: &[u8], stored: &[u8], size: usize) {
+            self.store.write_at(self.end, sealed).unwrap();
+            let hash = self.crypto.hash(stored);
+            let desc = Descriptor::written(self.end, sealed.len() as u32, size as u32, hash);
+            self.reads.publish(id, desc, &self.crypto);
+            self.end += sealed.len() as u64;
+        }
+
+        fn write(&mut self, id: ChunkId, body: &[u8]) {
+            let sealed = seal_version(
+                &self.reads.system,
+                &self.crypto,
+                VersionKind::Named,
+                id,
+                body,
+            );
+            self.commit(id, &sealed, body, body.len());
+        }
+    }
+
+    /// Publishing past a shard's budget empties that shard: afterwards
+    /// every read returns its chunk's committed body or counts a
+    /// fallback, never another chunk's or an older version's body.
+    #[test]
+    fn over_budget_shards_empty_and_never_serve_a_wrong_body() {
+        const BUDGET: usize = 4;
+        let mut fx = Fixture::new(BUDGET);
+        let ids: Vec<ChunkId> = (0..(SHARDS * BUDGET * 3) as u64)
+            .map(|rank| ChunkId::data(PartitionId(1), rank))
+            .collect();
+        let body = |id: ChunkId, version: u8| format!("{id} version {version}").into_bytes();
+        for version in 0..2 {
+            for &id in &ids {
+                fx.write(id, &body(id, version));
+            }
+            assert!(fx.reads.shards.iter().all(|s| s.read().len() <= BUDGET));
+        }
+        for &id in &ids {
+            match fx.reads.try_fast(id) {
+                Some(got) => assert_eq!(got, body(id, 1), "{id}"),
+                None => fx.reads.note_fallback(),
+            }
+        }
+        let (hits, fallbacks, _, _) = fx.reads.counters();
+        assert_eq!(hits + fallbacks, ids.len() as u64);
+        assert!(
+            hits > 0 && fallbacks > 0,
+            "{hits} hits, {fallbacks} fallbacks"
+        );
+    }
+
+    /// A version whose body matches its hash but does not decompress is a
+    /// fallback, counted as one; the fast path gives no verdict.
+    #[test]
+    fn undecompressible_verified_body_counts_a_decompress_fallback() {
+        let mut fx = Fixture::new(DESCS_PER_SHARD);
+        let id = ChunkId::data(PartitionId(1), 0);
+        let envelope = [9, 0, 0, 0, 0xFF];
+        let sealed = seal_version_flagged(
+            &fx.reads.system,
+            &fx.crypto,
+            VersionKind::Named,
+            id,
+            &envelope,
+            true,
+        );
+        fx.commit(id, &sealed, &envelope, 9);
+        assert_eq!(fx.reads.try_fast(id), None);
+        assert_eq!(fx.reads.counters(), (0, 0, 0, 1));
     }
 }

@@ -107,8 +107,6 @@ pub struct ChunkStoreConfig {
     pub system_cipher: tdb_crypto::CipherKind,
     /// System-partition hash.
     pub system_hash: tdb_crypto::HashKind,
-    /// Total validated plaintext bodies cached across all read shards.
-    pub read_cache_chunks: usize,
     /// Threads that share the hash+seal work of one large batch — a bulk
     /// commit, a server connection's burst, a full checkpoint level — the
     /// committing thread included. `0` means auto (available parallelism,
@@ -158,7 +156,6 @@ impl Default for ChunkStoreConfig {
             max_segments: 0,
             system_cipher: tdb_crypto::CipherKind::TripleDes,
             system_hash: tdb_crypto::HashKind::Sha1,
-            read_cache_chunks: 1024,
             crypto_workers: 0,
             background_maintenance: false,
             clean_slice_segments: 2,
@@ -497,11 +494,7 @@ impl ChunkStore {
     /// Wraps a fully built engine with its concurrent read path and (when
     /// configured) the background maintenance thread.
     fn assemble(inner: Inner) -> ChunkStore {
-        let reads = ReadPath::new(
-            Arc::clone(inner.log.store()),
-            Arc::clone(&inner.system),
-            inner.config.read_cache_chunks,
-        );
+        let reads = ReadPath::new(Arc::clone(inner.log.store()), Arc::clone(&inner.system));
         reads.set_health(&inner.health);
         let maint = MaintenanceShared::new(&inner.config);
         let seal_config = (inner.config.crypto_workers, inner.config.compression);
@@ -578,9 +571,9 @@ impl ChunkStore {
     /// validation fails.
     pub fn read(&self, id: ChunkId) -> Result<Vec<u8>> {
         let _t = metrics::span(modules::CHUNK_STORE);
-        // Fast path: shard caches only, no engine lock. Any miss or
-        // anomaly (including benign races with the cleaner) falls through
-        // to the authoritative locked path below.
+        // Fast path: a published descriptor and a device read, no engine
+        // lock. Any miss or anomaly (including benign races with the
+        // cleaner) falls through to the authoritative locked path below.
         if let Some(body) = self.reads.try_fast(id) {
             return Ok(body);
         }
@@ -591,7 +584,7 @@ impl ChunkStore {
         // Publish for future fast reads while the engine lock is still
         // held, so the published descriptor is current at this instant.
         if let (Ok(desc), Ok(crypto)) = (inner.get_descriptor(id), inner.crypto_for(id.partition)) {
-            self.reads.publish(id, desc, &crypto, Some(&body));
+            self.reads.publish(id, desc, &crypto);
         }
         Ok(body)
     }
@@ -705,7 +698,7 @@ impl ChunkStore {
                 if let (Ok(desc), Ok(crypto)) =
                     (inner.get_descriptor(*id), inner.crypto_for(id.partition))
                 {
-                    self.reads.publish(*id, desc, &crypto, None);
+                    self.reads.publish(*id, desc, &crypto);
                 }
             }
         }
@@ -839,11 +832,11 @@ impl ChunkStore {
         self.maint.free_segments_if_bounded()
     }
 
-    /// Drops every cached descriptor and validated body from the read
-    /// shards (partition crypto handles are kept). Until the shards
-    /// re-warm, reads fall back to the locked, storage-backed path. For
-    /// tests and benchmarks that need every read to touch untrusted
-    /// storage, and for callers shedding memory.
+    /// Drops every cached descriptor from the read shards (partition
+    /// crypto handles are kept). Until the shards re-warm, reads fall back
+    /// to the locked path, which walks the chunk map. For tests and
+    /// benchmarks that need every read to resolve its descriptor afresh,
+    /// and for callers shedding memory.
     pub fn drop_read_cache(&self) {
         self.reads.clear_shards();
     }

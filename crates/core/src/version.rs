@@ -18,8 +18,10 @@
 //! (fresh segments are zero-filled).
 
 use crate::codec::{Dec, Enc};
+use crate::descriptor::Descriptor;
 use crate::errors::{CoreError, Result, TamperKind};
 use crate::ids::{ChunkId, PartitionId, Position};
+use crate::metrics::{self, modules};
 use crate::params::PartitionCrypto;
 
 /// Reserved height stored in headers of unnamed chunks (§4.8.1: "they do
@@ -271,6 +273,92 @@ pub fn parse_version(
         sealed_body: buf[body_start..body_end].to_vec(),
         total_len: body_end,
     }))
+}
+
+/// Why [`validate_version`] rejected a version.
+#[derive(Debug)]
+pub enum Rejected {
+    /// It did not parse, named another chunk, did not decrypt, or did not
+    /// match the descriptor's hash.
+    Invalid(CoreError),
+    /// Its body matched the descriptor's hash but did not decompress.
+    Undecompressible(ChunkId),
+}
+
+impl From<CoreError> for Rejected {
+    fn from(e: CoreError) -> Rejected {
+        Rejected::Invalid(e)
+    }
+}
+
+impl From<Rejected> for CoreError {
+    /// The engine-locked read's verdict on a rejected version.
+    fn from(r: Rejected) -> CoreError {
+        match r {
+            Rejected::Invalid(e) => e,
+            // The hash covered the envelope, so the version was sealed by
+            // a corrupted writer, which cannot be told from tampering.
+            Rejected::Undecompressible(id) => {
+                CoreError::TamperDetected(TamperKind::ChunkHashMismatch(id))
+            }
+        }
+    }
+}
+
+/// Validates `buf`, the bytes `desc` locates, as the current version of
+/// `id` (§4.5): parses the header, checks that it names `id`'s position,
+/// opens the body under `crypto`, compares its hash with `desc.hash` and
+/// only then decompresses it. Returns the logical body and, for a
+/// compressed version, the stored envelope, which proofs ship.
+///
+/// The engine-locked read turns a rejection into its verdict
+/// (`CoreError::from`); the lock-free read falls back on any rejection,
+/// since a benign race with the cleaner or a commit can cause one.
+pub fn validate_version(
+    system: &PartitionCrypto,
+    crypto: &PartitionCrypto,
+    id: ChunkId,
+    desc: &Descriptor,
+    buf: &[u8],
+) -> std::result::Result<(Vec<u8>, Option<Vec<u8>>), Rejected> {
+    let location = desc.location;
+    let raw = {
+        let _t = metrics::span(modules::ENCRYPTION);
+        parse_version(system, buf, location)?
+    }
+    .ok_or(CoreError::TamperDetected(TamperKind::UndecryptableChunk {
+        location,
+    }))?;
+    if raw.header.kind.is_unnamed() || raw.header.id.pos != id.pos {
+        return Err(Rejected::Invalid(CoreError::TamperDetected(
+            TamperKind::MisdirectedChunk {
+                expected: id,
+                location,
+            },
+        )));
+    }
+    let body = {
+        let _t = metrics::span(modules::ENCRYPTION);
+        raw.open_body(crypto, location)?
+    };
+    let hash = {
+        let _t = metrics::span(modules::HASHING);
+        crypto.hash(&body)
+    };
+    if hash != desc.hash {
+        return Err(Rejected::Invalid(CoreError::TamperDetected(
+            TamperKind::ChunkHashMismatch(id),
+        )));
+    }
+    if !raw.header.compressed {
+        return Ok((body, None));
+    }
+    // Verify-then-decompress: the hash covered the stored envelope, so the
+    // decompressor only ever sees verified bytes. `desc.size`, the logical
+    // length, caps the allocation and pins the exact expected output.
+    let plain = crate::compress::decompress_body(&body, desc.size as usize)
+        .map_err(|_| Rejected::Undecompressible(id))?;
+    Ok((plain, Some(body)))
 }
 
 // ---------------------------------------------------------------------------

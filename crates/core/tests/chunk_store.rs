@@ -568,8 +568,8 @@ fn flipped_chunk_byte_detected_on_read() {
     // Segments start right after the 512-byte superblock.
     for offset in (512..len).step_by(37) {
         fx.untrusted.tamper(offset, 0x40);
-        // Flush the validated-read cache so this read really hits the
-        // tampered storage rather than a previously validated body.
+        // Drop the published descriptors so this read resolves its
+        // descriptor on the locked path, which alone gives the verdict.
         store.drop_read_cache();
         match store.read(c) {
             Err(e) if e.is_tamper() => detected = true,

@@ -56,7 +56,6 @@ fn config(crypto_workers: usize) -> ChunkStoreConfig {
             delta_ut: 5,
             delta_tu: 0,
         },
-        read_cache_chunks: 64,
         crypto_workers,
         ..ChunkStoreConfig::default()
     }

@@ -385,7 +385,6 @@ proptest! {
             backend,
             secret,
             ChunkStoreConfig {
-                read_cache_chunks: 32,
                 crypto_workers: 2,
                 ..config()
             },
