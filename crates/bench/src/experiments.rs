@@ -691,8 +691,8 @@ fn time_commits(
 ///    a checkpoint after every commit, 50 commits;
 /// 2. the counter lag Δut (§4.8.2.2), 50 commits;
 /// 3. the validation protocol (§4.8.2): counter vs direct hash, 50 commits;
-/// 4. the cleaner (§4.9.5): revalidating vs byte-preserving, one pass over
-///    eight 16 KiB segments of churned versions;
+/// 4. the revalidating cleaner (§4.9.5), one pass over eight 16 KiB
+///    segments of churned versions;
 /// 5. §10's remote untrusted store: one round trip per store operation vs
 ///    `BatchingStore`, over a 50 µs `RemoteStore` whose round trips are
 ///    accounted, not slept, 30 commits.
@@ -722,31 +722,28 @@ fn ablations(_run: usize) -> Vec<Row> {
     let direct = with(ValidationMode::DirectHash);
     timings.push(("validation.counter".into(), commits(paper_config(), false)));
     timings.push(("validation.direct_hash".into(), commits(direct, false)));
-    for (label, revalidates) in [("revalidating", true), ("byte_preserving", false)] {
-        let config = ChunkStoreConfig {
-            cleaner_revalidates: revalidates,
-            segment_size: 16 * 1024,
-            ..paper_config()
-        };
-        let (store, p) = ablation_store(config, None);
-        // Churn to create obsolete versions across segments.
-        let first = |_| write_new(&store, p, bytes(0, 512));
-        let ids: Vec<ChunkId> = (0..50).map(first).collect();
-        for round in 1..4u64 {
-            for &id in &ids {
-                commit(
-                    &store,
-                    CommitOp::WriteChunk {
-                        id,
-                        bytes: bytes(round, 512),
-                    },
-                );
-            }
+    let config = ChunkStoreConfig {
+        segment_size: 16 * 1024,
+        ..paper_config()
+    };
+    let (store, p) = ablation_store(config, None);
+    // Churn to create obsolete versions across segments.
+    let first = |_| write_new(&store, p, bytes(0, 512));
+    let ids: Vec<ChunkId> = (0..50).map(first).collect();
+    for round in 1..4u64 {
+        for &id in &ids {
+            commit(
+                &store,
+                CommitOp::WriteChunk {
+                    id,
+                    bytes: bytes(round, 512),
+                },
+            );
         }
-        store.checkpoint().expect("checkpoint");
-        let (d, _) = time(|| store.clean(8).expect("clean"));
-        timings.push((format!("cleaner.{label}"), us(d)));
     }
+    store.checkpoint().expect("checkpoint");
+    let (d, _) = time(|| store.clean(8).expect("clean"));
+    timings.push(("cleaner.revalidating".into(), us(d)));
     for (label, batched) in [("unbatched", false), ("batched", true)] {
         let (mem, clock) = (Arc::new(MemStore::new()), Arc::new(SimClock::new(false)));
         let remote: SharedUntrusted =
@@ -805,7 +802,7 @@ mod tests {
         let metrics: Vec<&str> = rows.iter().map(|r| r.metric.as_str()).collect();
         let expected = "checkpoint.deferred checkpoint.eager counter_lag.dut0 counter_lag.dut1 \
                         counter_lag.dut5 counter_lag.dut20 validation.counter \
-                        validation.direct_hash cleaner.revalidating cleaner.byte_preserving \
+                        validation.direct_hash cleaner.revalidating \
                         remote.unbatched remote.batched";
         let expected: Vec<String> = expected
             .split_whitespace()

@@ -13,10 +13,13 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use tdb_core::PartitionId;
-use tdb_object::errors::{ObjectError, Result};
+use tdb_core::codec::{Dec, Enc};
+use tdb_core::{PartitionId, Result as CoreResult};
+use tdb_object::errors::Result;
 use tdb_object::pickle::{StoredObject, TypeRegistry};
 use tdb_object::{ObjectId, Transactional};
+
+use crate::unpickle_with;
 
 /// Reserved type tag for B-tree nodes.
 pub(crate) const BTREE_NODE_TAG: u32 = 0xF000_0002;
@@ -56,19 +59,12 @@ impl StoredObject for BTreeNode {
     }
 
     fn pickle(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.push(u8::from(self.leaf));
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for (k, v) in &self.entries {
-            out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-            out.extend_from_slice(k);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.children.len() as u32).to_le_bytes());
-        for c in &self.children {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        out
+        let mut e = Enc::new();
+        e.u8(u8::from(self.leaf)).list(&self.entries, put_entry);
+        e.list(&self.children, |e, c| {
+            e.u64(*c);
+        });
+        e.finish()
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -76,40 +72,29 @@ impl StoredObject for BTreeNode {
     }
 }
 
+/// Writes one `(key, rank)` entry: the key length-prefixed, then the rank.
+pub(crate) fn put_entry(e: &mut Enc, (key, rank): &Entry) {
+    e.bytes(key).u64(*rank);
+}
+
+/// Reads one entry written by [`put_entry`], which is at least
+/// [`ENTRY_MIN_LEN`] bytes.
+pub(crate) fn get_entry(d: &mut Dec) -> CoreResult<Entry> {
+    Ok((d.bytes()?.to_vec(), d.u64()?))
+}
+
+/// The smallest encoded entry: an empty key's length and the rank.
+pub(crate) const ENTRY_MIN_LEN: usize = 12;
+
 /// Unpickler registered for [`BTREE_NODE_TAG`].
 pub(crate) fn unpickle_node(body: &[u8]) -> Result<Arc<dyn StoredObject>> {
-    let bad = || ObjectError::BadPickle("btree node".into());
-    let mut off = 0usize;
-    let take = |off: &mut usize, n: usize| -> Result<&[u8]> {
-        if *off + n > body.len() {
-            return Err(bad());
-        }
-        let out = &body[*off..*off + n];
-        *off += n;
-        Ok(out)
-    };
-    let leaf = take(&mut off, 1)?[0] != 0;
-    let n_entries = u32::from_le_bytes(take(&mut off, 4)?.try_into().unwrap()) as usize;
-    let mut entries = Vec::with_capacity(n_entries.min(1024));
-    for _ in 0..n_entries {
-        let klen = u32::from_le_bytes(take(&mut off, 4)?.try_into().unwrap()) as usize;
-        let k = take(&mut off, klen)?.to_vec();
-        let v = u64::from_le_bytes(take(&mut off, 8)?.try_into().unwrap());
-        entries.push((k, v));
-    }
-    let n_children = u32::from_le_bytes(take(&mut off, 4)?.try_into().unwrap()) as usize;
-    let mut children = Vec::with_capacity(n_children.min(1024));
-    for _ in 0..n_children {
-        children.push(u64::from_le_bytes(take(&mut off, 8)?.try_into().unwrap()));
-    }
-    if off != body.len() {
-        return Err(bad());
-    }
-    Ok(Arc::new(BTreeNode {
-        leaf,
-        entries,
-        children,
-    }))
+    unpickle_with(body, "btree node", |d| {
+        Ok(BTreeNode {
+            leaf: d.u8()? != 0,
+            entries: d.list(ENTRY_MIN_LEN, get_entry)?,
+            children: d.list(8, Dec::u64)?,
+        })
+    })
 }
 
 /// Registers the node type; call once when building the type registry.
@@ -400,7 +385,23 @@ fn child_slot(node: &BTreeNode, key: &[u8], value: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::fixture;
+    use crate::test_util::{check_golden, fixture};
+
+    #[test]
+    fn node_pickle_is_golden() {
+        let node = BTreeNode {
+            leaf: false,
+            entries: vec![(b"ab".to_vec(), 7), (Vec::new(), 0x0102_0304_0506_0708)],
+            children: vec![3, 9, 11],
+        };
+        check_golden(
+            &node,
+            unpickle_node,
+            "000200000002000000616207000000000000000000000008070605040302010300000003\
+             0000000000000009000000000000000b00000000000000",
+            "btree node",
+        );
+    }
 
     #[test]
     fn insert_lookup_small() {

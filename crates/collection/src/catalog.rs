@@ -9,11 +9,12 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use tdb_object::errors::{ObjectError, Result};
+use tdb_core::codec::Enc;
+use tdb_object::errors::Result;
 use tdb_object::pickle::{StoredObject, TypeRegistry};
 use tdb_object::{ObjectId, Transactional};
 
-use crate::CollectionId;
+use crate::{unpickle_with, CollectionId};
 
 /// Reserved type tag for catalog objects.
 pub const CATALOG_TAG: u32 = 0xF000_0005;
@@ -30,14 +31,11 @@ impl StoredObject for CatalogObj {
     }
 
     fn pickle(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for (name, rank) in &self.entries {
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&rank.to_le_bytes());
-        }
-        out
+        let mut e = Enc::new();
+        e.list(&self.entries, |e, (name, rank)| {
+            e.str(name).u64(*rank);
+        });
+        e.finish()
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -46,28 +44,12 @@ impl StoredObject for CatalogObj {
 }
 
 fn unpickle_catalog(body: &[u8]) -> Result<Arc<dyn StoredObject>> {
-    let bad = || ObjectError::BadPickle("catalog".into());
-    let mut off = 0usize;
-    let take = |off: &mut usize, n: usize| -> Result<&[u8]> {
-        if *off + n > body.len() {
-            return Err(bad());
-        }
-        let out = &body[*off..*off + n];
-        *off += n;
-        Ok(out)
-    };
-    let n = u32::from_le_bytes(take(&mut off, 4)?.try_into().unwrap()) as usize;
-    let mut entries = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let len = u32::from_le_bytes(take(&mut off, 4)?.try_into().unwrap()) as usize;
-        let name = String::from_utf8(take(&mut off, len)?.to_vec()).map_err(|_| bad())?;
-        let rank = u64::from_le_bytes(take(&mut off, 8)?.try_into().unwrap());
-        entries.push((name, rank));
-    }
-    if off != body.len() {
-        return Err(bad());
-    }
-    Ok(Arc::new(CatalogObj { entries }))
+    unpickle_with(body, "catalog", |d| {
+        Ok(CatalogObj {
+            // A name's length prefix and the rank: 12 bytes at least.
+            entries: d.list(12, |d| Ok((d.str()?, d.u64()?)))?,
+        })
+    })
 }
 
 /// Registers the catalog type (called by
@@ -185,8 +167,24 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::fixture;
+    use crate::test_util::{check_golden, fixture};
     use crate::CollectionStore;
+
+    #[test]
+    fn catalog_pickle_is_golden() {
+        let obj = CatalogObj {
+            entries: vec![
+                ("accounts".into(), 4),
+                ("goods".into(), 0x0102_0304_0506_0708),
+            ],
+        };
+        check_golden(
+            &obj,
+            unpickle_catalog,
+            "02000000080000006163636f756e7473040000000000000005000000676f6f64730807060504030201",
+            "catalog",
+        );
+    }
 
     #[test]
     fn catalog_roundtrip_across_transactions() {

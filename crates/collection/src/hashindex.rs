@@ -8,10 +8,14 @@
 use std::any::Any;
 use std::sync::Arc;
 
+use tdb_core::codec::{Dec, Enc};
 use tdb_core::PartitionId;
-use tdb_object::errors::{ObjectError, Result};
+use tdb_object::errors::Result;
 use tdb_object::pickle::{StoredObject, TypeRegistry};
 use tdb_object::{ObjectId, Transactional};
+
+use crate::btree::{get_entry, put_entry, Entry, ENTRY_MIN_LEN};
+use crate::unpickle_with;
 
 /// Reserved type tag for hash-index directory objects.
 pub(crate) const HASH_DIR_TAG: u32 = 0xF000_0003;
@@ -33,12 +37,11 @@ impl StoredObject for HashDir {
         HASH_DIR_TAG
     }
     fn pickle(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + self.buckets.len() * 8);
-        out.extend_from_slice(&(self.buckets.len() as u32).to_le_bytes());
-        for b in &self.buckets {
-            out.extend_from_slice(&b.to_le_bytes());
-        }
-        out
+        let mut e = Enc::with_capacity(4 + self.buckets.len() * 8);
+        e.list(&self.buckets, |e, b| {
+            e.u64(*b);
+        });
+        e.finish()
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -46,25 +49,17 @@ impl StoredObject for HashDir {
 }
 
 fn unpickle_dir(body: &[u8]) -> Result<Arc<dyn StoredObject>> {
-    let bad = || ObjectError::BadPickle("hash dir".into());
-    if body.len() < 4 {
-        return Err(bad());
-    }
-    let n = u32::from_le_bytes(body[..4].try_into().unwrap()) as usize;
-    if body.len() != 4 + n * 8 {
-        return Err(bad());
-    }
-    let buckets = body[4..]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    Ok(Arc::new(HashDir { buckets }))
+    unpickle_with(body, "hash dir", |d| {
+        Ok(HashDir {
+            buckets: d.list(8, Dec::u64)?,
+        })
+    })
 }
 
 /// One bucket object.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct HashBucket {
-    pub entries: Vec<(Vec<u8>, u64)>,
+    pub entries: Vec<Entry>,
 }
 
 impl StoredObject for HashBucket {
@@ -72,14 +67,9 @@ impl StoredObject for HashBucket {
         HASH_BUCKET_TAG
     }
     fn pickle(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for (k, v) in &self.entries {
-            out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-            out.extend_from_slice(k);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
+        let mut e = Enc::new();
+        e.list(&self.entries, put_entry);
+        e.finish()
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -87,28 +77,11 @@ impl StoredObject for HashBucket {
 }
 
 fn unpickle_bucket(body: &[u8]) -> Result<Arc<dyn StoredObject>> {
-    let bad = || ObjectError::BadPickle("hash bucket".into());
-    let mut off = 0usize;
-    let take = |off: &mut usize, n: usize| -> Result<&[u8]> {
-        if *off + n > body.len() {
-            return Err(bad());
-        }
-        let out = &body[*off..*off + n];
-        *off += n;
-        Ok(out)
-    };
-    let n = u32::from_le_bytes(take(&mut off, 4)?.try_into().unwrap()) as usize;
-    let mut entries = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let klen = u32::from_le_bytes(take(&mut off, 4)?.try_into().unwrap()) as usize;
-        let k = take(&mut off, klen)?.to_vec();
-        let v = u64::from_le_bytes(take(&mut off, 8)?.try_into().unwrap());
-        entries.push((k, v));
-    }
-    if off != body.len() {
-        return Err(bad());
-    }
-    Ok(Arc::new(HashBucket { entries }))
+    unpickle_with(body, "hash bucket", |d| {
+        Ok(HashBucket {
+            entries: d.list(ENTRY_MIN_LEN, get_entry)?,
+        })
+    })
 }
 
 /// Registers hash-index object types.
@@ -243,7 +216,29 @@ impl HashIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::fixture;
+    use crate::test_util::{check_golden, fixture};
+
+    #[test]
+    fn dir_and_bucket_pickles_are_golden() {
+        let dir = HashDir {
+            buckets: vec![0, 5, 0x0102_0304_0506_0708],
+        };
+        check_golden(
+            &dir,
+            unpickle_dir,
+            "03000000000000000000000005000000000000000807060504030201",
+            "hash dir",
+        );
+        let bucket = HashBucket {
+            entries: vec![(b"k".to_vec(), 2), (Vec::new(), 3)],
+        };
+        check_golden(
+            &bucket,
+            unpickle_bucket,
+            "02000000010000006b0200000000000000000000000300000000000000",
+            "hash bucket",
+        );
+    }
 
     #[test]
     fn insert_lookup_remove() {

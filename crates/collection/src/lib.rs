@@ -28,8 +28,9 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use tdb_core::codec::{Dec, Enc};
 use tdb_core::metrics::{self, modules};
-use tdb_core::PartitionId;
+use tdb_core::{CoreError, PartitionId};
 use tdb_object::errors::{ObjectError, Result};
 use tdb_object::pickle::{StoredObject, TypeRegistry};
 use tdb_object::{ObjectId, Transactional};
@@ -118,25 +119,16 @@ impl StoredObject for CollectionObj {
     }
 
     fn pickle(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let put_str = |out: &mut Vec<u8>, s: &str| {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        };
-        put_str(&mut out, &self.name);
-        out.extend_from_slice(&self.members_root.to_le_bytes());
-        out.extend_from_slice(&self.count.to_le_bytes());
-        out.extend_from_slice(&(self.indexes.len() as u32).to_le_bytes());
-        for idx in &self.indexes {
-            put_str(&mut out, &idx.name);
-            put_str(&mut out, &idx.extractor);
-            out.push(match idx.kind {
+        let mut e = Enc::new();
+        e.str(&self.name).u64(self.members_root).u64(self.count);
+        e.list(&self.indexes, |e, idx| {
+            let kind = match idx.kind {
                 IndexKind::Sorted => 0,
                 IndexKind::Unsorted => 1,
-            });
-            out.extend_from_slice(&idx.root.to_le_bytes());
-        }
-        out
+            };
+            e.str(&idx.name).str(&idx.extractor).u8(kind).u64(idx.root);
+        });
+        e.finish()
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -145,50 +137,37 @@ impl StoredObject for CollectionObj {
 }
 
 fn unpickle_collection(body: &[u8]) -> Result<Arc<dyn StoredObject>> {
-    let bad = || ObjectError::BadPickle("collection".into());
-    let mut off = 0usize;
-    let take = |off: &mut usize, n: usize| -> Result<&[u8]> {
-        if *off + n > body.len() {
-            return Err(bad());
-        }
-        let out = &body[*off..*off + n];
-        *off += n;
-        Ok(out)
-    };
-    let get_str = |off: &mut usize| -> Result<String> {
-        let n = u32::from_le_bytes(take(off, 4)?.try_into().unwrap()) as usize;
-        String::from_utf8(take(off, n)?.to_vec()).map_err(|_| bad())
-    };
-    let name = get_str(&mut off)?;
-    let members_root = u64::from_le_bytes(take(&mut off, 8)?.try_into().unwrap());
-    let count = u64::from_le_bytes(take(&mut off, 8)?.try_into().unwrap());
-    let n_idx = u32::from_le_bytes(take(&mut off, 4)?.try_into().unwrap()) as usize;
-    let mut indexes = Vec::with_capacity(n_idx.min(64));
-    for _ in 0..n_idx {
-        let iname = get_str(&mut off)?;
-        let extractor = get_str(&mut off)?;
-        let kind = match take(&mut off, 1)?[0] {
-            0 => IndexKind::Sorted,
-            1 => IndexKind::Unsorted,
-            _ => return Err(bad()),
-        };
-        let root = u64::from_le_bytes(take(&mut off, 8)?.try_into().unwrap());
-        indexes.push(IndexMeta {
-            name: iname,
-            extractor,
-            kind,
-            root,
-        });
-    }
-    if off != body.len() {
-        return Err(bad());
-    }
-    Ok(Arc::new(CollectionObj {
-        name,
-        members_root,
-        count,
-        indexes,
-    }))
+    unpickle_with(body, "collection", |d| {
+        Ok(CollectionObj {
+            name: d.str()?,
+            members_root: d.u64()?,
+            count: d.u64()?,
+            // Two string length prefixes, the kind byte and the root.
+            indexes: d.list(17, |d| {
+                Ok(IndexMeta {
+                    name: d.str()?,
+                    extractor: d.str()?,
+                    kind: match d.u8()? {
+                        0 => IndexKind::Sorted,
+                        1 => IndexKind::Unsorted,
+                        k => return Err(CoreError::Corrupt(format!("index kind {k}"))),
+                    },
+                    root: d.u64()?,
+                })
+            })?,
+        })
+    })
+}
+
+/// Decodes a whole pickle with `f`. Any codec error (truncation, trailing
+/// bytes, bad UTF-8, a count the bytes cannot hold) is `BadPickle(what)`.
+pub(crate) fn unpickle_with<T: StoredObject>(
+    body: &[u8],
+    what: &str,
+    f: impl FnOnce(&mut Dec) -> tdb_core::Result<T>,
+) -> Result<Arc<dyn StoredObject>> {
+    let obj = Dec::decode_all(body, f).map_err(|_| ObjectError::BadPickle(what.into()))?;
+    Ok(Arc::new(obj))
 }
 
 /// Registers the collection store's internal object types (collection,
@@ -730,5 +709,65 @@ pub(crate) mod test_util {
         register_builtin_types(&mut registry);
         let store = ObjectStore::new(chunks, registry, ObjectStoreConfig::default());
         Fixture { store, partition }
+    }
+
+    /// Pins one object type's stored encoding: `obj` pickles to exactly
+    /// `golden_hex` and unpickles back to itself, and every proper prefix
+    /// of the pickle is rejected as `BadPickle(what)`.
+    pub(crate) fn check_golden<T: StoredObject + PartialEq + std::fmt::Debug>(
+        obj: &T,
+        unpickle: tdb_object::pickle::Unpickler,
+        golden_hex: &str,
+        what: &str,
+    ) {
+        let pickle = obj.pickle();
+        let hex: String = pickle.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, golden_hex, "{what}: stored encoding changed");
+        let back = tdb_object::pickle::downcast::<T>(unpickle(&pickle).unwrap()).unwrap();
+        assert_eq!(&*back, obj);
+        for cut in 0..pickle.len() {
+            match unpickle(&pickle[..cut]) {
+                Err(ObjectError::BadPickle(m)) => assert_eq!(m, what, "cut {cut}"),
+                Err(e) => panic!("{what}: prefix of {cut} bytes: {e:?}"),
+                Ok(_) => panic!("{what}: prefix of {cut} bytes unpickled"),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_util::check_golden;
+
+    #[test]
+    fn collection_pickle_is_golden() {
+        let obj = CollectionObj {
+            name: "goods".into(),
+            members_root: 2,
+            count: 3,
+            indexes: vec![
+                IndexMeta {
+                    name: "by_id".into(),
+                    extractor: "id".into(),
+                    kind: IndexKind::Sorted,
+                    root: 4,
+                },
+                IndexMeta {
+                    name: "by_tag".into(),
+                    extractor: "tag".into(),
+                    kind: IndexKind::Unsorted,
+                    root: 0x0102_0304_0506_0708,
+                },
+            ],
+        };
+        check_golden(
+            &obj,
+            unpickle_collection,
+            "05000000676f6f64730200000000000000030000000000000002000000050000006279\
+             5f69640200000069640004000000000000000600000062795f74616703000000746167\
+             010807060504030201",
+            "collection",
+        );
     }
 }

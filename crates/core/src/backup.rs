@@ -445,13 +445,11 @@ impl BackupStore {
         reader
             .read_to_end(&mut buf)
             .map_err(|e| CoreError::Store(tdb_storage::StoreError::Io(e)))?;
-        if buf.len() < 4 {
-            return Err(bad_backup(name, "truncated stream"));
-        }
         // CRC trailer first: it verifies the stream arrived complete.
-        let body = &buf[..buf.len() - 4];
-        let stored_crc = u32::from_le_bytes(buf[buf.len() - 4..].try_into().expect("4 bytes"));
-        if Crc32::checksum(body) != stored_crc {
+        let Some((body, stored_crc)) = buf.split_last_chunk::<4>() else {
+            return Err(bad_backup(name, "truncated stream"));
+        };
+        if Crc32::checksum(body) != u32::from_le_bytes(*stored_crc) {
             return Err(bad_backup(
                 name,
                 "checksum mismatch (incomplete or corrupt)",
@@ -460,20 +458,11 @@ impl BackupStore {
 
         self.chunks.with_inner(|inner| {
             let system = Arc::clone(&inner.system);
-            let mut off = 0usize;
-            let take = |off: &mut usize, n: usize| -> Result<&[u8]> {
-                if *off + n > body.len() {
-                    return Err(bad_backup(name, "truncated stream"));
-                }
-                let out = &body[*off..*off + n];
-                *off += n;
-                Ok(out)
-            };
+            let truncated = |_| bad_backup(name, "truncated stream");
+            let mut d = Dec::new(body);
 
             // E_s(BackupDescriptor).
-            let desc_len =
-                u32::from_le_bytes(take(&mut off, 4)?.try_into().expect("4 bytes")) as usize;
-            let desc_ct = take(&mut off, desc_len)?;
+            let desc_ct = d.bytes().map_err(truncated)?;
             let desc_plain = system
                 .decrypt(desc_ct, 0)
                 .map_err(|_| bad_backup(name, "descriptor does not decrypt"))?;
@@ -485,10 +474,10 @@ impl BackupStore {
             let mut deallocs = Vec::new();
             let mut content = descriptor.params.hash.hasher();
             loop {
-                let parsed = parse_version(&system, &body[off..], off as u64)
+                let parsed = parse_version(&system, d.rest(), d.position() as u64)
                     .map_err(|_| bad_backup(name, "chunk version does not parse"))?;
                 let Some(raw) = parsed else {
-                    off += 2; // The zero marker.
+                    d.raw(2).map_err(truncated)?; // The zero marker.
                     break;
                 };
                 match raw.header.kind {
@@ -518,14 +507,12 @@ impl BackupStore {
                         ))
                     }
                 }
-                off += raw.total_len;
+                d.raw(raw.total_len)?;
             }
 
             // BackupSignature.
-            let sig_len =
-                u32::from_le_bytes(take(&mut off, 4)?.try_into().expect("4 bytes")) as usize;
-            let sig_ct = take(&mut off, sig_len)?;
-            if off != body.len() {
+            let sig_ct = d.bytes().map_err(truncated)?;
+            if !d.is_done() {
                 return Err(bad_backup(name, "trailing bytes after signature"));
             }
             let sig_plain = system

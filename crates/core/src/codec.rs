@@ -1,10 +1,13 @@
 //! Little-endian wire-format helpers.
 //!
 //! All persistent metadata (chunk headers, descriptors, leaders, commit
-//! chunks, backup descriptors) is hand-pickled through these helpers so the
-//! stored representation is compact, portable, and independent of any
+//! chunks, backup streams, the collection store's objects) and every wire
+//! message is hand-pickled through these helpers so the stored
+//! representation is compact, portable, and independent of any
 //! serialization framework — matching the paper's insistence on compact
-//! pickled representations (§2.2).
+//! pickled representations (§2.2). [`Dec`] is the one bounds-checked
+//! decoder: a short, overlong or over-counted input is a `Corrupt` error,
+//! never a panic or an allocation the input cannot back.
 
 use crate::errors::{CoreError, Result};
 
@@ -89,6 +92,16 @@ impl Enc {
     pub fn str(&mut self, v: &str) -> &mut Self {
         self.bytes(v.as_bytes())
     }
+
+    /// Count-prefixed (u32) list, each item written by `item`; the
+    /// counterpart of [`Dec::list`].
+    pub fn list<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) -> &mut Self {
+        self.u32(items.len() as u32);
+        for v in items {
+            item(self, v);
+        }
+        self
+    }
 }
 
 /// A sequential byte decoder with bounds checking.
@@ -101,6 +114,24 @@ impl<'a> Dec<'a> {
     /// Starts decoding `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
         Dec { buf, pos: 0 }
+    }
+
+    /// Decodes all of `buf` with `f`, rejecting trailing bytes.
+    pub fn decode_all<T>(buf: &'a [u8], f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        let mut d = Dec::new(buf);
+        let v = f(&mut d)?;
+        d.expect_done("record")?;
+        Ok(v)
+    }
+
+    /// Bytes consumed so far.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// The bytes not yet consumed, left in place.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
     }
 
     /// Bytes remaining.
@@ -187,6 +218,29 @@ impl<'a> Dec<'a> {
         String::from_utf8(raw.to_vec())
             .map_err(|_| CoreError::Corrupt("invalid UTF-8 in record".into()))
     }
+
+    /// Count-prefixed (u32) list of items read by `item`, each at least
+    /// `min_len` bytes (taken as 1 when 0). A count the remaining bytes
+    /// cannot hold is refused before anything is reserved, so a forged
+    /// count allocates nothing.
+    pub fn list<T>(
+        &mut self,
+        min_len: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let n = self.u32()? as usize;
+        if n > self.remaining() / min_len.max(1) {
+            return Err(CoreError::Corrupt(format!(
+                "list of {n} items of at least {min_len} bytes overruns the {} remaining",
+                self.remaining()
+            )));
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
@@ -253,6 +307,45 @@ mod tests {
         let buf = e.finish();
         let mut d = Dec::new(&buf);
         assert!(matches!(d.bytes(), Err(CoreError::Corrupt(_))));
+    }
+
+    #[test]
+    fn list_roundtrip_and_whole_buffer() {
+        let mut e = Enc::new();
+        e.list(&[3u64, 5], |e, v| {
+            e.u64(*v);
+        });
+        let buf = e.finish();
+        let list = |d: &mut Dec| d.list(8, Dec::u64);
+        assert_eq!(Dec::decode_all(&buf, list).unwrap(), [3, 5]);
+        let mut longer = buf.clone();
+        longer.push(0);
+        assert!(matches!(
+            Dec::decode_all(&longer, list),
+            Err(CoreError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn list_count_beyond_the_input_is_refused_unreserved() {
+        // Claims u32::MAX eight-byte items but carries one; the item reader
+        // must never run, and nothing is reserved for the claimed count.
+        let mut e = Enc::new();
+        e.u32(u32::MAX).u64(7);
+        let buf = e.finish();
+        let mut d = Dec::new(&buf);
+        let r = d.list(8, |_| -> Result<u64> {
+            panic!("item read past a refused count")
+        });
+        assert!(matches!(r, Err(CoreError::Corrupt(_))));
+        // Two items of eight bytes do not fit in eight remaining bytes
+        // either, while one does.
+        let mut two = Enc::new();
+        two.u32(2).u64(7);
+        assert!(Dec::new(&two.finish()).list(8, Dec::u64).is_err());
+        let mut one = Enc::new();
+        one.u32(1).u64(7);
+        assert_eq!(Dec::new(&one.finish()).list(8, Dec::u64).unwrap(), [7]);
     }
 
     #[test]

@@ -12,26 +12,27 @@
 //! cleaner checks the copy closure and appends a *cleaner chunk* naming the
 //! partitions where the relocated version is current, for recovery.
 //!
-//! Two variants are implemented (§4.9.5): the paper's simple one, where the
-//! rewrite is a regular commit that decrypts, *revalidates*, and re-hashes
-//! each chunk (so the cleaner cannot launder an attacker's modifications),
-//! and the faster variant that moves sealed bytes verbatim without updating
-//! stored hashes.
+//! The rewrite is the paper's implemented variant (§4.9.5): a regular
+//! commit that decrypts, *revalidates*, and re-hashes each chunk, so the
+//! cleaner cannot launder an attacker's modifications. The faster variant
+//! the paper sketches, moving sealed bytes verbatim, is not built: recovery
+//! pairs each cleaner record with a `Relocated` version.
 //!
 //! Each [`Inner::clean`] call is one bounded *slice*: the background
 //! maintenance runtime ([`crate::maintenance`]) invokes it repeatedly with
-//! `clean_slice_segments` per engine-lock hold, so committers interleave
-//! between slices instead of stalling behind one long cleaning pass.
+//! a few segments per engine-lock hold, so committers interleave between
+//! slices instead of stalling behind one long cleaning pass.
 
 use std::collections::HashSet;
 
-use crate::descriptor::Descriptor;
 use crate::engine::rollback::Undo;
 use crate::errors::{CoreError, Result, TamperKind};
 use crate::ids::{ChunkId, PartitionId, LEADER_HEIGHT};
 use crate::metrics::{self, modules};
 use crate::store::{Inner, ValidationMode};
-use crate::version::{parse_version, seal_version, CleanerRecord, VersionHeader, VersionKind};
+use crate::version::{
+    parse_version, seal_version, validate_version, CleanerRecord, VersionHeader, VersionKind,
+};
 
 /// What one cleaning pass did, reported to the store facade so the read
 /// path can invalidate exactly the published descriptors that went stale.
@@ -231,21 +232,19 @@ impl Inner {
         let pos = original_id.pos;
         let owner = current_in[0];
         let old_desc = self.get_descriptor(ChunkId::new(owner, pos))?;
-        let new_desc = if self.config.cleaner_revalidates {
-            // The paper's implemented variant: decrypt, validate against
-            // the map, and run the regular (re-hashing, re-encrypting)
-            // write path — "otherwise, the cleaner might launder chunks
-            // modified by an attack".
-            let body = self.read_validated(ChunkId::new(owner, pos), &old_desc)?;
-            self.write_named(VersionKind::Relocated, original_id, &body)?
-        } else {
-            // Fast variant: move the sealed bytes verbatim; the stored hash
-            // (which covers the stored body — the compressed envelope when
-            // the version was sealed compressed) remains valid, and the
-            // header's compressed flag rides along inside the sealed bytes.
-            let new_location = self.append(sealed_old)?;
-            Descriptor::written(new_location, old_desc.vlen, old_desc.size, old_desc.hash)
-        };
+        // The paper's cleaner (§4.9.5): validate the bytes the segment read
+        // already holds against the map, then run the regular (re-hashing,
+        // re-encrypting) write path — "otherwise, the cleaner might launder
+        // chunks modified by an attack".
+        let crypto = self.crypto_for(owner)?;
+        let (body, _) = validate_version(
+            &self.system,
+            &crypto,
+            ChunkId::new(owner, pos),
+            &old_desc,
+            sealed_old,
+        )?;
+        let new_desc = self.write_named(VersionKind::Relocated, original_id, &body)?;
         let record = CleanerRecord {
             pos,
             new_location: new_desc.location,

@@ -7,10 +7,10 @@
 //! by the store takes that work off the foreground path:
 //!
 //! - **Sliced cleaning.** The cleaner runs in bounded slices of at most
-//!   `clean_slice_segments` segments per engine-lock hold
+//!   `SLICE_SEGMENTS` segments per engine-lock hold
 //!   ([`crate::engine::maintenance`]), releasing the mutex and yielding to
 //!   queued group-commit members between slices. Cleaning starts when the
-//!   free-segment count of a bounded log falls below `clean_high_water`
+//!   free-segment count of a bounded log falls below `HIGH_WATER`
 //!   and stops once it is back at or above it. A slice that finds nothing
 //!   outside the residual log checkpoints first (`Inner::clean`).
 //! - **Automatic checkpoints.** When `Inner::checkpoint_due` holds, the
@@ -18,7 +18,7 @@
 //!   (`Inner::maybe_checkpoint` defers to it), so no commit pays a full
 //!   checkpoint inline.
 //! - **Admission control.** When free segments fall below
-//!   `clean_low_water`, committers wait (bounded) for the cleaner to make
+//!   `LOW_WATER`, committers wait (bounded) for the cleaner to make
 //!   room before proceeding; if the log is still full they surface the
 //!   existing [`crate::errors::CoreError::OutOfSpace`] from the append
 //!   path rather than failing abruptly under transient pressure.
@@ -47,6 +47,18 @@ use crate::store::{ChunkStoreConfig, Inner, StoreCore};
 /// kicks it awake earlier.
 const IDLE_TICK: Duration = Duration::from_millis(20);
 
+/// Segments the cleaner processes per engine-lock hold (one *slice*);
+/// between slices the lock is released so committers interleave.
+const SLICE_SEGMENTS: usize = 2;
+
+/// Free-segment low-water mark of a bounded log: below it, committers are
+/// throttled (bounded wait) until the cleaner frees space.
+const LOW_WATER: u64 = 2;
+
+/// Free-segment high-water mark of a bounded log: the cleaner runs while
+/// free segments are below it.
+const HIGH_WATER: u64 = 4;
+
 /// Longest a throttled committer waits for the cleaner to free space
 /// before proceeding to the log's natural out-of-space error.
 const THROTTLE_WAIT: Duration = Duration::from_millis(400);
@@ -58,12 +70,6 @@ const THROTTLE_WAIT: Duration = Duration::from_millis(400);
 pub(crate) struct MaintenanceShared {
     /// Background maintenance on/off (from the config).
     pub(crate) enabled: bool,
-    /// Segments per cleaning slice (engine-lock hold).
-    slice_segments: usize,
-    /// Free-segment low-water mark: below it committers throttle.
-    low_water: u32,
-    /// Free-segment high-water mark: background cleaning runs below it.
-    high_water: u32,
     /// True when the log is bounded (`max_segments != 0`); segment
     /// pressure is meaningless on an unbounded log.
     bounded: bool,
@@ -90,9 +96,6 @@ impl MaintenanceShared {
     pub(crate) fn new(config: &ChunkStoreConfig) -> MaintenanceShared {
         MaintenanceShared {
             enabled: config.background_maintenance,
-            slice_segments: config.clean_slice_segments.max(1),
-            low_water: config.clean_low_water,
-            high_water: config.clean_high_water.max(config.clean_low_water),
             bounded: config.max_segments != 0,
             wake: Mutex::new(false),
             wake_cv: Condvar::new(),
@@ -143,11 +146,11 @@ impl StoreCore {
             let headroom = u64::from(inner.config.max_segments.saturating_sub(log.num_segments));
             let free = headroom + log.free_segments.len() as u64;
             m.free_segments.store(free, Ordering::Relaxed);
-            if free >= u64::from(m.low_water) {
+            if free >= LOW_WATER {
                 let _guard = m.space.lock();
                 m.space_cv.notify_all();
             }
-            pressured = free < u64::from(m.high_water);
+            pressured = free < HIGH_WATER;
         }
         if m.enabled && (due || pressured) {
             m.kick();
@@ -161,17 +164,17 @@ impl StoreCore {
     /// fails with the append path's usual out-of-space error.
     pub(crate) fn admission_gate(&self) {
         let m = &self.maint;
-        if !m.enabled || !m.bounded || m.low_water == 0 || m.shutting_down() {
+        if !m.enabled || !m.bounded || m.shutting_down() {
             return;
         }
-        if m.free_estimate() >= u64::from(m.low_water) {
+        if m.free_estimate() >= LOW_WATER {
             return;
         }
         m.throttle_waits.fetch_add(1, Ordering::Relaxed);
         m.kick();
         let deadline = Instant::now() + THROTTLE_WAIT;
         let mut guard = m.space.lock();
-        while m.free_estimate() < u64::from(m.low_water) && !m.shutting_down() {
+        while m.free_estimate() < LOW_WATER && !m.shutting_down() {
             let now = Instant::now();
             if now >= deadline {
                 break;
@@ -225,13 +228,13 @@ impl StoreCore {
         if !m.bounded {
             return;
         }
-        while !m.shutting_down() && m.free_estimate() < u64::from(m.high_water) {
+        while !m.shutting_down() && m.free_estimate() < HIGH_WATER {
             if self.batcher.queued() > 0 {
                 // Committers are parked on the engine: give them the core
                 // before taking the lock for another slice.
                 std::thread::yield_now();
             }
-            match self.clean_locked(m.slice_segments, true) {
+            match self.clean_locked(SLICE_SEGMENTS, true) {
                 Ok(0) => break, // Nothing cleanable; wait for more traffic.
                 Ok(_) => continue,
                 Err(_) => break, // Unhealthy store; reads saw the health.

@@ -98,9 +98,6 @@ pub struct ChunkStoreConfig {
     pub checkpoint_threshold: usize,
     /// Validation protocol.
     pub validation: ValidationMode,
-    /// When true the cleaner decrypts, revalidates, and re-hashes the
-    /// chunks it moves (the variant the paper implemented, §4.9.5).
-    pub cleaner_revalidates: bool,
     /// Hard cap on segments (0 = unbounded).
     pub max_segments: u32,
     /// System-partition cipher and hash (the paper fixes 3DES + SHA-1).
@@ -119,17 +116,6 @@ pub struct ChunkStoreConfig {
     /// explicit [`ChunkStore::clean`] calls. `false` (the default)
     /// reproduces the paper's caller-driven behavior exactly.
     pub background_maintenance: bool,
-    /// Segments the background cleaner processes per engine-lock hold
-    /// (one *slice*); between slices the lock is released so committers
-    /// interleave. Ignored without `background_maintenance`.
-    pub clean_slice_segments: usize,
-    /// Free-segment low-water mark of a bounded log: below it, committers
-    /// are throttled (bounded wait) until the background cleaner frees
-    /// space. `0` disables throttling.
-    pub clean_low_water: u32,
-    /// Free-segment high-water mark of a bounded log: the background
-    /// cleaner runs while free segments are below it.
-    pub clean_high_water: u32,
     /// Transparent chunk-body compression ([`crate::compress`]): data-chunk
     /// bodies are LZ77-compressed *before* hashing and sealing, so the
     /// descriptor hash covers the stored bytes and every read verifies
@@ -152,15 +138,11 @@ impl Default for ChunkStoreConfig {
                 delta_ut: 5,
                 delta_tu: 0,
             },
-            cleaner_revalidates: true,
             max_segments: 0,
             system_cipher: tdb_crypto::CipherKind::TripleDes,
             system_hash: tdb_crypto::HashKind::Sha1,
             crypto_workers: 0,
             background_maintenance: false,
-            clean_slice_segments: 2,
-            clean_low_water: 2,
-            clean_high_water: 4,
             compression: false,
         }
     }

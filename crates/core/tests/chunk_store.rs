@@ -1010,65 +1010,83 @@ fn cleaner_respects_snapshots() {
     assert_eq!(store.read(c).unwrap(), b"newer");
 }
 
+/// A cleaning pass that ends in a crash before the next checkpoint: its
+/// cleaner records live in the residual log only, and recovery must replay
+/// them under either validation protocol.
 #[test]
 fn cleaner_state_survives_crash_recovery() {
-    let fx = Fixture::new(counter_mode());
-    let ids = {
-        let store = fx.create();
-        let p = make_partition(&store);
-        let mut ids = Vec::new();
-        for i in 0..15u32 {
-            ids.push(write_one(&store, p, &vec![i as u8; 250]));
-        }
+    for mode in [counter_mode(), ValidationMode::DirectHash] {
+        let fx = Fixture::new(mode);
+        let ids = {
+            let store = fx.create();
+            let p = make_partition(&store);
+            let mut ids = Vec::new();
+            for i in 0..15u32 {
+                ids.push(write_one(&store, p, &vec![i as u8; 250]));
+            }
+            for c in &ids {
+                store
+                    .commit(vec![CommitOp::WriteChunk {
+                        id: *c,
+                        bytes: vec![0xEE; 250],
+                    }])
+                    .unwrap();
+            }
+            store.checkpoint().unwrap();
+            assert!(store.clean(4).unwrap() > 0, "{mode:?}: nothing cleaned");
+            ids
+        };
+        let store = fx.reopen().unwrap();
         for c in &ids {
-            store
-                .commit(vec![CommitOp::WriteChunk {
-                    id: *c,
-                    bytes: vec![0xEE; 250],
-                }])
-                .unwrap();
+            assert_eq!(store.read(*c).unwrap(), vec![0xEE; 250], "{mode:?}");
         }
-        store.checkpoint().unwrap();
-        store.clean(4).unwrap();
-        // Crash without checkpoint: cleaner records live in the residual
-        // log only.
-        ids
-    };
-    let store = fx.reopen().unwrap();
-    for c in &ids {
-        assert_eq!(store.read(*c).unwrap(), vec![0xEE; 250]);
     }
 }
 
+/// Recovery replays a cleaner record into every partition it names: a
+/// version obsolete in P but current in P's copy S is relocated for S
+/// alone, and after a crash S still reads it while P reads its newer one.
 #[test]
-fn non_revalidating_cleaner_works() {
-    let fx = Fixture::new(counter_mode());
-    let mut config = fx.config.clone();
-    config.cleaner_revalidates = false;
-    let store = ChunkStore::create(
-        Arc::clone(&fx.untrusted) as SharedUntrusted,
-        fx.backend(),
-        fx.secret.clone(),
-        config,
-    )
-    .unwrap();
-    let p = make_partition(&store);
-    let mut ids = Vec::new();
-    for i in 0..12u32 {
-        ids.push(write_one(&store, p, &vec![i as u8; 300]));
-    }
-    for c in &ids {
-        store
-            .commit(vec![CommitOp::WriteChunk {
-                id: *c,
-                bytes: vec![0x55; 300],
-            }])
-            .unwrap();
-    }
-    store.checkpoint().unwrap();
-    store.clean(6).unwrap();
-    for c in &ids {
-        assert_eq!(store.read(*c).unwrap(), vec![0x55; 300]);
+fn cleaner_relocation_for_a_copy_survives_crash_recovery() {
+    for mode in [counter_mode(), ValidationMode::DirectHash] {
+        let fx = Fixture::new(mode);
+        let (p, snap, c) = {
+            let store = fx.create();
+            let p = make_partition(&store);
+            let c = write_one(&store, p, b"snapshot me");
+            let snap = store.allocate_partition().unwrap();
+            store
+                .commit(vec![CommitOp::CopyPartition { dst: snap, src: p }])
+                .unwrap();
+            store
+                .commit(vec![CommitOp::WriteChunk {
+                    id: c,
+                    bytes: b"newer".to_vec(),
+                }])
+                .unwrap();
+            for i in 0..30u32 {
+                write_one(&store, p, &[i as u8; 200]);
+            }
+            store.checkpoint().unwrap();
+            let relocated_before = store.stats().chunks_relocated;
+            assert!(store.clean(100).unwrap() > 0, "{mode:?}: nothing cleaned");
+            assert!(
+                store.stats().chunks_relocated > relocated_before,
+                "{mode:?}: nothing relocated"
+            );
+            (p, snap, c)
+        };
+        let store = fx.reopen().unwrap();
+        assert_eq!(
+            store.read(ChunkId::data(snap, c.pos.rank)).unwrap(),
+            b"snapshot me",
+            "{mode:?}"
+        );
+        assert_eq!(
+            store.read(ChunkId::data(p, c.pos.rank)).unwrap(),
+            b"newer",
+            "{mode:?}"
+        );
     }
 }
 

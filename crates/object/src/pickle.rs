@@ -67,17 +67,17 @@ impl TypeRegistry {
     ///
     /// Fails on unknown tags or malformed bodies.
     pub fn unpickle(&self, record: &[u8]) -> Result<Arc<dyn StoredObject>> {
-        if record.len() < 4 {
+        let Some((tag, body)) = record.split_first_chunk::<4>() else {
             return Err(ObjectError::BadPickle(
                 "record shorter than a type tag".into(),
             ));
-        }
-        let tag = u32::from_le_bytes(record[..4].try_into().expect("4 bytes"));
+        };
+        let tag = u32::from_le_bytes(*tag);
         let unpickler = self
             .unpicklers
             .get(&tag)
             .ok_or(ObjectError::UnknownType(tag))?;
-        unpickler(&record[4..])
+        unpickler(body)
     }
 
     /// Pickles an object into a stored record (tag + body).

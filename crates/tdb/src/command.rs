@@ -608,14 +608,8 @@ impl Response {
                 proof: dec_opt_bytes(d)?,
                 root: d.bytes()?.to_vec(),
             },
-            9 => {
-                let n = d.u32()? as usize;
-                let mut ids = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    ids.push(dec_object_id(d)?);
-                }
-                Response::Ids(ids)
-            }
+            // An object id is a u32 partition and a u64 rank.
+            9 => Response::Ids(d.list(12, dec_object_id)?),
             10 => Response::Count(d.u64()?),
             op => return Err(CoreError::Corrupt(format!("unknown response opcode {op}"))),
         })

@@ -154,70 +154,6 @@ impl TrustedDbBuilder {
         self
     }
 
-    /// Enables snapshot-isolation MVCC transactions
-    /// ([`TrustedDb::begin_mvcc`], [`TrustedDb::run_mvcc`]). Off by
-    /// default: the paper's object store is single-writer two-phase
-    /// locking, and with the knob off the commit path is unchanged.
-    pub fn mvcc(mut self, on: bool) -> Self {
-        self.object_config.mvcc = on;
-        self
-    }
-
-    /// Enables transparent chunk-body compression: user-data bodies are
-    /// LZ77-compressed before hashing and sealing, shrinking log traffic
-    /// for compressible payloads; incompressible bodies are stored raw
-    /// with zero overhead. Off by default — the paper's byte-exact seal
-    /// shape (see [`ChunkStoreConfig::compression`]).
-    pub fn compression(mut self, on: bool) -> Self {
-        self.chunk_config.compression = on;
-        self
-    }
-
-    /// Sets how many threads share the sealing of a large batch (`0` =
-    /// auto, `1` = the committing thread alone; small batches never leave
-    /// it — see [`ChunkStoreConfig::crypto_workers`]).
-    pub fn crypto_workers(mut self, workers: usize) -> Self {
-        self.chunk_config.crypto_workers = workers;
-        self
-    }
-
-    /// Sets the dirty-map-chunk count that triggers an automatic
-    /// incremental checkpoint (default 512, half the map cache). A
-    /// checkpoint is also due once the residual log outgrows a fixed 8 MiB
-    /// budget, whatever this says (see
-    /// [`ChunkStoreConfig::checkpoint_threshold`]).
-    pub fn checkpoint_threshold(mut self, dirty_chunks: usize) -> Self {
-        self.chunk_config.checkpoint_threshold = dirty_chunks;
-        self
-    }
-
-    /// Runs cleaning and automatic checkpoints on a background maintenance
-    /// thread instead of inside commits and explicit `clean()` calls
-    /// (`false`, the default, keeps the paper's caller-driven behavior;
-    /// see [`ChunkStoreConfig::background_maintenance`]).
-    pub fn background_maintenance(mut self, on: bool) -> Self {
-        self.chunk_config.background_maintenance = on;
-        self
-    }
-
-    /// Caps how many segments the background cleaner processes per
-    /// engine-lock hold (see [`ChunkStoreConfig::clean_slice_segments`]).
-    pub fn clean_slice_segments(mut self, segments: usize) -> Self {
-        self.chunk_config.clean_slice_segments = segments;
-        self
-    }
-
-    /// Sets the free-segment watermarks of a bounded log: below `low`,
-    /// committers are throttled until the background cleaner frees space
-    /// (`0` disables throttling); below `high`, background cleaning runs
-    /// (see [`ChunkStoreConfig::clean_low_water`] and
-    /// [`ChunkStoreConfig::clean_high_water`]).
-    pub fn clean_watermarks(mut self, low: u32, high: u32) -> Self {
-        self.chunk_config.clean_low_water = low;
-        self.chunk_config.clean_high_water = high;
-        self
-    }
-
     /// Overrides the default partition's cryptographic parameters.
     pub fn partition_params(mut self, params: CryptoParams) -> Self {
         self.partition_params = Some(params);
@@ -386,7 +322,7 @@ impl TrustedDb {
     /// # Errors
     ///
     /// Fails unless the database was built with
-    /// [`TrustedDbBuilder::mvcc`].
+    /// [`ObjectStoreConfig::mvcc`] on.
     pub fn begin_mvcc(&self) -> Result<MvccTx> {
         self.objects.begin_mvcc().map_err(Into::into)
     }

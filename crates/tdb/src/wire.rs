@@ -70,6 +70,11 @@ pub const NONCE_LEN: usize = 32;
 /// Upper bound on a frame payload (16 MiB) — chunks are far smaller.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
+/// Bytes [`read_frame`] reserves before a payload arrives. A frame up to
+/// this size lands in one exact allocation; a larger one grows with the
+/// bytes received, so a length prefix alone never buys an allocation.
+pub const FRAME_RESERVE: usize = 16 * 1024;
+
 /// Domain-separation prefix for the client's auth MAC.
 pub const CLIENT_MAC_CONTEXT: &[u8] = b"tdb-auth";
 
@@ -99,7 +104,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// `UnexpectedEof` when the peer closed cleanly between frames;
+/// `UnexpectedEof` when the peer closed between frames or inside one;
 /// `InvalidData` for oversized frames.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len_buf = [0u8; 4];
@@ -111,8 +116,12 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME} cap"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(FRAME_RESERVE));
+    r.by_ref().take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     Ok(payload)
 }
 

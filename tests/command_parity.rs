@@ -11,8 +11,8 @@ use std::any::Any;
 use std::sync::Arc;
 
 use tdb::{
-    Command, IndexKey, IndexKind, ObjectId, Response, Session, StoredObject, TrustedBackend,
-    TrustedDb, TrustedDbBuilder, TxMode, WireError,
+    Command, IndexKey, IndexKind, ObjectId, ObjectStoreConfig, Response, Session, StoredObject,
+    TrustedBackend, TrustedDb, TrustedDbBuilder, TxMode, WireError,
 };
 use tdb_client::{ClientError, TdbClient};
 use tdb_crypto::{CipherKind, HashKind, SecretKey};
@@ -79,7 +79,10 @@ fn build_twin() -> (TrustedDb, Arc<MemStore>) {
             hash: HashKind::Sha1,
             key: SecretKey::new(vec![9u8; 8]),
         })
-        .mvcc(true)
+        .object_config(ObjectStoreConfig {
+            mvcc: true,
+            ..ObjectStoreConfig::default()
+        })
         .register_type(REC_TAG, unpickle_rec)
         .register_extractor("prefix", rec_by_prefix)
         .create(

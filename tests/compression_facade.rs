@@ -85,7 +85,10 @@ fn build(compression: Option<bool>) -> Rig {
         .secret(SecretKey::new(vec![7u8; 24]))
         .register_type(DOC_TAG, unpickle_doc);
     if let Some(on) = compression {
-        builder = builder.compression(on);
+        builder = builder.chunk_config(ChunkStoreConfig {
+            compression: on,
+            ..ChunkStoreConfig::default()
+        });
     }
     let db = builder
         .create(

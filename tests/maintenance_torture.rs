@@ -38,9 +38,6 @@ fn bounded_config() -> ChunkStoreConfig {
         max_segments: 24,
         checkpoint_threshold: 6,
         background_maintenance: true,
-        clean_slice_segments: 4,
-        clean_low_water: 4,
-        clean_high_water: 10,
         ..ChunkStoreConfig::default()
     }
 }

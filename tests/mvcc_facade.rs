@@ -6,7 +6,10 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use tdb::{IndexKey, IndexKind, StoredObject, TrustedBackend, TrustedDb, TrustedDbBuilder, Tx};
+use tdb::{
+    IndexKey, IndexKind, ObjectStoreConfig, StoredObject, TrustedBackend, TrustedDb,
+    TrustedDbBuilder, Tx,
+};
 use tdb_crypto::SecretKey;
 use tdb_object::errors::ObjectError;
 use tdb_storage::{
@@ -81,7 +84,10 @@ fn build(mvcc: Option<bool>) -> Rig {
         .register_type(NOTE_TAG, unpickle_note)
         .register_extractor("note_by_author", note_by_author);
     if let Some(on) = mvcc {
-        builder = builder.mvcc(on);
+        builder = builder.object_config(ObjectStoreConfig {
+            mvcc: on,
+            ..ObjectStoreConfig::default()
+        });
     }
     let db = builder
         .create(
