@@ -80,12 +80,6 @@ impl CommitBatcher {
             wakeup: Condvar::new(),
         }
     }
-
-    /// Commits currently enqueued and waiting for a leader. The background
-    /// cleaner polls this between slices to yield to committers.
-    pub(crate) fn queued(&self) -> usize {
-        self.shared.lock().queue.len()
-    }
 }
 
 impl ChunkStore {
@@ -157,10 +151,15 @@ impl ChunkStore {
         }
     }
 
-    /// Leader body: one engine-lock hold for the whole batch, then
-    /// per-member read-path scrubbing, publication, and result delivery.
+    /// Leader body: one engine-lock hold for the whole batch — which opens
+    /// with an inline cleaning slice when a bounded log runs short of free
+    /// segments — then per-member read-path scrubbing, publication, and
+    /// result delivery.
     fn run_batch(&self, members: &[Arc<PendingCommit>]) {
         let mut inner = self.inner.lock();
+        if let Some(slice) = inner.slice_if_short() {
+            self.after_clean(&inner, &slice);
+        }
         if inner.check_writable().is_err() {
             // Refuse the whole batch with fresh per-member errors; no
             // member state was touched.
@@ -182,6 +181,5 @@ impl ChunkStore {
             *m.result.lock() = Some(result);
         }
         self.reads.set_health(&inner.health);
-        self.note_engine_state(&inner);
     }
 }

@@ -51,8 +51,7 @@ const RESIDUAL_BUDGET: u64 = 8 << 20;
 impl Inner {
     /// Whether an automatic checkpoint is due: the dirty map chunks reached
     /// `checkpoint_threshold`, or the residual log spans more segments
-    /// than [`RESIDUAL_BUDGET`] holds. The one trigger both the commit path
-    /// and the maintenance thread use.
+    /// than [`RESIDUAL_BUDGET`] holds. The commit path's one trigger.
     pub(crate) fn checkpoint_due(&self) -> bool {
         let budget = (RESIDUAL_BUDGET / u64::from(self.log.segment_size())).max(1);
         self.map_cache.dirty_count() >= self.config.checkpoint_threshold

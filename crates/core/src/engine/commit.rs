@@ -70,8 +70,10 @@ impl Inner {
     // -- Commit (§4.6) --------------------------------------------------------
 
     /// Validation is read-only: a failure here (including a transient read
-    /// fault resolving a descriptor) leaves the store untouched and live.
+    /// fault resolving a descriptor, or a bounded log at its cleaner
+    /// reserve) leaves the store untouched and live.
     fn validate_ops(&mut self, ops: &[CommitOp]) -> Result<()> {
+        self.check_reserve(0)?;
         // Validation runs against pre-commit state plus the effects of
         // earlier ops in the same set (e.g. create-then-write).
         let mut created: Vec<PartitionId> = Vec::new();
@@ -210,6 +212,7 @@ impl Inner {
     /// Appends sealed bytes to the log's run buffer; nothing reaches the
     /// device until [`Inner::flush_log`].
     pub(crate) fn append(&mut self, sealed: &[u8]) -> Result<u64> {
+        self.check_reserve(sealed.len() as u32)?;
         let loc = self.log.append(
             &mut self.sys_leader.log,
             &mut self.undo,
@@ -224,6 +227,7 @@ impl Inner {
     /// Ensures `len` more bytes fit in the tail segment, switching to a
     /// fresh one if not (see [`crate::log::SegmentedLog::ensure_room`]).
     pub(crate) fn ensure_room(&mut self, len: u32) -> Result<()> {
+        self.check_reserve(len)?;
         self.log.ensure_room(
             &mut self.sys_leader.log,
             &mut self.undo,
@@ -610,13 +614,10 @@ impl Inner {
         Ok(())
     }
 
-    /// Caller-driven automatic checkpoint, when [`Inner::checkpoint_due`].
-    /// A no-op when the background maintenance runtime owns checkpoint
-    /// scheduling ([`crate::maintenance`]): the commit path then never
-    /// stalls on a full checkpoint, and the maintenance thread picks the
-    /// trigger up on its next wakeup. Returns whether it checkpointed.
+    /// Automatic checkpoint, when [`Inner::checkpoint_due`]. Returns
+    /// whether it checkpointed.
     fn maybe_checkpoint(&mut self) -> Result<bool> {
-        let due = !self.config.background_maintenance && self.checkpoint_due();
+        let due = self.checkpoint_due();
         if due {
             self.checkpoint()?;
         }

@@ -18,24 +18,44 @@
 //! the paper sketches, moving sealed bytes verbatim, is not built: recovery
 //! pairs each cleaner record with a `Relocated` version.
 //!
-//! Each [`Inner::clean`] call is one bounded *slice*: the background
-//! maintenance runtime ([`crate::maintenance`]) invokes it repeatedly with
-//! a few segments per engine-lock hold, so committers interleave between
-//! slices instead of stalling behind one long cleaning pass.
+//! **Space management.** The cleaner can only compact a log it can still
+//! write. A bounded log (`max_segments != 0`) therefore keeps a *cleaner
+//! reserve*: its last R segments, R being what one cleaning slice can take
+//! from a standing start ([`Inner::cleaner_reserve`], derived from the
+//! segment size, the fanout, the system suite and the dirty map chunks).
+//! Only a cleaning pass, and the checkpoint it may force, takes them: any
+//! other writer that needs a new segment while free segments are at R or
+//! below gets [`CoreError::OutOfSpace`]. Writers slow down before they
+//! must stop: below R + `SLOWDOWN` free segments, the group-commit leader
+//! first runs one slice of `SLICE_SEGMENTS` segments inline, under the
+//! engine lock it already holds ([`Inner::slice_if_short`]). A pass takes
+//! segments only while relocating them gains space ([`Inner::gains`]), so
+//! passes never lose ground and a log full of live data is left alone.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
+use crate::descriptor::Descriptor;
+use crate::engine::commit::COMMIT_CHUNK_ROOM;
 use crate::engine::rollback::Undo;
 use crate::errors::{CoreError, Result, TamperKind};
-use crate::ids::{ChunkId, PartitionId, LEADER_HEIGHT};
+use crate::ids::{ChunkId, PartitionId, Position, LEADER_HEIGHT};
 use crate::metrics::{self, modules};
 use crate::store::{Inner, ValidationMode};
 use crate::version::{
-    parse_version, seal_version, validate_version, CleanerRecord, VersionHeader, VersionKind,
+    parse_version, seal_version, sealed_version_len, validate_version, CleanerRecord,
+    VersionHeader, VersionKind,
 };
+
+/// Segments one inline slice cleans.
+const SLICE_SEGMENTS: usize = 2;
+
+/// Free segments above the reserve below which a commit batch first runs
+/// an inline slice.
+const SLOWDOWN: u64 = 2;
 
 /// What one cleaning pass did, reported to the store facade so the read
 /// path can invalidate exactly the published descriptors that went stale.
+#[derive(Default)]
 pub(crate) struct CleanOutcome {
     /// Segments reclaimed.
     pub reclaimed: usize,
@@ -44,86 +64,312 @@ pub(crate) struct CleanOutcome {
     pub relocated: Vec<ChunkId>,
 }
 
+/// A segment a pass may clean: its bytes; each current version's offset,
+/// length and id with the partitions it is current in; and what
+/// relocating them takes: their bytes with their cleaner records, and the
+/// largest of them.
+struct SegmentPlan {
+    seg: u32,
+    buf: Vec<u8>,
+    live: Vec<(usize, usize, ChunkId, Vec<PartitionId>)>,
+    need: usize,
+    largest: usize,
+}
+
 impl Inner {
-    /// Cleans up to `max_segments` low-utilization segments; returns how
-    /// many were reclaimed and which chunk ids were relocated.
+    /// Free segments of a bounded log — headroom to `max_segments` plus
+    /// the free list — or `u64::MAX` when the log is unbounded.
+    pub(crate) fn free_segments(&self) -> u64 {
+        if self.config.max_segments == 0 {
+            return u64::MAX;
+        }
+        let log = &self.sys_leader.log;
+        u64::from(self.config.max_segments.saturating_sub(log.num_segments))
+            + log.free_segments.len() as u64
+    }
+
+    /// The cleaner reserve R: the new segments one slice may take from a
+    /// standing start. The segments it cleans take at most as many new ones
+    /// ([`Inner::gains`]); one more is tail slack; and a checkpoint the
+    /// slice forces takes [`Inner::checkpoint_segments`].
+    pub(crate) fn cleaner_reserve(&self) -> u64 {
+        SLICE_SEGMENTS as u64 + 1 + self.checkpoint_segments()
+    }
+
+    /// New segments a checkpoint taken now may fill. It writes the dirty
+    /// map chunks and every ancestor up to their tree's root, the leader of
+    /// each partition among them or marked dirty, the system map chunks
+    /// above those leaders, and the system leader with its commit chunk.
+    /// Every segment those appends leave behind holds more than its room
+    /// minus the largest of them, and each starts with one of them.
+    fn checkpoint_segments(&self) -> u64 {
+        let fanout = self.fanout();
+        let mut maps: BTreeSet<(PartitionId, Position)> = BTreeSet::new();
+        let mut leaders: BTreeSet<PartitionId> = BTreeSet::new();
+        let climb = |maps: &mut BTreeSet<_>, p: PartitionId, mut pos: Position, height: u8| {
+            while maps.insert((p, pos)) && pos.height < height {
+                pos = pos.parent(fanout);
+            }
+        };
+        let sys_height = self.sys_leader.map.height;
+        for (p, pos) in self.map_cache.dirty_keys() {
+            if p.is_system() {
+                climb(&mut maps, p, pos, sys_height);
+            } else {
+                let height = self.leaders.get(&p).map_or(pos.height, |e| e.leader.height);
+                climb(&mut maps, p, pos, height);
+                leaders.insert(p);
+            }
+        }
+        for (p, entry) in &self.leaders {
+            if entry.dirty {
+                leaders.insert(*p);
+            }
+        }
+        for p in &leaders {
+            let pos = ChunkId::leader_chunk(*p).pos.parent(fanout);
+            climb(&mut maps, PartitionId::SYSTEM, pos, sys_height);
+        }
+
+        let sys = &self.system;
+        let (mut bytes, mut largest, mut count) = (0u64, 0u64, 0u64);
+        let mut add = |len: usize| {
+            bytes += len as u64;
+            largest = largest.max(len as u64);
+            count += 1;
+        };
+        for (p, _) in &maps {
+            let crypto = self.leaders.get(p).map_or(&**sys, |entry| &*entry.crypto);
+            let body = fanout as usize * Descriptor::encoded_len(crypto.hash_kind().digest_len());
+            add(sealed_version_len(sys, crypto, body));
+        }
+        for p in &leaders {
+            if let Some(entry) = self.leaders.get(p) {
+                add(sealed_version_len(sys, sys, entry.leader.encode().len()));
+            }
+        }
+        // The system leader as the checkpoint budgets it, commit chunk
+        // included.
+        let leader = self.sys_leader.encode().len() + 64;
+        add(sealed_version_len(sys, sys, leader) + COMMIT_CHUNK_ROOM as usize);
+        let room = u64::from(self.log.max_version_len());
+        count.min(bytes / (room + 1).saturating_sub(largest).max(1) + 1)
+    }
+
+    /// The reserve, outside a cleaning pass. Called with `len == 0` as a
+    /// commit starts, it admits the commit only while free segments are at
+    /// R or above, so no commit writes into a segment a pass took from the
+    /// reserve; called before appending `len` bytes, it refuses a new
+    /// segment while they are at R or below. A refusal makes the next
+    /// batch run a slice whatever the margin: map chunks the refused commit
+    /// dirtied may have raised R past it.
+    pub(crate) fn check_reserve(&mut self, len: u32) -> Result<()> {
+        if self.config.max_segments == 0 || self.cleaning || (len > 0 && self.log.room() >= len) {
+            return Ok(());
+        }
+        if self.free_segments() < self.cleaner_reserve() + u64::from(len > 0) {
+            self.reserve_refused = true;
+            return Err(CoreError::OutOfSpace);
+        }
+        Ok(())
+    }
+
+    /// The inline slice: a live bounded log with fewer than R + `SLOWDOWN`
+    /// free segments, or one that refused a writer since the last slice,
+    /// cleans `SLICE_SEGMENTS` segments before the batch leader's batch.
+    /// `None` when the log has room.
+    pub(crate) fn slice_if_short(&mut self) -> Option<Result<CleanOutcome>> {
+        if self.config.max_segments == 0
+            || self.check_writable().is_err()
+            || !std::mem::take(&mut self.reserve_refused)
+                && self.free_segments() >= self.cleaner_reserve() + SLOWDOWN
+        {
+            return None;
+        }
+        let result = self.clean(SLICE_SEGMENTS);
+        if result.is_ok() {
+            self.stats.clean_slices += 1;
+        }
+        Some(result)
+    }
+
+    /// Cleans up to `max_segments` segments, lowest utilization first, and
+    /// stops at the first that would make the pass lose ground; returns
+    /// how many were reclaimed and which chunk ids were relocated. The
+    /// pass may take the cleaner reserve.
     ///
-    /// When nothing outside the residual log is cleanable but the residual
-    /// log spans more than the tail segment — a hot set that never trips a
-    /// checkpoint leaves every segment residual — it checkpoints once
-    /// first, so the segments behind the new leader become cleanable.
+    /// When nothing outside the residual log gains, it checkpoints once
+    /// and tries again if that can help ([`Inner::checkpoint_helps`]).
     pub(crate) fn clean(&mut self, max_segments: usize) -> Result<CleanOutcome> {
-        let mut targets = self.pick_segments(max_segments);
-        if targets.is_empty() && self.log.residual_segments().len() > 1 {
+        self.cleaning = true;
+        let result = self.clean_pass(max_segments).and_then(|outcome| {
+            if outcome.reclaimed > 0 || !self.checkpoint_helps()? {
+                return Ok(outcome);
+            }
             self.checkpoint()?;
-            targets = self.pick_segments(max_segments);
+            self.clean_pass(max_segments)
+        });
+        self.cleaning = false;
+        result
+    }
+
+    /// Whether a checkpoint could let a pass gain: whether a residual
+    /// segment other than the tail would gain once the checkpoint makes it
+    /// cleanable — a hot set that never trips a checkpoint leaves every
+    /// segment residual. Any other checkpoint would only turn map chunks
+    /// into garbage for the next pass to chase.
+    fn checkpoint_helps(&mut self) -> Result<bool> {
+        let tail = self.log.tail_segment();
+        let residual = self.log.residual_segments().iter().copied();
+        let mut residual = self
+            .by_utilization(residual.filter(|s| *s != tail))
+            .into_iter();
+        while let Some(plan) = self.plan_next(&mut residual)? {
+            if self.gains(1, plan.need, plan.largest) {
+                return Ok(true);
+            }
         }
-        if targets.is_empty() {
-            return Ok(CleanOutcome {
-                reclaimed: 0,
-                relocated: Vec::new(),
-            });
-        }
+        Ok(false)
+    }
+
+    fn clean_pass(&mut self, max_segments: usize) -> Result<CleanOutcome> {
         let sp = self.savepoint();
         self.wrote_log = false;
-        let result = self.clean_segments(&targets);
+        let result = self.clean_segments(max_segments);
         self.end_mutation(&sp, result.as_ref().err(), "cleaning");
         result
     }
 
-    /// Chooses cleanable segments, lowest utilization first ("for
-    /// performance reasons, the cleaner selects segments with low
-    /// utilization").
-    fn pick_segments(&self, max_segments: usize) -> Vec<u32> {
+    /// Cleanable segments, lowest utilization first: the cleaner skips
+    /// the residual log (§4.9.5) and free segments.
+    fn candidates(&self) -> Vec<u32> {
         let residual = self.log.residual_segments();
         let free: HashSet<u32> = self.sys_leader.log.free_segments.iter().copied().collect();
-        let mut candidates: Vec<(u32, u32)> = self
-            .sys_leader
-            .log
-            .utilization
-            .iter()
-            .enumerate()
-            .map(|(seg, util)| (*util, seg as u32))
-            .filter(|(_, seg)| !residual.contains(seg) && !free.contains(seg))
-            .collect();
-        candidates.sort_unstable();
-        candidates
-            .into_iter()
-            .take(max_segments)
-            .map(|(_, seg)| seg)
-            .collect()
+        let segments = 0..self.sys_leader.log.utilization.len() as u32;
+        self.by_utilization(segments.filter(|s| !residual.contains(s) && !free.contains(s)))
     }
 
-    fn clean_segments(&mut self, targets: &[u32]) -> Result<CleanOutcome> {
+    /// `segments`, lowest utilization first ("for performance reasons, the
+    /// cleaner selects segments with low utilization").
+    fn by_utilization(&self, segments: impl Iterator<Item = u32>) -> Vec<u32> {
+        let utilization = &self.sys_leader.log.utilization;
+        let mut keyed: Vec<(u32, u32)> = segments
+            .map(|s| (utilization.get(s as usize).copied().unwrap_or(0), s))
+            .collect();
+        keyed.sort_unstable();
+        keyed.into_iter().map(|(_, s)| s).collect()
+    }
+
+    /// Whether relocating `k` segments gains space: the `need` bytes of
+    /// their current versions and cleaner records, a commit chunk, and one
+    /// `largest` version per segment — the most a segment switch wastes —
+    /// must fit in `k` segments. Appends then take at most `k` new
+    /// segments, and a segment whose garbage is only its commit chunks is
+    /// never picked.
+    fn gains(&self, k: usize, need: usize, largest: usize) -> bool {
+        need + COMMIT_CHUNK_ROOM as usize + k * largest <= k * self.log.max_version_len() as usize
+    }
+
+    /// Plans the next candidate: reads it and finds the versions current in
+    /// it. `None` once the candidates run out, or, on a bounded log, when
+    /// fewer than two segments are free: one for the relocations, one for
+    /// the commit chunk.
+    fn plan_next(
+        &mut self,
+        candidates: &mut impl Iterator<Item = u32>,
+    ) -> Result<Option<SegmentPlan>> {
+        let Some(seg) = candidates.next().filter(|_| self.free_segments() >= 2) else {
+            return Ok(None);
+        };
+        let buf = self.log.read_segment(seg)?;
+        let base = self.log.segment_offset(seg);
+        let (mut live, mut need, mut largest) = (Vec::new(), 0, 0);
+        let mut off = 0usize;
+        while off < buf.len() {
+            let location = base + off as u64;
+            let parsed = {
+                let _t = metrics::span(modules::ENCRYPTION);
+                match parse_version(&self.system, &buf[off..], location) {
+                    Ok(p) => p,
+                    // Torn bytes at an old crash tail: everything beyond is
+                    // garbage, and garbage is never current.
+                    Err(_) => break,
+                }
+            };
+            let Some(raw) = parsed else { break };
+            let total = raw.total_len;
+            let id = raw.header.id;
+            if matches!(raw.header.kind, VersionKind::Named | VersionKind::Relocated)
+                && id.pos.height != LEADER_HEIGHT
+            {
+                let current_in = self.current_in(id, location)?;
+                if !current_in.is_empty() {
+                    let record = CleanerRecord::encoded_len(current_in.len());
+                    need += total + sealed_version_len(&self.system, &self.system, record);
+                    largest = largest.max(total);
+                    live.push((off, total, id, current_in));
+                }
+            }
+            off += total;
+        }
+        Ok(Some(SegmentPlan {
+            seg,
+            buf,
+            live,
+            need,
+            largest,
+        }))
+    }
+
+    fn clean_segments(&mut self, max_segments: usize) -> Result<CleanOutcome> {
+        let mut outcome = CleanOutcome::default();
+        // Lowest utilization first, so the pass stops at the first segment
+        // that would make it lose ground.
+        let mut candidates = self.candidates().into_iter().take(max_segments);
+        let mut plan = match self.plan_next(&mut candidates)? {
+            Some(plan) if self.gains(1, plan.need, plan.largest) => plan,
+            _ => return Ok(outcome),
+        };
+        let (mut need, mut largest) = (plan.need, plan.largest);
         self.durable_point_if_due()?;
-        if matches!(self.config.validation, ValidationMode::Counter { .. }) {
+        let counter_mode = matches!(self.config.validation, ValidationMode::Counter { .. });
+        if counter_mode {
             self.hashes.begin_set();
         }
-        // Obsolete bytes per target, captured before relocation shuffles
+        let seg_size = self.log.segment_size();
+        // Obsolete bytes per segment, captured before relocation shuffles
         // utilization: the live remainder is rewritten to the tail, so the
         // net space the pass reclaims is segment size minus live bytes.
-        let seg_size = self.log.segment_size();
-        let obsolete: u64 = targets
-            .iter()
-            .map(|seg| {
-                let live = self
-                    .sys_leader
-                    .log
-                    .utilization
-                    .get(*seg as usize)
-                    .copied()
-                    .unwrap_or(0);
-                u64::from(seg_size.saturating_sub(live))
-            })
-            .sum();
+        let mut obsolete = 0u64;
         let mut freed = Vec::new();
-        let mut relocated: Vec<ChunkId> = Vec::new();
         let mut rewrote_any = false;
-        for &seg in targets {
-            rewrote_any |= self.clean_one_segment(seg, &mut relocated)?;
-            freed.push(seg);
+        loop {
+            let utilization = &self.sys_leader.log.utilization;
+            let live = utilization.get(plan.seg as usize).copied().unwrap_or(0);
+            obsolete += u64::from(seg_size.saturating_sub(live));
+            let base = self.log.segment_offset(plan.seg);
+            for (off, len, id, current_in) in &plan.live {
+                let sealed = &plan.buf[*off..*off + *len];
+                self.relocate(
+                    *id,
+                    sealed,
+                    base + *off as u64,
+                    current_in,
+                    &mut outcome.relocated,
+                )?;
+            }
+            rewrote_any |= !plan.live.is_empty();
+            freed.push(plan.seg);
+            let Some(next) = self.plan_next(&mut candidates)? else {
+                break;
+            };
+            let (n, l) = (need + next.need, largest.max(next.largest));
+            if !self.gains(freed.len() + 1, n, l) {
+                break;
+            }
+            (need, largest, plan) = (n, l, next);
         }
-        if rewrote_any || matches!(self.config.validation, ValidationMode::Counter { .. }) {
+        if rewrote_any || counter_mode {
             // The rewrites form one commit (§4.9.5: "then commits the set of
             // current chunks"), which reaches the device as one write per
             // contiguous run at its durable point.
@@ -139,48 +385,8 @@ impl Inner {
         }
         self.stats.segments_cleaned += freed.len() as u64;
         self.stats.bytes_reclaimed += obsolete;
-        Ok(CleanOutcome {
-            reclaimed: freed.len(),
-            relocated,
-        })
-    }
-
-    fn clean_one_segment(&mut self, seg: u32, relocated: &mut Vec<ChunkId>) -> Result<bool> {
-        let buf = self.log.read_segment(seg)?;
-        let base = self.log.segment_offset(seg);
-        let mut off = 0usize;
-        let mut rewrote = false;
-        while off < buf.len() {
-            let location = base + off as u64;
-            let parsed = {
-                let _t = metrics::span(modules::ENCRYPTION);
-                match parse_version(&self.system, &buf[off..], location) {
-                    Ok(p) => p,
-                    // Torn bytes at an old crash tail: everything beyond is
-                    // garbage, and garbage is never current.
-                    Err(_) => break,
-                }
-            };
-            let Some(raw) = parsed else { break };
-            let total = raw.total_len;
-            if matches!(raw.header.kind, VersionKind::Named | VersionKind::Relocated)
-                && raw.header.id.pos.height != LEADER_HEIGHT
-            {
-                let current_in = self.current_in(raw.header.id, location)?;
-                if !current_in.is_empty() {
-                    self.relocate(
-                        raw.header.id,
-                        &buf[off..off + total],
-                        location,
-                        &current_in,
-                        relocated,
-                    )?;
-                    rewrote = true;
-                }
-            }
-            off += total;
-        }
-        Ok(rewrote)
+        outcome.reclaimed = freed.len();
+        Ok(outcome)
     }
 
     /// Finds the partitions (header partition plus its copy closure) in

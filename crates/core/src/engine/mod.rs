@@ -13,9 +13,8 @@
 //!   create/copy/dealloc, diffs, and written-rank scans (§5).
 //! - [`checkpoint`] — checkpointing (§4.7): consolidating buffered map
 //!   updates bottom-up, leader last.
-//! - [`maintenance`] — the log cleaner (§4.9.5, §5.5), including the
-//!   bounded-slice variant driven by the background maintenance runtime
-//!   ([`crate::maintenance`]).
+//! - [`maintenance`] — the log cleaner (§4.9.5, §5.5), and how a bounded
+//!   log stays writable: the cleaner reserve and inline cleaning slices.
 //! - [`rollback`] — savepoints over the undo journals: how a mutation that
 //!   fails before its durable point leaves the engine as it found it.
 //! - [`dirty`] — the dirty-tree accumulator: memoized effective subtree

@@ -93,14 +93,12 @@ impl PartitionLeader {
         e.u64(self.next_rank);
         // The root descriptor uses this partition's hash length.
         self.root.encode(&mut e, self.params.hash.digest_len());
-        e.u32(self.free_ranks.len() as u32);
-        for &r in &self.free_ranks {
-            e.u64(r);
-        }
-        e.u32(self.copies.len() as u32);
-        for c in &self.copies {
+        e.list(&self.free_ranks, |e, r| {
+            e.u64(*r);
+        });
+        e.list(&self.copies, |e, c| {
             e.u32(c.0);
-        }
+        });
         match self.source {
             Some(s) => {
                 e.u8(1);
@@ -133,22 +131,11 @@ impl PartitionLeader {
         }
         let next_rank = d.u64()?;
         let root = Descriptor::decode(d, params.hash.digest_len())?;
-        let n_free = d.u32()? as usize;
-        if n_free > MAX_FREE_RANKS {
+        let free_ranks = d.list(8, Dec::u64)?;
+        if free_ranks.len() > MAX_FREE_RANKS {
             return Err(CoreError::Corrupt("oversized free list".into()));
         }
-        let mut free_ranks = Vec::with_capacity(n_free);
-        for _ in 0..n_free {
-            free_ranks.push(d.u64()?);
-        }
-        let n_copies = d.u32()? as usize;
-        if n_copies > u32::MAX as usize / 4 {
-            return Err(CoreError::Corrupt("oversized copies list".into()));
-        }
-        let mut copies = Vec::with_capacity(n_copies.min(1024));
-        for _ in 0..n_copies {
-            copies.push(PartitionId(d.u32()?));
-        }
+        let copies = d.list(4, |d| d.u32().map(PartitionId))?;
         let source = if d.u8()? == 1 {
             Some(PartitionId(d.u32()?))
         } else {
@@ -194,38 +181,21 @@ impl LogState {
     fn encode(&self, e: &mut Enc) {
         e.u32(self.segment_size);
         e.u32(self.num_segments);
-        e.u32(self.free_segments.len() as u32);
-        for &s in &self.free_segments {
-            e.u32(s);
-        }
-        e.u32(self.utilization.len() as u32);
-        for &u in &self.utilization {
-            e.u32(u);
-        }
+        e.list(&self.free_segments, |e, s| {
+            e.u32(*s);
+        });
+        e.list(&self.utilization, |e, u| {
+            e.u32(*u);
+        });
     }
 
     fn decode(d: &mut Dec<'_>) -> Result<LogState> {
         let segment_size = d.u32()?;
         let num_segments = d.u32()?;
-        let n_free = d.u32()? as usize;
-        if n_free > num_segments as usize {
-            return Err(CoreError::Corrupt(
-                "free segments exceed segment count".into(),
-            ));
-        }
-        let mut free_segments = Vec::with_capacity(n_free);
-        for _ in 0..n_free {
-            free_segments.push(d.u32()?);
-        }
-        let n_util = d.u32()? as usize;
-        if n_util > num_segments as usize {
-            return Err(CoreError::Corrupt(
-                "utilization table exceeds segment count".into(),
-            ));
-        }
-        let mut utilization = Vec::with_capacity(n_util);
-        for _ in 0..n_util {
-            utilization.push(d.u32()?);
+        let free_segments = d.list(4, Dec::u32)?;
+        let utilization = d.list(4, Dec::u32)?;
+        if free_segments.len().max(utilization.len()) > num_segments as usize {
+            return Err(CoreError::Corrupt("log tables exceed segment count".into()));
         }
         Ok(LogState {
             segment_size,

@@ -22,7 +22,8 @@
 //!   either by a chained hash in the tamper-resistant store or by signed,
 //!   counted commit chunks ([`store::ValidationMode`]).
 //! - The log cleaner reclaims obsolete versions, respecting partition
-//!   copies (snapshots).
+//!   copies (snapshots). A bounded log keeps a reserve of segments for it,
+//!   and commits clean inline when free segments run low.
 //! - The backup store ([`backup::BackupStore`]) streams full and
 //!   incremental partition backups to an archival store and restores them
 //!   under chain, completeness, and policy constraints.
@@ -68,7 +69,6 @@ pub mod errors;
 pub mod ids;
 pub mod leader;
 pub mod log;
-mod maintenance;
 pub mod metrics;
 pub mod params;
 mod pipeline;

@@ -431,7 +431,8 @@ impl SegmentedLog {
         self.segment_size - self.nextseg_len
     }
 
-    fn room(&self) -> u32 {
+    /// Bytes that still fit in the tail segment before a segment switch.
+    pub(crate) fn room(&self) -> u32 {
         self.segment_size - self.nextseg_len - self.tail_offset
     }
 

@@ -76,11 +76,9 @@ impl ReadProof {
         e.u8(self.hash.tag());
         e.u32(self.fanout);
         e.bytes(self.root.as_bytes());
-        e.u32(self.levels.len() as u32);
-        for level in &self.levels {
-            e.u32(level.slot as u32);
-            e.bytes(&level.body);
-        }
+        e.list(&self.levels, |e, level| {
+            e.u32(level.slot as u32).bytes(&level.body);
+        });
         match &self.stored_body {
             Some(stored) => {
                 e.u8(1);
@@ -111,13 +109,11 @@ impl ReadProof {
             return Err(CoreError::Corrupt("proof root digest length".into()));
         }
         let root = HashValue::new(root_bytes);
-        let count = d.u32()? as usize;
-        let mut levels = Vec::with_capacity(count.min(64));
-        for _ in 0..count {
+        let levels = d.list(8, |d| {
             let slot = d.u32()? as usize;
             let body = d.bytes()?.to_vec();
-            levels.push(ProofLevel { body, slot });
-        }
+            Ok(ProofLevel { body, slot })
+        })?;
         let stored_body = match d.u8()? {
             0 => None,
             1 => Some(d.bytes()?.to_vec()),

@@ -181,6 +181,8 @@ fn recover_from(
         wrote_log: false,
         undo: crate::undo::Journal::new(),
         bodies_sealed_under_lock: 0,
+        cleaning: false,
+        reserve_refused: false,
         config,
     };
     inner.log.mark_residual(leader_seg);

@@ -11,8 +11,8 @@
 //! logic itself lives in the private `engine` layer: commit processing
 //! (`engine::commit`), the chunk map (`engine::map`), checkpointing
 //! (`engine::checkpoint`), partition bookkeeping (`engine::partitions`),
-//! and the log cleaner (`engine::maintenance`). The optional background
-//! maintenance runtime is the private `maintenance` module.
+//! and the log cleaner (`engine::maintenance`), which also keeps a
+//! bounded log writable (the cleaner reserve and inline slices).
 //!
 //! Concurrency: "serializability of operations is provided through mutual
 //! exclusion, which does not overlap I/O and computation, but is simple and
@@ -31,12 +31,12 @@ use tdb_storage::{MonotonicCounter, SharedUntrusted, TrustedStore};
 use crate::batcher::CommitBatcher;
 use crate::cache::MapCache;
 use crate::descriptor::Descriptor;
+use crate::engine::maintenance::CleanOutcome;
 use crate::engine::rollback::Undo;
 use crate::errors::{CoreError, Result};
 use crate::ids::{ChunkId, PartitionId};
 use crate::leader::SystemLeader;
 use crate::log::{LogHashes, SegmentedLog, Superblock};
-use crate::maintenance::{MaintenanceService, MaintenanceShared};
 use crate::metrics::{self, modules};
 use crate::params::{CryptoParams, PartitionCrypto};
 use crate::pipeline::{self, Seals};
@@ -98,7 +98,9 @@ pub struct ChunkStoreConfig {
     pub checkpoint_threshold: usize,
     /// Validation protocol.
     pub validation: ValidationMode,
-    /// Hard cap on segments (0 = unbounded).
+    /// Hard cap on segments (0 = unbounded). A bounded log keeps its last
+    /// few segments for the cleaner and cleans inline under pressure
+    /// (`engine::maintenance`).
     pub max_segments: u32,
     /// System-partition cipher and hash (the paper fixes 3DES + SHA-1).
     pub system_cipher: tdb_crypto::CipherKind,
@@ -111,11 +113,6 @@ pub struct ChunkStoreConfig {
     /// batch under 64 KB of plaintext is sealed on the committing thread
     /// whatever this says: a thread spawn costs more than it would save.
     pub crypto_workers: usize,
-    /// Run cleaning and threshold checkpoints on a background maintenance
-    /// thread (the `maintenance` module) instead of inside commits and
-    /// explicit [`ChunkStore::clean`] calls. `false` (the default)
-    /// reproduces the paper's caller-driven behavior exactly.
-    pub background_maintenance: bool,
     /// Transparent chunk-body compression ([`crate::compress`]): data-chunk
     /// bodies are LZ77-compressed *before* hashing and sealing, so the
     /// descriptor hash covers the stored bytes and every read verifies
@@ -142,7 +139,6 @@ impl Default for ChunkStoreConfig {
             system_cipher: tdb_crypto::CipherKind::TripleDes,
             system_hash: tdb_crypto::HashKind::Sha1,
             crypto_workers: 0,
-            background_maintenance: false,
             compression: false,
         }
     }
@@ -162,13 +158,9 @@ pub struct ChunkStoreStats {
     /// Obsolete bytes reclaimed by the cleaner (segment size minus live
     /// bytes, summed over reclaimed segments).
     pub bytes_reclaimed: u64,
-    /// Bounded cleaning slices run by the background maintenance thread.
+    /// Cleaning slices a commit ran inline because its bounded log was
+    /// short of free segments.
     pub clean_slices: u64,
-    /// Times the background maintenance thread woke and ran a pass.
-    pub maintenance_wakeups: u64,
-    /// Commits that hit the low-water admission gate and waited for the
-    /// cleaner.
-    pub commit_throttle_waits: u64,
     /// Bytes appended to the log.
     pub bytes_appended: u64,
     /// Times this store entered read-only degraded mode.
@@ -317,6 +309,11 @@ pub(crate) struct Inner {
     /// `WriteChunk` bodies hashed and sealed under the engine lock because
     /// their committer's early seal was missing or stale.
     pub bodies_sealed_under_lock: u64,
+    /// True for the length of a cleaning pass, which alone may take the
+    /// cleaner reserve.
+    pub cleaning: bool,
+    /// A writer was refused a segment by the reserve since the last slice.
+    pub reserve_refused: bool,
 }
 
 /// The read-path entries a commit can change, collected before its ops
@@ -351,26 +348,6 @@ impl Touched {
     }
 }
 
-/// The sharable core of a chunk store: the engine behind its mutex, the
-/// lock-free read path, the group-commit coordinator, and the maintenance
-/// rendezvous state. The facade and the background maintenance thread each
-/// hold an `Arc` of this. Public only because it is [`ChunkStore`]'s
-/// `Deref` target; every field and method is crate-private.
-#[doc(hidden)]
-pub struct StoreCore {
-    pub(crate) inner: Mutex<Inner>,
-    pub(crate) reads: ReadPath,
-    /// Group-commit coordinator, the only way into the commit path.
-    pub(crate) batcher: CommitBatcher,
-    /// Shared state of the background maintenance runtime (present even
-    /// when disabled; the flags inside make everything a no-op then).
-    pub(crate) maint: MaintenanceShared,
-    /// `crypto_workers` and `compression`, which committers seal with.
-    seal_config: (usize, bool),
-    /// Batches and chunks committers sealed on more than one thread.
-    early_fan_outs: (AtomicU64, AtomicU64),
-}
-
 /// The trusted chunk store.
 ///
 /// Mutations are serialized behind one lock, per the paper's simple
@@ -381,18 +358,14 @@ pub struct StoreCore {
 /// path (the `readpath` module) that serves validated chunks without the
 /// engine lock; any miss or anomaly falls back to the locked path.
 pub struct ChunkStore {
-    /// Background maintenance thread; declared before `core` so shutdown
-    /// and join happen before the facade's core reference goes away.
-    maintenance: Option<MaintenanceService>,
-    core: Arc<StoreCore>,
-}
-
-impl std::ops::Deref for ChunkStore {
-    type Target = StoreCore;
-
-    fn deref(&self) -> &StoreCore {
-        &self.core
-    }
+    pub(crate) inner: Mutex<Inner>,
+    pub(crate) reads: ReadPath,
+    /// Group-commit coordinator, the only way into the commit path.
+    pub(crate) batcher: CommitBatcher,
+    /// `crypto_workers` and `compression`, which committers seal with.
+    seal_config: (usize, bool),
+    /// Batches and chunks committers sealed on more than one thread.
+    early_fan_outs: (AtomicU64, AtomicU64),
 }
 
 impl std::fmt::Debug for ChunkStore {
@@ -466,6 +439,8 @@ impl ChunkStore {
             wrote_log: false,
             undo: Journal::new(),
             bodies_sealed_under_lock: 0,
+            cleaning: false,
+            reserve_refused: false,
         };
         // The initial checkpoint materializes the empty database: leader,
         // commit chunk / trusted hash, and superblock.
@@ -473,33 +448,17 @@ impl ChunkStore {
         Ok(ChunkStore::assemble(inner))
     }
 
-    /// Wraps a fully built engine with its concurrent read path and (when
-    /// configured) the background maintenance thread.
+    /// Wraps a fully built engine with its concurrent read path.
     fn assemble(inner: Inner) -> ChunkStore {
         let reads = ReadPath::new(Arc::clone(inner.log.store()), Arc::clone(&inner.system));
         reads.set_health(&inner.health);
-        let maint = MaintenanceShared::new(&inner.config);
-        let seal_config = (inner.config.crypto_workers, inner.config.compression);
-        let background = inner.config.background_maintenance;
-        let core = Arc::new(StoreCore {
+        ChunkStore {
+            seal_config: (inner.config.crypto_workers, inner.config.compression),
             inner: Mutex::new(inner),
             reads,
             batcher: CommitBatcher::new(),
-            maint,
-            seal_config,
             early_fan_outs: (AtomicU64::new(0), AtomicU64::new(0)),
-        });
-        {
-            // Seed the maintenance mirrors from the freshly built engine.
-            let inner = core.inner.lock();
-            core.note_engine_state(&inner);
         }
-        let maintenance = if background {
-            Some(MaintenanceService::spawn(Arc::clone(&core)))
-        } else {
-            None
-        };
-        ChunkStore { maintenance, core }
     }
 
     /// Opens an existing store, running crash recovery (§4.8) and
@@ -597,10 +556,6 @@ impl ChunkStore {
     /// first, before it queues or takes the engine lock.
     pub fn commit_many(&self, sets: Vec<Vec<CommitOp>>) -> Vec<Result<()>> {
         let _t = metrics::span(modules::CHUNK_STORE);
-        // Under background maintenance, a bounded log below its low-water
-        // mark throttles committers here (bounded wait) before they take
-        // the engine lock.
-        self.admission_gate();
         let sealed = self.seal_early(&sets);
         self.commit_batched(sets, sealed)
     }
@@ -700,12 +655,12 @@ impl ChunkStore {
         // data chunk's state, so published shard entries stay valid.
         let result = inner.checkpoint();
         self.reads.set_health(&inner.health);
-        self.note_engine_state(&inner);
         result
     }
 
     /// Runs the log cleaner over up to `max_segments` segments (§4.9.5),
-    /// returning how many were reclaimed.
+    /// returning how many were reclaimed. A pass only takes segments whose
+    /// relocation gains space, so `Ok(0)` on a log full of live data.
     ///
     /// # Errors
     ///
@@ -714,7 +669,27 @@ impl ChunkStore {
     /// poison the store.
     pub fn clean(&self, max_segments: usize) -> Result<usize> {
         let _t = metrics::span(modules::CHUNK_STORE);
-        self.clean_locked(max_segments, false)
+        let mut inner = self.inner.lock();
+        inner.check_writable()?;
+        let result = inner.clean(max_segments);
+        self.after_clean(&inner, &result);
+        result.map(|o| o.reclaimed)
+    }
+
+    /// Brings the read path up to date after a cleaning pass, under the
+    /// engine lock: exactly the relocated ids are invalidated, so hot
+    /// readers keep their fast path; an error clears the shards wholesale
+    /// (the rollback may have left published descriptors stale).
+    pub(crate) fn after_clean(&self, inner: &Inner, result: &Result<CleanOutcome>) {
+        match result {
+            Ok(outcome) => {
+                for id in &outcome.relocated {
+                    self.reads.invalidate(*id);
+                }
+            }
+            Err(_) => self.reads.clear_shards(),
+        }
+        self.reads.set_health(&inner.health);
     }
 
     /// Chunk positions whose state differs between two partitions (§5.1
@@ -788,30 +763,12 @@ impl ChunkStore {
         stats.read_fallbacks = fallbacks;
         stats.read_shard_contention = contention;
         stats.decompress_fallbacks = decompress_fallbacks;
-        stats.maintenance_wakeups = self.maint.wakeups.load(Ordering::Relaxed);
-        stats.commit_throttle_waits = self.maint.throttle_waits.load(Ordering::Relaxed);
         stats
     }
 
     /// Current health: live, degraded (read-only), or poisoned.
     pub fn health(&self) -> StoreHealth {
         self.inner.lock().health.clone()
-    }
-
-    /// Whether this store runs the background maintenance thread.
-    pub fn background_maintenance(&self) -> bool {
-        self.maintenance.is_some()
-    }
-
-    /// Lock-free estimate of the bounded log's free segments (headroom to
-    /// `max_segments` plus the free list), or `None` when the log is
-    /// unbounded. Callers running their own maintenance poll this to
-    /// decide when to checkpoint and clean — waiting for a commit to fail
-    /// with [`CoreError::OutOfSpace`]
-    /// is too late: a completely full log has no room left to relocate
-    /// live versions into.
-    pub fn free_segment_estimate(&self) -> Option<u64> {
-        self.maint.free_segments_if_bounded()
     }
 
     /// Drops every cached descriptor from the read shards (partition
@@ -868,7 +825,6 @@ impl ChunkStore {
         inner.check_writable()?;
         let result = inner.checkpoint();
         self.reads.set_health(&inner.health);
-        self.note_engine_state(&inner);
         result
     }
 
@@ -989,6 +945,14 @@ impl ChunkStore {
     #[doc(hidden)]
     pub fn debug_bodies_sealed_under_lock(&self) -> u64 {
         self.inner.lock().bodies_sealed_under_lock
+    }
+
+    /// Test-only: a bounded log's free segments (headroom to
+    /// `max_segments` plus the free list) and its cleaner reserve now.
+    #[doc(hidden)]
+    pub fn debug_free_and_reserve(&self) -> (u64, u64) {
+        let inner = self.inner.lock();
+        (inner.free_segments(), inner.cleaner_reserve())
     }
 
     /// Test-only: segments the residual log spans, the tail's included.

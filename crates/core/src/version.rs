@@ -384,12 +384,9 @@ impl DeallocRecord {
     /// materializing the owned record.
     pub fn encode_ids(ids: &[ChunkId]) -> Vec<u8> {
         let mut e = Enc::with_capacity(4 + ids.len() * 13);
-        e.u32(ids.len() as u32);
-        for id in ids {
-            e.u32(id.partition.0);
-            e.u8(id.pos.height);
-            e.u64(id.pos.rank);
-        }
+        e.list(ids, |e, id| {
+            e.u32(id.partition.0).u8(id.pos.height).u64(id.pos.rank);
+        });
         e.finish()
     }
 
@@ -400,14 +397,12 @@ impl DeallocRecord {
     /// Fails on structural corruption.
     pub fn decode(body: &[u8]) -> Result<DeallocRecord> {
         let mut d = Dec::new(body);
-        let n = d.u32()? as usize;
-        let mut ids = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
+        let ids = d.list(13, |d| {
             let partition = PartitionId(d.u32()?);
             let height = d.u8()?;
             let rank = d.u64()?;
-            ids.push(ChunkId::new(partition, Position { height, rank }));
-        }
+            Ok(ChunkId::new(partition, Position { height, rank }))
+        })?;
         d.expect_done("dealloc record")?;
         Ok(DeallocRecord { ids })
     }
@@ -524,6 +519,11 @@ pub struct CleanerRecord {
 }
 
 impl CleanerRecord {
+    /// Encoded length of a record naming `partitions` partitions.
+    pub fn encoded_len(partitions: usize) -> usize {
+        19 + 4 * partitions
+    }
+
     /// Serializes the record.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();

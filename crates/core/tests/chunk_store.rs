@@ -1064,8 +1064,16 @@ fn cleaner_relocation_for_a_copy_survives_crash_recovery() {
                     bytes: b"newer".to_vec(),
                 }])
                 .unwrap();
-            for i in 0..30u32 {
-                write_one(&store, p, &[i as u8; 200]);
+            // Overwrites of one chunk: garbage around the copy's version,
+            // so relocating it gains space.
+            let churn = write_one(&store, p, &[0; 200]);
+            for i in 1..30u8 {
+                store
+                    .commit(vec![CommitOp::WriteChunk {
+                        id: churn,
+                        bytes: vec![i; 200],
+                    }])
+                    .unwrap();
             }
             store.checkpoint().unwrap();
             let relocated_before = store.stats().chunks_relocated;

@@ -7,8 +7,10 @@
 //! input (for a compressed version, larger than the input or the
 //! descriptor's logical size, which the trusted map supplies), give or
 //! take [`MESSAGE`] bytes for an error's formatted message. A version
-//! that validates yields exactly the body that was sealed. This binary's
-//! allocator records the largest allocation each thread makes.
+//! that validates yields exactly the body that was sealed. The bodies
+//! with count-prefixed lists — the system leader, the dealloc record and
+//! the read proof — get the same pass. This binary's allocator records
+//! the largest allocation each thread makes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,12 +20,14 @@ use proptest::sample::Index;
 
 use tdb_core::compress::compress_body;
 use tdb_core::descriptor::Descriptor;
+use tdb_core::leader::SystemLeader;
 use tdb_core::params::PartitionCrypto;
 use tdb_core::version::{
-    parse_version, seal_version_flagged, validate_version, Rejected, VersionKind,
+    parse_version, seal_version, seal_version_flagged, validate_version, DeallocRecord, Rejected,
+    VersionKind,
 };
-use tdb_core::{ChunkId, CoreError, CryptoParams, PartitionId};
-use tdb_crypto::{CipherKind, HashKind, SecretKey};
+use tdb_core::{ChunkId, CoreError, CryptoParams, PartitionId, ProofLevel, ReadProof};
+use tdb_crypto::{CipherKind, HashKind, HashValue, SecretKey};
 
 thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
@@ -74,7 +78,7 @@ const LOCATION: u64 = 4096;
 /// Allowance for the formatted message a `Corrupt` error carries.
 const MESSAGE: usize = 128;
 
-fn crypto(cipher: CipherKind, hash: HashKind, seed: u64) -> PartitionCrypto {
+fn params(cipher: CipherKind, hash: HashKind, seed: u64) -> CryptoParams {
     let key = (0..cipher.key_len())
         .map(|i| (seed.rotate_left(7 * i as u32) as u8) ^ i as u8)
         .collect();
@@ -83,8 +87,10 @@ fn crypto(cipher: CipherKind, hash: HashKind, seed: u64) -> PartitionCrypto {
         hash,
         key: SecretKey::new(key),
     }
-    .runtime()
-    .unwrap()
+}
+
+fn crypto(cipher: CipherKind, hash: HashKind, seed: u64) -> PartitionCrypto {
+    params(cipher, hash, seed).runtime().unwrap()
 }
 
 /// A body that compresses (`repetitive`) or does not.
@@ -230,6 +236,114 @@ proptest! {
             Err(Rejected::Invalid(e)) => {
                 prop_assert!(e.is_tamper() || matches!(e, CoreError::Corrupt(_)), "{e:?}");
             }
+        }
+    }
+}
+
+/// Every flip of one byte, every proper prefix, and `u32::MAX` written over
+/// one offset or two — which rewrites each count, and each count together
+/// with the bound a decoder checks it against.
+fn list_mutations(input: &[u8]) -> Vec<Vec<u8>> {
+    let max = |bytes: &mut Vec<u8>, at: usize| bytes[at..at + 4].copy_from_slice(&[0xFF; 4]);
+    let mut out = Vec::new();
+    for i in 0..input.len() {
+        let mut flipped = input.to_vec();
+        flipped[i] ^= 0xA5;
+        out.push(flipped);
+        out.push(input[..i].to_vec());
+        for j in (i + 4..input.len().saturating_sub(3)).chain([i]) {
+            if i + 4 <= input.len() {
+                let mut rewritten = input.to_vec();
+                max(&mut rewritten, i);
+                max(&mut rewritten, j);
+                out.push(rewritten);
+            }
+        }
+    }
+    out
+}
+
+/// A system-leader body, sealed and opened again as recovery opens it, a
+/// dealloc record and a read proof, through [`list_mutations`]. Decoding
+/// never panics and never makes an allocation larger than four times its
+/// input (a proof level's in-memory record is 32 bytes against 8 on the
+/// wire), give or take [`MESSAGE`].
+#[test]
+fn mutated_leaders_records_and_proofs_never_panic_or_overallocate() {
+    let system_params = params(CipherKind::TripleDes, HashKind::Sha1, 7);
+    let system = system_params.runtime().unwrap();
+    let mut leader = SystemLeader::new(system_params.clone(), 4096);
+    leader.map.free_ranks = vec![3, 9, 27];
+    leader.map.copies = vec![PartitionId(5)];
+    leader.log.num_segments = 6;
+    leader.log.free_segments = vec![1, 4];
+    leader.log.utilization = vec![100, 0, 4000, 3, 0, 12];
+    let sealed = seal_version(
+        &system,
+        &system,
+        VersionKind::Named,
+        ChunkId::system_leader(),
+        &leader.encode(),
+    );
+    let leader_body = parse_version(&system, &sealed, LOCATION)
+        .unwrap()
+        .unwrap()
+        .open_body(&system, LOCATION)
+        .unwrap();
+    let dealloc = DeallocRecord {
+        ids: vec![
+            ChunkId::data(PartitionId(3), 17),
+            ChunkId::data(PartitionId(4), 1 << 40),
+        ],
+    }
+    .encode();
+    let proof = ReadProof {
+        id: ChunkId::data(PartitionId(3), 17),
+        hash: HashKind::Sha1,
+        fanout: 4,
+        levels: vec![
+            ProofLevel {
+                body: vec![7; 24],
+                slot: 1,
+            },
+            ProofLevel {
+                body: vec![9; 24],
+                slot: 0,
+            },
+        ],
+        root: HashValue::new(&[1; 20]),
+        stored_body: None,
+    }
+    .encode();
+
+    type Decoder<'a> = Box<dyn Fn(&[u8]) -> bool + 'a>;
+    let decoders: [(&str, Vec<u8>, Decoder); 3] = [
+        (
+            "system leader",
+            leader_body,
+            Box::new(|b| SystemLeader::decode(b, &system_params).is_ok()),
+        ),
+        (
+            "dealloc record",
+            dealloc,
+            Box::new(|b| DeallocRecord::decode(b).is_ok()),
+        ),
+        (
+            "read proof",
+            proof,
+            Box::new(|b| ReadProof::decode(b).is_ok()),
+        ),
+    ];
+    for (name, input, decode) in &decoders {
+        assert!(decode(input), "{name}: the unmutated body decodes");
+        for mutated in list_mutations(input) {
+            let (_, largest) = largest_allocation(|| decode(&mutated));
+            let bound = 4 * mutated.len() + MESSAGE;
+            assert!(
+                largest <= bound,
+                "{name}: allocated {largest} decoding {} bytes",
+                mutated.len()
+            );
         }
     }
 }

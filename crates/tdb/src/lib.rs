@@ -109,8 +109,8 @@ impl TrustedDbBuilder {
     /// and validation (3DES+SHA-1 system partition, DES+SHA-1 default
     /// partition, counter validation with Δut = 5) on a tuned write path —
     /// group commit, the seal fan-out, and checkpoints at 512 dirty map
-    /// chunks or an 8 MiB residual log — with compression, background
-    /// maintenance and MVCC off.
+    /// chunks or an 8 MiB residual log — on an unbounded log, with
+    /// compression and MVCC off.
     pub fn new() -> TrustedDbBuilder {
         let mut registry = TypeRegistry::new();
         register_builtin_types(&mut registry);
@@ -415,13 +415,6 @@ impl TrustedDb {
     /// prefer this over reaching through [`TrustedDb::chunks`].
     pub fn health(&self) -> StoreHealth {
         self.chunks.health()
-    }
-
-    /// Lock-free estimate of the bounded log's free segments (`None` when
-    /// the log is unbounded); see
-    /// [`ChunkStore::free_segment_estimate`].
-    pub fn free_segment_estimate(&self) -> Option<u64> {
-        self.chunks.free_segment_estimate()
     }
 
     /// Checkpoints and flushes for a clean shutdown.

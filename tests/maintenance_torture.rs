@@ -1,17 +1,24 @@
-//! Maintenance-runtime torture: background cleaning and checkpointing
-//! racing live committers over a bounded log.
+//! Bounded-log torture: a log capped at `max_segments` must stay writable
+//! however its committers and cleaners race.
 //!
-//! The properties under test (ISSUE: background maintenance):
+//! The properties under test:
 //!
-//! - No commit is acknowledged before its durability point while the
-//!   maintenance thread cleans and checkpoints concurrently: a crash that
-//!   loses every unflushed write must preserve every acknowledged commit.
-//! - Seeded fault plans firing into background maintenance never poison
-//!   the store, and acknowledged commits still survive recovery.
-//! - Under sustained log pressure the background cleaner reclaims enough
-//!   space that committers write several times the raw log capacity.
-//! - `background_maintenance = false` (the default) runs no maintenance
-//!   thread and records no background activity in the stats.
+//! - A bounded log never wedges. Commits may not take the cleaner reserve
+//!   (the last R segments), and below R + 2 free segments each commit
+//!   batch first cleans one slice inline, so overwriting a small live set
+//!   commits indefinitely — with one committer, with six, and with a
+//!   thread calling `clean` racing them — and a commit after the threads
+//!   join still succeeds.
+//! - The reserve covers the worst slice: a pass that starts with free
+//!   segments exactly at R, must checkpoint first, and relocates segments
+//!   as live as the net-gain rule lets it pick, never runs out of space.
+//! - A log full of live data is left alone: its inline slices relocate
+//!   nothing, `clean` answers `Ok(0)`, and the reserve stays free.
+//! - No commit is acknowledged before its durability point while inline
+//!   slices clean and checkpoint: a crash that loses every unflushed write,
+//!   a crash at every device op and every counter write of a slice that
+//!   takes the reserve, and seeded fault plans all keep every
+//!   acknowledged commit, and the reopened store admits a commit.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier, Mutex};
@@ -23,8 +30,8 @@ use tdb::{
 use tdb_core::CoreError;
 use tdb_crypto::SecretKey;
 use tdb_storage::{
-    CounterOverTrusted, CrashStore, FaultPlan, MemStore, MemTrustedStore, PlannedFaultStore,
-    SharedUntrusted, TrustedStore,
+    CounterOverTrusted, CrashStore, FaultPlan, FaultyTrustedStore, MemStore, MemTrustedStore,
+    PlannedFaultStore, SharedUntrusted, TrustedStore,
 };
 
 const THREADS: usize = 6;
@@ -37,7 +44,6 @@ fn bounded_config() -> ChunkStoreConfig {
         segment_size: 4096,
         max_segments: 24,
         checkpoint_threshold: 6,
-        background_maintenance: true,
         ..ChunkStoreConfig::default()
     }
 }
@@ -73,14 +79,13 @@ impl Rig {
         .unwrap()
     }
 
-    /// Reopens with background maintenance off: recovery checks stay
-    /// deterministic, with no thread racing the assertions.
-    fn open_foreground(&self, untrusted: SharedUntrusted) -> tdb_core::Result<ChunkStore> {
-        let config = ChunkStoreConfig {
-            background_maintenance: false,
-            ..self.config.clone()
-        };
-        ChunkStore::open(untrusted, self.backend(), self.secret.clone(), config)
+    fn open(&self, untrusted: SharedUntrusted) -> tdb_core::Result<ChunkStore> {
+        ChunkStore::open(
+            untrusted,
+            self.backend(),
+            self.secret.clone(),
+            self.config.clone(),
+        )
     }
 }
 
@@ -99,8 +104,8 @@ fn content(thread: usize, round: usize) -> Vec<u8> {
     vec![(thread * 29 + round * 13 + 1) as u8; 300 + (thread * 37 + round * 53) % 400]
 }
 
-/// Commits with bounded patience: `OutOfSpace` waits for the cleaner to
-/// reclaim (the admission gate already throttled once), a transient
+/// Commits with bounded patience: `OutOfSpace` (a fault plan can leave
+/// a slice unable to reclaim) is retried after a pause, a transient
 /// degrade gets one heal attempt. Returns whether the commit was
 /// acknowledged.
 fn commit_patiently(store: &ChunkStore, id: ChunkId, bytes: &[u8]) -> bool {
@@ -126,22 +131,21 @@ fn commit_patiently(store: &ChunkStore, id: ChunkId, bytes: &[u8]) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Durability before ack, with maintenance racing the committers.
+// Durability before ack, with inline slices cleaning behind the committers.
 // ---------------------------------------------------------------------------
 
 /// Concurrent committers overwrite a shared working set over a write-back
-/// cache while the maintenance thread cleans and checkpoints behind them.
-/// A crash that loses *every* unflushed write must preserve the last
-/// acknowledged value of every chunk — maintenance must never let a
-/// commit be acknowledged before its durability point, and its own
-/// relocations must never un-persist acknowledged data.
+/// cache while their batch leaders clean and checkpoint inline. A crash
+/// that loses *every* unflushed write must preserve the last acknowledged
+/// value of every chunk — a slice must never let a commit be acknowledged
+/// before its durability point, and its relocations must never
+/// un-persist acknowledged data.
 #[test]
-fn acked_commits_survive_crash_during_background_maintenance() {
+fn acked_commits_survive_crash_during_inline_cleaning() {
     const ROUNDS: usize = 20;
     let rig = Rig::new(bounded_config());
     let crash = Arc::new(CrashStore::new(Arc::new(MemStore::new())).unwrap());
     let store = rig.create(Arc::clone(&crash) as SharedUntrusted);
-    assert!(store.background_maintenance());
     let p = setup_partition(&store);
     let ids: Vec<Vec<ChunkId>> = (0..THREADS)
         .map(|_| (0..4).map(|_| store.allocate_chunk(p).unwrap()).collect())
@@ -174,17 +178,14 @@ fn acked_commits_survive_crash_during_background_maintenance() {
         "the run barely committed: {} acks",
         acked.len()
     );
-    // The workload overwrote a 24-segment log many times over; background
-    // maintenance is what kept it alive.
-    assert!(
-        stats.maintenance_wakeups >= 1,
-        "maintenance thread never woke"
-    );
+    // The workload overwrote a 24-segment log many times over; inline
+    // slices are what kept it alive.
+    assert!(stats.clean_slices >= 1, "no inline slice ran");
     drop(store);
 
     let image = crash.crash_lose_all();
     let reopened = rig
-        .open_foreground(Arc::new(MemStore::from_bytes(image)) as SharedUntrusted)
+        .open(Arc::new(MemStore::from_bytes(image)) as SharedUntrusted)
         .expect("recovery after losing all unflushed writes");
     for (id, bytes) in &acked {
         assert_eq!(
@@ -196,16 +197,15 @@ fn acked_commits_survive_crash_during_background_maintenance() {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded faults firing into background maintenance.
+// Seeded faults firing into inline slices.
 // ---------------------------------------------------------------------------
 
 /// Mixed seeded faults land in whatever the store happens to be doing —
-/// commits, background checkpoints, or clean slices. Background
-/// maintenance consuming fault indices makes the interleaving adversarial
-/// by construction; the invariants must hold anyway: plain I/O faults
-/// never poison, and every acknowledged commit survives recovery.
+/// commits, checkpoints, or inline clean slices, whichever batch leader
+/// runs them. The invariants must hold anyway: plain I/O faults never
+/// poison, and every acknowledged commit survives recovery.
 #[test]
-fn seeded_faults_with_background_maintenance_never_poison() {
+fn seeded_faults_with_inline_cleaning_never_poison() {
     for seed in [1u64, 2, 3] {
         let rig = Rig::new(bounded_config());
         let mem = Arc::new(MemStore::new());
@@ -218,6 +218,15 @@ fn seeded_faults_with_background_maintenance_never_poison() {
         let ids: Vec<Vec<ChunkId>> = (0..THREADS)
             .map(|_| (0..3).map(|_| store.allocate_chunk(p).unwrap()).collect())
             .collect();
+        // Churn a scratch chunk until the log is just above the slowdown
+        // mark, so the faulted commits below run inline slices.
+        let scratch = store.allocate_chunk(p).unwrap();
+        while {
+            let (free, reserve) = store.debug_free_and_reserve();
+            free > reserve + 3
+        } {
+            assert!(commit_patiently(&store, scratch, &[0x5C; 600]));
+        }
         let horizon = pf.total_ops() + 300;
         pf.set_plan(FaultPlan::seeded(seed, horizon, 5));
 
@@ -242,14 +251,15 @@ fn seeded_faults_with_background_maintenance_never_poison() {
         });
         assert!(
             !store.health().is_poisoned(),
-            "seed {seed}: an I/O fault during maintenance must never poison"
+            "seed {seed}: an I/O fault during cleaning must never poison"
         );
+        assert!(store.stats().clean_slices >= 1, "seed {seed}: no slice ran");
         let acked = acked.into_inner().unwrap();
         drop(store);
 
         pf.set_plan(FaultPlan::new());
         let reopened = rig
-            .open_foreground(Arc::new(MemStore::from_bytes(mem.image())) as SharedUntrusted)
+            .open(Arc::new(MemStore::from_bytes(mem.image())) as SharedUntrusted)
             .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}"));
         for (id, bytes) in &acked {
             assert_eq!(
@@ -266,9 +276,9 @@ fn seeded_faults_with_background_maintenance_never_poison() {
 // ---------------------------------------------------------------------------
 
 /// Sustained overwrites push several times the raw log capacity through a
-/// 24-segment store. Only background reclamation makes that possible, and
-/// the stats must show it happened: segments reclaimed, versions
-/// relocated, and the work done in bounded slices.
+/// 24-segment store. Only reclamation makes that possible — no caller
+/// cleans here, so it is the inline slices — and the stats must show it
+/// happened: segments reclaimed and the work done in slices.
 #[test]
 fn background_cleaner_sustains_writes_past_raw_capacity() {
     const ROUNDS: usize = 60;
@@ -311,11 +321,7 @@ fn background_cleaner_sustains_writes_past_raw_capacity() {
     let stats = store.stats();
     assert!(stats.segments_cleaned >= 1, "no segment was ever reclaimed");
     assert!(stats.bytes_reclaimed >= 1, "no bytes were ever reclaimed");
-    assert!(
-        stats.clean_slices >= 1,
-        "cleaning never ran in background slices"
-    );
-    assert!(stats.maintenance_wakeups >= 1, "maintenance never woke");
+    assert!(stats.clean_slices >= 1, "cleaning never ran in slices");
 
     // Every chunk still serves its last value through the read path.
     for (t, my_ids) in ids.iter().enumerate() {
@@ -331,34 +337,400 @@ fn background_cleaner_sustains_writes_past_raw_capacity() {
 }
 
 // ---------------------------------------------------------------------------
-// Parity: the default runs no maintenance thread.
+// A bounded log never wedges.
 // ---------------------------------------------------------------------------
 
-/// With `background_maintenance` off (the default), no thread is spawned
-/// and no background activity ever lands in the stats — the engine is
-/// caller-driven exactly as before.
+/// The default configuration on a 24-segment log of 4 KiB segments.
+fn small_log_config() -> ChunkStoreConfig {
+    ChunkStoreConfig {
+        segment_size: 4096,
+        max_segments: 24,
+        ..ChunkStoreConfig::default()
+    }
+}
+
+fn overwrite(store: &ChunkStore, id: ChunkId, round: usize) -> tdb_core::Result<()> {
+    store.commit(vec![CommitOp::WriteChunk {
+        id,
+        bytes: vec![round as u8; 500],
+    }])
+}
+
+/// `committers` threads each overwrite eight shared 500-byte chunks
+/// round-robin, `rounds` times, while (with `racing_cleaner`) one more
+/// thread calls `clean(4)` every 200 µs. Every commit must succeed, and so
+/// must one more after the threads join.
+fn never_wedges(committers: usize, rounds: usize, racing_cleaner: bool) {
+    let rig = Rig::new(small_log_config());
+    let store = rig.create(Arc::new(MemStore::new()) as SharedUntrusted);
+    let p = setup_partition(&store);
+    let ids: Vec<ChunkId> = (0..8).map(|_| store.allocate_chunk(p).unwrap()).collect();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let cleaner = racing_cleaner.then(|| {
+            s.spawn(|| {
+                while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                    store.clean(4)?;
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                Ok::<(), CoreError>(())
+            })
+        });
+        let workers: Vec<_> = (0..committers)
+            .map(|t| {
+                let (store, ids) = (&store, &ids);
+                s.spawn(move || {
+                    for round in 0..rounds {
+                        let id = ids[(t + round) % ids.len()];
+                        if let Err(e) = overwrite(store, id, round) {
+                            return Err(format!("committer {t}, round {round}: {e}"));
+                        }
+                    }
+                    Ok(())
+                })
+            })
+            .collect();
+        let committed: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        if let Some(c) = cleaner {
+            c.join().unwrap().expect("a racing clean call failed");
+        }
+        for outcome in committed {
+            outcome.unwrap();
+        }
+    });
+    overwrite(&store, ids[0], 7).expect("the commit after the join");
+    assert!(store.health().is_live());
+    if !racing_cleaner {
+        assert!(store.stats().clean_slices >= 1, "no inline slice ran");
+    }
+    let log_bytes = u64::from(rig.config.max_segments) * u64::from(rig.config.segment_size);
+    assert!(store.stored_size() <= tdb_core::log::SEGMENT_BASE + log_bytes);
+    assert_eq!(store.read(ids[0]).unwrap(), vec![7u8; 500]);
+}
+
+/// The single-committer stream: 3,000 overwrites of eight chunks through
+/// a log that holds about 150 of them.
 #[test]
-fn disabled_maintenance_runs_nothing_in_background() {
+fn one_committer_never_wedges_a_bounded_log() {
+    never_wedges(1, 3000, false);
+}
+
+#[test]
+fn one_committer_and_a_racing_cleaner_never_wedge_a_bounded_log() {
+    never_wedges(1, 3000, true);
+}
+
+#[test]
+fn six_committers_never_wedge_a_bounded_log() {
+    never_wedges(6, 500, false);
+}
+
+#[test]
+fn six_committers_and_a_racing_cleaner_never_wedge_a_bounded_log() {
+    never_wedges(6, 500, true);
+}
+
+/// A log filled with live data until commits answer `OutOfSpace` has
+/// nothing worth cleaning: the inline slice a further commit runs
+/// relocates nothing, `clean` answers `Ok(0)` rather than `OutOfSpace`,
+/// and the reserve is still free.
+#[test]
+fn a_log_full_of_live_data_is_left_alone() {
     let rig = Rig::new(ChunkStoreConfig {
-        background_maintenance: false,
-        ..bounded_config()
+        fanout: 4,
+        ..small_log_config()
     });
     let store = rig.create(Arc::new(MemStore::new()) as SharedUntrusted);
-    assert!(!store.background_maintenance());
     let p = setup_partition(&store);
-    for round in 0..12 {
+    let write_new = |round: usize| {
+        let id = store.allocate_chunk(p).unwrap();
+        overwrite(&store, id, round)
+    };
+    // Full: three commits in a row refused, each after its inline slice.
+    let (mut round, mut refused) = (0, 0);
+    while refused < 3 {
+        match write_new(round) {
+            Ok(()) => refused = 0,
+            Err(CoreError::OutOfSpace) => refused += 1,
+            Err(e) => panic!("round {round}: {e}"),
+        }
+        round += 1;
+        assert!(round < 10_000, "a 24-segment log never filled");
+    }
+    let before = store.stats();
+    assert!(matches!(write_new(round), Err(CoreError::OutOfSpace)));
+    let after = store.stats();
+    assert_eq!(after.clean_slices, before.clean_slices + 1, "no slice ran");
+    assert_eq!(after.chunks_relocated, before.chunks_relocated, "churn");
+    assert_eq!(store.clean(4).unwrap(), 0);
+    assert_eq!(store.stats().chunks_relocated, before.chunks_relocated);
+    let (free, reserve) = store.debug_free_and_reserve();
+    assert!(
+        free >= reserve,
+        "{free} free segments under a reserve of {reserve}"
+    );
+    assert!(store.health().is_live());
+}
+
+/// The worst case one slice can meet. Each layout commits a new 600-byte
+/// chunk — at every fourth rank, so each dirties map chunks of its own —
+/// together with an overwrite of one scratch chunk, whose size sets how
+/// much garbage each segment holds; nothing checkpoints, so every segment
+/// stays in the residual log. The image is then reopened with
+/// `max_segments` set so that free segments are exactly the reserve R the
+/// reopened store derives. One `clean` over a slice's two segments must
+/// checkpoint first (all those dirty map chunks), relocate what the
+/// net-gain rule lets it pick — from the layouts whose segments it barely
+/// picks to those with room to spare — and never answer `OutOfSpace`; the
+/// next commit must be admitted.
+#[test]
+fn the_reserve_covers_the_worst_slice() {
+    let mut relocated_any = false;
+    for scratch in (0..=360).step_by(24) {
+        let rig = Rig::new(ChunkStoreConfig {
+            fanout: 4,
+            segment_size: 4096,
+            checkpoint_threshold: 100_000,
+            ..ChunkStoreConfig::default()
+        });
+        let mem = Arc::new(MemStore::new());
+        let (p, x) = {
+            let store = rig.create(Arc::clone(&mem) as SharedUntrusted);
+            let p = setup_partition(&store);
+            let x = store.allocate_chunk(p).unwrap();
+            for i in 0..120u32 {
+                let ids: Vec<ChunkId> = (0..4).map(|_| store.allocate_chunk(p).unwrap()).collect();
+                store
+                    .commit(vec![
+                        CommitOp::WriteChunk {
+                            id: ids[0],
+                            bytes: vec![i as u8; 600],
+                        },
+                        CommitOp::WriteChunk {
+                            id: x,
+                            bytes: vec![i as u8; scratch],
+                        },
+                    ])
+                    .unwrap();
+            }
+            assert_eq!(store.stats().checkpoints, 1, "only the format checkpoint");
+            (p, x)
+        };
+        let image = mem.image();
+        let reopen = |max_segments: u32| {
+            let rig = Rig {
+                config: ChunkStoreConfig {
+                    max_segments,
+                    ..rig.config.clone()
+                },
+                secret: rig.secret.clone(),
+                register: Arc::clone(&rig.register),
+            };
+            rig.open(Arc::new(MemStore::from_bytes(image.clone())) as SharedUntrusted)
+                .unwrap()
+        };
+        let segments = (image.len() as u64 - tdb_core::log::SEGMENT_BASE).div_ceil(4096) as u32;
+        let (_, reserve) = reopen(u32::MAX).debug_free_and_reserve();
+        let store = reopen(segments + reserve as u32);
+        let ctx = format!("scratch {scratch}");
+        assert_eq!(store.debug_free_and_reserve(), (reserve, reserve), "{ctx}");
+        assert!(store.debug_residual_segments() > 2, "{ctx}");
+        let before = store.stats();
+        let reclaimed = store
+            .clean(2)
+            .unwrap_or_else(|e| panic!("{ctx}: the slice ran out of space: {e}"));
+        let after = store.stats();
+        assert_eq!(
+            after.checkpoints,
+            before.checkpoints + 1,
+            "{ctx}: no checkpoint"
+        );
+        if reclaimed > 0 {
+            relocated_any |= after.chunks_relocated > before.chunks_relocated;
+        }
         let id = store.allocate_chunk(p).unwrap();
         store
             .commit(vec![CommitOp::WriteChunk {
                 id,
-                bytes: content(0, round),
+                bytes: vec![0xAA; 600],
             }])
-            .unwrap();
+            .unwrap_or_else(|e| panic!("{ctx}: the next commit was refused: {e}"));
+        assert_eq!(store.read(x).unwrap(), vec![119u8; scratch], "{ctx}");
     }
-    // Give a stray thread (there must be none) time to wake and tick.
-    std::thread::sleep(Duration::from_millis(100));
-    let stats = store.stats();
-    assert_eq!(stats.maintenance_wakeups, 0);
-    assert_eq!(stats.clean_slices, 0);
-    assert_eq!(stats.commit_throttle_waits, 0);
+    assert!(relocated_any, "no layout let the slice relocate anything");
+}
+
+// ---------------------------------------------------------------------------
+// A crash sweep through a slice that takes the reserve.
+// ---------------------------------------------------------------------------
+
+/// A bounded store one commit short of its first inline slice.
+struct SliceRig {
+    secret: SecretKey,
+    config: ChunkStoreConfig,
+    register: Arc<MemTrustedStore>,
+    faulty: Arc<FaultyTrustedStore>,
+    crash: Arc<CrashStore>,
+    pf: Arc<PlannedFaultStore>,
+    store: ChunkStore,
+    /// Every chunk with its acknowledged content; the slice's commit
+    /// overwrites chunk 0.
+    acked: Vec<(ChunkId, Vec<u8>)>,
+}
+
+impl SliceRig {
+    /// Overwrites eight hot chunks round-robin and writes a cold one every
+    /// other round, nothing checkpointing, until free segments fall below
+    /// R + 2: the next commit's batch leader runs a slice, which must
+    /// checkpoint before it can clean anything.
+    fn new() -> SliceRig {
+        let register = Arc::new(MemTrustedStore::new(64));
+        let faulty = Arc::new(FaultyTrustedStore::new(
+            Arc::clone(&register) as Arc<dyn TrustedStore>
+        ));
+        let crash =
+            Arc::new(CrashStore::new(Arc::new(MemStore::new()) as SharedUntrusted).unwrap());
+        let pf = Arc::new(PlannedFaultStore::new(
+            Arc::clone(&crash) as SharedUntrusted,
+            FaultPlan::new(),
+        ));
+        let secret = SecretKey::random(24);
+        let config = ChunkStoreConfig {
+            fanout: 4,
+            segment_size: 4096,
+            max_segments: 16,
+            checkpoint_threshold: 100_000,
+            ..ChunkStoreConfig::default()
+        };
+        let store = ChunkStore::create(
+            Arc::clone(&pf) as SharedUntrusted,
+            TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
+                Arc::clone(&faulty) as Arc<dyn TrustedStore>
+            ))),
+            secret.clone(),
+            config.clone(),
+        )
+        .unwrap();
+        let p = setup_partition(&store);
+        let mut acked: Vec<(ChunkId, Vec<u8>)> = (0..8)
+            .map(|_| (store.allocate_chunk(p).unwrap(), Vec::new()))
+            .collect();
+        for round in 0.. {
+            let (free, reserve) = store.debug_free_and_reserve();
+            if free < reserve + 2 {
+                break;
+            }
+            let i = round % 8;
+            let bytes = vec![round as u8; 450];
+            overwrite_with(&store, acked[i].0, &bytes).unwrap();
+            acked[i].1 = bytes;
+            if round % 2 == 0 {
+                // A cold chunk every other round, at every fourth rank: each
+                // segment keeps live data to relocate, and each cold chunk
+                // dirties map chunks of its own for the checkpoint.
+                let ids: Vec<ChunkId> = (0..4).map(|_| store.allocate_chunk(p).unwrap()).collect();
+                let bytes = vec![round as u8; 300];
+                overwrite_with(&store, ids[0], &bytes).unwrap();
+                acked.push((ids[0], bytes));
+            }
+        }
+        assert_eq!(store.stats().clean_slices, 0);
+        SliceRig {
+            secret,
+            config,
+            register,
+            faulty,
+            crash,
+            pf,
+            store,
+            acked,
+        }
+    }
+
+    /// The commit whose batch runs the slice: an overwrite of chunk 0.
+    fn commit(&self) -> tdb_core::Result<()> {
+        overwrite_with(&self.store, self.acked[0].0, &[0xC5; 450])
+    }
+
+    /// Crashes keeping every write the device took, reopens against the
+    /// register as the crash left it, and checks every acknowledged commit
+    /// survived and the reopened store admits one more.
+    fn crash_and_reopen(&self, result: &tdb_core::Result<()>, ctx: &str) {
+        let image = self.crash.crash_keep_all();
+        let store = ChunkStore::open(
+            Arc::new(MemStore::from_bytes(image)) as SharedUntrusted,
+            TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
+                Arc::clone(&self.register) as Arc<dyn TrustedStore>,
+            ))),
+            self.secret.clone(),
+            self.config.clone(),
+        )
+        .unwrap_or_else(|e| panic!("{ctx}: recovery refused the image: {e}"));
+        for (i, (id, old)) in self.acked.iter().enumerate() {
+            let got = store
+                .read(*id)
+                .unwrap_or_else(|e| panic!("{ctx}: chunk {i}: {e}"));
+            if i == 0 && result.is_ok() {
+                assert_eq!(got, vec![0xC5; 450], "{ctx}: the acked commit was lost");
+            } else if i == 0 {
+                assert!(got == *old || got == vec![0xC5; 450], "{ctx}: chunk 0 torn");
+            } else {
+                assert_eq!(&got, old, "{ctx}: chunk {i}");
+            }
+        }
+        overwrite_with(&store, self.acked[1].0, b"post-recovery")
+            .unwrap_or_else(|e| panic!("{ctx}: the reopened store refused a commit: {e}"));
+    }
+}
+
+fn overwrite_with(store: &ChunkStore, id: ChunkId, bytes: &[u8]) -> tdb_core::Result<()> {
+    store.commit(vec![CommitOp::WriteChunk {
+        id,
+        bytes: bytes.to_vec(),
+    }])
+}
+
+/// The slice run clean — it must take a segment out of the reserve — then
+/// stopped at every device op, then with every trusted-counter write
+/// failed in turn. Recovery keeps every acknowledged commit each time, and
+/// the reopened store, which derives R afresh, admits a commit.
+#[test]
+fn crash_sweep_through_a_slice_that_takes_the_reserve() {
+    let dry = SliceRig::new();
+    let (free, reserve) = dry.store.debug_free_and_reserve();
+    let (size, ops, advances) = (
+        dry.store.stored_size(),
+        dry.pf.total_ops(),
+        dry.register.stats().snapshot().writes,
+    );
+    dry.commit().unwrap();
+    assert_eq!(dry.store.stats().clean_slices, 1);
+    // The free list was empty, so every segment the slice took extended
+    // the log.
+    let taken = (dry.store.stored_size() - size) / 4096;
+    assert!(
+        free - taken < reserve,
+        "the slice took {taken} of {free} free segments, none of the {reserve} reserved"
+    );
+    let ops = dry.pf.total_ops() - ops;
+    let advances = dry.register.stats().snapshot().writes - advances;
+    dry.crash_and_reopen(&Ok(()), "crash after the slice");
+
+    for halt in 0..ops {
+        let rig = SliceRig::new();
+        let start = rig.pf.total_ops() + halt;
+        rig.pf
+            .set_plan(FaultPlan::new().transient_window(start, u64::MAX));
+        let result = rig.commit();
+        assert!(!rig.store.health().is_poisoned(), "device op {halt}");
+        rig.crash_and_reopen(&result, &format!("stopped at device op {halt}"));
+    }
+    for fail in 0..advances {
+        let rig = SliceRig::new();
+        rig.faulty.fail_after_writes(fail);
+        let result = rig.commit();
+        assert_eq!(rig.faulty.failures(), 1, "counter write {fail}");
+        rig.crash_and_reopen(&result, &format!("counter write {fail} failed"));
+    }
 }
