@@ -490,12 +490,10 @@ fn e7_backup_regression(_run: usize) -> Vec<Row> {
 // E8: space overhead (§9.3).
 // ---------------------------------------------------------------------------
 
-/// Measures per-chunk stored overhead and post-cleaning utilization.
-fn e8_space(_run: usize) -> Vec<Row> {
-    let platform = Platform::new(IoMode::Raw);
-    let config = paper_config();
-    let seg_size = config.segment_size as u64;
-    let (store, p) = chunk_store_with_partition(&platform, config);
+/// Writes 2000 new 512-byte chunks and checkpoints; returns the store and
+/// its stored bytes per chunk beyond the 512 the application wrote.
+fn e8_store(platform: &Platform, config: ChunkStoreConfig) -> (Arc<ChunkStore>, u64, f64) {
+    let (store, p) = chunk_store_with_partition(platform, config);
     let n = 2000u64;
     let size = 512usize;
     for i in 0..n {
@@ -505,6 +503,18 @@ fn e8_space(_run: usize) -> Vec<Row> {
     // Live bytes vs logical bytes.
     let live: u64 = store.utilization().iter().map(|&u| u64::from(u)).sum();
     let overhead = live.saturating_sub(n * size as u64) as f64 / n as f64;
+    (store, live, overhead)
+}
+
+/// Measures per-chunk stored overhead, on the paper's suite and on the
+/// default one, and post-cleaning utilization.
+fn e8_space(_run: usize) -> Vec<Row> {
+    let platform = Platform::new(IoMode::Raw);
+    let config = paper_config();
+    let seg_size = config.segment_size as u64;
+    let (store, live, overhead) = e8_store(&platform, config);
+    let (_, _, default_overhead) =
+        e8_store(&Platform::new(IoMode::Raw), ChunkStoreConfig::default());
     // Log utilization after cleaning to steady state.
     let mut passes = 0;
     while store.clean(4).expect("clean") > 0 && passes < 64 {
@@ -516,6 +526,7 @@ fn e8_space(_run: usize) -> Vec<Row> {
     let utilization = live as f64 * 100.0 / (occupied_segments * seg_size).max(1) as f64;
     vec![
         row("overhead_b_per_chunk", "B", overhead).paper(52.0),
+        row("default_suite_overhead_b_per_chunk", "B", default_overhead),
         row("occupied_segments", "count", occupied_segments as f64),
         row("cleaning_passes", "count", f64::from(passes)),
         row("utilization_pct", "%", utilization).paper(90.0),

@@ -6,7 +6,7 @@ use tdb::{
     ChunkStore, ChunkStoreConfig, CommitOp, CryptoParams, PartitionId, TrustedBackend,
     ValidationMode,
 };
-use tdb_crypto::SecretKey;
+use tdb_crypto::{CipherKind, HashKind, SecretKey};
 use tdb_storage::{
     CounterOverTrusted, DiskModel, MemStore, MemTrustedStore, SharedTrusted, SharedUntrusted,
     SimClock, SimDiskStore,
@@ -74,9 +74,14 @@ impl Platform {
 }
 
 /// The paper's chunk store configuration (§9.1): counter validation with
-/// Δut = 5, Δtu = 0, fanout 64.
+/// Δut = 5, Δtu = 0, fanout 64, and the paper's system suite, 3DES +
+/// SHA-1 (§5.2), where the default seals the system partition with AES.
 pub fn paper_config() -> ChunkStoreConfig {
-    ChunkStoreConfig::default()
+    ChunkStoreConfig {
+        system_cipher: CipherKind::TripleDes,
+        system_hash: HashKind::Sha1,
+        ..ChunkStoreConfig::default()
+    }
 }
 
 /// Creates a chunk store with a ready partition, returning both. The

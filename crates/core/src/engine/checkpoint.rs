@@ -19,6 +19,7 @@
 //! what the cleaner may not touch.
 
 use crate::engine::commit::COMMIT_CHUNK_ROOM;
+use crate::engine::rollback::Undo;
 use crate::errors::Result;
 use crate::ids::{ChunkId, PartitionId, Position};
 use crate::log::Superblock;
@@ -110,7 +111,7 @@ impl Inner {
         // 4. The system leader, last. Budget room for it plus the commit
         //    chunk so nothing after the hash boundary switches segments.
         self.sys_leader.checkpoint_seq += 1;
-        let probe = self.sys_leader.encode();
+        let probe = self.leader_body();
         let budget = sealed_version_len(&self.system, &self.system, probe.len() + 64) as u32
             + COMMIT_CHUNK_ROOM;
         self.ensure_room(budget)?;
@@ -129,7 +130,7 @@ impl Inner {
         }
 
         // Re-encode after ensure_room (a segment switch changes log state).
-        let body = self.sys_leader.encode();
+        let body = self.leader_body();
         let sealed = {
             let _t = metrics::span(modules::ENCRYPTION);
             seal_version(
@@ -172,8 +173,14 @@ impl Inner {
             }
         }
 
-        // 6. The residual log now starts at the leader.
+        // 6. The residual log now starts at the leader, and the segments
+        //    the cleaner emptied before it are free.
         self.log.reset_residual();
+        if !self.cleaned.is_empty() {
+            let released = self.cleaned.len();
+            self.sys_leader.log.free_segments.append(&mut self.cleaned);
+            self.undo.push(Undo::SegmentsReleased(released), 8);
+        }
         self.stats.checkpoints += 1;
         self.stats.commits += 1;
         Ok(())
@@ -233,11 +240,24 @@ impl Inner {
         Ok(())
     }
 
+    /// The system leader's body as this checkpoint writes it: the segments
+    /// the cleaner emptied are free in it, since once it is durable
+    /// nothing recovery reads lies in them.
+    pub(crate) fn leader_body(&mut self) -> Vec<u8> {
+        let log = &mut self.sys_leader.log;
+        let free = log.free_segments.len();
+        log.free_segments.extend_from_slice(&self.cleaned);
+        let body = self.sys_leader.encode();
+        self.sys_leader.log.free_segments.truncate(free);
+        body
+    }
+
     fn write_superblock(&mut self, leader_loc: u64) -> Result<()> {
         let sb = Superblock {
             epoch: self.superblock.epoch + 1,
             current_leader: leader_loc,
             prev_leader: self.superblock.current_leader,
+            suite: self.superblock.suite,
         };
         sb.write(self.log.store())?;
         self.superblock = sb;

@@ -31,6 +31,18 @@
 //! engine lock it already holds ([`Inner::slice_if_short`]). A pass takes
 //! segments only while relocating them gains space ([`Inner::gains`]), so
 //! passes never lose ground and a log full of live data is left alone.
+//!
+//! **Some emptied segments wait for a checkpoint.** Recovery starts at the
+//! latest checkpoint and reads its map chunks and partition leaders where
+//! it wrote them, and the cleaner relocates those like any other version.
+//! So a segment from which a pass relocated one of them joins
+//! [`Inner::cleaned`], not the free list, and is neither written nor
+//! cleaned again until the next checkpoint is durable, which records where
+//! its versions went. Recovery reads no data version where a checkpoint
+//! left it, so a segment that held only data is free at once. A bounded
+//! log cannot wait for the dirty threshold: a pass on it starts with that
+//! checkpoint whenever an earlier pass left segments waiting, so R, which
+//! already budgets a checkpoint, covers them.
 
 use std::collections::{BTreeSet, HashSet};
 
@@ -148,9 +160,9 @@ impl Inner {
                 add(sealed_version_len(sys, sys, entry.leader.encode().len()));
             }
         }
-        // The system leader as the checkpoint budgets it, commit chunk
-        // included.
-        let leader = self.sys_leader.encode().len() + 64;
+        // The system leader as the checkpoint budgets it, the emptied
+        // segments it frees and its commit chunk included.
+        let leader = self.sys_leader.encode().len() + 4 * self.cleaned.len() + 64;
         add(sealed_version_len(sys, sys, leader) + COMMIT_CHUNK_ROOM as usize);
         let room = u64::from(self.log.max_version_len());
         count.min(bytes / (room + 1).saturating_sub(largest).max(1) + 1)
@@ -202,13 +214,21 @@ impl Inner {
     /// and tries again if that can help ([`Inner::checkpoint_helps`]).
     pub(crate) fn clean(&mut self, max_segments: usize) -> Result<CleanOutcome> {
         self.cleaning = true;
-        let result = self.clean_pass(max_segments).and_then(|outcome| {
-            if outcome.reclaimed > 0 || !self.checkpoint_helps()? {
-                return Ok(outcome);
-            }
-            self.checkpoint()?;
-            self.clean_pass(max_segments)
-        });
+        let bounded = self.config.max_segments != 0;
+        let released = if bounded && !self.cleaned.is_empty() {
+            self.checkpoint()
+        } else {
+            Ok(())
+        };
+        let result = released
+            .and_then(|()| self.clean_pass(max_segments))
+            .and_then(|outcome| {
+                if outcome.reclaimed > 0 || !self.checkpoint_helps()? {
+                    return Ok(outcome);
+                }
+                self.checkpoint()?;
+                self.clean_pass(max_segments)
+            });
         self.cleaning = false;
         result
     }
@@ -241,10 +261,13 @@ impl Inner {
     }
 
     /// Cleanable segments, lowest utilization first: the cleaner skips
-    /// the residual log (§4.9.5) and free segments.
+    /// the residual log (§4.9.5), free segments and those already emptied.
     fn candidates(&self) -> Vec<u32> {
         let residual = self.log.residual_segments();
-        let free: HashSet<u32> = self.sys_leader.log.free_segments.iter().copied().collect();
+        let free: HashSet<u32> = (self.sys_leader.log.free_segments.iter())
+            .chain(&self.cleaned)
+            .copied()
+            .collect();
         let segments = 0..self.sys_leader.log.utilization.len() as u32;
         self.by_utilization(segments.filter(|s| !residual.contains(s) && !free.contains(s)))
     }
@@ -359,7 +382,10 @@ impl Inner {
                 )?;
             }
             rewrote_any |= !plan.live.is_empty();
-            freed.push(plan.seg);
+            let checkpointed = (plan.live.iter()).any(|(_, _, id, _)| {
+                id.pos.is_map() || id.partition.is_system() && id.pos.is_data()
+            });
+            freed.push((plan.seg, checkpointed));
             let Some(next) = self.plan_next(&mut candidates)? else {
                 break;
             };
@@ -377,11 +403,17 @@ impl Inner {
             self.durable_point()?;
         }
         // Only after the cleaning commit is durable may the segments be
-        // recycled.
-        for seg in &freed {
-            self.sys_leader.log.free_segments.push(*seg);
-            self.undo.push(Undo::SegmentFreed, 4);
-            self.update_utilization(*seg, |_| 0);
+        // recycled; those that held map chunks or partition leaders, once
+        // the next checkpoint is.
+        for &(seg, checkpointed) in &freed {
+            if checkpointed {
+                self.cleaned.push(seg);
+                self.undo.push(Undo::SegmentEmptied, 4);
+            } else {
+                self.sys_leader.log.free_segments.push(seg);
+                self.undo.push(Undo::SegmentFreed, 4);
+            }
+            self.update_utilization(seg, |_| 0);
         }
         self.stats.segments_cleaned += freed.len() as u64;
         self.stats.bytes_reclaimed += obsolete;

@@ -44,6 +44,10 @@ pub(crate) enum Undo {
     SegmentTaken { seg: u32, recycled: bool },
     /// The cleaner pushed a segment onto the free list.
     SegmentFreed,
+    /// The cleaner pushed a segment onto `Inner::cleaned`.
+    SegmentEmptied,
+    /// A checkpoint moved this many emptied segments to the free list.
+    SegmentsReleased(usize),
     /// The system partition's free-rank lists as they were, before a
     /// partition was created or deallocated.
     SystemRanks(Box<SystemRanks>),
@@ -125,6 +129,14 @@ impl Inner {
                 }
                 Undo::SegmentFreed => {
                     log.free_segments.pop();
+                }
+                Undo::SegmentEmptied => {
+                    self.cleaned.pop();
+                }
+                Undo::SegmentsReleased(n) => {
+                    let at = log.free_segments.len() - n;
+                    let released: Vec<u32> = log.free_segments.drain(at..).collect();
+                    self.cleaned.splice(0..0, released);
                 }
                 Undo::SystemRanks(ranks) => {
                     self.sys_leader.map.free_ranks = ranks.free_ranks;

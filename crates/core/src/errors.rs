@@ -1,11 +1,13 @@
 //! Error types for the chunk and backup stores.
 //!
-//! Each variant has a stable numeric code on the wire (1–15, and 100–110
-//! for the [`TamperKind`]s). The codes are assigned in one table,
+//! Each variant has a stable numeric code on the wire (1–17, and 100–110
+//! and 112 for the [`TamperKind`]s). The codes are assigned in one table,
 //! `TdbError::code` in the `tdb` crate's command layer; an error crosses
 //! the network as its code, its [`FaultClass`] and its `Display`.
 
 use std::fmt;
+
+use tdb_crypto::{CipherKind, HashKind};
 
 use crate::ids::{ChunkId, PartitionId};
 
@@ -72,6 +74,9 @@ pub enum TamperKind {
     NoValidLeader,
     /// A backup stream failed signature or structure validation (§6.2).
     BadBackup(String),
+    /// The superblock's suite record failed its MAC: it was not written
+    /// under this secret, or it was altered.
+    BadSuiteRecord,
 }
 
 impl fmt::Display for TamperKind {
@@ -109,6 +114,7 @@ impl fmt::Display for TamperKind {
             }
             TamperKind::NoValidLeader => write!(f, "no valid leader found"),
             TamperKind::BadBackup(msg) => write!(f, "backup validation failed: {msg}"),
+            TamperKind::BadSuiteRecord => write!(f, "superblock suite record failed its MAC"),
         }
     }
 }
@@ -167,6 +173,21 @@ pub enum CoreError {
     /// retrying the same request fails the same way until the caller ends
     /// what it holds.
     Busy(String),
+    /// The store is in an on-disk format this build does not read. There
+    /// is no migration: a store is recreated, or restored from a backup.
+    UnsupportedFormat {
+        /// The format version found.
+        version: u16,
+    },
+    /// The store's MAC-verified suite record names another system suite
+    /// than the configuration: the store is intact, the caller opened it
+    /// with the wrong `system_cipher`/`system_hash`.
+    SuiteMismatch {
+        /// The system cipher and hash the store was created with.
+        stored: (CipherKind, HashKind),
+        /// The system cipher and hash it was opened with.
+        configured: (CipherKind, HashKind),
+    },
 }
 
 /// Coarse classification of a failure, used by retry and degradation policy.
@@ -218,6 +239,13 @@ impl fmt::Display for CoreError {
             }
             CoreError::Poisoned(msg) => write!(f, "store poisoned: {msg}"),
             CoreError::Busy(msg) => write!(f, "resource busy: {msg}"),
+            CoreError::UnsupportedFormat { version } => {
+                write!(f, "unsupported on-disk format version {version}")
+            }
+            CoreError::SuiteMismatch { stored, configured } => write!(
+                f,
+                "store was created with system suite {stored:?}, opened with {configured:?}"
+            ),
         }
     }
 }

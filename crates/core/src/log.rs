@@ -9,12 +9,13 @@
 
 use std::collections::BTreeSet;
 
-use tdb_crypto::{HashKind, HashValue, Hasher};
+use tdb_crypto::hmac::Hmac;
+use tdb_crypto::{ct_eq, CipherKind, HashKind, HashValue, Hasher, SecretKey};
 use tdb_storage::SharedUntrusted;
 
 use crate::codec::{Dec, Enc};
 use crate::engine::rollback::Undo;
-use crate::errors::{CoreError, Result};
+use crate::errors::{CoreError, Result, TamperKind};
 use crate::leader::LogState;
 use crate::metrics::{self, modules};
 use crate::params::PartitionCrypto;
@@ -34,9 +35,99 @@ pub const SUPERBLOCK_SLOT: u64 = SUPERBLOCK_SIZE / 2;
 /// Offset where segment 0 begins.
 pub const SEGMENT_BASE: u64 = SUPERBLOCK_SIZE;
 
-const SUPERBLOCK_MAGIC: u64 = 0x5444_4253_5542_4c4b; // "TDBSUBLK"
+/// Magic of a format-v1 superblock, which this build refuses to open.
+const SUPERBLOCK_MAGIC_V1: u64 = 0x5444_4253_5542_4c4b; // "TDBSUBLK"
 
-/// The fixed-location record pointing at the current (and previous) leader.
+/// Magic of a format-v2 superblock.
+const SUPERBLOCK_MAGIC: u64 = 0x5444_4253_5542_4c32; // "TDBSUBL2"
+
+/// The on-disk format this build writes and reads.
+pub const FORMAT_VERSION: u16 = 2;
+
+/// Derivation label of the suite record's MAC key.
+const SUITE_KEY_LABEL: &[u8] = b"tdb v2 suite record";
+
+/// Encoded length of one superblock slot's record: magic, suite record,
+/// epoch and both leader locations, and the sum.
+const RECORD_LEN: usize = 8 + SUITE_LEN + 24 + 8;
+
+/// Encoded length of a suite record: version, tags and MAC.
+const SUITE_LEN: usize = 2 + 2 + 32;
+
+/// The suite record: the format version and the system cipher and hash a
+/// store was created with, MACed under `K_suite = HMAC-SHA-256(secret,
+/// "tdb v2 suite record")`, a key that does not depend on the suite.
+/// Recovery verifies it before it decrypts anything
+/// ([`SuiteRecord::check`]). Tags are kept raw, so an altered tag is
+/// a MAC failure rather than a decode error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SuiteRecord {
+    /// On-disk format version.
+    pub version: u16,
+    /// [`CipherKind::tag`] of the system cipher.
+    pub cipher: u8,
+    /// [`HashKind::tag`] of the system hash.
+    pub hash: u8,
+    /// HMAC-SHA-256 of the magic and the fields above under `K_suite`.
+    pub mac: [u8; 32],
+}
+
+impl SuiteRecord {
+    /// The record for a store created now under `secret`.
+    pub fn sealed(secret: &SecretKey, cipher: CipherKind, hash: HashKind) -> SuiteRecord {
+        let mut record = SuiteRecord {
+            version: FORMAT_VERSION,
+            cipher: cipher.tag(),
+            hash: hash.tag(),
+            mac: [0; 32],
+        };
+        let mac = record.expected_mac(secret);
+        record.mac.copy_from_slice(mac.as_bytes());
+        record
+    }
+
+    fn expected_mac(&self, secret: &SecretKey) -> HashValue {
+        let key = secret.derive(SUITE_KEY_LABEL, 32);
+        let [v0, v1] = self.version.to_le_bytes();
+        let fields = [v0, v1, self.cipher, self.hash];
+        Hmac::mac_parts(
+            HashKind::Sha256,
+            key.as_bytes(),
+            &[&SUPERBLOCK_MAGIC.to_le_bytes(), &fields],
+        )
+    }
+
+    /// Checks the record against `secret` and the suite the store is
+    /// opened with.
+    ///
+    /// # Errors
+    ///
+    /// A MAC that does not verify is [`TamperKind::BadSuiteRecord`]; a
+    /// verified record of another format version is
+    /// [`CoreError::UnsupportedFormat`]; one naming another suite is
+    /// [`CoreError::SuiteMismatch`].
+    pub fn check(&self, secret: &SecretKey, cipher: CipherKind, hash: HashKind) -> Result<()> {
+        if !ct_eq(self.expected_mac(secret).as_bytes(), &self.mac) {
+            return Err(CoreError::TamperDetected(TamperKind::BadSuiteRecord));
+        }
+        let stored = CipherKind::from_tag(self.cipher).zip(HashKind::from_tag(self.hash));
+        let Some(stored) = stored.filter(|_| self.version == FORMAT_VERSION) else {
+            return Err(CoreError::UnsupportedFormat {
+                version: self.version,
+            });
+        };
+        if stored != (cipher, hash) {
+            return Err(CoreError::SuiteMismatch {
+                stored,
+                configured: (cipher, hash),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// The fixed-location record pointing at the current (and previous) leader,
+/// with the store's [`SuiteRecord`].
 ///
 /// The previous location exists for the crash window during a checkpoint,
 /// before the new leader becomes the validated head: "if there is a crash
@@ -50,6 +141,8 @@ pub struct Superblock {
     pub current_leader: u64,
     /// Location of the previous checkpoint's leader version.
     pub prev_leader: u64,
+    /// The store's format version and system suite.
+    pub suite: SuiteRecord,
 }
 
 impl Superblock {
@@ -62,39 +155,67 @@ impl Superblock {
         acc
     }
 
-    /// Serializes the superblock with an integrity sum (torn-write
-    /// detection only — tamper detection comes from validating the leader).
+    /// Serializes the superblock:
+    ///
+    /// ```text
+    /// [u64 magic][u16 version][u8 cipher][u8 hash][32 B MAC]
+    /// [u64 epoch][u64 current_leader][u64 prev_leader][u64 sum]
+    /// ```
+    ///
+    /// The sum covers the three locations a checkpoint rewrites and
+    /// detects a torn write of them; tamper detection comes from
+    /// validating the leader. Every write repeats the same suite record,
+    /// whose own MAC protects it, so a flipped byte there is tamper, not
+    /// a torn slot.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::with_capacity(40);
+        let mut e = Enc::with_capacity(RECORD_LEN);
         e.u64(SUPERBLOCK_MAGIC);
+        e.u16(self.suite.version);
+        e.u8(self.suite.cipher).u8(self.suite.hash);
+        e.raw(&self.suite.mac);
         e.u64(self.epoch);
         e.u64(self.current_leader);
         e.u64(self.prev_leader);
-        let body = e.finish();
-        let mut out = body.clone();
-        out.extend_from_slice(&Self::sum(&body).to_le_bytes());
+        let mut out = e.finish();
+        let sum = Self::sum(&out[8 + SUITE_LEN..]);
+        out.extend_from_slice(&sum.to_le_bytes());
         out
     }
 
-    /// Reads and checks the superblock.
+    /// Reads and checks one slot. The suite record is only parsed here;
+    /// recovery checks it with the secret ([`SuiteRecord::check`]).
     ///
     /// # Errors
     ///
-    /// Returns `Corrupt` for a bad magic or sum.
+    /// Returns `UnsupportedFormat` for a format-v1 slot, `Corrupt` for a
+    /// bad magic or sum.
     pub fn decode(buf: &[u8]) -> Result<Superblock> {
-        if buf.len() < 40 {
-            return Err(CoreError::Corrupt("superblock too short".into()));
+        let mut d = Dec::new(buf);
+        let magic = d.u64()?;
+        if magic == SUPERBLOCK_MAGIC_V1 {
+            return Err(CoreError::UnsupportedFormat { version: 1 });
         }
-        let body = &buf[..32];
-        let stored = u64::from_le_bytes(buf[32..40].try_into().expect("8 bytes"));
-        if Self::sum(body) != stored {
-            return Err(CoreError::Corrupt("superblock checksum mismatch".into()));
-        }
-        let mut d = Dec::new(body);
-        if d.u64()? != SUPERBLOCK_MAGIC {
+        if magic != SUPERBLOCK_MAGIC {
             return Err(CoreError::Corrupt("superblock magic mismatch".into()));
         }
+        let Some(record) = buf.get(..RECORD_LEN) else {
+            return Err(CoreError::Corrupt("superblock too short".into()));
+        };
+        let (fields, stored) = record.split_at(RECORD_LEN - 8);
+        if Self::sum(&fields[8 + SUITE_LEN..]).to_le_bytes() != stored {
+            return Err(CoreError::Corrupt("superblock checksum mismatch".into()));
+        }
+        let version = d.u16()?;
+        let (cipher, hash) = (d.u8()?, d.u8()?);
+        let mut mac = [0u8; 32];
+        mac.copy_from_slice(d.raw(32)?);
         Ok(Superblock {
+            suite: SuiteRecord {
+                version,
+                cipher,
+                hash,
+                mac,
+            },
             epoch: d.u64()?,
             current_leader: d.u64()?,
             prev_leader: d.u64()?,
@@ -123,34 +244,30 @@ impl Superblock {
     }
 
     /// Reads the superblock: decodes both slots and returns the valid one
-    /// with the highest epoch. (A legacy image that wrote a single record
-    /// at offset 0 decodes as slot 0 with slot 1 invalid.)
+    /// with the highest epoch.
     ///
     /// # Errors
     ///
-    /// Returns `Corrupt` when absent or both slots are damaged.
+    /// Returns `Corrupt` when absent or both slots are damaged, and
+    /// `UnsupportedFormat` when neither is valid and one is format v1.
     pub fn read(store: &SharedUntrusted) -> Result<Superblock> {
         let _t = metrics::span(modules::UNTRUSTED_READ);
         let len = store.len()?;
-        if len < 40 {
+        if len < RECORD_LEN as u64 {
             return Err(CoreError::Corrupt("store has no superblock".into()));
         }
         let take = SUPERBLOCK_SIZE.min(len);
         let mut buf = vec![0u8; take as usize];
         store.read_at(0, &mut buf)?;
         let slot0 = Superblock::decode(&buf);
-        let slot1 = if buf.len() >= SUPERBLOCK_SLOT as usize + 40 {
-            Superblock::decode(&buf[SUPERBLOCK_SLOT as usize..])
-        } else {
-            Err(CoreError::Corrupt(
-                "store has no second superblock slot".into(),
-            ))
-        };
+        let slot1 = Superblock::decode(buf.get(SUPERBLOCK_SLOT as usize..).unwrap_or_default());
         match (slot0, slot1) {
             (Ok(a), Ok(b)) => Ok(if a.epoch >= b.epoch { a } else { b }),
-            (Ok(a), Err(_)) => Ok(a),
-            (Err(_), Ok(b)) => Ok(b),
-            (Err(e), Err(_)) => Err(e),
+            (Ok(a), Err(_)) | (Err(_), Ok(a)) => Ok(a),
+            (Err(a), Err(b)) => Err(match b {
+                CoreError::UnsupportedFormat { .. } => b,
+                _ => a,
+            }),
         }
     }
 }
@@ -689,7 +806,6 @@ mod tests {
     use super::*;
     use crate::params::CryptoParams;
     use std::sync::Arc;
-    use tdb_crypto::SecretKey;
     use tdb_storage::MemStore;
 
     fn setup() -> (SegmentedLog, LogState, PartitionCrypto, LogHashes) {
@@ -705,32 +821,87 @@ mod tests {
         (log, state, system, hashes)
     }
 
-    #[test]
-    fn superblock_roundtrip() {
-        let sb = Superblock {
-            epoch: 3,
+    fn superblock(epoch: u64, secret: &SecretKey) -> Superblock {
+        Superblock {
+            epoch,
             current_leader: 4096,
             prev_leader: 512,
-        };
+            suite: SuiteRecord::sealed(secret, CipherKind::Aes128, HashKind::Sha1),
+        }
+    }
+
+    #[test]
+    fn superblock_roundtrip() {
+        let secret = SecretKey::random(32);
         let store: SharedUntrusted = Arc::new(MemStore::new());
-        sb.write(&store).unwrap();
-        assert_eq!(Superblock::read(&store).unwrap(), sb);
+        superblock(3, &secret).write(&store).unwrap();
+        assert_eq!(Superblock::read(&store).unwrap(), superblock(3, &secret));
+        superblock(4, &secret).write(&store).unwrap();
+        assert_eq!(Superblock::read(&store).unwrap(), superblock(4, &secret));
+        let sb = Superblock::read(&store).unwrap();
+        assert!(sb
+            .suite
+            .check(&secret, CipherKind::Aes128, HashKind::Sha1)
+            .is_ok());
     }
 
     #[test]
     fn superblock_detects_corruption() {
-        let sb = Superblock {
-            epoch: 1,
-            current_leader: 1000,
-            prev_leader: 0,
-        };
+        let sb = superblock(1, &SecretKey::random(32));
+        // The sum covers the locations a checkpoint rewrites.
+        for at in 8 + SUITE_LEN..RECORD_LEN {
+            let mut buf = sb.encode();
+            buf[at] ^= 0x01;
+            assert!(Superblock::decode(&buf).is_err(), "byte {at}");
+        }
         let mut buf = sb.encode();
-        buf[9] ^= 0x01;
-        assert!(Superblock::decode(&buf).is_err());
-        // Magic corruption also detected (checksum covers it).
-        let mut buf2 = sb.encode();
-        buf2[0] ^= 0xFF;
-        assert!(Superblock::decode(&buf2).is_err());
+        buf[0] ^= 0xFF;
+        assert!(matches!(
+            Superblock::decode(&buf),
+            Err(CoreError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn suite_record_flags_tamper_mismatch_and_format() {
+        let secret = SecretKey::random(32);
+        let sb = superblock(1, &secret);
+        // A flipped byte anywhere in the suite record decodes, then fails
+        // its MAC.
+        for at in 8..8 + SUITE_LEN {
+            let mut buf = sb.encode();
+            buf[at] ^= 0x04;
+            let flipped = Superblock::decode(&buf).unwrap();
+            let err = (flipped.suite)
+                .check(&secret, CipherKind::Aes128, HashKind::Sha1)
+                .unwrap_err();
+            assert!(err.is_tamper(), "byte {at}: {err:?}");
+        }
+        // Another secret cannot vouch for it either.
+        let other = SecretKey::random(32);
+        let err = sb.suite.check(&other, CipherKind::Aes128, HashKind::Sha1);
+        assert!(err.unwrap_err().is_tamper());
+        // A verified record naming another suite.
+        assert!(matches!(
+            sb.suite
+                .check(&secret, CipherKind::TripleDes, HashKind::Sha1),
+            Err(CoreError::SuiteMismatch {
+                stored: (CipherKind::Aes128, HashKind::Sha1),
+                configured: (CipherKind::TripleDes, HashKind::Sha1),
+            })
+        ));
+        // A v1 slot: magic, epoch, locations, and a sum over those.
+        let mut v1 = Enc::new();
+        v1.u64(SUPERBLOCK_MAGIC_V1).u64(1).u64(4096).u64(0);
+        let mut v1 = v1.finish();
+        v1.extend_from_slice(&Superblock::sum(&v1).to_le_bytes());
+        let store: SharedUntrusted = Arc::new(MemStore::new());
+        store.write_at(0, &v1).unwrap();
+        store.write_at(SUPERBLOCK_SIZE, &[0; 64]).unwrap();
+        assert!(matches!(
+            Superblock::read(&store),
+            Err(CoreError::UnsupportedFormat { version: 1 })
+        ));
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! collision-resistant hash function, so applications can trade protection
 //! for speed per data type, and "using different secret keys reduces the
 //! loss from the disclosure of a single key". The system partition uses a
-//! fixed, conservative pair (the paper: 3DES + SHA-1) keyed from the secret
-//! store, forming the root of the *cipher links* from the secret store to
-//! every chunk.
+//! fixed, conservative pair (the paper: 3DES + SHA-1; here AES-128 + SHA-1
+//! by default) keyed from the secret store, forming the root of the *cipher
+//! links* from the secret store to every chunk. The system key is derived
+//! from the secret, never the secret itself
+//! ([`crate::store::ChunkStoreConfig::system_params`]).
 
 use tdb_crypto::cbc::Cbc;
 use tdb_crypto::hmac::HmacKey;
@@ -182,6 +184,49 @@ impl PartitionCrypto {
         self.cbc.block_size() + self.cbc.ciphertext_len(len)
     }
 
+    /// The cipher's block size, which is also its IV length.
+    pub fn block_size(&self) -> usize {
+        self.cbc.block_size()
+    }
+
+    /// Ciphertext length, without an IV, for a plaintext of `len` bytes.
+    pub fn ciphertext_len(&self, len: usize) -> usize {
+        self.cbc.ciphertext_len(len)
+    }
+
+    /// Fills `iv`, one block, with `E(seed ‖ 0…)`: `seed` truncated or
+    /// zero-filled to one block and enciphered under the key. An IV
+    /// derived from a stored nonce this way is unpredictable to anyone
+    /// without the key (NIST SP 800-38A, Appendix C).
+    pub fn derive_iv(&self, seed: &[u8], iv: &mut [u8]) {
+        let n = seed.len().min(iv.len());
+        iv[..n].copy_from_slice(&seed[..n]);
+        iv[n..].fill(0);
+        self.cbc.encrypt_block(iv).expect("callers pass one block");
+    }
+
+    /// Encrypts in place under a caller-supplied `iv`: `buf` holds `len`
+    /// bytes of plaintext and room for the padding,
+    /// [`PartitionCrypto::ciphertext_len`]`(len)` bytes in all.
+    pub fn encrypt_in_place(&self, iv: &[u8], buf: &mut [u8], len: usize) {
+        self.cbc
+            .encrypt_padded(iv, buf, len)
+            .expect("callers size the IV and the buffer");
+    }
+
+    /// Decrypts `buf` in place under `iv` and returns the length of the
+    /// plaintext it then starts with.
+    ///
+    /// # Errors
+    ///
+    /// Returns a tamper-detection error at `location` when the ciphertext
+    /// does not decrypt.
+    pub fn decrypt_in_place(&self, iv: &[u8], buf: &mut [u8], location: u64) -> Result<usize> {
+        self.cbc
+            .decrypt_padded(iv, buf)
+            .map_err(|_| CoreError::TamperDetected(TamperKind::UndecryptableChunk { location }))
+    }
+
     /// Hash of `data` with the partition's hash function.
     pub fn hash(&self, data: &[u8]) -> HashValue {
         self.hash.hash(data)
@@ -224,6 +269,24 @@ mod tests {
         assert_eq!(q.cipher, CipherKind::Aes256);
         assert_eq!(q.hash, HashKind::Sha256);
         assert_eq!(q.key.as_bytes(), p.key.as_bytes());
+    }
+
+    #[test]
+    fn derived_iv_is_one_enciphered_block() {
+        for cipher in [CipherKind::TripleDes, CipherKind::Aes128, CipherKind::Null] {
+            let rt = CryptoParams::generate(cipher, HashKind::Sha1)
+                .runtime()
+                .unwrap();
+            let bs = rt.block_size();
+            let (mut a, mut b) = (vec![0u8; bs], vec![0u8; bs]);
+            rt.derive_iv(&[7u8; 16], &mut a);
+            rt.derive_iv(&[7u8; 16][..bs.min(8)], &mut b);
+            // Seeds are truncated or zero-filled to one block.
+            assert_eq!(a == b, bs <= 8, "{cipher:?}");
+            let mut c = vec![0u8; bs];
+            rt.derive_iv(&[8u8; 16], &mut c);
+            assert_ne!(a, c, "{cipher:?}");
+        }
     }
 
     #[test]

@@ -25,7 +25,6 @@ use crate::ids::{ChunkId, PartitionId};
 use crate::leader::{PartitionLeader, SystemLeader};
 use crate::log::{LogHashes, SegmentedLog, Superblock};
 use crate::metrics::{self, modules};
-use crate::params::CryptoParams;
 use crate::store::{
     ChunkStoreConfig, ChunkStoreStats, DirectRecord, Inner, LeaderEntry, TrustedBackend,
     ValidationMode,
@@ -43,7 +42,12 @@ pub(crate) fn recover(
     secret: SecretKey,
     config: ChunkStoreConfig,
 ) -> Result<Inner> {
+    // The suite record first: nothing is decrypted under a suite the
+    // store was not created with.
     let superblock = Superblock::read(&store)?;
+    superblock
+        .suite
+        .check(&secret, config.system_cipher, config.system_hash)?;
     let candidates =
         if superblock.prev_leader != 0 && superblock.prev_leader != superblock.current_leader {
             vec![superblock.current_leader, superblock.prev_leader]
@@ -95,11 +99,7 @@ fn recover_from(
         secret.clone(),
         config.clone(),
     );
-    let sys_params = CryptoParams {
-        cipher: config.system_cipher,
-        hash: config.system_hash,
-        key: secret,
-    };
+    let sys_params = config.system_params(&secret);
     let system = Arc::new(sys_params.runtime()?);
 
     // Provisional log geometry to read the leader's segment.
@@ -183,6 +183,7 @@ fn recover_from(
         bodies_sealed_under_lock: 0,
         cleaning: false,
         reserve_refused: false,
+        cleaned: Vec::new(),
         config,
     };
     inner.log.mark_residual(leader_seg);
@@ -225,6 +226,21 @@ fn recover_from(
     // The validated tail (end of last accepted commit set / direct tail).
     let mut valid_tail = leader_loc + leader_raw.total_len as u64;
 
+    // Bytes read before the protocol vouches for them: an error here ends
+    // a counter-mode scan as a torn tail, which the count window then
+    // judges, and is tamper in direct mode, where the register's chain
+    // covers every byte up to its tail. Storage errors pass through.
+    macro_rules! unvouched {
+        ($scan:lifetime, $result:expr) => {
+            match $result {
+                Ok(v) => v,
+                Err(e @ CoreError::Store(_)) => return Err(e),
+                Err(_) if counter_mode => break $scan,
+                Err(_) => return Err(CoreError::TamperDetected(TamperKind::LogHashMismatch)),
+            }
+        };
+    }
+
     'scan: loop {
         let location = inner.log.segment_offset(seg) + off as u64;
         if let Some(rec) = &direct_record {
@@ -241,11 +257,7 @@ fn recover_from(
         let parsed = if off >= seg_buf.len() {
             None
         } else {
-            match parse_version(&system, &seg_buf[off..], location) {
-                Ok(p) => p,
-                Err(_) if counter_mode => None, // Torn tail.
-                Err(e) => return Err(e),
-            }
+            unvouched!('scan, parse_version(&system, &seg_buf[off..], location))
         };
         let raw = match parsed {
             Some(r) => r,
@@ -265,8 +277,8 @@ fn recover_from(
         match raw.header.kind {
             VersionKind::NextSegment => {
                 set_hasher.update(bytes);
-                let body = raw.open_body(&system, location)?;
-                let rec = NextSegmentRecord::decode(&body)?;
+                let body = unvouched!('scan, raw.open_body(&system, location));
+                let rec = unvouched!('scan, NextSegmentRecord::decode(&body));
                 // Extend replayed log geometry for segments allocated after
                 // the checkpoint.
                 while inner.sys_leader.log.num_segments <= rec.next_segment {
@@ -286,9 +298,8 @@ fn recover_from(
             }
             VersionKind::Commit => {
                 if !counter_mode {
-                    return Err(CoreError::Corrupt(
-                        "commit chunk found in a direct-validation log".into(),
-                    ));
+                    // No direct-validation writer appends one.
+                    return Err(CoreError::TamperDetected(TamperKind::LogHashMismatch));
                 }
                 let body = match raw.open_body(&system, location) {
                     Ok(b) => b,
@@ -336,25 +347,15 @@ fn recover_from(
             }
             VersionKind::Dealloc => {
                 set_hasher.update(bytes);
-                let body = raw.open_body(&system, location)?;
-                let rec = DeallocRecord::decode(&body)?;
-                let action = ReplayAction::Dealloc(rec);
-                if counter_mode {
-                    pending.push(action);
-                } else {
-                    apply_action(&mut inner, action, &mut relocated)?;
-                }
+                let body = unvouched!('scan, raw.open_body(&system, location));
+                let rec = unvouched!('scan, DeallocRecord::decode(&body));
+                pending.push(ReplayAction::Dealloc(rec));
             }
             VersionKind::Cleaner => {
                 set_hasher.update(bytes);
-                let body = raw.open_body(&system, location)?;
-                let rec = CleanerRecord::decode(&body)?;
-                let action = ReplayAction::Cleaner(rec);
-                if counter_mode {
-                    pending.push(action);
-                } else {
-                    apply_action(&mut inner, action, &mut relocated)?;
-                }
+                let body = unvouched!('scan, raw.open_body(&system, location));
+                let rec = unvouched!('scan, CleanerRecord::decode(&body));
+                pending.push(ReplayAction::Cleaner(rec));
             }
             VersionKind::Named | VersionKind::Relocated => {
                 if counter_mode
@@ -389,16 +390,10 @@ fn recover_from(
                 }
                 set_hasher.update(bytes);
                 if raw.header.id.pos.height == UNNAMED_HEIGHT {
-                    return Err(CoreError::Corrupt(
-                        "named version with reserved height".into(),
-                    ));
+                    let reserved = CoreError::Corrupt("named version with reserved height".into());
+                    unvouched!('scan, Err::<(), _>(reserved));
                 }
-                let action = ReplayAction::Named { raw, location };
-                if counter_mode {
-                    pending.push(action);
-                } else {
-                    apply_action(&mut inner, action, &mut relocated)?;
-                }
+                pending.push(ReplayAction::Named { raw, location });
             }
         }
         off = next_off;
@@ -412,6 +407,10 @@ fn recover_from(
         (Some(rec), _) => {
             if valid_tail != rec.tail || !inner.hashes.chain.ct_eq(&rec.chain) {
                 return Err(CoreError::TamperDetected(TamperKind::LogHashMismatch));
+            }
+            // The chain vouches for the whole residual log: replay it.
+            for action in pending.drain(..) {
+                apply_action(&mut inner, action, &mut relocated)?;
             }
         }
         // Direct mode read its record before the scan or returned; a
@@ -526,12 +525,7 @@ fn apply_named(
     // superblock update never landed. Adopt its state and continue.
     if id == ChunkId::system_leader() {
         let body = raw.open_body(&inner.system, location)?;
-        let sys_params = CryptoParams {
-            cipher: inner.config.system_cipher,
-            hash: inner.config.system_hash,
-            key: inner.sys_leader.map.params.key.clone(),
-        };
-        let new_leader = SystemLeader::decode(&body, &sys_params)?;
+        let new_leader = SystemLeader::decode(&body, &inner.sys_leader.map.params)?;
         // Retire the previous leader version in utilization terms.
         if let Some((old_loc, old_vlen)) = inner.leader_version {
             let seg = inner.log.segment_of(old_loc) as usize;

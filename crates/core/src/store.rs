@@ -36,7 +36,7 @@ use crate::engine::rollback::Undo;
 use crate::errors::{CoreError, Result};
 use crate::ids::{ChunkId, PartitionId};
 use crate::leader::SystemLeader;
-use crate::log::{LogHashes, SegmentedLog, Superblock};
+use crate::log::{LogHashes, SegmentedLog, SuiteRecord, Superblock};
 use crate::metrics::{self, modules};
 use crate::params::{CryptoParams, PartitionCrypto};
 use crate::pipeline::{self, Seals};
@@ -102,9 +102,12 @@ pub struct ChunkStoreConfig {
     /// few segments for the cleaner and cleans inline under pressure
     /// (`engine::maintenance`).
     pub max_segments: u32,
-    /// System-partition cipher and hash (the paper fixes 3DES + SHA-1).
+    /// System-partition cipher, which seals every version header, map
+    /// chunk, leader and unnamed record. The paper fixes 3DES (§5.2); the
+    /// default is AES-128, which runs on AES-NI. A store records its suite
+    /// and refuses to open under another ([`CoreError::SuiteMismatch`]).
     pub system_cipher: tdb_crypto::CipherKind,
-    /// System-partition hash.
+    /// System-partition hash (SHA-1, as in the paper).
     pub system_hash: tdb_crypto::HashKind,
     /// Threads that share the hash+seal work of one large batch — a bulk
     /// commit, a server connection's burst, a full checkpoint level — the
@@ -124,6 +127,25 @@ pub struct ChunkStoreConfig {
     pub compression: bool,
 }
 
+/// Derivation label of the system key ([`ChunkStoreConfig::system_params`]).
+const SYSTEM_KEY_LABEL: &[u8] = b"tdb v2 system key";
+
+impl ChunkStoreConfig {
+    /// The system partition's parameters under `secret`: the configured
+    /// suite, keyed with `HMAC-SHA-256(secret, "tdb v2 system key")`
+    /// truncated to the cipher's key length, so a secret of any length
+    /// keys any system cipher. The one constructor of the system crypto:
+    /// create, recovery, backup and any reader of the raw log seal and
+    /// parse system chunks with it.
+    pub fn system_params(&self, secret: &SecretKey) -> CryptoParams {
+        CryptoParams {
+            cipher: self.system_cipher,
+            hash: self.system_hash,
+            key: secret.derive(SYSTEM_KEY_LABEL, self.system_cipher.key_len()),
+        }
+    }
+}
+
 impl Default for ChunkStoreConfig {
     fn default() -> Self {
         ChunkStoreConfig {
@@ -136,7 +158,7 @@ impl Default for ChunkStoreConfig {
                 delta_tu: 0,
             },
             max_segments: 0,
-            system_cipher: tdb_crypto::CipherKind::TripleDes,
+            system_cipher: tdb_crypto::CipherKind::Aes128,
             system_hash: tdb_crypto::HashKind::Sha1,
             crypto_workers: 0,
             compression: false,
@@ -314,6 +336,10 @@ pub(crate) struct Inner {
     pub cleaning: bool,
     /// A writer was refused a segment by the reserve since the last slice.
     pub reserve_refused: bool,
+    /// Segments the cleaner emptied since the last checkpoint. They may
+    /// still hold map chunks or leaders that checkpoint points at, so they
+    /// join the free list only once the next checkpoint is durable.
+    pub cleaned: Vec<u32>,
 }
 
 /// The read-path entries a commit can change, collected before its ops
@@ -386,12 +412,9 @@ impl ChunkStore {
         secret: SecretKey,
         config: ChunkStoreConfig,
     ) -> Result<ChunkStore> {
-        let sys_params = CryptoParams {
-            cipher: config.system_cipher,
-            hash: config.system_hash,
-            key: secret,
-        };
+        let sys_params = config.system_params(&secret);
         let system = Arc::new(sys_params.runtime()?);
+        let suite = SuiteRecord::sealed(&secret, config.system_cipher, config.system_hash);
         let mut sys_leader = SystemLeader::new(sys_params, config.segment_size);
         sys_leader.log.num_segments = 1;
         sys_leader.log.utilization.push(0);
@@ -433,6 +456,7 @@ impl ChunkStore {
                 epoch: 0,
                 current_leader: 0,
                 prev_leader: 0,
+                suite,
             },
             stats: ChunkStoreStats::default(),
             health: StoreHealth::Live,
@@ -441,6 +465,7 @@ impl ChunkStore {
             bodies_sealed_under_lock: 0,
             cleaning: false,
             reserve_refused: false,
+            cleaned: Vec::new(),
         };
         // The initial checkpoint materializes the empty database: leader,
         // commit chunk / trusted hash, and superblock.

@@ -8,14 +8,26 @@
 //! recovery may decrypt the header without knowing the partition id of the
 //! chunk" (§5.4); bodies use the partition cipher.
 //!
-//! On-log layout of one version:
+//! On-log layout of one version (format v2):
 //!
 //! ```text
-//! [u16 header_ct_len] [IV_s ‖ E_s(header)] [IV_p ‖ E_p(body)]
+//! [u16 iv_len] [E_s(header) under IV_h] [IV_p ‖ E_p(body)]
 //! ```
 //!
-//! A `header_ct_len` of zero marks the end of the used part of a segment
-//! (fresh segments are zero-filled).
+//! One IV is stored per version: the body's, `IV_p`, `iv_len` bytes long
+//! (the body cipher's block). The header's is derived from it and never
+//! stored: `IV_h = E_s(IV_p ‖ 0…)`, `IV_p` truncated or zero-filled to one
+//! system block and enciphered under the system key (NIST SP 800-38A,
+//! Appendix C), so it is unpredictable to anyone without that key. The
+//! system suite fixes the header's ciphertext length, so a reader that
+//! knows only the system key finds `IV_p` from the prefix, then the header,
+//! then the body: recovery and the cleaner parse every version without a
+//! partition key (§5.4). A body sealed under the null cipher has a
+//! one-byte IV, so its header IV takes one of 256 values and headers of
+//! such a partition, which promises no secrecy, may repeat.
+//!
+//! An `iv_len` of zero marks the end of the used part of a segment (fresh
+//! segments are zero-filled).
 
 use crate::codec::{Dec, Enc};
 use crate::descriptor::Descriptor;
@@ -23,6 +35,16 @@ use crate::errors::{CoreError, Result, TamperKind};
 use crate::ids::{ChunkId, PartitionId, Position};
 use crate::metrics::{self, modules};
 use crate::params::PartitionCrypto;
+
+/// Plaintext length of a version header.
+const HEADER_LEN: usize = 22;
+
+/// The largest cipher block, and so the longest IV a body carries.
+const MAX_BLOCK: usize = 16;
+
+/// The longest header ciphertext: [`HEADER_LEN`] with PKCS#7 padding to
+/// whole [`MAX_BLOCK`]s.
+const MAX_HEADER_CT: usize = (HEADER_LEN / MAX_BLOCK + 1) * MAX_BLOCK;
 
 /// Reserved height stored in headers of unnamed chunks (§4.8.1: "they do
 /// not have chunk ids or positions in the chunk map").
@@ -113,10 +135,10 @@ impl VersionHeader {
         )
     }
 
-    fn encode(&self) -> [u8; 22] {
+    fn encode(&self) -> [u8; HEADER_LEN] {
         // Fixed 22-byte layout; a stack array keeps the (hot) seal path
         // free of a per-version heap allocation.
-        let mut out = [0u8; 22];
+        let mut out = [0u8; HEADER_LEN];
         out[0] = self.kind.tag() | if self.compressed { 0x80 } else { 0 };
         out[1..5].copy_from_slice(&self.id.partition.0.to_le_bytes());
         out[5] = self.id.pos.height;
@@ -174,7 +196,8 @@ pub fn seal_version_flagged(
     compressed: bool,
 ) -> Vec<u8> {
     // Sealed lengths are deterministic (IV + padded ciphertext), so the
-    // whole version can be laid into one buffer and ciphered in place.
+    // whole version can be laid into one buffer and ciphered in place. The
+    // body goes first: the header's IV derives from the body's.
     let body_ct_len = body_crypto.sealed_len(body.len());
     let header = VersionHeader {
         kind,
@@ -183,14 +206,19 @@ pub fn seal_version_flagged(
         body_ct_len: body_ct_len as u32,
         compressed,
     };
-    let header_bytes = header.encode();
-    let header_ct_len = system.sealed_len(header_bytes.len());
-    let mut out = Vec::with_capacity(2 + header_ct_len + body_ct_len);
-    out.extend_from_slice(&(header_ct_len as u16).to_le_bytes());
-    system.encrypt_append(&header_bytes, &mut out);
-    debug_assert_eq!(out.len(), 2 + header_ct_len);
+    let iv_len = body_crypto.block_size();
+    let body_start = 2 + system.ciphertext_len(HEADER_LEN);
+    let mut out = Vec::with_capacity(body_start + body_ct_len);
+    out.extend_from_slice(&(iv_len as u16).to_le_bytes());
+    out.extend_from_slice(&header.encode());
+    out.resize(body_start, 0);
     body_crypto.encrypt_append(body, &mut out);
-    debug_assert_eq!(out.len(), 2 + header_ct_len + body_ct_len);
+    debug_assert_eq!(out.len(), body_start + body_ct_len);
+    let (head, sealed_body) = out.split_at_mut(body_start);
+    let mut iv_h = [0u8; MAX_BLOCK];
+    let iv_h = &mut iv_h[..system.block_size()];
+    system.derive_iv(&sealed_body[..iv_len], iv_h);
+    system.encrypt_in_place(iv_h, &mut head[2..], HEADER_LEN);
     out
 }
 
@@ -200,8 +228,7 @@ pub fn sealed_version_len(
     body_crypto: &PartitionCrypto,
     body_len: usize,
 ) -> usize {
-    // Header plaintext is always 22 bytes.
-    2 + system.sealed_len(22) + body_crypto.sealed_len(body_len)
+    2 + system.ciphertext_len(HEADER_LEN) + body_crypto.sealed_len(body_len)
 }
 
 /// A parsed version: header plus the raw (still sealed) body bytes.
@@ -240,33 +267,49 @@ impl RawVersion {
 ///
 /// # Errors
 ///
-/// Signals tamper detection when the header fails to decrypt, and
-/// `Corrupt` when `buf` is too short to hold the indicated version.
+/// Signals tamper detection when the header fails to decrypt or decode or
+/// names a body longer than `buf`, and `Corrupt` when `buf` is too short to
+/// hold a header.
 pub fn parse_version(
     system: &PartitionCrypto,
     buf: &[u8],
     location: u64,
 ) -> Result<Option<RawVersion>> {
-    let Some(len_prefix) = buf.first_chunk::<2>() else {
+    let Some(prefix) = buf.first_chunk::<2>() else {
         return Ok(None);
     };
-    let header_ct_len = u16::from_le_bytes(*len_prefix) as usize;
-    if header_ct_len == 0 {
+    let iv_len = u16::from_le_bytes(*prefix) as usize;
+    if iv_len == 0 {
         return Ok(None);
     }
-    if 2 + header_ct_len > buf.len() {
+    let undecryptable = || CoreError::TamperDetected(TamperKind::UndecryptableChunk { location });
+    if iv_len > MAX_BLOCK {
+        return Err(undecryptable());
+    }
+    let body_start = 2 + system.ciphertext_len(HEADER_LEN);
+    if body_start + iv_len > buf.len() {
         return Err(CoreError::Corrupt(format!(
             "version at {location} overruns segment"
         )));
     }
-    let header_plain = system.decrypt(&buf[2..2 + header_ct_len], location)?;
-    let header = VersionHeader::decode(&header_plain)?;
-    let body_start = 2 + header_ct_len;
+    let mut iv_h = [0u8; MAX_BLOCK];
+    let iv_h = &mut iv_h[..system.block_size()];
+    system.derive_iv(&buf[body_start..body_start + iv_len], iv_h);
+    let mut header = [0u8; MAX_HEADER_CT];
+    let header = &mut header[..body_start - 2];
+    header.copy_from_slice(&buf[2..body_start]);
+    let header_len = system.decrypt_in_place(iv_h, header, location)?;
+    // A header that decrypts but does not decode was sealed under another
+    // IV or key, or altered: both are tampering.
+    let header = VersionHeader::decode(&header[..header_len]).map_err(|_| undecryptable())?;
+    if (header.body_ct_len as usize) < iv_len {
+        return Err(undecryptable());
+    }
+    // No writer lets a version run past its segment, or past the length
+    // its descriptor gives it: a header that says so was altered.
     let body_end = body_start + header.body_ct_len as usize;
     if body_end > buf.len() {
-        return Err(CoreError::Corrupt(format!(
-            "version body at {location} overruns segment"
-        )));
+        return Err(undecryptable());
     }
     Ok(Some(RawVersion {
         header,

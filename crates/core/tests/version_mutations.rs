@@ -1,7 +1,9 @@
 //! Mutational pass over the version decoder: validly sealed versions,
-//! byte-flipped, truncated or with a length prefix rewritten, go through
-//! `parse_version` and `validate_version`, the one routine both the
-//! lock-free and the engine-locked chunk read validate with.
+//! byte-flipped, truncated or with their IV-length prefix rewritten, go
+//! through `parse_version` and `validate_version`, the one routine both the
+//! lock-free and the engine-locked chunk read validate with. A flipped byte
+//! anywhere, the body's IV included (the header's IV derives from it), is
+//! a typed tamper verdict.
 //!
 //! Neither may panic, and neither may make an allocation larger than its
 //! input (for a compressed version, larger than the input or the
@@ -9,7 +11,8 @@
 //! take [`MESSAGE`] bytes for an error's formatted message. A version
 //! that validates yields exactly the body that was sealed. The bodies
 //! with count-prefixed lists — the system leader, the dealloc record and
-//! the read proof — get the same pass. This binary's allocator records
+//! the read proof — a whole sealed version, and the superblock with its
+//! suite record get the same pass. This binary's allocator records
 //! the largest allocation each thread makes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -21,7 +24,9 @@ use proptest::sample::Index;
 use tdb_core::compress::compress_body;
 use tdb_core::descriptor::Descriptor;
 use tdb_core::leader::SystemLeader;
+use tdb_core::log::{SuiteRecord, Superblock};
 use tdb_core::params::PartitionCrypto;
+use tdb_core::store::ChunkStoreConfig;
 use tdb_core::version::{
     parse_version, seal_version, seal_version_flagged, validate_version, DeallocRecord, Rejected,
     VersionKind,
@@ -151,12 +156,14 @@ proptest! {
         repetitive in any::<bool>(),
         try_compress in any::<bool>(),
         aes in any::<bool>(),
+        paper_system in any::<bool>(),
         relocated in any::<bool>(),
         mutation in 0u8..5,
         at in any::<Index>(),
         value in any::<u32>(),
     ) {
-        let system = crypto(CipherKind::TripleDes, HashKind::Sha1, seed);
+        let system_cipher = if paper_system { CipherKind::TripleDes } else { CipherKind::Aes128 };
+        let system = crypto(system_cipher, HashKind::Sha1, seed);
         let part = if aes {
             crypto(CipherKind::Aes128, HashKind::Sha256, !seed)
         } else {
@@ -185,17 +192,18 @@ proptest! {
             }
             // A short read: any proper prefix.
             1 => bytes.truncate(at.index(bytes.len())),
-            // The header's ciphertext-length prefix rewritten.
+            // The IV-length prefix rewritten.
             2 => bytes[..2].copy_from_slice(&(value as u16).to_le_bytes()),
-            // A validly sealed header whose body lengths disagree with the
-            // body that follows it.
+            // A validly sealed header, with the body IV it was sealed
+            // under, whose body lengths disagree with the body that
+            // follows it.
             3 => {
                 let forged_len = value as usize % 2048;
                 let forged = seal_version_flagged(
                     &system, &part, kind, id, &vec![0; forged_len], compressed,
                 );
-                let header_end = 2 + usize::from(u16::from_le_bytes([bytes[0], bytes[1]]));
-                bytes.splice(..header_end, forged[..header_end].iter().copied());
+                let iv_end = 2 + system.ciphertext_len(22) + part.block_size();
+                bytes.splice(..iv_end, forged[..iv_end].iter().copied());
             }
             // A compressed envelope whose declared length is rewritten before
             // sealing, with the descriptor hashing the rewritten envelope:
@@ -221,6 +229,7 @@ proptest! {
             largest_allocation(|| validate_version(&system, &part, id, &desc, &bytes));
         let bound = bytes.len().max(desc.size as usize) + MESSAGE;
         prop_assert!(largest <= bound, "validation allocated {largest}, bound {bound}");
+        prop_assert!(mutation != 0 || validated.is_err(), "a flipped byte validated");
         match validated {
             Ok((plain, envelope)) => {
                 prop_assert_eq!(&plain, &body);
@@ -232,6 +241,9 @@ proptest! {
             Err(Rejected::Undecompressible(rejected)) => {
                 prop_assert_eq!(mutation, 4);
                 prop_assert_eq!(rejected, id);
+            }
+            Err(Rejected::Invalid(e)) if mutation == 0 => {
+                prop_assert!(e.is_tamper(), "a flipped byte read as {e:?}");
             }
             Err(Rejected::Invalid(e)) => {
                 prop_assert!(e.is_tamper() || matches!(e, CoreError::Corrupt(_)), "{e:?}");
@@ -264,13 +276,15 @@ fn list_mutations(input: &[u8]) -> Vec<Vec<u8>> {
 }
 
 /// A system-leader body, sealed and opened again as recovery opens it, a
-/// dealloc record and a read proof, through [`list_mutations`]. Decoding
+/// dealloc record, a read proof, the sealed leader version itself and a
+/// superblock with its suite record, through [`list_mutations`]. Decoding
 /// never panics and never makes an allocation larger than four times its
 /// input (a proof level's in-memory record is 32 bytes against 8 on the
 /// wire), give or take [`MESSAGE`].
 #[test]
 fn mutated_leaders_records_and_proofs_never_panic_or_overallocate() {
-    let system_params = params(CipherKind::TripleDes, HashKind::Sha1, 7);
+    let secret = SecretKey::new(b"mutation-pass secret".to_vec());
+    let system_params = ChunkStoreConfig::default().system_params(&secret);
     let system = system_params.runtime().unwrap();
     let mut leader = SystemLeader::new(system_params.clone(), 4096);
     leader.map.free_ranks = vec![3, 9, 27];
@@ -285,6 +299,13 @@ fn mutated_leaders_records_and_proofs_never_panic_or_overallocate() {
         ChunkId::system_leader(),
         &leader.encode(),
     );
+    let superblock = Superblock {
+        epoch: 9,
+        current_leader: 1 << 20,
+        prev_leader: 4096,
+        suite: SuiteRecord::sealed(&secret, CipherKind::Aes128, HashKind::Sha1),
+    }
+    .encode();
     let leader_body = parse_version(&system, &sealed, LOCATION)
         .unwrap()
         .unwrap()
@@ -317,7 +338,21 @@ fn mutated_leaders_records_and_proofs_never_panic_or_overallocate() {
     .encode();
 
     type Decoder<'a> = Box<dyn Fn(&[u8]) -> bool + 'a>;
-    let decoders: [(&str, Vec<u8>, Decoder); 3] = [
+    let decoders: [(&str, Vec<u8>, Decoder); 5] = [
+        (
+            "sealed leader version",
+            sealed.clone(),
+            Box::new(|b| parse_version(&system, b, LOCATION).is_ok_and(|v| v.is_some())),
+        ),
+        (
+            "superblock",
+            superblock,
+            Box::new(|b| {
+                Superblock::decode(b)
+                    .and_then(|sb| sb.suite.check(&secret, CipherKind::Aes128, HashKind::Sha1))
+                    .is_ok()
+            }),
+        ),
         (
             "system leader",
             leader_body,

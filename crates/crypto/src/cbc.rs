@@ -199,6 +199,22 @@ impl Cbc {
         plaintext: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), CryptoError> {
+        let start = out.len();
+        out.extend_from_slice(plaintext);
+        out.resize(start + self.ciphertext_len(plaintext.len()), 0);
+        self.encrypt_padded(iv, &mut out[start..], plaintext.len())
+    }
+
+    /// Encrypts in place: `buf` holds `len` bytes of plaintext followed by
+    /// room for the padding, [`Cbc::ciphertext_len`]`(len)` bytes in all.
+    /// The result is exactly what [`Cbc::encrypt`] returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::BadIvLength`] if `iv` has the wrong length,
+    /// and [`CryptoError::BadCiphertextLength`] if `buf` is not
+    /// `ciphertext_len(len)` bytes long.
+    pub fn encrypt_padded(&self, iv: &[u8], buf: &mut [u8], len: usize) -> Result<(), CryptoError> {
         let bs = self.block_size;
         if iv.len() != bs {
             return Err(CryptoError::BadIvLength {
@@ -206,12 +222,14 @@ impl Cbc {
                 got: iv.len(),
             });
         }
-        let pad = bs - plaintext.len() % bs;
-        let start = out.len();
-        out.reserve(plaintext.len() + pad);
-        out.extend_from_slice(plaintext);
-        out.extend(std::iter::repeat_n(pad as u8, pad));
-        let buf = &mut out[start..];
+        if len > buf.len() || buf.len() != self.ciphertext_len(len) {
+            return Err(CryptoError::BadCiphertextLength {
+                block: bs,
+                got: buf.len(),
+            });
+        }
+        let pad = buf.len() - len;
+        buf[len..].fill(pad as u8);
         match &self.cipher {
             Cipher::Null => encrypt_blocks(iv, buf, |b: u8| b),
             Cipher::Des(c) => encrypt_blocks(iv, buf, |b| c.encrypt_block(b)),
@@ -219,6 +237,33 @@ impl Cbc {
             Cipher::Aes(c) => encrypt_blocks(iv, buf, |b| c.encrypt_block(b)),
             #[cfg(target_arch = "x86_64")]
             Cipher::AesNi(c) => c.encrypt_cbc(iv, buf),
+        }
+        Ok(())
+    }
+
+    /// Enciphers one block in place with the raw block cipher, no chaining
+    /// and no padding (one CBC block under an all-zero IV).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::BadCiphertextLength`] if `block` is not one
+    /// block long.
+    pub fn encrypt_block(&self, block: &mut [u8]) -> Result<(), CryptoError> {
+        if block.len() != self.block_size {
+            return Err(CryptoError::BadCiphertextLength {
+                block: self.block_size,
+                got: block.len(),
+            });
+        }
+        let zero = [0u8; 16];
+        let iv = &zero[..self.block_size];
+        match &self.cipher {
+            Cipher::Null => {}
+            Cipher::Des(c) => encrypt_blocks(iv, block, |b| c.encrypt_block(b)),
+            Cipher::TripleDes(c) => encrypt_blocks(iv, block, |b| c.encrypt_block(b)),
+            Cipher::Aes(c) => encrypt_blocks(iv, block, |b| c.encrypt_block(b)),
+            #[cfg(target_arch = "x86_64")]
+            Cipher::AesNi(c) => c.encrypt_cbc(iv, block),
         }
         Ok(())
     }
@@ -232,6 +277,19 @@ impl Cbc {
     /// and [`CryptoError::BadPadding`] when padding is malformed — which is
     /// how ciphertext corruption usually first surfaces.
     pub fn decrypt(&self, iv: &[u8], ciphertext: &[u8]) -> Result<Vec<u8>, CryptoError> {
+        let mut out = ciphertext.to_vec();
+        let len = self.decrypt_padded(iv, &mut out)?;
+        out.truncate(len);
+        Ok(out)
+    }
+
+    /// Decrypts `buf` in place under `iv` and returns the length of the
+    /// plaintext it then starts with, padding checked and left behind.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cbc::decrypt`].
+    pub fn decrypt_padded(&self, iv: &[u8], buf: &mut [u8]) -> Result<usize, CryptoError> {
         let bs = self.block_size;
         if iv.len() != bs {
             return Err(CryptoError::BadIvLength {
@@ -239,23 +297,21 @@ impl Cbc {
                 got: iv.len(),
             });
         }
-        if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(bs) {
+        if buf.is_empty() || !buf.len().is_multiple_of(bs) {
             return Err(CryptoError::BadCiphertextLength {
                 block: bs,
-                got: ciphertext.len(),
+                got: buf.len(),
             });
         }
-        let mut out = ciphertext.to_vec();
-        self.decrypt_in_place(iv, &mut out);
-        let pad = *out.last().expect("non-empty checked") as usize;
-        if pad == 0 || pad > bs || pad > out.len() {
+        self.decrypt_in_place(iv, buf);
+        let pad = buf[buf.len() - 1] as usize;
+        if pad == 0 || pad > bs || pad > buf.len() {
             return Err(CryptoError::BadPadding);
         }
-        if !out[out.len() - pad..].iter().all(|&b| b as usize == pad) {
+        if !buf[buf.len() - pad..].iter().all(|&b| b as usize == pad) {
             return Err(CryptoError::BadPadding);
         }
-        out.truncate(out.len() - pad);
-        Ok(out)
+        Ok(buf.len() - pad)
     }
 
     /// CBC-decrypts `buf`, a whole number of blocks, in place under a
@@ -429,6 +485,39 @@ mod tests {
         c.encrypt_append(&iv, pt, &mut out).unwrap();
         assert_eq!(&out[..6], b"prefix");
         assert_eq!(&out[6..], &expect[..]);
+    }
+
+    #[test]
+    fn in_place_encrypt_and_decrypt_match_the_allocating_forms() {
+        for kind in ALL_KINDS {
+            let c = cbc(kind);
+            let iv = c.random_iv();
+            for len in [0usize, 1, 15, 22, 33] {
+                let pt: Vec<u8> = (0..len).map(|i| (i * 5) as u8).collect();
+                let mut buf = vec![0xEE; c.ciphertext_len(len)];
+                buf[..len].copy_from_slice(&pt);
+                c.encrypt_padded(&iv, &mut buf, len).unwrap();
+                assert_eq!(buf, c.encrypt(&iv, &pt).unwrap(), "{kind:?} {len}");
+                assert_eq!(c.decrypt_padded(&iv, &mut buf), Ok(len), "{kind:?}");
+                assert_eq!(&buf[..len], &pt[..], "{kind:?} {len}");
+                let short = c.ciphertext_len(len) - 1;
+                assert!(c.encrypt_padded(&iv, &mut vec![0; short], len).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn encrypt_block_is_the_raw_block_cipher() {
+        for kind in ALL_KINDS {
+            let key: Vec<u8> = (0..kind.key_len()).map(|i| (i * 11 + 3) as u8).collect();
+            let c = Cbc::new(kind, &key).unwrap();
+            let mut block: Vec<u8> = (0..kind.block_size()).map(|i| i as u8 ^ 0x5A).collect();
+            let mut expect = block.clone();
+            reference_block(kind, &key, &mut expect, true);
+            c.encrypt_block(&mut block).unwrap();
+            assert_eq!(block, expect, "{kind:?}");
+            assert!(c.encrypt_block(&mut [0u8; 3]).is_err(), "{kind:?}");
+        }
     }
 
     #[test]

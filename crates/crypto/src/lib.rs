@@ -404,6 +404,20 @@ impl SecretKey {
         SecretKey { bytes }
     }
 
+    /// Derives a `len`-byte key for one purpose, named by `label`:
+    /// HMAC-SHA-256 of the label under this secret, truncated. Keys derived
+    /// under different labels are independent, and any secret length
+    /// keys any cipher.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds [`MAX_DIGEST_LEN`].
+    pub fn derive(&self, label: &[u8], len: usize) -> SecretKey {
+        assert!(len <= MAX_DIGEST_LEN, "derived key too long");
+        let tag = hmac::Hmac::mac(HashKind::Sha256, &self.bytes, label);
+        SecretKey::new(tag.as_bytes()[..len].to_vec())
+    }
+
     /// Key material.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
@@ -545,6 +559,24 @@ mod tests {
         let s = format!("{k:?}");
         assert!(!s.contains('1'), "debug output leaked key bytes: {s}");
         assert!(s.contains("4 bytes"));
+    }
+
+    #[test]
+    fn derived_keys_are_truncated_hmacs_under_distinct_labels() {
+        let secret = SecretKey::new(b"a 24-byte master secret!".to_vec());
+        let full = hmac::Hmac::mac(HashKind::Sha256, secret.as_bytes(), b"label a");
+        assert_eq!(secret.derive(b"label a", 32).as_bytes(), full.as_bytes());
+        assert_eq!(
+            secret.derive(b"label a", 16).as_bytes(),
+            &full.as_bytes()[..16]
+        );
+        assert!(secret.derive(b"label a", 0).is_empty());
+        assert_ne!(
+            secret.derive(b"label a", 16).as_bytes(),
+            secret.derive(b"label b", 16).as_bytes()
+        );
+        // Any secret length works, including one shorter than the key.
+        assert_eq!(SecretKey::new(vec![7; 5]).derive(b"x", 24).len(), 24);
     }
 
     #[test]

@@ -288,6 +288,7 @@ impl TdbError {
                 TamperKind::NoValidLeader => 109,
                 TamperKind::BadBackup(_) => 110,
                 // 111 is retired.
+                TamperKind::BadSuiteRecord => 112,
             },
             CoreError::Store(_) => 1,
             CoreError::Crypto(_) => 2,
@@ -304,6 +305,8 @@ impl TdbError {
             CoreError::DegradedMode(_) => 13,
             CoreError::Poisoned(_) => 14,
             CoreError::Busy(_) => 15,
+            CoreError::UnsupportedFormat { .. } => 16,
+            CoreError::SuiteMismatch { .. } => 17,
         }
     }
 }
@@ -666,8 +669,11 @@ mod tests {
             .collect();
         let codes: std::collections::BTreeSet<u16> = all.iter().map(TdbError::code).collect();
         assert_eq!(codes.len(), all.len(), "codes are not unique");
-        let ranges: std::collections::BTreeSet<u16> =
-            (1..=15).chain(100..=110).chain(201..=208).collect();
+        let ranges: std::collections::BTreeSet<u16> = (1..=17)
+            .chain(100..=110)
+            .chain([112])
+            .chain(201..=208)
+            .collect();
         assert_eq!(codes, ranges);
         assert!(!codes.contains(&111) && !codes.contains(&200));
 

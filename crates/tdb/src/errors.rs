@@ -68,6 +68,7 @@ pub(crate) mod tests {
     use crate::command::{Response, WireError};
     use tdb_core::codec::Dec;
     use tdb_core::{FaultClass, PartitionId, TamperKind};
+    use tdb_crypto::{CipherKind, HashKind};
     use tdb_object::ObjectId;
 
     /// One value of every `TamperKind` and every other `CoreError`
@@ -92,6 +93,7 @@ pub(crate) mod tests {
             TamperKind::NotALeader { location: 512 },
             TamperKind::NoValidLeader,
             TamperKind::BadBackup("set incomplete".into()),
+            TamperKind::BadSuiteRecord,
         ];
         let rest = [
             CoreError::Store(tdb_storage::StoreError::Io(std::io::Error::new(
@@ -115,6 +117,11 @@ pub(crate) mod tests {
             CoreError::DegradedMode("write interrupted".into()),
             CoreError::Poisoned("hash mismatch during commit".into()),
             CoreError::Busy("a transaction is already open on this session".into()),
+            CoreError::UnsupportedFormat { version: 1 },
+            CoreError::SuiteMismatch {
+                stored: (CipherKind::TripleDes, HashKind::Sha1),
+                configured: (CipherKind::Aes128, HashKind::Sha1),
+            },
         ];
         tamper
             .into_iter()
@@ -161,7 +168,8 @@ pub(crate) mod tests {
             .into_iter()
             .map(|e| TdbError::Core(e).code())
             .collect();
-        assert_eq!(core, (100..=110).chain(1..=15).collect::<Vec<u16>>());
+        let tamper_codes = (100..=110).chain([112]);
+        assert_eq!(core, tamper_codes.chain(1..=17).collect::<Vec<u16>>());
         let object: Vec<u16> = object_errors()
             .into_iter()
             .map(|e| TdbError::Object(e).code())

@@ -124,7 +124,9 @@ impl TrustedDbBuilder {
         }
     }
 
-    /// Sets the platform secret-store key (required).
+    /// Sets the platform secret-store key (required to open; `create`
+    /// draws 32 random bytes without one). Any length works: the system
+    /// key and the suite record's MAC key are derived from it.
     pub fn secret(mut self, key: SecretKey) -> Self {
         self.secret = Some(key);
         self
@@ -171,9 +173,7 @@ impl TrustedDbBuilder {
         trusted: TrustedBackend,
         archive: Arc<dyn ArchivalStore>,
     ) -> Result<TrustedDb> {
-        let secret = self
-            .secret
-            .unwrap_or_else(|| SecretKey::random(self.chunk_config.system_cipher.key_len()));
+        let secret = self.secret.unwrap_or_else(|| SecretKey::random(32));
         let chunks = Arc::new(ChunkStore::create(
             untrusted,
             trusted,

@@ -492,7 +492,9 @@ fn torn_clean_write_sweep() {
     // each at every version boundary in it and one byte either side, then
     // keep every write whole.
     let whole = crash.crash_keep_all();
-    let system = CryptoParams::paper_system(platform.secret.clone())
+    let system = platform
+        .config
+        .system_params(&platform.secret)
         .runtime()
         .unwrap();
     let mut tears = Vec::new();
