@@ -16,7 +16,8 @@
 //!   ([`cache`]);
 //! - transactions with two-phase shared/exclusive locking and
 //!   timeout-based deadlock breaking ([`locks`]), no-steal buffering of
-//!   dirty objects, and atomic group commit through the chunk store;
+//!   dirty objects (one write per object, held in memory until commit),
+//!   and atomic group commit through the chunk store;
 //! - optional snapshot-isolation MVCC transactions ([`mvcc`]) with
 //!   first-committer-wins conflict detection and client-verifiable
 //!   proof-carrying reads.
@@ -31,8 +32,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use tdb_core::metrics::{self, modules};
 use tdb_core::store::{ChunkStore, CommitOp};
@@ -73,7 +72,9 @@ impl fmt::Display for ObjectId {
     }
 }
 
-/// Object store configuration.
+/// Object store configuration. There is no buffering knob: the store
+/// never steals, so a transaction's dirty objects stay in memory, one
+/// write per object, until it commits (§7).
 #[derive(Debug, Clone)]
 pub struct ObjectStoreConfig {
     /// Byte budget for the object cache (the paper ran with 4 MB of total
@@ -81,12 +82,6 @@ pub struct ObjectStoreConfig {
     pub cache_bytes: usize,
     /// Lock acquisition timeout — the deadlock breaker (§7).
     pub lock_timeout: Duration,
-    /// Steal buffering (paper §10): when a transaction's in-memory dirty
-    /// objects exceed this many pickled bytes, the oldest are spilled —
-    /// encrypted and validated — to a scratch partition of the chunk store
-    /// and reloaded at commit. `usize::MAX` disables stealing (the paper's
-    /// default no-steal policy).
-    pub steal_threshold_bytes: usize,
     /// Enables snapshot-isolation MVCC transactions ([`ObjectStore::begin_mvcc`]).
     /// Off by default: the paper's object store is single-writer two-phase
     /// locking, and the off path is byte-for-byte unchanged.
@@ -98,7 +93,6 @@ impl Default for ObjectStoreConfig {
         ObjectStoreConfig {
             cache_bytes: 4 * 1024 * 1024,
             lock_timeout: Duration::from_millis(500),
-            steal_threshold_bytes: usize::MAX,
             mvcc: false,
         }
     }
@@ -118,10 +112,6 @@ pub struct ObjectStore {
     cache: ShardedObjectCache,
     locks: LockManager,
     next_tx: AtomicU64,
-    steal_threshold: usize,
-    /// Scratch partition for spilled (stolen) dirty objects, created
-    /// lazily and reclaimed on drop.
-    spill: Mutex<Option<PartitionId>>,
     /// MVCC coordinator, present when the `mvcc` knob is on.
     mvcc: Option<MvccManager>,
 }
@@ -140,8 +130,6 @@ impl ObjectStore {
             cache: ShardedObjectCache::new(config.cache_bytes),
             locks: LockManager::new(config.lock_timeout),
             next_tx: AtomicU64::new(1),
-            steal_threshold: config.steal_threshold_bytes,
-            spill: Mutex::new(None),
             mvcc: config.mvcc.then(MvccManager::new),
         })
     }
@@ -151,25 +139,6 @@ impl ObjectStore {
         self.me
             .upgrade()
             .expect("ObjectStore::new returns an Arc, so self is reachable")
-    }
-
-    /// The scratch partition for spilled dirty objects, created on first
-    /// use with its own key.
-    fn spill_partition(&self) -> Result<PartitionId> {
-        let mut spill = self.spill.lock();
-        if let Some(p) = *spill {
-            return Ok(p);
-        }
-        let p = self.chunks.allocate_partition()?;
-        self.chunks.commit(vec![CommitOp::CreatePartition {
-            id: p,
-            params: tdb_core::CryptoParams::generate(
-                tdb_crypto::CipherKind::Aes128,
-                tdb_crypto::HashKind::Sha256,
-            ),
-        }])?;
-        *spill = Some(p);
-        Ok(p)
     }
 
     /// The underlying chunk store.
@@ -186,7 +155,6 @@ impl ObjectStore {
             store: self.arc(),
             id: self.next_tx.fetch_add(1, Ordering::Relaxed),
             writes: Vec::new(),
-            buffered_bytes: 0,
             lock_wait: true,
             finished: false,
         }
@@ -311,13 +279,8 @@ impl ObjectStore {
     fn install(&self, cached: Vec<(ObjectId, Cached)>) {
         for (id, what) in cached {
             match what {
-                Cached::Object(obj, size) => self.cache.put(id, obj, size),
-                Cached::SpilledRecord(record) => {
-                    if let Ok(obj) = self.registry.unpickle(&record) {
-                        self.cache.put(id, obj, record.len());
-                    }
-                }
-                Cached::Nothing => self.cache.remove(id),
+                Some((obj, size)) => self.cache.put(id, obj, size),
+                None => self.cache.remove(id),
             }
         }
     }
@@ -340,19 +303,6 @@ impl ObjectStore {
     }
 }
 
-impl Drop for ObjectStore {
-    fn drop(&mut self) {
-        // Best-effort reclamation of the scratch partition. A crash leaks
-        // it for the session; it holds only ciphertext of uncommitted
-        // state and is reclaimed by any later recreation path.
-        if let Some(p) = *self.spill.lock() {
-            let _ = self
-                .chunks
-                .commit(vec![CommitOp::DeallocPartition { id: p }]);
-        }
-    }
-}
-
 impl fmt::Debug for ObjectStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ObjectStore").finish_non_exhaustive()
@@ -362,18 +312,22 @@ impl fmt::Debug for ObjectStore {
 /// A buffered write within a transaction.
 enum Write {
     /// The object and its stored record (type tag + pickle), pickled once
-    /// when the write was buffered; commit or a spill moves the record out.
+    /// when the write was buffered; commit moves the record out.
     Put {
         obj: Arc<dyn StoredObject>,
         record: Vec<u8>,
     },
-    /// A dirty object spilled to the chunk store (steal buffering, §10):
-    /// the pickled record lives encrypted+validated in the scratch
-    /// partition until commit.
-    Spilled {
-        chunk: tdb_core::ChunkId,
-    },
     Delete,
+}
+
+/// Buffers `write` as the transaction's one write to `id`. A later write
+/// replaces the earlier one in place, so commit order stays the order in
+/// which objects were first written.
+fn buffer<W>(writes: &mut Vec<(ObjectId, W)>, id: ObjectId, write: W) {
+    match writes.iter_mut().find(|(i, _)| *i == id) {
+        Some(slot) => slot.1 = write,
+        None => writes.push((id, write)),
+    }
 }
 
 /// An open transaction: two-phase locked, no-steal buffered.
@@ -383,36 +337,25 @@ enum Write {
 pub struct Tx {
     store: Arc<ObjectStore>,
     id: TxId,
-    /// Ordered buffered writes (last write to an id wins).
+    /// Buffered writes, one per object, in first-touch order.
     writes: Vec<(ObjectId, Write)>,
-    /// Pickled bytes currently buffered in memory (drives stealing).
-    buffered_bytes: usize,
     /// Whether a busy lock is waited for (up to the store's timeout) or
     /// refused at once.
     lock_wait: bool,
+    /// Set when the transaction commits or aborts, so `Drop` knows its
+    /// locks are already released.
     finished: bool,
 }
 
-/// What a committed net write leaves in the object cache.
-enum Cached {
-    Object(Arc<dyn StoredObject>, usize),
-    SpilledRecord(Vec<u8>),
-    Nothing,
-}
+/// What a committed write leaves in the object cache: the object and its
+/// record size, or `None` for a delete.
+type Cached = Option<(Arc<dyn StoredObject>, usize)>;
 
 /// A transaction's commit, staged: its chunk-store op set and the cache
 /// updates that follow once the op set is durable.
 type Staged = (Vec<CommitOp>, Vec<(ObjectId, Cached)>);
 
 impl Tx {
-    fn check_open(&self) -> Result<()> {
-        if self.finished {
-            Err(ObjectError::TxFinished)
-        } else {
-            Ok(())
-        }
-    }
-
     /// With `false`, a lock that is not grantable right now fails at once
     /// with [`ObjectError::LockTimeout`] instead of waiting up to the
     /// store's timeout — for a caller that holds other transactions'
@@ -430,11 +373,17 @@ impl Tx {
     }
 
     fn local(&self, id: ObjectId) -> Option<&Write> {
-        self.writes
-            .iter()
-            .rev()
-            .find(|(i, _)| *i == id)
-            .map(|(_, w)| w)
+        self.writes.iter().find(|(i, _)| *i == id).map(|(_, w)| w)
+    }
+
+    /// Fails with [`ObjectError::NotFound`] unless `id` exists as this
+    /// transaction sees it: written here, or stored and not deleted here.
+    fn check_exists(&self, id: ObjectId) -> Result<()> {
+        match self.local(id) {
+            Some(Write::Put { .. }) => Ok(()),
+            Some(Write::Delete) => Err(ObjectError::NotFound(id)),
+            None => self.store.load(id).map(drop),
+        }
     }
 
     /// Creates a new object in `partition`, returning its id.
@@ -448,11 +397,10 @@ impl Tx {
         object: Arc<dyn StoredObject>,
     ) -> Result<ObjectId> {
         let _t = metrics::span(modules::OBJECT_STORE);
-        self.check_open()?;
         let chunk = self.store.chunks.allocate_chunk(partition)?;
         let id = ObjectId(chunk);
         self.lock(id, LockMode::Exclusive)?;
-        self.buffer_put(id, object)?;
+        self.buffer_put(id, object);
         Ok(id)
     }
 
@@ -475,7 +423,6 @@ impl Tx {
     ///
     /// Fails on missing objects, lock timeout, or type mismatch.
     pub fn get_for_update<T: StoredObject>(&mut self, id: ObjectId) -> Result<Arc<T>> {
-        self.check_open()?;
         self.lock(id, LockMode::Exclusive)?;
         downcast(self.get_dyn(id)?)
     }
@@ -487,14 +434,9 @@ impl Tx {
     /// Fails on missing objects or lock timeout.
     pub fn get_dyn(&mut self, id: ObjectId) -> Result<Arc<dyn StoredObject>> {
         let _t = metrics::span(modules::OBJECT_STORE);
-        self.check_open()?;
         self.lock(id, LockMode::Shared)?;
         match self.local(id) {
             Some(Write::Put { obj, .. }) => Ok(Arc::clone(obj)),
-            Some(Write::Spilled { chunk }) => {
-                let record = self.store.chunks.read(*chunk)?;
-                self.store.registry.unpickle(&record)
-            }
             Some(Write::Delete) => Err(ObjectError::NotFound(id)),
             None => self.store.load(id),
         }
@@ -509,25 +451,17 @@ impl Tx {
     /// Fails on lock timeout or if the object does not exist.
     pub fn put(&mut self, id: ObjectId, object: Arc<dyn StoredObject>) -> Result<()> {
         let _t = metrics::span(modules::OBJECT_STORE);
-        self.check_open()?;
         self.lock(id, LockMode::Exclusive)?;
-        // The object must exist (locally created, or stored).
-        if self.local(id).is_none() {
-            self.store.load(id)?;
-        } else if matches!(self.local(id), Some(Write::Delete)) {
-            return Err(ObjectError::NotFound(id));
-        }
-        self.buffer_put(id, object)
+        self.check_exists(id)?;
+        self.buffer_put(id, object);
+        Ok(())
     }
 
-    /// Buffers a put: pickles the object — the only time this transaction
-    /// does — and spills if the dirty volume now exceeds the threshold.
-    fn buffer_put(&mut self, id: ObjectId, obj: Arc<dyn StoredObject>) -> Result<()> {
+    /// Buffers a put, pickling the object — the only time this
+    /// transaction does.
+    fn buffer_put(&mut self, id: ObjectId, obj: Arc<dyn StoredObject>) {
         let record = TypeRegistry::pickle(obj.as_ref());
-        // The dirty volume counts pickled bodies, without their type tags.
-        self.buffered_bytes += record.len() - 4;
-        self.writes.push((id, Write::Put { obj, record }));
-        self.maybe_steal()
+        buffer(&mut self.writes, id, Write::Put { obj, record });
     }
 
     /// Deletes an object (exclusive lock; buffered until commit).
@@ -537,86 +471,16 @@ impl Tx {
     /// Fails on lock timeout or if the object does not exist.
     pub fn delete(&mut self, id: ObjectId) -> Result<()> {
         let _t = metrics::span(modules::OBJECT_STORE);
-        self.check_open()?;
         self.lock(id, LockMode::Exclusive)?;
-        if self.local(id).is_none() {
-            self.store.load(id)?;
-        } else if matches!(self.local(id), Some(Write::Delete)) {
-            return Err(ObjectError::NotFound(id));
-        }
-        self.writes.push((id, Write::Delete));
+        self.check_exists(id)?;
+        buffer(&mut self.writes, id, Write::Delete);
         Ok(())
     }
 
-    /// Number of buffered writes.
+    /// Number of objects with a buffered write (repeated writes to one
+    /// object count once).
     pub fn pending_writes(&self) -> usize {
         self.writes.len()
-    }
-
-    /// Number of writes currently spilled to the chunk store.
-    pub fn spilled_writes(&self) -> usize {
-        self.writes
-            .iter()
-            .filter(|(_, w)| matches!(w, Write::Spilled { .. }))
-            .count()
-    }
-
-    /// Steal buffering (§10): when the in-memory dirty volume exceeds the
-    /// threshold, spill buffered puts — oldest first — to the scratch
-    /// partition, in one chunk-store commit.
-    fn maybe_steal(&mut self) -> Result<()> {
-        if self.buffered_bytes <= self.store.steal_threshold {
-            return Ok(());
-        }
-        let spill_partition = self.store.spill_partition()?;
-        // Spill the *latest* write of each id, oldest ids first, until the
-        // in-memory volume halves (earlier superseded writes of the same id
-        // are dead weight and simply dropped from accounting).
-        let target = self.store.steal_threshold / 2;
-        let mut ops = Vec::new();
-        let mut planned: Vec<(usize, tdb_core::ChunkId, usize)> = Vec::new();
-        let ids_in_order: Vec<ObjectId> = {
-            let mut seen = Vec::new();
-            for (id, _) in &self.writes {
-                if !seen.contains(id) {
-                    seen.push(*id);
-                }
-            }
-            seen
-        };
-        let mut remaining = self.buffered_bytes;
-        for id in ids_in_order {
-            if remaining <= target {
-                break;
-            }
-            let last_index = self
-                .writes
-                .iter()
-                .rposition(|(i, _)| *i == id)
-                .expect("id came from writes");
-            if let Write::Put { record, .. } = &self.writes[last_index].1 {
-                // Copied, not moved: the write stays whole if the spill
-                // commit fails.
-                let record = record.clone();
-                let size = record.len();
-                let chunk = self.store.chunks.allocate_chunk(spill_partition)?;
-                ops.push(CommitOp::WriteChunk {
-                    id: chunk,
-                    bytes: record,
-                });
-                planned.push((last_index, chunk, size));
-                remaining = remaining.saturating_sub(size);
-            }
-        }
-        if ops.is_empty() {
-            return Ok(());
-        }
-        self.store.chunks.commit(ops)?;
-        for (index, chunk, size) in planned {
-            self.writes[index].1 = Write::Spilled { chunk };
-            self.buffered_bytes = self.buffered_bytes.saturating_sub(size);
-        }
-        Ok(())
     }
 
     /// Commits: applies every buffered write in one atomic chunk-store
@@ -643,52 +507,46 @@ impl Tx {
     /// their chunk-store commits ride one group-commit batch — one
     /// coalesced append and one device flush for all of them
     /// ([`ChunkStore::commit_many`]). Every transaction's locks are
-    /// released on every outcome, and one that fails before reaching the
-    /// chunk store also has its spilled scratch chunks reclaimed.
+    /// released on every outcome.
     ///
     /// # Panics
     ///
     /// If the transactions were begun on different object stores.
     pub fn commit_all(txs: Vec<Tx>) -> Vec<Result<()>> {
         let _t = metrics::span(modules::OBJECT_STORE);
-        let mut staged: Vec<(Tx, Result<Staged>)> = txs
+        let Some(store) = txs.first().map(|tx| Arc::clone(&tx.store)) else {
+            return Vec::new();
+        };
+        let mut staged: Vec<(Tx, Staged)> = txs
             .into_iter()
             .map(|mut tx| {
+                assert!(
+                    Arc::ptr_eq(&store, &tx.store),
+                    "Tx::commit_all across object stores"
+                );
                 let staged = tx.stage();
                 (tx, staged)
             })
             .collect();
-        let Some(store) = staged.first().map(|(tx, _)| Arc::clone(&tx.store)) else {
-            return Vec::new();
-        };
-        let mut sets = Vec::new();
-        for (tx, staged) in &mut staged {
-            assert!(
-                Arc::ptr_eq(&store, &tx.store),
-                "Tx::commit_all across object stores"
-            );
-            // A transaction with nothing to write commits without the
-            // chunk store.
-            match staged {
-                Ok((ops, _)) if !ops.is_empty() => sets.push(std::mem::take(ops)),
-                _ => {}
-            }
-        }
+        // A transaction with nothing to write commits without the chunk
+        // store.
+        let sets = staged
+            .iter_mut()
+            .map(|(_, (ops, _))| std::mem::take(ops))
+            .filter(|ops| !ops.is_empty())
+            .collect();
         let mut committed = store.chunks.commit_many(sets).into_iter();
         staged
             .into_iter()
-            .map(|(mut tx, staged)| {
-                let result = match staged {
-                    Ok((_, cached)) if cached.is_empty() => Ok(()),
-                    Ok((_, cached)) => committed
+            .map(|(mut tx, (_, cached))| {
+                let result = if cached.is_empty() {
+                    Ok(())
+                } else {
+                    committed
                         .next()
                         .expect("one result per op set")
                         .map(|()| tx.store.install(cached))
-                        .map_err(Into::into),
-                    Err(e) => {
-                        tx.discard();
-                        Err(e)
-                    }
+                        .map_err(Into::into)
                 };
                 tx.release();
                 result
@@ -696,86 +554,36 @@ impl Tx {
             .collect()
     }
 
-    /// Builds the commit's op set from the net effect of the buffered
-    /// writes. Reloads spilled records, so it can fail; nothing is
-    /// applied either way.
-    fn stage(&mut self) -> Result<Staged> {
-        self.check_open()?;
-        // Net effect per object, in first-touch order: the index of the
-        // last write to it.
-        let mut net: Vec<(ObjectId, usize)> = Vec::new();
-        for (index, (id, _)) in self.writes.iter().enumerate() {
-            match net.iter_mut().find(|(i, _)| i == id) {
-                Some(slot) => slot.1 = index,
-                None => net.push((*id, index)),
-            }
-        }
-        let mut ops = Vec::with_capacity(net.len());
-        let mut cached: Vec<(ObjectId, Cached)> = Vec::with_capacity(net.len());
-        for &(id, index) in &net {
-            match &mut self.writes[index].1 {
+    /// Builds the commit's op set and cache updates: one op per buffered
+    /// write, in first-touch order. Nothing is applied.
+    fn stage(&mut self) -> Staged {
+        let mut ops = Vec::with_capacity(self.writes.len());
+        let mut cached = Vec::with_capacity(self.writes.len());
+        for (id, write) in std::mem::take(&mut self.writes) {
+            match write {
                 Write::Put { obj, record } => {
-                    cached.push((id, Cached::Object(Arc::clone(obj), record.len())));
+                    cached.push((id, Some((obj, record.len()))));
                     ops.push(CommitOp::WriteChunk {
                         id: id.0,
-                        bytes: std::mem::take(record),
+                        bytes: record,
                     });
-                }
-                Write::Spilled { chunk } => {
-                    // Reload the stolen record and fold it into the same
-                    // atomic commit; the scratch chunk is reclaimed with it.
-                    let record = self.store.chunks.read(*chunk)?;
-                    ops.push(CommitOp::WriteChunk {
-                        id: id.0,
-                        bytes: record.clone(),
-                    });
-                    ops.push(CommitOp::DeallocChunk { id: *chunk });
-                    cached.push((id, Cached::SpilledRecord(record)));
                 }
                 Write::Delete => {
                     // Deleting an object created in this same transaction
                     // would dealloc an unwritten chunk; that is legal.
+                    cached.push((id, None));
                     ops.push(CommitOp::DeallocChunk { id: id.0 });
-                    cached.push((id, Cached::Nothing));
                 }
             }
         }
-        // Superseded spills (an id spilled, then overwritten in memory)
-        // also need their scratch chunks reclaimed.
-        for (index, (_, w)) in self.writes.iter().enumerate() {
-            if let Write::Spilled { chunk } = w {
-                if !net.iter().any(|(_, n)| *n == index) {
-                    ops.push(CommitOp::DeallocChunk { id: *chunk });
-                }
-            }
-        }
-        Ok((ops, cached))
+        (ops, cached)
     }
 
-    /// Aborts: drops buffered writes (reclaiming any spilled scratch
-    /// chunks) and releases all locks.
+    /// Aborts: drops the buffered writes and releases all locks.
     pub fn abort(mut self) {
         let _t = metrics::span(modules::OBJECT_STORE);
-        self.discard();
-        self.release();
-    }
-
-    /// Drops the buffered writes, reclaiming spilled scratch chunks.
-    fn discard(&mut self) {
-        let reclaim: Vec<CommitOp> = self
-            .writes
-            .iter()
-            .filter_map(|(_, w)| match w {
-                Write::Spilled { chunk } => Some(CommitOp::DeallocChunk { id: *chunk }),
-                _ => None,
-            })
-            .collect();
-        if !reclaim.is_empty() {
-            // Best effort: a failure here leaks scratch chunks, which the
-            // cleaner treats as any other garbage once the partition drops.
-            let _ = self.store.chunks.commit(reclaim);
-        }
         self.writes.clear();
+        self.release();
     }
 
     /// Ends the transaction: releases every lock it holds.

@@ -58,7 +58,7 @@ use tdb_crypto::HashValue;
 use crate::cache::ShardedObjectCache;
 use crate::errors::{ObjectError, Result};
 use crate::pickle::{downcast, StoredObject, TypeRegistry};
-use crate::{ObjectId, ObjectStore, Transactional};
+use crate::{buffer, ObjectId, ObjectStore, Transactional};
 
 /// One committed version of an object. `value: None` records deletion (or
 /// pre-creation absence), so chains distinguish "deleted at csn" from
@@ -307,10 +307,13 @@ impl VerifiedRead {
 pub struct MvccTx {
     store: Arc<ObjectStore>,
     snapshot: u64,
-    /// Ordered buffered writes (last write to an id wins); `None` deletes.
+    /// Buffered writes, one per object, in first-touch order; `None`
+    /// deletes.
     writes: Vec<(ObjectId, Option<Arc<dyn StoredObject>>)>,
     /// Ids allocated by this transaction (exempt from conflict checks).
     created: HashSet<ObjectId>,
+    /// Set when the transaction commits or aborts, so `Drop` knows its
+    /// snapshot is already released.
     finished: bool,
 }
 
@@ -337,20 +340,8 @@ impl MvccTx {
             .expect("MvccTx exists only when mvcc is enabled")
     }
 
-    fn check_open(&self) -> Result<()> {
-        if self.finished {
-            Err(ObjectError::TxFinished)
-        } else {
-            Ok(())
-        }
-    }
-
     fn local(&self, id: ObjectId) -> Option<&Option<Arc<dyn StoredObject>>> {
-        self.writes
-            .iter()
-            .rev()
-            .find(|(i, _)| *i == id)
-            .map(|(_, w)| w)
+        self.writes.iter().find(|(i, _)| *i == id).map(|(_, w)| w)
     }
 
     /// The commit sequence number this transaction reads at.
@@ -358,7 +349,8 @@ impl MvccTx {
         self.snapshot
     }
 
-    /// Number of buffered writes.
+    /// Number of objects with a buffered write (repeated writes to one
+    /// object count once).
     pub fn pending_writes(&self) -> usize {
         self.writes.len()
     }
@@ -374,11 +366,10 @@ impl MvccTx {
         object: Arc<dyn StoredObject>,
     ) -> Result<ObjectId> {
         let _t = tdb_core::metrics::span(tdb_core::metrics::modules::OBJECT_STORE);
-        self.check_open()?;
         let chunk = self.store.chunks.allocate_chunk(partition)?;
         let id = ObjectId(chunk);
         self.created.insert(id);
-        self.writes.push((id, Some(object)));
+        buffer(&mut self.writes, id, Some(object));
         Ok(id)
     }
 
@@ -398,7 +389,6 @@ impl MvccTx {
     /// Fails if the object is absent at the snapshot.
     pub fn get_dyn(&mut self, id: ObjectId) -> Result<Arc<dyn StoredObject>> {
         let _t = tdb_core::metrics::span(tdb_core::metrics::modules::OBJECT_STORE);
-        self.check_open()?;
         if let Some(w) = self.local(id) {
             return w.clone().ok_or(ObjectError::NotFound(id));
         }
@@ -440,7 +430,6 @@ impl MvccTx {
         id: ObjectId,
     ) -> Result<(Arc<dyn StoredObject>, Option<VerifiedRead>)> {
         let _t = tdb_core::metrics::span(tdb_core::metrics::modules::OBJECT_STORE);
-        self.check_open()?;
         if self.local(id).is_none() && self.mgr().provable(id, self.snapshot) {
             match self.store.chunks.read_with_proof(id.0) {
                 Ok((record, proof)) => {
@@ -479,11 +468,10 @@ impl MvccTx {
     /// Fails if the object is absent at the snapshot.
     pub fn put(&mut self, id: ObjectId, object: Arc<dyn StoredObject>) -> Result<()> {
         let _t = tdb_core::metrics::span(tdb_core::metrics::modules::OBJECT_STORE);
-        self.check_open()?;
         if !self.exists_at_snapshot(id)? {
             return Err(ObjectError::NotFound(id));
         }
-        self.writes.push((id, Some(object)));
+        buffer(&mut self.writes, id, Some(object));
         Ok(())
     }
 
@@ -494,11 +482,10 @@ impl MvccTx {
     /// Fails if the object is absent at the snapshot.
     pub fn delete(&mut self, id: ObjectId) -> Result<()> {
         let _t = tdb_core::metrics::span(tdb_core::metrics::modules::OBJECT_STORE);
-        self.check_open()?;
         if !self.exists_at_snapshot(id)? {
             return Err(ObjectError::NotFound(id));
         }
-        self.writes.push((id, None));
+        buffer(&mut self.writes, id, None);
         Ok(())
     }
 
@@ -511,26 +498,16 @@ impl MvccTx {
     /// failures roll back with nothing applied.
     pub fn commit(mut self) -> Result<()> {
         let _t = tdb_core::metrics::span(tdb_core::metrics::modules::OBJECT_STORE);
-        self.check_open()?;
         self.finished = true;
-
-        // Net effect per object, in first-touch order.
-        let mut net: Vec<(ObjectId, Option<Arc<dyn StoredObject>>)> = Vec::new();
-        for (id, w) in std::mem::take(&mut self.writes) {
-            if let Some(slot) = net.iter_mut().find(|(i, _)| *i == id) {
-                slot.1 = w;
-            } else {
-                net.push((id, w));
-            }
-        }
+        let writes = std::mem::take(&mut self.writes);
         let mgr = self.mgr();
-        if net.is_empty() {
+        if writes.is_empty() {
             mgr.end_snapshot(self.snapshot);
             return Ok(());
         }
 
         // 1. Conflict check + write locks.
-        let need_base = match mgr.prepare(&net, &self.created, self.snapshot) {
+        let need_base = match mgr.prepare(&writes, &self.created, self.snapshot) {
             Ok(need) => need,
             Err(e) => {
                 mgr.end_snapshot(self.snapshot);
@@ -548,7 +525,7 @@ impl MvccTx {
                     Ok(obj) => Some(obj),
                     Err(ObjectError::NotFound(_)) => None,
                     Err(e) => {
-                        mgr.release(&net);
+                        mgr.release(&writes);
                         mgr.end_snapshot(self.snapshot);
                         return Err(e);
                     }
@@ -560,9 +537,9 @@ impl MvccTx {
 
         // 3. One atomic chunk-store commit; concurrent transactional
         // commits batch through the group-commit leader.
-        let mut ops = Vec::with_capacity(net.len());
-        let mut sizes = Vec::with_capacity(net.len());
-        for (id, w) in &net {
+        let mut ops = Vec::with_capacity(writes.len());
+        let mut sizes = Vec::with_capacity(writes.len());
+        for (id, w) in &writes {
             match w {
                 Some(obj) => {
                     let record = TypeRegistry::pickle(obj.as_ref());
@@ -581,12 +558,12 @@ impl MvccTx {
         match self.store.chunks.commit(ops) {
             Ok(()) => {
                 // 4. Publish: csn assignment and visibility, atomically.
-                mgr.publish(net, &sizes, &self.store.cache);
+                mgr.publish(writes, &sizes, &self.store.cache);
                 mgr.end_snapshot(self.snapshot);
                 Ok(())
             }
             Err(e) => {
-                mgr.release(&net);
+                mgr.release(&writes);
                 mgr.end_snapshot(self.snapshot);
                 Err(e.into())
             }

@@ -232,6 +232,62 @@ fn run_mvcc_retries_conflicts() {
 }
 
 #[test]
+fn one_write_per_object() {
+    // Repeated writes to one object buffer and commit as one write: the
+    // same op set, byte for byte, as a twin that writes each object's
+    // final state once. Conflict detection still sees the object.
+    let seeded = || {
+        let (store, p) = fixture(true);
+        let ids: Vec<ObjectId> = (0..3).map(|v| seed(&store, p, v)).collect();
+        (store, ids)
+    };
+    let (busy, ids) = seeded();
+    let (twin, twin_ids) = seeded();
+    let (a, b, c) = (ids[0], ids[1], ids[2]);
+
+    let mut rival = busy.begin_mvcc().unwrap();
+    rival.put(a, Arc::new(Val(7))).unwrap();
+    rival.put(a, Arc::new(Val(8))).unwrap();
+    assert_eq!(rival.pending_writes(), 1);
+
+    let before = busy.chunks().stats().bytes_appended;
+    let mut tx = busy.begin_mvcc().unwrap();
+    tx.put(a, Arc::new(Val(10))).unwrap();
+    tx.put(b, Arc::new(Val(20))).unwrap();
+    for i in 0..100 {
+        tx.put(a, Arc::new(Val(100 + i))).unwrap();
+    }
+    tx.delete(c).unwrap();
+    tx.put(b, Arc::new(Val(21))).unwrap();
+    assert_eq!(tx.pending_writes(), 3);
+    tx.commit().unwrap();
+    let busy_appended = busy.chunks().stats().bytes_appended - before;
+    assert!(matches!(
+        rival.commit(),
+        Err(ObjectError::WriteConflict(id)) if id == a
+    ));
+
+    let before = twin.chunks().stats().bytes_appended;
+    let mut tx = twin.begin_mvcc().unwrap();
+    tx.put(twin_ids[0], Arc::new(Val(199))).unwrap();
+    tx.put(twin_ids[1], Arc::new(Val(21))).unwrap();
+    tx.delete(twin_ids[2]).unwrap();
+    assert_eq!(tx.pending_writes(), 3);
+    tx.commit().unwrap();
+    assert_eq!(busy_appended, twin.chunks().stats().bytes_appended - before);
+
+    busy.invalidate_cache();
+    let mut check = busy.begin_mvcc().unwrap();
+    assert_eq!(check.get::<Val>(a).unwrap().0, 199);
+    assert_eq!(check.get::<Val>(b).unwrap().0, 21);
+    assert!(matches!(
+        check.get::<Val>(c),
+        Err(ObjectError::NotFound(n)) if n == c
+    ));
+    check.abort();
+}
+
+#[test]
 fn proof_reads_verify_against_the_root() {
     let (store, p) = fixture(true);
     let id = seed(&store, p, 42);

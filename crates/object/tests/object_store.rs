@@ -1,5 +1,6 @@
 //! Integration tests for the object store: typed transactional access,
-//! no-steal buffering, atomicity, isolation, and cache behaviour.
+//! no-steal buffering with one write per object, atomicity, isolation, and
+//! cache behaviour.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -507,12 +508,8 @@ fn untracked_read_and_invalidate() {
 }
 
 #[test]
-fn use_after_finish_rejected() {
+fn object_id_parts_roundtrip() {
     let fx = fixture();
-    let tx = fx.store.begin();
-    tx.commit().unwrap();
-    // The moved-out commit consumes tx; create a fresh one and abort it,
-    // then check ObjectId helpers stay consistent.
     let id = ObjectId::from_parts(fx.partition, 5);
     assert_eq!(id.partition(), fx.partition);
     assert_eq!(id.rank(), 5);
@@ -536,224 +533,11 @@ fn put_on_missing_object_fails() {
     tx.abort();
 }
 
-// ---------------------------------------------------------------------------
-// Steal buffering (paper §10).
-// ---------------------------------------------------------------------------
-
-fn steal_fixture(threshold: usize) -> Fixture {
-    let fx = fixture();
-    let store = ObjectStore::new(
-        Arc::clone(fx.store.chunks()),
-        registry(),
-        ObjectStoreConfig {
-            cache_bytes: 64 * 1024,
-            lock_timeout: Duration::from_millis(100),
-            steal_threshold_bytes: threshold,
-            ..ObjectStoreConfig::default()
-        },
-    );
-    Fixture {
-        store,
-        partition: fx.partition,
-    }
-}
-
 #[test]
-fn large_transaction_spills_and_commits() {
-    // A transaction mutating far more than the steal threshold: dirty
-    // objects spill to the chunk store mid-transaction, and the commit
-    // still applies everything atomically.
-    let fx = steal_fixture(4 * 1024);
-    let mut tx = fx.store.begin();
-    let mut ids = Vec::new();
-    for i in 0..40u32 {
-        let id = tx
-            .create(
-                fx.partition,
-                Arc::new(Account {
-                    owner: format!("bulk-{i}"),
-                    balance: i64::from(i),
-                }),
-            )
-            .unwrap();
-        ids.push(id);
-        // Pad the pickled size by writing a long owner string.
-        tx.put(
-            id,
-            Arc::new(Account {
-                owner: format!("bulk-{i}-{}", "x".repeat(400)),
-                balance: i64::from(i),
-            }),
-        )
-        .unwrap();
-    }
-    assert!(tx.spilled_writes() > 0, "nothing was stolen");
-    tx.commit().unwrap();
-
-    let mut tx = fx.store.begin();
-    for (i, id) in ids.iter().enumerate() {
-        let account = tx.get::<Account>(*id).unwrap();
-        assert_eq!(account.balance, i as i64);
-        assert!(account.owner.starts_with(&format!("bulk-{i}-")));
-    }
-    tx.abort();
-}
-
-#[test]
-fn spilled_writes_visible_inside_transaction() {
-    let fx = steal_fixture(512);
-    let mut tx = fx.store.begin();
-    let id = tx
-        .create(
-            fx.partition,
-            Arc::new(Account {
-                owner: "spillme".into(),
-                balance: 7,
-            }),
-        )
-        .unwrap();
-    // Force spilling with more writes.
-    for i in 0..10u32 {
-        tx.create(
-            fx.partition,
-            Arc::new(Account {
-                owner: format!("filler-{}-{}", i, "y".repeat(200)),
-                balance: 0,
-            }),
-        )
-        .unwrap();
-    }
-    assert!(tx.spilled_writes() > 0);
-    // Reads see the spilled (uncommitted) value.
-    let account = tx.get::<Account>(id).unwrap();
-    assert_eq!(account.owner, "spillme");
-    assert_eq!(account.balance, 7);
-    tx.commit().unwrap();
-}
-
-#[test]
-fn aborted_spills_leave_no_state() {
-    let fx = steal_fixture(256);
-    let id = {
-        let mut tx = fx.store.begin();
-        let id = tx
-            .create(
-                fx.partition,
-                Arc::new(Account {
-                    owner: "stable".into(),
-                    balance: 1,
-                }),
-            )
-            .unwrap();
-        tx.commit().unwrap();
-        id
-    };
-    {
-        let mut tx = fx.store.begin();
-        for i in 0..8u32 {
-            tx.put(
-                id,
-                Arc::new(Account {
-                    owner: format!("doomed-{}-{}", i, "z".repeat(150)),
-                    balance: -1,
-                }),
-            )
-            .unwrap();
-        }
-        assert!(tx.spilled_writes() > 0 || tx.pending_writes() > 0);
-        tx.abort();
-    }
-    let mut tx = fx.store.begin();
-    let account = tx.get::<Account>(id).unwrap();
-    assert_eq!(account.owner, "stable");
-    assert_eq!(account.balance, 1);
-    tx.abort();
-}
-
-#[test]
-fn superseded_and_deleted_spills_are_reclaimed() {
-    // Spill an object, overwrite it (superseding the spill), spill again,
-    // then delete it: all scratch chunks must be reclaimed and the final
-    // state must be the delete.
-    let fx = steal_fixture(300);
-    let id = {
-        let mut tx = fx.store.begin();
-        let id = tx
-            .create(
-                fx.partition,
-                Arc::new(Account {
-                    owner: "victim".into(),
-                    balance: 0,
-                }),
-            )
-            .unwrap();
-        tx.commit().unwrap();
-        id
-    };
-    let mut tx = fx.store.begin();
-    for round in 0..6u32 {
-        tx.put(
-            id,
-            Arc::new(Account {
-                owner: format!("round-{round}-{}", "p".repeat(180)),
-                balance: i64::from(round),
-            }),
-        )
-        .unwrap();
-    }
-    // At least one spill must have been superseded by a later write.
-    assert!(tx.pending_writes() >= 6);
-    tx.delete(id).unwrap();
-    tx.commit().unwrap();
-
-    let mut tx = fx.store.begin();
-    assert!(matches!(
-        tx.get::<Account>(id),
-        Err(ObjectError::NotFound(_))
-    ));
-    tx.abort();
-}
-
-#[test]
-fn spill_roundtrip_through_scratch_preserves_types() {
-    // A spilled object read back inside the transaction must still
-    // type-check and downcast correctly.
-    let fx = steal_fixture(64);
-    let mut tx = fx.store.begin();
-    let license = tx
-        .create(
-            fx.partition,
-            Arc::new(License {
-                good: format!("long-title-{}", "t".repeat(120)),
-                uses_left: 9,
-            }),
-        )
-        .unwrap();
-    let account = tx
-        .create(
-            fx.partition,
-            Arc::new(Account {
-                owner: format!("owner-{}", "o".repeat(120)),
-                balance: 5,
-            }),
-        )
-        .unwrap();
-    assert!(tx.spilled_writes() > 0);
-    // Wrong-type reads of spilled objects still fail cleanly.
-    assert!(matches!(
-        tx.get::<Account>(license),
-        Err(ObjectError::TypeMismatch { .. })
-    ));
-    assert_eq!(tx.get::<License>(license).unwrap().uses_left, 9);
-    assert_eq!(tx.get::<Account>(account).unwrap().balance, 5);
-    tx.commit().unwrap();
-}
-
-#[test]
-fn failed_spill_reload_releases_locks_and_reclaims_scratch() {
-    // A commit whose spilled record cannot be reloaded must still end the
-    // transaction: locks released (a later transaction takes them without
-    // waiting) and the scratch chunks reclaimed, as an abort would.
+fn failed_commit_releases_locks() {
+    // A commit the device refuses must still end the transaction: its
+    // locks are released, so a later transaction takes them without
+    // waiting.
     let device = Arc::new(ErrorStore::new(Arc::new(MemStore::new())));
     let fx = fixture_over(Arc::clone(&device) as SharedUntrusted);
     let store = ObjectStore::new(
@@ -761,7 +545,6 @@ fn failed_spill_reload_releases_locks_and_reclaims_scratch() {
         registry(),
         ObjectStoreConfig {
             lock_timeout: Duration::from_secs(30),
-            steal_threshold_bytes: 256,
             ..ObjectStoreConfig::default()
         },
     );
@@ -771,26 +554,18 @@ fn failed_spill_reload_releases_locks_and_reclaims_scratch() {
             tx.create(
                 fx.partition,
                 Arc::new(Account {
-                    owner: format!("spilled-{i}-{}", "s".repeat(150)),
+                    owner: format!("doomed-{i}"),
                     balance: i64::from(i),
                 }),
             )
             .unwrap()
         })
         .collect();
-    assert!(tx.spilled_writes() > 0, "nothing was stolen");
-    let live_before_reclaim = fx.store.chunks().stats().commits;
 
-    device.fail_after_reads(0);
-    assert!(
-        tx.commit().is_err(),
-        "the spilled record could not be reloaded"
-    );
+    device.fail_after_writes(0);
+    assert!(tx.commit().is_err(), "the device refused the commit");
     device.heal();
 
-    // The reclaim ran (one more chunk-store commit than before the failure)
-    // and every id is free: a no-wait transaction locks them all.
-    assert!(fx.store.chunks().stats().commits > live_before_reclaim);
     let mut tx = store.begin();
     tx.set_lock_wait(false);
     for id in &ids {
@@ -799,6 +574,69 @@ fn failed_spill_reload_releases_locks_and_reclaims_scratch() {
             "{id} still locked after the failed commit"
         );
     }
+    tx.abort();
+}
+
+#[test]
+fn one_write_per_object() {
+    // A transaction that writes the same objects again and again buffers
+    // and commits one write per object: the same op set, byte for byte,
+    // as a twin that writes each object's final state once.
+    let account = |balance: i64| -> Arc<dyn StoredObject> {
+        Arc::new(Account {
+            owner: "twin".into(),
+            balance,
+        })
+    };
+    let seeded = || {
+        let fx = fixture();
+        let ids: Vec<ObjectId> = fx
+            .store
+            .run(|tx| {
+                (0..3)
+                    .map(|i| tx.create(fx.partition, account(i)))
+                    .collect()
+            })
+            .unwrap();
+        (fx, ids)
+    };
+    let (busy, busy_ids) = seeded();
+    let (twin, twin_ids) = seeded();
+
+    let before = busy.store.chunks().stats().bytes_appended;
+    let mut tx = busy.store.begin();
+    let (a, b, c) = (busy_ids[0], busy_ids[1], busy_ids[2]);
+    tx.put(a, account(10)).unwrap();
+    tx.put(b, account(20)).unwrap();
+    for i in 0..100 {
+        tx.put(a, account(100 + i)).unwrap();
+    }
+    tx.delete(c).unwrap();
+    tx.put(b, account(21)).unwrap();
+    assert_eq!(tx.pending_writes(), 3);
+    tx.commit().unwrap();
+    let busy_appended = busy.store.chunks().stats().bytes_appended - before;
+
+    let before = twin.store.chunks().stats().bytes_appended;
+    let mut tx = twin.store.begin();
+    tx.put(twin_ids[0], account(199)).unwrap();
+    tx.put(twin_ids[1], account(21)).unwrap();
+    tx.delete(twin_ids[2]).unwrap();
+    assert_eq!(tx.pending_writes(), 3);
+    tx.commit().unwrap();
+    assert_eq!(
+        busy_appended,
+        twin.store.chunks().stats().bytes_appended - before
+    );
+
+    busy.store.invalidate_cache();
+    let mut tx = busy.store.begin();
+    assert_eq!(tx.get::<Account>(a).unwrap().balance, 199);
+    assert_eq!(tx.get::<Account>(b).unwrap().balance, 21);
+    assert!(matches!(
+        tx.get::<Account>(c),
+        Err(ObjectError::NotFound(_))
+    ));
     tx.abort();
 }
 

@@ -54,7 +54,6 @@
 
 pub mod command;
 pub mod errors;
-pub mod paging;
 pub mod session;
 pub mod wire;
 
@@ -63,7 +62,6 @@ use std::sync::Arc;
 
 pub use command::{Command, Response, TxMode, WireError};
 pub use errors::{Result, TdbError};
-pub use paging::TrustedPager;
 pub use session::{Session, SessionStats};
 pub use tdb_collection::{
     register_builtin_types, CollectionId, CollectionStore, ExtractorRegistry, IndexKey, IndexKind,
