@@ -252,16 +252,41 @@ impl ObjectStore {
         self.cache.clear();
     }
 
-    /// Reads an object bypassing transactions (validated, cached). Useful
-    /// for read-only inspection; transactional code should use [`Tx::get`].
+    /// Reads an object's latest committed state outside any transaction
+    /// (validated, cached) — the read of an autocommit `Get`.
+    ///
+    /// A cache hit takes no lock and begins no transaction. That is sound
+    /// because the store never steals: a committed object changes only
+    /// at a commit holding its exclusive lock, which evicts the object
+    /// before its chunk-store commit and installs the new state before it
+    /// releases; and every install of a read happens under a shared lock.
+    /// So a cached object is the last committed state, and a hit on an
+    /// object another transaction holds exclusively is a read ordered
+    /// before that writer. A miss takes the shared lock for the
+    /// chunk-store read and the install, so it waits out an exclusive
+    /// holder: up to the store's timeout with `wait`, not at all without.
+    /// Either way the cache is looked up once. MVCC commits take no lock
+    /// here, so with [`ObjectStoreConfig::mvcc`] on the argument covers
+    /// two-phase-locked writers only.
     ///
     /// # Errors
     ///
     /// Fails if the object is missing, fails validation, or has an
-    /// unregistered type.
-    pub fn get_untracked(&self, id: ObjectId) -> Result<Arc<dyn StoredObject>> {
+    /// unregistered type, or on lock timeout.
+    pub fn get_committed(&self, id: ObjectId, wait: bool) -> Result<Arc<dyn StoredObject>> {
         let _t = metrics::span(modules::OBJECT_STORE);
-        self.load(id)
+        if let Some(obj) = self.cache.get(id) {
+            return Ok(obj);
+        }
+        let tx = self.next_tx.fetch_add(1, Ordering::Relaxed);
+        if wait {
+            self.locks.acquire(tx, id, LockMode::Shared)?;
+        } else {
+            self.locks.try_acquire(tx, id, LockMode::Shared)?;
+        }
+        let obj = self.fetch(id);
+        self.locks.release_all(tx);
+        obj
     }
 
     /// Unpickles a raw record (type tag + pickle) against this store's
@@ -285,10 +310,18 @@ impl ObjectStore {
         }
     }
 
+    /// Reads an object through the cache. A miss installs what it read,
+    /// which is the last committed state only while the caller holds a
+    /// lock on `id` that excludes writers.
     fn load(&self, id: ObjectId) -> Result<Arc<dyn StoredObject>> {
-        if let Some(obj) = self.cache.get(id) {
-            return Ok(obj);
+        match self.cache.get(id) {
+            Some(obj) => Ok(obj),
+            None => self.fetch(id),
         }
+    }
+
+    /// Reads an object from the chunk store and installs it in the cache.
+    fn fetch(&self, id: ObjectId) -> Result<Arc<dyn StoredObject>> {
         let record = match self.chunks.read(id.0) {
             Ok(r) => r,
             Err(tdb_core::CoreError::NotAllocated(_)) | Err(tdb_core::CoreError::NotWritten(_)) => {
@@ -555,11 +588,15 @@ impl Tx {
     }
 
     /// Builds the commit's op set and cache updates: one op per buffered
-    /// write, in first-touch order. Nothing is applied.
+    /// write, in first-touch order. Nothing is applied, but each written
+    /// object leaves the cache: once the chunk store holds its new state
+    /// (which a proof read serves), a lock-free hit must not serve the old
+    /// one ([`ObjectStore::get_committed`]).
     fn stage(&mut self) -> Staged {
         let mut ops = Vec::with_capacity(self.writes.len());
         let mut cached = Vec::with_capacity(self.writes.len());
         for (id, write) in std::mem::take(&mut self.writes) {
+            self.store.cache.remove(id);
             match write {
                 Write::Put { obj, record } => {
                     cached.push((id, Some((obj, record.len()))));

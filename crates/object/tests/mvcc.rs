@@ -131,7 +131,7 @@ fn lost_update_is_rejected() {
     ));
     assert_eq!(
         store
-            .get_untracked(id)
+            .get_committed(id, true)
             .unwrap()
             .as_any()
             .downcast_ref::<Val>()

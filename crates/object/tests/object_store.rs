@@ -500,10 +500,10 @@ fn untracked_read_and_invalidate() {
         tx.commit().unwrap();
         id
     };
-    let obj = fx.store.get_untracked(id).unwrap();
+    let obj = fx.store.get_committed(id, true).unwrap();
     assert_eq!(obj.type_tag(), 2);
     fx.store.invalidate_cache();
-    let obj = fx.store.get_untracked(id).unwrap();
+    let obj = fx.store.get_committed(id, true).unwrap();
     assert_eq!(obj.type_tag(), 2);
 }
 
@@ -674,4 +674,77 @@ fn commit_all_shares_one_batch_and_keeps_results_apart() {
     }
     tx.abort();
     assert!(Tx::commit_all(Vec::new()).is_empty());
+}
+
+/// Races a committed read of an uncached ~4 KB record, started 0–60 µs
+/// late, against a `put` + `commit` of value `r`, for `rounds` rounds, and
+/// returns the rounds after whose ack a fresh transaction did not read
+/// `r`. A read that loads the old version must not install it after the
+/// writer installed the new one.
+fn stale_installs(rounds: u32) -> Vec<u32> {
+    let fx = fixture();
+    let owner = "x".repeat(4000);
+    let id = fx
+        .store
+        .run(|tx| {
+            tx.create(
+                fx.partition,
+                Arc::new(Account {
+                    owner: owner.clone(),
+                    balance: 0,
+                }),
+            )
+        })
+        .unwrap();
+    let start = std::sync::Barrier::new(2);
+    let mut stale = Vec::new();
+    for r in 1..=rounds {
+        fx.store.invalidate_cache();
+        let delay = Duration::from_micros(u64::from(r.wrapping_mul(37) % 61));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                let t0 = std::time::Instant::now();
+                while t0.elapsed() < delay {
+                    std::hint::spin_loop();
+                }
+                fx.store.get_committed(id, true).unwrap();
+            });
+            start.wait();
+            let mut tx = fx.store.begin();
+            tx.put(
+                id,
+                Arc::new(Account {
+                    owner: owner.clone(),
+                    balance: i64::from(r),
+                }),
+            )
+            .unwrap();
+            tx.commit().unwrap();
+        });
+        let mut tx = fx.store.begin();
+        if tx.get::<Account>(id).unwrap().balance != i64::from(r) {
+            stale.push(r);
+        }
+        tx.abort();
+        // Keep the in-memory log small: reclaim the overwritten versions.
+        if r.is_multiple_of(256) {
+            fx.store.chunks().checkpoint().unwrap();
+            fx.store.chunks().clean(usize::MAX).unwrap();
+        }
+    }
+    stale
+}
+
+#[test]
+fn committed_read_never_installs_an_overwritten_version() {
+    let stale = stale_installs(3_000);
+    assert!(stale.is_empty(), "stale after rounds {stale:?}");
+}
+
+#[test]
+#[ignore = "30,000 rounds; run in release"]
+fn committed_read_never_installs_an_overwritten_version_long() {
+    let stale = stale_installs(30_000);
+    assert!(stale.is_empty(), "stale after rounds {stale:?}");
 }

@@ -12,7 +12,12 @@
 //! **autocommit** mode: a fresh transaction per command, committed before
 //! the response. Many concurrent autocommit sessions are exactly the
 //! traffic shape the group-commit batcher was built for — each commit
-//! parks on the leader's flush and shares it.
+//! parks on the leader's flush and shares it. An autocommit `Get` is a
+//! committed read ([`ObjectStore::get_committed`]): a hit in the object
+//! cache runs with no transaction and no lock, and is answered at once
+//! even while another transaction holds the object's write lock (a read
+//! ordered before that writer); a miss takes a shared lock, so it waits
+//! for such a writer as any read did.
 //!
 //! [`Session::dispatch_many`] runs a burst of commands — a server
 //! connection's pipeline — with the same semantics as dispatching them
@@ -55,7 +60,9 @@ pub struct SessionStats {
     pub commits: u64,
     /// Explicit transaction aborts (not counting drops).
     pub aborts: u64,
-    /// Commands executed in an implicit one-shot transaction.
+    /// Commands executed with no transaction open, each as if in an
+    /// implicit one-shot transaction. A `Get` that hits the object cache
+    /// runs with no transaction at all and still counts here.
     pub autocommits: u64,
 }
 
@@ -335,11 +342,24 @@ impl Session {
 
     /// Runs `cmd` in a one-shot transaction. A write's transaction joins
     /// the burst's pending writes, to be committed at the next barrier; a
-    /// read's commits at once.
+    /// read's commits at once. A `Get` is a committed read, which takes a
+    /// lock only when it misses the object cache
+    /// ([`ObjectStore::get_committed`]).
     fn autocommit(&mut self, cmd: &Command, burst: &mut Burst) -> Response {
-        let mut tx = self.objects.begin();
         // Holding pending writes' locks, never wait for another lock.
         let holding = !burst.pending.is_empty();
+        if let Command::Get(id) = cmd {
+            return match self.objects.get_committed(*id, !holding) {
+                Ok(obj) => Response::Record(crate::TypeRegistry::pickle(obj.as_ref())),
+                Err(ObjectError::LockTimeout(_)) if holding => {
+                    // Busy: commit what is pending, then wait like anyone else.
+                    Self::commit_pending(burst);
+                    self.autocommit(cmd, burst)
+                }
+                Err(e) => err(e),
+            };
+        }
+        let mut tx = self.objects.begin();
         tx.set_lock_wait(!holding);
         let resp = match Self::exec(&self.collections, &self.objects, &mut tx, cmd) {
             Ok(resp) => resp,

@@ -881,3 +881,106 @@ fn session_transactions_are_isolated_per_connection() {
     assert!(gone, "dropped connection must abort its transaction");
     server.shutdown();
 }
+
+/// An autocommit `Get` of a cached object answers at once with its last
+/// committed value, even while another session's open transaction holds
+/// the object's write lock: a read ordered before that writer. An
+/// uncached object still waits for the lock and times out (code 205).
+#[test]
+fn autocommit_get_serves_a_cached_object_past_its_writer() {
+    let (db, _) = build_twin();
+    let p = db.partition();
+    let mut writer = db.session("writer");
+    let mut reader = db.session("reader");
+    let mut create = |v: &str| match writer.dispatch(&Command::Create {
+        partition: p,
+        record: record(v),
+    }) {
+        Response::Id(id) => id,
+        other => panic!("create answered {other:?}"),
+    };
+    let (a, b) = (create("a0"), create("b0"));
+    let put = |id: ObjectId, v: &str| Command::Put {
+        id,
+        record: record(v),
+    };
+
+    assert_eq!(
+        writer.dispatch(&Command::Begin(TxMode::Locking)),
+        Response::Ok
+    );
+    assert_eq!(writer.dispatch(&put(b, "b1")), Response::Ok);
+    // B leaves the cache; the writer's Put of A caches A's committed value.
+    db.objects().invalidate_cache();
+    assert_eq!(writer.dispatch(&put(a, "a1")), Response::Ok);
+
+    let start = std::time::Instant::now();
+    assert_eq!(
+        reader.dispatch(&Command::Get(a)),
+        Response::Record(record("a0"))
+    );
+    assert!(
+        start.elapsed() < std::time::Duration::from_millis(100),
+        "a cached Get waited {:?} for the writer's lock",
+        start.elapsed()
+    );
+    match reader.dispatch(&Command::Get(b)) {
+        Response::Error(e) => assert_eq!(e.code, 205, "expected LockTimeout, got {e}"),
+        other => panic!("an uncached Get under a write lock answered {other:?}"),
+    }
+
+    assert_eq!(writer.dispatch(&Command::Commit), Response::Ok);
+    assert_eq!(
+        reader.dispatch(&Command::Get(a)),
+        Response::Record(record("a1"))
+    );
+    assert_eq!(
+        reader.dispatch(&Command::Get(b)),
+        Response::Record(record("b1"))
+    );
+
+    // A burst's Get of an id it just wrote commits the write first.
+    let mut replies = Vec::new();
+    reader.dispatch_many(&[put(a, "a2"), Command::Get(a)], |r| replies.push(r));
+    assert_eq!(replies, vec![Response::Ok, Response::Record(record("a2"))]);
+}
+
+/// Each autocommit `Get` looks the object cache up exactly once, cold or
+/// warm, so the hit ratio counts reads.
+#[test]
+fn autocommit_get_counts_one_cache_lookup() {
+    let (db, _) = build_twin();
+    let p = db.partition();
+    let mut session = db.session("counter");
+    let ids: Vec<ObjectId> = (0..8)
+        .map(|i| {
+            match session.dispatch(&Command::Create {
+                partition: p,
+                record: record(&format!("r{i}")),
+            }) {
+                Response::Id(id) => id,
+                other => panic!("create answered {other:?}"),
+            }
+        })
+        .collect();
+    let lookups = || {
+        let (hits, misses) = db.objects().cache_stats();
+        hits + misses
+    };
+    db.objects().invalidate_cache();
+    for (label, want_misses) in [("cold", ids.len() as u64), ("warm", 0)] {
+        let (before, (_, misses_before)) = (lookups(), db.objects().cache_stats());
+        for id in &ids {
+            assert!(matches!(
+                session.dispatch(&Command::Get(*id)),
+                Response::Record(_)
+            ));
+        }
+        assert_eq!(lookups() - before, ids.len() as u64, "{label} lookups");
+        assert_eq!(
+            db.objects().cache_stats().1 - misses_before,
+            want_misses,
+            "{label} misses"
+        );
+    }
+}

@@ -26,7 +26,8 @@
 //! with I/O or degraded-mode errors — but a read that *succeeds* must
 //! still satisfy the same bounds). A separate suite deallocates and
 //! recreates a partition id under two committers, whose writes are sealed
-//! before the engine lock (see its section below). Heavier torture
+//! before the engine lock (see its section below). A third drives
+//! sessions: committed reads racing an autocommit writer. Heavier torture
 //! variants are `#[ignore]`d for the CI `--include-ignored` pass.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -553,6 +554,135 @@ fn recycled_partition_under_two_committers() {
     run_recycled(24, 0x5EED_0001);
 }
 
+// -- Committed reads through sessions --------------------------------------
+//
+// An autocommit `Get` answers a cache hit with no lock and takes a shared
+// lock only to miss. One writer session makes autocommit `Put`s of
+// increasing values to a few hot ids and publishes each value once it is
+// acknowledged; reader sessions `Get` those ids, now and then through a
+// proof read (which reads the chunk store, not the cache) or after
+// emptying the object cache (so misses race the commits too). Every read
+// must be at least the value acknowledged before it began, at most the
+// value last issued, and never lower than that reader's previous read of
+// the id: a stale hit breaks the first bound or the last.
+
+const HOT_IDS: usize = 4;
+const VAL_TAG: u32 = 4001;
+
+struct Val(u64);
+
+impl tdb::StoredObject for Val {
+    fn type_tag(&self) -> u32 {
+        VAL_TAG
+    }
+    fn pickle(&self) -> Vec<u8> {
+        // Padded to a few hundred bytes, so a miss decrypts and hashes.
+        let mut out = self.0.to_le_bytes().to_vec();
+        out.resize(512, 0x5A);
+        out
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+fn unpickle_val(b: &[u8]) -> tdb_object::errors::Result<Arc<dyn tdb::StoredObject>> {
+    let v = b
+        .get(..8)
+        .and_then(|v| v.try_into().ok())
+        .ok_or_else(|| tdb_object::errors::ObjectError::BadPickle("val".into()))?;
+    Ok(Arc::new(Val(u64::from_le_bytes(v))))
+}
+
+/// The value in a `Get` or `GetWithProof` reply (type tag + pickle).
+fn val_of(resp: &tdb::Response) -> u64 {
+    let record = match resp {
+        tdb::Response::Record(r) | tdb::Response::VerifiedRecord { record: r, .. } => r,
+        other => panic!("read answered {other:?}"),
+    };
+    u64::from_le_bytes(record[4..12].try_into().unwrap())
+}
+
+fn run_committed_reads(readers: usize, puts: u64) {
+    use tdb::Command;
+    let db = tdb::TrustedDbBuilder::new()
+        .secret(SecretKey::new(vec![0x42; 24]))
+        .register_type(VAL_TAG, unpickle_val)
+        .build_in_memory()
+        .unwrap();
+    let record = |v: u64| tdb::TypeRegistry::pickle(&Val(v));
+    let mut writer = db.session("writer");
+    let ids: Vec<tdb::ObjectId> = (0..HOT_IDS)
+        .map(|_| {
+            match writer.dispatch(&Command::Create {
+                partition: db.partition(),
+                record: record(0),
+            }) {
+                tdb::Response::Id(id) => id,
+                other => panic!("create answered {other:?}"),
+            }
+        })
+        .collect();
+    let issued: Vec<AtomicU64> = (0..HOT_IDS).map(|_| AtomicU64::new(0)).collect();
+    let acked: Vec<AtomicU64> = (0..HOT_IDS).map(|_| AtomicU64::new(0)).collect();
+    let done = AtomicBool::new(false);
+    let reads = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for r in 0..readers {
+            let (db, ids, issued, acked, done, reads) = (&db, &ids, &issued, &acked, &done, &reads);
+            s.spawn(move || {
+                let mut session = db.session(&format!("reader-{r}"));
+                let mut last = [0u64; HOT_IDS];
+                let mut n = 0u64;
+                while !done.load(Ordering::SeqCst) {
+                    n += 1;
+                    let i = (n as usize + r) % HOT_IDS;
+                    let cmd = if n.is_multiple_of(7) {
+                        Command::GetWithProof(ids[i])
+                    } else {
+                        Command::Get(ids[i])
+                    };
+                    if n.is_multiple_of(53) {
+                        db.objects().invalidate_cache();
+                    }
+                    let lo = acked[i].load(Ordering::SeqCst);
+                    let v = val_of(&session.dispatch(&cmd));
+                    let hi = issued[i].load(Ordering::SeqCst);
+                    assert!(v >= lo, "reader {r}: id {i} read {v} after {lo} was acked");
+                    assert!(
+                        v <= hi,
+                        "reader {r}: id {i} read {v}, never issued (last {hi})"
+                    );
+                    assert!(
+                        v >= last[i],
+                        "reader {r}: id {i} read {v} after reading {}",
+                        last[i]
+                    );
+                    last[i] = v;
+                }
+                reads.fetch_add(n, Ordering::Relaxed);
+            });
+        }
+        for v in 1..=puts {
+            let i = v as usize % HOT_IDS;
+            issued[i].store(v, Ordering::SeqCst);
+            let resp = writer.dispatch(&Command::Put {
+                id: ids[i],
+                record: record(v),
+            });
+            assert_eq!(resp, tdb::Response::Ok, "put {v}");
+            acked[i].store(v, Ordering::SeqCst);
+        }
+        done.store(true, Ordering::SeqCst);
+    });
+    assert!(reads.load(Ordering::Relaxed) > 0, "the readers ran");
+}
+
+#[test]
+fn committed_reads_are_strict_under_a_writer() {
+    run_committed_reads(2, 2_000);
+}
+
 // -- Torture variants for the CI --include-ignored pass --------------------
 
 #[test]
@@ -578,4 +708,10 @@ fn torture_recycled_partition_sweep() {
         .map(|seed| run_recycled(400, 0x5EED_1000 + seed))
         .sum();
     eprintln!("bodies the engine sealed under its lock: {sealed_under_lock}");
+}
+
+#[test]
+#[ignore = "torture: long committed-read run"]
+fn torture_committed_reads() {
+    run_committed_reads(2, 40_000);
 }

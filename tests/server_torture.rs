@@ -538,8 +538,9 @@ fn pipelined_writes_add_no_wait_for_edge() {
     .expect("send");
     one.flush().expect("flush");
     // Connection 1's burst commits A only once its Put B found B busy:
-    // a third connection sees "a-one" (waiting out the pending write's
-    // lock) exactly when that has happened.
+    // a third connection sees "a-one" exactly when that has happened.
+    // Until then its Get of A answers "a0" at once from the object cache
+    // (a committed read does not wait for the pending write's lock).
     let mut three = TdbClient::connect(server.addr(), "three", AUTH_KEY).expect("connect");
     while three.get(a).expect("A is released, not held") != record("a-one") {
         std::thread::yield_now();
