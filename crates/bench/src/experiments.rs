@@ -210,10 +210,13 @@ fn write_new(store: &ChunkStore, p: PartitionId, body: Vec<u8>) -> ChunkId {
 
 /// Measures cipher and hash bandwidths, as §9.2.1 reports, and the cost of
 /// one 1000-byte row: what `tdbmark`'s kv workloads seal on a commit and
-/// open on a read miss (`crypto.{encrypt,decrypt}_us_per_record`).
+/// open on a read miss (`crypto.{encrypt,decrypt}_us_per_record`). A
+/// 300-byte row, `goods-txn`'s, opens below the bitsliced DES kernel's
+/// threshold, so both DES decryption regimes have a number.
 fn e1_crypto(_run: usize) -> Vec<Row> {
     let buf = bytes(1, 1 << 20);
     let record = &buf[..1000];
+    let short_record = &buf[..300];
     let mut rows = Vec::new();
     for (cipher, paper) in [
         (CipherKind::TripleDes, Some(2.5)),
@@ -245,6 +248,11 @@ fn e1_crypto(_run: usize) -> Vec<Row> {
             row(format!("{name}.decrypt_mib_s"), "MiB/s", dec).paper(paper),
             row(format!("{name}.encrypt_row_us"), "us", us(encrypt(record))),
             row(format!("{name}.decrypt_row_us"), "us", us(decrypt(record))),
+            row(
+                format!("{name}.decrypt_short_row_us"),
+                "us",
+                us(decrypt(short_record)),
+            ),
         ]);
     }
     for (hash, paper_mbps, paper_final) in [
@@ -380,6 +388,14 @@ fn e5_read_regression(_run: usize) -> Vec<Row> {
         write_new(&store, p, bytes(i, 128));
     }
     store.checkpoint().expect("checkpoint");
+    drop(store);
+    let store = ChunkStore::open(
+        Arc::clone(&platform.untrusted),
+        platform.counter_backend(),
+        platform.secret.clone(),
+        paper_config(),
+    )
+    .expect("reopen");
     let (d_cold, ()) = time(|| {
         for i in (0..n).step_by(61) {
             let _ = store.read(ChunkId::data(p, i)).expect("cold read");

@@ -1,4 +1,5 @@
-//! DES and Triple-DES (FIPS 46-3), table-driven.
+//! DES and Triple-DES (FIPS 46-3): table-driven, and bitsliced for bulk
+//! CBC decryption on AVX-512.
 //!
 //! The paper uses DES in CBC mode for ordinary partitions (measured at
 //! 7.2 MB/s in 2000) and 3DES for the system partition (2.5 MB/s). DES is
@@ -27,12 +28,30 @@
 //!   CBC decryption, whose blocks are independent: the four lanes' lookups
 //!   overlap where one block's rounds would wait on each other.
 //!
+//! **Bitsliced decryption.** On a CPU with AVX-512F and AVX-512VL, CBC
+//! decryption of a long buffer runs 256 blocks at once (Biham, *A Fast New
+//! DES Implementation in Software*, FSE 1997). The blocks are transposed
+//! into 64 bit-planes, plane `j` holding bit `j` of every block, so the
+//! permutations IP, E, P and FP are only a choice of plane (`planes`),
+//! and the S-boxes become Boolean circuits evaluated on whole planes.
+//! Each output bit is eight three-input leaves under a mux tree on the
+//! other three inputs; `vpternlogq` computes any three-input function, so
+//! each is one instruction, and `SBOX_LEAVES` derives every leaf's
+//! immediate from `SBOX` at compile time. No gate list is transcribed. The
+//! kernel itself is `x86::BitslicedDes`, and it indexes no table by data
+//! or key, so its time does not depend on either (the table kernels'
+//! lookups do; see DESIGN.md). `Des::new` and `TripleDes::new` build its
+//! schedule only where the CPU has the features, so a keyed cipher
+//! carries the choice; `cbc` sends it buffers of at least its measured
+//! threshold and keeps `decrypt4` for shorter ones. Encryption stays
+//! serial: CBC chains each block to the one before.
+//!
 //! The bit-at-a-time formulation straight from the standard survives as the
-//! test oracle (`reference`), which every table-driven path is checked
-//! against.
+//! test oracle (`reference`), which every table-driven and bitsliced path is
+//! checked against.
 
 /// Initial permutation (IP). Entries are 1-based bit positions from the MSB.
-#[cfg(test)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 const IP: [u8; 64] = [
     58, 50, 42, 34, 26, 18, 10, 2, 60, 52, 44, 36, 28, 20, 12, 4, 62, 54, 46, 38, 30, 22, 14, 6,
     64, 56, 48, 40, 32, 24, 16, 8, 57, 49, 41, 33, 25, 17, 9, 1, 59, 51, 43, 35, 27, 19, 11, 3, 61,
@@ -40,7 +59,7 @@ const IP: [u8; 64] = [
 ];
 
 /// Final permutation (IP⁻¹).
-#[cfg(test)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 const FP: [u8; 64] = [
     40, 8, 48, 16, 56, 24, 64, 32, 39, 7, 47, 15, 55, 23, 63, 31, 38, 6, 46, 14, 54, 22, 62, 30,
     37, 5, 45, 13, 53, 21, 61, 29, 36, 4, 44, 12, 52, 20, 60, 28, 35, 3, 43, 11, 51, 19, 59, 27,
@@ -48,7 +67,7 @@ const FP: [u8; 64] = [
 ];
 
 /// Expansion permutation E (32 → 48 bits).
-#[cfg(test)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 const E: [u8; 48] = [
     32, 1, 2, 3, 4, 5, 4, 5, 6, 7, 8, 9, 8, 9, 10, 11, 12, 13, 12, 13, 14, 15, 16, 17, 16, 17, 18,
     19, 20, 21, 20, 21, 22, 23, 24, 25, 24, 25, 26, 27, 28, 29, 28, 29, 30, 31, 32, 1,
@@ -156,6 +175,93 @@ const fn sp_tables() -> [[u32; 64]; 8] {
         i += 1;
     }
     sp
+}
+
+/// The S-boxes as Boolean circuits, for the bitsliced kernel. Output bit
+/// `t` of S-box `s` (0 is the most significant) is a mux tree over input
+/// bits x0, x1, x2 (x0 first in the six-bit group) whose eight leaves are
+/// functions of x3, x4, x5: leaf `m` is what the output bit is when
+/// x0 x1 x2 spell `m`. `SBOX_LEAVES[s][t][m]` is that leaf's truth table
+/// as a `vpternlogq` immediate, bit `4·x3 + 2·x4 + x5`.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) const SBOX_LEAVES: [[[u8; 8]; 4]; 8] = sbox_leaves();
+
+const fn sbox_leaves() -> [[[u8; 8]; 4]; 8] {
+    let mut leaves = [[[0u8; 8]; 4]; 8];
+    let mut s = 0;
+    while s < 8 {
+        let mut x = 0;
+        while x < 64 {
+            let row = ((x & 0x20) >> 4) | (x & 1);
+            let col = (x >> 1) & 0xF;
+            let out = SBOX[s][row * 16 + col];
+            let mut t = 0;
+            while t < 4 {
+                leaves[s][t][x >> 3] |= ((out >> (3 - t)) & 1) << (x & 7);
+                t += 1;
+            }
+            x += 1;
+        }
+        s += 1;
+    }
+    leaves
+}
+
+/// Where each permutation reads from, as plane indices for the bitsliced
+/// kernel. A transposed block's plane `j` holds the bit `j` places above
+/// its least significant one; a half's plane `i` holds its bit `i + 1` in
+/// the standard's numbering.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) mod planes {
+    /// `L ‖ R` after IP: plane `i` is the block's plane `IP[i]`.
+    pub(crate) const IP: [usize; 64] = from_msb(&super::IP);
+    /// S-box `s`'s input bit `j` is `R`'s plane `E[6s + j]`.
+    pub(crate) const E: [usize; 48] = one_based(&super::E);
+    /// S-box output bit `q` (of 32, S1's first) lands in f's plane `P[q]`.
+    pub(crate) const P: [usize; 32] = inverse(&super::P);
+    /// The block's plane `j` after FP is the preoutput `R16 ‖ L16`'s plane
+    /// `FP[j]`.
+    pub(crate) const FP: [usize; 64] = reversed(&one_based(&super::FP));
+
+    const fn one_based<const N: usize>(table: &[u8; N]) -> [usize; N] {
+        let mut out = [0; N];
+        let mut i = 0;
+        while i < N {
+            out[i] = table[i] as usize - 1;
+            i += 1;
+        }
+        out
+    }
+
+    const fn from_msb<const N: usize>(table: &[u8; N]) -> [usize; N] {
+        let mut out = [0; N];
+        let mut i = 0;
+        while i < N {
+            out[i] = 64 - table[i] as usize;
+            i += 1;
+        }
+        out
+    }
+
+    const fn reversed<const N: usize>(table: &[usize; N]) -> [usize; N] {
+        let mut out = [0; N];
+        let mut i = 0;
+        while i < N {
+            out[i] = table[N - 1 - i];
+            i += 1;
+        }
+        out
+    }
+
+    const fn inverse<const N: usize>(table: &[u8; N]) -> [usize; N] {
+        let mut out = [0; N];
+        let mut i = 0;
+        while i < N {
+            out[table[i] as usize - 1] = i;
+            i += 1;
+        }
+        out
+    }
 }
 
 /// One round's subkey in table-index form: `[0]` holds the six-bit pieces for
@@ -281,10 +387,34 @@ fn crypt4<const N: usize>(blocks: [u64; 4], subkeys: &[RoundKey; N]) -> [u64; 4]
     std::array::from_fn(|lane| final_permutation(l[lane], r[lane]))
 }
 
+#[cfg(target_arch = "x86_64")]
+pub(crate) use crate::x86::{BitslicedDes, PASS_BLOCKS};
+
+/// How many blocks one bitsliced pass deciphers.
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) const PASS_BLOCKS: usize = 256;
+
+/// The bitsliced kernel's schedule, which off x86-64 never exists.
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) enum BitslicedDes {}
+
+#[cfg(not(target_arch = "x86_64"))]
+impl BitslicedDes {
+    fn new(_subkeys: &[u64]) -> Option<Self> {
+        None
+    }
+
+    pub(crate) fn decrypt_cbc(&self, _prev: u64, _buf: &mut [u8]) {
+        match *self {}
+    }
+}
+
 /// Single DES with an expanded key schedule.
 pub struct Des {
     enc: [RoundKey; 16],
     dec: [RoundKey; 16],
+    /// The bitsliced decryption schedule, where this CPU runs the kernel.
+    pub(crate) sliced: Option<BitslicedDes>,
 }
 
 impl Des {
@@ -294,7 +424,13 @@ impl Des {
         let enc = round_keys(key);
         let mut dec = enc;
         dec.reverse();
-        Des { enc, dec }
+        let mut subkeys = key_schedule(key);
+        subkeys.reverse();
+        Des {
+            enc,
+            dec,
+            sliced: BitslicedDes::new(&subkeys),
+        }
     }
 
     /// Encrypts one block, taken and returned as a big-endian integer.
@@ -320,6 +456,8 @@ impl Des {
 pub struct TripleDes {
     enc: [RoundKey; 48],
     dec: [RoundKey; 48],
+    /// The bitsliced decryption schedule, where this CPU runs the kernel.
+    pub(crate) sliced: Option<BitslicedDes>,
 }
 
 impl TripleDes {
@@ -334,7 +472,17 @@ impl TripleDes {
         enc[16..32].reverse();
         let mut dec = enc;
         dec.reverse();
-        TripleDes { enc, dec }
+        let mut subkeys = [0u64; 48];
+        for (stage, k) in subkeys.chunks_exact_mut(16).zip(key.chunks_exact(8)) {
+            stage.copy_from_slice(&key_schedule(k.try_into().expect("8-byte chunk")));
+        }
+        subkeys[16..32].reverse();
+        subkeys.reverse();
+        TripleDes {
+            enc,
+            dec,
+            sliced: BitslicedDes::new(&subkeys),
+        }
     }
 
     /// Encrypts one block, taken and returned as a big-endian integer.
@@ -558,6 +706,52 @@ mod tests {
         for i in 0..64u64 {
             let pt = 1u64 << i;
             assert_eq!(des.decrypt_block(des.encrypt_block(pt)), pt, "bit {i}");
+        }
+    }
+
+    /// `vpternlogq` on `u64`s: bit `i` of the result is bit
+    /// `4·a_i + 2·b_i + c_i` of `imm`.
+    fn ternlog(imm: u8, a: u64, b: u64, c: u64) -> u64 {
+        (0..8)
+            .filter(|idx| imm >> idx & 1 == 1)
+            .map(|idx| {
+                let pick = |v: u64, bit: u32| if idx >> bit & 1 == 1 { v } else { !v };
+                pick(a, 2) & pick(b, 1) & pick(c, 0)
+            })
+            .fold(0, |acc, minterm| acc | minterm)
+    }
+
+    #[test]
+    fn sbox_circuits_compute_the_sboxes() {
+        // Bit x of input plane j is bit j of the six-bit input x (x0 its
+        // most significant), so one evaluation of the circuit covers all
+        // 64 inputs: the bitsliced kernel's shape, eight leaves on x3, x4,
+        // x5 and a mux tree on x2, x1, x0, with `u64` lanes.
+        let x: [u64; 6] = std::array::from_fn(|j| {
+            (0..64u64)
+                .filter(|v| v >> (5 - j) & 1 == 1)
+                .fold(0, |acc, v| acc | 1 << v)
+        });
+        let mux = |sel, one, zero| ternlog(0xCA, sel, one, zero);
+        for (s, (sbox, circuits)) in SBOX.iter().zip(&SBOX_LEAVES).enumerate() {
+            for (t, imms) in circuits.iter().enumerate() {
+                let leaves = imms.map(|imm| ternlog(imm, x[3], x[4], x[5]));
+                let by_x01: [u64; 4] =
+                    std::array::from_fn(|i| mux(x[2], leaves[2 * i + 1], leaves[2 * i]));
+                let by_x0 = [
+                    mux(x[1], by_x01[1], by_x01[0]),
+                    mux(x[1], by_x01[3], by_x01[2]),
+                ];
+                let got = mux(x[0], by_x0[1], by_x0[0]);
+                let want = (0..64usize)
+                    .filter(|&v| {
+                        let row = ((v & 0x20) >> 4) | (v & 1);
+                        let col = (v >> 1) & 0xF;
+                        sbox[row * 16 + col] >> (3 - t) & 1 == 1
+                    })
+                    .fold(0u64, |acc, v| acc | 1 << v);
+                assert_eq!(got, want, "S{} output bit {t}", s + 1);
+            }
         }
     }
 

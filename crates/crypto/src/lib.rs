@@ -15,7 +15,8 @@
 //!
 //! - [`sha1`] and [`sha256`] — FIPS 180 hash functions, compressing on the
 //!   x86-64 SHA extensions where the CPU has them.
-//! - [`des`] — DES and 3DES (EDE3) block ciphers, FIPS 46-3, table-driven.
+//! - [`des`] — DES and 3DES (EDE3) block ciphers, FIPS 46-3, table-driven;
+//!   [`cbc::Cbc`] decrypts long buffers with a bitsliced kernel on AVX-512.
 //! - [`aes`] — AES-128/-256, FIPS 197 (the "other, more secure, algorithms
 //!   that run faster than DES" the paper alludes to in §9.2.1), table-driven;
 //!   [`cbc::Cbc`] runs it on AES-NI where the CPU has it.

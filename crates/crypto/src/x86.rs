@@ -1,14 +1,22 @@
 //! The x86-64 kernels: SHA-1 and SHA-256 compression on the SHA extensions,
-//! and AES-CBC on AES-NI.
+//! AES-CBC on AES-NI, and bitsliced DES/3DES-CBC decryption on AVX-512.
 //!
 //! Each kernel is a `#[target_feature]` function, so calling it is `unsafe`
 //! and sound only on a CPU with those features. Nothing calls one without
 //! proof: the hashes call theirs only when [`has_sha`] says so, and an
-//! [`AesNi`] exists only if [`AesNi::new`] saw the feature, so a keyed
-//! cipher carries the choice and never probes per call. The portable
-//! kernels in `sha1`, `sha256` and `aes` are the fallback elsewhere, and
-//! the oracle these are tested against; the digests and ciphertexts are
-//! the same bytes.
+//! [`AesNi`] or a [`BitslicedDes`] exists only if its `new` saw the
+//! features, so a keyed cipher carries the choice and never probes per
+//! call. The portable kernels in `sha1`, `sha256`, `aes` and `des` are the
+//! fallback elsewhere, and the oracle these are tested against; the
+//! digests, ciphertexts and plaintexts are the same bytes.
+//!
+//! The bitsliced kernel holds 256 blocks as 64 planes of one `__m256i`
+//! each, bit `j` of every block in plane `j`, after a 64×64 bit transpose
+//! per 64-bit lane. IP, E, P and FP are then plane indices, a key bit is
+//! a broadcast mask, and an S-box output bit is fifteen `vpternlogq`:
+//! eight leaves whose immediates `des::SBOX_LEAVES` derives from the
+//! standard's tables, and a seven-mux tree. It takes the same
+//! instructions for any key and any data.
 
 use std::arch::x86_64::*;
 
@@ -264,6 +272,207 @@ unsafe fn decrypt_cbc(keys: &[__m128i], iv: &[u8], buf: &mut [u8]) {
     }
 }
 
+/// How many blocks one bitsliced pass deciphers: one per bit of a plane.
+pub(crate) const PASS_BLOCKS: usize = 256;
+
+/// A DES or 3DES decryption schedule for the bitsliced kernel: each
+/// round's 48 subkey bits, in decryption order, as lane masks of all zeros
+/// or all ones, broadcast across a plane where they are used.
+///
+/// Exists only on a CPU with AVX-512F and AVX-512VL: [`BitslicedDes::new`]
+/// is the one constructor and checks, which is what makes its safe method
+/// sound.
+pub(crate) struct BitslicedDes {
+    /// One row per round, 16 for DES and 48 for 3DES.
+    masks: Box<[[u64; 48]]>,
+}
+
+impl BitslicedDes {
+    /// Spreads the 48-bit `subkeys` (decryption order, a whole number of
+    /// 16-round stages) into masks, or `None` when this CPU lacks the
+    /// features.
+    pub(crate) fn new(subkeys: &[u64]) -> Option<Self> {
+        if !(is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl")) {
+            return None;
+        }
+        debug_assert!(!subkeys.is_empty() && subkeys.len().is_multiple_of(16));
+        let masks = subkeys
+            .iter()
+            .map(|k| std::array::from_fn(|j| 0u64.wrapping_sub((k >> (47 - j)) & 1)))
+            .collect();
+        Some(BitslicedDes { masks })
+    }
+
+    /// CBC-decrypts `buf`, a whole number of 8-byte blocks, in place, in
+    /// passes of [`PASS_BLOCKS`]. `prev` is the ciphertext block before
+    /// `buf`: the IV, for the first.
+    pub(crate) fn decrypt_cbc(&self, prev: u64, buf: &mut [u8]) {
+        // SAFETY: a `BitslicedDes` exists only where `new` found the
+        // features.
+        unsafe { des_decrypt_cbc(&self.masks, prev, buf) }
+    }
+}
+
+/// Swaps the bytes of each 64-bit lane: big-endian blocks to integers and
+/// back.
+#[inline]
+#[target_feature(enable = "avx512f,avx512vl")]
+fn bswap64(v: __m256i) -> __m256i {
+    let order = _mm256_set_epi64x(
+        0x0809_0a0b_0c0d_0e0f,
+        0x0001_0203_0405_0607,
+        0x0809_0a0b_0c0d_0e0f,
+        0x0001_0203_0405_0607,
+    );
+    _mm256_shuffle_epi8(v, order)
+}
+
+/// Transposes the 64×64 bit matrix in each 64-bit lane of `x`, rows
+/// `x[0..64]`: afterwards bit `i` of row `j` is what bit `j` of row `i`
+/// was. Six rounds of delta swaps, each exchanging the off-diagonal
+/// `s`×`s` blocks of every 2s×2s block; being an involution, the same
+/// call converts back.
+#[inline]
+#[target_feature(enable = "avx512f,avx512vl")]
+fn transpose(x: &mut [__m256i; 64]) {
+    macro_rules! round {
+        ($s:literal, $mask:literal) => {
+            let mask = _mm256_set1_epi64x($mask);
+            for k in (0..64).filter(|k| k & $s == 0) {
+                let t = _mm256_xor_si256(_mm256_srli_epi64::<$s>(x[k]), x[k + $s]);
+                let t = _mm256_and_si256(t, mask);
+                x[k + $s] = _mm256_xor_si256(x[k + $s], t);
+                x[k] = _mm256_xor_si256(x[k], _mm256_slli_epi64::<$s>(t));
+            }
+        };
+    }
+    round!(32, 0x0000_0000_FFFF_FFFF);
+    round!(16, 0x0000_FFFF_0000_FFFF);
+    round!(8, 0x00FF_00FF_00FF_00FF);
+    round!(4, 0x0F0F_0F0F_0F0F_0F0F);
+    round!(2, 0x3333_3333_3333_3333);
+    round!(1, 0x5555_5555_5555_5555);
+}
+
+/// One DES round on planes: `l ^= P(S(E(r) ^ k))`. Each S-box output bit
+/// is [`SBOX_LEAVES`]' circuit: eight leaves on x3, x4, x5, one
+/// `vpternlogq` each, then a tree of seven muxes on x2, x1, x0 (one
+/// `vpternlogq` each too, immediate `0xCA`, "first ? second : third").
+/// No table is indexed by data or key, so a round takes the same time
+/// for every input.
+///
+/// [`SBOX_LEAVES`]: crate::des::SBOX_LEAVES
+#[target_feature(enable = "avx512f,avx512vl")]
+fn feistel(l: &mut [__m256i; 32], r: &[__m256i; 32], k: &[u64; 48]) {
+    use crate::des::{planes, SBOX_LEAVES};
+    macro_rules! mux {
+        ($sel:expr, $one:expr, $zero:expr) => {
+            _mm256_ternarylogic_epi64::<0xCA>($sel, $one, $zero)
+        };
+    }
+    macro_rules! leaf {
+        ($x:ident, $s:literal, $t:literal, $m:literal) => {
+            _mm256_ternarylogic_epi64::<{ SBOX_LEAVES[$s][$t][$m] as i32 }>($x[3], $x[4], $x[5])
+        };
+    }
+    macro_rules! output_bit {
+        ($x:ident, $s:literal, $t:literal) => {{
+            let leaves = [
+                leaf!($x, $s, $t, 0),
+                leaf!($x, $s, $t, 1),
+                leaf!($x, $s, $t, 2),
+                leaf!($x, $s, $t, 3),
+                leaf!($x, $s, $t, 4),
+                leaf!($x, $s, $t, 5),
+                leaf!($x, $s, $t, 6),
+                leaf!($x, $s, $t, 7),
+            ];
+            let by_x01 = [
+                mux!($x[2], leaves[1], leaves[0]),
+                mux!($x[2], leaves[3], leaves[2]),
+                mux!($x[2], leaves[5], leaves[4]),
+                mux!($x[2], leaves[7], leaves[6]),
+            ];
+            let by_x0 = [
+                mux!($x[1], by_x01[1], by_x01[0]),
+                mux!($x[1], by_x01[3], by_x01[2]),
+            ];
+            let plane = planes::P[4 * $s + $t];
+            l[plane] = _mm256_xor_si256(l[plane], mux!($x[0], by_x0[1], by_x0[0]));
+        }};
+    }
+    macro_rules! sbox {
+        ($($s:literal)*) => {$({
+            let x: [__m256i; 6] = [0, 1, 2, 3, 4, 5].map(|j| {
+                let bit = 6 * $s + j;
+                _mm256_xor_si256(r[planes::E[bit]], _mm256_set1_epi64x(k[bit] as i64))
+            });
+            output_bit!(x, $s, 0);
+            output_bit!(x, $s, 1);
+            output_bit!(x, $s, 2);
+            output_bit!(x, $s, 3);
+        })*};
+    }
+    sbox!(0 1 2 3 4 5 6 7);
+}
+
+/// CBC-decrypts `buf` in place under `masks`, [`PASS_BLOCKS`] blocks a
+/// pass. A pass transposes its blocks into 64 planes of 256 lanes (block
+/// `4k + g` is bit `k` of 64-bit lane `g`), so that IP, E, P and FP are
+/// only choices of plane, runs every round on all lanes at once, and
+/// transposes back. Lanes past the end of a short pass decipher zeros and
+/// are dropped.
+///
+/// # Safety
+///
+/// The CPU must have `avx512f` and `avx512vl` (a [`BitslicedDes`] exists).
+#[target_feature(enable = "avx512f,avx512vl")]
+unsafe fn des_decrypt_cbc(masks: &[[u64; 48]], mut prev: u64, buf: &mut [u8]) {
+    use crate::des::planes;
+    debug_assert!(buf.len().is_multiple_of(8));
+    for pass in buf.chunks_mut(8 * PASS_BLOCKS) {
+        let mut bytes = [0u8; 8 * PASS_BLOCKS];
+        bytes[..pass.len()].copy_from_slice(pass);
+        let rows: [__m256i; 64] = std::array::from_fn(|k| {
+            // SAFETY: row `k` is bytes 32k..32k + 32 of the 2048, and
+            // `loadu` needs no alignment.
+            bswap64(unsafe { _mm256_loadu_si256(bytes.as_ptr().add(32 * k).cast()) })
+        });
+        let mut x = rows;
+        transpose(&mut x);
+        let mut l: [__m256i; 32] = std::array::from_fn(|i| x[planes::IP[i]]);
+        let mut r: [__m256i; 32] = std::array::from_fn(|i| x[planes::IP[32 + i]]);
+        for stage in masks.chunks_exact(16) {
+            for pair in stage.chunks_exact(2) {
+                feistel(&mut l, &r, &pair[0]);
+                feistel(&mut r, &l, &pair[1]);
+            }
+            std::mem::swap(&mut l, &mut r);
+        }
+        let mut x: [__m256i; 64] = std::array::from_fn(|j| {
+            let p = planes::FP[j];
+            if p < 32 {
+                l[p]
+            } else {
+                r[p - 32]
+            }
+        });
+        transpose(&mut x);
+        // Each block's chaining value is the ciphertext block before it:
+        // row k's lanes shifted up by one, the last lane of row k - 1 in.
+        let mut before = _mm256_set1_epi64x(prev as i64);
+        for (k, (row, cipher)) in x.into_iter().zip(rows).enumerate() {
+            let chain = _mm256_alignr_epi64::<3>(cipher, before);
+            before = cipher;
+            let plain = bswap64(_mm256_xor_si256(row, chain));
+            // SAFETY: as the load, and `storeu` needs no alignment.
+            unsafe { _mm256_storeu_si256(bytes.as_mut_ptr().add(32 * k).cast(), plain) };
+        }
+        prev = u64::from_be_bytes(pass[pass.len() - 8..].try_into().expect("8 bytes"));
+        pass.copy_from_slice(&bytes[..pass.len()]);
+    }
+}
+
 /// The x86 kernels held to the portable ones they replace, both run on this
 /// machine. The published vectors and `cbc_golden.txt` pin the public,
 /// dispatching entry points; these pin the two paths to each other.
@@ -326,6 +535,66 @@ mod tests {
         let opad = k.map(|b| b ^ 0x5c);
         let inner = digest(kind, &[&ipad, msg], true);
         digest(kind, &[&opad, inner.as_bytes()], true)
+    }
+
+    /// `n` pseudorandom bytes from `seed` (SplitMix64).
+    fn bytes(seed: u64, n: usize) -> Vec<u8> {
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        (0..n.div_ceil(8))
+            .flat_map(|_| next().to_be_bytes())
+            .take(n)
+            .collect()
+    }
+
+    #[test]
+    fn bitsliced_des_matches_reference_at_every_length() {
+        use crate::des::{reference, Des, TripleDes};
+        // 1..=600 blocks crosses the dispatch threshold and two pass
+        // boundaries. CBC decryption of a prefix is the prefix of the
+        // whole decryption, so one reference run per key serves them all.
+        const MAX: usize = 600;
+        for seed in 0..2u64 {
+            let ciphertext = bytes(seed, 8 * MAX);
+            let iv = bytes(!seed, 8);
+            let iv = u64::from_be_bytes(iv[..].try_into().unwrap());
+            let des_key: [u8; 8] = bytes(seed + 10, 8)[..].try_into().unwrap();
+            let tdes_key: [u8; 24] = bytes(seed + 20, 24)[..].try_into().unwrap();
+            let des = Des::new(&des_key);
+            let tdes = TripleDes::new(&tdes_key);
+            let cases: [(&str, _, &dyn Fn(u64) -> u64); 2] = [
+                ("DES", &des.sliced, &|b| reference::des_decrypt(&des_key, b)),
+                ("3DES", &tdes.sliced, &|b| {
+                    reference::tdes_decrypt(&tdes_key, b)
+                }),
+            ];
+            for (name, sliced, decrypt) in cases {
+                let Some(sliced) = sliced else {
+                    present("AVX-512F and AVX-512VL", false);
+                    return;
+                };
+                let mut prev = iv;
+                let expect: Vec<u8> = ciphertext
+                    .chunks_exact(8)
+                    .flat_map(|block| {
+                        let c = u64::from_be_bytes(block.try_into().unwrap());
+                        let p = decrypt(c) ^ prev;
+                        prev = c;
+                        p.to_be_bytes()
+                    })
+                    .collect();
+                for blocks in 1..=MAX {
+                    let mut buf = ciphertext[..8 * blocks].to_vec();
+                    sliced.decrypt_cbc(iv, &mut buf);
+                    assert_eq!(buf, expect[..8 * blocks], "{name}, {blocks} blocks");
+                }
+            }
+        }
     }
 
     proptest! {

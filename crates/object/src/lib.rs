@@ -266,8 +266,9 @@ impl ObjectStore {
     /// chunk-store read and the install, so it waits out an exclusive
     /// holder: up to the store's timeout with `wait`, not at all without.
     /// Either way the cache is looked up once. MVCC commits take no lock
-    /// here, so with [`ObjectStoreConfig::mvcc`] on the argument covers
-    /// two-phase-locked writers only.
+    /// here; with [`ObjectStoreConfig::mvcc`] on, a cached object is the
+    /// last *published* state, and what keeps a miss from installing a
+    /// version a commit has replaced is the cache's publish stamp.
     ///
     /// # Errors
     ///
@@ -310,9 +311,7 @@ impl ObjectStore {
         }
     }
 
-    /// Reads an object through the cache. A miss installs what it read,
-    /// which is the last committed state only while the caller holds a
-    /// lock on `id` that excludes writers.
+    /// Reads an object through the cache.
     fn load(&self, id: ObjectId) -> Result<Arc<dyn StoredObject>> {
         match self.cache.get(id) {
             Some(obj) => Ok(obj),
@@ -320,8 +319,13 @@ impl ObjectStore {
         }
     }
 
-    /// Reads an object from the chunk store and installs it in the cache.
+    /// Reads an object from the chunk store and installs it in the cache,
+    /// unless a commit of it has published since the read began. Under a
+    /// lock that excludes writers none can have; without one (an MVCC
+    /// snapshot's miss) the read may be of an overwritten version, which
+    /// is returned but not installed.
     fn fetch(&self, id: ObjectId) -> Result<Arc<dyn StoredObject>> {
+        let stamp = self.cache.stamp(id);
         let record = match self.chunks.read(id.0) {
             Ok(r) => r,
             Err(tdb_core::CoreError::NotAllocated(_)) | Err(tdb_core::CoreError::NotWritten(_)) => {
@@ -331,7 +335,7 @@ impl ObjectStore {
         };
         let size = record.len();
         let obj = self.registry.unpickle(&record)?;
-        self.cache.put(id, Arc::clone(&obj), size);
+        self.cache.put_read(id, Arc::clone(&obj), size, stamp);
         Ok(obj)
     }
 }

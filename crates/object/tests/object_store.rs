@@ -117,7 +117,15 @@ fn fixture() -> Fixture {
     fixture_over(Arc::new(MemStore::new()))
 }
 
+fn mvcc_fixture() -> Fixture {
+    fixture_with(Arc::new(MemStore::new()), true)
+}
+
 fn fixture_over(untrusted: SharedUntrusted) -> Fixture {
+    fixture_with(untrusted, false)
+}
+
+fn fixture_with(untrusted: SharedUntrusted, mvcc: bool) -> Fixture {
     let chunks = Arc::new(
         ChunkStore::create(
             untrusted,
@@ -150,7 +158,7 @@ fn fixture_over(untrusted: SharedUntrusted) -> Fixture {
         ObjectStoreConfig {
             cache_bytes: 64 * 1024,
             lock_timeout: Duration::from_millis(100),
-            ..ObjectStoreConfig::default()
+            mvcc,
         },
     );
     Fixture { store, partition }
@@ -680,9 +688,10 @@ fn commit_all_shares_one_batch_and_keeps_results_apart() {
 /// late, against a `put` + `commit` of value `r`, for `rounds` rounds, and
 /// returns the rounds after whose ack a fresh transaction did not read
 /// `r`. A read that loads the old version must not install it after the
-/// writer installed the new one.
-fn stale_installs(rounds: u32) -> Vec<u32> {
-    let fx = fixture();
+/// writer installed the new one. With `mvcc`, the read is an MVCC
+/// snapshot's and so is the write.
+fn stale_installs(rounds: u32, mvcc: bool) -> Vec<u32> {
+    let fx = if mvcc { mvcc_fixture() } else { fixture() };
     let owner = "x".repeat(4000);
     let id = fx
         .store
@@ -708,25 +717,43 @@ fn stale_installs(rounds: u32) -> Vec<u32> {
                 while t0.elapsed() < delay {
                     std::hint::spin_loop();
                 }
-                fx.store.get_committed(id, true).unwrap();
+                if mvcc {
+                    let mut tx = fx.store.begin_mvcc().unwrap();
+                    tx.get::<Account>(id).unwrap();
+                    tx.abort();
+                } else {
+                    fx.store.get_committed(id, true).unwrap();
+                }
             });
             start.wait();
-            let mut tx = fx.store.begin();
-            tx.put(
-                id,
-                Arc::new(Account {
-                    owner: owner.clone(),
-                    balance: i64::from(r),
-                }),
-            )
-            .unwrap();
-            tx.commit().unwrap();
+            let value = Arc::new(Account {
+                owner: owner.clone(),
+                balance: i64::from(r),
+            });
+            if mvcc {
+                let mut tx = fx.store.begin_mvcc().unwrap();
+                tx.put(id, value).unwrap();
+                tx.commit().unwrap();
+            } else {
+                let mut tx = fx.store.begin();
+                tx.put(id, value).unwrap();
+                tx.commit().unwrap();
+            }
         });
-        let mut tx = fx.store.begin();
-        if tx.get::<Account>(id).unwrap().balance != i64::from(r) {
+        let balance = if mvcc {
+            let mut tx = fx.store.begin_mvcc().unwrap();
+            let balance = tx.get::<Account>(id).unwrap().balance;
+            tx.abort();
+            balance
+        } else {
+            let mut tx = fx.store.begin();
+            let balance = tx.get::<Account>(id).unwrap().balance;
+            tx.abort();
+            balance
+        };
+        if balance != i64::from(r) {
             stale.push(r);
         }
-        tx.abort();
         // Keep the in-memory log small: reclaim the overwritten versions.
         if r.is_multiple_of(256) {
             fx.store.chunks().checkpoint().unwrap();
@@ -738,13 +765,26 @@ fn stale_installs(rounds: u32) -> Vec<u32> {
 
 #[test]
 fn committed_read_never_installs_an_overwritten_version() {
-    let stale = stale_installs(3_000);
+    let stale = stale_installs(3_000, false);
     assert!(stale.is_empty(), "stale after rounds {stale:?}");
 }
 
 #[test]
 #[ignore = "30,000 rounds; run in release"]
 fn committed_read_never_installs_an_overwritten_version_long() {
-    let stale = stale_installs(30_000);
+    let stale = stale_installs(30_000, false);
+    assert!(stale.is_empty(), "stale after rounds {stale:?}");
+}
+
+#[test]
+fn mvcc_read_never_installs_an_overwritten_version() {
+    let stale = stale_installs(3_000, true);
+    assert!(stale.is_empty(), "stale after rounds {stale:?}");
+}
+
+#[test]
+#[ignore = "30,000 rounds; run in release"]
+fn mvcc_read_never_installs_an_overwritten_version_long() {
+    let stale = stale_installs(30_000, true);
     assert!(stale.is_empty(), "stale after rounds {stale:?}");
 }
