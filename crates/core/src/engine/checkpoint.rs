@@ -226,14 +226,10 @@ impl Inner {
             .zip(&bodies)
             .map(|(((p, pos), crypto), body)| (ChunkId::new(*p, *pos), crypto, body.as_slice()))
             .collect();
-        // Map bodies are never compressed (`compress = false`): clients
-        // verify proofs by hashing the *plain* map-chunk encodings, so the
-        // parent's stored hash must cover those exact bytes. Data bodies
-        // dominate log volume; the win lives in the commit path.
-        let sealed = self.seal_jobs(&jobs, false);
+        let sealed = self.seal_jobs(&jobs);
         for ((p, pos), pre) in keys.iter().zip(sealed) {
             let id = ChunkId::new(*p, *pos);
-            let desc = self.append_presealed(id, pre)?;
+            let desc = self.append_presealed(pre)?;
             self.set_descriptor(id, desc)?;
             self.map_cache.mark_clean(*p, *pos);
         }

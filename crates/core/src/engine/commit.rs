@@ -152,9 +152,9 @@ impl Inner {
 
     /// Runs a checkpoint level's `jobs` through [`pipeline::seal_batch`] and
     /// counts the batch if it fanned out.
-    pub(crate) fn seal_jobs(&mut self, jobs: &[SealJob<'_>], compress: bool) -> Vec<Presealed> {
+    pub(crate) fn seal_jobs(&mut self, jobs: &[SealJob<'_>]) -> Vec<Presealed> {
         let (sealed, fanned_out) =
-            pipeline::seal_batch(&self.system, jobs, self.config.crypto_workers, compress);
+            pipeline::seal_batch(&self.system, jobs, self.config.crypto_workers);
         if fanned_out {
             self.stats.parallel_crypto_batches += 1;
             self.stats.parallel_crypto_chunks += sealed.len() as u64;
@@ -172,41 +172,20 @@ impl Inner {
         body: &[u8],
     ) -> Result<Descriptor> {
         let job = (id, self.crypto_for(id.partition)?, body);
-        let pre = pipeline::seal_one(&self.system, kind, &job, self.config.compression);
-        self.append_presealed(id, pre)
+        let pre = pipeline::seal_one(&self.system, kind, &job);
+        self.append_presealed(pre)
     }
 
-    /// Appends an already hashed and sealed version of `id` and returns its
-    /// descriptor, counting how the body was stored if the compression
-    /// knob applied to it.
-    pub(crate) fn append_presealed(&mut self, id: ChunkId, pre: Presealed) -> Result<Descriptor> {
-        if self.config.compression && pipeline::compressible(id) {
-            if pre.compressed {
-                self.note_compressed(pre.saved);
-            } else {
-                self.note_stored_raw();
-            }
-        }
+    /// Appends an already hashed and sealed version and returns its
+    /// descriptor.
+    pub(crate) fn append_presealed(&mut self, pre: Presealed) -> Result<Descriptor> {
         let location = self.append(&pre.sealed)?;
-        // `size` stays the logical length; the hash covers the stored
-        // bytes, so verification always precedes decompression.
         Ok(Descriptor::written(
             location,
             pre.sealed.len() as u32,
             pre.body_len,
             pre.hash,
         ))
-    }
-
-    /// Counts one body stored as a compressed envelope.
-    pub(crate) fn note_compressed(&mut self, saved: u64) {
-        self.stats.bodies_compressed += 1;
-        self.stats.log_bytes_saved += saved;
-    }
-
-    /// Counts one knob-on body stored raw (escape hatch taken).
-    pub(crate) fn note_stored_raw(&mut self) {
-        self.stats.bodies_stored_raw += 1;
     }
 
     /// Appends sealed bytes to the log's run buffer; nothing reaches the
@@ -269,9 +248,7 @@ impl Inner {
                 // made under a key a recreate has replaced, is made here.
                 let crypto = self.crypto_for(id.partition)?;
                 let desc = match pre {
-                    Some(pre) if Arc::ptr_eq(&pre.crypto, &crypto) => {
-                        self.append_presealed(id, pre)?
-                    }
+                    Some(pre) if Arc::ptr_eq(&pre.crypto, &crypto) => self.append_presealed(pre)?,
                     _ => {
                         self.bodies_sealed_under_lock += 1;
                         self.write_named(VersionKind::Named, id, &bytes)?
@@ -773,7 +750,7 @@ mod tests {
         let system = Arc::clone(&store.inner.lock().system);
         vec![
             None,
-            Some(pipeline::seal_one(&system, VersionKind::Named, &job, false)),
+            Some(pipeline::seal_one(&system, VersionKind::Named, &job)),
         ]
     }
 

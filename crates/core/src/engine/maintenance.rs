@@ -475,7 +475,7 @@ impl Inner {
         // re-encrypting) write path — "otherwise, the cleaner might launder
         // chunks modified by an attack".
         let crypto = self.crypto_for(owner)?;
-        let (body, _) = validate_version(
+        let body = validate_version(
             &self.system,
             &crypto,
             ChunkId::new(owner, pos),

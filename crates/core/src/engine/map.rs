@@ -137,21 +137,10 @@ impl Inner {
     /// Reads and validates the version a descriptor points at, returning
     /// the plaintext body (§4.5: located, decrypted, hashed, compared).
     pub(crate) fn read_validated(&mut self, id: ChunkId, desc: &Descriptor) -> Result<Vec<u8>> {
-        Ok(self.read_validated_full(id, desc)?.0)
-    }
-
-    /// [`Inner::read_validated`] that also returns the stored envelope
-    /// when the version was compressed — proof extraction ships it to
-    /// clients, whose leaf hash check runs over the stored bytes.
-    pub(crate) fn read_validated_full(
-        &mut self,
-        id: ChunkId,
-        desc: &Descriptor,
-    ) -> Result<(Vec<u8>, Option<Vec<u8>>)> {
         debug_assert!(desc.is_written());
         let buf = self.log.read_at(desc.location, desc.vlen as usize)?;
         let crypto = self.crypto_for(id.partition)?;
-        Ok(validate_version(&self.system, &crypto, id, desc, &buf)?)
+        validate_version(&self.system, &crypto, id, desc, &buf)
     }
 
     /// Effective allocation status of a data chunk id, folding in
@@ -173,12 +162,6 @@ impl Inner {
     // -- Read (§4.5) ----------------------------------------------------------
 
     pub(crate) fn read_chunk(&mut self, id: ChunkId) -> Result<Vec<u8>> {
-        Ok(self.read_chunk_full(id)?.0)
-    }
-
-    /// [`Inner::read_chunk`] that also surfaces the stored compressed
-    /// envelope (when there is one) for proof extraction.
-    pub(crate) fn read_chunk_full(&mut self, id: ChunkId) -> Result<(Vec<u8>, Option<Vec<u8>>)> {
         if id.partition.is_system() || !id.pos.is_data() {
             return Err(CoreError::NotAllocated(id));
         }
@@ -196,7 +179,7 @@ impl Inner {
                 }
             }
             ChunkStatus::Unwritten => Err(CoreError::NotWritten(id)),
-            ChunkStatus::Written => self.read_validated_full(id, &desc),
+            ChunkStatus::Written => self.read_validated(id, &desc),
         }
     }
 }

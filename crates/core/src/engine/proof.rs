@@ -97,7 +97,6 @@ impl Inner {
             fanout: self.config.fanout,
             levels,
             root,
-            stored_body: None,
         })
     }
 }

@@ -173,8 +173,12 @@ pub enum CoreError {
     /// retrying the same request fails the same way until the caller ends
     /// what it holds.
     Busy(String),
-    /// The store is in an on-disk format this build does not read. There
-    /// is no migration: a store is recreated, or restored from a backup.
+    /// The store is in an on-disk format this build does not read: a
+    /// format-v1 superblock (`version: 1`), or a format-v2 version whose
+    /// header carries the kind byte's reserved bit, which earlier builds
+    /// set on a body they stored compressed (`version: 2`, reported at the
+    /// first read of that version or at recovery). There is no migration:
+    /// a store is recreated, or restored from a backup.
     UnsupportedFormat {
         /// The format version found.
         version: u16,

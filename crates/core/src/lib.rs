@@ -62,7 +62,6 @@ pub mod backup;
 mod batcher;
 pub mod cache;
 pub mod codec;
-pub mod compress;
 pub mod descriptor;
 mod engine;
 pub mod errors;

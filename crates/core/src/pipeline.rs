@@ -24,26 +24,19 @@ use std::sync::Arc;
 
 use tdb_crypto::HashValue;
 
-use crate::compress;
 use crate::ids::ChunkId;
 use crate::metrics::{self, modules};
 use crate::params::PartitionCrypto;
-use crate::version::{seal_version_flagged, sealed_version_len, VersionKind};
+use crate::version::{seal_version, VersionKind};
 
 /// A chunk body hashed and sealed ahead of its log append.
 pub(crate) struct Presealed {
-    /// Hash of the *stored* body (the compressed envelope when
-    /// `compressed`) under the partition's hash function.
+    /// Hash of the body under the partition's hash function.
     pub hash: HashValue,
     /// The sealed version (header + body ciphertext), ready to append.
     pub sealed: Vec<u8>,
-    /// Logical (uncompressed) body length — what the descriptor's `size`
-    /// records regardless of how the body is stored.
+    /// Body length, which the descriptor's `size` records.
     pub body_len: u32,
-    /// The body was stored as a compressed envelope.
-    pub compressed: bool,
-    /// Sealed bytes saved versus storing the body raw (0 when raw).
-    pub saved: u64,
     /// The partition crypto the body was sealed under, which the engine
     /// checks against the partition's current one before it appends.
     pub crypto: Arc<PartitionCrypto>,
@@ -67,52 +60,26 @@ fn resolve_workers(configured: usize) -> usize {
     }
 }
 
-/// Whether the compression knob applies to `id`'s body: only user-partition
-/// data bodies are eligible. Map chunks are the Merkle tree's proof
-/// preimages and leaders are recovery's decode inputs, so both stay raw.
-pub(crate) fn compressible(id: ChunkId) -> bool {
-    id.pos.is_data() && !id.partition.is_system()
-}
-
 /// Hashes and seals one body as a version of `kind`: the one place a named
 /// version is made, whether a batch or a single write asked for it.
 pub(crate) fn seal_one(
     system: &PartitionCrypto,
     kind: VersionKind,
     job: &SealJob<'_>,
-    compress: bool,
 ) -> Presealed {
     let (id, crypto, body) = job;
-    // Compress before hashing, so the descriptor hash covers the stored
-    // bytes and every reader verifies integrity before decompressing.
-    let envelope = if compress && compressible(*id) {
-        compress::compress_body(body)
-    } else {
-        None
-    };
-    let (stored, compressed): (&[u8], bool) = match &envelope {
-        Some(env) => (env.as_slice(), true),
-        None => (body, false),
-    };
     let hash = {
         let _t = metrics::span(modules::HASHING);
-        crypto.hash(stored)
+        crypto.hash(body)
     };
     let sealed = {
         let _t = metrics::span(modules::ENCRYPTION);
-        seal_version_flagged(system, crypto, kind, *id, stored, compressed)
-    };
-    let saved = if compressed {
-        (sealed_version_len(system, crypto, body.len()) - sealed.len()) as u64
-    } else {
-        0
+        seal_version(system, crypto, kind, *id, body)
     };
     Presealed {
         hash,
         sealed,
         body_len: body.len() as u32,
-        compressed,
-        saved,
         crypto: Arc::clone(crypto),
     }
 }
@@ -148,9 +115,8 @@ pub(crate) fn seal_batch(
     system: &PartitionCrypto,
     jobs: &[SealJob<'_>],
     configured_workers: usize,
-    compress: bool,
 ) -> (Vec<Presealed>, bool) {
-    let seal = |job: &SealJob<'_>| seal_one(system, VersionKind::Named, job, compress);
+    let seal = |job: &SealJob<'_>| seal_one(system, VersionKind::Named, job);
     let n = jobs.len();
     let plaintext: usize = jobs.iter().map(|(_, _, body)| body.len()).sum();
     let workers = if n >= 2 && plaintext >= FAN_OUT_MIN_BYTES {
@@ -219,8 +185,8 @@ mod tests {
         let part = crypto();
         let bodies: Vec<Vec<u8>> = (0u8..16).map(|i| vec![i; 5000 + usize::from(i)]).collect();
         let jobs = jobs(&part, &bodies);
-        let (seq, seq_fanned) = seal_batch(&system, &jobs, 1, false);
-        let (par, par_fanned) = seal_batch(&system, &jobs, 4, false);
+        let (seq, seq_fanned) = seal_batch(&system, &jobs, 1);
+        let (par, par_fanned) = seal_batch(&system, &jobs, 4);
         assert!(!seq_fanned && par_fanned);
         assert_eq!(seq.len(), par.len());
         for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
@@ -233,43 +199,23 @@ mod tests {
     }
 
     #[test]
-    fn compressed_parallel_matches_sequential() {
-        let system = crypto();
-        let part = crypto();
-        // Highly repetitive bodies: all compress, and the deterministic
-        // codec must give identical hashes on every worker count.
-        let bodies: Vec<Vec<u8>> = (0u8..8).map(|i| vec![i; 9000]).collect();
-        let jobs = jobs(&part, &bodies);
-        let (seq, _) = seal_batch(&system, &jobs, 1, true);
-        let (par, fanned) = seal_batch(&system, &jobs, 4, true);
-        assert!(fanned);
-        for (s, p) in seq.iter().zip(&par) {
-            assert!(s.compressed && p.compressed);
-            assert_eq!(s.hash, p.hash);
-            assert_eq!(s.saved, p.saved);
-            assert!(s.saved > 0);
-            assert_eq!(s.body_len, 9000);
-        }
-    }
-
-    #[test]
     fn fan_out_goes_by_plaintext_bytes_not_job_count() {
         let system = crypto();
         let part = crypto();
         // 13 jobs, 3.7 KB: a transaction's commit. Inline however many
         // workers are configured.
         let small: Vec<Vec<u8>> = (0u8..13).map(|i| vec![i; 285]).collect();
-        assert!(!seal_batch(&system, &jobs(&part, &small), 4, false).1);
+        assert!(!seal_batch(&system, &jobs(&part, &small), 4).1);
         // One job short of the threshold, then at it.
         let mut bodies = vec![vec![7u8; FAN_OUT_MIN_BYTES / 2]; 2];
         bodies[1].pop();
-        assert!(!seal_batch(&system, &jobs(&part, &bodies), 2, false).1);
+        assert!(!seal_batch(&system, &jobs(&part, &bodies), 2).1);
         bodies[1].push(7);
-        assert!(seal_batch(&system, &jobs(&part, &bodies), 2, false).1);
+        assert!(seal_batch(&system, &jobs(&part, &bodies), 2).1);
         // A single job has nothing to share, whatever its size.
         let one = vec![vec![7u8; FAN_OUT_MIN_BYTES]];
-        assert!(!seal_batch(&system, &jobs(&part, &one), 2, false).1);
-        assert!(!seal_batch(&system, &jobs(&part, &bodies), 1, false).1);
+        assert!(!seal_batch(&system, &jobs(&part, &one), 2).1);
+        assert!(!seal_batch(&system, &jobs(&part, &bodies), 1).1);
     }
 
     #[test]

@@ -58,12 +58,6 @@ pub struct ReadProof {
     pub levels: Vec<ProofLevel>,
     /// The effective root digest this proof was extracted against.
     pub root: HashValue,
-    /// The stored compressed envelope of the leaf body, present only when
-    /// the version was stored compressed ([`crate::compress`]). Descriptor
-    /// hashes cover stored bytes, so the verifier hashes this envelope —
-    /// and then demands it decompress to exactly the plaintext handed to
-    /// it, keeping the proof honest about both representations.
-    pub stored_body: Option<Vec<u8>>,
 }
 
 impl ReadProof {
@@ -79,15 +73,6 @@ impl ReadProof {
         e.list(&self.levels, |e, level| {
             e.u32(level.slot as u32).bytes(&level.body);
         });
-        match &self.stored_body {
-            Some(stored) => {
-                e.u8(1);
-                e.bytes(stored);
-            }
-            None => {
-                e.u8(0);
-            }
-        }
         e.finish()
     }
 
@@ -114,11 +99,6 @@ impl ReadProof {
             let body = d.bytes()?.to_vec();
             Ok(ProofLevel { body, slot })
         })?;
-        let stored_body = match d.u8()? {
-            0 => None,
-            1 => Some(d.bytes()?.to_vec()),
-            _ => return Err(CoreError::Corrupt("proof stored-body flag".into())),
-        };
         d.expect_done("read proof")?;
         Ok(ReadProof {
             id: ChunkId::new(partition, Position { height, rank }),
@@ -126,7 +106,6 @@ impl ReadProof {
             fanout,
             levels,
             root,
-            stored_body,
         })
     }
 }
@@ -170,24 +149,7 @@ pub fn verify_read_proof(proof: &ReadProof, body: &[u8], root: &HashValue) -> bo
     {
         return false;
     }
-    // Descriptor hashes cover the *stored* body. A compressed leaf ships
-    // its envelope: that is what the tree vouches for, and it must
-    // decompress — through the hardened bounded decoder — to exactly the
-    // plaintext being verified. Compression strictly shrinks, so an
-    // envelope as large as the body is an immediate forgery.
-    let leaf_preimage: &[u8] = match &proof.stored_body {
-        Some(stored) => {
-            if stored.len() >= body.len() {
-                return false;
-            }
-            match crate::compress::decompress_body(stored, body.len()) {
-                Ok(plain) if plain == body => stored.as_slice(),
-                _ => return false,
-            }
-        }
-        None => body,
-    };
-    let mut h = proof.hash.hash(leaf_preimage);
+    let mut h = proof.hash.hash(body);
     let mut pos = proof.id.pos;
     for (i, level) in proof.levels.iter().enumerate() {
         // The slot must be the one id-based navigation (§4.3) would use.
@@ -243,9 +205,8 @@ impl ChunkStore {
     pub fn read_with_proof(&self, id: ChunkId) -> Result<(Vec<u8>, ReadProof)> {
         let mut inner = self.inner.lock();
         inner.check_readable()?;
-        let (body, stored) = inner.read_chunk_full(id)?;
-        let mut proof = inner.extract_proof(id)?;
-        proof.stored_body = stored;
+        let body = inner.read_chunk(id)?;
+        let proof = inner.extract_proof(id)?;
         Ok((body, proof))
     }
 }

@@ -54,7 +54,7 @@ use crate::ids::{ChunkId, PartitionId};
 use crate::metrics::{self, modules};
 use crate::params::PartitionCrypto;
 use crate::store::StoreHealth;
-use crate::version::{validate_version, Rejected};
+use crate::version::validate_version;
 
 const HEALTH_LIVE: u8 = 0;
 const HEALTH_DEGRADED: u8 = 1;
@@ -85,7 +85,6 @@ pub(crate) struct ReadPath {
     fast_hits: AtomicU64,
     fallbacks: AtomicU64,
     contention: AtomicU64,
-    decompress_fallbacks: AtomicU64,
 }
 
 impl ReadPath {
@@ -101,7 +100,6 @@ impl ReadPath {
             fast_hits: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
             contention: AtomicU64::new(0),
-            decompress_fallbacks: AtomicU64::new(0),
         }
     }
 
@@ -128,14 +126,12 @@ impl ReadPath {
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// `(fast_hits, fallbacks, shard_contention, decompress_fallbacks)`
-    /// counter snapshot.
-    pub(crate) fn counters(&self) -> (u64, u64, u64, u64) {
+    /// `(fast_hits, fallbacks, shard_contention)` counter snapshot.
+    pub(crate) fn counters(&self) -> (u64, u64, u64) {
         (
             self.fast_hits.load(Ordering::Relaxed),
             self.fallbacks.load(Ordering::Relaxed),
             self.contention.load(Ordering::Relaxed),
-            self.decompress_fallbacks.load(Ordering::Relaxed),
         )
     }
 
@@ -165,17 +161,9 @@ impl ReadPath {
             let _t = metrics::span(modules::UNTRUSTED_READ);
             self.store.read_at(desc.location, &mut buf).ok()?;
         }
-        match validate_version(&self.system, &crypto, id, &desc, &buf) {
-            Ok((body, _)) => {
-                self.fast_hits.fetch_add(1, Ordering::Relaxed);
-                Some(body)
-            }
-            Err(Rejected::Undecompressible(_)) => {
-                self.decompress_fallbacks.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Err(Rejected::Invalid(_)) => None,
-        }
+        let body = validate_version(&self.system, &crypto, id, &desc, &buf).ok()?;
+        self.fast_hits.fetch_add(1, Ordering::Relaxed);
+        Some(body)
     }
 
     /// Publishes a committed descriptor for fast reads. Must be called
@@ -241,7 +229,7 @@ impl ReadPath {
 mod tests {
     use super::*;
     use crate::params::CryptoParams;
-    use crate::version::{seal_version, seal_version_flagged, VersionKind};
+    use crate::version::{seal_version, VersionKind};
     use tdb_crypto::SecretKey;
     use tdb_storage::{MemStore, UntrustedStore};
 
@@ -270,16 +258,8 @@ mod tests {
             }
         }
 
-        /// Appends `sealed`, `stored`'s version holding `size` logical
-        /// bytes, and publishes its descriptor.
-        fn commit(&mut self, id: ChunkId, sealed: &[u8], stored: &[u8], size: usize) {
-            self.store.write_at(self.end, sealed).unwrap();
-            let hash = self.crypto.hash(stored);
-            let desc = Descriptor::written(self.end, sealed.len() as u32, size as u32, hash);
-            self.reads.publish(id, desc, &self.crypto);
-            self.end += sealed.len() as u64;
-        }
-
+        /// Appends a version of `id` holding `body` and publishes its
+        /// descriptor.
         fn write(&mut self, id: ChunkId, body: &[u8]) {
             let sealed = seal_version(
                 &self.reads.system,
@@ -288,7 +268,11 @@ mod tests {
                 id,
                 body,
             );
-            self.commit(id, &sealed, body, body.len());
+            self.store.write_at(self.end, &sealed).unwrap();
+            let hash = self.crypto.hash(body);
+            let desc = Descriptor::written(self.end, sealed.len() as u32, body.len() as u32, hash);
+            self.reads.publish(id, desc, &self.crypto);
+            self.end += sealed.len() as u64;
         }
     }
 
@@ -315,31 +299,11 @@ mod tests {
                 None => fx.reads.note_fallback(),
             }
         }
-        let (hits, fallbacks, _, _) = fx.reads.counters();
+        let (hits, fallbacks, _) = fx.reads.counters();
         assert_eq!(hits + fallbacks, ids.len() as u64);
         assert!(
             hits > 0 && fallbacks > 0,
             "{hits} hits, {fallbacks} fallbacks"
         );
-    }
-
-    /// A version whose body matches its hash but does not decompress is a
-    /// fallback, counted as one; the fast path gives no verdict.
-    #[test]
-    fn undecompressible_verified_body_counts_a_decompress_fallback() {
-        let mut fx = Fixture::new(DESCS_PER_SHARD);
-        let id = ChunkId::data(PartitionId(1), 0);
-        let envelope = [9, 0, 0, 0, 0xFF];
-        let sealed = seal_version_flagged(
-            &fx.reads.system,
-            &fx.crypto,
-            VersionKind::Named,
-            id,
-            &envelope,
-            true,
-        );
-        fx.commit(id, &sealed, &envelope, 9);
-        assert_eq!(fx.reads.try_fast(id), None);
-        assert_eq!(fx.reads.counters(), (0, 0, 0, 1));
     }
 }

@@ -555,21 +555,10 @@ fn apply_named(
         let _t = metrics::span(modules::HASHING);
         crypto.hash(&body)
     };
-    // The hash covers the stored bytes, but a descriptor's `size` is the
-    // logical length: for a compressed envelope, read the declared length
-    // from its header — bounded by the largest version the log accepts —
-    // without ever running the decompressor during recovery.
-    let size = if raw.header.compressed {
-        let max = inner.log.max_version_len() as usize;
-        crate::compress::declared_len(&body)
-            .filter(|&n| n <= max)
-            .ok_or(CoreError::TamperDetected(TamperKind::UndecryptableChunk {
-                location,
-            }))? as u32
-    } else {
-        body.len() as u32
-    };
-    let desc = Descriptor::written(location, raw.total_len as u32, size, hash);
+    // A valid commit set or the direct chain vouches for this version, so
+    // only now is its format judged: a garbled header stays tamper.
+    raw.header.check_format()?;
+    let desc = Descriptor::written(location, raw.total_len as u32, body.len() as u32, hash);
 
     if raw.header.kind == VersionKind::Relocated {
         // Applied only through its cleaner record (§5.5), which names the

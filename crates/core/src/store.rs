@@ -116,15 +116,6 @@ pub struct ChunkStoreConfig {
     /// batch under 64 KB of plaintext is sealed on the committing thread
     /// whatever this says: a thread spawn costs more than it would save.
     pub crypto_workers: usize,
-    /// Transparent chunk-body compression ([`crate::compress`]): data-chunk
-    /// bodies are LZ77-compressed *before* hashing and sealing, so the
-    /// descriptor hash covers the stored bytes and every read verifies
-    /// integrity before the decompressor runs. Incompressible bodies are
-    /// stored raw with zero overhead. Map chunks, leaders, and unnamed
-    /// records stay uncompressed (their bytes are the Merkle tree's proof
-    /// preimages and recovery's decode inputs). `false` (the default)
-    /// reproduces the paper's byte-exact device-op shape.
-    pub compression: bool,
 }
 
 /// Derivation label of the system key ([`ChunkStoreConfig::system_params`]).
@@ -161,7 +152,6 @@ impl Default for ChunkStoreConfig {
             system_cipher: tdb_crypto::CipherKind::Aes128,
             system_hash: tdb_crypto::HashKind::Sha1,
             crypto_workers: 0,
-            compression: false,
         }
     }
 }
@@ -230,19 +220,6 @@ pub struct ChunkStoreStats {
     /// Lazy-integrity memo entries dropped by spine or partition
     /// invalidation (descriptor writes, growth, dealloc, restore).
     pub lazy_invalidations: u64,
-    /// Bodies stored as compressed envelopes (the knob on and the
-    /// savings above the store-raw threshold).
-    pub bodies_compressed: u64,
-    /// Bodies the compression knob examined but stored raw (too small or
-    /// savings below the threshold).
-    pub bodies_stored_raw: u64,
-    /// Sealed log bytes saved by compression: the raw sealed size each
-    /// compressed body would have had, minus the size actually appended.
-    pub log_bytes_saved: u64,
-    /// Fast-path reads that failed to decompress a hash-verified body and
-    /// fell back to the engine-locked path (anomaly accounting; the locked
-    /// path alone judges integrity).
-    pub decompress_fallbacks: u64,
 }
 
 /// Externally visible health of the engine.
@@ -388,8 +365,8 @@ pub struct ChunkStore {
     pub(crate) reads: ReadPath,
     /// Group-commit coordinator, the only way into the commit path.
     pub(crate) batcher: CommitBatcher,
-    /// `crypto_workers` and `compression`, which committers seal with.
-    seal_config: (usize, bool),
+    /// `crypto_workers`, which committers seal with.
+    crypto_workers: usize,
     /// Batches and chunks committers sealed on more than one thread.
     early_fan_outs: (AtomicU64, AtomicU64),
 }
@@ -478,7 +455,7 @@ impl ChunkStore {
         let reads = ReadPath::new(Arc::clone(inner.log.store()), Arc::clone(&inner.system));
         reads.set_health(&inner.health);
         ChunkStore {
-            seal_config: (inner.config.crypto_workers, inner.config.compression),
+            crypto_workers: inner.config.crypto_workers,
             inner: Mutex::new(inner),
             reads,
             batcher: CommitBatcher::new(),
@@ -615,9 +592,8 @@ impl ChunkStore {
                 }
             }
         }
-        let (workers, compress) = self.seal_config;
         let (sealed, fanned_out) =
-            pipeline::seal_batch(&self.reads.system, &jobs, workers, compress);
+            pipeline::seal_batch(&self.reads.system, &jobs, self.crypto_workers);
         if fanned_out {
             self.early_fan_outs.0.fetch_add(1, Ordering::Relaxed);
             self.early_fan_outs
@@ -783,11 +759,10 @@ impl ChunkStore {
         };
         stats.parallel_crypto_batches += self.early_fan_outs.0.load(Ordering::Relaxed);
         stats.parallel_crypto_chunks += self.early_fan_outs.1.load(Ordering::Relaxed);
-        let (hits, fallbacks, contention, decompress_fallbacks) = self.reads.counters();
+        let (hits, fallbacks, contention) = self.reads.counters();
         stats.read_fast_hits = hits;
         stats.read_fallbacks = fallbacks;
         stats.read_shard_contention = contention;
-        stats.decompress_fallbacks = decompress_fallbacks;
         stats
     }
 

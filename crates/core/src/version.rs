@@ -46,6 +46,11 @@ const MAX_BLOCK: usize = 16;
 /// whole [`MAX_BLOCK`]s.
 const MAX_HEADER_CT: usize = (HEADER_LEN / MAX_BLOCK + 1) * MAX_BLOCK;
 
+/// The kind byte's reserved bit. An earlier build set it on a body it
+/// stored compressed; this build writes it clear and reads no version that
+/// has it set ([`VersionHeader::check_format`]).
+const RESERVED_KIND_BIT: u8 = 0x80;
+
 /// Reserved height stored in headers of unnamed chunks (§4.8.1: "they do
 /// not have chunk ids or positions in the chunk map").
 pub const UNNAMED_HEIGHT: u8 = 0xFE;
@@ -114,13 +119,9 @@ pub struct VersionHeader {
     /// Sealed body length (IV + ciphertext), so any reader can skip the
     /// body without knowing the partition's cipher.
     pub body_ct_len: u32,
-    /// The body is a compressed envelope ([`crate::compress`]); stored as
-    /// the high bit of the kind tag, so uncompressed versions are
-    /// byte-identical to stores that predate the knob. `body_len` is then
-    /// the *stored* (compressed) length; the descriptor keeps the logical
-    /// size. Carried inside the encrypted header, the flag is as
-    /// tamper-protected as the kind itself.
-    pub compressed: bool,
+    /// The kind byte's reserved bit (`0x80`) was set; this build writes it
+    /// clear ([`VersionHeader::check_format`]).
+    pub reserved_bit: bool,
 }
 
 impl VersionHeader {
@@ -139,7 +140,7 @@ impl VersionHeader {
         // Fixed 22-byte layout; a stack array keeps the (hot) seal path
         // free of a per-version heap allocation.
         let mut out = [0u8; HEADER_LEN];
-        out[0] = self.kind.tag() | if self.compressed { 0x80 } else { 0 };
+        out[0] = self.kind.tag();
         out[1..5].copy_from_slice(&self.id.partition.0.to_le_bytes());
         out[5] = self.id.pos.height;
         out[6..14].copy_from_slice(&self.id.pos.rank.to_le_bytes());
@@ -151,8 +152,8 @@ impl VersionHeader {
     fn decode(buf: &[u8]) -> Result<VersionHeader> {
         let mut d = Dec::new(buf);
         let tag = d.u8()?;
-        let compressed = tag & 0x80 != 0;
-        let kind = VersionKind::from_tag(tag & 0x7F)
+        let reserved_bit = tag & RESERVED_KIND_BIT != 0;
+        let kind = VersionKind::from_tag(tag & !RESERVED_KIND_BIT)
             .ok_or_else(|| CoreError::Corrupt("unknown version kind".into()))?;
         let partition = PartitionId(d.u32()?);
         let height = d.u8()?;
@@ -165,8 +166,23 @@ impl VersionHeader {
             id: ChunkId::new(partition, Position { height, rank }),
             body_len,
             body_ct_len,
-            compressed,
+            reserved_bit,
         })
+    }
+
+    /// Fails with [`CoreError::UnsupportedFormat`] (format v2) when the
+    /// reserved bit is set: the version was sealed by an earlier build with
+    /// its body stored compressed, a form this build does not read.
+    ///
+    /// Callers check this only once the version is otherwise vouched for
+    /// (it named the expected chunk and its body matched the descriptor's
+    /// hash, or a valid commit set covers it), so a header garbled by
+    /// tampering is still reported as tamper.
+    pub fn check_format(&self) -> Result<()> {
+        if self.reserved_bit {
+            return Err(CoreError::UnsupportedFormat { version: 2 });
+        }
+        Ok(())
     }
 }
 
@@ -181,20 +197,6 @@ pub fn seal_version(
     id: ChunkId,
     body: &[u8],
 ) -> Vec<u8> {
-    seal_version_flagged(system, body_crypto, kind, id, body, false)
-}
-
-/// [`seal_version`] with the header's compressed flag under caller
-/// control. `body` is the bytes as stored — the compressed envelope when
-/// `compressed` — and `body_len` in the header describes exactly those.
-pub fn seal_version_flagged(
-    system: &PartitionCrypto,
-    body_crypto: &PartitionCrypto,
-    kind: VersionKind,
-    id: ChunkId,
-    body: &[u8],
-    compressed: bool,
-) -> Vec<u8> {
     // Sealed lengths are deterministic (IV + padded ciphertext), so the
     // whole version can be laid into one buffer and ciphered in place. The
     // body goes first: the header's IV derives from the body's.
@@ -204,7 +206,7 @@ pub fn seal_version_flagged(
         id,
         body_len: body.len() as u32,
         body_ct_len: body_ct_len as u32,
-        compressed,
+        reserved_bit: false,
     };
     let iv_len = body_crypto.block_size();
     let body_start = 2 + system.ciphertext_len(HEADER_LEN);
@@ -318,52 +320,21 @@ pub fn parse_version(
     }))
 }
 
-/// Why [`validate_version`] rejected a version.
-#[derive(Debug)]
-pub enum Rejected {
-    /// It did not parse, named another chunk, did not decrypt, or did not
-    /// match the descriptor's hash.
-    Invalid(CoreError),
-    /// Its body matched the descriptor's hash but did not decompress.
-    Undecompressible(ChunkId),
-}
-
-impl From<CoreError> for Rejected {
-    fn from(e: CoreError) -> Rejected {
-        Rejected::Invalid(e)
-    }
-}
-
-impl From<Rejected> for CoreError {
-    /// The engine-locked read's verdict on a rejected version.
-    fn from(r: Rejected) -> CoreError {
-        match r {
-            Rejected::Invalid(e) => e,
-            // The hash covered the envelope, so the version was sealed by
-            // a corrupted writer, which cannot be told from tampering.
-            Rejected::Undecompressible(id) => {
-                CoreError::TamperDetected(TamperKind::ChunkHashMismatch(id))
-            }
-        }
-    }
-}
-
 /// Validates `buf`, the bytes `desc` locates, as the current version of
 /// `id` (§4.5): parses the header, checks that it names `id`'s position,
-/// opens the body under `crypto`, compares its hash with `desc.hash` and
-/// only then decompresses it. Returns the logical body and, for a
-/// compressed version, the stored envelope, which proofs ship.
+/// opens the body under `crypto` and compares its hash with `desc.hash`.
+/// Returns the body.
 ///
-/// The engine-locked read turns a rejection into its verdict
-/// (`CoreError::from`); the lock-free read falls back on any rejection,
-/// since a benign race with the cleaner or a commit can cause one.
+/// The engine-locked read's verdict is the error; the lock-free read
+/// falls back on any error, since a benign race with the cleaner or a
+/// commit can cause one.
 pub fn validate_version(
     system: &PartitionCrypto,
     crypto: &PartitionCrypto,
     id: ChunkId,
     desc: &Descriptor,
     buf: &[u8],
-) -> std::result::Result<(Vec<u8>, Option<Vec<u8>>), Rejected> {
+) -> Result<Vec<u8>> {
     let location = desc.location;
     let raw = {
         let _t = metrics::span(modules::ENCRYPTION);
@@ -373,12 +344,10 @@ pub fn validate_version(
         location,
     }))?;
     if raw.header.kind.is_unnamed() || raw.header.id.pos != id.pos {
-        return Err(Rejected::Invalid(CoreError::TamperDetected(
-            TamperKind::MisdirectedChunk {
-                expected: id,
-                location,
-            },
-        )));
+        return Err(CoreError::TamperDetected(TamperKind::MisdirectedChunk {
+            expected: id,
+            location,
+        }));
     }
     let body = {
         let _t = metrics::span(modules::ENCRYPTION);
@@ -389,19 +358,10 @@ pub fn validate_version(
         crypto.hash(&body)
     };
     if hash != desc.hash {
-        return Err(Rejected::Invalid(CoreError::TamperDetected(
-            TamperKind::ChunkHashMismatch(id),
-        )));
+        return Err(CoreError::TamperDetected(TamperKind::ChunkHashMismatch(id)));
     }
-    if !raw.header.compressed {
-        return Ok((body, None));
-    }
-    // Verify-then-decompress: the hash covered the stored envelope, so the
-    // decompressor only ever sees verified bytes. `desc.size`, the logical
-    // length, caps the allocation and pins the exact expected output.
-    let plain = crate::compress::decompress_body(&body, desc.size as usize)
-        .map_err(|_| Rejected::Undecompressible(id))?;
-    Ok((plain, Some(body)))
+    raw.header.check_format()?;
+    Ok(body)
 }
 
 // ---------------------------------------------------------------------------

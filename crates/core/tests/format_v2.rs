@@ -12,14 +12,17 @@
 
 use std::sync::Arc;
 
+use tdb::{Command, ObjectId, Response, TrustedDbBuilder};
 use tdb_core::descriptor::Descriptor;
 use tdb_core::log::{SUPERBLOCK_SIZE, SUPERBLOCK_SLOT};
+use tdb_core::params::PartitionCrypto;
 use tdb_core::store::{ChunkStore, ChunkStoreConfig, CommitOp, TrustedBackend, ValidationMode};
-use tdb_core::version::parse_version;
+use tdb_core::version::{parse_version, seal_version, CommitRecord, VersionHeader, VersionKind};
 use tdb_core::{ChunkId, CoreError, CryptoParams, PartitionId, TamperKind};
 use tdb_crypto::{CipherKind, HashKind, SecretKey};
 use tdb_storage::{
-    CounterOverTrusted, MemStore, MemTrustedStore, SharedUntrusted, TrustedStore, UntrustedStore,
+    CounterOverTrusted, MemArchive, MemStore, MemTrustedStore, SharedUntrusted, TrustedStore,
+    UntrustedStore,
 };
 
 /// Counter validation that syncs the trusted counter at every commit, so
@@ -280,6 +283,169 @@ fn a_v1_superblock_is_an_unsupported_format() {
         rig.open_image(image, rig.config.clone()),
         Err(CoreError::UnsupportedFormat { version: 1 })
     ));
+}
+
+/// Plaintext length of a version header.
+const HEADER_LEN: usize = 22;
+
+/// Sets the kind byte's reserved bit in the header of the version at `at`,
+/// re-encrypting the header under the IV its body's IV derives, so the
+/// version stays validly sealed.
+fn set_reserved_bit(system: &PartitionCrypto, image: &mut [u8], at: u64) {
+    let start = at as usize;
+    let iv_len = usize::from(u16::from_le_bytes([image[start], image[start + 1]]));
+    let body_start = start + 2 + system.ciphertext_len(HEADER_LEN);
+    let mut iv = vec![0; system.block_size()];
+    system.derive_iv(&image[body_start..body_start + iv_len], &mut iv);
+    let header = &mut image[start + 2..body_start];
+    assert_eq!(
+        system.decrypt_in_place(&iv, header, at).unwrap(),
+        HEADER_LEN
+    );
+    assert_eq!(header[0] & 0x80, 0, "this build writes the bit clear");
+    header[0] |= 0x80;
+    system.encrypt_in_place(&iv, header, HEADER_LEN);
+}
+
+/// Vouches for the residual version `desc` locates, rewritten from `old`
+/// to what `image` now holds, as the store vouched for `old`: counter
+/// validation signs the version's commit set, of which it is the only
+/// member, and direct validation chains it onto `register`, the
+/// register's value from before the version was written.
+fn vouch(
+    rig: &Rig,
+    system: &PartitionCrypto,
+    image: &mut [u8],
+    desc: &Descriptor,
+    old: &[u8],
+    register: &[u8],
+) {
+    let version = version_bytes(desc);
+    let new = image[version.start as usize..version.end as usize].to_vec();
+    match rig.config.validation {
+        ValidationMode::Counter { .. } => {
+            let at = version.end;
+            let raw = parse_version(system, &image[at as usize..], at)
+                .unwrap()
+                .unwrap();
+            assert_eq!(raw.header.kind, VersionKind::Commit);
+            let record = CommitRecord::decode(&raw.open_body(system, at).unwrap()).unwrap();
+            assert_eq!(record.set_hash, system.hash(old).as_bytes());
+            let resigned = CommitRecord::signed(system, record.count, system.hash(&new).as_bytes());
+            let sealed = seal_version(
+                system,
+                system,
+                VersionKind::Commit,
+                VersionHeader::unnamed_id(),
+                &resigned.encode(),
+            );
+            assert_eq!(sealed.len(), raw.total_len);
+            image[at as usize..at as usize + sealed.len()].copy_from_slice(&sealed);
+        }
+        ValidationMode::DirectHash => {
+            // `[u32 length][chain][u64 tail]`.
+            let chain = |record: &[u8]| record[4..record.len() - 8].to_vec();
+            let mut record = rig.register.image();
+            let before = chain(register);
+            let hash = rig.config.system_hash;
+            assert_eq!(chain(&record), hash.hash_parts(&[&before, old]).as_bytes());
+            let end = record.len() - 8;
+            record[4..end].copy_from_slice(hash.hash_parts(&[&before, &new]).as_bytes());
+            rig.register.restore(record);
+        }
+    }
+}
+
+fn is_unsupported<T>(result: &tdb_core::Result<T>) -> bool {
+    matches!(result, Err(CoreError::UnsupportedFormat { version: 2 }))
+}
+
+#[test]
+fn a_version_with_the_reserved_kind_bit_is_an_unsupported_format() {
+    for mode in modes() {
+        let rig = Rig::new(ChunkStoreConfig {
+            validation: mode,
+            ..ChunkStoreConfig::default()
+        });
+        let system = rig.config.system_params(&rig.secret).runtime().unwrap();
+        let store = rig.create();
+        let p = partition(&store, CipherKind::Des, HashKind::Sha1);
+        let ids: Vec<ChunkId> = (0..2).map(|_| store.allocate_chunk(p).unwrap()).collect();
+        // One version behind a checkpoint, one in the residual log.
+        write(&store, ids[0], b"checkpointed state of chunk zero");
+        store.checkpoint().unwrap();
+        let register_before = rig.register.image();
+        write(&store, ids[1], b"residual state of chunk one");
+        let descs: Vec<Descriptor> = ids
+            .iter()
+            .map(|id| store.debug_descriptor(*id).unwrap())
+            .collect();
+        let bytes = |image: &[u8], desc: &Descriptor| {
+            let range = version_bytes(desc);
+            image[range.start as usize..range.end as usize].to_vec()
+        };
+
+        // The first read of either version, rewritten under the live store.
+        let image = rig.untrusted.image();
+        for (id, desc) in ids.iter().zip(&descs) {
+            let mut rewritten = image.clone();
+            set_reserved_bit(&system, &mut rewritten, desc.location);
+            let at = desc.location;
+            rig.untrusted
+                .write_at(at, &bytes(&rewritten, desc))
+                .unwrap();
+            assert!(is_unsupported(&store.read(*id)), "{mode:?} {id:?}");
+            rig.untrusted.write_at(at, &bytes(&image, desc)).unwrap();
+            assert!(store.read(*id).is_ok(), "{mode:?} {id:?}");
+        }
+        drop(store);
+        let register_at_crash = rig.register.image();
+
+        // Behind the checkpoint, recovery never reads the version: the
+        // store opens, and its first read and a session's `Get` say so.
+        let mut behind = image.clone();
+        set_reserved_bit(&system, &mut behind, descs[0].location);
+        let store = rig.open_image(behind.clone(), rig.config.clone()).unwrap();
+        assert!(is_unsupported(&store.read(ids[0])), "{mode:?}");
+        assert_eq!(store.read(ids[1]).unwrap(), b"residual state of chunk one");
+        drop(store);
+        rig.register.restore(register_at_crash.clone());
+        let db = TrustedDbBuilder::new()
+            .secret(rig.secret.clone())
+            .chunk_config(rig.config.clone())
+            .open(
+                Arc::new(MemStore::from_bytes(behind)),
+                rig.backend(),
+                Arc::new(MemArchive::new()),
+            )
+            .unwrap();
+        let get = Command::Get(ObjectId::from_parts(p, ids[0].pos.rank));
+        match db.session("auditor").dispatch(&get) {
+            Response::Error(e) => assert_eq!(e.code, 16, "{mode:?}: {e}"),
+            other => panic!("{mode:?}: {other:?}"),
+        }
+        drop(db);
+
+        // In the residual log, and vouched for, it fails recovery.
+        rig.register.restore(register_at_crash);
+        let mut residual = image.clone();
+        set_reserved_bit(&system, &mut residual, descs[1].location);
+        let old = bytes(&image, &descs[1]);
+        vouch(
+            &rig,
+            &system,
+            &mut residual,
+            &descs[1],
+            &old,
+            &register_before,
+        );
+        let reopened = rig.open_image(residual, rig.config.clone());
+        assert!(
+            is_unsupported(&reopened),
+            "{mode:?}: {:?}",
+            reopened.map(|_| ())
+        );
+    }
 }
 
 /// Writes, overwrites, checkpoints, cleans, crashes and reopens a store

@@ -6,8 +6,7 @@
 //! a typed tamper verdict.
 //!
 //! Neither may panic, and neither may make an allocation larger than its
-//! input (for a compressed version, larger than the input or the
-//! descriptor's logical size, which the trusted map supplies), give or
+//! input or the descriptor's size, which the trusted map supplies, give or
 //! take [`MESSAGE`] bytes for an error's formatted message. A version
 //! that validates yields exactly the body that was sealed. The bodies
 //! with count-prefixed lists — the system leader, the dealloc record and
@@ -21,15 +20,13 @@ use std::cell::Cell;
 use proptest::prelude::*;
 use proptest::sample::Index;
 
-use tdb_core::compress::compress_body;
 use tdb_core::descriptor::Descriptor;
 use tdb_core::leader::SystemLeader;
 use tdb_core::log::{SuiteRecord, Superblock};
 use tdb_core::params::PartitionCrypto;
 use tdb_core::store::ChunkStoreConfig;
 use tdb_core::version::{
-    parse_version, seal_version, seal_version_flagged, validate_version, DeallocRecord, Rejected,
-    VersionKind,
+    parse_version, seal_version, validate_version, DeallocRecord, VersionKind,
 };
 use tdb_core::{ChunkId, CoreError, CryptoParams, PartitionId, ProofLevel, ReadProof};
 use tdb_crypto::{CipherKind, HashKind, HashValue, SecretKey};
@@ -98,52 +95,17 @@ fn crypto(cipher: CipherKind, hash: HashKind, seed: u64) -> PartitionCrypto {
     params(cipher, hash, seed).runtime().unwrap()
 }
 
-/// A body that compresses (`repetitive`) or does not.
-fn body_for(seed: u64, len: usize, repetitive: bool) -> Vec<u8> {
+/// A pseudo-random body of `len` bytes.
+fn body_for(seed: u64, len: usize) -> Vec<u8> {
     let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state.wrapping_mul(0x2545_F491_4F6C_DD1D) as u8
-    };
-    if repetitive {
-        let motif: Vec<u8> = (0..5 + seed as usize % 11).map(|_| next()).collect();
-        (0..len).map(|i| motif[i % motif.len()]).collect()
-    } else {
-        (0..len).map(|_| next()).collect()
-    }
-}
-
-/// One sealed version and the descriptor the chunk map would hold for it.
-struct Sealed {
-    bytes: Vec<u8>,
-    desc: Descriptor,
-    /// The bytes the body was sealed as: the envelope when compressed.
-    stored: Vec<u8>,
-}
-
-fn seal(
-    system: &PartitionCrypto,
-    part: &PartitionCrypto,
-    kind: VersionKind,
-    id: ChunkId,
-    stored: Vec<u8>,
-    compressed: bool,
-    size: usize,
-) -> Sealed {
-    let bytes = seal_version_flagged(system, part, kind, id, &stored, compressed);
-    let desc = Descriptor::written(
-        LOCATION,
-        bytes.len() as u32,
-        size as u32,
-        part.hash(&stored),
-    );
-    Sealed {
-        bytes,
-        desc,
-        stored,
-    }
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D) as u8
+        })
+        .collect()
 }
 
 proptest! {
@@ -153,12 +115,10 @@ proptest! {
     fn mutated_versions_never_panic_overallocate_or_validate_wrongly(
         seed in any::<u64>(),
         len in 0usize..=700,
-        repetitive in any::<bool>(),
-        try_compress in any::<bool>(),
         aes in any::<bool>(),
         paper_system in any::<bool>(),
         relocated in any::<bool>(),
-        mutation in 0u8..5,
+        mutation in 0u8..4,
         at in any::<Index>(),
         value in any::<u32>(),
     ) {
@@ -171,19 +131,14 @@ proptest! {
         };
         let kind = if relocated { VersionKind::Relocated } else { VersionKind::Named };
         let id = ChunkId::data(PartitionId(3), seed % 1000);
-        let body = body_for(seed, len, repetitive);
-        let (stored, compressed) = match compress_body(&body).filter(|_| try_compress) {
-            Some(envelope) => (envelope, true),
-            None => (body.clone(), false),
-        };
-        let Sealed { mut bytes, mut desc, mut stored } =
-            seal(&system, &part, kind, id, stored, compressed, body.len());
+        let body = body_for(seed, len);
+        let mut bytes = seal_version(&system, &part, kind, id, &body);
+        let desc = Descriptor::written(LOCATION, bytes.len() as u32, len as u32, part.hash(&body));
 
         // The unmutated version validates to the sealed body.
-        let (plain, envelope) = validate_version(&system, &part, id, &desc, &bytes)
+        let plain = validate_version(&system, &part, id, &desc, &bytes)
             .expect("a sealed version validates");
         prop_assert_eq!(&plain, &body);
-        prop_assert_eq!(envelope.is_some(), compressed);
         match mutation {
             // A byte flip anywhere.
             0 => {
@@ -197,25 +152,11 @@ proptest! {
             // A validly sealed header, with the body IV it was sealed
             // under, whose body lengths disagree with the body that
             // follows it.
-            3 => {
+            _ => {
                 let forged_len = value as usize % 2048;
-                let forged = seal_version_flagged(
-                    &system, &part, kind, id, &vec![0; forged_len], compressed,
-                );
+                let forged = seal_version(&system, &part, kind, id, &vec![0; forged_len]);
                 let iv_end = 2 + system.ciphertext_len(22) + part.block_size();
                 bytes.splice(..iv_end, forged[..iv_end].iter().copied());
-            }
-            // A compressed envelope whose declared length is rewritten before
-            // sealing, with the descriptor hashing the rewritten envelope:
-            // a corrupted writer, which only decompression can catch.
-            _ => {
-                if !compressed {
-                    return Ok(());
-                }
-                stored[..4].copy_from_slice(&value.to_le_bytes());
-                let rewritten = seal(&system, &part, kind, id, stored.clone(), true, body.len());
-                bytes = rewritten.bytes;
-                desc = rewritten.desc;
             }
         }
 
@@ -231,21 +172,11 @@ proptest! {
         prop_assert!(largest <= bound, "validation allocated {largest}, bound {bound}");
         prop_assert!(mutation != 0 || validated.is_err(), "a flipped byte validated");
         match validated {
-            Ok((plain, envelope)) => {
-                prop_assert_eq!(&plain, &body);
-                prop_assert_eq!(envelope.is_some(), compressed);
-                if let Some(envelope) = envelope {
-                    prop_assert_eq!(&envelope, &stored);
-                }
-            }
-            Err(Rejected::Undecompressible(rejected)) => {
-                prop_assert_eq!(mutation, 4);
-                prop_assert_eq!(rejected, id);
-            }
-            Err(Rejected::Invalid(e)) if mutation == 0 => {
+            Ok(plain) => prop_assert_eq!(&plain, &body),
+            Err(e) if mutation == 0 => {
                 prop_assert!(e.is_tamper(), "a flipped byte read as {e:?}");
             }
-            Err(Rejected::Invalid(e)) => {
+            Err(e) => {
                 prop_assert!(e.is_tamper() || matches!(e, CoreError::Corrupt(_)), "{e:?}");
             }
         }
@@ -333,7 +264,6 @@ fn mutated_leaders_records_and_proofs_never_panic_or_overallocate() {
             },
         ],
         root: HashValue::new(&[1; 20]),
-        stored_body: None,
     }
     .encode();
 

@@ -107,8 +107,8 @@ impl TrustedDbBuilder {
     /// and validation (3DES+SHA-1 system partition, DES+SHA-1 default
     /// partition, counter validation with Δut = 5) on a tuned write path —
     /// group commit, the seal fan-out, and checkpoints at 512 dirty map
-    /// chunks or an 8 MiB residual log — on an unbounded log, with
-    /// compression and MVCC off.
+    /// chunks or an 8 MiB residual log — on an unbounded log, with MVCC
+    /// off.
     pub fn new() -> TrustedDbBuilder {
         let mut registry = TypeRegistry::new();
         register_builtin_types(&mut registry);

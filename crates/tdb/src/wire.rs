@@ -61,8 +61,10 @@ use crate::command::{Command, Response};
 /// Protocol magic, first bytes of the server's Hello.
 pub const MAGIC: [u8; 4] = *b"TDB1";
 
-/// Protocol version in the Hello.
-pub const VERSION: u8 = 1;
+/// Protocol version in the Hello. Version 2 dropped the stored-body byte
+/// from `ReadProof`'s encoding; a peer on version 1 is refused here rather
+/// than mid-stream at its first proof.
+pub const VERSION: u8 = 2;
 
 /// Nonce length for both handshake directions.
 pub const NONCE_LEN: usize = 32;
@@ -468,9 +470,11 @@ mod tests {
         let mut payload = Hello { nonce: [0; 32] }.encode();
         payload[0] ^= 1;
         assert!(Hello::decode(&payload).is_err());
-        let mut payload = Hello { nonce: [0; 32] }.encode();
-        payload[4] = VERSION + 1;
-        assert!(Hello::decode(&payload).is_err());
+        for version in [VERSION - 1, VERSION + 1] {
+            let mut payload = Hello { nonce: [0; 32] }.encode();
+            payload[4] = version;
+            assert!(Hello::decode(&payload).is_err());
+        }
     }
 
     #[test]

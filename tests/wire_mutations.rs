@@ -23,8 +23,12 @@ use tdb::wire::{
     self, decode_request, decode_response, encode_request, encode_response, AuthResult, ClientAuth,
     Hello, FRAME_RESERVE, MAX_FRAME,
 };
-use tdb::{CollectionId, Command, IndexKind, ObjectId, PartitionId, Response, TxMode, WireError};
-use tdb_crypto::HashValue;
+use tdb::{
+    ChunkId, CollectionId, Command, IndexKind, ObjectId, PartitionId, ReadProof, Response, TxMode,
+    WireError,
+};
+use tdb_core::ProofLevel;
+use tdb_crypto::{HashKind, HashValue};
 
 thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
@@ -93,6 +97,21 @@ fn text(seed: u64, len: usize) -> String {
         .collect()
 }
 
+/// An encoded read proof with one map level of `len` bytes.
+fn proof(seed: u64, len: usize) -> Vec<u8> {
+    ReadProof {
+        id: ChunkId::data(PartitionId(1), seed % 1000),
+        hash: HashKind::Sha1,
+        fanout: 4,
+        levels: vec![ProofLevel {
+            body: filler(!seed, len),
+            slot: (seed % 4) as usize,
+        }],
+        root: HashValue::new(&filler(seed, 20)),
+    }
+    .encode()
+}
+
 /// One valid frame payload: a handshake message, a request or a response,
 /// chosen by `which`, its variable-length fields drawn from `seed`.
 fn payload(which: usize, seed: u64, len: usize) -> Vec<u8> {
@@ -141,7 +160,7 @@ fn payload(which: usize, seed: u64, len: usize) -> Vec<u8> {
         10 => response(Response::Record(bytes)),
         11 => response(Response::VerifiedRecord {
             record: bytes,
-            proof: Some(filler(!seed, len / 2)),
+            proof: Some(proof(seed, len / 2)),
             root: filler(seed, 20),
         }),
         12 => response(Response::Ids(vec![id; len % 9])),
