@@ -249,7 +249,7 @@ mod tests {
     use std::sync::Arc;
 
     use tdb_crypto::{CipherKind, HashKind, SecretKey};
-    use tdb_storage::{CounterOverTrusted, ErrorStore, MemStore, MemTrustedStore, SharedUntrusted};
+    use tdb_storage::{CounterOverTrusted, FaultKind, FaultPlan, SharedUntrusted, SimDevice};
 
     use super::*;
     use crate::cache::MapCache;
@@ -373,7 +373,7 @@ mod tests {
 
     struct Rig {
         store: ChunkStore,
-        injector: Arc<ErrorStore>,
+        device: Arc<SimDevice>,
         p: PartitionId,
         ids: Vec<ChunkId>,
         /// Ids allocated but not written, for the mutation under test.
@@ -404,10 +404,10 @@ mod tests {
     /// writes, deallocated ranks on the free lists, obsolete versions for
     /// the cleaner, and dirty map chunks and leaders on top.
     fn build(checkpoint_threshold: usize) -> Rig {
-        let injector = Arc::new(ErrorStore::new(Arc::new(MemStore::new())));
-        let counter = CounterOverTrusted::new(Arc::new(MemTrustedStore::new(64)));
+        let device = SimDevice::new();
+        let counter = CounterOverTrusted::new(device.register());
         let store = ChunkStore::create(
-            Arc::clone(&injector) as SharedUntrusted,
+            Arc::clone(&device) as SharedUntrusted,
             TrustedBackend::Counter(Arc::new(counter)),
             SecretKey::new(vec![7; 24]),
             ChunkStoreConfig {
@@ -477,11 +477,20 @@ mod tests {
         drop(inner);
         Rig {
             store,
-            injector,
+            device,
             p,
             ids,
             spare,
             spare_parts,
+        }
+    }
+
+    impl Rig {
+        /// Fails every device write and flush from the `n`-th next one on.
+        fn fail_from(&self, n: u64) {
+            let from = self.device.writes_and_flushes() + n;
+            self.device
+                .set_plan(FaultPlan::new().at(from, FaultKind::WritesFailFrom));
         }
     }
 
@@ -548,9 +557,9 @@ mod tests {
             let ctx = format!("{what}, device fails at op {fail_at}");
             let rig = build(checkpoint_threshold);
             let oracle = Oracle::capture(&rig.store.inner.lock());
-            rig.injector.fail_after_writes(fail_at);
+            rig.fail_from(fail_at);
             let result = mutate(&rig, &mut rig.store.inner.lock());
-            rig.injector.heal();
+            rig.device.set_plan(FaultPlan::new());
             if result.is_ok() {
                 assert!(
                     digest(&rig) == expected,
@@ -675,13 +684,13 @@ mod tests {
             let ctx =
                 format!("batch (threshold {checkpoint_threshold}), device fails at op {fail_at}");
             let rig = build(checkpoint_threshold);
-            rig.injector.fail_after_writes(fail_at);
+            rig.fail_from(fail_at);
             let results = rig
                 .store
                 .inner
                 .lock()
                 .commit_batch(members(&rig), Vec::new());
-            rig.injector.heal();
+            rig.device.set_plan(FaultPlan::new());
             assert!(
                 !rig.store.inner.lock().undo.is_open(),
                 "{ctx}: journal left open"

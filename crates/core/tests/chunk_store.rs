@@ -7,8 +7,8 @@ use tdb_core::store::{ChunkStore, ChunkStoreConfig, CommitOp, TrustedBackend, Va
 use tdb_core::{ChunkId, CoreError, CryptoParams, DiffChange, PartitionId, TamperKind};
 use tdb_crypto::{CipherKind, HashKind, SecretKey};
 use tdb_storage::{
-    CounterOverTrusted, CrashStore, FaultPlan, MemStore, MemTrustedStore, MonotonicCounter,
-    PlannedFaultStore, SharedUntrusted, TrustedStore, UntrustedStore,
+    CounterOverTrusted, FaultKind, FaultPlan, MemStore, MemTrustedStore, MonotonicCounter,
+    SharedUntrusted, SimDevice, TrustedStore, UntrustedStore,
 };
 
 /// A small-geometry config that exercises tree growth and segment
@@ -366,8 +366,7 @@ fn recovers_deallocations_from_residual_log() {
 fn torn_tail_commit_is_discarded() {
     let fx = Fixture::new(counter_mode());
     let crash_store = {
-        let crash =
-            Arc::new(CrashStore::new(Arc::clone(&fx.untrusted) as SharedUntrusted).unwrap());
+        let crash = SimDevice::new();
         let store = ChunkStore::create(
             Arc::clone(&crash) as SharedUntrusted,
             fx.backend(),
@@ -378,7 +377,7 @@ fn torn_tail_commit_is_discarded() {
         let p = make_partition(&store);
         let c = write_one(&store, p, b"durable");
         // Write more, then crash losing the unflushed tail of the last
-        // commit. CrashStore applies flushes, so committed state survives;
+        // commit. The device applies flushes, so committed state survives;
         // we simulate the torn write by capturing mid-commit state: commit
         // flushes internally, so instead corrupt the tail manually below.
         let _ = (p, c);
@@ -499,10 +498,7 @@ fn cleaning_pass_writes_one_device_op_per_run() {
     // Segment 0 ends up holding only the keepers' live versions, and the
     // tail segment has room for all of them, so the pass is one run.
     fx.config.segment_size = 1 << 16;
-    let planned = Arc::new(PlannedFaultStore::new(
-        Arc::clone(&fx.untrusted) as SharedUntrusted,
-        FaultPlan::new(),
-    ));
+    let planned = SimDevice::new();
     let store = ChunkStore::create(
         Arc::clone(&planned) as SharedUntrusted,
         fx.backend(),
@@ -530,11 +526,11 @@ fn cleaning_pass_writes_one_device_op_per_run() {
     // A write error on the pass's second device write: a pass that wrote
     // each relocation through would fail there, after bytes reached the
     // log, and degrade the store.
-    planned.set_plan(FaultPlan::new().write_error_at(planned.write_ops() + 1));
-    let device = fx.untrusted.stats().snapshot();
+    planned.set_plan(FaultPlan::new().at(planned.write_ops() + 1, FaultKind::WriteError));
+    let device = planned.stats().snapshot();
     let relocated = store.stats().chunks_relocated;
     assert_eq!(store.clean(1).unwrap(), 1);
-    let device = fx.untrusted.stats().snapshot().since(&device);
+    let device = planned.stats().snapshot().since(&device);
     let relocated = store.stats().chunks_relocated - relocated;
     assert!(relocated >= 8, "only {relocated} versions relocated");
     assert_eq!(device.writes, 1, "one run for the whole pass");
@@ -543,7 +539,7 @@ fn cleaning_pass_writes_one_device_op_per_run() {
     assert!(store.health().is_live());
 
     drop(store);
-    let store = fx.reopen().unwrap();
+    let store = fx.reopen_image(planned.snapshot().image).unwrap();
     for (id, body) in &keepers {
         assert_eq!(&store.read(*id).unwrap(), body, "{id:?} after reopen");
     }

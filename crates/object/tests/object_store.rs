@@ -13,7 +13,9 @@ use tdb_crypto::{CipherKind, HashKind, SecretKey};
 use tdb_object::errors::ObjectError;
 use tdb_object::pickle::{StoredObject, TypeRegistry};
 use tdb_object::{ObjectId, ObjectStore, ObjectStoreConfig, Tx};
-use tdb_storage::{CounterOverTrusted, ErrorStore, MemStore, MemTrustedStore, SharedUntrusted};
+use tdb_storage::{
+    CounterOverTrusted, FaultKind, FaultPlan, MemStore, MemTrustedStore, SharedUntrusted, SimDevice,
+};
 
 // A tiny application schema: accounts and licenses.
 
@@ -546,7 +548,7 @@ fn failed_commit_releases_locks() {
     // A commit the device refuses must still end the transaction: its
     // locks are released, so a later transaction takes them without
     // waiting.
-    let device = Arc::new(ErrorStore::new(Arc::new(MemStore::new())));
+    let device = SimDevice::new();
     let fx = fixture_over(Arc::clone(&device) as SharedUntrusted);
     let store = ObjectStore::new(
         Arc::clone(fx.store.chunks()),
@@ -570,9 +572,9 @@ fn failed_commit_releases_locks() {
         })
         .collect();
 
-    device.fail_after_writes(0);
+    device.set_plan(FaultPlan::new().at(device.writes_and_flushes(), FaultKind::WritesFailFrom));
     assert!(tx.commit().is_err(), "the device refused the commit");
-    device.heal();
+    device.set_plan(FaultPlan::new());
 
     let mut tx = store.begin();
     tx.set_lock_wait(false);

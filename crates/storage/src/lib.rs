@@ -9,7 +9,8 @@
 //! - [`UntrustedStore`] — bulk, persistent, random-access storage that *any*
 //!   program can read and write (a disk, flash, or remote store). TDB's
 //!   chunk store keeps its log here. Implementations: [`FileStore`],
-//!   [`MemStore`], plus the [`faulty`] wrappers (crash and tamper injection)
+//!   [`MemStore`], the test platform [`SimDevice`] (an image and its
+//!   register under one seeded [`FaultPlan`]: faults, crashes, snapshots)
 //!   and [`simdisk::SimDiskStore`] (a 1999-era disk latency model used to
 //!   reproduce the paper's I/O-dominated cost shape).
 //! - [`TrustedStore`] — a *small* (e.g. 16-byte) tamper-resistant register
@@ -35,10 +36,7 @@ pub mod trusted;
 pub mod untrusted;
 
 pub use archival::{ArchivalStore, DirArchive, MemArchive};
-pub use faulty::{
-    CrashStore, ErrorStore, FaultKind, FaultPlan, FaultyTrustedStore, PlannedFaultStore,
-    TamperStore,
-};
+pub use faulty::{DeviceSnapshot, FaultKind, FaultPlan, SimDevice};
 pub use remote::{BatchingStore, RemoteStore};
 pub use retry::{IoPolicy, NoDelay, RetryClock, RetryObserver, RetryStore, SleepBackoff};
 pub use simdisk::{DiskModel, SimClock, SimDiskStore};
@@ -84,8 +82,15 @@ pub enum StoreError {
     },
     /// A named archival object does not exist.
     NotFound(String),
-    /// An injected fault fired (only from the [`faulty`] wrappers).
-    InjectedFault(&'static str),
+    /// An injected fault fired (from a [`SimDevice`], or a test's fake
+    /// store).
+    InjectedFault {
+        /// What failed.
+        what: &'static str,
+        /// True for a passing condition that a retry may outlast, such as
+        /// a [`FaultPlan`] transient window or a lost network request.
+        transient: bool,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -112,7 +117,7 @@ impl fmt::Display for StoreError {
                 "monotonic counter cannot move from {current} back to {attempted}"
             ),
             StoreError::NotFound(name) => write!(f, "archival object not found: {name}"),
-            StoreError::InjectedFault(what) => write!(f, "injected fault: {what}"),
+            StoreError::InjectedFault { what, .. } => write!(f, "injected fault: {what}"),
         }
     }
 }
@@ -123,10 +128,8 @@ impl StoreError {
     /// Transient by convention: interrupted/timed-out I/O, dropped network
     /// connections (a [`remote::RemoteStore`] transport hiccup — the
     /// connection can be re-established, so `RetryStore` should retry
-    /// rather than surface a Permanent fault), and injected faults whose
-    /// message starts with `"transient"` (the [`faulty`] wrappers use that
-    /// prefix for faults that model passing conditions such as a bus glitch
-    /// or a briefly unreachable remote store).
+    /// rather than surface a Permanent fault), and injected faults marked
+    /// transient.
     pub fn is_transient(&self) -> bool {
         match self {
             StoreError::Io(e) => matches!(
@@ -139,7 +142,7 @@ impl StoreError {
                     | std::io::ErrorKind::NotConnected
                     | std::io::ErrorKind::BrokenPipe
             ),
-            StoreError::InjectedFault(what) => what.starts_with("transient"),
+            StoreError::InjectedFault { transient, .. } => *transient,
             _ => false,
         }
     }

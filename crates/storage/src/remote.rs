@@ -467,7 +467,10 @@ mod tests {
             if let Some(above) = self.0.lock().upgrade() {
                 above.write_at(2, &[9, 9])?;
             }
-            Err(StoreError::InjectedFault("transient: request lost"))
+            Err(StoreError::InjectedFault {
+                what: "request lost",
+                transient: true,
+            })
         }
 
         fn len(&self) -> Result<u64> {

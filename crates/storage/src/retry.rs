@@ -201,7 +201,7 @@ impl UntrustedStore for RetryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faulty::{FaultPlan, PlannedFaultStore};
+    use crate::faulty::{FaultKind, FaultPlan, SimDevice};
     use crate::untrusted::MemStore;
     use crate::StoreError;
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -224,8 +224,8 @@ mod tests {
     fn retries_transient_window_and_counts() {
         // Ops 1..4 (the first write and its first two retries) fail
         // transiently; the third retry lands after the window.
-        let plan = FaultPlan::new().transient_window(0, 3);
-        let faulty = Arc::new(PlannedFaultStore::new(mem(), plan));
+        let faulty = SimDevice::new();
+        faulty.set_plan(FaultPlan::new().at(0, FaultKind::TransientWindow { len: 3 }));
         let store = RetryStore::new(faulty.clone(), IoPolicy::retries(5));
         store.write_at(0, b"x").unwrap();
         assert_eq!(store.stats().snapshot().retries, 3);
@@ -234,8 +234,8 @@ mod tests {
 
     #[test]
     fn gives_up_after_budget() {
-        let plan = FaultPlan::new().transient_window(0, 10);
-        let faulty = Arc::new(PlannedFaultStore::new(mem(), plan));
+        let faulty = SimDevice::new();
+        faulty.set_plan(FaultPlan::new().at(0, FaultKind::TransientWindow { len: 10 }));
         let store = RetryStore::new(faulty, IoPolicy::retries(2));
         let err = store.write_at(0, b"x").unwrap_err();
         assert!(err.is_transient());
@@ -244,11 +244,17 @@ mod tests {
 
     #[test]
     fn permanent_errors_not_retried() {
-        let plan = FaultPlan::new().write_error_at(0);
-        let faulty = Arc::new(PlannedFaultStore::new(mem(), plan));
+        let faulty = SimDevice::new();
+        faulty.set_plan(FaultPlan::new().at(0, FaultKind::WriteError));
         let store = RetryStore::new(faulty, IoPolicy::retries(5));
         let err = store.write_at(0, b"x").unwrap_err();
-        assert!(matches!(err, StoreError::InjectedFault(_)));
+        assert!(matches!(
+            err,
+            StoreError::InjectedFault {
+                transient: false,
+                ..
+            }
+        ));
         assert_eq!(store.stats().snapshot().retries, 0);
     }
 
@@ -275,8 +281,8 @@ mod tests {
 
     #[test]
     fn observer_sees_each_attempt() {
-        let plan = FaultPlan::new().transient_window(0, 2);
-        let faulty = Arc::new(PlannedFaultStore::new(mem(), plan));
+        let faulty = SimDevice::new();
+        faulty.set_plan(FaultPlan::new().at(0, FaultKind::TransientWindow { len: 2 }));
         let seen = Arc::new(AtomicU32::new(0));
         let seen2 = Arc::clone(&seen);
         let store =

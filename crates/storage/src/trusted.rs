@@ -65,11 +65,6 @@ impl MemTrustedStore {
         }
     }
 
-    /// Creates a register with the default capacity.
-    pub fn default_capacity() -> Self {
-        Self::new(DEFAULT_TRUSTED_CAPACITY)
-    }
-
     /// Copies the current value out (for crash-simulation snapshots).
     pub fn image(&self) -> Vec<u8> {
         self.value.lock().clone()
@@ -78,6 +73,13 @@ impl MemTrustedStore {
     /// Restores a previously captured value (crash-simulation).
     pub fn restore(&self, image: Vec<u8>) {
         *self.value.lock() = image;
+    }
+}
+
+impl Default for MemTrustedStore {
+    /// An empty register of the default capacity.
+    fn default() -> Self {
+        Self::new(DEFAULT_TRUSTED_CAPACITY)
     }
 }
 

@@ -64,6 +64,15 @@ pub trait UntrustedStore: Send + Sync {
     fn stats(&self) -> Arc<StoreStats>;
 }
 
+/// Writes `data` at `offset` into `image`, growing it as a device would.
+pub(crate) fn write_into(image: &mut Vec<u8>, offset: u64, data: &[u8]) {
+    let end = offset as usize + data.len();
+    if end > image.len() {
+        image.resize(end, 0);
+    }
+    image[offset as usize..end].copy_from_slice(data);
+}
+
 /// An in-memory untrusted store for tests and benchmarks.
 pub struct MemStore {
     data: RwLock<Vec<u8>>,
@@ -99,6 +108,11 @@ impl MemStore {
         self.data.read().clone()
     }
 
+    /// Replaces the contents with `image`.
+    pub(crate) fn restore(&self, image: Vec<u8>) {
+        *self.data.write() = image;
+    }
+
     /// Flips the bits selected by `mask` at `offset` — the test hook used to
     /// simulate an attacker writing to the untrusted store.
     pub fn tamper(&self, offset: u64, mask: u8) {
@@ -130,13 +144,7 @@ impl UntrustedStore for MemStore {
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
         let start = Instant::now();
-        let mut store = self.data.write();
-        let end = offset as usize + data.len();
-        if end > store.len() {
-            store.resize(end, 0);
-        }
-        store[offset as usize..end].copy_from_slice(data);
-        drop(store);
+        write_into(&mut self.data.write(), offset, data);
         self.stats.record_write(data.len(), start.elapsed());
         Ok(())
     }

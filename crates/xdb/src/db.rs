@@ -214,7 +214,7 @@ impl Xdb {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use tdb_storage::{CrashStore, MemStore};
+    use tdb_storage::{MemStore, SimDevice};
 
     fn mem() -> SharedUntrusted {
         Arc::new(MemStore::new())
@@ -292,8 +292,7 @@ mod tests {
     #[test]
     fn crash_loses_only_unflushed_tail() {
         let data = Arc::new(MemStore::new());
-        let wal_mem = Arc::new(MemStore::new());
-        let wal_crash = Arc::new(CrashStore::new(Arc::clone(&wal_mem) as SharedUntrusted).unwrap());
+        let wal_crash = SimDevice::new();
         let db = Xdb::create(
             Arc::clone(&data) as SharedUntrusted,
             Arc::clone(&wal_crash) as SharedUntrusted,
@@ -306,7 +305,7 @@ mod tests {
         db.commit(vec![put("durable", "yes")]).unwrap();
         // The WAL flushes on every commit, so everything committed is
         // durable; crash and reopen from the captured images.
-        let wal_image = wal_crash.crash_keep_all();
+        let wal_image = wal_crash.crash_keep_all().image;
         let data_image = data.image();
         let db = Xdb::open(
             Arc::new(MemStore::from_bytes(data_image)) as SharedUntrusted,

@@ -25,8 +25,7 @@ use tdb_core::backup::{ApproveAll, BackupSpec, BackupStore};
 use tdb_core::ChunkId;
 use tdb_crypto::SecretKey;
 use tdb_storage::{
-    ArchivalStore, CounterOverTrusted, FaultPlan, MemArchive, MemStore, MemTrustedStore,
-    PlannedFaultStore, SharedUntrusted, TrustedStore,
+    ArchivalStore, CounterOverTrusted, FaultPlan, MemArchive, SharedUntrusted, SimDevice,
 };
 
 fn config() -> ChunkStoreConfig {
@@ -42,13 +41,11 @@ fn config() -> ChunkStoreConfig {
     }
 }
 
-fn store_over(untrusted: SharedUntrusted, secret: &SecretKey) -> Arc<ChunkStore> {
+fn store_over(dev: &Arc<SimDevice>, secret: &SecretKey) -> Arc<ChunkStore> {
     Arc::new(
         ChunkStore::create(
-            untrusted,
-            TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
-                Arc::new(MemTrustedStore::new(64)) as Arc<dyn TrustedStore>,
-            ))),
+            Arc::clone(dev) as SharedUntrusted,
+            TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(dev.register()))),
             secret.clone(),
             config(),
         )
@@ -64,12 +61,9 @@ fn backups_of(store: &Arc<ChunkStore>, archive: &Arc<MemArchive>) -> BackupStore
 }
 
 /// A fresh store over a fault-plannable device, with no plan yet.
-fn planned_store(secret: &SecretKey) -> (Arc<PlannedFaultStore>, Arc<ChunkStore>) {
-    let planned = Arc::new(PlannedFaultStore::new(
-        Arc::new(MemStore::new()),
-        FaultPlan::new(),
-    ));
-    let store = store_over(Arc::clone(&planned) as SharedUntrusted, secret);
+fn planned_store(secret: &SecretKey) -> (Arc<SimDevice>, Arc<ChunkStore>) {
+    let planned = SimDevice::new();
+    let store = store_over(&planned, secret);
     (planned, store)
 }
 
@@ -124,7 +118,7 @@ fn seeded_faults_on_restore_never_accept_corrupt_state() {
     let archive = Arc::new(MemArchive::new());
 
     // A clean source ships one pristine backup.
-    let src = store_over(Arc::new(MemStore::new()) as SharedUntrusted, &secret);
+    let src = store_over(&SimDevice::new(), &secret);
     let p = new_partition(&src);
     let model = fill_partition(&src, p, 10);
     let info = backups_of(&src, &archive)
@@ -176,7 +170,7 @@ fn seeded_faults_on_backup_never_ship_a_corrupt_snapshot() {
         // acknowledged byte.
         assert_partition(&src, p, &model, &ctx);
 
-        let dst = store_over(Arc::new(MemStore::new()) as SharedUntrusted, &secret);
+        let dst = store_over(&SimDevice::new(), &secret);
         match backups_of(&dst, &archive).restore(&["s.0"], &ApproveAll) {
             Ok(_) => {
                 // An accepted stream is a correct stream, shipped under
@@ -200,7 +194,7 @@ fn incremental_chain_survives_seeded_restore_faults() {
     let secret = SecretKey::random(24);
     let archive = Arc::new(MemArchive::new());
 
-    let src = store_over(Arc::new(MemStore::new()) as SharedUntrusted, &secret);
+    let src = store_over(&SimDevice::new(), &secret);
     let src_backups = backups_of(&src, &archive);
     let p = new_partition(&src);
     let mut model = fill_partition(&src, p, 6);

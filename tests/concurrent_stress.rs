@@ -39,8 +39,8 @@ use tdb::{
 };
 use tdb_crypto::SecretKey;
 use tdb_storage::{
-    CounterOverTrusted, FaultPlan, MemStore, MemTrustedStore, PlannedFaultStore, SharedUntrusted,
-    TrustedStore, UntrustedStore,
+    CounterOverTrusted, FaultPlan, MemStore, MemTrustedStore, SharedUntrusted, SimDevice,
+    TrustedStore,
 };
 
 const RANKS: u64 = 8;
@@ -273,15 +273,11 @@ fn run_stress(readers: usize, iters: u64, crypto_workers: usize) {
 }
 
 fn run_faulted(readers: usize, iters: u64, seed: u64) {
-    let mem = Arc::new(MemStore::new());
-    let pf = Arc::new(PlannedFaultStore::new(
-        Arc::clone(&mem) as Arc<dyn UntrustedStore>,
-        FaultPlan::new(),
-    ));
-    let h = build(Arc::clone(&pf) as SharedUntrusted, 4);
+    let dev = SimDevice::new();
+    let h = build(Arc::clone(&dev) as SharedUntrusted, 4);
     // Arm the plan only after setup so the store starts consistent; the
     // horizon covers the whole concurrent phase.
-    pf.set_plan(FaultPlan::seeded(seed, 4000, 24));
+    dev.set_plan(FaultPlan::seeded(seed, 4000, 24));
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..readers)
             .map(|t| {
@@ -296,7 +292,7 @@ fn run_faulted(readers: usize, iters: u64, seed: u64) {
     });
     // Disarm and heal; unless the store poisoned (only integrity faults
     // do that, and the plan injects none), it must serve committed state.
-    pf.set_plan(FaultPlan::new());
+    dev.set_plan(FaultPlan::new());
     let _ = h.store.try_heal();
     h.store.drop_read_cache();
     for rank in 0..RANKS {

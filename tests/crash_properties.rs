@@ -9,8 +9,7 @@ use tdb_core::version::parse_version;
 use tdb_core::{ChunkId, CryptoParams};
 use tdb_crypto::SecretKey;
 use tdb_storage::{
-    CounterOverTrusted, CrashStore, FaultPlan, FaultyTrustedStore, MemStore, MemTrustedStore,
-    PlannedFaultStore, SharedUntrusted, TrustedStore,
+    CounterOverTrusted, DeviceSnapshot, FaultKind, FaultPlan, SharedUntrusted, SimDevice,
 };
 
 fn config(validation: ValidationMode) -> ChunkStoreConfig {
@@ -25,7 +24,6 @@ fn config(validation: ValidationMode) -> ChunkStoreConfig {
 
 struct Platform {
     secret: SecretKey,
-    register: Arc<MemTrustedStore>,
     config: ChunkStoreConfig,
 }
 
@@ -33,20 +31,38 @@ impl Platform {
     fn new(validation: ValidationMode) -> Platform {
         Platform {
             secret: SecretKey::random(24),
-            register: Arc::new(MemTrustedStore::new(64)),
             config: config(validation),
         }
     }
 
-    fn backend(&self) -> TrustedBackend {
+    fn backend(&self, dev: &Arc<SimDevice>) -> TrustedBackend {
         match self.config.validation {
-            ValidationMode::Counter { .. } => TrustedBackend::Counter(Arc::new(
-                CounterOverTrusted::new(Arc::clone(&self.register) as Arc<dyn TrustedStore>),
-            )),
-            ValidationMode::DirectHash => {
-                TrustedBackend::Register(Arc::clone(&self.register) as Arc<dyn TrustedStore>)
+            ValidationMode::Counter { .. } => {
+                TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(dev.register())))
             }
+            ValidationMode::DirectHash => TrustedBackend::Register(dev.register()),
         }
+    }
+
+    fn create(&self, dev: &Arc<SimDevice>) -> ChunkStore {
+        ChunkStore::create(
+            Arc::clone(dev) as SharedUntrusted,
+            self.backend(dev),
+            self.secret.clone(),
+            self.config.clone(),
+        )
+        .unwrap()
+    }
+
+    /// Reboots a machine from `snapshot`: its image and its register.
+    fn open(&self, snapshot: &DeviceSnapshot) -> tdb_core::Result<ChunkStore> {
+        let dev = SimDevice::from_snapshot(snapshot);
+        ChunkStore::open(
+            Arc::clone(&dev) as SharedUntrusted,
+            self.backend(&dev),
+            self.secret.clone(),
+            self.config.clone(),
+        )
     }
 }
 
@@ -55,14 +71,8 @@ impl Platform {
 /// matches the history at that point.
 fn crash_at_every_commit(validation: ValidationMode) {
     let platform = Platform::new(validation);
-    let untrusted = Arc::new(MemStore::new());
-    let store = ChunkStore::create(
-        Arc::clone(&untrusted) as SharedUntrusted,
-        platform.backend(),
-        platform.secret.clone(),
-        platform.config.clone(),
-    )
-    .unwrap();
+    let dev = SimDevice::new();
+    let store = platform.create(&dev);
     let p = store.allocate_partition().unwrap();
     store
         .commit(vec![CommitOp::CreatePartition {
@@ -72,8 +82,8 @@ fn crash_at_every_commit(validation: ValidationMode) {
         .unwrap();
 
     // History: after step i, chunks 0..=i hold "v{step_of_last_write}".
-    // (untrusted image, register image, expected state per rank).
-    type CrashPoint = (Vec<u8>, Vec<u8>, Vec<(u64, Option<String>)>);
+    // (device snapshot, expected state per rank).
+    type CrashPoint = (DeviceSnapshot, Vec<(u64, Option<String>)>);
     let mut images: Vec<CrashPoint> = Vec::new();
     let mut state: Vec<(u64, Option<String>)> = Vec::new();
     let mut ids: Vec<ChunkId> = Vec::new();
@@ -122,19 +132,14 @@ fn crash_at_every_commit(validation: ValidationMode) {
                 }
             }
         }
-        images.push((untrusted.image(), platform.register.image(), state.clone()));
+        images.push((dev.snapshot(), state.clone()));
     }
 
     // Replay every crash point.
-    for (i, (image, register_image, expected)) in images.iter().enumerate() {
-        platform.register.restore(register_image.clone());
-        let store = ChunkStore::open(
-            Arc::new(MemStore::from_bytes(image.clone())) as SharedUntrusted,
-            platform.backend(),
-            platform.secret.clone(),
-            platform.config.clone(),
-        )
-        .unwrap_or_else(|e| panic!("crash point {i}: recovery failed: {e}"));
+    for (i, (snapshot, expected)) in images.iter().enumerate() {
+        let store = platform
+            .open(snapshot)
+            .unwrap_or_else(|e| panic!("crash point {i}: recovery failed: {e}"));
         for (rank, value) in expected {
             let got = store.read(ChunkId::data(p, *rank));
             match value {
@@ -155,8 +160,6 @@ fn crash_at_every_commit(validation: ValidationMode) {
             }])
             .unwrap();
     }
-    // Restore the final register so other tests are unaffected.
-    platform.register.restore(images.last().unwrap().1.clone());
 }
 
 #[test]
@@ -181,15 +184,8 @@ fn unflushed_writes_lost_are_harmless() {
         delta_ut: 5,
         delta_tu: 0,
     });
-    let mem = Arc::new(MemStore::new());
-    let crash = Arc::new(CrashStore::new(Arc::clone(&mem) as SharedUntrusted).unwrap());
-    let store = ChunkStore::create(
-        Arc::clone(&crash) as SharedUntrusted,
-        platform.backend(),
-        platform.secret.clone(),
-        platform.config.clone(),
-    )
-    .unwrap();
+    let dev = SimDevice::new();
+    let store = platform.create(&dev);
     let p = store.allocate_partition().unwrap();
     store
         .commit(vec![CommitOp::CreatePartition {
@@ -206,14 +202,7 @@ fn unflushed_writes_lost_are_harmless() {
         .unwrap();
     // Now simulate a crash that loses all writes since the last flush —
     // there are none pending, so the image equals the durable state.
-    let image = crash.crash_lose_all();
-    let store = ChunkStore::open(
-        Arc::new(MemStore::from_bytes(image)) as SharedUntrusted,
-        platform.backend(),
-        platform.secret.clone(),
-        platform.config.clone(),
-    )
-    .unwrap();
+    let store = platform.open(&dev.crash_lose_all()).unwrap();
     assert_eq!(store.read(c).unwrap(), b"acknowledged");
 }
 
@@ -226,15 +215,8 @@ fn torn_mid_commit_write_discarded() {
         delta_ut: 5,
         delta_tu: 0,
     });
-    let mem = Arc::new(MemStore::new());
-    let crash = Arc::new(CrashStore::new(Arc::clone(&mem) as SharedUntrusted).unwrap());
-    let store = ChunkStore::create(
-        Arc::clone(&crash) as SharedUntrusted,
-        platform.backend(),
-        platform.secret.clone(),
-        platform.config.clone(),
-    )
-    .unwrap();
+    let dev = SimDevice::new();
+    let store = platform.create(&dev);
     let p = store.allocate_partition().unwrap();
     store
         .commit(vec![CommitOp::CreatePartition {
@@ -249,10 +231,10 @@ fn torn_mid_commit_write_discarded() {
             bytes: b"stable".to_vec(),
         }])
         .unwrap();
-    let register_before = platform.register.image();
+    let register_before = dev.snapshot().register;
 
     // Start another commit; capture images at every possible torn point.
-    let writes_before = crash.write_count();
+    let writes_before = dev.write_ops();
     let c2 = store.allocate_chunk(p).unwrap();
     store
         .commit(vec![CommitOp::WriteChunk {
@@ -260,33 +242,21 @@ fn torn_mid_commit_write_discarded() {
             bytes: vec![0x77; 600],
         }])
         .unwrap();
-    let writes_after = crash.write_count();
+    let writes_after = dev.write_ops();
     let torn_points = (writes_after - writes_before) as usize;
 
     // For each torn prefix of the final commit's device writes, recovery
     // must yield either the pre-commit or the post-commit state.
     for keep in 0..torn_points {
-        let image = {
-            // Rebuild the torn image: durable state plus `keep` of the
-            // final commit's writes. CrashStore can only crash once, so
-            // replay the scenario through its recorded image.
-            let crash2 =
-                CrashStore::new(Arc::new(MemStore::from_bytes(mem.image())) as SharedUntrusted)
-                    .unwrap();
-            let _ = &crash2;
-            // The final commit flushed, so the full image is durable; the
-            // torn variant is approximated by truncating trailing bytes.
-            let full = mem.image();
-            let cut = full.len().saturating_sub((torn_points - keep) * 50);
-            full[..cut].to_vec()
+        // The final commit flushed, so the full image is durable; the
+        // torn variant is approximated by truncating trailing bytes.
+        let full = dev.snapshot().image;
+        let cut = full.len().saturating_sub((torn_points - keep) * 50);
+        let torn = DeviceSnapshot {
+            image: full[..cut].to_vec(),
+            register: register_before.clone(),
         };
-        platform.register.restore(register_before.clone());
-        if let Ok(store) = ChunkStore::open(
-            Arc::new(MemStore::from_bytes(image)) as SharedUntrusted,
-            platform.backend(),
-            platform.secret.clone(),
-            platform.config.clone(),
-        ) {
+        if let Ok(store) = platform.open(&torn) {
             assert_eq!(store.read(c1).unwrap(), b"stable");
             if let Ok(v) = store.read(c2) {
                 assert_eq!(v, vec![0x77; 600]);
@@ -297,8 +267,8 @@ fn torn_mid_commit_write_discarded() {
 
 /// The intra-write tear sweep: a commit's device writes are interrupted
 /// *inside* write number `complete`, at byte `split`. Built by dropping the
-/// commit's flush (so [`CrashStore`] retains the commit's writes as
-/// pending), then asking [`CrashStore::crash_torn`] for every torn image.
+/// commit's flush (so [`SimDevice`] retains the commit's writes as
+/// pending), then asking [`SimDevice::crash_torn`] for every torn image.
 ///
 /// For every such image, recovery must yield the pre-commit state or the
 /// whole post-commit state — never a torn mixture — and the recovered
@@ -313,18 +283,8 @@ fn torn_within_single_write_sweep() {
         delta_ut: 5,
         delta_tu: 0,
     });
-    let crash = Arc::new(CrashStore::new(Arc::new(MemStore::new()) as SharedUntrusted).unwrap());
-    let pf = Arc::new(PlannedFaultStore::new(
-        Arc::clone(&crash) as SharedUntrusted,
-        FaultPlan::new(),
-    ));
-    let store = ChunkStore::create(
-        Arc::clone(&pf) as SharedUntrusted,
-        platform.backend(),
-        platform.secret.clone(),
-        platform.config.clone(),
-    )
-    .unwrap();
+    let dev = SimDevice::new();
+    let store = platform.create(&dev);
     let p = store.allocate_partition().unwrap();
     store
         .commit(vec![CommitOp::CreatePartition {
@@ -339,11 +299,10 @@ fn torn_within_single_write_sweep() {
             bytes: b"stable".to_vec(),
         }])
         .unwrap();
-    let register_before = platform.register.image();
 
     // Drop the final commit's flush: the commit fails (unacknowledged) and
     // its writes stay pending in the crash journal.
-    pf.set_plan(FaultPlan::new().dropped_flush_at(pf.flush_ops()));
+    dev.set_plan(FaultPlan::new().at(dev.flush_ops(), FaultKind::DroppedFlush));
     let c2 = store.allocate_chunk(p).unwrap();
     let payload = vec![0x5A; 700];
     let result = store.commit(vec![CommitOp::WriteChunk {
@@ -351,7 +310,7 @@ fn torn_within_single_write_sweep() {
         bytes: payload.clone(),
     }]);
     assert!(result.is_err(), "a dropped flush means no acknowledgement");
-    let pending = crash.pending_writes();
+    let pending = dev.pending_extents().len();
     // Group commit coalesces the data chunk and the commit chunk into one
     // contiguous device write; with batching off it stays two. Either way
     // the sweep below tears inside every pending write.
@@ -362,22 +321,17 @@ fn torn_within_single_write_sweep() {
         // Tear inside pending write `complete` at several byte offsets; the
         // splits are clamped to each write's length by crash_torn.
         for split in [0usize, 1, 5, 97, 512] {
-            images.push((complete, split, crash.crash_torn(complete, split)));
+            images.push((complete, split, dev.crash_torn(complete, split)));
         }
     }
     // And the whole-writes-survived boundary case.
-    images.push((pending, 0, crash.crash_keep_all()));
+    images.push((pending, 0, dev.crash_keep_all()));
 
     for (complete, split, image) in images {
         let ctx = format!("torn at write {complete}, byte {split}");
-        platform.register.restore(register_before.clone());
-        let store = ChunkStore::open(
-            Arc::new(MemStore::from_bytes(image)) as SharedUntrusted,
-            platform.backend(),
-            platform.secret.clone(),
-            platform.config.clone(),
-        )
-        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+        let store = platform
+            .open(&image)
+            .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
         // Acknowledged state always survives.
         assert_eq!(store.read(c1).unwrap(), b"stable", "{ctx}");
         // The interrupted commit is all-or-nothing, never a torn mixture.
@@ -402,20 +356,14 @@ fn torn_within_single_write_sweep() {
 #[allow(clippy::type_complexity)]
 fn cleanable_workload(
     platform: &Platform,
-    untrusted: SharedUntrusted,
+    dev: &Arc<SimDevice>,
 ) -> (
     ChunkStore,
     tdb_core::PartitionId,
     Vec<(ChunkId, Vec<u8>)>,
     ChunkId,
 ) {
-    let store = ChunkStore::create(
-        untrusted,
-        platform.backend(),
-        platform.secret.clone(),
-        platform.config.clone(),
-    )
-    .unwrap();
+    let store = platform.create(dev);
     let p = store.allocate_partition().unwrap();
     store
         .commit(vec![CommitOp::CreatePartition {
@@ -472,18 +420,12 @@ fn torn_clean_write_sweep() {
     });
     platform.config.segment_size = 2048;
     platform.config.checkpoint_threshold = 100; // Manual checkpoints only.
-    let crash = Arc::new(CrashStore::new(Arc::new(MemStore::new()) as SharedUntrusted).unwrap());
-    let pf = Arc::new(PlannedFaultStore::new(
-        Arc::clone(&crash) as SharedUntrusted,
-        FaultPlan::new(),
-    ));
-    let (store, p, expected, dead) =
-        cleanable_workload(&platform, Arc::clone(&pf) as SharedUntrusted);
-    let register_before = platform.register.image();
+    let dev = SimDevice::new();
+    let (store, p, expected, dead) = cleanable_workload(&platform, &dev);
 
     // Drop the clean's flush: the pass fails (never acknowledged) and its
     // device writes stay pending in the crash journal.
-    pf.set_plan(FaultPlan::new().dropped_flush_at(pf.flush_ops()));
+    dev.set_plan(FaultPlan::new().at(dev.flush_ops(), FaultKind::DroppedFlush));
     assert!(
         store.clean(8).is_err(),
         "a dropped flush means the clean never completed"
@@ -491,7 +433,7 @@ fn torn_clean_write_sweep() {
     // The pass reaches the device as one write per contiguous run. Tear
     // each at every version boundary in it and one byte either side, then
     // keep every write whole.
-    let whole = crash.crash_keep_all();
+    let whole = dev.crash_keep_all().image;
     let system = platform
         .config
         .system_params(&platform.secret)
@@ -499,7 +441,7 @@ fn torn_clean_write_sweep() {
         .unwrap();
     let mut tears = Vec::new();
     let mut boundaries = 0;
-    for (complete, (offset, len)) in crash.pending_extents().into_iter().enumerate() {
+    for (complete, (offset, len)) in dev.pending_extents().into_iter().enumerate() {
         let run = &whole[offset as usize..offset as usize + len];
         let mut at = 0;
         let mut bounds = vec![0];
@@ -520,19 +462,13 @@ fn torn_clean_write_sweep() {
         "cleaning appends relocated versions, cleaner records and a commit \
          chunk: only {boundaries} version boundaries"
     );
-    tears.push((crash.pending_writes(), 0));
+    tears.push((dev.pending_extents().len(), 0));
 
     for (complete, split) in tears {
         let ctx = format!("clean torn at write {complete}, byte {split}");
-        let image = crash.crash_torn(complete, split);
-        platform.register.restore(register_before.clone());
-        let store = ChunkStore::open(
-            Arc::new(MemStore::from_bytes(image)) as SharedUntrusted,
-            platform.backend(),
-            platform.secret.clone(),
-            platform.config.clone(),
-        )
-        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+        let store = platform
+            .open(&dev.crash_torn(complete, split))
+            .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
         // No relocated current version is ever lost...
         for (c, bytes) in &expected {
             assert_eq!(&store.read(*c).unwrap(), bytes, "{ctx}");
@@ -563,9 +499,8 @@ fn completed_clean_survives_lost_cache() {
     });
     platform.config.segment_size = 2048;
     platform.config.checkpoint_threshold = 100;
-    let crash = Arc::new(CrashStore::new(Arc::new(MemStore::new()) as SharedUntrusted).unwrap());
-    let (store, p, expected, dead) =
-        cleanable_workload(&platform, Arc::clone(&crash) as SharedUntrusted);
+    let dev = SimDevice::new();
+    let (store, p, expected, dead) = cleanable_workload(&platform, &dev);
 
     let reclaimed = store.clean(8).unwrap();
     assert!(reclaimed >= 1, "the workload left reclaimable segments");
@@ -575,14 +510,7 @@ fn completed_clean_survives_lost_cache() {
         "the workload left a current version to relocate"
     );
 
-    let image = crash.crash_lose_all();
-    let store = ChunkStore::open(
-        Arc::new(MemStore::from_bytes(image)) as SharedUntrusted,
-        platform.backend(),
-        platform.secret.clone(),
-        platform.config.clone(),
-    )
-    .unwrap();
+    let store = platform.open(&dev.crash_lose_all()).unwrap();
     for (c, bytes) in &expected {
         assert_eq!(&store.read(*c).unwrap(), bytes);
     }
@@ -606,18 +534,8 @@ fn torn_checkpoint_write_sweep() {
         delta_ut: 5,
         delta_tu: 0,
     });
-    let crash = Arc::new(CrashStore::new(Arc::new(MemStore::new()) as SharedUntrusted).unwrap());
-    let pf = Arc::new(PlannedFaultStore::new(
-        Arc::clone(&crash) as SharedUntrusted,
-        FaultPlan::new(),
-    ));
-    let store = ChunkStore::create(
-        Arc::clone(&pf) as SharedUntrusted,
-        platform.backend(),
-        platform.secret.clone(),
-        platform.config.clone(),
-    )
-    .unwrap();
+    let dev = SimDevice::new();
+    let store = platform.create(&dev);
     let p = store.allocate_partition().unwrap();
     store
         .commit(vec![CommitOp::CreatePartition {
@@ -637,13 +555,12 @@ fn torn_checkpoint_write_sweep() {
             .unwrap();
         expected.push((c, bytes));
     }
-    let register_before = platform.register.image();
 
     // Drop the checkpoint's flush so its writes stay pending. The
     // checkpoint fails; nothing new was acknowledged by it.
-    pf.set_plan(FaultPlan::new().dropped_flush_at(pf.flush_ops()));
+    dev.set_plan(FaultPlan::new().at(dev.flush_ops(), FaultKind::DroppedFlush));
     assert!(store.checkpoint().is_err());
-    let pending = crash.pending_writes();
+    let pending = dev.pending_extents().len();
     // Maps, leader and commit chunk coalesce into one write per
     // contiguous run, so the tears step through that run: inside the
     // first version, across version boundaries, and whole.
@@ -655,15 +572,9 @@ fn torn_checkpoint_write_sweep() {
     for complete in 0..=pending {
         for split in [0usize, 3, 64, 300, 700, 1200, 2000, 3000, 5000] {
             let ctx = format!("checkpoint torn at write {complete}, byte {split}");
-            let image = crash.crash_torn(complete, split);
-            platform.register.restore(register_before.clone());
-            let store = ChunkStore::open(
-                Arc::new(MemStore::from_bytes(image)) as SharedUntrusted,
-                platform.backend(),
-                platform.secret.clone(),
-                platform.config.clone(),
-            )
-            .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+            let store = platform
+                .open(&dev.crash_torn(complete, split))
+                .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
             for (c, bytes) in &expected {
                 assert_eq!(&store.read(*c).unwrap(), bytes, "{ctx}");
             }
@@ -682,10 +593,6 @@ fn torn_checkpoint_write_sweep() {
 // The counter protocol (§4.8.2.2) under crashes: one group commit from every
 // counter lag, stopped at every device op and every counter write.
 // ---------------------------------------------------------------------------
-
-fn counter_over(register: Arc<dyn TrustedStore>) -> TrustedBackend {
-    TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(register)))
-}
 
 fn write(id: ChunkId, bytes: Vec<u8>) -> Vec<CommitOp> {
     vec![CommitOp::WriteChunk { id, bytes }]
@@ -708,12 +615,8 @@ struct LagCase {
 
 /// A store built for one [`LagCase`], just before its batch.
 struct LagRig {
-    secret: SecretKey,
-    config: ChunkStoreConfig,
-    register: Arc<MemTrustedStore>,
-    faulty: Arc<FaultyTrustedStore>,
-    crash: Arc<CrashStore>,
-    pf: Arc<PlannedFaultStore>,
+    platform: Platform,
+    dev: Arc<SimDevice>,
     store: ChunkStore,
     /// Every chunk with its acknowledged content before the batch; member
     /// `i` overwrites chunk `i`.
@@ -725,31 +628,13 @@ impl LagCase {
     /// log), then `lag` overwrites of chunk 0. With the threshold at 2, a
     /// checkpoint falls inside any batch that reaches chunk 4.
     fn rig(&self) -> LagRig {
-        let register = Arc::new(MemTrustedStore::new(64));
-        let faulty = Arc::new(FaultyTrustedStore::new(
-            Arc::clone(&register) as Arc<dyn TrustedStore>
-        ));
-        let crash =
-            Arc::new(CrashStore::new(Arc::new(MemStore::new()) as SharedUntrusted).unwrap());
-        let pf = Arc::new(PlannedFaultStore::new(
-            Arc::clone(&crash) as SharedUntrusted,
-            FaultPlan::new(),
-        ));
-        let secret = SecretKey::random(24);
-        let config = ChunkStoreConfig {
-            checkpoint_threshold: self.checkpoint_threshold,
-            ..config(ValidationMode::Counter {
-                delta_ut: self.delta_ut,
-                delta_tu: 0,
-            })
-        };
-        let store = ChunkStore::create(
-            Arc::clone(&pf) as SharedUntrusted,
-            counter_over(Arc::clone(&faulty) as Arc<dyn TrustedStore>),
-            secret.clone(),
-            config.clone(),
-        )
-        .unwrap();
+        let mut platform = Platform::new(ValidationMode::Counter {
+            delta_ut: self.delta_ut,
+            delta_tu: 0,
+        });
+        platform.config.checkpoint_threshold = self.checkpoint_threshold;
+        let dev = SimDevice::new();
+        let store = platform.create(&dev);
         let p = store.allocate_partition().unwrap();
         store
             .commit(vec![CommitOp::CreatePartition {
@@ -770,12 +655,8 @@ impl LagCase {
             before[0].1 = bytes;
         }
         LagRig {
-            secret,
-            config,
-            register,
-            faulty,
-            crash,
-            pf,
+            platform,
+            dev,
             store,
             before,
         }
@@ -795,14 +676,10 @@ impl LagRig {
     /// never `CounterWindowViolated` — with every acknowledged member in
     /// it, every other member whole or absent, and the rest untouched.
     fn crash_and_reopen(&self, results: &[tdb_core::Result<()>], ctx: &str) {
-        let image = self.crash.crash_keep_all();
-        let store = ChunkStore::open(
-            Arc::new(MemStore::from_bytes(image)) as SharedUntrusted,
-            counter_over(Arc::clone(&self.register) as Arc<dyn TrustedStore>),
-            self.secret.clone(),
-            self.config.clone(),
-        )
-        .unwrap_or_else(|e| panic!("{ctx}: recovery refused the image: {e}"));
+        let store = self
+            .platform
+            .open(&self.dev.crash_keep_all())
+            .unwrap_or_else(|e| panic!("{ctx}: recovery refused the image: {e}"));
         for (i, (id, old)) in self.before.iter().enumerate() {
             let got = store
                 .read(*id)
@@ -829,27 +706,33 @@ fn counter_protocol_sweep(cases: &[LagCase]) -> usize {
     let mut points = 0;
     for case in cases {
         let dry = case.rig();
-        let (ops, advances) = (dry.pf.total_ops(), dry.register.stats().snapshot().writes);
+        let (ops, advances) = (dry.dev.total_ops(), dry.dev.register_ops());
         let results = dry.batch(case.members);
         assert!(results.iter().all(Result::is_ok), "{case:?}: {results:?}");
-        let ops = dry.pf.total_ops() - ops;
-        let advances = dry.register.stats().snapshot().writes - advances;
+        let ops = dry.dev.total_ops() - ops;
+        let advances = dry.dev.register_ops() - advances;
         dry.crash_and_reopen(&results, &format!("{case:?}, crash after the batch"));
 
         for halt in 0..ops {
             let rig = case.rig();
-            let start = rig.pf.total_ops() + halt;
-            rig.pf
-                .set_plan(FaultPlan::new().transient_window(start, u64::MAX));
+            let start = rig.dev.total_ops() + halt;
+            rig.dev
+                .set_plan(FaultPlan::new().at(start, FaultKind::TransientWindow { len: u64::MAX }));
             let results = rig.batch(case.members);
             assert!(!rig.store.health().is_poisoned(), "{case:?}");
             rig.crash_and_reopen(&results, &format!("{case:?}, stopped at device op {halt}"));
         }
         for fail in 0..advances {
             let rig = case.rig();
-            rig.faulty.fail_after_writes(fail);
+            let from = rig.dev.register_ops() + fail;
+            rig.dev
+                .set_plan(FaultPlan::new().at(from, FaultKind::RegisterFailsFrom));
             let results = rig.batch(case.members);
-            assert_eq!(rig.faulty.failures(), 1, "{case:?}, counter write {fail}");
+            assert_eq!(
+                rig.dev.injected_faults(),
+                1,
+                "{case:?}, counter write {fail}"
+            );
             rig.crash_and_reopen(&results, &format!("{case:?}, counter write {fail} failed"));
         }
         points += 1 + ops as usize + advances as usize;

@@ -24,8 +24,8 @@ use tdb::{
 use tdb_core::CoreError;
 use tdb_crypto::SecretKey;
 use tdb_storage::{
-    CounterOverTrusted, ErrorStore, FaultKind, FaultPlan, FaultyTrustedStore, IoPolicy, MemStore,
-    MemTrustedStore, PlannedFaultStore, RetryStore, SharedUntrusted, TrustedStore, UntrustedStore,
+    CounterOverTrusted, FaultKind, FaultPlan, IoPolicy, MemStore, MemTrustedStore, RetryStore,
+    SharedUntrusted, SimDevice, TrustedStore, UntrustedStore,
 };
 
 fn small_config(validation: ValidationMode) -> ChunkStoreConfig {
@@ -45,49 +45,58 @@ fn counter_mode() -> ValidationMode {
     }
 }
 
+fn counter_over(dev: &Arc<SimDevice>) -> TrustedBackend {
+    TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(dev.register())))
+}
+
 // ---------------------------------------------------------------------------
-// ErrorStore rig: unplanned "device starts failing" scenarios.
+// Unplanned "device starts failing" scenarios.
 // ---------------------------------------------------------------------------
 
 struct Rig {
     secret: SecretKey,
-    register: Arc<MemTrustedStore>,
-    injector: Arc<ErrorStore>,
+    dev: Arc<SimDevice>,
 }
 
 fn rig() -> (Rig, ChunkStore) {
     let secret = SecretKey::random(24);
-    let register = Arc::new(MemTrustedStore::new(64));
-    let injector = Arc::new(ErrorStore::new(Arc::new(MemStore::new())));
+    let dev = SimDevice::new();
     let store = ChunkStore::create(
-        Arc::clone(&injector) as SharedUntrusted,
-        TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
-            Arc::clone(&register) as Arc<dyn TrustedStore>
-        ))),
+        Arc::clone(&dev) as SharedUntrusted,
+        counter_over(&dev),
         secret.clone(),
         small_config(counter_mode()),
     )
     .unwrap();
-    (
-        Rig {
-            secret,
-            register,
-            injector,
-        },
-        store,
-    )
+    (Rig { secret, dev }, store)
 }
 
 impl Rig {
     fn reopen(&self) -> tdb_core::Result<ChunkStore> {
         ChunkStore::open(
-            Arc::clone(&self.injector) as SharedUntrusted,
-            TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
-                Arc::clone(&self.register) as Arc<dyn TrustedStore>,
-            ))),
+            Arc::clone(&self.dev) as SharedUntrusted,
+            counter_over(&self.dev),
             self.secret.clone(),
             small_config(counter_mode()),
         )
+    }
+
+    /// The next `n` writes and flushes succeed, then every one fails.
+    fn fail_after_writes(&self, n: u64) {
+        let from = self.dev.writes_and_flushes() + n;
+        self.dev
+            .set_plan(FaultPlan::new().at(from, FaultKind::WritesFailFrom));
+    }
+
+    /// The next `n` reads succeed, then every one fails.
+    fn fail_after_reads(&self, n: u64) {
+        let from = self.dev.read_ops() + n;
+        self.dev
+            .set_plan(FaultPlan::new().at(from, FaultKind::ReadsFailFrom));
+    }
+
+    fn heal(&self) {
+        self.dev.set_plan(FaultPlan::new());
     }
 }
 
@@ -119,7 +128,7 @@ fn mid_commit_write_failure_degrades_not_poisons() {
     // Fail on every possible write index inside a commit; after each
     // iteration the store must be fully live again *without a reopen*.
     for fail_at in 0..8u64 {
-        rig.injector.fail_after_writes(fail_at);
+        rig.fail_after_writes(fail_at);
         let victim = store.allocate_chunk(p).unwrap();
         let result = store.commit(vec![CommitOp::WriteChunk {
             id: victim,
@@ -127,7 +136,7 @@ fn mid_commit_write_failure_degrades_not_poisons() {
         }]);
         if result.is_ok() {
             // The commit squeaked through before the failure point.
-            rig.injector.heal();
+            rig.heal();
             assert_eq!(store.read(victim).unwrap(), vec![0xEE; 700]);
             continue;
         }
@@ -136,14 +145,14 @@ fn mid_commit_write_failure_degrades_not_poisons() {
             "fail_at {fail_at}: a plain I/O fault must never poison"
         );
         // Acknowledged state is served even before the device heals: the
-        // injector only fails writes, and the store is at worst read-only.
+        // device only fails writes, and the store is at worst read-only.
         assert_eq!(store.read(good).unwrap(), b"committed before the fault");
         match store.health() {
             StoreHealth::Live => {
                 // Nothing durable was written: clean rollback. The store
                 // accepts the same commit once the device heals.
                 live_rollback_seen = true;
-                rig.injector.heal();
+                rig.heal();
             }
             StoreHealth::Degraded { .. } => {
                 degraded_seen = true;
@@ -158,7 +167,7 @@ fn mid_commit_write_failure_degrades_not_poisons() {
                 // Healing needs a working device.
                 assert!(store.try_heal().is_err());
                 assert!(store.health().is_degraded());
-                rig.injector.heal();
+                rig.heal();
                 store
                     .try_heal()
                     .unwrap_or_else(|e| panic!("fail_at {fail_at}: heal on a working device: {e}"));
@@ -204,14 +213,14 @@ fn read_failure_leaves_store_live() {
         }])
         .unwrap();
 
-    rig.injector.fail_after_reads(0);
+    rig.fail_after_reads(0);
     assert!(store.read(good).is_err(), "injected read fault surfaces");
     // A failed read mutates nothing: the store is still live, not even
     // degraded.
     assert!(store.health().is_live());
     assert_eq!(store.stats().degraded_entries, 0);
 
-    rig.injector.heal();
+    rig.heal();
     assert_eq!(store.read(good).unwrap(), b"readable");
     let c = store.allocate_chunk(p).unwrap();
     store
@@ -235,13 +244,13 @@ fn commit_with_read_faults_never_poisons() {
         .unwrap();
 
     for fail_at in 0..6u64 {
-        rig.injector.fail_after_reads(fail_at);
+        rig.fail_after_reads(fail_at);
         let victim = store.allocate_chunk(p).unwrap();
         let _ = store.commit(vec![CommitOp::WriteChunk {
             id: victim,
             bytes: vec![0x44; 400],
         }]);
-        rig.injector.heal();
+        rig.heal();
         assert!(!store.health().is_poisoned(), "fail_at {fail_at}");
         if store.health().is_degraded() {
             store.try_heal().unwrap();
@@ -273,7 +282,7 @@ fn checkpoint_failure_degrades_reads_still_served() {
         ids.push(id);
     }
     // The checkpoint's coalesced run reaches the device; its flush fails.
-    rig.injector.fail_after_writes(1);
+    rig.fail_after_writes(1);
     let result = store.checkpoint();
     assert!(
         result.is_err(),
@@ -292,7 +301,7 @@ fn checkpoint_failure_degrades_reads_still_served() {
     assert!(matches!(err, CoreError::DegradedMode(_)));
 
     // Heal in place, then the checkpoint goes through.
-    rig.injector.heal();
+    rig.heal();
     store.try_heal().expect("heal on a working device");
     assert!(store.health().is_live());
     store.checkpoint().expect("checkpoint after heal");
@@ -326,21 +335,30 @@ fn trusted_store_failure_at_creation() {
 }
 
 // ---------------------------------------------------------------------------
-// FaultyTrustedStore: counter-update failures mid-commit (§4.6, §4.8.2.2).
+// Counter-update failures mid-commit (§4.6, §4.8.2.2).
 // ---------------------------------------------------------------------------
 
 struct CounterRig {
-    mem: Arc<MemStore>,
-    faulty_trusted: Arc<FaultyTrustedStore>,
+    dev: Arc<SimDevice>,
     secret: SecretKey,
     config: ChunkStoreConfig,
 }
 
 impl CounterRig {
-    fn backend(&self) -> TrustedBackend {
-        TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
-            Arc::clone(&self.faulty_trusted) as Arc<dyn TrustedStore>,
-        )))
+    fn open(&self, dev: &Arc<SimDevice>) -> tdb_core::Result<ChunkStore> {
+        ChunkStore::open(
+            Arc::clone(dev) as SharedUntrusted,
+            counter_over(dev),
+            self.secret.clone(),
+            self.config.clone(),
+        )
+    }
+
+    /// Fails every counter write from the next one on.
+    fn fail_counter(&self) {
+        let from = self.dev.register_ops();
+        self.dev
+            .set_plan(FaultPlan::new().at(from, FaultKind::RegisterFailsFrom));
     }
 }
 
@@ -349,10 +367,7 @@ impl CounterRig {
 /// baseline chunk committed while everything was healthy.
 fn counter_rig(delta_ut: u64) -> (CounterRig, ChunkStore, PartitionId, ChunkId) {
     let rig = CounterRig {
-        mem: Arc::new(MemStore::new()),
-        faulty_trusted: Arc::new(FaultyTrustedStore::new(
-            Arc::new(MemTrustedStore::new(64)) as Arc<dyn TrustedStore>
-        )),
+        dev: SimDevice::new(),
         secret: SecretKey::random(24),
         config: ChunkStoreConfig {
             fanout: 4,
@@ -366,8 +381,8 @@ fn counter_rig(delta_ut: u64) -> (CounterRig, ChunkStore, PartitionId, ChunkId) 
         },
     };
     let store = ChunkStore::create(
-        Arc::clone(&rig.mem) as SharedUntrusted,
-        rig.backend(),
+        Arc::clone(&rig.dev) as SharedUntrusted,
+        counter_over(&rig.dev),
         rig.secret.clone(),
         rig.config.clone(),
     )
@@ -386,7 +401,7 @@ fn counter_rig(delta_ut: u64) -> (CounterRig, ChunkStore, PartitionId, ChunkId) 
 #[test]
 fn counter_write_failure_never_acknowledges_commit_heal_drops() {
     let (rig, store, p, baseline) = counter_rig(0);
-    rig.faulty_trusted.fail_after_writes(0);
+    rig.fail_counter();
     let victim = store.allocate_chunk(p).unwrap();
     let result = store.commit(vec![CommitOp::WriteChunk {
         id: victim,
@@ -395,10 +410,7 @@ fn counter_write_failure_never_acknowledges_commit_heal_drops() {
     // The §4.6 property: the engine must never acknowledge a commit whose
     // counter bump failed.
     assert!(result.is_err(), "unflushed counter means unacknowledged");
-    assert!(
-        rig.faulty_trusted.failures() >= 1,
-        "the fault actually fired"
-    );
+    assert!(rig.dev.injected_faults() >= 1, "the fault actually fired");
     assert!(store.health().is_degraded());
     assert_eq!(store.stats().degraded_entries, 1);
     assert_eq!(store.read(baseline).unwrap(), b"pre-fault baseline");
@@ -412,7 +424,7 @@ fn counter_write_failure_never_acknowledges_commit_heal_drops() {
     // In-place heal: the counter never counted the torn commit, so the
     // scrub's drop resolution is sound. The store goes live at the
     // pre-commit state and the same commit succeeds on retry.
-    rig.faulty_trusted.heal();
+    rig.dev.set_plan(FaultPlan::new());
     store
         .try_heal()
         .expect("heal after the trusted store recovers");
@@ -430,7 +442,7 @@ fn counter_write_failure_never_acknowledges_commit_heal_drops() {
 #[test]
 fn counter_write_failure_reopen_adopts_durable_commit() {
     let (rig, store, p, baseline) = counter_rig(0);
-    rig.faulty_trusted.fail_after_writes(0);
+    rig.fail_counter();
     let victim = store.allocate_chunk(p).unwrap();
     let result = store.commit(vec![CommitOp::WriteChunk {
         id: victim,
@@ -444,14 +456,10 @@ fn counter_write_failure_reopen_adopts_durable_commit() {
     // only the counter flush was lost. Recovery's (Δut, Δtu) window covers
     // exactly this crash, so the reopen adopts the commit — sound, because
     // it was durable; just never acknowledged.
-    rig.faulty_trusted.heal();
-    let reopened = ChunkStore::open(
-        Arc::clone(&rig.mem) as SharedUntrusted,
-        rig.backend(),
-        rig.secret.clone(),
-        rig.config.clone(),
-    )
-    .expect("recovery adopts the durable commit");
+    rig.dev.set_plan(FaultPlan::new());
+    let reopened = rig
+        .open(&rig.dev)
+        .expect("recovery adopts the durable commit");
     assert_eq!(reopened.read(baseline).unwrap(), b"pre-fault baseline");
     assert_eq!(reopened.read(victim).unwrap(), vec![0xC1; 500]);
     // And the adopted state is fully writable.
@@ -495,15 +503,15 @@ fn batch_counter_advance_failure_acknowledges_no_member() {
             }]
         })
         .collect();
-    rig.faulty_trusted.fail_after_writes(0);
+    rig.fail_counter();
     let results = store.commit_many(sets);
-    assert_eq!(rig.faulty_trusted.failures(), 1, "one advance per batch");
+    assert_eq!(rig.dev.injected_faults(), 1, "one advance per batch");
     assert_eq!(results.len(), 3);
     assert!(results.iter().all(Result::is_err), "{results:?}");
     assert!(store.health().is_degraded());
-    let image = rig.mem.image();
+    let snapshot = rig.dev.snapshot();
 
-    rig.faulty_trusted.heal();
+    rig.dev.set_plan(FaultPlan::new());
     store
         .try_heal()
         .expect("the counter never counted the batch");
@@ -514,13 +522,9 @@ fn batch_counter_advance_failure_acknowledges_no_member() {
     assert_eq!(store.read(baseline).unwrap(), b"pre-fault baseline");
     drop(store);
 
-    let reopened = ChunkStore::open(
-        Arc::new(MemStore::from_bytes(image)) as SharedUntrusted,
-        rig.backend(),
-        rig.secret.clone(),
-        rig.config.clone(),
-    )
-    .expect("recovery adopts the durable batch");
+    let reopened = rig
+        .open(&SimDevice::from_snapshot(&snapshot))
+        .expect("recovery adopts the durable batch");
     for (i, id) in ids.iter().enumerate() {
         assert_eq!(reopened.read(*id).unwrap(), body(i), "reopen adopted {id}");
     }
@@ -563,10 +567,10 @@ fn fault_counters_count_degrade_heal_and_recovery() {
             bytes: b"x".to_vec(),
         }])
         .unwrap();
-    rig.injector.fail_after_writes(1);
+    rig.fail_after_writes(1);
     assert!(store.checkpoint().is_err());
     assert!(store.health().is_degraded());
-    rig.injector.heal();
+    rig.heal();
     store.try_heal().unwrap();
 
     let stats = store.stats();
@@ -584,21 +588,14 @@ fn fault_counters_count_degrade_heal_and_recovery() {
 
 #[test]
 fn transient_window_hidden_by_retries() {
-    let mem = Arc::new(MemStore::new());
-    let pf = Arc::new(PlannedFaultStore::new(
-        Arc::clone(&mem) as SharedUntrusted,
-        FaultPlan::new(),
-    ));
+    let dev = SimDevice::new();
     let retry = Arc::new(RetryStore::new(
-        Arc::clone(&pf) as SharedUntrusted,
+        Arc::clone(&dev) as SharedUntrusted,
         IoPolicy::retries(3), // Deterministic: NoDelay clock by default.
     ));
-    let register = Arc::new(MemTrustedStore::new(64));
     let store = ChunkStore::create(
         Arc::clone(&retry) as SharedUntrusted,
-        TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
-            Arc::clone(&register) as Arc<dyn TrustedStore>
-        ))),
+        counter_over(&dev),
         SecretKey::random(24),
         small_config(counter_mode()),
     )
@@ -607,8 +604,8 @@ fn transient_window_hidden_by_retries() {
 
     // A transient window two ops wide, a few ops ahead: the retry budget
     // (3) outlasts it, so the engine never sees the fault.
-    let start = pf.total_ops() + 5;
-    pf.set_plan(FaultPlan::new().transient_window(start, 2));
+    let start = dev.total_ops() + 5;
+    dev.set_plan(FaultPlan::new().at(start, FaultKind::TransientWindow { len: 2 }));
     let mut ids = Vec::new();
     for i in 0..6u64 {
         let c = store.allocate_chunk(p).unwrap();
@@ -622,7 +619,7 @@ fn transient_window_hidden_by_retries() {
     }
     assert!(store.health().is_live());
     assert_eq!(store.stats().degraded_entries, 0);
-    assert!(pf.injected_faults() >= 2, "the window actually fired");
+    assert!(dev.injected_faults() >= 2, "the window actually fired");
     // The retry loop recorded its work in the store stats.
     assert!(retry.stats().snapshot().retries >= 2);
     for (i, id) in ids.iter().enumerate() {
@@ -632,21 +629,14 @@ fn transient_window_hidden_by_retries() {
 
 #[test]
 fn transient_window_wider_than_retry_budget_degrades_then_heals() {
-    let mem = Arc::new(MemStore::new());
-    let pf = Arc::new(PlannedFaultStore::new(
-        Arc::clone(&mem) as SharedUntrusted,
-        FaultPlan::new(),
-    ));
+    let dev = SimDevice::new();
     let retry = Arc::new(RetryStore::new(
-        Arc::clone(&pf) as SharedUntrusted,
+        Arc::clone(&dev) as SharedUntrusted,
         IoPolicy::retries(2),
     ));
-    let register = Arc::new(MemTrustedStore::new(64));
     let store = ChunkStore::create(
         Arc::clone(&retry) as SharedUntrusted,
-        TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
-            Arc::clone(&register) as Arc<dyn TrustedStore>
-        ))),
+        counter_over(&dev),
         SecretKey::random(24),
         small_config(counter_mode()),
     )
@@ -661,8 +651,8 @@ fn transient_window_wider_than_retry_budget_degrades_then_heals() {
         .unwrap();
 
     // A window far wider than the retry budget: the fault surfaces.
-    let start = pf.total_ops();
-    pf.set_plan(FaultPlan::new().transient_window(start, 50));
+    let start = dev.total_ops();
+    dev.set_plan(FaultPlan::new().at(start, FaultKind::TransientWindow { len: 50 }));
     let victim = store.allocate_chunk(p).unwrap();
     let result = store.commit(vec![CommitOp::WriteChunk {
         id: victim,
@@ -673,7 +663,7 @@ fn transient_window_wider_than_retry_budget_degrades_then_heals() {
 
     // Window exhausted (the failed attempt burned through it) or cleared:
     // heal and carry on.
-    pf.set_plan(FaultPlan::new());
+    dev.set_plan(FaultPlan::new());
     if store.health().is_degraded() {
         store.try_heal().unwrap();
     }
@@ -789,47 +779,40 @@ fn run_script(
 }
 
 struct TortureRig {
-    mem: Arc<MemStore>,
-    register: Arc<MemTrustedStore>,
-    pf: Arc<PlannedFaultStore>,
+    dev: Arc<SimDevice>,
     secret: SecretKey,
     config: ChunkStoreConfig,
 }
 
 impl TortureRig {
-    fn backend(&self) -> TrustedBackend {
+    fn backend(&self, dev: &Arc<SimDevice>) -> TrustedBackend {
         match self.config.validation {
-            ValidationMode::Counter { .. } => TrustedBackend::Counter(Arc::new(
-                CounterOverTrusted::new(Arc::clone(&self.register) as Arc<dyn TrustedStore>),
-            )),
-            ValidationMode::DirectHash => {
-                TrustedBackend::Register(Arc::clone(&self.register) as Arc<dyn TrustedStore>)
-            }
+            ValidationMode::Counter { .. } => counter_over(dev),
+            ValidationMode::DirectHash => TrustedBackend::Register(dev.register()),
         }
+    }
+
+    /// Reboots a copy of the device as it stands: image and register.
+    fn reopen(&self) -> tdb_core::Result<ChunkStore> {
+        let dev = SimDevice::from_snapshot(&self.dev.snapshot());
+        ChunkStore::open(
+            Arc::clone(&dev) as SharedUntrusted,
+            self.backend(&dev),
+            self.secret.clone(),
+            self.config.clone(),
+        )
     }
 }
 
 fn torture_rig(validation: ValidationMode) -> (TortureRig, ChunkStore, PartitionId) {
     let rig = TortureRig {
-        mem: Arc::new(MemStore::new()),
-        register: Arc::new(MemTrustedStore::new(64)),
-        pf: Arc::new(PlannedFaultStore::new(
-            Arc::new(MemStore::new()) as SharedUntrusted,
-            FaultPlan::new(),
-        )),
+        dev: SimDevice::new(),
         secret: SecretKey::random(24),
         config: small_config(validation),
     };
-    // Rebuild the planned store over the rig's shared MemStore so the test
-    // can reopen from the raw image later.
-    let pf = Arc::new(PlannedFaultStore::new(
-        Arc::clone(&rig.mem) as SharedUntrusted,
-        FaultPlan::new(),
-    ));
-    let rig = TortureRig { pf, ..rig };
     let store = ChunkStore::create(
-        Arc::clone(&rig.pf) as SharedUntrusted,
-        rig.backend(),
+        Arc::clone(&rig.dev) as SharedUntrusted,
+        rig.backend(&rig.dev),
         rig.secret.clone(),
         rig.config.clone(),
     )
@@ -883,12 +866,12 @@ fn verify_model(
 fn write_fault_sweep(validation: ValidationMode, seeds: &[u64], stride: usize) {
     // Dry run: count the workload's writes.
     let (dry, store, p) = torture_rig(validation);
-    let base = dry.pf.write_ops();
+    let base = dry.dev.write_ops();
     let mut acked = Vec::new();
     let (att, res) = run_script(&store, p, &mut acked);
     res.expect("dry run is fault-free");
     assert!(att.is_none());
-    let total_writes = dry.pf.write_ops() - base;
+    let total_writes = dry.dev.write_ops() - base;
     assert!(total_writes > 20, "workload too small to be interesting");
     drop(store);
 
@@ -896,14 +879,14 @@ fn write_fault_sweep(validation: ValidationMode, seeds: &[u64], stride: usize) {
         let mut bit = 0u64;
         for i in (0..total_writes).step_by(stride) {
             let (rig, store, p) = torture_rig(validation);
-            let base = rig.pf.write_ops();
+            let base = rig.dev.write_ops();
             let kind = match (i + seed) % 2 {
                 0 => FaultKind::WriteError,
                 _ => FaultKind::TornWrite {
                     keep: ((i * 7 + seed * 13) % 96) as u32,
                 },
             };
-            rig.pf.set_plan(FaultPlan::new().at(base + i, kind));
+            rig.dev.set_plan(FaultPlan::new().at(base + i, kind));
             let mut acked = Vec::new();
             let (attempted, result) = run_script(&store, p, &mut acked);
             let ctx = format!("seed {seed}, write index {i}");
@@ -922,7 +905,7 @@ fn write_fault_sweep(validation: ValidationMode, seeds: &[u64], stride: usize) {
             // Heal in place when the validation protocol allows it. When
             // the trusted counter already counted the interrupted commit,
             // try_heal refuses and the reopen below must adopt instead.
-            rig.pf.set_plan(FaultPlan::new());
+            rig.dev.set_plan(FaultPlan::new());
             if store.try_heal().is_ok() {
                 assert!(store.health().is_live());
                 verify_model(&store, &acked, &attempted, &format!("{ctx} (healed)"));
@@ -940,13 +923,9 @@ fn write_fault_sweep(validation: ValidationMode, seeds: &[u64], stride: usize) {
 
             // Recovery from the faulted image: a prefix of committed
             // history, fully usable afterwards.
-            let reopened = ChunkStore::open(
-                Arc::new(MemStore::from_bytes(rig.mem.image())) as SharedUntrusted,
-                rig.backend(),
-                rig.secret.clone(),
-                rig.config.clone(),
-            )
-            .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+            let reopened = rig
+                .reopen()
+                .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
             verify_model(&reopened, &acked, &attempted, &format!("{ctx} (reopened)"));
             let c = reopened.allocate_chunk(p).unwrap();
             reopened
@@ -988,25 +967,21 @@ fn write_fault_sweep_direct_mode_exhaustive() {
 fn seeded_plan_torture(seeds: &[u64]) {
     for &seed in seeds {
         let (rig, store, p) = torture_rig(counter_mode());
-        let horizon = rig.pf.total_ops() + 250;
-        rig.pf.set_plan(FaultPlan::seeded(seed, horizon, 6));
+        let horizon = rig.dev.total_ops() + 250;
+        rig.dev.set_plan(FaultPlan::seeded(seed, horizon, 6));
         let mut acked = Vec::new();
         let (attempted, _result) = run_script(&store, p, &mut acked);
         let ctx = format!("seeded plan {seed}");
         assert!(!store.health().is_poisoned(), "{ctx}: poisoned");
 
-        rig.pf.set_plan(FaultPlan::new());
+        rig.dev.set_plan(FaultPlan::new());
         if store.try_heal().is_ok() {
             verify_model(&store, &acked, &attempted, &format!("{ctx} (healed)"));
         }
         drop(store);
-        let reopened = ChunkStore::open(
-            Arc::new(MemStore::from_bytes(rig.mem.image())) as SharedUntrusted,
-            rig.backend(),
-            rig.secret.clone(),
-            rig.config.clone(),
-        )
-        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+        let reopened = rig
+            .reopen()
+            .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
         verify_model(&reopened, &acked, &attempted, &format!("{ctx} (reopened)"));
     }
 }

@@ -22,8 +22,8 @@ use tdb::{
 };
 use tdb_crypto::SecretKey;
 use tdb_storage::{
-    CounterOverTrusted, CrashStore, DiskModel, FaultKind, FaultPlan, MemStore, MemTrustedStore,
-    PlannedFaultStore, SharedUntrusted, SimClock, SimDiskStore, TrustedStore, UntrustedStore,
+    CounterOverTrusted, DeviceSnapshot, DiskModel, FaultKind, FaultPlan, SharedUntrusted, SimClock,
+    SimDevice, SimDiskStore, UntrustedStore,
 };
 
 const THREADS: usize = 8;
@@ -38,39 +38,41 @@ fn config() -> ChunkStoreConfig {
 
 struct Rig {
     secret: SecretKey,
-    register: Arc<MemTrustedStore>,
     config: ChunkStoreConfig,
+}
+
+fn backend(dev: &Arc<SimDevice>) -> TrustedBackend {
+    TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(dev.register())))
 }
 
 impl Rig {
     fn new(config: ChunkStoreConfig) -> Rig {
         Rig {
             secret: SecretKey::random(24),
-            register: Arc::new(MemTrustedStore::new(64)),
             config,
         }
     }
 
-    fn backend(&self) -> TrustedBackend {
-        TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
-            Arc::clone(&self.register) as Arc<dyn TrustedStore>,
-        )))
-    }
-
-    fn create(&self, untrusted: SharedUntrusted) -> ChunkStore {
+    fn create_over(&self, untrusted: SharedUntrusted, dev: &Arc<SimDevice>) -> ChunkStore {
         ChunkStore::create(
             untrusted,
-            self.backend(),
+            backend(dev),
             self.secret.clone(),
             self.config.clone(),
         )
         .unwrap()
     }
 
-    fn open(&self, untrusted: SharedUntrusted) -> tdb_core::Result<ChunkStore> {
+    fn create(&self, dev: &Arc<SimDevice>) -> ChunkStore {
+        self.create_over(Arc::clone(dev) as SharedUntrusted, dev)
+    }
+
+    /// Reboots a machine from `snapshot`: its image and its register.
+    fn open(&self, snapshot: &DeviceSnapshot) -> tdb_core::Result<ChunkStore> {
+        let dev = SimDevice::from_snapshot(snapshot);
         ChunkStore::open(
-            untrusted,
-            self.backend(),
+            Arc::clone(&dev) as SharedUntrusted,
+            backend(&dev),
             self.secret.clone(),
             self.config.clone(),
         )
@@ -103,8 +105,8 @@ fn content(thread: usize, round: usize) -> Vec<u8> {
 fn acked_commits_survive_crash_losing_unflushed_writes() {
     const ROUNDS: usize = 4;
     let rig = Rig::new(config());
-    let crash = Arc::new(CrashStore::new(Arc::new(MemStore::new())).unwrap());
-    let store = rig.create(Arc::clone(&crash) as SharedUntrusted);
+    let dev = SimDevice::new();
+    let store = rig.create(&dev);
     let p = setup_partition(&store);
     let ids: Vec<Vec<ChunkId>> = (0..THREADS)
         .map(|_| {
@@ -140,9 +142,8 @@ fn acked_commits_survive_crash_losing_unflushed_writes() {
     assert_eq!(acked.len(), THREADS * ROUNDS);
     drop(store);
 
-    let image = crash.crash_lose_all();
     let reopened = rig
-        .open(Arc::new(MemStore::from_bytes(image)) as SharedUntrusted)
+        .open(&dev.crash_lose_all())
         .expect("recovery after losing all unflushed writes");
     for (id, bytes) in &acked {
         assert_eq!(
@@ -164,12 +165,8 @@ fn acked_commits_survive_crash_losing_unflushed_writes() {
 fn mid_batch_write_fault_is_all_or_nothing_per_member() {
     for fault_offset in [3u64, 11, 23] {
         let rig = Rig::new(config());
-        let mem = Arc::new(MemStore::new());
-        let pf = Arc::new(PlannedFaultStore::new(
-            Arc::clone(&mem) as SharedUntrusted,
-            FaultPlan::new(),
-        ));
-        let store = rig.create(Arc::clone(&pf) as SharedUntrusted);
+        let dev = SimDevice::new();
+        let store = rig.create(&dev);
         let p = setup_partition(&store);
         let ids: Vec<(ChunkId, ChunkId)> = (0..THREADS)
             .map(|_| {
@@ -179,7 +176,7 @@ fn mid_batch_write_fault_is_all_or_nothing_per_member() {
                 )
             })
             .collect();
-        pf.set_plan(FaultPlan::new().at(pf.write_ops() + fault_offset, FaultKind::WriteError));
+        dev.set_plan(FaultPlan::new().at(dev.write_ops() + fault_offset, FaultKind::WriteError));
 
         let acked: Mutex<Vec<usize>> = Mutex::new(Vec::new());
         let barrier = Barrier::new(THREADS);
@@ -214,9 +211,8 @@ fn mid_batch_write_fault_is_all_or_nothing_per_member() {
         let acked = acked.into_inner().unwrap();
         drop(store);
 
-        pf.set_plan(FaultPlan::new());
         let reopened = rig
-            .open(Arc::new(MemStore::from_bytes(mem.image())) as SharedUntrusted)
+            .open(&dev.snapshot())
             .unwrap_or_else(|e| panic!("fault_offset {fault_offset}: recovery failed: {e}"));
         for (t, (a, b)) in ids.iter().enumerate() {
             let got_a = reopened.read(*a).ok();
@@ -253,18 +249,14 @@ fn mid_batch_write_fault_is_all_or_nothing_per_member() {
 fn seeded_fault_plans_with_concurrent_batching() {
     for seed in [1u64, 2, 3] {
         let rig = Rig::new(config());
-        let mem = Arc::new(MemStore::new());
-        let pf = Arc::new(PlannedFaultStore::new(
-            Arc::clone(&mem) as SharedUntrusted,
-            FaultPlan::new(),
-        ));
-        let store = rig.create(Arc::clone(&pf) as SharedUntrusted);
+        let dev = SimDevice::new();
+        let store = rig.create(&dev);
         let p = setup_partition(&store);
         let ids: Vec<Vec<ChunkId>> = (0..THREADS)
             .map(|_| (0..3).map(|_| store.allocate_chunk(p).unwrap()).collect())
             .collect();
-        let horizon = pf.total_ops() + 300;
-        pf.set_plan(FaultPlan::seeded(seed, horizon, 5));
+        let horizon = dev.total_ops() + 300;
+        dev.set_plan(FaultPlan::seeded(seed, horizon, 5));
 
         let acked: Mutex<Vec<(ChunkId, Vec<u8>)>> = Mutex::new(Vec::new());
         let barrier = Barrier::new(THREADS);
@@ -292,9 +284,8 @@ fn seeded_fault_plans_with_concurrent_batching() {
         let acked = acked.into_inner().unwrap();
         drop(store);
 
-        pf.set_plan(FaultPlan::new());
         let reopened = rig
-            .open(Arc::new(MemStore::from_bytes(mem.image())) as SharedUntrusted)
+            .open(&dev.snapshot())
             .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}"));
         for (id, bytes) in &acked {
             assert_eq!(
@@ -327,12 +318,13 @@ fn concurrent_commits_flush_less_than_once_per_commit() {
     };
     let attempt = || -> bool {
         let rig = Rig::new(config());
+        let dev = SimDevice::new();
         let disk: SharedUntrusted = Arc::new(SimDiskStore::new(
-            Arc::new(MemStore::new()) as SharedUntrusted,
+            Arc::clone(&dev) as SharedUntrusted,
             slow_disk,
             Arc::new(SimClock::new(true)),
         ));
-        let store = rig.create(disk);
+        let store = rig.create_over(disk, &dev);
         let p = setup_partition(&store);
         let ids: Vec<ChunkId> = (0..THREADS)
             .map(|_| store.allocate_chunk(p).unwrap())
@@ -399,13 +391,13 @@ fn concurrent_commits_flush_less_than_once_per_commit() {
 fn group_commit_on_coalesces_single_commits() {
     const COMMITS: u64 = 6;
     let rig = Rig::new(config());
-    let mem = Arc::new(MemStore::new());
-    let store = rig.create(Arc::clone(&mem) as SharedUntrusted);
+    let dev = SimDevice::new();
+    let store = rig.create(&dev);
     let p = setup_partition(&store);
     let ids: Vec<ChunkId> = (0..COMMITS)
         .map(|_| store.allocate_chunk(p).unwrap())
         .collect();
-    let io_before = mem.stats().snapshot();
+    let io_before = dev.stats().snapshot();
     for (i, id) in ids.iter().enumerate() {
         store
             .commit(vec![CommitOp::WriteChunk {
@@ -414,7 +406,7 @@ fn group_commit_on_coalesces_single_commits() {
             }])
             .unwrap();
     }
-    let io = mem.stats().snapshot().since(&io_before);
+    let io = dev.stats().snapshot().since(&io_before);
     assert_eq!(io.writes, COMMITS, "coalesced: 1 write per commit");
     assert_eq!(io.flushes, COMMITS, "durability rule unchanged");
     let stats = store.stats();
@@ -422,7 +414,7 @@ fn group_commit_on_coalesces_single_commits() {
     assert!(stats.log_writes_coalesced >= COMMITS);
     drop(store);
     let reopened = rig
-        .open(Arc::new(MemStore::from_bytes(mem.image())) as SharedUntrusted)
+        .open(&dev.snapshot())
         .expect("recovery of the coalesced log");
     for (i, id) in ids.iter().enumerate() {
         assert_eq!(reopened.read(*id).unwrap(), content(i, 0));
@@ -439,7 +431,7 @@ fn group_commit_on_coalesces_single_commits() {
 #[test]
 fn clean_levels_are_skipped_by_incremental_checkpoints() {
     let rig = Rig::new(config());
-    let store = rig.create(Arc::new(MemStore::new()) as SharedUntrusted);
+    let store = rig.create(&SimDevice::new());
     let p = setup_partition(&store);
     for i in 0..24usize {
         let id = store.allocate_chunk(p).unwrap();

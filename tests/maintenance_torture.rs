@@ -30,8 +30,7 @@ use tdb::{
 use tdb_core::CoreError;
 use tdb_crypto::SecretKey;
 use tdb_storage::{
-    CounterOverTrusted, CrashStore, FaultPlan, FaultyTrustedStore, MemStore, MemTrustedStore,
-    PlannedFaultStore, SharedUntrusted, TrustedStore,
+    CounterOverTrusted, DeviceSnapshot, FaultKind, FaultPlan, SharedUntrusted, SimDevice,
 };
 
 const THREADS: usize = 6;
@@ -50,39 +49,37 @@ fn bounded_config() -> ChunkStoreConfig {
 
 struct Rig {
     secret: SecretKey,
-    register: Arc<MemTrustedStore>,
     config: ChunkStoreConfig,
+}
+
+fn backend(dev: &Arc<SimDevice>) -> TrustedBackend {
+    TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(dev.register())))
 }
 
 impl Rig {
     fn new(config: ChunkStoreConfig) -> Rig {
         Rig {
             secret: SecretKey::random(24),
-            register: Arc::new(MemTrustedStore::new(64)),
             config,
         }
     }
 
-    fn backend(&self) -> TrustedBackend {
-        TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
-            Arc::clone(&self.register) as Arc<dyn TrustedStore>,
-        )))
-    }
-
-    fn create(&self, untrusted: SharedUntrusted) -> ChunkStore {
+    fn create(&self, dev: &Arc<SimDevice>) -> ChunkStore {
         ChunkStore::create(
-            untrusted,
-            self.backend(),
+            Arc::clone(dev) as SharedUntrusted,
+            backend(dev),
             self.secret.clone(),
             self.config.clone(),
         )
         .unwrap()
     }
 
-    fn open(&self, untrusted: SharedUntrusted) -> tdb_core::Result<ChunkStore> {
+    /// Reboots a machine from `snapshot`: its image and its register.
+    fn open(&self, snapshot: &DeviceSnapshot) -> tdb_core::Result<ChunkStore> {
+        let dev = SimDevice::from_snapshot(snapshot);
         ChunkStore::open(
-            untrusted,
-            self.backend(),
+            Arc::clone(&dev) as SharedUntrusted,
+            backend(&dev),
             self.secret.clone(),
             self.config.clone(),
         )
@@ -144,8 +141,8 @@ fn commit_patiently(store: &ChunkStore, id: ChunkId, bytes: &[u8]) -> bool {
 fn acked_commits_survive_crash_during_inline_cleaning() {
     const ROUNDS: usize = 20;
     let rig = Rig::new(bounded_config());
-    let crash = Arc::new(CrashStore::new(Arc::new(MemStore::new())).unwrap());
-    let store = rig.create(Arc::clone(&crash) as SharedUntrusted);
+    let dev = SimDevice::new();
+    let store = rig.create(&dev);
     let p = setup_partition(&store);
     let ids: Vec<Vec<ChunkId>> = (0..THREADS)
         .map(|_| (0..4).map(|_| store.allocate_chunk(p).unwrap()).collect())
@@ -183,9 +180,8 @@ fn acked_commits_survive_crash_during_inline_cleaning() {
     assert!(stats.clean_slices >= 1, "no inline slice ran");
     drop(store);
 
-    let image = crash.crash_lose_all();
     let reopened = rig
-        .open(Arc::new(MemStore::from_bytes(image)) as SharedUntrusted)
+        .open(&dev.crash_lose_all())
         .expect("recovery after losing all unflushed writes");
     for (id, bytes) in &acked {
         assert_eq!(
@@ -208,12 +204,8 @@ fn acked_commits_survive_crash_during_inline_cleaning() {
 fn seeded_faults_with_inline_cleaning_never_poison() {
     for seed in [1u64, 2, 3] {
         let rig = Rig::new(bounded_config());
-        let mem = Arc::new(MemStore::new());
-        let pf = Arc::new(PlannedFaultStore::new(
-            Arc::clone(&mem) as SharedUntrusted,
-            FaultPlan::new(),
-        ));
-        let store = rig.create(Arc::clone(&pf) as SharedUntrusted);
+        let dev = SimDevice::new();
+        let store = rig.create(&dev);
         let p = setup_partition(&store);
         let ids: Vec<Vec<ChunkId>> = (0..THREADS)
             .map(|_| (0..3).map(|_| store.allocate_chunk(p).unwrap()).collect())
@@ -227,8 +219,8 @@ fn seeded_faults_with_inline_cleaning_never_poison() {
         } {
             assert!(commit_patiently(&store, scratch, &[0x5C; 600]));
         }
-        let horizon = pf.total_ops() + 300;
-        pf.set_plan(FaultPlan::seeded(seed, horizon, 5));
+        let horizon = dev.total_ops() + 300;
+        dev.set_plan(FaultPlan::seeded(seed, horizon, 5));
 
         // Write-once ids: a failed commit is never durably superseded, so
         // "acknowledged implies readable after recovery" stays exact even
@@ -257,9 +249,8 @@ fn seeded_faults_with_inline_cleaning_never_poison() {
         let acked = acked.into_inner().unwrap();
         drop(store);
 
-        pf.set_plan(FaultPlan::new());
         let reopened = rig
-            .open(Arc::new(MemStore::from_bytes(mem.image())) as SharedUntrusted)
+            .open(&dev.snapshot())
             .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}"));
         for (id, bytes) in &acked {
             assert_eq!(
@@ -283,8 +274,7 @@ fn seeded_faults_with_inline_cleaning_never_poison() {
 fn background_cleaner_sustains_writes_past_raw_capacity() {
     const ROUNDS: usize = 60;
     let rig = Rig::new(bounded_config());
-    let mem = Arc::new(MemStore::new());
-    let store = rig.create(Arc::clone(&mem) as SharedUntrusted);
+    let store = rig.create(&SimDevice::new());
     let p = setup_partition(&store);
     let capacity = u64::from(rig.config.max_segments) * u64::from(rig.config.segment_size);
 
@@ -362,7 +352,7 @@ fn overwrite(store: &ChunkStore, id: ChunkId, round: usize) -> tdb_core::Result<
 /// must one more after the threads join.
 fn never_wedges(committers: usize, rounds: usize, racing_cleaner: bool) {
     let rig = Rig::new(small_log_config());
-    let store = rig.create(Arc::new(MemStore::new()) as SharedUntrusted);
+    let store = rig.create(&SimDevice::new());
     let p = setup_partition(&store);
     let ids: Vec<ChunkId> = (0..8).map(|_| store.allocate_chunk(p).unwrap()).collect();
     let done = std::sync::atomic::AtomicBool::new(false);
@@ -441,7 +431,7 @@ fn a_log_full_of_live_data_is_left_alone() {
         fanout: 4,
         ..small_log_config()
     });
-    let store = rig.create(Arc::new(MemStore::new()) as SharedUntrusted);
+    let store = rig.create(&SimDevice::new());
     let p = setup_partition(&store);
     let write_new = |round: usize| {
         let id = store.allocate_chunk(p).unwrap();
@@ -494,9 +484,9 @@ fn the_reserve_covers_the_worst_slice() {
             checkpoint_threshold: 100_000,
             ..ChunkStoreConfig::default()
         });
-        let mem = Arc::new(MemStore::new());
+        let dev = SimDevice::new();
         let (p, x) = {
-            let store = rig.create(Arc::clone(&mem) as SharedUntrusted);
+            let store = rig.create(&dev);
             let p = setup_partition(&store);
             let x = store.allocate_chunk(p).unwrap();
             for i in 0..120u32 {
@@ -517,7 +507,7 @@ fn the_reserve_covers_the_worst_slice() {
             assert_eq!(store.stats().checkpoints, 1, "only the format checkpoint");
             (p, x)
         };
-        let image = mem.image();
+        let snapshot = dev.snapshot();
         let reopen = |max_segments: u32| {
             let rig = Rig {
                 config: ChunkStoreConfig {
@@ -525,12 +515,11 @@ fn the_reserve_covers_the_worst_slice() {
                     ..rig.config.clone()
                 },
                 secret: rig.secret.clone(),
-                register: Arc::clone(&rig.register),
             };
-            rig.open(Arc::new(MemStore::from_bytes(image.clone())) as SharedUntrusted)
-                .unwrap()
+            rig.open(&snapshot).unwrap()
         };
-        let segments = (image.len() as u64 - tdb_core::log::SEGMENT_BASE).div_ceil(4096) as u32;
+        let segments =
+            (snapshot.image.len() as u64 - tdb_core::log::SEGMENT_BASE).div_ceil(4096) as u32;
         let (_, reserve) = reopen(u32::MAX).debug_free_and_reserve();
         let store = reopen(segments + reserve as u32);
         let ctx = format!("scratch {scratch}");
@@ -567,12 +556,8 @@ fn the_reserve_covers_the_worst_slice() {
 
 /// A bounded store one commit short of its first inline slice.
 struct SliceRig {
-    secret: SecretKey,
-    config: ChunkStoreConfig,
-    register: Arc<MemTrustedStore>,
-    faulty: Arc<FaultyTrustedStore>,
-    crash: Arc<CrashStore>,
-    pf: Arc<PlannedFaultStore>,
+    rig: Rig,
+    dev: Arc<SimDevice>,
     store: ChunkStore,
     /// Every chunk with its acknowledged content; the slice's commit
     /// overwrites chunk 0.
@@ -585,33 +570,15 @@ impl SliceRig {
     /// R + 2: the next commit's batch leader runs a slice, which must
     /// checkpoint before it can clean anything.
     fn new() -> SliceRig {
-        let register = Arc::new(MemTrustedStore::new(64));
-        let faulty = Arc::new(FaultyTrustedStore::new(
-            Arc::clone(&register) as Arc<dyn TrustedStore>
-        ));
-        let crash =
-            Arc::new(CrashStore::new(Arc::new(MemStore::new()) as SharedUntrusted).unwrap());
-        let pf = Arc::new(PlannedFaultStore::new(
-            Arc::clone(&crash) as SharedUntrusted,
-            FaultPlan::new(),
-        ));
-        let secret = SecretKey::random(24);
-        let config = ChunkStoreConfig {
+        let rig = Rig::new(ChunkStoreConfig {
             fanout: 4,
             segment_size: 4096,
             max_segments: 16,
             checkpoint_threshold: 100_000,
             ..ChunkStoreConfig::default()
-        };
-        let store = ChunkStore::create(
-            Arc::clone(&pf) as SharedUntrusted,
-            TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
-                Arc::clone(&faulty) as Arc<dyn TrustedStore>
-            ))),
-            secret.clone(),
-            config.clone(),
-        )
-        .unwrap();
+        });
+        let dev = SimDevice::new();
+        let store = rig.create(&dev);
         let p = setup_partition(&store);
         let mut acked: Vec<(ChunkId, Vec<u8>)> = (0..8)
             .map(|_| (store.allocate_chunk(p).unwrap(), Vec::new()))
@@ -637,12 +604,8 @@ impl SliceRig {
         }
         assert_eq!(store.stats().clean_slices, 0);
         SliceRig {
-            secret,
-            config,
-            register,
-            faulty,
-            crash,
-            pf,
+            rig,
+            dev,
             store,
             acked,
         }
@@ -657,16 +620,10 @@ impl SliceRig {
     /// register as the crash left it, and checks every acknowledged commit
     /// survived and the reopened store admits one more.
     fn crash_and_reopen(&self, result: &tdb_core::Result<()>, ctx: &str) {
-        let image = self.crash.crash_keep_all();
-        let store = ChunkStore::open(
-            Arc::new(MemStore::from_bytes(image)) as SharedUntrusted,
-            TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
-                Arc::clone(&self.register) as Arc<dyn TrustedStore>,
-            ))),
-            self.secret.clone(),
-            self.config.clone(),
-        )
-        .unwrap_or_else(|e| panic!("{ctx}: recovery refused the image: {e}"));
+        let store = self
+            .rig
+            .open(&self.dev.crash_keep_all())
+            .unwrap_or_else(|e| panic!("{ctx}: recovery refused the image: {e}"));
         for (i, (id, old)) in self.acked.iter().enumerate() {
             let got = store
                 .read(*id)
@@ -701,8 +658,8 @@ fn crash_sweep_through_a_slice_that_takes_the_reserve() {
     let (free, reserve) = dry.store.debug_free_and_reserve();
     let (size, ops, advances) = (
         dry.store.stored_size(),
-        dry.pf.total_ops(),
-        dry.register.stats().snapshot().writes,
+        dry.dev.total_ops(),
+        dry.dev.register_ops(),
     );
     dry.commit().unwrap();
     assert_eq!(dry.store.stats().clean_slices, 1);
@@ -713,24 +670,26 @@ fn crash_sweep_through_a_slice_that_takes_the_reserve() {
         free - taken < reserve,
         "the slice took {taken} of {free} free segments, none of the {reserve} reserved"
     );
-    let ops = dry.pf.total_ops() - ops;
-    let advances = dry.register.stats().snapshot().writes - advances;
+    let ops = dry.dev.total_ops() - ops;
+    let advances = dry.dev.register_ops() - advances;
     dry.crash_and_reopen(&Ok(()), "crash after the slice");
 
     for halt in 0..ops {
         let rig = SliceRig::new();
-        let start = rig.pf.total_ops() + halt;
-        rig.pf
-            .set_plan(FaultPlan::new().transient_window(start, u64::MAX));
+        let start = rig.dev.total_ops() + halt;
+        rig.dev
+            .set_plan(FaultPlan::new().at(start, FaultKind::TransientWindow { len: u64::MAX }));
         let result = rig.commit();
         assert!(!rig.store.health().is_poisoned(), "device op {halt}");
         rig.crash_and_reopen(&result, &format!("stopped at device op {halt}"));
     }
     for fail in 0..advances {
         let rig = SliceRig::new();
-        rig.faulty.fail_after_writes(fail);
+        let from = rig.dev.register_ops() + fail;
+        rig.dev
+            .set_plan(FaultPlan::new().at(from, FaultKind::RegisterFailsFrom));
         let result = rig.commit();
-        assert_eq!(rig.faulty.failures(), 1, "counter write {fail}");
+        assert_eq!(rig.dev.injected_faults(), 1, "counter write {fail}");
         rig.crash_and_reopen(&result, &format!("counter write {fail} failed"));
     }
 }

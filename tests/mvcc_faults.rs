@@ -23,8 +23,7 @@ use tdb_object::errors::ObjectError;
 use tdb_object::pickle::{StoredObject, TypeRegistry};
 use tdb_object::{ObjectId, ObjectStore, ObjectStoreConfig};
 use tdb_storage::{
-    CounterOverTrusted, FaultKind, FaultPlan, MemStore, MemTrustedStore, PlannedFaultStore,
-    SharedUntrusted, TrustedStore,
+    CounterOverTrusted, DeviceSnapshot, FaultKind, FaultPlan, SharedUntrusted, SimDevice,
 };
 
 #[derive(Debug, PartialEq)]
@@ -134,25 +133,20 @@ fn verify_model(
 
 struct Rig {
     secret: SecretKey,
-    register: Arc<MemTrustedStore>,
-    mem: Arc<MemStore>,
-    pf: Arc<PlannedFaultStore>,
+    dev: Arc<SimDevice>,
+}
+
+fn backend(dev: &Arc<SimDevice>) -> TrustedBackend {
+    TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(dev.register())))
 }
 
 fn rig() -> (Rig, Arc<ChunkStore>, PartitionId) {
     let secret = SecretKey::random(24);
-    let register = Arc::new(MemTrustedStore::new(64));
-    let mem = Arc::new(MemStore::new());
-    let pf = Arc::new(PlannedFaultStore::new(
-        Arc::clone(&mem) as SharedUntrusted,
-        FaultPlan::new(),
-    ));
+    let dev = SimDevice::new();
     let chunks = Arc::new(
         ChunkStore::create(
-            Arc::clone(&pf) as SharedUntrusted,
-            TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
-                Arc::clone(&register) as Arc<dyn TrustedStore>
-            ))),
+            Arc::clone(&dev) as SharedUntrusted,
+            backend(&dev),
             secret.clone(),
             config(),
         )
@@ -165,33 +159,24 @@ fn rig() -> (Rig, Arc<ChunkStore>, PartitionId) {
             params: CryptoParams::paper_default(),
         }])
         .unwrap();
-    (
-        Rig {
-            secret,
-            register,
-            mem,
-            pf,
-        },
-        chunks,
-        p,
-    )
+    (Rig { secret, dev }, chunks, p)
 }
 
 impl Rig {
-    fn backend(&self) -> TrustedBackend {
-        TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
-            Arc::clone(&self.register) as Arc<dyn TrustedStore>,
-        )))
-    }
-
-    fn reopen_image(&self) -> tdb_core::Result<Arc<ChunkStore>> {
+    /// Reboots a machine from `snapshot`: its image and its register.
+    fn open(&self, snapshot: &DeviceSnapshot) -> tdb_core::Result<Arc<ChunkStore>> {
+        let dev = SimDevice::from_snapshot(snapshot);
         ChunkStore::open(
-            Arc::new(MemStore::from_bytes(self.mem.image())) as SharedUntrusted,
-            self.backend(),
+            Arc::clone(&dev) as SharedUntrusted,
+            backend(&dev),
             self.secret.clone(),
             config(),
         )
         .map(Arc::new)
+    }
+
+    fn reopen_image(&self) -> tdb_core::Result<Arc<ChunkStore>> {
+        self.open(&self.dev.snapshot())
     }
 }
 
@@ -287,7 +272,7 @@ fn acked_mvcc_commits_survive_crash_at_every_point() {
     let store = objects_over(Arc::clone(&chunks));
 
     // Capture an image after every acknowledged transaction.
-    type Image = (Vec<u8>, Vec<u8>, Vec<(ObjectId, Option<u64>)>);
+    type Image = (DeviceSnapshot, Vec<(ObjectId, Option<u64>)>);
     let mut images: Vec<Image> = Vec::new();
     let mut model: Vec<(ObjectId, Option<u64>)> = Vec::new();
     {
@@ -295,7 +280,7 @@ fn acked_mvcc_commits_survive_crash_at_every_point() {
         let a = tx.create(p, Arc::new(Val(0))).unwrap();
         tx.commit().unwrap();
         model.push((a, Some(0)));
-        images.push((rig.mem.image(), rig.register.image(), model.clone()));
+        images.push((rig.dev.snapshot(), model.clone()));
     }
     let a = model[0].0;
     for step in 1..=12u64 {
@@ -312,20 +297,14 @@ fn acked_mvcc_commits_survive_crash_at_every_point() {
                 model.push((extra, Some(step + 100)));
             })
             .unwrap();
-        images.push((rig.mem.image(), rig.register.image(), model.clone()));
+        images.push((rig.dev.snapshot(), model.clone()));
     }
     drop(store);
 
-    for (i, (image, register_image, expected)) in images.iter().enumerate() {
-        rig.register.restore(register_image.clone());
-        let chunks = ChunkStore::open(
-            Arc::new(MemStore::from_bytes(image.clone())) as SharedUntrusted,
-            rig.backend(),
-            rig.secret.clone(),
-            config(),
-        )
-        .map(Arc::new)
-        .unwrap_or_else(|e| panic!("crash point {i}: recovery failed: {e}"));
+    for (i, (snapshot, expected)) in images.iter().enumerate() {
+        let chunks = rig
+            .open(snapshot)
+            .unwrap_or_else(|e| panic!("crash point {i}: recovery failed: {e}"));
         let store = objects_over(chunks);
         verify_model(&store, expected, &None, &format!("crash point {i}"));
         // Recovered stores accept new MVCC transactions immediately.
@@ -334,7 +313,6 @@ fn acked_mvcc_commits_survive_crash_at_every_point() {
             .unwrap_or_else(|e| panic!("crash point {i}: post-recovery commit failed: {e}"));
         assert_eq!(read_val(&store, id), Some(9999));
     }
-    rig.register.restore(images.last().unwrap().1.clone());
 }
 
 /// Arms one write fault at every `stride`-th write index of the scripted
@@ -344,13 +322,13 @@ fn commit_fault_sweep(seeds: &[u64], stride: usize) {
     // Dry run to size the sweep.
     let (dry_rig, dry_chunks, dry_p) = rig();
     let dry_store = objects_over(dry_chunks);
-    let base = dry_rig.pf.write_ops();
+    let base = dry_rig.dev.write_ops();
     let mut dry_model = Vec::new();
     assert!(
         run_script(&dry_store, dry_p, &mut dry_model).is_none(),
         "dry run is fault-free"
     );
-    let total_writes = dry_rig.pf.write_ops() - base;
+    let total_writes = dry_rig.dev.write_ops() - base;
     assert!(total_writes > 20, "workload too small to be interesting");
     drop(dry_store);
 
@@ -359,14 +337,14 @@ fn commit_fault_sweep(seeds: &[u64], stride: usize) {
         for i in (0..total_writes).step_by(stride) {
             let (rig, chunks, p) = rig();
             let store = objects_over(Arc::clone(&chunks));
-            let base = rig.pf.write_ops();
+            let base = rig.dev.write_ops();
             let kind = match (i + seed) % 2 {
                 0 => FaultKind::WriteError,
                 _ => FaultKind::TornWrite {
                     keep: ((i * 7 + seed * 13) % 96) as u32,
                 },
             };
-            rig.pf.set_plan(FaultPlan::new().at(base + i, kind));
+            rig.dev.set_plan(FaultPlan::new().at(base + i, kind));
             let mut model = Vec::new();
             let attempted = run_script(&store, p, &mut model);
             let ctx = format!("seed {seed}, write index {i}");
@@ -385,7 +363,7 @@ fn commit_fault_sweep(seeds: &[u64], stride: usize) {
             drop(store);
 
             // Recovery from the faulted image upholds the same contract.
-            rig.pf.set_plan(FaultPlan::new());
+            rig.dev.set_plan(FaultPlan::new());
             let reopened = rig
                 .reopen_image()
                 .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
@@ -418,15 +396,15 @@ fn seeded_mvcc_torture(seeds: &[u64]) {
     for &seed in seeds {
         let (rig, chunks, p) = rig();
         let store = objects_over(Arc::clone(&chunks));
-        let horizon = rig.pf.total_ops() + 400;
-        rig.pf.set_plan(FaultPlan::seeded(seed, horizon, 6));
+        let horizon = rig.dev.total_ops() + 400;
+        rig.dev.set_plan(FaultPlan::seeded(seed, horizon, 6));
         let mut model = Vec::new();
         let attempted = run_script(&store, p, &mut model);
         let ctx = format!("seeded mvcc plan {seed}");
         assert!(!chunks.health().is_poisoned(), "{ctx}: poisoned");
         drop(store);
 
-        rig.pf.set_plan(FaultPlan::new());
+        rig.dev.set_plan(FaultPlan::new());
         let reopened = rig
             .reopen_image()
             .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));

@@ -13,8 +13,7 @@ use tdb_client::{ClientError, TdbClient};
 use tdb_crypto::SecretKey;
 use tdb_server::{ServerConfig, TdbServer};
 use tdb_storage::{
-    CounterOverTrusted, CrashStore, FaultPlan, MemArchive, MemStore, MemTrustedStore,
-    PlannedFaultStore, SharedUntrusted, TrustedStore,
+    CounterOverTrusted, DeviceSnapshot, FaultPlan, MemArchive, SharedUntrusted, SimDevice,
 };
 
 const AUTH_KEY: &[u8] = b"torture-pre-shared-key";
@@ -52,10 +51,18 @@ fn builder() -> TrustedDbBuilder {
         .register_type(REC_TAG, unpickle_rec)
 }
 
-fn backend_over(register: &Arc<MemTrustedStore>) -> TrustedBackend {
-    TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
-        Arc::clone(register) as Arc<dyn TrustedStore>
-    )))
+fn backend_over(dev: &Arc<SimDevice>) -> TrustedBackend {
+    TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(dev.register())))
+}
+
+/// Reboots a machine from `snapshot`: its image and its register.
+fn reopen(snapshot: &DeviceSnapshot) -> tdb::Result<tdb::TrustedDb> {
+    let dev = SimDevice::from_snapshot(snapshot);
+    builder().open(
+        Arc::clone(&dev) as SharedUntrusted,
+        backend_over(&dev),
+        Arc::new(MemArchive::new()),
+    )
 }
 
 /// Kill the server while many connections are writing; crash the device
@@ -63,13 +70,11 @@ fn backend_over(register: &Arc<MemTrustedStore>) -> TrustedBackend {
 /// create survived.
 #[test]
 fn killed_mid_load_loses_no_acked_commit() {
-    let inner = Arc::new(MemStore::new());
-    let crash = Arc::new(CrashStore::new(Arc::clone(&inner) as SharedUntrusted).unwrap());
-    let register = Arc::new(MemTrustedStore::new(64));
+    let crash = SimDevice::new();
     let db = builder()
         .create(
             Arc::clone(&crash) as SharedUntrusted,
-            backend_over(&register),
+            backend_over(&crash),
             Arc::new(MemArchive::new()),
         )
         .expect("create db");
@@ -125,14 +130,7 @@ fn killed_mid_load_loses_no_acked_commit() {
     drop(server);
 
     // Crash the device: every write not yet flushed is gone.
-    let image = crash.crash_lose_all();
-    let reopened = builder()
-        .open(
-            Arc::new(MemStore::from_bytes(image)) as SharedUntrusted,
-            backend_over(&register),
-            Arc::new(MemArchive::new()),
-        )
-        .expect("reopen after kill must validate");
+    let reopened = reopen(&crash.crash_lose_all()).expect("reopen after kill must validate");
     let mut session = reopened.session("auditor");
     for (id, payload) in &acked {
         match session.dispatch(&Command::Get(*id)) {
@@ -149,16 +147,11 @@ fn killed_mid_load_loses_no_acked_commit() {
 /// the health stamp tells clients when the store degrades.
 #[test]
 fn seeded_faults_surface_as_typed_errors_and_reopen_verifies() {
-    let inner = Arc::new(MemStore::new());
-    let faulty = Arc::new(PlannedFaultStore::new(
-        Arc::clone(&inner) as SharedUntrusted,
-        FaultPlan::new(),
-    ));
-    let register = Arc::new(MemTrustedStore::new(64));
+    let faulty = SimDevice::new();
     let db = builder()
         .create(
             Arc::clone(&faulty) as SharedUntrusted,
-            backend_over(&register),
+            backend_over(&faulty),
             Arc::new(MemArchive::new()),
         )
         .expect("create db");
@@ -215,13 +208,7 @@ fn seeded_faults_surface_as_typed_errors_and_reopen_verifies() {
 
     // Reopen from the device image: recovery must validate, and every
     // acked create must read back intact.
-    let reopened = builder()
-        .open(
-            Arc::new(MemStore::from_bytes(inner.image())) as SharedUntrusted,
-            backend_over(&register),
-            Arc::new(MemArchive::new()),
-        )
-        .expect("reopen after faults must validate");
+    let reopened = reopen(&faulty.snapshot()).expect("reopen after faults must validate");
     let mut session = reopened.session("auditor");
     for (id, payload) in &acked {
         match session.dispatch(&Command::Get(*id)) {
@@ -252,13 +239,11 @@ fn pipelined_killed_mid_load_loses_no_acked_commit_quick() {
 }
 
 fn pipelined_kill(acks_before_kill: u64) {
-    let inner = Arc::new(MemStore::new());
-    let crash = Arc::new(CrashStore::new(Arc::clone(&inner) as SharedUntrusted).unwrap());
-    let register = Arc::new(MemTrustedStore::new(64));
+    let crash = SimDevice::new();
     let db = builder()
         .create(
             Arc::clone(&crash) as SharedUntrusted,
-            backend_over(&register),
+            backend_over(&crash),
             Arc::new(MemArchive::new()),
         )
         .expect("create db");
@@ -344,14 +329,7 @@ fn pipelined_kill(acks_before_kill: u64) {
         .collect();
     drop(server);
 
-    let image = crash.crash_lose_all();
-    let reopened = builder()
-        .open(
-            Arc::new(MemStore::from_bytes(image)) as SharedUntrusted,
-            backend_over(&register),
-            Arc::new(MemArchive::new()),
-        )
-        .expect("reopen after kill must validate");
+    let reopened = reopen(&crash.crash_lose_all()).expect("reopen after kill must validate");
     let mut session = reopened.session("auditor");
     let mut audited = 0;
     for (w, objects) in &objects {
@@ -406,17 +384,12 @@ fn pipelined_seeded_faults_surface_as_typed_errors_quick() {
 }
 
 fn pipelined_faults(seed: u64) {
-    let inner = Arc::new(MemStore::new());
-    let faulty = Arc::new(PlannedFaultStore::new(
-        Arc::clone(&inner) as SharedUntrusted,
-        FaultPlan::new(),
-    ));
-    let register = Arc::new(MemTrustedStore::new(64));
+    let faulty = SimDevice::new();
     let db = Arc::new(
         builder()
             .create(
                 Arc::clone(&faulty) as SharedUntrusted,
-                backend_over(&register),
+                backend_over(&faulty),
                 Arc::new(MemArchive::new()),
             )
             .expect("create db"),
@@ -473,13 +446,7 @@ fn pipelined_faults(seed: u64) {
     drop(server);
     drop(db);
 
-    let reopened = builder()
-        .open(
-            Arc::new(MemStore::from_bytes(inner.image())) as SharedUntrusted,
-            backend_over(&register),
-            Arc::new(MemArchive::new()),
-        )
-        .expect("reopen after faults must validate");
+    let reopened = reopen(&faulty.snapshot()).expect("reopen after faults must validate");
     let mut session = reopened.session("auditor");
     for (id, payload) in &acked {
         match session.dispatch(&Command::Get(*id)) {
@@ -499,15 +466,15 @@ fn pipelined_faults(seed: u64) {
 /// The test forces that interleaving rather than sleeping for it.
 #[test]
 fn pipelined_writes_add_no_wait_for_edge() {
-    let register = Arc::new(MemTrustedStore::new(64));
+    let dev = SimDevice::new();
     let db = builder()
         .object_config(tdb::ObjectStoreConfig {
             lock_timeout: std::time::Duration::from_secs(20),
             ..tdb::ObjectStoreConfig::default()
         })
         .create(
-            Arc::new(MemStore::new()) as SharedUntrusted,
-            backend_over(&register),
+            Arc::clone(&dev) as SharedUntrusted,
+            backend_over(&dev),
             Arc::new(MemArchive::new()),
         )
         .expect("create db");
@@ -568,11 +535,11 @@ fn pipelined_writes_add_no_wait_for_edge() {
 fn malformed_command_gets_in_band_typed_error() {
     use std::io::Write;
 
-    let register = Arc::new(MemTrustedStore::new(64));
+    let dev = SimDevice::new();
     let db = builder()
         .create(
-            Arc::new(MemStore::new()) as SharedUntrusted,
-            backend_over(&register),
+            Arc::clone(&dev) as SharedUntrusted,
+            backend_over(&dev),
             Arc::new(MemArchive::new()),
         )
         .expect("create db");
