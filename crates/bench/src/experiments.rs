@@ -212,7 +212,9 @@ fn write_new(store: &ChunkStore, p: PartitionId, body: Vec<u8>) -> ChunkId {
 /// one 1000-byte row: what `tdbmark`'s kv workloads seal on a commit and
 /// open on a read miss (`crypto.{encrypt,decrypt}_us_per_record`). A
 /// 300-byte row, `goods-txn`'s, opens below the bitsliced DES kernel's
-/// threshold, so both DES decryption regimes have a number.
+/// threshold, so both DES decryption regimes have a number. A batch of 256
+/// rows, the kv preload's commit, encrypts as lanes of one
+/// `Cbc::encrypt_many` call (`encrypt_batch_us`, per batch).
 fn e1_crypto(_run: usize) -> Vec<Row> {
     let buf = bytes(1, 1 << 20);
     let record = &buf[..1000];
@@ -238,6 +240,14 @@ fn e1_crypto(_run: usize) -> Vec<Row> {
                 black_box(cbc.decrypt(&iv, black_box(&sealed)).expect("decrypt"));
             })
         };
+        let mut batch: Vec<Vec<u8>> = (0..256).map(|_| buf[..1008].to_vec()).collect();
+        let encrypt_batch = per_iter(|| {
+            let mut jobs: Vec<_> = batch
+                .iter_mut()
+                .map(|row| (iv.as_slice(), row.as_mut_slice(), record.len()))
+                .collect();
+            cbc.encrypt_many(black_box(&mut jobs)).expect("encrypt");
+        });
         let name = metric_name(cipher);
         let (enc, dec) = (
             mbps(buf.len(), encrypt(&buf)),
@@ -247,6 +257,7 @@ fn e1_crypto(_run: usize) -> Vec<Row> {
             row(format!("{name}.encrypt_mib_s"), "MiB/s", enc).paper(paper),
             row(format!("{name}.decrypt_mib_s"), "MiB/s", dec).paper(paper),
             row(format!("{name}.encrypt_row_us"), "us", us(encrypt(record))),
+            row(format!("{name}.encrypt_batch_us"), "us", us(encrypt_batch)),
             row(format!("{name}.decrypt_row_us"), "us", us(decrypt(record))),
             row(
                 format!("{name}.decrypt_short_row_us"),

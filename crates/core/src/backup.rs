@@ -33,7 +33,6 @@ use tdb_storage::ArchivalStore;
 use crate::codec::{Dec, Enc};
 use crate::errors::{CoreError, Result, TamperKind};
 use crate::ids::{ChunkId, PartitionId};
-use crate::metrics::{self, modules};
 use crate::params::CryptoParams;
 use crate::store::{ChunkStore, CommitOp, DiffChange};
 use crate::version::{parse_version, seal_version, DeallocRecord, VersionHeader, VersionKind};
@@ -285,7 +284,6 @@ impl BackupStore {
             content.update(&rank.to_le_bytes());
             content.update(&body);
             let sealed = self.chunks.with_inner(|inner| {
-                let _t = metrics::span(modules::ENCRYPTION);
                 Ok(seal_version(
                     &inner.system,
                     &part_crypto,

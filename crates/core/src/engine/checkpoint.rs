@@ -23,8 +23,7 @@ use crate::engine::rollback::Undo;
 use crate::errors::Result;
 use crate::ids::{ChunkId, PartitionId, Position};
 use crate::log::Superblock;
-use crate::metrics::{self, modules};
-use crate::pipeline::SealJob;
+use crate::pipeline::{self, SealJob};
 use crate::store::{Inner, ValidationMode};
 use crate::version::{seal_version, sealed_version_len, VersionKind};
 
@@ -131,16 +130,13 @@ impl Inner {
 
         // Re-encode after ensure_room (a segment switch changes log state).
         let body = self.leader_body();
-        let sealed = {
-            let _t = metrics::span(modules::ENCRYPTION);
-            seal_version(
-                &self.system,
-                &self.system,
-                VersionKind::Named,
-                ChunkId::system_leader(),
-                &body,
-            )
-        };
+        let sealed = seal_version(
+            &self.system,
+            &self.system,
+            VersionKind::Named,
+            ChunkId::system_leader(),
+            &body,
+        );
         let leader_loc = self.append(&sealed)?;
 
         // Utilization: retire the previous leader version, count this one.
@@ -226,7 +222,7 @@ impl Inner {
             .zip(&bodies)
             .map(|(((p, pos), crypto), body)| (ChunkId::new(*p, *pos), crypto, body.as_slice()))
             .collect();
-        let sealed = self.seal_jobs(&jobs);
+        let sealed = pipeline::seal_batch(&self.system, VersionKind::Named, &jobs);
         for ((p, pos), pre) in keys.iter().zip(sealed) {
             let id = ChunkId::new(*p, *pos);
             let desc = self.append_presealed(pre)?;

@@ -20,7 +20,7 @@ use crate::ids::{ChunkId, PartitionId};
 use crate::leader::PartitionLeader;
 use crate::metrics::{self, modules};
 use crate::params::CryptoParams;
-use crate::pipeline::{self, Presealed, SealJob, Seals};
+use crate::pipeline::{self, Presealed, Seals};
 use crate::store::{Inner, TrustedBackend, ValidationMode};
 use crate::version::{seal_version, CommitRecord, DeallocRecord, VersionHeader, VersionKind};
 
@@ -148,18 +148,6 @@ impl Inner {
             self.append_dealloc_chunk(&dealloc_ids)?;
         }
         Ok(())
-    }
-
-    /// Runs a checkpoint level's `jobs` through [`pipeline::seal_batch`] and
-    /// counts the batch if it fanned out.
-    pub(crate) fn seal_jobs(&mut self, jobs: &[SealJob<'_>]) -> Vec<Presealed> {
-        let (sealed, fanned_out) =
-            pipeline::seal_batch(&self.system, jobs, self.config.crypto_workers);
-        if fanned_out {
-            self.stats.parallel_crypto_batches += 1;
-            self.stats.parallel_crypto_chunks += sealed.len() as u64;
-        }
-        sealed
     }
 
     /// Hashes, seals and appends one named version outside any batch (a
@@ -312,16 +300,13 @@ impl Inner {
     fn append_dealloc_chunk(&mut self, ids: &[ChunkId]) -> Result<()> {
         // Encode straight from the borrowed id list; no owned record copy.
         let body = DeallocRecord::encode_ids(ids);
-        let sealed = {
-            let _t = metrics::span(modules::ENCRYPTION);
-            seal_version(
-                &self.system,
-                &self.system,
-                VersionKind::Dealloc,
-                VersionHeader::unnamed_id(),
-                &body,
-            )
-        };
+        let sealed = seal_version(
+            &self.system,
+            &self.system,
+            VersionKind::Dealloc,
+            VersionHeader::unnamed_id(),
+            &body,
+        );
         self.append(&sealed)?;
         Ok(())
     }
@@ -365,16 +350,13 @@ impl Inner {
         let set_hash = self.hashes.end_set();
         let count = self.commit_count + 1;
         let body = CommitRecord::encode_signed(&self.system, count, set_hash.as_bytes());
-        let sealed = {
-            let _t = metrics::span(modules::ENCRYPTION);
-            seal_version(
-                &self.system,
-                &self.system,
-                VersionKind::Commit,
-                VersionHeader::unnamed_id(),
-                &body,
-            )
-        };
+        let sealed = seal_version(
+            &self.system,
+            &self.system,
+            VersionKind::Commit,
+            VersionHeader::unnamed_id(),
+            &body,
+        );
         self.append(&sealed)?;
         self.commit_count = count;
         Ok(count)
@@ -646,21 +628,19 @@ mod tests {
     use tdb_crypto::SecretKey;
     use tdb_storage::{CounterOverTrusted, MemStore, MemTrustedStore};
 
-    /// A group-commit batch of one caller's sets fans its sealing out by
-    /// the plaintext the sets carry together, on the caller's thread before
-    /// the engine lock: two 1000-byte autocommits (`kv-update`'s usual
-    /// batch) stay on that thread, two bulk members share one fan-out.
+    /// A group-commit batch of one caller's sets is sealed on the caller's
+    /// thread before the engine lock, all its members' writes in one
+    /// pipeline pass: two 1000-byte autocommits (`kv-update`'s usual
+    /// batch), and two bulk members whose 80 bodies go as lanes of one
+    /// bitsliced call where the CPU has it. The engine seals none of them.
     #[test]
-    fn group_commit_batch_fans_out_by_total_plaintext() {
+    fn group_commit_batch_is_sealed_before_the_engine_lock() {
         let counter = CounterOverTrusted::new(Arc::new(MemTrustedStore::new(16)));
         let store = ChunkStore::create(
             Arc::new(MemStore::new()),
             TrustedBackend::Counter(Arc::new(counter)),
             SecretKey::random(24),
-            ChunkStoreConfig {
-                crypto_workers: 2,
-                ..ChunkStoreConfig::default()
-            },
+            ChunkStoreConfig::default(),
         )
         .unwrap();
         let p = create(&store, CryptoParams::paper_default());
@@ -675,14 +655,21 @@ mod tests {
 
         let small = vec![member(1), member(1)];
         assert!(store.commit_many(small).iter().all(Result::is_ok));
-        assert_eq!(store.stats().parallel_crypto_batches, 0);
-
         let bulk = vec![member(40), member(40)];
+        let ids: Vec<ChunkId> = bulk
+            .iter()
+            .flatten()
+            .map(|op| match op {
+                CommitOp::WriteChunk { id, .. } => *id,
+                _ => unreachable!(),
+            })
+            .collect();
         assert!(store.commit_many(bulk).iter().all(Result::is_ok));
-        assert_eq!(store.stats().parallel_crypto_batches, 1);
-        assert_eq!(store.stats().parallel_crypto_chunks, 80);
         assert_eq!(store.stats().batched_commits, 5, "one create, four members");
         assert_eq!(store.debug_bodies_sealed_under_lock(), 0);
+        for id in ids {
+            assert_eq!(store.read(id).unwrap(), vec![0x5A; 1000]);
+        }
     }
 
     /// A device, a trusted register and a key: what reopening needs.

@@ -488,16 +488,13 @@ impl Inner {
             new_location: new_desc.location,
             current_in: current_in.to_vec(),
         };
-        let sealed = {
-            let _t = metrics::span(modules::ENCRYPTION);
-            seal_version(
-                &self.system,
-                &self.system,
-                VersionKind::Cleaner,
-                VersionHeader::unnamed_id(),
-                &record.encode(),
-            )
-        };
+        let sealed = seal_version(
+            &self.system,
+            &self.system,
+            VersionKind::Cleaner,
+            VersionHeader::unnamed_id(),
+            &record.encode(),
+        );
         self.append(&sealed)?;
         for &q in current_in {
             // Sanity: each partition still points at the old version.

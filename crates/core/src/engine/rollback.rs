@@ -414,7 +414,6 @@ mod tests {
                 fanout: 4,
                 segment_size: 4096,
                 checkpoint_threshold,
-                crypto_workers: 1,
                 ..ChunkStoreConfig::default()
             },
         )

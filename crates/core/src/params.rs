@@ -10,7 +10,7 @@
 //! from the secret, never the secret itself
 //! ([`crate::store::ChunkStoreConfig::system_params`]).
 
-use tdb_crypto::cbc::Cbc;
+use tdb_crypto::cbc::{Cbc, Job};
 use tdb_crypto::hmac::HmacKey;
 use tdb_crypto::{CipherKind, HashKind, HashValue, SecretKey};
 
@@ -158,6 +158,32 @@ impl PartitionCrypto {
         self.cbc
             .encrypt_append(iv, plain, out)
             .expect("fresh IV always has the right length");
+    }
+
+    /// Encrypts every buffer in place under a fresh IV, the IVs drawn in
+    /// order. A buffer is room for the IV, `len` bytes of plaintext and
+    /// room for the padding, [`PartitionCrypto::sealed_len`]`(len)` bytes
+    /// in all, and comes out as `IV ‖ ciphertext`. One kernel call covers
+    /// them all, so a cipher with lanes enciphers them in lockstep.
+    pub fn encrypt_many(&self, bufs: &mut [(&mut [u8], usize)]) {
+        let bs = self.cbc.block_size();
+        let mut jobs: Vec<Job<'_>> = bufs
+            .iter_mut()
+            .map(|(buf, len)| {
+                let (iv, rest) = buf.split_at_mut(bs);
+                self.cbc.fill_iv(iv);
+                (&*iv, rest, *len)
+            })
+            .collect();
+        self.encrypt_many_in_place(&mut jobs);
+    }
+
+    /// [`PartitionCrypto::encrypt_in_place`] over many buffers, each under
+    /// its own caller-supplied IV, in one kernel call.
+    pub fn encrypt_many_in_place(&self, jobs: &mut [Job<'_>]) {
+        self.cbc
+            .encrypt_many(jobs)
+            .expect("callers size the IVs and the buffers");
     }
 
     /// Decrypts `IV ‖ ciphertext` produced by [`PartitionCrypto::encrypt`].

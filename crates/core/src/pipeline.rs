@@ -1,8 +1,9 @@
-//! The crypto pipeline: hash + seal a batch of chunk bodies ahead of their
-//! log appends, on more than one core when the batch is worth it.
+//! The crypto pipeline: lays out, hashes and seals a batch of chunk bodies
+//! ahead of their log appends, the bodies of one cipher as lanes of one
+//! kernel call.
 //!
 //! The paper identifies cryptography as the dominant cost of the chunk
-//! store (§9.3), and `seal_version` is location-independent: the sealed
+//! store (§9.3), and a sealed version is location-independent: the sealed
 //! bytes and the body hash of every `WriteChunk` in a commit set (and of
 //! every dirty map chunk at one level of a checkpoint) can be computed
 //! before any log offset is assigned. [`seal_batch`] does exactly that, and
@@ -12,14 +13,15 @@
 //! So a committer seals its own writes before it takes the engine lock, and
 //! the engine seals only what the committer could not.
 //!
-//! Whether the batch fans out is decided by *work*, not by job count: below
-//! [`FAN_OUT_MIN_BYTES`] of plaintext (or with `crypto_workers == 1`, or a
-//! single job) everything is sealed inline on the caller's thread and no
-//! thread is created. From there up the caller seals jobs itself beside
-//! `workers - 1` scoped helper threads, all racing down a shared index
-//! over the job list.
+//! CBC encryption is serial within a buffer, but the buffers of a batch
+//! are independent. [`seal_versions`], where every version is made, hands
+//! all bodies under one partition crypto to one `Cbc::encrypt_many` call,
+//! which enciphers them in lockstep, a block of each per step: DES and 3DES
+//! in bitsliced passes of 256 lanes on AVX-512 or four lanes on the table
+//! kernel, AES-NI four lanes. Then it encrypts every header in one call
+//! under the system crypto. All of it runs on the caller's thread, so no
+//! thread is created and the IVs are drawn in a fixed order.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use tdb_crypto::HashValue;
@@ -27,7 +29,7 @@ use tdb_crypto::HashValue;
 use crate::ids::ChunkId;
 use crate::metrics::{self, modules};
 use crate::params::PartitionCrypto;
-use crate::version::{seal_version, VersionKind};
+use crate::version::{VersionHeader, VersionKind, HEADER_LEN, MAX_BLOCK};
 
 /// A chunk body hashed and sealed ahead of its log append.
 pub(crate) struct Presealed {
@@ -48,181 +50,207 @@ pub(crate) type Seals = Vec<Option<Presealed>>;
 /// One seal job: `(id, partition crypto, plaintext body)`.
 pub(crate) type SealJob<'a> = (ChunkId, Arc<PartitionCrypto>, &'a [u8]);
 
-/// Resolves the configured worker count: `0` means auto (available
-/// parallelism, capped at 8), anything else is taken literally.
-fn resolve_workers(configured: usize) -> usize {
-    match configured {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8),
-        n => n,
-    }
-}
-
-/// Hashes and seals one body as a version of `kind`: the one place a named
-/// version is made, whether a batch or a single write asked for it.
+/// Hashes and seals one body as a version of `kind`: a batch of one.
 pub(crate) fn seal_one(
     system: &PartitionCrypto,
     kind: VersionKind,
     job: &SealJob<'_>,
 ) -> Presealed {
-    let (id, crypto, body) = job;
-    let hash = {
-        let _t = metrics::span(modules::HASHING);
-        crypto.hash(body)
-    };
-    let sealed = {
-        let _t = metrics::span(modules::ENCRYPTION);
-        seal_version(system, crypto, kind, *id, body)
-    };
-    Presealed {
-        hash,
-        sealed,
-        body_len: body.len() as u32,
-        crypto: Arc::clone(crypto),
-    }
+    seal_batch(system, kind, std::slice::from_ref(job))
+        .pop()
+        .expect("one job, one version")
 }
 
-/// Plaintext bytes a batch must carry before it is sealed on more than one
-/// core.
-///
-/// Fanning out costs one thread spawn + join per helper: 15–30 µs at the
-/// median and 60–110 µs at the 99th percentile on the two-core reference
-/// host, measured around an empty scoped thread with the other core idle,
-/// as it is between the commits of a closed loop. With two workers it
-/// saves half the batch's seal time, and EXPERIMENTS.md E1/E4 price sealing
-/// at 0.017 µs/byte for DES + SHA-1 (67.5 and 299 MB/s) and 0.007 µs/byte
-/// for AES-128 + SHA-1 (264 MB/s). Break-even against a 100 µs spawn is
-/// therefore about 12 KB for the paper's cipher and 28 KB for the fastest
-/// one; 64 KB is a little over twice the latter, so a batch that fans out
-/// wins by at least the spawn's own cost under every cipher — at the
-/// default, 1.1 ms of sealing becomes about 0.65 ms. In practice batches
-/// are bimodal: a transaction's commit or a group-commit batch is a few
-/// kilobytes, a bulk load or a full checkpoint level is 70 KB and up.
-const FAN_OUT_MIN_BYTES: usize = 64 * 1024;
-
-/// Hashes and seals every job and returns the results in job order, plus
-/// whether the batch fanned out.
-///
-/// `configured_workers` is [`crate::store::ChunkStoreConfig::crypto_workers`]
-/// unresolved; it is resolved only for a batch of at least two jobs and
-/// [`FAN_OUT_MIN_BYTES`] of plaintext, so the common small batch never
-/// asks the OS how many cores there are, let alone creates a thread. A
-/// fanned-out batch is shared between the caller and `workers - 1` scoped
-/// helpers; a panic in a helper propagates to the caller.
+/// Hashes every job's body and seals it as a version of `kind`, and
+/// returns the results in job order.
 pub(crate) fn seal_batch(
     system: &PartitionCrypto,
+    kind: VersionKind,
     jobs: &[SealJob<'_>],
-    configured_workers: usize,
-) -> (Vec<Presealed>, bool) {
-    let seal = |job: &SealJob<'_>| seal_one(system, VersionKind::Named, job);
-    let n = jobs.len();
-    let plaintext: usize = jobs.iter().map(|(_, _, body)| body.len()).sum();
-    let workers = if n >= 2 && plaintext >= FAN_OUT_MIN_BYTES {
-        resolve_workers(configured_workers).min(n)
-    } else {
-        1
-    };
-    if workers < 2 {
-        let sealed = jobs.iter().map(seal).collect();
-        return (sealed, false);
+) -> Vec<Presealed> {
+    let bodies: Vec<_> = jobs
+        .iter()
+        .map(|(id, crypto, body)| (*id, &**crypto, *body))
+        .collect();
+    let sealed = seal_versions(system, kind, &bodies);
+    let _t = metrics::span(modules::HASHING);
+    jobs.iter()
+        .zip(sealed)
+        .map(|((_, crypto, body), sealed)| Presealed {
+            hash: crypto.hash(body),
+            sealed,
+            body_len: body.len() as u32,
+            crypto: Arc::clone(crypto),
+        })
+        .collect()
+}
+
+/// Builds the on-log bytes of one version of `kind` per job
+/// `(id, body crypto, body)`, in job order.
+///
+/// Sealed lengths are deterministic (IV + padded ciphertext), so each
+/// version is laid into one buffer and ciphered in place. The bodies go
+/// first, one `encrypt_many` call per body crypto (grouped by identity, in
+/// order of first appearance, each drawing its IVs in job order), since
+/// each header's IV derives from its body's. Then every header, in one
+/// call under `system`.
+pub(crate) fn seal_versions(
+    system: &PartitionCrypto,
+    kind: VersionKind,
+    jobs: &[(ChunkId, &PartitionCrypto, &[u8])],
+) -> Vec<Vec<u8>> {
+    let _t = metrics::span(modules::ENCRYPTION);
+    let body_start = 2 + system.ciphertext_len(HEADER_LEN);
+    let mut out: Vec<Vec<u8>> = jobs
+        .iter()
+        .map(|&(id, crypto, body)| {
+            let body_ct_len = crypto.sealed_len(body.len());
+            let header = VersionHeader {
+                kind,
+                id,
+                body_len: body.len() as u32,
+                body_ct_len: body_ct_len as u32,
+                reserved_bit: false,
+            };
+            let iv_len = crypto.block_size();
+            let mut version = Vec::with_capacity(body_start + body_ct_len);
+            version.extend_from_slice(&(iv_len as u16).to_le_bytes());
+            version.extend_from_slice(&header.encode());
+            version.resize(body_start + iv_len, 0);
+            version.extend_from_slice(body);
+            version.resize(body_start + body_ct_len, 0);
+            version
+        })
+        .collect();
+    let mut groups: Vec<(&PartitionCrypto, Vec<_>)> = Vec::new();
+    for (version, &(_, crypto, body)) in out.iter_mut().zip(jobs) {
+        let buf = (&mut version[body_start..], body.len());
+        match groups.iter_mut().find(|(c, _)| std::ptr::eq(*c, crypto)) {
+            Some((_, bufs)) => bufs.push(buf),
+            None => groups.push((crypto, vec![buf])),
+        }
     }
-    let next = AtomicUsize::new(0);
-    let take_jobs = || {
-        let mut mine = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                return mine;
-            }
-            mine.push((i, seal(&jobs[i])));
-        }
-    };
-    let mut done = std::thread::scope(|s| {
-        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(take_jobs)).collect();
-        let mut done = take_jobs();
-        for helper in helpers {
-            done.extend(helper.join().expect("seal helpers do not panic"));
-        }
-        done
-    });
-    done.sort_unstable_by_key(|(i, _)| *i);
-    (done.into_iter().map(|(_, sealed)| sealed).collect(), true)
+    for (crypto, bufs) in &mut groups {
+        crypto.encrypt_many(bufs);
+    }
+    let bs = system.block_size();
+    let ivs: Vec<[u8; MAX_BLOCK]> = out
+        .iter()
+        .zip(jobs)
+        .map(|(version, (_, crypto, _))| {
+            let mut iv = [0u8; MAX_BLOCK];
+            let body_iv = &version[body_start..body_start + crypto.block_size()];
+            system.derive_iv(body_iv, &mut iv[..bs]);
+            iv
+        })
+        .collect();
+    let mut headers: Vec<_> = ivs
+        .iter()
+        .zip(&mut out)
+        .map(|(iv, version)| (&iv[..bs], &mut version[2..body_start], HEADER_LEN))
+        .collect();
+    system.encrypt_many_in_place(&mut headers);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::PartitionId;
     use crate::params::CryptoParams;
     use tdb_crypto::{CipherKind, HashKind};
 
-    fn crypto() -> Arc<PartitionCrypto> {
+    fn crypto(cipher: CipherKind) -> Arc<PartitionCrypto> {
         Arc::new(
-            CryptoParams::generate(CipherKind::Des, HashKind::Sha1)
+            CryptoParams::generate(cipher, HashKind::Sha1)
                 .runtime()
                 .unwrap(),
         )
     }
 
-    fn jobs<'a>(part: &Arc<PartitionCrypto>, bodies: &'a [Vec<u8>]) -> Vec<SealJob<'a>> {
-        bodies
+    /// One mixed batch: two DES partitions under different keys (45 and 6
+    /// bodies: a bitsliced group and a four-lane one), an AES partition (5
+    /// bodies, AES-NI lanes) and a 3DES body alone, interleaved, of 0 to
+    /// 5000 bytes. Each version's body is its plaintext encrypted on its
+    /// own under the IV it carries, its header the same under the IV
+    /// derived from that, and no two versions share a body IV. Under an
+    /// AES system crypto the 57 headers go four at a time, under 3DES in
+    /// one bitsliced group.
+    #[test]
+    fn a_mixed_batch_seals_what_serial_cbc_seals() {
+        let parts = [
+            crypto(CipherKind::Des),
+            crypto(CipherKind::Des),
+            crypto(CipherKind::Aes128),
+            crypto(CipherKind::TripleDes),
+        ];
+        let owner = |i: usize| match i {
+            17 => 3,
+            _ if i % 11 == 4 => 2,
+            _ if i % 9 == 1 => 1,
+            _ => 0,
+        };
+        let bodies: Vec<Vec<u8>> = (0..57usize)
+            .map(|i| (0..(i * 1847) % 5001).map(|j| (i * 7 + j) as u8).collect())
+            .collect();
+        let jobs: Vec<SealJob<'_>> = bodies
             .iter()
             .enumerate()
-            .map(|(i, b)| {
-                (
-                    ChunkId::data(crate::ids::PartitionId(1), i as u64),
-                    Arc::clone(part),
-                    b.as_slice(),
-                )
+            .map(|(i, body)| {
+                let id = ChunkId::data(PartitionId(1 + owner(i) as u32), i as u64);
+                (id, Arc::clone(&parts[owner(i)]), body.as_slice())
             })
-            .collect()
-    }
-
-    #[test]
-    fn parallel_matches_sequential_hashes() {
-        let system = crypto();
-        let part = crypto();
-        let bodies: Vec<Vec<u8>> = (0u8..16).map(|i| vec![i; 5000 + usize::from(i)]).collect();
-        let jobs = jobs(&part, &bodies);
-        let (seq, seq_fanned) = seal_batch(&system, &jobs, 1);
-        let (par, par_fanned) = seal_batch(&system, &jobs, 4);
-        assert!(!seq_fanned && par_fanned);
-        assert_eq!(seq.len(), par.len());
-        for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
-            // Hashes and lengths are deterministic; ciphertext differs
-            // only by the random IVs.
-            assert_eq!(s.hash, p.hash, "job {i}");
-            assert_eq!(s.body_len, p.body_len, "job {i}");
-            assert_eq!(s.sealed.len(), p.sealed.len(), "job {i}");
+            .collect();
+        for system in [crypto(CipherKind::Aes128), crypto(CipherKind::TripleDes)] {
+            let sealed = seal_batch(&system, VersionKind::Named, &jobs);
+            let body_start = 2 + system.ciphertext_len(HEADER_LEN);
+            let mut ivs = std::collections::HashSet::new();
+            for ((id, part, body), pre) in jobs.iter().zip(&sealed) {
+                assert!(Arc::ptr_eq(part, &pre.crypto));
+                assert_eq!(pre.hash, part.hash(body));
+                let (head, sealed_body) = pre.sealed.split_at(body_start);
+                let (iv, ciphertext) = sealed_body.split_at(part.block_size());
+                assert_eq!(head[..2], (iv.len() as u16).to_le_bytes());
+                let mut expect = body.to_vec();
+                expect.resize(part.ciphertext_len(body.len()), 0);
+                part.encrypt_in_place(iv, &mut expect, body.len());
+                assert_eq!(ciphertext, expect, "body of {id:?}");
+                let header = VersionHeader {
+                    kind: VersionKind::Named,
+                    id: *id,
+                    body_len: body.len() as u32,
+                    body_ct_len: sealed_body.len() as u32,
+                    reserved_bit: false,
+                };
+                let mut expect = header.encode().to_vec();
+                expect.resize(system.ciphertext_len(HEADER_LEN), 0);
+                let mut iv_h = vec![0; system.block_size()];
+                system.derive_iv(iv, &mut iv_h);
+                system.encrypt_in_place(&iv_h, &mut expect, HEADER_LEN);
+                assert_eq!(head[2..], expect, "header of {id:?}");
+                assert!(ivs.insert(iv.to_vec()), "{id:?} repeats a body IV");
+            }
         }
     }
 
+    /// A batch of one is the same version `seal_one` makes.
     #[test]
-    fn fan_out_goes_by_plaintext_bytes_not_job_count() {
-        let system = crypto();
-        let part = crypto();
-        // 13 jobs, 3.7 KB: a transaction's commit. Inline however many
-        // workers are configured.
-        let small: Vec<Vec<u8>> = (0u8..13).map(|i| vec![i; 285]).collect();
-        assert!(!seal_batch(&system, &jobs(&part, &small), 4).1);
-        // One job short of the threshold, then at it.
-        let mut bodies = vec![vec![7u8; FAN_OUT_MIN_BYTES / 2]; 2];
-        bodies[1].pop();
-        assert!(!seal_batch(&system, &jobs(&part, &bodies), 2).1);
-        bodies[1].push(7);
-        assert!(seal_batch(&system, &jobs(&part, &bodies), 2).1);
-        // A single job has nothing to share, whatever its size.
-        let one = vec![vec![7u8; FAN_OUT_MIN_BYTES]];
-        assert!(!seal_batch(&system, &jobs(&part, &one), 2).1);
-        assert!(!seal_batch(&system, &jobs(&part, &bodies), 1).1);
-    }
-
-    #[test]
-    fn worker_resolution() {
-        assert!(resolve_workers(0) >= 1);
-        assert!(resolve_workers(0) <= 8);
-        assert_eq!(resolve_workers(1), 1);
-        assert_eq!(resolve_workers(3), 3);
+    fn a_batch_of_one_parses_back() {
+        let (system, part) = (crypto(CipherKind::Aes128), crypto(CipherKind::Des));
+        let id = ChunkId::data(PartitionId(1), 9);
+        let pre = seal_one(
+            &system,
+            VersionKind::Relocated,
+            &(id, Arc::clone(&part), b"x"),
+        );
+        let raw = crate::version::parse_version(&system, &pre.sealed, 0)
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            (raw.header.kind, raw.header.id),
+            (VersionKind::Relocated, id)
+        );
+        assert_eq!(raw.open_body(&part, 0).unwrap(), b"x");
+        assert_eq!((pre.body_len, pre.hash), (1, part.hash(b"x")));
     }
 }

@@ -20,7 +20,6 @@
 //! whole engine.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -42,6 +41,7 @@ use crate::params::{CryptoParams, PartitionCrypto};
 use crate::pipeline::{self, Seals};
 use crate::readpath::ReadPath;
 use crate::undo::{Journal, UndoCounters};
+use crate::version::VersionKind;
 
 pub use crate::engine::commit::CommitOp;
 pub(crate) use crate::engine::commit::DirectRecord;
@@ -109,13 +109,6 @@ pub struct ChunkStoreConfig {
     pub system_cipher: tdb_crypto::CipherKind,
     /// System-partition hash (SHA-1, as in the paper).
     pub system_hash: tdb_crypto::HashKind,
-    /// Threads that share the hash+seal work of one large batch — a bulk
-    /// commit, a server connection's burst, a full checkpoint level — the
-    /// committing thread included. `0` means auto (available parallelism,
-    /// capped at 8); `1` seals everything on the committing thread. A
-    /// batch under 64 KB of plaintext is sealed on the committing thread
-    /// whatever this says: a thread spawn costs more than it would save.
-    pub crypto_workers: usize,
 }
 
 /// Derivation label of the system key ([`ChunkStoreConfig::system_params`]).
@@ -151,7 +144,6 @@ impl Default for ChunkStoreConfig {
             max_segments: 0,
             system_cipher: tdb_crypto::CipherKind::Aes128,
             system_hash: tdb_crypto::HashKind::Sha1,
-            crypto_workers: 0,
         }
     }
 }
@@ -189,11 +181,6 @@ pub struct ChunkStoreStats {
     pub read_fallbacks: u64,
     /// Fast reads that found their shard write-locked and had to block.
     pub read_shard_contention: u64,
-    /// Commit/checkpoint batches large enough that their hash+seal work
-    /// was shared with helper threads.
-    pub parallel_crypto_batches: u64,
-    /// Chunks sealed by those parallel batches.
-    pub parallel_crypto_chunks: u64,
     /// Group-commit batches executed by a leader thread.
     pub commit_batches: u64,
     /// Commits that rode in a group-commit batch (of any size).
@@ -365,10 +352,6 @@ pub struct ChunkStore {
     pub(crate) reads: ReadPath,
     /// Group-commit coordinator, the only way into the commit path.
     pub(crate) batcher: CommitBatcher,
-    /// `crypto_workers`, which committers seal with.
-    crypto_workers: usize,
-    /// Batches and chunks committers sealed on more than one thread.
-    early_fan_outs: (AtomicU64, AtomicU64),
 }
 
 impl std::fmt::Debug for ChunkStore {
@@ -455,11 +438,9 @@ impl ChunkStore {
         let reads = ReadPath::new(Arc::clone(inner.log.store()), Arc::clone(&inner.system));
         reads.set_health(&inner.health);
         ChunkStore {
-            crypto_workers: inner.config.crypto_workers,
             inner: Mutex::new(inner),
             reads,
             batcher: CommitBatcher::new(),
-            early_fan_outs: (AtomicU64::new(0), AtomicU64::new(0)),
         }
     }
 
@@ -564,8 +545,8 @@ impl ChunkStore {
 
     /// Hashes and seals the writes of `sets` on the caller's thread, before
     /// it queues or takes the engine lock, in one pipeline pass (so a burst
-    /// or a bulk load still fans out by its bytes) under the partition
-    /// crypto the read path has published. A write whose partition's crypto
+    /// or a bulk load enciphers its bodies as lanes of one kernel call)
+    /// under the partition crypto the read path has published. A write whose partition's crypto
     /// is not published, or is created earlier in its own set, is left for
     /// the engine to seal under its lock.
     pub(crate) fn seal_early(&self, sets: &[Vec<CommitOp>]) -> Vec<Seals> {
@@ -592,14 +573,7 @@ impl ChunkStore {
                 }
             }
         }
-        let (sealed, fanned_out) =
-            pipeline::seal_batch(&self.reads.system, &jobs, self.crypto_workers);
-        if fanned_out {
-            self.early_fan_outs.0.fetch_add(1, Ordering::Relaxed);
-            self.early_fan_outs
-                .1
-                .fetch_add(sealed.len() as u64, Ordering::Relaxed);
-        }
+        let sealed = pipeline::seal_batch(&self.reads.system, VersionKind::Named, &jobs);
         for ((m, i), pre) in slots.into_iter().zip(sealed) {
             out[m][i] = Some(pre);
         }
@@ -757,8 +731,6 @@ impl ChunkStore {
             stats.lazy_invalidations = inner.lazy.invalidations;
             stats
         };
-        stats.parallel_crypto_batches += self.early_fan_outs.0.load(Ordering::Relaxed);
-        stats.parallel_crypto_chunks += self.early_fan_outs.1.load(Ordering::Relaxed);
         let (hits, fallbacks, contention) = self.reads.counters();
         stats.read_fast_hits = hits;
         stats.read_fallbacks = fallbacks;

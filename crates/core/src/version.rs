@@ -37,10 +37,10 @@ use crate::metrics::{self, modules};
 use crate::params::PartitionCrypto;
 
 /// Plaintext length of a version header.
-const HEADER_LEN: usize = 22;
+pub(crate) const HEADER_LEN: usize = 22;
 
 /// The largest cipher block, and so the longest IV a body carries.
-const MAX_BLOCK: usize = 16;
+pub(crate) const MAX_BLOCK: usize = 16;
 
 /// The longest header ciphertext: [`HEADER_LEN`] with PKCS#7 padding to
 /// whole [`MAX_BLOCK`]s.
@@ -136,7 +136,7 @@ impl VersionHeader {
         )
     }
 
-    fn encode(&self) -> [u8; HEADER_LEN] {
+    pub(crate) fn encode(&self) -> [u8; HEADER_LEN] {
         // Fixed 22-byte layout; a stack array keeps the (hot) seal path
         // free of a per-version heap allocation.
         let mut out = [0u8; HEADER_LEN];
@@ -186,7 +186,8 @@ impl VersionHeader {
     }
 }
 
-/// Builds the full on-log bytes of one version.
+/// Builds the full on-log bytes of one version: a batch of one for
+/// `pipeline::seal_versions`, where every version is made.
 ///
 /// `system` encrypts the header; `body_crypto` encrypts the body (the
 /// partition's cipher for named versions, the system cipher for unnamed).
@@ -197,31 +198,9 @@ pub fn seal_version(
     id: ChunkId,
     body: &[u8],
 ) -> Vec<u8> {
-    // Sealed lengths are deterministic (IV + padded ciphertext), so the
-    // whole version can be laid into one buffer and ciphered in place. The
-    // body goes first: the header's IV derives from the body's.
-    let body_ct_len = body_crypto.sealed_len(body.len());
-    let header = VersionHeader {
-        kind,
-        id,
-        body_len: body.len() as u32,
-        body_ct_len: body_ct_len as u32,
-        reserved_bit: false,
-    };
-    let iv_len = body_crypto.block_size();
-    let body_start = 2 + system.ciphertext_len(HEADER_LEN);
-    let mut out = Vec::with_capacity(body_start + body_ct_len);
-    out.extend_from_slice(&(iv_len as u16).to_le_bytes());
-    out.extend_from_slice(&header.encode());
-    out.resize(body_start, 0);
-    body_crypto.encrypt_append(body, &mut out);
-    debug_assert_eq!(out.len(), body_start + body_ct_len);
-    let (head, sealed_body) = out.split_at_mut(body_start);
-    let mut iv_h = [0u8; MAX_BLOCK];
-    let iv_h = &mut iv_h[..system.block_size()];
-    system.derive_iv(&sealed_body[..iv_len], iv_h);
-    system.encrypt_in_place(iv_h, &mut head[2..], HEADER_LEN);
-    out
+    crate::pipeline::seal_versions(system, kind, &[(id, body_crypto, body)])
+        .pop()
+        .expect("one job, one version")
 }
 
 /// Total on-log length a sealed version will occupy.

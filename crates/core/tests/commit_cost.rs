@@ -12,14 +12,9 @@
 //! CI runs it in release
 //! (`cargo test --release -p tdb-core --test commit_cost -- --include-ignored`).
 //!
-//! Nor does a small commit pay for cores it cannot use (ISSUE 20): the
-//! seal fan-out engages by the batch's plaintext bytes, so a transaction's
-//! commit and a narrow checkpoint level create no thread, while a bulk
-//! load's commit and a full leaf level still share their sealing. The store
-//! counts the batches that fanned out (`parallel_crypto_batches`), whether
-//! the committer sealed them before the engine lock or the engine under it,
-//! and the bodies the engine had to seal itself
-//! (`debug_bodies_sealed_under_lock`).
+//! Nor does a commit pay, under the engine lock, for sealing what its
+//! committer sealed before it: the store counts the bodies the engine had
+//! to seal itself (`debug_bodies_sealed_under_lock`).
 //!
 //! Nor, in bytes, for map chunks it rewrites before they change again: a
 //! checkpoint is due at 512 dirty map chunks or once the residual log
@@ -158,10 +153,6 @@ fn single_chunk_commit_captures_the_same_on_a_store_four_times_the_size() {
     assert_eq!(far, near);
 }
 
-fn fanned_out(store: &ChunkStore) -> u64 {
-    store.stats().parallel_crypto_batches
-}
-
 /// Overwrites `ranks` of `p` in one commit, `len` bytes each.
 fn overwrite(store: &ChunkStore, p: PartitionId, ranks: impl Iterator<Item = u64>, len: usize) {
     let ops = ranks
@@ -171,43 +162,6 @@ fn overwrite(store: &ChunkStore, p: PartitionId, ranks: impl Iterator<Item = u64
         })
         .collect();
     store.commit(ops).unwrap();
-}
-
-#[test]
-fn seal_fan_out_engages_by_bytes_not_by_job_count() {
-    if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
-        return; // `crypto_workers: 0` resolves to one worker: nothing to see.
-    }
-    // 8192 records of 100 bytes: 128 leaf map chunks under two parents.
-    // Each load commit is 25 KB of plaintext; what the load's own automatic
-    // checkpoints do is not this test's business, so count from here.
-    let (store, p) = loaded_store(8192);
-
-    // A warm 13-write, 3.7 KB commit — the shape of a `goods-txn`
-    // transaction — seals on the committing thread.
-    overwrite(&store, p, 0..13, 285); // Warms the spine.
-    let before = fanned_out(&store);
-    overwrite(&store, p, 0..13, 285);
-    assert_eq!(fanned_out(&store), before, "a 3.7 KB commit spawned");
-
-    // Three dirty leaves: a three-chunk checkpoint level, and one-chunk
-    // levels above it, seal inline too.
-    overwrite(&store, p, [0, 64, 128].into_iter(), 100);
-    store.checkpoint().unwrap();
-    assert_eq!(fanned_out(&store), before, "a 3-chunk level spawned");
-
-    // A bulk load's commit, 256 x 1000 bytes, uses both cores.
-    overwrite(&store, p, 0..256, 1000);
-    assert_eq!(fanned_out(&store), before + 1, "a 256 KB commit did not");
-    store.checkpoint().unwrap();
-    let before = fanned_out(&store);
-
-    // One write under each of the 128 leaves (13 KB: inline), then the
-    // checkpoint: its leaf level is one fanned-out batch, the two parents
-    // and everything in the system partition are not.
-    overwrite(&store, p, (0..128).map(|leaf| leaf * FANOUT), 100);
-    store.checkpoint().unwrap();
-    assert_eq!(fanned_out(&store), before + 1, "128 dirty leaves");
 }
 
 /// Committers seal their own writes before the engine lock: two threads'

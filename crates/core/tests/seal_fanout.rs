@@ -1,30 +1,30 @@
-//! The seal fan-out changes who seals a batch, never what is written
-//! (ISSUE 20): a store that seals everything on the committing thread and
-//! stores that share large batches between two or four threads lay out the
-//! same log — same descriptors, same length, same tail, same Merkle root,
-//! same recovered state — for commit sets on both sides of the fan-out
-//! threshold. Ciphertext differs only by the random IVs.
+//! Sealing a batch as lanes changes how its bodies are enciphered, never
+//! what is written. Every body a store writes, whether its commit sealed
+//! it alone, four at a time, or in a bitsliced group of up to 256, is the
+//! serial CBC encryption of its plaintext under the IV its version
+//! carries; its header names it; and no two versions carry the same body
+//! IV. The layout — descriptors, log length, bytes appended, Merkle root,
+//! recovered state — is a function of the script alone, so two stores
+//! that run it agree on it although their IVs differ. (The file keeps the
+//! name it had when a thread fan-out shared this work.)
 //!
 //! Also here: dropping the direct-validation chain under counter validation
 //! left direct validation itself whole — `{chain, tail}` still round-trips
 //! through commit, checkpoint, clean and reopen, and a flipped byte in the
 //! residual log is still refused at recovery.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use tdb_core::descriptor::Descriptor;
-use tdb_core::store::{
-    ChunkStore, ChunkStoreConfig, ChunkStoreStats, CommitOp, TrustedBackend, ValidationMode,
-};
+use tdb_core::params::PartitionCrypto;
+use tdb_core::store::{ChunkStore, ChunkStoreConfig, CommitOp, TrustedBackend, ValidationMode};
+use tdb_core::version::{parse_version, VersionKind};
 use tdb_core::{ChunkId, CryptoParams};
 use tdb_crypto::{CipherKind, HashKind, HashValue, SecretKey};
 use tdb_storage::{CounterOverTrusted, MemStore, MemTrustedStore, SharedUntrusted, TrustedStore};
-
-/// `pipeline::FAN_OUT_MIN_BYTES`, which is private: the plaintext a batch
-/// of two or more bodies needs before it fans out.
-const FAN_OUT_MIN_BYTES: usize = 64 * 1024;
 
 /// One commit of the script: `writes` bodies of `len` bytes, then perhaps
 /// a checkpoint.
@@ -35,8 +35,8 @@ struct Round {
     checkpoint: bool,
 }
 
-/// Three to five rounds whose plaintext runs from a few hundred bytes to
-/// 160 KB, so most scripts have commits on both sides of the threshold.
+/// Three to five rounds of 1 to 80 writes of up to 4 KB: commits sealed
+/// one at a time, four at a time and in bitsliced groups.
 fn script(seed: u64) -> Vec<Round> {
     let mut state = seed | 1;
     let mut next = move |bound: u64| {
@@ -47,8 +47,8 @@ fn script(seed: u64) -> Vec<Round> {
     };
     (0..3 + next(3))
         .map(|_| Round {
-            writes: 2 + next(39) as usize,
-            len: 100 + next(3900) as usize,
+            writes: 1 + next(80) as usize,
+            len: next(4000) as usize,
             checkpoint: next(3) == 0,
         })
         .collect()
@@ -73,12 +73,10 @@ struct Outcome {
     next_write: Descriptor,
 }
 
-fn run(
-    rounds: &[Round],
-    secret: &SecretKey,
-    params: &CryptoParams,
-    crypto_workers: usize,
-) -> (Outcome, ChunkStoreStats) {
+/// Runs `rounds` on a fresh store whose data partition has `params`,
+/// checks every version it wrote against serial CBC, and returns what the
+/// layout must agree on.
+fn run(rounds: &[Round], secret: &SecretKey, params: &CryptoParams) -> Outcome {
     let untrusted = Arc::new(MemStore::new());
     let register = Arc::new(MemTrustedStore::new(64));
     let backend = || {
@@ -87,7 +85,6 @@ fn run(
         )))
     };
     let config = ChunkStoreConfig {
-        crypto_workers,
         checkpoint_threshold: 1000, // Explicit checkpoints only.
         ..ChunkStoreConfig::default()
     };
@@ -120,13 +117,27 @@ fn run(
             store.checkpoint().unwrap();
         }
     }
-    let stats = store.stats();
-    let descriptors = written
+    let descriptors: Vec<Descriptor> = written
         .iter()
         .map(|(id, _)| store.debug_descriptor(*id).unwrap())
         .collect();
+    let system = config.system_params(secret).runtime().unwrap();
+    let image = untrusted.image();
+    let mut ivs = HashSet::new();
+    for ((id, plaintext), desc) in written.iter().zip(&descriptors) {
+        let iv = check_serial(
+            &system,
+            &params.runtime().unwrap(),
+            &image,
+            *id,
+            plaintext,
+            desc,
+        );
+        assert!(ivs.insert(iv), "{id:?} repeats a body IV");
+    }
     let root = store.snapshot_root(p).unwrap();
     let log_len = store.stored_size();
+    let bytes_appended = store.stats().bytes_appended;
     drop(store); // No close: recovery replays the residual log.
 
     let reopened = ChunkStore::open(
@@ -147,15 +158,40 @@ fn run(
             bytes: vec![0x11; 500],
         }])
         .unwrap();
-    let outcome = Outcome {
+    Outcome {
         descriptors,
         log_len,
-        bytes_appended: stats.bytes_appended,
+        bytes_appended,
         root,
         reopened_root,
         next_write: reopened.debug_descriptor(next).unwrap(),
-    };
-    (outcome, stats)
+    }
+}
+
+/// Checks that the version `desc` locates in `image` names `id`, and that
+/// its body is `plaintext` encrypted on its own, one block after another,
+/// under the IV it carries. Returns that IV.
+fn check_serial(
+    system: &PartitionCrypto,
+    part: &PartitionCrypto,
+    image: &[u8],
+    id: ChunkId,
+    plaintext: &[u8],
+    desc: &Descriptor,
+) -> Vec<u8> {
+    let at = desc.location as usize;
+    let raw = parse_version(system, &image[at..at + desc.vlen as usize], desc.location)
+        .unwrap()
+        .expect("a version");
+    assert_eq!(raw.header.kind, VersionKind::Named);
+    assert_eq!(raw.header.id, id);
+    assert_eq!(raw.header.body_len as usize, plaintext.len());
+    let (iv, ciphertext) = raw.sealed_body.split_at(part.block_size());
+    let mut expect = plaintext.to_vec();
+    expect.resize(part.ciphertext_len(plaintext.len()), 0);
+    part.encrypt_in_place(iv, &mut expect, plaintext.len());
+    assert_eq!(ciphertext, &expect[..], "body of {id:?}");
+    iv.to_vec()
 }
 
 proptest! {
@@ -165,62 +201,47 @@ proptest! {
     })]
 
     #[test]
-    fn fanned_out_stores_write_what_a_sequential_store_writes(seed in any::<u64>()) {
+    fn lane_sealed_stores_write_serial_cbc_in_one_layout(seed in any::<u64>()) {
         let rounds = script(seed);
         let secret = SecretKey::random(24);
-        let params = CryptoParams::generate(CipherKind::Des, HashKind::Sha1);
-        let over_threshold = rounds
-            .iter()
-            .filter(|r| r.writes * r.len >= FAN_OUT_MIN_BYTES)
-            .count() as u64;
-
-        let (sequential, stats) = run(&rounds, &secret, &params, 1);
-        prop_assert_eq!(stats.parallel_crypto_batches, 0);
-        prop_assert_eq!(sequential.root, sequential.reopened_root);
-        for workers in [2, 4] {
-            let (fanned, stats) = run(&rounds, &secret, &params, workers);
-            // Exactly the commits at or over the threshold fanned out; the
-            // checkpoints' few map chunks never do.
-            prop_assert_eq!(stats.parallel_crypto_batches, over_threshold, "{:?}", rounds);
-            prop_assert_eq!(&fanned, &sequential, "{} workers, {:?}", workers, rounds);
+        for cipher in [CipherKind::Des, CipherKind::TripleDes, CipherKind::Aes128] {
+            let params = CryptoParams::generate(cipher, HashKind::Sha1);
+            let first = run(&rounds, &secret, &params);
+            prop_assert_eq!(first.root, first.reopened_root);
+            prop_assert_eq!(&run(&rounds, &secret, &params), &first, "{:?}", rounds);
         }
     }
 }
 
-/// A script with a commit just under, at, and well over the threshold, so
-/// the boundary is covered on every build whatever seeds the property draws.
+/// A script with a commit on each side of every dispatch threshold of
+/// `Cbc::encrypt_many` — two and three bodies (one at a time, then four
+/// lanes), 39 and 40 (four lanes, then bitsliced on AVX-512), 257 (a
+/// bitsliced group and a four-lane rest) and 296 (two bitsliced groups) —
+/// so every kernel is covered on every build whatever seeds the property
+/// draws.
 #[test]
 fn regression_threshold_boundary() {
     let rounds = [
-        Round {
-            writes: 16,
-            len: FAN_OUT_MIN_BYTES / 16 - 1,
-            checkpoint: false,
-        },
-        Round {
-            writes: 16,
-            len: FAN_OUT_MIN_BYTES / 16,
-            checkpoint: true,
-        },
-        Round {
-            writes: 13,
-            len: 285,
-            checkpoint: false,
-        },
-        Round {
-            writes: 40,
-            len: 3999,
-            checkpoint: false,
-        },
-    ];
+        (2, 300),
+        (3, 300),
+        (39, 1000),
+        (40, 1000),
+        (257, 100),
+        (296, 8),
+    ]
+    .map(|(writes, len)| Round {
+        writes,
+        len,
+        checkpoint: writes == 40,
+    });
     let secret = SecretKey::random(24);
-    let params = CryptoParams::generate(CipherKind::Des, HashKind::Sha1);
-    let (sequential, stats) = run(&rounds, &secret, &params, 1);
-    assert_eq!(stats.parallel_crypto_batches, 0);
-    let (fanned, stats) = run(&rounds, &secret, &params, 2);
-    assert_eq!(stats.parallel_crypto_batches, 2);
-    assert_eq!(stats.parallel_crypto_chunks, 16 + 40);
-    assert_eq!(fanned, sequential);
+    for cipher in [CipherKind::Des, CipherKind::TripleDes] {
+        let params = CryptoParams::generate(cipher, HashKind::Sha1);
+        assert_eq!(
+            run(&rounds, &secret, &params),
+            run(&rounds, &secret, &params)
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -24,11 +24,12 @@
 //! * **IP and FP are five delta-swaps each.**
 //! * **3DES is one 48-round pass** between a single IP and a single FP: the
 //!   FP and IP between two stages cancel, leaving only the swap of halves.
-//! * **Decryption also runs four blocks in lockstep** (`decrypt4`), for
-//!   CBC decryption, whose blocks are independent: the four lanes' lookups
-//!   overlap where one block's rounds would wait on each other.
+//! * **Four independent blocks run in lockstep** (`decrypt4`, `encrypt4`):
+//!   those of one CBC decryption, or one of each of four buffers being
+//!   CBC-encrypted. The lanes' lookups overlap where one block's rounds
+//!   would wait on each other.
 //!
-//! **Bitsliced decryption.** On a CPU with AVX-512F and AVX-512VL, CBC
+//! **Bitsliced DES.** On a CPU with AVX-512F and AVX-512VL, CBC
 //! decryption of a long buffer runs 256 blocks at once (Biham, *A Fast New
 //! DES Implementation in Software*, FSE 1997). The blocks are transposed
 //! into 64 bit-planes, plane `j` holding bit `j` of every block, so the
@@ -41,10 +42,11 @@
 //! kernel itself is `x86::BitslicedDes`, and it indexes no table by data
 //! or key, so its time does not depend on either (the table kernels'
 //! lookups do; see DESIGN.md). `Des::new` and `TripleDes::new` build its
-//! schedule only where the CPU has the features, so a keyed cipher
-//! carries the choice; `cbc` sends it buffers of at least its measured
-//! threshold and keeps `decrypt4` for shorter ones. Encryption stays
-//! serial: CBC chains each block to the one before.
+//! schedule (decryption walks it backwards) only on a CPU with the features,
+//! so a keyed cipher carries the choice. `cbc` sends it buffers of at
+//! least its measured threshold to decrypt, and batches of enough buffers
+//! to encrypt as lanes, block `j` of each in pass `j`: CBC chains the
+//! blocks of one buffer, not those of different buffers.
 //!
 //! The bit-at-a-time formulation straight from the standard survives as the
 //! test oracle (`reference`), which every table-driven and bitsliced path is
@@ -364,8 +366,8 @@ fn crypt<const N: usize>(block: u64, subkeys: &[RoundKey; N]) -> u64 {
 
 /// [`crypt`] over four blocks in lockstep: each round is applied to all
 /// four lanes before the next, so the lanes' table lookups overlap instead
-/// of waiting on one another. For modes whose blocks are independent, such
-/// as CBC decryption.
+/// of waiting on one another. For independent blocks: CBC decryption's, or
+/// one from each of four CBC encryptions.
 #[inline(always)]
 fn crypt4<const N: usize>(blocks: [u64; 4], subkeys: &[RoundKey; N]) -> [u64; 4] {
     let mut l = [0u32; 4];
@@ -390,7 +392,7 @@ fn crypt4<const N: usize>(blocks: [u64; 4], subkeys: &[RoundKey; N]) -> [u64; 4]
 #[cfg(target_arch = "x86_64")]
 pub(crate) use crate::x86::{BitslicedDes, PASS_BLOCKS};
 
-/// How many blocks one bitsliced pass deciphers.
+/// How many blocks one bitsliced pass ciphers.
 #[cfg(not(target_arch = "x86_64"))]
 pub(crate) const PASS_BLOCKS: usize = 256;
 
@@ -407,13 +409,17 @@ impl BitslicedDes {
     pub(crate) fn decrypt_cbc(&self, _prev: u64, _buf: &mut [u8]) {
         match *self {}
     }
+
+    pub(crate) fn encrypt_pass(&self, _blocks: &mut [u64; PASS_BLOCKS]) {
+        match *self {}
+    }
 }
 
 /// Single DES with an expanded key schedule.
 pub struct Des {
     enc: [RoundKey; 16],
     dec: [RoundKey; 16],
-    /// The bitsliced decryption schedule, where this CPU runs the kernel.
+    /// The bitsliced schedule, where this CPU runs the kernel.
     pub(crate) sliced: Option<BitslicedDes>,
 }
 
@@ -424,12 +430,10 @@ impl Des {
         let enc = round_keys(key);
         let mut dec = enc;
         dec.reverse();
-        let mut subkeys = key_schedule(key);
-        subkeys.reverse();
         Des {
             enc,
             dec,
-            sliced: BitslicedDes::new(&subkeys),
+            sliced: BitslicedDes::new(&key_schedule(key)),
         }
     }
 
@@ -445,6 +449,12 @@ impl Des {
         crypt(block, &self.dec)
     }
 
+    /// Encrypts four independent blocks at once.
+    #[inline]
+    pub fn encrypt4(&self, blocks: [u64; 4]) -> [u64; 4] {
+        crypt4(blocks, &self.enc)
+    }
+
     /// Decrypts four independent blocks at once.
     #[inline]
     pub fn decrypt4(&self, blocks: [u64; 4]) -> [u64; 4] {
@@ -456,7 +466,7 @@ impl Des {
 pub struct TripleDes {
     enc: [RoundKey; 48],
     dec: [RoundKey; 48],
-    /// The bitsliced decryption schedule, where this CPU runs the kernel.
+    /// The bitsliced schedule, where this CPU runs the kernel.
     pub(crate) sliced: Option<BitslicedDes>,
 }
 
@@ -477,7 +487,6 @@ impl TripleDes {
             stage.copy_from_slice(&key_schedule(k.try_into().expect("8-byte chunk")));
         }
         subkeys[16..32].reverse();
-        subkeys.reverse();
         TripleDes {
             enc,
             dec,
@@ -495,6 +504,12 @@ impl TripleDes {
     #[inline]
     pub fn decrypt_block(&self, block: u64) -> u64 {
         crypt(block, &self.dec)
+    }
+
+    /// Encrypts four independent blocks at once.
+    #[inline]
+    pub fn encrypt4(&self, blocks: [u64; 4]) -> [u64; 4] {
+        crypt4(blocks, &self.enc)
     }
 
     /// Decrypts four independent blocks at once.

@@ -1,5 +1,6 @@
 //! The x86-64 kernels: SHA-1 and SHA-256 compression on the SHA extensions,
-//! AES-CBC on AES-NI, and bitsliced DES/3DES-CBC decryption on AVX-512.
+//! AES-CBC on AES-NI, and bitsliced DES/3DES on AVX-512 (CBC decryption,
+//! and passes of 256 independent blocks for encryption lanes).
 //!
 //! Each kernel is a `#[target_feature]` function, so calling it is `unsafe`
 //! and sound only on a CPU with those features. Nothing calls one without
@@ -33,7 +34,7 @@ pub(crate) fn has_sha() -> bool {
 
 /// Loads 16 bytes, unaligned.
 #[inline(always)]
-fn load(bytes: &[u8]) -> __m128i {
+pub(crate) fn load(bytes: &[u8]) -> __m128i {
     let bytes: &[u8; 16] = bytes[..16].try_into().expect("16 bytes");
     // SAFETY: `bytes` is 16 readable bytes, and `loadu` needs no alignment.
     unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
@@ -41,7 +42,7 @@ fn load(bytes: &[u8]) -> __m128i {
 
 /// Stores 16 bytes, unaligned.
 #[inline(always)]
-fn store(value: __m128i, bytes: &mut [u8]) {
+pub(crate) fn store(value: __m128i, bytes: &mut [u8]) {
     let bytes: &mut [u8; 16] = (&mut bytes[..16]).try_into().expect("16 bytes");
     // SAFETY: `bytes` is 16 writable bytes, and `storeu` needs no alignment.
     unsafe { _mm_storeu_si128(bytes.as_mut_ptr().cast(), value) }
@@ -163,10 +164,10 @@ pub(crate) unsafe fn sha1_compress(state: &mut [u32; 5], data: &[u8]) {
     .map(|w| w as u32);
 }
 
-/// How many CBC blocks [`AesNi::decrypt_cbc`] deciphers at once: CBC
-/// decryption's blocks are independent, so four `aesdec` chains overlap in
-/// the pipeline.
-const LANES: usize = 4;
+/// How many blocks [`AesNi::decrypt_cbc`] and [`AesNi::encrypt4`] cipher at
+/// once: independent blocks (one CBC decryption's, or one of each of four
+/// CBC encryptions), so four `aesdec` or `aesenc` chains overlap.
+pub(crate) const LANES: usize = 4;
 
 /// An AES key schedule in AES-NI form: the portable schedule's round keys
 /// (the decryption side already FIPS 197's equivalent inverse cipher,
@@ -211,6 +212,34 @@ impl AesNi {
     pub(crate) fn decrypt_cbc(&self, iv: &[u8], buf: &mut [u8]) {
         // SAFETY: an `AesNi` exists only where `new` found AES-NI.
         unsafe { decrypt_cbc(&self.dec[..=self.rounds], iv, buf) }
+    }
+
+    /// Enciphers [`LANES`] independent blocks, their rounds interleaved.
+    pub(crate) fn encrypt4(&self, blocks: &mut [__m128i; LANES]) {
+        // SAFETY: an `AesNi` exists only where `new` found AES-NI.
+        unsafe { encrypt4(&self.enc[..=self.rounds], blocks) }
+    }
+}
+
+/// Enciphers `s` in place under `keys`, each round on every lane before
+/// the next, so that the lanes' `aesenc` chains overlap in the pipeline.
+///
+/// # Safety
+///
+/// The CPU must have `aes` (an [`AesNi`] exists).
+#[target_feature(enable = "aes")]
+unsafe fn encrypt4(keys: &[__m128i], s: &mut [__m128i; LANES]) {
+    let (first, middle, last) = (keys[0], &keys[1..keys.len() - 1], keys[keys.len() - 1]);
+    for x in s.iter_mut() {
+        *x = _mm_xor_si128(*x, first);
+    }
+    for k in middle {
+        for x in s.iter_mut() {
+            *x = _mm_aesenc_si128(*x, *k);
+        }
+    }
+    for x in s.iter_mut() {
+        *x = _mm_aesenclast_si128(*x, last);
     }
 }
 
@@ -275,12 +304,12 @@ unsafe fn decrypt_cbc(keys: &[__m128i], iv: &[u8], buf: &mut [u8]) {
 /// How many blocks one bitsliced pass deciphers: one per bit of a plane.
 pub(crate) const PASS_BLOCKS: usize = 256;
 
-/// A DES or 3DES decryption schedule for the bitsliced kernel: each
-/// round's 48 subkey bits, in decryption order, as lane masks of all zeros
-/// or all ones, broadcast across a plane where they are used.
+/// A DES or 3DES schedule for the bitsliced kernel: each round's 48 subkey
+/// bits, in encryption order, as lane masks of all zeros or all ones,
+/// broadcast across a plane where they are used.
 ///
 /// Exists only on a CPU with AVX-512F and AVX-512VL: [`BitslicedDes::new`]
-/// is the one constructor and checks, which is what makes its safe method
+/// is the one constructor and checks, which is what makes its safe methods
 /// sound.
 pub(crate) struct BitslicedDes {
     /// One row per round, 16 for DES and 48 for 3DES.
@@ -288,7 +317,7 @@ pub(crate) struct BitslicedDes {
 }
 
 impl BitslicedDes {
-    /// Spreads the 48-bit `subkeys` (decryption order, a whole number of
+    /// Spreads the 48-bit `subkeys` (encryption order, a whole number of
     /// 16-round stages) into masks, or `None` when this CPU lacks the
     /// features.
     pub(crate) fn new(subkeys: &[u64]) -> Option<Self> {
@@ -310,6 +339,12 @@ impl BitslicedDes {
         // SAFETY: a `BitslicedDes` exists only where `new` found the
         // features.
         unsafe { des_decrypt_cbc(&self.masks, prev, buf) }
+    }
+
+    /// Enciphers [`PASS_BLOCKS`] independent blocks in place, one pass.
+    pub(crate) fn encrypt_pass(&self, blocks: &mut [u64; PASS_BLOCKS]) {
+        // SAFETY: as `decrypt_cbc`.
+        unsafe { des_encrypt_pass(&self.masks, blocks) }
     }
 }
 
@@ -416,19 +451,66 @@ fn feistel(l: &mut [__m256i; 32], r: &[__m256i; 32], k: &[u64; 48]) {
     sbox!(0 1 2 3 4 5 6 7);
 }
 
+/// One pass over [`PASS_BLOCKS`] blocks, held as 64 rows of four (block
+/// `4k + g` is 64-bit lane `g` of row `k`): transposed into 64 planes of
+/// 256 lanes, so that IP, E, P and FP are only choices of plane, each of
+/// `rounds` run on all lanes at once (a stage of 16 ends with the swap
+/// before FP), and transposed back. Decryption runs the rounds backwards.
+#[inline]
+#[target_feature(enable = "avx512f,avx512vl")]
+fn des_pass<'a>(rounds: impl Iterator<Item = &'a [u64; 48]>, x: &mut [__m256i; 64]) {
+    use crate::des::planes;
+    transpose(x);
+    let mut l: [__m256i; 32] = std::array::from_fn(|i| x[planes::IP[i]]);
+    let mut r: [__m256i; 32] = std::array::from_fn(|i| x[planes::IP[32 + i]]);
+    for (i, k) in rounds.enumerate() {
+        match i % 2 {
+            0 => feistel(&mut l, &r, k),
+            _ => feistel(&mut r, &l, k),
+        }
+        if i % 16 == 15 {
+            std::mem::swap(&mut l, &mut r);
+        }
+    }
+    *x = std::array::from_fn(|j| {
+        let p = planes::FP[j];
+        if p < 32 {
+            l[p]
+        } else {
+            r[p - 32]
+        }
+    });
+    transpose(x);
+}
+
+/// Enciphers `blocks` in place under `masks`: one [`des_pass`].
+///
+/// # Safety
+///
+/// The CPU must have `avx512f` and `avx512vl` (a [`BitslicedDes`] exists).
+#[target_feature(enable = "avx512f,avx512vl")]
+unsafe fn des_encrypt_pass(masks: &[[u64; 48]], blocks: &mut [u64; PASS_BLOCKS]) {
+    let mut x: [__m256i; 64] = std::array::from_fn(|k| {
+        // SAFETY: row `k` is blocks 4k..4k + 4 of the 256, and `loadu`
+        // needs no alignment.
+        unsafe { _mm256_loadu_si256(blocks.as_ptr().add(4 * k).cast()) }
+    });
+    des_pass(masks.iter(), &mut x);
+    for (k, row) in x.into_iter().enumerate() {
+        // SAFETY: as the load, and `storeu` needs no alignment.
+        unsafe { _mm256_storeu_si256(blocks.as_mut_ptr().add(4 * k).cast(), row) };
+    }
+}
+
 /// CBC-decrypts `buf` in place under `masks`, [`PASS_BLOCKS`] blocks a
-/// pass. A pass transposes its blocks into 64 planes of 256 lanes (block
-/// `4k + g` is bit `k` of 64-bit lane `g`), so that IP, E, P and FP are
-/// only choices of plane, runs every round on all lanes at once, and
-/// transposes back. Lanes past the end of a short pass decipher zeros and
-/// are dropped.
+/// pass of [`des_pass`]. Lanes past the end of a short pass decipher zeros
+/// and are dropped.
 ///
 /// # Safety
 ///
 /// The CPU must have `avx512f` and `avx512vl` (a [`BitslicedDes`] exists).
 #[target_feature(enable = "avx512f,avx512vl")]
 unsafe fn des_decrypt_cbc(masks: &[[u64; 48]], mut prev: u64, buf: &mut [u8]) {
-    use crate::des::planes;
     debug_assert!(buf.len().is_multiple_of(8));
     for pass in buf.chunks_mut(8 * PASS_BLOCKS) {
         let mut bytes = [0u8; 8 * PASS_BLOCKS];
@@ -439,25 +521,7 @@ unsafe fn des_decrypt_cbc(masks: &[[u64; 48]], mut prev: u64, buf: &mut [u8]) {
             bswap64(unsafe { _mm256_loadu_si256(bytes.as_ptr().add(32 * k).cast()) })
         });
         let mut x = rows;
-        transpose(&mut x);
-        let mut l: [__m256i; 32] = std::array::from_fn(|i| x[planes::IP[i]]);
-        let mut r: [__m256i; 32] = std::array::from_fn(|i| x[planes::IP[32 + i]]);
-        for stage in masks.chunks_exact(16) {
-            for pair in stage.chunks_exact(2) {
-                feistel(&mut l, &r, &pair[0]);
-                feistel(&mut r, &l, &pair[1]);
-            }
-            std::mem::swap(&mut l, &mut r);
-        }
-        let mut x: [__m256i; 64] = std::array::from_fn(|j| {
-            let p = planes::FP[j];
-            if p < 32 {
-                l[p]
-            } else {
-                r[p - 32]
-            }
-        });
-        transpose(&mut x);
+        des_pass(masks.iter().rev(), &mut x);
         // Each block's chaining value is the ciphertext block before it:
         // row k's lanes shifted up by one, the last lane of row k - 1 in.
         let mut before = _mm256_set1_epi64x(prev as i64);

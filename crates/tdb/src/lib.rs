@@ -103,12 +103,11 @@ impl Default for TrustedDbBuilder {
 }
 
 impl TrustedDbBuilder {
-    /// A builder with the default configuration: the paper's cryptography
-    /// and validation (3DES+SHA-1 system partition, DES+SHA-1 default
-    /// partition, counter validation with Δut = 5) on a tuned write path —
-    /// group commit, the seal fan-out, and checkpoints at 512 dirty map
-    /// chunks or an 8 MiB residual log — on an unbounded log, with MVCC
-    /// off.
+    /// A builder with the default configuration: an AES-128+SHA-1 system
+    /// partition, the paper's DES+SHA-1 default partition and counter
+    /// validation with Δut = 5, on a tuned write path — group commit,
+    /// multi-buffer sealing, and checkpoints at 512 dirty map chunks or an
+    /// 8 MiB residual log — on an unbounded log, with MVCC off.
     pub fn new() -> TrustedDbBuilder {
         let mut registry = TypeRegistry::new();
         register_builtin_types(&mut registry);

@@ -9,8 +9,8 @@
 //!   both values and a length/fill derived from them, so any mix of two
 //!   versions (or a torn buffer) fails the equality check. Every eighth
 //!   version is a 9 KB body, and every sixteenth round the mutator moves
-//!   all eight ranks to one at once: a 72 KB commit, enough plaintext for
-//!   the seal fan-out to share it between threads.
+//!   all eight ranks to one at once: a 72 KB commit, whose eight bodies
+//!   the committer enciphers as lanes of one kernel call.
 //! - Per rank the mutator maintains two atomics: `pending[rank]` is
 //!   bumped *before* the commit is issued, `committed[rank]` *after* it
 //!   is acknowledged. A reader brackets its read with
@@ -20,8 +20,7 @@
 //!   speculative read the body equality, a time-travel read the upper
 //!   bound.
 //!
-//! The suites run at reader counts {1, 2, 4, 8}, with the crypto
-//! pipeline sequential and parallel, and once more with a seeded
+//! The suites run at reader counts {1, 2, 4, 8}, and once more with a seeded
 //! [`FaultPlan`] injecting transient storage faults (reads may then fail
 //! with I/O or degraded-mode errors — but a read that *succeeds* must
 //! still satisfy the same bounds). A separate suite deallocates and
@@ -48,7 +47,7 @@ const RANKS: u64 = 8;
 /// Versions divisible by this carry a bulk body (see [`body`]).
 const BULK_EVERY: u64 = 8;
 
-fn config(crypto_workers: usize) -> ChunkStoreConfig {
+fn config() -> ChunkStoreConfig {
     ChunkStoreConfig {
         fanout: 4,
         segment_size: 1 << 16,
@@ -57,7 +56,6 @@ fn config(crypto_workers: usize) -> ChunkStoreConfig {
             delta_ut: 5,
             delta_tu: 0,
         },
-        crypto_workers,
         ..ChunkStoreConfig::default()
     }
 }
@@ -105,18 +103,12 @@ struct Harness {
     done: AtomicBool,
 }
 
-fn build(untrusted: SharedUntrusted, crypto_workers: usize) -> Harness {
+fn build(untrusted: SharedUntrusted) -> Harness {
     let register = Arc::new(MemTrustedStore::new(64));
     let backend = TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
         register as Arc<dyn TrustedStore>,
     )));
-    let store = ChunkStore::create(
-        untrusted,
-        backend,
-        SecretKey::random(24),
-        config(crypto_workers),
-    )
-    .unwrap();
+    let store = ChunkStore::create(untrusted, backend, SecretKey::random(24), config()).unwrap();
     let partition = store.allocate_partition().unwrap();
     store
         .commit(vec![CommitOp::CreatePartition {
@@ -184,9 +176,8 @@ fn reader(h: &Harness, seed: u64, faults_allowed: bool) -> (u64, u64) {
 /// still have durably applied) and healing is attempted.
 fn mutator(h: &Harness, iters: u64, faults_allowed: bool) {
     for i in 0..iters {
-        // Usually 2-3 chunks, a kilobyte or so, sealed on this thread; every
-        // sixteenth round all ranks at their next bulk version, sealed by
-        // the fan-out.
+        // Usually 2-3 chunks, a kilobyte or so; every sixteenth round all
+        // ranks at their next bulk version, sealed as lanes of one call.
         let bulk = i % 16 == 5;
         let width = if bulk {
             RANKS as usize
@@ -238,9 +229,9 @@ fn mutator(h: &Harness, iters: u64, faults_allowed: bool) {
     h.done.store(true, Ordering::Release);
 }
 
-fn run_stress(readers: usize, iters: u64, crypto_workers: usize) {
+fn run_stress(readers: usize, iters: u64) {
     let untrusted = Arc::new(MemStore::new()) as SharedUntrusted;
-    let h = build(untrusted, crypto_workers);
+    let h = build(untrusted);
     let total_reads: u64 = std::thread::scope(|s| {
         let handles: Vec<_> = (0..readers)
             .map(|t| {
@@ -255,12 +246,6 @@ fn run_stress(readers: usize, iters: u64, crypto_workers: usize) {
     let stats = h.store.stats();
     // The fast path must actually be exercised (not all falling back).
     assert!(stats.read_fast_hits > 0, "no fast-path hits: {stats:?}");
-    if crypto_workers >= 2 {
-        assert!(
-            stats.parallel_crypto_batches > 0,
-            "pipeline never engaged: {stats:?}"
-        );
-    }
     // Post-run: the final committed state reads back exactly.
     for rank in 0..RANKS {
         let v = h.committed[rank as usize].load(Ordering::SeqCst);
@@ -274,7 +259,7 @@ fn run_stress(readers: usize, iters: u64, crypto_workers: usize) {
 
 fn run_faulted(readers: usize, iters: u64, seed: u64) {
     let dev = SimDevice::new();
-    let h = build(Arc::clone(&dev) as SharedUntrusted, 4);
+    let h = build(Arc::clone(&dev) as SharedUntrusted);
     // Arm the plan only after setup so the store starts consistent; the
     // horizon covers the whole concurrent phase.
     dev.set_plan(FaultPlan::seeded(seed, 4000, 24));
@@ -311,22 +296,22 @@ fn run_faulted(readers: usize, iters: u64, seed: u64) {
 
 #[test]
 fn stress_one_reader_sequential_crypto() {
-    run_stress(1, 160, 1);
+    run_stress(1, 160);
 }
 
 #[test]
 fn stress_two_readers() {
-    run_stress(2, 160, 4);
+    run_stress(2, 160);
 }
 
 #[test]
 fn stress_four_readers() {
-    run_stress(4, 160, 4);
+    run_stress(4, 160);
 }
 
 #[test]
 fn stress_eight_readers() {
-    run_stress(8, 160, 4);
+    run_stress(8, 160);
 }
 
 // -- Seeded transient faults under concurrency -----------------------------
@@ -353,7 +338,7 @@ fn faulted_stress_eight_readers() {
 // against the partition's current crypto. Here one thread deallocates a
 // partition and recreates the same id under a fresh key, again and again,
 // while two others allocate chunks in it and commit writes — single
-// autocommits, and now and then a 72 KB burst whose early seal fans out.
+// autocommits, and now and then a 72 KB burst sealed early as one batch.
 // An id names a rank, not an incarnation: a write whose chunk was
 // allocated before a recycle still commits if the other committer has
 // allocated that rank since, and its early seal is then under the old key.
@@ -491,7 +476,7 @@ fn run_recycled(rounds: u64, seed: u64) -> u64 {
         Arc::clone(&mem) as SharedUntrusted,
         backend(),
         secret.clone(),
-        config(2),
+        config(),
     )
     .unwrap();
     let partition = store.allocate_partition().unwrap();
@@ -538,7 +523,7 @@ fn run_recycled(rounds: u64, seed: u64) -> u64 {
         Arc::new(MemStore::from_bytes(mem.image())) as SharedUntrusted,
         backend(),
         secret,
-        config(2),
+        config(),
     )
     .unwrap();
     audit_recycled(&reopened, partition, &acked, last);
@@ -685,7 +670,7 @@ fn committed_reads_are_strict_under_a_writer() {
 #[ignore = "torture: long fault-free stress"]
 fn torture_stress() {
     for readers in [2, 4, 8] {
-        run_stress(readers, 1200, 4);
+        run_stress(readers, 1200);
     }
 }
 
