@@ -414,7 +414,7 @@ impl BackupStore {
                     state.remove(rank);
                 }
             }
-            if self.chunks.partition_exists(source) {
+            if self.chunks.partition_exists(source)? {
                 ops.push(CommitOp::DeallocPartition { id: source });
             }
             ops.push(CommitOp::CreatePartition { id: source, params });

@@ -40,17 +40,15 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 
 use crate::errors::Result;
+use crate::ids::PartitionId;
 use crate::pipeline::Seals;
-use crate::store::{ChunkStore, CommitOp, Touched};
+use crate::store::{ChunkStore, CommitOp};
 
 /// One enqueued commit, shared between its waiter and the batch leader.
 struct PendingCommit {
     /// The op set and what its committer sealed of it, by op; taken (once)
     /// by the leader that drains this entry.
     ops: Mutex<Option<(Vec<CommitOp>, Seals)>>,
-    /// What this commit can change on the read path, collected before
-    /// `ops` is consumed so the leader can scrub shards per member.
-    touched: Touched,
     /// The member's outcome, set by the leader before it wakes waiters.
     result: Mutex<Option<Result<()>>>,
 }
@@ -98,7 +96,6 @@ impl ChunkStore {
             .zip(sealed)
             .map(|(ops, sealed)| {
                 Arc::new(PendingCommit {
-                    touched: Touched::of(&ops),
                     ops: Mutex::new(Some((ops, sealed))),
                     result: Mutex::new(None),
                 })
@@ -153,13 +150,10 @@ impl ChunkStore {
 
     /// Leader body: one engine-lock hold for the whole batch — which opens
     /// with an inline cleaning slice when a bounded log runs short of free
-    /// segments — then per-member read-path scrubbing, publication, and
-    /// result delivery.
+    /// segments — then the crypto table's update and result delivery.
     fn run_batch(&self, members: &[Arc<PendingCommit>]) {
         let mut inner = self.inner.lock();
-        if let Some(slice) = inner.slice_if_short() {
-            self.after_clean(&inner, &slice);
-        }
+        inner.slice_if_short();
         if inner.check_writable().is_err() {
             // Refuse the whole batch with fresh per-member errors; no
             // member state was touched.
@@ -167,19 +161,30 @@ impl ChunkStore {
                 let err = inner.check_writable().expect_err("checked unhealthy");
                 *m.result.lock() = Some(Err(err));
             }
-            self.reads.set_health(&inner.health);
             return;
         }
-        let (sets, sealed) = members
+        let (sets, sealed): (Vec<Vec<CommitOp>>, Vec<Seals>) = members
             .iter()
             .map(|m| m.ops.lock().take().expect("ops taken once, by the leader"))
             .unzip();
+        let (mut written, mut deallocated) = (Vec::<PartitionId>::new(), false);
+        for op in sets.iter().flatten() {
+            match op {
+                CommitOp::WriteChunk { id, .. } => written.push(id.partition),
+                CommitOp::CreatePartition { id, .. } | CommitOp::CopyPartition { dst: id, .. } => {
+                    written.push(*id);
+                }
+                CommitOp::DeallocPartition { .. } => deallocated = true,
+                CommitOp::DeallocChunk { .. } => {}
+            }
+        }
+        written.sort_unstable();
+        written.dedup();
         let results = inner.commit_batch(sets, sealed);
         debug_assert_eq!(results.len(), members.len());
+        self.publish_cryptos(&mut inner, &written, deallocated);
         for (m, result) in members.iter().zip(results) {
-            self.scrub_and_publish(&mut inner, &m.touched, &result);
             *m.result.lock() = Some(result);
         }
-        self.reads.set_health(&inner.health);
     }
 }

@@ -106,7 +106,7 @@ impl Inner {
                     }
                 }
                 CommitOp::CreatePartition { id, params } => {
-                    let exists = self.leader_entry(*id).is_ok() && !deallocated.contains(id);
+                    let exists = self.partition_exists(*id)? && !deallocated.contains(id);
                     if id.is_system() || exists {
                         return Err(CoreError::PartitionExists(*id));
                     }
@@ -114,7 +114,7 @@ impl Inner {
                     created.push(*id);
                 }
                 CommitOp::CopyPartition { dst, src } => {
-                    let exists = self.leader_entry(*dst).is_ok() && !deallocated.contains(dst);
+                    let exists = self.partition_exists(*dst)? && !deallocated.contains(dst);
                     if dst.is_system() || exists {
                         return Err(CoreError::PartitionExists(*dst));
                     }
@@ -719,13 +719,6 @@ mod tests {
         p
     }
 
-    /// Reads `id` on the engine-locked path, which verifies the body
-    /// against its descriptor under the partition's current crypto.
-    fn read_locked(store: &ChunkStore, id: ChunkId) -> Vec<u8> {
-        store.drop_read_cache();
-        store.read(id).unwrap()
-    }
-
     /// A version sealed as a committer would, under `crypto`.
     fn early_seal(
         store: &ChunkStore,
@@ -790,7 +783,7 @@ mod tests {
 
         let results = store.inner.lock().commit_batch(vec![set()], sealed);
         assert!(results.iter().all(Result::is_ok), "{results:?}");
-        assert_eq!(read_locked(&store, id), body);
+        assert_eq!(store.read(id).unwrap(), body);
         assert_eq!(store.debug_bodies_sealed_under_lock(), 1);
         drop(store);
         platform.reopen_and_audit(&[(id, body)]);
@@ -826,8 +819,8 @@ mod tests {
         let sealed = early_seal(&store, id, &foreign, &body);
         let results = store.inner.lock().commit_batch(vec![set], vec![sealed]);
         assert!(results.iter().all(Result::is_ok), "{results:?}");
-        assert_eq!(read_locked(&store, id), body);
-        assert_eq!(read_locked(&store, src), kept, "the source is untouched");
+        assert_eq!(store.read(id).unwrap(), body);
+        assert_eq!(store.read(src).unwrap(), kept, "the source is untouched");
         assert_eq!(store.debug_bodies_sealed_under_lock(), 1);
         drop(store);
         platform.reopen_and_audit(&[(id, body), (src, kept)]);
@@ -871,8 +864,8 @@ mod tests {
             .lock()
             .commit_batch(vec![set([&body_a, &body_b])], vec![sealed]);
         assert!(results.iter().all(Result::is_ok), "{results:?}");
-        assert_eq!(read_locked(&store, a), body_a);
-        assert_eq!(read_locked(&store, b), body_b);
+        assert_eq!(store.read(a).unwrap(), body_a);
+        assert_eq!(store.read(b).unwrap(), body_b);
         assert_eq!(store.debug_bodies_sealed_under_lock(), 2);
         drop(store);
         platform.reopen_and_audit(&[(a, body_a), (b, body_b)]);

@@ -65,17 +65,6 @@ const SLICE_SEGMENTS: usize = 2;
 /// an inline slice.
 const SLOWDOWN: u64 = 2;
 
-/// What one cleaning pass did, reported to the store facade so the read
-/// path can invalidate exactly the published descriptors that went stale.
-#[derive(Default)]
-pub(crate) struct CleanOutcome {
-    /// Segments reclaimed.
-    pub reclaimed: usize,
-    /// `(partition, position)` ids whose current version was relocated;
-    /// every other published descriptor survived the pass untouched.
-    pub relocated: Vec<ChunkId>,
-}
-
 /// A segment a pass may clean: its bytes; each current version's offset,
 /// length and id with the partitions it is current in; and what
 /// relocating them takes: their bytes with their cleaner records, and the
@@ -188,31 +177,29 @@ impl Inner {
 
     /// The inline slice: a live bounded log with fewer than R + `SLOWDOWN`
     /// free segments, or one that refused a writer since the last slice,
-    /// cleans `SLICE_SEGMENTS` segments before the batch leader's batch.
-    /// `None` when the log has room.
-    pub(crate) fn slice_if_short(&mut self) -> Option<Result<CleanOutcome>> {
+    /// cleans `SLICE_SEGMENTS` segments before the batch leader's batch. A
+    /// slice that fails has rolled back and set the store's health like
+    /// any mutation, which the batch then finds.
+    pub(crate) fn slice_if_short(&mut self) {
         if self.config.max_segments == 0
             || self.check_writable().is_err()
             || !std::mem::take(&mut self.reserve_refused)
                 && self.free_segments() >= self.cleaner_reserve() + SLOWDOWN
         {
-            return None;
+            return;
         }
-        let result = self.clean(SLICE_SEGMENTS);
-        if result.is_ok() {
+        if self.clean(SLICE_SEGMENTS).is_ok() {
             self.stats.clean_slices += 1;
         }
-        Some(result)
     }
 
     /// Cleans up to `max_segments` segments, lowest utilization first, and
     /// stops at the first that would make the pass lose ground; returns
-    /// how many were reclaimed and which chunk ids were relocated. The
-    /// pass may take the cleaner reserve.
+    /// how many were reclaimed. The pass may take the cleaner reserve.
     ///
     /// When nothing outside the residual log gains, it checkpoints once
     /// and tries again if that can help ([`Inner::checkpoint_helps`]).
-    pub(crate) fn clean(&mut self, max_segments: usize) -> Result<CleanOutcome> {
+    pub(crate) fn clean(&mut self, max_segments: usize) -> Result<usize> {
         self.cleaning = true;
         let bounded = self.config.max_segments != 0;
         let released = if bounded && !self.cleaned.is_empty() {
@@ -222,9 +209,9 @@ impl Inner {
         };
         let result = released
             .and_then(|()| self.clean_pass(max_segments))
-            .and_then(|outcome| {
-                if outcome.reclaimed > 0 || !self.checkpoint_helps()? {
-                    return Ok(outcome);
+            .and_then(|reclaimed| {
+                if reclaimed > 0 || !self.checkpoint_helps()? {
+                    return Ok(reclaimed);
                 }
                 self.checkpoint()?;
                 self.clean_pass(max_segments)
@@ -252,7 +239,7 @@ impl Inner {
         Ok(false)
     }
 
-    fn clean_pass(&mut self, max_segments: usize) -> Result<CleanOutcome> {
+    fn clean_pass(&mut self, max_segments: usize) -> Result<usize> {
         let sp = self.savepoint();
         self.wrote_log = false;
         let result = self.clean_segments(max_segments);
@@ -344,14 +331,13 @@ impl Inner {
         }))
     }
 
-    fn clean_segments(&mut self, max_segments: usize) -> Result<CleanOutcome> {
-        let mut outcome = CleanOutcome::default();
+    fn clean_segments(&mut self, max_segments: usize) -> Result<usize> {
         // Lowest utilization first, so the pass stops at the first segment
         // that would make it lose ground.
         let mut candidates = self.candidates().into_iter().take(max_segments);
         let mut plan = match self.plan_next(&mut candidates)? {
             Some(plan) if self.gains(1, plan.need, plan.largest) => plan,
-            _ => return Ok(outcome),
+            _ => return Ok(0),
         };
         let (mut need, mut largest) = (plan.need, plan.largest);
         self.durable_point_if_due()?;
@@ -373,13 +359,7 @@ impl Inner {
             let base = self.log.segment_offset(plan.seg);
             for (off, len, id, current_in) in &plan.live {
                 let sealed = &plan.buf[*off..*off + *len];
-                self.relocate(
-                    *id,
-                    sealed,
-                    base + *off as u64,
-                    current_in,
-                    &mut outcome.relocated,
-                )?;
+                self.relocate(*id, sealed, base + *off as u64, current_in)?;
             }
             rewrote_any |= !plan.live.is_empty();
             let checkpointed = (plan.live.iter()).any(|(_, _, id, _)| {
@@ -417,8 +397,7 @@ impl Inner {
         }
         self.stats.segments_cleaned += freed.len() as u64;
         self.stats.bytes_reclaimed += obsolete;
-        outcome.reclaimed = freed.len();
-        Ok(outcome)
+        Ok(freed.len())
     }
 
     /// Finds the partitions (header partition plus its copy closure) in
@@ -445,8 +424,10 @@ impl Inner {
                         }
                     }
                     // Deallocated partition: all its versions are obsolete
-                    // (its copies were deallocated with it, §5.5).
-                    Err(_) => continue,
+                    // (its copies were deallocated with it, §5.5). A leader
+                    // that fails to load is no such proof.
+                    Err(CoreError::NoSuchPartition(_)) => continue,
+                    Err(e) => return Err(e),
                 }
             }
             let desc = self.get_descriptor(ChunkId::new(q, id.pos))?;
@@ -465,7 +446,6 @@ impl Inner {
         sealed_old: &[u8],
         old_location: u64,
         current_in: &[PartitionId],
-        relocated: &mut Vec<ChunkId>,
     ) -> Result<()> {
         let pos = original_id.pos;
         let owner = current_in[0];
@@ -506,7 +486,6 @@ impl Inner {
                 }));
             }
             self.set_descriptor(ChunkId::new(q, pos), new_desc)?;
-            relocated.push(ChunkId::new(q, pos));
         }
         self.stats.chunks_relocated += 1;
         Ok(())

@@ -5,9 +5,12 @@
 //! tree bottom-up from the deepest cached ancestor, and every validated
 //! chunk read checks the body hash against the descriptor on the way out.
 
+use std::sync::Arc;
+
 use crate::descriptor::{ChunkStatus, Descriptor, MapChunk};
 use crate::errors::{CoreError, Result};
 use crate::ids::{capacity, ChunkId, PartitionId, Position};
+use crate::params::PartitionCrypto;
 use crate::store::Inner;
 use crate::version::validate_version;
 
@@ -161,7 +164,9 @@ impl Inner {
 
     // -- Read (§4.5) ----------------------------------------------------------
 
-    pub(crate) fn read_chunk(&mut self, id: ChunkId) -> Result<Vec<u8>> {
+    /// The descriptor of `id`'s current version and the crypto that opens
+    /// it: the status checks of [`Inner::read_chunk`] without its I/O.
+    pub(crate) fn locate(&mut self, id: ChunkId) -> Result<(Descriptor, Arc<PartitionCrypto>)> {
         if id.partition.is_system() || !id.pos.is_data() {
             return Err(CoreError::NotAllocated(id));
         }
@@ -179,7 +184,14 @@ impl Inner {
                 }
             }
             ChunkStatus::Unwritten => Err(CoreError::NotWritten(id)),
-            ChunkStatus::Written => self.read_validated(id, &desc),
+            ChunkStatus::Written => Ok((desc, self.crypto_for(id.partition)?)),
         }
+    }
+
+    /// The authoritative read: [`Inner::locate`], then the version read and
+    /// validated under the engine lock, where a failure is a verdict.
+    pub(crate) fn read_chunk(&mut self, id: ChunkId) -> Result<Vec<u8>> {
+        let (desc, _) = self.locate(id)?;
+        self.read_validated(id, &desc)
     }
 }

@@ -102,6 +102,17 @@ impl Inner {
         Ok(&self.leaders[&p])
     }
 
+    /// Whether `p` is written. Only [`CoreError::NoSuchPartition`] means
+    /// absent: a leader that cannot be read or fails validation is an
+    /// error, never a free id.
+    pub(crate) fn partition_exists(&mut self, p: PartitionId) -> Result<bool> {
+        match self.leader_entry(p) {
+            Ok(_) => Ok(true),
+            Err(CoreError::NoSuchPartition(_)) => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+
     /// [`Inner::leader_entry`] for a caller about to change the entry:
     /// inside a mutation scope its pre-image goes to the undo journal first.
     pub(crate) fn leader_entry_mut(&mut self, p: PartitionId) -> Result<&mut LeaderEntry> {

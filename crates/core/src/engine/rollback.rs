@@ -638,8 +638,8 @@ mod tests {
     #[test]
     fn clean_rolls_back_to_the_oracle_at_every_fault_index() {
         sweep("clean", 1000, |_, inner| {
-            let outcome = inner.clean(3)?;
-            assert!(outcome.reclaimed > 0 && !outcome.relocated.is_empty());
+            let relocated = inner.stats.chunks_relocated;
+            assert!(inner.clean(3)? > 0 && inner.stats.chunks_relocated > relocated);
             Ok(())
         });
     }

@@ -72,7 +72,6 @@ pub mod metrics;
 pub mod params;
 mod pipeline;
 pub mod proof;
-mod readpath;
 mod recovery;
 pub mod store;
 pub mod undo;

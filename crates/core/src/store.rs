@@ -17,12 +17,14 @@
 //! Concurrency: "serializability of operations is provided through mutual
 //! exclusion, which does not overlap I/O and computation, but is simple and
 //! acceptable when concurrency is low" (§4.2) — a single mutex around the
-//! whole engine.
+//! whole engine. Two kinds of work leave it: a committer seals its writes
+//! before it takes the lock, and a read validates its version after it
+//! drops the lock ([`ChunkStore::read`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use tdb_crypto::SecretKey;
 use tdb_storage::{MonotonicCounter, SharedUntrusted, TrustedStore};
@@ -30,7 +32,6 @@ use tdb_storage::{MonotonicCounter, SharedUntrusted, TrustedStore};
 use crate::batcher::CommitBatcher;
 use crate::cache::MapCache;
 use crate::descriptor::Descriptor;
-use crate::engine::maintenance::CleanOutcome;
 use crate::engine::rollback::Undo;
 use crate::errors::{CoreError, Result};
 use crate::ids::{ChunkId, PartitionId};
@@ -39,9 +40,8 @@ use crate::log::{LogHashes, SegmentedLog, SuiteRecord, Superblock};
 use crate::metrics::{self, modules};
 use crate::params::{CryptoParams, PartitionCrypto};
 use crate::pipeline::{self, Seals};
-use crate::readpath::ReadPath;
 use crate::undo::{Journal, UndoCounters};
-use crate::version::VersionKind;
+use crate::version::{validate_version, VersionKind};
 
 pub use crate::engine::commit::CommitOp;
 pub(crate) use crate::engine::commit::DirectRecord;
@@ -175,12 +175,6 @@ pub struct ChunkStoreStats {
     pub heal_attempts: u64,
     /// Successful heals (degraded back to live).
     pub heals: u64,
-    /// Reads served by the sharded fast path without the engine lock.
-    pub read_fast_hits: u64,
-    /// Reads served by the engine-locked fallback path.
-    pub read_fallbacks: u64,
-    /// Fast reads that found their shard write-locked and had to block.
-    pub read_shard_contention: u64,
     /// Group-commit batches executed by a leader thread.
     pub commit_batches: u64,
     /// Commits that rode in a group-commit batch (of any size).
@@ -306,50 +300,27 @@ pub(crate) struct Inner {
     pub cleaned: Vec<u32>,
 }
 
-/// The read-path entries a commit can change, collected before its ops
-/// are consumed: the chunk ids it writes or deallocates — or every entry,
-/// when it deallocates a partition (its ids may be reused) — and the
-/// partitions it creates, whose crypto it publishes.
-pub(crate) struct Touched {
-    ids: Vec<ChunkId>,
-    created: Vec<PartitionId>,
-    all: bool,
-}
-
-impl Touched {
-    pub(crate) fn of(ops: &[CommitOp]) -> Touched {
-        let mut touched = Touched {
-            ids: Vec::new(),
-            created: Vec::new(),
-            all: false,
-        };
-        for op in ops {
-            match op {
-                CommitOp::WriteChunk { id, .. } | CommitOp::DeallocChunk { id } => {
-                    touched.ids.push(*id);
-                }
-                CommitOp::DeallocPartition { .. } => touched.all = true,
-                CommitOp::CreatePartition { id, .. } | CommitOp::CopyPartition { dst: id, .. } => {
-                    touched.created.push(*id);
-                }
-            }
-        }
-        touched
-    }
-}
-
 /// The trusted chunk store.
 ///
-/// Mutations are serialized behind one lock, per the paper's simple
-/// mutual-exclusion concurrency model, but a committer hashes and seals
-/// its own writes before it takes that lock: a sealed version is
-/// location-independent, and the engine re-checks each early seal against
-/// the partition's current crypto. Reads additionally take a sharded fast
-/// path (the `readpath` module) that serves validated chunks without the
-/// engine lock; any miss or anomaly falls back to the locked path.
+/// Every operation runs its engine work behind one lock, per the paper's
+/// simple mutual-exclusion concurrency model. The crypto of a commit and a
+/// read runs outside it: a committer hashes and seals its own writes before
+/// it takes the lock (a sealed version is location-independent, and the
+/// engine re-checks each early seal against the partition's current
+/// crypto), and a read finds its descriptor under the lock but reads,
+/// decrypts and checks the version after it lets go.
 pub struct ChunkStore {
     pub(crate) inner: Mutex<Inner>,
-    pub(crate) reads: ReadPath,
+    /// The untrusted device the log appends to, read off the lock.
+    device: SharedUntrusted,
+    /// The system crypto, which seals every version header.
+    system: Arc<PartitionCrypto>,
+    /// Partition → crypto, for sealing before the lock. Written only under
+    /// the engine lock, by a read (the crypto it located) and by a batch
+    /// (the partitions it wrote or created); a batch that deallocates a
+    /// partition empties it. An entry may be stale, which the engine's
+    /// re-check of early seals catches.
+    cryptos: RwLock<HashMap<PartitionId, Arc<PartitionCrypto>>>,
     /// Group-commit coordinator, the only way into the commit path.
     pub(crate) batcher: CommitBatcher,
 }
@@ -433,13 +404,13 @@ impl ChunkStore {
         Ok(ChunkStore::assemble(inner))
     }
 
-    /// Wraps a fully built engine with its concurrent read path.
+    /// Wraps a fully built engine.
     fn assemble(inner: Inner) -> ChunkStore {
-        let reads = ReadPath::new(Arc::clone(inner.log.store()), Arc::clone(&inner.system));
-        reads.set_health(&inner.health);
         ChunkStore {
+            device: Arc::clone(inner.log.store()),
+            system: Arc::clone(&inner.system),
+            cryptos: RwLock::new(HashMap::new()),
             inner: Mutex::new(inner),
-            reads,
             batcher: CommitBatcher::new(),
         }
     }
@@ -486,8 +457,14 @@ impl ChunkStore {
         inner.allocate_chunk(partition)
     }
 
-    /// Reads the last written state of a chunk, locating and validating it
-    /// through the chunk map (§4.5).
+    /// Reads the last written state of a chunk (§4.5). The chunk's
+    /// descriptor is found through the chunk map under the engine lock;
+    /// the version is then read, decrypted and checked against it with the
+    /// lock released, so readers overlap their I/O and crypto with each
+    /// other and with mutations. Off the lock, a failure is no verdict: a
+    /// commit or the cleaner may have moved the version meanwhile, so the
+    /// read is retried under the lock, and only that retry may report
+    /// tampering.
     ///
     /// # Errors
     ///
@@ -495,22 +472,56 @@ impl ChunkStore {
     /// validation fails.
     pub fn read(&self, id: ChunkId) -> Result<Vec<u8>> {
         let _t = metrics::span(modules::CHUNK_STORE);
-        // Fast path: a published descriptor and a device read, no engine
-        // lock. Any miss or anomaly (including benign races with the
-        // cleaner) falls through to the authoritative locked path below.
-        if let Some(body) = self.reads.try_fast(id) {
-            return Ok(body);
+        let (desc, crypto) = {
+            let mut inner = self.inner.lock();
+            inner.check_readable()?;
+            let (desc, crypto) = inner.locate(id)?;
+            self.publish_crypto(id.partition, &crypto);
+            (desc, crypto)
+        };
+        let mut buf = vec![0u8; desc.vlen as usize];
+        let read = {
+            let _t = metrics::span(modules::UNTRUSTED_READ);
+            self.device.read_at(desc.location, &mut buf)
+        };
+        if read.is_ok() {
+            if let Ok(body) = validate_version(&self.system, &crypto, id, &desc, &buf) {
+                return Ok(body);
+            }
         }
         let mut inner = self.inner.lock();
         inner.check_readable()?;
-        let body = inner.read_chunk(id)?;
-        self.reads.note_fallback();
-        // Publish for future fast reads while the engine lock is still
-        // held, so the published descriptor is current at this instant.
-        if let (Ok(desc), Ok(crypto)) = (inner.get_descriptor(id), inner.crypto_for(id.partition)) {
-            self.reads.publish(id, desc, &crypto);
+        inner.read_chunk(id)
+    }
+
+    /// Records `crypto` as `p`'s in the table [`ChunkStore::seal_early`]
+    /// reads. Called with the engine lock held, so a table entry is never
+    /// older than the last batch that emptied it.
+    fn publish_crypto(&self, p: PartitionId, crypto: &Arc<PartitionCrypto>) {
+        let current = (self.cryptos.read().get(&p)).is_some_and(|c| Arc::ptr_eq(c, crypto));
+        if !current {
+            self.cryptos.write().insert(p, Arc::clone(crypto));
         }
-        Ok(body)
+    }
+
+    /// Brings the crypto table up to date after a batch, under the engine
+    /// lock: a batch that deallocated a partition empties it (the ids and
+    /// keys may be reused), and each partition the batch wrote or created
+    /// that still exists is published, so its next writes seal early.
+    pub(crate) fn publish_cryptos(
+        &self,
+        inner: &mut Inner,
+        written: &[PartitionId],
+        deallocated: bool,
+    ) {
+        if deallocated {
+            self.cryptos.write().clear();
+        }
+        for p in written {
+            if let Ok(crypto) = inner.crypto_for(*p) {
+                self.publish_crypto(*p, &crypto);
+            }
+        }
     }
 
     /// Atomically applies a group of operations (§4.1 `Commit`).
@@ -546,9 +557,10 @@ impl ChunkStore {
     /// Hashes and seals the writes of `sets` on the caller's thread, before
     /// it queues or takes the engine lock, in one pipeline pass (so a burst
     /// or a bulk load enciphers its bodies as lanes of one kernel call)
-    /// under the partition crypto the read path has published. A write whose partition's crypto
-    /// is not published, or is created earlier in its own set, is left for
-    /// the engine to seal under its lock.
+    /// under the partition crypto last published to the crypto table. A
+    /// write whose partition's crypto is not published, or is created
+    /// earlier in its own set, is left for the engine to seal under its
+    /// lock.
     pub(crate) fn seal_early(&self, sets: &[Vec<CommitOp>]) -> Vec<Seals> {
         let mut out: Vec<Seals> = sets
             .iter()
@@ -564,8 +576,8 @@ impl ChunkStore {
                         created.push(*id);
                     }
                     CommitOp::WriteChunk { id, bytes } if !created.contains(&id.partition) => {
-                        if let Some(crypto) = self.reads.crypto(id.partition) {
-                            jobs.push((*id, crypto, bytes.as_slice()));
+                        if let Some(crypto) = self.cryptos.read().get(&id.partition) {
+                            jobs.push((*id, Arc::clone(crypto), bytes.as_slice()));
                             slots.push((m, i));
                         }
                     }
@@ -573,50 +585,16 @@ impl ChunkStore {
                 }
             }
         }
-        let sealed = pipeline::seal_batch(&self.reads.system, VersionKind::Named, &jobs);
+        let sealed = pipeline::seal_batch(&self.system, VersionKind::Named, &jobs);
         for ((m, i), pre) in slots.into_iter().zip(sealed) {
             out[m][i] = Some(pre);
         }
         out
     }
 
-    /// Brings the read path up to date after a commit attempt, under the
-    /// engine lock so published descriptors are current. Touched entries
-    /// are scrubbed on every outcome — a commit can be durably applied
-    /// even when its result is an error (e.g. the follow-on checkpoint
-    /// failed), so touched ids never survive an attempt — and a
-    /// successful commit republishes their new descriptors and the crypto
-    /// of the partitions it created, so their first writes seal early too.
-    pub(crate) fn scrub_and_publish(
-        &self,
-        inner: &mut Inner,
-        touched: &Touched,
-        result: &Result<()>,
-    ) {
-        if touched.all {
-            self.reads.clear_all();
-        } else {
-            for id in &touched.ids {
-                self.reads.invalidate(*id);
-            }
-        }
-        if result.is_ok() {
-            for p in &touched.created {
-                if let Ok(crypto) = inner.crypto_for(*p) {
-                    self.reads.publish_crypto(*p, &crypto);
-                }
-            }
-            for id in &touched.ids {
-                if let (Ok(desc), Ok(crypto)) =
-                    (inner.get_descriptor(*id), inner.crypto_for(id.partition))
-                {
-                    self.reads.publish(*id, desc, &crypto);
-                }
-            }
-        }
-    }
-
     /// Forces a checkpoint (§4.7), consolidating buffered chunk-map updates.
+    /// It rewrites map chunks and leaders but no data chunk's version, so a
+    /// read validating off the lock meanwhile still finds its bytes.
     ///
     /// # Errors
     ///
@@ -626,11 +604,7 @@ impl ChunkStore {
         let _t = metrics::span(modules::CHUNK_STORE);
         let mut inner = self.inner.lock();
         inner.check_writable()?;
-        // A checkpoint rewrites map chunks and leaders but never changes a
-        // data chunk's state, so published shard entries stay valid.
-        let result = inner.checkpoint();
-        self.reads.set_health(&inner.health);
-        result
+        inner.checkpoint()
     }
 
     /// Runs the log cleaner over up to `max_segments` segments (§4.9.5),
@@ -646,25 +620,7 @@ impl ChunkStore {
         let _t = metrics::span(modules::CHUNK_STORE);
         let mut inner = self.inner.lock();
         inner.check_writable()?;
-        let result = inner.clean(max_segments);
-        self.after_clean(&inner, &result);
-        result.map(|o| o.reclaimed)
-    }
-
-    /// Brings the read path up to date after a cleaning pass, under the
-    /// engine lock: exactly the relocated ids are invalidated, so hot
-    /// readers keep their fast path; an error clears the shards wholesale
-    /// (the rollback may have left published descriptors stale).
-    pub(crate) fn after_clean(&self, inner: &Inner, result: &Result<CleanOutcome>) {
-        match result {
-            Ok(outcome) => {
-                for id in &outcome.relocated {
-                    self.reads.invalidate(*id);
-                }
-            }
-            Err(_) => self.reads.clear_shards(),
-        }
-        self.reads.set_health(&inner.health);
+        inner.clean(max_segments)
     }
 
     /// Chunk positions whose state differs between two partitions (§5.1
@@ -710,46 +666,34 @@ impl ChunkStore {
     }
 
     /// Whether `partition` currently exists (is written).
-    pub fn partition_exists(&self, partition: PartitionId) -> bool {
+    ///
+    /// # Errors
+    ///
+    /// Fails if the store is poisoned, or if the partition's leader cannot
+    /// be read or fails validation: a leader in doubt is never taken for a
+    /// free id.
+    pub fn partition_exists(&self, partition: PartitionId) -> Result<bool> {
         let mut inner = self.inner.lock();
-        if inner.check_readable().is_err() {
-            return false;
-        }
-        inner.leader_entry(partition).is_ok()
+        inner.check_readable()?;
+        inner.partition_exists(partition)
     }
 
     /// Aggregate statistics.
     pub fn stats(&self) -> ChunkStoreStats {
-        let mut stats = {
-            let inner = self.inner.lock();
-            let mut stats = inner.stats;
-            let (appends, runs, bytes) = inner.log.coalesce_counters();
-            stats.log_coalesced_bytes = bytes;
-            stats.log_writes_coalesced = appends.saturating_sub(runs);
-            stats.lazy_hash_hits = inner.lazy.hits;
-            stats.lazy_hash_recomputes = inner.lazy.recomputes;
-            stats.lazy_invalidations = inner.lazy.invalidations;
-            stats
-        };
-        let (hits, fallbacks, contention) = self.reads.counters();
-        stats.read_fast_hits = hits;
-        stats.read_fallbacks = fallbacks;
-        stats.read_shard_contention = contention;
+        let inner = self.inner.lock();
+        let mut stats = inner.stats;
+        let (appends, runs, bytes) = inner.log.coalesce_counters();
+        stats.log_coalesced_bytes = bytes;
+        stats.log_writes_coalesced = appends.saturating_sub(runs);
+        stats.lazy_hash_hits = inner.lazy.hits;
+        stats.lazy_hash_recomputes = inner.lazy.recomputes;
+        stats.lazy_invalidations = inner.lazy.invalidations;
         stats
     }
 
     /// Current health: live, degraded (read-only), or poisoned.
     pub fn health(&self) -> StoreHealth {
         self.inner.lock().health.clone()
-    }
-
-    /// Drops every cached descriptor from the read shards (partition
-    /// crypto handles are kept). Until the shards re-warm, reads fall back
-    /// to the locked path, which walks the chunk map. For tests and
-    /// benchmarks that need every read to resolve its descriptor afresh,
-    /// and for callers shedding memory.
-    pub fn drop_read_cache(&self) {
-        self.reads.clear_shards();
     }
 
     /// Attempts to return a degraded store to live service without the
@@ -768,10 +712,7 @@ impl ChunkStore {
     /// refuses I/O — the store stays degraded and the call can be retried.
     pub fn try_heal(&self) -> Result<()> {
         let _t = metrics::span(modules::CHUNK_STORE);
-        let mut inner = self.inner.lock();
-        let result = inner.try_heal();
-        self.reads.set_health(&inner.health);
-        result
+        self.inner.lock().try_heal()
     }
 
     /// Total bytes the store occupies (superblock + all segments).
@@ -795,9 +736,7 @@ impl ChunkStore {
     pub fn close(&self) -> Result<()> {
         let mut inner = self.inner.lock();
         inner.check_writable()?;
-        let result = inner.checkpoint();
-        self.reads.set_health(&inner.health);
-        result
+        inner.checkpoint()
     }
 
     /// Runs `f` with the engine lock held (crate-internal escape hatch for

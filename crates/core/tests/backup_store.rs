@@ -162,7 +162,7 @@ fn incremental_chain_roundtrip() {
     store
         .commit(vec![CommitOp::DeallocPartition { id: p }])
         .unwrap();
-    assert!(!store.partition_exists(p));
+    assert!(!store.partition_exists(p).unwrap());
 
     // Restore the whole chain (order of names should not matter).
     let report = backups
@@ -494,7 +494,7 @@ fn snapshots_reported_for_reuse_as_bases() {
         .unwrap();
     assert_eq!(info.snapshots.len(), 1);
     // The snapshot exists and holds the backed-up state.
-    assert!(store.partition_exists(info.snapshots[0]));
+    assert!(store.partition_exists(info.snapshots[0]).unwrap());
     assert_eq!(
         store.read(ChunkId::data(info.snapshots[0], 0)).unwrap(),
         b"x"

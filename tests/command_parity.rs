@@ -792,7 +792,7 @@ fn second_begin_is_busy_and_not_transient() {
 #[test]
 fn tampered_record_get_answers_a_tamper_code() {
     /// Creates one record, flips the last byte of its committed version
-    /// on the device, and clears the object and read caches.
+    /// on the device, and clears the object cache.
     fn tampered(db: &TrustedDb, store: &MemStore) -> ObjectId {
         let create = Command::Create {
             partition: db.partition(),
@@ -804,7 +804,6 @@ fn tampered_record_get_answers_a_tamper_code() {
         let version = db.chunks().debug_descriptor(id.0).expect("descriptor");
         store.tamper(version.location + u64::from(version.vlen) - 1, 0x01);
         db.objects().invalidate_cache();
-        db.chunks().drop_read_cache();
         id
     }
     let is_tamper = |e: &WireError| {

@@ -1,6 +1,6 @@
 //! Concurrent read/mutate stress over a shared [`ChunkStore`] (ISSUE 2).
 //!
-//! N reader threads hammer the sharded fast-read path while one mutator
+//! N reader threads read, validating off the engine lock, while one mutator
 //! commits new versions, checkpoints, and cleans. The protocol proves
 //! that every successful read returns a *fully committed* pre- or
 //! post-state body, never torn or partially validated data:
@@ -243,9 +243,6 @@ fn run_stress(readers: usize, iters: u64) {
         handles.into_iter().map(|j| j.join().unwrap().0).sum()
     });
     assert!(total_reads > 0, "readers never observed a chunk");
-    let stats = h.store.stats();
-    // The fast path must actually be exercised (not all falling back).
-    assert!(stats.read_fast_hits > 0, "no fast-path hits: {stats:?}");
     // Post-run: the final committed state reads back exactly.
     for rank in 0..RANKS {
         let v = h.committed[rank as usize].load(Ordering::SeqCst);
@@ -279,7 +276,6 @@ fn run_faulted(readers: usize, iters: u64, seed: u64) {
     // do that, and the plan injects none), it must serve committed state.
     dev.set_plan(FaultPlan::new());
     let _ = h.store.try_heal();
-    h.store.drop_read_cache();
     for rank in 0..RANKS {
         let lo = h.committed[rank as usize].load(Ordering::SeqCst);
         let hi = h.pending[rank as usize].load(Ordering::SeqCst);
@@ -334,10 +330,11 @@ fn faulted_stress_eight_readers() {
 // -- A partition id deallocated and recreated under its committers ---------
 //
 // Committers seal their writes before the engine lock, under the partition
-// crypto the read path published, and the engine re-checks each seal
-// against the partition's current crypto. Here one thread deallocates a
-// partition and recreates the same id under a fresh key, again and again,
-// while two others allocate chunks in it and commit writes — single
+// crypto last published to the store's crypto table, and the engine
+// re-checks each seal against the partition's current crypto. Here one
+// thread deallocates a partition and recreates the same id under a fresh
+// key, again and again, while two others allocate chunks in it and commit
+// writes — single
 // autocommits, and now and then a 72 KB burst sealed early as one batch.
 // An id names a rank, not an incarnation: a write whose chunk was
 // allocated before a recycle still commits if the other committer has
