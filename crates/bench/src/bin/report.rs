@@ -11,7 +11,7 @@
 use tdb_bench::experiments::{summarize, Experiment, EXPERIMENTS};
 
 const USAGE: &str = "usage: report [--runs N] <experiments...>\n\
-     experiments: e1 e2 e3 e4 e5 e6 e7 e8 e9|fig9 e10|fig10 e11|fig11 e12|fig12 ablations | all | micro";
+     experiments: e1 e2 e3 e4 e5 e6 e7 e8 e9|fig9 e10|fig10 e11|fig11 e12|fig12 ablations sessions | all | micro";
 
 /// A parsed command line: runs per experiment and the selected experiment
 /// names, lower-cased.

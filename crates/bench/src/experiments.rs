@@ -24,6 +24,7 @@ use tdb_storage::{BatchingStore, MemArchive, MemStore, RemoteStore, SharedUntrus
 use crate::fixtures::{bytes, chunk_store_with_partition, paper_config, IoMode, Platform};
 use crate::regress::{ols, r_squared};
 use crate::workload::{generate_stream, paper_counts, Kind, TdbWorkload, XdbWorkload};
+use crate::workload::{rec_by_prefix, unpickle_rec, Rec, REC_TAG};
 
 /// One measured number of one run of an experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,9 +77,10 @@ const fn exp(
 const E10_SEED: u64 = 11;
 const E11_SEED: u64 = 100;
 const E12_SEED: u64 = 500;
+const SESSIONS_SEED: u64 = 1;
 
 /// Every experiment, in report order.
-pub const EXPERIMENTS: [Experiment; 13] = [
+pub const EXPERIMENTS: [Experiment; 14] = [
     exp(&["e1", "micro"], None, e1_crypto),
     exp(&["e2", "micro"], None, e2_store),
     exp(&["e3", "micro"], None, e3_allocate),
@@ -92,6 +94,7 @@ pub const EXPERIMENTS: [Experiment; 13] = [
     exp(&["e11", "fig11"], Some(E11_SEED), e11_comparison),
     exp(&["e12", "fig12"], Some(E12_SEED), e12_breakdown),
     exp(&["ablations"], None, ablations),
+    exp(&["sessions"], Some(SESSIONS_SEED), sessions),
 ];
 
 /// The quartiles of `values` as Python's `statistics.quantiles(values,
@@ -798,6 +801,211 @@ fn ablations(_run: usize) -> Vec<Row> {
         .into_iter()
         .map(|(metric, d)| row(metric + "_us", "us", d))
         .collect()
+}
+
+const GOOD_LEN: usize = 300;
+const GOODS_COLLECTIONS: usize = 8;
+const GOODS_PER_COLLECTION: u64 = 2048;
+const GOODS_CATEGORIES: u64 = 256;
+const SESSIONS_RUN: Duration = Duration::from_secs(4);
+
+/// A good of the `sessions` experiment: a 300-byte record whose payload
+/// starts with its `sku` (8 bytes, the sorted `prefix` index) and its
+/// `category` (2 bytes), both big-endian so that raw keys sort as numbers.
+fn good(sku: u64, fill: u8) -> Rec {
+    let mut payload = vec![fill; GOOD_LEN - 1];
+    payload[..8].copy_from_slice(&sku.to_be_bytes());
+    payload[8..10].copy_from_slice(&((sku % GOODS_CATEGORIES) as u16).to_be_bytes());
+    Rec {
+        collection: 0,
+        payload,
+    }
+}
+
+fn good_by_category(o: &dyn tdb::StoredObject) -> Option<Vec<u8>> {
+    let good = o.as_any().downcast_ref::<Rec>()?;
+    Some(tdb::IndexKey::new().raw(&good.payload[8..10]).into_bytes())
+}
+
+/// SplitMix64: a seeded stream per session.
+struct Mix(u64);
+
+impl Mix {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+}
+
+/// An in-memory database with DES+SHA-1 goods: `GOODS_COLLECTIONS`
+/// collections of `GOODS_PER_COLLECTION`, each with a sorted `sku` index
+/// and an unsorted `category` index.
+fn goods_db() -> (tdb::TrustedDb, Vec<tdb::CollectionId>) {
+    let db = tdb::TrustedDbBuilder::new()
+        .partition_params(CryptoParams::generate(CipherKind::Des, HashKind::Sha1))
+        .register_type(REC_TAG, unpickle_rec)
+        .register_extractor("sku", rec_by_prefix)
+        .register_extractor("category", good_by_category)
+        .build_in_memory()
+        .expect("goods db");
+    let colls = (0..GOODS_COLLECTIONS)
+        .map(|c| {
+            let coll = db
+                .run(|tx| {
+                    let colls = db.collections();
+                    let coll = colls.create_collection(tx, db.partition(), &format!("goods{c}"))?;
+                    colls.add_index(tx, coll, "sku", "sku", tdb::IndexKind::Sorted)?;
+                    colls.add_index(tx, coll, "category", "category", tdb::IndexKind::Unsorted)?;
+                    Ok(coll)
+                })
+                .expect("collection");
+            for batch in 0..GOODS_PER_COLLECTION / 64 {
+                db.run(|tx| {
+                    for sku in batch * 64..(batch + 1) * 64 {
+                        let good = Arc::new(good(sku, c as u8));
+                        db.collections().insert(tx, coll, good)?;
+                    }
+                    Ok(())
+                })
+                .expect("load goods");
+            }
+            coll
+        })
+        .collect();
+    (db, colls)
+}
+
+/// One session's goods transactions for `SESSIONS_RUN`: each picks a
+/// collection and runs a `sku` range of up to 16 members, two lookups per
+/// index, a get of every hit, 4 puts of hits, 1 insert, and the removal of
+/// this session's insert from five transactions before, through
+/// `TrustedDb::run`. Returns committed transactions, failed ones, and
+/// attempts.
+fn goods_session(
+    db: &tdb::TrustedDb,
+    colls: &[tdb::CollectionId],
+    session: u64,
+    seed: u64,
+) -> (u64, u64, u64) {
+    let mut rng = Mix(seed.wrapping_mul(0x100_0000_01B3) ^ session);
+    let mut inserted = std::collections::VecDeque::new();
+    let (mut committed, mut failed, mut attempts) = (0, 0, 0);
+    let mut next_sku = (session + 1) << 32;
+    let start = Instant::now();
+    while start.elapsed() < SESSIONS_RUN {
+        let coll = colls[rng.below(colls.len() as u64) as usize];
+        let lo = rng.below(GOODS_PER_COLLECTION);
+        let skus = [
+            rng.below(GOODS_PER_COLLECTION),
+            rng.below(GOODS_PER_COLLECTION),
+        ];
+        let cats = [rng.below(GOODS_CATEGORIES), rng.below(GOODS_CATEGORIES)];
+        let puts: Vec<u64> = (0..4).map(|_| rng.below(1 << 16)).collect();
+        let sku = next_sku;
+        next_sku += 1;
+        let remove = (inserted.len() >= 5)
+            .then(|| inserted.pop_front())
+            .flatten();
+        let result = db.run(|tx| {
+            attempts += 1;
+            let colls = db.collections();
+            let key = |k: &[u8]| tdb::IndexKey::new().raw(k).into_bytes();
+            let sku_key = |k: u64| key(&k.to_be_bytes());
+            let (lo, hi) = (sku_key(lo), sku_key(lo + 16));
+            let mut hits = colls.range(tx, coll, "sku", Some(&lo), Some(&hi))?;
+            for k in skus {
+                hits.extend(colls.lookup(tx, coll, "sku", &sku_key(k))?);
+            }
+            for k in cats {
+                let k = key(&(k as u16).to_be_bytes());
+                hits.extend(colls.lookup(tx, coll, "category", &k)?);
+            }
+            let mut goods = Vec::with_capacity(hits.len());
+            for &id in &hits {
+                goods.push((id, tx.get::<Rec>(id)?));
+            }
+            if !goods.is_empty() {
+                for &pick in &puts {
+                    let (id, good) = &goods[pick as usize % goods.len()];
+                    let mut payload = good.payload.clone();
+                    payload[GOOD_LEN - 2] = payload[GOOD_LEN - 2].wrapping_add(1);
+                    let collection = good.collection;
+                    tx.put(
+                        *id,
+                        Arc::new(Rec {
+                            collection,
+                            payload,
+                        }),
+                    )?;
+                }
+            }
+            let id = colls.insert(tx, coll, Arc::new(good(sku, 0)))?;
+            if let Some((from, old)) = remove {
+                colls.remove(tx, from, old)?;
+            }
+            Ok(id)
+        });
+        match result {
+            Ok(id) => {
+                committed += 1;
+                inserted.push_back((coll, id));
+            }
+            Err(_) => {
+                failed += 1;
+                // The removal did not happen; retry it next time.
+                if let Some(r) = remove {
+                    inserted.push_front(r);
+                }
+            }
+        }
+    }
+    (committed, failed, attempts)
+}
+
+/// Concurrent sessions under two-phase locking: 1, 2 and 4 threads run
+/// `goods_session` on one database at once. Per session count: committed
+/// transactions per second, failed transactions, and retries (attempts
+/// beyond one per transaction).
+fn sessions(run: usize) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for n in [1u64, 2, 4] {
+        let (db, colls) = goods_db();
+        let seed = SESSIONS_SEED + run as u64;
+        let (d, per_session) = time(|| {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..n)
+                    .map(|i| {
+                        let (db, colls) = (&db, &colls);
+                        s.spawn(move || goods_session(db, colls, i, seed))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("session"))
+                    .collect::<Vec<_>>()
+            })
+        });
+        let (committed, failed, attempts) = per_session
+            .iter()
+            .fold((0, 0, 0), |(c, f, a), &(c2, f2, a2)| {
+                (c + c2, f + f2, a + a2)
+            });
+        rows.push(row(
+            format!("s{n}.committed_txns_s"),
+            "txns/s",
+            committed as f64 / d.as_secs_f64(),
+        ));
+        rows.push(row(format!("s{n}.failed_txns"), "count", failed as f64));
+        rows.push(row(
+            format!("s{n}.retries"),
+            "count",
+            (attempts - committed - failed) as f64,
+        ));
+    }
+    rows
 }
 
 #[cfg(test)]

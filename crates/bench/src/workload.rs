@@ -139,15 +139,15 @@ pub struct RunResult {
 /// A generic benchmark object, standing in for the goods / contracts /
 /// accounts / licenses of the paper's scenario.
 #[derive(Debug)]
-struct Rec {
+pub(crate) struct Rec {
     /// Which of the 30 collections (object types) this record belongs to.
-    collection: u8,
+    pub(crate) collection: u8,
     /// Opaque application payload.
-    payload: Vec<u8>,
+    pub(crate) payload: Vec<u8>,
 }
 
 /// Type tag for [`Rec`].
-const REC_TAG: u32 = 900;
+pub(crate) const REC_TAG: u32 = 900;
 
 impl StoredObject for Rec {
     fn type_tag(&self) -> u32 {
@@ -165,7 +165,7 @@ impl StoredObject for Rec {
 }
 
 /// Decodes a [`Rec`] body.
-fn unpickle_rec(body: &[u8]) -> tdb_object::errors::Result<Arc<dyn StoredObject>> {
+pub(crate) fn unpickle_rec(body: &[u8]) -> tdb_object::errors::Result<Arc<dyn StoredObject>> {
     if body.is_empty() {
         return Err(tdb_object::errors::ObjectError::BadPickle("rec".into()));
     }
@@ -176,7 +176,7 @@ fn unpickle_rec(body: &[u8]) -> tdb_object::errors::Result<Arc<dyn StoredObject>
 }
 
 /// Sorted index on the first payload bytes.
-fn rec_by_prefix(o: &dyn StoredObject) -> Option<Vec<u8>> {
+pub(crate) fn rec_by_prefix(o: &dyn StoredObject) -> Option<Vec<u8>> {
     o.as_any().downcast_ref::<Rec>().map(|r| {
         IndexKey::new()
             .raw(&r.payload[..r.payload.len().min(8)])

@@ -17,7 +17,7 @@ use tdb_core::codec::{Dec, Enc};
 use tdb_core::{PartitionId, Result as CoreResult};
 use tdb_object::errors::Result;
 use tdb_object::pickle::{StoredObject, TypeRegistry};
-use tdb_object::{ObjectId, Transactional};
+use tdb_object::{ObjectId, Tx};
 
 use crate::unpickle_with;
 
@@ -115,16 +115,16 @@ impl BTree {
         ObjectId::from_parts(self.partition, rank)
     }
 
-    fn read(&self, tx: &mut impl Transactional, rank: u64) -> Result<Arc<BTreeNode>> {
+    fn read(&self, tx: &mut Tx, rank: u64) -> Result<Arc<BTreeNode>> {
         tx.get::<BTreeNode>(self.node_id(rank))
     }
 
-    fn write(&self, tx: &mut impl Transactional, rank: u64, node: BTreeNode) -> Result<()> {
+    fn write(&self, tx: &mut Tx, rank: u64, node: BTreeNode) -> Result<()> {
         tx.put(self.node_id(rank), Arc::new(node))
     }
 
     /// Creates a fresh empty tree in `partition`, returning its handle.
-    pub fn create(tx: &mut impl Transactional, partition: PartitionId) -> Result<BTree> {
+    pub fn create(tx: &mut Tx, partition: PartitionId) -> Result<BTree> {
         let id = tx.create(partition, Arc::new(BTreeNode::empty_leaf()))?;
         Ok(BTree {
             partition,
@@ -133,7 +133,7 @@ impl BTree {
     }
 
     /// Inserts `(key, value)`. Duplicate pairs are idempotent.
-    pub fn insert(&self, tx: &mut impl Transactional, key: &[u8], value: u64) -> Result<()> {
+    pub fn insert(&self, tx: &mut Tx, key: &[u8], value: u64) -> Result<()> {
         if let Some((sep, new_child)) = self.insert_rec(tx, self.root, key, value)? {
             // The root split: move the root's current content into a fresh
             // left sibling; the root becomes internal over [left, right].
@@ -158,7 +158,7 @@ impl BTree {
     /// the visited node split.
     fn insert_rec(
         &self,
-        tx: &mut impl Transactional,
+        tx: &mut Tx,
         rank: u64,
         key: &[u8],
         value: u64,
@@ -217,7 +217,7 @@ impl BTree {
     }
 
     /// Removes `(key, value)`; returns whether it was present.
-    pub fn remove(&self, tx: &mut impl Transactional, key: &[u8], value: u64) -> Result<bool> {
+    pub fn remove(&self, tx: &mut Tx, key: &[u8], value: u64) -> Result<bool> {
         let removed = self.remove_rec(tx, self.root, key, value)?;
         if removed {
             // Collapse a childless-chain root: an internal root with no
@@ -237,13 +237,7 @@ impl BTree {
         Ok(removed)
     }
 
-    fn remove_rec(
-        &self,
-        tx: &mut impl Transactional,
-        rank: u64,
-        key: &[u8],
-        value: u64,
-    ) -> Result<bool> {
+    fn remove_rec(&self, tx: &mut Tx, rank: u64, key: &[u8], value: u64) -> Result<bool> {
         let node = self.read(tx, rank)?;
         let mut node = (*node).clone();
         if node.leaf {
@@ -280,12 +274,7 @@ impl BTree {
 
     /// All `(key, value)` pairs with `lo ≤ key < hi` (whole-key bounds;
     /// `hi = None` means unbounded), in order.
-    pub fn range(
-        &self,
-        tx: &mut impl Transactional,
-        lo: Option<&[u8]>,
-        hi: Option<&[u8]>,
-    ) -> Result<Vec<Entry>> {
+    pub fn range(&self, tx: &mut Tx, lo: Option<&[u8]>, hi: Option<&[u8]>) -> Result<Vec<Entry>> {
         let mut out = Vec::new();
         self.range_rec(tx, self.root, lo, hi, &mut out)?;
         Ok(out)
@@ -293,7 +282,7 @@ impl BTree {
 
     fn range_rec(
         &self,
-        tx: &mut impl Transactional,
+        tx: &mut Tx,
         rank: u64,
         lo: Option<&[u8]>,
         hi: Option<&[u8]>,
@@ -339,7 +328,7 @@ impl BTree {
     }
 
     /// All values whose key equals `key` exactly.
-    pub fn lookup(&self, tx: &mut impl Transactional, key: &[u8]) -> Result<Vec<u64>> {
+    pub fn lookup(&self, tx: &mut Tx, key: &[u8]) -> Result<Vec<u64>> {
         let mut hi = key.to_vec();
         hi.push(0);
         Ok(self
@@ -351,16 +340,16 @@ impl BTree {
     }
 
     /// Every entry, in order.
-    pub fn scan(&self, tx: &mut impl Transactional) -> Result<Vec<Entry>> {
+    pub fn scan(&self, tx: &mut Tx) -> Result<Vec<Entry>> {
         self.range(tx, None, None)
     }
 
     /// Deletes every node object of this tree (index drop).
-    pub fn destroy(&self, tx: &mut impl Transactional) -> Result<()> {
+    pub fn destroy(&self, tx: &mut Tx) -> Result<()> {
         self.destroy_rec(tx, self.root)
     }
 
-    fn destroy_rec(&self, tx: &mut impl Transactional, rank: u64) -> Result<()> {
+    fn destroy_rec(&self, tx: &mut Tx, rank: u64) -> Result<()> {
         let node = self.read(tx, rank)?;
         let children = node.children.clone();
         for c in children {

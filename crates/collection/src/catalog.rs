@@ -12,7 +12,7 @@ use std::sync::Arc;
 use tdb_core::codec::Enc;
 use tdb_object::errors::Result;
 use tdb_object::pickle::{StoredObject, TypeRegistry};
-use tdb_object::{ObjectId, Transactional};
+use tdb_object::{ObjectId, Tx};
 
 use crate::{unpickle_with, CollectionId};
 
@@ -74,10 +74,7 @@ impl Catalog {
     /// # Errors
     ///
     /// Propagates object-store failures.
-    pub fn create(
-        tx: &mut impl Transactional,
-        partition: tdb_core::PartitionId,
-    ) -> Result<Catalog> {
+    pub fn create(tx: &mut Tx, partition: tdb_core::PartitionId) -> Result<Catalog> {
         Ok(Catalog(
             tx.create(partition, Arc::new(CatalogObj::default()))?,
         ))
@@ -88,12 +85,12 @@ impl Catalog {
     /// # Errors
     ///
     /// Fails if the object is missing or not a catalog.
-    pub fn open(tx: &mut impl Transactional, id: ObjectId) -> Result<Catalog> {
+    pub fn open(tx: &mut Tx, id: ObjectId) -> Result<Catalog> {
         let _: Arc<CatalogObj> = tx.get(id)?;
         Ok(Catalog(id))
     }
 
-    fn load(&self, tx: &mut impl Transactional) -> Result<Arc<CatalogObj>> {
+    fn load(&self, tx: &mut Tx) -> Result<Arc<CatalogObj>> {
         tx.get(self.0)
     }
 
@@ -102,12 +99,7 @@ impl Catalog {
     /// # Errors
     ///
     /// Propagates object-store failures.
-    pub fn put(
-        &self,
-        tx: &mut impl Transactional,
-        name: &str,
-        collection: CollectionId,
-    ) -> Result<()> {
+    pub fn put(&self, tx: &mut Tx, name: &str, collection: CollectionId) -> Result<()> {
         let mut obj = (*self.load(tx)?).clone();
         match obj.entries.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
             Ok(i) => obj.entries[i].1 = collection.0.rank(),
@@ -123,7 +115,7 @@ impl Catalog {
     /// # Errors
     ///
     /// Propagates object-store failures.
-    pub fn get(&self, tx: &mut impl Transactional, name: &str) -> Result<Option<CollectionId>> {
+    pub fn get(&self, tx: &mut Tx, name: &str) -> Result<Option<CollectionId>> {
         let obj = self.load(tx)?;
         Ok(obj
             .entries
@@ -137,7 +129,7 @@ impl Catalog {
     /// # Errors
     ///
     /// Propagates object-store failures.
-    pub fn remove(&self, tx: &mut impl Transactional, name: &str) -> Result<bool> {
+    pub fn remove(&self, tx: &mut Tx, name: &str) -> Result<bool> {
         let mut obj = (*self.load(tx)?).clone();
         match obj.entries.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
             Ok(i) => {
@@ -154,7 +146,7 @@ impl Catalog {
     /// # Errors
     ///
     /// Propagates object-store failures.
-    pub fn names(&self, tx: &mut impl Transactional) -> Result<Vec<String>> {
+    pub fn names(&self, tx: &mut Tx) -> Result<Vec<String>> {
         Ok(self
             .load(tx)?
             .entries

@@ -12,7 +12,7 @@ use tdb_core::codec::{Dec, Enc};
 use tdb_core::PartitionId;
 use tdb_object::errors::Result;
 use tdb_object::pickle::{StoredObject, TypeRegistry};
-use tdb_object::{ObjectId, Transactional};
+use tdb_object::{ObjectId, Tx};
 
 use crate::btree::{get_entry, put_entry, Entry, ENTRY_MIN_LEN};
 use crate::unpickle_with;
@@ -114,7 +114,7 @@ impl HashIndex {
     }
 
     /// Creates an empty index.
-    pub fn create(tx: &mut impl Transactional, partition: PartitionId) -> Result<HashIndex> {
+    pub fn create(tx: &mut Tx, partition: PartitionId) -> Result<HashIndex> {
         let dir = HashDir {
             buckets: vec![0; BUCKETS],
         };
@@ -126,7 +126,7 @@ impl HashIndex {
     }
 
     /// Inserts `(key, value)` (idempotent on duplicates).
-    pub fn insert(&self, tx: &mut impl Transactional, key: &[u8], value: u64) -> Result<()> {
+    pub fn insert(&self, tx: &mut Tx, key: &[u8], value: u64) -> Result<()> {
         let dir = tx.get::<HashDir>(self.oid(self.root))?;
         let slot = bucket_of(key);
         let bucket_rank = dir.buckets[slot];
@@ -150,7 +150,7 @@ impl HashIndex {
     }
 
     /// Removes `(key, value)`; returns whether it was present.
-    pub fn remove(&self, tx: &mut impl Transactional, key: &[u8], value: u64) -> Result<bool> {
+    pub fn remove(&self, tx: &mut Tx, key: &[u8], value: u64) -> Result<bool> {
         let dir = tx.get::<HashDir>(self.oid(self.root))?;
         let bucket_rank = dir.buckets[bucket_of(key)];
         if bucket_rank == 0 {
@@ -171,7 +171,7 @@ impl HashIndex {
     }
 
     /// Every value stored under `key`.
-    pub fn lookup(&self, tx: &mut impl Transactional, key: &[u8]) -> Result<Vec<u64>> {
+    pub fn lookup(&self, tx: &mut Tx, key: &[u8]) -> Result<Vec<u64>> {
         let dir = tx.get::<HashDir>(self.oid(self.root))?;
         let bucket_rank = dir.buckets[bucket_of(key)];
         if bucket_rank == 0 {
@@ -187,7 +187,7 @@ impl HashIndex {
     }
 
     /// Every `(key, value)` pair, in no particular order.
-    pub fn scan(&self, tx: &mut impl Transactional) -> Result<Vec<(Vec<u8>, u64)>> {
+    pub fn scan(&self, tx: &mut Tx) -> Result<Vec<(Vec<u8>, u64)>> {
         let dir = tx.get::<HashDir>(self.oid(self.root))?;
         let buckets = dir.buckets.clone();
         let mut out = Vec::new();
@@ -201,7 +201,7 @@ impl HashIndex {
     }
 
     /// Deletes the directory and every bucket (index drop).
-    pub fn destroy(&self, tx: &mut impl Transactional) -> Result<()> {
+    pub fn destroy(&self, tx: &mut Tx) -> Result<()> {
         let dir = tx.get::<HashDir>(self.oid(self.root))?;
         let buckets = dir.buckets.clone();
         for rank in buckets {

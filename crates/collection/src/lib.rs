@@ -33,7 +33,7 @@ use tdb_core::metrics::{self, modules};
 use tdb_core::{CoreError, PartitionId};
 use tdb_object::errors::{ObjectError, Result};
 use tdb_object::pickle::{StoredObject, TypeRegistry};
-use tdb_object::{ObjectId, Transactional};
+use tdb_object::{ObjectId, Tx};
 
 use btree::BTree;
 pub use catalog::Catalog;
@@ -199,16 +199,11 @@ impl CollectionStore {
         CollectionStore { extractors }
     }
 
-    fn load(&self, tx: &mut impl Transactional, coll: CollectionId) -> Result<Arc<CollectionObj>> {
+    fn load(&self, tx: &mut Tx, coll: CollectionId) -> Result<Arc<CollectionObj>> {
         tx.get::<CollectionObj>(coll.0)
     }
 
-    fn save(
-        &self,
-        tx: &mut impl Transactional,
-        coll: CollectionId,
-        obj: CollectionObj,
-    ) -> Result<()> {
+    fn save(&self, tx: &mut Tx, coll: CollectionId, obj: CollectionObj) -> Result<()> {
         tx.put(coll.0, Arc::new(obj))
     }
 
@@ -230,7 +225,7 @@ impl CollectionStore {
     /// Propagates object-store failures.
     pub fn create_collection(
         &self,
-        tx: &mut impl Transactional,
+        tx: &mut Tx,
         partition: PartitionId,
         name: &str,
     ) -> Result<CollectionId> {
@@ -250,7 +245,7 @@ impl CollectionStore {
     /// # Errors
     ///
     /// Fails if the collection does not exist.
-    pub fn name(&self, tx: &mut impl Transactional, coll: CollectionId) -> Result<String> {
+    pub fn name(&self, tx: &mut Tx, coll: CollectionId) -> Result<String> {
         Ok(self.load(tx, coll)?.name.clone())
     }
 
@@ -259,7 +254,7 @@ impl CollectionStore {
     /// # Errors
     ///
     /// Fails if the collection does not exist.
-    pub fn len(&self, tx: &mut impl Transactional, coll: CollectionId) -> Result<u64> {
+    pub fn len(&self, tx: &mut Tx, coll: CollectionId) -> Result<u64> {
         Ok(self.load(tx, coll)?.count)
     }
 
@@ -271,7 +266,7 @@ impl CollectionStore {
     /// Propagates object-store failures.
     pub fn insert(
         &self,
-        tx: &mut impl Transactional,
+        tx: &mut Tx,
         coll: CollectionId,
         object: Arc<dyn StoredObject>,
     ) -> Result<ObjectId> {
@@ -286,7 +281,7 @@ impl CollectionStore {
     /// # Errors
     ///
     /// Fails if the object does not exist.
-    pub fn add(&self, tx: &mut impl Transactional, coll: CollectionId, id: ObjectId) -> Result<()> {
+    pub fn add(&self, tx: &mut Tx, coll: CollectionId, id: ObjectId) -> Result<()> {
         let _t = metrics::span(modules::COLLECTION_STORE);
         let object = tx.get_dyn(id)?;
         self.link(tx, coll, id, object.as_ref())
@@ -294,7 +289,7 @@ impl CollectionStore {
 
     fn link(
         &self,
-        tx: &mut impl Transactional,
+        tx: &mut Tx,
         coll: CollectionId,
         id: ObjectId,
         object: &dyn StoredObject,
@@ -322,7 +317,7 @@ impl CollectionStore {
     /// Fails if the object is not a member.
     pub fn update(
         &self,
-        tx: &mut impl Transactional,
+        tx: &mut Tx,
         coll: CollectionId,
         id: ObjectId,
         new_object: Arc<dyn StoredObject>,
@@ -356,12 +351,7 @@ impl CollectionStore {
     /// # Errors
     ///
     /// Fails if the object is not a member.
-    pub fn remove(
-        &self,
-        tx: &mut impl Transactional,
-        coll: CollectionId,
-        id: ObjectId,
-    ) -> Result<()> {
+    pub fn remove(&self, tx: &mut Tx, coll: CollectionId, id: ObjectId) -> Result<()> {
         let _t = metrics::span(modules::COLLECTION_STORE);
         self.unlink(tx, coll, id)?;
         tx.delete(id)
@@ -372,12 +362,7 @@ impl CollectionStore {
     /// # Errors
     ///
     /// Fails if the object is not a member.
-    pub fn unlink(
-        &self,
-        tx: &mut impl Transactional,
-        coll: CollectionId,
-        id: ObjectId,
-    ) -> Result<()> {
+    pub fn unlink(&self, tx: &mut Tx, coll: CollectionId, id: ObjectId) -> Result<()> {
         let _t = metrics::span(modules::COLLECTION_STORE);
         let meta = self.load(tx, coll)?;
         let members = self.members(coll.0.partition(), &meta);
@@ -404,7 +389,7 @@ impl CollectionStore {
     /// Fails on a duplicate index name or unknown extractor.
     pub fn add_index(
         &self,
-        tx: &mut impl Transactional,
+        tx: &mut Tx,
         coll: CollectionId,
         index_name: &str,
         extractor_name: &str,
@@ -447,12 +432,7 @@ impl CollectionStore {
     /// # Errors
     ///
     /// Fails if the index does not exist.
-    pub fn drop_index(
-        &self,
-        tx: &mut impl Transactional,
-        coll: CollectionId,
-        index_name: &str,
-    ) -> Result<()> {
+    pub fn drop_index(&self, tx: &mut Tx, coll: CollectionId, index_name: &str) -> Result<()> {
         let _t = metrics::span(modules::COLLECTION_STORE);
         let meta = self.load(tx, coll)?;
         let Some(pos) = meta.indexes.iter().position(|i| i.name == index_name) else {
@@ -484,11 +464,7 @@ impl CollectionStore {
     /// # Errors
     ///
     /// Fails if the collection does not exist.
-    pub fn index_names(
-        &self,
-        tx: &mut impl Transactional,
-        coll: CollectionId,
-    ) -> Result<Vec<String>> {
+    pub fn index_names(&self, tx: &mut Tx, coll: CollectionId) -> Result<Vec<String>> {
         Ok(self
             .load(tx, coll)?
             .indexes
@@ -502,7 +478,7 @@ impl CollectionStore {
     /// # Errors
     ///
     /// Fails if the collection does not exist.
-    pub fn scan(&self, tx: &mut impl Transactional, coll: CollectionId) -> Result<Vec<ObjectId>> {
+    pub fn scan(&self, tx: &mut Tx, coll: CollectionId) -> Result<Vec<ObjectId>> {
         let _t = metrics::span(modules::COLLECTION_STORE);
         let meta = self.load(tx, coll)?;
         let members = self.members(coll.0.partition(), &meta);
@@ -520,7 +496,7 @@ impl CollectionStore {
     /// Fails on unknown index names.
     pub fn lookup(
         &self,
-        tx: &mut impl Transactional,
+        tx: &mut Tx,
         coll: CollectionId,
         index_name: &str,
         key: &[u8],
@@ -554,7 +530,7 @@ impl CollectionStore {
     /// Fails on unknown or unsorted indexes.
     pub fn range(
         &self,
-        tx: &mut impl Transactional,
+        tx: &mut Tx,
         coll: CollectionId,
         index_name: &str,
         lo: Option<&[u8]>,
@@ -588,7 +564,7 @@ impl CollectionStore {
     /// Fails on unknown index names.
     pub fn scan_index(
         &self,
-        tx: &mut impl Transactional,
+        tx: &mut Tx,
         coll: CollectionId,
         index_name: &str,
     ) -> Result<Vec<(Vec<u8>, ObjectId)>> {
@@ -623,7 +599,7 @@ impl CollectionStore {
 
     fn index_insert(
         &self,
-        tx: &mut impl Transactional,
+        tx: &mut Tx,
         partition: PartitionId,
         idx: &IndexMeta,
         key: &[u8],
@@ -645,7 +621,7 @@ impl CollectionStore {
 
     fn index_remove(
         &self,
-        tx: &mut impl Transactional,
+        tx: &mut Tx,
         partition: PartitionId,
         idx: &IndexMeta,
         key: &[u8],

@@ -155,39 +155,22 @@ impl ObjectCache {
     }
 }
 
-/// Publish stamps per shard of [`ShardedObjectCache`]: objects share a
-/// stamp only when their ids hash alike.
-const STAMPS: usize = 64;
-
-/// The shard of [`ShardedObjectCache`] that holds `id`, and its stamp
-/// there.
-fn slot_of(id: ObjectId) -> (usize, usize) {
+/// The shard of [`ShardedObjectCache`] that holds `id`.
+fn shard_of(id: ObjectId) -> usize {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     id.0.hash(&mut h);
-    let h = h.finish() as usize;
-    (h % SHARDS, h / SHARDS % STAMPS)
-}
-
-/// One independently locked part of [`ShardedObjectCache`].
-struct Shard {
-    cache: ObjectCache,
-    /// Bumped by every commit's `put` or `remove` of an object with that
-    /// stamp.
-    stamps: [u64; STAMPS],
+    h.finish() as usize % SHARDS
 }
 
 /// A sharded wrapper over [`ObjectCache`]: the byte budget splits evenly
 /// across `SHARDS` independently locked caches, so concurrent readers of
 /// distinct objects don't serialize on one cache lock.
 ///
-/// Commits change the cache through [`put`](Self::put) and
-/// [`remove`](Self::remove); a read installs what it read through
-/// [`put_read`](Self::put_read), guarded by a publish stamp taken before
-/// it read. A reader that holds no lock excluding writers, such as an MVCC
-/// snapshot's, may have read a version a commit has since replaced: the
-/// commit moved the stamp, so the old version is not installed.
+/// Every change of an object's entry — a commit's eviction and install, a
+/// read's install — is made under a lock on the object that excludes its
+/// writers (see `ObjectStore::fetch`), so entries need no versioning.
 pub struct ShardedObjectCache {
-    shards: [Mutex<Shard>; SHARDS],
+    shards: [Mutex<ObjectCache>; SHARDS],
 }
 
 impl ShardedObjectCache {
@@ -195,83 +178,36 @@ impl ShardedObjectCache {
     pub fn new(capacity_bytes: usize) -> ShardedObjectCache {
         let per_shard = (capacity_bytes / SHARDS).max(1);
         ShardedObjectCache {
-            shards: std::array::from_fn(|_| {
-                Mutex::new(Shard {
-                    cache: ObjectCache::new(per_shard),
-                    stamps: [0; STAMPS],
-                })
-            }),
+            shards: std::array::from_fn(|_| Mutex::new(ObjectCache::new(per_shard))),
         }
     }
 
     /// Looks up an object, refreshing its recency in its shard.
     pub fn get(&self, id: ObjectId) -> Option<Arc<dyn StoredObject>> {
-        self.shards[slot_of(id).0].lock().cache.get(id)
+        self.shards[shard_of(id)].lock().get(id)
     }
 
-    /// Installs (or replaces) an object a commit wrote; eviction is
-    /// per-shard.
+    /// Installs (or replaces) an object; eviction is per-shard.
     pub fn put(&self, id: ObjectId, object: Arc<dyn StoredObject>, size: usize) {
-        let (shard, stamp) = slot_of(id);
-        let mut shard = self.shards[shard].lock();
-        shard.stamps[stamp] += 1;
-        shard.cache.put(id, object, size);
+        self.shards[shard_of(id)].lock().put(id, object, size);
     }
 
-    /// Drops an object a commit writes or deletes.
+    /// Drops an object (written or deleted by a commit).
     pub fn remove(&self, id: ObjectId) {
-        let (shard, stamp) = slot_of(id);
-        let mut shard = self.shards[shard].lock();
-        shard.stamps[stamp] += 1;
-        shard.cache.remove(id);
-    }
-
-    /// The publish stamp to hand [`put_read`](Self::put_read) for a read of
-    /// `id` that starts now.
-    pub fn stamp(&self, id: ObjectId) -> u64 {
-        let (shard, stamp) = slot_of(id);
-        self.shards[shard].lock().stamps[stamp]
-    }
-
-    /// Installs an object read from the store, unless a commit has put or
-    /// removed it (or an object sharing its stamp) since `stamp` was taken.
-    pub fn put_read(&self, id: ObjectId, object: Arc<dyn StoredObject>, size: usize, stamp: u64) {
-        let (shard, slot) = slot_of(id);
-        let mut shard = self.shards[shard].lock();
-        if shard.stamps[slot] == stamp {
-            shard.cache.put(id, object, size);
-        }
+        self.shards[shard_of(id)].lock().remove(id);
     }
 
     /// Empties every shard.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().cache.clear();
+            shard.lock().clear();
         }
-    }
-
-    /// Total cached object count.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().cache.len()).sum()
-    }
-
-    /// True when every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total approximate cached bytes.
-    pub fn used_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().cache.used_bytes())
-            .sum()
     }
 
     /// Aggregated (hits, misses) across shards.
     pub fn stats(&self) -> (u64, u64) {
         self.shards.iter().fold((0, 0), |(h, m), s| {
-            let (sh, sm) = s.lock().cache.stats();
+            let (sh, sm) = s.lock().stats();
             (h + sh, m + sm)
         })
     }
@@ -293,6 +229,23 @@ mod tests {
         }
         fn as_any(&self) -> &dyn Any {
             self
+        }
+    }
+
+    impl ShardedObjectCache {
+        /// Total cached object count.
+        fn len(&self) -> usize {
+            self.shards.iter().map(|s| s.lock().len()).sum()
+        }
+
+        /// True when every shard is empty.
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+
+        /// Total approximate cached bytes.
+        fn used_bytes(&self) -> usize {
+            self.shards.iter().map(|s| s.lock().used_bytes()).sum()
         }
     }
 
@@ -472,15 +425,15 @@ mod tests {
             match random_op(&mut rng, 400, 1500) {
                 Op::Get(id) => {
                     let _ = cache.get(id);
-                    oracle[slot_of(id).0].get(id);
+                    oracle[shard_of(id)].get(id);
                 }
                 Op::Put(id, size) => {
                     cache.put(id, blob(), size);
-                    oracle[slot_of(id).0].put(id, size);
+                    oracle[shard_of(id)].put(id, size);
                 }
                 Op::Remove(id) => {
                     cache.remove(id);
-                    oracle[slot_of(id).0].remove(id);
+                    oracle[shard_of(id)].remove(id);
                 }
                 Op::Clear => {
                     cache.clear();
@@ -488,11 +441,7 @@ mod tests {
                 }
             }
             for (shard, scan) in cache.shards.iter().zip(&oracle) {
-                assert_eq!(
-                    cached_ids(&shard.lock().cache),
-                    scanned_ids(scan),
-                    "step {step}"
-                );
+                assert_eq!(cached_ids(&shard.lock()), scanned_ids(scan), "step {step}");
             }
             let len: usize = oracle.iter().map(|s| s.slots.len()).sum();
             let used: usize = oracle.iter().map(|s| s.used_bytes).sum();
@@ -566,26 +515,6 @@ mod tests {
         assert_eq!(c.len(), 31);
         c.clear();
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn a_read_older_than_a_commit_is_not_installed() {
-        let c = ShardedObjectCache::new(64 * 1024);
-        let read = |n: u8| Arc::new(Blob(vec![n; 10])) as Arc<dyn StoredObject>;
-        let held = |c: &ShardedObjectCache| c.get(oid(1)).map(|o| o.pickle()[0]);
-        // A commit's put, or its remove, after the read began.
-        let stamp = c.stamp(oid(1));
-        c.put(oid(1), read(2), 10);
-        c.put_read(oid(1), read(1), 10, stamp);
-        assert_eq!(held(&c), Some(2));
-        let stamp = c.stamp(oid(1));
-        c.remove(oid(1));
-        c.put_read(oid(1), read(1), 10, stamp);
-        assert_eq!(held(&c), None);
-        // No commit since: the read installs.
-        let stamp = c.stamp(oid(1));
-        c.put_read(oid(1), read(3), 10, stamp);
-        assert_eq!(held(&c), Some(3));
     }
 
     #[test]

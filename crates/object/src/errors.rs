@@ -1,7 +1,7 @@
 //! Error types for the object store.
 //!
 //! Each object-layer variant has a stable numeric code on the wire
-//! (201–208), assigned with the core codes in one table, `TdbError::code`
+//! (201–205, 207, 208), assigned with the core codes in one table, `TdbError::code`
 //! in the `tdb` crate's command layer. [`ObjectError::Core`] has no code of
 //! its own: it crosses the wire as the wrapped [`tdb_core::CoreError`]'s
 //! code and fault class, so a tamper found here reads as one.
@@ -28,14 +28,12 @@ pub enum ObjectError {
         /// The stored type tag.
         found_tag: u32,
     },
-    /// A lock could not be acquired within the timeout. The paper breaks
-    /// deadlocks with timeouts (§7); the transaction should abort and retry.
+    /// A lock was refused: waiting for it would have closed a deadlock
+    /// cycle, or it was still held at the timeout, the paper's deadlock
+    /// breaker (§7). The transaction should abort and retry.
     LockTimeout(ObjectId),
-    /// First-committer-wins: another transaction committed this object
-    /// after the failing transaction's snapshot. Retry the transaction.
-    WriteConflict(ObjectId),
-    /// An MVCC transaction was requested but the store was built without
-    /// the `mvcc` knob.
+    /// A snapshot-isolation transaction was requested. The store runs
+    /// two-phase locking only.
     MvccDisabled,
     /// The transaction was already finished.
     TxFinished,
@@ -60,13 +58,7 @@ impl fmt::Display for ObjectError {
             ObjectError::LockTimeout(id) => {
                 write!(
                     f,
-                    "lock timeout on {id} (possible deadlock; abort and retry)"
-                )
-            }
-            ObjectError::WriteConflict(id) => {
-                write!(
-                    f,
-                    "write conflict on {id}: a newer version committed after this snapshot"
+                    "lock refused on {id} (deadlock or timeout; abort and retry)"
                 )
             }
             ObjectError::MvccDisabled => {

@@ -28,9 +28,11 @@ use crate::{CollectionId, IndexKind, TdbError};
 /// Which concurrency-control scheme a `Begin` opens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxMode {
-    /// Two-phase locking ([`crate::Tx`]).
+    /// Two-phase locking ([`crate::Tx`]), the store's one scheme.
     Locking,
-    /// Snapshot isolation ([`crate::MvccTx`]; needs the `mvcc` knob).
+    /// Snapshot isolation. Still decodes, so the wire is unchanged, but
+    /// the store has no such transactions: `Begin(Mvcc)` answers
+    /// [`ObjectError::MvccDisabled`] (code 207).
     Mvcc,
 }
 
@@ -66,8 +68,9 @@ pub enum Command {
     },
     /// Read an object as a raw record.
     Get(ObjectId),
-    /// Read an object plus, when possible, a Merkle proof of membership
-    /// in the committed tree (MVCC transactions only).
+    /// Read an object plus, outside a transaction, a Merkle proof of
+    /// membership in the committed tree. Inside one the Merkle tree cannot
+    /// vouch for buffered state, so the record comes without a proof.
     GetWithProof(ObjectId),
     /// Replace an object's state from a raw record.
     Put {
@@ -255,7 +258,7 @@ impl WireError {
 impl TdbError {
     /// The stable numeric code of this error: the one table that assigns
     /// error codes. `CoreError` 1–15, `TamperKind` 100–110, `ObjectError`
-    /// 201–208. An [`ObjectError::Core`] has its cause's code, so a tamper
+    /// 201–208 but 206. An [`ObjectError::Core`] has its cause's code, so a tamper
     /// found by the object layer reads as one. Codes are part of the wire
     /// protocol: never renumber one, and never reassign a retired one.
     pub fn code(&self) -> u16 {
@@ -269,7 +272,7 @@ impl TdbError {
                 ObjectError::BadPickle(_) => return 203,
                 ObjectError::TypeMismatch { .. } => return 204,
                 ObjectError::LockTimeout(_) => return 205,
-                ObjectError::WriteConflict(_) => return 206,
+                // 206 is retired (a snapshot-isolation write conflict).
                 ObjectError::MvccDisabled => return 207,
                 ObjectError::TxFinished => return 208,
             },
@@ -672,10 +675,10 @@ mod tests {
         let ranges: std::collections::BTreeSet<u16> = (1..=17)
             .chain(100..=110)
             .chain([112])
-            .chain(201..=208)
+            .chain((201..=208).filter(|&c| c != 206))
             .collect();
         assert_eq!(codes, ranges);
-        assert!(!codes.contains(&111) && !codes.contains(&200));
+        assert!([111, 200, 206].iter().all(|c| !codes.contains(c)));
 
         for err in &all {
             let w = WireError::from(err);

@@ -74,9 +74,7 @@ pub use tdb_core::{
     ApproveAll, ChunkId, ChunkStore, CommitOp, CryptoParams, FaultClass, PartitionId,
 };
 pub use tdb_object::pickle::{downcast, StoredObject, TypeRegistry, Unpickler};
-pub use tdb_object::{
-    MvccStats, MvccTx, ObjectId, ObjectStore, ObjectStoreConfig, Transactional, Tx, VerifiedRead,
-};
+pub use tdb_object::{ObjectId, ObjectStore, ObjectStoreConfig, Tx};
 
 use tdb_core::backup::BackupStore;
 use tdb_crypto::SecretKey;
@@ -107,7 +105,7 @@ impl TrustedDbBuilder {
     /// partition, the paper's DES+SHA-1 default partition and counter
     /// validation with Δut = 5, on a tuned write path — group commit,
     /// multi-buffer sealing, and checkpoints at 512 dirty map chunks or an
-    /// 8 MiB residual log — on an unbounded log, with MVCC off.
+    /// 8 MiB residual log — on an unbounded log.
     pub fn new() -> TrustedDbBuilder {
         let mut registry = TypeRegistry::new();
         register_builtin_types(&mut registry);
@@ -305,7 +303,7 @@ impl TrustedDb {
     }
 
     /// Runs a closure transactionally (commit on `Ok`, abort on `Err`,
-    /// lock timeouts retried).
+    /// deadlock victims and lock timeouts retried: [`ObjectStore::run`]).
     ///
     /// # Errors
     ///
@@ -314,32 +312,8 @@ impl TrustedDb {
         self.objects.run(f).map_err(Into::into)
     }
 
-    /// Begins a snapshot-isolation MVCC transaction.
-    ///
-    /// # Errors
-    ///
-    /// Fails unless the database was built with
-    /// [`ObjectStoreConfig::mvcc`] on.
-    pub fn begin_mvcc(&self) -> Result<MvccTx> {
-        self.objects.begin_mvcc().map_err(Into::into)
-    }
-
-    /// Runs a closure in an MVCC transaction (commit on `Ok`, abort on
-    /// `Err`, write conflicts retried on fresh snapshots).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the closure's error, commit failures, or an unresolved
-    /// write conflict.
-    pub fn run_mvcc<R>(
-        &self,
-        f: impl FnMut(&mut MvccTx) -> tdb_object::errors::Result<R>,
-    ) -> Result<R> {
-        self.objects.run_mvcc(f).map_err(Into::into)
-    }
-
     /// The default partition's current committed root digest — the trust
-    /// anchor clients pin to verify [`VerifiedRead`]s.
+    /// anchor clients pin to verify proof-carrying reads.
     ///
     /// # Errors
     ///

@@ -44,7 +44,7 @@ use std::sync::Arc;
 use tdb_core::store::ChunkStore;
 use tdb_core::{CoreError, PartitionId};
 use tdb_object::errors::ObjectError;
-use tdb_object::{MvccTx, ObjectId, ObjectStore, Transactional, Tx};
+use tdb_object::{ObjectId, ObjectStore, Tx};
 
 use crate::command::{Command, Response, TxMode, WireError};
 use crate::{wire, CollectionStore, StoreHealth, TdbError, TrustedDb};
@@ -93,12 +93,6 @@ impl Burst<'_> {
     }
 }
 
-/// The session's open transaction, if any.
-enum ActiveTx {
-    Locking(Tx),
-    Mvcc(MvccTx),
-}
-
 /// One principal's stateful connection to the database.
 ///
 /// Holds owned handles to the store layers, so sessions are `'static`:
@@ -109,7 +103,9 @@ pub struct Session {
     collections: CollectionStore,
     partition: PartitionId,
     principal: String,
-    tx: Option<ActiveTx>,
+    /// The open transaction. Dropping the session drops it, which releases
+    /// its locks: a dropped connection aborts.
+    tx: Option<Tx>,
     stats: SessionStats,
 }
 
@@ -259,14 +255,10 @@ impl Session {
                 "a transaction is already open on this session".into(),
             ));
         }
-        let tx = match mode {
-            TxMode::Locking => ActiveTx::Locking(self.objects.begin()),
-            TxMode::Mvcc => match self.objects.begin_mvcc() {
-                Ok(tx) => ActiveTx::Mvcc(tx),
-                Err(e) => return err(e),
-            },
-        };
-        self.tx = Some(tx);
+        if mode == TxMode::Mvcc {
+            return err(ObjectError::MvccDisabled);
+        }
+        self.tx = Some(self.objects.begin());
         Response::Ok
     }
 
@@ -274,11 +266,7 @@ impl Session {
         let Some(tx) = self.tx.take() else {
             return err(ObjectError::TxFinished);
         };
-        let result = match tx {
-            ActiveTx::Locking(tx) => tx.commit(),
-            ActiveTx::Mvcc(tx) => tx.commit(),
-        };
-        match result {
+        match tx.commit() {
             Ok(()) => {
                 self.stats.commits += 1;
                 Response::Ok
@@ -287,14 +275,15 @@ impl Session {
         }
     }
 
+    /// Aborts the open transaction. One whose operation was answered 205
+    /// because it would have closed a deadlock cycle waits, before the
+    /// answer, for that cycle's release ([`Tx::abort`]), so a client that
+    /// begins again at once does not close the same cycle.
     fn abort(&mut self) -> Response {
         let Some(tx) = self.tx.take() else {
             return err(ObjectError::TxFinished);
         };
-        match tx {
-            ActiveTx::Locking(tx) => tx.abort(),
-            ActiveTx::Mvcc(tx) => tx.abort(),
-        }
+        tx.abort();
         self.stats.aborts += 1;
         Response::Ok
     }
@@ -308,31 +297,9 @@ impl Session {
             return self.proof_read_committed(*id);
         }
         match &mut self.tx {
-            Some(ActiveTx::Locking(tx)) => {
-                Self::exec(&self.collections, &self.objects, tx, cmd).unwrap_or_else(err)
-            }
-            Some(ActiveTx::Mvcc(tx)) => {
-                if let Command::GetWithProof(id) = cmd {
-                    return match tx.get_with_proof_dyn(*id) {
-                        // The root is the one the proof was extracted
-                        // against; a fallback read has neither.
-                        Ok((obj, vread)) => match vread {
-                            Some(v) => Response::VerifiedRecord {
-                                root: v.proof.root.as_bytes().to_vec(),
-                                proof: Some(v.proof.encode()),
-                                record: v.record,
-                            },
-                            None => Response::VerifiedRecord {
-                                record: crate::TypeRegistry::pickle(obj.as_ref()),
-                                proof: None,
-                                root: Vec::new(),
-                            },
-                        },
-                        Err(e) => err(e),
-                    };
-                }
-                Self::exec(&self.collections, &self.objects, tx, cmd).unwrap_or_else(err)
-            }
+            // A refused lock is answered at once and the transaction stays
+            // open; the client decides to abort.
+            Some(tx) => Self::exec(&self.collections, &self.objects, tx, cmd).unwrap_or_else(err),
             None => {
                 self.stats.autocommits += 1;
                 self.autocommit(cmd, burst)
@@ -344,42 +311,47 @@ impl Session {
     /// the burst's pending writes, to be committed at the next barrier; a
     /// read's commits at once. A `Get` is a committed read, which takes a
     /// lock only when it misses the object cache
-    /// ([`ObjectStore::get_committed`]).
+    /// ([`ObjectStore::get_committed`]). A transaction refused a lock
+    /// because it would have closed a deadlock cycle aborts, waits for the
+    /// cycle's release, and runs again, as [`ObjectStore::run`] does.
     fn autocommit(&mut self, cmd: &Command, burst: &mut Burst) -> Response {
-        // Holding pending writes' locks, never wait for another lock.
-        let holding = !burst.pending.is_empty();
-        if let Command::Get(id) = cmd {
-            return match self.objects.get_committed(*id, !holding) {
-                Ok(obj) => Response::Record(crate::TypeRegistry::pickle(obj.as_ref())),
-                Err(ObjectError::LockTimeout(_)) if holding => {
+        loop {
+            // Holding pending writes' locks, never wait for another lock.
+            let holding = !burst.pending.is_empty();
+            if let Command::Get(id) = cmd {
+                match self.objects.get_committed(*id, !holding) {
+                    Ok(obj) => return Response::Record(crate::TypeRegistry::pickle(obj.as_ref())),
                     // Busy: commit what is pending, then wait like anyone else.
-                    Self::commit_pending(burst);
-                    self.autocommit(cmd, burst)
+                    Err(ObjectError::LockTimeout(_)) if holding => Self::commit_pending(burst),
+                    Err(e) => return err(e),
                 }
-                Err(e) => err(e),
-            };
-        }
-        let mut tx = self.objects.begin();
-        tx.set_lock_wait(!holding);
-        let resp = match Self::exec(&self.collections, &self.objects, &mut tx, cmd) {
-            Ok(resp) => resp,
-            Err(e) => {
-                tx.abort();
-                if holding && matches!(e, TdbError::Object(ObjectError::LockTimeout(_))) {
-                    // Busy: commit what is pending, then wait like anyone else.
-                    Self::commit_pending(burst);
-                    return self.autocommit(cmd, burst);
-                }
-                return err(e);
+                continue;
             }
-        };
-        let id = match (cmd, &resp) {
-            (Command::Put { id, .. } | Command::Delete(id), _)
-            | (Command::Create { .. }, Response::Id(id)) => *id,
-            _ => return tx.commit().map_or_else(err, |()| resp),
-        };
-        burst.pending.push((burst.held.len(), id, tx));
-        resp
+            let mut tx = self.objects.begin();
+            tx.set_lock_wait(!holding);
+            let resp = match Self::exec(&self.collections, &self.objects, &mut tx, cmd) {
+                Ok(resp) => resp,
+                Err(e) => {
+                    let busy = matches!(e, TdbError::Object(ObjectError::LockTimeout(_)));
+                    let victim = tx.is_deadlock_victim();
+                    tx.abort();
+                    if !(busy && (holding || victim)) {
+                        return err(e);
+                    }
+                    // Busy: commit what is pending (a victim holds none),
+                    // then wait like anyone else.
+                    Self::commit_pending(burst);
+                    continue;
+                }
+            };
+            let id = match (cmd, &resp) {
+                (Command::Put { id, .. } | Command::Delete(id), _)
+                | (Command::Create { .. }, Response::Id(id)) => *id,
+                _ => return tx.commit().map_or_else(err, |()| resp),
+            };
+            burst.pending.push((burst.held.len(), id, tx));
+            return resp;
+        }
     }
 
     /// A verifiable read of current committed state, outside any
@@ -399,12 +371,11 @@ impl Session {
         }
     }
 
-    /// The single executor both transaction kinds share, monomorphized
-    /// over the [`Transactional`] impl.
-    fn exec<T: Transactional>(
+    /// Runs a data command on `tx`, explicit or autocommit.
+    fn exec(
         collections: &CollectionStore,
         objects: &ObjectStore,
-        tx: &mut T,
+        tx: &mut Tx,
         cmd: &Command,
     ) -> crate::Result<Response> {
         let result = match cmd {
@@ -477,19 +448,6 @@ impl Session {
             }
         };
         Ok(result?)
-    }
-}
-
-impl Drop for Session {
-    fn drop(&mut self) {
-        // An abandoned session aborts its open transaction (locks release,
-        // snapshots end) — the connection-drop path on a server.
-        if let Some(tx) = self.tx.take() {
-            match tx {
-                ActiveTx::Locking(tx) => tx.abort(),
-                ActiveTx::Mvcc(tx) => tx.abort(),
-            }
-        }
     }
 }
 

@@ -11,8 +11,8 @@ use std::any::Any;
 use std::sync::Arc;
 
 use tdb::{
-    Command, IndexKey, IndexKind, ObjectId, ObjectStoreConfig, Response, Session, StoredObject,
-    TrustedBackend, TrustedDb, TrustedDbBuilder, TxMode, WireError,
+    Command, IndexKey, IndexKind, ObjectId, Response, Session, StoredObject, TrustedBackend,
+    TrustedDb, TrustedDbBuilder, TxMode, WireError,
 };
 use tdb_client::{ClientError, TdbClient};
 use tdb_crypto::{CipherKind, HashKind, SecretKey};
@@ -78,10 +78,6 @@ fn build_twin() -> (TrustedDb, Arc<MemStore>) {
             cipher: CipherKind::Des,
             hash: HashKind::Sha1,
             key: SecretKey::new(vec![9u8; 8]),
-        })
-        .object_config(ObjectStoreConfig {
-            mvcc: true,
-            ..ObjectStoreConfig::default()
         })
         .register_type(REC_TAG, unpickle_rec)
         .register_extractor("prefix", rec_by_prefix)
@@ -212,10 +208,12 @@ fn build_script() -> Vec<Command> {
     run(&mut script, Command::Abort);
     run(&mut script, Command::Commit); // TxFinished: nothing open
 
-    // An MVCC transaction with a proof-carrying snapshot read.
-    run(&mut script, Command::Begin(TxMode::Mvcc));
+    // A locking transaction's read carries no proof; snapshot isolation
+    // is not offered (MvccDisabled, code 207).
+    run(&mut script, Command::Begin(TxMode::Locking));
     run(&mut script, Command::GetWithProof(id0));
     run(&mut script, Command::Commit);
+    run(&mut script, Command::Begin(TxMode::Mvcc));
 
     // Admin surface.
     run(&mut script, Command::Checkpoint);
@@ -725,13 +723,7 @@ fn verified_record_root_verifies_its_own_proof_in_any_partition() {
     }])[0] else {
         panic!("create in the second partition failed");
     };
-    let read = both(&[
-        Command::GetWithProof(id),
-        Command::Begin(TxMode::Mvcc),
-        Command::GetWithProof(id),
-        Command::Commit,
-    ]);
-    for r in [&read[0], &read[2]] {
+    for r in &both(&[Command::GetWithProof(id)]) {
         let Response::VerifiedRecord {
             record: body,
             proof: Some(proof),
