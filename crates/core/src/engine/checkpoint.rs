@@ -128,6 +128,22 @@ impl Inner {
             self.hashes.reset_chain();
         }
 
+        // Utilization: retire the previous leader version and count this
+        // one before the table is encoded, so the table a reopen reads
+        // charges the leader it was read from. The room is ensured, so the
+        // leader lands at the tail, and its length does not depend on the
+        // table's values.
+        let leader_loc = self.log.tail_location();
+        let body_len = self.leader_body().len();
+        let leader_len = sealed_version_len(&self.system, &self.system, body_len) as u32;
+        if let Some((old_loc, old_vlen)) = self.leader_version {
+            self.update_utilization(self.log.segment_of(old_loc), |live| {
+                live.saturating_sub(old_vlen)
+            });
+        }
+        self.update_utilization(self.log.segment_of(leader_loc), |live| live + leader_len);
+        self.leader_version = Some((leader_loc, leader_len));
+
         // Re-encode after ensure_room (a segment switch changes log state).
         let body = self.leader_body();
         let sealed = seal_version(
@@ -137,18 +153,9 @@ impl Inner {
             ChunkId::system_leader(),
             &body,
         );
-        let leader_loc = self.append(&sealed)?;
-
-        // Utilization: retire the previous leader version, count this one.
-        if let Some((old_loc, old_vlen)) = self.leader_version {
-            self.update_utilization(self.log.segment_of(old_loc), |live| {
-                live.saturating_sub(old_vlen)
-            });
-        }
-        self.update_utilization(self.log.segment_of(leader_loc), |live| {
-            live + sealed.len() as u32
-        });
-        self.leader_version = Some((leader_loc, sealed.len() as u32));
+        debug_assert_eq!(sealed.len() as u32, leader_len);
+        let appended = self.append(&sealed)?;
+        debug_assert_eq!(appended, leader_loc);
 
         // 5. Seal the checkpoint per the validation protocol.
         match self.config.validation {

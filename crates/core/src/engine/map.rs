@@ -16,10 +16,12 @@ use crate::version::validate_version;
 
 impl Inner {
     /// Fetches the descriptor for `id`, walking the map bottom-up from the
-    /// deepest cached ancestor (§4.5).
+    /// deepest cached ancestor (§4.5); unallocated where the tree does not
+    /// reach.
     pub(crate) fn get_descriptor(&mut self, id: ChunkId) -> Result<Descriptor> {
         let height = self.tree_height(id.partition)?;
-        if id.pos.height > height {
+        if id.pos.height > height || id.pos.rank >= capacity(self.fanout(), height - id.pos.height)
+        {
             return Ok(Descriptor::unallocated());
         }
         if id.pos.height == height && id.pos.rank == 0 {
@@ -58,15 +60,20 @@ impl Inner {
     /// Updates the descriptor for `id`, dirtying its parent map chunk (the
     /// §4.6 deferral) and maintaining segment utilization. Returns the
     /// descriptor it replaced.
+    ///
+    /// Utilization charges each current version once, however many
+    /// partitions of a copy family point at it (§5.3 copies share
+    /// versions): a version is charged when the first partition points at
+    /// it and uncharged when the last one lets go.
     pub(crate) fn set_descriptor(&mut self, id: ChunkId, desc: Descriptor) -> Result<Descriptor> {
         let old = self.get_descriptor(id)?;
-        // Utilization: the old version becomes obsolete, the new is live.
-        if old.is_written() {
+        let others = self.copy_family(id.partition)?;
+        if old.is_written() && self.holder(&others, id.pos, &old)?.is_none() {
             self.update_utilization(self.log.segment_of(old.location), |live| {
                 live.saturating_sub(old.vlen)
             });
         }
-        if desc.is_written() {
+        if desc.is_written() && self.holder(&others, id.pos, &desc)?.is_none() {
             self.update_utilization(self.log.segment_of(desc.location), |live| live + desc.vlen);
         }
         let height = self.tree_height(id.partition)?;

@@ -366,6 +366,10 @@ struct PendingRun {
 /// ([`crate::version::parse_version`] reads it as "no more versions").
 const END_MARKER: [u8; 2] = [0; 2];
 
+/// Run buffers kept for reuse: a commit batch's appends span a few
+/// segments, and a larger one's extra buffers are freed.
+const SPARE_RUNS: usize = 4;
+
 /// A captured append-cursor state for rolling back a failed mutation.
 ///
 /// Besides the tail position this records the end-marker obligations and
@@ -402,6 +406,11 @@ pub struct SegmentedLog {
     /// Appended bytes awaiting [`SegmentedLog::write_out`], which puts them
     /// on the device as one `write_at` per contiguous run.
     runs: Vec<PendingRun>,
+    /// Emptied run buffers, each with a segment's capacity, for later runs:
+    /// a run that grew from nothing reallocated its way past the
+    /// allocator's mmap threshold on every commit, which made commit time
+    /// depend on heap layout.
+    spare: Vec<Vec<u8>>,
     /// Head offset of a freshly switched-to segment whose zero end-marker
     /// has not yet been covered by an append. The marker write is folded
     /// into the first append after the switch (which always lands at the
@@ -446,6 +455,7 @@ impl SegmentedLog {
             nextseg_len,
             max_segments,
             runs: Vec::new(),
+            spare: Vec::new(),
             pending_stamp: None,
             tail_recycled: false,
             coalesced_appends: 0,
@@ -619,9 +629,12 @@ impl SegmentedLog {
                 return;
             }
         }
+        let room = self.segment_size as usize + END_MARKER.len();
+        let mut buf = self.spare.pop().unwrap_or_else(|| Vec::with_capacity(room));
+        buf.extend_from_slice(bytes);
         self.runs.push(PendingRun {
             start: location,
-            buf: bytes.to_vec(),
+            buf,
         });
     }
 
@@ -769,7 +782,12 @@ impl SegmentedLog {
             self.coalesced_runs += 1;
             self.coalesced_bytes += len as u64;
         }
-        self.runs.clear();
+        for mut run in self.runs.drain(..) {
+            if self.spare.len() < SPARE_RUNS {
+                run.buf.clear();
+                self.spare.push(run.buf);
+            }
+        }
         if let Some(seg_start) = self.pending_stamp.take() {
             let _t = metrics::span(modules::UNTRUSTED_WRITE);
             self.store.write_at(seg_start, &END_MARKER)?;

@@ -476,11 +476,28 @@ fn apply_action(
     match action {
         ReplayAction::Named { raw, location } => apply_named(inner, raw, location, relocated),
         ReplayAction::Dealloc(rec) => {
+            let is_leader = |id: &ChunkId| id.partition.is_system() && id.pos.is_data();
+            // The families of the partitions the record deallocates,
+            // gathered while every link is in place, as the commit did.
+            let mut others = Vec::new();
+            for id in rec.ids.iter().filter(|id| is_leader(id)) {
+                let p = PartitionId::from_leader_rank(id.pos.rank);
+                for q in inner.copy_family(p)?.into_iter().chain([p]) {
+                    if !others.contains(&q) {
+                        others.push(q);
+                    }
+                }
+            }
             for id in rec.ids {
-                if id.partition.is_system() && id.pos.is_data() {
+                if is_leader(&id) {
                     // A partition leader was deallocated: the partition and
-                    // its cached state go with it.
+                    // its cached state go with it, and the versions only it
+                    // pointed at become garbage.
                     let p = PartitionId::from_leader_rank(id.pos.rank);
+                    others.retain(|o| *o != p);
+                    if inner.partition_exists(p)? {
+                        inner.uncharge_partition(p, &others)?;
+                    }
                     inner.leaders.remove(&p);
                     inner.map_cache.purge_partition(p);
                     inner.set_descriptor(id, Descriptor::unallocated())?;
@@ -526,20 +543,10 @@ fn apply_named(
     if id == ChunkId::system_leader() {
         let body = raw.open_body(&inner.system, location)?;
         let new_leader = SystemLeader::decode(&body, &inner.sys_leader.map.params)?;
-        // Retire the previous leader version in utilization terms.
-        if let Some((old_loc, old_vlen)) = inner.leader_version {
-            let seg = inner.log.segment_of(old_loc) as usize;
-            if let Some(u) = inner.sys_leader.log.utilization.get_mut(seg) {
-                *u = u.saturating_sub(old_vlen);
-            }
-        }
+        // Its utilization table already charges it and not its predecessor.
         inner.sys_leader = new_leader;
         inner.sys_alloc_next = inner.sys_alloc_next.max(inner.sys_leader.map.next_rank);
         inner.leader_version = Some((location, raw.total_len as u32));
-        let seg = inner.log.segment_of(location) as usize;
-        if let Some(u) = inner.sys_leader.log.utilization.get_mut(seg) {
-            *u += raw.total_len as u32;
-        }
         return Ok(());
     }
 

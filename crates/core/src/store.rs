@@ -457,6 +457,21 @@ impl ChunkStore {
         inner.allocate_chunk(partition)
     }
 
+    /// Returns an id [`ChunkStore::allocate_chunk`] handed out and no commit
+    /// wrote, so that a later allocation reuses it: what a transaction that
+    /// ends without committing its creations gives back. Any other id is
+    /// left as it is.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the store is not live or the partition does not exist.
+    pub fn release_chunk(&self, id: ChunkId) -> Result<()> {
+        let _t = metrics::span(modules::CHUNK_STORE);
+        let mut inner = self.inner.lock();
+        inner.check_writable()?;
+        inner.release_chunk(id)
+    }
+
     /// Reads the last written state of a chunk (§4.5). The chunk's
     /// descriptor is found through the chunk map under the engine lock;
     /// the version is then read, decrypted and checked against it with the
@@ -843,6 +858,13 @@ impl ChunkStore {
     pub fn debug_descriptor(&self, id: ChunkId) -> Result<Descriptor> {
         let mut inner = self.inner.lock();
         inner.get_descriptor(id)
+    }
+
+    /// Test-only: segment utilization recounted from the maps, to hold
+    /// [`ChunkStore::utilization`] against.
+    #[doc(hidden)]
+    pub fn debug_recount_utilization(&self) -> Result<Vec<u32>> {
+        self.with_inner(Inner::recount_utilization)
     }
 
     /// Test-only: what the undo journals have captured since open.
