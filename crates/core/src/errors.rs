@@ -162,7 +162,8 @@ pub enum CoreError {
     BatchAborted(String),
     /// The store is serving validated reads only: a storage failure
     /// interrupted a mutation after bytes had reached the log, so further
-    /// mutations are rejected until `ChunkStore::try_heal` or a reopen.
+    /// mutations are rejected until the store is reopened: recovery then
+    /// adopts or drops the durable suffix against the trusted store.
     DegradedMode(String),
     /// The store detected an integrity violation during a mutation and has
     /// failed closed; it must be reopened (revalidating from the trusted
@@ -194,11 +195,13 @@ pub enum CoreError {
     },
 }
 
-/// Coarse classification of a failure, used by retry and degradation policy.
+/// Coarse classification of a failure, carried to clients in the wire's
+/// class byte.
 ///
 /// The distinction matters because the three classes demand different
-/// responses: transient faults are worth retrying ([`crate::store`] keeps
-/// serving), permanent faults end the operation but leave the protected
+/// responses: transient faults are worth retrying (once a reopen has
+/// cleared any degraded state; [`crate::store`] keeps serving reads),
+/// permanent faults end the operation but leave the protected
 /// state trustworthy, and integrity faults mean the untrusted store no
 /// longer matches the state protected by the tamper-resistant store — the
 /// engine must fail closed (§2.1: "suitable steps are taken when tampering
@@ -282,18 +285,13 @@ impl CoreError {
         matches!(self, CoreError::TamperDetected(_))
     }
 
-    /// Classifies this error for retry and degradation policy.
+    /// Classifies this error (see [`FaultClass`]).
     pub fn fault_class(&self) -> FaultClass {
         match self {
             CoreError::TamperDetected(_) | CoreError::Poisoned(_) => FaultClass::Integrity,
             CoreError::Store(e) if e.is_transient() => FaultClass::Transient,
             _ => FaultClass::Permanent,
         }
-    }
-
-    /// True when the operation may succeed if simply retried.
-    pub fn is_transient(&self) -> bool {
-        self.fault_class() == FaultClass::Transient
     }
 }
 

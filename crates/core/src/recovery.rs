@@ -63,6 +63,7 @@ pub(crate) fn recover(
             config.clone(),
             superblock,
             loc,
+            None,
         ) {
             Ok(inner) => return Ok(inner),
             Err(e) => {
@@ -90,6 +91,7 @@ fn recover_from(
     config: ChunkStoreConfig,
     superblock: Superblock,
     leader_loc: u64,
+    after_seq: Option<u64>,
 ) -> Result<Inner> {
     // Kept for restarting recovery at a mid-residual system leader (an
     // interrupted checkpoint; see the `Named` arm of the replay loop).
@@ -149,6 +151,16 @@ fn recover_from(
         leader_raw.open_body(&system, leader_loc)?
     };
     let sys_leader = SystemLeader::decode(&leader_body, &sys_params)?;
+    // A restart adopts only a checkpoint newer than the leader the scan
+    // started from. An older one is a stale version that a failed write
+    // left exposed in a recycled segment past the tail; following it
+    // could lead back around the log to the same leaders without end.
+    if after_seq.is_some_and(|seq| sys_leader.checkpoint_seq <= seq) {
+        return Err(CoreError::TamperDetected(TamperKind::NotALeader {
+            location: leader_loc,
+        }));
+    }
+    let root_seq = sys_leader.checkpoint_seq;
     if sys_leader.log.segment_size != seg_size {
         return Err(CoreError::Corrupt(format!(
             "configured segment size {seg_size} does not match stored {}",
@@ -380,6 +392,7 @@ fn recover_from(
                         reopen.3.clone(),
                         superblock,
                         location,
+                        Some(root_seq),
                     ) {
                         Ok(adopted) => return Ok(adopted),
                         Err(_) => {

@@ -171,10 +171,6 @@ pub struct ChunkStoreStats {
     pub degraded_entries: u64,
     /// Times this store hard-poisoned on an integrity violation.
     pub poison_events: u64,
-    /// [`ChunkStore::try_heal`] attempts.
-    pub heal_attempts: u64,
-    /// Successful heals (degraded back to live).
-    pub heals: u64,
     /// Group-commit batches executed by a leader thread.
     pub commit_batches: u64,
     /// Commits that rode in a group-commit batch (of any size).
@@ -219,8 +215,10 @@ pub enum StoreHealth {
     Live,
     /// Read-only: a storage failure interrupted a mutation after bytes had
     /// reached the log. Validated reads are still served; mutations are
-    /// rejected until [`ChunkStore::try_heal`] succeeds or the store is
-    /// reopened.
+    /// rejected until the store is reopened. There is no way back in
+    /// place: recovery on reopen decides, against the trusted store,
+    /// whether the durable suffix the failed mutation left is adopted or
+    /// dropped.
     Degraded {
         /// Human-readable cause.
         reason: String,
@@ -548,8 +546,8 @@ impl ChunkStore {
     /// taken after validation (this batch member's, or the batch's last
     /// durable point once bytes reached the device); if any bytes had
     /// already reached the log the store drops to read-only degraded mode
-    /// (see [`ChunkStore::try_heal`]), otherwise it stays live. Only
-    /// integrity violations poison the store.
+    /// until it is reopened (see [`StoreHealth::Degraded`]), otherwise it
+    /// stays live. Only integrity violations poison the store.
     pub fn commit(&self, ops: Vec<CommitOp>) -> Result<()> {
         self.commit_many(vec![ops])
             .pop()
@@ -711,25 +709,6 @@ impl ChunkStore {
         self.inner.lock().health.clone()
     }
 
-    /// Attempts to return a degraded store to live service without the
-    /// full reopen-and-revalidate path: the region between the validated
-    /// log tail and the end of the tail segment (where a failed mutation
-    /// may have left torn bytes) is scrubbed to zero and read back. On
-    /// success the store is live again; the in-memory state was already
-    /// rolled back to the last successful mutation when degradation was
-    /// entered.
-    ///
-    /// A no-op on a live store.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the store is poisoned (reopen instead) or the device still
-    /// refuses I/O — the store stays degraded and the call can be retried.
-    pub fn try_heal(&self) -> Result<()> {
-        let _t = metrics::span(modules::CHUNK_STORE);
-        self.inner.lock().try_heal()
-    }
-
     /// Total bytes the store occupies (superblock + all segments).
     pub fn stored_size(&self) -> u64 {
         let inner = self.inner.lock();
@@ -794,57 +773,6 @@ impl Inner {
     pub(crate) fn enter_poisoned(&mut self, reason: String) {
         self.stats.poison_events += 1;
         self.health = StoreHealth::Poisoned { reason };
-    }
-
-    /// Fast-path repair of a degraded store: instead of a full reopen
-    /// (which replays and revalidates the whole residual log), scrub the
-    /// possibly-torn region between the validated tail and the end of the
-    /// tail segment, verify the device takes writes again, and go live.
-    fn try_heal(&mut self) -> Result<()> {
-        match &self.health {
-            StoreHealth::Live => return Ok(()),
-            StoreHealth::Poisoned { reason } => return Err(CoreError::Poisoned(reason.clone())),
-            StoreHealth::Degraded { .. } => {}
-        }
-        self.stats.heal_attempts += 1;
-        // Scrubbing drops the durable-but-unacknowledged log suffix. In
-        // counter mode that is only sound while the trusted counter has not
-        // already counted that suffix: with the counter ahead of the
-        // rolled-back commit count, dropping it would make the next
-        // validation read as a replay (§4.8.2.2). Such a store needs the
-        // full reopen, which *adopts* the suffix by rolling forward.
-        if let TrustedBackend::Counter(c) = &self.trusted {
-            let actual = {
-                let _t = metrics::span(modules::TRUSTED_STORE);
-                c.get()?
-            };
-            if actual > self.commit_count {
-                return Err(CoreError::DegradedMode(format!(
-                    "trusted counter ({actual}) is ahead of the rolled-back \
-                     commit count ({}); reopen to roll the log forward",
-                    self.commit_count
-                )));
-            }
-        }
-        let tail = self.log.tail_location();
-        let seg_start = self.log.segment_offset(self.log.tail_segment());
-        let scrub_len = (u64::from(self.log.segment_size()) - (tail - seg_start)) as usize;
-        if scrub_len > 0 {
-            let store = Arc::clone(self.log.store());
-            let zeros = vec![0u8; scrub_len];
-            store.write_at(tail, &zeros)?;
-            store.flush()?;
-            let mut back = vec![0u8; scrub_len];
-            store.read_at(tail, &mut back)?;
-            if back.iter().any(|b| *b != 0) {
-                return Err(CoreError::Corrupt(
-                    "tail scrub read-back mismatch; device unreliable".into(),
-                ));
-            }
-        }
-        self.health = StoreHealth::Live;
-        self.stats.heals += 1;
-        Ok(())
     }
 
     pub(crate) fn fanout(&self) -> u64 {

@@ -736,8 +736,12 @@ fn cleaner_reports_a_tampered_dead_version_instead_of_freeing_the_live_ones_behi
         .unwrap();
     store.checkpoint().unwrap();
     store.close().unwrap();
-    let at = first.location + 2; // The first byte of its sealed header.
-    fx.untrusted.tamper(at, 0x01);
+    // The high byte of its IV length: an IV longer than any cipher block
+    // makes the header unparsable whatever the key. (A flipped header byte
+    // still decodes now and then under a random key, and a dead version
+    // whose header decodes is rightly skipped.)
+    let at = first.location + 1;
+    fx.untrusted.tamper(at, 0x80);
 
     let store = fx.reopen().unwrap();
     let cleaned = store.clean(8);
@@ -745,7 +749,7 @@ fn cleaner_reports_a_tampered_dead_version_instead_of_freeing_the_live_ones_behi
     assert_eq!(store.stats().segments_cleaned, 0);
     drop(store);
 
-    fx.untrusted.tamper(at, 0x01); // Undo.
+    fx.untrusted.tamper(at, 0x80); // Undo.
     let store = fx.reopen().unwrap();
     for (id, fill) in &keepers {
         assert_eq!(store.read(*id).unwrap(), vec![*fill; 300]);

@@ -29,7 +29,6 @@
 pub mod archival;
 pub mod faulty;
 pub mod remote;
-pub mod retry;
 pub mod simdisk;
 pub mod stats;
 pub mod trusted;
@@ -38,7 +37,6 @@ pub mod untrusted;
 pub use archival::{ArchivalStore, DirArchive, MemArchive};
 pub use faulty::{DeviceSnapshot, FaultKind, FaultPlan, SimDevice};
 pub use remote::{BatchingStore, RemoteStore};
-pub use retry::{IoPolicy, NoDelay, RetryClock, RetryObserver, RetryStore, SleepBackoff};
 pub use simdisk::{DiskModel, SimClock, SimDiskStore};
 pub use stats::{StatsSnapshot, StoreStats};
 pub use trusted::{
@@ -126,10 +124,11 @@ impl StoreError {
     /// True when the operation may succeed if simply retried.
     ///
     /// Transient by convention: interrupted/timed-out I/O, dropped network
-    /// connections (a [`remote::RemoteStore`] transport hiccup — the
-    /// connection can be re-established, so `RetryStore` should retry
-    /// rather than surface a Permanent fault), and injected faults marked
-    /// transient.
+    /// connections (a [`remote::RemoteStore`] transport hiccup: the
+    /// connection can be re-established), and injected faults marked
+    /// transient. Nothing below the engine retries; the class reaches a
+    /// client as the wire's class byte, which tells it that the same
+    /// request may succeed later.
     pub fn is_transient(&self) -> bool {
         match self {
             StoreError::Io(e) => matches!(

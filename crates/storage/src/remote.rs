@@ -45,9 +45,10 @@ use crate::{Result, StoreError};
 /// the next `n` round trips fail with a `ConnectionReset` I/O error, the
 /// canonical "network blinked" fault. Such errors classify as transient
 /// through [`StoreError::is_transient`] (and therefore as
-/// `FaultClass::Transient` through the core crate's `fault_class`), so a
-/// surrounding [`crate::RetryStore`] re-drives the operation instead of
-/// surfacing a permanent failure for a transfer hiccup.
+/// `FaultClass::Transient` through the core crate's `fault_class`), and
+/// the wire's class byte carries that class to the client. Nothing here
+/// retries: a commit the reset fails leaves the chunk store degraded, and
+/// a reopen recovers it.
 pub struct RemoteStore {
     inner: Arc<dyn UntrustedStore>,
     round_trip: Duration,
@@ -331,34 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_store_rides_through_transport_faults() {
-        use crate::retry::{IoPolicy, NoDelay, RetryStore};
-        let clock = Arc::new(SimClock::new(false));
-        let mem = Arc::new(MemStore::new());
-        let remote = Arc::new(RemoteStore::new(
-            Arc::clone(&mem) as Arc<dyn UntrustedStore>,
-            Duration::from_millis(1),
-            Arc::clone(&clock),
-        ));
-        remote.drop_connections(2);
-        let retries = Arc::new(AtomicU64::new(0));
-        let observed = Arc::clone(&retries);
-        let store = RetryStore::new(
-            Arc::clone(&remote) as Arc<dyn UntrustedStore>,
-            IoPolicy::retries(3).with_clock(Arc::new(NoDelay)),
-        )
-        .with_observer(Box::new(move |_attempt| {
-            observed.fetch_add(1, Ordering::SeqCst);
-        }));
-        // Two resets, then success — all inside one logical write.
-        store.write_at(0, b"payload").unwrap();
-        assert_eq!(retries.load(Ordering::SeqCst), 2);
-        let mut buf = [0u8; 7];
-        mem.read_at(0, &mut buf).unwrap();
-        assert_eq!(&buf, b"payload");
-    }
-
-    #[test]
     fn batching_coalesces_adjacent_writes() {
         let clock = Arc::new(SimClock::new(false));
         let mem = Arc::new(MemStore::new());
@@ -503,7 +476,6 @@ mod tests {
 
     #[test]
     fn retry_over_batching_survives_a_failed_flush() {
-        use crate::retry::{IoPolicy, RetryStore};
         let clock = Arc::new(SimClock::new(false));
         let mem = Arc::new(MemStore::new());
         let remote = Arc::new(RemoteStore::new(
@@ -511,18 +483,17 @@ mod tests {
             Duration::from_millis(1),
             Arc::clone(&clock),
         ));
-        let store = RetryStore::new(
-            Arc::new(BatchingStore::new(
-                Arc::clone(&remote) as Arc<dyn UntrustedStore>
-            )),
-            IoPolicy::retries(3),
-        );
+        let store = BatchingStore::new(Arc::clone(&remote) as Arc<dyn UntrustedStore>);
         store.write_at(0, b"acked").unwrap();
         store.write_at(100, b"tail").unwrap();
         remote.drop_connections(2);
-        // Two failed requests, then the retry ships both extents.
+        // Two failed requests keep both extents buffered; flushing again
+        // ships them.
+        assert!(store.flush().unwrap_err().is_transient());
+        assert!(store.flush().unwrap_err().is_transient());
+        assert_eq!(store.pending_extents(), 2);
         store.flush().unwrap();
-        assert_eq!(store.stats().snapshot().retries, 2);
+        assert_eq!(store.pending_extents(), 0);
         let image = mem.image();
         assert_eq!(&image[..5], b"acked");
         assert_eq!(&image[100..], b"tail");

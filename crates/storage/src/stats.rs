@@ -28,9 +28,6 @@ pub struct StoreStats {
     pub write_ns: AtomicU64,
     /// Nanoseconds spent in flush operations.
     pub flush_ns: AtomicU64,
-    /// Number of operations retried after a transient fault (recorded by
-    /// [`crate::retry::RetryStore`]).
-    pub retries: AtomicU64,
 }
 
 impl StoreStats {
@@ -63,11 +60,6 @@ impl StoreStats {
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Records one retry of a transiently failed operation.
-    pub fn record_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Resets every counter to zero.
     pub fn reset(&self) {
         for c in [
@@ -79,7 +71,6 @@ impl StoreStats {
             &self.read_ns,
             &self.write_ns,
             &self.flush_ns,
-            &self.retries,
         ] {
             c.store(0, Ordering::Relaxed);
         }
@@ -96,7 +87,6 @@ impl StoreStats {
             read_ns: self.read_ns.load(Ordering::Relaxed),
             write_ns: self.write_ns.load(Ordering::Relaxed),
             flush_ns: self.flush_ns.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
         }
     }
 }
@@ -120,8 +110,6 @@ pub struct StatsSnapshot {
     pub write_ns: u64,
     /// Nanoseconds in flushes.
     pub flush_ns: u64,
-    /// Retries after transient faults.
-    pub retries: u64,
 }
 
 impl StatsSnapshot {
@@ -136,7 +124,6 @@ impl StatsSnapshot {
             read_ns: self.read_ns - earlier.read_ns,
             write_ns: self.write_ns - earlier.write_ns,
             flush_ns: self.flush_ns - earlier.flush_ns,
-            retries: self.retries - earlier.retries,
         }
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! - Restoring a backup into a *fresh* store under a seeded `FaultPlan`
 //!   either installs contents that verify exactly, or fails cleanly — and
-//!   a retry after the device heals restores bit-perfect state. Transient
-//!   faults never corrupt the archived backup.
+//!   a retry on a reopen of the working device restores bit-perfect state.
+//!   Transient faults never corrupt the archived backup.
 //! - A backup taken under seeded faults (its snapshot commit included)
 //!   never ships a corrupt-but-installable object: restore of whatever
 //!   reached the archive either fails or yields exactly the source
@@ -41,11 +41,28 @@ fn config() -> ChunkStoreConfig {
     }
 }
 
+fn backend(dev: &Arc<SimDevice>) -> TrustedBackend {
+    TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(dev.register())))
+}
+
 fn store_over(dev: &Arc<SimDevice>, secret: &SecretKey) -> Arc<ChunkStore> {
     Arc::new(
         ChunkStore::create(
             Arc::clone(dev) as SharedUntrusted,
-            TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(dev.register()))),
+            backend(dev),
+            secret.clone(),
+            config(),
+        )
+        .unwrap(),
+    )
+}
+
+/// The store on `dev` after a restart: recovery against its register.
+fn reopen(dev: &Arc<SimDevice>, secret: &SecretKey) -> Arc<ChunkStore> {
+    Arc::new(
+        ChunkStore::open(
+            Arc::clone(dev) as SharedUntrusted,
+            backend(dev),
             secret.clone(),
             config(),
         )
@@ -129,20 +146,22 @@ fn seeded_faults_on_restore_never_accept_corrupt_state() {
 
     for seed in 0..24u64 {
         let ctx = format!("restore seed {seed}");
-        let (planned, dst) = planned_store(&secret);
-        let dst_backups = backups_of(&dst, &archive);
+        let (planned, mut dst) = planned_store(&secret);
 
         planned.set_plan(FaultPlan::seeded(seed, 120, 3));
-        let result = dst_backups.restore(&[name], &ApproveAll);
+        let result = backups_of(&dst, &archive).restore(&[name], &ApproveAll);
         planned.set_plan(FaultPlan::new());
 
         if result.is_err() {
-            // Transient faults must leave a retryable store and an intact
-            // backup: after the device heals, the restore is bit-perfect.
-            let _ = dst.try_heal();
-            dst_backups
+            // Transient faults must leave a recoverable store and an
+            // intact backup: on a reopen of the working device, the
+            // restore is bit-perfect.
+            if !dst.health().is_live() {
+                dst = reopen(&planned, &secret);
+            }
+            backups_of(&dst, &archive)
                 .restore(&[name], &ApproveAll)
-                .unwrap_or_else(|e| panic!("{ctx}: retry after heal: {e}"));
+                .unwrap_or_else(|e| panic!("{ctx}: retry after reopen: {e}"));
         }
         assert_partition(&dst, p, &model, &ctx);
         // Destination-side faults can never corrupt the archived backup.
@@ -164,11 +183,12 @@ fn seeded_faults_on_backup_never_ship_a_corrupt_snapshot() {
         planned.set_plan(FaultPlan::seeded(seed, 150, 3));
         let shipped = backups_of(&src, &archive).backup(&[full(p)], "s");
         planned.set_plan(FaultPlan::new());
-        let _ = src.try_heal();
 
         // Whatever the fault did, the source still serves every
-        // acknowledged byte.
+        // acknowledged byte, and so does its recovery.
         assert_partition(&src, p, &model, &ctx);
+        drop(src);
+        assert_partition(&reopen(&planned, &secret), p, &model, &ctx);
 
         let dst = store_over(&SimDevice::new(), &secret);
         match backups_of(&dst, &archive).restore(&["s.0"], &ApproveAll) {
@@ -219,7 +239,7 @@ fn incremental_chain_survives_seeded_restore_faults() {
 
     for seed in 0..12u64 {
         let ctx = format!("chain seed {seed}");
-        let (planned, dst) = planned_store(&secret);
+        let (planned, mut dst) = planned_store(&secret);
         let dst_backups = backups_of(&dst, &archive);
 
         // The full backup alone, then the whole chain over it: the second
@@ -233,8 +253,10 @@ fn incremental_chain_survives_seeded_restore_faults() {
         planned.set_plan(FaultPlan::new());
 
         if first.is_err() || chain.is_err() {
-            let _ = dst.try_heal();
-            dst_backups
+            if !dst.health().is_live() {
+                dst = reopen(&planned, &secret);
+            }
+            backups_of(&dst, &archive)
                 .restore(&[full_name, delta_name], &ApproveAll)
                 .unwrap_or_else(|e| panic!("{ctx}: chain retry: {e}"));
         }

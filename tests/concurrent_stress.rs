@@ -23,12 +23,15 @@
 //! The suites run at reader counts {1, 2, 4, 8}, and once more with a seeded
 //! [`FaultPlan`] injecting transient storage faults (reads may then fail
 //! with I/O or degraded-mode errors — but a read that *succeeds* must
-//! still satisfy the same bounds). A separate suite deallocates and
+//! still satisfy the same bounds). A faulted run goes in rounds: a round
+//! ends when a failed mutation leaves the store degraded, and the next one
+//! starts on a reopen of the same device. A separate suite deallocates and
 //! recreates a partition id under two committers, whose writes are sealed
 //! before the engine lock (see its section below). A third drives
 //! sessions: committed reads racing an autocommit writer. Heavier torture
 //! variants are `#[ignore]`d for the CI `--include-ignored` pass.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -95,6 +98,9 @@ fn decode(rank: u64, got: &[u8]) -> u64 {
 
 struct Harness {
     store: Arc<ChunkStore>,
+    /// What a reopen needs besides the device.
+    register: Arc<dyn TrustedStore>,
+    secret: SecretKey,
     partition: PartitionId,
     /// Last version whose commit was *issued*, per rank.
     pending: Vec<AtomicU64>,
@@ -103,12 +109,15 @@ struct Harness {
     done: AtomicBool,
 }
 
+fn backend(register: &Arc<dyn TrustedStore>) -> TrustedBackend {
+    TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(Arc::clone(register))))
+}
+
 fn build(untrusted: SharedUntrusted) -> Harness {
-    let register = Arc::new(MemTrustedStore::new(64));
-    let backend = TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(
-        register as Arc<dyn TrustedStore>,
-    )));
-    let store = ChunkStore::create(untrusted, backend, SecretKey::random(24), config()).unwrap();
+    let register: Arc<dyn TrustedStore> = Arc::new(MemTrustedStore::new(64));
+    let secret = SecretKey::random(24);
+    let store =
+        ChunkStore::create(untrusted, backend(&register), secret.clone(), config()).unwrap();
     let partition = store.allocate_partition().unwrap();
     store
         .commit(vec![CommitOp::CreatePartition {
@@ -134,6 +143,8 @@ fn build(untrusted: SharedUntrusted) -> Harness {
         .unwrap();
     Harness {
         store: Arc::new(store),
+        register,
+        secret,
         partition,
         pending: (0..RANKS).map(|_| AtomicU64::new(1)).collect(),
         committed: (0..RANKS).map(|_| AtomicU64::new(1)).collect(),
@@ -170,12 +181,18 @@ fn reader(h: &Harness, seed: u64, faults_allowed: bool) -> (u64, u64) {
     (reads, errors)
 }
 
-/// The mutator: `iters` rounds of multi-chunk commits with occasional
+/// The mutator: the rounds in `iters` of multi-chunk commits with occasional
 /// checkpoints and cleans. Under faults, failed mutations are tolerated
 /// (the pending counter stays as the upper bound — a failed commit may
-/// still have durably applied) and healing is attempted.
-fn mutator(h: &Harness, iters: u64, faults_allowed: bool) {
-    for i in 0..iters {
+/// still have durably applied), and the mutator stops early once one has
+/// left the store degraded. Returns the first round it did not run.
+fn mutator(h: &Harness, iters: Range<u64>, faults_allowed: bool) -> u64 {
+    let mut next = iters.end;
+    for i in iters {
+        if !h.store.health().is_live() {
+            next = i;
+            break;
+        }
         // Usually 2-3 chunks, a kilobyte or so; every sixteenth round all
         // ranks at their next bulk version, sealed as lanes of one call.
         let bulk = i % 16 == 5;
@@ -212,9 +229,7 @@ fn mutator(h: &Harness, iters: u64, faults_allowed: bool) {
             Err(e) => {
                 assert!(faults_allowed, "commit failed with no faults injected: {e}");
                 // The commit may or may not have applied durably; the
-                // pending bump already covers the "applied" case. Try to
-                // get back to live for the next round.
-                let _ = h.store.try_heal();
+                // pending bump already covers the "applied" case.
             }
         }
         if i % 16 == 9 {
@@ -227,6 +242,7 @@ fn mutator(h: &Harness, iters: u64, faults_allowed: bool) {
         }
     }
     h.done.store(true, Ordering::Release);
+    next
 }
 
 fn run_stress(readers: usize, iters: u64) {
@@ -239,7 +255,7 @@ fn run_stress(readers: usize, iters: u64) {
                 s.spawn(move || reader(h, t as u64, false))
             })
             .collect();
-        mutator(&h, iters, false);
+        mutator(&h, 0..iters, false);
         handles.into_iter().map(|j| j.join().unwrap().0).sum()
     });
     assert!(total_reads > 0, "readers never observed a chunk");
@@ -256,26 +272,44 @@ fn run_stress(readers: usize, iters: u64) {
 
 fn run_faulted(readers: usize, iters: u64, seed: u64) {
     let dev = SimDevice::new();
-    let h = build(Arc::clone(&dev) as SharedUntrusted);
+    let mut h = build(Arc::clone(&dev) as SharedUntrusted);
     // Arm the plan only after setup so the store starts consistent; the
     // horizon covers the whole concurrent phase.
-    dev.set_plan(FaultPlan::seeded(seed, 4000, 24));
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..readers)
-            .map(|t| {
-                let h = &h;
-                s.spawn(move || reader(h, t as u64, true))
-            })
-            .collect();
-        mutator(&h, iters, true);
-        for j in handles {
-            j.join().unwrap();
-        }
-    });
-    // Disarm and heal; unless the store poisoned (only integrity faults
-    // do that, and the plan injects none), it must serve committed state.
-    dev.set_plan(FaultPlan::new());
-    let _ = h.store.try_heal();
+    let plan = FaultPlan::seeded(seed, 4000, 24);
+    let mut next = 0;
+    while next < iters {
+        dev.set_plan(plan.clone());
+        h.done.store(false, Ordering::Release);
+        next = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..readers)
+                .map(|t| {
+                    let h = &h;
+                    s.spawn(move || reader(h, t as u64, true))
+                })
+                .collect();
+            let next = mutator(&h, next..iters, true);
+            for j in handles {
+                j.join().unwrap();
+            }
+            next
+        });
+        // Only integrity faults poison, and the plan injects none. Reopen
+        // the same device with the plan disarmed: recovery adopts or drops
+        // what a failed mutation left, and must keep every acknowledged
+        // version. The plan's faults keep their device-op indices, so the
+        // next round meets those still ahead.
+        assert!(!h.store.health().is_poisoned(), "round ending at {next}");
+        dev.set_plan(FaultPlan::new());
+        h.store = Arc::new(
+            ChunkStore::open(
+                Arc::clone(&dev) as SharedUntrusted,
+                backend(&h.register),
+                h.secret.clone(),
+                config(),
+            )
+            .unwrap_or_else(|e| panic!("reopen after round ending at {next}: {e}")),
+        );
+    }
     for rank in 0..RANKS {
         let lo = h.committed[rank as usize].load(Ordering::SeqCst);
         let hi = h.pending[rank as usize].load(Ordering::SeqCst);

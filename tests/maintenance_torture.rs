@@ -76,10 +76,14 @@ impl Rig {
 
     /// Reboots a machine from `snapshot`: its image and its register.
     fn open(&self, snapshot: &DeviceSnapshot) -> tdb_core::Result<ChunkStore> {
-        let dev = SimDevice::from_snapshot(snapshot);
+        self.reopen(&SimDevice::from_snapshot(snapshot))
+    }
+
+    /// Reopens the store on `dev` as it stands, keeping its op counters.
+    fn reopen(&self, dev: &Arc<SimDevice>) -> tdb_core::Result<ChunkStore> {
         ChunkStore::open(
-            Arc::clone(&dev) as SharedUntrusted,
-            backend(&dev),
+            Arc::clone(dev) as SharedUntrusted,
+            backend(dev),
             self.secret.clone(),
             self.config.clone(),
         )
@@ -102,8 +106,9 @@ fn content(thread: usize, round: usize) -> Vec<u8> {
 }
 
 /// Commits with bounded patience: `OutOfSpace` (a fault plan can leave
-/// a slice unable to reclaim) is retried after a pause, a transient
-/// degrade gets one heal attempt. Returns whether the commit was
+/// a slice unable to reclaim) is retried after a pause; any other error,
+/// `DegradedMode` included, ends the attempt, since a degraded store takes
+/// no commit until it is reopened. Returns whether the commit was
 /// acknowledged.
 fn commit_patiently(store: &ChunkStore, id: ChunkId, bytes: &[u8]) -> bool {
     for _ in 0..200 {
@@ -115,11 +120,6 @@ fn commit_patiently(store: &ChunkStore, id: ChunkId, bytes: &[u8]) -> bool {
             Ok(()) => return true,
             Err(CoreError::OutOfSpace) => {
                 std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(CoreError::DegradedMode(_)) => {
-                if store.try_heal().is_err() {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
             }
             Err(_) => return false,
         }
@@ -199,17 +199,17 @@ fn acked_commits_survive_crash_during_inline_cleaning() {
 /// Mixed seeded faults land in whatever the store happens to be doing —
 /// commits, checkpoints, or inline clean slices, whichever batch leader
 /// runs them. The invariants must hold anyway: plain I/O faults never
-/// poison, and every acknowledged commit survives recovery.
+/// poison, and every acknowledged commit survives recovery. A fault that
+/// degrades the store ends a round; the next round reopens the same
+/// device, so the writes left still meet the faults ahead of them.
 #[test]
 fn seeded_faults_with_inline_cleaning_never_poison() {
+    const WRITES: usize = 3;
     for seed in [1u64, 2, 3] {
         let rig = Rig::new(bounded_config());
         let dev = SimDevice::new();
-        let store = rig.create(&dev);
+        let mut store = rig.create(&dev);
         let p = setup_partition(&store);
-        let ids: Vec<Vec<ChunkId>> = (0..THREADS)
-            .map(|_| (0..3).map(|_| store.allocate_chunk(p).unwrap()).collect())
-            .collect();
         // Churn a scratch chunk until the log is just above the slowdown
         // mark, so the faulted commits below run inline slices.
         let scratch = store.allocate_chunk(p).unwrap();
@@ -220,32 +220,67 @@ fn seeded_faults_with_inline_cleaning_never_poison() {
             assert!(commit_patiently(&store, scratch, &[0x5C; 600]));
         }
         let horizon = dev.total_ops() + 300;
-        dev.set_plan(FaultPlan::seeded(seed, horizon, 5));
+        let plan = FaultPlan::seeded(seed, horizon, 5);
 
         // Write-once ids: a failed commit is never durably superseded, so
         // "acknowledged implies readable after recovery" stays exact even
         // though recovery may also adopt unacknowledged durable commits.
         let acked: Mutex<Vec<(ChunkId, Vec<u8>)>> = Mutex::new(Vec::new());
-        let barrier = Barrier::new(THREADS);
-        std::thread::scope(|s| {
-            for (t, my_ids) in ids.iter().enumerate() {
-                let (store, acked, barrier) = (&store, &acked, &barrier);
-                s.spawn(move || {
-                    barrier.wait();
-                    for (round, id) in my_ids.iter().enumerate() {
-                        let bytes = content(t, round);
-                        if commit_patiently(store, *id, &bytes) {
-                            acked.lock().unwrap().push((*id, bytes));
-                        }
-                    }
-                });
+        let mut done = [0usize; THREADS];
+        let mut slices = 0;
+        loop {
+            // Fresh ids for the writes left: a reopen drops reservations.
+            let ids: Vec<Vec<ChunkId>> = done
+                .iter()
+                .map(|&d| {
+                    (d..WRITES)
+                        .map(|_| store.allocate_chunk(p).unwrap())
+                        .collect()
+                })
+                .collect();
+            dev.set_plan(plan.clone());
+            let barrier = Barrier::new(THREADS);
+            let ran: Vec<usize> = std::thread::scope(|s| {
+                let handles: Vec<_> = ids
+                    .iter()
+                    .enumerate()
+                    .map(|(t, my_ids)| {
+                        let (store, acked, barrier, first) = (&store, &acked, &barrier, done[t]);
+                        s.spawn(move || {
+                            barrier.wait();
+                            for (k, id) in my_ids.iter().enumerate() {
+                                if !store.health().is_live() {
+                                    return k;
+                                }
+                                let bytes = content(t, first + k);
+                                if commit_patiently(store, *id, &bytes) {
+                                    acked.lock().unwrap().push((*id, bytes));
+                                }
+                            }
+                            my_ids.len()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            dev.set_plan(FaultPlan::new());
+            assert!(
+                !store.health().is_poisoned(),
+                "seed {seed}: an I/O fault during cleaning must never poison"
+            );
+            slices += store.stats().clean_slices;
+            for (d, n) in done.iter_mut().zip(ran) {
+                *d += n;
             }
-        });
-        assert!(
-            !store.health().is_poisoned(),
-            "seed {seed}: an I/O fault during cleaning must never poison"
-        );
-        assert!(store.stats().clean_slices >= 1, "seed {seed}: no slice ran");
+            if done.iter().all(|&d| d == WRITES) {
+                break;
+            }
+            drop(store);
+            store = rig
+                .reopen(&dev)
+                .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}"));
+        }
+        assert!(slices >= 1, "seed {seed}: no slice ran");
         let acked = acked.into_inner().unwrap();
         drop(store);
 

@@ -1,18 +1,20 @@
 //! §10 extension, end to end: TDB over a *remote* untrusted store, with
 //! and without client-side write batching. The batched configuration must
 //! be correct (recovery included), pay far fewer round trips — one per
-//! durability point — and lose no acknowledged commit to a transport reset.
+//! durability point — and lose no acknowledged commit to a transport
+//! reset: a reset degrades the store, and a reopen recovers it.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use tdb::{ChunkStore, ChunkStoreConfig, CommitOp, CryptoParams, TrustedBackend};
+use tdb::{ChunkStore, ChunkStoreConfig, CommitOp, CryptoParams, FaultClass, TrustedBackend};
+use tdb_core::CoreError;
 use tdb_crypto::SecretKey;
 use tdb_storage::{
-    BatchingStore, CounterOverTrusted, IoPolicy, MemStore, MemTrustedStore, RemoteStore,
-    RetryStore, SharedUntrusted, SimClock, StoreStats, TrustedStore, UntrustedStore,
+    BatchingStore, CounterOverTrusted, MemStore, MemTrustedStore, RemoteStore, SharedUntrusted,
+    SimClock, StoreStats, TrustedStore, UntrustedStore,
 };
 
 /// The remote's round trip (accounted on a [`SimClock`], never slept).
@@ -222,15 +224,20 @@ fn batch_crossing_the_counter_lag_costs_one_round_trip() {
 }
 
 /// Forwards every request to a [`RemoteStore`], resetting the connection
-/// on every `k`-th round trip (the first at trip `k - 1 - phase`).
+/// on every `k`-th round trip (the first at trip `k - 1 - phase`), and
+/// counting neither trips nor resets while `paused`.
 struct ResetEveryKth {
     remote: Arc<RemoteStore>,
     k: u64,
     trips: AtomicU64,
+    paused: AtomicBool,
 }
 
 impl ResetEveryKth {
     fn trip(&self) {
+        if self.paused.load(Ordering::SeqCst) {
+            return;
+        }
         if self.trips.fetch_add(1, Ordering::SeqCst) % self.k == self.k - 1 {
             self.remote.drop_connections(1);
         }
@@ -272,10 +279,13 @@ impl UntrustedStore for ResetEveryKth {
     }
 }
 
-/// `RetryStore` over `BatchingStore` over a remote that resets every
-/// `k`-th round trip: runs `commits` single-chunk commits (new chunks and
-/// overwrites, a checkpoint every 16), then reopens from the server's
-/// bytes alone and checks every acknowledged commit is there.
+/// A committer over `BatchingStore` over a remote that resets every
+/// `k`-th round trip runs `commits` single-chunk commits (new chunks and
+/// overwrites, a checkpoint every 16). A commit or checkpoint that a reset
+/// fails leaves the store degraded; the committer then reopens over a
+/// fresh `BatchingStore` on the same link, with resets paused so that
+/// recovery reads the server's bytes, and goes on. At the end a reopen
+/// from the server's bytes alone holds every acknowledged commit.
 fn resets_keep_acked_commits(k: u64, phase: u64, commits: u64) {
     let ctx = format!("reset every {k}th round trip, phase {phase}");
     let secret = SecretKey::random(24);
@@ -286,17 +296,17 @@ fn resets_keep_acked_commits(k: u64, phase: u64, commits: u64) {
         RTT,
         Arc::new(SimClock::new(false)),
     ));
-    let flaky = Arc::new(ResetEveryKth {
+    let link = Arc::new(ResetEveryKth {
         remote,
         k,
         trips: AtomicU64::new(phase),
+        paused: AtomicBool::new(true),
     });
-    let client: SharedUntrusted = Arc::new(RetryStore::new(
-        Arc::new(BatchingStore::new(flaky)),
-        IoPolicy::retries(2),
-    ));
-    let store = ChunkStore::create(
-        Arc::clone(&client),
+    let client = || -> SharedUntrusted {
+        Arc::new(BatchingStore::new(Arc::clone(&link) as SharedUntrusted))
+    };
+    let mut store = ChunkStore::create(
+        client(),
         backend(&register),
         secret.clone(),
         ChunkStoreConfig::default(),
@@ -309,33 +319,59 @@ fn resets_keep_acked_commits(k: u64, phase: u64, commits: u64) {
             params: CryptoParams::paper_default(),
         }])
         .expect(&ctx);
+    link.paused.store(false, Ordering::SeqCst);
     let mut acked: BTreeMap<tdb::ChunkId, Vec<u8>> = BTreeMap::new();
-    let mut ids = Vec::new();
+    let (mut acks, mut resets) = (0, 0);
     for i in 0..commits {
-        let id = if i % 3 == 2 {
-            ids[(i as usize * 7) % ids.len()]
+        let id = if i % 3 == 2 && !acked.is_empty() {
+            *acked.keys().nth(i as usize * 7 % acked.len()).unwrap()
         } else {
-            let id = store.allocate_chunk(p).expect(&ctx);
-            ids.push(id);
-            id
+            store.allocate_chunk(p).expect(&ctx)
         };
         let data = vec![(i % 251) as u8; 100 + (i as usize % 7) * 60];
-        // With one reset per k ≥ 2 round trips, a retry always gets
-        // through: every commit is acknowledged.
-        store
-            .commit(vec![CommitOp::WriteChunk {
-                id,
-                bytes: data.clone(),
-            }])
-            .unwrap_or_else(|e| panic!("{ctx}: commit {i}: {e}"));
-        acked.insert(id, data);
-        if i % 16 == 15 {
-            store
-                .checkpoint()
-                .unwrap_or_else(|e| panic!("{ctx}: checkpoint after {i}: {e}"));
+        let mut result = store.commit(vec![CommitOp::WriteChunk {
+            id,
+            bytes: data.clone(),
+        }]);
+        if result.is_ok() {
+            acks += 1;
+            acked.insert(id, data.clone());
+            if i % 16 == 15 {
+                result = store.checkpoint();
+            }
         }
+        let Err(e) = result else { continue };
+        assert!(
+            matches!(&e, CoreError::BatchAborted(m) if m.contains("connection reset"))
+                || e.fault_class() == FaultClass::Transient,
+            "{ctx}: commit {i}: {e}"
+        );
+        assert!(store.health().is_degraded(), "{ctx}: commit {i}: {e}");
+        resets += 1;
+        link.paused.store(true, Ordering::SeqCst);
+        drop(store);
+        store = ChunkStore::open(
+            client(),
+            backend(&register),
+            secret.clone(),
+            ChunkStoreConfig::default(),
+        )
+        .unwrap_or_else(|err| panic!("{ctx}: reopen after commit {i}: {err}"));
+        // Recovery adopted the failed write if it was durable on the
+        // server, and dropped it otherwise; nothing else is possible.
+        match store.read(id) {
+            Ok(got) if got == data => {
+                acked.insert(id, data);
+            }
+            got => assert!(
+                acked.get(&id) == got.as_ref().ok(),
+                "{ctx}: commit {i} left {id} at {got:?}"
+            ),
+        }
+        link.paused.store(false, Ordering::SeqCst);
     }
-    assert!(client.stats().snapshot().retries > 0, "{ctx}: no reset hit");
+    assert!(resets > 0, "{ctx}: no reset hit");
+    assert!(acks > 0, "{ctx}: no commit acknowledged");
     let image = mem.image();
     drop(store);
     let reopened = ChunkStore::open(
