@@ -103,13 +103,12 @@ struct IndexMeta {
     root: u64,
 }
 
-/// The collection object: membership root, count, and index metadata.
+/// The collection object: name, membership root, and index metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct CollectionObj {
     name: String,
     /// Root of the primary membership B-tree (keyed by object rank).
     members_root: u64,
-    count: u64,
     indexes: Vec<IndexMeta>,
 }
 
@@ -120,7 +119,7 @@ impl StoredObject for CollectionObj {
 
     fn pickle(&self) -> Vec<u8> {
         let mut e = Enc::new();
-        e.str(&self.name).u64(self.members_root).u64(self.count);
+        e.str(&self.name).u64(self.members_root);
         e.list(&self.indexes, |e, idx| {
             let kind = match idx.kind {
                 IndexKind::Sorted => 0,
@@ -141,7 +140,6 @@ fn unpickle_collection(body: &[u8]) -> Result<Arc<dyn StoredObject>> {
         Ok(CollectionObj {
             name: d.str()?,
             members_root: d.u64()?,
-            count: d.u64()?,
             // Two string length prefixes, the kind byte and the root.
             indexes: d.list(17, |d| {
                 Ok(IndexMeta {
@@ -203,10 +201,6 @@ impl CollectionStore {
         tx.get::<CollectionObj>(coll.0)
     }
 
-    fn save(&self, tx: &mut Tx, coll: CollectionId, obj: CollectionObj) -> Result<()> {
-        tx.put(coll.0, Arc::new(obj))
-    }
-
     fn members(&self, partition: PartitionId, obj: &CollectionObj) -> BTree {
         BTree {
             partition,
@@ -234,7 +228,6 @@ impl CollectionStore {
         let obj = CollectionObj {
             name: name.to_string(),
             members_root: members.root,
-            count: 0,
             indexes: Vec::new(),
         };
         Ok(CollectionId(tx.create(partition, Arc::new(obj))?))
@@ -249,13 +242,16 @@ impl CollectionStore {
         Ok(self.load(tx, coll)?.name.clone())
     }
 
-    /// Number of member objects.
+    /// Number of member objects, counted by scanning the membership tree:
+    /// the cost grows with the member count, and the scan takes a shared
+    /// lock on every node of the tree.
     ///
     /// # Errors
     ///
     /// Fails if the collection does not exist.
     pub fn len(&self, tx: &mut Tx, coll: CollectionId) -> Result<u64> {
-        Ok(self.load(tx, coll)?.count)
+        let meta = self.load(tx, coll)?;
+        Ok(self.members(coll.0.partition(), &meta).scan(tx)?.len() as u64)
     }
 
     /// Creates a new object and adds it to the collection, maintaining all
@@ -294,6 +290,8 @@ impl CollectionStore {
         id: ObjectId,
         object: &dyn StoredObject,
     ) -> Result<()> {
+        // Only read: members live in the tree. The shared lock keeps the
+        // index list stable against a concurrent `add_index` or `drop_index`.
         let meta = self.load(tx, coll)?;
         let members = self.members(coll.0.partition(), &meta);
         members.insert(tx, &Self::member_key(id.rank()), id.rank())?;
@@ -303,9 +301,7 @@ impl CollectionStore {
                 self.index_insert(tx, coll.0.partition(), idx, &key, id.rank())?;
             }
         }
-        let mut updated = (*meta).clone();
-        updated.count += 1;
-        self.save(tx, coll, updated)
+        Ok(())
     }
 
     /// Replaces a member object's state, updating every index whose key
@@ -376,9 +372,7 @@ impl CollectionStore {
                 self.index_remove(tx, coll.0.partition(), idx, &key, id.rank())?;
             }
         }
-        let mut updated = (*meta).clone();
-        updated.count -= 1;
-        self.save(tx, coll, updated)
+        Ok(())
     }
 
     /// Adds an index over the collection, building it over existing
@@ -424,7 +418,7 @@ impl CollectionStore {
         }
         let mut updated = (*meta).clone();
         updated.indexes.push(idx);
-        self.save(tx, coll, updated)
+        tx.put(coll.0, Arc::new(updated))
     }
 
     /// Drops an index, deleting its objects.
@@ -456,7 +450,7 @@ impl CollectionStore {
         }
         let mut updated = (*meta).clone();
         updated.indexes.remove(pos);
-        self.save(tx, coll, updated)
+        tx.put(coll.0, Arc::new(updated))
     }
 
     /// Names of the collection's indexes.
@@ -721,7 +715,6 @@ mod tests {
         let obj = CollectionObj {
             name: "goods".into(),
             members_root: 2,
-            count: 3,
             indexes: vec![
                 IndexMeta {
                     name: "by_id".into(),
@@ -740,10 +733,31 @@ mod tests {
         check_golden(
             &obj,
             unpickle_collection,
-            "05000000676f6f64730200000000000000030000000000000002000000050000006279\
-             5f69640200000069640004000000000000000600000062795f74616703000000746167\
-             010807060504030201",
+            "05000000676f6f64730200000000000000020000000500000062795f69640200000069\
+             640004000000000000000600000062795f746167030000007461670108070605040302\
+             01",
             "collection",
         );
+    }
+
+    /// The encoding from before the collection stopped storing its member
+    /// count (a `u64` after the membership root) has no migration.
+    #[test]
+    fn counted_collection_pickle_is_rejected() {
+        let hex = "05000000676f6f64730200000000000000030000000000000002000000050000006279\
+                   5f69640200000069640004000000000000000600000062795f74616703000000746167\
+                   010807060504030201";
+        let bytes: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect();
+        match unpickle_collection(&bytes) {
+            Err(ObjectError::BadPickle(what)) => assert_eq!(what, "collection"),
+            Err(e) => panic!("{e:?}"),
+            Ok(obj) => panic!(
+                "unpickled {:?}",
+                obj.as_any().downcast_ref::<CollectionObj>()
+            ),
+        }
     }
 }

@@ -338,6 +338,35 @@ fn remove_cleans_indexes_and_object() {
     tx.commit().unwrap();
 }
 
+/// Members come and go without a new version of the collection object: a
+/// commit of one insert and one remove leaves its descriptor as it was.
+#[test]
+fn insert_and_remove_leave_the_collection_object_unwritten() {
+    let fx = fixture();
+    let colls = &fx.collections;
+    let (coll, old) = fx
+        .objects
+        .run(|tx| {
+            let coll = colls.create_collection(tx, fx.partition, "goods")?;
+            colls.add_index(tx, coll, "title", "by_title", IndexKind::Sorted)?;
+            colls.add_index(tx, coll, "vendor", "by_vendor", IndexKind::Unsorted)?;
+            Ok((coll, colls.insert(tx, coll, good("old", "v", 1))?))
+        })
+        .unwrap();
+    let descriptor = || fx.objects.chunks().debug_descriptor(coll.0 .0).unwrap();
+    let before = descriptor();
+    fx.objects
+        .run(|tx| {
+            colls.insert(tx, coll, good("new", "v", 2))?;
+            colls.remove(tx, coll, old)
+        })
+        .unwrap();
+    assert_eq!(descriptor(), before);
+    let mut tx = fx.objects.begin();
+    assert_eq!(colls.len(&mut tx, coll).unwrap(), 1);
+    tx.commit().unwrap();
+}
+
 #[test]
 fn add_index_builds_over_existing_members() {
     let fx = fixture();

@@ -251,7 +251,7 @@ impl Inner {
         body
     }
 
-    fn write_superblock(&mut self, leader_loc: u64) -> Result<()> {
+    pub(crate) fn write_superblock(&mut self, leader_loc: u64) -> Result<()> {
         let sb = Superblock {
             epoch: self.superblock.epoch + 1,
             current_leader: leader_loc,

@@ -179,7 +179,8 @@ impl Inner {
     /// free segments, or one that refused a writer since the last slice,
     /// cleans `SLICE_SEGMENTS` segments before the batch leader's batch. A
     /// slice that fails has rolled back and set the store's health like
-    /// any mutation, which the batch then finds.
+    /// any mutation, which the batch then finds; it is counted all the
+    /// same, after the rollback, since it ran.
     pub(crate) fn slice_if_short(&mut self) {
         if self.config.max_segments == 0
             || self.check_writable().is_err()
@@ -188,9 +189,8 @@ impl Inner {
         {
             return;
         }
-        if self.clean(SLICE_SEGMENTS).is_ok() {
-            self.stats.clean_slices += 1;
-        }
+        let _ = self.clean(SLICE_SEGMENTS);
+        self.stats.clean_slices += 1;
     }
 
     /// Cleans up to `max_segments` segments, lowest utilization first, and

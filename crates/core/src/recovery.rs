@@ -65,7 +65,10 @@ pub(crate) fn recover(
             loc,
             None,
         ) {
-            Ok(inner) => return Ok(inner),
+            Ok(mut inner) => {
+                complete_adopted_checkpoint(&mut inner, loc)?;
+                return Ok(inner);
+            }
             Err(e) => {
                 if first_err.is_none() {
                     first_err = Some(e);
@@ -74,6 +77,23 @@ pub(crate) fn recover(
         }
     }
     Err(first_err.unwrap_or(CoreError::TamperDetected(TamperKind::NoValidLeader)))
+}
+
+/// Finishes a checkpoint that recovery adopted as a mid-residual leader:
+/// its leader and commit chunk reached the log, but its superblock write
+/// did not. The engine now treats the log before the adopted leader as no
+/// longer residual, so the cleaner may recycle it; left unnamed, the next
+/// open would scan from `started_from` into those recycled segments.
+/// Flushes first, so the named leader is durable before the superblock
+/// points at it.
+fn complete_adopted_checkpoint(inner: &mut Inner, started_from: u64) -> Result<()> {
+    match inner.leader_version {
+        Some((adopted, _)) if adopted != started_from => {
+            inner.log.store().flush()?;
+            inner.write_superblock(adopted)
+        }
+        _ => Ok(()),
+    }
 }
 
 /// One buffered replay action (counter mode applies a commit set only once

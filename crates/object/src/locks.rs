@@ -86,12 +86,12 @@ struct Table {
 impl Table {
     /// The transactions `tx`'s request for `mode` on `id` waits for: the
     /// incompatible holders and, for a shared request that `tx` does not
-    /// already hold, every waiting exclusive request. Empty when the
-    /// request is grantable.
+    /// already hold, every exclusive request waiting on `id`, whether or
+    /// not anyone holds `id` now: a writer still queued when the last
+    /// holder lets go goes first. Empty when the request is grantable.
     fn blockers(&self, tx: TxId, id: ObjectId, mode: LockMode) -> Vec<TxId> {
-        let Some(state) = self.locks.get(&id) else {
-            return Vec::new();
-        };
+        let free = LockState::default();
+        let state = self.locks.get(&id).unwrap_or(&free);
         let mut out: Vec<TxId> = state.owner.filter(|&t| t != tx).into_iter().collect();
         match mode {
             LockMode::Exclusive => out.extend(state.sharers.iter().filter(|&&t| t != tx)),
@@ -403,6 +403,15 @@ mod tests {
         reader.join().unwrap().unwrap();
         m.release_all(3);
         assert_eq!(m.locked_count(), 0);
+    }
+
+    #[test]
+    fn shared_request_queues_behind_exclusive_waiting_on_a_free_object() {
+        // The moment after the last holder let go, before the writer woke.
+        let mut table = Table::default();
+        table.waiting.insert(2, (oid(0), LockMode::Exclusive));
+        assert_eq!(table.blockers(3, oid(0), LockMode::Shared), vec![2]);
+        assert!(table.blockers(2, oid(0), LockMode::Exclusive).is_empty());
     }
 
     #[test]

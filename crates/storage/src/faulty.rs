@@ -195,6 +195,27 @@ impl SimDevice {
         *self.plan.lock() = plan;
     }
 
+    /// `plan` aimed at this device's future: each fault's index moves past
+    /// the operations of its class that the device has already counted, so
+    /// index `k` names the `k`-th such operation from now. A plan drawn for
+    /// a workload that runs after set-up then lands in that workload.
+    pub fn ahead(&self, plan: FaultPlan) -> FaultPlan {
+        let faults = plan.faults.into_iter().map(|(idx, kind)| {
+            let class = match kind {
+                FaultKind::ReadError | FaultKind::ReadsFailFrom => &self.reads,
+                FaultKind::WriteError | FaultKind::TornWrite { .. } => &self.writes,
+                FaultKind::DroppedFlush => &self.flushes,
+                FaultKind::TransientWindow { .. } => &self.global_ops,
+                FaultKind::WritesFailFrom => &self.writes_and_flushes,
+                FaultKind::RegisterFailsFrom => &self.register_writes,
+            };
+            (idx + class.load(Ordering::SeqCst), kind)
+        });
+        FaultPlan {
+            faults: faults.collect(),
+        }
+    }
+
     /// The live image (what reads see) and the register.
     pub fn snapshot(&self) -> DeviceSnapshot {
         DeviceSnapshot {
@@ -628,6 +649,24 @@ mod tests {
         assert!(!a.faults.is_empty());
         let c = FaultPlan::seeded(43, 100, 5);
         assert_ne!(format!("{a:?}"), format!("{c:?}"));
+    }
+
+    #[test]
+    fn a_plan_aimed_ahead_counts_from_the_device_now() {
+        let dev = SimDevice::new();
+        let mut buf = [0u8; 4];
+        dev.write_at(0, b"abcd").unwrap();
+        dev.read_at(0, &mut buf).unwrap();
+        dev.read_at(0, &mut buf).unwrap();
+        let plan = FaultPlan::new()
+            .at(0, FaultKind::ReadError)
+            .at(1, FaultKind::WriteError);
+        dev.set_plan(dev.ahead(plan));
+        assert!(dev.read_at(0, &mut buf).is_err());
+        dev.read_at(0, &mut buf).unwrap();
+        dev.write_at(0, b"efgh").unwrap();
+        assert!(dev.write_at(0, b"ijkl").is_err());
+        assert_eq!(dev.injected_faults(), 2);
     }
 
     #[test]

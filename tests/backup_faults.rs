@@ -144,13 +144,16 @@ fn seeded_faults_on_restore_never_accept_corrupt_state() {
     let name = info.names[0].as_str();
     let pristine = archive.size_of(name).unwrap();
 
+    let mut injected = 0;
     for seed in 0..24u64 {
         let ctx = format!("restore seed {seed}");
         let (planned, mut dst) = planned_store(&secret);
 
-        planned.set_plan(FaultPlan::seeded(seed, 120, 3));
+        // The restore takes about 2 device operations.
+        planned.set_plan(planned.ahead(FaultPlan::seeded(seed, 2, 3)));
         let result = backups_of(&dst, &archive).restore(&[name], &ApproveAll);
         planned.set_plan(FaultPlan::new());
+        injected += planned.injected_faults();
 
         if result.is_err() {
             // Transient faults must leave a recoverable store and an
@@ -167,11 +170,13 @@ fn seeded_faults_on_restore_never_accept_corrupt_state() {
         // Destination-side faults can never corrupt the archived backup.
         assert_eq!(archive.size_of(name), Some(pristine), "{ctx}");
     }
+    assert!(injected >= 1, "no seed injected a fault");
 }
 
 #[test]
 fn seeded_faults_on_backup_never_ship_a_corrupt_snapshot() {
     let secret = SecretKey::random(24);
+    let mut injected = 0;
     for seed in 0..24u64 {
         let ctx = format!("backup seed {seed}");
         let archive = Arc::new(MemArchive::new());
@@ -179,10 +184,12 @@ fn seeded_faults_on_backup_never_ship_a_corrupt_snapshot() {
         let p = new_partition(&src);
         let model = fill_partition(&src, p, 8);
 
-        // The snapshot commit and the stream both run under the plan.
-        planned.set_plan(FaultPlan::seeded(seed, 150, 3));
+        // The snapshot commit and the stream both run under the plan, in
+        // about 10 device operations.
+        planned.set_plan(planned.ahead(FaultPlan::seeded(seed, 10, 3)));
         let shipped = backups_of(&src, &archive).backup(&[full(p)], "s");
         planned.set_plan(FaultPlan::new());
+        injected += planned.injected_faults();
 
         // Whatever the fault did, the source still serves every
         // acknowledged byte, and so does its recovery.
@@ -207,6 +214,7 @@ fn seeded_faults_on_backup_never_ship_a_corrupt_snapshot() {
             }
         }
     }
+    assert!(injected >= 1, "no seed injected a fault");
 }
 
 #[test]
@@ -237,20 +245,23 @@ fn incremental_chain_survives_seeded_restore_faults() {
         .unwrap();
     let (full_name, delta_name) = (base.names[0].as_str(), delta.names[0].as_str());
 
+    let mut injected = 0;
     for seed in 0..12u64 {
         let ctx = format!("chain seed {seed}");
         let (planned, mut dst) = planned_store(&secret);
         let dst_backups = backups_of(&dst, &archive);
 
         // The full backup alone, then the whole chain over it: the second
-        // restore replaces the partition the first one installed.
-        planned.set_plan(FaultPlan::seeded(seed, 150, 3));
+        // restore replaces the partition the first one installed. The two
+        // take about 4 device operations.
+        planned.set_plan(planned.ahead(FaultPlan::seeded(seed, 4, 3)));
         let first = dst_backups.restore(&[full_name], &ApproveAll);
         let chain = match &first {
             Ok(_) => dst_backups.restore(&[full_name, delta_name], &ApproveAll),
             Err(_) => Err(tdb_core::CoreError::Corrupt("full restore failed".into())),
         };
         planned.set_plan(FaultPlan::new());
+        injected += planned.injected_faults();
 
         if first.is_err() || chain.is_err() {
             if !dst.health().is_live() {
@@ -262,4 +273,5 @@ fn incremental_chain_survives_seeded_restore_faults() {
         }
         assert_partition(&dst, p, &model, &ctx);
     }
+    assert!(injected >= 1, "no seed injected a fault");
 }

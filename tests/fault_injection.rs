@@ -21,6 +21,7 @@ use tdb::{
     ChunkId, ChunkStore, ChunkStoreConfig, CommitOp, CryptoParams, PartitionId, StoreHealth,
     TrustedBackend, ValidationMode,
 };
+use tdb_core::log::Superblock;
 use tdb_core::{CoreError, FaultClass};
 use tdb_crypto::SecretKey;
 use tdb_storage::{
@@ -317,6 +318,36 @@ fn checkpoint_failure_degrades_reads_still_served() {
     for (i, id) in ids.iter().enumerate() {
         assert_eq!(reopened.read(*id).unwrap(), vec![i as u8; 300]);
     }
+}
+
+/// A checkpoint whose leader and commit chunk reached the log but whose
+/// superblock write failed is adopted by the reopen, which then names it in
+/// the superblock. Left unnamed, the superblock would point at a leader
+/// whose residual log the reopened store no longer keeps from the cleaner.
+#[test]
+fn reopen_names_the_checkpoint_it_adopted() {
+    let (rig, store) = rig();
+    let p = setup_partition(&store);
+    let id = store.allocate_chunk(p).unwrap();
+    store
+        .commit(vec![CommitOp::WriteChunk {
+            id,
+            bytes: vec![7; 300],
+        }])
+        .unwrap();
+    let device = Arc::clone(&rig.dev) as SharedUntrusted;
+    let before = Superblock::read(&device).unwrap();
+    // The checkpoint's run and its flush land; the superblock write fails.
+    rig.fail_after_writes(2);
+    assert!(store.checkpoint().is_err());
+    rig.clear_faults();
+    drop(store);
+    let store = rig.reopen().expect("recovery adopts the checkpoint");
+    let after = Superblock::read(&device).unwrap();
+    assert_eq!(after.epoch, before.epoch + 1);
+    assert_eq!(after.prev_leader, before.current_leader);
+    assert_ne!(after.current_leader, before.current_leader);
+    assert_eq!(store.read(id).unwrap(), vec![7; 300]);
 }
 
 /// Once a commit's bytes reached the log and it failed, the store stays

@@ -205,22 +205,24 @@ fn acked_commits_survive_crash_during_inline_cleaning() {
 #[test]
 fn seeded_faults_with_inline_cleaning_never_poison() {
     const WRITES: usize = 3;
+    let mut injected = 0;
     for seed in [1u64, 2, 3] {
         let rig = Rig::new(bounded_config());
         let dev = SimDevice::new();
         let mut store = rig.create(&dev);
         let p = setup_partition(&store);
-        // Churn a scratch chunk until the log is just above the slowdown
-        // mark, so the faulted commits below run inline slices.
+        // Churn a scratch chunk until the log is below the slowdown mark,
+        // so the first faulted commit runs an inline slice, whatever the
+        // faults then do to the rounds after it.
         let scratch = store.allocate_chunk(p).unwrap();
         while {
             let (free, reserve) = store.debug_free_and_reserve();
-            free > reserve + 3
+            free > reserve + 1
         } {
             assert!(commit_patiently(&store, scratch, &[0x5C; 600]));
         }
-        let horizon = dev.total_ops() + 300;
-        let plan = FaultPlan::seeded(seed, horizon, 5);
+        // The faulted writes take about 30 device operations.
+        let plan = dev.ahead(FaultPlan::seeded(seed, 30, 5));
 
         // Write-once ids: a failed commit is never durably superseded, so
         // "acknowledged implies readable after recovery" stays exact even
@@ -281,6 +283,7 @@ fn seeded_faults_with_inline_cleaning_never_poison() {
                 .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}"));
         }
         assert!(slices >= 1, "seed {seed}: no slice ran");
+        injected += dev.injected_faults();
         let acked = acked.into_inner().unwrap();
         drop(store);
 
@@ -295,6 +298,7 @@ fn seeded_faults_with_inline_cleaning_never_poison() {
             );
         }
     }
+    assert!(injected >= 1, "no seed injected a fault");
 }
 
 // ---------------------------------------------------------------------------
