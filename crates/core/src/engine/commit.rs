@@ -416,11 +416,14 @@ impl Inner {
         // closes the journals, which voids every earlier savepoint.
         let mut durable = 0usize;
         let mut durable_sp: Option<Savepoint> = None;
-        let mut abort: Option<String> = None;
+        let mut abort: Option<(String, FaultClass)> = None;
 
         for (ops, pre) in sets.into_iter().zip(sealed) {
-            if let Some(reason) = &abort {
-                results.push(Err(CoreError::BatchAborted(reason.clone())));
+            if let Some((reason, class)) = &abort {
+                results.push(Err(CoreError::BatchAborted {
+                    reason: reason.clone(),
+                    class: *class,
+                }));
                 continue;
             }
             if ops.is_empty() {
@@ -520,24 +523,28 @@ impl Inner {
     /// violation, a failed durable point or checkpoint): unwinds to the last
     /// durable point that held, moves the health state machine unless a
     /// checkpoint already did, and demotes every member applied since to
-    /// [`CoreError::BatchAborted`]. Returns the reason.
+    /// [`CoreError::BatchAborted`] of `e`'s class. Returns the reason and
+    /// the class.
     fn abort_batch(
         &mut self,
         e: &CoreError,
         durable_sp: &Savepoint,
         results: &mut [Result<()>],
         durable: usize,
-    ) -> String {
+    ) -> (String, FaultClass) {
         if self.health.is_live() {
             self.end_mutation(durable_sp, Some(e), "batched commit");
         } else {
             self.rollback(durable_sp);
         }
-        let msg = e.to_string();
+        let (reason, class) = (e.to_string(), e.fault_class());
         for r in results.iter_mut().skip(durable).filter(|r| r.is_ok()) {
-            *r = Err(CoreError::BatchAborted(msg.clone()));
+            *r = Err(CoreError::BatchAborted {
+                reason: reason.clone(),
+                class,
+            });
         }
-        msg
+        (reason, class)
     }
 
     pub(crate) fn advance_counter(&mut self, count: u64) -> Result<()> {

@@ -1,56 +1,68 @@
-//! Proof extraction: effective map bodies and root digests.
+//! Proof extraction: effective slot trees and root digests.
 //!
 //! Checkpoint deferral (§4.7) means persisted ancestor descriptors lag the
 //! dirty map cache, so an honest Merkle path must be computed from the
-//! *effective* tree — cached (possibly dirty) map-chunk bodies with the
-//! hashes of dirty subtrees recomputed bottom-up, exactly what a checkpoint
-//! would persist. Clean subtrees keep their stored hash links: a clean
-//! cached map chunk re-encodes to the very bytes its parent's hash covers.
+//! *effective* tree — cached (possibly dirty) map-chunk slots, with the
+//! digests of dirty subtrees recomputed bottom-up, exactly what a
+//! checkpoint would persist. Clean subtrees keep their stored hash links: a
+//! clean cached map chunk re-encodes to the very bytes its parent's digest
+//! covers. Each map chunk's digest is the root of its slot tree
+//! ([`crate::slot_tree`]), memoized by the dirty-tree accumulator
+//! ([`crate::engine::dirty`]).
+
+use std::ops::Range;
 
 use tdb_crypto::HashValue;
 
+use crate::codec::Enc;
 use crate::descriptor::Descriptor;
 use crate::errors::Result;
 use crate::ids::{ChunkId, PartitionId, Position};
 use crate::proof::{ProofLevel, ReadProof};
+use crate::slot_tree::{self, LEAF_SLOTS};
 use crate::store::Inner;
 
 impl Inner {
-    /// The encoded body the map chunk at `(p, pos)` would have after a
-    /// checkpoint: cached slots, with each slot that heads a dirty map
-    /// subtree rewritten to the recursively recomputed effective hash.
-    pub(crate) fn effective_map_body(&mut self, p: PartitionId, pos: Position) -> Result<Vec<u8>> {
+    /// The encoded effective descriptors in `slots` of the map chunk at
+    /// `(p, pos)`: what a checkpoint would write now, so cached, with each
+    /// slot that heads a dirty map subtree carrying that subtree's
+    /// effective digest.
+    fn effective_slots(
+        &mut self,
+        p: PartitionId,
+        pos: Position,
+        slots: Range<usize>,
+    ) -> Result<Vec<u8>> {
         self.ensure_map_chunk(p, pos)?;
-        let fanout = self.fanout();
         let hash_len = self.crypto_for(p)?.hash_kind().digest_len();
-        let mut chunk = self.map_cache.get(p, pos).expect("ensured above").clone();
-        if pos.height >= 2 {
-            for slot in 0..chunk.slots.len() {
-                let child = pos.child(fanout, slot);
-                if !self.subtree_has_dirty(p, child) {
-                    continue;
-                }
+        let fanout = self.fanout();
+        let substitute = pos.height >= 2 && self.subtree_has_dirty(p, pos);
+        let cached =
+            self.map_cache.get(p, pos).expect("ensured above").slots[slots.clone()].to_vec();
+        let mut e = Enc::with_capacity(cached.len() * Descriptor::encoded_len(hash_len));
+        for (slot, mut desc) in slots.zip(cached) {
+            let child = pos.child(fanout, slot);
+            if substitute && self.subtree_has_dirty(p, child) {
                 let h = self.effective_map_hash(p, child)?;
-                let old = chunk.slots[slot];
-                chunk.slots[slot] = Descriptor::written(old.location, old.vlen, old.size, h);
+                desc = Descriptor::written(desc.location, desc.vlen, desc.size, h);
             }
+            desc.encode(&mut e, hash_len);
         }
-        Ok(chunk.encode(hash_len))
+        Ok(e.finish())
     }
 
-    /// Effective hash of the map chunk at `(p, pos)`. Unchanged subtrees
-    /// are served from the dirty-tree accumulator: only the spine
-    /// invalidated by descriptor writes since the last query is re-encoded
-    /// and re-hashed, so K batched commits cost roughly one spine
-    /// recompute instead of K full-subtree recomputes.
+    /// Effective digest of the map chunk at `(p, pos)`: the root of its
+    /// slot tree over the effective body. A current memoized tree answers
+    /// with no hashing; otherwise only its stale leaves and their paths
+    /// are rehashed, so K batched commits cost roughly one spine of leaves
+    /// instead of K subtrees.
     fn effective_map_hash(&mut self, p: PartitionId, pos: Position) -> Result<HashValue> {
         if let Some(hash) = self.lazy.get(p, pos) {
             return Ok(hash);
         }
-        let body = self.effective_map_body(p, pos)?;
-        let hash = self.crypto_for(p)?.hash(&body);
-        self.lazy.put(p, pos, hash);
-        Ok(hash)
+        let kind = self.crypto_for(p)?.hash_kind();
+        let body = self.effective_slots(p, pos, 0..self.config.fanout as usize)?;
+        Ok(self.lazy.root_over(p, pos, kind, &body, &self.map_cache))
     }
 
     /// The partition's effective root digest: what the root descriptor's
@@ -72,25 +84,40 @@ impl Inner {
         self.effective_map_hash(p, Position::map(height, 0))
     }
 
-    /// Extracts the Merkle path for `id` against the effective root.
-    /// Callers must hold the engine lock across the paired chunk read so
-    /// body and proof describe one committed state.
+    /// Extracts the Merkle path for `id` against the effective root: per
+    /// map level, the leaf holding the path's slot and its siblings,
+    /// copied from the refreshed slot tree. Callers must hold the engine
+    /// lock across the paired chunk read so body and proof describe one
+    /// committed state.
     pub(crate) fn extract_proof(&mut self, id: ChunkId) -> Result<ReadProof> {
-        let height = self.tree_height(id.partition)?;
+        let p = id.partition;
+        let height = self.tree_height(p)?;
         let fanout = self.fanout();
-        let hash = self.crypto_for(id.partition)?.hash_kind();
+        let hash = self.crypto_for(p)?.hash_kind();
+        let root = self.effective_root_hash(p)?;
         let mut levels = Vec::with_capacity(usize::from(height));
         let mut pos = id.pos;
         while pos.height < height {
             let parent = pos.parent(fanout);
-            let body = self.effective_map_body(id.partition, parent)?;
+            let slot = pos.slot(fanout);
+            let leaf_index = slot / LEAF_SLOTS;
+            self.effective_map_hash(p, parent)?;
+            let siblings = self
+                .lazy
+                .path(p, parent, leaf_index)
+                .expect("refreshed above");
+            let leaf = self.effective_slots(
+                p,
+                parent,
+                slot_tree::leaf_slots(leaf_index, self.config.fanout as usize),
+            )?;
             levels.push(ProofLevel {
-                body,
-                slot: pos.slot(fanout),
+                slot,
+                leaf,
+                siblings,
             });
             pos = parent;
         }
-        let root = self.effective_root_hash(id.partition)?;
         Ok(ReadProof {
             id,
             hash,

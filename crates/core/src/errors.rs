@@ -159,7 +159,13 @@ pub enum CoreError {
     /// shared durability point: a batch-mate hit a storage or integrity
     /// failure after bytes had reached the device. This commit itself was
     /// rolled back cleanly and was never acknowledged durable.
-    BatchAborted(String),
+    BatchAborted {
+        /// The batch's failure, as text.
+        reason: String,
+        /// The failure's class: a transient flush fault stays transient
+        /// for every member it aborts.
+        class: FaultClass,
+    },
     /// The store is serving validated reads only: a storage failure
     /// interrupted a mutation after bytes had reached the log, so further
     /// mutations are rejected until the store is reopened: recovery then
@@ -175,11 +181,13 @@ pub enum CoreError {
     /// what it holds.
     Busy(String),
     /// The store is in an on-disk format this build does not read: a
-    /// format-v1 superblock (`version: 1`), or a format-v2 version whose
-    /// header carries the kind byte's reserved bit, which earlier builds
-    /// set on a body they stored compressed (`version: 2`, reported at the
-    /// first read of that version or at recovery). There is no migration:
-    /// a store is recreated, or restored from a backup.
+    /// format-v1 superblock (`version: 1`), a format-v2 suite record
+    /// (`version: 2`: its map chunks carry one-pass digests, not slot-tree
+    /// roots), or a version whose header carries the kind byte's reserved
+    /// bit, which earlier builds set on a body they stored compressed
+    /// (`version: 2`, reported at the first read of that version or at
+    /// recovery). There is no migration: a store is recreated, or restored
+    /// from a backup.
     UnsupportedFormat {
         /// The format version found.
         version: u16,
@@ -238,8 +246,8 @@ impl fmt::Display for CoreError {
                 write!(f, "restore constraint violated: {msg}")
             }
             CoreError::RestoreDenied(msg) => write!(f, "restore denied by policy: {msg}"),
-            CoreError::BatchAborted(msg) => {
-                write!(f, "group-commit batch aborted: {msg}")
+            CoreError::BatchAborted { reason, .. } => {
+                write!(f, "group-commit batch aborted: {reason}")
             }
             CoreError::DegradedMode(msg) => {
                 write!(f, "store degraded to read-only: {msg}")
@@ -290,6 +298,7 @@ impl CoreError {
         match self {
             CoreError::TamperDetected(_) | CoreError::Poisoned(_) => FaultClass::Integrity,
             CoreError::Store(e) if e.is_transient() => FaultClass::Transient,
+            CoreError::BatchAborted { class, .. } => *class,
             _ => FaultClass::Permanent,
         }
     }

@@ -73,6 +73,7 @@ pub mod params;
 mod pipeline;
 pub mod proof;
 mod recovery;
+pub mod slot_tree;
 pub mod store;
 pub mod undo;
 pub mod version;

@@ -41,8 +41,11 @@ const SUPERBLOCK_MAGIC_V1: u64 = 0x5444_4253_5542_4c4b; // "TDBSUBLK"
 /// Magic of a format-v2 superblock.
 const SUPERBLOCK_MAGIC: u64 = 0x5444_4253_5542_4c32; // "TDBSUBL2"
 
-/// The on-disk format this build writes and reads.
-pub const FORMAT_VERSION: u16 = 2;
+/// The on-disk format this build writes and reads. Version 3 made a map
+/// chunk's digest the root of a hash tree over its slots
+/// ([`crate::slot_tree`]); a version-2 store's map digests are one-pass
+/// hashes, so it opens as [`CoreError::UnsupportedFormat`].
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Derivation label of the suite record's MAC key.
 const SUITE_KEY_LABEL: &[u8] = b"tdb v2 suite record";

@@ -29,6 +29,7 @@ use tdb_crypto::HashValue;
 use crate::ids::ChunkId;
 use crate::metrics::{self, modules};
 use crate::params::PartitionCrypto;
+use crate::slot_tree::chunk_digest;
 use crate::version::{VersionHeader, VersionKind, HEADER_LEN, MAX_BLOCK};
 
 /// A chunk body hashed and sealed ahead of its log append.
@@ -61,23 +62,41 @@ pub(crate) fn seal_one(
         .expect("one job, one version")
 }
 
-/// Hashes every job's body and seals it as a version of `kind`, and
-/// returns the results in job order.
+/// Hashes every job's body ([`chunk_digest`]) and seals it as a version of
+/// `kind`, and returns the results in job order.
 pub(crate) fn seal_batch(
     system: &PartitionCrypto,
     kind: VersionKind,
     jobs: &[SealJob<'_>],
 ) -> Vec<Presealed> {
+    let hashes = {
+        let _t = metrics::span(modules::HASHING);
+        jobs.iter()
+            .map(|(id, crypto, body)| chunk_digest(crypto.hash_kind(), id.pos, body))
+            .collect()
+    };
+    seal_hashed(system, kind, jobs, hashes)
+}
+
+/// [`seal_batch`] for bodies whose digests the caller already holds, one
+/// per job: a checkpoint's map chunks, whose slot trees are memoized.
+pub(crate) fn seal_hashed(
+    system: &PartitionCrypto,
+    kind: VersionKind,
+    jobs: &[SealJob<'_>],
+    hashes: Vec<HashValue>,
+) -> Vec<Presealed> {
+    debug_assert_eq!(jobs.len(), hashes.len());
     let bodies: Vec<_> = jobs
         .iter()
         .map(|(id, crypto, body)| (*id, &**crypto, *body))
         .collect();
     let sealed = seal_versions(system, kind, &bodies);
-    let _t = metrics::span(modules::HASHING);
     jobs.iter()
         .zip(sealed)
-        .map(|((_, crypto, body), sealed)| Presealed {
-            hash: crypto.hash(body),
+        .zip(hashes)
+        .map(|(((_, crypto, body), sealed), hash)| Presealed {
+            hash,
             sealed,
             body_len: body.len() as u32,
             crypto: Arc::clone(crypto),

@@ -25,6 +25,7 @@ use crate::ids::{ChunkId, PartitionId};
 use crate::leader::{PartitionLeader, SystemLeader};
 use crate::log::{LogHashes, SegmentedLog, Superblock};
 use crate::metrics::{self, modules};
+use crate::slot_tree::chunk_digest;
 use crate::store::{
     ChunkStoreConfig, ChunkStoreStats, DirectRecord, Inner, LeaderEntry, TrustedBackend,
     ValidationMode,
@@ -593,7 +594,7 @@ fn apply_named(
     };
     let hash = {
         let _t = metrics::span(modules::HASHING);
-        crypto.hash(&body)
+        chunk_digest(crypto.hash_kind(), id.pos, &body)
     };
     // A valid commit set or the direct chain vouches for this version, so
     // only now is its format judged: a garbled header stays tamper.

@@ -29,12 +29,15 @@
 //! An `iv_len` of zero marks the end of the used part of a segment (fresh
 //! segments are zero-filled).
 
+use tdb_crypto::HashValue;
+
 use crate::codec::{Dec, Enc};
 use crate::descriptor::Descriptor;
 use crate::errors::{CoreError, Result, TamperKind};
 use crate::ids::{ChunkId, PartitionId, Position};
 use crate::metrics::{self, modules};
 use crate::params::PartitionCrypto;
+use crate::slot_tree::chunk_digest;
 
 /// Plaintext length of a version header.
 pub(crate) const HEADER_LEN: usize = 22;
@@ -301,7 +304,8 @@ pub fn parse_version(
 
 /// Validates `buf`, the bytes `desc` locates, as the current version of
 /// `id` (§4.5): parses the header, checks that it names `id`'s position,
-/// opens the body under `crypto` and compares its hash with `desc.hash`.
+/// opens the body under `crypto` and compares its digest
+/// ([`chunk_digest`]: a map chunk's slot-tree root) with `desc.hash`.
 /// Returns the body.
 ///
 /// The engine-locked read's verdict is the error; the lock-free read
@@ -313,6 +317,21 @@ pub fn validate_version(
     id: ChunkId,
     desc: &Descriptor,
     buf: &[u8],
+) -> Result<Vec<u8>> {
+    validate_version_with(system, crypto, id, desc, buf, |body| {
+        chunk_digest(crypto.hash_kind(), id.pos, body)
+    })
+}
+
+/// [`validate_version`] with the body's digest computed by `digest`: a
+/// map-chunk load keeps the slot tree it builds to compare the root.
+pub(crate) fn validate_version_with(
+    system: &PartitionCrypto,
+    crypto: &PartitionCrypto,
+    id: ChunkId,
+    desc: &Descriptor,
+    buf: &[u8],
+    digest: impl FnOnce(&[u8]) -> HashValue,
 ) -> Result<Vec<u8>> {
     let location = desc.location;
     let raw = {
@@ -334,7 +353,7 @@ pub fn validate_version(
     };
     let hash = {
         let _t = metrics::span(modules::HASHING);
-        crypto.hash(&body)
+        digest(&body)
     };
     if hash != desc.hash {
         return Err(CoreError::TamperDetected(TamperKind::ChunkHashMismatch(id)));

@@ -5,8 +5,8 @@
 //!   for the first read that depends on it and for recovery, under both
 //!   validation protocols.
 //! - A flipped suite-record byte is tamper; a store opened under another
-//!   system suite is `SuiteMismatch`; a format-v1 superblock is
-//!   `UnsupportedFormat`.
+//!   system suite is `SuiteMismatch`; a format-v1 superblock and a
+//!   format-v2 suite record are `UnsupportedFormat`.
 //! - A null-cipher partition seals, opens, cleans and recovers, and a store
 //!   created on the paper's 3DES suite reopens and serves reads.
 
@@ -14,11 +14,12 @@ use std::sync::Arc;
 
 use tdb::{Command, ObjectId, Response, TrustedDbBuilder};
 use tdb_core::descriptor::Descriptor;
-use tdb_core::log::{SUPERBLOCK_SIZE, SUPERBLOCK_SLOT};
+use tdb_core::log::{Superblock, FORMAT_VERSION, SUPERBLOCK_SIZE, SUPERBLOCK_SLOT};
 use tdb_core::params::PartitionCrypto;
 use tdb_core::store::{ChunkStore, ChunkStoreConfig, CommitOp, TrustedBackend, ValidationMode};
 use tdb_core::version::{parse_version, seal_version, CommitRecord, VersionHeader, VersionKind};
 use tdb_core::{ChunkId, CoreError, CryptoParams, PartitionId, TamperKind};
+use tdb_crypto::hmac::Hmac;
 use tdb_crypto::{CipherKind, HashKind, SecretKey};
 use tdb_storage::{
     CounterOverTrusted, MemArchive, MemStore, MemTrustedStore, SharedUntrusted, TrustedStore,
@@ -283,6 +284,47 @@ fn a_v1_superblock_is_an_unsupported_format() {
         rig.open_image(image, rig.config.clone()),
         Err(CoreError::UnsupportedFormat { version: 1 })
     ));
+}
+
+/// A store whose verified suite record names format 2 — map chunks
+/// digested in one pass, not as slot-tree roots — opens as
+/// `UnsupportedFormat { version: 2 }`, which a client sees as code 16.
+#[test]
+fn a_v2_suite_record_is_an_unsupported_format_with_code_16() {
+    let rig = Rig::new(ChunkStoreConfig::default());
+    drop(rig.create());
+    let mut image = rig.untrusted.image();
+    // `K_suite = HMAC-SHA-256(secret, "tdb v2 suite record")` MACs the
+    // magic, version and tags: the record a format-2 build wrote.
+    let key = rig.secret.derive(b"tdb v2 suite record", 32);
+    let mut rewritten = 0;
+    for slot in [0, SUPERBLOCK_SLOT as usize] {
+        let Ok(mut sb) = Superblock::decode(&image[slot..slot + SUPERBLOCK_SLOT as usize]) else {
+            continue;
+        };
+        assert_eq!(sb.suite.version, FORMAT_VERSION);
+        sb.suite.version = 2;
+        let fields = [2, 0, sb.suite.cipher, sb.suite.hash];
+        let mac = Hmac::mac_parts(
+            HashKind::Sha256,
+            key.as_bytes(),
+            &[&0x5444_4253_5542_4c32_u64.to_le_bytes(), &fields],
+        );
+        sb.suite.mac.copy_from_slice(mac.as_bytes());
+        let bytes = sb.encode();
+        image[slot..slot + bytes.len()].copy_from_slice(&bytes);
+        rewritten += 1;
+    }
+    assert!(rewritten >= 1);
+    let err = rig
+        .open_image(image, rig.config.clone())
+        .map(|_| ())
+        .unwrap_err();
+    assert!(
+        matches!(err, CoreError::UnsupportedFormat { version: 2 }),
+        "{err}"
+    );
+    assert_eq!(tdb::TdbError::Core(err).code(), 16);
 }
 
 /// Plaintext length of a version header.

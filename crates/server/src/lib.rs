@@ -23,6 +23,13 @@
 //!   would block on a reply, so a pipelined round arrives, and commits,
 //!   together. Concurrent connections still share the chunk store's
 //!   group-commit batcher on top of that.
+//! - **Flushing replies**: a burst of reads only — no command that writes,
+//!   and none that begins, commits or aborts a transaction
+//!   ([`tdb::Command::is_read`]) — writes and flushes each reply as the
+//!   session hands it over, so the client verifies one reply while the
+//!   server computes the next. Any other burst flushes once, after its
+//!   last reply and only when no further request is already queued, so
+//!   back-to-back pipelined writes share one socket write.
 //! - **Challenge-response auth** ([`tdb::wire`]) over a pre-shared HMAC
 //!   key before any command is accepted.
 //! - **Degraded-mode signalling**: every response envelope carries the
@@ -278,13 +285,9 @@ fn serve_connection(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Result
             while wire::frame_buffered(reader.buffer()) {
                 frames.push(wire::read_frame(&mut reader)?);
             }
-            serve_burst(&mut session, &frames, &mut writer, shared)?;
+            let idle = reader.buffer().is_empty();
+            serve_burst(&mut session, &frames, &mut writer, idle, shared)?;
             frames.clear();
-            // Flush only when no more requests are already queued: back-
-            // to-back pipelined requests share one flush.
-            if reader.buffer().is_empty() {
-                writer.flush()?;
-            }
         }
     })();
     shared.conns.lock().unwrap().remove(&session_id);
@@ -296,12 +299,21 @@ fn serve_connection(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Result
 /// between runs. The session hands over each reply once it is final — its
 /// command done and every write at or before it durable — and the reply
 /// is written then, stamped with the health read at that moment.
+///
+/// A burst of reads only flushes every reply as it is written; any other
+/// burst flushes once at its end, if `idle` (no further request is
+/// already queued behind it).
 fn serve_burst(
     session: &mut Session,
     frames: &[Vec<u8>],
     writer: &mut impl Write,
+    idle: bool,
     shared: &ServerShared,
 ) -> io::Result<()> {
+    let decoded: Vec<_> = frames.iter().map(|f| wire::decode_request(f)).collect();
+    let reads_only = decoded
+        .iter()
+        .all(|d| d.as_ref().map_or(true, |(_, cmd)| cmd.is_read()));
     let mut written = Ok(());
     let mut write = |id: u64, reply: Response| {
         if matches!(reply, Response::Error(_)) {
@@ -311,13 +323,16 @@ fn serve_burst(
         if written.is_ok() {
             let envelope = wire::encode_response(id, health, &reason, &reply);
             written = wire::write_frame(writer, &envelope);
+            if reads_only && written.is_ok() {
+                written = writer.flush();
+            }
         }
     };
     let mut ids = Vec::with_capacity(frames.len());
     let mut cmds = Vec::with_capacity(frames.len());
-    for payload in frames {
+    for (payload, request) in frames.iter().zip(decoded) {
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        match wire::decode_request(payload) {
+        match request {
             Ok((id, cmd)) => {
                 ids.push(id);
                 cmds.push(cmd);
@@ -339,7 +354,11 @@ fn serve_burst(
     session.dispatch_many(&cmds, |reply| {
         write(run.next().expect("one per request"), reply)
     });
-    written
+    written?;
+    if idle && !reads_only {
+        writer.flush()?;
+    }
+    Ok(())
 }
 
 /// Salvages the request id from a frame whose command failed to decode,
@@ -349,5 +368,122 @@ fn decoded_request_id(payload: &[u8]) -> u64 {
         u64::from_le_bytes(payload[..8].try_into().expect("checked length"))
     } else {
         0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::any::Any;
+
+    use tdb::{Command, StoredObject, TrustedDbBuilder};
+
+    use super::*;
+
+    const TAG: u32 = 5101;
+
+    #[derive(Debug)]
+    struct Blob(Vec<u8>);
+
+    impl StoredObject for Blob {
+        fn type_tag(&self) -> u32 {
+            TAG
+        }
+        fn pickle(&self) -> Vec<u8> {
+            self.0.clone()
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    fn unpickle(body: &[u8]) -> tdb_object::errors::Result<Arc<dyn StoredObject>> {
+        Ok(Arc::new(Blob(body.to_vec())))
+    }
+
+    fn record(text: &str) -> Vec<u8> {
+        let mut record = TAG.to_le_bytes().to_vec();
+        record.extend_from_slice(text.as_bytes());
+        record
+    }
+
+    /// A writer that counts its flushes.
+    #[derive(Default)]
+    struct Counting {
+        bytes: Vec<u8>,
+        flushes: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    fn shared() -> ServerShared {
+        let db = TrustedDbBuilder::new()
+            .register_type(TAG, unpickle)
+            .build_in_memory()
+            .unwrap();
+        ServerShared {
+            db: Arc::new(db),
+            auth_key: SecretKey::random(32),
+            shutdown: AtomicBool::new(false),
+            next_session: AtomicU64::new(1),
+            stats: ServerStats::default(),
+            conns: Mutex::new(HashMap::new()),
+            handles: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Serves `cmds` as one burst; returns the flushes and the replies.
+    fn burst(session: &mut Session, shared: &ServerShared, cmds: &[Command]) -> (usize, usize) {
+        let frames: Vec<Vec<u8>> = (1..)
+            .zip(cmds)
+            .map(|(id, cmd)| wire::encode_request(id, cmd))
+            .collect();
+        let mut out = Counting::default();
+        serve_burst(session, &frames, &mut out, true, shared).unwrap();
+        let mut replies = 0;
+        let mut cursor = io::Cursor::new(&out.bytes);
+        while (cursor.position() as usize) < out.bytes.len() {
+            let envelope = wire::decode_response(&wire::read_frame(&mut cursor).unwrap()).unwrap();
+            assert!(
+                !matches!(envelope.response, Response::Error(_)),
+                "{envelope:?}"
+            );
+            replies += 1;
+        }
+        (out.flushes, replies)
+    }
+
+    #[test]
+    fn reads_flush_per_reply_and_writes_once_per_burst() {
+        let shared = shared();
+        let mut session = shared.db.session("flush-test");
+        let id = match session.dispatch(&Command::Create {
+            partition: shared.db.partition(),
+            record: record("first"),
+        }) {
+            Response::Id(id) => id,
+            other => panic!("create answered {other:?}"),
+        };
+        let proofs = vec![Command::GetWithProof(id); 4];
+        assert_eq!(burst(&mut session, &shared, &proofs), (4, 4));
+        let put = |text: &str| Command::Put {
+            id,
+            record: record(text),
+        };
+        let mixed = [
+            Command::Get(id),
+            put("second"),
+            Command::Get(id),
+            put("third"),
+        ];
+        assert_eq!(burst(&mut session, &shared, &mixed), (1, 4));
     }
 }

@@ -304,7 +304,7 @@ impl TdbError {
             CoreError::Corrupt(_) => 9,
             CoreError::RestoreConstraint(_) => 10,
             CoreError::RestoreDenied(_) => 11,
-            CoreError::BatchAborted(_) => 12,
+            CoreError::BatchAborted { .. } => 12,
             CoreError::DegradedMode(_) => 13,
             CoreError::Poisoned(_) => 14,
             CoreError::Busy(_) => 15,
@@ -350,6 +350,24 @@ fn dec_opt_bytes(d: &mut Dec) -> Result<Option<Vec<u8>>, CoreError> {
 }
 
 impl Command {
+    /// True for a command that writes nothing and neither begins, commits
+    /// nor aborts a transaction: its reply is final as soon as it is
+    /// computed, so a server may send it at once.
+    pub fn is_read(&self) -> bool {
+        matches!(
+            self,
+            Command::Ping
+                | Command::Health
+                | Command::SnapshotRoot
+                | Command::Get(_)
+                | Command::GetWithProof(_)
+                | Command::CollLen(_)
+                | Command::CollScan(_)
+                | Command::CollLookup { .. }
+                | Command::CollRange { .. }
+        )
+    }
+
     /// The wire opcode of this command.
     pub fn opcode(&self) -> u16 {
         match self {

@@ -113,7 +113,10 @@ pub(crate) mod tests {
             CoreError::Corrupt("zero-length record".into()),
             CoreError::RestoreConstraint("chain broken".into()),
             CoreError::RestoreDenied("policy".into()),
-            CoreError::BatchAborted("batch-mate failed".into()),
+            CoreError::BatchAborted {
+                reason: "batch-mate failed".into(),
+                class: FaultClass::Transient,
+            },
             CoreError::DegradedMode("write interrupted".into()),
             CoreError::Poisoned("hash mismatch during commit".into()),
             CoreError::Busy("a transaction is already open on this session".into()),

@@ -62,9 +62,11 @@ use crate::command::{Command, Response};
 pub const MAGIC: [u8; 4] = *b"TDB1";
 
 /// Protocol version in the Hello. Version 2 dropped the stored-body byte
-/// from `ReadProof`'s encoding; a peer on version 1 is refused here rather
-/// than mid-stream at its first proof.
-pub const VERSION: u8 = 2;
+/// from `ReadProof`'s encoding; version 3 made each proof level a slot-tree
+/// leaf and its sibling digests instead of a whole map-chunk body. A peer
+/// on an older version is refused here rather than mid-stream at its first
+/// proof.
+pub const VERSION: u8 = 3;
 
 /// Nonce length for both handshake directions.
 pub const NONCE_LEN: usize = 32;

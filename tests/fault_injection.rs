@@ -700,9 +700,10 @@ fn transient_window_degrades_until_reopen() {
     // The failed flush ends the commit's group-commit batch, so the
     // transient fault reaches the caller as the batch's abort reason.
     assert!(
-        matches!(&err, CoreError::BatchAborted(m) if m.contains("transient fault window")),
+        matches!(&err, CoreError::BatchAborted { reason, .. } if reason.contains("transient fault window")),
         "{err}"
     );
+    assert_eq!(err.fault_class(), FaultClass::Transient, "{err}");
     assert!(store.health().is_degraded());
     // Inside the window a read fails as transient, the class the wire
     // carries to a client; once the window passes the degraded store

@@ -255,8 +255,10 @@ fn seeded_fault_plans_with_concurrent_batching() {
         let ids: Vec<Vec<ChunkId>> = (0..THREADS)
             .map(|_| (0..3).map(|_| store.allocate_chunk(p).unwrap()).collect())
             .collect();
-        let horizon = dev.total_ops() + 300;
-        dev.set_plan(FaultPlan::seeded(seed, horizon, 5));
+        // The faulted commits take about 20 device operations, fewer the
+        // more of them share a batch: a horizon of 15 keeps every seed's
+        // plan inside the most batched run.
+        dev.set_plan(dev.ahead(FaultPlan::seeded(seed, 15, 5)));
 
         let acked: Mutex<Vec<(ChunkId, Vec<u8>)>> = Mutex::new(Vec::new());
         let barrier = Barrier::new(THREADS);
@@ -281,6 +283,7 @@ fn seeded_fault_plans_with_concurrent_batching() {
             }
         });
         assert!(!store.health().is_poisoned(), "seed {seed}: poisoned");
+        assert!(dev.injected_faults() >= 1, "seed {seed}: no fault fired");
         let acked = acked.into_inner().unwrap();
         drop(store);
 

@@ -342,7 +342,7 @@ fn resets_keep_acked_commits(k: u64, phase: u64, commits: u64) {
         }
         let Err(e) = result else { continue };
         assert!(
-            matches!(&e, CoreError::BatchAborted(m) if m.contains("connection reset"))
+            matches!(&e, CoreError::BatchAborted { reason, .. } if reason.contains("connection reset"))
                 || e.fault_class() == FaultClass::Transient,
             "{ctx}: commit {i}: {e}"
         );

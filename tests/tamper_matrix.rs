@@ -396,13 +396,25 @@ mod proof_tamper {
     fn every_path_sibling_byte_flip_rejected() {
         for pr in proven_reads() {
             for level in 0..pr.proof.levels.len() {
-                for i in 0..pr.proof.levels[level].body.len() {
+                for i in 0..pr.proof.levels[level].leaf.len() {
                     let mut proof = pr.proof.clone();
-                    proof.levels[level].body[i] ^= 0x01;
+                    proof.levels[level].leaf[i] ^= 0x01;
                     assert!(
                         !verify_read_proof(&proof, &pr.body, &pr.root),
-                        "flipped byte {i} of level {level} body still verified"
+                        "flipped byte {i} of level {level} leaf still verified"
                     );
+                }
+                for s in 0..pr.proof.levels[level].siblings.len() {
+                    for i in 0..pr.proof.levels[level].siblings[s].len() {
+                        let mut proof = pr.proof.clone();
+                        let mut bytes = proof.levels[level].siblings[s].as_bytes().to_vec();
+                        bytes[i] ^= 0x01;
+                        proof.levels[level].siblings[s] = HashValue::new(&bytes);
+                        assert!(
+                            !verify_read_proof(&proof, &pr.body, &pr.root),
+                            "flipped byte {i} of level {level} sibling {s} still verified"
+                        );
+                    }
                 }
                 // A redirected slot index must not verify either.
                 let mut proof = pr.proof.clone();

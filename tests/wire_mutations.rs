@@ -97,15 +97,17 @@ fn text(seed: u64, len: usize) -> String {
         .collect()
 }
 
-/// An encoded read proof with one map level of `len` bytes.
+/// An encoded read proof with one map level: a leaf of `len` bytes and
+/// two sibling digests.
 fn proof(seed: u64, len: usize) -> Vec<u8> {
     ReadProof {
         id: ChunkId::data(PartitionId(1), seed % 1000),
         hash: HashKind::Sha1,
         fanout: 4,
         levels: vec![ProofLevel {
-            body: filler(!seed, len),
             slot: (seed % 4) as usize,
+            leaf: filler(!seed, len),
+            siblings: vec![HashValue::new(&filler(seed ^ 1, 20)); 2],
         }],
         root: HashValue::new(&filler(seed, 20)),
     }
