@@ -1,5 +1,5 @@
-//! The x86-64 kernels: SHA-1 and SHA-256 compression on the SHA extensions,
-//! AES-CBC on AES-NI, and bitsliced DES/3DES on AVX-512 (CBC decryption,
+//! The x86-64 kernels: SHA-1 and SHA-256 compression on the SHA extensions
+//! (of one message, or of two in lockstep), AES-CBC on AES-NI, and bitsliced DES/3DES on AVX-512 (CBC decryption,
 //! and passes of 256 independent blocks for encryption lanes).
 //!
 //! Each kernel is a `#[target_feature]` function, so calling it is `unsafe`
@@ -65,72 +65,92 @@ fn message(block: &[u8], order: __m128i) -> [__m128i; 4] {
     ]
 }
 
-/// SHA-256 compression of every 64-byte block of `data` (FIPS 180-4
-/// §6.2.2), two rounds per `sha256rnds2`, the schedule on
-/// `sha256msg1`/`sha256msg2`.
+/// SHA-256 compression of every 64-byte block of `data[l]` into
+/// `states[l]`, for each of `L` independent messages of equal length
+/// (FIPS 180-4 §6.2.2): two rounds per `sha256rnds2`, the schedule on
+/// `sha256msg1`/`sha256msg2`. The lanes' rounds interleave, so two
+/// messages' dependency chains overlap in the pipeline; `L` = 1 is the
+/// plain kernel.
 ///
 /// # Safety
 ///
 /// The CPU must have `sha`, `ssse3` and `sse4.1` ([`has_sha`]).
 #[target_feature(enable = "sha,ssse3,sse4.1")]
-pub(crate) unsafe fn sha256_compress(state: &mut [u32; 8], data: &[u8]) {
-    debug_assert_eq!(data.len() % 64, 0);
+pub(crate) unsafe fn sha256_compress<const L: usize>(states: [&mut [u32; 8]; L], data: [&[u8]; L]) {
+    debug_assert!(data
+        .iter()
+        .all(|d| d.len() % 64 == 0 && d.len() == data[0].len()));
     // Message words are big-endian: swap the bytes of each lane.
     let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
-    let s = state.map(|w| w as i32);
     // `sha256rnds2` keeps the state as (A, B, E, F) and (C, D, G, H), first
     // named in the top lane.
-    let mut abef = _mm_set_epi32(s[0], s[1], s[4], s[5]);
-    let mut cdgh = _mm_set_epi32(s[2], s[3], s[6], s[7]);
-    for block in data.chunks_exact(64) {
+    let s: [[i32; 8]; L] = std::array::from_fn(|l| states[l].map(|w| w as i32));
+    let mut abef: [__m128i; L] =
+        std::array::from_fn(|l| _mm_set_epi32(s[l][0], s[l][1], s[l][4], s[l][5]));
+    let mut cdgh: [__m128i; L] =
+        std::array::from_fn(|l| _mm_set_epi32(s[l][2], s[l][3], s[l][6], s[l][7]));
+    for at in (0..data[0].len()).step_by(64) {
         let (abef0, cdgh0) = (abef, cdgh);
         // The sliding window W[4i..4i + 16], four words a vector.
-        let mut w = message(block, bswap);
+        let mut w: [[__m128i; 4]; L] =
+            std::array::from_fn(|l| message(&data[l][at..at + 64], bswap));
         // (The unrolled loop's last four schedule steps are dead code.)
         for k in SHA256_K {
-            let wk = _mm_add_epi32(w[0], k);
-            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
-            let w4 = _mm_sha256msg1_epu32(w[0], w[1]);
-            let w4 = _mm_add_epi32(w4, _mm_alignr_epi8(w[3], w[2], 4));
-            w = [w[1], w[2], w[3], _mm_sha256msg2_epu32(w4, w[3])];
+            for l in 0..L {
+                let wk = _mm_add_epi32(w[l][0], k);
+                cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], wk);
+                abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l], _mm_shuffle_epi32(wk, 0x0e));
+                let w4 = _mm_sha256msg1_epu32(w[l][0], w[l][1]);
+                let w4 = _mm_add_epi32(w4, _mm_alignr_epi8(w[l][3], w[l][2], 4));
+                w[l] = [w[l][1], w[l][2], w[l][3], _mm_sha256msg2_epu32(w4, w[l][3])];
+            }
         }
-        abef = _mm_add_epi32(abef, abef0);
-        cdgh = _mm_add_epi32(cdgh, cdgh0);
+        for l in 0..L {
+            abef[l] = _mm_add_epi32(abef[l], abef0[l]);
+            cdgh[l] = _mm_add_epi32(cdgh[l], cdgh0[l]);
+        }
     }
-    *state = [
-        _mm_extract_epi32(abef, 3),
-        _mm_extract_epi32(abef, 2),
-        _mm_extract_epi32(cdgh, 3),
-        _mm_extract_epi32(cdgh, 2),
-        _mm_extract_epi32(abef, 1),
-        _mm_extract_epi32(abef, 0),
-        _mm_extract_epi32(cdgh, 1),
-        _mm_extract_epi32(cdgh, 0),
-    ]
-    .map(|w| w as u32);
+    for (l, state) in states.into_iter().enumerate() {
+        *state = [
+            _mm_extract_epi32(abef[l], 3),
+            _mm_extract_epi32(abef[l], 2),
+            _mm_extract_epi32(cdgh[l], 3),
+            _mm_extract_epi32(cdgh[l], 2),
+            _mm_extract_epi32(abef[l], 1),
+            _mm_extract_epi32(abef[l], 0),
+            _mm_extract_epi32(cdgh[l], 1),
+            _mm_extract_epi32(cdgh[l], 0),
+        ]
+        .map(|w| w as u32);
+    }
 }
 
-/// SHA-1 compression of every 64-byte block of `data` (FIPS 180-4
-/// §6.1.2), four rounds per `sha1rnds4`, E carried by `sha1nexte`, the
-/// schedule on `sha1msg1`/`sha1msg2`.
+/// SHA-1 compression of every 64-byte block of `data[l]` into
+/// `states[l]`, for each of `L` independent messages of equal length
+/// (FIPS 180-4 §6.1.2): four rounds per `sha1rnds4`, E carried by
+/// `sha1nexte`, the schedule on `sha1msg1`/`sha1msg2`, the lanes' rounds
+/// interleaved as in [`sha256_compress`].
 ///
 /// # Safety
 ///
 /// The CPU must have `sha`, `ssse3` and `sse4.1` ([`has_sha`]).
 #[target_feature(enable = "sha,ssse3,sse4.1")]
-pub(crate) unsafe fn sha1_compress(state: &mut [u32; 5], data: &[u8]) {
-    debug_assert_eq!(data.len() % 64, 0);
+pub(crate) unsafe fn sha1_compress<const L: usize>(states: [&mut [u32; 5]; L], data: [&[u8]; L]) {
+    debug_assert!(data
+        .iter()
+        .all(|d| d.len() % 64 == 0 && d.len() == data[0].len()));
     // Reversing all sixteen bytes puts the first big-endian word in the
     // top lane, where `sha1rnds4` wants A and W[0].
     let reverse = _mm_set_epi64x(0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f);
-    let s = state.map(|w| w as i32);
-    let mut abcd = _mm_set_epi32(s[0], s[1], s[2], s[3]);
-    let mut e = _mm_set_epi32(s[4], 0, 0, 0);
-    for block in data.chunks_exact(64) {
+    let s: [[i32; 5]; L] = std::array::from_fn(|l| states[l].map(|w| w as i32));
+    let mut abcd: [__m128i; L] =
+        std::array::from_fn(|l| _mm_set_epi32(s[l][0], s[l][1], s[l][2], s[l][3]));
+    let mut e: [__m128i; L] = std::array::from_fn(|l| _mm_set_epi32(s[l][4], 0, 0, 0));
+    for at in (0..data[0].len()).step_by(64) {
         let (abcd0, e0) = (abcd, e);
-        let mut w = message(block, reverse);
-        let mut ew = _mm_add_epi32(e, w[0]);
+        let mut w: [[__m128i; 4]; L] =
+            std::array::from_fn(|l| message(&data[l][at..at + 64], reverse));
+        let mut ew: [__m128i; L] = std::array::from_fn(|l| _mm_add_epi32(e[l], w[l][0]));
         // ABCD before the latest four rounds: its A, rotated, is the next E.
         let mut before = abcd;
         // Twenty rounds under logic function `f`, four at a time, each
@@ -139,11 +159,13 @@ pub(crate) unsafe fn sha1_compress(state: &mut [u32; 5], data: &[u8]) {
         macro_rules! twenty {
             ($f:literal) => {
                 for _ in 0..5 {
-                    before = abcd;
-                    abcd = _mm_sha1rnds4_epu32(abcd, ew, $f);
-                    let w4 = _mm_xor_si128(_mm_sha1msg1_epu32(w[0], w[1]), w[2]);
-                    w = [w[1], w[2], w[3], _mm_sha1msg2_epu32(w4, w[3])];
-                    ew = _mm_sha1nexte_epu32(before, w[0]);
+                    for l in 0..L {
+                        before[l] = abcd[l];
+                        abcd[l] = _mm_sha1rnds4_epu32(abcd[l], ew[l], $f);
+                        let w4 = _mm_xor_si128(_mm_sha1msg1_epu32(w[l][0], w[l][1]), w[l][2]);
+                        w[l] = [w[l][1], w[l][2], w[l][3], _mm_sha1msg2_epu32(w4, w[l][3])];
+                        ew[l] = _mm_sha1nexte_epu32(before[l], w[l][0]);
+                    }
                 }
             };
         }
@@ -151,17 +173,21 @@ pub(crate) unsafe fn sha1_compress(state: &mut [u32; 5], data: &[u8]) {
         twenty!(1);
         twenty!(2);
         twenty!(3);
-        abcd = _mm_add_epi32(abcd, abcd0);
-        e = _mm_sha1nexte_epu32(before, e0);
+        for l in 0..L {
+            abcd[l] = _mm_add_epi32(abcd[l], abcd0[l]);
+            e[l] = _mm_sha1nexte_epu32(before[l], e0[l]);
+        }
     }
-    *state = [
-        _mm_extract_epi32(abcd, 3),
-        _mm_extract_epi32(abcd, 2),
-        _mm_extract_epi32(abcd, 1),
-        _mm_extract_epi32(abcd, 0),
-        _mm_extract_epi32(e, 3),
-    ]
-    .map(|w| w as u32);
+    for (l, state) in states.into_iter().enumerate() {
+        *state = [
+            _mm_extract_epi32(abcd[l], 3),
+            _mm_extract_epi32(abcd[l], 2),
+            _mm_extract_epi32(abcd[l], 1),
+            _mm_extract_epi32(abcd[l], 0),
+            _mm_extract_epi32(e[l], 3),
+        ]
+        .map(|w| w as u32);
+    }
 }
 
 /// How many blocks [`AesNi::decrypt_cbc`] and [`AesNi::encrypt4`] cipher at
