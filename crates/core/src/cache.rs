@@ -18,11 +18,30 @@
 //! was dirty at the savepoint is dirty again after rollback, even if a
 //! checkpoint inside the scope cleaned it and memory pressure then evicted
 //! it. LRU positions are not journaled; recency is a hint, not state.
+//!
+//! Slot trees (§4.3, format v3): an entry keeps the slot tree
+//! ([`crate::slot_tree`]) of its chunk's *effective* body — what a
+//! checkpoint would write now, with each slot that heads a dirty map
+//! subtree carrying that subtree's effective digest — so a root, a proof
+//! or a checkpoint hashes only the leaves that changed. A load installs
+//! the tree that validated the body ([`MapCache::insert_loaded`]); a
+//! root query builds one for a chunk that has none. Invariant: a tree's
+//! leaves that are not marked stale equal the effective body's, with
+//! every inner node current over them. So a slot write marks its own leaf
+//! ([`MapCache::set_slot`]) and the leaf above it in each cached ancestor
+//! ([`MapCache::mark_spine`]). A tree dies with its entry — eviction,
+//! purge and replacement drop it — undo pre-images carry none, and a
+//! rollback drops every tree, since a refresh inside the scope may have
+//! hashed slots the rollback takes back. Marking a chunk clean keeps its
+//! tree: the body written out is the body the tree covers.
 
 use std::collections::{BTreeSet, HashMap};
 
+use tdb_crypto::{HashKind, HashValue};
+
 use crate::descriptor::{Descriptor, MapChunk};
 use crate::ids::{PartitionId, Position};
+use crate::slot_tree::{SlotTree, LEAF_SLOTS};
 use crate::undo::{Journal, UndoCounters};
 
 type Key = (PartitionId, Position);
@@ -34,6 +53,9 @@ pub struct CacheEntry {
     pub chunk: MapChunk,
     /// True when the cached content is newer than any persistent version.
     pub dirty: bool,
+    /// The slot tree over the chunk's effective body, once a load or a
+    /// root query has built it.
+    tree: Option<SlotTree>,
     /// LRU timestamp.
     last_used: u64,
     /// The `last_used` this entry is filed under in the clean-LRU index
@@ -48,6 +70,27 @@ impl CacheEntry {
         std::mem::size_of::<CacheEntry>()
             + self.chunk.slots.len() * std::mem::size_of::<Descriptor>()
     }
+
+    /// The entry as an undo pre-image: everything but the tree.
+    fn pre_image(&self) -> CacheEntry {
+        CacheEntry {
+            chunk: self.chunk.clone(),
+            tree: None,
+            ..*self
+        }
+    }
+}
+
+/// What the cached slot trees saved and cost (the store's `lazy_*`
+/// stats).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TreeCounters {
+    /// Root queries answered by a current tree, with no hashing.
+    pub hits: u64,
+    /// Trees built, installed by a load, or refreshed over stale leaves.
+    pub recomputes: u64,
+    /// Leaves marked stale and trees dropped.
+    pub invalidations: u64,
 }
 
 /// The map-chunk cache.
@@ -70,6 +113,8 @@ pub struct MapCache {
     tick: u64,
     /// Pre-images of entries changed inside the open mutation scope.
     undo: Journal<(Key, Option<CacheEntry>)>,
+    /// What the slot trees have counted so far.
+    pub trees: TreeCounters,
 }
 
 impl MapCache {
@@ -82,6 +127,7 @@ impl MapCache {
             capacity: capacity.max(8),
             tick: 0,
             undo: Journal::new(),
+            trees: TreeCounters::default(),
         }
     }
 
@@ -108,11 +154,12 @@ impl MapCache {
     }
 
     /// Sets (or, with `None`, removes) the entry under `key`, keeping both
-    /// indexes in step, and returns what was there.
+    /// indexes in step, and returns what was there, without its tree.
     fn put(&mut self, key: Key, new: Option<CacheEntry>) -> Option<CacheEntry> {
-        let old = self.entries.remove(&key);
-        if let Some(old) = &old {
+        let mut old = self.entries.remove(&key);
+        if let Some(old) = &mut old {
             self.unindex(key, old);
+            self.trees.invalidations += u64::from(old.tree.take().is_some());
         }
         if let Some(mut entry) = new {
             self.index(key, &mut entry);
@@ -143,7 +190,7 @@ impl MapCache {
         entry: &mut CacheEntry,
     ) {
         if undo.wants(entry.stamp) {
-            undo.push((key, Some(entry.clone())), entry.bytes());
+            undo.push((key, Some(entry.pre_image())), entry.bytes());
             entry.stamp = undo.stamp();
         }
     }
@@ -167,15 +214,21 @@ impl MapCache {
         self.entries.get(&(partition, pos)).is_some_and(|e| e.dirty)
     }
 
-    /// Mutable access plus dirty marking: the caller is changing a slot.
-    pub fn get_mut_dirty(
+    /// Writes slot `slot` of a cached map chunk, marking the chunk dirty
+    /// and its tree's leaf over the slot stale. False when the chunk is
+    /// not cached.
+    pub fn set_slot(
         &mut self,
         partition: PartitionId,
         pos: Position,
-    ) -> Option<&mut MapChunk> {
+        slot: usize,
+        desc: Descriptor,
+    ) -> bool {
         let tick = self.bump();
         let key = (partition, pos);
-        let entry = self.entries.get_mut(&key)?;
+        let Some(entry) = self.entries.get_mut(&key) else {
+            return false;
+        };
         Self::log_in_place(&mut self.undo, key, entry);
         if !entry.dirty {
             self.clean_lru.remove(&(entry.filed, key));
@@ -183,7 +236,35 @@ impl MapCache {
             entry.dirty = true;
         }
         entry.last_used = tick;
-        Some(&mut entry.chunk)
+        entry.chunk.slots[slot] = desc;
+        self.mark(key, slot / LEAF_SLOTS);
+        true
+    }
+
+    /// Marks leaf `leaf` of the tree of a cached chunk stale, if it has a
+    /// tree.
+    fn mark(&mut self, key: Key, leaf: usize) {
+        if let Some(tree) = self.entries.get_mut(&key).and_then(|e| e.tree.as_mut()) {
+            self.trees.invalidations += u64::from(tree.mark_stale(leaf));
+        }
+    }
+
+    /// After a slot write at `pos`, marks stale, in every cached map
+    /// ancestor strictly above `pos` up to the tree root at `height`, the
+    /// leaf on the path down to `pos`: each ancestor's effective body
+    /// changed with it. O(height) marks, no hashing.
+    pub fn mark_spine(
+        &mut self,
+        partition: PartitionId,
+        mut pos: Position,
+        height: u8,
+        fanout: u64,
+    ) {
+        while pos.height < height {
+            let parent = pos.parent(fanout);
+            self.mark((partition, parent), pos.slot(fanout) / LEAF_SLOTS);
+            pos = parent;
+        }
     }
 
     /// Inserts a map chunk (replacing any previous entry), then evicts clean
@@ -192,12 +273,83 @@ impl MapCache {
         let entry = CacheEntry {
             chunk,
             dirty,
+            tree: None,
             last_used: self.bump(),
             filed: 0,
             stamp: self.undo.stamp(),
         };
         self.put_logged((partition, pos), Some(entry));
         self.evict_if_needed((partition, pos));
+    }
+
+    /// Inserts a clean map chunk just loaded and validated, with `tree`,
+    /// the slot tree that validated it. The caller has marked stale the
+    /// leaves of slots whose effective digest differs from the stored one.
+    pub fn insert_loaded(
+        &mut self,
+        partition: PartitionId,
+        pos: Position,
+        chunk: MapChunk,
+        tree: SlotTree,
+    ) {
+        self.insert(partition, pos, chunk, false);
+        self.trees.recomputes += 1;
+        let entry = self.entries.get_mut(&(partition, pos));
+        entry.expect("eviction keeps the new entry").tree = Some(tree);
+    }
+
+    /// The root of a cached chunk's slot tree, if the chunk has a tree
+    /// and no leaf of it is stale.
+    pub fn current_root(&mut self, partition: PartitionId, pos: Position) -> Option<HashValue> {
+        let tree = self.entries.get(&(partition, pos))?.tree.as_ref()?;
+        let root = tree.is_current().then(|| tree.root())?;
+        self.trees.hits += 1;
+        Some(root)
+    }
+
+    /// The root of a cached chunk's slot tree brought current over `body`,
+    /// its effective body: only the stale leaves are hashed, and a chunk
+    /// with no tree gets one built over `body`.
+    ///
+    /// # Panics
+    ///
+    /// When the chunk is not cached.
+    pub fn root_over(
+        &mut self,
+        partition: PartitionId,
+        pos: Position,
+        kind: HashKind,
+        body: &[u8],
+    ) -> HashValue {
+        if let Some(root) = self.current_root(partition, pos) {
+            return root;
+        }
+        self.trees.recomputes += 1;
+        let entry = self.entries.get_mut(&(partition, pos));
+        let tree = &mut entry.expect("the chunk is cached").tree;
+        let tree = tree.get_or_insert_with(|| SlotTree::over_body(kind, body));
+        tree.refresh(kind, body);
+        tree.root()
+    }
+
+    /// The sibling digests of leaf `leaf` of a cached chunk's slot tree,
+    /// if the tree is current.
+    pub fn path(
+        &self,
+        partition: PartitionId,
+        pos: Position,
+        leaf: usize,
+    ) -> Option<Vec<HashValue>> {
+        let tree = self.entries.get(&(partition, pos))?.tree.as_ref()?;
+        tree.is_current().then(|| tree.path(leaf))
+    }
+
+    /// Drops every slot tree, so the next root query rebuilds the trees it
+    /// needs from the effective bodies.
+    pub fn drop_trees(&mut self) {
+        for entry in self.entries.values_mut() {
+            self.trees.invalidations += u64::from(entry.tree.take().is_some());
+        }
     }
 
     /// Marks an entry clean (after a checkpoint wrote it out).
@@ -362,11 +514,12 @@ impl MapCache {
     }
 
     /// Puts back every entry changed since `savepoint`, newest change
-    /// first. The scope stays open.
+    /// first, and drops every slot tree. The scope stays open.
     pub fn rollback_to(&mut self, savepoint: usize) {
         for (key, pre) in self.undo.unwind(savepoint) {
             self.put(key, pre);
         }
+        self.drop_trees();
     }
 
     /// Ends the mutation scope: every savepoint becomes invalid and changes
@@ -461,14 +614,12 @@ mod tests {
     }
 
     #[test]
-    fn get_mut_dirty_marks_and_counts() {
+    fn set_slot_marks_and_counts() {
         let mut cache = MapCache::new(8);
         cache.insert(p(1), Position::map(1, 0), mc(4, 1), false);
         assert_eq!(cache.dirty_count(), 0);
-        cache
-            .get_mut_dirty(p(1), Position::map(1, 0))
-            .unwrap()
-            .slots[1] = Descriptor::unwritten();
+        assert!(cache.set_slot(p(1), Position::map(1, 0), 1, Descriptor::unwritten()));
+        assert!(!cache.set_slot(p(1), Position::map(1, 1), 1, Descriptor::unwritten()));
         assert_eq!(cache.dirty_count(), 1);
         cache.mark_clean(p(1), Position::map(1, 0));
         assert_eq!(cache.dirty_count(), 0);
@@ -486,10 +637,7 @@ mod tests {
         assert!(cache.contains(p(2), Position::map(2, 0)));
         // Clones are dirty and independent.
         assert_eq!(cache.dirty_count(), 4);
-        cache
-            .get_mut_dirty(p(2), Position::map(1, 0))
-            .unwrap()
-            .slots[0] = Descriptor::unallocated();
+        assert!(cache.set_slot(p(2), Position::map(1, 0), 0, Descriptor::unallocated()));
         assert!(cache.get(p(1), Position::map(1, 0)).unwrap().slots[0].is_written());
     }
 
@@ -501,6 +649,75 @@ mod tests {
         cache.purge_partition(p(1));
         assert!(!cache.contains(p(1), Position::map(1, 0)));
         assert!(cache.contains(p(2), Position::map(1, 0)));
+    }
+
+    fn tree() -> SlotTree {
+        SlotTree::over_body(HashKind::Sha1, &[0; 4 * 37])
+    }
+
+    fn is_current(cache: &mut MapCache, part: u32, height: u8, rank: u64) -> bool {
+        cache
+            .current_root(p(part), Position::map(height, rank))
+            .is_some()
+    }
+
+    #[test]
+    fn spine_marks_are_exact() {
+        let mut cache = MapCache::new(64);
+        // A 3-level tree with slot trees: root (3,0), two level-2 chunks,
+        // and a level-1 chunk under each.
+        for (height, rank) in [(3, 0), (2, 0), (2, 1), (1, 0), (1, 4)] {
+            cache.insert_loaded(p(1), Position::map(height, rank), mc(4, 1), tree());
+        }
+        // A descriptor write at data rank 2 marks the leaf of slot 2 of
+        // (1,0), then of slot 0 of (2,0) and of (3,0) — its parent chain
+        // under fanout 4 — and nothing else.
+        assert!(cache.set_slot(p(1), Position::map(1, 0), 2, Descriptor::unwritten()));
+        cache.mark_spine(p(1), Position::map(1, 0), 3, 4);
+        assert!(!is_current(&mut cache, 1, 1, 0));
+        assert!(!is_current(&mut cache, 1, 2, 0));
+        assert!(!is_current(&mut cache, 1, 3, 0));
+        assert!(is_current(&mut cache, 1, 2, 1));
+        assert!(is_current(&mut cache, 1, 1, 4));
+        assert_eq!(cache.trees.invalidations, 3);
+        // A second write under the same leaves marks nothing new.
+        assert!(cache.set_slot(p(1), Position::map(1, 0), 3, Descriptor::unwritten()));
+        cache.mark_spine(p(1), Position::map(1, 0), 3, 4);
+        assert_eq!(cache.trees.invalidations, 3);
+        // A refresh over the effective body brings a tree current again.
+        let root = cache.root_over(p(1), Position::map(2, 0), HashKind::Sha1, &[1; 4 * 37]);
+        assert_eq!(
+            root,
+            SlotTree::over_body(HashKind::Sha1, &[1; 4 * 37]).root()
+        );
+        assert!(is_current(&mut cache, 1, 2, 0));
+    }
+
+    #[test]
+    fn trees_die_with_their_entries() {
+        let mut cache = MapCache::new(64);
+        cache.insert_loaded(p(1), Position::map(1, 0), mc(4, 1), tree());
+        cache.insert_loaded(p(2), Position::map(1, 0), mc(4, 2), tree());
+        cache.insert_loaded(p(2), Position::map(1, 1), mc(4, 3), tree());
+        cache.purge_partition(p(1));
+        assert!(!is_current(&mut cache, 1, 1, 0));
+        assert!(is_current(&mut cache, 2, 1, 0));
+        // Replacement drops the tree.
+        cache.insert(p(2), Position::map(1, 0), mc(4, 2), true);
+        assert!(!is_current(&mut cache, 2, 1, 0));
+        // A checkpoint's clean mark keeps a current tree.
+        cache.root_over(p(2), Position::map(1, 0), HashKind::Sha1, &[0; 4 * 37]);
+        cache.mark_clean(p(2), Position::map(1, 0));
+        assert!(is_current(&mut cache, 2, 1, 0));
+        assert_eq!(cache.trees.invalidations, 2);
+        // A rollback drops every tree, even those its scope never touched.
+        let sp = cache.savepoint();
+        cache.insert(p(3), Position::map(1, 0), mc(4, 4), true);
+        cache.rollback_to(sp);
+        cache.end_scope();
+        assert!(!is_current(&mut cache, 2, 1, 0));
+        assert!(!is_current(&mut cache, 2, 1, 1));
+        assert_eq!(cache.trees.invalidations, 4);
     }
 
     #[test]

@@ -213,7 +213,7 @@ impl Inner {
     ///
     /// Every dirty chunk below this level is written already, so each
     /// chunk's effective body is its cached body, and its digest is the
-    /// root of its memoized slot tree: only leaves changed since the tree
+    /// root of its cached slot tree: only leaves changed since the tree
     /// was last current are hashed.
     fn write_map_level(&mut self, keys: &[(PartitionId, Position)]) -> Result<()> {
         // Resolve cryptos, digests and bodies first (all may touch engine
@@ -231,12 +231,12 @@ impl Inner {
                 .encode(kind.digest_len());
             let hash = {
                 let _t = metrics::span(modules::HASHING);
-                self.lazy.root_over(*p, *pos, kind, &body, &self.map_cache)
+                self.map_cache.root_over(*p, *pos, kind, &body)
             };
             debug_assert_eq!(
                 hash,
                 chunk_digest(kind, *pos, &body),
-                "memoized slot tree of {p} at {pos} is stale"
+                "cached slot tree of {p} at {pos} is stale"
             );
             hashes.push(hash);
             cryptos.push(crypto);

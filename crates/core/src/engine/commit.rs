@@ -286,9 +286,6 @@ impl Inner {
                 // Clone buffered (dirty) map state so dst sees post-
                 // checkpoint updates of src (§5.3).
                 self.map_cache.clone_dirty(src, dst);
-                // dst's effective tree is rebuilt from src's state; any
-                // memoized hashes for a previous incarnation of dst are void.
-                self.lazy.invalidate_partition(dst);
             }
             CommitOp::DeallocPartition { id } => {
                 self.dealloc_partition(id, dealloc_ids)?;

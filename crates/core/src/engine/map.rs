@@ -40,9 +40,9 @@ impl Inner {
 
     /// Ensures the map chunk at `(p, pos)` is decoded in the cache,
     /// validating it against its descriptor on the way in. The slot tree
-    /// built to validate it goes to the dirty-tree accumulator, with the
-    /// leaves of slots that head a dirty subtree (whose effective digest
-    /// differs from the stored one) marked stale.
+    /// built to validate it goes into the cache entry, with the leaves of
+    /// slots that head a dirty subtree (whose effective digest differs
+    /// from the stored one) marked stale.
     pub(crate) fn ensure_map_chunk(&mut self, p: PartitionId, pos: Position) -> Result<()> {
         if self.map_cache.contains(p, pos) {
             return Ok(());
@@ -61,24 +61,18 @@ impl Inner {
         let kind = crypto.hash_kind();
         let mut tree = None;
         let body = validate_version_with(&self.system, &crypto, id, &desc, &buf, |body| {
-            let built = SlotTree::over_body(kind, body);
-            let root = built.root();
-            tree = Some(built);
-            root
+            tree.insert(SlotTree::over_body(kind, body)).root()
         })?;
         let chunk = MapChunk::decode(&body, fanout, kind.digest_len())?;
-        let mut stale = Vec::new();
+        let mut tree = tree.expect("validation hashed the body");
         if pos.height >= 2 && self.subtree_has_dirty(p, pos) {
             for slot in 0..fanout {
                 if self.subtree_has_dirty(p, pos.child(self.fanout(), slot)) {
-                    stale.push(slot / LEAF_SLOTS);
+                    tree.mark_stale(slot / LEAF_SLOTS);
                 }
             }
-            stale.dedup();
         }
-        self.map_cache.insert(p, pos, chunk, false);
-        let tree = tree.expect("validation hashed the body");
-        self.lazy.put(p, pos, tree, stale, &self.map_cache);
+        self.map_cache.insert_loaded(p, pos, chunk, tree);
         Ok(())
     }
 
@@ -113,19 +107,17 @@ impl Inner {
         let parent = id.pos.parent(self.fanout());
         self.ensure_map_chunk(id.partition, parent)?;
         let slot = id.pos.slot(self.fanout());
-        self.map_cache
-            .get_mut_dirty(id.partition, parent)
-            .expect("ensured above")
-            .slots[slot] = desc;
+        let cached = self.map_cache.set_slot(id.partition, parent, slot, desc);
+        assert!(cached, "ensured above");
         // Lazy integrity: every map ancestor's effective body changes, so
-        // the memoized spine above this write is stale. O(height) marks;
-        // the leaves are rehashed only when a root, proof or checkpoint
-        // needs them. Marked after the slot is written: a load of an
-        // evicted ancestor on the way here (the copy family's `holder`
-        // lookups above can evict this partition's clean chunks) installs
-        // a fresh tree, which would drop a mark made before it.
-        self.lazy
-            .invalidate_spine(id.partition, id.pos, height, self.fanout());
+        // the cached slot trees above this write are stale. O(height)
+        // marks; the leaves are rehashed only when a root, proof or
+        // checkpoint needs them. Marked after the slot is written: a load
+        // of an evicted ancestor on the way here (the copy family's
+        // `holder` lookups above can evict this partition's clean chunks)
+        // installs a fresh tree, which would drop a mark made before it.
+        self.map_cache
+            .mark_spine(id.partition, parent, height, self.fanout());
         Ok(old)
     }
 
@@ -141,9 +133,6 @@ impl Inner {
             let new_height = height + 1;
             let mut chunk = MapChunk::empty(self.fanout() as usize);
             chunk.slots[0] = old_root;
-            // Growth rewires the whole spine; drop the partition's memo
-            // wholesale (rare, conservative).
-            self.lazy.invalidate_partition(p);
             self.map_cache
                 .insert(p, Position::map(new_height, 0), chunk, true);
             if p.is_system() {

@@ -17,18 +17,14 @@
 //!   log stays writable: the cleaner reserve and inline cleaning slices.
 //! - [`rollback`] — savepoints over the undo journals: how a mutation that
 //!   fails before its durable point leaves the engine as it found it.
-//! - [`dirty`] — the dirty-tree accumulator: memoized effective subtree
-//!   hashes with O(height) spine invalidation per descriptor write.
+//! - [`proof`] — client-verifiable read proofs: effective (dirty-aware)
+//!   map bodies, root digests, and Merkle-path extraction.
 //!
 //! Every module extends the same `pub(crate) Inner` with `impl` blocks; no
 //! on-disk format or locking change is implied by the decomposition.
 
-//! - [`proof`] — client-verifiable read proofs: effective (dirty-aware)
-//!   map bodies, root digests, and Merkle-path extraction.
-
 pub(crate) mod checkpoint;
 pub(crate) mod commit;
-pub(crate) mod dirty;
 pub(crate) mod maintenance;
 pub(crate) mod map;
 pub(crate) mod partitions;

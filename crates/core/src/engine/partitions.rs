@@ -303,7 +303,6 @@ impl Inner {
             let old = self.leaders.remove(&q);
             self.log_displaced_leader(q, old);
             self.map_cache.purge_partition(q);
-            self.lazy.invalidate_partition(q);
         }
         Ok(())
     }

@@ -7,8 +7,8 @@
 //! checkpoint would persist. Clean subtrees keep their stored hash links: a
 //! clean cached map chunk re-encodes to the very bytes its parent's digest
 //! covers. Each map chunk's digest is the root of its slot tree
-//! ([`crate::slot_tree`]), memoized by the dirty-tree accumulator
-//! ([`crate::engine::dirty`]).
+//! ([`crate::slot_tree`]), which its map-cache entry keeps
+//! ([`crate::cache`]).
 
 use std::ops::Range;
 
@@ -52,17 +52,20 @@ impl Inner {
     }
 
     /// Effective digest of the map chunk at `(p, pos)`: the root of its
-    /// slot tree over the effective body. A current memoized tree answers
+    /// slot tree over the effective body. A current cached tree answers
     /// with no hashing; otherwise only its stale leaves and their paths
     /// are rehashed, so K batched commits cost roughly one spine of leaves
-    /// instead of K subtrees.
+    /// instead of K subtrees. On return the chunk is cached with a current
+    /// tree.
     fn effective_map_hash(&mut self, p: PartitionId, pos: Position) -> Result<HashValue> {
-        if let Some(hash) = self.lazy.get(p, pos) {
+        if let Some(hash) = self.map_cache.current_root(p, pos) {
             return Ok(hash);
         }
         let kind = self.crypto_for(p)?.hash_kind();
         let body = self.effective_slots(p, pos, 0..self.config.fanout as usize)?;
-        Ok(self.lazy.root_over(p, pos, kind, &body, &self.map_cache))
+        // The children's loads may have evicted the chunk since.
+        self.ensure_map_chunk(p, pos)?;
+        Ok(self.map_cache.root_over(p, pos, kind, &body))
     }
 
     /// The partition's effective root digest: what the root descriptor's
@@ -103,7 +106,7 @@ impl Inner {
             let leaf_index = slot / LEAF_SLOTS;
             self.effective_map_hash(p, parent)?;
             let siblings = self
-                .lazy
+                .map_cache
                 .path(p, parent, leaf_index)
                 .expect("refreshed above");
             let leaf = self.effective_slots(

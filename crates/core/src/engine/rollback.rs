@@ -164,10 +164,6 @@ impl Inner {
         self.stats = sp.stats;
         self.stats.degraded_entries = degraded;
         self.stats.poison_events = poisons;
-        // The restored map cache may differ from the state the memoized
-        // effective hashes were computed against; drop them wholesale
-        // (rollback is rare, correctness beats precision here).
-        self.lazy.clear();
     }
 
     /// Closes the journals: a durable point was reached (nothing before it

@@ -79,7 +79,7 @@ pub(crate) fn seal_batch(
 }
 
 /// [`seal_batch`] for bodies whose digests the caller already holds, one
-/// per job: a checkpoint's map chunks, whose slot trees are memoized.
+/// per job: a checkpoint's map chunks, whose slot trees the map cache keeps.
 pub(crate) fn seal_hashed(
     system: &PartitionCrypto,
     kind: VersionKind,

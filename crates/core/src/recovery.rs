@@ -195,7 +195,6 @@ fn recover_from(
 
     let mut inner = Inner {
         map_cache: MapCache::new(config.map_cache_capacity),
-        lazy: crate::engine::dirty::DirtyTreeAccumulator::default(),
         system: Arc::clone(&system),
         trusted,
         log,
@@ -620,6 +619,7 @@ fn apply_named(
         inner.sys_leader.map.next_rank = inner.sys_leader.map.next_rank.max(id.pos.rank + 1);
         inner.sys_alloc_next = inner.sys_alloc_next.max(inner.sys_leader.map.next_rank);
         inner.sys_leader.map.unfree(id.pos.rank);
+        inner.sys_alloc_free.retain(|r| *r != id.pos.rank);
         if let Some(src) = new_copy_of {
             // Reproduce the copy-time cache cloning (§5.3): the source's
             // buffered map overrides as of this point in the log.

@@ -5,8 +5,10 @@
 //! one-pass hash sat — the root of a tree over its slots. A read proof
 //! ([`crate::proof`]) then carries, per map level, the one leaf that holds
 //! the path's slot and the sibling digests above it instead of the whole
-//! body, and a map chunk whose tree is memoized
-//! (`engine::dirty`) rehashes only the leaves whose slots changed.
+//! body. A cached map chunk keeps its tree ([`crate::cache::MapCache`]),
+//! with the leaves whose effective slots changed marked stale, and
+//! rehashes only those leaves when a root, a proof or a checkpoint needs
+//! it.
 //!
 //! Shape, for a body of `n` encoded slots:
 //!
@@ -164,6 +166,9 @@ pub struct SlotTree {
     nodes: Vec<u8>,
     digest_len: usize,
     leaves: usize,
+    /// Leaves marked as no longer matching the chunk's body: their digests
+    /// and the nodes above them wait for [`SlotTree::refresh`].
+    stale: Vec<usize>,
 }
 
 impl SlotTree {
@@ -182,6 +187,7 @@ impl SlotTree {
             nodes: vec![0; (len + 1) * digest_len],
             digest_len,
             leaves,
+            stale: Vec::new(),
         }
     }
 
@@ -197,16 +203,37 @@ impl SlotTree {
         &self.nodes[range.start * self.digest_len..range.end * self.digest_len]
     }
 
-    /// The root digest.
+    /// The root digest, current only when no leaf is marked stale.
     pub fn root(&self) -> HashValue {
         HashValue::new(&self.nodes[self.nodes.len() - self.digest_len..])
     }
 
-    /// Hashes the leaves named in `changed`, in ascending order, out of
-    /// `body`, the chunk's encoded slots, and rehashes every inner node
-    /// above them, and no other.
-    pub fn rehash(&mut self, kind: HashKind, body: &[u8], mut changed: Vec<usize>) {
-        debug_assert!(changed.windows(2).all(|w| w[0] < w[1]));
+    /// True when no leaf is marked stale.
+    pub fn is_current(&self) -> bool {
+        self.stale.is_empty()
+    }
+
+    /// Marks leaf `leaf` as no longer matching the body; false when it was
+    /// marked already. No hashing.
+    pub fn mark_stale(&mut self, leaf: usize) -> bool {
+        !self.stale.contains(&leaf) && {
+            self.stale.push(leaf);
+            true
+        }
+    }
+
+    /// Brings the tree current over `body`, the chunk's encoded slots, by
+    /// hashing only the stale leaves and the nodes above them.
+    pub fn refresh(&mut self, kind: HashKind, body: &[u8]) {
+        let stale = std::mem::take(&mut self.stale);
+        self.rehash(kind, body, stale);
+    }
+
+    /// Hashes the leaves named in `changed`, each once, out of `body`, the
+    /// chunk's encoded slots, and rehashes every inner node above them,
+    /// and no other.
+    fn rehash(&mut self, kind: HashKind, body: &[u8], mut changed: Vec<usize>) {
+        changed.sort_unstable();
         let (len, leaf_len) = (self.digest_len, leaf_len(kind));
         let leaf = |i: usize| {
             let start = (i * leaf_len).min(body.len());

@@ -189,13 +189,15 @@ pub struct ChunkStoreStats {
     /// Map-tree levels a checkpoint skipped because nothing in them was
     /// dirty (incremental checkpointing).
     pub dirty_map_levels_skipped: u64,
-    /// Effective-subtree-hash lookups served from the lazy-integrity memo
+    /// Effective map-chunk digests served by a current cached slot tree
     /// (no re-encode, no re-hash).
     pub lazy_hash_hits: u64,
-    /// Effective-subtree-hash lookups that recomputed and filled the memo.
+    /// Slot trees built, installed by a map-chunk load, or refreshed over
+    /// their stale leaves.
     pub lazy_hash_recomputes: u64,
-    /// Lazy-integrity memo entries dropped by spine or partition
-    /// invalidation (descriptor writes, growth, dealloc, restore).
+    /// Slot-tree leaves marked stale by descriptor writes, and slot trees
+    /// dropped with their map-cache entries (eviction, replacement,
+    /// purge) or by a rollback.
     pub lazy_invalidations: u64,
 }
 
@@ -279,8 +281,6 @@ pub(crate) struct Inner {
     /// distinguishes "failed before any durable append" (roll back and stay
     /// live) from "failed after a partial append" (degrade).
     pub wrote_log: bool,
-    /// Dirty-tree accumulator for lazy Merkle materialization.
-    pub lazy: crate::engine::dirty::DirtyTreeAccumulator,
     /// Undo journal for engine state outside the map cache, open while a
     /// mutation can still roll back (see [`crate::engine::rollback`]).
     pub undo: Journal<Undo>,
@@ -367,7 +367,6 @@ impl ChunkStore {
         };
         let mut inner = Inner {
             map_cache: MapCache::new(config.map_cache_capacity),
-            lazy: crate::engine::dirty::DirtyTreeAccumulator::default(),
             config,
             system,
             trusted,
@@ -698,9 +697,9 @@ impl ChunkStore {
         let (appends, runs, bytes) = inner.log.coalesce_counters();
         stats.log_coalesced_bytes = bytes;
         stats.log_writes_coalesced = appends.saturating_sub(runs);
-        stats.lazy_hash_hits = inner.lazy.hits;
-        stats.lazy_hash_recomputes = inner.lazy.recomputes;
-        stats.lazy_invalidations = inner.lazy.invalidations;
+        stats.lazy_hash_hits = inner.map_cache.trees.hits;
+        stats.lazy_hash_recomputes = inner.map_cache.trees.recomputes;
+        stats.lazy_invalidations = inner.map_cache.trees.invalidations;
         stats
     }
 
@@ -822,11 +821,11 @@ impl ChunkStore {
         self.inner.lock().log.residual_segments().len()
     }
 
-    /// Test-only: drops every memoized effective subtree hash, so the next
-    /// root or proof query recomputes the whole dirty tree — the paper's
-    /// eager recompute, which the memo is tested against.
+    /// Test-only: drops every cached slot tree, so the next root or proof
+    /// query recomputes the whole dirty tree — the paper's eager
+    /// recompute, which the cached trees are tested against.
     #[doc(hidden)]
     pub fn debug_forget_integrity_memo(&self) {
-        self.inner.lock().lazy.clear();
+        self.inner.lock().map_cache.drop_trees();
     }
 }

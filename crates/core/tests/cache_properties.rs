@@ -110,7 +110,7 @@ proptest! {
                     let _ = cache.get(part, pos);
                 }
                 CacheOp::MutDirty => {
-                    if cache.get_mut_dirty(part, pos).is_some() {
+                    if cache.set_slot(part, pos, 1, Descriptor::unwritten()) {
                         dirty_model.insert((part, pos));
                     }
                 }
@@ -245,7 +245,7 @@ proptest! {
         }
         // Independence: mutating a clone never touches the source.
         if let Some((pos, marker)) = expected_dirty.iter().next() {
-            cache.get_mut_dirty(p(2), *pos).unwrap().slots[0] = Descriptor::unallocated();
+            prop_assert!(cache.set_slot(p(2), *pos, 0, Descriptor::unallocated()));
             prop_assert_eq!(
                 cache.get(p(1), *pos).unwrap().slots[0].location,
                 u64::from(*marker),
@@ -315,9 +315,7 @@ proptest! {
                         let _ = cache.get(part, pos);
                     }
                     CacheOp::MutDirty => {
-                        if let Some(c) = cache.get_mut_dirty(part, pos) {
-                            c.slots[1] = Descriptor::unwritten();
-                        }
+                        cache.set_slot(part, pos, 1, Descriptor::unwritten());
                     }
                     CacheOp::MarkClean => cache.mark_clean(part, pos),
                 },

@@ -341,6 +341,38 @@ fn recovers_residual_log_without_checkpoint() {
     write_one(&store, p, b"continues");
 }
 
+/// A partition id freed by a dealloc and taken again by a copy, both in
+/// the residual log: recovery must not leave the id on the free list, or
+/// the next allocation hands out a live partition.
+#[test]
+fn recovery_does_not_hand_out_a_reused_partition_id() {
+    let fx = Fixture::new(counter_mode());
+    let (src, snap) = {
+        let store = fx.create();
+        let src = make_partition(&store);
+        write_one(&store, src, b"source");
+        let first = store.allocate_partition().unwrap();
+        store
+            .commit(vec![CommitOp::CopyPartition { dst: first, src }])
+            .unwrap();
+        store
+            .commit(vec![CommitOp::DeallocPartition { id: first }])
+            .unwrap();
+        let snap = store.allocate_partition().unwrap();
+        assert_eq!(snap, first, "the copy reuses the dropped id");
+        store
+            .commit(vec![CommitOp::CopyPartition { dst: snap, src }])
+            .unwrap();
+        (src, snap)
+    };
+    let store = fx.reopen().unwrap();
+    let next = store.allocate_partition().unwrap();
+    assert!(next != src && next != snap, "{next:?} is live");
+    store
+        .commit(vec![CommitOp::CopyPartition { dst: next, src }])
+        .unwrap();
+}
+
 #[test]
 fn recovers_deallocations_from_residual_log() {
     let fx = Fixture::new(counter_mode());

@@ -1,15 +1,16 @@
-//! Lazy-vs-eager equivalence: a store memoizing effective subtree hashes
-//! is driven through arbitrary interleavings of commits, overwrites,
-//! deallocations, checkpoints, root queries, proof extractions, and
-//! crash/recovery reopens, in lockstep with an eager twin — the same store
-//! that forgets its memo before every root or proof query, so each query
-//! recomputes the whole dirty tree. After every step the two must agree on
-//! the effective root digest, and every proof must be identical across the
-//! twins and verify against the shared root.
+//! Lazy-vs-eager equivalence: a store whose map-cache entries keep their
+//! chunks' slot trees is driven through arbitrary interleavings of
+//! commits, overwrites, deallocations, checkpoints, partition copies and
+//! drops, root queries, proof extractions, and crash/recovery reopens, in
+//! lockstep with an eager twin — the same store that drops its slot trees
+//! before every root or proof query, so each query recomputes the whole
+//! dirty tree. After every step the two must agree on every live
+//! partition's effective root digest, and every proof must be identical
+//! across the twins and verify against the shared root.
 //!
-//! This pins the accumulator's memo invariant end to end: if any mutation
-//! path forgets to invalidate, the lazy store serves a stale hash and the
-//! roots diverge.
+//! This pins the cached trees' invariant end to end: if any mutation path
+//! leaves a tree that no longer matches its chunk, the lazy store serves a
+//! stale hash and the roots diverge.
 
 use std::sync::Arc;
 
@@ -43,9 +44,11 @@ struct Twin {
     untrusted: Arc<MemStore>,
     trusted: Arc<MemTrustedStore>,
     secret: SecretKey,
-    /// The eager oracle: forget the memo before every query.
+    /// The eager oracle: forget the slot trees before every query.
     eager: bool,
     config: ChunkStoreConfig,
+    /// `lazy_hash_recomputes` of the incarnations before the open one.
+    recomputes: u64,
 }
 
 impl Twin {
@@ -70,6 +73,7 @@ impl Twin {
             secret,
             eager,
             config,
+            recomputes: 0,
         }
     }
 
@@ -86,8 +90,14 @@ impl Twin {
         store
     }
 
+    /// Slot trees built, loaded or refreshed, over every incarnation.
+    fn recomputes(&self) -> u64 {
+        self.recomputes + self.store().stats().lazy_hash_recomputes
+    }
+
     /// Crash (drop without close) and recover from the persisted state.
     fn reopen(&mut self) {
+        self.recomputes = self.recomputes();
         self.store = None;
         let counter = Arc::new(CounterOverTrusted::new(
             Arc::clone(&self.trusted) as Arc<dyn TrustedStore>
@@ -121,6 +131,9 @@ enum Step {
     /// Copy the shared partition into a fresh one (§5.3), so its later
     /// descriptor writes look up the copy's map chunks too.
     Snapshot,
+    /// Deallocate a copy (picked by index, modulo): the next `Snapshot`
+    /// reuses its partition id.
+    DropSnapshot { pick: usize },
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -132,6 +145,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         1 => Just(Step::Checkpoint),
         3 => (0usize..64).prop_map(|pick| Step::Proof { pick }),
         1 => Just(Step::Reopen),
+        1 => Just(Step::Snapshot),
+        1 => (0usize..64).prop_map(|pick| Step::DropSnapshot { pick }),
     ]
 }
 
@@ -166,6 +181,9 @@ fn run_steps_with(config: ChunkStoreConfig, steps: Vec<Step>) {
     }
 
     let mut written: Vec<ChunkId> = Vec::new();
+    let mut snapshots: Vec<PartitionId> = Vec::new();
+    // Rank 1 does not fit a tree of height 0: a map level exists.
+    let mut map_level = false;
     for step in steps {
         match step {
             Step::Write { payload } => {
@@ -180,6 +198,7 @@ fn run_steps_with(config: ChunkStoreConfig, steps: Vec<Step>) {
                         }])
                         .unwrap();
                 }
+                map_level |= a.pos.rank >= 1;
                 written.push(a);
             }
             Step::Overwrite { pick, payload } => {
@@ -236,21 +255,34 @@ fn run_steps_with(config: ChunkStoreConfig, steps: Vec<Step>) {
                         .commit(vec![CommitOp::CopyPartition { dst: a, src: p }])
                         .unwrap();
                 }
+                snapshots.push(a);
+            }
+            Step::DropSnapshot { pick } => {
+                if snapshots.is_empty() {
+                    continue;
+                }
+                let id = snapshots.remove(pick % snapshots.len());
+                for twin in [&eager, &lazy] {
+                    twin.store()
+                        .commit(vec![CommitOp::DeallocPartition { id }])
+                        .unwrap();
+                }
             }
         }
-        // The invariant under test: after *every* step the lazy twin's
-        // effective root equals the eager recompute.
-        let root_e = eager.query().snapshot_root(p).unwrap();
-        let root_l = lazy.query().snapshot_root(p).unwrap();
-        assert_eq!(root_e, root_l, "roots diverged after {step:?}");
+        // The invariant under test: after *every* step each live
+        // partition's effective root on the lazy twin equals the eager
+        // recompute.
+        for q in std::iter::once(p).chain(snapshots.iter().copied()) {
+            let root_e = eager.query().snapshot_root(q).unwrap();
+            let root_l = lazy.query().snapshot_root(q).unwrap();
+            assert_eq!(root_e, root_l, "roots of {q} diverged after {step:?}");
+        }
     }
-    // The memoized store must have actually memoized on any non-trivial
-    // sequence with root queries (every step queries the root above).
-    let stats = lazy.store().stats();
-    assert!(
-        stats.lazy_hash_recomputes > 0,
-        "lazy twin never exercised the accumulator"
-    );
+    // Every step queries the root above, so once the tree has a map level
+    // the lazy twin has built, loaded or refreshed a slot tree.
+    if map_level {
+        assert!(lazy.recomputes() > 0, "lazy twin never built a slot tree");
+    }
 }
 
 proptest! {
@@ -266,8 +298,8 @@ proptest! {
 
     /// At fanout 5, not a power of two, a map chunk's slot tree has a
     /// leaf of four slots and a short one, six writes make a second map
-    /// level and twenty-six a third: the memo marks and rehashes single
-    /// leaves of multi-leaf trees on every level.
+    /// level and twenty-six a third: the cached trees mark and rehash
+    /// single leaves of multi-leaf trees on every level.
     #[test]
     fn lazy_root_equals_eager_root_with_multi_leaf_trees(
         steps in proptest::collection::vec(step_strategy(), 20..90),
@@ -337,8 +369,8 @@ fn lazy_root_equals_eager_root_when_copies_evict_the_spine() {
 }
 
 /// Tree growth crosses a map level mid-sequence (fanout 4: ranks 0..=3 are
-/// height-1, rank 4 forces height 2, rank 16 forces height 3) — growth
-/// must drop the partition's memo wholesale.
+/// height-1, rank 4 forces height 2, rank 16 forces height 3) — the new
+/// root starts without a tree, and the old root's tree stays current.
 #[test]
 fn regression_growth_across_levels() {
     let mut steps = Vec::new();
@@ -347,4 +379,85 @@ fn regression_growth_across_levels() {
         steps.push(Step::Proof { pick: 0 });
     }
     run_steps(steps);
+}
+
+/// Partitions P and S of 20 chunks each at fanout 4 and a checkpoint, then
+/// P deallocated and S copied into P's reused id, and a crash: the store
+/// reopened, P's id, P's (copied) chunks, and P's root before the crash.
+fn copy_into_a_dropped_id_then_crash() -> (Twin, PartitionId, Vec<ChunkId>, tdb_crypto::HashValue) {
+    let mut twin = Twin::create(false, config(4));
+    let store = twin.store();
+    let params = CryptoParams {
+        cipher: CipherKind::Des,
+        hash: HashKind::Sha1,
+        key: SecretKey::new(vec![42u8; CipherKind::Des.key_len()]),
+    };
+    let mut parts = Vec::new();
+    for marker in [1u8, 2] {
+        let q = store.allocate_partition().unwrap();
+        store
+            .commit(vec![CommitOp::CreatePartition {
+                id: q,
+                params: params.clone(),
+            }])
+            .unwrap();
+        for i in 0..20u8 {
+            let id = store.allocate_chunk(q).unwrap();
+            store
+                .commit(vec![CommitOp::WriteChunk {
+                    id,
+                    bytes: vec![marker ^ i; 40],
+                }])
+                .unwrap();
+        }
+        parts.push(q);
+    }
+    let (p, s) = (parts[0], parts[1]);
+    store.checkpoint().unwrap();
+    store
+        .commit(vec![CommitOp::DeallocPartition { id: p }])
+        .unwrap();
+    let dst = store.allocate_partition().unwrap();
+    assert_eq!(dst, p, "the copy reuses the dropped id");
+    store
+        .commit(vec![CommitOp::CopyPartition { dst, src: s }])
+        .unwrap();
+    let before = store.snapshot_root(p).unwrap();
+    twin.reopen();
+    let ids = (0..20).map(|rank| ChunkId::data(p, rank)).collect();
+    (twin, p, ids, before)
+}
+
+/// Replaying the dealloc loads P's old map chunks (to uncharge their
+/// versions) and the copy gives P the source's tree: the reopened store
+/// must serve the copy's root, not one built over P's old chunks, and
+/// honest proofs must verify against it.
+#[test]
+fn recovery_serves_the_root_of_a_copy_into_a_dropped_id() {
+    let (twin, p, ids, before) = copy_into_a_dropped_id_then_crash();
+    let store = twin.store();
+    let served = store.snapshot_root(p).unwrap();
+    store.debug_forget_integrity_memo();
+    assert_eq!(store.snapshot_root(p).unwrap(), before, "eager root");
+    assert_eq!(served, before, "served a stale root after recovery");
+    for id in ids {
+        let (body, proof) = store.read_with_proof(id).unwrap();
+        assert!(verify_read_proof(&proof, &body, &served), "{id}");
+    }
+}
+
+/// The same history, then a checkpoint after the reopen: the digests it
+/// stores are honest, so a second reopen validates every chunk of P and
+/// serves the same root.
+#[test]
+fn a_checkpoint_after_that_recovery_stores_honest_digests() {
+    let (mut twin, p, ids, before) = copy_into_a_dropped_id_then_crash();
+    twin.store().checkpoint().unwrap();
+    twin.reopen();
+    let store = twin.store();
+    assert_eq!(store.snapshot_root(p).unwrap(), before);
+    for id in ids {
+        let (body, proof) = store.read_with_proof(id).unwrap();
+        assert!(verify_read_proof(&proof, &body, &before), "{id}");
+    }
 }
