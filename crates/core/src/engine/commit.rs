@@ -8,6 +8,7 @@
 //! commit is a member of a batch: members apply independently (per-commit
 //! atomicity) and share one durability point per batch.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use tdb_crypto::HashValue;
@@ -78,6 +79,7 @@ impl Inner {
         // earlier ops in the same set (e.g. create-then-write).
         let mut created: Vec<PartitionId> = Vec::new();
         let mut deallocated: Vec<PartitionId> = Vec::new();
+        let mut freed: HashSet<ChunkId> = HashSet::new();
         for op in ops {
             match op {
                 CommitOp::WriteChunk { id, bytes } => {
@@ -98,7 +100,7 @@ impl Inner {
                     }
                 }
                 CommitOp::DeallocChunk { id } => {
-                    if id.partition.is_system() || !id.pos.is_data() {
+                    if id.partition.is_system() || !id.pos.is_data() || !freed.insert(*id) {
                         return Err(CoreError::NotAllocated(*id));
                     }
                     if self.effective_status(*id)? == ChunkStatus::Unallocated {
@@ -229,7 +231,6 @@ impl Inner {
     ) -> Result<()> {
         match op {
             CommitOp::WriteChunk { id, bytes } => {
-                self.ensure_capacity(id.partition, id.pos.rank)?;
                 // A sealed version is location-independent (§4.9.1, §5.4):
                 // the committer's seal stands if it was made under the very
                 // crypto the partition has now. One that is missing, or was
@@ -242,39 +243,20 @@ impl Inner {
                         self.write_named(VersionKind::Named, id, &bytes)?
                     }
                 };
-                let overwrite = self.set_descriptor(id, desc)?.is_written();
-                let entry = self.leader_entry_mut(id.partition)?;
-                entry.leader.next_rank = entry.leader.next_rank.max(id.pos.rank + 1);
-                entry.alloc_next = entry.alloc_next.max(entry.leader.next_rank);
-                // An overwritten chunk's rank is on no free or reserved
-                // list; skip the scans.
-                if !overwrite {
-                    entry.leader.unfree(id.pos.rank);
-                    entry.alloc_free.retain(|r| *r != id.pos.rank);
-                }
-                entry.reserved.remove(&id.pos.rank);
-                entry.dirty = true;
+                self.install_chunk(id, desc)?;
             }
             CommitOp::DeallocChunk { id } => {
                 // Deallocating a reserved-but-unwritten id is purely an
                 // in-memory affair: there is no persistent state to undo.
-                let was_written = self.get_descriptor(id)?.is_written();
-                if was_written {
+                if self.get_descriptor(id)?.is_written() {
                     dealloc_ids.push(id);
-                    self.set_descriptor(id, Descriptor::unallocated())?;
-                    let entry = self.leader_entry_mut(id.partition)?;
-                    entry.leader.push_free(id.pos.rank);
-                    entry.alloc_free.push(id.pos.rank);
-                    entry.dirty = true;
+                    self.free_chunk(id)?;
                 } else {
-                    let entry = self.leader_entry_mut(id.partition)?;
-                    entry.reserved.remove(&id.pos.rank);
-                    entry.alloc_free.push(id.pos.rank);
+                    self.release_chunk(id)?;
                 }
             }
             CommitOp::CreatePartition { id, params } => {
-                let leader = PartitionLeader::new(params);
-                self.write_partition_leader(id, leader)?;
+                self.write_partition_leader(id, PartitionLeader::new(params))?;
             }
             CommitOp::CopyPartition { dst, src } => {
                 let mut src_leader = self.leader_entry(src)?.leader.clone();
@@ -283,9 +265,6 @@ impl Inner {
                 // Persist the source's updated copies list.
                 self.write_partition_leader(src, src_leader)?;
                 self.write_partition_leader(dst, dst_leader)?;
-                // Clone buffered (dirty) map state so dst sees post-
-                // checkpoint updates of src (§5.3).
-                self.map_cache.clone_dirty(src, dst);
             }
             CommitOp::DeallocPartition { id } => {
                 self.dealloc_partition(id, dealloc_ids)?;

@@ -175,16 +175,15 @@ impl Inner {
     /// session-only reservations.
     pub(crate) fn effective_status(&mut self, id: ChunkId) -> Result<ChunkStatus> {
         let desc = self.get_descriptor(id)?;
-        if desc.status == ChunkStatus::Unallocated {
-            let reserved = self
-                .leader_entry(id.partition)?
-                .reserved
-                .contains(&id.pos.rank);
-            if reserved {
-                return Ok(ChunkStatus::Unwritten);
-            }
+        if desc.status == ChunkStatus::Unallocated && self.is_reserved(id)? {
+            return Ok(ChunkStatus::Unwritten);
         }
         Ok(desc.status)
+    }
+
+    fn is_reserved(&mut self, id: ChunkId) -> Result<bool> {
+        let entry = self.leader_entry(id.partition)?;
+        Ok(entry.ranks.is_reserved(id.pos.rank))
     }
 
     // -- Read (§4.5) ----------------------------------------------------------
@@ -198,11 +197,7 @@ impl Inner {
         let desc = self.get_descriptor(id)?;
         match desc.status {
             ChunkStatus::Unallocated => {
-                if self
-                    .leader_entry(id.partition)?
-                    .reserved
-                    .contains(&id.pos.rank)
-                {
+                if self.is_reserved(id)? {
                     Err(CoreError::NotWritten(id))
                 } else {
                     Err(CoreError::NotAllocated(id))

@@ -10,7 +10,9 @@
 //! - [`map`] — the chunk map: descriptor reads and writes, map-chunk
 //!   caching, tree growth, and validated chunk reads (§4.3, §4.5).
 //! - [`partitions`] — partition bookkeeping: leader cache, allocation,
-//!   create/copy/dealloc, diffs, and written-rank scans (§5).
+//!   create/copy/dealloc, diffs, and written-rank scans (§5), and the
+//!   install steps commit and recovery share.
+//! - [`ranks`] — the one allocator of chunk and partition ids (§4.4).
 //! - [`checkpoint`] — checkpointing (§4.7): consolidating buffered map
 //!   updates bottom-up, leader last.
 //! - [`maintenance`] — the log cleaner (§4.9.5, §5.5), and how a bounded
@@ -29,4 +31,5 @@ pub(crate) mod maintenance;
 pub(crate) mod map;
 pub(crate) mod partitions;
 pub(crate) mod proof;
+pub(crate) mod ranks;
 pub(crate) mod rollback;

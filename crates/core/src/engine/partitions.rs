@@ -4,11 +4,15 @@
 //! A partition's persistent state is its *leader* — a data chunk of the
 //! system partition holding the crypto parameters, map root, allocation
 //! high-water, free list, and copy links. The engine caches decoded
-//! leaders with session-only allocation state layered on top.
+//! leaders with their partition's [`Ranks`] beside them. Commit and
+//! recovery's roll-forward (§4.8) install what a commit set wrote or freed
+//! through the same four steps, `install_chunk`, `install_leader`,
+//! `free_chunk` and `drop_partition`, so a replay redoes the commit.
 
 use std::sync::Arc;
 
 use crate::descriptor::{ChunkStatus, Descriptor};
+use crate::engine::ranks::Ranks;
 use crate::engine::rollback::Undo;
 use crate::errors::{CoreError, Result};
 use crate::ids::{ChunkId, PartitionId, Position};
@@ -37,21 +41,13 @@ pub struct DiffEntry {
     pub change: DiffChange,
 }
 
-/// Cached per-partition state: decoded leader, runtime crypto, and session
-/// allocation state.
+/// Cached per-partition state: decoded leader, runtime crypto, and the
+/// partition's chunk-id allocator.
 #[derive(Clone)]
 pub(crate) struct LeaderEntry {
     pub leader: PartitionLeader,
     pub crypto: Arc<PartitionCrypto>,
-    /// Session-only allocation high-water (≥ `leader.next_rank`).
-    pub alloc_next: u64,
-    /// Session view of the free list (ranks handed out are removed here
-    /// but stay in `leader.free_ranks` until the write commits).
-    pub alloc_free: Vec<u64>,
-    /// Session-allocated ranks not yet written. Purely in-memory: "id
-    /// allocation is not persistent until the chunk is written" (§4.4), so
-    /// allocation touches no map state at all.
-    pub reserved: std::collections::HashSet<u64>,
+    pub ranks: Ranks,
     /// True when committed leader state changed since its last version was
     /// written; checkpoints persist dirty leaders.
     pub dirty: bool,
@@ -61,23 +57,17 @@ pub(crate) struct LeaderEntry {
 
 impl LeaderEntry {
     pub(crate) fn new(leader: PartitionLeader) -> Result<LeaderEntry> {
-        let crypto = Arc::new(leader.params.runtime()?);
-        let alloc_next = leader.next_rank;
-        let alloc_free = leader.free_ranks.clone();
         Ok(LeaderEntry {
+            crypto: Arc::new(leader.params.runtime()?),
+            ranks: Ranks::new(&leader),
             leader,
-            crypto,
-            alloc_next,
-            alloc_free,
-            reserved: std::collections::HashSet::new(),
             dirty: false,
             stamp: 0,
         })
     }
 
     fn bytes(&self) -> usize {
-        std::mem::size_of::<LeaderEntry>()
-            + 8 * (self.leader.free_ranks.len() + self.alloc_free.len() + self.reserved.len())
+        std::mem::size_of::<LeaderEntry>() + 8 * self.leader.free_ranks.len() + self.ranks.bytes()
     }
 }
 
@@ -184,77 +174,33 @@ impl Inner {
 
     // -- Allocation (§4.4) ----------------------------------------------------
 
+    /// Reserves a partition id: a rank in the system partition's data space
+    /// (§5.1).
     pub(crate) fn allocate_partition(&mut self) -> Result<PartitionId> {
-        // Partition ids are ranks in the system partition's data space.
-        // Allocation is purely in-memory: "this operation does not change
-        // the persistent state" (§9.2.2).
-        let rank = match self.sys_alloc_free.pop() {
-            Some(r) => r,
-            None => {
-                let r = self.sys_alloc_next;
-                self.sys_alloc_next += 1;
-                r
-            }
-        };
-        self.sys_reserved.insert(rank);
-        Ok(PartitionId::from_leader_rank(rank))
+        Ok(PartitionId::from_leader_rank(self.sys_ranks.reserve()))
     }
 
     pub(crate) fn allocate_chunk(&mut self, p: PartitionId) -> Result<ChunkId> {
-        let entry = self.leader_entry_mut(p)?;
-        let rank = match entry.alloc_free.pop() {
-            Some(r) => r,
-            None => {
-                let r = entry.alloc_next;
-                entry.alloc_next += 1;
-                r
-            }
-        };
-        entry.reserved.insert(rank);
-        Ok(ChunkId::data(p, rank))
+        Ok(ChunkId::data(p, self.leader_entry_mut(p)?.ranks.reserve()))
     }
 
     /// Puts a rank [`Inner::allocate_chunk`] reserved, and no commit wrote,
     /// back on the partition's free list.
     pub(crate) fn release_chunk(&mut self, id: ChunkId) -> Result<()> {
         let entry = self.leader_entry_mut(id.partition)?;
-        if entry.reserved.remove(&id.pos.rank) {
-            entry.alloc_free.push(id.pos.rank);
-        }
+        entry.ranks.release(id.pos.rank);
         Ok(())
     }
 
-    /// Encodes and writes a partition leader as a system data chunk,
-    /// refreshing the leaders cache.
+    /// Encodes and writes a partition leader as a system data chunk.
     pub(crate) fn write_partition_leader(
         &mut self,
         p: PartitionId,
         leader: PartitionLeader,
     ) -> Result<()> {
         let id = ChunkId::leader_chunk(p);
-        self.ensure_capacity(PartitionId::SYSTEM, id.pos.rank)?;
-        let body = leader.encode();
-        let desc = self.write_named(VersionKind::Named, id, &body)?;
-        let rewrite = self.set_descriptor(id, desc)?.is_written();
-        self.sys_leader.map.next_rank = self.sys_leader.map.next_rank.max(id.pos.rank + 1);
-        self.sys_alloc_next = self.sys_alloc_next.max(self.sys_leader.map.next_rank);
-        // A rewritten leader's rank is on no free or reserved list.
-        if !rewrite {
-            self.log_system_ranks();
-            self.sys_leader.map.unfree(id.pos.rank);
-            self.sys_alloc_free.retain(|r| *r != id.pos.rank);
-            self.sys_reserved.remove(&id.pos.rank);
-        }
-        if self.leaders.contains_key(&p) {
-            // Preserve session allocation state across the rewrite.
-            let entry = self.leader_entry_mut(p)?;
-            entry.alloc_next = entry.alloc_next.max(leader.next_rank);
-            entry.leader = leader;
-            entry.dirty = false;
-        } else {
-            self.cache_leader(p, LeaderEntry::new(leader)?);
-        }
-        Ok(())
+        let desc = self.write_named(VersionKind::Named, id, &leader.encode())?;
+        self.install_leader(p, leader, desc)
     }
 
     /// Deallocates `p` and (recursively) all of its copies (§5.1).
@@ -266,14 +212,12 @@ impl Inner {
         // Gather the closure of copies first.
         let mut closure = vec![p];
         let mut i = 0;
-        while i < closure.len() {
-            let q = closure[i];
+        while let Some(&q) = closure.get(i) {
             i += 1;
-            if let Ok(entry) = self.leader_entry(q) {
-                for c in entry.leader.copies.clone() {
-                    if !closure.contains(&c) {
-                        closure.push(c);
-                    }
+            let copies = self.leader_entry(q).map(|e| e.leader.copies.clone());
+            for c in copies.unwrap_or_default() {
+                if !closure.contains(&c) {
+                    closure.push(c);
                 }
             }
         }
@@ -291,19 +235,84 @@ impl Inner {
                 }
             }
         }
-        self.log_system_ranks();
         for q in closure {
-            others.retain(|o| *o != q);
-            self.uncharge_partition(q, &others)?;
-            let id = ChunkId::leader_chunk(q);
-            dealloc_ids.push(id);
-            self.set_descriptor(id, Descriptor::unallocated())?;
-            self.sys_leader.map.push_free(id.pos.rank);
-            self.sys_alloc_free.push(id.pos.rank);
-            let old = self.leaders.remove(&q);
-            self.log_displaced_leader(q, old);
-            self.map_cache.purge_partition(q);
+            dealloc_ids.push(ChunkId::leader_chunk(q));
+            self.drop_partition(q, &mut others)?;
         }
+        Ok(())
+    }
+
+    // -- Installing a commit's effects (commit and recovery alike) -----------
+
+    /// Installs a written data chunk's descriptor; its rank leaves the
+    /// free and reserved lists.
+    pub(crate) fn install_chunk(&mut self, id: ChunkId, desc: Descriptor) -> Result<()> {
+        self.ensure_capacity(id.partition, id.pos.rank)?;
+        let first = !self.set_descriptor(id, desc)?.is_written();
+        let entry = self.leader_entry_mut(id.partition)?;
+        entry.ranks.wrote(&mut entry.leader, id.pos.rank, first);
+        entry.dirty = true;
+        Ok(())
+    }
+
+    /// Installs a written partition leader: its descriptor, its rank (the
+    /// partition id), the leader cache, and for a new copy the source's
+    /// buffered map overrides, its updates since the checkpoint (§5.3).
+    pub(crate) fn install_leader(
+        &mut self,
+        p: PartitionId,
+        leader: PartitionLeader,
+        desc: Descriptor,
+    ) -> Result<()> {
+        let id = ChunkId::leader_chunk(p);
+        self.ensure_capacity(PartitionId::SYSTEM, id.pos.rank)?;
+        let first = !self.set_descriptor(id, desc)?.is_written();
+        if first {
+            self.log_system_ranks();
+        }
+        self.sys_ranks
+            .wrote(&mut self.sys_leader.map, id.pos.rank, first);
+        if let Some(src) = leader.source.filter(|_| first) {
+            self.map_cache.clone_dirty(src, p);
+        }
+        if self.leaders.contains_key(&p) {
+            let entry = self.leader_entry_mut(p)?;
+            entry.ranks.refresh(&leader);
+            entry.leader = leader;
+            entry.dirty = false;
+        } else {
+            self.cache_leader(p, LeaderEntry::new(leader)?);
+        }
+        Ok(())
+    }
+
+    /// Frees a written data chunk: its descriptor goes unallocated and its
+    /// rank onto the partition's free lists.
+    pub(crate) fn free_chunk(&mut self, id: ChunkId) -> Result<()> {
+        self.set_descriptor(id, Descriptor::unallocated())?;
+        let entry = self.leader_entry_mut(id.partition)?;
+        entry.ranks.freed(&mut entry.leader, id.pos.rank);
+        entry.dirty = true;
+        Ok(())
+    }
+
+    /// Drops `q` from a deallocated family (`others`, which it leaves):
+    /// uncharges what only it points at, frees its leader's descriptor and
+    /// rank, and forgets its cached leader and map chunks.
+    pub(crate) fn drop_partition(
+        &mut self,
+        q: PartitionId,
+        others: &mut Vec<PartitionId>,
+    ) -> Result<()> {
+        others.retain(|o| *o != q);
+        self.uncharge_partition(q, others)?;
+        let id = ChunkId::leader_chunk(q);
+        self.set_descriptor(id, Descriptor::unallocated())?;
+        self.log_system_ranks();
+        self.sys_ranks.freed(&mut self.sys_leader.map, id.pos.rank);
+        let old = self.leaders.remove(&q);
+        self.log_displaced_leader(q, old);
+        self.map_cache.purge_partition(q);
         Ok(())
     }
 

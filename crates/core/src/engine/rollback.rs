@@ -3,8 +3,9 @@
 //! A mutation that fails before its durable point must leave the engine as
 //! it found it. While a mutation scope is open, the map cache journals the
 //! pre-image of every entry it changes ([`crate::cache`]) and the engine
-//! journals the rest here — leader entries, segment utilization, segments
-//! taken and freed, the system partition's free-rank lists. A
+//! journals the rest here — leader entries (each with its partition's
+//! rank allocator), segment utilization, segments taken and freed, the
+//! system partition's rank allocator and free list. A
 //! [`Savepoint`] is the two journal lengths plus the engine's fixed-size
 //! scalars, so taking one costs the same on any database, and what a
 //! mutation pays for rollback is proportional to what it touches.
@@ -21,12 +22,11 @@
 //! log tail, where the next append overwrites them and recovery treats
 //! them as a torn tail.
 
-use std::collections::HashSet;
-
 use tdb_crypto::HashValue;
 
 use crate::descriptor::Descriptor;
 use crate::engine::partitions::LeaderEntry;
+use crate::engine::ranks::Ranks;
 use crate::errors::{CoreError, FaultClass};
 use crate::ids::PartitionId;
 use crate::log::{Superblock, TailState};
@@ -48,16 +48,9 @@ pub(crate) enum Undo {
     SegmentEmptied,
     /// A checkpoint moved this many emptied segments to the free list.
     SegmentsReleased(usize),
-    /// The system partition's free-rank lists as they were, before a
-    /// partition was created or deallocated.
-    SystemRanks(Box<SystemRanks>),
-}
-
-/// Free and reserved partition-leader ranks (persistent and session view).
-pub(crate) struct SystemRanks {
-    free_ranks: Vec<u64>,
-    alloc_free: Vec<u64>,
-    reserved: HashSet<u64>,
+    /// The system partition's free list and rank allocator as they were,
+    /// before a partition was created or deallocated.
+    SystemRanks(Box<(Vec<u64>, Ranks)>),
 }
 
 /// A point a failed mutation can return to: where the journals stood, and
@@ -71,7 +64,6 @@ pub(crate) struct Savepoint {
     sys_height: u8,
     sys_next_rank: u64,
     sys_root: Descriptor,
-    sys_alloc_next: u64,
     checkpoint_seq: u64,
     chain: HashValue,
     tail: TailState,
@@ -93,7 +85,6 @@ impl Inner {
             sys_height: self.sys_leader.map.height,
             sys_next_rank: self.sys_leader.map.next_rank,
             sys_root: self.sys_leader.map.root,
-            sys_alloc_next: self.sys_alloc_next,
             checkpoint_seq: self.sys_leader.checkpoint_seq,
             chain: self.hashes.chain,
             tail: self.log.tail_state(),
@@ -139,16 +130,13 @@ impl Inner {
                     self.cleaned.splice(0..0, released);
                 }
                 Undo::SystemRanks(ranks) => {
-                    self.sys_leader.map.free_ranks = ranks.free_ranks;
-                    self.sys_alloc_free = ranks.alloc_free;
-                    self.sys_reserved = ranks.reserved;
+                    (self.sys_leader.map.free_ranks, self.sys_ranks) = *ranks;
                 }
             }
         }
         self.sys_leader.map.height = sp.sys_height;
         self.sys_leader.map.next_rank = sp.sys_next_rank;
         self.sys_leader.map.root = sp.sys_root;
-        self.sys_alloc_next = sp.sys_alloc_next;
         self.sys_leader.checkpoint_seq = sp.checkpoint_seq;
         self.hashes.abort_set();
         self.hashes.chain = sp.chain;
@@ -198,17 +186,14 @@ impl Inner {
 
     // -- Journaled changes ------------------------------------------------------
 
-    /// Records the system partition's free-rank lists before they change.
+    /// Records the system partition's free list and rank allocator before
+    /// they change.
     pub(crate) fn log_system_ranks(&mut self) {
         if self.undo.is_open() {
-            let ranks = SystemRanks {
-                free_ranks: self.sys_leader.map.free_ranks.clone(),
-                alloc_free: self.sys_alloc_free.clone(),
-                reserved: self.sys_reserved.clone(),
-            };
-            let bytes =
-                8 * (ranks.free_ranks.len() + ranks.alloc_free.len() + ranks.reserved.len());
-            self.undo.push(Undo::SystemRanks(Box::new(ranks)), bytes);
+            let free = self.sys_leader.map.free_ranks.clone();
+            let bytes = 8 * free.len() + self.sys_ranks.bytes();
+            let ranks = Box::new((free, self.sys_ranks.clone()));
+            self.undo.push(Undo::SystemRanks(ranks), bytes);
         }
     }
 
@@ -259,9 +244,7 @@ mod tests {
         map_cache: MapCache,
         leaders: HashMap<PartitionId, LeaderEntry>,
         sys_leader: SystemLeader,
-        sys_alloc_next: u64,
-        sys_alloc_free: Vec<u64>,
-        sys_reserved: HashSet<u64>,
+        sys_ranks: Ranks,
         chain: HashValue,
         tail: u64,
         residual: BTreeSet<u32>,
@@ -269,15 +252,8 @@ mod tests {
         stats: String,
     }
 
-    fn leader_state(e: &LeaderEntry) -> (Vec<u8>, u64, Vec<u64>, BTreeSet<u64>, bool) {
-        let reserved = e.reserved.iter().copied().collect();
-        (
-            e.leader.encode(),
-            e.alloc_next,
-            e.alloc_free.clone(),
-            reserved,
-            e.dirty,
-        )
+    fn leader_state(e: &LeaderEntry) -> (Vec<u8>, Ranks, bool) {
+        (e.leader.encode(), e.ranks.clone(), e.dirty)
     }
 
     /// Stats a rollback restores: all but the monotone health counters and
@@ -295,9 +271,7 @@ mod tests {
                 map_cache: inner.map_cache.clone(),
                 leaders: inner.leaders.clone(),
                 sys_leader: inner.sys_leader.clone(),
-                sys_alloc_next: inner.sys_alloc_next,
-                sys_alloc_free: inner.sys_alloc_free.clone(),
-                sys_reserved: inner.sys_reserved.clone(),
+                sys_ranks: inner.sys_ranks.clone(),
                 chain: inner.hashes.chain,
                 tail: inner.log.tail_location(),
                 residual: inner.log.residual_segments().clone(),
@@ -338,9 +312,7 @@ mod tests {
                 self.sys_leader.encode(),
                 "{ctx}: system leader"
             );
-            assert_eq!(inner.sys_alloc_next, self.sys_alloc_next, "{ctx}");
-            assert_eq!(inner.sys_alloc_free, self.sys_alloc_free, "{ctx}");
-            assert_eq!(inner.sys_reserved, self.sys_reserved, "{ctx}");
+            assert_eq!(inner.sys_ranks, self.sys_ranks, "{ctx}");
             assert_eq!(inner.hashes.chain, self.chain, "{ctx}: chain");
             assert!(!inner.hashes.set_open(), "{ctx}: set hash left open");
             assert_eq!(inner.log.tail_location(), self.tail, "{ctx}: tail");
@@ -506,10 +478,9 @@ mod tests {
         dirty.retain(|(_, dirty, _)| *dirty);
         out += &format!("dirty {dirty:?}\nlog {:?}\n", inner.sys_leader.log);
         out += &format!(
-            "sys {:?} {:?} {:?} tail {} residual {:?}\n",
+            "sys {:?} {:?} tail {} residual {:?}\n",
             inner.sys_leader.encode(),
-            inner.sys_alloc_free,
-            inner.sys_reserved.iter().collect::<BTreeSet<_>>(),
+            inner.sys_ranks,
             inner.log.tail_location(),
             inner.log.residual_segments(),
         );
@@ -772,11 +743,11 @@ mod tests {
         commit(&mut inner, vec![CommitOp::DeallocPartition { id: q }]).unwrap();
         let lists = |inner: &mut Inner| {
             let e = inner.leader_entry(rig.p).unwrap();
-            let chunk_lists = (e.leader.free_ranks.clone(), e.alloc_free.clone());
+            let chunk_lists = (e.leader.free_ranks.clone(), e.ranks.session().1.to_vec());
             (
                 chunk_lists,
                 inner.sys_leader.map.free_ranks.clone(),
-                inner.sys_alloc_free.clone(),
+                inner.sys_ranks.session().1.to_vec(),
             )
         };
         let before = lists(&mut inner);

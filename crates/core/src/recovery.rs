@@ -18,18 +18,14 @@ use std::sync::Arc;
 use tdb_crypto::SecretKey;
 use tdb_storage::SharedUntrusted;
 
-use crate::cache::MapCache;
 use crate::descriptor::Descriptor;
 use crate::errors::{CoreError, Result, TamperKind};
 use crate::ids::{ChunkId, PartitionId};
 use crate::leader::{PartitionLeader, SystemLeader};
-use crate::log::{LogHashes, SegmentedLog, Superblock};
+use crate::log::{SegmentedLog, Superblock};
 use crate::metrics::{self, modules};
 use crate::slot_tree::chunk_digest;
-use crate::store::{
-    ChunkStoreConfig, ChunkStoreStats, DirectRecord, Inner, LeaderEntry, TrustedBackend,
-    ValidationMode,
-};
+use crate::store::{ChunkStoreConfig, DirectRecord, Inner, TrustedBackend, ValidationMode};
 use crate::version::{
     parse_version, CleanerRecord, CommitRecord, DeallocRecord, NextSegmentRecord, RawVersion,
     VersionKind, UNNAMED_HEIGHT,
@@ -114,14 +110,6 @@ fn recover_from(
     leader_loc: u64,
     after_seq: Option<u64>,
 ) -> Result<Inner> {
-    // Kept for restarting recovery at a mid-residual system leader (an
-    // interrupted checkpoint; see the `Named` arm of the replay loop).
-    let reopen = (
-        Arc::clone(&store),
-        trusted.clone(),
-        secret.clone(),
-        config.clone(),
-    );
     let sys_params = config.system_params(&secret);
     let system = Arc::new(sys_params.runtime()?);
 
@@ -135,37 +123,29 @@ fn recover_from(
         0,
         0,
     );
-    let mut hashes = LogHashes::new(
-        config.system_hash,
-        config.validation == ValidationMode::DirectHash,
-    );
 
     // Read and identify the leader (§4.9.2: "the recovery procedure checks
     // that the chunk at the stored location is the leader").
-    if leader_loc < crate::log::SEGMENT_BASE {
-        return Err(CoreError::TamperDetected(TamperKind::NotALeader {
+    let not_a_leader = || {
+        CoreError::TamperDetected(TamperKind::NotALeader {
             location: leader_loc,
-        }));
+        })
+    };
+    if leader_loc < crate::log::SEGMENT_BASE {
+        return Err(not_a_leader());
     }
     let leader_seg = log.segment_of(leader_loc);
     let mut seg_buf = log.read_segment(leader_seg)?;
     let mut off = (leader_loc - log.segment_offset(leader_seg)) as usize;
     if off >= seg_buf.len() {
-        return Err(CoreError::TamperDetected(TamperKind::NotALeader {
-            location: leader_loc,
-        }));
+        return Err(not_a_leader());
     }
-    let leader_raw = parse_version(&system, &seg_buf[off..], leader_loc)?.ok_or(
-        CoreError::TamperDetected(TamperKind::NotALeader {
-            location: leader_loc,
-        }),
-    )?;
+    let leader_raw =
+        parse_version(&system, &seg_buf[off..], leader_loc)?.ok_or_else(not_a_leader)?;
     if leader_raw.header.kind != VersionKind::Named
         || leader_raw.header.id != ChunkId::system_leader()
     {
-        return Err(CoreError::TamperDetected(TamperKind::NotALeader {
-            location: leader_loc,
-        }));
+        return Err(not_a_leader());
     }
     let leader_body = {
         let _t = metrics::span(modules::ENCRYPTION);
@@ -177,9 +157,7 @@ fn recover_from(
     // left exposed in a recycled segment past the tail; following it
     // could lead back around the log to the same leaders without end.
     if after_seq.is_some_and(|seq| sys_leader.checkpoint_seq <= seq) {
-        return Err(CoreError::TamperDetected(TamperKind::NotALeader {
-            location: leader_loc,
-        }));
+        return Err(not_a_leader());
     }
     let root_seq = sys_leader.checkpoint_seq;
     if sys_leader.log.segment_size != seg_size {
@@ -189,35 +167,18 @@ fn recover_from(
         )));
     }
 
-    // Direct validation: the chain restarts at the leader.
-    let leader_bytes = seg_buf[off..off + leader_raw.total_len].to_vec();
-    hashes.absorb(&leader_bytes);
-
-    let mut inner = Inner {
-        map_cache: MapCache::new(config.map_cache_capacity),
-        system: Arc::clone(&system),
+    let mut inner = Inner::new(
+        config,
+        Arc::clone(&system),
         trusted,
         log,
-        hashes,
-        sys_alloc_next: sys_leader.map.next_rank,
-        sys_alloc_free: sys_leader.map.free_ranks.clone(),
-        sys_reserved: std::collections::HashSet::new(),
         sys_leader,
-        leaders: HashMap::new(),
-        commit_count: 0,
-        trusted_count: 0,
-        leader_version: Some((leader_loc, leader_raw.total_len as u32)),
         superblock,
-        stats: ChunkStoreStats::default(),
-        health: crate::store::StoreHealth::Live,
-        wrote_log: false,
-        undo: crate::undo::Journal::new(),
-        bodies_sealed_under_lock: 0,
-        cleaning: false,
-        reserve_refused: false,
-        cleaned: Vec::new(),
-        config,
-    };
+    );
+    inner.leader_version = Some((leader_loc, leader_raw.total_len as u32));
+    // Direct validation: the chain restarts at the leader.
+    let leader_bytes = seg_buf[off..off + leader_raw.total_len].to_vec();
+    inner.hashes.absorb(&leader_bytes);
     inner.log.mark_residual(leader_seg);
 
     // Direct mode reads {chain, tail} up front to bound the scan.
@@ -248,8 +209,9 @@ fn recover_from(
     off += leader_raw.total_len;
     let mut seg = leader_seg;
     let mut pending: Vec<ReplayAction> = Vec::new();
-    // Descriptors computed for relocated versions in the current set.
-    let mut relocated: HashMap<u64, RelocatedVersion> = HashMap::new();
+    // Descriptors computed for relocated versions in the current set, by
+    // location, awaiting their cleaner records.
+    let mut relocated: HashMap<u64, Descriptor> = HashMap::new();
     // Counter mode: hash of the current set and the count sequence.
     let mut set_hasher = inner.config.system_hash.hasher();
     // The first set is the checkpoint's own, covering the leader alone.
@@ -406,10 +368,10 @@ fn recover_from(
                     // torn (no valid commit chunk after the leader), fall
                     // back to treating it as a discarded torn tail.
                     match recover_from(
-                        Arc::clone(&reopen.0),
-                        reopen.1.clone(),
-                        reopen.2.clone(),
-                        reopen.3.clone(),
+                        Arc::clone(&store),
+                        inner.trusted.clone(),
+                        secret.clone(),
+                        inner.config.clone(),
                         superblock,
                         location,
                         Some(root_seq),
@@ -496,15 +458,10 @@ fn recover_from(
     Ok(inner)
 }
 
-/// A relocated version awaiting its cleaner record.
-struct RelocatedVersion {
-    desc: Descriptor,
-}
-
 fn apply_action(
     inner: &mut Inner,
     action: ReplayAction,
-    relocated: &mut HashMap<u64, RelocatedVersion>,
+    relocated: &mut HashMap<u64, Descriptor>,
 ) -> Result<()> {
     match action {
         ReplayAction::Named { raw, location } => apply_named(inner, raw, location, relocated),
@@ -523,37 +480,20 @@ fn apply_action(
             }
             for id in rec.ids {
                 if is_leader(&id) {
-                    // A partition leader was deallocated: the partition and
-                    // its cached state go with it, and the versions only it
-                    // pointed at become garbage.
                     let p = PartitionId::from_leader_rank(id.pos.rank);
-                    others.retain(|o| *o != p);
-                    if inner.partition_exists(p)? {
-                        inner.uncharge_partition(p, &others)?;
-                    }
-                    inner.leaders.remove(&p);
-                    inner.map_cache.purge_partition(p);
-                    inner.set_descriptor(id, Descriptor::unallocated())?;
-                    inner.sys_leader.map.push_free(id.pos.rank);
-                    inner.sys_alloc_free.push(id.pos.rank);
+                    inner.drop_partition(p, &mut others)?;
                 } else {
-                    inner.set_descriptor(id, Descriptor::unallocated())?;
-                    if let Ok(entry) = inner.leader_entry_mut(id.partition) {
-                        entry.leader.push_free(id.pos.rank);
-                        entry.alloc_free.push(id.pos.rank);
-                        entry.dirty = true;
-                    }
+                    inner.free_chunk(id)?;
                 }
             }
             Ok(())
         }
         ReplayAction::Cleaner(rec) => {
-            let Some(reloc) = relocated.get(&rec.new_location) else {
+            let Some(&desc) = relocated.get(&rec.new_location) else {
                 return Err(CoreError::Corrupt(
                     "cleaner record references unknown relocated version".into(),
                 ));
             };
-            let desc = reloc.desc;
             for q in rec.current_in {
                 inner.ensure_capacity_for_pos(q, rec.pos)?;
                 inner.set_descriptor(ChunkId::new(q, rec.pos), desc)?;
@@ -567,7 +507,7 @@ fn apply_named(
     inner: &mut Inner,
     raw: RawVersion,
     location: u64,
-    relocated: &mut HashMap<u64, RelocatedVersion>,
+    relocated: &mut HashMap<u64, Descriptor>,
 ) -> Result<()> {
     let id = raw.header.id;
 
@@ -577,8 +517,8 @@ fn apply_named(
         let body = raw.open_body(&inner.system, location)?;
         let new_leader = SystemLeader::decode(&body, &inner.sys_leader.map.params)?;
         // Its utilization table already charges it and not its predecessor.
+        inner.sys_ranks.refresh(&new_leader.map);
         inner.sys_leader = new_leader;
-        inner.sys_alloc_next = inner.sys_alloc_next.max(inner.sys_leader.map.next_rank);
         inner.leader_version = Some((location, raw.total_len as u32));
         return Ok(());
     }
@@ -603,59 +543,23 @@ fn apply_named(
     if raw.header.kind == VersionKind::Relocated {
         // Applied only through its cleaner record (§5.5), which names the
         // partitions where it is actually current.
-        relocated.insert(location, RelocatedVersion { desc });
+        relocated.insert(location, desc);
         return Ok(());
     }
 
-    inner.ensure_capacity_for_pos(id.partition, id.pos)?;
-
     if id.partition.is_system() && id.pos.is_data() {
-        // A partition leader write: decode and refresh the partition cache.
         let p = PartitionId::from_leader_rank(id.pos.rank);
-        let was_written = inner.get_descriptor(id)?.is_written();
-        let leader = PartitionLeader::decode(&body)?;
-        let new_copy_of = leader.source.filter(|_| !was_written);
-        inner.set_descriptor(id, desc)?;
-        inner.sys_leader.map.next_rank = inner.sys_leader.map.next_rank.max(id.pos.rank + 1);
-        inner.sys_alloc_next = inner.sys_alloc_next.max(inner.sys_leader.map.next_rank);
-        inner.sys_leader.map.unfree(id.pos.rank);
-        inner.sys_alloc_free.retain(|r| *r != id.pos.rank);
-        if let Some(src) = new_copy_of {
-            // Reproduce the copy-time cache cloning (§5.3): the source's
-            // buffered map overrides as of this point in the log.
-            inner.map_cache.clone_dirty(src, p);
-        }
-        match inner.leaders.get_mut(&p) {
-            Some(entry) => {
-                let alloc_next = entry.alloc_next.max(leader.next_rank);
-                entry.leader = leader;
-                entry.alloc_next = alloc_next;
-                entry.dirty = false;
-            }
-            None => {
-                inner.leaders.insert(p, LeaderEntry::new(leader)?);
-            }
-        }
-        return Ok(());
+        return inner.install_leader(p, PartitionLeader::decode(&body)?, desc);
     }
 
     if id.pos.is_map() {
         // Map chunks in the residual log come from interrupted checkpoints.
+        inner.ensure_capacity_for_pos(id.partition, id.pos)?;
         inner.set_descriptor(id, desc)?;
         // Cached content, if any, equals this version by construction.
         inner.map_cache.mark_clean(id.partition, id.pos);
         return Ok(());
     }
 
-    // Ordinary data chunk.
-    inner.set_descriptor(id, desc)?;
-    if !id.partition.is_system() {
-        let entry = inner.leader_entry_mut(id.partition)?;
-        entry.leader.next_rank = entry.leader.next_rank.max(id.pos.rank + 1);
-        entry.alloc_next = entry.alloc_next.max(entry.leader.next_rank);
-        entry.leader.unfree(id.pos.rank);
-        entry.alloc_free.retain(|r| *r != id.pos.rank);
-        entry.dirty = true;
-    }
-    Ok(())
+    inner.install_chunk(id, desc)
 }

@@ -21,7 +21,7 @@
 //! before it takes the lock, and a read validates its version after it
 //! drops the lock ([`ChunkStore::read`]).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -32,6 +32,7 @@ use tdb_storage::{MonotonicCounter, SharedUntrusted, TrustedStore};
 use crate::batcher::CommitBatcher;
 use crate::cache::MapCache;
 use crate::descriptor::Descriptor;
+use crate::engine::ranks::Ranks;
 use crate::engine::rollback::Undo;
 use crate::errors::{CoreError, Result};
 use crate::ids::{ChunkId, PartitionId};
@@ -259,11 +260,8 @@ pub(crate) struct Inner {
     pub log: SegmentedLog,
     pub hashes: LogHashes,
     pub sys_leader: SystemLeader,
-    /// Session allocation state for the system partition (partition ids).
-    pub sys_alloc_next: u64,
-    pub sys_alloc_free: Vec<u64>,
-    /// Session-allocated (unwritten) partition-leader ranks.
-    pub sys_reserved: std::collections::HashSet<u64>,
+    /// The system partition's rank allocator: partition ids (§5.1).
+    pub sys_ranks: Ranks,
     pub map_cache: MapCache,
     pub leaders: HashMap<PartitionId, LeaderEntry>,
     /// Last commit count appended to the log (counter mode).
@@ -355,46 +353,20 @@ impl ChunkStore {
             0,
             0,
         );
-        let hashes = LogHashes::new(
-            config.system_hash,
-            config.validation == ValidationMode::DirectHash,
-        );
         // Continue from any pre-existing trusted counter so reformatting a
         // platform with a used (non-decrementable) counter still works.
         let base_count = match (&config.validation, &trusted) {
             (ValidationMode::Counter { .. }, TrustedBackend::Counter(c)) => c.get()?,
             _ => 0,
         };
-        let mut inner = Inner {
-            map_cache: MapCache::new(config.map_cache_capacity),
-            config,
-            system,
-            trusted,
-            log,
-            hashes,
-            sys_alloc_next: sys_leader.map.next_rank,
-            sys_alloc_free: sys_leader.map.free_ranks.clone(),
-            sys_reserved: std::collections::HashSet::new(),
-            sys_leader,
-            leaders: HashMap::new(),
-            commit_count: base_count,
-            trusted_count: base_count,
-            leader_version: None,
-            superblock: Superblock {
-                epoch: 0,
-                current_leader: 0,
-                prev_leader: 0,
-                suite,
-            },
-            stats: ChunkStoreStats::default(),
-            health: StoreHealth::Live,
-            wrote_log: false,
-            undo: Journal::new(),
-            bodies_sealed_under_lock: 0,
-            cleaning: false,
-            reserve_refused: false,
-            cleaned: Vec::new(),
+        let superblock = Superblock {
+            epoch: 0,
+            current_leader: 0,
+            prev_leader: 0,
+            suite,
         };
+        let mut inner = Inner::new(config, system, trusted, log, sys_leader, superblock);
+        (inner.commit_count, inner.trusted_count) = (base_count, base_count);
         // The initial checkpoint materializes the empty database: leader,
         // commit chunk / trusted hash, and superblock.
         inner.checkpoint()?;
@@ -742,6 +714,44 @@ impl ChunkStore {
 }
 
 impl Inner {
+    /// A live engine over `log` in the state `sys_leader` records, nothing
+    /// cached or counted yet: where creating and opening a store start.
+    pub(crate) fn new(
+        config: ChunkStoreConfig,
+        system: Arc<PartitionCrypto>,
+        trusted: TrustedBackend,
+        log: SegmentedLog,
+        sys_leader: SystemLeader,
+        superblock: Superblock,
+    ) -> Inner {
+        Inner {
+            map_cache: MapCache::new(config.map_cache_capacity),
+            hashes: LogHashes::new(
+                config.system_hash,
+                config.validation == ValidationMode::DirectHash,
+            ),
+            config,
+            system,
+            trusted,
+            log,
+            sys_ranks: Ranks::new(&sys_leader.map),
+            sys_leader,
+            leaders: HashMap::new(),
+            commit_count: 0,
+            trusted_count: 0,
+            leader_version: None,
+            superblock,
+            stats: ChunkStoreStats::default(),
+            health: StoreHealth::Live,
+            wrote_log: false,
+            undo: Journal::new(),
+            bodies_sealed_under_lock: 0,
+            cleaning: false,
+            reserve_refused: false,
+            cleaned: Vec::new(),
+        }
+    }
+
     /// Gate for mutating operations: only a live store may mutate.
     pub(crate) fn check_writable(&self) -> Result<()> {
         match &self.health {
@@ -813,6 +823,25 @@ impl ChunkStore {
     pub fn debug_free_and_reserve(&self) -> (u64, u64) {
         let inner = self.inner.lock();
         (inner.free_segments(), inner.cleaner_reserve())
+    }
+
+    /// Test-only: `p`'s lowest rank never allocated and its free ranks, as
+    /// its leader persists them and as the session hands them out.
+    #[doc(hidden)]
+    pub fn debug_ranks(&self, p: PartitionId) -> Result<[(u64, BTreeSet<u64>); 2]> {
+        self.with_inner(|inner| {
+            let (leader, ranks) = if p.is_system() {
+                (&inner.sys_leader.map, &inner.sys_ranks)
+            } else {
+                inner.leader_entry(p).map(|e| (&e.leader, &e.ranks))?
+            };
+            let (next, free) = ranks.session();
+            let set = |free: &[u64]| free.iter().copied().collect();
+            Ok([
+                (leader.next_rank, set(&leader.free_ranks)),
+                (next, set(free)),
+            ])
+        })
     }
 
     /// Test-only: segments the residual log spans, the tail's included.

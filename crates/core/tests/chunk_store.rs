@@ -1524,3 +1524,166 @@ fn strict_delta_zero_flushes_every_commit() {
     let after = fx.register.stats().snapshot().writes;
     assert!(after >= before + 2, "counter must flush on every commit");
 }
+
+// ---------------------------------------------------------------------------
+// Rank allocation (§4.4, §5.1).
+// ---------------------------------------------------------------------------
+
+/// A store and the ids it handed out, in order.
+struct Handed<'a> {
+    fx: &'a Fixture,
+    store: ChunkStore,
+    ids: Vec<String>,
+}
+
+impl Handed<'_> {
+    fn partition(&mut self) -> PartitionId {
+        let p = self.store.allocate_partition().unwrap();
+        self.ids.push(p.to_string());
+        p
+    }
+
+    fn created(&mut self) -> PartitionId {
+        let p = self.partition();
+        self.commit(vec![CommitOp::CreatePartition {
+            id: p,
+            params: des_params(),
+        }]);
+        p
+    }
+
+    fn copied(&mut self, src: PartitionId) -> PartitionId {
+        let dst = self.partition();
+        self.commit(vec![CommitOp::CopyPartition { dst, src }]);
+        dst
+    }
+
+    fn chunks(&mut self, p: PartitionId, n: usize) -> Vec<ChunkId> {
+        let ids: Vec<ChunkId> = (0..n)
+            .map(|_| self.store.allocate_chunk(p).unwrap())
+            .collect();
+        self.ids.extend(ids.iter().map(ChunkId::to_string));
+        ids
+    }
+
+    fn written(&mut self, p: PartitionId, n: usize) -> Vec<ChunkId> {
+        let ids = self.chunks(p, n);
+        self.write(&ids);
+        ids
+    }
+
+    fn write(&self, ids: &[ChunkId]) {
+        self.commit(
+            ids.iter()
+                .map(|&id| CommitOp::WriteChunk {
+                    id,
+                    bytes: id.to_string().into_bytes(),
+                })
+                .collect(),
+        );
+    }
+
+    fn free(&self, ids: &[ChunkId]) {
+        self.commit(
+            ids.iter()
+                .map(|&id| CommitOp::DeallocChunk { id })
+                .collect(),
+        );
+    }
+
+    fn commit(&self, ops: Vec<CommitOp>) {
+        self.store.commit(ops).unwrap();
+    }
+
+    /// Crash (drop without close) and recover.
+    fn reopen(&mut self) {
+        self.store = self.fx.reopen().unwrap();
+    }
+}
+
+/// Allocation order, pinned: a scripted history of partition creates,
+/// chunk writes and frees, a released reservation, dropped and copied
+/// partitions, checkpoints and crash reopens hands out exactly this
+/// sequence of chunk and partition ids. Where an id lands decides where
+/// its descriptor sits in the map, and so the stored bytes.
+#[test]
+fn a_scripted_history_hands_out_ids_in_a_fixed_order() {
+    let fx = Fixture::new(counter_mode());
+    let mut h = Handed {
+        fx: &fx,
+        store: fx.create(),
+        ids: Vec::new(),
+    };
+    let a = h.created();
+    let b = h.created();
+    let ca = h.written(a, 6);
+    let cb = h.written(b, 3);
+    h.free(&[ca[1], ca[4]]);
+    h.free(&cb[..1]);
+    // A released reservation goes back on the free list.
+    let r = h.chunks(a, 1)[0];
+    h.store.release_chunk(r).unwrap();
+    h.written(a, 1);
+    // A reservation deallocated by a commit does too.
+    let u = h.chunks(a, 1);
+    h.free(&u);
+    h.written(a, 2);
+    let s = h.copied(a);
+    h.commit(vec![CommitOp::DeallocPartition { id: b }]);
+    let t = h.copied(a);
+    h.written(s, 2);
+    h.free(&[ChunkId::new(s, ca[0].pos)]);
+    h.store.checkpoint().unwrap();
+    h.free(&ca[2..4]);
+    h.written(a, 1);
+    h.commit(vec![CommitOp::DeallocPartition { id: t }]);
+    h.reopen();
+    h.written(a, 3);
+    h.chunks(a, 1);
+    h.written(s, 2);
+    let c = h.created();
+    h.written(c, 2);
+    h.partition();
+    h.copied(s);
+    h.store.checkpoint().unwrap();
+    h.free(&ca[5..6]);
+    h.commit(vec![CommitOp::DeallocPartition { id: s }]);
+    h.reopen();
+    h.written(a, 2);
+    h.created();
+    h.partition();
+    h.partition();
+    let expected = [
+        "P1 P2 P1:0.0 P1:0.1 P1:0.2 P1:0.3 P1:0.4 P1:0.5 P2:0.0 P2:0.1 P2:0.2",
+        "P1:0.4 P1:0.4 P1:0.1 P1:0.1 P1:0.6 P3 P2 P3:0.7 P3:0.8 P1:0.3",
+        "P1:0.2 P1:0.7 P1:0.8 P1:0.9 P3:0.0 P3:0.9 P2 P2:0.0 P2:0.1 P4 P5",
+        "P1:0.5 P1:0.9 P5 P3 P6",
+    ]
+    .join(" ");
+    assert_eq!(h.ids.join(" "), expected);
+}
+
+/// Two deallocations of one id in one commit set would put its rank on
+/// the free list twice, and hand it out twice after: the second is
+/// refused, whether the id was written or only reserved.
+#[test]
+fn a_commit_set_may_not_deallocate_one_chunk_twice() {
+    let fx = Fixture::new(counter_mode());
+    let store = fx.create();
+    let p = make_partition(&store);
+    let written = write_one(&store, p, b"once");
+    let reserved = store.allocate_chunk(p).unwrap();
+    for id in [written, reserved] {
+        let twice = vec![CommitOp::DeallocChunk { id }, CommitOp::DeallocChunk { id }];
+        assert!(
+            matches!(store.commit(twice), Err(CoreError::NotAllocated(x)) if x == id),
+            "{id} deallocated twice"
+        );
+        store.commit(vec![CommitOp::DeallocChunk { id }]).unwrap();
+    }
+    let next: Vec<ChunkId> = (0..3).map(|_| store.allocate_chunk(p).unwrap()).collect();
+    assert!(
+        next[0] != next[1] && next[1] != next[2] && next[0] != next[2],
+        "an id handed out twice: {next:?}"
+    );
+}
