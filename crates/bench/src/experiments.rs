@@ -18,7 +18,7 @@ use tdb::{PartitionId, ValidationMode};
 use tdb_core::backup::BackupStore;
 use tdb_core::metrics::{self, modules};
 use tdb_crypto::cbc::Cbc;
-use tdb_crypto::{CipherKind, HashKind};
+use tdb_crypto::{CipherKind, HashKind, SecretKey};
 use tdb_storage::{BatchingStore, MemArchive, MemStore, RemoteStore, SharedUntrusted, SimClock};
 
 use crate::fixtures::{bytes, chunk_store_with_partition, paper_config, IoMode, Platform};
@@ -217,7 +217,10 @@ fn write_new(store: &ChunkStore, p: PartitionId, body: Vec<u8>) -> ChunkId {
 /// 300-byte row, `goods-txn`'s, opens below the bitsliced DES kernel's
 /// threshold, so both DES decryption regimes have a number. A batch of 256
 /// rows, the kv preload's commit, encrypts as lanes of one
-/// `Cbc::encrypt_many` call (`encrypt_batch_us`, per batch).
+/// `Cbc::encrypt_many` call (`encrypt_batch_us`, per batch). These rows are
+/// one CBC chain per buffer; the `*_body_*` rows seal and open the same
+/// row as a version body is sealed, through `PartitionCrypto`: `CHAINS`
+/// interleaved chains under chain IVs derived from a fresh IV.
 fn e1_crypto(_run: usize) -> Vec<Row> {
     let buf = bytes(1, 1 << 20);
     let record = &buf[..1000];
@@ -251,6 +254,31 @@ fn e1_crypto(_run: usize) -> Vec<Row> {
                 .collect();
             cbc.encrypt_many(black_box(&mut jobs)).expect("encrypt");
         });
+        // The same rows as a version body is sealed (format v4): `CHAINS`
+        // interleaved chains under chain IVs derived from a fresh IV.
+        let body = CryptoParams {
+            cipher,
+            hash: HashKind::Sha1,
+            key: SecretKey::new(key.clone()),
+        }
+        .runtime()
+        .expect("key");
+        let encrypt_body = per_iter(|| {
+            black_box(body.encrypt(black_box(record)));
+        });
+        let sealed_body = body.encrypt(record);
+        let decrypt_body = per_iter(|| {
+            black_box(body.decrypt(black_box(&sealed_body), 0).expect("decrypt"));
+        });
+        let sealed_len = body.sealed_len(record.len());
+        let mut body_batch: Vec<Vec<u8>> = (0..256).map(|_| buf[..sealed_len].to_vec()).collect();
+        let encrypt_body_batch = per_iter(|| {
+            let mut bufs: Vec<_> = body_batch
+                .iter_mut()
+                .map(|row| (row.as_mut_slice(), record.len()))
+                .collect();
+            body.encrypt_many(black_box(&mut bufs));
+        });
         let name = metric_name(cipher);
         let (enc, dec) = (
             mbps(buf.len(), encrypt(&buf)),
@@ -266,6 +294,21 @@ fn e1_crypto(_run: usize) -> Vec<Row> {
                 format!("{name}.decrypt_short_row_us"),
                 "us",
                 us(decrypt(short_record)),
+            ),
+            row(
+                format!("{name}.encrypt_body_row_us"),
+                "us",
+                us(encrypt_body),
+            ),
+            row(
+                format!("{name}.decrypt_body_row_us"),
+                "us",
+                us(decrypt_body),
+            ),
+            row(
+                format!("{name}.encrypt_body_batch_us"),
+                "us",
+                us(encrypt_body_batch),
             ),
         ]);
     }
@@ -335,7 +378,9 @@ fn e3_allocate(_run: usize) -> Vec<Row> {
 // ---------------------------------------------------------------------------
 
 /// Fits commit latency = a + b·chunks + c·bytes over the paper's sweep
-/// ("sets of 1 to 128 chunks of sizes 128 bytes to 16 KB").
+/// ("sets of 1 to 128 chunks of sizes 128 bytes to 16 KB"), and times a
+/// commit of two 64 KiB chunks (`commit_2x64k_ms`), which the sweep does
+/// not reach.
 fn e4_commit_regression(_run: usize) -> Vec<Row> {
     let platform = Platform::new(IoMode::Raw);
     let mut config = paper_config();
@@ -368,11 +413,28 @@ fn e4_commit_regression(_run: usize) -> Vec<Row> {
         }
     }
     let beta = ols(&obs).expect("fit");
+    // Two 64 KiB chunks under one DES key: the batch shape with the
+    // fewest buffers to run as lanes, eight chains in all.
+    let large = |rep: u64| -> Vec<CommitOp> {
+        (ids.iter().take(2))
+            .map(|&id| CommitOp::WriteChunk {
+                id,
+                bytes: bytes(rep, 64 * 1024),
+            })
+            .collect()
+    };
+    let reps = 8;
+    let sets: Vec<Vec<CommitOp>> = (0..reps).map(large).collect();
+    let (d, ()) = time(|| {
+        sets.into_iter()
+            .for_each(|set| store.commit(set).expect("commit"))
+    });
     vec![
         row("fixed_us", "us", beta[0]).paper(132.0),
         row("per_chunk_us", "us", beta[1]).paper(36.0),
         row("per_byte_us", "us", beta[2]).paper(0.24),
         row("r2", "ratio", r_squared(&obs, &beta)),
+        row("commit_2x64k_ms", "ms", ms(d) / reps as f64),
     ]
 }
 

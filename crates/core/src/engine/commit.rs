@@ -67,6 +67,20 @@ pub enum CommitOp {
     },
 }
 
+impl CommitOp {
+    /// The chunk whose version this op writes under an id it names: a
+    /// data chunk, or a new partition's leader.
+    fn written_id(&self) -> Option<ChunkId> {
+        match self {
+            CommitOp::WriteChunk { id, .. } => Some(*id),
+            CommitOp::CreatePartition { id, .. } | CommitOp::CopyPartition { dst: id, .. } => {
+                Some(ChunkId::leader_chunk(*id))
+            }
+            CommitOp::DeallocChunk { .. } | CommitOp::DeallocPartition { .. } => None,
+        }
+    }
+}
+
 impl Inner {
     // -- Commit (§4.6) --------------------------------------------------------
 
@@ -140,9 +154,17 @@ impl Inner {
     /// Applies a validated op set: appends every version and installs the
     /// descriptors, consuming the seals its committer made where they still
     /// hold.
+    ///
+    /// The set's frees go into one dealloc record after its versions,
+    /// unless an op reuses an id the set freed earlier: recovery replays a
+    /// set's records in log order, so the frees pending so far are
+    /// appended first, and the free replays before the reuse.
     fn apply_ops(&mut self, ops: Vec<CommitOp>, mut sealed: Seals) -> Result<()> {
         let mut dealloc_ids: Vec<ChunkId> = Vec::new();
         for (i, op) in ops.into_iter().enumerate() {
+            if op.written_id().is_some_and(|id| dealloc_ids.contains(&id)) {
+                self.append_dealloc_chunk(&std::mem::take(&mut dealloc_ids))?;
+            }
             let pre = sealed.get_mut(i).and_then(Option::take);
             self.apply_op(op, pre, &mut dealloc_ids)?;
         }
@@ -153,8 +175,8 @@ impl Inner {
     }
 
     /// Hashes, seals and appends one named version outside any batch (a
-    /// partition leader, a cleaner relocation, a write its committer could
-    /// not seal) and returns its descriptor.
+    /// partition leader, a write its committer could not seal) and returns
+    /// its descriptor.
     pub(crate) fn write_named(
         &mut self,
         kind: VersionKind,

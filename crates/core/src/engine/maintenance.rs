@@ -13,10 +13,16 @@
 //! partitions where the relocated version is current, for recovery.
 //!
 //! The rewrite is the paper's implemented variant (§4.9.5): a regular
-//! commit that decrypts, *revalidates*, and re-hashes each chunk, so the
-//! cleaner cannot launder an attacker's modifications. The faster variant
-//! the paper sketches, moving sealed bytes verbatim, is not built: recovery
-//! pairs each cleaner record with a `Relocated` version.
+//! commit that decrypts and *revalidates* each chunk, so the cleaner cannot
+//! launder an attacker's modifications, and seals it afresh. It does not
+//! re-hash: validation has just compared the body's digest with the one
+//! the map holds, and the body is unchanged, so hashing it again would
+//! compute that same digest, which the new descriptor keeps. A segment's
+//! versions are all validated before any is appended, so a tampered one
+//! fails the pass with nothing appended, and are then sealed in one batch,
+//! their chains as lanes of one kernel call per partition. The faster
+//! variant the paper sketches, moving sealed bytes verbatim, is not built:
+//! recovery pairs each cleaner record with a `Relocated` version.
 //!
 //! **Space management.** The cleaner can only compact a log it can still
 //! write. A bounded log (`max_segments != 0`) therefore keeps a *cleaner
@@ -52,6 +58,7 @@ use crate::engine::rollback::Undo;
 use crate::errors::{CoreError, Result, TamperKind};
 use crate::ids::{ChunkId, PartitionId, Position, LEADER_HEIGHT};
 use crate::metrics::{self, modules};
+use crate::pipeline::{self, SealJob};
 use crate::store::{Inner, ValidationMode};
 use crate::version::{
     parse_version, seal_version, sealed_version_len, validate_version, CleanerRecord,
@@ -372,11 +379,7 @@ impl Inner {
             let utilization = &self.sys_leader.log.utilization;
             let live = utilization.get(plan.seg as usize).copied().unwrap_or(0);
             obsolete += u64::from(seg_size.saturating_sub(live));
-            let base = self.log.segment_offset(plan.seg);
-            for (off, len, id, current_in) in &plan.live {
-                let sealed = &plan.buf[*off..*off + *len];
-                self.relocate(*id, sealed, base + *off as u64, current_in)?;
-            }
+            self.relocate(&plan)?;
             rewrote_any |= !plan.live.is_empty();
             let checkpointed = (plan.live.iter()).any(|(_, _, id, _)| {
                 id.pos.is_map() || id.partition.is_system() && id.pos.is_data()
@@ -435,56 +438,231 @@ impl Inner {
         Ok(result)
     }
 
-    /// Rewrites one current version to the log tail and repoints every
-    /// partition in `current_in` at it.
-    fn relocate(
-        &mut self,
-        original_id: ChunkId,
-        sealed_old: &[u8],
-        old_location: u64,
-        current_in: &[PartitionId],
-    ) -> Result<()> {
-        let pos = original_id.pos;
-        let owner = current_in[0];
-        let old_desc = self.get_descriptor(ChunkId::new(owner, pos))?;
-        // The paper's cleaner (§4.9.5): validate the bytes the segment read
-        // already holds against the map, then run the regular (re-hashing,
-        // re-encrypting) write path — "otherwise, the cleaner might launder
-        // chunks modified by an attack".
-        let crypto = self.crypto_for(owner)?;
-        let body = validate_version(
-            &self.system,
-            &crypto,
-            ChunkId::new(owner, pos),
-            &old_desc,
-            sealed_old,
-        )?;
-        let new_desc = self.write_named(VersionKind::Relocated, original_id, &body)?;
-        let record = CleanerRecord {
-            pos,
-            new_location: new_desc.location,
-            current_in: current_in.to_vec(),
-        };
-        let sealed = seal_version(
-            &self.system,
-            &self.system,
-            VersionKind::Cleaner,
-            VersionHeader::unnamed_id(),
-            &record.encode(),
-        );
-        self.append(&sealed)?;
-        for &q in current_in {
-            // Sanity: each partition still points at the old version.
-            let d = self.get_descriptor(ChunkId::new(q, pos))?;
-            if !d.is_written() || d.location != old_location {
-                return Err(CoreError::TamperDetected(TamperKind::MisdirectedChunk {
-                    expected: ChunkId::new(q, pos),
-                    location: old_location,
-                }));
-            }
-            self.set_descriptor(ChunkId::new(q, pos), new_desc)?;
+    /// Rewrites the current versions of `plan`'s segment to the log tail,
+    /// in segment order, each followed by its cleaner record, and repoints
+    /// every partition each is current in at its new location.
+    ///
+    /// The paper's cleaner (§4.9.5): every version is first validated
+    /// against the map — "otherwise, the cleaner might launder chunks
+    /// modified by an attack" — before any is appended. Then all their
+    /// bodies are sealed in one batch, which keeps the digests validation
+    /// compared: the bodies are unchanged.
+    fn relocate(&mut self, plan: &SegmentPlan) -> Result<()> {
+        let base = self.log.segment_offset(plan.seg);
+        let mut bodies = Vec::with_capacity(plan.live.len());
+        let mut hashes = Vec::with_capacity(plan.live.len());
+        for (off, len, id, current_in) in &plan.live {
+            let owner = ChunkId::new(current_in[0], id.pos);
+            let desc = self.get_descriptor(owner)?;
+            let crypto = self.crypto_for(owner.partition)?;
+            let sealed = &plan.buf[*off..*off + *len];
+            bodies.push(validate_version(
+                &self.system,
+                &crypto,
+                owner,
+                &desc,
+                sealed,
+            )?);
+            hashes.push(desc.hash);
         }
-        self.stats.chunks_relocated += 1;
+        let mut jobs: Vec<SealJob<'_>> = Vec::with_capacity(bodies.len());
+        for ((_, _, id, _), body) in plan.live.iter().zip(&bodies) {
+            jobs.push((*id, self.crypto_for(id.partition)?, body));
+        }
+        let sealed = pipeline::seal_hashed(&self.system, VersionKind::Relocated, &jobs, hashes);
+        for ((off, _, id, current_in), pre) in plan.live.iter().zip(sealed) {
+            let new_desc = self.append_presealed(pre)?;
+            let record = CleanerRecord {
+                pos: id.pos,
+                new_location: new_desc.location,
+                current_in: current_in.clone(),
+            };
+            let sealed = seal_version(
+                &self.system,
+                &self.system,
+                VersionKind::Cleaner,
+                VersionHeader::unnamed_id(),
+                &record.encode(),
+            );
+            self.append(&sealed)?;
+            let old_location = base + *off as u64;
+            for &q in current_in {
+                // Sanity: each partition still points at the old version.
+                let d = self.get_descriptor(ChunkId::new(q, id.pos))?;
+                if !d.is_written() || d.location != old_location {
+                    return Err(CoreError::TamperDetected(TamperKind::MisdirectedChunk {
+                        expected: ChunkId::new(q, id.pos),
+                        location: old_location,
+                    }));
+                }
+                self.set_descriptor(ChunkId::new(q, id.pos), new_desc)?;
+            }
+            self.stats.chunks_relocated += 1;
+        }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use tdb_crypto::SecretKey;
+    use tdb_storage::{CounterOverTrusted, MemStore, MemTrustedStore, UntrustedStore};
+
+    use super::*;
+    use crate::params::CryptoParams;
+    use crate::store::{ChunkStore, ChunkStoreConfig, CommitOp, TrustedBackend};
+    use crate::version::NextSegmentRecord;
+
+    /// A store on `device` whose oldest segments, once checkpointed, hold
+    /// current versions among garbage: 60 DES chunks of 300 bytes, every
+    /// one but each fourth overwritten. Returns the chunks still current in
+    /// their first version.
+    fn fragmented(device: &Arc<MemStore>) -> (ChunkStore, Vec<ChunkId>) {
+        let register = Arc::new(MemTrustedStore::new(16));
+        let backend = TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(register)));
+        let config = ChunkStoreConfig {
+            fanout: 4,
+            segment_size: 8192,
+            checkpoint_threshold: 100_000,
+            ..ChunkStoreConfig::default()
+        };
+        let device = Arc::clone(device) as tdb_storage::SharedUntrusted;
+        let store = ChunkStore::create(device, backend, SecretKey::random(24), config).unwrap();
+        let p = store.allocate_partition().unwrap();
+        let params = CryptoParams::paper_default();
+        store
+            .commit(vec![CommitOp::CreatePartition { id: p, params }])
+            .unwrap();
+        let ids: Vec<ChunkId> = (0..60).map(|_| store.allocate_chunk(p).unwrap()).collect();
+        for (i, id) in ids.iter().enumerate() {
+            let bytes = vec![i as u8; 300];
+            store
+                .commit(vec![CommitOp::WriteChunk { id: *id, bytes }])
+                .unwrap();
+        }
+        for id in ids.iter().skip(1).step_by(4) {
+            let bytes = vec![0xEE; 300];
+            store
+                .commit(vec![CommitOp::WriteChunk { id: *id, bytes }])
+                .unwrap();
+        }
+        store.checkpoint().unwrap();
+        let kept = ids
+            .iter()
+            .copied()
+            .filter(|id| id.pos.rank % 4 != 1)
+            .collect();
+        (store, kept)
+    }
+
+    /// The next pass's segment and its current versions, as `plan_next`
+    /// finds them, with the log's tail before the pass.
+    fn next_plan(store: &ChunkStore) -> (SegmentPlan, u64) {
+        store
+            .with_inner(|inner| {
+                let mut candidates = inner.candidates().into_iter();
+                let plan = inner.plan_next(&mut candidates)?.expect("a candidate");
+                Ok((plan, inner.log.tail_location()))
+            })
+            .unwrap()
+    }
+
+    /// `(id, kind, length)` of every version from `from` up to the next
+    /// commit chunk, following next-segment records, which are left out.
+    fn walk(store: &ChunkStore, from: u64) -> Vec<(ChunkId, VersionKind, usize)> {
+        store
+            .with_inner(|inner| {
+                let mut seg = inner.log.segment_of(from);
+                let mut at = (from - inner.log.segment_offset(seg)) as usize;
+                let mut buf = inner.log.read_segment(seg)?;
+                let mut out = Vec::new();
+                loop {
+                    let location = inner.log.segment_offset(seg) + at as u64;
+                    let raw =
+                        parse_version(&inner.system, &buf[at..], location)?.expect("a version");
+                    match raw.header.kind {
+                        VersionKind::Commit => return Ok(out),
+                        VersionKind::NextSegment => {
+                            let body = raw.open_body(&inner.system, location)?;
+                            seg = NextSegmentRecord::decode(&body)?.next_segment;
+                            (at, buf) = (0, inner.log.read_segment(seg)?);
+                        }
+                        kind => {
+                            out.push((raw.header.id, kind, raw.total_len));
+                            at += raw.total_len;
+                        }
+                    }
+                }
+            })
+            .unwrap()
+    }
+
+    /// A pass appends, in segment order, each current version of the
+    /// segment it cleans as a `Relocated` version of the same id and
+    /// length, each followed by its cleaner record, then its commit chunk:
+    /// the layout that sealing and appending them one at a time wrote.
+    #[test]
+    fn a_pass_appends_each_current_version_then_its_cleaner_record_in_segment_order() {
+        let device = Arc::new(MemStore::new());
+        let (store, kept) = fragmented(&device);
+        let (plan, tail) = next_plan(&store);
+        assert!(plan.live.len() >= 4, "{} current versions", plan.live.len());
+        let system = Arc::clone(&store.inner.lock().system);
+        let expected: Vec<(ChunkId, VersionKind, usize)> = (plan.live.iter())
+            .flat_map(|(_, len, id, current_in)| {
+                let record = CleanerRecord::encoded_len(current_in.len());
+                [
+                    (*id, VersionKind::Relocated, *len),
+                    (
+                        VersionHeader::unnamed_id(),
+                        VersionKind::Cleaner,
+                        sealed_version_len(&system, &system, record),
+                    ),
+                ]
+            })
+            .collect();
+        assert_eq!(store.clean(1).unwrap(), 1);
+        assert_eq!(walk(&store, tail), expected);
+        assert_eq!(store.stats().chunks_relocated, plan.live.len() as u64);
+        for id in kept {
+            assert_eq!(store.read(id).unwrap(), vec![id.pos.rank as u8; 300]);
+        }
+    }
+
+    /// A flipped byte in the body of the segment's last current version
+    /// fails the pass before any version is appended: relocation alone,
+    /// outside the pass's savepoint, leaves the log's tail where it was;
+    /// the device keeps the bytes it had, and the store is poisoned.
+    #[test]
+    fn a_tampered_current_version_fails_the_pass_before_anything_is_appended() {
+        let device = Arc::new(MemStore::new());
+        let (store, _) = fragmented(&device);
+        let (plan, tail) = next_plan(&store);
+        let (off, len, _, _) = *plan.live.last().expect("current versions");
+        let at = store.inner.lock().log.segment_offset(plan.seg) + (off + len - 20) as u64;
+        let mut byte = [0u8];
+        device.read_at(at, &mut byte).unwrap();
+        device.write_at(at, &[byte[0] ^ 0x10]).unwrap();
+        let (plan, _) = next_plan(&store);
+        let (err, after) = store
+            .with_inner(|inner| {
+                let err = inner.relocate(&plan).unwrap_err();
+                Ok((err, inner.log.tail_location()))
+            })
+            .unwrap();
+        assert!(err.is_tamper(), "{err}");
+        assert_eq!(after, tail, "relocation appended before it validated");
+        let before = device.image();
+        let err = store.clean(1).unwrap_err();
+        assert!(err.is_tamper(), "{err}");
+        assert_eq!(store.stats().chunks_relocated, 0);
+        assert_eq!(
+            device.image(),
+            before,
+            "the failed pass wrote to the device"
+        );
+        assert!(store.read(plan.live[0].2).is_err(), "poisoned");
     }
 }

@@ -43,9 +43,10 @@ const SUPERBLOCK_MAGIC: u64 = 0x5444_4253_5542_4c32; // "TDBSUBL2"
 
 /// The on-disk format this build writes and reads. Version 3 made a map
 /// chunk's digest the root of a hash tree over its slots
-/// ([`crate::slot_tree`]); a version-2 store's map digests are one-pass
-/// hashes, so it opens as [`CoreError::UnsupportedFormat`].
-pub const FORMAT_VERSION: u16 = 3;
+/// ([`crate::slot_tree`]); version 4 seals every body as
+/// [`tdb_crypto::cbc::CHAINS`] interleaved CBC chains. An older store's
+/// bodies would not open, so it opens as [`CoreError::UnsupportedFormat`].
+pub const FORMAT_VERSION: u16 = 4;
 
 /// Derivation label of the suite record's MAC key.
 const SUITE_KEY_LABEL: &[u8] = b"tdb v2 suite record";

@@ -10,7 +10,7 @@
 //! from the secret, never the secret itself
 //! ([`crate::store::ChunkStoreConfig::system_params`]).
 
-use tdb_crypto::cbc::{Cbc, Job};
+use tdb_crypto::cbc::{Cbc, Job, CHAINS, MAX_IVS};
 use tdb_crypto::hmac::HmacKey;
 use tdb_crypto::{CipherKind, HashKind, HashValue, SecretKey};
 
@@ -140,6 +140,12 @@ impl PartitionCrypto {
     }
 
     /// Encrypts `plain`, returning `IV ‖ ciphertext` under a fresh IV.
+    ///
+    /// This is the body form (format v4): the ciphertext is [`CHAINS`]
+    /// interleaved CBC chains, block `i` chaining to block `i − CHAINS`,
+    /// under the chain IVs [`PartitionCrypto::chain_ivs`] derives from the
+    /// stored IV. Every sealed body takes it; a version header is one
+    /// chain ([`PartitionCrypto::encrypt_in_place`]).
     pub fn encrypt(&self, plain: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
         self.encrypt_append(plain, &mut out);
@@ -153,27 +159,42 @@ impl PartitionCrypto {
         let mut iv = [0u8; 16];
         let iv = &mut iv[..bs];
         self.cbc.fill_iv(iv);
+        let mut chains = [0u8; MAX_IVS];
+        let chains = &mut chains[..CHAINS * bs];
+        self.cbc
+            .chain_ivs(iv, chains)
+            .expect("one block of IV, CHAINS of chain IVs");
         out.reserve(bs + self.cbc.ciphertext_len(plain.len()));
         out.extend_from_slice(iv);
         self.cbc
-            .encrypt_append(iv, plain, out)
-            .expect("fresh IV always has the right length");
+            .encrypt_append(chains, plain, out)
+            .expect("chain IVs always have the right length");
     }
 
     /// Encrypts every buffer in place under a fresh IV, the IVs drawn in
     /// order. A buffer is room for the IV, `len` bytes of plaintext and
     /// room for the padding, [`PartitionCrypto::sealed_len`]`(len)` bytes
-    /// in all, and comes out as `IV ‖ ciphertext`. One kernel call covers
-    /// them all, so a cipher with lanes enciphers them in lockstep.
+    /// in all, and comes out as `IV ‖ ciphertext`, the body form of
+    /// [`PartitionCrypto::encrypt`]. One kernel call derives every chain
+    /// IV and one more enciphers every body, so a cipher with lanes runs
+    /// all their chains in lockstep.
     pub fn encrypt_many(&self, bufs: &mut [(&mut [u8], usize)]) {
         let bs = self.cbc.block_size();
+        let mut ivs = vec![0u8; bufs.len() * bs];
+        for ((buf, _), iv) in bufs.iter_mut().zip(ivs.chunks_exact_mut(bs)) {
+            self.cbc.fill_iv(&mut buf[..bs]);
+            iv.copy_from_slice(&buf[..bs]);
+        }
+        let mut chains = vec![0u8; CHAINS * ivs.len()];
+        if !bufs.is_empty() {
+            self.cbc
+                .chain_ivs(&ivs, &mut chains)
+                .expect("whole IVs, CHAINS chain IVs each");
+        }
         let mut jobs: Vec<Job<'_>> = bufs
             .iter_mut()
-            .map(|(buf, len)| {
-                let (iv, rest) = buf.split_at_mut(bs);
-                self.cbc.fill_iv(iv);
-                (&*iv, rest, *len)
-            })
+            .zip(chains.chunks_exact(CHAINS * bs))
+            .map(|((buf, len), chains)| (chains, &mut buf[bs..], *len))
             .collect();
         self.encrypt_many_in_place(&mut jobs);
     }
@@ -201,8 +222,19 @@ impl PartitionCrypto {
         }
         let (iv, ct) = data.split_at(bs);
         self.cbc
-            .decrypt(iv, ct)
+            .decrypt_chained(iv, ct)
             .map_err(|_| CoreError::TamperDetected(TamperKind::UndecryptableChunk { location }))
+    }
+
+    /// The [`CHAINS`] chain IVs a body sealed under the stored IV `iv`
+    /// is enciphered under, back to back: for laying out or checking a
+    /// body by hand with [`PartitionCrypto::encrypt_in_place`].
+    pub fn chain_ivs(&self, iv: &[u8]) -> Vec<u8> {
+        let mut chains = vec![0u8; CHAINS * iv.len()];
+        self.cbc
+            .chain_ivs(iv, &mut chains)
+            .expect("callers pass one block");
+        chains
     }
 
     /// Ciphertext length (including the IV) for a plaintext of `len` bytes.
@@ -231,8 +263,9 @@ impl PartitionCrypto {
         self.cbc.encrypt_block(iv).expect("callers pass one block");
     }
 
-    /// Encrypts in place under a caller-supplied `iv`: `buf` holds `len`
-    /// bytes of plaintext and room for the padding,
+    /// Encrypts in place under a caller-supplied `iv` (one block for one
+    /// chain, as a version header is sealed, or a body's chain IVs):
+    /// `buf` holds `len` bytes of plaintext and room for the padding,
     /// [`PartitionCrypto::ciphertext_len`]`(len)` bytes in all.
     pub fn encrypt_in_place(&self, iv: &[u8], buf: &mut [u8], len: usize) {
         self.cbc

@@ -79,7 +79,9 @@ pub(crate) fn seal_batch(
 }
 
 /// [`seal_batch`] for bodies whose digests the caller already holds, one
-/// per job: a checkpoint's map chunks, whose slot trees the map cache keeps.
+/// per job: a checkpoint's map chunks, whose slot trees the map cache keeps,
+/// and a cleaning pass's relocations, whose digests validation has just
+/// compared with the map's.
 pub(crate) fn seal_hashed(
     system: &PartitionCrypto,
     kind: VersionKind,
@@ -232,7 +234,7 @@ mod tests {
                 assert_eq!(head[..2], (iv.len() as u16).to_le_bytes());
                 let mut expect = body.to_vec();
                 expect.resize(part.ciphertext_len(body.len()), 0);
-                part.encrypt_in_place(iv, &mut expect, body.len());
+                part.encrypt_in_place(&part.chain_ivs(iv), &mut expect, body.len());
                 assert_eq!(ciphertext, expect, "body of {id:?}");
                 let header = VersionHeader {
                     kind: VersionKind::Named,

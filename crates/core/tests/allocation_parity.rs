@@ -46,6 +46,17 @@ enum Step {
         pick: usize,
         chunk: usize,
     },
+    /// Free a written chunk of a live partition and write it again, in one
+    /// commit.
+    Rewrite {
+        pick: usize,
+        chunk: usize,
+    },
+    /// Deallocate a live partition and its copies and create it again
+    /// under the same id, in one commit, as a restore over it does.
+    Recreate {
+        pick: usize,
+    },
     Checkpoint,
     /// Crash (drop without close) and recover; then compare.
     Reopen,
@@ -58,6 +69,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         1 => (0usize..16).prop_map(|pick| Step::Drop { pick }),
         5 => (0usize..16, 1usize..4).prop_map(|(pick, n)| Step::Write { pick, n }),
         4 => (0usize..16, 0usize..64).prop_map(|(pick, chunk)| Step::Dealloc { pick, chunk }),
+        2 => (0usize..16, 0usize..64).prop_map(|(pick, chunk)| Step::Rewrite { pick, chunk }),
+        1 => (0usize..16).prop_map(|pick| Step::Recreate { pick }),
         1 => Just(Step::Checkpoint),
         2 => Just(Step::Reopen),
     ]
@@ -192,6 +205,37 @@ impl Rig {
                     self.commit(ops);
                 }
             }
+            Step::Rewrite { pick, chunk } => {
+                let Some(p) = self.pick(pick) else { return };
+                let chunks = &self.written[&p];
+                if chunks.is_empty() {
+                    return;
+                }
+                let id = chunks[chunk % chunks.len()];
+                self.commit(vec![
+                    CommitOp::DeallocChunk { id },
+                    CommitOp::WriteChunk {
+                        id,
+                        bytes: b"written again".to_vec(),
+                    },
+                ]);
+            }
+            Step::Recreate { pick } => {
+                let Some(id) = self.pick(pick) else { return };
+                let params = CryptoParams {
+                    cipher: CipherKind::Des,
+                    hash: HashKind::Sha1,
+                    key: SecretKey::new(vec![!(id.0 as u8); 8]),
+                };
+                self.commit(vec![
+                    CommitOp::DeallocPartition { id },
+                    CommitOp::CreatePartition { id, params },
+                ]);
+                let store = &self.store;
+                self.written
+                    .retain(|p, _| store.partition_exists(*p).unwrap());
+                self.written.insert(id, Vec::new());
+            }
             Step::Checkpoint => self.store.checkpoint().unwrap(),
             Step::Reopen => {
                 let live = self.ranks();
@@ -206,6 +250,12 @@ impl Rig {
                 )
                 .unwrap();
                 assert_eq!(self.ranks(), live, "recovery allocates unlike commit");
+                for (p, chunks) in &self.written {
+                    assert!(self.store.partition_exists(*p).unwrap(), "{p} lost");
+                    for id in chunks {
+                        self.store.read(*id).unwrap();
+                    }
+                }
             }
         }
     }
@@ -255,5 +305,104 @@ fn regression_every_step_across_checkpoints_and_reopens() {
         Checkpoint,
         Drop { pick: 1 },
         Write { pick: 0, n: 1 },
+    ]);
+}
+
+/// A store with one DES partition holding chunk `c`, written once.
+fn one_chunk() -> (Rig, PartitionId, ChunkId) {
+    let mut rig = Rig::create();
+    rig.step(&Step::Create);
+    rig.step(&Step::Write { pick: 0, n: 1 });
+    let (p, c) = rig.written.iter().map(|(p, c)| (*p, c[0])).next().unwrap();
+    (rig, p, c)
+}
+
+/// Crashes the store (drop without close) and recovers it.
+fn crash_reopen(rig: &mut Rig) {
+    rig.store = ChunkStore::open(
+        Arc::clone(&rig.untrusted) as _,
+        Rig::backend(&rig.trusted),
+        secret(),
+        rig.config.clone(),
+    )
+    .unwrap();
+}
+
+/// A set that frees a chunk and then writes it again leaves it written
+/// after a crash: recovery replays the free before the write.
+#[test]
+fn a_chunk_freed_and_written_again_in_one_set_survives_a_crash() {
+    let (mut rig, _, c) = one_chunk();
+    rig.commit(vec![
+        CommitOp::DeallocChunk { id: c },
+        CommitOp::WriteChunk {
+            id: c,
+            bytes: b"second life".to_vec(),
+        },
+    ]);
+    assert_eq!(rig.store.read(c).unwrap(), b"second life");
+    crash_reopen(&mut rig);
+    assert_eq!(rig.store.read(c).unwrap(), b"second life");
+}
+
+/// The reverse order, a write and then a free of the same chunk, leaves it
+/// free after a crash, as before it.
+#[test]
+fn a_chunk_written_and_then_freed_in_one_set_stays_free_after_a_crash() {
+    let (mut rig, _, c) = one_chunk();
+    rig.commit(vec![
+        CommitOp::WriteChunk {
+            id: c,
+            bytes: b"short-lived".to_vec(),
+        },
+        CommitOp::DeallocChunk { id: c },
+    ]);
+    let not_allocated = |r: tdb_core::Result<Vec<u8>>| matches!(r, Err(tdb_core::CoreError::NotAllocated(id)) if id == c);
+    assert!(not_allocated(rig.store.read(c)));
+    crash_reopen(&mut rig);
+    assert!(not_allocated(rig.store.read(c)));
+}
+
+/// A set that drops a partition, creates it again under the same id and
+/// writes into it leaves the new partition after a crash.
+#[test]
+fn a_partition_dropped_and_created_again_in_one_set_survives_a_crash() {
+    let (mut rig, p, _) = one_chunk();
+    let fresh = ChunkId::data(p, 0);
+    rig.commit(vec![
+        CommitOp::DeallocPartition { id: p },
+        CommitOp::CreatePartition {
+            id: p,
+            params: CryptoParams {
+                cipher: CipherKind::Aes128,
+                hash: HashKind::Sha256,
+                key: SecretKey::new(vec![9; 16]),
+            },
+        },
+        CommitOp::WriteChunk {
+            id: fresh,
+            bytes: b"reborn".to_vec(),
+        },
+    ]);
+    assert_eq!(rig.store.read(fresh).unwrap(), b"reborn");
+    crash_reopen(&mut rig);
+    assert!(rig.store.partition_exists(p).unwrap());
+    assert_eq!(rig.store.read(fresh).unwrap(), b"reborn");
+}
+
+/// Both reuse sets, drawn by the generator, then a crash.
+#[test]
+fn regression_rewrite_and_recreate_then_reopen() {
+    use Step::*;
+    run(&[
+        Create,
+        Write { pick: 0, n: 3 },
+        Copy { pick: 0 },
+        Rewrite { pick: 0, chunk: 1 },
+        Reopen,
+        Recreate { pick: 0 },
+        Write { pick: 0, n: 2 },
+        Rewrite { pick: 1, chunk: 0 },
+        Reopen,
     ]);
 }

@@ -506,3 +506,56 @@ fn snapshots_reported_for_reuse_as_bases() {
         }])
         .unwrap();
 }
+
+/// A restore over a live partition drops it and creates it again in one
+/// commit set. After a crash, recovery leaves the restored partition, not
+/// an absent one.
+#[test]
+fn a_restore_over_a_live_partition_survives_a_crash() {
+    let config = ChunkStoreConfig {
+        fanout: 4,
+        segment_size: 8192,
+        ..ChunkStoreConfig::default()
+    };
+    let untrusted = Arc::new(MemStore::new());
+    let trusted = Arc::new(MemTrustedStore::new(64));
+    let backend =
+        || TrustedBackend::Counter(Arc::new(CounterOverTrusted::new(Arc::clone(&trusted) as _)));
+    let secret = SecretKey::new(vec![3; 24]);
+    let store = Arc::new(
+        ChunkStore::create(
+            Arc::clone(&untrusted) as SharedUntrusted,
+            backend(),
+            secret.clone(),
+            config.clone(),
+        )
+        .unwrap(),
+    );
+    let backups = BackupStore::new(Arc::clone(&store), Arc::new(MemArchive::new()));
+    let p = make_partition(&store);
+    let ids: Vec<ChunkId> = (0..5)
+        .map(|i| write_one(&store, p, format!("record {i}").as_bytes()))
+        .collect();
+    let spec = BackupSpec {
+        source: p,
+        base: None,
+    };
+    backups.backup(&[spec], "live").unwrap();
+    for c in &ids {
+        store
+            .commit(vec![CommitOp::WriteChunk {
+                id: *c,
+                bytes: b"overwritten".to_vec(),
+            }])
+            .unwrap();
+    }
+    backups.restore(&["live.0"], &ApproveAll).unwrap();
+    drop(backups);
+    drop(store);
+    let reopened =
+        ChunkStore::open(untrusted as SharedUntrusted, backend(), secret, config).unwrap();
+    assert!(reopened.partition_exists(p).unwrap());
+    for (i, c) in ids.iter().enumerate() {
+        assert_eq!(reopened.read(*c).unwrap(), format!("record {i}").as_bytes());
+    }
+}

@@ -6,7 +6,7 @@
 //!   validation protocols.
 //! - A flipped suite-record byte is tamper; a store opened under another
 //!   system suite is `SuiteMismatch`; a format-v1 superblock and a
-//!   format-v2 suite record are `UnsupportedFormat`.
+//!   format-v2 or format-v3 suite record are `UnsupportedFormat`.
 //! - A null-cipher partition seals, opens, cleans and recovers, and a store
 //!   created on the paper's 3DES suite reopens and serves reads.
 
@@ -286,16 +286,14 @@ fn a_v1_superblock_is_an_unsupported_format() {
     ));
 }
 
-/// A store whose verified suite record names format 2 — map chunks
-/// digested in one pass, not as slot-tree roots — opens as
-/// `UnsupportedFormat { version: 2 }`, which a client sees as code 16.
-#[test]
-fn a_v2_suite_record_is_an_unsupported_format_with_code_16() {
+/// Opens the store's image with every suite record rewritten to name
+/// format `version`, validly MACed: the record a build of that format
+/// wrote. `K_suite = HMAC-SHA-256(secret, "tdb v2 suite record")` MACs the
+/// magic, version and tags.
+fn open_as_format(version: u16) -> CoreError {
     let rig = Rig::new(ChunkStoreConfig::default());
     drop(rig.create());
     let mut image = rig.untrusted.image();
-    // `K_suite = HMAC-SHA-256(secret, "tdb v2 suite record")` MACs the
-    // magic, version and tags: the record a format-2 build wrote.
     let key = rig.secret.derive(b"tdb v2 suite record", 32);
     let mut rewritten = 0;
     for slot in [0, SUPERBLOCK_SLOT as usize] {
@@ -303,8 +301,9 @@ fn a_v2_suite_record_is_an_unsupported_format_with_code_16() {
             continue;
         };
         assert_eq!(sb.suite.version, FORMAT_VERSION);
-        sb.suite.version = 2;
-        let fields = [2, 0, sb.suite.cipher, sb.suite.hash];
+        sb.suite.version = version;
+        let [v0, v1] = version.to_le_bytes();
+        let fields = [v0, v1, sb.suite.cipher, sb.suite.hash];
         let mac = Hmac::mac_parts(
             HashKind::Sha256,
             key.as_bytes(),
@@ -316,12 +315,32 @@ fn a_v2_suite_record_is_an_unsupported_format_with_code_16() {
         rewritten += 1;
     }
     assert!(rewritten >= 1);
-    let err = rig
-        .open_image(image, rig.config.clone())
+    rig.open_image(image, rig.config.clone())
         .map(|_| ())
-        .unwrap_err();
+        .unwrap_err()
+}
+
+/// A store whose verified suite record names format 2 — map chunks
+/// digested in one pass, not as slot-tree roots — opens as
+/// `UnsupportedFormat { version: 2 }`, which a client sees as code 16.
+#[test]
+fn a_v2_suite_record_is_an_unsupported_format_with_code_16() {
+    let err = open_as_format(2);
     assert!(
         matches!(err, CoreError::UnsupportedFormat { version: 2 }),
+        "{err}"
+    );
+    assert_eq!(tdb::TdbError::Core(err).code(), 16);
+}
+
+/// A store whose verified suite record names format 3 — every body one
+/// CBC chain, not four interleaved — opens as
+/// `UnsupportedFormat { version: 3 }`, code 16.
+#[test]
+fn a_v3_suite_record_is_an_unsupported_format_with_code_16() {
+    let err = open_as_format(3);
+    assert!(
+        matches!(err, CoreError::UnsupportedFormat { version: 3 }),
         "{err}"
     );
     assert_eq!(tdb::TdbError::Core(err).code(), 16);

@@ -189,7 +189,7 @@ fn check_serial(
     let (iv, ciphertext) = raw.sealed_body.split_at(part.block_size());
     let mut expect = plaintext.to_vec();
     expect.resize(part.ciphertext_len(plaintext.len()), 0);
-    part.encrypt_in_place(iv, &mut expect, plaintext.len());
+    part.encrypt_in_place(&part.chain_ivs(iv), &mut expect, plaintext.len());
     assert_eq!(ciphertext, &expect[..], "body of {id:?}");
     iv.to_vec()
 }

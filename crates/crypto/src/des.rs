@@ -406,7 +406,11 @@ impl BitslicedDes {
         None
     }
 
-    pub(crate) fn decrypt_cbc(&self, _prev: u64, _buf: &mut [u8]) {
+    pub(crate) fn decrypt_cbc(&self, _ivs: &[u8], _buf: &mut [u8]) {
+        match *self {}
+    }
+
+    pub(crate) fn decrypt_chained(&self, _iv: &[u8], _buf: &mut [u8]) {
         match *self {}
     }
 
