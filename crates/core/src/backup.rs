@@ -464,7 +464,10 @@ impl BackupStore {
             let desc_plain = system
                 .decrypt(desc_ct, 0)
                 .map_err(|_| bad_backup(name, "descriptor does not decrypt"))?;
-            let descriptor = BackupDescriptor::decode(&desc_plain)?;
+            // A descriptor that decrypts but does not decode was sealed in
+            // another form or altered: a backup this store cannot trust.
+            let descriptor = BackupDescriptor::decode(&desc_plain)
+                .map_err(|_| bad_backup(name, "descriptor does not decode"))?;
             let part_crypto = descriptor.params.runtime()?;
 
             // Chunk versions until the zero marker.
@@ -615,4 +618,165 @@ fn order_chain(source: PartitionId, group: Vec<ParsedBackup>) -> Result<Vec<Pars
         chain.push(incrementals.swap_remove(idx));
     }
     Ok(chain)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Write;
+
+    use tdb_crypto::{CipherKind, HashKind, SecretKey};
+    use tdb_storage::{CounterOverTrusted, MemArchive, MemStore, MemTrustedStore, SharedUntrusted};
+
+    use super::*;
+    use crate::params::PartitionCrypto;
+    use crate::store::{ChunkStoreConfig, TrustedBackend, ValidationMode};
+
+    fn new_store() -> Arc<ChunkStore> {
+        let config = ChunkStoreConfig {
+            segment_size: 8192,
+            validation: ValidationMode::Counter {
+                delta_ut: 5,
+                delta_tu: 0,
+            },
+            ..ChunkStoreConfig::default()
+        };
+        let trusted = CounterOverTrusted::new(Arc::new(MemTrustedStore::new(64)));
+        Arc::new(
+            ChunkStore::create(
+                Arc::new(MemStore::new()) as SharedUntrusted,
+                TrustedBackend::Counter(Arc::new(trusted)),
+                SecretKey::random(24),
+                config,
+            )
+            .unwrap(),
+        )
+    }
+
+    /// Re-seals `IV ‖ ciphertext`, a body-form piece, as one CBC chain
+    /// under the same stored IV: the form every body had before format 4.
+    /// Its length does not change.
+    fn reseal_as_one_chain(crypto: &PartitionCrypto, sealed: &mut [u8]) {
+        let plain = crypto.decrypt(sealed, 0).unwrap();
+        let (iv, ct) = sealed.split_at_mut(crypto.block_size());
+        ct[..plain.len()].copy_from_slice(&plain);
+        crypto.encrypt_in_place(iv, ct, plain.len());
+    }
+
+    /// `stream` as a format-3 build wrote it: the descriptor, every version
+    /// body and the signature one CBC chain each, under the IVs they are
+    /// stored with, and the CRC trailer recomputed. Headers, one chain in
+    /// both formats, and every length stay as they are.
+    fn as_format_3(stream: &[u8], system: &PartitionCrypto) -> Vec<u8> {
+        let mut out = stream[..stream.len() - 4].to_vec();
+        let piece = |out: &[u8], at: usize| {
+            let len = u32::from_le_bytes(out[at..at + 4].try_into().unwrap()) as usize;
+            at + 4..at + 4 + len
+        };
+        let desc = piece(&out, 0);
+        let plain = system.decrypt(&out[desc.clone()], 0).unwrap();
+        let part = BackupDescriptor::decode(&plain)
+            .unwrap()
+            .params
+            .runtime()
+            .unwrap();
+        reseal_as_one_chain(system, &mut out[desc.clone()]);
+        let mut at = desc.end;
+        while let Some(raw) = parse_version(system, &out[at..], at as u64).unwrap() {
+            let body = at + raw.total_len - raw.sealed_body.len()..at + raw.total_len;
+            let crypto = match raw.header.kind {
+                VersionKind::Named => &part,
+                _ => system,
+            };
+            reseal_as_one_chain(crypto, &mut out[body]);
+            at += raw.total_len;
+        }
+        let sig = piece(&out, at + 2);
+        reseal_as_one_chain(system, &mut out[sig.clone()]);
+        assert_eq!(sig.end, out.len(), "the signature ends the stream");
+        let crc = Crc32::checksum(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn a_format_3_backup_stream_is_refused_as_a_bad_backup() {
+        // A backup carries no format number: a stream written before
+        // format 4 sealed its bodies as one chain, and here its descriptor
+        // no longer decrypts or decodes. It is refused as tampering, and
+        // the store is left as it was.
+        let store = new_store();
+        let archive = Arc::new(MemArchive::new());
+        let backups = BackupStore::new(Arc::clone(&store), archive.clone());
+        let p = store.allocate_partition().unwrap();
+        let params = CryptoParams::generate(CipherKind::Des, HashKind::Sha1);
+        store
+            .commit(vec![CommitOp::CreatePartition { id: p, params }])
+            .unwrap();
+        let mut ids = Vec::new();
+        for i in 0..6u8 {
+            let c = store.allocate_chunk(p).unwrap();
+            let bytes = vec![i; 100 * usize::from(i)];
+            store
+                .commit(vec![CommitOp::WriteChunk { id: c, bytes }])
+                .unwrap();
+            ids.push(c);
+        }
+        store
+            .commit(vec![CommitOp::DeallocChunk { id: ids[0] }])
+            .unwrap();
+        let base = backups
+            .backup(
+                &[BackupSpec {
+                    source: p,
+                    base: None,
+                }],
+                "full",
+            )
+            .unwrap();
+        let c = store.allocate_chunk(p).unwrap();
+        store
+            .commit(vec![
+                CommitOp::WriteChunk {
+                    id: c,
+                    bytes: b"after".to_vec(),
+                },
+                CommitOp::DeallocChunk { id: ids[1] },
+            ])
+            .unwrap();
+        let spec = BackupSpec {
+            source: p,
+            base: Some(base.snapshots[0]),
+        };
+        backups.backup(&[spec], "incr").unwrap();
+
+        let system = store
+            .with_inner(|inner| Ok(Arc::clone(&inner.system)))
+            .unwrap();
+        for name in ["full.0", "incr.0"] {
+            let mut stream = Vec::new();
+            archive
+                .open(name)
+                .unwrap()
+                .read_to_end(&mut stream)
+                .unwrap();
+            let old = as_format_3(&stream, &system);
+            assert_eq!(old.len(), stream.len());
+            let mut writer = archive.create(&format!("v3-{name}")).unwrap();
+            writer.write_all(&old).unwrap();
+            writer.finish().unwrap();
+        }
+        let before: Vec<_> = ids[1..].iter().map(|&id| store.read(id).ok()).collect();
+        for names in [&["v3-full.0"][..], &["v3-full.0", "v3-incr.0"]] {
+            match backups.restore(names, &ApproveAll) {
+                Err(CoreError::TamperDetected(TamperKind::BadBackup(why))) => {
+                    assert!(why.starts_with("v3-full.0: descriptor does not"), "{why}");
+                }
+                other => panic!("{names:?}: a format-3 stream restored as {other:?}"),
+            }
+        }
+        let after: Vec<_> = ids[1..].iter().map(|&id| store.read(id).ok()).collect();
+        assert_eq!(before, after);
+        // The streams it came from restore.
+        backups.restore(&["full.0", "incr.0"], &ApproveAll).unwrap();
+    }
 }
