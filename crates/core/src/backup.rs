@@ -278,7 +278,7 @@ impl BackupStore {
         out.put(&sealed_desc)?;
 
         // Chunk versions, hashed into the content hash as (rank ‖ body).
-        let mut content = descriptor.params.hash.hasher();
+        let mut content = descriptor.params.hash.inline_hasher();
         for rank in writes {
             let body = self.chunks.read(ChunkId::data(snapshot, rank))?;
             content.update(&rank.to_le_bytes());
@@ -473,7 +473,7 @@ impl BackupStore {
             // Chunk versions until the zero marker.
             let mut writes = Vec::new();
             let mut deallocs = Vec::new();
-            let mut content = descriptor.params.hash.hasher();
+            let mut content = descriptor.params.hash.inline_hasher();
             loop {
                 let parsed = parse_version(&system, d.rest(), d.position() as u64)
                     .map_err(|_| bad_backup(name, "chunk version does not parse"))?;

@@ -94,10 +94,11 @@ impl Inner {
 
         // 2. Dirty partition leaders become system data chunks, in id
         //    order so the log layout does not depend on hash-map order.
+        //    The system partition's is the system leader, written last.
         let mut dirty_leaders: Vec<PartitionId> = self
             .leaders
             .iter()
-            .filter(|(_, e)| e.dirty)
+            .filter(|(p, e)| e.dirty && !p.is_system())
             .map(|(p, _)| *p)
             .collect();
         dirty_leaders.sort_unstable();
@@ -265,7 +266,7 @@ impl Inner {
         let log = &mut self.sys_leader.log;
         let free = log.free_segments.len();
         log.free_segments.extend_from_slice(&self.cleaned);
-        let body = self.sys_leader.encode();
+        let body = self.sys_leader.encode(self.system_map());
         self.sys_leader.log.free_segments.truncate(free);
         body
     }

@@ -15,6 +15,7 @@ use tdb_crypto::HashValue;
 
 use crate::codec::{Dec, Enc};
 use crate::descriptor::{ChunkStatus, Descriptor};
+use crate::engine::partitions::named;
 use crate::engine::rollback::Savepoint;
 use crate::errors::{CoreError, FaultClass, Result};
 use crate::ids::{ChunkId, PartitionId};
@@ -121,21 +122,20 @@ impl Inner {
                         return Err(CoreError::NotAllocated(*id));
                     }
                 }
+                // The system partition exists: creating it is refused.
                 CommitOp::CreatePartition { id, params } => {
-                    let exists = self.partition_exists(*id)? && !deallocated.contains(id);
-                    if id.is_system() || exists {
+                    if self.partition_exists(*id)? && !deallocated.contains(id) {
                         return Err(CoreError::PartitionExists(*id));
                     }
                     params.runtime()?; // Key length check.
                     created.push(*id);
                 }
                 CommitOp::CopyPartition { dst, src } => {
-                    let exists = self.partition_exists(*dst)? && !deallocated.contains(dst);
-                    if dst.is_system() || exists {
+                    if self.partition_exists(*dst)? && !deallocated.contains(dst) {
                         return Err(CoreError::PartitionExists(*dst));
                     }
                     if !created.contains(src) {
-                        self.leader_entry(*src)?;
+                        self.leader_entry(named(*src)?)?;
                     }
                     created.push(*dst);
                 }
@@ -143,7 +143,7 @@ impl Inner {
                     if deallocated.contains(id) {
                         return Err(CoreError::NoSuchPartition(*id));
                     }
-                    self.leader_entry(*id)?;
+                    self.leader_entry(named(*id)?)?;
                     deallocated.push(*id);
                 }
             }

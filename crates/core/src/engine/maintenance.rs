@@ -119,24 +119,22 @@ impl Inner {
                 pos = pos.parent(fanout);
             }
         };
-        let sys_height = self.sys_leader.map.height;
         for (p, pos) in self.map_cache.dirty_keys() {
-            if p.is_system() {
-                climb(&mut maps, p, pos, sys_height);
-            } else {
-                let height = self.leaders.get(&p).map_or(pos.height, |e| e.leader.height);
-                climb(&mut maps, p, pos, height);
-                leaders.insert(p);
-            }
+            let height = self.leaders.get(&p).map_or(pos.height, |e| e.leader.height);
+            climb(&mut maps, p, pos, height);
+            leaders.insert(p);
         }
         for (p, entry) in &self.leaders {
             if entry.dirty {
                 leaders.insert(*p);
             }
         }
+        // The system partition's leader is the system leader, counted below.
+        leaders.remove(&PartitionId::SYSTEM);
+        let map_height = self.system_map().height;
         for p in &leaders {
             let pos = ChunkId::leader_chunk(*p).pos.parent(fanout);
-            climb(&mut maps, PartitionId::SYSTEM, pos, sys_height);
+            climb(&mut maps, PartitionId::SYSTEM, pos, map_height);
         }
 
         let sys = &self.system;
@@ -158,7 +156,7 @@ impl Inner {
         }
         // The system leader as the checkpoint budgets it, the emptied
         // segments it frees and its commit chunk included.
-        let leader = self.sys_leader.encode().len() + 4 * self.cleaned.len() + 64;
+        let leader = self.sys_leader.encode(self.system_map()).len() + 4 * self.cleaned.len() + 64;
         add(sealed_version_len(sys, sys, leader) + COMMIT_CHUNK_ROOM as usize);
         let room = u64::from(self.log.max_version_len());
         count.min(bytes / (room + 1).saturating_sub(largest).max(1) + 1)
@@ -423,7 +421,7 @@ impl Inner {
     /// which the version at `location` is current. A deallocated header
     /// partition took its copies with it (§5.5): its versions are obsolete.
     fn current_in(&mut self, id: ChunkId, location: u64) -> Result<Vec<PartitionId>> {
-        if !id.partition.is_system() && !self.partition_exists(id.partition)? {
+        if !self.partition_exists(id.partition)? {
             return Ok(Vec::new());
         }
         let mut family = self.copy_family(id.partition)?;

@@ -135,15 +135,10 @@ impl Inner {
             chunk.slots[0] = old_root;
             self.map_cache
                 .insert(p, Position::map(new_height, 0), chunk, true);
-            if p.is_system() {
-                self.sys_leader.map.height = new_height;
-                self.sys_leader.map.root = Descriptor::unwritten();
-            } else {
-                let entry = self.leader_entry_mut(p)?;
-                entry.leader.height = new_height;
-                entry.leader.root = Descriptor::unwritten();
-                entry.dirty = true;
-            }
+            let entry = self.leader_entry_mut(p)?;
+            entry.leader.height = new_height;
+            entry.leader.root = Descriptor::unwritten();
+            entry.dirty = true;
         }
     }
 

@@ -4,7 +4,10 @@
 //! A partition's persistent state is its *leader* — a data chunk of the
 //! system partition holding the crypto parameters, map root, allocation
 //! high-water, free list, and copy links. The engine caches decoded
-//! leaders with their partition's [`Ranks`] beside them. Commit and
+//! leaders with their partition's [`Ranks`] beside them, one
+//! [`LeaderEntry`] per partition. The system partition's entry is always
+//! cached: its leader is the partition map's tree state, which the system
+//! leader carries, and its ranks are the partition ids (§5.1). Commit and
 //! recovery's roll-forward (§4.8) install what a commit set wrote or freed
 //! through the same four steps, `install_chunk`, `install_leader`,
 //! `free_chunk` and `drop_partition`, so a replay redoes the commit.
@@ -49,7 +52,8 @@ pub(crate) struct LeaderEntry {
     pub crypto: Arc<PartitionCrypto>,
     pub ranks: Ranks,
     /// True when committed leader state changed since its last version was
-    /// written; checkpoints persist dirty leaders.
+    /// written; checkpoints persist dirty leaders. Meaningless for the
+    /// system partition, whose leader every checkpoint writes last.
     pub dirty: bool,
     /// Undo-journal generation that last recorded this entry's pre-image.
     stamp: u64,
@@ -57,13 +61,23 @@ pub(crate) struct LeaderEntry {
 
 impl LeaderEntry {
     pub(crate) fn new(leader: PartitionLeader) -> Result<LeaderEntry> {
-        Ok(LeaderEntry {
-            crypto: Arc::new(leader.params.runtime()?),
+        let crypto = Arc::new(leader.params.runtime()?);
+        Ok(LeaderEntry::with_crypto(leader, crypto))
+    }
+
+    /// An entry whose runtime crypto is already built (the system
+    /// partition's is the engine's).
+    pub(crate) fn with_crypto(
+        leader: PartitionLeader,
+        crypto: Arc<PartitionCrypto>,
+    ) -> LeaderEntry {
+        LeaderEntry {
+            crypto,
             ranks: Ranks::new(&leader),
             leader,
             dirty: false,
             stamp: 0,
-        })
+        }
     }
 
     fn bytes(&self) -> usize {
@@ -71,14 +85,22 @@ impl LeaderEntry {
     }
 }
 
+/// The one refusal of the system partition: a partition a caller names —
+/// to a [`crate::store::ChunkStore`] method or in a commit's ops — is any
+/// but it, whose data chunks are the partition leaders (§5.2). Engine paths
+/// reach it through [`Inner::leader_entry`] like any other.
+pub(crate) fn named(p: PartitionId) -> Result<PartitionId> {
+    if p.is_system() {
+        return Err(CoreError::NoSuchPartition(p));
+    }
+    Ok(p)
+}
+
 impl Inner {
     // -- Leader and crypto access --------------------------------------------
 
-    /// Loads (if needed) and returns the cached state for a user partition.
+    /// Loads (if needed) and returns the cached state for a partition.
     pub(crate) fn leader_entry(&mut self, p: PartitionId) -> Result<&LeaderEntry> {
-        if p.is_system() {
-            return Err(CoreError::NoSuchPartition(p));
-        }
         if !self.leaders.contains_key(&p) {
             let id = ChunkId::leader_chunk(p);
             let desc = self.get_descriptor(id)?;
@@ -135,51 +157,36 @@ impl Inner {
         }
     }
 
-    /// Runtime crypto for a partition (system partition included).
+    /// The partition map's tree state: the system partition's leader.
+    pub(crate) fn system_map(&self) -> &PartitionLeader {
+        &self.leaders[&PartitionId::SYSTEM].leader
+    }
+
+    /// Runtime crypto for a partition.
     pub(crate) fn crypto_for(&mut self, p: PartitionId) -> Result<Arc<PartitionCrypto>> {
-        if p.is_system() {
-            Ok(Arc::clone(&self.system))
-        } else {
-            Ok(Arc::clone(&self.leader_entry(p)?.crypto))
-        }
+        Ok(Arc::clone(&self.leader_entry(p)?.crypto))
     }
 
     /// The tree height of a partition's position map.
     pub(crate) fn tree_height(&mut self, p: PartitionId) -> Result<u8> {
-        if p.is_system() {
-            Ok(self.sys_leader.map.height)
-        } else {
-            Ok(self.leader_entry(p)?.leader.height)
-        }
+        Ok(self.leader_entry(p)?.leader.height)
     }
 
     pub(crate) fn root_descriptor(&mut self, p: PartitionId) -> Result<Descriptor> {
-        if p.is_system() {
-            Ok(self.sys_leader.map.root)
-        } else {
-            Ok(self.leader_entry(p)?.leader.root)
-        }
+        Ok(self.leader_entry(p)?.leader.root)
     }
 
     pub(crate) fn set_root_descriptor(&mut self, p: PartitionId, desc: Descriptor) -> Result<()> {
-        if p.is_system() {
-            self.sys_leader.map.root = desc;
-        } else {
-            let entry = self.leader_entry_mut(p)?;
-            entry.leader.root = desc;
-            entry.dirty = true;
-        }
+        let entry = self.leader_entry_mut(p)?;
+        entry.leader.root = desc;
+        entry.dirty = true;
         Ok(())
     }
 
     // -- Allocation (§4.4) ----------------------------------------------------
 
-    /// Reserves a partition id: a rank in the system partition's data space
-    /// (§5.1).
-    pub(crate) fn allocate_partition(&mut self) -> Result<PartitionId> {
-        Ok(PartitionId::from_leader_rank(self.sys_ranks.reserve()))
-    }
-
+    /// Reserves a chunk id in `p`; in the system partition, a partition
+    /// id's leader chunk (§5.1).
     pub(crate) fn allocate_chunk(&mut self, p: PartitionId) -> Result<ChunkId> {
         Ok(ChunkId::data(p, self.leader_entry_mut(p)?.ranks.reserve()))
     }
@@ -245,14 +252,15 @@ impl Inner {
     // -- Installing a commit's effects (commit and recovery alike) -----------
 
     /// Installs a written data chunk's descriptor; its rank leaves the
-    /// free and reserved lists.
-    pub(crate) fn install_chunk(&mut self, id: ChunkId, desc: Descriptor) -> Result<()> {
+    /// free and reserved lists. Returns whether the chunk was not written
+    /// before.
+    pub(crate) fn install_chunk(&mut self, id: ChunkId, desc: Descriptor) -> Result<bool> {
         self.ensure_capacity(id.partition, id.pos.rank)?;
         let first = !self.set_descriptor(id, desc)?.is_written();
         let entry = self.leader_entry_mut(id.partition)?;
         entry.ranks.wrote(&mut entry.leader, id.pos.rank, first);
         entry.dirty = true;
-        Ok(())
+        Ok(first)
     }
 
     /// Installs a written partition leader: its descriptor, its rank (the
@@ -264,14 +272,7 @@ impl Inner {
         leader: PartitionLeader,
         desc: Descriptor,
     ) -> Result<()> {
-        let id = ChunkId::leader_chunk(p);
-        self.ensure_capacity(PartitionId::SYSTEM, id.pos.rank)?;
-        let first = !self.set_descriptor(id, desc)?.is_written();
-        if first {
-            self.log_system_ranks();
-        }
-        self.sys_ranks
-            .wrote(&mut self.sys_leader.map, id.pos.rank, first);
+        let first = self.install_chunk(ChunkId::leader_chunk(p), desc)?;
         if let Some(src) = leader.source.filter(|_| first) {
             self.map_cache.clone_dirty(src, p);
         }
@@ -306,10 +307,7 @@ impl Inner {
     ) -> Result<()> {
         others.retain(|o| *o != q);
         self.uncharge_partition(q, others)?;
-        let id = ChunkId::leader_chunk(q);
-        self.set_descriptor(id, Descriptor::unallocated())?;
-        self.log_system_ranks();
-        self.sys_ranks.freed(&mut self.sys_leader.map, id.pos.rank);
+        self.free_chunk(ChunkId::leader_chunk(q))?;
         let old = self.leaders.remove(&q);
         self.log_displaced_leader(q, old);
         self.map_cache.purge_partition(q);

@@ -4,11 +4,11 @@
 //! it found it. While a mutation scope is open, the map cache journals the
 //! pre-image of every entry it changes ([`crate::cache`]) and the engine
 //! journals the rest here — leader entries (each with its partition's
-//! rank allocator), segment utilization, segments taken and freed, the
-//! system partition's rank allocator and free list. A
-//! [`Savepoint`] is the two journal lengths plus the engine's fixed-size
-//! scalars, so taking one costs the same on any database, and what a
-//! mutation pays for rollback is proportional to what it touches.
+//! rank allocator, the system partition's included), segment utilization,
+//! and segments taken and freed. A [`Savepoint`] is the two journal lengths
+//! plus the engine's fixed-size scalars, so taking one costs the same on
+//! any database, and what a mutation pays for rollback is proportional to
+//! what it touches.
 //!
 //! One protocol serves every mutation. `checkpoint` and `clean` take a
 //! savepoint and hand it to [`Inner::end_mutation`] with the outcome. A
@@ -24,9 +24,7 @@
 
 use tdb_crypto::HashValue;
 
-use crate::descriptor::Descriptor;
 use crate::engine::partitions::LeaderEntry;
-use crate::engine::ranks::Ranks;
 use crate::errors::{CoreError, FaultClass};
 use crate::ids::PartitionId;
 use crate::log::{Superblock, TailState};
@@ -48,9 +46,6 @@ pub(crate) enum Undo {
     SegmentEmptied,
     /// A checkpoint moved this many emptied segments to the free list.
     SegmentsReleased(usize),
-    /// The system partition's free list and rank allocator as they were,
-    /// before a partition was created or deallocated.
-    SystemRanks(Box<(Vec<u64>, Ranks)>),
 }
 
 /// A point a failed mutation can return to: where the journals stood, and
@@ -61,9 +56,6 @@ pub(crate) struct Savepoint {
     undo_mark: usize,
     /// This savepoint opened the journals, so its mutation closes them.
     outermost: bool,
-    sys_height: u8,
-    sys_next_rank: u64,
-    sys_root: Descriptor,
     checkpoint_seq: u64,
     chain: HashValue,
     tail: TailState,
@@ -82,9 +74,6 @@ impl Inner {
             cache_mark: self.map_cache.savepoint(),
             undo_mark: self.undo.mark(),
             outermost,
-            sys_height: self.sys_leader.map.height,
-            sys_next_rank: self.sys_leader.map.next_rank,
-            sys_root: self.sys_leader.map.root,
             checkpoint_seq: self.sys_leader.checkpoint_seq,
             chain: self.hashes.chain,
             tail: self.log.tail_state(),
@@ -129,14 +118,8 @@ impl Inner {
                     let released: Vec<u32> = log.free_segments.drain(at..).collect();
                     self.cleaned.splice(0..0, released);
                 }
-                Undo::SystemRanks(ranks) => {
-                    (self.sys_leader.map.free_ranks, self.sys_ranks) = *ranks;
-                }
             }
         }
-        self.sys_leader.map.height = sp.sys_height;
-        self.sys_leader.map.next_rank = sp.sys_next_rank;
-        self.sys_leader.map.root = sp.sys_root;
         self.sys_leader.checkpoint_seq = sp.checkpoint_seq;
         self.hashes.abort_set();
         self.hashes.chain = sp.chain;
@@ -186,17 +169,6 @@ impl Inner {
 
     // -- Journaled changes ------------------------------------------------------
 
-    /// Records the system partition's free list and rank allocator before
-    /// they change.
-    pub(crate) fn log_system_ranks(&mut self) {
-        if self.undo.is_open() {
-            let free = self.sys_leader.map.free_ranks.clone();
-            let bytes = 8 * free.len() + self.sys_ranks.bytes();
-            let ranks = Box::new((free, self.sys_ranks.clone()));
-            self.undo.push(Undo::SystemRanks(ranks), bytes);
-        }
-    }
-
     /// Sets the live-byte count of segment `seg` to `f(current)` (no-op for
     /// a segment the table does not cover).
     pub(crate) fn update_utilization(&mut self, seg: u32, f: impl FnOnce(u32) -> u32) {
@@ -234,6 +206,7 @@ mod tests {
 
     use super::*;
     use crate::cache::MapCache;
+    use crate::engine::ranks::Ranks;
     use crate::ids::ChunkId;
     use crate::leader::SystemLeader;
     use crate::params::CryptoParams;
@@ -244,7 +217,6 @@ mod tests {
         map_cache: MapCache,
         leaders: HashMap<PartitionId, LeaderEntry>,
         sys_leader: SystemLeader,
-        sys_ranks: Ranks,
         chain: HashValue,
         tail: u64,
         residual: BTreeSet<u32>,
@@ -271,7 +243,6 @@ mod tests {
                 map_cache: inner.map_cache.clone(),
                 leaders: inner.leaders.clone(),
                 sys_leader: inner.sys_leader.clone(),
-                sys_ranks: inner.sys_ranks.clone(),
                 chain: inner.hashes.chain,
                 tail: inner.log.tail_location(),
                 residual: inner.log.residual_segments().clone(),
@@ -307,12 +278,7 @@ mod tests {
                     "{ctx}: stray leader {p}"
                 );
             }
-            assert_eq!(
-                inner.sys_leader.encode(),
-                self.sys_leader.encode(),
-                "{ctx}: system leader"
-            );
-            assert_eq!(inner.sys_ranks, self.sys_ranks, "{ctx}");
+            assert_eq!(inner.sys_leader, self.sys_leader, "{ctx}: system leader");
             assert_eq!(inner.hashes.chain, self.chain, "{ctx}: chain");
             assert!(!inner.hashes.set_open(), "{ctx}: set hash left open");
             assert_eq!(inner.log.tail_location(), self.tail, "{ctx}: tail");
@@ -381,8 +347,8 @@ mod tests {
             },
         )
         .unwrap();
+        let p = store.allocate_partition().unwrap();
         let mut inner = store.inner.lock();
-        let p = inner.allocate_partition().unwrap();
         commit(
             &mut inner,
             vec![CommitOp::CreatePartition {
@@ -433,10 +399,10 @@ mod tests {
             .unwrap();
         }
         let spare = (0..8).map(|_| inner.allocate_chunk(p).unwrap()).collect();
-        let spare_parts = (0..2)
-            .map(|_| inner.allocate_partition().unwrap())
-            .collect();
         drop(inner);
+        let spare_parts = (0..2)
+            .map(|_| store.allocate_partition().unwrap())
+            .collect();
         Rig {
             store,
             device,
@@ -477,10 +443,13 @@ mod tests {
         let mut dirty = inner.map_cache.debug_entries();
         dirty.retain(|(_, dirty, _)| *dirty);
         out += &format!("dirty {dirty:?}\nlog {:?}\n", inner.sys_leader.log);
+        let sys = inner
+            .leader_entry(PartitionId::SYSTEM)
+            .ok()
+            .map(leader_state);
         out += &format!(
-            "sys {:?} {:?} tail {} residual {:?}\n",
-            inner.sys_leader.encode(),
-            inner.sys_ranks,
+            "sys {:?} {sys:?} tail {} residual {:?}\n",
+            inner.sys_leader.encode(inner.system_map()),
             inner.log.tail_location(),
             inner.log.residual_segments(),
         );
@@ -744,10 +713,11 @@ mod tests {
         let lists = |inner: &mut Inner| {
             let e = inner.leader_entry(rig.p).unwrap();
             let chunk_lists = (e.leader.free_ranks.clone(), e.ranks.session().1.to_vec());
+            let e = inner.leader_entry(PartitionId::SYSTEM).unwrap();
             (
                 chunk_lists,
-                inner.sys_leader.map.free_ranks.clone(),
-                inner.sys_ranks.session().1.to_vec(),
+                e.leader.free_ranks.clone(),
+                e.ranks.session().1.to_vec(),
             )
         };
         let before = lists(&mut inner);

@@ -208,15 +208,12 @@ impl LogState {
 
 /// The system leader: head of the residual log (§5.4).
 ///
-/// Combines the tree-management state for the system partition's position
-/// map (whose data chunks are the partition leaders, i.e. the *partition
-/// map* of Figure 7) with log-management state.
-#[derive(Debug, Clone)]
+/// Its body is the tree state of the system partition's position map, whose
+/// data chunks are the partition leaders (the *partition map* of Figure 7),
+/// followed by log-management state. The engine keeps that tree state as it
+/// keeps every partition's; this struct holds the rest.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemLeader {
-    /// Tree state for the partition map. `params` here are the system
-    /// partition's cipher/hash and the secret-store key; the key itself is
-    /// *not* serialized (the secret store is the root of trust).
-    pub map: PartitionLeader,
     /// Log-management state.
     pub log: LogState,
     /// Monotonically increasing checkpoint sequence number.
@@ -225,24 +222,23 @@ pub struct SystemLeader {
 
 impl SystemLeader {
     /// A fresh system leader.
-    pub fn new(params: CryptoParams, segment_size: u32) -> SystemLeader {
+    pub fn new(segment_size: u32) -> SystemLeader {
         SystemLeader {
-            map: PartitionLeader::new(params),
             log: LogState::new(segment_size),
             checkpoint_seq: 0,
         }
     }
 
-    /// Serializes the system leader body. Unlike partition leaders, the
-    /// system key is replaced by an empty placeholder: the secret-store key
-    /// must never be written to untrusted storage, even encrypted under
-    /// itself.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut scrubbed = self.map.clone();
+    /// Serializes the system leader body around `map`, the partition map's
+    /// tree state. Unlike partition leaders, the system key is replaced by
+    /// an empty placeholder: the secret-store key must never be written to
+    /// untrusted storage, even encrypted under itself.
+    pub fn encode(&self, map: &PartitionLeader) -> Vec<u8> {
+        let mut scrubbed = map.clone();
         scrubbed.params = CryptoParams {
-            cipher: self.map.params.cipher,
-            hash: self.map.params.hash,
-            key: tdb_crypto::SecretKey::new(vec![0u8; self.map.params.cipher.key_len()]),
+            cipher: map.params.cipher,
+            hash: map.params.hash,
+            key: tdb_crypto::SecretKey::new(vec![0u8; map.params.cipher.key_len()]),
         };
         let mut e = Enc::new();
         e.bytes(&scrubbed.encode());
@@ -251,14 +247,18 @@ impl SystemLeader {
         e.finish()
     }
 
-    /// Inverse of [`SystemLeader::encode`]; reinstates the secret-store key
-    /// passed by the caller.
+    /// Inverse of [`SystemLeader::encode`]: the partition map's tree state,
+    /// with the secret-store key passed by the caller reinstated, and the
+    /// system leader.
     ///
     /// # Errors
     ///
     /// Fails on structural corruption or if the recorded cipher/hash do not
     /// match the platform's system parameters.
-    pub fn decode(body: &[u8], system_params: &CryptoParams) -> Result<SystemLeader> {
+    pub fn decode(
+        body: &[u8],
+        system_params: &CryptoParams,
+    ) -> Result<(PartitionLeader, SystemLeader)> {
         let mut d = Dec::new(body);
         let map_body = d.bytes()?;
         let mut map = PartitionLeader::decode(map_body)?;
@@ -271,11 +271,13 @@ impl SystemLeader {
         let log = LogState::decode(&mut d)?;
         let checkpoint_seq = d.u64()?;
         d.expect_done("system leader")?;
-        Ok(SystemLeader {
+        Ok((
             map,
-            log,
-            checkpoint_seq,
-        })
+            SystemLeader {
+                log,
+                checkpoint_seq,
+            },
+        ))
     }
 }
 
@@ -344,13 +346,14 @@ mod tests {
     #[test]
     fn system_leader_roundtrip_scrubs_key() {
         let sys_params = CryptoParams::paper_system(tdb_crypto::SecretKey::random(24));
-        let mut sl = SystemLeader::new(sys_params.clone(), 65536);
-        sl.map.next_rank = 3;
+        let mut map = PartitionLeader::new(sys_params.clone());
+        map.next_rank = 3;
+        let mut sl = SystemLeader::new(65536);
         sl.log.num_segments = 5;
         sl.log.free_segments = vec![2];
         sl.log.utilization = vec![100, 200, 0, 50, 60];
         sl.checkpoint_seq = 9;
-        let body = sl.encode();
+        let body = sl.encode(&map);
 
         // The secret key must not appear in the serialized body.
         let key = sys_params.key.as_bytes();
@@ -359,18 +362,16 @@ mod tests {
             "secret-store key leaked into system leader body"
         );
 
-        let back = SystemLeader::decode(&body, &sys_params).unwrap();
-        assert_eq!(back.map.next_rank, 3);
-        assert_eq!(back.log, sl.log);
-        assert_eq!(back.checkpoint_seq, 9);
-        assert_eq!(back.map.params.key.as_bytes(), key);
+        let (back_map, back) = SystemLeader::decode(&body, &sys_params).unwrap();
+        assert_eq!(back_map.next_rank, 3);
+        assert_eq!(back, sl);
+        assert_eq!(back_map.params.key.as_bytes(), key);
     }
 
     #[test]
     fn system_leader_rejects_mismatched_params() {
         let a = CryptoParams::paper_system(tdb_crypto::SecretKey::random(24));
-        let sl = SystemLeader::new(a.clone(), 65536);
-        let body = sl.encode();
+        let body = SystemLeader::new(65536).encode(&PartitionLeader::new(a));
         let other = CryptoParams {
             cipher: CipherKind::Aes256,
             hash: HashKind::Sha256,

@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 
 use tdb_crypto::hmac::Hmac;
-use tdb_crypto::{ct_eq, CipherKind, HashKind, HashValue, Hasher, SecretKey};
+use tdb_crypto::{ct_eq, CipherKind, HashKind, HashValue, InlineHasher, SecretKey};
 use tdb_storage::SharedUntrusted;
 
 use crate::codec::{Dec, Enc};
@@ -296,7 +296,7 @@ pub struct LogHashes {
     chained: bool,
     /// Direct-validation chain over the residual log (zero when unchained).
     pub chain: HashValue,
-    set: Option<Box<dyn Hasher>>,
+    set: Option<InlineHasher>,
 }
 
 impl LogHashes {
@@ -333,7 +333,7 @@ impl LogHashes {
 
     /// Starts accumulating a commit-set hash.
     pub fn begin_set(&mut self) {
-        self.set = Some(self.kind.hasher());
+        self.set = Some(self.kind.inline_hasher());
     }
 
     /// Finishes the commit-set hash.

@@ -151,7 +151,7 @@ fn recover_from(
         let _t = metrics::span(modules::ENCRYPTION);
         leader_raw.open_body(&system, leader_loc)?
     };
-    let sys_leader = SystemLeader::decode(&leader_body, &sys_params)?;
+    let (map, sys_leader) = SystemLeader::decode(&leader_body, &sys_params)?;
     // A restart adopts only a checkpoint newer than the leader the scan
     // started from. An older one is a stale version that a failed write
     // left exposed in a recycled segment past the tail; following it
@@ -172,6 +172,7 @@ fn recover_from(
         Arc::clone(&system),
         trusted,
         log,
+        map,
         sys_leader,
         superblock,
     );
@@ -213,7 +214,7 @@ fn recover_from(
     // location, awaiting their cleaner records.
     let mut relocated: HashMap<u64, Descriptor> = HashMap::new();
     // Counter mode: hash of the current set and the count sequence.
-    let mut set_hasher = inner.config.system_hash.hasher();
+    let mut set_hasher = inner.config.system_hash.inline_hasher();
     // The first set is the checkpoint's own, covering the leader alone.
     set_hasher.update(&leader_bytes);
     let mut last_count: Option<u64> = None;
@@ -309,7 +310,7 @@ fn recover_from(
                     }));
                 }
                 let set_hash =
-                    std::mem::replace(&mut set_hasher, inner.config.system_hash.hasher())
+                    std::mem::replace(&mut set_hasher, inner.config.system_hash.inline_hasher())
                         .finalize();
                 if set_hash.as_bytes() != rec.set_hash.as_slice() {
                     // §4.9.3: "the recovery procedure stops when the hash of
@@ -352,10 +353,15 @@ fn recover_from(
                 pending.push(ReplayAction::Cleaner(rec));
             }
             VersionKind::Named | VersionKind::Relocated => {
-                if counter_mode
-                    && raw.header.kind == VersionKind::Named
+                if raw.header.kind == VersionKind::Named
                     && raw.header.id == ChunkId::system_leader()
                 {
+                    // Direct mode writes the superblock before the register
+                    // that ends the chain, so the chain ends before any
+                    // leader the superblock does not name.
+                    if !counter_mode {
+                        return Err(CoreError::TamperDetected(TamperKind::LogHashMismatch));
+                    }
                     // A mid-residual system leader: a checkpoint whose
                     // superblock update never landed, possibly with the
                     // trusted counter already advanced. Live checkpoints
@@ -510,19 +516,6 @@ fn apply_named(
     relocated: &mut HashMap<u64, Descriptor>,
 ) -> Result<()> {
     let id = raw.header.id;
-
-    // A mid-residual system leader: an interrupted checkpoint whose
-    // superblock update never landed. Adopt its state and continue.
-    if id == ChunkId::system_leader() {
-        let body = raw.open_body(&inner.system, location)?;
-        let new_leader = SystemLeader::decode(&body, &inner.sys_leader.map.params)?;
-        // Its utilization table already charges it and not its predecessor.
-        inner.sys_ranks.refresh(&new_leader.map);
-        inner.sys_leader = new_leader;
-        inner.leader_version = Some((location, raw.total_len as u32));
-        return Ok(());
-    }
-
     // Decrypt with the owning partition's cipher and compute the descriptor
     // ("the recovery procedure computes the descriptor based on its
     // location and hash", §4.8).
@@ -561,5 +554,6 @@ fn apply_named(
         return Ok(());
     }
 
-    inner.install_chunk(id, desc)
+    inner.install_chunk(id, desc)?;
+    Ok(())
 }

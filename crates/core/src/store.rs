@@ -32,11 +32,11 @@ use tdb_storage::{MonotonicCounter, SharedUntrusted, TrustedStore};
 use crate::batcher::CommitBatcher;
 use crate::cache::MapCache;
 use crate::descriptor::Descriptor;
-use crate::engine::ranks::Ranks;
+use crate::engine::partitions::named;
 use crate::engine::rollback::Undo;
 use crate::errors::{CoreError, Result};
 use crate::ids::{ChunkId, PartitionId};
-use crate::leader::SystemLeader;
+use crate::leader::{PartitionLeader, SystemLeader};
 use crate::log::{LogHashes, SegmentedLog, SuiteRecord, Superblock};
 use crate::metrics::{self, modules};
 use crate::params::{CryptoParams, PartitionCrypto};
@@ -259,10 +259,11 @@ pub(crate) struct Inner {
     pub trusted: TrustedBackend,
     pub log: SegmentedLog,
     pub hashes: LogHashes,
+    /// The system leader's log state and checkpoint sequence; the partition
+    /// map's tree state is the system partition's entry in `leaders`.
     pub sys_leader: SystemLeader,
-    /// The system partition's rank allocator: partition ids (§5.1).
-    pub sys_ranks: Ranks,
     pub map_cache: MapCache,
+    /// Every partition's cached state; the system partition's always.
     pub leaders: HashMap<PartitionId, LeaderEntry>,
     /// Last commit count appended to the log (counter mode).
     pub commit_count: u64,
@@ -342,7 +343,8 @@ impl ChunkStore {
         let sys_params = config.system_params(&secret);
         let system = Arc::new(sys_params.runtime()?);
         let suite = SuiteRecord::sealed(&secret, config.system_cipher, config.system_hash);
-        let mut sys_leader = SystemLeader::new(sys_params, config.segment_size);
+        let map = PartitionLeader::new(sys_params);
+        let mut sys_leader = SystemLeader::new(config.segment_size);
         sys_leader.log.num_segments = 1;
         sys_leader.log.utilization.push(0);
         let log = SegmentedLog::new(
@@ -365,7 +367,7 @@ impl ChunkStore {
             prev_leader: 0,
             suite,
         };
-        let mut inner = Inner::new(config, system, trusted, log, sys_leader, superblock);
+        let mut inner = Inner::new(config, system, trusted, log, map, sys_leader, superblock);
         (inner.commit_count, inner.trusted_count) = (base_count, base_count);
         // The initial checkpoint materializes the empty database: leader,
         // commit chunk / trusted hash, and superblock.
@@ -411,7 +413,8 @@ impl ChunkStore {
         let _t = metrics::span(modules::CHUNK_STORE);
         let mut inner = self.inner.lock();
         inner.check_writable()?;
-        inner.allocate_partition()
+        let id = inner.allocate_chunk(PartitionId::SYSTEM)?;
+        Ok(PartitionId::from_leader_rank(id.pos.rank))
     }
 
     /// Returns an unallocated chunk id in `partition` (§4.1 `Allocate`).
@@ -423,7 +426,7 @@ impl ChunkStore {
         let _t = metrics::span(modules::CHUNK_STORE);
         let mut inner = self.inner.lock();
         inner.check_writable()?;
-        inner.allocate_chunk(partition)
+        inner.allocate_chunk(named(partition)?)
     }
 
     /// Returns an id [`ChunkStore::allocate_chunk`] handed out and no commit
@@ -438,6 +441,7 @@ impl ChunkStore {
         let _t = metrics::span(modules::CHUNK_STORE);
         let mut inner = self.inner.lock();
         inner.check_writable()?;
+        named(id.partition)?;
         inner.release_chunk(id)
     }
 
@@ -617,7 +621,7 @@ impl ChunkStore {
         let _t = metrics::span(modules::CHUNK_STORE);
         let mut inner = self.inner.lock();
         inner.check_readable()?;
-        inner.diff(old, new)
+        inner.diff(named(old)?, named(new)?)
     }
 
     /// The written data-chunk ranks of a partition, ascending (used by full
@@ -630,7 +634,7 @@ impl ChunkStore {
         let _t = metrics::span(modules::CHUNK_STORE);
         let mut inner = self.inner.lock();
         inner.check_readable()?;
-        inner.written_ranks(partition)
+        inner.written_ranks(named(partition)?)
     }
 
     /// The cryptographic parameters of a partition (cipher and hash kinds
@@ -645,7 +649,7 @@ impl ChunkStore {
     ) -> Result<(tdb_crypto::CipherKind, tdb_crypto::HashKind)> {
         let mut inner = self.inner.lock();
         inner.check_readable()?;
-        let entry = inner.leader_entry(partition)?;
+        let entry = inner.leader_entry(named(partition)?)?;
         Ok((entry.leader.params.cipher, entry.leader.params.hash))
     }
 
@@ -659,7 +663,7 @@ impl ChunkStore {
     pub fn partition_exists(&self, partition: PartitionId) -> Result<bool> {
         let mut inner = self.inner.lock();
         inner.check_readable()?;
-        inner.partition_exists(partition)
+        Ok(named(partition).is_ok() && inner.partition_exists(partition)?)
     }
 
     /// Aggregate statistics.
@@ -714,16 +718,19 @@ impl ChunkStore {
 }
 
 impl Inner {
-    /// A live engine over `log` in the state `sys_leader` records, nothing
-    /// cached or counted yet: where creating and opening a store start.
+    /// A live engine over `log` in the state `map` and `sys_leader` record,
+    /// nothing but the system partition cached and nothing counted yet:
+    /// where creating and opening a store start.
     pub(crate) fn new(
         config: ChunkStoreConfig,
         system: Arc<PartitionCrypto>,
         trusted: TrustedBackend,
         log: SegmentedLog,
+        map: PartitionLeader,
         sys_leader: SystemLeader,
         superblock: Superblock,
     ) -> Inner {
+        let system_entry = LeaderEntry::with_crypto(map, Arc::clone(&system));
         Inner {
             map_cache: MapCache::new(config.map_cache_capacity),
             hashes: LogHashes::new(
@@ -734,9 +741,8 @@ impl Inner {
             system,
             trusted,
             log,
-            sys_ranks: Ranks::new(&sys_leader.map),
             sys_leader,
-            leaders: HashMap::new(),
+            leaders: HashMap::from([(PartitionId::SYSTEM, system_entry)]),
             commit_count: 0,
             trusted_count: 0,
             leader_version: None,
@@ -830,11 +836,7 @@ impl ChunkStore {
     #[doc(hidden)]
     pub fn debug_ranks(&self, p: PartitionId) -> Result<[(u64, BTreeSet<u64>); 2]> {
         self.with_inner(|inner| {
-            let (leader, ranks) = if p.is_system() {
-                (&inner.sys_leader.map, &inner.sys_ranks)
-            } else {
-                inner.leader_entry(p).map(|e| (&e.leader, &e.ranks))?
-            };
+            let (leader, ranks) = inner.leader_entry(p).map(|e| (&e.leader, &e.ranks))?;
             let (next, free) = ranks.session();
             let set = |free: &[u64]| free.iter().copied().collect();
             Ok([

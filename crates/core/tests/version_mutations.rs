@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use proptest::sample::Index;
 
 use tdb_core::descriptor::Descriptor;
-use tdb_core::leader::SystemLeader;
+use tdb_core::leader::{PartitionLeader, SystemLeader};
 use tdb_core::log::{SuiteRecord, Superblock};
 use tdb_core::params::PartitionCrypto;
 use tdb_core::store::ChunkStoreConfig;
@@ -218,9 +218,10 @@ fn mutated_leaders_records_and_proofs_never_panic_or_overallocate() {
     let secret = SecretKey::new(b"mutation-pass secret".to_vec());
     let system_params = ChunkStoreConfig::default().system_params(&secret);
     let system = system_params.runtime().unwrap();
-    let mut leader = SystemLeader::new(system_params.clone(), 4096);
-    leader.map.free_ranks = vec![3, 9, 27];
-    leader.map.copies = vec![PartitionId(5)];
+    let mut map = PartitionLeader::new(system_params.clone());
+    map.free_ranks = vec![3, 9, 27];
+    map.copies = vec![PartitionId(5)];
+    let mut leader = SystemLeader::new(4096);
     leader.log.num_segments = 6;
     leader.log.free_segments = vec![1, 4];
     leader.log.utilization = vec![100, 0, 4000, 3, 0, 12];
@@ -229,7 +230,7 @@ fn mutated_leaders_records_and_proofs_never_panic_or_overallocate() {
         &system,
         VersionKind::Named,
         ChunkId::system_leader(),
-        &leader.encode(),
+        &leader.encode(&map),
     );
     let superblock = Superblock {
         epoch: 9,

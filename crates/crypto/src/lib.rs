@@ -97,16 +97,6 @@ impl fmt::Display for CryptoError {
 
 impl std::error::Error for CryptoError {}
 
-/// An incremental hash function.
-pub trait Hasher: Send {
-    /// Absorbs `data` into the hash state.
-    fn update(&mut self, data: &[u8]);
-    /// Consumes the state and returns the digest.
-    fn finalize(self: Box<Self>) -> HashValue;
-    /// Digest length in bytes.
-    fn digest_len(&self) -> usize;
-}
-
 /// A fixed-capacity hash digest value.
 ///
 /// Stored inline (no allocation) because descriptors in the chunk map hold
@@ -195,16 +185,6 @@ impl HashKind {
         }
     }
 
-    /// Creates a boxed incremental hasher (dynamic-dispatch convenience;
-    /// hot paths should prefer [`InlineHasher`] or the one-shot helpers).
-    pub fn hasher(self) -> Box<dyn Hasher> {
-        match self {
-            HashKind::Null => Box::new(NullHasher),
-            HashKind::Sha1 => Box::new(sha1::Sha1::new()),
-            HashKind::Sha256 => Box::new(sha256::Sha256::new()),
-        }
-    }
-
     /// Creates a stack-allocated incremental hasher.
     pub fn inline_hasher(self) -> InlineHasher {
         InlineHasher::new(self)
@@ -213,8 +193,8 @@ impl HashKind {
     /// One-shot hash of `data`.
     ///
     /// Monomorphic: dispatches once on the kind and runs the concrete
-    /// digest with no heap allocation (this sits under every chunk
-    /// validation, so the old per-call `Box<dyn Hasher>` mattered).
+    /// digest with no heap allocation: this sits under every chunk
+    /// validation.
     pub fn hash(self, data: &[u8]) -> HashValue {
         match self {
             HashKind::Null => HashValue::zero(0),
@@ -268,9 +248,9 @@ impl HashKind {
 
 /// A stack-allocated incremental hasher over any [`HashKind`].
 ///
-/// The enum dispatch replaces per-call `Box<dyn Hasher>` allocation on the
-/// validation hot paths; `Clone` snapshots the midstate (HMAC resumes from
-/// pre-absorbed pad blocks this way).
+/// The one incremental hasher: an enum over the kinds, so no hash state is
+/// boxed; `Clone` snapshots the midstate (HMAC resumes from pre-absorbed
+/// pad blocks this way).
 #[derive(Clone)]
 pub enum InlineHasher {
     /// No-op hasher for [`HashKind::Null`]: absorbs nothing, yields the
@@ -317,19 +297,6 @@ impl InlineHasher {
             InlineHasher::Sha1(_) => 20,
             InlineHasher::Sha256(_) => 32,
         }
-    }
-}
-
-/// The no-op hasher backing [`HashKind::Null`].
-struct NullHasher;
-
-impl Hasher for NullHasher {
-    fn update(&mut self, _data: &[u8]) {}
-    fn finalize(self: Box<Self>) -> HashValue {
-        HashValue::zero(0)
-    }
-    fn digest_len(&self) -> usize {
-        0
     }
 }
 
@@ -545,17 +512,15 @@ mod tests {
     }
 
     #[test]
-    fn inline_hasher_matches_boxed() {
+    fn inline_hasher_matches_one_shot() {
         let data: Vec<u8> = (0..300u32).map(|i| (i * 7) as u8).collect();
         for kind in [HashKind::Null, HashKind::Sha1, HashKind::Sha256] {
             let mut inline = kind.inline_hasher();
-            let mut boxed = kind.hasher();
-            assert_eq!(inline.digest_len(), boxed.digest_len());
+            assert_eq!(inline.digest_len(), kind.digest_len());
             for piece in data.chunks(37) {
                 inline.update(piece);
-                boxed.update(piece);
             }
-            assert_eq!(inline.finalize(), boxed.finalize());
+            assert_eq!(inline.finalize(), kind.hash(&data));
             assert_eq!(
                 kind.hash(&data),
                 kind.hash_parts(&[&data[..100], &data[100..]])

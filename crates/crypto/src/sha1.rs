@@ -6,7 +6,7 @@
 //! [`crate::sha256`] is the recommended modern choice.
 
 use crate::md::Md;
-use crate::{HashValue, Hasher};
+use crate::HashValue;
 
 /// The initial hash value (FIPS 180-4 §5.3.1).
 const IV: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
@@ -133,20 +133,6 @@ impl Sha1 {
     }
 }
 
-impl Hasher for Sha1 {
-    fn update(&mut self, data: &[u8]) {
-        self.absorb(data);
-    }
-
-    fn finalize(self: Box<Self>) -> HashValue {
-        (*self).finish()
-    }
-
-    fn digest_len(&self) -> usize {
-        20
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,8 +190,8 @@ mod tests {
     }
 
     #[test]
-    fn trait_object_digest() {
-        let mut h: Box<dyn Hasher> = Box::new(Sha1::new());
+    fn inline_hasher_digest() {
+        let mut h = crate::HashKind::Sha1.inline_hasher();
         assert_eq!(h.digest_len(), 20);
         h.update(b"abc");
         assert_eq!(

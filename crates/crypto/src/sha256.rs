@@ -1,7 +1,7 @@
 //! SHA-256 (FIPS 180-4), the recommended modern partition hash.
 
 use crate::md::Md;
-use crate::{HashValue, Hasher};
+use crate::HashValue;
 
 /// The initial hash value (FIPS 180-4 §5.3.3).
 const IV: [u32; 8] = [
@@ -144,20 +144,6 @@ impl Sha256 {
             }
         }
         *state = s;
-    }
-}
-
-impl Hasher for Sha256 {
-    fn update(&mut self, data: &[u8]) {
-        self.absorb(data);
-    }
-
-    fn finalize(self: Box<Self>) -> HashValue {
-        (*self).finish()
-    }
-
-    fn digest_len(&self) -> usize {
-        32
     }
 }
 

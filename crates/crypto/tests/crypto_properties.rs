@@ -142,7 +142,7 @@ proptest! {
     ) {
         for kind in [HashKind::Sha1, HashKind::Sha256] {
             let oneshot = kind.hash(&data);
-            let mut hasher = kind.hasher();
+            let mut hasher = kind.inline_hasher();
             let mut rest: &[u8] = &data;
             for s in &splits {
                 let take = (*s).min(rest.len());

@@ -1,7 +1,7 @@
 //! Error types for the object store.
 //!
 //! Each object-layer variant has a stable numeric code on the wire
-//! (201–205, 207, 208), assigned with the core codes in one table, `TdbError::code`
+//! (201–205, 208), assigned with the core codes in one table, `TdbError::code`
 //! in the `tdb` crate's command layer. [`ObjectError::Core`] has no code of
 //! its own: it crosses the wire as the wrapped [`tdb_core::CoreError`]'s
 //! code and fault class, so a tamper found here reads as one.
@@ -32,9 +32,6 @@ pub enum ObjectError {
     /// cycle, or it was still held at the timeout, the paper's deadlock
     /// breaker (§7). The transaction should abort and retry.
     LockTimeout(ObjectId),
-    /// A snapshot-isolation transaction was requested. The store runs
-    /// two-phase locking only.
-    MvccDisabled,
     /// The transaction was already finished.
     TxFinished,
 }
@@ -60,9 +57,6 @@ impl fmt::Display for ObjectError {
                     f,
                     "lock refused on {id} (deadlock or timeout; abort and retry)"
                 )
-            }
-            ObjectError::MvccDisabled => {
-                write!(f, "mvcc transactions are disabled for this store")
             }
             ObjectError::TxFinished => write!(f, "transaction already committed or aborted"),
         }

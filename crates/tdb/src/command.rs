@@ -28,12 +28,9 @@ use crate::{CollectionId, IndexKind, TdbError};
 /// Which concurrency-control scheme a `Begin` opens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxMode {
-    /// Two-phase locking ([`crate::Tx`]), the store's one scheme.
+    /// Two-phase locking ([`crate::Tx`]), the store's one scheme: mode
+    /// byte 0. Any other byte is refused as malformed.
     Locking,
-    /// Snapshot isolation. Still decodes, so the wire is unchanged, but
-    /// the store has no such transactions: `Begin(Mvcc)` answers
-    /// [`ObjectError::MvccDisabled`] (code 207).
-    Mvcc,
 }
 
 /// One request against the trusted database.
@@ -258,7 +255,7 @@ impl WireError {
 impl TdbError {
     /// The stable numeric code of this error: the one table that assigns
     /// error codes. `CoreError` 1–15, `TamperKind` 100–110, `ObjectError`
-    /// 201–208 but 206. An [`ObjectError::Core`] has its cause's code, so a tamper
+    /// 201–208 but 206 and 207. An [`ObjectError::Core`] has its cause's code, so a tamper
     /// found by the object layer reads as one. Codes are part of the wire
     /// protocol: never renumber one, and never reassign a retired one.
     pub fn code(&self) -> u16 {
@@ -272,8 +269,8 @@ impl TdbError {
                 ObjectError::BadPickle(_) => return 203,
                 ObjectError::TypeMismatch { .. } => return 204,
                 ObjectError::LockTimeout(_) => return 205,
-                // 206 is retired (a snapshot-isolation write conflict).
-                ObjectError::MvccDisabled => return 207,
+                // 206 and 207 are retired (a snapshot-isolation write
+                // conflict, and a refused snapshot-isolation `Begin`).
                 ObjectError::TxFinished => return 208,
             },
         };
@@ -412,7 +409,6 @@ impl Command {
             Command::Begin(mode) => {
                 e.u8(match mode {
                     TxMode::Locking => 0,
-                    TxMode::Mvcc => 1,
                 });
             }
             Command::Create { partition, record } => {
@@ -488,7 +484,6 @@ impl Command {
             5 => Command::Clean(d.u64()?),
             6 => Command::Begin(match d.u8()? {
                 0 => TxMode::Locking,
-                1 => TxMode::Mvcc,
                 _ => return Err(bad("tx mode")),
             }),
             7 => Command::Commit,
@@ -693,10 +688,10 @@ mod tests {
         let ranges: std::collections::BTreeSet<u16> = (1..=17)
             .chain(100..=110)
             .chain([112])
-            .chain((201..=208).filter(|&c| c != 206))
+            .chain((201..=208).filter(|&c| c != 206 && c != 207))
             .collect();
         assert_eq!(codes, ranges);
-        assert!([111, 200, 206].iter().all(|c| !codes.contains(c)));
+        assert!([111, 200, 206, 207].iter().all(|c| !codes.contains(c)));
 
         for err in &all {
             let w = WireError::from(err);
@@ -733,7 +728,6 @@ mod tests {
             Command::Checkpoint,
             Command::Clean(4),
             Command::Begin(TxMode::Locking),
-            Command::Begin(TxMode::Mvcc),
             Command::Commit,
             Command::Abort,
             Command::Create {
@@ -833,5 +827,13 @@ mod tests {
         let buf = e.finish();
         assert!(Command::decode(&mut Dec::new(&buf)).is_err());
         assert!(Response::decode(&mut Dec::new(&buf)).is_err());
+        // `Begin` knows one mode byte, 0; 1 (snapshot isolation, retired)
+        // is as unknown as any other.
+        for mode in [1, 2, 255] {
+            let mut e = Enc::new();
+            e.u16(6);
+            e.u8(mode);
+            assert!(Command::decode(&mut Dec::new(&e.finish())).is_err());
+        }
     }
 }

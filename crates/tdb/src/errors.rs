@@ -145,7 +145,6 @@ pub(crate) mod tests {
                 found_tag: 7,
             },
             ObjectError::LockTimeout(id),
-            ObjectError::MvccDisabled,
             ObjectError::TxFinished,
         ]
     }
@@ -176,10 +175,12 @@ pub(crate) mod tests {
             .into_iter()
             .map(|e| TdbError::Object(e).code())
             .collect();
-        let retired = 206;
+        let retired = [206, 207];
         assert_eq!(
             object,
-            (201..=208).filter(|&c| c != retired).collect::<Vec<u16>>()
+            (201..=208)
+                .filter(|c| !retired.contains(c))
+                .collect::<Vec<u16>>()
         );
 
         let mut seen = std::collections::HashSet::new();

@@ -242,21 +242,18 @@ impl Session {
                 Ok(n) => Response::Count(n as u64),
                 Err(e) => err(e),
             },
-            Command::Begin(mode) => self.begin(*mode),
+            Command::Begin(TxMode::Locking) => self.begin(),
             Command::Commit => self.commit(),
             Command::Abort => self.abort(),
             _ => self.dispatch_data(cmd, burst),
         }
     }
 
-    fn begin(&mut self, mode: TxMode) -> Response {
+    fn begin(&mut self) -> Response {
         if self.tx.is_some() {
             return err(CoreError::Busy(
                 "a transaction is already open on this session".into(),
             ));
-        }
-        if mode == TxMode::Mvcc {
-            return err(ObjectError::MvccDisabled);
         }
         self.tx = Some(self.objects.begin());
         Response::Ok

@@ -208,12 +208,10 @@ fn build_script() -> Vec<Command> {
     run(&mut script, Command::Abort);
     run(&mut script, Command::Commit); // TxFinished: nothing open
 
-    // A locking transaction's read carries no proof; snapshot isolation
-    // is not offered (MvccDisabled, code 207).
+    // A locking transaction's read carries no proof.
     run(&mut script, Command::Begin(TxMode::Locking));
     run(&mut script, Command::GetWithProof(id0));
     run(&mut script, Command::Commit);
-    run(&mut script, Command::Begin(TxMode::Mvcc));
 
     // Admin surface.
     run(&mut script, Command::Checkpoint);

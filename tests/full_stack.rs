@@ -334,3 +334,109 @@ fn secondary_partition_with_different_cipher() {
     })
     .unwrap();
 }
+
+/// The system partition holds the partition map (§5.2): wherever a caller
+/// names a partition, it is refused with the error an absent or existing
+/// partition gets, and the store stays live and usable afterwards.
+#[test]
+fn system_partition_is_refused_wherever_a_caller_names_it() {
+    use tdb::{ChunkId, Command, CommitOp, PartitionId, Response};
+    use tdb_core::CoreError;
+
+    let platform = Platform::new();
+    let db = platform.create();
+    let chunks = Arc::clone(db.chunks());
+    let system = PartitionId::SYSTEM;
+    let p = db.partition();
+    let no_such = |r: Result<(), CoreError>, what: &str| {
+        assert!(
+            matches!(r, Err(CoreError::NoSuchPartition(q)) if q == system),
+            "{what}: {r:?}"
+        );
+    };
+    no_such(chunks.allocate_chunk(system).map(drop), "allocate_chunk");
+    no_such(
+        chunks.release_chunk(ChunkId::data(system, 0)),
+        "release_chunk",
+    );
+    no_such(chunks.partition_kinds(system).map(drop), "partition_kinds");
+    no_such(chunks.written_ranks(system).map(drop), "written_ranks");
+    no_such(chunks.diff(system, p).map(drop), "diff (old)");
+    no_such(chunks.diff(p, system).map(drop), "diff (new)");
+    assert!(!chunks.partition_exists(system).unwrap());
+    no_such(
+        chunks.commit(vec![CommitOp::DeallocPartition { id: system }]),
+        "DeallocPartition",
+    );
+    let dst = chunks.allocate_partition().unwrap();
+    no_such(
+        chunks.commit(vec![CommitOp::CopyPartition { dst, src: system }]),
+        "CopyPartition src",
+    );
+    let exists = |r: Result<(), CoreError>, what: &str| {
+        assert!(
+            matches!(r, Err(CoreError::PartitionExists(q)) if q == system),
+            "{what}: {r:?}"
+        );
+    };
+    exists(
+        chunks.commit(vec![CommitOp::CreatePartition {
+            id: system,
+            params: tdb::CryptoParams::generate(
+                tdb_crypto::CipherKind::Aes128,
+                tdb_crypto::HashKind::Sha1,
+            ),
+        }]),
+        "CreatePartition",
+    );
+    exists(
+        chunks.commit(vec![CommitOp::CopyPartition {
+            dst: system,
+            src: p,
+        }]),
+        "CopyPartition dst",
+    );
+
+    let mut session = db.session("boundary");
+    let note = Note {
+        author: "a".into(),
+        body: "b".into(),
+        revision: 1,
+    };
+    let mut record = NOTE_TAG.to_le_bytes().to_vec();
+    record.extend(note.pickle());
+    for cmd in [
+        Command::Create {
+            partition: system,
+            record: record.clone(),
+        },
+        Command::CollCreate {
+            partition: system,
+            name: "system".into(),
+        },
+    ] {
+        let resp = session.dispatch(&cmd);
+        assert!(matches!(resp, Response::Error(_)), "{cmd:?}: {resp:?}");
+    }
+
+    // Still live, and every refused call left the store usable.
+    assert!(chunks.health().is_live());
+    let resp = session.dispatch(&Command::Create {
+        partition: p,
+        record,
+    });
+    let Response::Id(id) = resp else {
+        panic!("create after the refusals: {resp:?}");
+    };
+    chunks
+        .commit(vec![CommitOp::CopyPartition { dst, src: p }])
+        .unwrap();
+    assert!(chunks.partition_exists(dst).unwrap());
+    drop((session, chunks, db));
+    let db = platform.open().unwrap();
+    db.run(|tx| {
+        assert_eq!(*tx.get::<Note>(id)?, note);
+        Ok(())
+    })
+    .unwrap();
+}

@@ -145,7 +145,7 @@ fn payload(which: usize, seed: u64, len: usize) -> Vec<u8> {
         .encode(),
         4 => command(Command::Get(id)),
         5 => command(Command::Put { id, record: bytes }),
-        6 => command(Command::Begin(TxMode::Mvcc)),
+        6 => command(Command::Begin(TxMode::Locking)),
         7 => command(Command::CollAddIndex {
             coll,
             name: text(seed, 8),
